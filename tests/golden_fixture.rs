@@ -14,11 +14,16 @@
 //!
 //! Both backends are checked against the same golden bytes, so the
 //! cross-backend identity contract is pinned to a durable artifact too.
+//!
+//! Two fixtures share the genome: `golden` (48 D1 pairs, 0.1 % error — the
+//! light path; about two pairs reach DP) and `golden_noisy` (64 pairs at 1 %
+//! error, where roughly half fall back), so the DP fallback's CIGARs,
+//! positions and MAPQ are held to a durable artifact as well.
 
 use genpairx::backend::NmslBackend;
 use genpairx::core::{GenPairConfig, GenPairMapper};
 use genpairx::pipeline::{read_pairs_from_fastq, PipelineBuilder, ReadPair, SamTextSink};
-use genpairx::readsim::dataset::{simulate_dataset, standard_genome, DATASETS};
+use genpairx::readsim::dataset::{simulate_dataset, standard_genome, DatasetSpec, DATASETS};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -27,12 +32,51 @@ use std::path::PathBuf;
 /// part of what the golden guards).
 const GENOME_SIZE: u64 = 120_000;
 const GENOME_SEED: u64 = 0x601D;
-const N_PAIRS: usize = 48;
 
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
+/// One checked-in read set: `<stem>_R1.fastq`, `<stem>_R2.fastq` and the
+/// `<stem>.sam` they must map to.
+struct Fixture {
+    stem: &'static str,
+    n_pairs: usize,
+    spec: DatasetSpec,
+}
+
+const FIXTURES: [Fixture; 2] = [
+    Fixture {
+        stem: "golden",
+        n_pairs: 48,
+        spec: DATASETS[0],
+    },
+    Fixture {
+        stem: "golden_noisy",
+        n_pairs: 64,
+        spec: DatasetSpec {
+            name: "noisy",
+            error_rate: 0.01,
+            ..DATASETS[0]
+        },
+    },
+];
+
+impl Fixture {
+    fn path(&self, suffix: &str) -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests")
+            .join("fixtures")
+            .join(format!("{}{suffix}", self.stem))
+    }
+
+    fn read(&self, suffix: &str) -> Vec<u8> {
+        let path = self.path(suffix);
+        std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
+    }
+
+    fn simulate(&self, genome: &genpairx::genome::ReferenceGenome) -> Vec<ReadPair> {
+        simulate_dataset(genome, &self.spec, self.n_pairs)
+            .into_iter()
+            .map(|p| ReadPair::new(p.id, p.r1.seq, p.r2.seq))
+            .collect()
+    }
 }
 
 fn fixture_genome() -> genpairx::genome::ReferenceGenome {
@@ -51,13 +95,6 @@ fn render_fastq(pairs: &[ReadPair]) -> (String, String) {
     (r1, r2)
 }
 
-fn simulate_fixture_pairs(genome: &genpairx::genome::ReferenceGenome) -> Vec<ReadPair> {
-    simulate_dataset(genome, &DATASETS[0], N_PAIRS)
-        .into_iter()
-        .map(|p| ReadPair::new(p.id, p.r1.seq, p.r2.seq))
-        .collect()
-}
-
 fn map_to_sam<B: genpairx::backend::MapBackend>(
     genome: &genpairx::genome::ReferenceGenome,
     backend: B,
@@ -74,51 +111,52 @@ fn map_to_sam<B: genpairx::backend::MapBackend>(
 
 #[test]
 fn golden_fastq_maps_to_golden_sam_on_both_backends() {
-    let dir = fixture_dir();
-    let r1 = std::fs::read(dir.join("golden_R1.fastq")).expect("missing fixture golden_R1.fastq");
-    let r2 = std::fs::read(dir.join("golden_R2.fastq")).expect("missing fixture golden_R2.fastq");
-    let golden_sam = std::fs::read(dir.join("golden.sam")).expect("missing fixture golden.sam");
-
-    let pairs = read_pairs_from_fastq(&r1[..], &r2[..]).expect("fixture FASTQ must parse");
-    assert_eq!(pairs.len(), N_PAIRS, "fixture pair count drifted");
-
     let genome = fixture_genome();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    for fx in &FIXTURES {
+        let (r1, r2) = (fx.read("_R1.fastq"), fx.read("_R2.fastq"));
+        let golden_sam = fx.read(".sam");
+        let pairs = read_pairs_from_fastq(&r1[..], &r2[..]).expect("fixture FASTQ must parse");
+        assert_eq!(pairs.len(), fx.n_pairs, "{}: pair count drifted", fx.stem);
 
-    let software = map_to_sam(
-        &genome,
-        genpairx::backend::SoftwareBackend::new(&mapper),
-        pairs.clone(),
-    );
-    assert!(
-        software == golden_sam,
-        "software backend SAM drifted from the checked-in golden \
-         (intentional change? regenerate with \
-         `cargo test --release regenerate_golden_fixture -- --ignored`)"
-    );
+        let software = map_to_sam(
+            &genome,
+            genpairx::backend::SoftwareBackend::new(&mapper),
+            pairs.clone(),
+        );
+        assert!(
+            software == golden_sam,
+            "{}: software backend SAM drifted from the checked-in golden \
+             (intentional change? regenerate with \
+             `cargo test --release regenerate_golden_fixture -- --ignored`)",
+            fx.stem
+        );
 
-    let nmsl = map_to_sam(&genome, NmslBackend::new(&mapper), pairs.clone());
-    assert!(
-        nmsl == golden_sam,
-        "NMSL backend SAM drifted from the checked-in golden"
-    );
+        let nmsl = map_to_sam(&genome, NmslBackend::new(&mapper), pairs.clone());
+        assert!(
+            nmsl == golden_sam,
+            "{}: NMSL backend SAM drifted from the checked-in golden",
+            fx.stem
+        );
 
-    // Telemetry is accounting-inert all the way down to the durable
-    // artifact: a fully traced NMSL run must still hit the golden bytes.
-    let telemetry = genpairx::telemetry::Telemetry::enabled();
-    let engine = PipelineBuilder::new()
-        .threads(2)
-        .batch_size(16)
-        .telemetry(telemetry.clone())
-        .backend(NmslBackend::new(&mapper).telemetry(telemetry.clone()));
-    let mut sink = SamTextSink::with_header(&genome, Vec::new()).unwrap();
-    engine.run(pairs, &mut sink).unwrap();
-    let traced = sink.into_inner().unwrap();
-    assert!(
-        traced == golden_sam,
-        "tracing changed the NMSL backend's SAM bytes"
-    );
-    assert!(telemetry.chrome_trace().unwrap().contains("map_batch"));
+        // Telemetry is accounting-inert all the way down to the durable
+        // artifact: a fully traced NMSL run must still hit the golden bytes.
+        let telemetry = genpairx::telemetry::Telemetry::enabled();
+        let engine = PipelineBuilder::new()
+            .threads(2)
+            .batch_size(16)
+            .telemetry(telemetry.clone())
+            .backend(NmslBackend::new(&mapper).telemetry(telemetry.clone()));
+        let mut sink = SamTextSink::with_header(&genome, Vec::new()).unwrap();
+        engine.run(pairs, &mut sink).unwrap();
+        let traced = sink.into_inner().unwrap();
+        assert!(
+            traced == golden_sam,
+            "{}: tracing changed the NMSL backend's SAM bytes",
+            fx.stem
+        );
+        assert!(telemetry.chrome_trace().unwrap().contains("map_batch"));
+    }
 }
 
 #[test]
@@ -126,13 +164,20 @@ fn fixture_fastq_matches_its_generator() {
     // The FASTQ files themselves are fixtures too: if read simulation or
     // the vendored RNG stream changes, the *inputs* drift silently even if
     // mapping does not. Re-derive them and compare.
-    let dir = fixture_dir();
     let genome = fixture_genome();
-    let (r1, r2) = render_fastq(&simulate_fixture_pairs(&genome));
-    let on_disk_r1 = std::fs::read(dir.join("golden_R1.fastq")).unwrap();
-    let on_disk_r2 = std::fs::read(dir.join("golden_R2.fastq")).unwrap();
-    assert!(r1.as_bytes() == on_disk_r1, "golden_R1.fastq drifted");
-    assert!(r2.as_bytes() == on_disk_r2, "golden_R2.fastq drifted");
+    for fx in &FIXTURES {
+        let (r1, r2) = render_fastq(&fx.simulate(&genome));
+        assert!(
+            r1.as_bytes() == fx.read("_R1.fastq"),
+            "{}_R1.fastq drifted",
+            fx.stem
+        );
+        assert!(
+            r2.as_bytes() == fx.read("_R2.fastq"),
+            "{}_R2.fastq drifted",
+            fx.stem
+        );
+    }
 }
 
 /// Regenerates the fixtures from the current build. Run explicitly after an
@@ -144,18 +189,19 @@ fn fixture_fastq_matches_its_generator() {
 #[test]
 #[ignore = "writes tests/fixtures/; run explicitly after intentional output changes"]
 fn regenerate_golden_fixture() {
-    let dir = fixture_dir();
-    std::fs::create_dir_all(&dir).unwrap();
     let genome = fixture_genome();
-    let pairs = simulate_fixture_pairs(&genome);
-    let (r1, r2) = render_fastq(&pairs);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let sam = map_to_sam(
-        &genome,
-        genpairx::backend::SoftwareBackend::new(&mapper),
-        pairs,
-    );
-    std::fs::write(dir.join("golden_R1.fastq"), r1).unwrap();
-    std::fs::write(dir.join("golden_R2.fastq"), r2).unwrap();
-    std::fs::write(dir.join("golden.sam"), sam).unwrap();
+    for fx in &FIXTURES {
+        std::fs::create_dir_all(fx.path("").parent().unwrap()).unwrap();
+        let pairs = fx.simulate(&genome);
+        let (r1, r2) = render_fastq(&pairs);
+        let sam = map_to_sam(
+            &genome,
+            genpairx::backend::SoftwareBackend::new(&mapper),
+            pairs,
+        );
+        std::fs::write(fx.path("_R1.fastq"), r1).unwrap();
+        std::fs::write(fx.path("_R2.fastq"), r2).unwrap();
+        std::fs::write(fx.path(".sam"), sam).unwrap();
+    }
 }
