@@ -15,7 +15,7 @@
 //! of alignment, which the paper's Table 4 prices at 174.9 mm² / 115.8 W
 //! (chain) and 139.4 mm² / 92.3 W (align).
 
-use gx_core::{FallbackStage, PairMapResult};
+use gx_core::{FallbackStage, PairMapResult, DP_FALLBACK_BAND};
 
 /// Paper-calibrated residual chaining work: million cell updates per
 /// million pairs.
@@ -87,18 +87,26 @@ impl FallbackCells {
     }
 }
 
-/// Band half-width of the repo's fallback aligner (`banded_align(..., 16, ..)`),
-/// so estimated cells match what the software path would actually compute.
-const FALLBACK_BAND: u64 = 16;
-
 /// Anchor floor for chaining estimates: a full-pipeline fallback re-seeds
 /// with a traditional seeder even when GenPair's own SeedMap query returned
 /// nothing, so chaining work never models as free.
 const MIN_CHAIN_ANCHORS: u64 = 8;
 
-/// Banded-alignment cells for one read end (diagonal band of `2×16+1`).
-fn banded_cells(read_len: usize) -> u64 {
-    read_len as u64 * (2 * FALLBACK_BAND + 1)
+/// Estimated banded-alignment cells for one read end when the software path
+/// did not run its DP: a diagonal band of `2 × DP_FALLBACK_BAND + 1` cells
+/// per read base (4,950 for 150 bp).
+///
+/// This is *not* what the software fallback computes. Its window carries
+/// [`DP_FALLBACK_MARGIN`](gx_core::DP_FALLBACK_MARGIN) reference bases either
+/// side of the read, so the corridor of a 150 bp read in its 198 bp window
+/// is `48 + 2 × 16 + 1 = 81` diagonals wide —
+/// `gx_align::banded_cells(150, 198, 16)` = 11,878 cells, 2.4× this
+/// estimate. Pairs whose DP the software path ran are priced by their
+/// measured `dp_cells`, all others by this estimate; reconciling the two
+/// moves modeled cycles and energy and is left to its own change
+/// (ARCHITECTURE.md "Known limitations").
+fn estimated_banded_cells(read_len: usize) -> u64 {
+    read_len as u64 * (2 * DP_FALLBACK_BAND as u64 + 1)
 }
 
 /// The DP cells a mapped pair demands from GenDP, given where it left the
@@ -122,14 +130,14 @@ pub fn fallback_cells(res: &PairMapResult, r1_len: usize, r2_len: usize) -> Fall
             align: if res.work.dp_cells > 0 {
                 res.work.dp_cells
             } else {
-                banded_cells(r1_len) + banded_cells(r2_len)
+                estimated_banded_cells(r1_len) + estimated_banded_cells(r2_len)
             },
         },
         Some(FallbackStage::SeedMapMiss) | Some(FallbackStage::PaFilter) => {
             let anchors = res.work.seed_locations.max(MIN_CHAIN_ANCHORS);
             FallbackCells {
                 chain: anchors * anchors,
-                align: banded_cells(r1_len) + banded_cells(r2_len),
+                align: estimated_banded_cells(r1_len) + estimated_banded_cells(r2_len),
             }
         }
     }

@@ -20,6 +20,11 @@ const F_EXT: u8 = 1 << 3;
 /// Alignments whose optimal path leaves the band return the best in-band
 /// path, which is the same behaviour as minimap2's banded extension.
 ///
+/// Ties are broken the same way everywhere: opening a gap is preferred over
+/// extending one, a diagonal step over a deletion over an insertion, and in
+/// fit mode the leftmost best end column wins. `scoring.gap_open` must not
+/// be negative ([`Scoring`] stores penalties as positive magnitudes).
+///
 /// # Panics
 ///
 /// Panics if either sequence is empty, `band == 0`, or `mode` is
@@ -32,6 +37,164 @@ pub fn banded_align(
     mode: AlignMode,
 ) -> Alignment {
     banded_align_with(query, target, scoring, band, mode, &mut AlignScratch::new())
+}
+
+/// The corridor of a banded alignment of an `n`-base query against an
+/// `m`-base target: row `i` holds the columns `j` whose shift `j - i` lies in
+/// `lo_shift..=hi_shift`, clamped to `0..=m`. A cell's *band coordinate* is
+/// `off = j - i - lo_shift`, so the cell above `(i, j)` sits at `off + 1` of
+/// the previous row, the diagonal one at `off` and the left one at `off - 1`.
+#[derive(Clone, Copy)]
+struct Corridor {
+    m: usize,
+    lo_shift: i64,
+    hi_shift: i64,
+    /// Number of diagonals, `hi_shift - lo_shift + 1`.
+    width: usize,
+}
+
+impl Corridor {
+    fn new(n: usize, m: usize, band: usize) -> Corridor {
+        let skew = m as i64 - n as i64;
+        let lo_shift = skew.min(0) - band as i64;
+        let hi_shift = skew.max(0) + band as i64;
+        Corridor {
+            m,
+            lo_shift,
+            hi_shift,
+            width: (hi_shift - lo_shift + 1) as usize,
+        }
+    }
+
+    /// First in-band column of row `i`.
+    fn jmin(&self, i: usize) -> usize {
+        (i as i64 + self.lo_shift).max(0) as usize
+    }
+
+    /// Last in-band column of row `i`.
+    fn jmax(&self, i: usize) -> usize {
+        ((i as i64 + self.hi_shift) as usize).min(self.m)
+    }
+
+    /// Band coordinate of in-band cell `(i, j)`.
+    fn off(&self, i: usize, j: usize) -> usize {
+        let off = j as i64 - i as i64 - self.lo_shift;
+        debug_assert!((0..self.width as i64).contains(&off), "cell outside band");
+        off as usize
+    }
+}
+
+/// Number of DP cells [`banded_align`] computes for an `n`-base query, an
+/// `m`-base target and half-width `band` — the corridor area, boundary row
+/// and column excluded. Equals [`Alignment::cells`] of that call; the GenDP
+/// fallback model prices exactly this count.
+pub fn banded_cells(n: usize, m: usize, band: usize) -> u64 {
+    let c = Corridor::new(n, m, band);
+    let (n, m) = (n as i64, m as i64);
+    // Row i spans columns max(i + lo_shift, 1) ..= min(i + hi_shift, m).
+    // The upper end is unclamped for the first `p` rows, the lower end is
+    // clamped (to column 1) for the first `r` rows.
+    let p = (m - c.hi_shift).clamp(0, n);
+    let r = (-c.lo_shift).clamp(0, n);
+    let upper = p * (p + 1) / 2 + p * c.hi_shift + (n - p) * m;
+    let lower = r + (n * (n + 1) - r * (r + 1)) / 2 + (n - r) * c.lo_shift;
+    (upper - lower + n) as u64
+}
+
+/// Gap and substitution scores of one alignment call, as added to a cell.
+#[derive(Clone, Copy)]
+struct Costs {
+    /// Cost of the first base of a gap (`gap_open + gap_ext`).
+    open: i32,
+    /// Cost of each further gap base.
+    ext: i32,
+    matched: i32,
+    mismatched: i32,
+}
+
+/// Fills one DP row of `len = h_cur.len()` consecutive cells in three
+/// straight passes over equally long slices.
+///
+/// `h_prev` holds the previous row's `H` for the cells diagonally above
+/// (`h_prev[k]`) and directly above (`h_prev[k + 1]`) cell `k`; `f_prev_up`
+/// its `F` directly above. Between passes 1 and 3 `h_cur` holds the diagonal
+/// candidate. `e_row` and `c_row` are `len + 1` long and enter
+/// with slot 0 describing the cell left of the first one: its `E` and its
+/// `H - open`. `tcodes` are the target bases under the cells, `q` the
+/// query base of the row.
+#[allow(clippy::too_many_arguments)] // one noalias slice per DP array keeps the passes vectorisable
+fn fill_row(
+    q: u8,
+    tcodes: &[u8],
+    costs: Costs,
+    h_prev: &[i32],
+    f_prev_up: &[i32],
+    h_cur: &mut [i32],
+    f_cur: &mut [i32],
+    e_row: &mut [i32],
+    c_row: &mut [i32],
+    tb: &mut [u8],
+) {
+    let len = h_cur.len();
+    let Costs {
+        open,
+        ext,
+        matched,
+        mismatched,
+    } = costs;
+    let (h_diag, h_up) = (&h_prev[..len], &h_prev[1..=len]);
+    let (tcodes, f_prev_up) = (&tcodes[..len], &f_prev_up[..len]);
+    let (f_cur, tb) = (&mut f_cur[..len], &mut tb[..len]);
+
+    // Pass 1 (previous row only, no dependency between cells): F with its
+    // extend flag, the diagonal candidate, and `c` — what opening a deletion
+    // from this cell would give its right neighbour if `H` came from the
+    // diagonal or F.
+    let c_out = &mut c_row[1..=len];
+    for k in 0..len {
+        let f_open = h_up[k] - open;
+        let f_extend = f_prev_up[k] - ext;
+        let extended = f_extend > f_open;
+        let f = if extended { f_extend } else { f_open };
+        let sub = if tcodes[k] == q { matched } else { mismatched };
+        let diag = h_diag[k] + sub;
+        f_cur[k] = f;
+        h_cur[k] = diag;
+        c_out[k] = diag.max(f) - open;
+        tb[k] = if extended { F_EXT } else { 0 };
+    }
+
+    // Pass 2, the only loop-carried one: E[k] = max(E[k-1] - ext, c[k-1]).
+    // The full recurrence opens from H[k-1] = max(diag, E, F)[k-1]; the E
+    // term of that maximum gives E[k-1] - open <= E[k-1] - ext (gap_open >=
+    // 0), which extending already covers, so it is dropped and the chain
+    // is one subtract and one max long.
+    let mut e = e_row[0];
+    for (e_out, &c) in e_row[1..=len].iter_mut().zip(&c_row[..len]) {
+        e = (e - ext).max(c);
+        *e_out = e;
+    }
+
+    // Pass 3 (no dependency between cells): the E extend flag, H and its
+    // choice. E counts as extended only if extending strictly beats opening
+    // from the left cell's H, whose `- open` is max(c, E - open) — never for
+    // gap_open == 0, where the two gap moves cost the same.
+    let (e_left, e_here) = (&e_row[..len], &e_row[1..=len]);
+    let c_left = &c_row[..len];
+    for k in 0..len {
+        let extended = e_left[k] - ext > c_left[k].max(e_left[k] - open);
+        let (mut h, mut choice) = (h_cur[k], H_DIAG);
+        if e_here[k] > h {
+            h = e_here[k];
+            choice = H_E;
+        }
+        if f_cur[k] > h {
+            h = f_cur[k];
+            choice = H_F;
+        }
+        h_cur[k] = h;
+        tb[k] |= choice | if extended { E_EXT } else { 0 };
+    }
 }
 
 /// [`banded_align`] using caller-owned scratch buffers — identical result,
@@ -53,135 +216,100 @@ pub fn banded_align_with(
         mode != AlignMode::Local,
         "banded alignment supports Global and Fit modes"
     );
+    debug_assert!(scoring.gap_open >= 0, "penalties are positive magnitudes");
     let n = query.len();
     let m = target.len();
-    let open = scoring.gap_open + scoring.gap_ext;
-    let ext = scoring.gap_ext;
-
-    // Allowed shift (j - i) range: the natural corridor plus the band.
-    let lo_shift = (m as i64 - n as i64).min(0) - band as i64;
-    let hi_shift = (m as i64 - n as i64).max(0) + band as i64;
-    let width = (hi_shift - lo_shift + 1) as usize;
-
-    let jmin = |i: usize| -> usize { (i as i64 + lo_shift).max(0) as usize };
-    let jmax = |i: usize| -> usize { ((i as i64 + hi_shift) as usize).min(m) };
+    let costs = Costs {
+        open: scoring.gap_open + scoring.gap_ext,
+        ext: scoring.gap_ext,
+        matched: scoring.match_score,
+        mismatched: -scoring.mismatch,
+    };
+    let corridor = Corridor::new(n, m, band);
+    let width = corridor.width;
 
     let AlignScratch {
         tb,
         h_prev,
         h_cur,
-        f_col,
+        f_col: f_prev,
+        f_cur,
+        e_row,
+        c_row,
         qcodes,
         tcodes,
     } = scratch;
     tb.clear();
     tb.resize((n + 1) * width, H_STOP);
-    let tb_idx = |i: usize, j: usize| -> usize {
-        let off = j as i64 - (i as i64 + lo_shift);
-        debug_assert!((0..width as i64).contains(&off), "traceback outside band");
-        i * width + off as usize
-    };
-
-    h_prev.clear();
-    h_prev.resize(m + 2, NEG_INF);
-    h_cur.clear();
-    h_cur.resize(m + 2, NEG_INF);
-    f_col.clear();
-    f_col.resize(m + 2, NEG_INF);
+    // H and F rows live in band coordinates with one NEG_INF sentinel past
+    // the last diagonal: the "up" neighbour of the widest cell. Rows only
+    // ever shrink at the right and grow by the boundary column at the left,
+    // so no cell reads a slot its previous row did not write.
+    // `e_row` and `c_row` are per-row temporaries of the same size.
+    for row in [
+        &mut *h_prev,
+        &mut *h_cur,
+        &mut *f_prev,
+        &mut *f_cur,
+        &mut *e_row,
+        &mut *c_row,
+    ] {
+        row.clear();
+        row.resize(width + 1, NEG_INF);
+    }
 
     // Row 0.
-    for j in jmin(0)..=jmax(0) {
-        h_prev[j] = match mode {
-            AlignMode::Global => -scoring.gap_cost(j as u32),
-            _ => 0,
-        };
-        tb[tb_idx(0, j)] = if mode == AlignMode::Global && j > 0 {
-            H_E | E_EXT
-        } else {
-            H_STOP
+    for j in 0..=corridor.jmax(0) {
+        let off = corridor.off(0, j);
+        (h_prev[off], tb[off]) = match mode {
+            AlignMode::Global if j > 0 => (-scoring.gap_cost(j as u32), H_E | E_EXT),
+            _ => (0, H_STOP),
         };
     }
 
     query.codes_into(0..n, qcodes);
     target.codes_into(0..m, tcodes);
-    let mut cells = 0u64;
 
     for i in 1..=n {
-        let (lo, hi) = (jmin(i), jmax(i));
-        let mut e_row = NEG_INF;
-        if lo == 0 {
-            h_cur[0] = -scoring.gap_cost(i as u32);
-            tb[tb_idx(i, 0)] = H_F | F_EXT;
-        }
-        let qi = qcodes[i - 1];
+        let (lo, hi) = (corridor.jmin(i), corridor.jmax(i));
         let start = lo.max(1);
-        for j in start..=hi {
-            cells += 1;
-            let mut flags = 0u8;
-
-            let h_left = if j > lo { h_cur[j - 1] } else { NEG_INF };
-            let e_open = h_left.saturating_add(-open);
-            let e_extend = e_row - ext;
-            e_row = if e_extend > e_open {
-                flags |= E_EXT;
-                e_extend
-            } else {
-                e_open
-            };
-
-            // h_prev[j] / f_col[j] are valid only if j was inside row i-1's band.
-            let in_prev = j >= jmin(i - 1) && j <= jmax(i - 1);
-            let h_up = if in_prev { h_prev[j] } else { NEG_INF };
-            let f_up = if in_prev { f_col[j] } else { NEG_INF };
-            let f_open = h_up.saturating_add(-open);
-            let f_extend = f_up - ext;
-            f_col[j] = if f_extend > f_open {
-                flags |= F_EXT;
-                f_extend
-            } else {
-                f_open
-            };
-
-            let in_prev_diag = j > jmin(i - 1) && j - 1 <= jmax(i - 1);
-            let h_diag = if in_prev_diag { h_prev[j - 1] } else { NEG_INF };
-            let diag = h_diag.saturating_add(scoring.substitution(qi, tcodes[j - 1]));
-
-            let (mut h, mut choice) = (diag, H_DIAG);
-            if e_row > h {
-                h = e_row;
-                choice = H_E;
-            }
-            if f_col[j] > h {
-                h = f_col[j];
-                choice = H_F;
-            }
-            h_cur[j] = h;
-            tb[tb_idx(i, j)] = flags | choice;
+        let first = corridor.off(i, start);
+        let len = hi - start + 1;
+        // The cell left of the first computed one: the boundary column
+        // (whose F no cell reads: nothing is computed below it), or nothing
+        // at all, just outside the band.
+        e_row[0] = NEG_INF;
+        c_row[0] = NEG_INF - costs.open;
+        if lo == 0 {
+            let h = -scoring.gap_cost(i as u32);
+            h_cur[first - 1] = h;
+            tb[i * width + first - 1] = H_F | F_EXT;
+            c_row[0] = h - costs.open;
         }
-        // Invalidate cells just outside the band so the next row cannot read
-        // stale values.
-        if hi < m + 1 {
-            h_cur[hi + 1] = NEG_INF;
-            f_col[hi + 1] = NEG_INF;
-        }
-        if start > 0 {
-            h_cur[start - 1] = if start > lo {
-                h_cur[start - 1]
-            } else {
-                NEG_INF
-            };
-        }
+        fill_row(
+            qcodes[i - 1],
+            &tcodes[start - 1..hi],
+            costs,
+            &h_prev[first..=first + len],
+            &f_prev[first + 1..=first + len],
+            &mut h_cur[first..first + len],
+            &mut f_cur[first..first + len],
+            e_row,
+            c_row,
+            &mut tb[i * width + first..i * width + first + len],
+        );
         std::mem::swap(h_prev, h_cur);
+        std::mem::swap(f_prev, f_cur);
     }
 
+    let last_row = |j: usize| h_prev[corridor.off(n, j)];
     let (score, end_j) = match mode {
-        AlignMode::Global => (h_prev[m], m),
+        AlignMode::Global => (last_row(m), m),
         _ => {
-            let (mut bj, mut bs) = (jmin(n), NEG_INF);
-            #[allow(clippy::needless_range_loop)] // j indexes two arrays in lockstep
-            for j in jmin(n)..=jmax(n) {
-                if h_prev[j] > bs {
-                    bs = h_prev[j];
+            let (mut bj, mut bs) = (corridor.jmin(n), NEG_INF);
+            for j in corridor.jmin(n)..=corridor.jmax(n) {
+                if last_row(j) > bs {
+                    bs = last_row(j);
                     bj = j;
                 }
             }
@@ -190,6 +318,7 @@ pub fn banded_align_with(
     };
 
     // Traceback within the band.
+    let tb_at = |i: usize, j: usize| tb[i * width + corridor.off(i, j)];
     #[derive(PartialEq)]
     enum State {
         H,
@@ -201,7 +330,7 @@ pub fn banded_align_with(
     let mut state = State::H;
     loop {
         match state {
-            State::H => match tb[tb_idx(i, j)] & 3 {
+            State::H => match tb_at(i, j) & 3 {
                 H_DIAG => {
                     let op = if qcodes[i - 1] == tcodes[j - 1] {
                         CigarOp::Equal
@@ -217,7 +346,7 @@ pub fn banded_align_with(
                 _ => break,
             },
             State::E => {
-                let extended = tb[tb_idx(i, j)] & E_EXT != 0;
+                let extended = tb_at(i, j) & E_EXT != 0;
                 rev.push(CigarOp::Del, 1);
                 j -= 1;
                 if !extended {
@@ -228,7 +357,7 @@ pub fn banded_align_with(
                 }
             }
             State::F => {
-                let extended = tb[tb_idx(i, j)] & F_EXT != 0;
+                let extended = tb_at(i, j) & F_EXT != 0;
                 rev.push(CigarOp::Ins, 1);
                 i -= 1;
                 if !extended {
@@ -242,7 +371,7 @@ pub fn banded_align_with(
         if i == 0 && j == 0 {
             break;
         }
-        if i == 0 && matches!(state, State::H) && tb[tb_idx(0, j)] & 3 == H_STOP {
+        if i == 0 && matches!(state, State::H) && tb_at(0, j) & 3 == H_STOP {
             break;
         }
     }
@@ -254,7 +383,7 @@ pub fn banded_align_with(
         query_end: n,
         target_start: j,
         target_end: end_j,
-        cells,
+        cells: banded_cells(n, m, band),
     }
 }
 

@@ -19,7 +19,7 @@ pub enum AlignMode {
 }
 
 /// Result of a pairwise alignment.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Alignment {
     /// Alignment score under the [`Scoring`] used.
     pub score: i32,
@@ -48,16 +48,21 @@ impl Alignment {
 
 /// Reusable DP workspace for [`align`] and
 /// [`banded_align`](crate::banded_align): traceback matrix, rolling score
-/// rows, F column and unpacked code buffers. Buffers grow to the high-water
-/// mark of the alignments they have seen and are re-filled (never
-/// reallocated) on subsequent calls, so a scratch owned per mapping session
-/// makes the DP fallback allocation-free in steady state.
+/// rows, F column (the banded kernel's previous F row), the banded kernel's
+/// current F row and per-row E/gap-open temporaries, and unpacked code
+/// buffers. Buffers grow to the high-water mark of the alignments they have
+/// seen and are re-filled (never reallocated) on subsequent calls, so a
+/// scratch owned per mapping session makes the DP fallback allocation-free
+/// in steady state.
 #[derive(Default, Debug)]
 pub struct AlignScratch {
     pub(crate) tb: Vec<u8>,
     pub(crate) h_prev: Vec<i32>,
     pub(crate) h_cur: Vec<i32>,
     pub(crate) f_col: Vec<i32>,
+    pub(crate) f_cur: Vec<i32>,
+    pub(crate) e_row: Vec<i32>,
+    pub(crate) c_row: Vec<i32>,
     pub(crate) qcodes: Vec<u8>,
     pub(crate) tcodes: Vec<u8>,
 }
@@ -120,6 +125,7 @@ pub fn align_with(
         f_col,
         qcodes,
         tcodes,
+        ..
     } = scratch;
     tb.clear();
     tb.resize((n + 1) * (m + 1), 0u8);

@@ -4,8 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gx_align::chain::{chain_anchors, Anchor, ChainParams};
-use gx_align::{align, banded_align, AlignMode, Scoring};
+use gx_align::{align, banded_align_with, AlignMode, AlignScratch, Scoring};
 use gx_core::light::{light_align, LightConfig};
+use gx_core::{DP_FALLBACK_BAND, DP_FALLBACK_MARGIN};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_seedmap::xxh32;
 use std::hint::black_box;
@@ -23,8 +24,31 @@ fn bench_aligners(c: &mut Criterion) {
     g.bench_function("light_align", |b| {
         b.iter(|| black_box(light_align(&read, &window, 5, &light_cfg, &scoring)))
     });
+    // The DP fallback's real shape (what gxbench's `align.dp_s` replays): a
+    // 150 bp read carrying a mismatch and an indel against its window with
+    // the fallback margin either side, one scratch reused across calls.
+    let dp_window = genome
+        .chromosome(0)
+        .seq()
+        .subseq(2_000..2_150 + 2 * DP_FALLBACK_MARGIN);
+    let at = DP_FALLBACK_MARGIN;
+    let mut dp_read = dp_window.subseq(at..at + 40);
+    dp_read.extend_from_seq(&dp_window.subseq(at + 40..at + 41).revcomp()); // mismatch
+    dp_read.extend_from_seq(&dp_window.subseq(at + 41..at + 100));
+    dp_read.extend_from_seq(&dp_window.subseq(at + 101..at + 151)); // 1-base deletion
+    let mut scratch = AlignScratch::new();
     g.bench_function("banded_dp_fit_b16", |b| {
-        b.iter(|| black_box(banded_align(&read, &window, &scoring, 16, AlignMode::Fit)).score)
+        b.iter(|| {
+            black_box(banded_align_with(
+                &dp_read,
+                &dp_window,
+                &scoring,
+                DP_FALLBACK_BAND,
+                AlignMode::Fit,
+                &mut scratch,
+            ))
+            .score
+        })
     });
     g.bench_function("full_dp_fit", |b| {
         b.iter(|| black_box(align(&read, &window, &scoring, AlignMode::Fit)).score)

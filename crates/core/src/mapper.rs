@@ -11,6 +11,13 @@ use gx_align::{banded_align_with, AlignMode, AlignScratch};
 use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, ReferenceGenome, SamRecord};
 use gx_seedmap::{SeedHasher, SeedMap, Xxh32Builder};
 
+/// Reference bases the DP fallback's window extends either side of a
+/// candidate start: the read fit-aligns inside `len + 2 * margin` bases.
+pub const DP_FALLBACK_MARGIN: usize = 24;
+
+/// Band half-width of the DP fallback's banded aligner.
+pub const DP_FALLBACK_BAND: usize = 16;
+
 /// Where a pair left the GenPair fast path (paper Fig. 10).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FallbackStage {
@@ -414,18 +421,24 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
         window: &mut DnaSeq,
         align: &mut AlignScratch,
     ) -> Option<(u64, Cigar, i32, u64)> {
-        let margin = 24i64;
         let locus = self.genome.locate(start);
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
-            locus.pos as i64 - margin,
-            seq.len() + 2 * margin as usize,
+            locus.pos as i64 - DP_FALLBACK_MARGIN as i64,
+            seq.len() + 2 * DP_FALLBACK_MARGIN,
             window,
         );
         if window.len() < seq.len() / 2 {
             return None;
         }
-        let a = banded_align_with(seq, window, &self.config.scoring, 16, AlignMode::Fit, align);
+        let a = banded_align_with(
+            seq,
+            window,
+            &self.config.scoring,
+            DP_FALLBACK_BAND,
+            AlignMode::Fit,
+            align,
+        );
         Some((win_start + a.target_start as u64, a.cigar, a.score, a.cells))
     }
 
