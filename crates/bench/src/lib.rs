@@ -10,7 +10,9 @@
 //! any harness up.
 
 use gx_baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
-use gx_core::{pair_mapping_to_sam, FallbackStage, GenPairConfig, GenPairMapper, PipelineStats};
+use gx_core::{
+    pair_mapping_to_sam, FallbackStage, GenPairConfig, GenPairMapper, PipelineStats, ReadPair,
+};
 use gx_genome::{DnaSeq, ReferenceGenome, SamRecord};
 use gx_readsim::dataset::standard_genome;
 use gx_readsim::SimulatedPair;
@@ -100,7 +102,10 @@ impl<'g> GenPairMm2<'g> {
         stats.record(&res);
         match (&res.mapping, res.fallback) {
             (Some(m), fb) => ComboResult {
-                sam: Some(pair_mapping_to_sam(m, qname, r1, r2)),
+                sam: Some(pair_mapping_to_sam(
+                    m.clone(),
+                    ReadPair::new(qname, r1.clone(), r2.clone()),
+                )),
                 path: if fb.is_none() {
                     ComboPath::GenPairLight
                 } else {

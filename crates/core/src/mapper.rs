@@ -6,7 +6,7 @@ use crate::light::{light_align_with, LightAlignment, LightScratch};
 use crate::pafilter::{paired_adjacency_filter_into, PairCandidate};
 use crate::scratch::MapScratch;
 use crate::seeding::query_read_into;
-use crate::GenPairConfig;
+use crate::{GenPairConfig, ReadPair};
 use gx_align::{banded_align_with, AlignMode, AlignScratch};
 use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, ReferenceGenome, SamRecord};
 use gx_seedmap::{SeedHasher, SeedMap, Xxh32Builder};
@@ -467,57 +467,63 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
     }
 }
 
-/// Converts a [`PairMapping`] into two SAM records. Read sequences are
-/// stored in reference orientation, as SAM requires.
-pub fn pair_mapping_to_sam(
-    mapping: &PairMapping,
-    qname: &str,
-    r1: &DnaSeq,
-    r2: &DnaSeq,
-) -> (SamRecord, SamRecord) {
+/// The two mates' query names, `id/1` and `id/2`; the first reuses the
+/// pair's own `String`.
+fn mate_qnames(id: String) -> (String, String) {
+    let mut q2 = String::with_capacity(id.len() + 2);
+    q2.push_str(&id);
+    q2.push_str("/2");
+    let mut q1 = id;
+    q1.push_str("/1");
+    (q1, q2)
+}
+
+/// Converts a [`PairMapping`] into two SAM records, consuming the mapping
+/// and the pair: the CIGARs and the forward-strand read move into their
+/// records, and only the reverse-strand mate is re-complemented (SAM stores
+/// read sequences in reference orientation). Callers that keep their reads
+/// pass clones.
+pub fn pair_mapping_to_sam(mapping: PairMapping, pair: ReadPair) -> (SamRecord, SamRecord) {
     let base = flags::PAIRED | flags::PROPER_PAIR;
-    let (f1, f2) = if mapping.r1_forward {
-        (
-            base | flags::FIRST_IN_PAIR | flags::MATE_REVERSE,
-            base | flags::SECOND_IN_PAIR | flags::REVERSE,
-        )
+    let (own, mate) = (flags::REVERSE, flags::MATE_REVERSE);
+    let (f1, f2, seq1, seq2) = if mapping.r1_forward {
+        (mate, own, pair.r1, pair.r2.revcomp())
     } else {
-        (
-            base | flags::FIRST_IN_PAIR | flags::REVERSE,
-            base | flags::SECOND_IN_PAIR | flags::MATE_REVERSE,
-        )
+        (own, mate, pair.r1.revcomp(), pair.r2)
     };
-    let seq1 = if mapping.r1_forward {
-        r1.clone()
-    } else {
-        r1.revcomp()
-    };
-    let seq2 = if mapping.r1_forward {
-        r2.revcomp()
-    } else {
-        r2.clone()
-    };
+    let (q1, q2) = mate_qnames(pair.id);
     (
         SamRecord {
-            qname: format!("{qname}/1"),
-            flags: f1,
+            qname: q1,
+            flags: base | flags::FIRST_IN_PAIR | f1,
             chrom: mapping.chrom,
             pos: mapping.pos1,
             mapq: mapping.mapq,
-            cigar: mapping.cigar1.clone(),
+            cigar: mapping.cigar1,
             seq: seq1,
             score: mapping.score1,
         },
         SamRecord {
-            qname: format!("{qname}/2"),
-            flags: f2,
+            qname: q2,
+            flags: base | flags::SECOND_IN_PAIR | f2,
             chrom: mapping.chrom,
             pos: mapping.pos2,
             mapq: mapping.mapq,
-            cigar: mapping.cigar2.clone(),
+            cigar: mapping.cigar2,
             seq: seq2,
             score: mapping.score2,
         },
+    )
+}
+
+/// The two unmapped SAM records of a pair GenPair produced no mapping for,
+/// consuming the pair (both reads move into their records as sequenced).
+pub fn unmapped_pair_to_sam(pair: ReadPair) -> (SamRecord, SamRecord) {
+    let base = flags::PAIRED | flags::MATE_UNMAPPED;
+    let (q1, q2) = mate_qnames(pair.id);
+    (
+        SamRecord::unmapped(q1, base | flags::FIRST_IN_PAIR, pair.r1),
+        SamRecord::unmapped(q2, base | flags::SECOND_IN_PAIR, pair.r2),
     )
 }
 
@@ -733,7 +739,7 @@ mod tests {
         let r2 = seq.subseq(15_200..15_350).revcomp();
         let res = mapper.map_pair(&r1, &r2);
         let m = res.mapping.unwrap();
-        let (s1, s2) = pair_mapping_to_sam(&m, "p0", &r1, &r2);
+        let (s1, s2) = pair_mapping_to_sam(m, ReadPair::new("p0", r1, r2));
         assert!(s1.flags & flags::FIRST_IN_PAIR != 0);
         assert!(s2.flags & flags::SECOND_IN_PAIR != 0);
         assert!(s2.is_reverse());

@@ -1,11 +1,11 @@
 //! Minimal FASTQ reading and writing for simulated reads.
 
-use crate::{Base, DnaSeq, GenomeError};
+use crate::{DnaSeq, GenomeError};
 use bytes::BytesMut;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Write};
 
 /// A sequencing read: identifier, bases and per-base Phred+33 qualities.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReadRecord {
     /// Read identifier (without the leading `@`).
     pub id: String,
@@ -39,20 +39,22 @@ impl ReadRecord {
 
 /// A streaming FASTQ parser: an iterator of [`ReadRecord`]s that reads one
 /// record at a time, so arbitrarily large files never need to fit in
-/// memory. [`read_fastq`] is the collect-everything wrapper over this.
+/// memory. [`read_fastq`] is the collect-everything wrapper over this, and
+/// [`FastqReader::read_into`] the allocation-free core for callers that
+/// keep their own record buffers.
 ///
 /// Parsing is zero-copy: lines are scanned directly in the `BufRead`'s
-/// internal buffer and decoded in place (2-bit packing, quality copy)
-/// without an intermediate per-line `String`. Only a line that straddles
-/// the buffer boundary is stitched together in a reusable [`BytesMut`]
-/// spill buffer. CRLF line endings are accepted (one trailing `\r` is
-/// stripped, as with [`BufRead::lines`]).
+/// internal buffer and decoded in place (2-bit packing a word at a time,
+/// quality copy) without an intermediate per-line `String`. Only a line
+/// that straddles the buffer boundary is stitched together in a reusable
+/// [`BytesMut`] spill buffer. CRLF line endings are accepted (one trailing
+/// `\r` is stripped, as with [`BufRead::lines`]).
 ///
 /// Ambiguous bases (`N`) are not representable in [`DnaSeq`]; they are
 /// replaced with `A`, matching the common practice of mapping-oriented 2-bit
 /// encodings.
 ///
-/// After the first error the iterator is fused: it yields `None` forever
+/// After the first error the reader is fused: it yields no further records
 /// (a malformed stream has no trustworthy record boundary to resume from).
 ///
 /// ```
@@ -81,7 +83,9 @@ fn trim_cr(line: &[u8]) -> &[u8] {
 /// Feeds the next line (without its terminator) to `f` and returns the
 /// result, or `Ok(None)` at end of input. The line is borrowed straight
 /// from the reader's buffer when it fits; otherwise it is assembled in
-/// `spill` across refills.
+/// `spill` across refills. An [`ErrorKind::Interrupted`] refill is retried,
+/// as [`BufRead::read_until`] does: a signal landing mid-read on a pipe or
+/// socket is not a malformed stream.
 fn next_line<R: BufRead, T>(
     reader: &mut R,
     spill: &mut BytesMut,
@@ -92,6 +96,7 @@ fn next_line<R: BufRead, T>(
     loop {
         let buf = match reader.fill_buf() {
             Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(GenomeError::ParseFormat(format!("io error: {e}"))),
         };
         if buf.is_empty() {
@@ -124,11 +129,11 @@ fn next_line<R: BufRead, T>(
     }
 }
 
-/// Header-line classification (owned, so the borrow of the reader's buffer
-/// can end before the next line is pulled).
+/// Header-line classification. The id itself is written into the caller's
+/// record; only the error path owns text.
 enum Header {
     Blank,
-    Id(String),
+    Id,
     Bad(String),
 }
 
@@ -142,57 +147,75 @@ impl<R: BufRead> FastqReader<R> {
         }
     }
 
-    fn parse_next(&mut self) -> Option<Result<ReadRecord, GenomeError>> {
-        let id = loop {
-            let header = next_line(&mut self.reader, &mut self.spill, |line| {
+    /// Parses the next record into `rec`, overwriting all three fields and
+    /// reusing their buffers — a caller that keeps `rec` across calls pays
+    /// no allocation per record once the buffers have seen their high-water
+    /// mark. Returns `Ok(false)` at end of input (and forever after an
+    /// error: the reader fuses). On `Err`, `rec` holds whatever was parsed
+    /// before the fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenomeError::ParseFormat`] on a truncated or malformed
+    /// record, or when the underlying reader fails.
+    pub fn read_into(&mut self, rec: &mut ReadRecord) -> Result<bool, GenomeError> {
+        if self.failed {
+            return Ok(false);
+        }
+        let result = self.parse_into(rec);
+        self.failed = result.is_err();
+        result
+    }
+
+    fn parse_into(&mut self, rec: &mut ReadRecord) -> Result<bool, GenomeError> {
+        let (reader, spill) = (&mut self.reader, &mut self.spill);
+        loop {
+            let header = next_line(reader, spill, |line| {
                 if line.iter().all(|b| b.is_ascii_whitespace()) {
                     Header::Blank
                 } else if let Some(rest) = line.strip_prefix(b"@") {
                     let rest = String::from_utf8_lossy(rest);
-                    Header::Id(rest.split_whitespace().next().unwrap_or("").to_string())
+                    rec.id.clear();
+                    rec.id
+                        .push_str(rest.split_whitespace().next().unwrap_or(""));
+                    Header::Id
                 } else {
                     Header::Bad(String::from_utf8_lossy(line).into_owned())
                 }
-            });
+            })?;
             match header {
-                Ok(None) => return None,
-                Ok(Some(Header::Blank)) => continue,
-                Ok(Some(Header::Id(id))) => break id,
-                Ok(Some(Header::Bad(header))) => {
-                    return Some(Err(GenomeError::ParseFormat(format!(
+                None => return Ok(false),
+                Some(Header::Blank) => continue,
+                Some(Header::Id) => break,
+                Some(Header::Bad(header)) => {
+                    return Err(GenomeError::ParseFormat(format!(
                         "expected @header, got {header}"
-                    ))))
+                    )))
                 }
-                Err(e) => return Some(Err(e)),
             }
-        };
-        let record = (|| {
-            let truncated = || GenomeError::ParseFormat("truncated FASTQ record".into());
-            let seq = next_line(&mut self.reader, &mut self.spill, |line| {
-                let mut seq = DnaSeq::with_capacity(line.len());
-                for &ch in line {
-                    seq.push(Base::from_ascii(ch).unwrap_or(Base::A));
-                }
-                seq
-            })?
-            .ok_or_else(truncated)?;
-            let plus = next_line(&mut self.reader, &mut self.spill, |line| {
-                line.first() == Some(&b'+')
-            })?
-            .ok_or_else(truncated)?;
-            if !plus {
-                return Err(GenomeError::ParseFormat("missing + separator".into()));
-            }
-            let qual = next_line(&mut self.reader, &mut self.spill, <[u8]>::to_vec)?
-                .ok_or_else(truncated)?;
-            if qual.len() != seq.len() {
-                return Err(GenomeError::ParseFormat(
-                    "quality length differs from sequence length".into(),
-                ));
-            }
-            Ok(ReadRecord { id, seq, qual })
-        })();
-        Some(record)
+        }
+        let truncated = || GenomeError::ParseFormat("truncated FASTQ record".into());
+        next_line(reader, spill, |line| {
+            rec.seq.clear();
+            rec.seq.extend_from_ascii_lossy(line);
+        })?
+        .ok_or_else(truncated)?;
+        let plus =
+            next_line(reader, spill, |line| line.first() == Some(&b'+'))?.ok_or_else(truncated)?;
+        if !plus {
+            return Err(GenomeError::ParseFormat("missing + separator".into()));
+        }
+        next_line(reader, spill, |line| {
+            rec.qual.clear();
+            rec.qual.extend_from_slice(line);
+        })?
+        .ok_or_else(truncated)?;
+        if rec.qual.len() != rec.seq.len() {
+            return Err(GenomeError::ParseFormat(
+                "quality length differs from sequence length".into(),
+            ));
+        }
+        Ok(true)
     }
 }
 
@@ -200,14 +223,12 @@ impl<R: BufRead> Iterator for FastqReader<R> {
     type Item = Result<ReadRecord, GenomeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
+        let mut rec = ReadRecord::default();
+        match self.read_into(&mut rec) {
+            Ok(true) => Some(Ok(rec)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
-        let item = self.parse_next();
-        if matches!(item, Some(Err(_))) {
-            self.failed = true;
-        }
-        item
     }
 }
 
@@ -227,12 +248,17 @@ pub fn read_fastq<R: BufRead>(reader: R) -> Result<Vec<ReadRecord>, GenomeError>
 ///
 /// Propagates I/O errors from the writer.
 pub fn write_fastq<W: Write>(records: &[ReadRecord], mut writer: W) -> std::io::Result<()> {
+    let mut text = Vec::new();
     for r in records {
-        writeln!(writer, "@{}", r.id)?;
-        writer.write_all(&r.seq.to_ascii())?;
-        writer.write_all(b"\n+\n")?;
-        writer.write_all(&r.qual)?;
-        writer.write_all(b"\n")?;
+        text.clear();
+        text.push(b'@');
+        text.extend_from_slice(r.id.as_bytes());
+        text.push(b'\n');
+        r.seq.append_ascii_to(&mut text);
+        text.extend_from_slice(b"\n+\n");
+        text.extend_from_slice(&r.qual);
+        text.push(b'\n');
+        writer.write_all(&text)?;
     }
     Ok(())
 }

@@ -98,20 +98,62 @@ impl SamRecord {
     }
 
     /// Renders a SAM text line (subset of columns; mate fields are left at
-    /// their null values).
+    /// their null values). A wrapper over [`SamRecord::write_sam_line`].
     pub fn to_sam_line(&self, chrom_name: &str) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t*\t0\t0\t{}\t*\tAS:i:{}",
-            self.qname,
-            self.flags,
-            if self.is_mapped() { chrom_name } else { "*" },
-            if self.is_mapped() { self.pos + 1 } else { 0 },
-            self.mapq,
-            self.cigar,
-            self.seq,
-            self.score,
-        )
+        let mut line = Vec::new();
+        self.write_sam_line(chrom_name, &mut line);
+        String::from_utf8(line).expect("qname and chromosome name are UTF-8, the rest ASCII")
     }
+
+    /// Appends the record's SAM text line (no terminator) to `out`. This is
+    /// the one SAM renderer: every text path — [`SamRecord::to_sam_line`],
+    /// [`write_sam_records`](crate::samfile::write_sam_records) and the
+    /// pipeline's text sink — goes through it, so they cannot drift apart.
+    /// It works on bytes throughout (no formatter): integers by a local
+    /// itoa, CIGAR runs directly, bases unpacked a word at a time.
+    pub fn write_sam_line(&self, chrom_name: &str, out: &mut Vec<u8>) {
+        let mapped = self.is_mapped();
+        out.extend_from_slice(self.qname.as_bytes());
+        out.push(b'\t');
+        push_uint(out, self.flags as u64);
+        out.push(b'\t');
+        out.extend_from_slice(if mapped { chrom_name.as_bytes() } else { b"*" });
+        out.push(b'\t');
+        push_uint(out, if mapped { self.pos + 1 } else { 0 });
+        out.push(b'\t');
+        push_uint(out, self.mapq as u64);
+        out.push(b'\t');
+        let runs = self.cigar.runs();
+        if runs.is_empty() {
+            out.push(b'*');
+        }
+        for &(n, op) in runs {
+            push_uint(out, n as u64);
+            out.push(op.to_char() as u8);
+        }
+        out.extend_from_slice(b"\t*\t0\t0\t");
+        self.seq.append_ascii_to(out);
+        out.extend_from_slice(b"\t*\tAS:i:");
+        if self.score < 0 {
+            out.push(b'-');
+        }
+        push_uint(out, self.score.unsigned_abs() as u64);
+    }
+}
+
+/// Appends `v` in decimal.
+fn push_uint(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 #[cfg(test)]

@@ -30,13 +30,17 @@ pub fn write_sam_records<W: Write>(
     records: &[SamRecord],
     mut writer: W,
 ) -> std::io::Result<()> {
+    let mut line = Vec::new();
     for rec in records {
         let name = if rec.is_mapped() {
             genome.chromosome(rec.chrom).name()
         } else {
             "*"
         };
-        writeln!(writer, "{}", rec.to_sam_line(name))?;
+        line.clear();
+        rec.write_sam_line(name, &mut line);
+        line.push(b'\n');
+        writer.write_all(&line)?;
     }
     Ok(())
 }

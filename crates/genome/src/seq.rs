@@ -46,20 +46,76 @@ impl DnaSeq {
     /// ambiguous reference positions are tracked separately by
     /// [`Chromosome`](crate::Chromosome) masks).
     pub fn from_ascii(ascii: &[u8]) -> Result<DnaSeq, GenomeError> {
-        let mut s = DnaSeq::with_capacity(ascii.len());
-        for &ch in ascii {
-            s.push(Base::from_ascii(ch).ok_or(GenomeError::InvalidBase(ch))?);
+        let mut s = DnaSeq::new();
+        if s.pack_ascii(ascii) {
+            return Ok(s);
         }
-        Ok(s)
+        let bad = ascii.iter().find(|&&ch| PACK[ch as usize] == INVALID);
+        Err(GenomeError::InvalidBase(*bad.expect("pack saw a bad byte")))
+    }
+
+    /// Appends an ASCII byte string, packing `ACGTacgt` to their codes and
+    /// every other byte (`N`, ambiguity codes, stray characters) to `A` —
+    /// the lossy convention of mapping-oriented 2-bit encodings, and what
+    /// [`FastqReader`](crate::fastq::FastqReader) stores for a sequence
+    /// line.
+    pub fn extend_from_ascii_lossy(&mut self, ascii: &[u8]) {
+        self.pack_ascii(ascii);
+    }
+
+    /// The one ASCII → 2-bit packer: 32 bytes per word through [`PACK`].
+    /// Returns whether every byte was a nucleotide; the others pack as `A`.
+    fn pack_ascii(&mut self, ascii: &[u8]) -> bool {
+        self.words.reserve(ascii.len().div_ceil(32));
+        let mut seen = 0u8;
+        for chunk in ascii.chunks(32) {
+            let mut w = 0u64;
+            for (i, &ch) in chunk.iter().enumerate() {
+                let code = PACK[ch as usize];
+                seen |= code;
+                w |= ((code & 3) as u64) << (2 * i);
+            }
+            self.append_word(w, chunk.len());
+        }
+        seen & INVALID == 0
     }
 
     /// Builds a sequence from raw 2-bit codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a code is above 3.
     pub fn from_codes(codes: &[u8]) -> DnaSeq {
         let mut s = DnaSeq::with_capacity(codes.len());
-        for &c in codes {
-            s.push(Base::from_code(c));
+        for chunk in codes.chunks(32) {
+            let mut w = 0u64;
+            for (i, &c) in chunk.iter().enumerate() {
+                w |= (Base::from_code(c).code() as u64) << (2 * i);
+            }
+            s.append_word(w, chunk.len());
         }
         s
+    }
+
+    /// Appends the `n <= 32` bases held in the low `2n` bits of `w` (higher
+    /// bits zero), funnel-shifting across the word boundary when the
+    /// current length is not a multiple of 32.
+    #[inline]
+    fn append_word(&mut self, w: u64, n: usize) {
+        debug_assert!(n <= 32 && (n == 32 || w >> (2 * n) == 0));
+        if n == 0 {
+            return;
+        }
+        let sh = (self.len % 32) * 2;
+        if sh == 0 {
+            self.words.push(w);
+        } else {
+            *self.words.last_mut().expect("partial last word") |= w << sh;
+            if sh + 2 * n > 64 {
+                self.words.push(w >> (64 - sh));
+            }
+        }
+        self.len += n;
     }
 
     /// Number of bases.
@@ -183,10 +239,14 @@ impl DnaSeq {
         }
     }
 
-    /// Appends all bases of `other`.
+    /// Appends all bases of `other`, a packed word at a time.
     pub fn extend_from_seq(&mut self, other: &DnaSeq) {
-        for b in other.iter() {
-            self.push(b);
+        self.words.reserve(other.words.len());
+        let mut left = other.len;
+        for &w in &other.words {
+            let n = left.min(32);
+            self.append_word(w, n);
+            left -= n;
         }
     }
 
@@ -248,7 +308,31 @@ impl DnaSeq {
 
     /// ASCII bytes (`ACGT`) of the whole sequence.
     pub fn to_ascii(&self) -> Vec<u8> {
-        self.iter().map(Base::to_ascii).collect()
+        let mut out = Vec::new();
+        self.append_ascii_to(&mut out);
+        out
+    }
+
+    /// Appends the ASCII bytes (`ACGT`) of the whole sequence to `out` —
+    /// the one 2-bit → ASCII unpacker, shared by the SAM renderer, the
+    /// FASTQ writer and `Display`.
+    pub fn append_ascii_to(&self, out: &mut Vec<u8>) {
+        out.reserve(self.len);
+        for (chunk, n) in self.ascii_chunks() {
+            out.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    /// The sequence's ASCII one packed word at a time: 32 bytes (four bases
+    /// per [`UNPACK`] lookup) and how many of them are bases.
+    fn ascii_chunks(&self) -> impl Iterator<Item = ([u8; 32], usize)> + '_ {
+        self.words.iter().enumerate().map(|(i, w)| {
+            let mut chunk = [0u8; 32];
+            for (quad, byte) in chunk.chunks_exact_mut(4).zip(w.to_le_bytes()) {
+                quad.copy_from_slice(&UNPACK[byte as usize]);
+            }
+            (chunk, (self.len - 32 * i).min(32))
+        })
     }
 
     /// Raw 2-bit codes of the whole sequence, one per byte. This is the byte
@@ -285,6 +369,37 @@ impl DnaSeq {
     }
 }
 
+/// [`PACK`] entry of a byte that is not a nucleotide; `& 3` packs it as `A`.
+const INVALID: u8 = 4;
+
+/// ASCII byte → 2-bit code (either case), [`INVALID`] for anything else.
+const PACK: [u8; 256] = {
+    let mut t = [INVALID; 256];
+    let mut code = 0;
+    while code < 4 {
+        let ch = b"ACGT"[code];
+        t[ch as usize] = code as u8;
+        t[ch.to_ascii_lowercase() as usize] = code as u8;
+        code += 1;
+    }
+    t
+};
+
+/// One packed byte (four bases, first base in the low bits) → its ASCII.
+const UNPACK: [[u8; 4]; 256] = {
+    let mut t = [[0u8; 4]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut i = 0;
+        while i < 4 {
+            t[byte][i] = b"ACGT"[(byte >> (2 * i)) & 3];
+            i += 1;
+        }
+        byte += 1;
+    }
+    t
+};
+
 /// Reverses the order of the 32 two-bit lanes in a word (byte swap, then
 /// swap the four lane pairs within each byte).
 #[inline]
@@ -298,8 +413,8 @@ fn rev2_word(w: u64) -> u64 {
 
 impl std::fmt::Display for DnaSeq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for b in self.iter() {
-            write!(f, "{b}")?;
+        for (chunk, n) in self.ascii_chunks() {
+            f.write_str(std::str::from_utf8(&chunk[..n]).expect("ACGT is ASCII"))?;
         }
         Ok(())
     }

@@ -38,6 +38,44 @@ proptest! {
     }
 
     #[test]
+    fn ascii_pack_unpack_roundtrip_at_unaligned_offsets(
+        prefix in arb_dna(70),
+        bytes in prop::collection::vec(0u8..=255, 0..=200),
+    ) {
+        // ascii -> pack -> unpack, appended after a prefix of any length so
+        // the packer starts mid-word. Non-nucleotides come back as `A`.
+        let mut seq = prefix.clone();
+        seq.extend_from_ascii_lossy(&bytes);
+        let mut expect = prefix.to_ascii();
+        expect.extend(bytes.iter().map(|&b| Base::from_ascii(b).unwrap_or(Base::A).to_ascii()));
+        prop_assert_eq!(seq.len(), expect.len());
+        prop_assert_eq!(seq.to_ascii(), expect.clone());
+        prop_assert_eq!(seq.to_string().into_bytes(), expect.clone());
+        let mut appended = b"ID\t".to_vec();
+        seq.append_ascii_to(&mut appended);
+        prop_assert_eq!(&appended[3..], &expect[..]);
+        prop_assert_eq!(DnaSeq::from_ascii(&expect).expect("ACGT only"), seq);
+    }
+
+    #[test]
+    fn extend_from_seq_matches_per_base(head in arb_dna(100), tail in arb_dna(200), cut in 0usize..200) {
+        // Both the destination length and the source (a subseq, so its last
+        // word is partial) sit at arbitrary offsets within a word.
+        let tail = tail.subseq(cut.min(tail.len())..tail.len());
+        let mut word_wise = head.clone();
+        word_wise.extend_from_seq(&tail);
+        let per_base: DnaSeq = head.iter().chain(tail.iter()).collect();
+        prop_assert_eq!(word_wise.words().len(), per_base.len().div_ceil(32));
+        prop_assert_eq!(word_wise, per_base);
+    }
+
+    #[test]
+    fn from_codes_matches_per_base(codes in prop::collection::vec(0u8..4, 0..=200)) {
+        let per_base: DnaSeq = codes.iter().map(|&c| Base::from_code(c)).collect();
+        prop_assert_eq!(DnaSeq::from_codes(&codes), per_base);
+    }
+
+    #[test]
     fn kmer_u64_matches_codes(seq in arb_dna(80), pos in 0usize..60, k in 1usize..=16) {
         prop_assume!(pos + k <= seq.len());
         let v = seq.kmer_u64(pos, k);

@@ -2,7 +2,7 @@
 
 use gx_core::ReadPair;
 use gx_genome::fastq::FastqReader;
-use gx_genome::GenomeError;
+use gx_genome::{GenomeError, ReadRecord};
 use std::io::BufRead;
 
 /// A fixed-size unit of work flowing through the engine. `index` is the
@@ -90,6 +90,11 @@ fn base_id(id: &str) -> &str {
 pub struct ReadPairStream<R1: BufRead, R2: BufRead> {
     r1: FastqReader<R1>,
     r2: FastqReader<R2>,
+    /// The mates' parse buffers, reused across pairs: qualities and ids are
+    /// only checked, never handed on, so they never cost an allocation; a
+    /// pair costs exactly its three owned parts (`id`, `r1`, `r2`).
+    mate1: ReadRecord,
+    mate2: ReadRecord,
     pairs_yielded: u64,
     failed: bool,
 }
@@ -100,23 +105,26 @@ impl<R1: BufRead, R2: BufRead> ReadPairStream<R1, R2> {
         ReadPairStream {
             r1: FastqReader::new(r1),
             r2: FastqReader::new(r2),
+            mate1: ReadRecord::default(),
+            mate2: ReadRecord::default(),
             pairs_yielded: 0,
             failed: false,
         }
     }
 
     fn pair_next(&mut self) -> Option<Result<ReadPair, GenomeError>> {
-        let (a, b) = match (self.r1.next(), self.r2.next()) {
-            (None, None) => return None,
-            (Some(Err(e)), _) | (_, Some(Err(e))) => return Some(Err(e)),
-            (None, Some(Ok(_))) | (Some(Ok(_)), None) => {
+        let (a, b) = (&mut self.mate1, &mut self.mate2);
+        match (self.r1.read_into(a), self.r2.read_into(b)) {
+            (Ok(false), Ok(false)) => return None,
+            (Err(e), _) | (_, Err(e)) => return Some(Err(e)),
+            (Ok(false), Ok(true)) | (Ok(true), Ok(false)) => {
                 return Some(Err(GenomeError::ParseFormat(format!(
                     "mate files differ in length: one stream ended after {} pairs",
                     self.pairs_yielded
                 ))))
             }
-            (Some(Ok(a)), Some(Ok(b))) => (a, b),
-        };
+            (Ok(true), Ok(true)) => {}
+        }
         let id = base_id(&a.id);
         if id != base_id(&b.id) {
             return Some(Err(GenomeError::ParseFormat(format!(
@@ -127,8 +135,8 @@ impl<R1: BufRead, R2: BufRead> ReadPairStream<R1, R2> {
         self.pairs_yielded += 1;
         Some(Ok(ReadPair {
             id: id.to_string(),
-            r1: a.seq,
-            r2: b.seq,
+            r1: std::mem::take(&mut a.seq),
+            r2: std::mem::take(&mut b.seq),
         }))
     }
 }
@@ -271,6 +279,49 @@ mod tests {
             text.contains("after 1 pairs"),
             "error should say how many pairs paired cleanly: {text}"
         );
+        assert!(stream.next().is_none(), "stream must fuse after an error");
+    }
+
+    #[test]
+    fn reused_mate_buffers_never_leak_into_the_next_pair() {
+        // Lengths shrink and then grow, and the ids change length too: a
+        // stale tail in a reused parse buffer would show up here.
+        let lens = [150usize, 33, 0, 64, 200];
+        let mate = |suffix: &str, flip: bool| {
+            let mut text = Vec::new();
+            for (i, &len) in lens.iter().enumerate() {
+                let seq: Vec<u8> = (0..len)
+                    .map(|j| b"ACGT"[(i + j * (1 + flip as usize)) % 4])
+                    .collect();
+                text.extend_from_slice(format!("@{}{i}/{suffix}\n", "p".repeat(6 - i)).as_bytes());
+                text.extend_from_slice(&seq);
+                text.extend_from_slice(b"\n+\n");
+                text.extend(std::iter::repeat_n(b'I', len));
+                text.push(b'\n');
+            }
+            text
+        };
+        let (r1, r2) = (mate("1", false), mate("2", true));
+        let pairs = read_pairs_from_fastq(&r1[..], &r2[..]).unwrap();
+        let fresh1 = gx_genome::fastq::read_fastq(&r1[..]).unwrap();
+        let fresh2 = gx_genome::fastq::read_fastq(&r2[..]).unwrap();
+        assert_eq!(pairs.len(), lens.len());
+        for (i, pair) in pairs.iter().enumerate() {
+            assert_eq!(format!("{}/1", pair.id), fresh1[i].id);
+            assert_eq!(pair.r1, fresh1[i].seq);
+            assert_eq!(pair.r2, fresh2[i].seq);
+            assert_eq!(pair.r1.words().len(), lens[i].div_ceil(32));
+        }
+    }
+
+    #[test]
+    fn stream_fuses_after_a_malformed_record() {
+        let r1 = b"@a/1\nACGT\n+\nIIII\n@b/1\nGGGG\n+\nII\n@c/1\nAC\n+\nII\n";
+        let r2 = b"@a/2\nTTTT\n+\nIIII\n@b/2\nCCCC\n+\nIIII\n@c/2\nAC\n+\nII\n";
+        let mut stream = ReadPairStream::new(&r1[..], &r2[..]);
+        assert!(stream.next().unwrap().is_ok());
+        let err = stream.next().unwrap().unwrap_err();
+        assert!(err.to_string().contains("quality length"), "{err}");
         assert!(stream.next().is_none(), "stream must fuse after an error");
     }
 

@@ -47,9 +47,10 @@ use crate::sink::{RecordSink, VecSink};
 use crate::steal::WorkStealQueue;
 use gx_backend::{BackendStats, MapBackend, MapSession};
 use gx_core::{
-    pair_mapping_to_sam, GenPairMapper, MapScratch, PairMapResult, PipelineStats, ReadPair,
+    pair_mapping_to_sam, unmapped_pair_to_sam, GenPairMapper, MapScratch, PairMapping,
+    PipelineStats, ReadPair,
 };
-use gx_genome::{flags, SamRecord};
+use gx_genome::SamRecord;
 use gx_seedmap::SeedHasher;
 use gx_telemetry::Telemetry;
 use std::collections::HashMap;
@@ -144,38 +145,24 @@ impl PipelineReport {
     }
 }
 
-/// Converts one pair's mapping result into SAM records, honouring the
-/// fallback policy. Shared by the parallel workers, [`map_serial`] and the
-/// service workers ([`crate::MappingService`]) so every path emits
-/// identical bytes.
+/// Materialises one pair's SAM records, honouring the fallback policy, by
+/// *consuming* the worker-owned mapping and pair (reads, CIGARs and the id
+/// move into the records; nothing is cloned). Shared by the parallel
+/// workers, [`map_serial`] and the service workers
+/// ([`crate::MappingService`]) so every path emits identical bytes.
 pub(crate) fn emit_pair_records(
-    result: &PairMapResult,
-    pair: &ReadPair,
+    mapping: Option<PairMapping>,
+    pair: ReadPair,
     policy: FallbackPolicy,
     out: &mut Vec<SamRecord>,
 ) {
-    match &result.mapping {
-        Some(m) => {
-            let (s1, s2) = pair_mapping_to_sam(m, &pair.id, &pair.r1, &pair.r2);
-            out.push(s1);
-            out.push(s2);
-        }
-        None => {
-            if policy == FallbackPolicy::EmitUnmapped {
-                let base = flags::PAIRED | flags::MATE_UNMAPPED;
-                out.push(SamRecord::unmapped(
-                    format!("{}/1", pair.id),
-                    base | flags::FIRST_IN_PAIR,
-                    pair.r1.clone(),
-                ));
-                out.push(SamRecord::unmapped(
-                    format!("{}/2", pair.id),
-                    base | flags::SECOND_IN_PAIR,
-                    pair.r2.clone(),
-                ));
-            }
-        }
-    }
+    let (s1, s2) = match mapping {
+        Some(m) => pair_mapping_to_sam(m, pair),
+        None if policy == FallbackPolicy::EmitUnmapped => unmapped_pair_to_sam(pair),
+        None => return,
+    };
+    out.push(s1);
+    out.push(s2);
 }
 
 /// The sharded, batched, multi-threaded paired-end mapping engine, generic
@@ -382,9 +369,9 @@ impl<B: MapBackend> MappingEngine<B> {
                         );
                         backend_shard.merge(&out.stats);
                         let mut records = Vec::with_capacity(batch.pairs.len() * 2);
-                        for (pair, res) in batch.pairs.iter().zip(&out.results) {
-                            shard.record(res);
-                            emit_pair_records(res, pair, cfg.fallback, &mut records);
+                        for (pair, res) in batch.pairs.into_iter().zip(out.results) {
+                            shard.record(&res);
+                            emit_pair_records(res.mapping, pair, cfg.fallback, &mut records);
                         }
                         if tx
                             .send(BatchOutput {
@@ -567,7 +554,7 @@ where
         mapping_ns += map_started.elapsed().as_nanos() as u64;
         stats.record(&res);
         records.clear();
-        emit_pair_records(&res, &pair, policy, &mut records);
+        emit_pair_records(res.mapping, pair, policy, &mut records);
         for rec in &records {
             sink.write_record(rec)?;
             written += 1;

@@ -1624,9 +1624,11 @@ fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize)
         }
         // Render records outside the job lock; suppression is re-checked
         // under it, so a cancel ack can never race a write.
+        let mut stats = PipelineStats::new();
         let mut records = Vec::with_capacity(jb.pairs.len() * 2);
-        for (pair, res) in jb.pairs.iter().zip(&out.results) {
-            emit_pair_records(res, pair, shared.cfg.fallback, &mut records);
+        for (pair, res) in jb.pairs.into_iter().zip(out.results) {
+            stats.record(&res);
+            emit_pair_records(res.mapping, pair, shared.cfg.fallback, &mut records);
         }
 
         // A job can't finalize with this batch outstanding (finalize
@@ -1637,9 +1639,7 @@ fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize)
         let mut guard = jb.job.core.lock().expect("job core poisoned");
         let core = &mut *guard;
         core.backend.merge(&out.stats);
-        for res in &out.results {
-            core.stats.record(res);
-        }
+        core.stats.merge(&stats);
         let written_before = core.written;
         if !core.suppressed() {
             core.pending.insert(jb.index, records);

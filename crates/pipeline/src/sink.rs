@@ -21,6 +21,9 @@ pub trait RecordSink {
 pub struct SamTextSink<W: Write> {
     writer: W,
     chrom_names: Vec<String>,
+    /// The current record's line, reused so rendering never allocates in
+    /// steady state; handed to the writer in one `write_all` per record.
+    line: Vec<u8>,
 }
 
 impl<W: Write> SamTextSink<W> {
@@ -39,6 +42,7 @@ impl<W: Write> SamTextSink<W> {
                 .iter()
                 .map(|c| c.name().to_string())
                 .collect(),
+            line: Vec::new(),
         })
     }
 
@@ -62,7 +66,10 @@ impl<W: Write> RecordSink for SamTextSink<W> {
         } else {
             "*"
         };
-        writeln!(self.writer, "{}", rec.to_sam_line(name))
+        self.line.clear();
+        rec.write_sam_line(name, &mut self.line);
+        self.line.push(b'\n');
+        self.writer.write_all(&self.line)
     }
 }
 
@@ -135,6 +142,80 @@ mod tests {
             .map(|l| l.split('\t').nth(2).unwrap())
             .collect();
         assert_eq!(rnames, ["*", "*"], "text: {text}");
+        // A mapped flag with no such chromosome keeps its 1-based position.
+        let bogus_line = text.lines().last().unwrap();
+        assert!(
+            bogus_line.starts_with("u/1\t1\t*\t1\t0\t*\t"),
+            "{bogus_line}"
+        );
+    }
+
+    fn mixed_records() -> Vec<SamRecord> {
+        let mapped = SamRecord {
+            qname: "q/1".into(),
+            flags: flags::PAIRED | flags::REVERSE,
+            chrom: 0,
+            pos: 5,
+            mapq: 60,
+            cigar: Cigar::parse("2=1X1=").unwrap(),
+            seq: DnaSeq::from_ascii(b"CGTA").unwrap(),
+            score: -3,
+        };
+        let unmapped = SamRecord::unmapped(
+            "q/2",
+            flags::PAIRED,
+            DnaSeq::from_ascii(&b"ACGT".repeat(17)).unwrap(),
+        );
+        vec![mapped, unmapped]
+    }
+
+    #[test]
+    fn sink_bytes_equal_write_sam() {
+        let (genome, records) = (genome(), mixed_records());
+        let mut sink = SamTextSink::with_header(&genome, Vec::new()).unwrap();
+        for rec in &records {
+            sink.write_record(rec).unwrap();
+        }
+        let mut expect = Vec::new();
+        gx_genome::samfile::write_sam(&genome, &records, &mut expect).unwrap();
+        assert_eq!(sink.into_inner().unwrap(), expect);
+    }
+
+    /// Accepts `budget` more `write` calls, then fails.
+    struct FailAfter {
+        budget: usize,
+        calls: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.budget == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            self.budget -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn one_write_per_record_so_a_failing_writer_surfaces_at_its_record() {
+        let writer = FailAfter {
+            budget: usize::MAX,
+            calls: 0,
+        };
+        let mut sink = SamTextSink::with_header(&genome(), writer).unwrap();
+        let header_calls = sink.writer.calls;
+        sink.writer.budget = 1;
+        let records = mixed_records();
+        sink.write_record(&records[0]).unwrap();
+        assert_eq!(sink.writer.calls, header_calls + 1, "one write per record");
+        let err = sink.write_record(&records[1]).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]

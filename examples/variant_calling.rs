@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example variant_calling`
 
-use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper};
+use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair};
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::variant::{generate_variants, DonorGenome, VariantProfile};
 use genpairx::readsim::{ErrorModel, PairedEndSimulator};
@@ -35,7 +35,10 @@ fn main() {
     let mut mapped = 0usize;
     for p in &pairs {
         if let Some(m) = mapper.map_pair(&p.r1.seq, &p.r2.seq).mapping {
-            let (s1, s2) = pair_mapping_to_sam(&m, &p.id, &p.r1.seq, &p.r2.seq);
+            let (s1, s2) = pair_mapping_to_sam(
+                m,
+                ReadPair::new(p.id.as_str(), p.r1.seq.clone(), p.r2.seq.clone()),
+            );
             pile.add_record(&s1);
             pile.add_record(&s2);
             mapped += 1;

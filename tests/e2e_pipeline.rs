@@ -372,7 +372,7 @@ fn engine_matches_per_pair_map_calls() {
     for p in &pairs {
         let res = mapper.map_pair(&p.r1, &p.r2);
         if let Some(m) = &res.mapping {
-            let (s1, s2) = genpairx::core::pair_mapping_to_sam(m, &p.id, &p.r1, &p.r2);
+            let (s1, s2) = genpairx::core::pair_mapping_to_sam(m.clone(), p.clone());
             let g1 = cursor.next().expect("missing record");
             let g2 = cursor.next().expect("missing record");
             assert_eq!((g1.qname.as_str(), g1.pos), (s1.qname.as_str(), s1.pos));

@@ -1,7 +1,7 @@
 //! Integration: end-to-end variant calling through GenPair mapping (the
 //! Table 7 pipeline at test scale).
 
-use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper};
+use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair};
 use genpairx::genome::variant::{generate_variants, DonorGenome, VariantProfile};
 use genpairx::readsim::dataset::standard_genome;
 use genpairx::readsim::{ErrorModel, PairedEndSimulator};
@@ -24,7 +24,10 @@ fn variants_recovered_through_genpair_mapping() {
     let mut pile = Pileup::new(&genome);
     for p in &pairs {
         if let Some(m) = mapper.map_pair(&p.r1.seq, &p.r2.seq).mapping {
-            let (s1, s2) = pair_mapping_to_sam(&m, &p.id, &p.r1.seq, &p.r2.seq);
+            let (s1, s2) = pair_mapping_to_sam(
+                m,
+                ReadPair::new(p.id.as_str(), p.r1.seq.clone(), p.r2.seq.clone()),
+            );
             pile.add_record(&s1);
             pile.add_record(&s2);
         }

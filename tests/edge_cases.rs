@@ -2,7 +2,7 @@
 //! chromosome edges, windows truncated by contig ends, multi-chromosome
 //! coordinate handling, and end-to-end SAM plumbing.
 
-use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper};
+use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair};
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::samfile::write_sam;
 use genpairx::genome::{Chromosome, DnaSeq, ReferenceGenome};
@@ -96,7 +96,7 @@ fn sam_roundtrip_through_pileup() {
     let r1 = seq.subseq(7_000..7_150);
     let r2 = seq.subseq(7_200..7_350).revcomp();
     let m = mapper.map_pair(&r1, &r2).mapping.expect("maps");
-    let (s1, s2) = pair_mapping_to_sam(&m, "edge", &r1, &r2);
+    let (s1, s2) = pair_mapping_to_sam(m, ReadPair::new("edge", r1, r2));
 
     // SAM text renders with the right contig and 1-based coordinates.
     let mut buf = Vec::new();
