@@ -143,8 +143,18 @@ impl<H: SeedHasher> SeedMap<H> {
         let hasher = H::with_seed(config.hash_seed);
 
         // Pass 1: hash every seed window, remember its bucket, count sizes.
-        let mut bucket_of: Vec<u32> = Vec::new();
-        let mut window_pos: Vec<GlobalPos> = Vec::new();
+        // Both per-window arrays are sized once (an upper bound: windows
+        // over `N` are skipped). Grown by doubling, the two interleaved
+        // chains of ever larger blocks land wherever the heap has room
+        // that day, and where they land decides whether the tables below
+        // fit under the heap top or push it up by another table.
+        let windows: usize = genome
+            .chromosomes()
+            .iter()
+            .map(|c| (c.len() + 1).saturating_sub(config.seed_len))
+            .sum();
+        let mut bucket_of: Vec<u32> = Vec::with_capacity(windows);
+        let mut window_pos: Vec<GlobalPos> = Vec::with_capacity(windows);
         let mut counts = vec![0u32; buckets];
         let mut skipped_n = 0u64;
         let mut codes: Vec<u8> = Vec::new();
