@@ -5,7 +5,9 @@
 //! accelerator, and the win is measured on *identical workloads*. This crate
 //! is that comparison made first-class: a [`MapBackend`] factory trait the
 //! pipeline worker pool is generic over, handing each worker a stateful
-//! [`MapSession`], with two implementations —
+//! [`MapSession`] whose one method, [`MapSession::map`], takes a batch and
+//! its [`BatchTag`] (which job, which position in that job's stream) — the
+//! whole front-end↔backend contract — with two implementations —
 //!
 //! * [`SoftwareBackend`] — the CPU reference: maps each pair with
 //!   [`GenPairMapper::map_pair`](gx_core::GenPairMapper::map_pair) and
@@ -26,7 +28,7 @@
 //! from the hardware model, and both consume the exact same reads.
 //!
 //! ```
-//! use gx_backend::{MapBackend, MapSession, NmslBackend, SoftwareBackend};
+//! use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend};
 //! use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
 //! use gx_genome::random::RandomGenomeBuilder;
 //!
@@ -39,14 +41,12 @@
 //!     seq.subseq(1_300..1_450).revcomp(),
 //! )];
 //!
-//! // Each worker opens one session and feeds it batches.
+//! // Each worker opens one session and feeds it tagged batches.
+//! let first = BatchTag { job: 0, index: 0 };
 //! let software = SoftwareBackend::new(&mapper);
-//! let mut sw = software.session(0);
 //! let nmsl = NmslBackend::new(&mapper);
-//! let mut hw = nmsl.session(0);
-//! let sw_out = sw.map_batch(&batch);
-//! let mut hw_stats = hw.map_batch(&batch).stats;
-//! hw_stats.merge(&hw.finish());
+//! let sw_out = software.session(0).map(first, &batch);
+//! let mut hw_stats = nmsl.session(0).map(first, &batch).stats;
 //! hw_stats.merge(&nmsl.flush()); // drain the shared warm device
 //! // Identical mapping results...
 //! assert_eq!(sw_out.results[0].is_mapped(), true);
@@ -67,13 +67,13 @@ mod software;
 mod traits;
 
 pub use nmsl::{
-    DeviceCounters, DispatchMode, NmslBackend, NmslSession, DEFAULT_CHANNELS,
-    DEFAULT_DISPATCH_QUANTUM, QUANTUM_OCC_BUCKETS,
+    DeviceCounters, NmslBackend, NmslSession, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM,
+    QUANTUM_OCC_BUCKETS,
 };
 pub use software::{SoftwareBackend, SoftwareSession};
 // The per-lane counter types the device report is built from.
 pub use gx_accel::{CycleBreakdown, LaneCounters};
 pub use traits::{
-    BackendStats, BatchResult, Clock, DiscardReport, ManualClock, MapBackend, MapSession,
+    BackendStats, BatchResult, BatchTag, Clock, DiscardReport, ManualClock, MapBackend, MapSession,
     SystemClock,
 };

@@ -1,23 +1,24 @@
 //! The NMSL accelerator backend: software results, hardware timing.
 //!
-//! Since PR 5 the warm dispatch model is a **shared, channel-sharded
-//! device**: one [`NmslBackend`] owns `channels` simulator lanes (each a
-//! persistent [`NmslSim`] with its own DRAM row-buffer state and sliding
-//! window), and *every* worker session admits into the same device. Pairs
-//! are routed to lanes by a deterministic workload key
+//! The dispatch model is a **shared, channel-sharded warm device**: one
+//! [`NmslBackend`] owns `channels` simulator lanes (each a persistent
+//! [`NmslSim`](gx_accel::NmslSim) with its own DRAM row-buffer state and
+//! sliding window), and *every* worker session admits into the same device.
+//! Pairs are routed to lanes by a deterministic workload key
 //! ([`shard_for_workload`]: the pair's first seed bucket, never the worker
-//! id) and admitted in **input order** (the engine's batch indices sequence
+//! id) and admitted in **input order** (each call's [`BatchTag`] sequences
 //! admissions through a contiguity frontier), so warm totals are a function
 //! of the workload and the channel count alone — bit-identical across
-//! thread counts, batch sizes and steal schedules. The per-worker private
-//! simulators of PR 3/4 are gone; `tests/e2e_warm_invariance.rs` holds the
-//! line.
+//! thread counts, batch sizes and steal schedules;
+//! `tests/e2e_warm_invariance.rs` holds the line, including the "warm
+//! seeding never costs more than cold-starting a simulator per batch"
+//! guard against a cold reference the test builds itself.
 
-use crate::{BackendStats, BatchResult, DiscardReport, MapBackend, MapSession};
+use crate::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};
 use gx_accel::workload::pair_workload;
 use gx_accel::{
     fallback_cells, shard_for_workload, FallbackCells, GenDpInstance, HostTraffic, LaneCounters,
-    LaneDelta, NmslConfig, NmslLane, NmslSim, PairWorkload, ACCEL_CLOCK_GHZ,
+    LaneDelta, NmslConfig, NmslLane, PairWorkload, ACCEL_CLOCK_GHZ,
 };
 use gx_core::{FallbackStage, GenPairMapper, MapScratch, ReadPair};
 use gx_memsim::{DramConfig, DramPowerModel};
@@ -135,26 +136,6 @@ impl DeviceCounters {
     }
 }
 
-/// How an [`NmslSession`] drives the simulator across batches.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One **shared, channel-sharded** device for the whole run: admissions
-    /// from every worker are routed to `channels` persistent simulator
-    /// lanes by a deterministic workload key and streamed in input order,
-    /// each lane running one dispatch quantum behind its admissions (the
-    /// double-buffered drain overlap). Warm totals depend only on the
-    /// workload and the channel count — not on thread count, batch size or
-    /// steal schedule. This is the default and the model closest to one
-    /// physical device serving all host threads.
-    #[default]
-    Warm,
-    /// One fresh simulator per batch (PR 2's model): every dispatch
-    /// cold-starts the DRAM and runs to completion, so total cycles are the
-    /// sum of independent per-batch runs — a conservative serial-dispatch
-    /// upper bound, kept as the A/B baseline for `backend_compare --cold`.
-    Cold,
-}
-
 /// One pair's admission record: everything the shared device needs to
 /// price and stream it, all computed from the workload (deterministic).
 struct AdmittedPair {
@@ -169,8 +150,6 @@ struct AdmittedPair {
 struct JobSeq {
     /// Next batch index of this job the canonical order will release.
     next_batch: u64,
-    /// Self-assigned index for unsequenced (`map_batch`) admissions.
-    auto_next: u64,
     /// Total batch count, once the job is sealed
     /// ([`MapBackend::seal_job`]): the canonical order advances past the
     /// job when `next_batch` reaches this.
@@ -190,7 +169,7 @@ struct JobSeq {
 /// and — since the service front-end — arbitrarily interleaved *jobs*); the
 /// frontier releases them to the lanes strictly in **canonical order**: jobs
 /// in registration order ([`MapBackend::open_job`], or first admission for
-/// jobs never opened explicitly, e.g. the classic engine's implicit job 0),
+/// jobs never opened explicitly, e.g. the one-shot engine's job 0),
 /// and batch index order within each job. GenDP fallback work is priced per
 /// pair along the way — so every float it accumulates is summed in
 /// canonical order regardless of scheduling, which is what makes warm
@@ -254,14 +233,7 @@ impl Frontier {
 
     /// Drops every still-buffered admission of `job`.
     fn drop_pending(&mut self, job: u64) {
-        let keys: Vec<(u64, u64)> = self
-            .pending
-            .range((job, 0)..=(job, u64::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            self.pending.remove(&k);
-        }
+        self.pending.retain(|&(j, _), _| j != job);
     }
 }
 
@@ -457,18 +429,27 @@ impl SharedNmslDevice {
         lane
     }
 
-    /// Accounts one lane run: integer deltas go to the calling worker's
-    /// `stats` (addition is exact, so totals are schedule-independent);
-    /// floats accumulate on the lane in op order and surface at
-    /// [`flush`](SharedNmslDevice::flush).
-    fn account_run<H: SeedHasher>(
+    /// Closes the quantum filling on lane `idx`: charges its host-link
+    /// transfer (none once the bytes are spent), drives the simulator with
+    /// `run` under a `lane_drain` span and accounts the delta. Integer
+    /// deltas go to the calling worker's `stats` (addition is exact, so
+    /// totals are schedule-independent); floats accumulate on the lane in
+    /// op order and surface at [`flush`](SharedNmslDevice::flush).
+    fn run_quantum<H: SeedHasher>(
         &self,
         backend: &NmslBackend<'_, '_, H>,
         l: &mut LaneState,
-        transfer: f64,
-        delta: &LaneDelta,
+        idx: usize,
         stats: &mut BackendStats,
+        run: impl FnOnce(&mut NmslLane) -> LaneDelta,
     ) {
+        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, backend.link_gbs);
+        l.q_input = 0;
+        l.q_output = 0;
+        let t_drain = l.rec.start();
+        let delta = run(&mut l.lane);
+        let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
+        l.rec.record(self.metrics.drain_h, drain_ns);
         stats.seed_cycles += delta.cycles;
         stats.dram_bytes += delta.dram.bytes;
         stats.dram_requests += delta.dram.completed;
@@ -478,11 +459,7 @@ impl SharedNmslDevice {
             .energy_mj(&delta.dram, &backend.dram, delta.seconds)
             * 1e9;
         l.transfer_seconds += transfer;
-        let exposed = if backend.overlap {
-            HostTraffic::exposed_transfer_seconds(transfer, delta.seconds)
-        } else {
-            transfer
-        };
+        let exposed = HostTraffic::exposed_transfer_seconds(transfer, delta.seconds);
         l.exposed_seconds += exposed;
         // Quantum-boundary occupancy sample: into the deterministic device
         // counter histogram, and (telemetry only) as a Chrome-trace counter
@@ -535,15 +512,7 @@ impl SharedNmslDevice {
                 l.q_input += pair.input_bytes;
                 l.q_output += pair.output_bytes;
                 if l.lane.admit(pair.workload) {
-                    let transfer =
-                        HostTraffic::transfer_seconds(l.q_input, l.q_output, backend.link_gbs);
-                    l.q_input = 0;
-                    l.q_output = 0;
-                    let t_drain = l.rec.start();
-                    let delta = l.lane.run_lagged();
-                    let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
-                    l.rec.record(self.metrics.drain_h, drain_ns);
-                    self.account_run(backend, &mut l, transfer, &delta, stats);
+                    self.run_quantum(backend, &mut l, idx, stats, NmslLane::run_lagged);
                 }
             }
         }
@@ -585,63 +554,81 @@ impl SharedNmslDevice {
         }
     }
 
-    /// Admits one batch of `job`: sequence it at `index` (or self-assign
-    /// within the job), release everything the canonical order now covers,
-    /// then pump the lanes this admission staged work onto (skipping lanes
-    /// another worker is already streaming — see
-    /// [`pump_lane`](SharedNmslDevice::pump_lane)). Admissions for a
-    /// discarded job are dropped whole.
-    fn admit<H: SeedHasher>(
+    /// The one way the canonical order changes: apply `mutate` to the
+    /// frontier (with `job` registered) under the frontier lock, release
+    /// everything the order now covers, refresh the depth gauge, then —
+    /// frontier lock dropped — pump the lanes the releases staged work onto
+    /// (skipping lanes another worker is already streaming, see
+    /// [`pump_lane`](SharedNmslDevice::pump_lane)) and roll the integer
+    /// deltas up into `stats.sim_cycles`.
+    fn sequence<H: SeedHasher, R>(
         &self,
         backend: &NmslBackend<'_, '_, H>,
         job: u64,
-        index: Option<u64>,
+        stats: &mut BackendStats,
+        mutate: impl FnOnce(&mut Frontier) -> R,
+    ) -> R {
+        let mut touched = vec![false; self.lanes.len()];
+        let out = {
+            let mut f = self.frontier.lock().expect("frontier lock poisoned");
+            f.ensure_job(job);
+            let out = mutate(&mut f);
+            self.drain_ready(&mut f, backend, stats, &mut touched);
+            let depth = f.pending.len() as u64;
+            f.rec.gauge_set(self.metrics.frontier_g, depth);
+            out
+        };
+        for (idx, touched) in touched.into_iter().enumerate() {
+            if touched {
+                self.pump_lane(backend, idx, false, stats);
+            }
+        }
+        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
+        out
+    }
+
+    /// Admits one batch at `tag`. Admissions for a discarded job are
+    /// dropped whole.
+    ///
+    /// # Panics
+    ///
+    /// On a tag that was already admitted — still buffered, or already
+    /// released past the frontier. Either is a caller bug that would
+    /// otherwise silently drop pairs from device totals or price them out
+    /// of order at flush.
+    fn admit<H: SeedHasher>(
+        &self,
+        backend: &NmslBackend<'_, '_, H>,
+        tag: BatchTag,
         pairs: Vec<AdmittedPair>,
         stats: &mut BackendStats,
     ) {
-        let mut touched = vec![false; self.lanes.len()];
-        {
-            let mut f = self.frontier.lock().expect("frontier lock poisoned");
-            f.ensure_job(job);
-            let seq = f.seqs.get_mut(&job).expect("registered job");
+        let BatchTag { job, index } = tag;
+        self.sequence(backend, job, stats, |f| {
+            let seq = f.seqs[&job];
             if seq.discarded {
                 return;
             }
-            let index = index.unwrap_or_else(|| {
-                let i = seq.auto_next;
-                seq.auto_next += 1;
-                i
-            });
-            seq.auto_next = seq.auto_next.max(index + 1);
-            f.pending.insert((job, index), pairs);
+            assert!(
+                index >= seq.next_batch,
+                "stale batch tag (job {job}, index {index}): already released to the device"
+            );
+            let replaced = f.pending.insert((job, index), pairs);
+            assert!(
+                replaced.is_none(),
+                "repeated batch tag (job {job}, index {index}): still buffered at the frontier"
+            );
             // Peak depth (before the frontier releases what it now covers);
             // the gauge's high-water mark records the worst reordering.
             let depth = f.pending.len() as u64;
             f.peak_depth = f.peak_depth.max(depth);
             f.rec.gauge_set(self.metrics.frontier_g, depth);
             f.rec.counter_sample("frontier_depth", depth);
-            self.drain_ready(&mut f, backend, stats, &mut touched);
-            let depth = f.pending.len() as u64;
-            f.rec.gauge_set(self.metrics.frontier_g, depth);
-        }
-        for (idx, touched) in touched.into_iter().enumerate() {
-            if touched {
-                self.pump_lane(backend, idx, false, stats);
-            }
-        }
-    }
-
-    /// Registers `job` in the canonical release order (see
-    /// [`MapBackend::open_job`]).
-    fn open_job(&self, job: u64) {
-        let mut f = self.frontier.lock().expect("frontier lock poisoned");
-        f.ensure_job(job);
+        });
     }
 
     /// Seals `job` at `batches` batches, releasing whatever the canonical
-    /// order was holding behind the job boundary (the same lock discipline
-    /// as [`admit`](SharedNmslDevice::admit): frontier alone, then pump the
-    /// touched lanes without it).
+    /// order was holding behind the job boundary.
     fn seal_job<H: SeedHasher>(
         &self,
         backend: &NmslBackend<'_, '_, H>,
@@ -649,22 +636,9 @@ impl SharedNmslDevice {
         batches: u64,
     ) -> BackendStats {
         let mut stats = BackendStats::new();
-        let mut touched = vec![false; self.lanes.len()];
-        {
-            let mut f = self.frontier.lock().expect("frontier lock poisoned");
-            f.ensure_job(job);
-            let seq = f.seqs.get_mut(&job).expect("registered job");
-            seq.sealed_at = Some(batches);
-            self.drain_ready(&mut f, backend, &mut stats, &mut touched);
-            let depth = f.pending.len() as u64;
-            f.rec.gauge_set(self.metrics.frontier_g, depth);
-        }
-        for (idx, touched) in touched.into_iter().enumerate() {
-            if touched {
-                self.pump_lane(backend, idx, false, &mut stats);
-            }
-        }
-        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
+        self.sequence(backend, job, &mut stats, |f| {
+            f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
+        });
         stats
     }
 
@@ -679,25 +653,13 @@ impl SharedNmslDevice {
         job: u64,
     ) -> DiscardReport {
         let mut stats = BackendStats::new();
-        let mut touched = vec![false; self.lanes.len()];
-        let pairs_accounted;
-        {
-            let mut f = self.frontier.lock().expect("frontier lock poisoned");
-            f.ensure_job(job);
+        let pairs_accounted = self.sequence(backend, job, &mut stats, |f| {
             let seq = f.seqs.get_mut(&job).expect("registered job");
             seq.discarded = true;
-            pairs_accounted = seq.released_pairs;
+            let released = seq.released_pairs;
             f.drop_pending(job);
-            self.drain_ready(&mut f, backend, &mut stats, &mut touched);
-            let depth = f.pending.len() as u64;
-            f.rec.gauge_set(self.metrics.frontier_g, depth);
-        }
-        for (idx, touched) in touched.into_iter().enumerate() {
-            if touched {
-                self.pump_lane(backend, idx, false, &mut stats);
-            }
-        }
-        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
+            released
+        });
         DiscardReport {
             stats,
             pairs_accounted,
@@ -724,16 +686,8 @@ impl SharedNmslDevice {
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             let mut touched = vec![false; self.lanes.len()];
             self.drain_ready(&mut f, backend, &mut stats, &mut touched);
-            let leftover: Vec<((u64, u64), Vec<AdmittedPair>)> =
-                std::mem::take(&mut f.pending).into_iter().collect();
-            for ((job, _), batch) in leftover {
-                let released = batch.len() as u64;
-                for pair in batch {
-                    let _ = self.release_pair(&mut f, backend, pair, &mut stats);
-                }
-                if let Some(seq) = f.seqs.get_mut(&job) {
-                    seq.released_pairs += released;
-                }
+            for pair in std::mem::take(&mut f.pending).into_values().flatten() {
+                let _ = self.release_pair(&mut f, backend, pair, &mut stats);
             }
             stats.fallback_seconds = f.fallback_seconds_total;
             stats.fallback_energy_pj = f.fallback_energy_pj;
@@ -745,24 +699,14 @@ impl SharedNmslDevice {
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the
                 // drain of the last *full* quantum, which is still lagged.
-                let transfer =
-                    HostTraffic::transfer_seconds(l.q_input, l.q_output, backend.link_gbs);
-                l.q_input = 0;
-                l.q_output = 0;
                 let quantum = l.lane.quantum();
                 let full_target = l.lane.admitted() / quantum * quantum;
-                let t_drain = l.rec.start();
-                let delta = l.lane.run_to(full_target);
-                let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
-                l.rec.record(self.metrics.drain_h, drain_ns);
-                self.account_run(backend, &mut l, transfer, &delta, &mut stats);
+                self.run_quantum(backend, &mut l, idx, &mut stats, |lane| {
+                    lane.run_to(full_target)
+                });
             }
             // Final drain: pure compute, no transfer left to hide.
-            let t_drain = l.rec.start();
-            let tail = l.lane.drain();
-            let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
-            l.rec.record(self.metrics.drain_h, drain_ns);
-            self.account_run(backend, &mut l, 0.0, &tail, &mut stats);
+            self.run_quantum(backend, &mut l, idx, &mut stats, NmslLane::drain);
             stats.sim_seconds += l.seconds;
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
@@ -805,35 +749,32 @@ impl SharedNmslDevice {
     }
 }
 
-/// The GenPairX accelerator backend: a config bundle plus (in warm
-/// dispatch) the **shared channel-sharded device** every worker session
-/// admits into. Per batch, sessions do three independent things:
+/// The GenPairX accelerator backend: a config bundle plus the **shared
+/// channel-sharded warm device** every worker session admits into. Per
+/// batch, sessions do three independent things:
 ///
 /// 1. **Results** — map every pair through the *software* path
 ///    ([`GenPairMapper::map_pair`]), exactly like
 ///    [`SoftwareBackend`](crate::SoftwareBackend). The accelerator executes
 ///    the same algorithm, so its mapping decisions are by construction those
 ///    of the software mapper — and the pipeline's SAM output stays
-///    byte-identical across backends and dispatch modes.
+///    byte-identical across backends.
 /// 2. **Seeding cost** — extract the batch's NMSL memory workload (six
 ///    seed-table reads plus location bursts per pair, via [`pair_workload`])
-///    and replay it through [`NmslSim`] over the configured DRAM
-///    technology. Warm dispatch streams it through the shared device's
-///    lanes in input order; cold dispatch cold-starts one simulator per
-///    batch ([`DispatchMode`]).
+///    and stream it through the shared device's
+///    [`NmslSim`](gx_accel::NmslSim) lanes, in input order, over the
+///    configured DRAM technology.
 /// 3. **Fallback + transfer cost** — price every pair that left the fast
 ///    path on the [`GenDpInstance`] fallback model
 ///    (chaining/alignment cells → cycles and energy), and charge each
 ///    pair's input/result bytes to the host link as transfer seconds — so
 ///    *every* pair is accounted to some stage and the stats reproduce the
 ///    paper's end-to-end system comparison rather than a seeding-only
-///    number. In warm dispatch the host link is modeled as **double-buffered
-///    DMA** per lane: one dispatch quantum's transfer streams under the
-///    previous quantum's drain, so only the exposed residue
-///    `max(transfer − compute, 0)` extends the system timeline
-///    (`BackendStats::exposed_transfer_seconds`); disable with
-///    [`overlap(false)`](NmslBackend::overlap) to recover the fully
-///    serialized accounting as an A/B baseline.
+///    number. The host link is modeled as **double-buffered DMA** per lane:
+///    one dispatch quantum's transfer streams under the previous quantum's
+///    drain, so only the exposed residue `max(transfer − compute, 0)`
+///    extends the system timeline
+///    (`BackendStats::exposed_transfer_seconds`).
 ///
 /// # Warm accounting is sharding-invariant
 ///
@@ -851,10 +792,8 @@ pub struct NmslBackend<'m, 'g, H: SeedHasher = Xxh32Builder> {
     mapper: &'m GenPairMapper<'g, H>,
     dram: DramConfig,
     nmsl: NmslConfig,
-    mode: DispatchMode,
     gendp: GenDpInstance,
     link_gbs: f64,
-    overlap: bool,
     channels: usize,
     quantum: usize,
     telemetry: Telemetry,
@@ -863,8 +802,8 @@ pub struct NmslBackend<'m, 'g, H: SeedHasher = Xxh32Builder> {
 
 impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     /// An NMSL backend over the paper's default configuration: HBM2e with 32
-    /// memory channels, 1024-pair sliding window, warm dispatch through a
-    /// shared [`DEFAULT_CHANNELS`]-lane device on a
+    /// memory channels, 1024-pair sliding window, a shared
+    /// [`DEFAULT_CHANNELS`]-lane device on a
     /// [`DEFAULT_DISPATCH_QUANTUM`]-pair quantum, the Table-4 GenDP for
     /// fallbacks and a PCIe Gen4 ×16 host link.
     pub fn new(mapper: &'m GenPairMapper<'g, H>) -> NmslBackend<'m, 'g, H> {
@@ -872,7 +811,7 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     }
 
     /// An NMSL backend over explicit DRAM and NMSL configurations (DDR5 /
-    /// GDDR6 scaling studies, window sweeps). Warm dispatch by default.
+    /// GDDR6 scaling studies, window sweeps).
     pub fn with_configs(
         mapper: &'m GenPairMapper<'g, H>,
         dram: DramConfig,
@@ -884,10 +823,8 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
             mapper,
             dram,
             nmsl,
-            mode: DispatchMode::Warm,
             gendp: GenDpInstance::paper_table4(),
             link_gbs: gx_accel::host::PCIE4_X16_GBS,
-            overlap: true,
             channels,
             quantum,
             telemetry: Telemetry::disabled(),
@@ -895,9 +832,17 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
         }
     }
 
-    /// Selects warm or cold dispatch.
-    pub fn dispatch_mode(mut self, mode: DispatchMode) -> NmslBackend<'m, 'g, H> {
-        self.mode = mode;
+    /// Recreates the shared device from the current lane count, quantum and
+    /// telemetry handle — the builder methods that change one of those are
+    /// only valid while no sessions are live.
+    fn rebuild_device(mut self) -> NmslBackend<'m, 'g, H> {
+        self.device = SharedNmslDevice::new(
+            self.dram,
+            self.nmsl,
+            self.channels,
+            self.quantum,
+            self.telemetry.clone(),
+        );
         self
     }
 
@@ -906,14 +851,7 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     /// partition is part of the modeled hardware, like the DRAM technology.
     pub fn channels(mut self, channels: usize) -> NmslBackend<'m, 'g, H> {
         self.channels = channels.max(1);
-        self.device = SharedNmslDevice::new(
-            self.dram,
-            self.nmsl,
-            self.channels,
-            self.quantum,
-            self.telemetry.clone(),
-        );
-        self
+        self.rebuild_device()
     }
 
     /// Sets the shared warm device's dispatch quantum in pairs (clamped to
@@ -922,14 +860,7 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     /// model — that is what makes warm totals batch-size-invariant.
     pub fn dispatch_quantum(mut self, quantum: usize) -> NmslBackend<'m, 'g, H> {
         self.quantum = quantum.max(1);
-        self.device = SharedNmslDevice::new(
-            self.dram,
-            self.nmsl,
-            self.channels,
-            self.quantum,
-            self.telemetry.clone(),
-        );
-        self
+        self.rebuild_device()
     }
 
     /// Attaches a telemetry handle: the shared warm device then records
@@ -943,26 +874,7 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     /// [`BackendStats`] — warm totals stay bit-identical with tracing on.
     pub fn telemetry(mut self, telemetry: Telemetry) -> NmslBackend<'m, 'g, H> {
         self.telemetry = telemetry;
-        self.device = SharedNmslDevice::new(
-            self.dram,
-            self.nmsl,
-            self.channels,
-            self.quantum,
-            self.telemetry.clone(),
-        );
-        self
-    }
-
-    /// Enables or disables double-buffered DMA overlap in warm dispatch
-    /// (default: enabled). With overlap off — or in
-    /// [`DispatchMode::Cold`], which dispatches serially by definition —
-    /// every transfer is fully exposed
-    /// (`exposed_transfer_seconds == transfer_seconds`), reproducing the
-    /// conservative serialized accounting as the A/B baseline for
-    /// `backend_compare --no-overlap`.
-    pub fn overlap(mut self, enabled: bool) -> NmslBackend<'m, 'g, H> {
-        self.overlap = enabled;
-        self
+        self.rebuild_device()
     }
 
     /// Overrides the host-link bandwidth in GB/s (0 disables transfer
@@ -993,11 +905,6 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
         &self.nmsl
     }
 
-    /// The dispatch mode sessions will use.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
-    }
-
     /// The shared warm device's lane count.
     pub fn channel_count(&self) -> usize {
         self.channels
@@ -1008,18 +915,11 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
         self.quantum
     }
 
-    /// Whether sessions model double-buffered DMA overlap (warm dispatch
-    /// only; see [`overlap`](NmslBackend::overlap)).
-    pub fn overlap_enabled(&self) -> bool {
-        self.overlap
-    }
-
-    /// Per-lane performance counters of the most recent warm
-    /// [`flush`](MapBackend::flush); `None` before the first flush (and
-    /// always in [`DispatchMode::Cold`], which never drives the shared
-    /// device). The cycle-domain fields are bit-identical across thread
-    /// counts and batch sizes at a fixed channel count, like the warm
-    /// [`BackendStats`] totals they sit next to.
+    /// Per-lane performance counters of the most recent
+    /// [`flush`](MapBackend::flush); `None` before the first flush. The
+    /// cycle-domain fields are bit-identical across thread counts and batch
+    /// sizes at a fixed channel count, like the warm [`BackendStats`]
+    /// totals they sit next to.
     pub fn device_counters(&self) -> Option<DeviceCounters> {
         self.device
             .last_counters
@@ -1043,8 +943,6 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
-            fallback_seconds_total: 0.0,
-            fallback_cycles_emitted: 0,
             rec: self.telemetry.recorder(1000 + worker_id as u32),
             seedmap_c: self.telemetry.counter(
                 "gx_fallback_seedmap_total",
@@ -1062,66 +960,41 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
     }
 
     fn flush(&self) -> BackendStats {
-        match self.mode {
-            DispatchMode::Warm => self.device.flush(self),
-            DispatchMode::Cold => BackendStats::new(),
-        }
+        self.device.flush(self)
     }
 
     fn open_job(&self, job: u64) {
-        if self.mode == DispatchMode::Warm {
-            self.device.open_job(job);
-        }
+        let mut f = self.device.frontier.lock().expect("frontier lock poisoned");
+        f.ensure_job(job);
     }
 
     fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
-        match self.mode {
-            DispatchMode::Warm => self.device.seal_job(self, job, batches),
-            DispatchMode::Cold => BackendStats::new(),
-        }
+        self.device.seal_job(self, job, batches)
     }
 
     fn discard_job(&self, job: u64) -> DiscardReport {
-        match self.mode {
-            DispatchMode::Warm => self.device.discard_job(self, job),
-            DispatchMode::Cold => DiscardReport::default(),
-        }
+        self.device.discard_job(self, job)
     }
 }
 
-/// A per-worker NMSL mapping session (see [`NmslBackend`]).
-///
-/// In [`DispatchMode::Warm`] the session is a thin handle into the
-/// backend's **shared channel-sharded device**: each `map_batch` call maps
-/// its pairs through the software path, then admits their workloads at the
-/// batch's input-stream position (the engine supplies the index via
-/// [`MapSession::map_sequenced_batch`]; direct `map_batch` callers get the
-/// device's running sequence). The device routes pairs to simulator lanes
-/// by workload key and streams each lane one dispatch quantum behind its
-/// admissions, so the calling worker is attributed whatever integer-valued
-/// simulator progress (cycles, DRAM traffic, GenDP cycle deltas) its call
-/// happened to drive — which batches those cycles *belong to* is
-/// intentionally not a per-worker notion anymore. Float-valued stage totals
-/// (seconds, energy, transfer and its exposed residue) accumulate inside
-/// the device in deterministic order and are reported once by
-/// [`MapBackend::flush`]; [`finish`](MapSession::finish) returns nothing
-/// because a finished worker must not drain state other workers still feed.
-///
-/// In [`DispatchMode::Cold`] every call builds a fresh simulator and runs
-/// it to completion (the PR 2 model), dispatches are serial so the full
-/// transfer is always exposed, and both `finish` and the backend `flush`
-/// return zero.
+/// A per-worker NMSL mapping session (see [`NmslBackend`]): a thin handle
+/// into the backend's **shared channel-sharded device**. Each
+/// [`map`](MapSession::map) call maps its pairs through the software path,
+/// then admits their workloads at the call's [`BatchTag`]. The device
+/// routes pairs to simulator lanes by workload key and streams each lane
+/// one dispatch quantum behind its admissions, so the calling worker is
+/// attributed whatever integer-valued simulator progress (cycles, DRAM
+/// traffic, GenDP cycle deltas) its call happened to drive — which batches
+/// those cycles *belong to* is intentionally not a per-worker notion.
+/// Float-valued stage totals (seconds, energy, transfer and its exposed
+/// residue) accumulate inside the device in deterministic order and are
+/// reported once by [`MapBackend::flush`]; the session itself holds no
+/// accounting, because a finished worker must not drain state other
+/// workers still feed.
 pub struct NmslSession<'s, H: SeedHasher = Xxh32Builder> {
     backend: &'s NmslBackend<'s, 's, H>,
     /// The session's reusable mapping arena (software-path hot buffers).
     scratch: MapScratch,
-    /// Cold mode: cumulative GenDP seconds this session, so
-    /// `fallback_cycles` can be emitted as integer deltas of the running
-    /// total (accumulated per pair, matching the warm device's frontier
-    /// accounting order at one worker).
-    fallback_seconds_total: f64,
-    /// Cold mode: GenDP cycles already attributed to earlier batches.
-    fallback_cycles_emitted: u64,
     /// Telemetry shard for the per-stage fallback counters (no-op when
     /// telemetry is disabled).
     rec: Recorder,
@@ -1133,11 +1006,10 @@ pub struct NmslSession<'s, H: SeedHasher = Xxh32Builder> {
     lightalign_c: CounterId,
 }
 
-impl<H: SeedHasher> NmslSession<'_, H> {
-    fn map_inner(&mut self, job: u64, index: Option<u64>, pairs: &[ReadPair]) -> BatchResult {
+impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
         let started = Instant::now();
-        // Results: the software path (identical bytes across backends and
-        // dispatch modes).
+        // Results: the software path (identical bytes across backends).
         let results: Vec<_> = pairs
             .iter()
             .map(|p| {
@@ -1163,117 +1035,26 @@ impl<H: SeedHasher> NmslSession<'_, H> {
             pairs: pairs.len() as u64,
             ..BackendStats::default()
         };
-
-        match self.backend.mode {
-            DispatchMode::Warm => {
-                // One pass computes the host-link bytes for the per-call
-                // stats AND the admission records the device charges
-                // transfer from — one source of truth for the formula.
-                let mut admissions = Vec::with_capacity(pairs.len());
-                for (pair, res) in pairs.iter().zip(&results) {
-                    let (input_bytes, output_bytes) =
-                        HostTraffic::pair_bytes(pair.r1.len(), pair.r2.len());
-                    stats.input_bytes += input_bytes;
-                    stats.output_bytes += output_bytes;
-                    admissions.push(AdmittedPair {
-                        workload: pair_workload(&pair.r1, &pair.r2, self.backend.mapper.seedmap()),
-                        input_bytes,
-                        output_bytes,
-                        cells: fallback_cells(res, pair.r1.len(), pair.r2.len()),
-                    });
-                }
-                self.backend
-                    .device
-                    .admit(self.backend, job, index, admissions, &mut stats);
-            }
-            DispatchMode::Cold => self.map_cold(pairs, &results, &mut stats),
-        }
-
-        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
-        stats.energy_pj = stats.seed_energy_pj + stats.fallback_energy_pj;
-        stats.busy_ns = started.elapsed().as_nanos() as u64;
-        BatchResult { results, stats }
-    }
-
-    /// The cold path: GenDP + transfer charged per batch, a fresh simulator
-    /// drained to completion, everything fully exposed.
-    fn map_cold(
-        &mut self,
-        pairs: &[ReadPair],
-        results: &[gx_core::PairMapResult],
-        stats: &mut BackendStats,
-    ) {
-        // GenDP pricing per pair in input order (the same accumulation
-        // order the warm device uses, so warm and cold fallback cycles
-        // agree bit-exactly on the same stream); host-link bytes tallied
-        // in the same pass.
-        for (pair, res) in pairs.iter().zip(results) {
+        // One pass computes the host-link bytes for the per-call stats AND
+        // the admission records the device charges transfer from — one
+        // source of truth for the formula.
+        let mut admissions = Vec::with_capacity(pairs.len());
+        for (pair, res) in pairs.iter().zip(&results) {
             let (input_bytes, output_bytes) = HostTraffic::pair_bytes(pair.r1.len(), pair.r2.len());
             stats.input_bytes += input_bytes;
             stats.output_bytes += output_bytes;
-            let cost = self
-                .backend
-                .gendp
-                .cost(fallback_cells(res, pair.r1.len(), pair.r2.len()));
-            self.fallback_seconds_total += cost.seconds();
-            let cumulative = (self.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
-            stats.fallback_cycles += cumulative - self.fallback_cycles_emitted;
-            self.fallback_cycles_emitted = cumulative;
-            stats.fallback_seconds += cost.seconds();
-            stats.fallback_energy_pj += cost.energy_pj;
-            stats.sim_seconds += cost.seconds();
+            admissions.push(AdmittedPair {
+                workload: pair_workload(&pair.r1, &pair.r2, self.backend.mapper.seedmap()),
+                input_bytes,
+                output_bytes,
+                cells: fallback_cells(res, pair.r1.len(), pair.r2.len()),
+            });
         }
-        stats.transfer_seconds = HostTraffic::transfer_seconds(
-            stats.input_bytes,
-            stats.output_bytes,
-            self.backend.link_gbs,
-        );
-
-        if !pairs.is_empty() {
-            // Fresh simulator per batch; workloads move in, so the cold
-            // path allocates nothing beyond the sim itself.
-            let mut sim = NmslSim::new(self.backend.dram, self.backend.nmsl);
-            for pair in pairs {
-                sim.push(pair_workload(
-                    &pair.r1,
-                    &pair.r2,
-                    self.backend.mapper.seedmap(),
-                ));
-            }
-            sim.drain();
-            let cycles = sim.cycle();
-            let elapsed = cycles as f64 / (self.backend.dram.clock_ghz * 1e9);
-            let dram = sim.dram_stats();
-            let power = DramPowerModel::for_config(&self.backend.dram);
-            stats.seed_cycles = cycles;
-            stats.seed_energy_pj = power.energy_mj(&dram, &self.backend.dram, elapsed) * 1e9;
-            stats.sim_seconds += elapsed;
-            stats.dram_bytes = dram.bytes;
-            stats.dram_requests = dram.completed;
-        }
-        // Serial dispatch: nothing overlaps, the full transfer is exposed.
-        stats.exposed_transfer_seconds = stats.transfer_seconds;
-    }
-}
-
-impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
-    fn map_batch(&mut self, pairs: &[ReadPair]) -> BatchResult {
-        self.map_inner(0, None, pairs)
-    }
-
-    fn map_sequenced_batch(&mut self, batch_index: u64, pairs: &[ReadPair]) -> BatchResult {
-        self.map_inner(0, Some(batch_index), pairs)
-    }
-
-    fn map_job_batch(&mut self, job: u64, batch_index: u64, pairs: &[ReadPair]) -> BatchResult {
-        self.map_inner(job, Some(batch_index), pairs)
-    }
-
-    fn finish(&mut self) -> BackendStats {
-        // Warm state is device-wide now: the engine (or a direct caller)
-        // drains it through `MapBackend::flush` once *every* session is
-        // done. Cold sessions have nothing in flight either way.
-        BackendStats::new()
+        self.backend
+            .device
+            .admit(self.backend, tag, admissions, &mut stats);
+        stats.busy_ns = started.elapsed().as_nanos() as u64;
+        BatchResult { results, stats }
     }
 }
 
@@ -1303,8 +1084,18 @@ mod tests {
         (genome, pairs)
     }
 
+    /// Batch `index` of the single-stream job 0.
+    fn at(index: u64) -> BatchTag {
+        BatchTag { job: 0, index }
+    }
+
+    /// Batch `index` of job `job`.
+    fn job_at(job: u64, index: u64) -> BatchTag {
+        BatchTag { job, index }
+    }
+
     /// Maps `pairs` in `chunk`-sized batches through one session and
-    /// returns the run-total stats (session residual + device flush).
+    /// returns the run-total stats (per-call stats + device flush).
     fn run_session<'m>(
         backend: &NmslBackend<'m, 'm>,
         pairs: &[ReadPair],
@@ -1312,10 +1103,9 @@ mod tests {
     ) -> BackendStats {
         let mut session = backend.session(0);
         let mut total = BackendStats::new();
-        for batch in pairs.chunks(chunk) {
-            total.merge(&session.map_batch(batch).stats);
+        for (i, batch) in pairs.chunks(chunk).enumerate() {
+            total.merge(&session.map(at(i as u64), batch).stats);
         }
-        total.merge(&session.finish());
         total.merge(&backend.flush());
         total
     }
@@ -1324,8 +1114,8 @@ mod tests {
     fn results_match_software_backend() {
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        let sw = SoftwareBackend::new(&mapper).session(0).map_batch(&pairs);
-        let hw = NmslBackend::new(&mapper).session(0).map_batch(&pairs);
+        let sw = SoftwareBackend::new(&mapper).session(0).map(at(0), &pairs);
+        let hw = NmslBackend::new(&mapper).session(0).map(at(0), &pairs);
         assert_eq!(sw.results.len(), hw.results.len());
         for (a, b) in sw.results.iter().zip(&hw.results) {
             assert_eq!(a.is_mapped(), b.is_mapped());
@@ -1345,50 +1135,22 @@ mod tests {
     fn session_reports_simulated_cost() {
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        for mode in [DispatchMode::Warm, DispatchMode::Cold] {
-            let backend = NmslBackend::new(&mapper).dispatch_mode(mode);
-            let stats = run_session(&backend, &pairs, pairs.len());
-            assert_eq!(stats.batches, 1, "{mode:?}");
-            assert_eq!(stats.pairs, pairs.len() as u64);
-            assert!(stats.seed_cycles > 0, "{mode:?}");
-            assert!(stats.sim_cycles >= stats.seed_cycles);
-            assert!(stats.sim_seconds > 0.0);
-            assert!(stats.energy_pj > 0.0);
-            assert!(stats.transfer_seconds > 0.0);
-            assert!(stats.input_bytes > 0 && stats.output_bytes > 0);
-            // At least one 8 B seed-table read per seed reached the DRAM
-            // model.
-            assert!(stats.dram_bytes >= 6 * 8, "{mode:?}");
-            assert!(stats.dram_requests >= 6);
-            assert!(stats.modeled_reads_per_sec() > 0.0);
-            assert!(stats.system_reads_per_sec() > 0.0);
-        }
-    }
-
-    #[test]
-    fn warm_total_cycles_le_cold_sum() {
-        let (genome, pairs) = setup();
-        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        let warm = run_session(
-            &NmslBackend::new(&mapper).dispatch_mode(DispatchMode::Warm),
-            &pairs,
-            3,
-        );
-        let cold = run_session(
-            &NmslBackend::new(&mapper).dispatch_mode(DispatchMode::Cold),
-            &pairs,
-            3,
-        );
-        assert_eq!(warm.pairs, cold.pairs);
-        assert!(
-            warm.seed_cycles <= cold.seed_cycles,
-            "warm {} vs cold {}",
-            warm.seed_cycles,
-            cold.seed_cycles
-        );
-        // Fallback and transfer stages are mode-independent.
-        assert_eq!(warm.fallback_cycles, cold.fallback_cycles);
-        assert_eq!(warm.input_bytes, cold.input_bytes);
+        let backend = NmslBackend::new(&mapper);
+        let stats = run_session(&backend, &pairs, pairs.len());
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.pairs, pairs.len() as u64);
+        assert!(stats.seed_cycles > 0);
+        assert!(stats.sim_cycles >= stats.seed_cycles);
+        assert!(stats.sim_seconds > 0.0);
+        assert!(stats.energy_pj > 0.0);
+        assert!(stats.transfer_seconds > 0.0);
+        assert!(stats.input_bytes > 0 && stats.output_bytes > 0);
+        // At least one 8 B seed-table read per seed reached the DRAM
+        // model.
+        assert!(stats.dram_bytes >= 6 * 8);
+        assert!(stats.dram_requests >= 6);
+        assert!(stats.modeled_reads_per_sec() > 0.0);
+        assert!(stats.system_reads_per_sec() > 0.0);
     }
 
     #[test]
@@ -1431,21 +1193,18 @@ mod tests {
         let mut in_order = BackendStats::new();
         let mut session = backend.session(0);
         for (i, chunk) in chunks.iter().enumerate() {
-            in_order.merge(&session.map_sequenced_batch(i as u64, chunk).stats);
+            in_order.merge(&session.map(at(i as u64), chunk).stats);
         }
-        in_order.merge(&session.finish());
         in_order.merge(&backend.flush());
 
         let mut shuffled = BackendStats::new();
         let mut a = backend.session(0);
         let mut b = backend.session(1);
         // Admission order 2, 0, 3, 1 across two sessions.
-        shuffled.merge(&a.map_sequenced_batch(2, chunks[2]).stats);
-        shuffled.merge(&b.map_sequenced_batch(0, chunks[0]).stats);
-        shuffled.merge(&a.map_sequenced_batch(3, chunks[3]).stats);
-        shuffled.merge(&b.map_sequenced_batch(1, chunks[1]).stats);
-        shuffled.merge(&a.finish());
-        shuffled.merge(&b.finish());
+        shuffled.merge(&a.map(at(2), chunks[2]).stats);
+        shuffled.merge(&b.map(at(0), chunks[0]).stats);
+        shuffled.merge(&a.map(at(3), chunks[3]).stats);
+        shuffled.merge(&b.map(at(1), chunks[1]).stats);
         shuffled.merge(&backend.flush());
 
         assert_eq!(in_order.pairs, shuffled.pairs);
@@ -1491,9 +1250,8 @@ mod tests {
         let mut reference = BackendStats::new();
         let mut session = backend.session(0);
         for (i, chunk) in job0.chunks(2).chain(job1.chunks(2)).enumerate() {
-            reference.merge(&session.map_sequenced_batch(i as u64, chunk).stats);
+            reference.merge(&session.map(at(i as u64), chunk).stats);
         }
-        reference.merge(&session.finish());
         reference.merge(&backend.flush());
 
         // Interleaved: job 1 first on the wire, out of order within jobs.
@@ -1504,17 +1262,15 @@ mod tests {
         let mut interleaved = BackendStats::new();
         let mut a = backend.session(0);
         let mut b = backend.session(1);
-        interleaved.merge(&b.map_job_batch(1, 2, b1[2]).stats);
-        interleaved.merge(&a.map_job_batch(0, 1, b0[1]).stats);
-        interleaved.merge(&b.map_job_batch(1, 0, b1[0]).stats);
-        interleaved.merge(&a.map_job_batch(0, 3, b0[3]).stats);
-        interleaved.merge(&b.map_job_batch(0, 0, b0[0]).stats);
-        interleaved.merge(&a.map_job_batch(1, 1, b1[1]).stats);
-        interleaved.merge(&b.map_job_batch(0, 2, b0[2]).stats);
+        interleaved.merge(&b.map(job_at(1, 2), b1[2]).stats);
+        interleaved.merge(&a.map(job_at(0, 1), b0[1]).stats);
+        interleaved.merge(&b.map(job_at(1, 0), b1[0]).stats);
+        interleaved.merge(&a.map(job_at(0, 3), b0[3]).stats);
+        interleaved.merge(&b.map(job_at(0, 0), b0[0]).stats);
+        interleaved.merge(&a.map(job_at(1, 1), b1[1]).stats);
+        interleaved.merge(&b.map(job_at(0, 2), b0[2]).stats);
         interleaved.merge(&backend.seal_job(0, b0.len() as u64));
         interleaved.merge(&backend.seal_job(1, b1.len() as u64));
-        interleaved.merge(&a.finish());
-        interleaved.merge(&b.finish());
         interleaved.merge(&backend.flush());
 
         assert_eq!(fingerprint(&reference), fingerprint(&interleaved));
@@ -1539,7 +1295,7 @@ mod tests {
         let mut total = BackendStats::new();
         let mut session = backend.session(0);
         // Job 1 fully admitted and sealed first — nothing may release yet.
-        let parked = session.map_job_batch(1, 0, job1).stats;
+        let parked = session.map(job_at(1, 0), job1).stats;
         assert_eq!(
             parked.seed_cycles, 0,
             "job 1 released before job 0 completed"
@@ -1548,22 +1304,20 @@ mod tests {
         total.merge(&backend.seal_job(1, 1));
         // Job 0 arrives and seals: its own admission releases immediately,
         // and sealing it unparks job 1's tail.
-        total.merge(&session.map_job_batch(0, 0, job0).stats);
+        total.merge(&session.map(job_at(0, 0), job0).stats);
         let seal = backend.seal_job(0, 1);
         assert!(
             seal.seed_cycles > 0,
             "sealing job 0 must drive job 1's parked release"
         );
         total.merge(&seal);
-        total.merge(&session.finish());
         total.merge(&backend.flush());
 
         // And the grand total still matches the concatenated reference.
         let mut reference = BackendStats::new();
         let mut refsess = backend.session(0);
-        reference.merge(&refsess.map_sequenced_batch(0, job0).stats);
-        reference.merge(&refsess.map_sequenced_batch(1, job1).stats);
-        reference.merge(&refsess.finish());
+        reference.merge(&refsess.map(at(0), job0).stats);
+        reference.merge(&refsess.map(at(1), job1).stats);
         reference.merge(&backend.flush());
         assert_eq!(fingerprint(&reference), fingerprint(&total));
     }
@@ -1578,8 +1332,7 @@ mod tests {
         // Reference: the surviving job alone on a fresh device.
         let mut reference = BackendStats::new();
         let mut refsess = backend.session(0);
-        reference.merge(&refsess.map_sequenced_batch(0, kept).stats);
-        reference.merge(&refsess.finish());
+        reference.merge(&refsess.map(at(0), kept).stats);
         reference.merge(&backend.flush());
 
         // Job 0 is discarded before any of its work released (its only
@@ -1588,7 +1341,7 @@ mod tests {
         backend.open_job(1);
         let mut total = BackendStats::new();
         let mut session = backend.session(0);
-        total.merge(&session.map_job_batch(0, 1, &doomed[..2]).stats);
+        total.merge(&session.map(job_at(0, 1), &doomed[..2]).stats);
         let discard = backend.discard_job(0);
         assert_eq!(
             discard.pairs_accounted, 0,
@@ -1596,10 +1349,9 @@ mod tests {
         );
         total.merge(&discard.stats);
         // A straggler admission racing past the cancel is ignored too.
-        total.merge(&session.map_job_batch(0, 0, &doomed[2..]).stats);
-        total.merge(&session.map_job_batch(1, 0, kept).stats);
+        total.merge(&session.map(job_at(0, 0), &doomed[2..]).stats);
+        total.merge(&session.map(job_at(1, 0), kept).stats);
         total.merge(&backend.seal_job(1, 1));
-        total.merge(&session.finish());
         total.merge(&backend.flush());
         // The discarded job still mapped its pairs (results-side), but the
         // device priced only the surviving job's stream.
@@ -1639,21 +1391,13 @@ mod tests {
     fn empty_batch_reports_zero_sim_time() {
         let (genome, _) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        for mode in [DispatchMode::Warm, DispatchMode::Cold] {
-            let backend = NmslBackend::new(&mapper).dispatch_mode(mode);
-            let mut session = backend.session(0);
-            let out = session.map_batch(&[]);
-            let residual = session.finish();
-            let flushed = backend.flush();
-            assert!(out.results.is_empty());
-            assert_eq!(
-                out.stats.sim_cycles + residual.sim_cycles + flushed.sim_cycles,
-                0,
-                "{mode:?}"
-            );
-            assert_eq!(out.stats.transfer_seconds, 0.0);
-            assert_eq!(flushed.transfer_seconds, 0.0);
-        }
+        let backend = NmslBackend::new(&mapper);
+        let out = backend.session(0).map(at(0), &[]);
+        let flushed = backend.flush();
+        assert!(out.results.is_empty());
+        assert_eq!(out.stats.sim_cycles + flushed.sim_cycles, 0);
+        assert_eq!(out.stats.transfer_seconds, 0.0);
+        assert_eq!(flushed.transfer_seconds, 0.0);
     }
 
     #[test]
@@ -1699,7 +1443,6 @@ mod tests {
             first_transfer
         );
         assert!(stats.exposed_transfer_seconds < stats.transfer_seconds);
-        assert!(stats.modeled_system_seconds() < stats.serial_system_seconds());
     }
 
     #[test]
@@ -1724,57 +1467,58 @@ mod tests {
     }
 
     #[test]
-    fn overlap_disabled_and_cold_expose_the_full_transfer() {
+    fn overlapped_system_time_never_exceeds_serial() {
+        // For any link speed the double-buffered DMA can only *hide*
+        // transfer time, never invent it: the exposed residue is at most
+        // the raw transfer, so the overlapped system timeline is at most
+        // compute plus the fully serialized link.
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        for backend in [
-            NmslBackend::new(&mapper).overlap(false),
-            NmslBackend::new(&mapper).dispatch_mode(DispatchMode::Cold),
-        ] {
-            let stats = run_session(&backend, &pairs, 3);
-            assert!(stats.transfer_seconds > 0.0);
-            assert_eq!(stats.exposed_transfer_seconds, stats.transfer_seconds);
-            assert_eq!(
-                stats.modeled_system_seconds(),
-                stats.serial_system_seconds()
+        for link in [1e-6, 1e-3, 1.0, gx_accel::host::PCIE4_X16_GBS] {
+            let stats = run_session(
+                &NmslBackend::new(&mapper).dispatch_quantum(3).link_gbs(link),
+                &pairs,
+                4,
+            );
+            assert!(stats.transfer_seconds > 0.0, "link {link}");
+            assert!(
+                stats.exposed_transfer_seconds <= stats.transfer_seconds,
+                "link {link}: exposed {} > raw {}",
+                stats.exposed_transfer_seconds,
+                stats.transfer_seconds
+            );
+            assert!(
+                stats.modeled_system_seconds() <= stats.sim_seconds + stats.transfer_seconds,
+                "link {link}"
             );
         }
     }
 
     #[test]
-    fn overlapped_system_time_never_exceeds_serial() {
-        // The PR 4 regression, on the shared device: for any link speed the
-        // overlapped timeline is at most the serialized one, and raw
-        // transfer (what the link is busy for) is identical across the A/B.
+    #[should_panic(expected = "repeated batch tag (job 0, index 1)")]
+    fn repeated_tag_still_buffered_panics() {
+        // Batch 1 parks behind the missing batch 0; admitting index 1 again
+        // would silently replace it (its pairs would vanish from device
+        // totals while the per-call counters still counted them).
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        for link in [1e-6, 1e-3, 1.0, gx_accel::host::PCIE4_X16_GBS] {
-            let on = run_session(
-                &NmslBackend::new(&mapper).dispatch_quantum(3).link_gbs(link),
-                &pairs,
-                4,
-            );
-            let off = run_session(
-                &NmslBackend::new(&mapper)
-                    .dispatch_quantum(3)
-                    .link_gbs(link)
-                    .overlap(false),
-                &pairs,
-                4,
-            );
-            assert_eq!(on.transfer_seconds, off.transfer_seconds, "link {link}");
-            assert!(
-                on.exposed_transfer_seconds <= on.transfer_seconds,
-                "link {link}"
-            );
-            assert!(
-                on.modeled_system_seconds() <= off.modeled_system_seconds(),
-                "link {link}: overlapped {} > serial {}",
-                on.modeled_system_seconds(),
-                off.modeled_system_seconds()
-            );
-            assert!(on.system_reads_per_sec() >= off.system_reads_per_sec());
-        }
+        let backend = NmslBackend::new(&mapper);
+        let mut session = backend.session(0);
+        session.map(at(1), &pairs[..2]);
+        session.map(at(1), &pairs[2..4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale batch tag (job 0, index 0)")]
+    fn stale_tag_behind_the_frontier_panics() {
+        // Batch 0 released on admission; a second index-0 admission would
+        // sit in `pending` until flush priced it out of order.
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let backend = NmslBackend::new(&mapper);
+        let mut session = backend.session(0);
+        session.map(at(0), &pairs[..2]);
+        session.map(at(0), &pairs[2..4]);
     }
 
     #[test]
@@ -1787,7 +1531,7 @@ mod tests {
             "no counters before the first flush"
         );
         let stats = run_session(&backend, &pairs, 4);
-        let dc = backend.device_counters().expect("warm flush ran");
+        let dc = backend.device_counters().expect("flush ran");
         assert_eq!(dc.lanes.len(), 2);
         let device = dc.device_cycles();
         assert!(device > 0);
@@ -1858,13 +1602,12 @@ mod tests {
             oseq.subseq(300..450).revcomp(),
         );
         let mut session = backend.session(0);
-        let fallback_result = session.map_batch(&[alien]);
+        let fallback_result = session.map(at(0), &[alien]);
         assert!(fallback_result.results[0].fallback.is_some());
         // The integer cycle delta is attributed to the admitting call...
         assert!(fallback_result.stats.fallback_cycles > 0);
         // ...while the float energy/seconds surface at the device flush.
         let mut dirty = fallback_result.stats;
-        dirty.merge(&session.finish());
         dirty.merge(&backend.flush());
         assert!(dirty.fallback_energy_pj > 0.0);
         assert!(dirty.fallback_seconds > 0.0);

@@ -1,6 +1,6 @@
 //! The CPU reference backend.
 
-use crate::{BackendStats, BatchResult, MapBackend, MapSession};
+use crate::{BackendStats, BatchResult, BatchTag, MapBackend, MapSession};
 use gx_core::{GenPairMapper, MapScratch, ReadPair};
 use gx_seedmap::{SeedHasher, Xxh32Builder};
 use std::time::Instant;
@@ -60,7 +60,7 @@ pub struct SoftwareSession<'m, H: SeedHasher = Xxh32Builder> {
 }
 
 impl<H: SeedHasher> MapSession for SoftwareSession<'_, H> {
-    fn map_batch(&mut self, pairs: &[ReadPair]) -> BatchResult {
+    fn map(&mut self, _tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
         let started = Instant::now();
         let results = pairs
             .iter()
@@ -85,6 +85,8 @@ mod tests {
     use gx_genome::random::RandomGenomeBuilder;
     use gx_seedmap::Murmur3Builder;
 
+    const FIRST: BatchTag = BatchTag { job: 0, index: 0 };
+
     #[test]
     fn matches_direct_map_pair_calls() {
         let genome = RandomGenomeBuilder::new(80_000).seed(17).build();
@@ -103,8 +105,7 @@ mod tests {
 
         let backend = SoftwareBackend::new(&mapper);
         let mut session = backend.session(0);
-        let out = session.map_batch(&pairs);
-        assert_eq!(session.finish(), BackendStats::new());
+        let out = session.map(FIRST, &pairs);
         assert_eq!(out.results.len(), pairs.len());
         assert_eq!(out.stats.pairs, pairs.len() as u64);
         assert_eq!(out.stats.batches, 1);
@@ -137,7 +138,7 @@ mod tests {
             })
             .collect();
         let backend = SoftwareBackend::new(&mapper);
-        let out = backend.session(0).map_batch(&pairs);
+        let out = backend.session(0).map(FIRST, &pairs);
         assert!(out.results.iter().all(|r| r.is_mapped()));
     }
 
@@ -145,7 +146,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let genome = RandomGenomeBuilder::new(30_000).seed(18).build();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        let out = SoftwareBackend::new(&mapper).session(0).map_batch(&[]);
+        let out = SoftwareBackend::new(&mapper).session(0).map(FIRST, &[]);
         assert!(out.results.is_empty());
         assert_eq!(out.stats.pairs, 0);
     }

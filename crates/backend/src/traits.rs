@@ -37,17 +37,16 @@ use std::time::{Duration, Instant};
 /// and the `energy_pj` roll-up over them) are accumulated *inside* the
 /// device in deterministic input/lane-op order and reported in one piece
 /// by [`MapBackend::flush`] — per-batch [`BatchResult::stats`] carry zeros
-/// there. Cold dispatch has no shared state, so every field is populated
-/// per batch. Run totals (per-call stats merged with `finish` and `flush`)
-/// are exact and bit-identical across schedules either way.
+/// there. Run totals (per-call stats merged with `flush`) are exact and
+/// bit-identical across schedules.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BackendStats {
     /// Batches mapped.
     pub batches: u64,
     /// Read pairs mapped.
     pub pairs: u64,
-    /// Wall-clock nanoseconds spent inside `map_batch` (mapping plus, for
-    /// accelerator backends, timing simulation).
+    /// Wall-clock nanoseconds spent inside [`MapSession::map`] (mapping
+    /// plus, for accelerator backends, timing simulation).
     pub busy_ns: u64,
     /// Total modeled accelerator cycles (`seed_cycles + fallback_cycles`;
     /// 0 for pure-software backends).
@@ -95,9 +94,8 @@ pub struct BackendStats {
     /// residue left after double-buffered DMA overlaps each batch's
     /// transfer with the previous batch's compute
     /// ([`HostTraffic::exposed_transfer_seconds`](gx_accel::HostTraffic::exposed_transfer_seconds)).
-    /// Always `≤ transfer_seconds`; equal to it when the backend models no
-    /// overlap (serial dispatch, overlap disabled, or the stream's first
-    /// quantum, which has nothing to hide behind). Warm dispatch computes
+    /// Always `≤ transfer_seconds`; equal to it where there is nothing to
+    /// hide behind (a lane's first quantum). Warm dispatch computes
     /// the residue per dispatch quantum per lane and reports the total at
     /// [`MapBackend::flush`].
     pub exposed_transfer_seconds: f64,
@@ -156,20 +154,9 @@ impl BackendStats {
     /// Modeled end-to-end system seconds on the *overlapped* timeline:
     /// accelerator time plus only the
     /// [`exposed_transfer_seconds`](BackendStats::exposed_transfer_seconds)
-    /// the double-buffered DMA could not hide behind compute. When the
-    /// backend models no overlap, the exposed share equals the raw transfer
-    /// and this degrades to the serialized bound
-    /// ([`serial_system_seconds`](BackendStats::serial_system_seconds)).
+    /// the double-buffered DMA could not hide behind compute.
     pub fn modeled_system_seconds(&self) -> f64 {
         self.sim_seconds + self.exposed_transfer_seconds
-    }
-
-    /// Modeled end-to-end system seconds with the host link fully
-    /// *serialized* after compute — the conservative pre-overlap bound
-    /// (`sim_seconds + transfer_seconds`). Always ≥
-    /// [`modeled_system_seconds`](BackendStats::modeled_system_seconds).
-    pub fn serial_system_seconds(&self) -> f64 {
-        self.sim_seconds + self.transfer_seconds
     }
 
     /// Reads per second of modeled *system* time on the overlapped timeline
@@ -177,19 +164,6 @@ impl BackendStats {
     /// 0.0 when nothing was modeled.
     pub fn system_reads_per_sec(&self) -> f64 {
         let secs = self.modeled_system_seconds();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            (self.pairs * 2) as f64 / secs
-        }
-    }
-
-    /// Reads per second of the serialized system bound
-    /// ([`serial_system_seconds`](BackendStats::serial_system_seconds));
-    /// 0.0 when nothing was modeled. Always ≤
-    /// [`system_reads_per_sec`](BackendStats::system_reads_per_sec).
-    pub fn serial_system_reads_per_sec(&self) -> f64 {
-        let secs = self.serial_system_seconds();
         if secs <= 0.0 {
             0.0
         } else {
@@ -216,10 +190,23 @@ pub struct BatchResult {
     /// ordered SAM.
     pub results: Vec<PairMapResult>,
     /// The session's accounting for this batch (`batches == 1`). Warm
-    /// accelerator sessions may attribute simulation cycles with a
-    /// one-batch lag (see [`MapSession`]); totals across a session are
-    /// exact once [`MapSession::finish`] has been merged.
+    /// accelerator sessions attribute simulation cycles to whichever call
+    /// drove the shared device (see [`MapSession::map`]); run totals are
+    /// exact once [`MapBackend::flush`] has been merged.
     pub stats: BackendStats,
+}
+
+/// Where a batch sits in the backend's **canonical release order**: jobs in
+/// [`MapBackend::open_job`] order (or first admission, for jobs never
+/// opened explicitly), batches in `index` order within a job. Every
+/// [`MapSession::map`] call carries one; the one-shot engine tags its
+/// single stream as job `0`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct BatchTag {
+    /// The job the batch belongs to.
+    pub job: u64,
+    /// 0-based, contiguous position of the batch within its job's stream.
+    pub index: u64,
 }
 
 /// What a [`MapBackend::discard_job`] call freed and what it could not:
@@ -327,33 +314,26 @@ impl Clock for ManualClock {
 /// One backend instance is shared (by `&self`) across every pipeline worker
 /// thread — it must be `Sync` and is never mutated. Mutable state lives in
 /// the sessions: each worker calls [`session`](MapBackend::session) exactly
-/// once at thread start, feeds every batch it pulls through
-/// [`MapSession::map_batch`] (taking `&mut self` — statefulness is the
-/// point), and calls [`MapSession::finish`] once after its last batch,
-/// merging the returned residual stats into its shard. Sessions are
-/// per-worker and never cross threads, so they need no synchronization;
-/// a session dropped without `finish` loses only accounting, never mapping
-/// results.
-///
-/// This split is what lets the NMSL backend keep a *persistent* simulator
-/// (DRAM row-buffer state, the read-pair sliding window) warm across
-/// batches instead of cold-starting per dispatch, while the backend itself
-/// stays a cheap shareable config bundle.
+/// once at thread start and feeds every batch it pulls through
+/// [`MapSession::map`] (taking `&mut self` — statefulness is the point).
+/// Sessions are per-worker and never cross threads, so they need no
+/// synchronization, and they hold no accounting of their own: dropping one
+/// is all the teardown there is. Cross-session state (the warm NMSL device)
+/// lives behind the backend and drains in [`flush`](MapBackend::flush).
 ///
 /// # The results-vs-timing split
 ///
-/// `map_batch` answers two questions at once, and implementations must keep
-/// them separable:
+/// `map` answers two questions at once, and implementations must keep them
+/// separable:
 ///
 /// * **Results** — *where does each pair map?* Every backend must produce
 ///   results identical to calling
 ///   [`GenPairMapper::map_pair`](gx_core::GenPairMapper::map_pair) on each
 ///   pair in order. This is what makes backends interchangeable: the
 ///   pipeline's ordered SAM output is **byte-identical** across backends
-///   (and across warm/cold dispatch modes) for the same input, which is the
-///   property that makes cross-backend throughput numbers an
-///   apples-to-apples comparison (and what the `e2e_pipeline` cross-backend
-///   suite enforces).
+///   for the same input, which is the property that makes cross-backend
+///   throughput numbers an apples-to-apples comparison (and what the
+///   `e2e_pipeline` cross-backend suite enforces).
 /// * **Timing** — *what did mapping this batch cost?* Reported through
 ///   [`BatchResult::stats`]. Here backends are free to diverge: the software
 ///   backend reports wall-clock busy time only, while the NMSL backend
@@ -376,7 +356,7 @@ pub trait MapBackend: Sync {
     /// [`flush`](MapBackend::flush)).
     ///
     /// ```
-    /// use gx_backend::{BackendStats, MapBackend, MapSession, NmslBackend};
+    /// use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession, NmslBackend};
     /// use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
     /// use gx_genome::random::RandomGenomeBuilder;
     ///
@@ -390,16 +370,15 @@ pub trait MapBackend: Sync {
     /// )];
     ///
     /// // The worker-thread lifecycle: open once, map every batch through
-    /// // the same (stateful) session, flush the session after its last
-    /// // batch — then flush the backend once all sessions are done (the
-    /// // warm NMSL device drains its shared simulator lanes there).
+    /// // the same (stateful) session under its position in the stream,
+    /// // then flush the backend once all sessions are done (the warm NMSL
+    /// // device drains its shared simulator lanes there).
     /// let backend = NmslBackend::new(&mapper);
     /// let mut session = backend.session(0);
     /// let mut totals = BackendStats::new();
-    /// for _ in 0..3 {
-    ///     totals.merge(&session.map_batch(&batch).stats);
+    /// for index in 0..3 {
+    ///     totals.merge(&session.map(BatchTag { job: 0, index }, &batch).stats);
     /// }
-    /// totals.merge(&session.finish());
     /// totals.merge(&backend.flush()); // drain the shared device
     /// assert_eq!(totals.pairs, 3);
     /// assert!(totals.seed_cycles > 0);
@@ -408,7 +387,7 @@ pub trait MapBackend: Sync {
     fn session(&self, worker_id: usize) -> Self::Session<'_>;
 
     /// Flushes backend-wide (cross-session) state after **every** session
-    /// has finished, returning accounting not attributable to any single
+    /// is done mapping, returning accounting not attributable to any single
     /// worker — for the warm NMSL backend, the shared channel-sharded
     /// device drains its simulator lanes here and reports the float-valued
     /// stage totals it accumulated in deterministic admission order. The
@@ -428,12 +407,11 @@ pub trait MapBackend: Sync {
     /// order, and within a job in batch-index order, no matter how the
     /// scheduler interleaves their admissions. A multi-tenant front-end
     /// (the `gx-pipeline` service) opens each job once at submission,
-    /// before any [`MapSession::map_job_batch`] call carries its id; a
-    /// backend that never sequences (the software backend) keeps the
-    /// default no-op. Jobs admitted without an explicit `open_job` are
-    /// registered lazily in first-admission order — which is what keeps the
-    /// classic single-run engine path (one implicit job `0`) working
-    /// unchanged.
+    /// before any [`MapSession::map`] call carries its id; a backend that
+    /// never sequences (the software backend) keeps the default no-op.
+    /// Jobs admitted without an explicit `open_job` are registered lazily
+    /// in first-admission order — which is how the one-shot engine's single
+    /// job `0` works.
     fn open_job(&self, job: u64) {
         let _ = job;
     }
@@ -468,73 +446,35 @@ pub trait MapBackend: Sync {
 }
 
 /// A per-worker mapping session: owns whatever mutable state mapping
-/// batches requires (for accelerator backends, a persistent warm
-/// simulator). See [`MapBackend`] for the lifecycle contract.
+/// batches requires (a scratch arena; for accelerator backends, a handle
+/// into the shared warm device). See [`MapBackend`] for the lifecycle
+/// contract.
 pub trait MapSession {
-    /// Maps one batch of read pairs.
+    /// Maps one batch of read pairs, admitted at `tag` — the whole
+    /// front-end↔backend contract.
     ///
     /// Must return exactly one result per input pair, in input order.
-    /// Per-batch *stats* may be attributed with bounded lag (warm
-    /// accelerator sessions report simulation cost as the shared device
-    /// makes progress, not strictly per batch), but run-total stats are
-    /// exact once [`finish`](MapSession::finish) and the backend's
-    /// [`flush`](MapBackend::flush) have both been merged.
+    /// Results are returned immediately; only the *accounting* is
+    /// sequenced. Backends with cross-worker shared state (the warm NMSL
+    /// device) buffer admissions until the canonical release order — job
+    /// registration order × per-job batch index, see [`BatchTag`] — covers
+    /// them, so warm totals for a set of completed jobs are bit-identical
+    /// to mapping the jobs' streams back to back, regardless of which
+    /// worker got which batch, thread count, batch size or interleaving.
+    /// Per-batch *stats* are therefore attributed to whichever call drove
+    /// the device; run totals are exact once [`MapBackend::flush`] has been
+    /// merged. Backends without shared state (software) ignore the tag.
     ///
-    /// Calling this directly (outside the engine) admits the batch at the
-    /// backend's own running sequence position — fine for single-session
-    /// use; multi-session callers that care about deterministic totals
-    /// should use [`map_sequenced_batch`](MapSession::map_sequenced_batch).
-    fn map_batch(&mut self, pairs: &[ReadPair]) -> BatchResult;
-
-    /// Maps the batch at a known position in the input stream:
-    /// `batch_index` is the 0-based, contiguous index the engine's batching
-    /// front-end assigned. Backends with cross-worker shared state (the
-    /// warm NMSL device) use it to admit work in *input order* regardless
-    /// of which worker got the batch or when — the property that makes
-    /// their warm totals independent of thread count, batch size and steal
-    /// schedule. The default ignores the index and defers to
-    /// [`map_batch`](MapSession::map_batch).
-    ///
-    /// Within one backend run, every index from 0 up to the highest
-    /// admitted must be submitted exactly once (the engine's `Batcher`
-    /// guarantees this); a gap would leave a sequencing backend waiting for
-    /// the missing batch until [`MapBackend::flush`].
-    fn map_sequenced_batch(&mut self, batch_index: u64, pairs: &[ReadPair]) -> BatchResult {
-        let _ = batch_index;
-        self.map_batch(pairs)
-    }
-
-    /// Maps one batch of job `job` at position `batch_index` *within that
-    /// job's* input stream (0-based, contiguous per job). The multi-tenant
-    /// service front-end uses this to interleave many jobs through one
-    /// shared device: a sequencing backend buffers admissions until the
-    /// canonical release order (job registration order × per-job batch
-    /// index — see [`MapBackend::open_job`]) covers them, so warm totals
-    /// for a set of completed jobs are bit-identical to mapping the jobs'
-    /// streams back to back, regardless of interleaving, thread count or
-    /// batch size. Results are returned immediately either way — only the
-    /// *accounting* is re-sequenced. The default ignores the job id and
-    /// defers to [`map_sequenced_batch`](MapSession::map_sequenced_batch)
-    /// (correct for backends without cross-worker shared state).
-    ///
-    /// Every job must be sealed ([`MapBackend::seal_job`]) or discarded
-    /// ([`MapBackend::discard_job`]) before [`MapBackend::flush`], or the
-    /// sequencer will release its parked tail in flush order instead of
-    /// canonical order.
-    fn map_job_batch(&mut self, job: u64, batch_index: u64, pairs: &[ReadPair]) -> BatchResult {
-        let _ = job;
-        self.map_sequenced_batch(batch_index, pairs)
-    }
-
-    /// Flushes the session, returning any accounting not yet attributed to
-    /// a batch. Called exactly once, after the last `map_batch`. Note the
-    /// shared warm NMSL device intentionally does **not** drain here — a
-    /// finished worker must not advance simulator state other workers'
-    /// admissions still interleave with; the device drains in
-    /// [`MapBackend::flush`] instead.
-    fn finish(&mut self) -> BackendStats {
-        BackendStats::new()
-    }
+    /// Within one backend run every `(job, index)` is admitted exactly
+    /// once and each job's indices are contiguous from 0 (the engine's
+    /// `Batcher` and the service's ingest pool guarantee this). A sequencing
+    /// backend treats a repeated or already-released tag as a caller bug
+    /// and panics; a gap leaves it waiting for the missing batch until
+    /// [`MapBackend::flush`]. Every job with a successor must be sealed
+    /// ([`MapBackend::seal_job`]) or discarded
+    /// ([`MapBackend::discard_job`]) before the flush, or the sequencer
+    /// releases its parked tail in flush order instead of canonical order.
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult;
 }
 
 #[cfg(test)]
@@ -606,18 +546,12 @@ mod tests {
         s.energy_pj = 50.0;
         assert!((s.modeled_reads_per_sec() - 200_000.0).abs() < 1e-6);
         assert!((s.energy_pj_per_pair() - 0.5).abs() < 1e-12);
-        // Raw transfer lowers the serialized bound; only the *exposed*
-        // share lowers the overlapped system throughput.
+        // Only the *exposed* share of the raw transfer lowers the system
+        // throughput.
         s.transfer_seconds = 1e-3;
         s.exposed_transfer_seconds = 4e-4;
-        assert!((s.serial_system_seconds() - 2e-3).abs() < 1e-12);
-        assert!((s.serial_system_reads_per_sec() - 100_000.0).abs() < 1e-6);
         assert!((s.modeled_system_seconds() - 1.4e-3).abs() < 1e-12);
         assert!((s.system_reads_per_sec() - 200.0 / 1.4e-3).abs() < 1e-6);
         assert!(s.system_reads_per_sec() < s.modeled_reads_per_sec());
-        assert!(s.serial_system_reads_per_sec() <= s.system_reads_per_sec());
-        // A fully exposed transfer collapses the two bounds.
-        s.exposed_transfer_seconds = s.transfer_seconds;
-        assert_eq!(s.modeled_system_seconds(), s.serial_system_seconds());
     }
 }

@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gx_backend::{MapBackend, MapSession, SoftwareBackend};
+use gx_backend::{BatchTag, MapBackend, MapSession, SoftwareBackend};
 use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
@@ -85,7 +85,7 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
 
     // Warm-up: the first batch grows every scratch buffer to its
     // steady-state high-water mark.
-    let warm = session.map_batch(&pairs);
+    let warm = session.map(BatchTag { job: 0, index: 0 }, &pairs);
     assert!(warm.results.iter().filter(|r| r.is_mapped()).count() > 48);
 
     // Steady state: the only allowed allocations are the per-batch results
@@ -94,8 +94,8 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     const BATCHES: u64 = 4;
     let mut mapped = 0usize;
     let allocs = allocations(|| {
-        for _ in 0..BATCHES {
-            let out = session.map_batch(&pairs);
+        for index in 1..=BATCHES {
+            let out = session.map(BatchTag { job: 0, index }, &pairs);
             mapped += out.results.iter().filter(|r| r.is_mapped()).count();
         }
     });

@@ -3,14 +3,13 @@
 //!
 //! Maps one simulated dataset through the `gx-pipeline` engine per thread
 //! count: once with the [`SoftwareBackend`] (CPU reference, wall clock) and
-//! once per requested dispatch mode with the [`NmslBackend`] (same mapping
-//! results, plus the warm- or cold-state NMSL + DRAM model, GenDP fallback
-//! costing and host-link transfer accounting). Prints one JSON line per
-//! (backend, mode, thread-count):
+//! once with the [`NmslBackend`] (same mapping results, plus the shared
+//! warm NMSL + DRAM model, GenDP fallback costing and host-link transfer
+//! accounting). Prints one JSON line per (backend, thread-count):
 //!
 //! ```text
-//! {"harness":"backend_compare","backend":"nmsl","mode":"warm","overlap":true,
-//!  "channels":4,"threads":4,...,"seed_cycles":123456,"fallback_cycles":789,
+//! {"harness":"backend_compare","backend":"nmsl","channels":4,"threads":4,
+//!  ...,"seed_cycles":123456,"fallback_cycles":789,
 //!  "transfer_seconds":1e-4,"exposed_transfer_seconds":2e-5,
 //!  "speedup_vs_software":41.2,...}
 //! ```
@@ -20,59 +19,47 @@
 //! software backend's measured wall-clock throughput at the same thread
 //! count (1.0 by definition on software lines). Every run streams full SAM
 //! text, and the harness asserts the backends' byte streams are identical
-//! at each thread count and dispatch mode — the property that makes the
-//! comparison apples-to-apples.
+//! at each thread count — the property that makes the comparison
+//! apples-to-apples.
 //!
-//! Warm dispatch is the **shared channel-sharded device** (`--channels N`
-//! lanes, pairs routed by workload key, streamed in input order): its
+//! The NMSL backend is the **shared channel-sharded device** (`--channels
+//! N` lanes, pairs routed by workload key, streamed in input order): its
 //! cycle/energy totals are a function of the workload and the channel
 //! count alone. The harness enforces that as a hard regression — warm
 //! `sim_cycles`, `seed_cycles`, `energy_pj` and `exposed_transfer_seconds`
 //! must be **bit-identical across every thread count it runs**, reported
 //! as a final summary line with a `sharding_invariant` field (CI greps for
-//! `"sharding_invariant":true`). The warm ≤ cold seeding-cycle check and
-//! the overlap-vs-serialized system-throughput check now also run at every
-//! thread count, because determinism no longer stops at one worker.
+//! `"sharding_invariant":true`).
 //!
-//! Warm dispatch models double-buffered DMA by default: each dispatch
-//! quantum's host-link transfer streams under the previous quantum's
-//! drain, and only the exposed residue (`exposed_transfer_seconds ≤
-//! transfer_seconds`) counts toward system time. Every overlapped warm run
-//! is A/B'd in-place against the serialized accounting: the harness re-runs
-//! the same workload with overlap disabled and asserts identical SAM bytes,
-//! `overlapped ≤ serialized` within each run, and
-//! `system_reads_per_sec(overlapped) ≥ system_reads_per_sec(serial)`
-//! across the two runs.
+//! The device models double-buffered DMA: each dispatch quantum's
+//! host-link transfer streams under the previous quantum's drain, and only
+//! the exposed residue counts toward system time; the harness asserts
+//! `exposed_transfer_seconds ≤ transfer_seconds` on every NMSL run.
 //!
 //! Knobs: `GX_PAIRS`, `GX_GENOME_SIZE`, `GX_BATCH`; pass `--smoke` for a
-//! seconds-scale CI run, `--warm` / `--cold` to restrict the NMSL A/B to
-//! one dispatch mode, `--no-overlap` to report the serialized host-link
-//! accounting (`exposed == transfer`) as the baseline, `--channels N` to
-//! size the shared warm device's lane partition, and `--trace out.json`
-//! (or `GX_TRACE=out.json`) to attach a [`Telemetry`] handle to the warm
-//! NMSL runs and export the last one's span timeline — pipeline stages,
-//! per-lane `lane_drain` spans, plus `"ph":"C"` counter tracks (frontier
-//! depth, per-lane quantum occupancy) — as Chrome trace-event JSON.
-//! `--metrics out.prom` (or `GX_METRICS=...`) writes the last warm run's
-//! full metrics registry in Prometheus text exposition format. Telemetry
-//! is accounting-inert, so traced runs still satisfy every invariant
-//! above, including byte-identical SAM and the warm sharding fingerprint.
+//! seconds-scale CI run, `--channels N` to size the shared device's lane
+//! partition, and `--trace out.json` (or `GX_TRACE=out.json`) to attach a
+//! [`Telemetry`] handle to the NMSL runs and export the last one's span
+//! timeline — pipeline stages, per-lane `lane_drain` spans, plus `"ph":"C"`
+//! counter tracks (frontier depth, per-lane quantum occupancy) — as Chrome
+//! trace-event JSON. `--metrics out.prom` (or `GX_METRICS=...`) writes the
+//! last NMSL run's full metrics registry in Prometheus text exposition
+//! format. Telemetry is accounting-inert, so traced runs still satisfy
+//! every invariant above, including byte-identical SAM and the warm
+//! sharding fingerprint.
 //!
-//! Every warm line also reports the device performance counters the shared
+//! Every NMSL line also reports the device performance counters the shared
 //! device aggregates at flush ([`gx_backend::DeviceCounters`]):
 //! `lane_utilization` (mean busy fraction against the device clock),
 //! `row_conflict_rate`, `dram_stall_cycles` and `frontier_peak_depth` —
-//! zeros on software and cold lines, which never drive the shared device.
-//! The cycle-domain counters (stall breakdown, row conflicts, busy/idle
-//! partition) join the warm sharding fingerprint; `frontier_peak_depth` is
-//! schedule-domain and deliberately does not (see ARCHITECTURE.md
-//! "Observability"). Pass `--device-report` for a per-lane utilization and
-//! stall-breakdown table on stderr; the harness always asserts each lane's
-//! `busy + idle == device_cycles` partition on warm runs.
+//! zeros on software lines. The cycle-domain counters (stall breakdown,
+//! row conflicts, busy/idle partition) join the warm sharding fingerprint;
+//! `frontier_peak_depth` is schedule-domain and deliberately does not (see
+//! ARCHITECTURE.md "Observability"). Pass `--device-report` for a per-lane
+//! utilization and stall-breakdown table on stderr; the harness always
+//! asserts each lane's `busy + idle == device_cycles` partition.
 
-use gx_backend::{
-    DeviceCounters, DispatchMode, MapBackend, NmslBackend, SoftwareBackend, DEFAULT_CHANNELS,
-};
+use gx_backend::{DeviceCounters, MapBackend, NmslBackend, SoftwareBackend, DEFAULT_CHANNELS};
 use gx_bench::env_usize;
 use gx_core::{GenPairConfig, GenPairMapper};
 use gx_genome::ReferenceGenome;
@@ -170,8 +157,6 @@ fn device_report(d: &DeviceCounters, threads: usize) {
 
 fn json_line(
     report: &PipelineReport,
-    mode: &str,
-    overlap: bool,
     channels: usize,
     sw_reads_per_sec: f64,
     device: Option<&DeviceCounters>,
@@ -188,8 +173,7 @@ fn json_line(
     };
     format!(
         concat!(
-            "{{\"harness\":\"backend_compare\",\"backend\":\"{}\",\"mode\":\"{}\",",
-            "\"overlap\":{},\"channels\":{},",
+            "{{\"harness\":\"backend_compare\",\"backend\":\"{}\",\"channels\":{},",
             "\"threads\":{},\"pairs\":{},\"batch_size\":{},\"wall_seconds\":{:.4},",
             "\"reads_per_sec\":{:.1},\"sim_cycles\":{},\"sim_seconds\":{:.6e},",
             "\"seed_cycles\":{},\"fallback_cycles\":{},\"transfer_seconds\":{:.6e},",
@@ -203,8 +187,6 @@ fn json_line(
             "\"speedup_vs_software\":{:.3},\"sam_identical\":true}}"
         ),
         report.backend_name,
-        mode,
-        overlap,
         channels,
         report.threads,
         report.pairs(),
@@ -261,18 +243,10 @@ fn path_flag(args: &[String], flag: &str, env: &str) -> Option<String> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let warm_only = args.iter().any(|a| a == "--warm");
-    let cold_only = args.iter().any(|a| a == "--cold");
-    let no_overlap = args.iter().any(|a| a == "--no-overlap");
     let channels = flag_value(&args, "--channels").unwrap_or(DEFAULT_CHANNELS);
     let report_device = args.iter().any(|a| a == "--device-report");
     let trace = path_flag(&args, "--trace", "GX_TRACE");
     let metrics = path_flag(&args, "--metrics", "GX_METRICS");
-    let modes: &[DispatchMode] = match (warm_only, cold_only) {
-        (true, false) => &[DispatchMode::Warm],
-        (false, true) => &[DispatchMode::Cold],
-        _ => &[DispatchMode::Warm, DispatchMode::Cold],
-    };
     let (default_pairs, default_genome) = if smoke {
         (300, 250_000)
     } else {
@@ -304,211 +278,113 @@ fn main() {
             .backend(SoftwareBackend::new(&mapper));
         let (sw_bytes, sw_report) = run(&sw_engine, &genome, &pairs);
         let sw_rps = sw_report.reads_per_sec();
-        println!(
-            "{}",
-            json_line(&sw_report, "wall", false, channels, sw_rps, None)
-        );
+        println!("{}", json_line(&sw_report, channels, sw_rps, None));
 
-        let mut warm_seed_cycles = None;
-        let mut cold_seed_cycles = None;
-        for &mode in modes {
-            let overlap = mode == DispatchMode::Warm && !no_overlap;
-            // Trace/meter the warm runs only: they exercise the shared
-            // device, so the export carries the pipeline tracks, the
-            // per-lane `lane_drain` spans and the counter tracks. Telemetry
-            // is accounting-inert, so an instrumented run still feeds the
-            // sharding-invariance fingerprint.
-            let telemetry = if (trace.is_some() || metrics.is_some()) && mode == DispatchMode::Warm
-            {
-                Telemetry::enabled()
-            } else {
-                Telemetry::disabled()
-            };
-            let hw_engine = PipelineBuilder::new()
-                .threads(threads)
-                .batch_size(batch)
-                .telemetry(telemetry.clone())
-                .backend(
-                    NmslBackend::new(&mapper)
-                        .channels(channels)
-                        .dispatch_mode(mode)
-                        .overlap(overlap)
-                        .telemetry(telemetry.clone()),
-                );
-            let (hw_bytes, hw_report) = run(&hw_engine, &genome, &pairs);
-            if telemetry.is_enabled() {
-                if trace.is_some() {
-                    last_trace = telemetry.chrome_trace();
-                }
-                if metrics.is_some() {
-                    last_metrics = telemetry.snapshot().map(|s| s.to_prometheus());
-                }
-                if hw_report.dropped_events > 0 {
-                    eprintln!(
-                        "# WARNING: span rings overflowed, trace is missing {} events \
-                         (raise TelemetryConfig::ring_capacity)",
-                        hw_report.dropped_events
-                    );
-                }
+        // Trace/meter the NMSL runs: they exercise the shared device, so
+        // the export carries the pipeline tracks, the per-lane `lane_drain`
+        // spans and the counter tracks. Telemetry is accounting-inert, so
+        // an instrumented run still feeds the sharding-invariance
+        // fingerprint.
+        let telemetry = if trace.is_some() || metrics.is_some() {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let hw_engine = PipelineBuilder::new()
+            .threads(threads)
+            .batch_size(batch)
+            .telemetry(telemetry.clone())
+            .backend(
+                NmslBackend::new(&mapper)
+                    .channels(channels)
+                    .telemetry(telemetry.clone()),
+            );
+        let (hw_bytes, hw_report) = run(&hw_engine, &genome, &pairs);
+        if telemetry.is_enabled() {
+            if trace.is_some() {
+                last_trace = telemetry.chrome_trace();
             }
-            // Warm runs leave the shared device's flush-time counter
-            // aggregate behind; assert the per-lane cycle partition on
-            // every warm run, report the table on request.
-            let device = if mode == DispatchMode::Warm {
-                let d = hw_engine
-                    .backend()
-                    .device_counters()
-                    .expect("warm run must leave device counters at flush");
-                let device_cycles = d.device_cycles();
-                for i in 0..d.lanes.len() {
-                    assert_eq!(
-                        d.lane_busy_cycles(i) + d.lane_idle_cycles(i),
-                        device_cycles,
-                        "lane {i} busy+idle must partition the device clock at {threads} threads"
-                    );
-                }
-                if report_device {
-                    device_report(&d, threads);
-                }
-                Some(d)
-            } else {
-                None
-            };
-            // The co-design contract: both backends must emit identical SAM
-            // bytes on this workload (warm or cold), or the throughput
-            // comparison is meaningless.
-            assert!(
-                sw_bytes == hw_bytes,
-                "NMSL backend SAM output diverged from software at {threads} threads ({mode:?})"
-            );
-            assert_eq!(
-                hw_report.stats, sw_report.stats,
-                "backend stats must match at {threads} threads ({mode:?})"
-            );
-            // The overlap invariants, within this run: the double-buffered
-            // model can only *hide* transfer time, never invent it.
-            let b = &hw_report.backend;
-            assert!(
-                b.exposed_transfer_seconds <= b.transfer_seconds,
-                "exposed transfer ({}) exceeds raw transfer ({}) at {threads} threads ({mode:?})",
-                b.exposed_transfer_seconds,
-                b.transfer_seconds,
-            );
-            assert!(
-                b.modeled_system_seconds() <= b.serial_system_seconds(),
-                "overlapped timeline exceeds the serialized bound at {threads} threads ({mode:?})"
-            );
-            if overlap {
-                // In-place A/B against the serialized accounting: same
-                // workload with overlap off must emit the same bytes — and,
-                // since the shared device's warm totals are deterministic at
-                // ANY thread count, the cross-run throughput comparison no
-                // longer needs the old 1-worker gate.
-                let serial_engine = PipelineBuilder::new()
-                    .threads(threads)
-                    .batch_size(batch)
-                    .backend(
-                        NmslBackend::new(&mapper)
-                            .channels(channels)
-                            .dispatch_mode(mode)
-                            .overlap(false),
-                    );
-                let (serial_bytes, serial_report) = run(&serial_engine, &genome, &pairs);
-                assert!(
-                    serial_bytes == hw_bytes,
-                    "SAM output diverged across overlap modes at {threads} threads"
-                );
-                let s = &serial_report.backend;
-                assert_eq!(s.exposed_transfer_seconds, s.transfer_seconds);
-                assert!(
-                    b.system_reads_per_sec() >= s.system_reads_per_sec(),
-                    "overlapped system throughput ({}) below serialized ({}) at {threads} threads",
-                    b.system_reads_per_sec(),
-                    s.system_reads_per_sec(),
-                );
+            if metrics.is_some() {
+                last_metrics = telemetry.snapshot().map(|s| s.to_prometheus());
             }
-            let mode_name = match mode {
-                DispatchMode::Warm => "warm",
-                DispatchMode::Cold => "cold",
-            };
-            match mode {
-                DispatchMode::Warm => {
-                    warm_seed_cycles = Some(hw_report.backend.seed_cycles);
-                    let d = device.as_ref().expect("warm runs always carry counters");
-                    warm_fingerprints.push((threads, WarmFingerprint::new(b, d)));
-                }
-                DispatchMode::Cold => cold_seed_cycles = Some(hw_report.backend.seed_cycles),
-            }
-            println!(
-                "{}",
-                json_line(
-                    &hw_report,
-                    mode_name,
-                    overlap,
-                    channels,
-                    sw_rps,
-                    device.as_ref()
-                )
-            );
-        }
-        // The warm ≤ cold seeding regression: cycle totals on both sides
-        // are schedule-independent (warm via the sharded device, cold by
-        // summing independent per-batch runs), so assert at every thread
-        // count — the old 1-worker gate is gone. The check needs the
-        // steady state it is about, though: warm wins by amortizing stream
-        // starts, so the workload must have at least as many batches as
-        // the device has lanes. With fewer (a degenerate smoke geometry
-        // like 300 pairs at batch 256 on 4 lanes), cold runs fewer,
-        // larger, better-parallelized dispatches than the lane streams —
-        // the short-stream boundary ARCHITECTURE.md documents.
-        let batches = n_pairs.div_ceil(batch);
-        if let (Some(w), Some(c)) = (warm_seed_cycles, cold_seed_cycles) {
-            if batches >= channels {
-                assert!(
-                    w <= c,
-                    "warm seeding cycles ({w}) exceed the cold per-batch sum ({c}) \
-                     at {threads} threads"
-                );
-            } else {
+            if hw_report.dropped_events > 0 {
                 eprintln!(
-                    "# warm<=cold check skipped: {batches} batches < {channels} lanes \
-                     (short-stream geometry)"
+                    "# WARNING: span rings overflowed, trace is missing {} events \
+                     (raise TelemetryConfig::ring_capacity)",
+                    hw_report.dropped_events
                 );
             }
         }
+        // The run leaves the shared device's flush-time counter aggregate
+        // behind; assert the per-lane cycle partition, report the table on
+        // request.
+        let device = hw_engine
+            .backend()
+            .device_counters()
+            .expect("a run must leave device counters at flush");
+        let device_cycles = device.device_cycles();
+        for i in 0..device.lanes.len() {
+            assert_eq!(
+                device.lane_busy_cycles(i) + device.lane_idle_cycles(i),
+                device_cycles,
+                "lane {i} busy+idle must partition the device clock at {threads} threads"
+            );
+        }
+        if report_device {
+            device_report(&device, threads);
+        }
+        // The co-design contract: both backends must emit identical SAM
+        // bytes on this workload, or the throughput comparison is
+        // meaningless.
+        assert!(
+            sw_bytes == hw_bytes,
+            "NMSL backend SAM output diverged from software at {threads} threads"
+        );
+        assert_eq!(
+            hw_report.stats, sw_report.stats,
+            "backend stats must match at {threads} threads"
+        );
+        // The overlap invariant: the double-buffered model can only *hide*
+        // transfer time, never invent it.
+        let b = &hw_report.backend;
+        assert!(
+            b.exposed_transfer_seconds <= b.transfer_seconds,
+            "exposed transfer ({}) exceeds raw transfer ({}) at {threads} threads",
+            b.exposed_transfer_seconds,
+            b.transfer_seconds,
+        );
+        warm_fingerprints.push((threads, WarmFingerprint::new(b, &device)));
+        println!("{}", json_line(&hw_report, channels, sw_rps, Some(&device)));
     }
 
     // The tentpole regression: with the channel count fixed, warm totals
     // must be bit-identical across every thread count this harness ran.
-    if let Some((_, reference)) = warm_fingerprints.first() {
-        let invariant = warm_fingerprints.iter().all(|(_, fp)| fp == reference);
-        let threads_list: Vec<String> = warm_fingerprints
-            .iter()
-            .map(|(t, _)| t.to_string())
-            .collect();
-        println!(
-            "{{\"harness\":\"backend_compare\",\"check\":\"sharding_invariant\",\
-             \"channels\":{},\"threads\":[{}],\"sharding_invariant\":{}}}",
-            channels,
-            threads_list.join(","),
-            invariant
-        );
-        assert!(
-            invariant,
-            "warm accounting diverged across thread counts at channels={channels}: \
-             {warm_fingerprints:?}"
-        );
-    }
+    let (_, reference) = &warm_fingerprints[0];
+    let invariant = warm_fingerprints.iter().all(|(_, fp)| fp == reference);
+    let threads_list: Vec<String> = warm_fingerprints
+        .iter()
+        .map(|(t, _)| t.to_string())
+        .collect();
+    println!(
+        "{{\"harness\":\"backend_compare\",\"check\":\"sharding_invariant\",\
+         \"channels\":{},\"threads\":[{}],\"sharding_invariant\":{}}}",
+        channels,
+        threads_list.join(","),
+        invariant
+    );
+    assert!(
+        invariant,
+        "warm accounting diverged across thread counts at channels={channels}: \
+         {warm_fingerprints:?}"
+    );
 
     if let Some(path) = &trace {
-        let json = last_trace
-            .expect("--trace requires at least one warm run (drop --cold, or pass --warm)");
+        let json = last_trace.expect("telemetry was enabled for --trace");
         std::fs::write(path, json).expect("trace file must be writable");
         eprintln!("# wrote Chrome trace to {path}");
     }
     if let Some(path) = &metrics {
-        let prom = last_metrics
-            .expect("--metrics requires at least one warm run (drop --cold, or pass --warm)");
+        let prom = last_metrics.expect("telemetry was enabled for --metrics");
         std::fs::write(path, prom).expect("metrics file must be writable");
         eprintln!("# wrote Prometheus metrics to {path}");
     }

@@ -114,8 +114,8 @@ impl PipelineBuilder {
     /// software reference, the NMSL accelerator system model, or any custom
     /// [`MapBackend`]). The engine opens one stateful session per worker
     /// thread from this backend (`backend.session(worker_id)`), so a
-    /// stateful backend — e.g. the NMSL model in its default warm dispatch
-    /// mode — carries simulator state across all batches a worker maps.
+    /// stateful backend — e.g. the NMSL model's shared warm device —
+    /// carries simulator state across every batch of the run.
     ///
     /// ```
     /// use gx_genome::random::RandomGenomeBuilder;

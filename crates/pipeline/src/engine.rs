@@ -5,7 +5,7 @@
 //! ```text
 //! caller thread          worker threads (N)            emitter thread
 //! ┌────────────┐  steal  ┌──────────────────┐ results ┌──────────────┐
-//! │ Batcher    │ ──────► │ backend.map_batch│ ──────► │ reorder by   │
+//! │ Batcher    │ ──────► │ session.map      │ ──────► │ reorder by   │
 //! │ (chunking) │  queue  │ + shard stats    │  chan   │ batch index, │
 //! └────────────┘         └──────────────────┘         │ stream SAM   │
 //!                                                     └──────────────┘
@@ -27,11 +27,12 @@
 //! backends *and* across thread counts / batch sizes; only the reported
 //! cost ([`BackendStats`]) differs.
 //!
-//! Each worker opens one stateful [`MapSession`] at thread start
-//! (`backend.session(worker_id)`), maps every batch it pulls through it,
-//! and flushes it with [`MapSession::finish`] after its last batch — this
-//! per-worker session is what lets the NMSL backend keep its simulator
-//! (DRAM row-buffer state, sliding window) *warm* across batches. Each
+//! Each worker opens one stateful [`MapSession`](gx_backend::MapSession) at
+//! thread start (`backend.session(worker_id)`) and maps every batch it
+//! pulls through [`MapSession::map`](gx_backend::MapSession::map), tagged
+//! job `0` × the batch's index — the tag is what lets the NMSL backend's
+//! shared device (DRAM row-buffer state, sliding window, kept *warm* across
+//! batches) admit in input order whichever worker got the batch. Each
 //! worker also owns private [`PipelineStats`] and [`BackendStats`] shards
 //! that are merged once at join time — no locks or atomics on the mapping
 //! hot path. The emitter restores input order, so the engine's output is
@@ -40,35 +41,180 @@
 //! feeder admits at most `queue_depth + 2 × threads` batches past the last
 //! emitted one (a condvar-signalled window), so one slow batch cannot make
 //! completed successors pile up without limit.
+//!
+//! The worker step ([`Worker`]) and the reorder buffer ([`ReorderBuffer`])
+//! are the [`MappingService`](crate::MappingService)'s too; the thread
+//! topologies around them deliberately are not. The engine feeds from the
+//! caller thread and writes from a dedicated emitter thread; the service
+//! emits inside the worker, under the job lock, because that lock is its
+//! cancel-ack barrier. Making the engine a one-job service would move its
+//! emit onto its worker: one `gxbench --workload foreign_sw --trace all`
+//! run measures `genome.sam_emit_s` 0.135 s against `backend.map_busy_s`
+//! 0.222 s on the single worker, so that workload's critical path would
+//! grow by ~60 % against a 20 % regression bound.
 
 use crate::batch::{Batch, Batcher};
 use crate::config::{FallbackPolicy, PipelineConfig};
 use crate::sink::{RecordSink, VecSink};
 use crate::steal::WorkStealQueue;
-use gx_backend::{BackendStats, MapBackend, MapSession};
+use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession};
 use gx_core::{
     pair_mapping_to_sam, unmapped_pair_to_sam, GenPairMapper, MapScratch, PairMapping,
     PipelineStats, ReadPair,
 };
 use gx_genome::SamRecord;
 use gx_seedmap::SeedHasher;
-use gx_telemetry::Telemetry;
+use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Batches a worker's refill moves from the injector at once: one to map
 /// immediately plus up to three parked on its deque for itself (LIFO) or
 /// idle thieves (FIFO). Small enough that a straggler worker can only sit
 /// on a few batches — and those are exactly the ones thieves may take.
-const REFILL_CHUNK: usize = 4;
+pub(crate) const REFILL_CHUNK: usize = 4;
 
-/// One mapped batch travelling from a worker to the emitter.
-struct BatchOutput {
-    index: u64,
-    records: Vec<SamRecord>,
+/// Batches a stream may have admitted past its last in-order processed
+/// one. Bounds the reorder buffer: without it, one slow early batch would
+/// let completed later batches pile up without limit (peak memory O(input)
+/// instead of O(window)).
+pub(crate) fn inflight_window(queue_depth: usize, threads: usize) -> u64 {
+    (queue_depth + 2 * threads) as u64
+}
+
+/// One pool worker, the engine's or the service's: its stateful backend
+/// session (opened once, so accelerator sessions keep the shared device
+/// warm across every batch the worker maps) and its telemetry shard on
+/// track `id`. Telemetry is observational only — nothing recorded here
+/// feeds back into modeled stats or emitted bytes.
+pub(crate) struct Worker<'b, B: MapBackend + 'b> {
+    id: usize,
+    session: B::Session<'b>,
+    policy: FallbackPolicy,
+    pub(crate) rec: Recorder,
+    queue_wait_h: HistogramId,
+    map_h: HistogramId,
+}
+
+impl<'b, B: MapBackend> Worker<'b, B> {
+    pub(crate) fn open(
+        backend: &'b B,
+        telemetry: &Telemetry,
+        id: usize,
+        policy: FallbackPolicy,
+    ) -> Worker<'b, B> {
+        Worker {
+            id,
+            session: backend.session(id),
+            policy,
+            rec: telemetry.recorder(id as u32),
+            queue_wait_h: telemetry.histogram(
+                "gx_queue_wait_ns",
+                "worker wait for the next batch (pop from the work-steal queue), ns",
+            ),
+            map_h: telemetry.histogram(
+                "gx_map_batch_ns",
+                "wall-clock latency of one MapSession::map call, ns",
+            ),
+        }
+    }
+
+    /// Takes the worker's next item — own deque LIFO, injector refill, FIFO
+    /// steal, in that order — recording the wait; `None` once the queue is
+    /// closed and drained.
+    pub(crate) fn pop<T>(&mut self, queue: &WorkStealQueue<T>) -> Option<T> {
+        let t_wait = self.rec.start();
+        let item = queue.pop(self.id)?;
+        let wait_ns = self.rec.span("queue_wait", t_wait);
+        self.rec.record(self.queue_wait_h, wait_ns);
+        Some(item)
+    }
+
+    /// Maps one batch at `tag` and renders its SAM records, consuming the
+    /// pairs. Per-pair outcomes are recorded into `stats`; the backend's
+    /// accounting for the call is returned for the caller's shard. The tag
+    /// is what lets shared-device backends admit in input order no matter
+    /// which worker got the batch or when.
+    ///
+    /// # Panics
+    ///
+    /// If the backend returns a result count different from the batch size.
+    pub(crate) fn map(
+        &mut self,
+        tag: BatchTag,
+        pairs: Vec<ReadPair>,
+        stats: &mut PipelineStats,
+    ) -> (BackendStats, Vec<SamRecord>) {
+        let t_map = self.rec.start();
+        let out = self.session.map(tag, &pairs);
+        let map_ns = self.rec.span_arg("map_batch", t_map, tag.index);
+        self.rec.record(self.map_h, map_ns);
+        assert_eq!(
+            out.results.len(),
+            pairs.len(),
+            "backend returned a result count different from the batch size"
+        );
+        let mut records = Vec::with_capacity(pairs.len() * 2);
+        for (pair, res) in pairs.into_iter().zip(out.results) {
+            stats.record(&res);
+            emit_pair_records(res.mapping, pair, self.policy, &mut records);
+        }
+        (out.stats, records)
+    }
+}
+
+/// Restores batch order in front of a sink: batches arrive in any order,
+/// records leave in batch-index order.
+#[derive(Default)]
+pub(crate) struct ReorderBuffer {
+    /// Next batch index owed to the sink.
+    next: u64,
+    /// Rendered batches that arrived ahead of `next`.
+    pending: HashMap<u64, Vec<SamRecord>>,
+}
+
+impl ReorderBuffer {
+    /// Buffers batch `index`, then writes every batch the order now covers.
+    /// Returns the records written by this call and, when a write failed,
+    /// the error that stopped it at that record.
+    pub(crate) fn push<S: RecordSink + ?Sized>(
+        &mut self,
+        index: u64,
+        records: Vec<SamRecord>,
+        sink: &mut S,
+    ) -> (u64, io::Result<()>) {
+        self.pending.insert(index, records);
+        let mut written = 0;
+        while let Some(records) = self.pending.remove(&self.next) {
+            for rec in &records {
+                if let Err(e) = sink.write_record(rec) {
+                    return (written, Err(e));
+                }
+                written += 1;
+            }
+            self.next += 1;
+        }
+        (written, Ok(()))
+    }
+
+    /// Batches written in full so far (the next index owed to the sink).
+    pub(crate) fn next(&self) -> u64 {
+        self.next
+    }
+
+    /// Batches waiting behind a missing predecessor.
+    pub(crate) fn buffered(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Frees every buffered batch (the stream was cancelled or failed:
+    /// they will never be written).
+    pub(crate) fn clear(&mut self) {
+        self.pending.clear();
+    }
 }
 
 /// Tears the dispatch queue down if the owning thread unwinds, so no other
@@ -147,10 +293,9 @@ impl PipelineReport {
 
 /// Materialises one pair's SAM records, honouring the fallback policy, by
 /// *consuming* the worker-owned mapping and pair (reads, CIGARs and the id
-/// move into the records; nothing is cloned). Shared by the parallel
-/// workers, [`map_serial`] and the service workers
-/// ([`crate::MappingService`]) so every path emits identical bytes.
-pub(crate) fn emit_pair_records(
+/// move into the records; nothing is cloned). Shared by [`Worker::map`]
+/// and [`map_serial`] so every path emits identical bytes.
+fn emit_pair_records(
     mapping: Option<PairMapping>,
     pair: ReadPair,
     policy: FallbackPolicy,
@@ -282,14 +427,6 @@ impl<B: MapBackend> MappingEngine<B> {
         // modeled stats or emitted bytes. Span tracks: workers 0..N, the
         // feeder at N, the emitter at N+1 (NMSL lanes live at 2000+).
         let telemetry = &self.telemetry;
-        let queue_wait_h = telemetry.histogram(
-            "gx_queue_wait_ns",
-            "worker wait for the next batch (pop from the work-steal queue), ns",
-        );
-        let map_h = telemetry.histogram(
-            "gx_map_batch_ns",
-            "wall-clock latency of one map_sequenced_batch call, ns",
-        );
         let emit_wait_h = telemetry.histogram(
             "gx_emit_wait_ns",
             "emitter wait for the next mapped batch, ns",
@@ -321,14 +458,13 @@ impl<B: MapBackend> MappingEngine<B> {
         // channel's queue depth, so front-end backpressure is unchanged.
         let queue = WorkStealQueue::<Batch>::new(cfg.threads, cfg.queue_depth, REFILL_CHUNK);
         let queue = &queue;
+        // Mapped batches travelling from the workers to the emitter.
         let (result_tx, result_rx) =
-            mpsc::sync_channel::<BatchOutput>(cfg.queue_depth + cfg.threads);
+            mpsc::sync_channel::<(u64, Vec<SamRecord>)>(cfg.queue_depth + cfg.threads);
         // Caps batches admitted past the last *emitted* one, bounding the
-        // emitter's reorder buffer: without it, one slow early batch would
-        // let completed later batches pile up in `pending` without limit
-        // (peak memory O(input) instead of O(window)).
-        let inflight_cap = (cfg.queue_depth + 2 * cfg.threads) as u64;
-        let progress = Arc::new((Mutex::new(0u64), Condvar::new()));
+        // emitter's reorder buffer.
+        let inflight_cap = inflight_window(cfg.queue_depth, cfg.threads);
+        let progress = &(Mutex::new(0u64), Condvar::new());
 
         let (stats, backend_stats, write_result, batches) = std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(cfg.threads);
@@ -340,46 +476,16 @@ impl<B: MapBackend> MappingEngine<B> {
                     let _teardown = AbortOnPanic(queue);
                     let mut shard = PipelineStats::new();
                     let mut backend_shard = BackendStats::new();
-                    // One stateful session per worker for the whole run:
-                    // accelerator sessions keep their simulator warm across
-                    // every batch this worker maps.
-                    let mut session = backend.session(worker_id);
-                    let mut rec = telemetry.recorder(worker_id as u32);
-                    // Own deque LIFO, injector refill, FIFO steal — in that
-                    // order; None once the input is closed and drained.
-                    loop {
-                        let t_wait = rec.start();
-                        let Some(batch) = queue.pop(worker_id) else {
-                            break;
+                    let mut worker = Worker::open(backend, telemetry, worker_id, cfg.fallback);
+                    while let Some(batch) = worker.pop(queue) {
+                        // The one-shot engine is the single job 0.
+                        let tag = BatchTag {
+                            job: 0,
+                            index: batch.index,
                         };
-                        let wait_ns = rec.span("queue_wait", t_wait);
-                        rec.record(queue_wait_h, wait_ns);
-                        // Sequenced by batch index: shared-device backends
-                        // admit in input order no matter which worker got
-                        // the batch or when (warm totals stay invariant to
-                        // the steal schedule).
-                        let t_map = rec.start();
-                        let out = session.map_sequenced_batch(batch.index, &batch.pairs);
-                        let map_ns = rec.span_arg("map_batch", t_map, batch.index);
-                        rec.record(map_h, map_ns);
-                        assert_eq!(
-                            out.results.len(),
-                            batch.pairs.len(),
-                            "backend returned a result count different from the batch size"
-                        );
-                        backend_shard.merge(&out.stats);
-                        let mut records = Vec::with_capacity(batch.pairs.len() * 2);
-                        for (pair, res) in batch.pairs.into_iter().zip(out.results) {
-                            shard.record(&res);
-                            emit_pair_records(res.mapping, pair, cfg.fallback, &mut records);
-                        }
-                        if tx
-                            .send(BatchOutput {
-                                index: batch.index,
-                                records,
-                            })
-                            .is_err()
-                        {
+                        let (stats, records) = worker.map(tag, batch.pairs, &mut shard);
+                        backend_shard.merge(&stats);
+                        if tx.send((batch.index, records)).is_err() {
                             // Emitter gone (I/O error): tear the dispatch
                             // queue down so a feeder blocked in push() wakes
                             // with a failure and siblings drain out, then
@@ -388,50 +494,41 @@ impl<B: MapBackend> MappingEngine<B> {
                             break;
                         }
                     }
-                    // Flush the session: warm simulators drain their
-                    // in-flight tail here, so session totals are exact.
-                    backend_shard.merge(&session.finish());
                     (shard, backend_shard)
                 }));
             }
             drop(result_tx); // emitter's recv loop ends when workers finish
 
-            let emitter_progress = Arc::clone(&progress);
             let emitter = scope.spawn(move || -> io::Result<u64> {
                 let mut erec = telemetry.recorder(cfg.threads as u32 + 1);
                 let erec = &mut erec;
                 let mut emit = || -> io::Result<u64> {
-                    let mut next = 0u64;
                     let mut written = 0u64;
-                    let mut pending: HashMap<u64, Vec<SamRecord>> = HashMap::new();
+                    let mut reorder = ReorderBuffer::default();
                     loop {
                         let t_wait = erec.start();
-                        let Ok(out) = result_rx.recv() else {
+                        let Ok((index, records)) = result_rx.recv() else {
                             break;
                         };
-                        let wait_ns = erec.span_arg("emit_wait", t_wait, out.index);
+                        let wait_ns = erec.span_arg("emit_wait", t_wait, index);
                         erec.record(emit_wait_h, wait_ns);
-                        pending.insert(out.index, out.records);
-                        erec.gauge_set(reorder_g, pending.len() as u64);
-                        while let Some(records) = pending.remove(&next) {
-                            for rec in &records {
-                                sink.write_record(rec)?;
-                                written += 1;
-                            }
-                            next += 1;
-                            let (lock, cv) = &*emitter_progress;
-                            *lock.lock().expect("progress lock poisoned") = next;
-                            cv.notify_all();
-                        }
+                        // Depth with this batch in, before the order drains.
+                        erec.gauge_set(reorder_g, reorder.buffered() as u64 + 1);
+                        let (n, result) = reorder.push(index, records, sink);
+                        written += n;
+                        result?;
+                        let (lock, cv) = progress;
+                        *lock.lock().expect("progress lock poisoned") = reorder.next();
+                        cv.notify_all();
                     }
-                    debug_assert!(pending.is_empty(), "batches lost before the emitter");
+                    debug_assert_eq!(reorder.buffered(), 0, "batches lost before the emitter");
                     Ok(written)
                 };
                 let result = emit();
                 // On every exit (normal or I/O error) release a feeder that
                 // is parked on the in-flight window, or it would wait
                 // forever for progress that will never come.
-                let (lock, cv) = &*emitter_progress;
+                let (lock, cv) = progress;
                 *lock.lock().expect("progress lock poisoned") = u64::MAX;
                 cv.notify_all();
                 result
@@ -455,7 +552,7 @@ impl<B: MapBackend> MappingEngine<B> {
                 frec.record(ingest_h, ingest_ns);
                 // Park until the batch fits the in-flight window.
                 {
-                    let (lock, cv) = &*progress;
+                    let (lock, cv) = progress;
                     let mut emitted = lock.lock().expect("progress lock poisoned");
                     while *emitted != u64::MAX && batch.index >= *emitted + inflight_cap {
                         emitted = cv.wait(emitted).expect("progress lock poisoned");
@@ -474,7 +571,7 @@ impl<B: MapBackend> MappingEngine<B> {
                 .collect();
             let stats = PipelineStats::merged(shards.iter().map(|(s, _)| s));
             let mut backend_stats = BackendStats::merged(shards.iter().map(|(_, b)| b));
-            // Backend-wide flush, strictly after every session finished:
+            // Backend-wide flush, strictly after every worker is done:
             // the warm NMSL device drains its shared simulator lanes here
             // (and resets for the next run). Runs on the error path too, so
             // an aborted run never leaves the device dirty.
@@ -589,7 +686,7 @@ mod tests {
     use gx_backend::NmslBackend;
     use gx_core::GenPairConfig;
     use gx_genome::random::RandomGenomeBuilder;
-    use gx_genome::ReferenceGenome;
+    use gx_genome::{DnaSeq, ReferenceGenome};
 
     fn setup() -> (ReferenceGenome, Vec<ReadPair>) {
         let genome = RandomGenomeBuilder::new(120_000).seed(21).build();
@@ -734,8 +831,8 @@ mod tests {
                 PanicSession
             }
         }
-        impl MapSession for PanicSession {
-            fn map_batch(&mut self, _pairs: &[ReadPair]) -> gx_backend::BatchResult {
+        impl gx_backend::MapSession for PanicSession {
+            fn map(&mut self, _tag: BatchTag, _pairs: &[ReadPair]) -> gx_backend::BatchResult {
                 panic!("injected backend failure");
             }
         }
@@ -817,5 +914,80 @@ mod tests {
         assert_eq!(report.pairs(), 40);
         assert!(report.elapsed > Duration::ZERO);
         assert!(report.backend.busy_ns > 0);
+    }
+
+    /// One batch of two records named after `name`.
+    fn batch(name: &str) -> Vec<SamRecord> {
+        let read = DnaSeq::from_ascii(b"ACGT").unwrap();
+        let (a, b) = unmapped_pair_to_sam(ReadPair::new(name, read.clone(), read));
+        vec![a, b]
+    }
+
+    fn names(sink: &VecSink) -> Vec<&str> {
+        sink.records.iter().map(|r| r.qname.as_str()).collect()
+    }
+
+    #[test]
+    fn reorder_out_of_order_in_in_order_out() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        let (n, res) = buf.push(2, batch("c"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (0, true, 0, 1)
+        );
+        let (n, _) = buf.push(1, batch("b"), &mut sink);
+        assert_eq!((n, buf.buffered()), (0, 2));
+        // The missing head arrives: everything drains, in index order.
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (6, true, 3, 0)
+        );
+        assert_eq!(names(&sink), ["a/1", "a/2", "b/1", "b/2", "c/1", "c/2"]);
+        let (n, _) = buf.push(3, batch("d"), &mut sink);
+        assert_eq!((n, buf.next()), (2, 4));
+    }
+
+    #[test]
+    fn reorder_sink_error_stops_at_its_record_and_reports_the_count_before_it() {
+        /// Accepts `ok` records, then fails.
+        struct FailAfter {
+            ok: usize,
+            seen: Vec<String>,
+        }
+        impl RecordSink for FailAfter {
+            fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
+                if self.seen.len() == self.ok {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.seen.push(rec.qname.clone());
+                Ok(())
+            }
+        }
+        let mut buf = ReorderBuffer::default();
+        let mut sink = FailAfter {
+            ok: 3,
+            seen: Vec::new(),
+        };
+        buf.push(1, batch("b"), &mut sink).1.unwrap();
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(n, 3, "a/1, a/2 and b/1 reached the sink before the error");
+        assert_eq!(res.unwrap_err().to_string(), "disk full");
+        assert_eq!(sink.seen, ["a/1", "a/2", "b/1"]);
+        // Batch 0 was written in full, batch 1 was not.
+        assert_eq!(buf.next(), 1);
+    }
+
+    #[test]
+    fn reorder_clear_frees_pending() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        buf.push(5, batch("f"), &mut sink).1.unwrap();
+        buf.push(3, batch("d"), &mut sink).1.unwrap();
+        assert_eq!(buf.buffered(), 2);
+        buf.clear();
+        assert_eq!((buf.buffered(), buf.next()), (0, 0));
+        assert!(sink.records.is_empty());
     }
 }

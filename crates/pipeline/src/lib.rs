@@ -16,8 +16,9 @@
 //!   a pluggable [`MapBackend`] (the software
 //!   reference [`SoftwareBackend`] or the NMSL accelerator system model
 //!   [`NmslBackend`] from `gx-backend`); each worker opens one stateful
-//!   [`MapSession`] for the whole run (accelerator sessions keep their
-//!   simulator warm across batches), maps whole batches through it, and
+//!   [`MapSession`] for the whole run, maps whole batches through its one
+//!   method ([`MapSession::map`], each batch under its [`BatchTag`] so the
+//!   accelerator's shared warm device admits in input order), and
 //!   accumulates private **stats shards** (merged lock-free at join via
 //!   [`PipelineStats::merge`](gx_core::PipelineStats::merge) and
 //!   [`BackendStats::merge`]);
@@ -90,8 +91,8 @@ pub use batch::{read_pairs_from_fastq, ReadPairStream};
 pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
 pub use gx_backend::{
-    BackendStats, BatchResult, Clock, DiscardReport, DispatchMode, ManualClock, MapBackend,
-    MapSession, NmslBackend, SoftwareBackend, SystemClock,
+    BackendStats, BatchResult, BatchTag, Clock, DiscardReport, ManualClock, MapBackend, MapSession,
+    NmslBackend, SoftwareBackend, SystemClock,
 };
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};

@@ -8,7 +8,7 @@
 //! through a [`ServiceHandle`]:
 //!
 //! ```text
-//! submit(job A) ──┐ ingest pool     ┌─ worker 0 ─ map_job_batch ─┐ per-job
+//! submit(job A) ──┐ ingest pool     ┌─ worker 0 ─ session.map ───┐ per-job
 //! submit(job B) ──┤ (each ingester  │  worker 1 ─ ...            ├─ ordered
 //! submit(job C) ──┘ owns ≤1 job,    │  worker N ─ ...            │ emitters
 //!                   claims by       └────────── shared device ───┘ (A,B,C)
@@ -29,9 +29,11 @@
 //!   siblings'. The owning ingester chunks the input into job-tagged
 //!   batches and pushes them through the same bounded [`WorkStealQueue`]
 //!   the one-shot engine uses; workers map them via
-//!   [`MapSession::map_job_batch`] and append the records to the job's own
-//!   ordered emitter (a per-job reorder buffer draining straight into the
-//!   job's sink). When a job's input ends its ingester seals it
+//!   [`MapSession::map`](gx_backend::MapSession::map), tagged `(job, batch
+//!   index)` — the engine's own worker step — and append the records to the
+//!   job's own ordered emitter (a per-job reorder buffer, also the
+//!   engine's, draining straight into the job's sink under the job lock).
+//!   When a job's input ends its ingester seals it
 //!   ([`MapBackend::seal_job`]); when its last batch has been mapped and
 //!   emitted, the job finalizes and [`JobHandle::join`] returns its
 //!   [`JobReport`] and sink.
@@ -94,9 +96,11 @@
 //!   `gx_job_records_total{job="N"}`,
 //!   `gx_job_deadline_cancels_total{job="N"}`) via the registry's graceful
 //!   `try_*` path (jobs beyond the metric-table budget simply go
-//!   unlabeled instead of panicking), plus a named trace track; live
-//!   per-job progress is available lock-cheaply via
-//!   [`JobHandle::snapshot`].
+//!   unlabeled instead of panicking), plus a named trace track; workers
+//!   record the engine's `queue_wait`/`map_batch` spans and
+//!   `gx_queue_wait_ns`/`gx_map_batch_ns` histograms, so a traced service
+//!   run says whether its workers were starved; live per-job progress is
+//!   available lock-cheaply via [`JobHandle::snapshot`].
 //!
 //! Known limitations (see `ARCHITECTURE.md` for the full discussion): a
 //! permanently blocking input iterator still occupies its owning ingester
@@ -107,13 +111,12 @@
 
 use crate::batch::ReadPairStream;
 use crate::config::FallbackPolicy;
-use crate::engine::{emit_pair_records, PipelineReport};
+use crate::engine::{inflight_window, PipelineReport, ReorderBuffer, Worker, REFILL_CHUNK};
 use crate::sink::RecordSink;
 use crate::steal::WorkStealQueue;
-use gx_backend::{BackendStats, Clock, DiscardReport, MapBackend, MapSession, SystemClock};
+use gx_backend::{BackendStats, BatchTag, Clock, DiscardReport, MapBackend, SystemClock};
 use gx_core::{PipelineStats, ReadPair};
 use gx_genome::GenomeError;
-use gx_genome::SamRecord;
 use gx_telemetry::{labeled, CounterId, Telemetry};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -123,9 +126,6 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// Injector→deque refill chunk, matching the one-shot engine's.
-const REFILL_CHUNK: usize = 4;
 
 /// Trace-track ids for per-job tracks (workers sit at `0..threads`, the
 /// ingest pool at `threads..threads+ingesters`, the deadline timer right
@@ -507,10 +507,10 @@ pub struct ServiceReport {
     pub deadline_cancels: u64,
     /// Records delivered across all sinks.
     pub records_written: u64,
-    /// Device-wide backend accounting: every job's share plus the
-    /// session tails and the final flush. For a warm device over
-    /// completed jobs this is bit-identical to one engine run over the
-    /// concatenated job streams (`tests/e2e_service.rs`).
+    /// Device-wide backend accounting: every job's share plus the final
+    /// flush. For a warm device over completed jobs this is bit-identical
+    /// to one engine run over the concatenated job streams
+    /// (`tests/e2e_service.rs`).
     pub backend: BackendStats,
     /// The backend that served this run ("software", "nmsl", ...).
     pub backend_name: &'static str,
@@ -582,10 +582,8 @@ struct JobCore {
     cancelled: bool,
     /// Sink or ingestion failure text; emission is suppressed.
     abort_reason: Option<String>,
-    /// Next batch index the emitter owes the sink.
-    next_emit: u64,
-    /// Mapped-but-not-yet-ordered batches (per-job reorder buffer).
-    pending: HashMap<u64, Vec<SamRecord>>,
+    /// The job's ordered emitter: mapped-but-not-yet-ordered batches.
+    reorder: ReorderBuffer,
     /// The job's sink, present until `join` reclaims it.
     sink: Option<Box<dyn ServiceSink>>,
     /// Records delivered so far.
@@ -612,8 +610,7 @@ impl JobCore {
             discarded: false,
             cancelled: false,
             abort_reason: None,
-            next_emit: 0,
-            pending: HashMap::new(),
+            reorder: ReorderBuffer::default(),
             sink: Some(sink),
             written: 0,
             stats: PipelineStats::new(),
@@ -633,28 +630,22 @@ impl JobCore {
         self.cancelled || self.abort_reason.is_some()
     }
 
-    /// Claims the one-shot right to discard this job from the device.
-    /// The claimer performs [`MapBackend::discard_job`] and
-    /// [`apply_discard`] *while still holding the core lock*, so a
-    /// concurrent finalize can never slip between the claim and the
-    /// accounting merge (holding core while taking device locks is safe:
-    /// no service path acquires them in the other order).
-    fn claim_discard(&mut self) -> bool {
-        if self.discarded {
-            false
-        } else {
+    /// Discards job `id` from the device, once: the first caller performs
+    /// [`MapBackend::discard_job`] and folds its accounting in — the freed
+    /// releases of *other* jobs ride in `stats`, the already-dispatched
+    /// remainder of this job becomes
+    /// [`JobReport::pairs_accounted_after_cancel`] — *while still holding
+    /// the core lock*, so a concurrent finalize can never slip between the
+    /// claim and the accounting merge (holding core while taking device
+    /// locks is safe: no service path acquires them in the other order).
+    fn discard_from(&mut self, discard_job: &DiscardFn<'_>, id: u64) {
+        if !self.discarded {
             self.discarded = true;
-            true
+            let report = discard_job(id);
+            self.backend.merge(&report.stats);
+            self.accounted_after_cancel = report.pairs_accounted;
         }
     }
-}
-
-/// Folds a device discard's accounting into the job core — the freed
-/// releases of *other* jobs ride in `stats`, and the already-dispatched
-/// remainder of this job becomes [`JobReport::pairs_accounted_after_cancel`].
-fn apply_discard(core: &mut JobCore, report: &DiscardReport) {
-    core.backend.merge(&report.stats);
-    core.accounted_after_cancel = report.pairs_accounted;
 }
 
 /// A job in the ingest pool's rotation. At any moment a job is either in
@@ -711,22 +702,14 @@ struct Sched {
     job_backend: BackendStats,
 }
 
-/// Backend-erased discard entry point, so client-side paths (cancel
+/// Backend-erased [`MapBackend::discard_job`], so client-side paths (cancel
 /// handles, the deadline timer) that don't know the backend type can
 /// still release a job from the device the moment suppression is
 /// decided.
-trait DiscardHook: Sync {
-    fn discard(&self, job: u64) -> DiscardReport;
-}
-
-impl<B: MapBackend> DiscardHook for B {
-    fn discard(&self, job: u64) -> DiscardReport {
-        self.discard_job(job)
-    }
-}
+type DiscardFn<'b> = dyn Fn(u64) -> DiscardReport + Sync + 'b;
 
 /// Everything the service's threads share by reference. The `'b`
-/// lifetime borrows the backend for the type-erased discard hook.
+/// lifetime borrows the backend for the type-erased discard.
 struct Shared<'b> {
     queue: WorkStealQueue<JobBatch>,
     sched: Mutex<Sched>,
@@ -736,13 +719,11 @@ struct Shared<'b> {
     cfg: ServiceConfig,
     telemetry: Telemetry,
     backend_name: &'static str,
-    /// Per-job in-flight window in batches.
-    window: u64,
     /// Monotonic clock for deadlines and admission timeouts
     /// (control-plane only — never feeds modeled accounting).
     clock: Arc<dyn Clock>,
     /// Discards jobs from the device without knowing the backend type.
-    discard: &'b (dyn DiscardHook + 'b),
+    discard: &'b DiscardFn<'b>,
     /// Ingesters still running; the last one out closes the dispatch
     /// queue so workers drain and exit.
     ingesters_live: AtomicUsize,
@@ -832,12 +813,11 @@ impl MappingService {
             queue: WorkStealQueue::new(cfg.threads, cfg.queue_depth, REFILL_CHUNK),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
-            window: (cfg.queue_depth + 2 * cfg.threads) as u64,
             backend_name: backend.name(),
             cfg,
             telemetry,
             clock,
-            discard: &backend,
+            discard: &|job| backend.discard_job(job),
             ingesters_live: AtomicUsize::new(cfg.ingesters),
         };
         for w in 0..cfg.threads {
@@ -856,7 +836,7 @@ impl MappingService {
 
         let shared = &shared;
         let backend_ref = &backend;
-        let (out, tails) = std::thread::scope(|scope| {
+        let out = std::thread::scope(|scope| {
             // If `f` (or anything else on this thread) unwinds, tear the
             // queue down and flag the service threads, or the scope's
             // implicit join would deadlock on threads waiting for a
@@ -886,40 +866,25 @@ impl MappingService {
                 ingester.join().expect("service ingest thread panicked");
             }
             timer.join().expect("service deadline timer panicked");
-            let tails: Vec<BackendStats> = workers
-                .into_iter()
-                .map(|w| w.join().expect("mapping worker panicked"))
-                .collect();
-            (out, tails)
+            for worker in workers {
+                worker.join().expect("mapping worker panicked");
+            }
+            out
         });
 
-        let mut backend_total = BackendStats::new();
-        let totals = {
-            let sched = shared.sched();
-            backend_total.merge(&sched.job_backend);
-            (
-                sched.jobs_submitted,
-                sched.jobs_completed,
-                sched.jobs_cancelled,
-                sched.jobs_failed,
-                sched.deadline_cancels,
-                sched.records_written,
-            )
-        };
-        for tail in &tails {
-            backend_total.merge(tail);
-        }
-        // Strictly after every session finished: the warm device drains
-        // its lanes here and resets for the next serve.
+        // Every service thread has joined: the scheduler's totals are final.
+        let sched = shared.sched();
+        let mut backend_total = sched.job_backend;
+        // Strictly after every worker is done: the warm device drains its
+        // lanes here and resets for the next serve.
         backend_total.merge(&backend.flush());
-
         let report = ServiceReport {
-            jobs_submitted: totals.0,
-            jobs_completed: totals.1,
-            jobs_cancelled: totals.2,
-            jobs_failed: totals.3,
-            deadline_cancels: totals.4,
-            records_written: totals.5,
+            jobs_submitted: sched.jobs_submitted,
+            jobs_completed: sched.jobs_completed,
+            jobs_cancelled: sched.jobs_cancelled,
+            jobs_failed: sched.jobs_failed,
+            deadline_cancels: sched.deadline_cancels,
+            records_written: sched.records_written,
             backend: backend_total,
             backend_name: shared.backend_name,
             threads: cfg.threads,
@@ -1177,12 +1142,7 @@ impl<S> JobHandle<'_, S> {
 
     /// Whether [`join`](JobHandle::join) would return immediately.
     pub fn is_finished(&self) -> bool {
-        self.job
-            .core
-            .lock()
-            .expect("job core poisoned")
-            .finished
-            .is_some()
+        self.snapshot().finished
     }
 
     /// Blocks until the job finalizes, then returns its report and the
@@ -1225,11 +1185,9 @@ fn cancel_job(shared: &Shared<'_>, job: &Arc<JobState>) -> bool {
         if !core.cancelled {
             core.cancelled = true;
             // Reordered batches will never be emitted: free them now.
-            core.pending.clear();
+            core.reorder.clear();
         }
-        if core.claim_discard() {
-            apply_discard(core, &shared.discard.discard(job.id));
-        }
+        core.discard_from(shared.discard, job.id);
     }
     try_finalize(shared, job);
     shared.wake.notify_all();
@@ -1248,10 +1206,8 @@ fn deadline_cancel(shared: &Shared<'_>, job: &Arc<JobState>) -> bool {
         }
         core.cancelled = true;
         core.abort_reason = Some("job deadline exceeded".to_string());
-        core.pending.clear();
-        if core.claim_discard() {
-            apply_discard(core, &shared.discard.discard(job.id));
-        }
+        core.reorder.clear();
+        core.discard_from(shared.discard, job.id);
     }
     shared.sched().deadline_cancels += 1;
     try_finalize(shared, job);
@@ -1335,7 +1291,7 @@ enum FeedOutcome {
 /// One ingest visit: feed up to `priority.weight()` batches of this job,
 /// honouring its in-flight window; seal at end of input; discard on
 /// cancel or input error (the cancel paths usually discard first — the
-/// claim in [`JobCore::claim_discard`] keeps it one-shot either way).
+/// [`JobCore::discard_from`] is one-shot either way).
 fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob) -> FeedOutcome {
     let job = Arc::clone(&fj.state);
     let job = &job;
@@ -1344,17 +1300,16 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
         let core = &mut *guard;
         if core.suppressed() {
             // Cancelled or failed. The cancel path discards eagerly now,
-            // so this claim only wins for suppressions that didn't (and
-            // as a backstop for races); either way the job leaves the
+            // so this only acts for suppressions that didn't (and as a
+            // backstop for races); either way the job leaves the
             // rotation and in-flight batches drain without emission.
-            if core.claim_discard() {
-                apply_discard(core, &backend.discard_job(job.id));
-            }
+            core.discard_from(shared.discard, job.id);
             drop(guard);
             try_finalize(shared, job);
             return FeedOutcome::Closed;
         }
     }
+    let window = inflight_window(shared.cfg.queue_depth, shared.cfg.threads);
     let mut fed = false;
     for _ in 0..job.priority.weight() {
         {
@@ -1362,7 +1317,7 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
             if core.suppressed() {
                 break; // discard on the next visit
             }
-            if core.admitted - core.processed >= shared.window {
+            if core.admitted - core.processed >= window {
                 return if fed {
                     FeedOutcome::Progressed
                 } else {
@@ -1408,10 +1363,8 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
                     let mut guard = job.core.lock().expect("job core poisoned");
                     let core = &mut *guard;
                     core.abort_reason = Some(e.to_string());
-                    core.pending.clear();
-                    if core.claim_discard() {
-                        apply_discard(core, &backend.discard_job(job.id));
-                    }
+                    core.reorder.clear();
+                    core.discard_from(shared.discard, job.id);
                 }
                 try_finalize(shared, job);
                 return FeedOutcome::Closed;
@@ -1576,15 +1529,13 @@ fn run_timer(shared: &Shared<'_>) {
     }
 }
 
-/// One service worker: pops job-tagged batches, maps them through its
-/// stateful session, and drives the owning job's ordered emitter. Returns
-/// the session's flush tail (in-flight warm accounting not attributable
-/// to any one job).
-fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize) -> BackendStats {
+/// One service worker: pops job-tagged batches, runs the engine's worker
+/// step on them ([`Worker`]), and drives the owning job's ordered emitter
+/// under the job lock.
+fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize) {
     let _teardown = AbortOnPanic(shared);
-    let mut session = backend.session(worker_id);
-    let mut rec = shared.telemetry.recorder(worker_id as u32);
-    while let Some(jb) = shared.queue.pop(worker_id) {
+    let mut worker = Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
+    while let Some(jb) = worker.pop(&shared.queue) {
         {
             // Batches of a suppressed job are dropped unmapped: the
             // device refuses them at admit anyway (its discard closed the
@@ -1611,25 +1562,17 @@ fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize)
                 continue;
             }
         }
-        let t_map = rec.start();
-        let out = session.map_job_batch(jb.job.id, jb.index, &jb.pairs);
-        rec.span_arg("job_map_batch", t_map, jb.index);
-        assert_eq!(
-            out.results.len(),
-            jb.pairs.len(),
-            "backend returned a result count different from the batch size"
-        );
         if let Some(c) = jb.job.pairs_c {
-            rec.counter_add(c, jb.pairs.len() as u64);
+            worker.rec.counter_add(c, jb.pairs.len() as u64);
         }
-        // Render records outside the job lock; suppression is re-checked
+        // Map and render outside the job lock; suppression is re-checked
         // under it, so a cancel ack can never race a write.
+        let tag = BatchTag {
+            job: jb.job.id,
+            index: jb.index,
+        };
         let mut stats = PipelineStats::new();
-        let mut records = Vec::with_capacity(jb.pairs.len() * 2);
-        for (pair, res) in jb.pairs.into_iter().zip(out.results) {
-            stats.record(&res);
-            emit_pair_records(res.mapping, pair, shared.cfg.fallback, &mut records);
-        }
+        let (backend_stats, records) = worker.map(tag, jb.pairs, &mut stats);
 
         // A job can't finalize with this batch outstanding (finalize
         // requires processed == admitted, and this batch is admitted but
@@ -1638,49 +1581,35 @@ fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize)
         // emission check below re-reads it.
         let mut guard = jb.job.core.lock().expect("job core poisoned");
         let core = &mut *guard;
-        core.backend.merge(&out.stats);
+        core.backend.merge(&backend_stats);
         core.stats.merge(&stats);
-        let written_before = core.written;
+        let mut written = 0;
         if !core.suppressed() {
-            core.pending.insert(jb.index, records);
-            while let Some(batch_records) = core.pending.remove(&core.next_emit) {
-                let sink = core.sink.as_mut().expect("sink present until join");
-                let mut failed = None;
-                for record in &batch_records {
-                    if let Err(e) = sink.write_record(record) {
-                        failed = Some(e);
-                        break;
-                    }
-                    core.written += 1;
-                }
-                if let Some(e) = failed {
-                    // This job's sink is gone: keep the reason, stop its
-                    // emission, and discard it from the device right away
-                    // (its owning ingester may be blocked in the input
-                    // iterator and unable to). Other jobs are untouched.
-                    core.abort_reason = Some(e.to_string());
-                    core.pending.clear();
-                    if core.claim_discard() {
-                        apply_discard(core, &backend.discard_job(jb.job.id));
-                    }
-                    break;
-                }
-                core.next_emit += 1;
+            let sink = core.sink.as_mut().expect("sink present until join");
+            let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
+            written = n;
+            core.written += n;
+            if let Err(e) = result {
+                // This job's sink is gone: keep the reason, stop its
+                // emission, and discard it from the device right away
+                // (its owning ingester may be blocked in the input
+                // iterator and unable to). Other jobs are untouched.
+                core.abort_reason = Some(e.to_string());
+                core.reorder.clear();
+                core.discard_from(shared.discard, jb.job.id);
             }
         }
         core.processed += 1;
-        let written_delta = core.written - written_before;
         drop(guard);
-        if written_delta > 0 {
+        if written > 0 {
             if let Some(c) = jb.job.records_c {
-                rec.counter_add(c, written_delta);
+                worker.rec.counter_add(c, written);
             }
         }
         try_finalize(shared, &jb.job);
         // Window progress: a parked ingest thread may now have room.
         shared.wake.notify_all();
     }
-    session.finish()
 }
 
 #[cfg(test)]
@@ -1691,7 +1620,7 @@ mod tests {
     use gx_backend::SoftwareBackend;
     use gx_core::{GenPairConfig, GenPairMapper};
     use gx_genome::random::RandomGenomeBuilder;
-    use gx_genome::ReferenceGenome;
+    use gx_genome::{ReferenceGenome, SamRecord};
     use std::io;
     use std::sync::mpsc;
 
@@ -2163,10 +2092,13 @@ mod tests {
                 let (r, _) = h.join();
                 assert_eq!(r.outcome, JobOutcome::Completed);
             });
-        let prom = telemetry
-            .snapshot()
-            .expect("telemetry enabled")
-            .to_prometheus();
+        let snap = telemetry.snapshot().expect("telemetry enabled");
+        // Service workers run the engine's worker step: every batch (6
+        // pairs at 2 a batch) lands in both worker histograms.
+        for name in ["gx_queue_wait_ns", "gx_map_batch_ns"] {
+            assert_eq!(snap.histogram(name).map(|h| h.count), Some(3), "{name}");
+        }
+        let prom = snap.to_prometheus();
         assert!(
             prom.contains("gx_job_pairs_total{job=\"0\"} 6"),
             "missing per-job pairs series:\n{prom}"

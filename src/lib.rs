@@ -26,10 +26,12 @@
 //!   ordered SAM emitter (see below).
 //! * [`backend`] — pluggable mapping backends behind the
 //!   [`backend::MapBackend`] factory / [`backend::MapSession`] session
-//!   split: the software reference and the NMSL accelerator system model
-//!   (warm per-worker simulator state, GenDP fallback costing, host-link
-//!   transfer accounting with double-buffered DMA overlap),
-//!   interchangeable under the pipeline.
+//!   split, whose whole contract is one call —
+//!   `session.map(BatchTag { job, index }, &pairs)`: the software
+//!   reference and the NMSL accelerator system model (one shared warm
+//!   device every session admits into in tag order, GenDP fallback
+//!   costing, host-link transfer accounting with double-buffered DMA
+//!   overlap), interchangeable under the pipeline.
 //! * [`baseline`] — minimap2-style software mapper and comparator models.
 //! * [`memsim`] — cycle-level DRAM simulator (HBM2e/DDR5/GDDR6) and SRAM
 //!   cost models.
@@ -97,8 +99,8 @@
 //! same engine drives the GenPairX accelerator system model instead —
 //! mapping results (and therefore SAM bytes) are identical, but the report
 //! gains a per-stage modeled cost breakdown: NMSL seeding cycles and DRAM
-//! energy from a **warm** per-worker simulator whose state persists across
-//! batches, GenDP cycles for every pair that left the fast path, and
+//! energy from one shared **warm** device whose simulator state persists
+//! across batches, GenDP cycles for every pair that left the fast path, and
 //! host-link transfer seconds for every batch's bytes:
 //!
 //! ```
