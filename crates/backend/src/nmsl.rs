@@ -168,21 +168,18 @@ struct JobSeq {
 /// Admissions arrive as engine batches in arbitrary order (work stealing,
 /// and — since the service front-end — arbitrarily interleaved *jobs*); the
 /// frontier releases them to the lanes strictly in **canonical order**: jobs
-/// in registration order ([`MapBackend::open_job`], or first admission for
-/// jobs never opened explicitly, e.g. the one-shot engine's job 0),
-/// and batch index order within each job. GenDP fallback work is priced per
+/// in ascending id order, contiguous from 0 (see [`BatchTag`]), and batch
+/// index order within each job. GenDP fallback work is priced per
 /// pair along the way — so every float it accumulates is summed in
 /// canonical order regardless of scheduling, which is what makes warm
 /// totals for completed jobs bit-identical to mapping the jobs' streams
 /// back to back.
 struct Frontier {
-    /// Job ids in registration order — the outer key of the canonical
-    /// release order.
-    jobs: Vec<u64>,
-    /// Index into [`jobs`](Frontier::jobs) of the job currently at the
-    /// release head; everything before it is fully released (or discarded).
-    head: usize,
-    /// Per-job sequencing state.
+    /// Id of the job currently at the release head; every lower id is
+    /// fully released (or discarded).
+    head: u64,
+    /// Per-job sequencing state, created at the job's first admission,
+    /// seal or discard.
     seqs: BTreeMap<u64, JobSeq>,
     /// Batches admitted ahead of the canonical order, keyed `(job, batch)`.
     pending: BTreeMap<(u64, u64), Vec<AdmittedPair>>,
@@ -209,7 +206,6 @@ struct Frontier {
 impl Frontier {
     fn new(lanes: usize, rec: Recorder) -> Frontier {
         Frontier {
-            jobs: Vec::new(),
             head: 0,
             seqs: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -220,14 +216,6 @@ impl Frontier {
             fallback_cycles_emitted: 0,
             fallback_energy_pj: 0.0,
             rec,
-        }
-    }
-
-    /// Registers `job` at the tail of the canonical order if it is new.
-    fn ensure_job(&mut self, job: u64) {
-        if let std::collections::btree_map::Entry::Vacant(e) = self.seqs.entry(job) {
-            e.insert(JobSeq::default());
-            self.jobs.push(job);
         }
     }
 
@@ -529,8 +517,9 @@ impl SharedNmslDevice {
         stats: &mut BackendStats,
         touched: &mut [bool],
     ) {
-        while let Some(&job) = f.jobs.get(f.head) {
-            let seq = f.seqs[&job];
+        // A head job nothing has mentioned yet has nothing to release.
+        while let Some(&seq) = f.seqs.get(&f.head) {
+            let job = f.head;
             if seq.discarded {
                 f.drop_pending(job);
                 f.head += 1;
@@ -555,12 +544,12 @@ impl SharedNmslDevice {
     }
 
     /// The one way the canonical order changes: apply `mutate` to the
-    /// frontier (with `job` registered) under the frontier lock, release
-    /// everything the order now covers, refresh the depth gauge, then —
-    /// frontier lock dropped — pump the lanes the releases staged work onto
-    /// (skipping lanes another worker is already streaming, see
-    /// [`pump_lane`](SharedNmslDevice::pump_lane)) and roll the integer
-    /// deltas up into `stats.sim_cycles`.
+    /// frontier (with `job`'s sequencing state present) under the frontier
+    /// lock, release everything the order now covers, refresh the depth
+    /// gauge, then — frontier lock dropped — pump the lanes the releases
+    /// staged work onto (skipping lanes another worker is already
+    /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)) and roll
+    /// the integer deltas up into `stats.sim_cycles`.
     fn sequence<H: SeedHasher, R>(
         &self,
         backend: &NmslBackend<'_, '_, H>,
@@ -571,7 +560,7 @@ impl SharedNmslDevice {
         let mut touched = vec![false; self.lanes.len()];
         let out = {
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
-            f.ensure_job(job);
+            f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
             self.drain_ready(&mut f, backend, stats, &mut touched);
             let depth = f.pending.len() as u64;
@@ -963,11 +952,6 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
         self.device.flush(self)
     }
 
-    fn open_job(&self, job: u64) {
-        let mut f = self.device.frontier.lock().expect("frontier lock poisoned");
-        f.ensure_job(job);
-    }
-
     fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
         self.device.seal_job(self, job, batches)
     }
@@ -1238,9 +1222,9 @@ mod tests {
     fn interleaved_jobs_match_concatenated_stream() {
         // Two jobs admitted through two sessions, batches interleaved and
         // out of order, with job 1's work arriving *before* job 0 is done:
-        // the canonical release order (job registration order × batch
-        // index) must make the warm totals bit-identical to mapping job
-        // 0's stream then job 1's through the classic single-job path.
+        // the canonical release order (job id × batch index) must make
+        // the warm totals bit-identical to mapping job 0's stream then
+        // job 1's through the classic single-job path.
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
         let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
@@ -1255,8 +1239,6 @@ mod tests {
         reference.merge(&backend.flush());
 
         // Interleaved: job 1 first on the wire, out of order within jobs.
-        backend.open_job(0);
-        backend.open_job(1);
         let b0: Vec<&[ReadPair]> = job0.chunks(2).collect();
         let b1: Vec<&[ReadPair]> = job1.chunks(2).collect();
         let mut interleaved = BackendStats::new();
@@ -1289,8 +1271,6 @@ mod tests {
         // boundary until flush).
         let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(4);
         let (job0, job1) = pairs.split_at(6);
-        backend.open_job(0);
-        backend.open_job(1);
 
         let mut total = BackendStats::new();
         let mut session = backend.session(0);
@@ -1337,8 +1317,6 @@ mod tests {
 
         // Job 0 is discarded before any of its work released (its only
         // admission is parked behind the missing batch 0); job 1 completes.
-        backend.open_job(0);
-        backend.open_job(1);
         let mut total = BackendStats::new();
         let mut session = backend.session(0);
         total.merge(&session.map(job_at(0, 1), &doomed[..2]).stats);

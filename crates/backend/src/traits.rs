@@ -20,8 +20,9 @@ use std::time::{Duration, Instant};
 /// Every pair is charged to *some* stage, so the totals reproduce the
 /// paper's end-to-end system accounting instead of the seeding-only upper
 /// bound. Wall-clock and modeled time deliberately coexist: their ratio is
-/// the end-to-end software-vs-hardware trajectory number the
-/// `backend_compare` harness tracks.
+/// the end-to-end software-vs-hardware trajectory number `gxbench`'s
+/// `clean_nmsl` workload reports (`backend.modeled_system_reads_per_s`
+/// next to `reads_per_s`).
 ///
 /// # Warm attribution: integers per call, floats at flush
 ///
@@ -196,14 +197,17 @@ pub struct BatchResult {
     pub stats: BackendStats,
 }
 
-/// Where a batch sits in the backend's **canonical release order**: jobs in
-/// [`MapBackend::open_job`] order (or first admission, for jobs never
-/// opened explicitly), batches in `index` order within a job. Every
-/// [`MapSession::map`] call carries one; the one-shot engine tags its
-/// single stream as job `0`.
+/// Where a batch sits in the backend's **canonical release order**:
+/// ascending `job`, then ascending `index` within a job — both 0-based and
+/// contiguous per backend run (one [`MapBackend::flush`] to the next), so
+/// the order needs no registration call: the front-end that numbers jobs in
+/// submission order has thereby fixed it. Every [`MapSession::map`] call
+/// carries one; the one-shot engine tags its single stream as job `0`, the
+/// service numbers jobs from 0 in submission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BatchTag {
-    /// The job the batch belongs to.
+    /// The job the batch belongs to: 0-based, contiguous across the jobs of
+    /// one backend run.
     pub job: u64,
     /// 0-based, contiguous position of the batch within its job's stream.
     pub index: u64,
@@ -402,20 +406,6 @@ pub trait MapBackend: Sync {
         BackendStats::new()
     }
 
-    /// Declares job `job` to sequencing backends, fixing its position in
-    /// the **canonical release order**: jobs are accounted in `open_job`
-    /// order, and within a job in batch-index order, no matter how the
-    /// scheduler interleaves their admissions. A multi-tenant front-end
-    /// (the `gx-pipeline` service) opens each job once at submission,
-    /// before any [`MapSession::map`] call carries its id; a backend that
-    /// never sequences (the software backend) keeps the default no-op.
-    /// Jobs admitted without an explicit `open_job` are registered lazily
-    /// in first-admission order — which is how the one-shot engine's single
-    /// job `0` works.
-    fn open_job(&self, job: u64) {
-        let _ = job;
-    }
-
     /// Marks job `job` complete at exactly `batches` batches (indices
     /// `0..batches` all admitted or in flight). A sequencing backend uses
     /// this to know when the job's tail has fully released so the canonical
@@ -456,8 +446,8 @@ pub trait MapSession {
     /// Must return exactly one result per input pair, in input order.
     /// Results are returned immediately; only the *accounting* is
     /// sequenced. Backends with cross-worker shared state (the warm NMSL
-    /// device) buffer admissions until the canonical release order — job
-    /// registration order × per-job batch index, see [`BatchTag`] — covers
+    /// device) buffer admissions until the canonical release order — job id
+    /// × per-job batch index, see [`BatchTag`] — covers
     /// them, so warm totals for a set of completed jobs are bit-identical
     /// to mapping the jobs' streams back to back, regardless of which
     /// worker got which batch, thread count, batch size or interleaving.
@@ -466,8 +456,9 @@ pub trait MapSession {
     /// merged. Backends without shared state (software) ignore the tag.
     ///
     /// Within one backend run every `(job, index)` is admitted exactly
-    /// once and each job's indices are contiguous from 0 (the engine's
-    /// `Batcher` and the service's ingest pool guarantee this). A sequencing
+    /// once, job ids are contiguous from 0 and each job's indices are
+    /// contiguous from 0 (the engine's `Batcher` and the service's
+    /// scheduler and ingest pool guarantee this). A sequencing
     /// backend treats a repeated or already-released tag as a caller bug
     /// and panics; a gap leaves it waiting for the missing batch until
     /// [`MapBackend::flush`]. Every job with a successor must be sealed

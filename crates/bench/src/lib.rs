@@ -1,7 +1,7 @@
 //! Shared harness utilities for the table/figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (see DESIGN.md §5 for the index). This library holds
+//! paper's evaluation (`README.md` is the index). This library holds
 //! the common scaffolding: the standard synthetic reference, dataset
 //! simulation, the GenPair+MM2 composition, and text-table rendering.
 //!
@@ -215,35 +215,6 @@ pub fn mbps(pairs: usize, read_len: usize, secs: f64) -> f64 {
     (pairs * 2 * read_len) as f64 / secs / 1e6
 }
 
-/// Maps a dataset with GenPair across `threads` OS threads (the mapper is
-/// `Sync`; pairs are sharded round-robin). Returns the merged statistics.
-/// Used to measure multi-core software throughput for the Fig. 11 CPU rows.
-pub fn map_dataset_parallel(
-    mapper: &GenPairMapper<'_>,
-    pairs: &[SimulatedPair],
-    threads: usize,
-) -> PipelineStats {
-    assert!(threads > 0, "need at least one thread");
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let shard: Vec<&SimulatedPair> = pairs.iter().skip(t).step_by(threads).collect();
-            handles.push(scope.spawn(move || {
-                let mut stats = PipelineStats::new();
-                for p in shard {
-                    stats.record(&mapper.map_pair(&p.r1.seq, &p.r2.seq));
-                }
-                stats
-            }));
-        }
-        let mut total = PipelineStats::new();
-        for h in handles {
-            total.merge(&h.join().expect("mapping thread panicked"));
-        }
-        total
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +236,5 @@ mod tests {
         let t = render_table(&["a", "bb"], &[vec!["xxx".into(), "y".into()]]);
         assert!(t.contains("xxx"));
         assert_eq!(t.lines().count(), 2);
-    }
-
-    #[test]
-    fn parallel_mapping_matches_serial() {
-        let genome = standard_genome(200_000, 9);
-        let system = GenPairMm2::build(&genome);
-        let pairs = simulate_dataset(&genome, &DATASETS[0], 60);
-        let mut serial = genpairx_stats(&system.genpair, &pairs);
-        let parallel = map_dataset_parallel(&system.genpair, &pairs, 3);
-        serial.merge(&PipelineStats::new()); // no-op, keeps type symmetric
-        assert_eq!(serial.pairs, parallel.pairs);
-        assert_eq!(serial.light_mapped, parallel.light_mapped);
-        assert_eq!(serial.seed_locations, parallel.seed_locations);
-    }
-
-    fn genpairx_stats(mapper: &GenPairMapper<'_>, pairs: &[SimulatedPair]) -> PipelineStats {
-        let mut stats = PipelineStats::new();
-        for p in pairs {
-            stats.record(&mapper.map_pair(&p.r1.seq, &p.r2.seq));
-        }
-        stats
     }
 }

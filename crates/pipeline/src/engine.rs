@@ -68,7 +68,7 @@ use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::HashMap;
 use std::io;
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Batches a worker's refill moves from the injector at once: one to map
@@ -231,6 +231,22 @@ impl Drop for AbortOnPanic<'_> {
         if std::thread::panicking() {
             self.0.abort();
         }
+    }
+}
+
+/// Releases a feeder parked on the in-flight window when the emitter exits
+/// — end of input, a sink I/O error, or unwinding out of a panicking sink —
+/// or it would wait forever for progress that will never come. The release
+/// is the `u64::MAX` sentinel the feeder's wait loop checks.
+struct ReleaseFeederOnExit<'a>(&'a (Mutex<u64>, Condvar));
+
+impl Drop for ReleaseFeederOnExit<'_> {
+    fn drop(&mut self) {
+        let (lock, cv) = self.0;
+        // May run while unwinding, so it must not panic in turn; a lone
+        // `u64` is valid whatever a poisoning thread was doing.
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = u64::MAX;
+        cv.notify_all();
     }
 }
 
@@ -409,9 +425,9 @@ impl<B: MapBackend> MappingEngine<B> {
     ///
     /// # Panics
     ///
-    /// Propagates panics from worker threads (a mapper invariant violation),
-    /// and panics if the backend returns a result count different from the
-    /// batch size.
+    /// Propagates panics from worker threads (a mapper invariant violation)
+    /// and from the sink (as `"emitter panicked"`), and panics if the
+    /// backend returns a result count different from the batch size.
     pub fn run<I, S>(&self, input: I, sink: &mut S) -> io::Result<PipelineReport>
     where
         I: IntoIterator<Item = ReadPair>,
@@ -500,38 +516,30 @@ impl<B: MapBackend> MappingEngine<B> {
             drop(result_tx); // emitter's recv loop ends when workers finish
 
             let emitter = scope.spawn(move || -> io::Result<u64> {
+                // A panicking sink must not leave the feeder parked on the
+                // in-flight window.
+                let _release = ReleaseFeederOnExit(progress);
                 let mut erec = telemetry.recorder(cfg.threads as u32 + 1);
-                let erec = &mut erec;
-                let mut emit = || -> io::Result<u64> {
-                    let mut written = 0u64;
-                    let mut reorder = ReorderBuffer::default();
-                    loop {
-                        let t_wait = erec.start();
-                        let Ok((index, records)) = result_rx.recv() else {
-                            break;
-                        };
-                        let wait_ns = erec.span_arg("emit_wait", t_wait, index);
-                        erec.record(emit_wait_h, wait_ns);
-                        // Depth with this batch in, before the order drains.
-                        erec.gauge_set(reorder_g, reorder.buffered() as u64 + 1);
-                        let (n, result) = reorder.push(index, records, sink);
-                        written += n;
-                        result?;
-                        let (lock, cv) = progress;
-                        *lock.lock().expect("progress lock poisoned") = reorder.next();
-                        cv.notify_all();
-                    }
-                    debug_assert_eq!(reorder.buffered(), 0, "batches lost before the emitter");
-                    Ok(written)
-                };
-                let result = emit();
-                // On every exit (normal or I/O error) release a feeder that
-                // is parked on the in-flight window, or it would wait
-                // forever for progress that will never come.
-                let (lock, cv) = progress;
-                *lock.lock().expect("progress lock poisoned") = u64::MAX;
-                cv.notify_all();
-                result
+                let mut written = 0u64;
+                let mut reorder = ReorderBuffer::default();
+                loop {
+                    let t_wait = erec.start();
+                    let Ok((index, records)) = result_rx.recv() else {
+                        break;
+                    };
+                    let wait_ns = erec.span_arg("emit_wait", t_wait, index);
+                    erec.record(emit_wait_h, wait_ns);
+                    // Depth with this batch in, before the order drains.
+                    erec.gauge_set(reorder_g, reorder.buffered() as u64 + 1);
+                    let (n, result) = reorder.push(index, records, sink);
+                    written += n;
+                    result?;
+                    let (lock, cv) = progress;
+                    *lock.lock().expect("progress lock poisoned") = reorder.next();
+                    cv.notify_all();
+                }
+                debug_assert_eq!(reorder.buffered(), 0, "batches lost before the emitter");
+                Ok(written)
             });
 
             // Batching front-end on the calling thread. A push fails only
@@ -846,6 +854,31 @@ mod tests {
             .backend(PanicBackend);
         let mut sink = VecSink::new();
         let _ = engine.run(pairs, &mut sink);
+    }
+
+    #[test]
+    #[should_panic(expected = "emitter panicked")]
+    fn sink_panic_propagates_instead_of_hanging() {
+        // A sink that panics unwinds the emitter past its progress updates:
+        // the exit guard must still release the feeder, which — 40 batches
+        // against an in-flight window of 3 — is parked waiting for batch 0
+        // to be emitted. Without the release this test times out instead of
+        // panicking.
+        struct PanicSink;
+        impl RecordSink for PanicSink {
+            fn write_record(&mut self, _rec: &SamRecord) -> io::Result<()> {
+                panic!("injected sink failure");
+            }
+        }
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let engine = PipelineBuilder::new()
+            .threads(1)
+            .batch_size(1)
+            .queue_depth(1)
+            .engine(&mapper);
+        assert!(pairs.len() as u64 > inflight_window(1, 1));
+        let _ = engine.run(pairs, &mut PanicSink);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!                                      deadline timer ─ cancels overdue jobs
 //! ```
 //!
-//! * **Job lifecycle** — [`ServiceHandle::submit`] registers the job with
-//!   the backend ([`MapBackend::open_job`], fixing its slot in the device's
-//!   canonical release order), hands its input iterator to the **ingest
-//!   pool**, and returns a [`JobHandle`]. The pool
+//! * **Job lifecycle** — [`ServiceHandle::submit`] numbers the job (ids
+//!   count up from 0 in submission order, which *is* its slot in the
+//!   device's canonical release order — see [`BatchTag`]), hands its
+//!   input iterator to the **ingest pool**, and returns a [`JobHandle`].
+//!   The pool
 //!   ([`ingesters`](ServiceConfig::ingesters) threads, default
 //!   `min(2, threads)`) claims jobs one at a time — a job is owned by at
 //!   most one ingester, and claiming is priority-weighted (within a
@@ -71,7 +72,7 @@
 //!   batch index. Warm-device accounting stays bit-identical too, because
 //!   the backend releases admitted pairs in a canonical order — jobs in
 //!   submission order, batches in index order within each job — no matter
-//!   how ingesters or workers interleave (`MapBackend::open_job` docs);
+//!   how ingesters or workers interleave ([`BatchTag`] docs);
 //!   completed-job totals therefore match a single engine run over the
 //!   concatenated streams, which `tests/e2e_service.rs` pins bit-for-bit
 //!   across thread *and* ingester counts.
@@ -405,7 +406,7 @@ impl ServiceBuilder {
     pub fn serve<B, F, R>(self, backend: B, f: F) -> (R, ServiceReport)
     where
         B: MapBackend + Sync,
-        F: FnOnce(&ServiceHandle<'_, B>) -> R,
+        F: FnOnce(&ServiceHandle<'_>) -> R,
     {
         MappingService::serve(backend, self, f)
     }
@@ -799,7 +800,7 @@ impl MappingService {
     pub fn serve<B, F, R>(backend: B, builder: ServiceBuilder, f: F) -> (R, ServiceReport)
     where
         B: MapBackend + Sync,
-        F: FnOnce(&ServiceHandle<'_, B>) -> R,
+        F: FnOnce(&ServiceHandle<'_>) -> R,
     {
         let ServiceBuilder {
             mut cfg,
@@ -852,10 +853,7 @@ impl MappingService {
             }
             let timer = scope.spawn(move || run_timer(shared));
 
-            let handle = ServiceHandle {
-                shared,
-                backend: backend_ref,
-            };
+            let handle = ServiceHandle { shared };
             let out = f(&handle);
 
             // Graceful teardown: finish every admitted job, then stop.
@@ -899,17 +897,16 @@ impl MappingService {
 
 /// The client surface of a running service: submit, cancel, drain.
 /// Shareable across threads (`&ServiceHandle` is all any method needs).
-pub struct ServiceHandle<'s, B: MapBackend> {
+pub struct ServiceHandle<'s> {
     shared: &'s Shared<'s>,
-    backend: &'s B,
 }
 
-impl<'s, B: MapBackend> ServiceHandle<'s, B> {
+impl<'s> ServiceHandle<'s> {
     /// Submits a job: a stream of read pairs (errors in-stream, as
     /// [`ReadPairStream`] yields them) and the sink its ordered SAM
-    /// records go to. Registers the job with the backend in submission
-    /// order (fixing its slot in the canonical release order) and hands
-    /// the input to the ingest thread.
+    /// records go to. Numbers the job in submission order (its slot in
+    /// the canonical release order) and hands the input to the ingest
+    /// pool.
     ///
     /// The input iterator is polled by whichever ingester claims the job
     /// — at most one at a time, so it needs no internal synchronization.
@@ -968,14 +965,13 @@ impl<'s, B: MapBackend> ServiceHandle<'s, B> {
                 },
             }
         }
+        // Under the scheduler lock, so ids ascend in exactly submission
+        // order — the canonical release order every determinism claim
+        // quantifies over.
         let id = sched.next_id;
         sched.next_id += 1;
         sched.active += 1;
         sched.jobs_submitted += 1;
-        // Under the scheduler lock, so device registration order is
-        // exactly submission order — the canonical release order every
-        // determinism claim quantifies over.
-        self.backend.open_job(id);
 
         let t = &self.shared.telemetry;
         let pairs_c = t.try_counter(
@@ -1908,7 +1904,7 @@ mod tests {
                 // Emission stopped at the ack: the sink holds a prefix.
                 assert_eq!(sa.records.len() as u64, ra.report.records_written);
 
-                // The acceptance criterion: the service still admits and
+                // The acceptance check: the service still admits and
                 // completes a subsequent job.
                 let hb = svc
                     .submit_pairs(JobSpec::new().batch_size(5), pairs.clone(), VecSink::new())

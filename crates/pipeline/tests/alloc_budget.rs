@@ -1,0 +1,94 @@
+//! The whole-run allocation budget of the engine: FASTQ-shaped pairs in,
+//! SAM records out, every thread counted. `crates/backend/tests/
+//! alloc_budget.rs` holds the mapping core to ≈0 allocations per pair in
+//! steady state; this gate holds everything around it — the feeder's batch
+//! vectors, the worker step, record materialisation, the emitter — to a
+//! handful.
+//!
+//! The counting `#[global_allocator]` is process-wide (the run spans the
+//! feeder, worker and emitter threads, so a thread-local gate would miss
+//! most of it); this file therefore holds exactly one `#[test]`, so nothing
+//! else allocates while the engine runs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use gx_core::{GenPairConfig, GenPairMapper};
+use gx_genome::SamRecord;
+use gx_pipeline::{PipelineBuilder, ReadPair, RecordSink, Telemetry};
+use gx_readsim::dataset::{simulate_dataset, standard_genome, DATASETS};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Counts records without storing them (keeps the sink allocation-flat).
+#[derive(Default)]
+struct CountSink {
+    records: u64,
+}
+
+impl RecordSink for CountSink {
+    fn write_record(&mut self, _rec: &SamRecord) -> io::Result<()> {
+        self.records += 1;
+        Ok(())
+    }
+}
+
+const N_PAIRS: usize = 2_000;
+
+#[test]
+fn whole_run_allocations_per_pair_stay_under_budget() {
+    let genome = standard_genome(300_000, 0xC0FFEE);
+    let pairs: Vec<ReadPair> = simulate_dataset(&genome, &DATASETS[0], N_PAIRS)
+        .into_iter()
+        .map(|p| ReadPair::new(p.id, p.r1.seq, p.r2.seq))
+        .collect();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+
+    for threads in [1usize, 2] {
+        let engine = PipelineBuilder::new()
+            .threads(threads)
+            .telemetry(Telemetry::enabled())
+            .engine(&mapper);
+        let mut sink = CountSink::default();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let report = engine
+            .run(pairs.iter().cloned(), &mut sink)
+            .expect("counting sink is infallible");
+        let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(report.stats.pairs, N_PAIRS as u64);
+        assert_eq!(sink.records, 2 * N_PAIRS as u64);
+
+        // The gate fails if the mapping core or the record path regresses
+        // to per-pair allocation (whole-run allocs_per_pair measures ~6.5,
+        // all harness-side or by design: 3 for cloning the input pair, 3
+        // for SAM materialization — the second qname, the first qname's
+        // growth by "/1", the reverse mate's re-complement — plus batch
+        // vectors; a mapper regression or a clone creeping back into
+        // emit_pair_records pushes it past the 8.5 gate).
+        // Measured, debug and release alike: 6.514 at 1 thread (13 028
+        // allocations), 6.541 at 2 (13 082).
+        let allocs_per_pair = allocs as f64 / N_PAIRS as f64;
+        assert!(
+            allocs_per_pair < 8.5,
+            "allocation regression: {allocs_per_pair:.3} allocations per pair \
+             over {N_PAIRS} pairs at {threads} thread(s)"
+        );
+    }
+}

@@ -103,7 +103,7 @@ proptest! {
         let outcomes = ServiceBuilder::new()
             .threads(threads)
             .queue_depth(queue_depth)
-            .serve(SoftwareBackend::new(&mapper), |svc: &ServiceHandle<'_, _>| {
+            .serve(SoftwareBackend::new(&mapper), |svc: &ServiceHandle<'_>| {
                 let jobs: Vec<(JobHandle<'_, TrackingSink>, &JobPlan, Arc<AtomicBool>)> = plans
                     .iter()
                     .zip(&violations)

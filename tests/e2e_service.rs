@@ -186,6 +186,9 @@ fn run_service(
         .threads(threads)
         .ingesters(ingesters)
         .queue_depth(4)
+        // The liveness layer rides along armed: a healthy run never hits
+        // a deadline, so a cancel here means the service stalled a job.
+        .default_job_timeout(JOIN_BOUND)
         .serve(backend, |svc| {
             let handles: Vec<_> = jobs
                 .iter()
@@ -210,6 +213,7 @@ fn run_service(
         });
     assert_eq!(report.jobs_completed, jobs.len() as u64);
     assert_eq!(report.jobs_failed, 0);
+    assert_eq!(report.deadline_cancels, 0);
     assert_eq!(report.ingesters, ingesters);
     (sams, report.backend)
 }
@@ -291,7 +295,7 @@ fn cancellation_mid_stream_leaves_the_device_serving() {
             let bytes = vsink.into_inner().unwrap();
             assert!(!bytes.is_empty(), "header at minimum");
 
-            // The acceptance criterion: the warm device takes the next
+            // The acceptance check: the warm device takes the next
             // job and its bytes still match the solo oracle.
             let next = svc
                 .submit_pairs(
@@ -369,7 +373,7 @@ fn blocking_input_stalls_only_its_own_job() {
                         )
                         .unwrap();
 
-                    // The acceptance criterion: the sibling's join comes
+                    // The acceptance check: the sibling's join comes
                     // back in bounded time while the blocker still holds
                     // its ingester captive inside `next()`.
                     let (fr, fsink) = join_within(fast, JOIN_BOUND, "sibling of a blocked job");

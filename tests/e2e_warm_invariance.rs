@@ -5,7 +5,7 @@
 //! channel-sharded device replaced the per-worker warm simulators, a warm
 //! run's modeled totals must depend only on (workload, channel count,
 //! dispatch quantum). This suite pins that down the hard way: for one fixed
-//! dataset and a fixed `--channels`-equivalent configuration, the warm
+//! dataset and a fixed [`NmslBackend::channels`] configuration, the warm
 //! `sim_cycles`, `seed_cycles`, `energy_pj`, `exposed_transfer_seconds`
 //! (and friends) are asserted **bit-identical** across thread counts
 //! {1, 2, 4, 8} × batch sizes {1, 64, 256}, while the SAM byte stream stays
@@ -24,8 +24,8 @@ use genpairx::pipeline::{map_serial, FallbackPolicy, PipelineBuilder, ReadPair, 
 use genpairx::readsim::dataset::{simulate_dataset, standard_genome, DATASETS};
 use genpairx::telemetry::Telemetry;
 
-/// The fixed device sharding under test (the CI smoke step runs
-/// `backend_compare --channels 4` against the same partition).
+/// The fixed device sharding under test (`gxbench`'s `clean_nmsl` and
+/// `service_mix` workloads run the same partition).
 const CHANNELS: usize = 4;
 
 /// 2000 pairs is the acceptance workload; debug builds step down so the
@@ -287,6 +287,41 @@ fn channel_count_is_part_of_the_model() {
     assert_eq!(one_a.pairs, four.pairs);
 }
 
+/// Structural JSON check for the exported trace: every bracket closes in
+/// order, every string terminates (escapes honoured), one top-level object.
+fn assert_well_formed_json(text: &str) {
+    let mut open = Vec::new();
+    let mut in_string = false;
+    let mut escaped = false;
+    for (at, c) in text.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => open.push(c),
+            '}' | ']' => {
+                let expected = if c == '}' { '{' } else { '[' };
+                assert_eq!(open.pop(), Some(expected), "unbalanced {c:?} at byte {at}");
+                assert!(
+                    !open.is_empty() || at + 1 == text.len(),
+                    "trailing bytes after the top-level value at byte {at}"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(!in_string, "unterminated string");
+    assert!(open.is_empty(), "unclosed {open:?}");
+    assert!(text.starts_with('{'), "trace must be one JSON object");
+}
+
 #[test]
 fn tracing_is_accounting_inert() {
     // gx-telemetry's second hard rule: wall-clock observation never feeds
@@ -319,6 +354,7 @@ fn tracing_is_accounting_inert() {
     // and the device's lane spans are present, and the stage histograms
     // saw every batch.
     let trace = telemetry.chrome_trace().expect("telemetry was enabled");
+    assert_well_formed_json(&trace);
     for span in [
         "queue_wait",
         "map_batch",
@@ -360,4 +396,18 @@ fn tracing_is_accounting_inert() {
     assert!(text.contains("gx_device_dram_stall_cycles_total"));
     assert!(text.contains("gx_dram_row_conflicts_total"));
     assert!(text.contains("gx_frontier_depth_max"));
+    // All three metric kinds are declared, each on the series an operator
+    // would look for first.
+    let kind_of = |name: &str| {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split_once(' '))
+            .find_map(|(n, kind)| (n == name).then_some(kind))
+    };
+    assert_eq!(kind_of("gx_quantum_occupancy"), Some("histogram"));
+    assert_eq!(
+        kind_of("gx_device_dram_stall_cycles_total"),
+        Some("counter")
+    );
+    assert_eq!(kind_of("gx_frontier_depth"), Some("gauge"));
 }
