@@ -22,7 +22,9 @@
 //! read of `4 B x locations` — dependent accesses, issued in that order.
 
 use crate::workload::{PairWorkload, SeedFetch};
-use gx_memsim::{Completion, DramConfig, DramPowerModel, DramSim, DramStats, Request};
+use gx_memsim::{
+    ChannelCycles, Completion, DramConfig, DramPowerModel, DramSim, DramStats, Request,
+};
 use std::collections::VecDeque;
 
 /// How table entries map to DRAM addresses.
@@ -35,8 +37,12 @@ pub enum AddressScale {
     /// GRCh38-sized tables; only intra-slice streaming stays row-friendly.
     /// This is the default and what every figure harness uses.
     HumanScale,
-    /// Addresses taken directly from this repository's (small) synthetic
-    /// tables. Only meaningful for studying locality effects.
+    /// Location Table slices packed back to back, at the offsets they have
+    /// in this repository's (small) synthetic tables, so neighbouring
+    /// buckets share rows. Only Location Table placement differs from
+    /// [`HumanScale`](AddressScale::HumanScale): the Seed Table is indexed
+    /// by the full hash either way. Only meaningful for studying locality
+    /// effects.
     Native,
 }
 
@@ -189,10 +195,15 @@ fn untag(t: u64) -> (u64, usize, u8) {
     (t >> 4, ((t >> 1) & 7) as usize, (t & 1) as u8)
 }
 
-/// One submitted pair's in-flight state.
-#[derive(Clone, Debug)]
+/// Most seeds a pair may carry: the completion tag has three bits for the
+/// seed index.
+const MAX_SEEDS: usize = 8;
+
+/// One submitted pair's in-flight state, seeds held inline.
+#[derive(Clone, Copy, Debug)]
 struct PairSlot {
-    seeds: Vec<SeedFetch>,
+    seeds: [SeedFetch; MAX_SEEDS],
+    len: u32,
     /// Seeds still outstanding; `u32::MAX` = not yet admitted to the window.
     remaining: u32,
 }
@@ -220,6 +231,9 @@ pub struct NmslSim {
     cfg: NmslConfig,
     /// Per-channel software FIFOs in front of the DRAM queues.
     fifos: Vec<VecDeque<Request>>,
+    /// Channels whose FIFO holds work, each exactly once: what a cycle's
+    /// drain visits, instead of every channel.
+    backlog: Vec<u32>,
     max_fifo: usize,
     /// Sliding queue of submitted pairs; global pair id = `base` + index.
     slots: VecDeque<PairSlot>,
@@ -238,16 +252,26 @@ pub struct NmslSim {
     scratch: Vec<Completion>,
 }
 
+/// Pairs' worth of slot and FIFO capacity reserved up front: a lane runs one
+/// dispatch quantum behind its admissions, so this covers the steady state
+/// of any window without reserving a 1024-pair window's worst case.
+const PRESIZE_PAIRS: usize = 256;
+
 impl NmslSim {
     /// Creates a simulator over a DRAM technology.
     pub fn new(dram_cfg: DramConfig, cfg: NmslConfig) -> NmslSim {
         let channels = dram_cfg.channels as usize;
+        let pairs = cfg.window.unwrap_or(usize::MAX).min(PRESIZE_PAIRS);
+        let per_fifo = (pairs * 6).div_ceil(channels);
         NmslSim {
             dram: DramSim::new(dram_cfg),
             cfg,
-            fifos: (0..channels).map(|_| VecDeque::new()).collect(),
+            fifos: (0..channels)
+                .map(|_| VecDeque::with_capacity(per_fifo))
+                .collect(),
+            backlog: Vec::with_capacity(channels),
             max_fifo: 0,
-            slots: VecDeque::new(),
+            slots: VecDeque::with_capacity(pairs),
             base: 0,
             head: 0,
             next_admit: 0,
@@ -269,6 +293,12 @@ impl NmslSim {
     /// [`DramStats::since`] for per-dispatch attribution).
     pub fn dram_stats(&self) -> DramStats {
         *self.dram.stats()
+    }
+
+    /// Per-channel busy/idle split of the DRAM clock; every entry sums to
+    /// [`cycle()`](NmslSim::cycle) at every cycle boundary.
+    pub fn channel_cycles(&self) -> &[ChannelCycles] {
+        self.dram.channel_cycles()
     }
 
     /// Cumulative cycle attribution (snapshot; pair with
@@ -315,10 +345,9 @@ impl NmslSim {
         }
     }
 
-    /// Submits one pair's workload to the stream (by value: the seeds move
-    /// straight into the in-flight slot, no per-pair allocation). The pair
-    /// enters the sliding window (and starts issuing memory traffic) once
-    /// the window has room; until then it waits in the admission queue.
+    /// Submits one pair's workload to the stream. The pair enters the
+    /// sliding window (and starts issuing memory traffic) once the window
+    /// has room; until then it waits in the admission queue.
     ///
     /// # Panics
     ///
@@ -326,15 +355,24 @@ impl NmslSim {
     /// encodes the seed index in 3 bits (the hardware issues at most six
     /// seeds per pair), and a wider index would alias another pair's tag.
     pub fn push(&mut self, w: PairWorkload) {
+        self.push_seeds(&w.seeds);
+    }
+
+    /// [`push`](NmslSim::push) from a borrowed seed list: the seeds are
+    /// copied into the in-flight slot, so nothing is allocated per pair.
+    fn push_seeds(&mut self, seeds: &[SeedFetch]) {
         assert!(
-            w.seeds.len() <= 8,
+            seeds.len() <= MAX_SEEDS,
             "NMSL pair workloads are limited to 8 seeds (got {})",
-            w.seeds.len()
+            seeds.len()
         );
-        self.slots.push_back(PairSlot {
-            seeds: w.seeds,
+        let mut slot = PairSlot {
+            seeds: [SeedFetch::default(); MAX_SEEDS],
+            len: seeds.len() as u32,
             remaining: u32::MAX,
-        });
+        };
+        slot.seeds[..seeds.len()].copy_from_slice(seeds);
+        self.slots.push_back(slot);
         self.submitted += 1;
     }
 
@@ -345,12 +383,10 @@ impl NmslSim {
     }
 
     /// Seed Table address of a hash: channel-local entry index =
-    /// hash / channels (tables are partitioned by hash % channels).
+    /// hash / channels (tables are partitioned by hash % channels). The
+    /// same under either [`AddressScale`].
     fn seed_addr(&self, hash: u32) -> u64 {
-        let channels = self.dram.config().channels as u64;
-        match self.cfg.address_scale {
-            AddressScale::HumanScale | AddressScale::Native => (hash as u64 / channels) * 8,
-        }
+        (hash as u64 / self.dram.config().channels as u64) * 8
     }
 
     fn loc_addr(&self, hash: u32, loc_start: u64) -> u64 {
@@ -360,6 +396,15 @@ impl NmslSim {
             AddressScale::HumanScale => self.loc_region_base() + (mix32(hash) as u64) * 64,
             AddressScale::Native => self.loc_region_base() + loc_start * 4,
         }
+    }
+
+    /// Queues a request on its channel's software FIFO.
+    fn enqueue(&mut self, req: Request) {
+        let fifo = &mut self.fifos[req.channel as usize];
+        if fifo.is_empty() {
+            self.backlog.push(req.channel);
+        }
+        fifo.push_back(req);
     }
 
     /// Advances `head` past completed, admitted pairs.
@@ -373,6 +418,12 @@ impl NmslSim {
 
     /// One memory cycle: admit window-eligible pairs, drain FIFOs into the
     /// DRAM queues, tick the DRAM and retire completions.
+    ///
+    /// Per cycle the front end touches only the channels in `backlog`; a
+    /// FIFO still holding work after its drain had its front request bounced
+    /// by a full DRAM queue, and is bounced again — one
+    /// [`DramStats::rejections`] — every cycle until the queue has room,
+    /// exactly as a walk over all channels would.
     fn step(&mut self) {
         let channels = self.dram.config().channels;
         let window = self.cfg.window.unwrap_or(usize::MAX) as u64;
@@ -383,44 +434,47 @@ impl NmslSim {
         {
             let id = self.next_admit;
             let idx = (id - self.base) as usize;
-            if self.slots[idx].seeds.is_empty() {
-                self.slots[idx].remaining = 0;
+            let slot = self.slots[idx];
+            self.slots[idx].remaining = slot.len;
+            self.next_admit += 1;
+            if slot.len == 0 {
+                // A seedless pair is complete on admission.
                 self.completed += 1;
-                self.next_admit += 1;
                 self.advance_head();
                 continue;
             }
-            self.slots[idx].remaining = self.slots[idx].seeds.len() as u32;
             self.inflight += 1;
             self.max_inflight = self.max_inflight.max(self.inflight);
-            for si in 0..self.slots[idx].seeds.len() {
-                let s = self.slots[idx].seeds[si];
-                let ch = s.hash % channels;
+            for (si, s) in slot.seeds[..slot.len as usize].iter().enumerate() {
                 // Seed Table read: 8 bytes at the bucket's entry pair.
-                let addr = self.seed_addr(s.hash);
-                self.fifos[ch as usize].push_back(Request {
-                    addr,
+                self.enqueue(Request {
+                    addr: self.seed_addr(s.hash),
                     bytes: 8,
-                    channel: ch,
+                    channel: s.hash % channels,
                     tag: tag(id, si, 0),
                 });
             }
-            self.next_admit += 1;
         }
 
         // Drain software FIFOs into the DRAM queues.
         let mut submitted_any = false;
-        for ch in 0..channels as usize {
-            self.max_fifo = self.max_fifo.max(self.fifos[ch].len());
-            while let Some(&req) = self.fifos[ch].front() {
+        let mut blocked = 0;
+        for k in 0..self.backlog.len() {
+            let ch = self.backlog[k];
+            let fifo = &mut self.fifos[ch as usize];
+            self.max_fifo = self.max_fifo.max(fifo.len());
+            while let Some(&req) = fifo.front() {
                 if self.dram.try_submit(req) {
-                    self.fifos[ch].pop_front();
+                    fifo.pop_front();
                     submitted_any = true;
                 } else {
+                    self.backlog[blocked] = ch;
+                    blocked += 1;
                     break;
                 }
             }
         }
+        self.backlog.truncate(blocked);
 
         // Attribute this cycle before the DRAM advances: the categories are
         // read off the pre-tick state (admission progress, leftover FIFO
@@ -430,7 +484,7 @@ impl NmslSim {
         // choice.
         if self.next_admit > admit_start || submitted_any {
             self.breakdown.issue += 1;
-        } else if self.fifos.iter().any(|f| !f.is_empty()) {
+        } else if blocked > 0 {
             self.breakdown.dram_stall += 1;
         } else if !self.dram.idle() {
             self.breakdown.drain += 1;
@@ -448,12 +502,10 @@ impl NmslSim {
             let s = self.slots[idx].seeds[si];
             if phase == 0 && s.locations > 0 {
                 // Dependent Location Table read (contiguous burst).
-                let ch = s.hash % channels;
-                let addr = self.loc_addr(s.hash, s.loc_start);
-                self.fifos[ch as usize].push_back(Request {
-                    addr,
+                self.enqueue(Request {
+                    addr: self.loc_addr(s.hash, s.loc_start),
                     bytes: s.locations.min(self.cfg.buffer_depth) * 4,
-                    channel: ch,
+                    channel: s.hash % channels,
                     tag: tag(pi, si, 1),
                 });
                 continue;
@@ -508,7 +560,7 @@ impl NmslSim {
     pub fn run(&mut self, workloads: &[PairWorkload]) -> NmslResult {
         assert!(!workloads.is_empty(), "empty workload");
         for w in workloads {
-            self.push(w.clone());
+            self.push_seeds(&w.seeds);
         }
         self.drain();
 
@@ -913,6 +965,33 @@ mod tests {
         assert_eq!(
             shard_for_workload(&empty, 7, shards),
             shard_for_workload(&empty, 7, shards)
+        );
+    }
+
+    #[test]
+    fn address_scale_moves_location_reads_only() {
+        // Native packs Location Table slices back to back where HumanScale
+        // scatters them, so the two runs make the same requests for the
+        // same bytes and differ only in how often a read finds its row
+        // open.
+        let ws = workloads(300);
+        let run = |address_scale| {
+            let cfg = NmslConfig {
+                address_scale,
+                ..NmslConfig::default()
+            };
+            NmslSim::new(DramConfig::hbm2e_32ch(), cfg).run(&ws)
+        };
+        let human = run(AddressScale::HumanScale);
+        let native = run(AddressScale::Native);
+        assert_eq!(human.dram.completed, native.dram.completed);
+        assert_eq!(human.dram.bytes, native.dram.bytes);
+        assert_ne!(human.row_hit_rate, native.row_hit_rate);
+        assert!(
+            native.row_hit_rate > human.row_hit_rate,
+            "packed slices should share rows: native {} vs human-scale {}",
+            native.row_hit_rate,
+            human.row_hit_rate
         );
     }
 

@@ -7,11 +7,12 @@
 //! `4 B x locations`. This module captures that workload from real reads or
 //! synthesizes it from the index's bucket-size distribution.
 
+use gx_core::seeding::partitioned_seeds_with;
 use gx_genome::DnaSeq;
 use gx_seedmap::{SeedHasher, SeedMap};
 
 /// One seed's memory work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SeedFetch {
     /// Seed hash (selects the channel and the Seed Table address).
     pub hash: u32,
@@ -40,6 +41,14 @@ impl PairWorkload {
     }
 }
 
+/// Buffers [`pair_workload_with`] reuses from pair to pair: read 2's reverse
+/// complement and one read's 2-bit codes.
+#[derive(Debug, Default)]
+pub struct WorkloadScratch {
+    r2rc: DnaSeq,
+    codes: Vec<u8>,
+}
+
 /// Builds the workload of one pair from its reads (r2 is queried in reverse
 /// complement, the expected FR orientation).
 pub fn pair_workload<H: SeedHasher>(
@@ -47,10 +56,22 @@ pub fn pair_workload<H: SeedHasher>(
     r2: &DnaSeq,
     seedmap: &SeedMap<H>,
 ) -> PairWorkload {
+    pair_workload_with(&mut WorkloadScratch::default(), r1, r2, seedmap)
+}
+
+/// [`pair_workload`] through caller-owned buffers: once `scratch` has grown
+/// to the read length, the returned seed list is the only allocation.
+pub fn pair_workload_with<H: SeedHasher>(
+    scratch: &mut WorkloadScratch,
+    r1: &DnaSeq,
+    r2: &DnaSeq,
+    seedmap: &SeedMap<H>,
+) -> PairWorkload {
     let mut seeds = Vec::with_capacity(6);
-    let r2rc = r2.revcomp();
-    for read in [r1, &r2rc] {
-        for seed in gx_core::seeding::partitioned_seeds(read, seedmap) {
+    r2.revcomp_into(&mut scratch.r2rc);
+    for read in [r1, &scratch.r2rc] {
+        let (found, n) = partitioned_seeds_with(read, seedmap, &mut scratch.codes);
+        for seed in &found[..n] {
             let (_, start, end) = seedmap.bucket_range(seed.hash);
             seeds.push(SeedFetch {
                 hash: seed.hash,
@@ -67,9 +88,10 @@ pub fn build_workloads<H: SeedHasher>(
     pairs: &[(DnaSeq, DnaSeq)],
     seedmap: &SeedMap<H>,
 ) -> Vec<PairWorkload> {
+    let mut scratch = WorkloadScratch::default();
     pairs
         .iter()
-        .map(|(r1, r2)| pair_workload(r1, r2, seedmap))
+        .map(|(r1, r2)| pair_workload_with(&mut scratch, r1, r2, seedmap))
         .collect()
 }
 

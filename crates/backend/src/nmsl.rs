@@ -15,7 +15,7 @@
 //! guard against a cold reference the test builds itself.
 
 use crate::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};
-use gx_accel::workload::pair_workload;
+use gx_accel::workload::{pair_workload_with, WorkloadScratch};
 use gx_accel::{
     fallback_cells, shard_for_workload, FallbackCells, GenDpInstance, HostTraffic, LaneCounters,
     LaneDelta, NmslConfig, NmslLane, PairWorkload, ACCEL_CLOCK_GHZ,
@@ -549,25 +549,29 @@ impl SharedNmslDevice {
     /// gauge, then — frontier lock dropped — pump the lanes the releases
     /// staged work onto (skipping lanes another worker is already
     /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)) and roll
-    /// the integer deltas up into `stats.sim_cycles`.
+    /// the integer deltas up into `stats.sim_cycles`. `touched` is the
+    /// caller's per-lane flag buffer (a session keeps one across batches);
+    /// it is reset here.
     fn sequence<H: SeedHasher, R>(
         &self,
         backend: &NmslBackend<'_, '_, H>,
         job: u64,
         stats: &mut BackendStats,
+        touched: &mut Vec<bool>,
         mutate: impl FnOnce(&mut Frontier) -> R,
     ) -> R {
-        let mut touched = vec![false; self.lanes.len()];
+        touched.clear();
+        touched.resize(self.lanes.len(), false);
         let out = {
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
-            self.drain_ready(&mut f, backend, stats, &mut touched);
+            self.drain_ready(&mut f, backend, stats, touched);
             let depth = f.pending.len() as u64;
             f.rec.gauge_set(self.metrics.frontier_g, depth);
             out
         };
-        for (idx, touched) in touched.into_iter().enumerate() {
+        for (idx, &touched) in touched.iter().enumerate() {
             if touched {
                 self.pump_lane(backend, idx, false, stats);
             }
@@ -591,9 +595,10 @@ impl SharedNmslDevice {
         tag: BatchTag,
         pairs: Vec<AdmittedPair>,
         stats: &mut BackendStats,
+        touched: &mut Vec<bool>,
     ) {
         let BatchTag { job, index } = tag;
-        self.sequence(backend, job, stats, |f| {
+        self.sequence(backend, job, stats, touched, |f| {
             let seq = f.seqs[&job];
             if seq.discarded {
                 return;
@@ -625,7 +630,7 @@ impl SharedNmslDevice {
         batches: u64,
     ) -> BackendStats {
         let mut stats = BackendStats::new();
-        self.sequence(backend, job, &mut stats, |f| {
+        self.sequence(backend, job, &mut stats, &mut Vec::new(), |f| {
             f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
         });
         stats
@@ -642,7 +647,7 @@ impl SharedNmslDevice {
         job: u64,
     ) -> DiscardReport {
         let mut stats = BackendStats::new();
-        let pairs_accounted = self.sequence(backend, job, &mut stats, |f| {
+        let pairs_accounted = self.sequence(backend, job, &mut stats, &mut Vec::new(), |f| {
             let seq = f.seqs.get_mut(&job).expect("registered job");
             seq.discarded = true;
             let released = seq.released_pairs;
@@ -749,7 +754,8 @@ impl SharedNmslDevice {
 ///    of the software mapper — and the pipeline's SAM output stays
 ///    byte-identical across backends.
 /// 2. **Seeding cost** — extract the batch's NMSL memory workload (six
-///    seed-table reads plus location bursts per pair, via [`pair_workload`])
+///    seed-table reads plus location bursts per pair, via
+///    [`pair_workload_with`])
 ///    and stream it through the shared device's
 ///    [`NmslSim`](gx_accel::NmslSim) lanes, in input order, over the
 ///    configured DRAM technology.
@@ -932,6 +938,8 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
+            workload: WorkloadScratch::default(),
+            touched: Vec::new(),
             rec: self.telemetry.recorder(1000 + worker_id as u32),
             seedmap_c: self.telemetry.counter(
                 "gx_fallback_seedmap_total",
@@ -979,6 +987,10 @@ pub struct NmslSession<'s, H: SeedHasher = Xxh32Builder> {
     backend: &'s NmslBackend<'s, 's, H>,
     /// The session's reusable mapping arena (software-path hot buffers).
     scratch: MapScratch,
+    /// Reusable buffers of the per-pair NMSL workload extraction.
+    workload: WorkloadScratch,
+    /// Per-lane "staged work" flags of one admission, kept across batches.
+    touched: Vec<bool>,
     /// Telemetry shard for the per-stage fallback counters (no-op when
     /// telemetry is disabled).
     rec: Recorder,
@@ -1028,7 +1040,12 @@ impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
             stats.input_bytes += input_bytes;
             stats.output_bytes += output_bytes;
             admissions.push(AdmittedPair {
-                workload: pair_workload(&pair.r1, &pair.r2, self.backend.mapper.seedmap()),
+                workload: pair_workload_with(
+                    &mut self.workload,
+                    &pair.r1,
+                    &pair.r2,
+                    self.backend.mapper.seedmap(),
+                ),
                 input_bytes,
                 output_bytes,
                 cells: fallback_cells(res, pair.r1.len(), pair.r2.len()),
@@ -1036,7 +1053,7 @@ impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
         }
         self.backend
             .device
-            .admit(self.backend, tag, admissions, &mut stats);
+            .admit(self.backend, tag, admissions, &mut stats, &mut self.touched);
         stats.busy_ns = started.elapsed().as_nanos() as u64;
         BatchResult { results, stats }
     }

@@ -7,33 +7,31 @@
 //! CIGARs) must come out of reused capacity.
 //!
 //! The check is a counting `#[global_allocator]` wrapping the system
-//! allocator, gated on a thread-local flag so that only the measured
-//! region on the test thread counts — the libtest harness's own threads
-//! allocate concurrently (progress output, timers) and must not bleed
-//! into the tally.
+//! allocator; flag and tally are thread-local so that only the measured
+//! region on the test's own thread counts — the libtest harness's threads
+//! (progress output, timers) and the other tests of this file allocate
+//! concurrently and must not bleed into the tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use gx_backend::{BatchTag, MapBackend, MapSession, SoftwareBackend};
+use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend};
 use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // `try_with` so allocation during TLS teardown stays safe.
         if TRACKING.try_with(|t| t.get()).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
         }
         unsafe { System.alloc(layout) }
     }
@@ -47,11 +45,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = ALLOCS.with(|n| n.get());
     TRACKING.with(|t| t.set(true));
     f();
     TRACKING.with(|t| t.set(false));
-    ALLOCS.load(Ordering::SeqCst) - before
+    ALLOCS.with(|n| n.get()) - before
 }
 
 /// A workload that exercises every stage the scratch arena backs: clean
@@ -113,6 +111,46 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
         per_pair < 0.25,
         "allocations per pair {per_pair:.3} exceeds the ~0 steady-state budget"
     );
+}
+
+#[test]
+fn warm_nmsl_session_allocates_at_most_twice_a_pair() {
+    // On top of the software path, an NMSL session extracts each pair's
+    // seed workload, admits it to the shared device and runs the lanes'
+    // simulators one quantum behind. Steady state, that may cost the pair's
+    // seed list (its admission record's one heap block) and a per-batch
+    // sliver — the admission and results vectors, the frontier's map node,
+    // staging-queue growth — but no revcomp, codes, offsets or in-flight
+    // slot allocation, and nothing inside the simulators.
+    let genome = RandomGenomeBuilder::new(90_000).seed(23).build();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let pairs = build_pairs(genome.chromosome(0).seq(), 64);
+
+    let backend = NmslBackend::new(&mapper);
+    let mut session = backend.session(0);
+    // Warm-up: four batches put every lane past its first dispatch quantum,
+    // so FIFOs, slot rings and completion buffers are at their high-water
+    // marks.
+    const WARM: u64 = 4;
+    for index in 0..WARM {
+        session.map(BatchTag { job: 0, index }, &pairs);
+    }
+
+    const BATCHES: u64 = 8;
+    let allocs = allocations(|| {
+        for index in WARM..WARM + BATCHES {
+            let out = session.map(BatchTag { job: 0, index }, &pairs);
+            assert_eq!(out.results.len(), pairs.len());
+        }
+    });
+    let per_pair = allocs as f64 / (BATCHES as f64 * pairs.len() as f64);
+    assert!(
+        per_pair <= 2.0,
+        "warm NMSL session allocated {allocs} times over {BATCHES} batches of {} pairs \
+         ({per_pair:.2} a pair; budget 2)",
+        pairs.len(),
+    );
+    assert!(backend.flush().seed_cycles > 0, "the device never ran");
 }
 
 #[test]

@@ -24,24 +24,38 @@ pub struct Seed {
 /// Reads shorter than `seed_len` yield no seeds. Generic over the index's
 /// seed-hash family, so hash ablations query the real index.
 pub fn partitioned_seeds<H: SeedHasher>(read: &DnaSeq, seedmap: &SeedMap<H>) -> Vec<Seed> {
+    let (seeds, n) = partitioned_seeds_with(read, seedmap, &mut Vec::new());
+    seeds[..n].to_vec()
+}
+
+/// [`partitioned_seeds`] through a caller-owned buffer: `codes` receives the
+/// whole read's 2-bit codes (seeds are hashed as subslices of it — same
+/// values as per-seed extraction) and the seeds come back in a fixed array
+/// with their count, so a caller that keeps `codes` allocates nothing.
+pub fn partitioned_seeds_with<H: SeedHasher>(
+    read: &DnaSeq,
+    seedmap: &SeedMap<H>,
+    codes: &mut Vec<u8>,
+) -> ([Seed; 3], usize) {
+    let mut seeds = [Seed { offset: 0, hash: 0 }; 3];
     let seed_len = seedmap.config().seed_len;
     if read.len() < seed_len {
-        return Vec::new();
+        return (seeds, 0);
     }
     let last = read.len() - seed_len;
-    let mut offsets = vec![0usize, last / 2, last];
-    offsets.dedup();
-    let mut codes = Vec::with_capacity(seed_len);
-    offsets
-        .into_iter()
-        .map(|off| {
-            read.codes_into(off..off + seed_len, &mut codes);
-            Seed {
+    read.codes_into(0..read.len(), codes);
+    // First, middle, last — deduplicated.
+    let mut n = 0usize;
+    for off in [0usize, last / 2, last] {
+        if n == 0 || seeds[n - 1].offset as usize != off {
+            seeds[n] = Seed {
                 offset: off as u32,
-                hash: seedmap.hash_seed_codes(&codes),
-            }
-        })
-        .collect()
+                hash: seedmap.hash_seed_codes(&codes[off..off + seed_len]),
+            };
+            n += 1;
+        }
+    }
+    (seeds, n)
 }
 
 /// Result of querying SeedMap for one read's seeds.
@@ -186,6 +200,36 @@ mod tests {
         query_read_into(&short, &map, &mut codes, &mut out);
         assert!(out.starts.is_empty());
         assert_eq!(out.seeds_total, 0);
+    }
+
+    #[test]
+    fn buffered_seeds_hash_what_per_seed_extraction_hashes() {
+        let (genome, map) = setup();
+        let seq = genome.chromosome(0).seq();
+        let seed_len = map.config().seed_len;
+        let (mut codes, mut one) = (Vec::new(), Vec::new());
+        // 150 bp (three seeds), 51 bp (first == middle), 50 bp (one seed),
+        // too short; the one buffer serves them all.
+        for range in [1000..1150, 40..91, 100..150, 7..30] {
+            let read = seq.subseq(range);
+            let mut want = Vec::new();
+            if let Some(last) = read.len().checked_sub(seed_len) {
+                let mut offsets = vec![0, last / 2, last];
+                offsets.dedup();
+                for off in offsets {
+                    read.codes_into(off..off + seed_len, &mut one);
+                    want.push(Seed {
+                        offset: off as u32,
+                        hash: map.hash_seed_codes(&one),
+                    });
+                }
+            }
+            let (seeds, n) = partitioned_seeds_with(&read, &map, &mut codes);
+            assert_eq!(seeds[..n], want[..]);
+            assert_eq!(partitioned_seeds(&read, &map), want);
+            // The mapper's own query extracts as many.
+            assert_eq!(query_read(&read, &map).seeds_total as usize, n);
+        }
     }
 
     #[test]

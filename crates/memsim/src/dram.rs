@@ -37,8 +37,10 @@ pub struct DramStats {
     /// wanted). Cold activations — opening a row in an idle bank — are
     /// `activations - row_conflicts`.
     pub row_conflicts: u64,
-    /// Requests bounced by [`DramSim::try_submit`] because the channel
-    /// queue was full (backpressure the caller had to absorb).
+    /// Submissions bounced by [`DramSim::try_submit`] because the channel
+    /// queue was full (backpressure the caller had to absorb). This counts
+    /// *attempts*, not requests: a caller that retries a blocked submit
+    /// every cycle, as the NMSL front end does, adds one per cycle waited.
     pub rejections: u64,
     /// Channel-cycles with work queued (summed over channels; see
     /// [`DramSim::channel_cycles`] for the per-channel split).
@@ -143,42 +145,106 @@ impl DramStats {
     }
 }
 
+/// `open_row` of a precharged bank. No request decodes to it: a row index is
+/// `addr / (row_bytes * banks)`, and a request that close to `u64::MAX`
+/// overflows its own end address first.
+const CLOSED: u64 = u64::MAX;
+
+/// "No such queue entry" in the scheduler's scan.
+const NONE: usize = usize::MAX;
+
 #[derive(Clone, Copy, Debug)]
 struct Bank {
-    open_row: Option<u64>,
+    /// The open row, or [`CLOSED`].
+    open_row: u64,
     /// Cycle at which the bank can accept its next command.
     ready_at: u64,
-    /// Cycle of the last activate (for tRAS).
-    activated_at: u64,
+    /// Earliest precharge of the open row (its activate + tRAS); 0 while the
+    /// bank is closed, so `max(ready_at, pre_ok_at)` is when a request for
+    /// any *other* row gets its next command either way — the precharge of
+    /// an open bank, the activate of a closed one.
+    pre_ok_at: u64,
     /// The last precharge closed a live row; the next activate on this bank
     /// is a row conflict. Counting at the activate (not the precharge) keeps
     /// `row_conflicts <= activations` true at every instant.
     conflict_pending: bool,
 }
 
-#[derive(Clone, Debug)]
-struct InFlight {
-    tag: u64,
+impl Bank {
+    /// Whether `row` is open here, and the first cycle a queued request for
+    /// it can take its next command: the read burst on a row hit (bank and
+    /// data bus free), the precharge or activate otherwise.
+    #[inline]
+    fn next_command(&self, row: u64, bus_free_at: u64) -> (bool, u64) {
+        let hit = self.open_row == row;
+        let gate = if hit { bus_free_at } else { self.pre_ok_at };
+        (hit, self.ready_at.max(gate))
+    }
+}
+
+/// What the scheduler's scan reads of a request with bursts left to issue:
+/// the bank (an index into [`DramSim::banks`]) and row of its next burst,
+/// decoded when the request is submitted and again only when a burst
+/// advances it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Target {
+    row: u64,
+    bank: u32,
+}
+
+/// The rest of a request with bursts left to issue.
+#[derive(Clone, Copy, Debug, Default)]
+struct Unissued {
     cur_addr: u64,
     end_addr: u64,
-    /// Completion cycle of the last burst issued (valid when all bursts
-    /// issued).
-    last_data_at: u64,
+    /// The request's slot in its channel's ring of [`Queued`] records.
+    record: usize,
 }
 
-#[derive(Debug)]
+/// A queued request as retirement sees it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Queued {
+    tag: u64,
+    /// Cycle its last data beat arrives; `u64::MAX` until its last burst
+    /// has issued.
+    done_at: u64,
+}
+
+#[derive(Clone, Copy, Debug)]
 struct Channel {
-    banks: Vec<Bank>,
-    queue: std::collections::VecDeque<InFlight>,
+    /// The queue, at most `queue_depth` requests in arrival order: a ring
+    /// over the channel's stripe of [`DramSim::queue`] starting at `head`.
+    /// Requests retire from its front, in order.
+    head: usize,
+    len: usize,
+    /// How many of those still have bursts to issue: the first `unissued`
+    /// slots of the channel's stripe of [`DramSim::targets`] /
+    /// [`DramSim::unissued`], oldest first. Only these are scheduled; a
+    /// request leaves them with its last burst and waits in the ring for
+    /// its data and for its elders.
+    unissued: usize,
     bus_free_at: u64,
+    /// No request here can retire or take a command before this cycle
+    /// (`u64::MAX` while the queue is empty); see [`DramSim::tick`].
+    wake: u64,
 }
 
-/// Cycle-stepped multi-channel DRAM simulator.
+/// Multi-channel DRAM simulator, exact to the memory cycle.
 ///
 /// The caller submits [`Request`]s (bounded per-channel queues — the NMSL
 /// input FIFOs) and calls [`DramSim::tick`] once per memory cycle, draining
 /// [`Completion`]s. Scheduling is FR-FCFS-lite: an open-row burst is
-/// preferred over the oldest request's activate/precharge.
+/// preferred over the oldest request's activate/precharge, one command per
+/// channel per cycle.
+///
+/// A tick costs host time only where something can happen. Each channel
+/// keeps a *wake cycle*, a lower bound on the next cycle at which any of its
+/// requests can retire or take a command, and a tick books the channel's
+/// busy/idle cycle and moves on until that cycle has come. Bank and bus
+/// timers are fixed cycles, not counters, so nothing is missed in between
+/// and every counter is exact at every cycle boundary. The cycle-stepped
+/// simulator this one replaced is the oracle of `tests/tick_diff.rs`, which
+/// compares the two after every tick.
 ///
 /// ```
 /// use gx_memsim::{DramConfig, DramSim, Request};
@@ -195,7 +261,18 @@ struct Channel {
 pub struct DramSim {
     cfg: DramConfig,
     channels: Vec<Channel>,
+    /// `channels × banks_per_channel` banks, channel-major.
+    banks: Vec<Bank>,
+    /// `channels × queue_depth` slots, channel-major, three ways: every
+    /// queued request's retirement record…
+    queue: Vec<Queued>,
+    /// …the scan state of those with bursts left to issue…
+    targets: Vec<Target>,
+    /// …and, slot for slot with `targets`, the rest of them.
+    unissued: Vec<Unissued>,
     channel_cycles: Vec<ChannelCycles>,
+    /// Requests queued over all channels.
+    queued: usize,
     cycle: u64,
     stats: DramStats,
 }
@@ -203,25 +280,34 @@ pub struct DramSim {
 impl DramSim {
     /// Creates a simulator for `cfg`.
     pub fn new(cfg: DramConfig) -> DramSim {
-        let channels = (0..cfg.channels)
-            .map(|_| Channel {
-                banks: vec![
-                    Bank {
-                        open_row: None,
-                        ready_at: 0,
-                        activated_at: 0,
-                        conflict_pending: false,
-                    };
-                    cfg.banks_per_channel as usize
-                ],
-                queue: std::collections::VecDeque::with_capacity(cfg.queue_depth),
-                bus_free_at: 0,
-            })
-            .collect();
+        let channels = cfg.channels as usize;
+        let slots = channels * cfg.queue_depth;
         DramSim {
             cfg,
-            channel_cycles: vec![ChannelCycles::default(); cfg.channels as usize],
-            channels,
+            channels: vec![
+                Channel {
+                    head: 0,
+                    len: 0,
+                    unissued: 0,
+                    bus_free_at: 0,
+                    wake: u64::MAX,
+                };
+                channels
+            ],
+            banks: vec![
+                Bank {
+                    open_row: CLOSED,
+                    ready_at: 0,
+                    pre_ok_at: 0,
+                    conflict_pending: false,
+                };
+                channels * cfg.banks_per_channel as usize
+            ],
+            queue: vec![Queued::default(); slots],
+            targets: vec![Target::default(); slots],
+            unissued: vec![Unissued::default(); slots],
+            channel_cycles: vec![ChannelCycles::default(); channels],
+            queued: 0,
             cycle: 0,
             stats: DramStats::default(),
         }
@@ -250,12 +336,22 @@ impl DramSim {
 
     /// Whether channel `ch` has room for another request.
     pub fn can_accept(&self, ch: u32) -> bool {
-        self.channels[ch as usize].queue.len() < self.cfg.queue_depth
+        self.channels[ch as usize].len < self.cfg.queue_depth
     }
 
     /// Occupancy of channel `ch`'s queue.
     pub fn queue_len(&self, ch: u32) -> usize {
-        self.channels[ch as usize].queue.len()
+        self.channels[ch as usize].len
+    }
+
+    /// Bank and row of the burst at `addr` on channel `ch`.
+    fn decode(cfg: &DramConfig, ch: usize, addr: u64) -> Target {
+        let banks = cfg.banks_per_channel as u64;
+        let page = addr / cfg.row_bytes as u64;
+        Target {
+            row: page / banks,
+            bank: (ch as u64 * banks + page % banks) as u32,
+        }
     }
 
     /// Submits a request; returns `false` (rejecting it) when the channel
@@ -266,124 +362,190 @@ impl DramSim {
     /// Panics if `channel` is out of range or `bytes` is zero.
     pub fn try_submit(&mut self, req: Request) -> bool {
         assert!(req.bytes > 0, "zero-byte request");
-        let ch = &mut self.channels[req.channel as usize];
-        if ch.queue.len() >= self.cfg.queue_depth {
+        let ch = req.channel as usize;
+        let depth = self.cfg.queue_depth;
+        let chan = &mut self.channels[ch];
+        if chan.len >= depth {
             self.stats.rejections += 1;
             return false;
         }
-        ch.queue.push_back(InFlight {
+        let mut record = chan.head + chan.len;
+        if record >= depth {
+            record -= depth;
+        }
+        self.queue[ch * depth + record] = Queued {
             tag: req.tag,
+            done_at: u64::MAX,
+        };
+        let target = DramSim::decode(&self.cfg, ch, req.addr);
+        let slot = ch * depth + chan.unissued;
+        self.targets[slot] = target;
+        self.unissued[slot] = Unissued {
             cur_addr: req.addr,
             end_addr: req.addr + req.bytes as u64,
-            last_data_at: 0,
-        });
+            record,
+        };
+        chan.len += 1;
+        chan.unissued += 1;
+        self.queued += 1;
+        // Nobody else's timing depends on the newcomer, so the channel's
+        // wake cycle can only move down to the newcomer's own.
+        let (_, at) = self.banks[target.bank as usize].next_command(target.row, chan.bus_free_at);
+        chan.wake = chan.wake.min(at);
         true
     }
 
     /// Whether all queues are empty.
     pub fn idle(&self) -> bool {
-        self.channels.iter().all(|c| c.queue.is_empty())
+        self.queued == 0
     }
 
-    /// Advances one cycle, appending finished requests to `out`.
+    /// Advances one cycle, appending finished requests to `out` (channel by
+    /// channel, oldest first within a channel).
+    ///
+    /// Every channel is booked busy or idle for the cycle; only a channel
+    /// whose wake cycle has come is looked into. Between two visits nothing
+    /// but [`try_submit`](DramSim::try_submit) touches a channel, and that
+    /// lowers the wake cycle itself, so a passed-over cycle is one in which
+    /// the cycle-stepped scheduler would have found nothing to retire and
+    /// nothing to issue.
     pub fn tick(&mut self, out: &mut Vec<Completion>) {
         self.cycle += 1;
         let now = self.cycle;
-        let cfg = self.cfg;
-        for (ch, cycles) in self.channels.iter_mut().zip(self.channel_cycles.iter_mut()) {
+        let mut busy = 0;
+        for ch in 0..self.channels.len() {
             // Busy/idle attribution looks at the queue as the cycle begins:
             // a request retiring this very cycle still occupied the channel.
-            if ch.queue.is_empty() {
-                cycles.idle += 1;
-                self.stats.idle_cycles += 1;
-            } else {
-                cycles.busy += 1;
-                self.stats.busy_cycles += 1;
-            }
-            // Retire requests whose final burst has arrived.
-            while let Some(front) = ch.queue.front() {
-                if front.cur_addr >= front.end_addr && front.last_data_at <= now {
-                    out.push(Completion {
-                        tag: front.tag,
-                        cycle: front.last_data_at,
-                    });
-                    self.stats.completed += 1;
-                    ch.queue.pop_front();
-                } else {
-                    break;
-                }
-            }
-            // Issue at most one command this cycle.
-            // Pass 1 (FR): oldest request whose next burst hits an open row
-            // and whose bank + data bus are free.
-            let mut issued = false;
-            for req in ch.queue.iter_mut() {
-                if req.cur_addr >= req.end_addr {
-                    continue;
-                }
-                let bank_i =
-                    ((req.cur_addr / cfg.row_bytes as u64) % cfg.banks_per_channel as u64) as usize;
-                let row = req.cur_addr / (cfg.row_bytes as u64 * cfg.banks_per_channel as u64);
-                let bank = &mut ch.banks[bank_i];
-                if bank.ready_at > now || ch.bus_free_at > now {
-                    continue;
-                }
-                if bank.open_row == Some(row) {
-                    // Row hit: issue the read burst.
-                    let data_at = now + cfg.t_cl as u64 + cfg.t_burst as u64;
-                    ch.bus_free_at = now + cfg.t_burst as u64;
-                    bank.ready_at = now + cfg.t_burst as u64; // tCCD ~ burst
-                    let burst = (req.end_addr - req.cur_addr).min(cfg.burst_bytes as u64);
-                    req.cur_addr += cfg.burst_bytes as u64;
-                    req.last_data_at = data_at;
-                    self.stats.bursts += 1;
-                    self.stats.bytes += burst;
-                    issued = true;
-                    break;
-                }
-            }
-            if issued {
-                continue;
-            }
-            // Pass 2 (FCFS): oldest request needing activate/precharge.
-            for req in ch.queue.iter_mut() {
-                if req.cur_addr >= req.end_addr {
-                    continue;
-                }
-                let bank_i =
-                    ((req.cur_addr / cfg.row_bytes as u64) % cfg.banks_per_channel as u64) as usize;
-                let row = req.cur_addr / (cfg.row_bytes as u64 * cfg.banks_per_channel as u64);
-                let bank = &mut ch.banks[bank_i];
-                if bank.ready_at > now {
-                    continue;
-                }
-                match bank.open_row {
-                    Some(r) if r == row => continue, // handled in pass 1 (bus busy)
-                    Some(_) => {
-                        // Precharge, respecting tRAS.
-                        let pre_at = now.max(bank.activated_at + cfg.t_ras as u64);
-                        if pre_at > now {
-                            continue;
-                        }
-                        bank.open_row = None;
-                        bank.ready_at = now + cfg.t_rp as u64;
-                        bank.conflict_pending = true;
-                        self.stats.precharges += 1;
-                    }
-                    None => {
-                        bank.open_row = Some(row);
-                        bank.activated_at = now;
-                        bank.ready_at = now + cfg.t_rcd as u64;
-                        self.stats.activations += 1;
-                        if bank.conflict_pending {
-                            bank.conflict_pending = false;
-                            self.stats.row_conflicts += 1;
-                        }
-                    }
-                }
-                break; // one command per channel per cycle
+            let queued = u64::from(self.channels[ch].len > 0);
+            let cycles = &mut self.channel_cycles[ch];
+            cycles.busy += queued;
+            cycles.idle += 1 - queued;
+            busy += queued;
+            if self.channels[ch].wake <= now {
+                self.service(ch, now, out);
             }
         }
+        self.stats.busy_cycles += busy;
+        self.stats.idle_cycles += self.channels.len() as u64 - busy;
+    }
+
+    /// One cycle of channel `ch`: retire what has arrived, issue at most one
+    /// command, and work out when the channel needs looking at next.
+    fn service(&mut self, ch: usize, now: u64, out: &mut Vec<Completion>) {
+        let cfg = &self.cfg;
+        let depth = cfg.queue_depth;
+        let chan = &mut self.channels[ch];
+        let queue = &mut self.queue[ch * depth..][..depth];
+        let targets = &mut self.targets[ch * depth..][..depth];
+        let unissued = &mut self.unissued[ch * depth..][..depth];
+
+        // Retire requests whose final burst has arrived, in queue order.
+        let before = chan.len;
+        while chan.len > 0 && queue[chan.head].done_at <= now {
+            out.push(Completion {
+                tag: queue[chan.head].tag,
+                cycle: queue[chan.head].done_at,
+            });
+            chan.head = if chan.head + 1 == depth {
+                0
+            } else {
+                chan.head + 1
+            };
+            chan.len -= 1;
+        }
+        self.queued -= before - chan.len;
+        self.stats.completed += (before - chan.len) as u64;
+
+        // FR-FCFS in one pass, youngest entry first so that what is left in
+        // `hit` / `miss` is the *oldest* request that can take, this cycle,
+        // its read burst (row open, bank and bus free) / its precharge or
+        // activate (bank free, tRAS served). The same pass yields how many
+        // requests could move now and the earliest cycle any other can.
+        // Selects, not branches: which entries are ready is noise to a
+        // branch predictor.
+        let (mut hit, mut miss) = (NONE, NONE);
+        let (mut movable, mut later) = (0, u64::MAX);
+        for i in (0..chan.unissued).rev() {
+            let t = targets[i];
+            let (is_hit, at) = self.banks[t.bank as usize].next_command(t.row, chan.bus_free_at);
+            let ready = at <= now;
+            later = later.min(if ready { u64::MAX } else { at });
+            movable += usize::from(ready);
+            hit = if ready & is_hit { i } else { hit };
+            miss = if ready & !is_hit { i } else { miss };
+        }
+
+        // Issue at most one command: first-ready (the oldest open-row burst)
+        // before first-come (the oldest request's precharge or activate).
+        let i = if hit != NONE { hit } else { miss };
+        if i != NONE {
+            let target = targets[i];
+            let bank = &mut self.banks[target.bank as usize];
+            // What the winner waits for next, if it has a burst left.
+            let next = if hit != NONE {
+                let req = &mut unissued[i];
+                chan.bus_free_at = now + cfg.t_burst as u64;
+                bank.ready_at = now + cfg.t_burst as u64; // tCCD ~ burst
+                let burst = (req.end_addr - req.cur_addr).min(cfg.burst_bytes as u64);
+                req.cur_addr += cfg.burst_bytes as u64;
+                self.stats.bursts += 1;
+                self.stats.bytes += burst;
+                if req.cur_addr < req.end_addr {
+                    // The next burst may lie in another row (and bank).
+                    targets[i] = DramSim::decode(cfg, ch, req.cur_addr);
+                    Some(targets[i])
+                } else {
+                    // Last burst: nothing left to schedule; the request
+                    // waits in the ring for its data.
+                    queue[req.record].done_at = now + cfg.t_cl as u64 + cfg.t_burst as u64;
+                    targets.copy_within(i + 1..chan.unissued, i);
+                    unissued.copy_within(i + 1..chan.unissued, i);
+                    chan.unissued -= 1;
+                    None
+                }
+            } else {
+                if bank.open_row != CLOSED {
+                    // Precharge; the scan has checked tRAS.
+                    bank.open_row = CLOSED;
+                    bank.ready_at = now + cfg.t_rp as u64;
+                    bank.pre_ok_at = 0;
+                    bank.conflict_pending = true;
+                    self.stats.precharges += 1;
+                } else {
+                    bank.open_row = target.row;
+                    bank.ready_at = now + cfg.t_rcd as u64;
+                    bank.pre_ok_at = now + cfg.t_ras as u64;
+                    self.stats.activations += 1;
+                    if bank.conflict_pending {
+                        bank.conflict_pending = false;
+                        self.stats.row_conflicts += 1;
+                    }
+                }
+                Some(target)
+            };
+            // If another request could have moved this very cycle and lost
+            // the slot, look again next cycle. Otherwise `later` still
+            // bounds the others from below: a command pushes their next
+            // commands later, or — a precharge closing a row that requests
+            // were waiting on the bus to hit — onto the same activate the
+            // winner now waits for, which is read off the updated state.
+            later = if movable > 1 {
+                now + 1
+            } else {
+                let own = next.map_or(u64::MAX, |t| {
+                    self.banks[t.bank as usize]
+                        .next_command(t.row, chan.bus_free_at)
+                        .1
+                });
+                later.min(own).max(now + 1)
+            };
+        }
+        // The front request retires when its data arrives (`u64::MAX` while
+        // it has bursts to issue, which `later` covers).
+        if chan.len > 0 {
+            later = later.min(queue[chan.head].done_at);
+        }
+        chan.wake = later;
     }
 
     /// Runs until all submitted requests complete, returning completions.

@@ -6,9 +6,12 @@
 //!
 //! * [`DramConfig`] — per-technology presets (channels, banks, JEDEC-style
 //!   timing in memory-clock cycles),
-//! * [`DramSim`] — a cycle-stepped multi-channel simulator with per-bank row
-//!   state, FR-FCFS-lite scheduling, per-channel command/data buses and
-//!   bounded request queues (the paper's per-channel FIFOs),
+//! * [`DramSim`] — a multi-channel simulator, exact to the memory cycle,
+//!   with per-bank row state, FR-FCFS-lite scheduling, per-channel
+//!   command/data buses and bounded request queues (the paper's per-channel
+//!   FIFOs); a tick looks only into channels where something can happen,
+//!   and `tests/tick_diff.rs` holds it to the cycle-stepped simulator it
+//!   replaced after every tick,
 //! * [`DramPowerModel`] — activation/read/background energy accounting,
 //! * [`SramModel`] — CACTI-calibrated SRAM area/power (used for NMSL's
 //!   centralized buffer and FIFOs, paper Table 4).

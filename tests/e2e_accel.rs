@@ -3,12 +3,15 @@
 
 use genpairx::accel::area_power::genpairx_cost;
 use genpairx::accel::workload::synthetic_workloads;
-use genpairx::accel::{NmslConfig, NmslSim, PipelineSizing, WorkloadProfile};
+use genpairx::accel::{
+    LaneCounters, LaneDelta, NmslConfig, NmslLane, NmslSim, PairWorkload, PipelineSizing,
+    WorkloadProfile,
+};
 use genpairx::memsim::DramConfig;
 use genpairx::readsim::dataset::standard_genome;
 use genpairx::seedmap::{SeedMap, SeedMapConfig};
 
-fn workloads(n: usize) -> Vec<genpairx::accel::PairWorkload> {
+fn workloads(n: usize) -> Vec<PairWorkload> {
     let genome = standard_genome(300_000, 7);
     let map = SeedMap::build(&genome, &SeedMapConfig::default());
     synthetic_workloads(&map, &genome, n, 11)
@@ -80,4 +83,92 @@ fn nmsl_sram_formula_consistency() {
     assert!(res.fifo_bytes > 0);
     assert!(res.elapsed_s > 0.0);
     assert!(res.dram_power_mw > 0.0);
+}
+
+/// Streams `ws` through one lane on a `quantum`-pair dispatch quantum and
+/// checks, at every attribution point, the books a scheduler that skips
+/// cycles could get wrong.
+fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: usize) -> LaneCounters {
+    let mut lane = NmslLane::new(dram, NmslConfig::default(), quantum);
+    let mut total = LaneDelta::default();
+    let audit = |lane: &NmslLane, delta: &LaneDelta, total: &mut LaneDelta| {
+        assert_eq!(delta.breakdown.total(), delta.cycles, "{}", dram.name);
+        total.accumulate(delta);
+        // Mid-flight, not just after the drain: every channel's clock is
+        // partitioned, and the breakdown accounts for every lane cycle.
+        let sim = lane.sim();
+        for (ch, c) in sim.channel_cycles().iter().enumerate() {
+            assert_eq!(
+                c.busy + c.idle,
+                sim.cycle(),
+                "{} channel {ch} at quantum {quantum}",
+                dram.name
+            );
+        }
+        assert_eq!(sim.cycle_breakdown().total(), sim.cycle());
+        let stats = sim.dram_stats();
+        assert_eq!(
+            stats.busy_cycles + stats.idle_cycles,
+            sim.cycle() * dram.channels as u64
+        );
+    };
+    for w in ws {
+        if lane.admit(w.clone()) {
+            let delta = lane.run_lagged();
+            audit(&lane, &delta, &mut total);
+        }
+    }
+    let delta = lane.drain();
+    audit(&lane, &delta, &mut total);
+
+    // Nothing is lost between attribution points: the deltas add up to the
+    // final counters.
+    let counters = lane.counters();
+    assert_eq!(counters.pairs, ws.len() as u64);
+    assert_eq!(total.cycles, counters.cycles);
+    assert_eq!(total.breakdown, counters.breakdown);
+    assert_eq!(total.dram, counters.dram);
+    // One Seed Table read per seed, one Location Table read per non-empty
+    // bucket, every byte of both delivered.
+    let seeds = ws.iter().flat_map(|w| &w.seeds);
+    assert_eq!(
+        counters.dram.completed,
+        seeds
+            .clone()
+            .map(|s| 1 + u64::from(s.locations > 0))
+            .sum::<u64>()
+    );
+    let depth = NmslConfig::default().buffer_depth;
+    assert_eq!(
+        counters.dram.bytes,
+        seeds
+            .map(|s| 8 + 4 * s.locations.min(depth) as u64)
+            .sum::<u64>()
+    );
+    counters
+}
+
+#[test]
+fn lane_books_balance_at_every_quantum_on_every_technology() {
+    let ws = workloads(400);
+    let mut shallow = DramConfig::hbm2e_32ch();
+    shallow.queue_depth = 2;
+    for dram in [
+        DramConfig::hbm2e_32ch(),
+        DramConfig::ddr5_4ch(),
+        DramConfig::gddr6_8ch(),
+        shallow,
+    ] {
+        for quantum in [1, 16, 256] {
+            let counters = stream_and_audit(&ws, dram, quantum);
+            assert!(counters.breakdown.issue > 0);
+            if dram.queue_depth == 2 {
+                // Two-entry queues bounce submissions, one rejection per
+                // blocked FIFO per cycle, and the lane books the stall.
+                assert!(counters.dram.rejections > 0);
+                assert!(counters.breakdown.dram_stall > 0);
+                assert!(counters.dram.rejections >= counters.breakdown.dram_stall);
+            }
+        }
+    }
 }
