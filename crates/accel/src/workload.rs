@@ -9,7 +9,7 @@
 
 use gx_core::seeding::partitioned_seeds_with;
 use gx_genome::DnaSeq;
-use gx_seedmap::{SeedHasher, SeedMap};
+use gx_seedmap::SeedMap;
 
 /// One seed's memory work.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -20,6 +20,19 @@ pub struct SeedFetch {
     pub loc_start: u64,
     /// Number of locations to stream.
     pub locations: u32,
+}
+
+impl SeedFetch {
+    /// The memory work of looking `hash` up in `seedmap`: its bucket's
+    /// slice of the Location Table.
+    pub fn of_hash(seedmap: &SeedMap, hash: u32) -> SeedFetch {
+        let (_, start, end) = seedmap.bucket_range(hash);
+        SeedFetch {
+            hash,
+            loc_start: start,
+            locations: (end - start) as u32,
+        }
+    }
 }
 
 /// The memory work of one read pair (up to six seeds).
@@ -51,43 +64,31 @@ pub struct WorkloadScratch {
 
 /// Builds the workload of one pair from its reads (r2 is queried in reverse
 /// complement, the expected FR orientation).
-pub fn pair_workload<H: SeedHasher>(
-    r1: &DnaSeq,
-    r2: &DnaSeq,
-    seedmap: &SeedMap<H>,
-) -> PairWorkload {
+pub fn pair_workload(r1: &DnaSeq, r2: &DnaSeq, seedmap: &SeedMap) -> PairWorkload {
     pair_workload_with(&mut WorkloadScratch::default(), r1, r2, seedmap)
 }
 
 /// [`pair_workload`] through caller-owned buffers: once `scratch` has grown
 /// to the read length, the returned seed list is the only allocation.
-pub fn pair_workload_with<H: SeedHasher>(
+pub fn pair_workload_with(
     scratch: &mut WorkloadScratch,
     r1: &DnaSeq,
     r2: &DnaSeq,
-    seedmap: &SeedMap<H>,
+    seedmap: &SeedMap,
 ) -> PairWorkload {
     let mut seeds = Vec::with_capacity(6);
     r2.revcomp_into(&mut scratch.r2rc);
     for read in [r1, &scratch.r2rc] {
         let (found, n) = partitioned_seeds_with(read, seedmap, &mut scratch.codes);
         for seed in &found[..n] {
-            let (_, start, end) = seedmap.bucket_range(seed.hash);
-            seeds.push(SeedFetch {
-                hash: seed.hash,
-                loc_start: start,
-                locations: (end - start) as u32,
-            });
+            seeds.push(SeedFetch::of_hash(seedmap, seed.hash));
         }
     }
     PairWorkload { seeds }
 }
 
 /// Builds workloads for a whole read set.
-pub fn build_workloads<H: SeedHasher>(
-    pairs: &[(DnaSeq, DnaSeq)],
-    seedmap: &SeedMap<H>,
-) -> Vec<PairWorkload> {
+pub fn build_workloads(pairs: &[(DnaSeq, DnaSeq)], seedmap: &SeedMap) -> Vec<PairWorkload> {
     let mut scratch = WorkloadScratch::default();
     pairs
         .iter()
@@ -99,8 +100,8 @@ pub fn build_workloads<H: SeedHasher>(
 /// useful for long NMSL simulations without simulating reads. The sampled
 /// distribution of locations-per-seed matches the index exactly, since the
 /// seeds are the genome's own.
-pub fn synthetic_workloads<H: SeedHasher>(
-    seedmap: &SeedMap<H>,
+pub fn synthetic_workloads(
+    seedmap: &SeedMap,
     genome: &gx_genome::ReferenceGenome,
     n: usize,
     seed: u64,
@@ -122,12 +123,7 @@ pub fn synthetic_workloads<H: SeedHasher>(
             let pos = rng.random_range(0..chrom.len() - seed_len);
             chrom.seq().codes_into(pos..pos + seed_len, &mut codes);
             let hash = seedmap.hash_seed_codes(&codes);
-            let (_, start, end) = seedmap.bucket_range(hash);
-            w.seeds.push(SeedFetch {
-                hash,
-                loc_start: start,
-                locations: (end - start) as u32,
-            });
+            w.seeds.push(SeedFetch::of_hash(seedmap, hash));
         }
         out.push(w);
     }

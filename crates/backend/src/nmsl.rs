@@ -22,7 +22,6 @@ use gx_accel::{
 };
 use gx_core::{FallbackStage, GenPairMapper, MapScratch, ReadPair};
 use gx_memsim::{DramConfig, DramPowerModel};
-use gx_seedmap::{SeedHasher, Xxh32Builder};
 use gx_telemetry::{CounterId, GaugeId, HistogramId, Recorder, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -249,9 +248,9 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn new(dram: DramConfig, nmsl: NmslConfig, quantum: usize, rec: Recorder) -> LaneState {
+    fn new(config: &DeviceConfig, rec: Recorder) -> LaneState {
         LaneState {
-            lane: NmslLane::new(dram, nmsl, quantum),
+            lane: NmslLane::new(config.dram, config.nmsl, config.quantum),
             q_input: 0,
             q_output: 0,
             seconds: 0.0,
@@ -310,7 +309,20 @@ struct DeviceMetrics {
     rejections_c: CounterId,
 }
 
+/// What a [`SharedNmslDevice`] models, fixed for its lifetime.
+#[derive(Clone, Copy)]
+struct DeviceConfig {
+    dram: DramConfig,
+    nmsl: NmslConfig,
+    channels: usize,
+    quantum: usize,
+    link_gbs: f64,
+}
+
 struct SharedNmslDevice {
+    config: DeviceConfig,
+    /// The GenDP pricing fallback work (the paper's Table-4 instance).
+    gendp: GenDpInstance,
     frontier: Mutex<Frontier>,
     lanes: Vec<Mutex<LaneState>>,
     power: DramPowerModel,
@@ -323,14 +335,8 @@ struct SharedNmslDevice {
 }
 
 impl SharedNmslDevice {
-    fn new(
-        dram: DramConfig,
-        nmsl: NmslConfig,
-        channels: usize,
-        quantum: usize,
-        telemetry: Telemetry,
-    ) -> SharedNmslDevice {
-        let channels = channels.max(1);
+    fn new(config: DeviceConfig, telemetry: Telemetry) -> SharedNmslDevice {
+        let channels = config.channels;
         let metrics = DeviceMetrics {
             drain_h: telemetry.histogram(
                 "gx_lane_drain_ns",
@@ -377,18 +383,16 @@ impl SharedNmslDevice {
             telemetry.label_track(LANE_TRACK_BASE + idx as u32, &format!("nmsl lane {idx}"));
         }
         SharedNmslDevice {
+            config,
+            gendp: GenDpInstance::paper_table4(),
             frontier: Mutex::new(Frontier::new(channels, telemetry.recorder(LANE_TRACK_BASE))),
             lanes: (0..channels)
                 .map(|idx| {
-                    Mutex::new(LaneState::new(
-                        dram,
-                        nmsl,
-                        quantum,
-                        telemetry.recorder(LANE_TRACK_BASE + idx as u32),
-                    ))
+                    let rec = telemetry.recorder(LANE_TRACK_BASE + idx as u32);
+                    Mutex::new(LaneState::new(&config, rec))
                 })
                 .collect(),
-            power: DramPowerModel::for_config(&dram),
+            power: DramPowerModel::for_config(&config.dram),
             telemetry,
             metrics,
             last_counters: Mutex::new(None),
@@ -398,14 +402,13 @@ impl SharedNmslDevice {
     /// Releases one pair past the frontier: price its GenDP work (emitting
     /// integer cycle deltas to `stats`) and stage it on its lane, returning
     /// the lane index. Caller holds the frontier lock.
-    fn release_pair<H: SeedHasher>(
+    fn release_pair(
         &self,
         f: &mut Frontier,
-        backend: &NmslBackend<'_, '_, H>,
         pair: AdmittedPair,
         stats: &mut BackendStats,
     ) -> usize {
-        let cost = backend.gendp.cost(pair.cells);
+        let cost = self.gendp.cost(pair.cells);
         f.fallback_seconds_total += cost.seconds();
         f.fallback_energy_pj += cost.energy_pj;
         let cumulative = (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
@@ -423,15 +426,14 @@ impl SharedNmslDevice {
     /// deltas go to the calling worker's `stats` (addition is exact, so
     /// totals are schedule-independent); floats accumulate on the lane in
     /// op order and surface at [`flush`](SharedNmslDevice::flush).
-    fn run_quantum<H: SeedHasher>(
+    fn run_quantum(
         &self,
-        backend: &NmslBackend<'_, '_, H>,
         l: &mut LaneState,
         idx: usize,
         stats: &mut BackendStats,
         run: impl FnOnce(&mut NmslLane) -> LaneDelta,
     ) {
-        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, backend.link_gbs);
+        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, self.config.link_gbs);
         l.q_input = 0;
         l.q_output = 0;
         let t_drain = l.rec.start();
@@ -444,7 +446,7 @@ impl SharedNmslDevice {
         l.seconds += delta.seconds;
         l.energy_pj += self
             .power
-            .energy_mj(&delta.dram, &backend.dram, delta.seconds)
+            .energy_mj(&delta.dram, &self.config.dram, delta.seconds)
             * 1e9;
         l.transfer_seconds += transfer;
         let exposed = HostTraffic::exposed_transfer_seconds(transfer, delta.seconds);
@@ -472,13 +474,7 @@ impl SharedNmslDevice {
     /// (which pumps blocking) drains any residue — deferring *when* staged
     /// pairs stream never changes the per-lane op order, so totals are
     /// unaffected.
-    fn pump_lane<H: SeedHasher>(
-        &self,
-        backend: &NmslBackend<'_, '_, H>,
-        idx: usize,
-        blocking: bool,
-        stats: &mut BackendStats,
-    ) {
+    fn pump_lane(&self, idx: usize, blocking: bool, stats: &mut BackendStats) {
         let mut l = if blocking {
             self.lanes[idx].lock().expect("lane lock poisoned")
         } else {
@@ -500,7 +496,7 @@ impl SharedNmslDevice {
                 l.q_input += pair.input_bytes;
                 l.q_output += pair.output_bytes;
                 if l.lane.admit(pair.workload) {
-                    self.run_quantum(backend, &mut l, idx, stats, NmslLane::run_lagged);
+                    self.run_quantum(&mut l, idx, stats, NmslLane::run_lagged);
                 }
             }
         }
@@ -510,13 +506,7 @@ impl SharedNmslDevice {
     /// head job in index order, advancing the head past jobs that are
     /// sealed-and-done or discarded. Caller holds the frontier lock;
     /// touched lanes are flagged for the caller to pump after dropping it.
-    fn drain_ready<H: SeedHasher>(
-        &self,
-        f: &mut Frontier,
-        backend: &NmslBackend<'_, '_, H>,
-        stats: &mut BackendStats,
-        touched: &mut [bool],
-    ) {
+    fn drain_ready(&self, f: &mut Frontier, stats: &mut BackendStats, touched: &mut [bool]) {
         // A head job nothing has mentioned yet has nothing to release.
         while let Some(&seq) = f.seqs.get(&f.head) {
             let job = f.head;
@@ -528,7 +518,7 @@ impl SharedNmslDevice {
             if let Some(batch) = f.pending.remove(&(job, seq.next_batch)) {
                 let released = batch.len() as u64;
                 for pair in batch {
-                    touched[self.release_pair(f, backend, pair, stats)] = true;
+                    touched[self.release_pair(f, pair, stats)] = true;
                 }
                 let seq = f.seqs.get_mut(&job).expect("registered job");
                 seq.next_batch += 1;
@@ -552,9 +542,8 @@ impl SharedNmslDevice {
     /// the integer deltas up into `stats.sim_cycles`. `touched` is the
     /// caller's per-lane flag buffer (a session keeps one across batches);
     /// it is reset here.
-    fn sequence<H: SeedHasher, R>(
+    fn sequence<R>(
         &self,
-        backend: &NmslBackend<'_, '_, H>,
         job: u64,
         stats: &mut BackendStats,
         touched: &mut Vec<bool>,
@@ -566,14 +555,14 @@ impl SharedNmslDevice {
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
-            self.drain_ready(&mut f, backend, stats, touched);
+            self.drain_ready(&mut f, stats, touched);
             let depth = f.pending.len() as u64;
             f.rec.gauge_set(self.metrics.frontier_g, depth);
             out
         };
         for (idx, &touched) in touched.iter().enumerate() {
             if touched {
-                self.pump_lane(backend, idx, false, stats);
+                self.pump_lane(idx, false, stats);
             }
         }
         stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
@@ -589,16 +578,15 @@ impl SharedNmslDevice {
     /// released past the frontier. Either is a caller bug that would
     /// otherwise silently drop pairs from device totals or price them out
     /// of order at flush.
-    fn admit<H: SeedHasher>(
+    fn admit(
         &self,
-        backend: &NmslBackend<'_, '_, H>,
         tag: BatchTag,
         pairs: Vec<AdmittedPair>,
         stats: &mut BackendStats,
         touched: &mut Vec<bool>,
     ) {
         let BatchTag { job, index } = tag;
-        self.sequence(backend, job, stats, touched, |f| {
+        self.sequence(job, stats, touched, |f| {
             let seq = f.seqs[&job];
             if seq.discarded {
                 return;
@@ -623,14 +611,9 @@ impl SharedNmslDevice {
 
     /// Seals `job` at `batches` batches, releasing whatever the canonical
     /// order was holding behind the job boundary.
-    fn seal_job<H: SeedHasher>(
-        &self,
-        backend: &NmslBackend<'_, '_, H>,
-        job: u64,
-        batches: u64,
-    ) -> BackendStats {
+    fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
         let mut stats = BackendStats::new();
-        self.sequence(backend, job, &mut stats, &mut Vec::new(), |f| {
+        self.sequence(job, &mut stats, &mut Vec::new(), |f| {
             f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
         });
         stats
@@ -641,13 +624,9 @@ impl SharedNmslDevice {
     /// the canonical order skip it (see [`MapBackend::discard_job`]). The
     /// report carries the job's already-released pair count, frozen here
     /// because the discard flag stops any further release.
-    fn discard_job<H: SeedHasher>(
-        &self,
-        backend: &NmslBackend<'_, '_, H>,
-        job: u64,
-    ) -> DiscardReport {
+    fn discard_job(&self, job: u64) -> DiscardReport {
         let mut stats = BackendStats::new();
-        let pairs_accounted = self.sequence(backend, job, &mut stats, &mut Vec::new(), |f| {
+        let pairs_accounted = self.sequence(job, &mut stats, &mut Vec::new(), |f| {
             let seq = f.seqs.get_mut(&job).expect("registered job");
             seq.discarded = true;
             let released = seq.released_pairs;
@@ -663,7 +642,7 @@ impl SharedNmslDevice {
     /// Drains the whole device in deterministic order, returns the float
     /// stage totals plus the residual integer deltas, and resets every lane
     /// and the frontier for the next run.
-    fn flush<H: SeedHasher>(&self, backend: &NmslBackend<'_, '_, H>) -> BackendStats {
+    fn flush(&self) -> BackendStats {
         let mut stats = BackendStats::new();
         let mut device = DeviceCounters {
             lanes: Vec::with_capacity(self.lanes.len()),
@@ -679,28 +658,26 @@ impl SharedNmslDevice {
             // the device always resets clean.
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             let mut touched = vec![false; self.lanes.len()];
-            self.drain_ready(&mut f, backend, &mut stats, &mut touched);
+            self.drain_ready(&mut f, &mut stats, &mut touched);
             for pair in std::mem::take(&mut f.pending).into_values().flatten() {
-                let _ = self.release_pair(&mut f, backend, pair, &mut stats);
+                let _ = self.release_pair(&mut f, pair, &mut stats);
             }
             stats.fallback_seconds = f.fallback_seconds_total;
             stats.fallback_energy_pj = f.fallback_energy_pj;
             stats.sim_seconds += f.fallback_seconds_total;
         }
         for idx in 0..self.lanes.len() {
-            self.pump_lane(backend, idx, true, &mut stats);
+            self.pump_lane(idx, true, &mut stats);
             let mut l = self.lanes[idx].lock().expect("lane lock poisoned");
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the
                 // drain of the last *full* quantum, which is still lagged.
                 let quantum = l.lane.quantum();
                 let full_target = l.lane.admitted() / quantum * quantum;
-                self.run_quantum(backend, &mut l, idx, &mut stats, |lane| {
-                    lane.run_to(full_target)
-                });
+                self.run_quantum(&mut l, idx, &mut stats, |lane| lane.run_to(full_target));
             }
             // Final drain: pure compute, no transfer left to hide.
-            self.run_quantum(backend, &mut l, idx, &mut stats, NmslLane::drain);
+            self.run_quantum(&mut l, idx, &mut stats, NmslLane::drain);
             stats.sim_seconds += l.seconds;
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
@@ -725,12 +702,8 @@ impl SharedNmslDevice {
             device.lanes.push(counters);
             // Replacing the lane state drops (and thereby flushes) its
             // telemetry recorder; the fresh one starts with an empty ring.
-            *l = LaneState::new(
-                backend.dram,
-                backend.nmsl,
-                backend.quantum,
-                self.telemetry.recorder(LANE_TRACK_BASE + idx as u32),
-            );
+            let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
+            *l = LaneState::new(&self.config, rec);
         }
         let mut f = self.frontier.lock().expect("frontier lock poisoned");
         device.frontier_peak_depth = f.peak_depth;
@@ -743,8 +716,9 @@ impl SharedNmslDevice {
     }
 }
 
-/// The GenPairX accelerator backend: a config bundle plus the **shared
-/// channel-sharded warm device** every worker session admits into. Per
+/// The GenPairX accelerator backend: a mapper plus the **shared
+/// channel-sharded warm device** (and its configuration) every worker
+/// session admits into. Per
 /// batch, sessions do three independent things:
 ///
 /// 1. **Results** — map every pair through the *software* path
@@ -783,79 +757,64 @@ impl SharedNmslDevice {
 /// accumulated inside the device in input/lane-op order. Consecutive runs
 /// on one backend are independent — `flush` resets the device — but must
 /// not overlap in time.
-pub struct NmslBackend<'m, 'g, H: SeedHasher = Xxh32Builder> {
-    mapper: &'m GenPairMapper<'g, H>,
-    dram: DramConfig,
-    nmsl: NmslConfig,
-    gendp: GenDpInstance,
-    link_gbs: f64,
-    channels: usize,
-    quantum: usize,
-    telemetry: Telemetry,
+pub struct NmslBackend<'m, 'g> {
+    mapper: &'m GenPairMapper<'g>,
     device: SharedNmslDevice,
 }
 
-impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
+impl<'m, 'g> NmslBackend<'m, 'g> {
     /// An NMSL backend over the paper's default configuration: HBM2e with 32
     /// memory channels, 1024-pair sliding window, a shared
     /// [`DEFAULT_CHANNELS`]-lane device on a
     /// [`DEFAULT_DISPATCH_QUANTUM`]-pair quantum, the Table-4 GenDP for
     /// fallbacks and a PCIe Gen4 ×16 host link.
-    pub fn new(mapper: &'m GenPairMapper<'g, H>) -> NmslBackend<'m, 'g, H> {
+    pub fn new(mapper: &'m GenPairMapper<'g>) -> NmslBackend<'m, 'g> {
         NmslBackend::with_configs(mapper, DramConfig::hbm2e_32ch(), NmslConfig::default())
     }
 
     /// An NMSL backend over explicit DRAM and NMSL configurations (DDR5 /
     /// GDDR6 scaling studies, window sweeps).
     pub fn with_configs(
-        mapper: &'m GenPairMapper<'g, H>,
+        mapper: &'m GenPairMapper<'g>,
         dram: DramConfig,
         nmsl: NmslConfig,
-    ) -> NmslBackend<'m, 'g, H> {
-        let channels = DEFAULT_CHANNELS;
-        let quantum = DEFAULT_DISPATCH_QUANTUM;
-        NmslBackend {
-            mapper,
+    ) -> NmslBackend<'m, 'g> {
+        let config = DeviceConfig {
             dram,
             nmsl,
-            gendp: GenDpInstance::paper_table4(),
+            channels: DEFAULT_CHANNELS,
+            quantum: DEFAULT_DISPATCH_QUANTUM,
             link_gbs: gx_accel::host::PCIE4_X16_GBS,
-            channels,
-            quantum,
-            telemetry: Telemetry::disabled(),
-            device: SharedNmslDevice::new(dram, nmsl, channels, quantum, Telemetry::disabled()),
+        };
+        NmslBackend {
+            mapper,
+            device: SharedNmslDevice::new(config, Telemetry::disabled()),
         }
     }
 
-    /// Recreates the shared device from the current lane count, quantum and
-    /// telemetry handle — the builder methods that change one of those are
-    /// only valid while no sessions are live.
-    fn rebuild_device(mut self) -> NmslBackend<'m, 'g, H> {
-        self.device = SharedNmslDevice::new(
-            self.dram,
-            self.nmsl,
-            self.channels,
-            self.quantum,
-            self.telemetry.clone(),
-        );
+    /// Recreates the shared device with `change` applied to its
+    /// configuration — only valid while no sessions are live, which the
+    /// by-value builder methods guarantee.
+    fn reconfigure(mut self, change: impl FnOnce(&mut DeviceConfig)) -> NmslBackend<'m, 'g> {
+        let mut config = self.device.config;
+        change(&mut config);
+        self.device = SharedNmslDevice::new(config, self.device.telemetry.clone());
         self
     }
 
     /// Sets the shared warm device's lane count (clamped to at least 1).
     /// Warm totals are comparable only at a fixed channel count — the lane
     /// partition is part of the modeled hardware, like the DRAM technology.
-    pub fn channels(mut self, channels: usize) -> NmslBackend<'m, 'g, H> {
-        self.channels = channels.max(1);
-        self.rebuild_device()
+    pub fn channels(self, channels: usize) -> NmslBackend<'m, 'g> {
+        self.reconfigure(|c| c.channels = channels.max(1))
     }
 
     /// Sets the shared warm device's dispatch quantum in pairs (clamped to
     /// at least 1): how many admissions a lane groups into one device
     /// dispatch. The quantum replaces the client batch size in the warm
     /// model — that is what makes warm totals batch-size-invariant.
-    pub fn dispatch_quantum(mut self, quantum: usize) -> NmslBackend<'m, 'g, H> {
-        self.quantum = quantum.max(1);
-        self.rebuild_device()
+    pub fn dispatch_quantum(self, quantum: usize) -> NmslBackend<'m, 'g> {
+        self.reconfigure(|c| c.quantum = quantum.max(1))
     }
 
     /// Attaches a telemetry handle: the shared warm device then records
@@ -867,47 +826,40 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     /// **accounting-inert**: it taps already-computed modeled values and
     /// wall-clock reads, and nothing it records feeds back into
     /// [`BackendStats`] — warm totals stay bit-identical with tracing on.
-    pub fn telemetry(mut self, telemetry: Telemetry) -> NmslBackend<'m, 'g, H> {
-        self.telemetry = telemetry;
-        self.rebuild_device()
+    pub fn telemetry(mut self, telemetry: Telemetry) -> NmslBackend<'m, 'g> {
+        self.device = SharedNmslDevice::new(self.device.config, telemetry);
+        self
     }
 
     /// Overrides the host-link bandwidth in GB/s (0 disables transfer
     /// accounting).
-    pub fn link_gbs(mut self, gbs: f64) -> NmslBackend<'m, 'g, H> {
-        self.link_gbs = gbs;
-        self
-    }
-
-    /// Overrides the GenDP instance pricing fallback work.
-    pub fn gendp(mut self, gendp: GenDpInstance) -> NmslBackend<'m, 'g, H> {
-        self.gendp = gendp;
-        self
+    pub fn link_gbs(self, gbs: f64) -> NmslBackend<'m, 'g> {
+        self.reconfigure(|c| c.link_gbs = gbs)
     }
 
     /// The wrapped mapper.
-    pub fn mapper(&self) -> &'m GenPairMapper<'g, H> {
+    pub fn mapper(&self) -> &'m GenPairMapper<'g> {
         self.mapper
     }
 
     /// The DRAM technology being modeled.
     pub fn dram_config(&self) -> &DramConfig {
-        &self.dram
+        &self.device.config.dram
     }
 
     /// The NMSL configuration being modeled.
     pub fn nmsl_config(&self) -> &NmslConfig {
-        &self.nmsl
+        &self.device.config.nmsl
     }
 
     /// The shared warm device's lane count.
     pub fn channel_count(&self) -> usize {
-        self.channels
+        self.device.config.channels
     }
 
     /// The shared warm device's dispatch quantum in pairs.
     pub fn dispatch_quantum_pairs(&self) -> usize {
-        self.quantum
+        self.device.config.quantum
     }
 
     /// Per-lane performance counters of the most recent
@@ -924,9 +876,9 @@ impl<'m, 'g, H: SeedHasher> NmslBackend<'m, 'g, H> {
     }
 }
 
-impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
+impl MapBackend for NmslBackend<'_, '_> {
     type Session<'s>
-        = NmslSession<'s, H>
+        = NmslSession<'s>
     where
         Self: 's;
 
@@ -934,22 +886,22 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
         "nmsl"
     }
 
-    fn session(&self, worker_id: usize) -> NmslSession<'_, H> {
+    fn session(&self, worker_id: usize) -> NmslSession<'_> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
             workload: WorkloadScratch::default(),
             touched: Vec::new(),
-            rec: self.telemetry.recorder(1000 + worker_id as u32),
-            seedmap_c: self.telemetry.counter(
+            rec: self.device.telemetry.recorder(1000 + worker_id as u32),
+            seedmap_c: self.device.telemetry.counter(
                 "gx_fallback_seedmap_total",
                 "pairs priced on GenDP because no SeedMap entry matched",
             ),
-            pafilter_c: self.telemetry.counter(
+            pafilter_c: self.device.telemetry.counter(
                 "gx_fallback_pafilter_total",
                 "pairs priced on GenDP because the paired-adjacency filter emptied",
             ),
-            lightalign_c: self.telemetry.counter(
+            lightalign_c: self.device.telemetry.counter(
                 "gx_fallback_lightalign_total",
                 "pairs needing DP alignment because light alignment failed",
             ),
@@ -957,15 +909,15 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
     }
 
     fn flush(&self) -> BackendStats {
-        self.device.flush(self)
+        self.device.flush()
     }
 
     fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
-        self.device.seal_job(self, job, batches)
+        self.device.seal_job(job, batches)
     }
 
     fn discard_job(&self, job: u64) -> DiscardReport {
-        self.device.discard_job(self, job)
+        self.device.discard_job(job)
     }
 }
 
@@ -983,8 +935,8 @@ impl<H: SeedHasher> MapBackend for NmslBackend<'_, '_, H> {
 /// reported once by [`MapBackend::flush`]; the session itself holds no
 /// accounting, because a finished worker must not drain state other
 /// workers still feed.
-pub struct NmslSession<'s, H: SeedHasher = Xxh32Builder> {
-    backend: &'s NmslBackend<'s, 's, H>,
+pub struct NmslSession<'s> {
+    backend: &'s NmslBackend<'s, 's>,
     /// The session's reusable mapping arena (software-path hot buffers).
     scratch: MapScratch,
     /// Reusable buffers of the per-pair NMSL workload extraction.
@@ -1002,7 +954,7 @@ pub struct NmslSession<'s, H: SeedHasher = Xxh32Builder> {
     lightalign_c: CounterId,
 }
 
-impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
+impl MapSession for NmslSession<'_> {
     fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
         let started = Instant::now();
         // Results: the software path (identical bytes across backends).
@@ -1053,7 +1005,7 @@ impl<H: SeedHasher> MapSession for NmslSession<'_, H> {
         }
         self.backend
             .device
-            .admit(self.backend, tag, admissions, &mut stats, &mut self.touched);
+            .admit(tag, admissions, &mut stats, &mut self.touched);
         stats.busy_ns = started.elapsed().as_nanos() as u64;
         BatchResult { results, stats }
     }

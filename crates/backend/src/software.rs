@@ -2,7 +2,6 @@
 
 use crate::{BackendStats, BatchResult, BatchTag, MapBackend, MapSession};
 use gx_core::{GenPairMapper, MapScratch, ReadPair};
-use gx_seedmap::{SeedHasher, Xxh32Builder};
 use std::time::Instant;
 
 /// The software baseline: maps every pair with
@@ -14,29 +13,25 @@ use std::time::Instant;
 /// [`MapScratch`] arena, so steady-state mapping performs no per-pair heap
 /// allocation; the factory/session split is what gives every worker its own
 /// scratch without sharing.
-///
-/// Like the mapper it wraps, the backend is generic over the index's
-/// seed-hash family `H` (default xxh32), so `ablation_seedhash` can drive
-/// the full engine over a murmur3- or ntHash-backed index.
-pub struct SoftwareBackend<'m, 'g, H: SeedHasher = Xxh32Builder> {
-    mapper: &'m GenPairMapper<'g, H>,
+pub struct SoftwareBackend<'m, 'g> {
+    mapper: &'m GenPairMapper<'g>,
 }
 
-impl<'m, 'g, H: SeedHasher> SoftwareBackend<'m, 'g, H> {
+impl<'m, 'g> SoftwareBackend<'m, 'g> {
     /// A backend mapping with `mapper`.
-    pub fn new(mapper: &'m GenPairMapper<'g, H>) -> SoftwareBackend<'m, 'g, H> {
+    pub fn new(mapper: &'m GenPairMapper<'g>) -> SoftwareBackend<'m, 'g> {
         SoftwareBackend { mapper }
     }
 
     /// The wrapped mapper.
-    pub fn mapper(&self) -> &'m GenPairMapper<'g, H> {
+    pub fn mapper(&self) -> &'m GenPairMapper<'g> {
         self.mapper
     }
 }
 
-impl<H: SeedHasher> MapBackend for SoftwareBackend<'_, '_, H> {
+impl MapBackend for SoftwareBackend<'_, '_> {
     type Session<'s>
-        = SoftwareSession<'s, H>
+        = SoftwareSession<'s>
     where
         Self: 's;
 
@@ -44,7 +39,7 @@ impl<H: SeedHasher> MapBackend for SoftwareBackend<'_, '_, H> {
         "software"
     }
 
-    fn session(&self, _worker_id: usize) -> SoftwareSession<'_, H> {
+    fn session(&self, _worker_id: usize) -> SoftwareSession<'_> {
         SoftwareSession {
             mapper: self.mapper,
             scratch: MapScratch::new(),
@@ -54,12 +49,12 @@ impl<H: SeedHasher> MapBackend for SoftwareBackend<'_, '_, H> {
 
 /// A software mapping session: a borrowed mapper plus its own reusable
 /// [`MapScratch`] arena (warmed up by the first batch, then allocation-free).
-pub struct SoftwareSession<'m, H: SeedHasher = Xxh32Builder> {
-    mapper: &'m GenPairMapper<'m, H>,
+pub struct SoftwareSession<'m> {
+    mapper: &'m GenPairMapper<'m>,
     scratch: MapScratch,
 }
 
-impl<H: SeedHasher> MapSession for SoftwareSession<'_, H> {
+impl MapSession for SoftwareSession<'_> {
     fn map(&mut self, _tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
         let started = Instant::now();
         let results = pairs
@@ -83,7 +78,6 @@ mod tests {
     use super::*;
     use gx_core::GenPairConfig;
     use gx_genome::random::RandomGenomeBuilder;
-    use gx_seedmap::Murmur3Builder;
 
     const FIRST: BatchTag = BatchTag { job: 0, index: 0 };
 
@@ -119,27 +113,6 @@ mod tests {
                 assert_eq!((&a.cigar1, &a.cigar2), (&b.cigar1, &b.cigar2));
             }
         }
-    }
-
-    #[test]
-    fn murmur_backed_backend_maps_through_sessions() {
-        let genome = RandomGenomeBuilder::new(60_000).seed(19).build();
-        let mapper =
-            GenPairMapper::<Murmur3Builder>::build_with(&genome, &GenPairConfig::default());
-        let seq = genome.chromosome(0).seq();
-        let pairs: Vec<ReadPair> = (0..4)
-            .map(|i| {
-                let s = 3_000 + i * 9_000;
-                ReadPair::new(
-                    format!("m{i}"),
-                    seq.subseq(s..s + 150),
-                    seq.subseq(s + 250..s + 400).revcomp(),
-                )
-            })
-            .collect();
-        let backend = SoftwareBackend::new(&mapper);
-        let out = backend.session(0).map(FIRST, &pairs);
-        assert!(out.results.iter().all(|r| r.is_mapped()));
     }
 
     #[test]

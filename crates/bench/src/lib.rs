@@ -231,6 +231,27 @@ mod tests {
         assert!(sams.len() >= 150, "sam records: {}", sams.len());
     }
 
+    /// The README's bin table names exactly the files in `src/bin/`.
+    #[test]
+    fn readme_bin_table_lists_every_bin() {
+        use std::collections::BTreeSet;
+        let (_, section) = include_str!("../README.md")
+            .split_once("## Paper reproduction bins")
+            .expect("the bin table's heading");
+        let documented: BTreeSet<String> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split_once("` | "))
+            .map(|(name, _)| name.to_owned())
+            .collect();
+        let on_disk: BTreeSet<String> =
+            std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin"))
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .map(|path| path.file_stem().unwrap().to_str().unwrap().to_owned())
+                .collect();
+        assert_eq!(documented, on_disk);
+    }
+
     #[test]
     fn table_rendering_aligns() {
         let t = render_table(&["a", "bb"], &[vec!["xxx".into(), "y".into()]]);

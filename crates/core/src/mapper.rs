@@ -9,7 +9,7 @@ use crate::seeding::query_read_into;
 use crate::{GenPairConfig, ReadPair};
 use gx_align::{banded_align_with, AlignMode, AlignScratch};
 use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, ReferenceGenome, SamRecord};
-use gx_seedmap::{SeedHasher, SeedMap, Xxh32Builder};
+use gx_seedmap::SeedMap;
 
 /// Reference bases the DP fallback's window extends either side of a
 /// candidate start: the read fit-aligns inside `len + 2 * margin` bases.
@@ -121,29 +121,10 @@ impl PairMapResult {
 /// assert!(res.is_mapped());
 /// assert_eq!(res.mapping.unwrap().pos1, 2_000);
 /// ```
-///
-/// Like the [`SeedMap`] it wraps, the mapper is generic over the index's
-/// seed-hash family `H` (default: the paper's xxh32 via [`Xxh32Builder`]),
-/// so end-to-end mapping behaviour can be A/B'd per hash family through
-/// the *real* pipeline — build an alternative-hash mapper with
-/// [`GenPairMapper::build_with`]:
-///
-/// ```
-/// use gx_genome::random::RandomGenomeBuilder;
-/// use gx_core::{GenPairConfig, GenPairMapper};
-/// use gx_seedmap::Murmur3Builder;
-///
-/// let genome = RandomGenomeBuilder::new(60_000).seed(5).build();
-/// let mapper =
-///     GenPairMapper::<Murmur3Builder>::build_with(&genome, &GenPairConfig::default());
-/// let r1 = genome.chromosome(0).seq().subseq(2_000..2_150);
-/// let r2 = genome.chromosome(0).seq().subseq(2_250..2_400).revcomp();
-/// assert!(mapper.map_pair(&r1, &r2).is_mapped());
-/// ```
 #[derive(Debug)]
-pub struct GenPairMapper<'g, H: SeedHasher = Xxh32Builder> {
+pub struct GenPairMapper<'g> {
     genome: &'g ReferenceGenome,
-    seedmap: SeedMap<H>,
+    seedmap: SeedMap,
     config: GenPairConfig,
 }
 
@@ -159,22 +140,9 @@ const _: () = {
 };
 
 impl<'g> GenPairMapper<'g> {
-    /// Builds the default (xxh32) SeedMap (offline stage) and returns a
-    /// mapper — the paper's configuration. Equivalent to
-    /// [`GenPairMapper::<Xxh32Builder>::build_with`](GenPairMapper::build_with).
+    /// Builds the SeedMap (offline stage) and returns a mapper over it.
     pub fn build(genome: &'g ReferenceGenome, config: &GenPairConfig) -> GenPairMapper<'g> {
-        GenPairMapper::build_with(genome, config)
-    }
-}
-
-impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
-    /// Builds the SeedMap with seed-hash family `H` (offline stage) and
-    /// returns a mapper over it. The whole online pipeline — seeding,
-    /// query, PA filtering, light alignment, fallbacks — then runs against
-    /// that index, so differences between two `build_with` mappers measure
-    /// the hash family end to end.
-    pub fn build_with(genome: &'g ReferenceGenome, config: &GenPairConfig) -> GenPairMapper<'g, H> {
-        let seedmap = SeedMap::<H>::build_with(genome, &config.seedmap);
+        let seedmap = SeedMap::build(genome, &config.seedmap);
         GenPairMapper {
             genome,
             seedmap,
@@ -189,9 +157,9 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
     /// Panics if the SeedMap's seed length differs from the config's.
     pub fn with_seedmap(
         genome: &'g ReferenceGenome,
-        seedmap: SeedMap<H>,
+        seedmap: SeedMap,
         config: &GenPairConfig,
-    ) -> GenPairMapper<'g, H> {
+    ) -> GenPairMapper<'g> {
         assert_eq!(
             seedmap.config().seed_len,
             config.seedmap.seed_len,
@@ -205,7 +173,7 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
     }
 
     /// The underlying SeedMap.
-    pub fn seedmap(&self) -> &SeedMap<H> {
+    pub fn seedmap(&self) -> &SeedMap {
         &self.seedmap
     }
 
@@ -553,21 +521,6 @@ mod tests {
         assert_eq!(m.pos2, 10_250);
         assert!(m.r1_forward);
         assert_eq!(m.pair_score(), 600);
-    }
-
-    #[test]
-    fn murmur_backed_mapper_maps_end_to_end() {
-        // The full pipeline over a murmur3-hashed index: same algorithm,
-        // different bucket layout, same mapping for an exact pair.
-        let (genome, cfg) = setup();
-        let mapper = GenPairMapper::<gx_seedmap::Murmur3Builder>::build_with(&genome, &cfg);
-        let seq = genome.chromosome(0).seq();
-        let r1 = seq.subseq(10_000..10_150);
-        let r2 = seq.subseq(10_250..10_400).revcomp();
-        let res = mapper.map_pair(&r1, &r2);
-        assert!(res.fallback.is_none(), "fallback: {:?}", res.fallback);
-        let m = res.mapping.unwrap();
-        assert_eq!((m.pos1, m.pos2), (10_000, 10_250));
     }
 
     #[test]

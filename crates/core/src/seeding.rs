@@ -7,23 +7,22 @@
 //! positions, the input to paired-adjacency filtering.
 
 use gx_genome::{DnaSeq, GlobalPos};
-use gx_seedmap::{merge_sorted_with_offsets_into, SeedHasher, SeedMap};
+use gx_seedmap::{merge_sorted_with_offsets_into, SeedMap};
 
 /// One extracted seed: offset within the read plus its hash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Seed {
     /// Offset of the seed's first base within the read.
     pub offset: u32,
-    /// Hash of the seed's 2-bit codes under the index's hash family
-    /// (xxh32 by default).
+    /// The index's hash of the seed's 2-bit codes
+    /// ([`SeedMap::hash_seed_codes`]).
     pub hash: u32,
 }
 
 /// Extracts the partitioned seeds of `read`: first, middle and last
 /// `seed_len` bases (non-overlapping for reads of at least `3 * seed_len`).
-/// Reads shorter than `seed_len` yield no seeds. Generic over the index's
-/// seed-hash family, so hash ablations query the real index.
-pub fn partitioned_seeds<H: SeedHasher>(read: &DnaSeq, seedmap: &SeedMap<H>) -> Vec<Seed> {
+/// Reads shorter than `seed_len` yield no seeds.
+pub fn partitioned_seeds(read: &DnaSeq, seedmap: &SeedMap) -> Vec<Seed> {
     let (seeds, n) = partitioned_seeds_with(read, seedmap, &mut Vec::new());
     seeds[..n].to_vec()
 }
@@ -32,9 +31,9 @@ pub fn partitioned_seeds<H: SeedHasher>(read: &DnaSeq, seedmap: &SeedMap<H>) -> 
 /// whole read's 2-bit codes (seeds are hashed as subslices of it — same
 /// values as per-seed extraction) and the seeds come back in a fixed array
 /// with their count, so a caller that keeps `codes` allocates nothing.
-pub fn partitioned_seeds_with<H: SeedHasher>(
+pub fn partitioned_seeds_with(
     read: &DnaSeq,
-    seedmap: &SeedMap<H>,
+    seedmap: &SeedMap,
     codes: &mut Vec<u8>,
 ) -> ([Seed; 3], usize) {
     let mut seeds = [Seed { offset: 0, hash: 0 }; 3];
@@ -75,46 +74,26 @@ pub struct ReadCandidates {
 
 /// Queries SeedMap with a read's partitioned seeds and merges the location
 /// lists into candidate read starts (paper steps 1–2).
-pub fn query_read<H: SeedHasher>(read: &DnaSeq, seedmap: &SeedMap<H>) -> ReadCandidates {
+pub fn query_read(read: &DnaSeq, seedmap: &SeedMap) -> ReadCandidates {
     let mut codes = Vec::new();
     let mut out = ReadCandidates::default();
     query_read_into(read, seedmap, &mut codes, &mut out);
     out
 }
 
-/// [`query_read`] writing into caller-owned buffers: `codes` receives the
-/// whole read's 2-bit codes (seeds are hashed as subslices of it — same
-/// values as per-seed extraction) and `out` is overwritten in place. The
+/// [`query_read`] writing into caller-owned buffers: `codes` is
+/// [`partitioned_seeds_with`]'s buffer and `out` is overwritten in place. The
 /// allocation-free variant the mapper's scratch arena uses per read.
-pub fn query_read_into<H: SeedHasher>(
+pub fn query_read_into(
     read: &DnaSeq,
-    seedmap: &SeedMap<H>,
+    seedmap: &SeedMap,
     codes: &mut Vec<u8>,
     out: &mut ReadCandidates,
 ) {
-    out.starts.clear();
-    out.locations_fetched = 0;
-    out.seeds_hit = 0;
-    out.seeds_total = 0;
-    let seed_len = seedmap.config().seed_len;
-    if read.len() < seed_len {
-        return;
-    }
-    let last = read.len() - seed_len;
-    // First, middle, last — deduplicated like `partitioned_seeds`.
-    let mut offsets = [0usize; 3];
-    let mut n = 0usize;
-    for off in [0usize, last / 2, last] {
-        if n == 0 || offsets[n - 1] != off {
-            offsets[n] = off;
-            n += 1;
-        }
-    }
-    read.codes_into(0..read.len(), codes);
+    let (seeds, n) = partitioned_seeds_with(read, seedmap, codes);
     let mut lists: [(&[GlobalPos], u32); 3] = [(&[], 0); 3];
-    for (i, &off) in offsets[..n].iter().enumerate() {
-        let hash = seedmap.hash_seed_codes(&codes[off..off + seed_len]);
-        lists[i] = (seedmap.locations_for_hash(hash), off as u32);
+    for (list, seed) in lists.iter_mut().zip(&seeds[..n]) {
+        *list = (seedmap.locations_for_hash(seed.hash), seed.offset);
     }
     let lists = &lists[..n];
     out.locations_fetched = lists.iter().map(|(l, _)| l.len() as u64).sum();
@@ -227,9 +206,44 @@ mod tests {
             let (seeds, n) = partitioned_seeds_with(&read, &map, &mut codes);
             assert_eq!(seeds[..n], want[..]);
             assert_eq!(partitioned_seeds(&read, &map), want);
-            // The mapper's own query extracts as many.
-            assert_eq!(query_read(&read, &map).seeds_total as usize, n);
+            // The mapper's own query is those seeds looked up one by one.
+            let slices: Vec<&[GlobalPos]> = seeds[..n]
+                .iter()
+                .map(|s| map.locations_for_hash(s.hash))
+                .collect();
+            let got = query_read(&read, &map);
+            assert_eq!(got.seeds_total as usize, n);
+            assert_eq!(
+                got.locations_fetched,
+                slices.iter().map(|l| l.len() as u64).sum::<u64>()
+            );
+            assert_eq!(
+                got.seeds_hit as usize,
+                slices.iter().filter(|l| !l.is_empty()).count()
+            );
         }
+        // `bucket_range` bounds exactly the slice `locations_for_hash`
+        // returns: bucket 0 (no previous entry), its neighbours, the last
+        // bucket, and a sweep across the table.
+        let buckets = map.num_buckets() as u32;
+        let table = map.locations_for_hash(0).as_ptr() as usize;
+        assert_eq!(map.bucket_range(0).1, 0);
+        let mut table_end = 0u64;
+        for h in [0, 1, buckets - 1, buckets, u32::MAX]
+            .into_iter()
+            .chain((0..buckets).step_by(97))
+        {
+            let (bucket, start, end) = map.bucket_range(h);
+            let slice = map.locations_for_hash(h);
+            assert_eq!(bucket, h % buckets);
+            assert_eq!(
+                ((slice.as_ptr() as usize - table) / size_of::<GlobalPos>()) as u64,
+                start
+            );
+            assert_eq!(slice.len() as u64, end - start);
+            table_end = table_end.max(end);
+        }
+        assert_eq!(table_end, map.stats().stored_locations);
     }
 
     #[test]

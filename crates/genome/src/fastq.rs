@@ -1,7 +1,6 @@
 //! Minimal FASTQ reading and writing for simulated reads.
 
 use crate::{DnaSeq, GenomeError};
-use bytes::BytesMut;
 use std::io::{BufRead, ErrorKind, Write};
 
 /// A sequencing read: identifier, bases and per-base Phred+33 qualities.
@@ -47,7 +46,7 @@ impl ReadRecord {
 /// internal buffer and decoded in place (2-bit packing a word at a time,
 /// quality copy) without an intermediate per-line `String`. Only a line
 /// that straddles the buffer boundary is stitched together in a reusable
-/// [`BytesMut`] spill buffer. CRLF line endings are accepted (one trailing
+/// `Vec<u8>` spill buffer. CRLF line endings are accepted (one trailing
 /// `\r` is stripped, as with [`BufRead::lines`]).
 ///
 /// Ambiguous bases (`N`) are not representable in [`DnaSeq`]; they are
@@ -68,7 +67,7 @@ impl ReadRecord {
 /// ```
 pub struct FastqReader<R: BufRead> {
     reader: R,
-    spill: BytesMut,
+    spill: Vec<u8>,
     failed: bool,
 }
 
@@ -88,7 +87,7 @@ fn trim_cr(line: &[u8]) -> &[u8] {
 /// socket is not a malformed stream.
 fn next_line<R: BufRead, T>(
     reader: &mut R,
-    spill: &mut BytesMut,
+    spill: &mut Vec<u8>,
     f: impl FnOnce(&[u8]) -> T,
 ) -> Result<Option<T>, GenomeError> {
     let mut f = Some(f);
@@ -142,7 +141,7 @@ impl<R: BufRead> FastqReader<R> {
     pub fn new(reader: R) -> FastqReader<R> {
         FastqReader {
             reader,
-            spill: BytesMut::new(),
+            spill: Vec::new(),
             failed: false,
         }
     }

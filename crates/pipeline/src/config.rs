@@ -3,7 +3,6 @@
 use crate::MappingEngine;
 use gx_backend::{MapBackend, SoftwareBackend};
 use gx_core::GenPairMapper;
-use gx_seedmap::SeedHasher;
 use gx_telemetry::Telemetry;
 
 /// What the engine does with pairs GenPair could not map (full-pipeline
@@ -134,13 +133,11 @@ impl PipelineBuilder {
     }
 
     /// Finalizes and attaches the configuration to a mapper through the
-    /// software backend (the CPU reference path). Generic over the index's
-    /// seed-hash family `H`; call sites built on the default xxh32 index
-    /// infer `H` without spelling it out.
-    pub fn engine<'m, 'g, H: SeedHasher>(
+    /// software backend (the CPU reference path).
+    pub fn engine<'m, 'g>(
         self,
-        mapper: &'m GenPairMapper<'g, H>,
-    ) -> MappingEngine<SoftwareBackend<'m, 'g, H>> {
+        mapper: &'m GenPairMapper<'g>,
+    ) -> MappingEngine<SoftwareBackend<'m, 'g>> {
         self.backend(SoftwareBackend::new(mapper))
     }
 }

@@ -63,7 +63,6 @@ use gx_core::{
     PipelineStats, ReadPair,
 };
 use gx_genome::SamRecord;
-use gx_seedmap::SeedHasher;
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::HashMap;
 use std::io;
@@ -631,8 +630,8 @@ impl<B: MapBackend> MappingEngine<B> {
 /// # Errors
 ///
 /// Returns the first sink I/O error.
-pub fn map_serial<I, S, H>(
-    mapper: &GenPairMapper<'_, H>,
+pub fn map_serial<I, S>(
+    mapper: &GenPairMapper<'_>,
     policy: FallbackPolicy,
     input: I,
     sink: &mut S,
@@ -640,7 +639,6 @@ pub fn map_serial<I, S, H>(
 where
     I: IntoIterator<Item = ReadPair>,
     S: RecordSink,
-    H: SeedHasher,
 {
     let started = Instant::now();
     let mut stats = PipelineStats::new();

@@ -9,12 +9,10 @@
 //!   a bucket's slice is `location_table[seed_table[i-1]..seed_table[i]]`.
 //!
 //! Seeds are hashed with [`xxh32`] (the paper uses xxHash) over their 2-bit
-//! base codes; the index is generic over the hash family ([`SeedHasher`]),
-//! so the murmur3 alternative ([`Murmur3Builder`]) can be validated on a
-//! real index via [`SeedMap::build_with`]. Buckets holding more locations
-//! than the *index filtering threshold* (default 500, §5.2) are emptied at
-//! construction time; reads whose seeds land in filtered buckets fall back
-//! to the DP pipeline.
+//! base codes, at construction and at query time alike. Buckets holding
+//! more locations than the *index filtering threshold* (default 500, §5.2)
+//! are emptied at construction time; reads whose seeds land in filtered
+//! buckets fall back to the DP pipeline.
 //!
 //! ```
 //! use gx_genome::random::RandomGenomeBuilder;
@@ -28,20 +26,14 @@
 //! assert!(hits.contains(&777));
 //! ```
 
-mod hasher;
 mod merge;
-mod murmur;
-mod nthash;
 mod seedmap;
 mod serialize;
 mod xxhash;
 
-pub use hasher::{SeedHasher, Xxh32Builder, Xxh32Hasher};
 pub use merge::{
     merge_sorted, merge_sorted_with_offsets, merge_sorted_with_offsets_into, MAX_MERGE_LISTS,
 };
-pub use murmur::{murmur3_32, Murmur3Builder, Murmur3Hasher};
-pub use nthash::{NtHashBuilder, NtHashHasher};
-pub use seedmap::{default_bucket_bits, SeedMap, SeedMapConfig, SeedMapStats};
-pub use serialize::{read_seedmap, read_seedmap_as, write_seedmap, SerializeError};
+pub use seedmap::{SeedMap, SeedMapConfig, SeedMapStats};
+pub use serialize::{read_seedmap, write_seedmap, SerializeError};
 pub use xxhash::xxh32;

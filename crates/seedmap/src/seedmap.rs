@@ -1,4 +1,4 @@
-use crate::{SeedHasher, Xxh32Builder};
+use crate::xxh32;
 use gx_genome::{GlobalPos, ReferenceGenome};
 
 /// Configuration of SeedMap construction.
@@ -39,9 +39,8 @@ impl SeedMapConfig {
 /// The default Seed Table sizing: log2 of the smallest power of two at
 /// least as large as the genome (load factor ≤ 1), capped at 31 bits. This
 /// is what [`SeedMap::build`] uses when [`SeedMapConfig::bucket_bits`] is
-/// `None`; harnesses that model the table without building it (e.g. the
-/// seed-hash ablation) should call this so they measure the same geometry.
-pub fn default_bucket_bits(genome_len: u64) -> u32 {
+/// `None`.
+fn default_bucket_bits(genome_len: u64) -> u32 {
     let mut bits = 1u32;
     while (1u64 << bits) < genome_len {
         bits += 1;
@@ -84,17 +83,14 @@ impl SeedMapStats {
 /// positions (stride 1) are indexed so that read seeds extracted at
 /// arbitrary offsets find their exact matches.
 ///
-/// The index is generic over its seed-hash family `H` (default: the
-/// paper's xxHash via [`Xxh32Builder`]), so an alternative hasher such as
-/// [`Murmur3Builder`](crate::Murmur3Builder) can be validated on the real
-/// bucket layout with real queries — build one with
-/// [`SeedMap::build_with`]. Every query path (including the mapper and the
-/// NMSL workload extractor) is generic too; only the hashes change, never
-/// the table mechanics.
+/// A seed's bucket is `xxh32(codes, config.hash_seed) & mask`, at
+/// construction ([`SeedMap::build`]) and at query time
+/// ([`SeedMap::hash_seed_codes`]) alike — the paper's hashing units
+/// implement xxHash (§4.3), so the hash is part of the index format, not a
+/// parameter of it.
 #[derive(Clone, Debug)]
-pub struct SeedMap<H: SeedHasher = Xxh32Builder> {
+pub struct SeedMap {
     config: SeedMapConfig,
-    hasher: H,
     mask: u32,
     /// `seed_table[i]` = end offset of bucket `i` in `location_table`.
     seed_table: Vec<u32>,
@@ -104,22 +100,7 @@ pub struct SeedMap<H: SeedHasher = Xxh32Builder> {
 }
 
 impl SeedMap {
-    /// Builds the default (xxh32) index over `genome` — the paper's offline
-    /// stage with the paper's hash. Equivalent to
-    /// [`SeedMap::build_with::<Xxh32Builder>`](SeedMap::build_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seed_len` is zero or larger than 256 (hardware seeds are
-    /// bounded), or if the genome is empty.
-    pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap {
-        SeedMap::build_with(genome, config)
-    }
-}
-
-impl<H: SeedHasher> SeedMap<H> {
-    /// Builds the index over `genome` with seed-hash family `H` (the
-    /// paper's offline stage).
+    /// Builds the index over `genome` (the paper's offline stage).
     ///
     /// Two passes: count bucket sizes, apply the filter threshold, prefix-sum
     /// into end offsets, then place positions — a counting sort that leaves
@@ -129,7 +110,7 @@ impl<H: SeedHasher> SeedMap<H> {
     ///
     /// Panics if `seed_len` is zero or larger than 256 (hardware seeds are
     /// bounded), or if the genome is empty.
-    pub fn build_with(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap<H> {
+    pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap {
         assert!(
             config.seed_len > 0 && config.seed_len <= 256,
             "unsupported seed length"
@@ -140,7 +121,6 @@ impl<H: SeedHasher> SeedMap<H> {
             .unwrap_or_else(|| default_bucket_bits(genome.total_len()));
         let buckets = 1usize << bucket_bits;
         let mask = (buckets - 1) as u32;
-        let hasher = H::with_seed(config.hash_seed);
 
         // Pass 1: hash every seed window, remember its bucket, count sizes.
         // Both per-window arrays are sized once (an upper bound: windows
@@ -163,22 +143,19 @@ impl<H: SeedHasher> SeedMap<H> {
                 continue;
             }
             let start_gpos = genome.chrom_start(ci as u32);
-            // One code extraction per chromosome, then the hash family
-            // slides a k-window over it: rolling families extend the
-            // previous window's state in O(1) instead of rehashing k bytes
-            // (one-shot families recompute, producing identical values to
-            // the historical per-window path).
+            // One code extraction per chromosome; every k-window of it is
+            // hashed with the function the query uses.
             chrom.seq().codes_into(0..chrom.len(), &mut codes);
-            hasher.hash_windows(&codes, config.seed_len, &mut |pos, hash| {
+            for (pos, window) in codes.windows(config.seed_len).enumerate() {
                 if chrom.has_n_in(pos, pos + config.seed_len) {
                     skipped_n += 1;
-                    return;
+                    continue;
                 }
-                let bucket = hash & mask;
+                let bucket = xxh32(window, config.hash_seed) & mask;
                 bucket_of.push(bucket);
                 window_pos.push((start_gpos + pos as u64) as GlobalPos);
                 counts[bucket as usize] += 1;
-            });
+            }
         }
 
         // Filter oversized buckets.
@@ -224,9 +201,8 @@ impl<H: SeedHasher> SeedMap<H> {
             filtered_locations,
             skipped_n_windows: skipped_n,
         };
-        SeedMap::<H> {
+        SeedMap {
             config: *config,
-            hasher,
             mask,
             seed_table,
             location_table,
@@ -237,13 +213,6 @@ impl<H: SeedHasher> SeedMap<H> {
     /// The configuration used to build the index.
     pub fn config(&self) -> &SeedMapConfig {
         &self.config
-    }
-
-    /// The seeded hash builder used for every seed lookup. Callers that
-    /// batch-hash seeds (e.g. the pipeline front-end) should reuse this so
-    /// their hashes agree with the index.
-    pub fn hasher(&self) -> &H {
-        &self.hasher
     }
 
     /// Construction statistics.
@@ -259,21 +228,15 @@ impl<H: SeedHasher> SeedMap<H> {
     #[inline]
     pub fn hash_seed_codes(&self, codes: &[u8]) -> u32 {
         assert_eq!(codes.len(), self.config.seed_len, "seed length mismatch");
-        self.hasher.hash_codes(codes)
+        xxh32(codes, self.config.hash_seed)
     }
 
     /// The sorted location slice for a seed hash (the paper's online query,
     /// Fig. 4b: previous and current Seed Table entries bound the slice).
     #[inline]
     pub fn locations_for_hash(&self, hash: u32) -> &[GlobalPos] {
-        let bucket = (hash & self.mask) as usize;
-        let end = self.seed_table[bucket] as usize;
-        let start = if bucket == 0 {
-            0
-        } else {
-            self.seed_table[bucket - 1] as usize
-        };
-        &self.location_table[start..end]
+        let (_, start, end) = self.bucket_range(hash);
+        &self.location_table[start as usize..end as usize]
     }
 
     /// Convenience: hash `codes` and return its location slice.
@@ -286,6 +249,7 @@ impl<H: SeedHasher> SeedMap<H> {
     /// mapper uses: the Seed Table read returns `(start, end)` and the
     /// Location Table read streams `end - start` entries starting at
     /// `start`.
+    #[inline]
     pub fn bucket_range(&self, hash: u32) -> (u32, u64, u64) {
         let bucket = (hash & self.mask) as usize;
         let end = self.seed_table[bucket] as u64;
@@ -308,19 +272,6 @@ impl<H: SeedHasher> SeedMap<H> {
         self.seed_table.len()
     }
 
-    /// Histogram of bucket sizes capped at `max` (index = size, last bin =
-    /// `>= max`). Drives the Observation-2 analysis and NMSL FIFO sizing.
-    pub fn bucket_size_histogram(&self, max: usize) -> Vec<u64> {
-        let mut hist = vec![0u64; max + 1];
-        let mut prev = 0u32;
-        for &end in &self.seed_table {
-            let size = (end - prev) as usize;
-            prev = end;
-            hist[size.min(max)] += 1;
-        }
-        hist
-    }
-
     /// Raw table access for the serializer and the NMSL address mapper.
     pub(crate) fn raw_parts(&self) -> (&SeedMapConfig, &[u32], &[GlobalPos], &SeedMapStats) {
         (
@@ -337,14 +288,13 @@ impl<H: SeedHasher> SeedMap<H> {
         seed_table: Vec<u32>,
         location_table: Vec<GlobalPos>,
         stats: SeedMapStats,
-    ) -> SeedMap<H> {
+    ) -> SeedMap {
         assert!(
             seed_table.len().is_power_of_two(),
             "seed table must be a power of two"
         );
-        SeedMap::<H> {
+        SeedMap {
             mask: (seed_table.len() - 1) as u32,
-            hasher: H::with_seed(config.hash_seed),
             config,
             seed_table,
             location_table,
@@ -379,44 +329,6 @@ mod tests {
                 "position {pos} missing from bucket {hits:?}"
             );
         }
-    }
-
-    #[test]
-    fn nthash_backed_index_finds_every_position() {
-        // The rolling family validated *in-index*: construction hashes
-        // windows by extending the previous state, queries hash one-shot —
-        // the two must land in the same buckets for every position.
-        let genome = RandomGenomeBuilder::new(5_000).seed(1).build();
-        let map: SeedMap<crate::NtHashBuilder> = SeedMap::build_with(&genome, &small_config());
-        let seq = genome.chromosome(0).seq();
-        for pos in (0..seq.len() - 8).step_by(61) {
-            let codes = seq.subseq(pos..pos + 8).to_codes();
-            let hits = map.query(&codes);
-            assert!(
-                hits.contains(&(pos as u32)),
-                "position {pos} missing from bucket {hits:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn murmur_backed_index_finds_every_position() {
-        // The murmur3 family validated *in-index*: same table mechanics,
-        // different hash — every reference position must still be findable.
-        let genome = RandomGenomeBuilder::new(5_000).seed(1).build();
-        let map = SeedMap::<crate::Murmur3Builder>::build_with(&genome, &small_config());
-        let xx = SeedMap::build(&genome, &small_config());
-        let seq = genome.chromosome(0).seq();
-        for pos in (0..seq.len() - 8).step_by(97) {
-            let codes = seq.subseq(pos..pos + 8).to_codes();
-            assert!(
-                map.query(&codes).contains(&(pos as u32)),
-                "position {pos} missing from murmur bucket"
-            );
-        }
-        // Same seeds stored, different bucket layout.
-        assert_eq!(map.stats().stored_locations, xx.stats().stored_locations);
-        assert_ne!(map.bucket_size_histogram(8), xx.bucket_size_histogram(8));
     }
 
     #[test]
@@ -510,13 +422,5 @@ mod tests {
             m2.stats().mean_locations_per_seed(),
             m1.stats().mean_locations_per_seed()
         );
-    }
-
-    #[test]
-    fn histogram_sums_to_buckets() {
-        let genome = RandomGenomeBuilder::new(5_000).seed(5).build();
-        let map = SeedMap::build(&genome, &small_config());
-        let hist = map.bucket_size_histogram(16);
-        assert_eq!(hist.iter().sum::<u64>(), map.num_buckets() as u64);
     }
 }

@@ -3,16 +3,25 @@
 //! The offline stage builds SeedMap once per reference (paper §4.2); mapping
 //! runs reload it. Format: magic + version + config + hasher-id + stats
 //! header, then the two tables as little-endian `u32` arrays. The hasher id
-//! ([`SeedHasher::ID`]) is checked on load, so an index can never be
-//! silently queried with the wrong hash family.
+//! is always 1 (xxh32, the one hash the index uses) and any other value is
+//! refused on load, so an index written by a build that still had other
+//! hash families can never be silently queried with the wrong one.
+//!
+//! Nothing in the header is trusted: every size is checked before it is
+//! used, and a table is read through [`Read::take`], so a count that
+//! promises more than the input holds ends in `UnexpectedEof` after reading
+//! what is there instead of in an allocation the count sized.
 
-use crate::{SeedHasher, SeedMap, SeedMapConfig, SeedMapStats};
-use bytes::{Buf, BufMut};
-use std::io::{Read, Write};
+use crate::{SeedMap, SeedMapConfig, SeedMapStats};
+use std::io::{self, Read, Write};
 
 const MAGIC: u32 = 0x5347_4d58; // "SGMX"
 const VERSION: u32 = 2;
 const HEADER_BYTES: usize = 68;
+/// The hasher-id header field's only valid value (xxh32).
+const HASHER_XXH32: u32 = 1;
+/// Table entries converted per write.
+const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Serialization failures.
 #[derive(Debug)]
@@ -40,114 +49,117 @@ impl From<std::io::Error> for SerializeError {
     }
 }
 
-/// Writes `map` to `writer`, recording the seed-hash family id.
+fn corrupt(what: impl Into<String>) -> SerializeError {
+    SerializeError::Corrupt(what.into())
+}
+
+/// Writes `map` to `writer`.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_seedmap<H: SeedHasher, W: Write>(
-    map: &SeedMap<H>,
-    mut writer: W,
-) -> Result<(), SerializeError> {
+pub fn write_seedmap<W: Write>(map: &SeedMap, mut writer: W) -> Result<(), SerializeError> {
     let (config, seed_table, location_table, stats) = map.raw_parts();
     let mut header = Vec::with_capacity(HEADER_BYTES);
-    header.put_u32_le(MAGIC);
-    header.put_u32_le(VERSION);
-    header.put_u32_le(config.seed_len as u32);
-    header.put_u32_le(config.filter_threshold);
-    header.put_u32_le(config.hash_seed);
-    header.put_u32_le(H::ID);
-    header.put_u32_le(seed_table.len() as u32);
-    header.put_u64_le(location_table.len() as u64);
-    header.put_u64_le(stats.used_buckets);
-    header.put_u64_le(stats.filtered_buckets);
-    header.put_u64_le(stats.filtered_locations);
-    header.put_u64_le(stats.skipped_n_windows);
-    writer.write_all(&header)?;
-    let mut buf = Vec::with_capacity(4 * 64 * 1024);
-    for chunk in seed_table.chunks(64 * 1024) {
-        buf.clear();
-        for &v in chunk {
-            buf.put_u32_le(v);
-        }
-        writer.write_all(&buf)?;
+    for v in [
+        MAGIC,
+        VERSION,
+        config.seed_len as u32,
+        config.filter_threshold,
+        config.hash_seed,
+        HASHER_XXH32,
+        seed_table.len() as u32,
+    ] {
+        header.extend_from_slice(&v.to_le_bytes());
     }
-    for chunk in location_table.chunks(64 * 1024) {
+    for v in [
+        location_table.len() as u64,
+        stats.used_buckets,
+        stats.filtered_buckets,
+        stats.filtered_locations,
+        stats.skipped_n_windows,
+    ] {
+        header.extend_from_slice(&v.to_le_bytes());
+    }
+    writer.write_all(&header)?;
+    let mut buf = Vec::with_capacity(4 * WRITE_CHUNK);
+    for chunk in seed_table
+        .chunks(WRITE_CHUNK)
+        .chain(location_table.chunks(WRITE_CHUNK))
+    {
         buf.clear();
-        for &v in chunk {
-            buf.put_u32_le(v);
+        for v in chunk {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         writer.write_all(&buf)?;
     }
     Ok(())
 }
 
-/// Reads a default (xxh32-hashed) [`SeedMap`] previously written by
-/// [`write_seedmap`]. Shorthand for [`read_seedmap_as`] at the default
-/// hasher.
-///
-/// # Errors
-///
-/// See [`read_seedmap_as`].
-pub fn read_seedmap<R: Read>(reader: R) -> Result<SeedMap, SerializeError> {
-    read_seedmap_as(reader)
+/// Reads `n` little-endian `u32`s. The buffer grows with what the reader
+/// actually delivers, never with `n` itself.
+fn read_u32s<R: Read>(reader: &mut R, n: u32) -> Result<Vec<u32>, SerializeError> {
+    let want = 4 * n as u64;
+    let mut bytes = Vec::new();
+    reader.by_ref().take(want).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != want {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect())
 }
 
-/// Reads a [`SeedMap`] previously written by [`write_seedmap`], verifying
-/// that the serialized index was built with hash family `H`.
+/// Reads a [`SeedMap`] previously written by [`write_seedmap`].
 ///
 /// # Errors
 ///
-/// Returns [`SerializeError::Corrupt`] on bad magic, version or sizes, or
-/// when the stored hasher id differs from `H::ID` (an index must be queried
-/// with the family that built it), and [`SerializeError::Io`] on truncated
-/// input.
-pub fn read_seedmap_as<H: SeedHasher, R: Read>(
-    mut reader: R,
-) -> Result<SeedMap<H>, SerializeError> {
+/// Returns [`SerializeError::Corrupt`] on bad magic, version, hasher id,
+/// seed length or table structure (the Seed Table must be non-decreasing
+/// end offsets whose last entry is the Location Table's length), and
+/// [`SerializeError::Io`] on truncated input.
+pub fn read_seedmap<R: Read>(mut reader: R) -> Result<SeedMap, SerializeError> {
     let mut header = [0u8; HEADER_BYTES];
     reader.read_exact(&mut header)?;
-    let mut h = &header[..];
-    if h.get_u32_le() != MAGIC {
-        return Err(SerializeError::Corrupt("bad magic".into()));
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    if u32_at(0) != MAGIC {
+        return Err(corrupt("bad magic"));
     }
-    if h.get_u32_le() != VERSION {
-        return Err(SerializeError::Corrupt("unsupported version".into()));
+    if u32_at(4) != VERSION {
+        return Err(corrupt("unsupported version"));
     }
-    let seed_len = h.get_u32_le() as usize;
-    let filter_threshold = h.get_u32_le();
-    let hash_seed = h.get_u32_le();
-    let hasher_id = h.get_u32_le();
-    if hasher_id != H::ID {
-        return Err(SerializeError::Corrupt(format!(
-            "index was built with seed-hasher id {hasher_id}, not {} ({})",
-            H::ID,
-            H::NAME
+    let seed_len = u32_at(8) as usize;
+    let filter_threshold = u32_at(12);
+    let hash_seed = u32_at(16);
+    let hasher_id = u32_at(20);
+    let buckets = u32_at(24);
+    let locations = u64_at(28);
+    let used_buckets = u64_at(36);
+    let filtered_buckets = u64_at(44);
+    let filtered_locations = u64_at(52);
+    let skipped_n_windows = u64_at(60);
+    if !(1..=256).contains(&seed_len) {
+        return Err(corrupt(format!("seed length {seed_len} outside 1..=256")));
+    }
+    if hasher_id != HASHER_XXH32 {
+        return Err(corrupt(format!(
+            "index was built with seed-hasher id {hasher_id}, not {HASHER_XXH32} (xxh32)"
         )));
     }
-    let buckets = h.get_u32_le() as usize;
-    let locations = h.get_u64_le() as usize;
-    let used_buckets = h.get_u64_le();
-    let filtered_buckets = h.get_u64_le();
-    let filtered_locations = h.get_u64_le();
-    let skipped_n_windows = h.get_u64_le();
     if !buckets.is_power_of_two() {
-        return Err(SerializeError::Corrupt(
-            "bucket count not a power of two".into(),
-        ));
+        return Err(corrupt("bucket count not a power of two"));
     }
 
-    let read_u32s = |reader: &mut R, n: usize| -> Result<Vec<u32>, SerializeError> {
-        let mut bytes = vec![0u8; n * 4];
-        reader.read_exact(&mut bytes)?;
-        let mut b = &bytes[..];
-        Ok((0..n).map(|_| b.get_u32_le()).collect())
-    };
+    // Every query slices the Location Table by two adjacent Seed Table
+    // entries, so the offsets are proven in range here, once.
     let seed_table = read_u32s(&mut reader, buckets)?;
-    let location_table = read_u32s(&mut reader, locations)?;
-    if seed_table.last().map(|&e| e as usize) != Some(locations) && locations != 0 {
-        return Err(SerializeError::Corrupt("table sizes inconsistent".into()));
+    let last = *seed_table.last().expect("a power of two is not zero");
+    if last as u64 != locations || seed_table.windows(2).any(|w| w[0] > w[1]) {
+        return Err(corrupt("table sizes inconsistent"));
     }
+    let location_table = read_u32s(&mut reader, last)?;
 
     let config = SeedMapConfig {
         seed_len,
@@ -158,7 +170,7 @@ pub fn read_seedmap_as<H: SeedHasher, R: Read>(
     let stats = SeedMapStats {
         buckets: buckets as u64,
         used_buckets,
-        stored_locations: locations as u64,
+        stored_locations: locations,
         filtered_buckets,
         filtered_locations,
         skipped_n_windows,
@@ -174,8 +186,27 @@ pub fn read_seedmap_as<H: SeedHasher, R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Murmur3Builder;
     use gx_genome::random::RandomGenomeBuilder;
+
+    /// A small serialized index (seed length 10) and its location count.
+    fn small_index_bytes(genome_seed: u64) -> (Vec<u8>, u64) {
+        let genome = RandomGenomeBuilder::new(3_000).seed(genome_seed).build();
+        let cfg = SeedMapConfig {
+            seed_len: 10,
+            ..SeedMapConfig::default()
+        };
+        let map = SeedMap::build(&genome, &cfg);
+        let mut buf = Vec::new();
+        write_seedmap(&map, &mut buf).unwrap();
+        (buf, map.stats().stored_locations)
+    }
+
+    fn assert_corrupt(bytes: &[u8]) {
+        assert!(matches!(
+            read_seedmap(bytes),
+            Err(SerializeError::Corrupt(_))
+        ));
+    }
 
     #[test]
     fn roundtrip() {
@@ -197,36 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_murmur_backed_index() {
-        let genome = RandomGenomeBuilder::new(8_000).seed(16).build();
-        let cfg = SeedMapConfig {
-            seed_len: 12,
-            ..SeedMapConfig::default()
-        };
-        let map = SeedMap::<Murmur3Builder>::build_with(&genome, &cfg);
-        let mut buf = Vec::new();
-        write_seedmap(&map, &mut buf).unwrap();
-        let back = read_seedmap_as::<Murmur3Builder, _>(buf.as_slice()).unwrap();
-        assert_eq!(back.stats(), map.stats());
-        let seq = genome.chromosome(0).seq();
-        for pos in (0..seq.len() - 12).step_by(131) {
-            let codes = seq.subseq(pos..pos + 12).to_codes();
-            assert_eq!(back.query(&codes), map.query(&codes));
-        }
-    }
-
-    #[test]
     fn rejects_wrong_hash_family() {
-        // Loading a murmur-built index as the default xxh32 index must fail
-        // loudly, never return an index whose queries silently miss.
-        let genome = RandomGenomeBuilder::new(3_000).seed(17).build();
-        let cfg = SeedMapConfig {
-            seed_len: 10,
-            ..SeedMapConfig::default()
-        };
-        let map = SeedMap::<Murmur3Builder>::build_with(&genome, &cfg);
-        let mut buf = Vec::new();
-        write_seedmap(&map, &mut buf).unwrap();
+        // An index whose header names another hash family (2 was murmur3's
+        // id) must fail loudly, never load as an index whose queries
+        // silently miss.
+        let (mut buf, _) = small_index_bytes(17);
+        buf[20..24].copy_from_slice(&2u32.to_le_bytes());
         let err = read_seedmap(buf.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("seed-hasher"),
@@ -236,26 +243,56 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let bytes = vec![0u8; HEADER_BYTES];
-        assert!(matches!(
-            read_seedmap(bytes.as_slice()),
-            Err(SerializeError::Corrupt(_))
-        ));
+        assert_corrupt(&[0u8; HEADER_BYTES]);
     }
 
     #[test]
     fn rejects_truncated() {
-        let genome = RandomGenomeBuilder::new(2_000).seed(7).build();
-        let map = SeedMap::build(
-            &genome,
-            &SeedMapConfig {
-                seed_len: 10,
-                ..Default::default()
-            },
-        );
-        let mut buf = Vec::new();
-        write_seedmap(&map, &mut buf).unwrap();
+        let (mut buf, _) = small_index_bytes(7);
         buf.truncate(buf.len() / 2);
         assert!(read_seedmap(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn rejects_location_count_the_input_cannot_back() {
+        // A count of 6 Gi locations must not size a 24 GiB allocation.
+        let (mut buf, locations) = small_index_bytes(18);
+        buf[28..36].copy_from_slice(&(6u64 << 30).to_le_bytes());
+        assert_corrupt(&buf);
+        // A lie the Seed Table backs up (its last bucket stretched to the
+        // claimed count) reads what is there and stops at the end of input.
+        let claimed = locations + 1_000_000;
+        let last_entry = buf.len() - 4 * locations as usize - 4;
+        buf[28..36].copy_from_slice(&claimed.to_le_bytes());
+        buf[last_entry..last_entry + 4].copy_from_slice(&(claimed as u32).to_le_bytes());
+        match read_seedmap(buf.as_slice()) {
+            Err(SerializeError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected UnexpectedEof, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_seed_table_entry_past_location_table() {
+        // One bucket's end offset far past the Location Table: a query of
+        // that bucket would slice out of range.
+        let (buf, _) = small_index_bytes(19);
+        let mut patched = buf.clone();
+        let entry = HEADER_BYTES + 4 * 100;
+        patched[entry..entry + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        assert_corrupt(&patched);
+        // A zero location count is held to the Seed Table like any other.
+        let mut patched = buf;
+        patched[28..36].copy_from_slice(&0u64.to_le_bytes());
+        assert_corrupt(&patched);
+    }
+
+    #[test]
+    fn rejects_seed_len_out_of_range() {
+        let (buf, _) = small_index_bytes(20);
+        for seed_len in [0u32, 257] {
+            let mut patched = buf.clone();
+            patched[8..12].copy_from_slice(&seed_len.to_le_bytes());
+            assert_corrupt(&patched);
+        }
     }
 }

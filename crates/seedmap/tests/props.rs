@@ -27,8 +27,15 @@ proptest! {
     fn seed_table_offsets_monotone(seed in 0u64..10_000) {
         let genome = RandomGenomeBuilder::new(3_000).seed(seed).build();
         let map = SeedMap::build(&genome, &SeedMapConfig { seed_len: 12, ..Default::default() });
-        let hist = map.bucket_size_histogram(64);
-        prop_assert_eq!(hist.iter().sum::<u64>(), map.num_buckets() as u64);
+        let mut prev_end = 0u64;
+        for h in 0..map.num_buckets() as u32 {
+            let (bucket, start, end) = map.bucket_range(h);
+            prop_assert_eq!(bucket, h);
+            prop_assert_eq!(start, prev_end);
+            prop_assert!(start <= end);
+            prev_end = end;
+        }
+        prop_assert_eq!(prev_end, map.stats().stored_locations);
         // Every bucket slice is sorted (checked through the public query on
         // sampled hashes).
         for h in (0u32..5_000).step_by(37) {
