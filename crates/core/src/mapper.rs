@@ -3,12 +3,12 @@
 //! Light Alignment, with the three DP fallback arrows of Fig. 10.
 
 use crate::light::{light_align_with, LightAlignment, LightScratch};
-use crate::pafilter::{paired_adjacency_filter_into, PairCandidate};
+use crate::pafilter::paired_adjacency_filter_into;
 use crate::scratch::MapScratch;
-use crate::seeding::query_read_into;
+use crate::seeding::query_reads_into;
 use crate::{GenPairConfig, ReadPair};
 use gx_align::{banded_align_with, AlignMode, AlignScratch};
-use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, ReferenceGenome, SamRecord};
+use gx_genome::{flags, Cigar, DnaSeq, Locus, ReferenceGenome, SamRecord};
 use gx_seedmap::SeedMap;
 
 /// Reference bases the DP fallback's window extends either side of a
@@ -209,8 +209,8 @@ impl<'g> GenPairMapper<'g> {
             r1_rc,
             r2_rc,
             codes,
-            c1,
-            c2,
+            arena,
+            cands,
             pa,
             dp_cands,
             window,
@@ -222,18 +222,22 @@ impl<'g> GenPairMapper<'g> {
         r2.revcomp_into(r2_rc);
         dp_cands.clear();
 
+        // Seeding and SeedMap query of all four oriented reads in one
+        // phased step, so the pair's lookups overlap their misses.
+        let (r1_rc, r2_rc): (&DnaSeq, &DnaSeq) = (r1_rc, r2_rc);
+        query_reads_into([r1, r2_rc, r1_rc, r2], &self.seedmap, codes, arena, cands);
+        let [a1, a2, b1, b2] = &*cands;
+
         // Orientation A: read1 forward, read2 reverse-complemented.
         // Orientation B: the mirror (read2 forward).
-        let orientations: [(&DnaSeq, &DnaSeq, bool); 2] = [(r1, r2_rc, true), (r1_rc, r2, false)];
+        let orientations = [(r1, r2_rc, a1, a2, true), (r1_rc, r2, b1, b2, false)];
 
         let mut any_hits1 = false;
         let mut any_hits2 = false;
         let mut any_candidates = false;
         let mut best_light: Option<(PairMapping, i32, u32)> = None; // (mapping, score, ties)
 
-        for (seq1, seq2, r1_forward) in orientations {
-            query_read_into(seq1, &self.seedmap, codes, c1);
-            query_read_into(seq2, &self.seedmap, codes, c2);
+        for (seq1, seq2, c1, c2, r1_forward) in orientations {
             work.seed_lookups += (c1.seeds_total + c2.seeds_total) as u64;
             work.seed_locations += c1.locations_fetched + c2.locations_fetched;
             any_hits1 |= c1.seeds_hit > 0;
@@ -258,12 +262,12 @@ impl<'g> GenPairMapper<'g> {
                 }
                 any_candidates = true;
                 work.light_attempts += 2;
-                let a1 = self.light_at(seq1, cand.start1, window, light);
-                let a2 = self.light_at(seq2, cand.start2, window, light);
+                let a1 = self.light_at(seq1, l1, window, light);
+                let a2 = self.light_at(seq2, l2, window, light);
                 match (a1, a2) {
                     (Some(a1), Some(a2)) => {
                         let score = a1.score + a2.score;
-                        let mapping = self.mapping_from_light(cand, a1, a2, r1_forward);
+                        let mapping = mapping_from_light(l1, l2, a1, a2, r1_forward);
                         match &mut best_light {
                             Some((best, bs, ties)) => {
                                 if score > *bs {
@@ -281,7 +285,7 @@ impl<'g> GenPairMapper<'g> {
                     }
                     _ => {
                         if dp_cands.len() < self.config.max_dp_candidates {
-                            dp_cands.push((*cand, r1_forward));
+                            dp_cands.push((l1, l2, r1_forward));
                         }
                     }
                 }
@@ -315,19 +319,15 @@ impl<'g> GenPairMapper<'g> {
         // Light alignment failed: DP-align at the candidate locations
         // (bypassing seeding and chaining, paper Fig. 10).
         let mut best_dp: Option<(PairMapping, i32)> = None;
-        for &(cand, r1_forward) in dp_cands.iter() {
-            let (seq1, seq2): (&DnaSeq, &DnaSeq) =
-                if r1_forward { (r1, r2_rc) } else { (r1_rc, r2) };
-            let Some((pos1, cigar1, score1, cells1)) = self.dp_at(seq1, cand.start1, window, align)
-            else {
+        for &(l1, l2, r1_forward) in dp_cands.iter() {
+            let (seq1, seq2) = if r1_forward { (r1, r2_rc) } else { (r1_rc, r2) };
+            let Some((pos1, cigar1, score1, cells1)) = self.dp_at(seq1, l1, window, align) else {
                 continue;
             };
-            let Some((pos2, cigar2, score2, cells2)) = self.dp_at(seq2, cand.start2, window, align)
-            else {
+            let Some((pos2, cigar2, score2, cells2)) = self.dp_at(seq2, l2, window, align) else {
                 continue;
             };
             work.dp_cells += cells1 + cells2;
-            let l1 = self.genome.locate(cand.start1);
             let score = score1 + score2;
             let mapping = PairMapping {
                 chrom: l1.chrom,
@@ -351,17 +351,16 @@ impl<'g> GenPairMapper<'g> {
         }
     }
 
-    /// Light-aligns `seq` at global candidate `start`, borrowing the window
-    /// and mask buffers from the caller's scratch.
+    /// Light-aligns `seq` at candidate `locus`, borrowing the window and mask
+    /// buffers from the caller's scratch.
     fn light_at(
         &self,
         seq: &DnaSeq,
-        start: GlobalPos,
+        locus: Locus,
         window: &mut DnaSeq,
         light: &mut LightScratch,
     ) -> Option<LightAlignment> {
         let e = self.config.light.max_indel_run as i64;
-        let locus = self.genome.locate(start);
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
             locus.pos as i64 - e,
@@ -379,17 +378,16 @@ impl<'g> GenPairMapper<'g> {
         )
     }
 
-    /// Banded-DP-aligns `seq` near global candidate `start`, borrowing the
-    /// window and DP-row buffers from the caller's scratch; returns
-    /// (chromosome position, cigar, score, cells).
+    /// Banded-DP-aligns `seq` near candidate `locus`, borrowing the window
+    /// and DP-row buffers from the caller's scratch; returns (chromosome
+    /// position, cigar, score, cells).
     fn dp_at(
         &self,
         seq: &DnaSeq,
-        start: GlobalPos,
+        locus: Locus,
         window: &mut DnaSeq,
         align: &mut AlignScratch,
     ) -> Option<(u64, Cigar, i32, u64)> {
-        let locus = self.genome.locate(start);
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
             locus.pos as i64 - DP_FALLBACK_MARGIN as i64,
@@ -409,29 +407,27 @@ impl<'g> GenPairMapper<'g> {
         );
         Some((win_start + a.target_start as u64, a.cigar, a.score, a.cells))
     }
+}
 
-    /// Builds the pair mapping, *moving* the light alignments' CIGARs (no
-    /// clone on the hot path).
-    fn mapping_from_light(
-        &self,
-        cand: &PairCandidate,
-        a1: LightAlignment,
-        a2: LightAlignment,
-        r1_forward: bool,
-    ) -> PairMapping {
-        let l1 = self.genome.locate(cand.start1);
-        let l2 = self.genome.locate(cand.start2);
-        PairMapping {
-            chrom: l1.chrom,
-            pos1: (l1.pos as i64 + a1.shift as i64).max(0) as u64,
-            pos2: (l2.pos as i64 + a2.shift as i64).max(0) as u64,
-            r1_forward,
-            cigar1: a1.cigar,
-            cigar2: a2.cigar,
-            score1: a1.score,
-            score2: a2.score,
-            mapq: 60,
-        }
+/// Builds the pair mapping at the candidate's two loci, *moving* the light
+/// alignments' CIGARs (no clone on the hot path).
+fn mapping_from_light(
+    l1: Locus,
+    l2: Locus,
+    a1: LightAlignment,
+    a2: LightAlignment,
+    r1_forward: bool,
+) -> PairMapping {
+    PairMapping {
+        chrom: l1.chrom,
+        pos1: (l1.pos as i64 + a1.shift as i64).max(0) as u64,
+        pos2: (l2.pos as i64 + a2.shift as i64).max(0) as u64,
+        r1_forward,
+        cigar1: a1.cigar,
+        cigar2: a2.cigar,
+        score1: a1.score,
+        score2: a2.score,
+        mapq: 60,
     }
 }
 
@@ -651,8 +647,30 @@ mod tests {
             other.chromosome(0).seq().subseq(400..550).revcomp(),
         ));
 
+        // A pair whose seeds sit in buckets of hundreds of locations, then a
+        // unique one: the second reuses an arena the first left long.
+        let (repeats, repeat_map, pos) = crate::seeding::tests::repeat_setup();
+        let repeat_mapper = GenPairMapper::with_seedmap(&repeats, repeat_map, &cfg);
+        let rseq = repeats.chromosome(0).seq();
+        let repeat_pairs = [
+            (
+                rseq.subseq(pos..pos + 150),
+                rseq.subseq(pos + 250..pos + 400).revcomp(),
+            ),
+            (
+                rseq.subseq(1_000..1_150),
+                rseq.subseq(1_300..1_450).revcomp(),
+            ),
+        ];
+        let long = repeat_mapper.map_pair(&repeat_pairs[0].0, &repeat_pairs[0].1);
+        assert!(long.work.seed_locations >= 200, "{:?}", long.work);
+
         let mut scratch = MapScratch::new();
-        for (r1, r2) in &pairs {
+        let runs = pairs
+            .iter()
+            .map(|p| (&mapper, p))
+            .chain(repeat_pairs.iter().map(|p| (&repeat_mapper, p)));
+        for (mapper, (r1, r2)) in runs {
             let fresh = mapper.map_pair(r1, r2);
             let reused = mapper.map_pair_with(&mut scratch, r1, r2);
             assert_eq!(fresh.fallback, reused.fallback);
@@ -665,6 +683,7 @@ mod tests {
                 assert_eq!(a.r1_forward, b.r1_forward);
             }
             assert_eq!(fresh.work.seed_lookups, reused.work.seed_lookups);
+            assert_eq!(fresh.work.seed_locations, reused.work.seed_locations);
             assert_eq!(fresh.work.candidates, reused.work.candidates);
             assert_eq!(fresh.work.dp_cells, reused.work.dp_cells);
         }

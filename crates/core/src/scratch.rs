@@ -4,19 +4,19 @@
 //!
 //! One `MapScratch` per worker (each backend session owns one) removes all
 //! steady-state heap traffic from the software pipeline: reverse-complement
-//! buffers, seed-code extraction, SeedMap query merges, the PA filter's
-//! candidate list, light-aligner masks, reference windows and the banded-DP
-//! rows all hit their high-water capacity within the first batch and are
-//! never reallocated again. Reuse is observable only through speed — a
-//! mapper driven through a reused scratch must produce byte-identical SAM
-//! output to fresh-scratch calls (locked down by tests here and the golden
-//! e2e fixtures).
+//! buffers, seed-code extraction, the gathered Location Table slices,
+//! SeedMap query merges, the PA filter's candidate list, light-aligner
+//! masks, reference windows and the banded-DP rows all hit their high-water
+//! capacity within the first batch and are never reallocated again. Reuse
+//! is observable only through speed — a mapper driven through a reused
+//! scratch must produce byte-identical SAM output to fresh-scratch calls
+//! (locked down by tests here and the golden e2e fixtures).
 
 use crate::light::LightScratch;
-use crate::pafilter::{PaFilterResult, PairCandidate};
+use crate::pafilter::PaFilterResult;
 use crate::seeding::ReadCandidates;
 use gx_align::AlignScratch;
-use gx_genome::DnaSeq;
+use gx_genome::{DnaSeq, GlobalPos, Locus};
 
 /// Reusable buffers for [`GenPairMapper::map_pair_with`](crate::GenPairMapper::map_pair_with).
 ///
@@ -31,14 +31,17 @@ pub struct MapScratch {
     pub(crate) r2_rc: DnaSeq,
     /// Whole-read 2-bit codes for seed hashing (one read at a time).
     pub(crate) codes: Vec<u8>,
-    /// SeedMap query result for the orientation's read 1.
-    pub(crate) c1: ReadCandidates,
-    /// SeedMap query result for the orientation's read 2.
-    pub(crate) c2: ReadCandidates,
+    /// The Location Table slices of all of a pair's seeds, gathered before
+    /// any is merged ([`query_reads_into`](crate::seeding::query_reads_into)).
+    pub(crate) arena: Vec<GlobalPos>,
+    /// SeedMap query results of the four oriented reads: `r1` and `rc(r2)`
+    /// (read 1 forward), then `rc(r1)` and `r2` (the mirror).
+    pub(crate) cands: [ReadCandidates; 4],
     /// Paired-adjacency filter output.
     pub(crate) pa: PaFilterResult,
-    /// Candidates deferred to the DP fallback stage.
-    pub(crate) dp_cands: Vec<(PairCandidate, bool)>,
+    /// Candidates deferred to the DP fallback stage: both loci and whether
+    /// read 1 is the forward read.
+    pub(crate) dp_cands: Vec<(Locus, Locus, bool)>,
     /// Reference window for light and DP alignment.
     pub(crate) window: DnaSeq,
     /// Hamming-mask buffers of the light aligner.

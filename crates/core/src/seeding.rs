@@ -5,6 +5,33 @@
 //! location slice per seed; normalizing each location by the seed's offset
 //! within the read and merging produces sorted candidate *read start*
 //! positions, the input to paired-adjacency filtering.
+//!
+//! # Seeding in phases
+//!
+//! A lookup is two dependent random reads — the Seed Table entry, then the
+//! Location Table slice it bounds — into an index far larger than the
+//! cache, and a pair makes up to twelve of them (three seeds × the four
+//! oriented reads `r1`, `rc(r2)`, `rc(r1)`, `r2`). Done one after another,
+//! each waits out its own two misses: the latency-bound chain the paper
+//! moves next to memory. [`query_reads_into`] is the CPU twin of that move.
+//! It takes all of a pair's reads at once and works in four phases, each a
+//! short loop whose iterations do not depend on one another, so the
+//! out-of-order core keeps every miss of a phase in flight together:
+//!
+//! 1. unpack each read's codes and hash its seeds
+//!    ([`partitioned_seeds_with`]) — arithmetic only, no table touched;
+//! 2. read every seed's bucket bounds ([`SeedMap::bucket_range`]) into a
+//!    stack array — up to twelve independent Seed Table misses;
+//! 3. copy every bounded slice into one caller-owned arena
+//!    ([`SeedMap::location_slice`]) — up to twelve independent Location
+//!    Table misses, after which every location sits in a few adjacent
+//!    cache lines;
+//! 4. merge each read's arena spans into its [`ReadCandidates`]
+//!    ([`merge_sorted_with_offsets_into`]) — no miss left to wait for.
+//!
+//! The order of the loads is the only thing that changes: every read gets
+//! the `ReadCandidates` a lookup-by-lookup query would give it.
+//! [`query_read_into`] is the same function over one read.
 
 use gx_genome::{DnaSeq, GlobalPos};
 use gx_seedmap::{merge_sorted_with_offsets_into, SeedMap};
@@ -82,28 +109,86 @@ pub fn query_read(read: &DnaSeq, seedmap: &SeedMap) -> ReadCandidates {
 }
 
 /// [`query_read`] writing into caller-owned buffers: `codes` is
-/// [`partitioned_seeds_with`]'s buffer and `out` is overwritten in place. The
-/// allocation-free variant the mapper's scratch arena uses per read.
+/// [`partitioned_seeds_with`]'s buffer and `out` is overwritten in place.
+/// This is [`query_reads_into`] over one read, with a call-local arena (one
+/// small allocation when a seed hits); a loop that maps pairs hands all
+/// four oriented reads and its own arena to `query_reads_into` instead.
 pub fn query_read_into(
     read: &DnaSeq,
     seedmap: &SeedMap,
     codes: &mut Vec<u8>,
     out: &mut ReadCandidates,
 ) {
-    let (seeds, n) = partitioned_seeds_with(read, seedmap, codes);
-    let mut lists: [(&[GlobalPos], u32); 3] = [(&[], 0); 3];
-    for (list, seed) in lists.iter_mut().zip(&seeds[..n]) {
-        *list = (seedmap.locations_for_hash(seed.hash), seed.offset);
+    query_reads_into(
+        [read],
+        seedmap,
+        codes,
+        &mut Vec::new(),
+        std::array::from_mut(out),
+    );
+}
+
+/// Seeds per read: first, middle, last.
+const SEEDS_PER_READ: usize = 3;
+
+/// Queries SeedMap with the partitioned seeds of `N` reads at once, in the
+/// four phases of the [module docs](self#seeding-in-phases): `out[i]` is
+/// overwritten with what [`query_read`] returns for `reads[i]`. `codes`
+/// (one read's 2-bit codes at a time) and `arena` (the gathered Location
+/// Table slices of all reads) are scratch: their contents on entry do not
+/// matter, and a caller that keeps them allocates nothing once they have
+/// grown.
+pub fn query_reads_into<const N: usize>(
+    reads: [&DnaSeq; N],
+    seedmap: &SeedMap,
+    codes: &mut Vec<u8>,
+    arena: &mut Vec<GlobalPos>,
+    out: &mut [ReadCandidates; N],
+) {
+    // Phase 1: hashes.
+    let mut seeds = [([Seed { offset: 0, hash: 0 }; SEEDS_PER_READ], 0usize); N];
+    for (seeds, read) in seeds.iter_mut().zip(reads) {
+        *seeds = partitioned_seeds_with(read, seedmap, codes);
     }
-    let lists = &lists[..n];
-    out.locations_fetched = lists.iter().map(|(l, _)| l.len() as u64).sum();
-    out.seeds_hit = lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32;
-    out.seeds_total = n as u32;
-    merge_sorted_with_offsets_into(lists, &mut out.starts);
+
+    // Phase 2: bucket bounds. A slot without a seed keeps the empty range.
+    let mut ranges = [[(0u64, 0u64); SEEDS_PER_READ]; N];
+    let mut total = 0u64;
+    for ((seeds, n), ranges) in seeds.iter().zip(&mut ranges) {
+        for (seed, range) in seeds[..*n].iter().zip(ranges) {
+            let (_, start, end) = seedmap.bucket_range(seed.hash);
+            *range = (start, end);
+            total += end - start;
+        }
+    }
+
+    // Phase 3: gather, in seed order, so a slice's place in the arena
+    // follows from the lengths before it.
+    arena.clear();
+    arena.reserve(total as usize);
+    for &(start, end) in ranges.iter().flatten() {
+        arena.extend_from_slice(seedmap.location_slice(start, end));
+    }
+
+    // Phase 4: one merge per read over its arena spans.
+    let mut gathered: &[GlobalPos] = arena;
+    for (((seeds, n), ranges), out) in seeds.iter().zip(&ranges).zip(out) {
+        let mut lists: [(&[GlobalPos], u32); SEEDS_PER_READ] = [(&[], 0); SEEDS_PER_READ];
+        for ((list, seed), (start, end)) in lists.iter_mut().zip(&seeds[..*n]).zip(ranges) {
+            let (span, rest) = gathered.split_at((end - start) as usize);
+            *list = (span, seed.offset);
+            gathered = rest;
+        }
+        let lists = &lists[..*n];
+        out.locations_fetched = lists.iter().map(|(l, _)| l.len() as u64).sum();
+        out.seeds_hit = lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32;
+        out.seeds_total = *n as u32;
+        merge_sorted_with_offsets_into(lists, &mut out.starts);
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gx_genome::random::RandomGenomeBuilder;
     use gx_seedmap::SeedMapConfig;
@@ -244,6 +329,151 @@ mod tests {
             table_end = table_end.max(end);
         }
         assert_eq!(table_end, map.stats().stored_locations);
+    }
+
+    /// What the mapper did before [`query_reads_into`]: one read at a time,
+    /// one lookup after another, slices merged straight from the table.
+    fn sequential_oracle(read: &DnaSeq, map: &SeedMap) -> ReadCandidates {
+        let (seeds, n) = partitioned_seeds_with(read, map, &mut Vec::new());
+        let lists: Vec<(&[GlobalPos], u32)> = seeds[..n]
+            .iter()
+            .map(|s| (map.locations_for_hash(s.hash), s.offset))
+            .collect();
+        ReadCandidates {
+            starts: gx_seedmap::merge_sorted_with_offsets(lists.iter().copied()),
+            locations_fetched: lists.iter().map(|(l, _)| l.len() as u64).sum(),
+            seeds_hit: lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32,
+            seeds_total: n as u32,
+        }
+    }
+
+    /// Runs the pair step over `reads` through the caller's dirty buffers
+    /// and holds every read to the oracle; returns the locations fetched.
+    fn assert_pair_step_matches_oracle(
+        reads: [&DnaSeq; 4],
+        map: &SeedMap,
+        codes: &mut Vec<u8>,
+        arena: &mut Vec<GlobalPos>,
+        out: &mut [ReadCandidates; 4],
+    ) -> u64 {
+        query_reads_into(reads, map, codes, arena, out);
+        for (slot, (read, got)) in reads.iter().zip(out.iter()).enumerate() {
+            let want = sequential_oracle(read, map);
+            assert_eq!(got.starts, want.starts, "slot {slot}, {} bp", read.len());
+            assert_eq!(got.locations_fetched, want.locations_fetched, "slot {slot}");
+            assert_eq!(got.seeds_hit, want.seeds_hit, "slot {slot}");
+            assert_eq!(got.seeds_total, want.seeds_total, "slot {slot}");
+            // The one-read entry point is the same function.
+            let mut one = ReadCandidates::default();
+            query_read_into(read, map, codes, &mut one);
+            assert_eq!(one.starts, want.starts, "slot {slot} alone");
+            assert_eq!(one.locations_fetched, want.locations_fetched);
+            assert_eq!(
+                (one.seeds_hit, one.seeds_total),
+                (want.seeds_hit, want.seeds_total)
+            );
+        }
+        out.iter().map(|c| c.locations_fetched).sum()
+    }
+
+    #[test]
+    fn pair_step_matches_sequential_queries() {
+        let (genome, map) = setup();
+        let seq = genome.chromosome(0).seq();
+        let (mut codes, mut arena) = (vec![7u8; 9], vec![u32::MAX; 5]);
+        let mut out: [ReadCandidates; 4] = Default::default();
+        let mut check = |reads: [&DnaSeq; 4]| {
+            assert_pair_step_matches_oracle(reads, &map, &mut codes, &mut arena, &mut out)
+        };
+
+        // 150/150 pairs in the mapper's order: r1, rc(r2), rc(r1), r2.
+        for pos in [0usize, 40, 777, 12_345, 29_400] {
+            let r1 = seq.subseq(pos..pos + 150);
+            let r2 = seq.subseq(pos + 250..pos + 400).revcomp();
+            let fetched = check([&r1, &r2.revcomp(), &r1.revcomp(), &r2]);
+            assert!(fetched >= 6, "in-genome seeds hit: {fetched}");
+        }
+        // Two identical mates.
+        let r = seq.subseq(5_000..5_150);
+        check([&r, &r, &r, &r]);
+
+        // A two-seed, a one-seed, a seedless and an empty mate in each slot,
+        // beside full-length reads.
+        let full = seq.subseq(9_000..9_150);
+        for odd in [
+            seq.subseq(2_000..2_051),
+            seq.subseq(2_000..2_050),
+            seq.subseq(2_000..2_049),
+            DnaSeq::new(),
+        ] {
+            for slot in 0..4 {
+                let mut reads = [&full; 4];
+                reads[slot] = &odd;
+                check(reads);
+            }
+            check([&odd; 4]);
+        }
+
+        // Hits closer to the genome's start than the seed's offset in the
+        // read are discarded: the read's last seed is the genome's first.
+        let mut early = seq.subseq(20_000..20_100);
+        early.extend_from_seq(&seq.subseq(0..50));
+        let mut early2 = seq.subseq(21_000..21_050);
+        early2.extend_from_seq(&seq.subseq(30..130));
+        check([&early, &early2, &seq.subseq(0..150), &seq.subseq(99..249)]);
+        let got = query_read(&early, &map);
+        assert!(got.locations_fetched >= 3 && !got.starts.contains(&0));
+        assert!(got.starts.contains(&20_000));
+    }
+
+    /// A genome whose fullest buckets hold hundreds of locations, its index,
+    /// and the position of one 50-mer in the fullest bucket.
+    pub(crate) fn repeat_setup() -> (gx_genome::ReferenceGenome, SeedMap, usize) {
+        let genome = RandomGenomeBuilder::new(300_000)
+            .seed(11)
+            .humanlike_repeats()
+            .repeat_family(gx_genome::random::RepeatFamily {
+                unit_len: 150,
+                copies: 300,
+                divergence: 0.0,
+            })
+            .build();
+        let map = SeedMap::build(&genome, &SeedMapConfig::default());
+        let fullest = (0..map.num_buckets() as u32)
+            .map(|h| map.locations_for_hash(h))
+            .max_by_key(|l| l.len())
+            .expect("buckets");
+        assert!(fullest.len() >= 200, "fullest bucket: {}", fullest.len());
+        let pos = fullest[fullest.len() / 2] as usize;
+        (genome, map, pos)
+    }
+
+    #[test]
+    fn pair_step_matches_sequential_queries_on_long_buckets() {
+        let (genome, map, pos) = repeat_setup();
+        let seq = genome.chromosome(0).seq();
+        let (mut codes, mut arena) = (Vec::new(), Vec::new());
+        let mut out: [ReadCandidates; 4] = Default::default();
+        // A pair inside the repeat, then a unique one through the same
+        // (now long) arena, then the repeat again.
+        let long1 = seq.subseq(pos..pos + 150);
+        let long2 = seq.subseq(pos + 20..pos + 170).revcomp();
+        let short1 = seq.subseq(1_000..1_150);
+        let short2 = seq.subseq(1_300..1_450).revcomp();
+        for (r1, r2, at_least) in [
+            (&long1, &long2, 400),
+            (&short1, &short2, 6),
+            (&long1, &short2, 200),
+        ] {
+            let fetched = assert_pair_step_matches_oracle(
+                [r1, &r2.revcomp(), &r1.revcomp(), r2],
+                &map,
+                &mut codes,
+                &mut arena,
+                &mut out,
+            );
+            assert!(fetched >= at_least, "locations fetched: {fetched}");
+        }
     }
 
     #[test]

@@ -79,6 +79,27 @@ fn trim_cr(line: &[u8]) -> &[u8] {
     }
 }
 
+/// Index of the first `\n` in `buf`, scanning eight bytes a step: XOR with
+/// a word of newlines turns a match into a zero byte, and
+/// `(x - 0x01…) & !x & 0x80…` has its lowest set bit in the first zero byte
+/// (borrows can only raise false bits above it). The sub-word remainder is
+/// scanned a byte at a time.
+fn find_newline(buf: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let words = buf.chunks_exact(8);
+    let tail = words.remainder();
+    for (i, word) in words.enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ (ONES * 0x0A);
+        let zero_bytes = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero_bytes != 0 {
+            return Some(8 * i + zero_bytes.trailing_zeros() as usize / 8);
+        }
+    }
+    let at = tail.iter().position(|&b| b == b'\n')?;
+    Some(buf.len() - tail.len() + at)
+}
+
 /// Feeds the next line (without its terminator) to `f` and returns the
 /// result, or `Ok(None)` at end of input. The line is borrowed straight
 /// from the reader's buffer when it fits; otherwise it is assembled in
@@ -106,7 +127,7 @@ fn next_line<R: BufRead, T>(
             spill.clear();
             return Ok(Some(out));
         }
-        match buf.iter().position(|&b| b == b'\n') {
+        match find_newline(buf) {
             Some(nl) => {
                 let out = if spill.is_empty() {
                     call(&buf[..nl])
@@ -359,6 +380,35 @@ mod tests {
     fn non_header_line_rejected() {
         let err = read_fastq(&b"xr1\nACGT\n+\nIIII\n"[..]).unwrap_err();
         assert!(err.to_string().contains("expected @header"));
+    }
+
+    #[test]
+    fn find_newline_matches_bytewise_scan() {
+        let scan = |buf: &[u8]| buf.iter().position(|&b| b == b'\n');
+        // The first newline at every offset of a 25-byte buffer (three
+        // words and a one-byte remainder), with a second one behind it.
+        for at in 0..=24 {
+            let mut buf = [b'A'; 25];
+            buf[at] = b'\n';
+            assert_eq!(find_newline(&buf), Some(at));
+            buf[24] = b'\n';
+            assert_eq!(find_newline(&buf), Some(at));
+            assert_eq!(find_newline(&buf[..at]), None, "none before {at}");
+        }
+        assert_eq!(find_newline(b""), None);
+        assert_eq!(find_newline(b"ACGTACGTACG\n"), Some(11), "remainder only");
+        // Near misses that differ from a newline in one bit, or whose
+        // subtraction borrows into the next byte, ahead of the real one.
+        for near in [0x0Bu8, 0x8A, 0xFF, 0x00, 0x09, 0x1A] {
+            for at in 0..8 {
+                let mut buf = [b'I'; 19];
+                buf[at] = near;
+                buf[at + 1] = near;
+                buf[at + 9] = b'\n';
+                assert_eq!(find_newline(&buf), scan(&buf), "{near:#04x} at {at}");
+                assert_eq!(find_newline(&buf), Some(at + 9));
+            }
+        }
     }
 
     #[test]

@@ -226,17 +226,26 @@ impl DnaSeq {
         if sh == 0 {
             out.words.extend_from_slice(&self.words[w0..w0 + n_words]);
         } else {
-            for k in 0..n_words {
-                let lo = self.words[w0 + k] >> sh;
-                let hi = self.words.get(w0 + k + 1).copied().unwrap_or(0) << (64 - sh);
-                out.words.push(lo | hi);
-            }
+            out.words
+                .extend((w0..w0 + n_words).map(|w| self.funnel_word(w, sh)));
         }
         out.len = n;
         let used = n % 32;
         if used != 0 {
             *out.words.last_mut().unwrap() &= (1u64 << (used * 2)) - 1;
         }
+    }
+
+    /// The 32 bases that start `sh / 2` bases into word `w` (`sh` even,
+    /// below 64), funnel-shifted out of it and its successor; bases past the
+    /// last word read as zero.
+    #[inline]
+    fn funnel_word(&self, w: usize, sh: usize) -> u64 {
+        let lo = self.words[w] >> sh;
+        if sh == 0 {
+            return lo;
+        }
+        lo | self.words.get(w + 1).copied().unwrap_or(0) << (64 - sh)
     }
 
     /// Appends all bases of `other`, a packed word at a time.
@@ -343,22 +352,26 @@ impl DnaSeq {
         buf
     }
 
-    /// Copies the 2-bit codes of `range` into `buf` (resizing it). Each
-    /// packed word is read once; the unpack loop is branch-free per base.
+    /// Copies the 2-bit codes of `range` into `buf` (resizing it), eight
+    /// codes per step: the 32 bases from the range's start onwards are
+    /// funnel-shifted into one word and each 16-bit quarter is spread to
+    /// eight bytes (`spread_codes`). Whole words are written, then the
+    /// buffer is cut back to the range's length.
     pub fn codes_into(&self, range: std::ops::Range<usize>, buf: &mut Vec<u8>) {
         assert!(range.end <= self.len, "range out of bounds");
         buf.clear();
-        let (mut pos, end) = (range.start, range.end);
-        buf.reserve(end.saturating_sub(pos));
-        while pos < end {
-            let take = (32 - pos % 32).min(end - pos);
-            let mut w = self.words[pos / 32] >> ((pos % 32) * 2);
-            for _ in 0..take {
-                buf.push((w & 3) as u8);
-                w >>= 2;
+        let n = range.end.saturating_sub(range.start);
+        let n_words = n.div_ceil(32);
+        let w0 = range.start / 32;
+        let sh = (range.start % 32) * 2;
+        buf.reserve(n_words * 32);
+        for k in 0..n_words {
+            let w = self.funnel_word(w0 + k, sh);
+            for quarter in 0..4 {
+                buf.extend_from_slice(&spread_codes((w >> (16 * quarter)) as u16));
             }
-            pos += take;
         }
+        buf.truncate(n);
     }
 
     /// The packed 2-bit words backing the sequence (32 bases per word,
@@ -399,6 +412,18 @@ const UNPACK: [[u8; 4]; 256] = {
     }
     t
 };
+
+/// Spreads eight packed 2-bit codes (first base in the low bits) to one
+/// byte each, in sequence order: three shift-or-mask steps that halve the
+/// group width (8 → 4 → 2 bits) while doubling the lane width.
+#[inline]
+fn spread_codes(packed: u16) -> [u8; 8] {
+    let mut v = packed as u64;
+    v = (v | (v << 24)) & 0x0000_00ff_0000_00ff;
+    v = (v | (v << 12)) & 0x000f_000f_000f_000f;
+    v = (v | (v << 6)) & 0x0303_0303_0303_0303;
+    v.to_le_bytes()
+}
 
 /// Reverses the order of the 32 two-bit lanes in a word (byte swap, then
 /// swap the four lane pairs within each byte).
@@ -627,13 +652,29 @@ mod tests {
 
     #[test]
     fn codes_into_word_path_matches_per_base() {
-        let s = arb_seq(150, 7);
-        let mut buf = vec![9u8; 4]; // dirty buffer
-        for (start, end) in [(0, 150), (0, 50), (50, 100), (100, 150), (3, 137), (10, 10)] {
+        // Every start phase within a word x every length across three
+        // words, then whole reads, all through one dirty reused buffer.
+        let s = arb_seq(151, 7);
+        let mut buf = vec![9u8; 4];
+        let ranges = (0..32)
+            .flat_map(|start| (0..=100).map(move |len| (start, start + len)))
+            .chain([
+                (0, 150),
+                (0, 151),
+                (1, 151),
+                (100, 150),
+                (64, 64),
+                (151, 151),
+            ]);
+        for (start, end) in ranges {
             s.codes_into(start..end, &mut buf);
             let reference: Vec<u8> = (start..end).map(|i| s.code_at(i)).collect();
             assert_eq!(buf, reference, "range {start}..{end}");
         }
+        assert_eq!(
+            spread_codes(0b00_01_10_11_00_00_01_11),
+            [3, 1, 0, 0, 3, 2, 1, 0]
+        );
     }
 
     #[test]

@@ -103,8 +103,9 @@ impl SeedMap {
     /// Builds the index over `genome` (the paper's offline stage).
     ///
     /// Two passes: count bucket sizes, apply the filter threshold, prefix-sum
-    /// into end offsets, then place positions — a counting sort that leaves
-    /// each bucket's locations contiguous and ascending.
+    /// into start offsets, then place positions, which advances each start
+    /// to its bucket's end — a counting sort that leaves each bucket's
+    /// locations contiguous and ascending.
     ///
     /// # Panics
     ///
@@ -171,25 +172,28 @@ impl SeedMap {
             }
         }
 
-        // Prefix sums -> end offsets; track write cursors (start offsets).
+        // Prefix sums -> start offsets. The Seed Table is its own write
+        // cursor: pass 2 advances a bucket's entry once per placement, so it
+        // ends as the bucket's end offset. The two tables that outlive the
+        // build are its last two blocks, so every transient block sits
+        // below them, in the one hole the next build reuses.
         let mut seed_table = vec![0u32; buckets];
-        let mut cursors = vec![0u32; buckets];
         let mut acc = 0u32;
-        for (i, &c) in counts.iter().enumerate() {
-            cursors[i] = acc;
+        for (start, &c) in seed_table.iter_mut().zip(&counts) {
+            *start = acc;
             acc += c;
-            seed_table[i] = acc;
         }
         let mut location_table = vec![0 as GlobalPos; acc as usize];
 
         // Pass 2: place positions (in genome order -> sorted per bucket).
-        for (i, &bucket) in bucket_of.iter().enumerate() {
+        for (&bucket, &pos) in bucket_of.iter().zip(&window_pos) {
             let b = bucket as usize;
             if counts[b] == 0 {
                 continue; // filtered
             }
-            location_table[cursors[b] as usize] = window_pos[i];
-            cursors[b] += 1;
+            let cursor = &mut seed_table[b];
+            location_table[*cursor as usize] = pos;
+            *cursor += 1;
         }
 
         let used_buckets = counts.iter().filter(|&&c| c > 0).count() as u64;
@@ -236,6 +240,19 @@ impl SeedMap {
     #[inline]
     pub fn locations_for_hash(&self, hash: u32) -> &[GlobalPos] {
         let (_, start, end) = self.bucket_range(hash);
+        self.location_slice(start, end)
+    }
+
+    /// Entries `[start, end)` of the Location Table — the second read of a
+    /// query whose bounds [`bucket_range`](SeedMap::bucket_range) already
+    /// returned, for callers that fetch many bounds before touching any
+    /// slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not inside the table.
+    #[inline]
+    pub fn location_slice(&self, start: u64, end: u64) -> &[GlobalPos] {
         &self.location_table[start as usize..end as usize]
     }
 

@@ -1,0 +1,106 @@
+#!/bin/sh
+# gxbench-ab.sh: parent against change, the way crates/benchmark/README.md
+# ("Comparing two commits") says a speed claim is measured.
+#
+#   1. export the base revision into a scratch directory (git archive);
+#   2. build gxbench on both sides with the command line of /BENCHMARK.json
+#      (cargo ... --manifest-path crates/benchmark/Cargo.toml --bin gxbench),
+#      each into its own target directory, once;
+#   3. make N alternating pairs of runs (which side goes first alternates),
+#      either `gxbench run` (all six workloads, end-to-end + per-layer) or,
+#      with -w, `gxbench --workload W --trace 0` (end-to-end only, ~25 s);
+#   4. `gxbench compare base/ change/`.
+#
+# The change side is the working tree this script lives in; the base side
+# is a revision of the same repository (default HEAD: uncommitted work
+# against its parent; after committing, pass -r HEAD~1). A claim needs the
+# default ten pairs at the default seed and again at the held-out seed:
+#
+#   tools/gxbench-ab.sh                  # seed 20260930
+#   tools/gxbench-ab.sh -s 7741001       # held-out seed
+#
+# Run nothing else on the box meanwhile. No network is used. Exit status is
+# that of `gxbench compare`: 1 on any `worse` row, 2 on unusable input.
+set -eu
+
+pairs=10
+seed=20260930
+workload=
+rev=HEAD
+dir=
+
+usage() {
+    echo "usage: $0 [-n pairs] [-s seed] [-w workload] [-r base-rev] [-d scratch-dir]" >&2
+    exit 2
+}
+
+while getopts n:s:w:r:d: opt; do
+    case $opt in
+    n) pairs=$OPTARG ;;
+    s) seed=$OPTARG ;;
+    w) workload=$OPTARG ;;
+    r) rev=$OPTARG ;;
+    d) dir=$OPTARG ;;
+    *) usage ;;
+    esac
+done
+shift $((OPTIND - 1))
+[ $# -eq 0 ] || usage
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+dir=${dir:-$repo/.gxbench-ab}
+mkdir -p "$dir"
+dir=$(cd "$dir" && pwd)
+sets=$dir/sets/seed-$seed${workload:+-$workload}
+
+# Both sides are built by the same command, from their own checkout, into
+# their own target directory.
+build() { # <checkout> <target-dir>
+    (cd "$1" && CARGO_TARGET_DIR=$2 cargo build --release --quiet \
+        --manifest-path crates/benchmark/Cargo.toml --bin gxbench)
+}
+
+base_commit=$(git -C "$repo" rev-parse --verify "$rev^{commit}")
+if [ "$(cat "$dir/base.rev" 2>/dev/null)" != "$base_commit" ]; then
+    rm -rf "$dir/base-src" "$dir/base.rev"
+    mkdir -p "$dir/base-src"
+    git -C "$repo" archive "$base_commit" | tar -x -C "$dir/base-src"
+    echo "$base_commit" >"$dir/base.rev"
+fi
+echo "gxbench-ab: base $base_commit, change: working tree of $repo" >&2
+build "$dir/base-src" "$dir/base-target"
+build "$repo" "$dir/change-target"
+base=$dir/base-target/release/gxbench
+change=$dir/change-target/release/gxbench
+
+# One run of one side into <out>/result.json.
+measure() { # <gxbench> <out>
+    mkdir -p "$2"
+    if [ -z "$workload" ]; then
+        "$1" run --seed "$seed" --out "$2" >/dev/null || true
+    else
+        # The single-workload form prints its detail as the line before the
+        # result line; wrapped in a "workloads" array it is the document
+        # `gxbench compare` reads.
+        "$1" --workload "$workload" --seed "$seed" --trace 0 >"$2/stdout" || true
+        tail -n 2 "$2/stdout" | head -n 1 |
+            sed -e 's/^{"gxbench_detail":/{"workloads":[/' -e 's/}$/]}/' >"$2/result.json"
+    fi
+}
+
+rm -rf "$sets"
+i=1
+while [ "$i" -le "$pairs" ]; do
+    n=$(printf %02d "$i")
+    if [ $((i % 2)) -eq 1 ]; then
+        measure "$base" "$sets/base/$n"
+        measure "$change" "$sets/change/$n"
+    else
+        measure "$change" "$sets/change/$n"
+        measure "$base" "$sets/base/$n"
+    fi
+    echo "gxbench-ab: pair $n of $pairs done" >&2
+    i=$((i + 1))
+done
+
+"$change" compare "$sets/base" "$sets/change"
