@@ -1,0 +1,471 @@
+//! The shared channel-sharded warm device: frontier plus lanes.
+
+use super::counters::{occ_bucket, DeviceCounters};
+use super::frontier::{AdmittedPair, Frontier};
+use super::lanes::LaneState;
+use crate::{BackendStats, BatchTag, DiscardReport};
+use gx_accel::{
+    shard_for_workload, GenDpInstance, HostTraffic, LaneDelta, NmslConfig, NmslLane,
+    ACCEL_CLOCK_GHZ,
+};
+use gx_memsim::{DramConfig, DramPowerModel};
+use gx_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
+use std::sync::Mutex;
+
+/// Base span track for the shared device's simulator lanes (lane `i`
+/// renders as track `LANE_TRACK_BASE + i`), far above the pipeline's
+/// worker/feeder/emitter tracks so traces never collide.
+const LANE_TRACK_BASE: u32 = 2000;
+
+/// The shared channel-sharded warm device: a sequencing [`Frontier`] plus
+/// `channels` independently locked simulator lanes.
+///
+/// # Locking
+///
+/// Two small locks orders exist and never cycle:
+///
+/// * admission phase: the **frontier lock alone** — sequence the batch,
+///   price fallbacks, route pairs into per-lane staging queues;
+/// * pump phase: a **lane lock, then briefly the frontier lock** to move
+///   that lane's staged pairs out — the entire staged run is processed
+///   under the lane lock before anyone else can take from the queue, so
+///   pairs enter each simulator exactly in frontier-release order no
+///   matter which worker thread does the work.
+///
+/// Determinism falls out: per lane, the (admit, run) op sequence and every
+/// float accumulation order depend only on the released pair order, which
+/// the frontier fixes to input order.
+/// The device's registered metric ids (dummy ids on a disabled handle —
+/// recording through them is a no-op either way).
+#[derive(Clone, Copy, Debug)]
+struct DeviceMetrics {
+    /// `gx_lane_drain_ns`: wall-clock latency of one lane quantum drain.
+    drain_h: HistogramId,
+    /// `gx_exposed_transfer_ns`: per-quantum *modeled* exposed-transfer
+    /// residue, in integer nanoseconds of modeled time.
+    exposed_h: HistogramId,
+    /// `gx_nmsl_lane_occupancy`: workloads pending in a lane's simulator.
+    occupancy_g: GaugeId,
+    /// `gx_frontier_depth`: batches buffered ahead of the contiguity
+    /// frontier.
+    frontier_g: GaugeId,
+    /// `gx_quantum_occupancy`: lane occupancy sampled per quantum boundary.
+    occupancy_h: HistogramId,
+    /// `gx_device_issue_cycles_total`: cycle-breakdown issue cycles.
+    issue_c: CounterId,
+    /// `gx_device_dram_stall_cycles_total`: cycle-breakdown stall cycles.
+    stall_c: CounterId,
+    /// `gx_device_drain_cycles_total`: cycle-breakdown drain cycles.
+    drain_c: CounterId,
+    /// `gx_dram_row_conflicts_total`: row-conflict activations.
+    conflicts_c: CounterId,
+    /// `gx_dram_rejections_total`: queue-full submissions bounced.
+    rejections_c: CounterId,
+}
+
+/// What a [`SharedNmslDevice`] models, fixed for its lifetime.
+#[derive(Clone, Copy)]
+pub(super) struct DeviceConfig {
+    pub(super) dram: DramConfig,
+    pub(super) nmsl: NmslConfig,
+    pub(super) channels: usize,
+    pub(super) quantum: usize,
+    pub(super) link_gbs: f64,
+}
+
+pub(super) struct SharedNmslDevice {
+    pub(super) config: DeviceConfig,
+    /// The GenDP pricing fallback work (the paper's Table-4 instance).
+    gendp: GenDpInstance,
+    frontier: Mutex<Frontier>,
+    lanes: Vec<Mutex<LaneState>>,
+    power: DramPowerModel,
+    pub(super) telemetry: Telemetry,
+    metrics: DeviceMetrics,
+    /// Counters of the most recent [`flush`](SharedNmslDevice::flush),
+    /// captured before the lanes reset (queried through
+    /// [`NmslBackend::device_counters`]).
+    pub(super) last_counters: Mutex<Option<DeviceCounters>>,
+}
+
+impl SharedNmslDevice {
+    pub(super) fn new(config: DeviceConfig, telemetry: Telemetry) -> SharedNmslDevice {
+        let channels = config.channels;
+        let metrics = DeviceMetrics {
+            drain_h: telemetry.histogram(
+                "gx_lane_drain_ns",
+                "wall-clock latency of one NMSL lane quantum drain, ns",
+            ),
+            exposed_h: telemetry.histogram(
+                "gx_exposed_transfer_ns",
+                "modeled exposed-transfer residue per lane quantum, ns of modeled time",
+            ),
+            occupancy_g: telemetry.gauge(
+                "gx_nmsl_lane_occupancy",
+                "workloads pending in the lane simulators (sum across lanes; max is per-lane)",
+            ),
+            frontier_g: telemetry.gauge(
+                "gx_frontier_depth",
+                "batches buffered ahead of the shared device's contiguity frontier",
+            ),
+            occupancy_h: telemetry.histogram(
+                "gx_quantum_occupancy",
+                "lane occupancy (pending pairs) sampled at each dispatch-quantum boundary",
+            ),
+            issue_c: telemetry.counter(
+                "gx_device_issue_cycles_total",
+                "device cycles that admitted pairs or moved requests into DRAM queues",
+            ),
+            stall_c: telemetry.counter(
+                "gx_device_dram_stall_cycles_total",
+                "device cycles where queued work was backpressured by full DRAM queues",
+            ),
+            drain_c: telemetry.counter(
+                "gx_device_drain_cycles_total",
+                "device cycles with nothing to issue but DRAM reads still in flight",
+            ),
+            conflicts_c: telemetry.counter(
+                "gx_dram_row_conflicts_total",
+                "row activations that had to close a live row first",
+            ),
+            rejections_c: telemetry.counter(
+                "gx_dram_rejections_total",
+                "DRAM submissions bounced by a full channel queue",
+            ),
+        };
+        for idx in 0..channels {
+            telemetry.label_track(LANE_TRACK_BASE + idx as u32, &format!("nmsl lane {idx}"));
+        }
+        SharedNmslDevice {
+            config,
+            gendp: GenDpInstance::paper_table4(),
+            frontier: Mutex::new(Frontier::new(channels, telemetry.recorder(LANE_TRACK_BASE))),
+            lanes: (0..channels)
+                .map(|idx| {
+                    let rec = telemetry.recorder(LANE_TRACK_BASE + idx as u32);
+                    Mutex::new(LaneState::new(&config, rec))
+                })
+                .collect(),
+            power: DramPowerModel::for_config(&config.dram),
+            telemetry,
+            metrics,
+            last_counters: Mutex::new(None),
+        }
+    }
+
+    /// Releases one pair past the frontier: price its GenDP work (emitting
+    /// integer cycle deltas to `stats`) and stage it on its lane, returning
+    /// the lane index. Caller holds the frontier lock.
+    fn release_pair(
+        &self,
+        f: &mut Frontier,
+        pair: AdmittedPair,
+        stats: &mut BackendStats,
+    ) -> usize {
+        let cost = self.gendp.cost(pair.cells);
+        f.fallback_seconds_total += cost.seconds();
+        f.fallback_energy_pj += cost.energy_pj;
+        let cumulative = (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
+        stats.fallback_cycles += cumulative - f.fallback_cycles_emitted;
+        f.fallback_cycles_emitted = cumulative;
+        let lane = shard_for_workload(&pair.workload, f.pairs_released, self.lanes.len());
+        f.pairs_released += 1;
+        f.staged[lane].push_back(pair);
+        lane
+    }
+
+    /// Closes the quantum filling on lane `idx`: charges its host-link
+    /// transfer (none once the bytes are spent), drives the simulator with
+    /// `run` under a `lane_drain` span and accounts the delta. Integer
+    /// deltas go to the calling worker's `stats` (addition is exact, so
+    /// totals are schedule-independent); floats accumulate on the lane in
+    /// op order and surface at [`flush`](SharedNmslDevice::flush).
+    fn run_quantum(
+        &self,
+        l: &mut LaneState,
+        idx: usize,
+        stats: &mut BackendStats,
+        run: impl FnOnce(&mut NmslLane) -> LaneDelta,
+    ) {
+        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, self.config.link_gbs);
+        l.q_input = 0;
+        l.q_output = 0;
+        let t_drain = l.rec.start();
+        let delta = run(&mut l.lane);
+        let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
+        l.rec.record(self.metrics.drain_h, drain_ns);
+        stats.seed_cycles += delta.cycles;
+        stats.dram_bytes += delta.dram.bytes;
+        stats.dram_requests += delta.dram.completed;
+        l.seconds += delta.seconds;
+        l.energy_pj += self
+            .power
+            .energy_mj(&delta.dram, &self.config.dram, delta.seconds)
+            * 1e9;
+        l.transfer_seconds += transfer;
+        let exposed = HostTraffic::exposed_transfer_seconds(transfer, delta.seconds);
+        l.exposed_seconds += exposed;
+        // Quantum-boundary occupancy sample: into the deterministic device
+        // counter histogram, and (telemetry only) as a Chrome-trace counter
+        // track sample plus a Prometheus histogram/gauge.
+        let pending = l.lane.sim().pending();
+        l.occupancy[occ_bucket(pending)] += 1;
+        // Telemetry taps the already-computed modeled values (converted to
+        // integer ns); the accumulators above never read telemetry back.
+        l.rec.record(self.metrics.exposed_h, (exposed * 1e9) as u64);
+        l.rec.record(self.metrics.occupancy_h, pending);
+        l.rec.gauge_set(self.metrics.occupancy_g, pending);
+        l.rec.counter_sample("lane_occupancy", pending);
+    }
+
+    /// Streams every staged pair of lane `idx` through its simulator,
+    /// charging quantum transfers and running one quantum behind.
+    ///
+    /// Non-`blocking` callers (the admission path) skip a lane whose lock
+    /// is held rather than convoying behind its simulator run: the holder
+    /// re-checks the staging queue before releasing, a later admission
+    /// touching the lane pumps it, and [`flush`](SharedNmslDevice::flush)
+    /// (which pumps blocking) drains any residue — deferring *when* staged
+    /// pairs stream never changes the per-lane op order, so totals are
+    /// unaffected.
+    fn pump_lane(&self, idx: usize, blocking: bool, stats: &mut BackendStats) {
+        let mut l = if blocking {
+            self.lanes[idx].lock().expect("lane lock poisoned")
+        } else {
+            match self.lanes[idx].try_lock() {
+                Ok(guard) => guard,
+                Err(std::sync::TryLockError::WouldBlock) => return,
+                Err(std::sync::TryLockError::Poisoned(_)) => panic!("lane lock poisoned"),
+            }
+        };
+        loop {
+            let staged = {
+                let mut f = self.frontier.lock().expect("frontier lock poisoned");
+                std::mem::take(&mut f.staged[idx])
+            };
+            if staged.is_empty() {
+                return;
+            }
+            for pair in staged {
+                l.q_input += pair.input_bytes;
+                l.q_output += pair.output_bytes;
+                if l.lane.admit(pair.workload) {
+                    self.run_quantum(&mut l, idx, stats, NmslLane::run_lagged);
+                }
+            }
+        }
+    }
+
+    /// Releases everything the canonical order now covers: batches of the
+    /// head job in index order, advancing the head past jobs that are
+    /// sealed-and-done or discarded. Caller holds the frontier lock;
+    /// touched lanes are flagged for the caller to pump after dropping it.
+    fn drain_ready(&self, f: &mut Frontier, stats: &mut BackendStats, touched: &mut [bool]) {
+        // A head job nothing has mentioned yet has nothing to release.
+        while let Some(&seq) = f.seqs.get(&f.head) {
+            let job = f.head;
+            if seq.discarded {
+                f.drop_pending(job);
+                f.head += 1;
+                continue;
+            }
+            if let Some(batch) = f.pending.remove(&(job, seq.next_batch)) {
+                let released = batch.len() as u64;
+                for pair in batch {
+                    touched[self.release_pair(f, pair, stats)] = true;
+                }
+                let seq = f.seqs.get_mut(&job).expect("registered job");
+                seq.next_batch += 1;
+                seq.released_pairs += released;
+                continue;
+            }
+            if seq.sealed_at == Some(seq.next_batch) {
+                f.head += 1;
+                continue;
+            }
+            break;
+        }
+    }
+
+    /// The one way the canonical order changes: apply `mutate` to the
+    /// frontier (with `job`'s sequencing state present) under the frontier
+    /// lock, release everything the order now covers, refresh the depth
+    /// gauge, then — frontier lock dropped — pump the lanes the releases
+    /// staged work onto (skipping lanes another worker is already
+    /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)) and roll
+    /// the integer deltas up into `stats.sim_cycles`. `touched` is the
+    /// caller's per-lane flag buffer (a session keeps one across batches);
+    /// it is reset here.
+    fn sequence<R>(
+        &self,
+        job: u64,
+        stats: &mut BackendStats,
+        touched: &mut Vec<bool>,
+        mutate: impl FnOnce(&mut Frontier) -> R,
+    ) -> R {
+        touched.clear();
+        touched.resize(self.lanes.len(), false);
+        let out = {
+            let mut f = self.frontier.lock().expect("frontier lock poisoned");
+            f.seqs.entry(job).or_default();
+            let out = mutate(&mut f);
+            self.drain_ready(&mut f, stats, touched);
+            let depth = f.pending.len() as u64;
+            f.rec.gauge_set(self.metrics.frontier_g, depth);
+            out
+        };
+        for (idx, &touched) in touched.iter().enumerate() {
+            if touched {
+                self.pump_lane(idx, false, stats);
+            }
+        }
+        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
+        out
+    }
+
+    /// Admits one batch at `tag`. Admissions for a discarded job are
+    /// dropped whole.
+    ///
+    /// # Panics
+    ///
+    /// On a tag that was already admitted — still buffered, or already
+    /// released past the frontier. Either is a caller bug that would
+    /// otherwise silently drop pairs from device totals or price them out
+    /// of order at flush.
+    pub(super) fn admit(
+        &self,
+        tag: BatchTag,
+        pairs: Vec<AdmittedPair>,
+        stats: &mut BackendStats,
+        touched: &mut Vec<bool>,
+    ) {
+        let BatchTag { job, index } = tag;
+        self.sequence(job, stats, touched, |f| {
+            let seq = f.seqs[&job];
+            if seq.discarded {
+                return;
+            }
+            assert!(
+                index >= seq.next_batch,
+                "stale batch tag (job {job}, index {index}): already released to the device"
+            );
+            let replaced = f.pending.insert((job, index), pairs);
+            assert!(
+                replaced.is_none(),
+                "repeated batch tag (job {job}, index {index}): still buffered at the frontier"
+            );
+            // Peak depth (before the frontier releases what it now covers);
+            // the gauge's high-water mark records the worst reordering.
+            let depth = f.pending.len() as u64;
+            f.peak_depth = f.peak_depth.max(depth);
+            f.rec.gauge_set(self.metrics.frontier_g, depth);
+            f.rec.counter_sample("frontier_depth", depth);
+        });
+    }
+
+    /// Seals `job` at `batches` batches, releasing whatever the canonical
+    /// order was holding behind the job boundary.
+    pub(super) fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
+        let mut stats = BackendStats::new();
+        self.sequence(job, &mut stats, &mut Vec::new(), |f| {
+            f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
+        });
+        stats
+    }
+
+    /// Discards `job`: drops its buffered admissions immediately — sealed
+    /// or not, a batch never released to a lane is never priced — and lets
+    /// the canonical order skip it (see [`MapBackend::discard_job`]). The
+    /// report carries the job's already-released pair count, frozen here
+    /// because the discard flag stops any further release.
+    pub(super) fn discard_job(&self, job: u64) -> DiscardReport {
+        let mut stats = BackendStats::new();
+        let pairs_accounted = self.sequence(job, &mut stats, &mut Vec::new(), |f| {
+            let seq = f.seqs.get_mut(&job).expect("registered job");
+            seq.discarded = true;
+            let released = seq.released_pairs;
+            f.drop_pending(job);
+            released
+        });
+        DiscardReport {
+            stats,
+            pairs_accounted,
+        }
+    }
+
+    /// Drains the whole device in deterministic order, returns the float
+    /// stage totals plus the residual integer deltas, and resets every lane
+    /// and the frontier for the next run.
+    pub(super) fn flush(&self) -> BackendStats {
+        let mut stats = BackendStats::new();
+        let mut device = DeviceCounters {
+            lanes: Vec::with_capacity(self.lanes.len()),
+            ..DeviceCounters::default()
+        };
+        {
+            // Release anything still pending: first whatever the canonical
+            // order covers (flush pumps every lane blocking below, so the
+            // touched flags are moot), then stragglers. On a normal run the
+            // frontier has released everything; after an aborted run (sink
+            // error) or with jobs never sealed, indices may have gaps —
+            // release leftovers in `(job, batch)` key order regardless, so
+            // the device always resets clean.
+            let mut f = self.frontier.lock().expect("frontier lock poisoned");
+            let mut touched = vec![false; self.lanes.len()];
+            self.drain_ready(&mut f, &mut stats, &mut touched);
+            for pair in std::mem::take(&mut f.pending).into_values().flatten() {
+                let _ = self.release_pair(&mut f, pair, &mut stats);
+            }
+            stats.fallback_seconds = f.fallback_seconds_total;
+            stats.fallback_energy_pj = f.fallback_energy_pj;
+            stats.sim_seconds += f.fallback_seconds_total;
+        }
+        for idx in 0..self.lanes.len() {
+            self.pump_lane(idx, true, &mut stats);
+            let mut l = self.lanes[idx].lock().expect("lane lock poisoned");
+            if l.q_input > 0 || l.q_output > 0 {
+                // A trailing partial quantum: its transfer streams under the
+                // drain of the last *full* quantum, which is still lagged.
+                let quantum = l.lane.quantum();
+                let full_target = l.lane.admitted() / quantum * quantum;
+                self.run_quantum(&mut l, idx, &mut stats, |lane| lane.run_to(full_target));
+            }
+            // Final drain: pure compute, no transfer left to hide.
+            self.run_quantum(&mut l, idx, &mut stats, NmslLane::drain);
+            stats.sim_seconds += l.seconds;
+            stats.seed_energy_pj += l.energy_pj;
+            stats.transfer_seconds += l.transfer_seconds;
+            stats.exposed_transfer_seconds += l.exposed_seconds;
+            // Capture the lane's performance counters before the reset, and
+            // expose the cycle-domain totals as Prometheus counters (an
+            // observational tap of already-final integers).
+            let counters = l.lane.counters();
+            l.rec
+                .counter_add(self.metrics.issue_c, counters.breakdown.issue);
+            l.rec
+                .counter_add(self.metrics.stall_c, counters.breakdown.dram_stall);
+            l.rec
+                .counter_add(self.metrics.drain_c, counters.breakdown.drain);
+            l.rec
+                .counter_add(self.metrics.conflicts_c, counters.dram.row_conflicts);
+            l.rec
+                .counter_add(self.metrics.rejections_c, counters.dram.rejections);
+            for (sum, bucket) in device.quantum_occupancy.iter_mut().zip(l.occupancy) {
+                *sum += bucket;
+            }
+            device.lanes.push(counters);
+            // Replacing the lane state drops (and thereby flushes) its
+            // telemetry recorder; the fresh one starts with an empty ring.
+            let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
+            *l = LaneState::new(&self.config, rec);
+        }
+        let mut f = self.frontier.lock().expect("frontier lock poisoned");
+        device.frontier_peak_depth = f.peak_depth;
+        *f = Frontier::new(self.lanes.len(), self.telemetry.recorder(LANE_TRACK_BASE));
+        drop(f);
+        *self.last_counters.lock().expect("counters lock poisoned") = Some(device);
+        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
+        stats.energy_pj = stats.seed_energy_pj + stats.fallback_energy_pj;
+        stats
+    }
+}

@@ -1,0 +1,549 @@
+//! NMSL backend tests, driven through [`NmslBackend`] sessions.
+
+use super::*;
+use crate::{BackendStats, BatchTag, MapBackend, MapSession, SoftwareBackend};
+use gx_accel::{HostTraffic, NmslConfig};
+use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+use gx_genome::random::RandomGenomeBuilder;
+use gx_memsim::DramConfig;
+
+fn setup() -> (gx_genome::ReferenceGenome, Vec<ReadPair>) {
+    let genome = RandomGenomeBuilder::new(120_000)
+        .seed(23)
+        .humanlike_repeats()
+        .build();
+    let seq = genome.chromosome(0).seq();
+    let pairs = (0..12)
+        .map(|i| {
+            let s = 1_500 + i * 4_000;
+            ReadPair::new(
+                format!("p{i}"),
+                seq.subseq(s..s + 150),
+                seq.subseq(s + 250..s + 400).revcomp(),
+            )
+        })
+        .collect();
+    (genome, pairs)
+}
+
+/// Batch `index` of the single-stream job 0.
+fn at(index: u64) -> BatchTag {
+    BatchTag { job: 0, index }
+}
+
+/// Batch `index` of job `job`.
+fn job_at(job: u64, index: u64) -> BatchTag {
+    BatchTag { job, index }
+}
+
+/// Maps `pairs` in `chunk`-sized batches through one session and
+/// returns the run-total stats (per-call stats + device flush).
+fn run_session<'m>(
+    backend: &NmslBackend<'m, 'm>,
+    pairs: &[ReadPair],
+    chunk: usize,
+) -> BackendStats {
+    let mut session = backend.session(0);
+    let mut total = BackendStats::new();
+    for (i, batch) in pairs.chunks(chunk).enumerate() {
+        total.merge(&session.map(at(i as u64), batch).stats);
+    }
+    total.merge(&backend.flush());
+    total
+}
+
+#[test]
+fn results_match_software_backend() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let sw = SoftwareBackend::new(&mapper).session(0).map(at(0), &pairs);
+    let hw = NmslBackend::new(&mapper).session(0).map(at(0), &pairs);
+    assert_eq!(sw.results.len(), hw.results.len());
+    for (a, b) in sw.results.iter().zip(&hw.results) {
+        assert_eq!(a.is_mapped(), b.is_mapped());
+        assert_eq!(a.fallback, b.fallback);
+        match (&a.mapping, &b.mapping) {
+            (Some(ma), Some(mb)) => {
+                assert_eq!((ma.chrom, ma.pos1, ma.pos2), (mb.chrom, mb.pos1, mb.pos2));
+                assert_eq!(ma.r1_forward, mb.r1_forward);
+            }
+            (None, None) => {}
+            other => panic!("mapping divergence: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn session_reports_simulated_cost() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    let stats = run_session(&backend, &pairs, pairs.len());
+    assert_eq!(stats.batches, 1);
+    assert_eq!(stats.pairs, pairs.len() as u64);
+    assert!(stats.seed_cycles > 0);
+    assert!(stats.sim_cycles >= stats.seed_cycles);
+    assert!(stats.sim_seconds > 0.0);
+    assert!(stats.energy_pj > 0.0);
+    assert!(stats.transfer_seconds > 0.0);
+    assert!(stats.input_bytes > 0 && stats.output_bytes > 0);
+    // At least one 8 B seed-table read per seed reached the DRAM
+    // model.
+    assert!(stats.dram_bytes >= 6 * 8);
+    assert!(stats.dram_requests >= 6);
+    assert!(stats.modeled_reads_per_sec() > 0.0);
+    assert!(stats.system_reads_per_sec() > 0.0);
+}
+
+#[test]
+fn warm_totals_are_batching_invariant() {
+    // The shared device streams on its own dispatch quantum, so the
+    // client batch size must not change ANY warm total — not just DRAM
+    // traffic (as in the old per-worker model) but cycles, energy and
+    // the exposed transfer, bit for bit.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    let one = run_session(&backend, &pairs, pairs.len());
+    let many = run_session(&backend, &pairs, 2);
+    assert_eq!(one.dram_bytes, many.dram_bytes);
+    assert_eq!(one.dram_requests, many.dram_requests);
+    assert_eq!(one.pairs, many.pairs);
+    assert_eq!(one.seed_cycles, many.seed_cycles);
+    assert_eq!(one.sim_cycles, many.sim_cycles);
+    assert_eq!(one.energy_pj.to_bits(), many.energy_pj.to_bits());
+    assert_eq!(
+        one.exposed_transfer_seconds.to_bits(),
+        many.exposed_transfer_seconds.to_bits()
+    );
+    assert_eq!(
+        one.transfer_seconds.to_bits(),
+        many.transfer_seconds.to_bits()
+    );
+}
+
+#[test]
+fn out_of_order_sequenced_admission_matches_in_order() {
+    // Two sessions admitting interleaved batch indices out of order
+    // (what stealing workers do) must produce the same run totals as
+    // one session admitting in order: the frontier re-sequences.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
+    let chunks: Vec<&[ReadPair]> = pairs.chunks(3).collect();
+
+    let mut in_order = BackendStats::new();
+    let mut session = backend.session(0);
+    for (i, chunk) in chunks.iter().enumerate() {
+        in_order.merge(&session.map(at(i as u64), chunk).stats);
+    }
+    in_order.merge(&backend.flush());
+
+    let mut shuffled = BackendStats::new();
+    let mut a = backend.session(0);
+    let mut b = backend.session(1);
+    // Admission order 2, 0, 3, 1 across two sessions.
+    shuffled.merge(&a.map(at(2), chunks[2]).stats);
+    shuffled.merge(&b.map(at(0), chunks[0]).stats);
+    shuffled.merge(&a.map(at(3), chunks[3]).stats);
+    shuffled.merge(&b.map(at(1), chunks[1]).stats);
+    shuffled.merge(&backend.flush());
+
+    assert_eq!(in_order.pairs, shuffled.pairs);
+    assert_eq!(in_order.seed_cycles, shuffled.seed_cycles);
+    assert_eq!(in_order.sim_cycles, shuffled.sim_cycles);
+    assert_eq!(in_order.fallback_cycles, shuffled.fallback_cycles);
+    assert_eq!(in_order.dram_bytes, shuffled.dram_bytes);
+    assert_eq!(in_order.dram_requests, shuffled.dram_requests);
+    assert_eq!(in_order.energy_pj.to_bits(), shuffled.energy_pj.to_bits());
+    assert_eq!(
+        in_order.exposed_transfer_seconds.to_bits(),
+        shuffled.exposed_transfer_seconds.to_bits()
+    );
+}
+
+/// Full warm fingerprint of a [`BackendStats`] total: integers plus the
+/// device-accumulated floats compared by bit pattern.
+fn fingerprint(s: &BackendStats) -> (u64, u64, u64, u64, u64, u64, u64) {
+    (
+        s.pairs,
+        s.seed_cycles,
+        s.sim_cycles,
+        s.fallback_cycles,
+        s.dram_bytes,
+        s.energy_pj.to_bits(),
+        s.exposed_transfer_seconds.to_bits(),
+    )
+}
+
+#[test]
+fn interleaved_jobs_match_concatenated_stream() {
+    // Two jobs admitted through two sessions, batches interleaved and
+    // out of order, with job 1's work arriving *before* job 0 is done:
+    // the canonical release order (job id × batch index) must make
+    // the warm totals bit-identical to mapping job 0's stream then
+    // job 1's through the classic single-job path.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
+    let (job0, job1) = pairs.split_at(7);
+
+    // Reference: one stream, concatenated in job order.
+    let mut reference = BackendStats::new();
+    let mut session = backend.session(0);
+    for (i, chunk) in job0.chunks(2).chain(job1.chunks(2)).enumerate() {
+        reference.merge(&session.map(at(i as u64), chunk).stats);
+    }
+    reference.merge(&backend.flush());
+
+    // Interleaved: job 1 first on the wire, out of order within jobs.
+    let b0: Vec<&[ReadPair]> = job0.chunks(2).collect();
+    let b1: Vec<&[ReadPair]> = job1.chunks(2).collect();
+    let mut interleaved = BackendStats::new();
+    let mut a = backend.session(0);
+    let mut b = backend.session(1);
+    interleaved.merge(&b.map(job_at(1, 2), b1[2]).stats);
+    interleaved.merge(&a.map(job_at(0, 1), b0[1]).stats);
+    interleaved.merge(&b.map(job_at(1, 0), b1[0]).stats);
+    interleaved.merge(&a.map(job_at(0, 3), b0[3]).stats);
+    interleaved.merge(&b.map(job_at(0, 0), b0[0]).stats);
+    interleaved.merge(&a.map(job_at(1, 1), b1[1]).stats);
+    interleaved.merge(&b.map(job_at(0, 2), b0[2]).stats);
+    interleaved.merge(&backend.seal_job(0, b0.len() as u64));
+    interleaved.merge(&backend.seal_job(1, b1.len() as u64));
+    interleaved.merge(&backend.flush());
+
+    assert_eq!(fingerprint(&reference), fingerprint(&interleaved));
+}
+
+#[test]
+fn seal_releases_the_parked_next_job() {
+    // Job 1's batches all arrive while job 0 is still open: they must
+    // park behind the job boundary, and the seal of job 0 (not any
+    // worker call) carries the accounting of their release.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    // One lane: every release lands on it, so the seal-triggered
+    // releases are guaranteed to fill a quantum and drive the simulator
+    // (with many lanes a 6-pair tail can sit below every quantum
+    // boundary until flush).
+    let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(4);
+    let (job0, job1) = pairs.split_at(6);
+
+    let mut total = BackendStats::new();
+    let mut session = backend.session(0);
+    // Job 1 fully admitted and sealed first — nothing may release yet.
+    let parked = session.map(job_at(1, 0), job1).stats;
+    assert_eq!(
+        parked.seed_cycles, 0,
+        "job 1 released before job 0 completed"
+    );
+    total.merge(&parked);
+    total.merge(&backend.seal_job(1, 1));
+    // Job 0 arrives and seals: its own admission releases immediately,
+    // and sealing it unparks job 1's tail.
+    total.merge(&session.map(job_at(0, 0), job0).stats);
+    let seal = backend.seal_job(0, 1);
+    assert!(
+        seal.seed_cycles > 0,
+        "sealing job 0 must drive job 1's parked release"
+    );
+    total.merge(&seal);
+    total.merge(&backend.flush());
+
+    // And the grand total still matches the concatenated reference.
+    let mut reference = BackendStats::new();
+    let mut refsess = backend.session(0);
+    reference.merge(&refsess.map(at(0), job0).stats);
+    reference.merge(&refsess.map(at(1), job1).stats);
+    reference.merge(&backend.flush());
+    assert_eq!(fingerprint(&reference), fingerprint(&total));
+}
+
+#[test]
+fn discarded_job_is_skipped_and_stragglers_are_dropped() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
+    let (doomed, kept) = pairs.split_at(5);
+
+    // Reference: the surviving job alone on a fresh device.
+    let mut reference = BackendStats::new();
+    let mut refsess = backend.session(0);
+    reference.merge(&refsess.map(at(0), kept).stats);
+    reference.merge(&backend.flush());
+
+    // Job 0 is discarded before any of its work released (its only
+    // admission is parked behind the missing batch 0); job 1 completes.
+    let mut total = BackendStats::new();
+    let mut session = backend.session(0);
+    total.merge(&session.map(job_at(0, 1), &doomed[..2]).stats);
+    let discard = backend.discard_job(0);
+    assert_eq!(
+        discard.pairs_accounted, 0,
+        "nothing of job 0 released before the discard"
+    );
+    total.merge(&discard.stats);
+    // A straggler admission racing past the cancel is ignored too.
+    total.merge(&session.map(job_at(0, 0), &doomed[2..]).stats);
+    total.merge(&session.map(job_at(1, 0), kept).stats);
+    total.merge(&backend.seal_job(1, 1));
+    total.merge(&backend.flush());
+    // The discarded job still mapped its pairs (results-side), but the
+    // device priced only the surviving job's stream.
+    assert_eq!(total.pairs, pairs.len() as u64);
+    let mut surviving = total;
+    surviving.pairs = reference.pairs;
+    surviving.batches = reference.batches;
+    surviving.busy_ns = reference.busy_ns;
+    surviving.input_bytes = reference.input_bytes;
+    surviving.output_bytes = reference.output_bytes;
+    assert_eq!(fingerprint(&reference), fingerprint(&surviving));
+    // The device is clean for the next run: a fresh job maps normally.
+    let after = run_session(&backend, kept, 3);
+    assert_eq!(after.pairs, kept.len() as u64);
+    assert!(after.seed_cycles > 0);
+}
+
+#[test]
+fn ddr5_is_slower_than_hbm() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let hbm = run_session(&NmslBackend::new(&mapper), &pairs, pairs.len());
+    let ddr = run_session(
+        &NmslBackend::with_configs(&mapper, DramConfig::ddr5_4ch(), NmslConfig::default()),
+        &pairs,
+        pairs.len(),
+    );
+    assert!(
+        ddr.sim_seconds > hbm.sim_seconds,
+        "ddr {} vs hbm {}",
+        ddr.sim_seconds,
+        hbm.sim_seconds
+    );
+}
+
+#[test]
+fn empty_batch_reports_zero_sim_time() {
+    let (genome, _) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    let out = backend.session(0).map(at(0), &[]);
+    let flushed = backend.flush();
+    assert!(out.results.is_empty());
+    assert_eq!(out.stats.sim_cycles + flushed.sim_cycles, 0);
+    assert_eq!(out.stats.transfer_seconds, 0.0);
+    assert_eq!(flushed.transfer_seconds, 0.0);
+}
+
+#[test]
+fn small_streams_expose_their_full_transfer() {
+    // A stream shorter than one dispatch quantum is a single partial
+    // quantum: its transfer has no previous quantum's drain to stream
+    // under, so everything is exposed — the sharded analogue of "the
+    // first batch of a stream exposes its full transfer".
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper); // quantum 64 > 12 pairs
+    let stats = run_session(&backend, &pairs, 3);
+    assert!(stats.transfer_seconds > 0.0);
+    assert_eq!(
+        stats.exposed_transfer_seconds.to_bits(),
+        stats.transfer_seconds.to_bits()
+    );
+}
+
+#[test]
+fn compute_bound_stream_hides_all_but_the_first_quantum() {
+    // One lane, quantum 3, 12 pairs → 4 quanta in input order. On the
+    // default PCIe Gen4 link every quantum's transfer is tens of
+    // nanoseconds while a quantum's drain is microseconds, so every
+    // quantum after the first hides its DMA completely: the exposed
+    // total is *analytically* the first quantum's raw transfer.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(3);
+    let stats = run_session(&backend, &pairs, 5);
+    let (q_in, q_out) = pairs[..3].iter().fold((0u64, 0u64), |(i, o), p| {
+        let (pi, po) = HostTraffic::pair_bytes(p.r1.len(), p.r2.len());
+        (i + pi, o + po)
+    });
+    let first_transfer = HostTraffic::transfer_seconds(q_in, q_out, gx_accel::host::PCIE4_X16_GBS);
+    assert!(first_transfer > 0.0);
+    assert_eq!(
+        stats.exposed_transfer_seconds.to_bits(),
+        first_transfer.to_bits(),
+        "exposed {} vs first quantum transfer {}",
+        stats.exposed_transfer_seconds,
+        first_transfer
+    );
+    assert!(stats.exposed_transfer_seconds < stats.transfer_seconds);
+}
+
+#[test]
+fn transfer_bound_stream_exposes_the_analytic_residue() {
+    // A pathologically slow link makes every quantum transfer-bound:
+    // each one exposes `transfer − the drain it streamed under`, so the
+    // exposed total is bounded below by `Σ transfer − total compute`
+    // (the final drain has no transfer charged against it) and stays
+    // strictly under the raw total.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper)
+        .channels(1)
+        .dispatch_quantum(3)
+        .link_gbs(1e-6);
+    let stats = run_session(&backend, &pairs, 4);
+    assert_eq!(stats.fallback_seconds, 0.0, "clean dataset fell back");
+    assert!(stats.transfer_seconds > stats.sim_seconds);
+    assert!(stats.exposed_transfer_seconds > 0.0);
+    assert!(stats.exposed_transfer_seconds >= stats.transfer_seconds - stats.sim_seconds);
+    assert!(stats.exposed_transfer_seconds < stats.transfer_seconds);
+}
+
+#[test]
+fn overlapped_system_time_never_exceeds_serial() {
+    // For any link speed the double-buffered DMA can only *hide*
+    // transfer time, never invent it: the exposed residue is at most
+    // the raw transfer, so the overlapped system timeline is at most
+    // compute plus the fully serialized link.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    for link in [1e-6, 1e-3, 1.0, gx_accel::host::PCIE4_X16_GBS] {
+        let stats = run_session(
+            &NmslBackend::new(&mapper).dispatch_quantum(3).link_gbs(link),
+            &pairs,
+            4,
+        );
+        assert!(stats.transfer_seconds > 0.0, "link {link}");
+        assert!(
+            stats.exposed_transfer_seconds <= stats.transfer_seconds,
+            "link {link}: exposed {} > raw {}",
+            stats.exposed_transfer_seconds,
+            stats.transfer_seconds
+        );
+        assert!(
+            stats.modeled_system_seconds() <= stats.sim_seconds + stats.transfer_seconds,
+            "link {link}"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "repeated batch tag (job 0, index 1)")]
+fn repeated_tag_still_buffered_panics() {
+    // Batch 1 parks behind the missing batch 0; admitting index 1 again
+    // would silently replace it (its pairs would vanish from device
+    // totals while the per-call counters still counted them).
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    let mut session = backend.session(0);
+    session.map(at(1), &pairs[..2]);
+    session.map(at(1), &pairs[2..4]);
+}
+
+#[test]
+#[should_panic(expected = "stale batch tag (job 0, index 0)")]
+fn stale_tag_behind_the_frontier_panics() {
+    // Batch 0 released on admission; a second index-0 admission would
+    // sit in `pending` until flush priced it out of order.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    let mut session = backend.session(0);
+    session.map(at(0), &pairs[..2]);
+    session.map(at(0), &pairs[2..4]);
+}
+
+#[test]
+fn device_counters_partition_device_cycles() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(3);
+    assert!(
+        backend.device_counters().is_none(),
+        "no counters before the first flush"
+    );
+    let stats = run_session(&backend, &pairs, 4);
+    let dc = backend.device_counters().expect("flush ran");
+    assert_eq!(dc.lanes.len(), 2);
+    let device = dc.device_cycles();
+    assert!(device > 0);
+    let mut cycles_sum = 0;
+    for (i, lane) in dc.lanes.iter().enumerate() {
+        assert_eq!(
+            lane.breakdown.total(),
+            lane.cycles,
+            "lane {i} breakdown must partition its cycles"
+        );
+        assert_eq!(
+            dc.lane_busy_cycles(i) + dc.lane_idle_cycles(i),
+            device,
+            "lane {i} busy+idle must sum to device cycles"
+        );
+        let util = dc.lane_utilization(i);
+        assert!((0.0..=1.0).contains(&util), "lane {i} utilization {util}");
+        cycles_sum += lane.cycles;
+    }
+    // The lanes' summed cycles are exactly what the run charged to
+    // seeding: the counters describe the same simulation the stats do.
+    assert_eq!(cycles_sum, stats.seed_cycles);
+    assert!((0.0..=1.0).contains(&dc.row_conflict_rate()));
+    assert!((0.0..=1.0).contains(&dc.mean_utilization()));
+    // Every quantum boundary sampled occupancy at least once per lane
+    // with work (12 pairs over 2 lanes, quantum 3).
+    assert!(dc.quantum_occupancy.iter().sum::<u64>() > 0);
+    // In-order single-threaded admission: the frontier never buffers
+    // more than one batch.
+    assert!(dc.frontier_peak_depth <= 1);
+    // A second flush resets: new runs overwrite, empty run is empty.
+    let _ = backend.flush();
+    let dc2 = backend.device_counters().expect("flush captured");
+    assert_eq!(dc2.device_cycles(), 0);
+}
+
+#[test]
+fn device_counters_are_batching_invariant() {
+    // The cycle-domain counters obey the same invariance contract as
+    // the warm BackendStats: identical whatever the client batch size.
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(3);
+    let _ = run_session(&backend, &pairs, pairs.len());
+    let one = backend.device_counters().unwrap();
+    let _ = run_session(&backend, &pairs, 2);
+    let many = backend.device_counters().unwrap();
+    assert_eq!(one, many, "device counters diverged across batchings");
+}
+
+#[test]
+fn gendp_only_charged_on_fallback() {
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper);
+    // Perfectly simulated in-genome pairs: all light-path, no fallback.
+    let clean = run_session(&backend, &pairs, pairs.len());
+    assert_eq!(clean.fallback_cycles, 0);
+    assert_eq!(clean.fallback_energy_pj, 0.0);
+    assert_eq!(clean.fallback_seconds, 0.0);
+
+    // A foreign pair must take a fallback and be charged to GenDP.
+    let other = RandomGenomeBuilder::new(8_000).seed(991).build();
+    let oseq = other.chromosome(0).seq();
+    let alien = ReadPair::new(
+        "alien",
+        oseq.subseq(100..250),
+        oseq.subseq(300..450).revcomp(),
+    );
+    let mut session = backend.session(0);
+    let fallback_result = session.map(at(0), &[alien]);
+    assert!(fallback_result.results[0].fallback.is_some());
+    // The integer cycle delta is attributed to the admitting call...
+    assert!(fallback_result.stats.fallback_cycles > 0);
+    // ...while the float energy/seconds surface at the device flush.
+    let mut dirty = fallback_result.stats;
+    dirty.merge(&backend.flush());
+    assert!(dirty.fallback_energy_pj > 0.0);
+    assert!(dirty.fallback_seconds > 0.0);
+}

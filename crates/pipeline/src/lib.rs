@@ -86,6 +86,7 @@ mod engine;
 pub mod service;
 mod sink;
 mod steal;
+mod worker;
 
 pub use batch::{read_pairs_from_fastq, ReadPairStream};
 pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};

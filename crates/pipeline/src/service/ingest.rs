@@ -1,0 +1,311 @@
+//! The ingest pool and the deadline timer.
+
+use super::job::{JobBatch, JobState};
+use super::sched::{claim_job, try_finalize, AbortOnPanic, Shared};
+use crate::worker::inflight_window;
+use gx_backend::MapBackend;
+use gx_core::ReadPair;
+use gx_genome::GenomeError;
+use gx_telemetry::labeled;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// How often the deadline timer re-checks the clock while at least one
+/// active job has a deadline (it sleeps much longer otherwise).
+const DEADLINE_POLL: Duration = Duration::from_millis(5);
+
+/// A job's input stream as the ingest thread sees it.
+pub(super) type JobInput = Box<dyn Iterator<Item = Result<ReadPair, GenomeError>> + Send>;
+
+/// A job in the ingest pool's rotation. At any moment a job is either in
+/// [`Sched::pool`] (claimable) or owned by exactly one ingester — never
+/// both — so its input iterator is only ever polled single-threaded.
+pub(super) struct FeederJob {
+    pub(super) state: Arc<JobState>,
+    pub(super) input: JobInput,
+    pub(super) next_index: u64,
+    /// Ingest visits this job has received; the claim policy serves the
+    /// lowest round first so no job starves behind chatty siblings.
+    pub(super) round: u64,
+}
+
+impl FeederJob {
+    /// Pulls the next batch: `Some(Ok(pairs))`, `Some(Err(_))` on a
+    /// malformed input record (pairs collected before the error in the
+    /// same batch are dropped), `None` at clean end of input.
+    fn pull(&mut self) -> Option<Result<Vec<ReadPair>, GenomeError>> {
+        let mut pairs = Vec::with_capacity(self.state.batch_size);
+        while pairs.len() < self.state.batch_size {
+            match self.input.next() {
+                Some(Ok(p)) => pairs.push(p),
+                Some(Err(e)) => return Some(Err(e)),
+                None => break,
+            }
+        }
+        if pairs.is_empty() {
+            None
+        } else {
+            Some(Ok(pairs))
+        }
+    }
+}
+
+/// Outcome of one multiplexer visit to one job.
+enum FeedOutcome {
+    /// The job left the ingest rotation (sealed or discarded).
+    Closed,
+    /// At least one batch was pushed.
+    Progressed,
+    /// Nothing to do right now (in-flight window full).
+    Parked,
+    /// The dispatch queue was torn down: stop the ingest thread.
+    QueueGone,
+}
+
+/// One ingest visit: feed up to `priority.weight()` batches of this job,
+/// honouring its in-flight window; seal at end of input; discard on
+/// cancel or input error (the cancel paths usually discard first — the
+/// [`JobCore::discard_from`] is one-shot either way).
+fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob) -> FeedOutcome {
+    let job = Arc::clone(&fj.state);
+    let job = &job;
+    {
+        let mut guard = job.core.lock().expect("job core poisoned");
+        let core = &mut *guard;
+        if core.suppressed() {
+            // Cancelled or failed. The cancel path discards eagerly now,
+            // so this only acts for suppressions that didn't (and as a
+            // backstop for races); either way the job leaves the
+            // rotation and in-flight batches drain without emission.
+            core.discard_from(shared.discard, job.id);
+            drop(guard);
+            try_finalize(shared, job);
+            return FeedOutcome::Closed;
+        }
+    }
+    let window = inflight_window(shared.cfg.queue_depth, shared.cfg.threads);
+    let mut fed = false;
+    for _ in 0..job.priority.weight() {
+        {
+            let core = job.core.lock().expect("job core poisoned");
+            if core.suppressed() {
+                break; // discard on the next visit
+            }
+            if core.admitted - core.processed >= window {
+                return if fed {
+                    FeedOutcome::Progressed
+                } else {
+                    FeedOutcome::Parked
+                };
+            }
+        }
+        match fj.pull() {
+            Some(Ok(pairs)) => {
+                let index = fj.next_index;
+                fj.next_index += 1;
+                job.core.lock().expect("job core poisoned").admitted += 1;
+                let batch = JobBatch {
+                    job: Arc::clone(job),
+                    index,
+                    pairs,
+                };
+                if !shared.queue.push(batch) {
+                    return FeedOutcome::QueueGone;
+                }
+                fed = true;
+            }
+            None => {
+                // Clean end of input: declare the total so the device can
+                // advance past this job once its last batch is admitted.
+                // A cancel may land concurrently; its discard claim wins
+                // or loses against nobody — sealing doesn't claim — and
+                // the device accepts seal and discard in either order.
+                let stats = backend.seal_job(job.id, fj.next_index);
+                {
+                    let mut core = job.core.lock().expect("job core poisoned");
+                    core.sealed = Some(fj.next_index);
+                    core.backend.merge(&stats);
+                }
+                try_finalize(shared, job);
+                return FeedOutcome::Closed;
+            }
+            Some(Err(e)) => {
+                // Malformed input fails only this job: discard it from
+                // the device and record the reason; siblings are
+                // untouched.
+                {
+                    let mut guard = job.core.lock().expect("job core poisoned");
+                    let core = &mut *guard;
+                    core.abort_reason = Some(e.to_string());
+                    core.reorder.clear();
+                    core.discard_from(shared.discard, job.id);
+                }
+                try_finalize(shared, job);
+                return FeedOutcome::Closed;
+            }
+        }
+    }
+    if fed {
+        FeedOutcome::Progressed
+    } else {
+        FeedOutcome::Parked
+    }
+}
+
+/// One ingest-pool thread: claims a job, feeds it one priority-weighted
+/// visit, returns it to the pool (or drops it once closed), repeat. A
+/// blocking input iterator blocks only its owner — the rest of the pool
+/// keeps every other job flowing. The last ingester to exit closes the
+/// dispatch queue so workers drain and stop.
+pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, ingester_id: usize) {
+    let _teardown = AbortOnPanic(shared);
+    let mut rec = shared
+        .telemetry
+        .recorder((shared.cfg.threads + ingester_id) as u32);
+    // Consecutive visits that made no progress; once every claimable job
+    // looks parked, wait for worker progress instead of spinning.
+    let mut parked_streak: usize = 0;
+    loop {
+        let mut fj = {
+            let mut sched = shared.sched();
+            if sched.aborting {
+                return; // queue already torn down
+            }
+            match claim_job(&mut sched) {
+                Some(fj) => fj,
+                None => {
+                    if sched.shutdown {
+                        break;
+                    }
+                    let (guard, _) = shared
+                        .wake
+                        .wait_timeout(sched, Duration::from_millis(20))
+                        .expect("scheduler poisoned");
+                    drop(guard);
+                    continue;
+                }
+            }
+        };
+        let t = rec.start();
+        let outcome = feed_one(shared, backend, &mut fj);
+        fj.round += 1;
+        match outcome {
+            FeedOutcome::Closed => {
+                rec.span_arg("ingest_close", t, fj.state.id);
+                parked_streak = 0;
+            }
+            FeedOutcome::Progressed => {
+                rec.span_arg("ingest_feed", t, fj.state.id);
+                parked_streak = 0;
+                let mut sched = shared.sched();
+                if sched.aborting {
+                    return;
+                }
+                sched.pool.push(fj);
+            }
+            FeedOutcome::Parked => {
+                parked_streak += 1;
+                let mut sched = shared.sched();
+                if sched.aborting {
+                    return;
+                }
+                sched.pool.push(fj);
+                if parked_streak > sched.pool.len() {
+                    // Everything claimable is window-parked: wait for
+                    // worker progress (they notify after each batch) with
+                    // a timeout backstop.
+                    let (guard, _) = shared
+                        .wake
+                        .wait_timeout(sched, Duration::from_millis(2))
+                        .expect("scheduler poisoned");
+                    drop(guard);
+                }
+            }
+            FeedOutcome::QueueGone => return,
+        }
+    }
+    if shared.ingesters_live.fetch_sub(1, Ordering::AcqRel) == 1 {
+        shared.queue.close();
+    }
+}
+
+/// The deadline timer: watches every registered job's `deadline_at`
+/// against the service clock and cancels overdue jobs through the
+/// ordinary cancel path. Polling is real-time ([`DEADLINE_POLL`] while
+/// any deadline is pending) but expiry is decided purely by the injected
+/// [`Clock`], so tests driving a `ManualClock` see deterministic
+/// behavior.
+pub(super) fn run_timer(shared: &Shared<'_>) {
+    let _teardown = AbortOnPanic(shared);
+    let rec = shared
+        .telemetry
+        .recorder((shared.cfg.threads + shared.cfg.ingesters) as u32);
+    loop {
+        let expired: Vec<Arc<JobState>> = {
+            let sched = shared.sched();
+            if sched.aborting || sched.shutdown {
+                return;
+            }
+            let mut pending = false;
+            let now = shared.clock.now();
+            let expired: Vec<Arc<JobState>> = sched
+                .registry
+                .values()
+                .filter(|job| match job.deadline_at {
+                    Some(at) => {
+                        pending = true;
+                        now >= at
+                    }
+                    None => false,
+                })
+                .cloned()
+                .collect();
+            if expired.is_empty() {
+                let wait = if pending {
+                    DEADLINE_POLL
+                } else {
+                    Duration::from_millis(50)
+                };
+                let (guard, _) = shared
+                    .wake
+                    .wait_timeout(sched, wait)
+                    .expect("scheduler poisoned");
+                drop(guard);
+                continue;
+            }
+            expired
+        };
+        for job in &expired {
+            if deadline_cancel(shared, job) {
+                if let Some(c) = shared.telemetry.try_counter(
+                    &labeled("gx_job_deadline_cancels_total", "job", job.id),
+                    "jobs cancelled because their deadline expired",
+                ) {
+                    rec.counter_add(c, 1);
+                }
+            }
+        }
+    }
+}
+
+/// The deadline timer's cancel: the ordinary cancel path plus the abort
+/// reason and the deadline counters. Returns `false` if the job finalized
+/// or failed first.
+fn deadline_cancel(shared: &Shared<'_>, job: &Arc<JobState>) -> bool {
+    {
+        let mut guard = job.core.lock().expect("job core poisoned");
+        let core = &mut *guard;
+        if core.finished.is_some() || core.suppressed() {
+            return false;
+        }
+        core.cancelled = true;
+        core.abort_reason = Some("job deadline exceeded".to_string());
+        core.reorder.clear();
+        core.discard_from(shared.discard, job.id);
+    }
+    shared.sched().deadline_cancels += 1;
+    try_finalize(shared, job);
+    shared.wake.notify_all();
+    true
+}

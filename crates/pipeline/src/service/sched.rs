@@ -1,0 +1,163 @@
+//! The scheduler: what every service thread shares, job claiming and
+//! finalization.
+
+use super::config::ServiceConfig;
+use super::ingest::FeederJob;
+use super::job::{JobBatch, JobOutcome, JobReport, JobState};
+use crate::engine::PipelineReport;
+use crate::steal::WorkStealQueue;
+use gx_backend::{BackendStats, Clock, DiscardReport};
+use gx_telemetry::Telemetry;
+use std::cmp::Reverse;
+use std::collections::HashMap;
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+/// Scheduler state shared by submitters, the ingest pool, the deadline
+/// timer and finalizers.
+#[derive(Default)]
+pub(super) struct Sched {
+    pub(super) next_id: u64,
+    pub(super) active: usize,
+    pub(super) draining: bool,
+    pub(super) shutdown: bool,
+    pub(super) aborting: bool,
+    /// Jobs claimable by any idle ingester (owned jobs are *not* here).
+    pub(super) pool: Vec<FeederJob>,
+    pub(super) registry: HashMap<u64, Arc<JobState>>,
+    pub(super) jobs_submitted: u64,
+    pub(super) jobs_completed: u64,
+    pub(super) jobs_cancelled: u64,
+    pub(super) jobs_failed: u64,
+    pub(super) deadline_cancels: u64,
+    pub(super) records_written: u64,
+    pub(super) job_backend: BackendStats,
+}
+
+/// Backend-erased [`MapBackend::discard_job`], so client-side paths (cancel
+/// handles, the deadline timer) that don't know the backend type can
+/// still release a job from the device the moment suppression is
+/// decided.
+pub(super) type DiscardFn<'b> = dyn Fn(u64) -> DiscardReport + Sync + 'b;
+
+/// Everything the service's threads share by reference. The `'b`
+/// lifetime borrows the backend for the type-erased discard.
+pub(super) struct Shared<'b> {
+    pub(super) queue: WorkStealQueue<JobBatch>,
+    pub(super) sched: Mutex<Sched>,
+    /// Wakes ingesters (new job, cancel, window progress), the deadline
+    /// timer, and parked submitters / drainers (job finalized, drain).
+    pub(super) wake: Condvar,
+    pub(super) cfg: ServiceConfig,
+    pub(super) telemetry: Telemetry,
+    pub(super) backend_name: &'static str,
+    /// Monotonic clock for deadlines and admission timeouts
+    /// (control-plane only — never feeds modeled accounting).
+    pub(super) clock: Arc<dyn Clock>,
+    /// Discards jobs from the device without knowing the backend type.
+    pub(super) discard: &'b DiscardFn<'b>,
+    /// Ingesters still running; the last one out closes the dispatch
+    /// queue so workers drain and exit.
+    pub(super) ingesters_live: AtomicUsize,
+}
+
+impl Shared<'_> {
+    pub(super) fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("scheduler poisoned")
+    }
+}
+
+/// Tears the dispatch queue down if the owning thread unwinds — the same
+/// guard discipline as the one-shot engine, extended to the service's
+/// ingest pool, deadline timer and the `serve` scope itself.
+pub(super) struct AbortOnPanic<'a, 'b>(pub(super) &'a Shared<'b>);
+
+impl Drop for AbortOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut sched) = self.0.sched.lock() {
+                sched.shutdown = true;
+                sched.draining = true;
+                sched.aborting = true;
+            }
+            self.0.queue.abort();
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// Picks the next job for an idle ingester: lowest visit round first (so
+/// no job starves), then highest priority weight within the round (so
+/// high-priority batches reach the device sooner), then submission id
+/// (stable). Owned jobs are absent from the pool, so two ingesters can
+/// never poll one input concurrently.
+pub(super) fn claim_job(sched: &mut Sched) -> Option<FeederJob> {
+    let best = sched
+        .pool
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, fj)| (fj.round, Reverse(fj.state.priority.weight()), fj.state.id))
+        .map(|(i, _)| i)?;
+    Some(sched.pool.swap_remove(best))
+}
+
+/// Builds the job's final report once its last batch has drained, and
+/// rolls its totals into the service-wide accumulators. Safe to call from
+/// any thread at any time; only the transition runs once.
+pub(super) fn try_finalize(shared: &Shared<'_>, job: &Arc<JobState>) {
+    // Scheduler lock first, then the job core (the one nesting the
+    // service ever uses): the finished flag and the freed admission slot
+    // become visible atomically, so a client that returns from `join`
+    // can immediately resubmit without racing the slot release.
+    let mut sched = shared.sched();
+    {
+        let mut guard = job.core.lock().expect("job core poisoned");
+        let core = &mut *guard;
+        if core.finished.is_some() || !core.closed() || core.processed != core.admitted {
+            return;
+        }
+        let outcome = if core.cancelled {
+            JobOutcome::Cancelled
+        } else if core.abort_reason.is_some() {
+            JobOutcome::Failed
+        } else {
+            JobOutcome::Completed
+        };
+        let abort_reason = match (&core.abort_reason, outcome) {
+            (Some(reason), _) => Some(reason.clone()),
+            (None, JobOutcome::Cancelled) => Some("cancelled by client".to_string()),
+            (None, _) => None,
+        };
+        core.finished = Some(JobReport {
+            job: job.id,
+            outcome,
+            pairs_accounted_after_cancel: core.accounted_after_cancel,
+            report: PipelineReport {
+                stats: core.stats,
+                backend: core.backend,
+                backend_name: shared.backend_name,
+                records_written: core.written,
+                batches: core.admitted,
+                threads: shared.cfg.threads,
+                batch_size: job.batch_size,
+                steals: 0,
+                refills: 0,
+                dropped_events: 0,
+                elapsed: job.submitted.elapsed(),
+                abort_reason,
+            },
+        });
+        sched.active -= 1;
+        match outcome {
+            JobOutcome::Completed => sched.jobs_completed += 1,
+            JobOutcome::Cancelled => sched.jobs_cancelled += 1,
+            JobOutcome::Failed => sched.jobs_failed += 1,
+        }
+        sched.records_written += core.written;
+        sched.job_backend.merge(&core.backend);
+        sched.registry.remove(&job.id);
+    }
+    drop(sched);
+    job.done.notify_all();
+    shared.wake.notify_all();
+}

@@ -1,0 +1,265 @@
+//! The worker step and the reorder buffer the engine and the service share.
+//!
+//! [`Worker`] is one pool worker's timed pop → tagged map → render step;
+//! [`ReorderBuffer`] restores batch order in front of a sink. The two thread
+//! topologies around them ([`MappingEngine`](crate::MappingEngine): feeder,
+//! workers, a dedicated emitter; [`MappingService`](crate::MappingService):
+//! ingest pool, workers that emit under the job lock) live in `engine.rs`
+//! and `service/`.
+
+use crate::config::FallbackPolicy;
+use crate::sink::RecordSink;
+use crate::steal::WorkStealQueue;
+use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession};
+use gx_core::{pair_mapping_to_sam, unmapped_pair_to_sam, PairMapping, PipelineStats, ReadPair};
+use gx_genome::SamRecord;
+use gx_telemetry::{HistogramId, Recorder, Telemetry};
+use std::collections::HashMap;
+use std::io;
+
+/// Batches a worker's refill moves from the injector at once: one to map
+/// immediately plus up to three parked on its deque for itself (LIFO) or
+/// idle thieves (FIFO). Small enough that a straggler worker can only sit
+/// on a few batches — and those are exactly the ones thieves may take.
+pub(crate) const REFILL_CHUNK: usize = 4;
+
+/// Batches a stream may have admitted past its last in-order processed
+/// one. Bounds the reorder buffer: without it, one slow early batch would
+/// let completed later batches pile up without limit (peak memory O(input)
+/// instead of O(window)).
+pub(crate) fn inflight_window(queue_depth: usize, threads: usize) -> u64 {
+    (queue_depth + 2 * threads) as u64
+}
+
+/// One pool worker, the engine's or the service's: its stateful backend
+/// session (opened once, so accelerator sessions keep the shared device
+/// warm across every batch the worker maps) and its telemetry shard on
+/// track `id`. Telemetry is observational only — nothing recorded here
+/// feeds back into modeled stats or emitted bytes.
+pub(crate) struct Worker<'b, B: MapBackend + 'b> {
+    id: usize,
+    session: B::Session<'b>,
+    policy: FallbackPolicy,
+    pub(crate) rec: Recorder,
+    queue_wait_h: HistogramId,
+    map_h: HistogramId,
+}
+
+impl<'b, B: MapBackend> Worker<'b, B> {
+    pub(crate) fn open(
+        backend: &'b B,
+        telemetry: &Telemetry,
+        id: usize,
+        policy: FallbackPolicy,
+    ) -> Worker<'b, B> {
+        Worker {
+            id,
+            session: backend.session(id),
+            policy,
+            rec: telemetry.recorder(id as u32),
+            queue_wait_h: telemetry.histogram(
+                "gx_queue_wait_ns",
+                "worker wait for the next batch (pop from the work-steal queue), ns",
+            ),
+            map_h: telemetry.histogram(
+                "gx_map_batch_ns",
+                "wall-clock latency of one MapSession::map call, ns",
+            ),
+        }
+    }
+
+    /// Takes the worker's next item — own deque LIFO, injector refill, FIFO
+    /// steal, in that order — recording the wait; `None` once the queue is
+    /// closed and drained.
+    pub(crate) fn pop<T>(&mut self, queue: &WorkStealQueue<T>) -> Option<T> {
+        let t_wait = self.rec.start();
+        let item = queue.pop(self.id)?;
+        let wait_ns = self.rec.span("queue_wait", t_wait);
+        self.rec.record(self.queue_wait_h, wait_ns);
+        Some(item)
+    }
+
+    /// Maps one batch at `tag` and renders its SAM records, consuming the
+    /// pairs. Per-pair outcomes are recorded into `stats`; the backend's
+    /// accounting for the call is returned for the caller's shard. The tag
+    /// is what lets shared-device backends admit in input order no matter
+    /// which worker got the batch or when.
+    ///
+    /// # Panics
+    ///
+    /// If the backend returns a result count different from the batch size.
+    pub(crate) fn map(
+        &mut self,
+        tag: BatchTag,
+        pairs: Vec<ReadPair>,
+        stats: &mut PipelineStats,
+    ) -> (BackendStats, Vec<SamRecord>) {
+        let t_map = self.rec.start();
+        let out = self.session.map(tag, &pairs);
+        let map_ns = self.rec.span_arg("map_batch", t_map, tag.index);
+        self.rec.record(self.map_h, map_ns);
+        assert_eq!(
+            out.results.len(),
+            pairs.len(),
+            "backend returned a result count different from the batch size"
+        );
+        let mut records = Vec::with_capacity(pairs.len() * 2);
+        for (pair, res) in pairs.into_iter().zip(out.results) {
+            stats.record(&res);
+            emit_pair_records(res.mapping, pair, self.policy, &mut records);
+        }
+        (out.stats, records)
+    }
+}
+
+/// Restores batch order in front of a sink: batches arrive in any order,
+/// records leave in batch-index order.
+#[derive(Default)]
+pub(crate) struct ReorderBuffer {
+    /// Next batch index owed to the sink.
+    next: u64,
+    /// Rendered batches that arrived ahead of `next`.
+    pending: HashMap<u64, Vec<SamRecord>>,
+}
+
+impl ReorderBuffer {
+    /// Buffers batch `index`, then writes every batch the order now covers.
+    /// Returns the records written by this call and, when a write failed,
+    /// the error that stopped it at that record.
+    pub(crate) fn push<S: RecordSink + ?Sized>(
+        &mut self,
+        index: u64,
+        records: Vec<SamRecord>,
+        sink: &mut S,
+    ) -> (u64, io::Result<()>) {
+        self.pending.insert(index, records);
+        let mut written = 0;
+        while let Some(records) = self.pending.remove(&self.next) {
+            for rec in &records {
+                if let Err(e) = sink.write_record(rec) {
+                    return (written, Err(e));
+                }
+                written += 1;
+            }
+            self.next += 1;
+        }
+        (written, Ok(()))
+    }
+
+    /// Batches written in full so far (the next index owed to the sink).
+    pub(crate) fn next(&self) -> u64 {
+        self.next
+    }
+
+    /// Batches waiting behind a missing predecessor.
+    pub(crate) fn buffered(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Frees every buffered batch (the stream was cancelled or failed:
+    /// they will never be written).
+    pub(crate) fn clear(&mut self) {
+        self.pending.clear();
+    }
+}
+
+/// Materialises one pair's SAM records, honouring the fallback policy, by
+/// *consuming* the worker-owned mapping and pair (reads, CIGARs and the id
+/// move into the records; nothing is cloned). Shared by [`Worker::map`]
+/// and [`map_serial`] so every path emits identical bytes.
+pub(crate) fn emit_pair_records(
+    mapping: Option<PairMapping>,
+    pair: ReadPair,
+    policy: FallbackPolicy,
+    out: &mut Vec<SamRecord>,
+) {
+    let (s1, s2) = match mapping {
+        Some(m) => pair_mapping_to_sam(m, pair),
+        None if policy == FallbackPolicy::EmitUnmapped => unmapped_pair_to_sam(pair),
+        None => return,
+    };
+    out.push(s1);
+    out.push(s2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sink::VecSink;
+    use gx_genome::DnaSeq;
+
+    /// One batch of two records named after `name`.
+    fn batch(name: &str) -> Vec<SamRecord> {
+        let read = DnaSeq::from_ascii(b"ACGT").unwrap();
+        let (a, b) = unmapped_pair_to_sam(ReadPair::new(name, read.clone(), read));
+        vec![a, b]
+    }
+
+    fn names(sink: &VecSink) -> Vec<&str> {
+        sink.records.iter().map(|r| r.qname.as_str()).collect()
+    }
+
+    #[test]
+    fn reorder_out_of_order_in_in_order_out() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        let (n, res) = buf.push(2, batch("c"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (0, true, 0, 1)
+        );
+        let (n, _) = buf.push(1, batch("b"), &mut sink);
+        assert_eq!((n, buf.buffered()), (0, 2));
+        // The missing head arrives: everything drains, in index order.
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (6, true, 3, 0)
+        );
+        assert_eq!(names(&sink), ["a/1", "a/2", "b/1", "b/2", "c/1", "c/2"]);
+        let (n, _) = buf.push(3, batch("d"), &mut sink);
+        assert_eq!((n, buf.next()), (2, 4));
+    }
+
+    #[test]
+    fn reorder_sink_error_stops_at_its_record_and_reports_the_count_before_it() {
+        /// Accepts `ok` records, then fails.
+        struct FailAfter {
+            ok: usize,
+            seen: Vec<String>,
+        }
+        impl RecordSink for FailAfter {
+            fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
+                if self.seen.len() == self.ok {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.seen.push(rec.qname.clone());
+                Ok(())
+            }
+        }
+        let mut buf = ReorderBuffer::default();
+        let mut sink = FailAfter {
+            ok: 3,
+            seen: Vec::new(),
+        };
+        buf.push(1, batch("b"), &mut sink).1.unwrap();
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(n, 3, "a/1, a/2 and b/1 reached the sink before the error");
+        assert_eq!(res.unwrap_err().to_string(), "disk full");
+        assert_eq!(sink.seen, ["a/1", "a/2", "b/1"]);
+        // Batch 0 was written in full, batch 1 was not.
+        assert_eq!(buf.next(), 1);
+    }
+
+    #[test]
+    fn reorder_clear_frees_pending() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        buf.push(5, batch("f"), &mut sink).1.unwrap();
+        buf.push(3, batch("d"), &mut sink).1.unwrap();
+        assert_eq!(buf.buffered(), 2);
+        buf.clear();
+        assert_eq!((buf.buffered(), buf.next()), (0, 0));
+        assert!(sink.records.is_empty());
+    }
+}
