@@ -1,9 +1,9 @@
 //! Client handles: [`ServiceHandle`] and [`JobHandle`].
 
-use super::config::{AdmissionPolicy, JobSpec, SubmitError};
+use super::config::{JobSpec, SubmitError};
 use super::ingest::FeederJob;
-use super::job::{JobCore, JobReport, JobSnapshot, JobState};
-use super::sched::{try_finalize, Shared};
+use super::job::{end_job, End, JobCore, JobReport, JobSnapshot, JobState};
+use super::sched::Shared;
 use crate::batch::ReadPairStream;
 use crate::sink::RecordSink;
 use gx_core::ReadPair;
@@ -47,6 +47,9 @@ impl<'s> ServiceHandle<'s> {
     /// submitters already parked when the drain starts; under
     /// [`AdmissionPolicy::Park`] with a [`JobSpec::admission_timeout`],
     /// [`SubmitError::Timeout`] when the timeout expires first.
+    ///
+    /// [`AdmissionPolicy::Reject`]: super::AdmissionPolicy::Reject
+    /// [`AdmissionPolicy::Park`]: super::AdmissionPolicy::Park
     pub fn submit<I, S>(
         &self,
         spec: JobSpec,
@@ -58,44 +61,12 @@ impl<'s> ServiceHandle<'s> {
         I::IntoIter: Send + 'static,
         S: RecordSink + Send + 'static,
     {
-        let park_deadline = spec.admission_timeout.map(|t| self.shared.clock.now() + t);
-        let mut sched = self.shared.sched();
-        loop {
-            if sched.draining {
-                return Err(SubmitError::Draining);
-            }
-            if sched.active < self.shared.cfg.max_active_jobs {
-                break;
-            }
-            match self.shared.cfg.admission {
-                AdmissionPolicy::Reject => return Err(SubmitError::Busy),
-                AdmissionPolicy::Park => match park_deadline {
-                    Some(deadline) if self.shared.clock.now() >= deadline => {
-                        return Err(SubmitError::Timeout);
-                    }
-                    Some(_) => {
-                        // Short real-time ticks so a mock-clock advance
-                        // is observed promptly even without a wake.
-                        let (guard, _) = self
-                            .shared
-                            .wake
-                            .wait_timeout(sched, Duration::from_millis(5))
-                            .expect("scheduler poisoned");
-                        sched = guard;
-                    }
-                    None => {
-                        sched = self.shared.wake.wait(sched).expect("scheduler poisoned");
-                    }
-                },
-            }
-        }
+        let mut sched = self.shared.admit(spec.admission_timeout)?;
         // Under the scheduler lock, so ids ascend in exactly submission
         // order — the canonical release order every determinism claim
         // quantifies over.
         let id = sched.next_id;
         sched.next_id += 1;
-        sched.active += 1;
-        sched.jobs_submitted += 1;
 
         let t = &self.shared.telemetry;
         let pairs_c = t.try_counter(
@@ -184,14 +155,14 @@ impl<'s> ServiceHandle<'s> {
             sched.registry.get(&job).cloned()
         };
         match state {
-            Some(state) => cancel_job(self.shared, &state),
+            Some(state) => end_job(self.shared, &state, End::Cancelled).is_some(),
             None => false,
         }
     }
 
     /// Jobs admitted and not yet finalized.
     pub fn active_jobs(&self) -> usize {
-        self.shared.sched().active
+        self.shared.sched().registry.len()
     }
 
     /// Stops admitting new jobs and blocks until every active job has
@@ -207,7 +178,7 @@ impl<'s> ServiceHandle<'s> {
         // Parked submitters re-check `draining` when woken; without this
         // they would wait for a slot that drain will never grant.
         self.shared.wake.notify_all();
-        while sched.active > 0 {
+        while !sched.registry.is_empty() {
             let (guard, _) = self
                 .shared
                 .wake
@@ -244,22 +215,13 @@ impl<S> JobHandle<'_, S> {
     /// `true`, no further record of this job will reach its sink: the
     /// cancel takes the job's emitter lock, so the ack is a barrier.
     pub fn cancel(&self) -> bool {
-        cancel_job(self.shared, &self.job)
+        end_job(self.shared, &self.job, End::Cancelled).is_some()
     }
 
     /// A live progress snapshot (one short lock, no blocking on I/O
     /// other than a record write already in flight).
     pub fn snapshot(&self) -> JobSnapshot {
-        let core = self.job.core.lock().expect("job core poisoned");
-        JobSnapshot {
-            pairs: core.stats.pairs,
-            records_written: core.written,
-            batches_admitted: core.admitted,
-            batches_processed: core.processed,
-            sealed: core.sealed.is_some(),
-            finished: core.finished.is_some(),
-            cancelled: core.cancelled,
-        }
+        self.job.lock().snapshot()
     }
 
     /// Whether [`join`](JobHandle::join) would return immediately.
@@ -278,7 +240,7 @@ impl<S> JobHandle<'_, S> {
     where
         S: 'static,
     {
-        let mut core = self.job.core.lock().expect("job core poisoned");
+        let mut core = self.job.lock();
         while core.finished.is_none() {
             core = self.job.done.wait(core).expect("job core poisoned");
         }
@@ -291,27 +253,4 @@ impl<S> JobHandle<'_, S> {
             .expect("job sink type mismatch");
         (report, sink)
     }
-}
-
-/// Marks a job cancelled under its emitter lock (the ack barrier) and —
-/// sealed or not — discards it from the device right away, so its
-/// undispatched pairs never price into warm totals and any successors
-/// parked behind it in the canonical release order are released.
-fn cancel_job(shared: &Shared<'_>, job: &Arc<JobState>) -> bool {
-    {
-        let mut guard = job.core.lock().expect("job core poisoned");
-        let core = &mut *guard;
-        if core.finished.is_some() {
-            return false;
-        }
-        if !core.cancelled {
-            core.cancelled = true;
-            // Reordered batches will never be emitted: free them now.
-            core.reorder.clear();
-        }
-        core.discard_from(shared.discard, job.id);
-    }
-    try_finalize(shared, job);
-    shared.wake.notify_all();
-    true
 }

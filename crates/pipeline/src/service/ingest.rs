@@ -1,6 +1,6 @@
 //! The ingest pool and the deadline timer.
 
-use super::job::{JobBatch, JobState};
+use super::job::{end_job, End, JobBatch, JobState};
 use super::sched::{claim_job, try_finalize, AbortOnPanic, Shared};
 use crate::worker::inflight_window;
 use gx_backend::MapBackend;
@@ -53,7 +53,7 @@ impl FeederJob {
 
 /// Outcome of one multiplexer visit to one job.
 enum FeedOutcome {
-    /// The job left the ingest rotation (sealed or discarded).
+    /// The job left the ingest rotation (sealed or ended).
     Closed,
     /// At least one batch was pushed.
     Progressed,
@@ -64,47 +64,29 @@ enum FeedOutcome {
 }
 
 /// One ingest visit: feed up to `priority.weight()` batches of this job,
-/// honouring its in-flight window; seal at end of input; discard on
-/// cancel or input error (the cancel paths usually discard first — the
-/// [`JobCore::discard_from`] is one-shot either way).
+/// honouring its in-flight window; seal at end of input; end the job on an
+/// input error. A job something else ended leaves the rotation here (its
+/// in-flight batches drain without emission).
 fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob) -> FeedOutcome {
     let job = Arc::clone(&fj.state);
     let job = &job;
-    {
-        let mut guard = job.core.lock().expect("job core poisoned");
-        let core = &mut *guard;
-        if core.suppressed() {
-            // Cancelled or failed. The cancel path discards eagerly now,
-            // so this only acts for suppressions that didn't (and as a
-            // backstop for races); either way the job leaves the
-            // rotation and in-flight batches drain without emission.
-            core.discard_from(shared.discard, job.id);
-            drop(guard);
-            try_finalize(shared, job);
-            return FeedOutcome::Closed;
-        }
-    }
     let window = inflight_window(shared.cfg.queue_depth, shared.cfg.threads);
     let mut fed = false;
     for _ in 0..job.priority.weight() {
         {
-            let core = job.core.lock().expect("job core poisoned");
-            if core.suppressed() {
-                break; // discard on the next visit
+            let core = job.lock();
+            if core.ended().is_some() {
+                return FeedOutcome::Closed;
             }
             if core.admitted - core.processed >= window {
-                return if fed {
-                    FeedOutcome::Progressed
-                } else {
-                    FeedOutcome::Parked
-                };
+                break;
             }
         }
         match fj.pull() {
             Some(Ok(pairs)) => {
                 let index = fj.next_index;
                 fj.next_index += 1;
-                job.core.lock().expect("job core poisoned").admitted += 1;
+                job.lock().admitted += 1;
                 let batch = JobBatch {
                     job: Arc::clone(job),
                     index,
@@ -118,30 +100,22 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
             None => {
                 // Clean end of input: declare the total so the device can
                 // advance past this job once its last batch is admitted.
-                // A cancel may land concurrently; its discard claim wins
-                // or loses against nobody — sealing doesn't claim — and
-                // the device accepts seal and discard in either order.
+                // An end may land concurrently: sealing an ended job is a
+                // no-op here, and the device accepts seal and discard in
+                // either order.
                 let stats = backend.seal_job(job.id, fj.next_index);
                 {
-                    let mut core = job.core.lock().expect("job core poisoned");
-                    core.sealed = Some(fj.next_index);
+                    let mut core = job.lock();
+                    core.seal();
                     core.backend.merge(&stats);
                 }
                 try_finalize(shared, job);
                 return FeedOutcome::Closed;
             }
             Some(Err(e)) => {
-                // Malformed input fails only this job: discard it from
-                // the device and record the reason; siblings are
+                // Malformed input fails only this job; siblings are
                 // untouched.
-                {
-                    let mut guard = job.core.lock().expect("job core poisoned");
-                    let core = &mut *guard;
-                    core.abort_reason = Some(e.to_string());
-                    core.reorder.clear();
-                    core.discard_from(shared.discard, job.id);
-                }
-                try_finalize(shared, job);
+                end_job(shared, job, End::Failed(e.to_string()));
                 return FeedOutcome::Closed;
             }
         }
@@ -277,7 +251,8 @@ pub(super) fn run_timer(shared: &Shared<'_>) {
             expired
         };
         for job in &expired {
-            if deadline_cancel(shared, job) {
+            if end_job(shared, job, End::Deadline) == Some(true) {
+                shared.sched().deadline_cancels += 1;
                 if let Some(c) = shared.telemetry.try_counter(
                     &labeled("gx_job_deadline_cancels_total", "job", job.id),
                     "jobs cancelled because their deadline expired",
@@ -287,25 +262,4 @@ pub(super) fn run_timer(shared: &Shared<'_>) {
             }
         }
     }
-}
-
-/// The deadline timer's cancel: the ordinary cancel path plus the abort
-/// reason and the deadline counters. Returns `false` if the job finalized
-/// or failed first.
-fn deadline_cancel(shared: &Shared<'_>, job: &Arc<JobState>) -> bool {
-    {
-        let mut guard = job.core.lock().expect("job core poisoned");
-        let core = &mut *guard;
-        if core.finished.is_some() || core.suppressed() {
-            return false;
-        }
-        core.cancelled = true;
-        core.abort_reason = Some("job deadline exceeded".to_string());
-        core.reorder.clear();
-        core.discard_from(shared.discard, job.id);
-    }
-    shared.sched().deadline_cancels += 1;
-    try_finalize(shared, job);
-    shared.wake.notify_all();
-    true
 }

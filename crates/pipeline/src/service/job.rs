@@ -2,7 +2,7 @@
 //! [`JobHandle`](super::JobHandle).
 
 use super::config::Priority;
-use super::sched::DiscardFn;
+use super::sched::{try_finalize, DiscardFn, Shared};
 use crate::engine::PipelineReport;
 use crate::sink::RecordSink;
 use crate::worker::ReorderBuffer;
@@ -10,7 +10,7 @@ use gx_backend::BackendStats;
 use gx_core::{PipelineStats, ReadPair};
 use gx_telemetry::CounterId;
 use std::any::Any;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How a job ended.
@@ -115,20 +115,63 @@ pub(super) struct JobState {
     pub(super) records_c: Option<CounterId>,
 }
 
+impl JobState {
+    pub(super) fn lock(&self) -> MutexGuard<'_, JobCore> {
+        self.core.lock().expect("job core poisoned")
+    }
+}
+
+/// Why a job stopped short of mapping and emitting its whole input. The
+/// first end wins ([`JobCore::end`]); the job's outcome and abort reason
+/// are read off it at finalize.
+pub(super) enum End {
+    /// The client cancelled it.
+    Cancelled,
+    /// The deadline timer cancelled it.
+    Deadline,
+    /// Its input, its sink or the worker mapping it failed, with the
+    /// originating error text.
+    Failed(String),
+}
+
+impl End {
+    pub(super) fn outcome(&self) -> JobOutcome {
+        match self {
+            End::Cancelled | End::Deadline => JobOutcome::Cancelled,
+            End::Failed(_) => JobOutcome::Failed,
+        }
+    }
+
+    pub(super) fn reason(&self) -> String {
+        match self {
+            End::Cancelled => "cancelled by client".to_string(),
+            End::Deadline => "job deadline exceeded".to_string(),
+            End::Failed(reason) => reason.clone(),
+        }
+    }
+}
+
+/// Where a job is in its life: `Open` until its input ends cleanly
+/// (`Sealed`) or something ends it early (`Ended`, from either); the
+/// terminal step is [`JobCore::finished`], set once the last admitted
+/// batch has been processed.
+enum Life {
+    /// Batches may still be admitted.
+    Open,
+    /// The input ended cleanly; `admitted` is final.
+    Sealed,
+    /// Ended early: emission is suppressed and the device has discarded
+    /// the job; in-flight batches drain unmapped.
+    Ended(End),
+}
+
 /// The mutable core of a job (see [`JobState`]).
 pub(super) struct JobCore {
     /// Batches handed to the worker pool.
     pub(super) admitted: u64,
     /// Batches mapped (emitted or suppressed).
     pub(super) processed: u64,
-    /// Total batch count, set when the input stream ended cleanly.
-    pub(super) sealed: Option<u64>,
-    /// The backend was told to discard this job.
-    discarded: bool,
-    /// The client cancelled; emission is suppressed from the ack on.
-    pub(super) cancelled: bool,
-    /// Sink or ingestion failure text; emission is suppressed.
-    pub(super) abort_reason: Option<String>,
+    life: Life,
     /// The job's ordered emitter: mapped-but-not-yet-ordered batches.
     pub(super) reorder: ReorderBuffer,
     /// The job's sink, present until `join` reclaims it.
@@ -153,10 +196,7 @@ impl JobCore {
         JobCore {
             admitted: 0,
             processed: 0,
-            sealed: None,
-            discarded: false,
-            cancelled: false,
-            abort_reason: None,
+            life: Life::Open,
             reorder: ReorderBuffer::default(),
             sink: Some(sink),
             written: 0,
@@ -167,30 +207,152 @@ impl JobCore {
         }
     }
 
-    /// No more batches will ever be admitted for this job.
-    pub(super) fn closed(&self) -> bool {
-        self.sealed.is_some() || self.discarded
+    /// Why the job ended early, if it did: emission is suppressed from
+    /// then on.
+    pub(super) fn ended(&self) -> Option<&End> {
+        match &self.life {
+            Life::Ended(end) => Some(end),
+            Life::Open | Life::Sealed => None,
+        }
     }
 
-    /// Emission is suppressed (cancelled or failed).
-    pub(super) fn suppressed(&self) -> bool {
-        self.cancelled || self.abort_reason.is_some()
+    /// The last admitted batch has been processed and no more will come:
+    /// the job can finalize.
+    pub(super) fn drained(&self) -> bool {
+        !matches!(self.life, Life::Open) && self.processed == self.admitted
     }
 
-    /// Discards job `id` from the device, once: the first caller performs
-    /// [`MapBackend::discard_job`] and folds its accounting in — the freed
-    /// releases of *other* jobs ride in `stats`, the already-dispatched
-    /// remainder of this job becomes
+    /// The input ended cleanly (a no-op on a job that already ended).
+    pub(super) fn seal(&mut self) {
+        if matches!(self.life, Life::Open) {
+            self.life = Life::Sealed;
+        }
+    }
+
+    /// Ends job `id` early for `why`, once — sealed or not; a later end of
+    /// the same job is ignored and returns `false`. Batches waiting in the
+    /// reorder buffer will never be emitted and are freed; the device
+    /// discards the job ([`MapBackend::discard_job`]) and its accounting is
+    /// folded in — the freed releases of *other* jobs ride in `stats`, the
+    /// already-dispatched remainder of this job becomes
     /// [`JobReport::pairs_accounted_after_cancel`] — *while still holding
     /// the core lock*, so a concurrent finalize can never slip between the
-    /// claim and the accounting merge (holding core while taking device
+    /// end and the accounting merge (holding core while taking device
     /// locks is safe: no service path acquires them in the other order).
-    pub(super) fn discard_from(&mut self, discard_job: &DiscardFn<'_>, id: u64) {
-        if !self.discarded {
-            self.discarded = true;
-            let report = discard_job(id);
-            self.backend.merge(&report.stats);
-            self.accounted_after_cancel = report.pairs_accounted;
+    pub(super) fn end(&mut self, why: End, discard_job: &DiscardFn<'_>, id: u64) -> bool {
+        if self.ended().is_some() {
+            return false;
         }
+        self.life = Life::Ended(why);
+        self.reorder.clear();
+        let report = discard_job(id);
+        self.backend.merge(&report.stats);
+        self.accounted_after_cancel = report.pairs_accounted;
+        true
+    }
+
+    pub(super) fn snapshot(&self) -> JobSnapshot {
+        JobSnapshot {
+            pairs: self.stats.pairs,
+            records_written: self.written,
+            batches_admitted: self.admitted,
+            batches_processed: self.processed,
+            sealed: matches!(self.life, Life::Sealed),
+            finished: self.finished.is_some(),
+            cancelled: matches!(self.ended(), Some(End::Cancelled | End::Deadline)),
+        }
+    }
+}
+
+/// Ends `job` early for `why` — the one path client cancel, deadline
+/// expiry and input errors take (a worker, which already holds the job
+/// lock when its sink fails or its map call panics, calls
+/// [`JobCore::end`] there). Taking that lock is what makes a cancel ack a
+/// barrier. Returns `None` if the job had already finalized (nothing
+/// changes), else whether this call is the one that ended it.
+pub(super) fn end_job(shared: &Shared<'_>, job: &Arc<JobState>, why: End) -> Option<bool> {
+    let first = {
+        let mut core = job.lock();
+        if core.finished.is_some() {
+            return None;
+        }
+        core.end(why, shared.discard, job.id)
+    };
+    try_finalize(shared, job);
+    // The job left the ingest rotation and its queued batches now drain
+    // unmapped: ingesters and parked submitters may have room.
+    shared.wake.notify_all();
+    Some(first)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::sched::Sched;
+    use super::*;
+    use crate::sink::VecSink;
+    use crate::steal::WorkStealQueue;
+    use crate::ServiceBuilder;
+    use gx_backend::{DiscardReport, SystemClock};
+    use gx_telemetry::Telemetry;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn first_end_wins_and_a_later_cancel_is_still_acknowledged() {
+        let discards = AtomicUsize::new(0);
+        let discard = |_job: u64| {
+            discards.fetch_add(1, Ordering::SeqCst);
+            DiscardReport::default()
+        };
+        let shared = Shared {
+            queue: WorkStealQueue::new(1, 1, 1),
+            sched: Mutex::new(Sched::default()),
+            wake: Condvar::new(),
+            cfg: *ServiceBuilder::new().config(),
+            telemetry: Telemetry::disabled(),
+            backend_name: "test",
+            clock: Arc::new(SystemClock::new()),
+            discard: &discard,
+            ingesters_live: AtomicUsize::new(0),
+        };
+        let job = Arc::new(JobState {
+            id: 0,
+            priority: Priority::Normal,
+            batch_size: 1,
+            submitted: Instant::now(),
+            deadline_at: None,
+            core: Mutex::new(JobCore::new(Box::new(VecSink::new()))),
+            done: Condvar::new(),
+            pairs_c: None,
+            records_c: None,
+        });
+        shared.sched().registry.insert(0, Arc::clone(&job));
+        // One batch is out with a worker, so nothing below can finalize
+        // the job before the test says so.
+        job.lock().admitted = 1;
+
+        // The job fails first (a sink error, say) ...
+        let failed = End::Failed("disk full".to_string());
+        assert_eq!(end_job(&shared, &job, failed), Some(true));
+        // ... so a client cancel or a deadline arriving afterwards changes
+        // nothing, but is acknowledged: the barrier holds either way.
+        assert_eq!(end_job(&shared, &job, End::Cancelled), Some(false));
+        assert_eq!(end_job(&shared, &job, End::Deadline), Some(false));
+        assert_eq!(discards.load(Ordering::SeqCst), 1, "one discard per job");
+        let snap = job.lock().snapshot();
+        assert!(!snap.finished && !snap.cancelled);
+
+        // The outstanding batch drains: the job finalizes as what ended
+        // it first.
+        job.lock().processed = 1;
+        try_finalize(&shared, &job);
+        let report = job.lock().finished.clone().expect("finalized");
+        assert_eq!(report.outcome, JobOutcome::Failed);
+        assert_eq!(report.report.abort_reason.as_deref(), Some("disk full"));
+        let sched = shared.sched();
+        assert_eq!((sched.jobs_failed, sched.jobs_cancelled), (1, 0));
+        assert!(sched.registry.is_empty());
+        drop(sched);
+        // Past finalize there is nothing left to cancel.
+        assert_eq!(end_job(&shared, &job, End::Cancelled), None);
     }
 }

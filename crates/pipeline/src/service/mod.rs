@@ -294,7 +294,7 @@ impl MappingService {
         // lanes here and resets for the next serve.
         backend_total.merge(&backend.flush());
         let report = ServiceReport {
-            jobs_submitted: sched.jobs_submitted,
+            jobs_submitted: sched.next_id,
             jobs_completed: sched.jobs_completed,
             jobs_cancelled: sched.jobs_cancelled,
             jobs_failed: sched.jobs_failed,

@@ -1,9 +1,9 @@
-//! The scheduler: what every service thread shares, job claiming and
-//! finalization.
+//! The scheduler: what every service thread shares, admission, job
+//! claiming and finalization.
 
-use super::config::ServiceConfig;
+use super::config::{AdmissionPolicy, ServiceConfig, SubmitError};
 use super::ingest::FeederJob;
-use super::job::{JobBatch, JobOutcome, JobReport, JobState};
+use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::engine::PipelineReport;
 use crate::steal::WorkStealQueue;
 use gx_backend::{BackendStats, Clock, DiscardReport};
@@ -12,20 +12,23 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Scheduler state shared by submitters, the ingest pool, the deadline
 /// timer and finalizers.
 #[derive(Default)]
 pub(super) struct Sched {
+    /// The next job's id — and, ids being dense from 0, the number of
+    /// jobs admitted so far.
     pub(super) next_id: u64,
-    pub(super) active: usize,
     pub(super) draining: bool,
     pub(super) shutdown: bool,
     pub(super) aborting: bool,
     /// Jobs claimable by any idle ingester (owned jobs are *not* here).
     pub(super) pool: Vec<FeederJob>,
+    /// Every admitted job that has not finalized: its size is the
+    /// active-job count admission is budgeted on.
     pub(super) registry: HashMap<u64, Arc<JobState>>,
-    pub(super) jobs_submitted: u64,
     pub(super) jobs_completed: u64,
     pub(super) jobs_cancelled: u64,
     pub(super) jobs_failed: u64,
@@ -64,6 +67,47 @@ pub(super) struct Shared<'b> {
 impl Shared<'_> {
     pub(super) fn sched(&self) -> MutexGuard<'_, Sched> {
         self.sched.lock().expect("scheduler poisoned")
+    }
+
+    /// Admission control: returns the scheduler lock once the active-job
+    /// budget has room for one more job, parking the caller (for at most
+    /// `timeout` on the service clock) or failing at once as the
+    /// [`AdmissionPolicy`] says. Still under that lock, the caller numbers
+    /// and registers its job, so the slot cannot be taken twice.
+    pub(super) fn admit(
+        &self,
+        timeout: Option<Duration>,
+    ) -> Result<MutexGuard<'_, Sched>, SubmitError> {
+        let park_deadline = timeout.map(|t| self.clock.now() + t);
+        let mut sched = self.sched();
+        loop {
+            if sched.draining {
+                return Err(SubmitError::Draining);
+            }
+            if sched.registry.len() < self.cfg.max_active_jobs {
+                return Ok(sched);
+            }
+            match self.cfg.admission {
+                AdmissionPolicy::Reject => return Err(SubmitError::Busy),
+                AdmissionPolicy::Park => match park_deadline {
+                    Some(deadline) if self.clock.now() >= deadline => {
+                        return Err(SubmitError::Timeout);
+                    }
+                    Some(_) => {
+                        // Short real-time ticks so a mock-clock advance
+                        // is observed promptly even without a wake.
+                        let (guard, _) = self
+                            .wake
+                            .wait_timeout(sched, Duration::from_millis(5))
+                            .expect("scheduler poisoned");
+                        sched = guard;
+                    }
+                    None => {
+                        sched = self.wake.wait(sched).expect("scheduler poisoned");
+                    }
+                },
+            }
+        }
     }
 }
 
@@ -111,23 +155,14 @@ pub(super) fn try_finalize(shared: &Shared<'_>, job: &Arc<JobState>) {
     // can immediately resubmit without racing the slot release.
     let mut sched = shared.sched();
     {
-        let mut guard = job.core.lock().expect("job core poisoned");
+        let mut guard = job.lock();
         let core = &mut *guard;
-        if core.finished.is_some() || !core.closed() || core.processed != core.admitted {
+        if core.finished.is_some() || !core.drained() {
             return;
         }
-        let outcome = if core.cancelled {
-            JobOutcome::Cancelled
-        } else if core.abort_reason.is_some() {
-            JobOutcome::Failed
-        } else {
-            JobOutcome::Completed
-        };
-        let abort_reason = match (&core.abort_reason, outcome) {
-            (Some(reason), _) => Some(reason.clone()),
-            (None, JobOutcome::Cancelled) => Some("cancelled by client".to_string()),
-            (None, _) => None,
-        };
+        let end = core.ended();
+        let outcome = end.map_or(JobOutcome::Completed, End::outcome);
+        let abort_reason = end.map(End::reason);
         core.finished = Some(JobReport {
             job: job.id,
             outcome,
@@ -147,7 +182,6 @@ pub(super) fn try_finalize(shared: &Shared<'_>, job: &Arc<JobState>) {
                 abort_reason,
             },
         });
-        sched.active -= 1;
         match outcome {
             JobOutcome::Completed => sched.jobs_completed += 1,
             JobOutcome::Cancelled => sched.jobs_cancelled += 1,

@@ -1,5 +1,6 @@
 //! The service worker loop.
 
+use super::job::End;
 use super::sched::{try_finalize, AbortOnPanic, Shared};
 use crate::worker::Worker;
 use gx_backend::{BatchTag, MapBackend};
@@ -13,7 +14,7 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
     let mut worker = Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
     while let Some(jb) = worker.pop(&shared.queue) {
         {
-            // Batches of a suppressed job are dropped unmapped: the
+            // Batches of an ended job are dropped unmapped: the
             // device refuses them at admit anyway (its discard closed the
             // job's sequence), so running the software path would only
             // charge host-side work — pairs, bytes — to a job whose
@@ -21,8 +22,7 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
             // deadline cancel return its queued work's worker time to
             // live jobs immediately, and keeps a cancelled job's
             // undispatched pairs out of the service-wide totals.
-            let mut guard = jb.job.core.lock().expect("job core poisoned");
-            let core = &mut *guard;
+            let mut core = jb.job.lock();
             if core.finished.is_some() {
                 // A straggler past finalize: a cancel's discard raced
                 // this batch while its ingester was mid-pull. The report
@@ -30,9 +30,9 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
                 // nothing is owed anywhere.
                 continue;
             }
-            if core.suppressed() {
+            if core.ended().is_some() {
                 core.processed += 1;
-                drop(guard);
+                drop(core);
                 try_finalize(shared, &jb.job);
                 shared.wake.notify_all();
                 continue;
@@ -41,8 +41,8 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
         if let Some(c) = jb.job.pairs_c {
             worker.rec.counter_add(c, jb.pairs.len() as u64);
         }
-        // Map and render outside the job lock; suppression is re-checked
-        // under it, so a cancel ack can never race a write.
+        // Map and render outside the job lock; whether the job has ended
+        // is re-checked under it, so a cancel ack can never race a write.
         let tag = BatchTag {
             job: jb.job.id,
             index: jb.index,
@@ -53,26 +53,23 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
         // A job can't finalize with this batch outstanding (finalize
         // requires processed == admitted, and this batch is admitted but
         // not yet processed), so re-taking the core here can't find
-        // `finished` set — only suppression can change under us, and the
-        // emission check below re-reads it.
-        let mut guard = jb.job.core.lock().expect("job core poisoned");
+        // `finished` set — only an end can land under us, and the emission
+        // check below re-reads it.
+        let mut guard = jb.job.lock();
         let core = &mut *guard;
         core.backend.merge(&backend_stats);
         core.stats.merge(&stats);
         let mut written = 0;
-        if !core.suppressed() {
+        if core.ended().is_none() {
             let sink = core.sink.as_mut().expect("sink present until join");
             let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
             written = n;
             core.written += n;
             if let Err(e) = result {
-                // This job's sink is gone: keep the reason, stop its
-                // emission, and discard it from the device right away
-                // (its owning ingester may be blocked in the input
-                // iterator and unable to). Other jobs are untouched.
-                core.abort_reason = Some(e.to_string());
-                core.reorder.clear();
-                core.discard_from(shared.discard, jb.job.id);
+                // This job's sink is gone: end it here, under the lock
+                // already held (its owning ingester may be blocked in the
+                // input iterator and unable to). Other jobs are untouched.
+                core.end(End::Failed(e.to_string()), shared.discard, jb.job.id);
             }
         }
         core.processed += 1;
