@@ -73,7 +73,4 @@ pub use nmsl::{
 pub use software::{SoftwareBackend, SoftwareSession};
 // The per-lane counter types the device report is built from.
 pub use gx_accel::{CycleBreakdown, LaneCounters};
-pub use traits::{
-    BackendStats, BatchResult, BatchTag, Clock, DiscardReport, ManualClock, MapBackend, MapSession,
-    SystemClock,
-};
+pub use traits::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};

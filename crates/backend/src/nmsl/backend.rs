@@ -1,5 +1,3 @@
-//! [`NmslBackend`] and its per-worker [`NmslSession`].
-
 use super::counters::DeviceCounters;
 use super::device::{DeviceConfig, SharedNmslDevice};
 use super::frontier::AdmittedPair;

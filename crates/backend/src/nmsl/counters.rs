@@ -1,5 +1,3 @@
-//! The per-lane performance counters a warm run reports at flush.
-
 use gx_accel::LaneCounters;
 
 /// Buckets of the [`DeviceCounters::quantum_occupancy`] histogram: bucket

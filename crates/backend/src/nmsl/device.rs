@@ -1,5 +1,3 @@
-//! The shared channel-sharded warm device: frontier plus lanes.
-
 use super::counters::{occ_bucket, DeviceCounters};
 use super::frontier::{AdmittedPair, Frontier};
 use super::lanes::LaneState;
@@ -16,6 +14,33 @@ use std::sync::Mutex;
 /// renders as track `LANE_TRACK_BASE + i`), far above the pipeline's
 /// worker/feeder/emitter tracks so traces never collide.
 const LANE_TRACK_BASE: u32 = 2000;
+
+/// The device's metric ids, registered in [`SharedNmslDevice::new`] (dummy
+/// ids on a disabled handle — recording through them is a no-op either
+/// way).
+#[derive(Clone, Copy, Debug)]
+struct DeviceMetrics {
+    drain_h: HistogramId,
+    exposed_h: HistogramId,
+    occupancy_g: GaugeId,
+    frontier_g: GaugeId,
+    occupancy_h: HistogramId,
+    issue_c: CounterId,
+    stall_c: CounterId,
+    drain_c: CounterId,
+    conflicts_c: CounterId,
+    rejections_c: CounterId,
+}
+
+/// What a [`SharedNmslDevice`] models, fixed for its lifetime.
+#[derive(Clone, Copy)]
+pub(super) struct DeviceConfig {
+    pub(super) dram: DramConfig,
+    pub(super) nmsl: NmslConfig,
+    pub(super) channels: usize,
+    pub(super) quantum: usize,
+    pub(super) link_gbs: f64,
+}
 
 /// The shared channel-sharded warm device: a sequencing [`Frontier`] plus
 /// `channels` independently locked simulator lanes.
@@ -35,44 +60,6 @@ const LANE_TRACK_BASE: u32 = 2000;
 /// Determinism falls out: per lane, the (admit, run) op sequence and every
 /// float accumulation order depend only on the released pair order, which
 /// the frontier fixes to input order.
-/// The device's registered metric ids (dummy ids on a disabled handle —
-/// recording through them is a no-op either way).
-#[derive(Clone, Copy, Debug)]
-struct DeviceMetrics {
-    /// `gx_lane_drain_ns`: wall-clock latency of one lane quantum drain.
-    drain_h: HistogramId,
-    /// `gx_exposed_transfer_ns`: per-quantum *modeled* exposed-transfer
-    /// residue, in integer nanoseconds of modeled time.
-    exposed_h: HistogramId,
-    /// `gx_nmsl_lane_occupancy`: workloads pending in a lane's simulator.
-    occupancy_g: GaugeId,
-    /// `gx_frontier_depth`: batches buffered ahead of the contiguity
-    /// frontier.
-    frontier_g: GaugeId,
-    /// `gx_quantum_occupancy`: lane occupancy sampled per quantum boundary.
-    occupancy_h: HistogramId,
-    /// `gx_device_issue_cycles_total`: cycle-breakdown issue cycles.
-    issue_c: CounterId,
-    /// `gx_device_dram_stall_cycles_total`: cycle-breakdown stall cycles.
-    stall_c: CounterId,
-    /// `gx_device_drain_cycles_total`: cycle-breakdown drain cycles.
-    drain_c: CounterId,
-    /// `gx_dram_row_conflicts_total`: row-conflict activations.
-    conflicts_c: CounterId,
-    /// `gx_dram_rejections_total`: queue-full submissions bounced.
-    rejections_c: CounterId,
-}
-
-/// What a [`SharedNmslDevice`] models, fixed for its lifetime.
-#[derive(Clone, Copy)]
-pub(super) struct DeviceConfig {
-    pub(super) dram: DramConfig,
-    pub(super) nmsl: NmslConfig,
-    pub(super) channels: usize,
-    pub(super) quantum: usize,
-    pub(super) link_gbs: f64,
-}
-
 pub(super) struct SharedNmslDevice {
     pub(super) config: DeviceConfig,
     /// The GenDP pricing fallback work (the paper's Table-4 instance).

@@ -1,6 +1,3 @@
-//! The sequencing front half of the shared device: admissions in any
-//! order, releases in canonical order.
-
 use gx_accel::{FallbackCells, PairWorkload};
 use gx_telemetry::Recorder;
 use std::collections::{BTreeMap, VecDeque};

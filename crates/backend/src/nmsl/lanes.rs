@@ -1,5 +1,3 @@
-//! One simulator lane and its deterministic-order accounting.
-
 use super::counters::QUANTUM_OCC_BUCKETS;
 use super::device::DeviceConfig;
 use gx_accel::NmslLane;

@@ -42,16 +42,15 @@
 //! emitted one (a condvar-signalled window), so one slow batch cannot make
 //! completed successors pile up without limit.
 //!
-//! The worker step ([`Worker`]) and the reorder buffer ([`ReorderBuffer`])
-//! are the [`MappingService`](crate::MappingService)'s too; the thread
-//! topologies around them deliberately are not. The engine feeds from the
-//! caller thread and writes from a dedicated emitter thread; the service
-//! emits inside the worker, under the job lock, because that lock is its
+//! The worker step and the reorder buffer (`worker.rs`) are the
+//! [`MappingService`](crate::MappingService)'s too; the thread topologies
+//! around them deliberately are not. The engine feeds from the caller
+//! thread and writes from a dedicated emitter thread; the service emits
+//! inside the worker, under the job lock, because that lock is its
 //! cancel-ack barrier. Making the engine a one-job service would move its
-//! emit onto its worker: one `gxbench --workload foreign_sw --trace all`
-//! run measures `genome.sam_emit_s` 0.135 s against `backend.map_busy_s`
-//! 0.222 s on the single worker, so that workload's critical path would
-//! grow by ~60 % against a 20 % regression bound.
+//! emit onto its worker, and on `foreign_sw` emission is as long as mapping
+//! (`genome.sam_emit_s` 0.145 s against `backend.map_busy_s` 0.126 s; see
+//! ROADMAP "Measured and closed"): the critical path would about double.
 
 use crate::batch::{Batch, Batcher};
 use crate::config::{FallbackPolicy, PipelineConfig};
@@ -522,9 +521,10 @@ mod tests {
     use super::*;
     use crate::PipelineBuilder;
     use gx_backend::NmslBackend;
+    use gx_core::unmapped_pair_to_sam;
     use gx_core::GenPairConfig;
     use gx_genome::random::RandomGenomeBuilder;
-    use gx_genome::ReferenceGenome;
+    use gx_genome::{DnaSeq, ReferenceGenome};
 
     fn setup() -> (ReferenceGenome, Vec<ReadPair>) {
         let genome = RandomGenomeBuilder::new(120_000).seed(21).build();
@@ -777,5 +777,80 @@ mod tests {
         assert_eq!(report.pairs(), 40);
         assert!(report.elapsed > Duration::ZERO);
         assert!(report.backend.busy_ns > 0);
+    }
+
+    /// One batch of two records named after `name`.
+    fn batch(name: &str) -> Vec<SamRecord> {
+        let read = DnaSeq::from_ascii(b"ACGT").unwrap();
+        let (a, b) = unmapped_pair_to_sam(ReadPair::new(name, read.clone(), read));
+        vec![a, b]
+    }
+
+    fn names(sink: &VecSink) -> Vec<&str> {
+        sink.records.iter().map(|r| r.qname.as_str()).collect()
+    }
+
+    #[test]
+    fn reorder_out_of_order_in_in_order_out() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        let (n, res) = buf.push(2, batch("c"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (0, true, 0, 1)
+        );
+        let (n, _) = buf.push(1, batch("b"), &mut sink);
+        assert_eq!((n, buf.buffered()), (0, 2));
+        // The missing head arrives: everything drains, in index order.
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(
+            (n, res.is_ok(), buf.next(), buf.buffered()),
+            (6, true, 3, 0)
+        );
+        assert_eq!(names(&sink), ["a/1", "a/2", "b/1", "b/2", "c/1", "c/2"]);
+        let (n, _) = buf.push(3, batch("d"), &mut sink);
+        assert_eq!((n, buf.next()), (2, 4));
+    }
+
+    #[test]
+    fn reorder_sink_error_stops_at_its_record_and_reports_the_count_before_it() {
+        /// Accepts `ok` records, then fails.
+        struct FailAfter {
+            ok: usize,
+            seen: Vec<String>,
+        }
+        impl RecordSink for FailAfter {
+            fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
+                if self.seen.len() == self.ok {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.seen.push(rec.qname.clone());
+                Ok(())
+            }
+        }
+        let mut buf = ReorderBuffer::default();
+        let mut sink = FailAfter {
+            ok: 3,
+            seen: Vec::new(),
+        };
+        buf.push(1, batch("b"), &mut sink).1.unwrap();
+        let (n, res) = buf.push(0, batch("a"), &mut sink);
+        assert_eq!(n, 3, "a/1, a/2 and b/1 reached the sink before the error");
+        assert_eq!(res.unwrap_err().to_string(), "disk full");
+        assert_eq!(sink.seen, ["a/1", "a/2", "b/1"]);
+        // Batch 0 was written in full, batch 1 was not.
+        assert_eq!(buf.next(), 1);
+    }
+
+    #[test]
+    fn reorder_clear_frees_pending() {
+        let mut buf = ReorderBuffer::default();
+        let mut sink = VecSink::new();
+        buf.push(5, batch("f"), &mut sink).1.unwrap();
+        buf.push(3, batch("d"), &mut sink).1.unwrap();
+        assert_eq!(buf.buffered(), 2);
+        buf.clear();
+        assert_eq!((buf.buffered(), buf.next()), (0, 0));
+        assert!(sink.records.is_empty());
     }
 }

@@ -37,14 +37,11 @@
 //!   stats, so warm totals and SAM bytes are unchanged by tracing);
 //! * a **multi-job service layer** ([`MappingService`], [`ServiceBuilder`])
 //!   that keeps one worker pool and one warm device serving many
-//!   concurrent jobs — a multi-threaded ingest pool (a blocking input
-//!   stalls only its own job), admission control with optional timeouts
-//!   and backpressure, per-job deadlines on an injectable monotonic
-//!   [`Clock`], per-job ordered emitters whose output stays
-//!   byte-identical to each job's solo run, live [`JobSnapshot`]s,
-//!   graceful [`ServiceHandle::drain`] and per-job [`JobHandle::cancel`]
-//!   built on the device abort path; see the [`MappingService`] docs for
-//!   the architecture.
+//!   concurrent jobs — an ingest pool, admission control, per-job
+//!   deadlines on an injectable monotonic [`Clock`], per-job ordered
+//!   emitters whose output stays byte-identical to each job's solo run,
+//!   and one early-end path shared by [`JobHandle::cancel`], deadlines and
+//!   per-job failures; see the [`service`] docs.
 //!
 //! ```
 //! use gx_genome::random::RandomGenomeBuilder;
@@ -81,6 +78,7 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod clock;
 mod config;
 mod engine;
 pub mod service;
@@ -89,11 +87,12 @@ mod steal;
 mod worker;
 
 pub use batch::{read_pairs_from_fastq, ReadPairStream};
+pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
 pub use gx_backend::{
-    BackendStats, BatchResult, BatchTag, Clock, DiscardReport, ManualClock, MapBackend, MapSession,
-    NmslBackend, SoftwareBackend, SystemClock,
+    BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession, NmslBackend,
+    SoftwareBackend,
 };
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};

@@ -1,11 +1,10 @@
 //! Mapping-as-a-service: many concurrent jobs over one shared engine.
 //!
 //! [`MappingEngine::run`](crate::MappingEngine::run) is one-shot: one input
-//! stream, one sink, one report. The ROADMAP north-star — heavy traffic
-//! from many users — needs a long-running front-end instead, and this
-//! module provides it: [`MappingService::serve`] owns **one worker pool
-//! and one shared [`MapBackend`] device** and admits many concurrent jobs
-//! through a [`ServiceHandle`]:
+//! stream, one sink, one report. [`MappingService::serve`] is the
+//! long-running front-end: it owns **one worker pool and one shared
+//! [`MapBackend`] device** and admits many concurrent jobs through a
+//! [`ServiceHandle`]:
 //!
 //! ```text
 //! submit(job A) ──┐ ingest pool     ┌─ worker 0 ─ session.map ───┐ per-job
@@ -13,107 +12,39 @@
 //! submit(job C) ──┘ owns ≤1 job,    │  worker N ─ ...            │ emitters
 //!                   claims by       └────────── shared device ───┘ (A,B,C)
 //!                   priority)  ──► WorkStealQueue<JobBatch> ──►
-//!                                      deadline timer ─ cancels overdue jobs
+//!                                      deadline timer ─ ends overdue jobs
 //! ```
 //!
-//! * **Job lifecycle** — [`ServiceHandle::submit`] numbers the job (ids
-//!   count up from 0 in submission order, which *is* its slot in the
-//!   device's canonical release order — see [`BatchTag`]), hands its
-//!   input iterator to the **ingest pool**, and returns a [`JobHandle`].
-//!   The pool
-//!   ([`ingesters`](ServiceConfig::ingesters) threads, default
-//!   `min(2, threads)`) claims jobs one at a time — a job is owned by at
-//!   most one ingester, and claiming is priority-weighted (within a
-//!   visiting round, higher-[`Priority`] jobs are claimed first, and each
-//!   visit feeds up to [`Priority::weight`] batches) — so an input
-//!   iterator that blocks stalls **only its own job's** ingestion, not its
-//!   siblings'. The owning ingester chunks the input into job-tagged
-//!   batches and pushes them through the same bounded [`WorkStealQueue`]
-//!   the one-shot engine uses; workers map them via
-//!   [`MapSession::map`](gx_backend::MapSession::map), tagged `(job, batch
-//!   index)` — the engine's own worker step — and append the records to the
-//!   job's own ordered emitter (a per-job reorder buffer, also the
-//!   engine's, draining straight into the job's sink under the job lock).
-//!   When a job's input ends its ingester seals it
-//!   ([`MapBackend::seal_job`]); when its last batch has been mapped and
-//!   emitted, the job finalizes and [`JobHandle::join`] returns its
-//!   [`JobReport`] and sink.
-//! * **Deadlines** — [`JobSpec::deadline`] (or the service-wide
-//!   [`ServiceBuilder::default_job_timeout`]) gives a job a time budget,
-//!   measured on the service's monotonic [`Clock`] from admission. A
-//!   dedicated timer thread cancels overdue jobs through the ordinary
-//!   cancel path (outcome [`JobOutcome::Cancelled`], abort reason
-//!   `"job deadline exceeded"`, counted in
-//!   [`ServiceReport::deadline_cancels`] and the per-job
-//!   `gx_job_deadline_cancels_total{job="N"}` telemetry series) — this is
-//!   what unparks the pipeline behind a job whose input stalls forever.
-//!   Tests inject a [`ManualClock`](gx_backend::ManualClock) via
-//!   [`ServiceBuilder::clock`], so deadline behavior is deterministic:
-//!   time only moves when the test advances it. Clock readings are
-//!   control-plane only — they never feed modeled accounting.
-//! * **Admission control** — at most
-//!   [`max_active_jobs`](ServiceConfig::max_active_jobs) jobs are in
-//!   flight; over budget, [`AdmissionPolicy::Park`] blocks the submitter
-//!   until a slot frees (bounded by [`JobSpec::admission_timeout`], which
-//!   fails the submission with [`SubmitError::Timeout`]) while
-//!   [`AdmissionPolicy::Reject`] returns [`SubmitError::Busy`]. A parked
-//!   submitter also observes [`drain`](ServiceHandle::drain) and fails
-//!   with [`SubmitError::Draining`] instead of waiting forever.
-//!   **Backpressure** inside an admitted job is the engine's own: the
-//!   injector is bounded ([`queue_depth`](ServiceConfig::queue_depth)) and
-//!   each job gets the classic in-flight window (`queue_depth + 2 ×
-//!   threads` batches past its last processed one), so one fast producer
-//!   can neither flood the queue nor grow its reorder buffer without
-//!   limit.
-//! * **Determinism** — per-job SAM output is byte-identical to that job's
-//!   solo [`map_serial`](crate::map_serial) run, for any thread count,
-//!   ingester count, batch size, priority mix or interleaving: mapping
-//!   results are schedule-independent and each job's emitter orders by
-//!   batch index. Warm-device accounting stays bit-identical too, because
-//!   the backend releases admitted pairs in a canonical order — jobs in
-//!   submission order, batches in index order within each job — no matter
-//!   how ingesters or workers interleave ([`BatchTag`] docs);
-//!   completed-job totals therefore match a single engine run over the
-//!   concatenated streams, which `tests/e2e_service.rs` pins bit-for-bit
-//!   across thread *and* ingester counts.
-//! * **Cancellation** — [`JobHandle::cancel`] acquires the job's emitter
-//!   lock, so by the time it returns no further record of that job will
-//!   ever reach its sink (the ack is a barrier, which
-//!   `service_props.rs` verifies under random schedules). The cancel
-//!   path itself then discards the job from the device
-//!   ([`MapBackend::discard_job`], the PR 4 abort path generalized) —
-//!   *sealed or not*, so a cancel landing after the input was fully
-//!   ingested no longer leaks the job's undispatched pairs into
-//!   service-wide warm totals. Batches already released to a lane stay
-//!   accounted (their cost was genuinely modeled) and are reported
-//!   explicitly in [`JobReport::pairs_accounted_after_cancel`];
-//!   still-buffered batches are dropped, stragglers are ignored, and the
-//!   service keeps accepting new jobs. A failing sink or a malformed
-//!   input stream fails *only its own job* the same way, and the
-//!   originating error text is preserved in
-//!   [`PipelineReport::abort_reason`].
-//! * **Observability** — with a [`Telemetry`] handle attached, each job
-//!   registers labeled series (`gx_job_pairs_total{job="N"}`,
-//!   `gx_job_records_total{job="N"}`,
-//!   `gx_job_deadline_cancels_total{job="N"}`) via the registry's graceful
-//!   `try_*` path (jobs beyond the metric-table budget simply go
-//!   unlabeled instead of panicking), plus a named trace track; workers
-//!   record the engine's `queue_wait`/`map_batch` spans and
-//!   `gx_queue_wait_ns`/`gx_map_batch_ns` histograms, so a traced service
-//!   run says whether its workers were starved; live per-job progress is
-//!   available lock-cheaply via [`JobHandle::snapshot`].
+//! The service section of the repository-root `ARCHITECTURE.md` is the
+//! write-up (admission, backpressure, determinism, the lifecycle diagram,
+//! known limitations). The code: `config` (builder, [`JobSpec`],
+//! policies) ∣ `job` (one job's state and **lifecycle**) ∣ `sched` (what
+//! every thread shares, admission, `claim_job`, `try_finalize`) ∣ `ingest`
+//! (ingest pool, deadline timer) ∣ `worker` (the worker loop) ∣ `handle`
+//! ([`ServiceHandle`], [`JobHandle`]).
 //!
-//! Known limitations (see `ARCHITECTURE.md` for the full discussion): a
-//! permanently blocking input iterator still occupies its owning ingester
-//! thread until the iterator yields or its job is torn down at scope exit
-//! — a deadline cancel frees the job's *pipeline* resources (device slot,
-//! admission slot, successors' frontier batches) immediately, but the
-//! ingester itself unblocks only when the iterator returns.
+//! **One job's life.** [`ServiceHandle::submit`] numbers the job under the
+//! scheduler lock — ids count up from 0 in submission order, which *is*
+//! its slot in the device's canonical release order (see [`BatchTag`]) —
+//! and hands its input to the ingest pool. The job is `Open` until its
+//! input ends cleanly, which seals it ([`MapBackend::seal_job`]); once its
+//! last admitted batch has been mapped and emitted it finalizes and
+//! [`JobHandle::join`] returns its [`JobReport`] and sink.
+//!
+//! **One way to stop short.** Everything that ends a job early goes through
+//! `JobCore::end` — first end wins; it is the only caller of
+//! [`MapBackend::discard_job`] and the only place a job's reorder buffer is
+//! cleared — and [`JobOutcome`] and [`PipelineReport::abort_reason`] are
+//! read off its `End` at finalize: a client cancel, the deadline timer
+//! ([`JobSpec::deadline`] on the service [`Clock`]), a malformed input
+//! record, a failing sink or a panicking map call (the worker that caught
+//! it reopens its session and serves on). The job lock `end` runs under
+//! also guards emission, so a cancel ack is a barrier: once `cancel`
+//! returns `true` no further record reaches the sink.
 //!
 //! [`BatchTag`]: gx_backend::BatchTag
-//! [`Clock`]: gx_backend::Clock
+//! [`Clock`]: crate::Clock
 //! [`PipelineReport::abort_reason`]: crate::PipelineReport::abort_reason
-//! [`Telemetry`]: gx_telemetry::Telemetry
 
 mod config;
 mod handle;
@@ -126,9 +57,10 @@ pub use config::{AdmissionPolicy, JobSpec, Priority, ServiceBuilder, ServiceConf
 pub use handle::{JobHandle, ServiceHandle};
 pub use job::{JobOutcome, JobReport, JobSnapshot};
 
+use crate::clock::SystemClock;
 use crate::steal::WorkStealQueue;
 use crate::worker::REFILL_CHUNK;
-use gx_backend::{BackendStats, MapBackend, SystemClock};
+use gx_backend::{BackendStats, MapBackend};
 use ingest::{run_ingester, run_timer};
 use sched::{AbortOnPanic, Sched, Shared};
 use std::sync::atomic::AtomicUsize;

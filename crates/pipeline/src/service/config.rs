@@ -1,9 +1,9 @@
-//! Service configuration: admission policy, priorities, per-job
-//! parameters and the builder.
+//! Service configuration: policies, per-job parameters, the builder.
 
 use super::{MappingService, ServiceHandle, ServiceReport};
+use crate::clock::Clock;
 use crate::config::FallbackPolicy;
-use gx_backend::{Clock, MapBackend};
+use gx_backend::MapBackend;
 use gx_telemetry::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,10 +252,10 @@ impl ServiceBuilder {
 
     /// Replaces the monotonic clock deadlines are measured on (default:
     /// [`SystemClock`]). Tests inject a
-    /// [`ManualClock`](gx_backend::ManualClock) here so deadline behavior
+    /// [`ManualClock`](crate::ManualClock) here so deadline behavior
     /// is deterministic — time moves only when the test advances it.
     ///
-    /// [`SystemClock`]: gx_backend::SystemClock
+    /// [`SystemClock`]: crate::SystemClock
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> ServiceBuilder {
         self.clock = Some(clock);
         self

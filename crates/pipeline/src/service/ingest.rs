@@ -165,38 +165,32 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
         let outcome = feed_one(shared, backend, &mut fj);
         fj.round += 1;
         match outcome {
+            FeedOutcome::QueueGone => return,
             FeedOutcome::Closed => {
                 rec.span_arg("ingest_close", t, fj.state.id);
                 parked_streak = 0;
+                continue;
             }
             FeedOutcome::Progressed => {
                 rec.span_arg("ingest_feed", t, fj.state.id);
                 parked_streak = 0;
-                let mut sched = shared.sched();
-                if sched.aborting {
-                    return;
-                }
-                sched.pool.push(fj);
             }
-            FeedOutcome::Parked => {
-                parked_streak += 1;
-                let mut sched = shared.sched();
-                if sched.aborting {
-                    return;
-                }
-                sched.pool.push(fj);
-                if parked_streak > sched.pool.len() {
-                    // Everything claimable is window-parked: wait for
-                    // worker progress (they notify after each batch) with
-                    // a timeout backstop.
-                    let (guard, _) = shared
-                        .wake
-                        .wait_timeout(sched, Duration::from_millis(2))
-                        .expect("scheduler poisoned");
-                    drop(guard);
-                }
-            }
-            FeedOutcome::QueueGone => return,
+            FeedOutcome::Parked => parked_streak += 1,
+        }
+        let mut sched = shared.sched();
+        if sched.aborting {
+            return;
+        }
+        sched.pool.push(fj);
+        if parked_streak > sched.pool.len() {
+            // Everything claimable is window-parked: wait for worker
+            // progress (they notify after each batch) with a timeout
+            // backstop.
+            let (guard, _) = shared
+                .wake
+                .wait_timeout(sched, Duration::from_millis(2))
+                .expect("scheduler poisoned");
+            drop(guard);
         }
     }
     if shared.ingesters_live.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -205,8 +199,8 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
 }
 
 /// The deadline timer: watches every registered job's `deadline_at`
-/// against the service clock and cancels overdue jobs through the
-/// ordinary cancel path. Polling is real-time ([`DEADLINE_POLL`] while
+/// against the service clock and ends overdue jobs ([`End::Deadline`]).
+/// Polling is real-time ([`DEADLINE_POLL`] while
 /// any deadline is pending) but expiry is decided purely by the injected
 /// [`Clock`], so tests driving a `ManualClock` see deterministic
 /// behavior.

@@ -1,5 +1,4 @@
-//! One job: its public report types and the shared state behind a
-//! [`JobHandle`](super::JobHandle).
+//! One job: its report types, its shared state and its lifecycle.
 
 use super::config::Priority;
 use super::sched::{try_finalize, DiscardFn, Shared};
@@ -122,8 +121,8 @@ impl JobState {
 }
 
 /// Why a job stopped short of mapping and emitting its whole input. The
-/// first end wins ([`JobCore::end`]); the job's outcome and abort reason
-/// are read off it at finalize.
+/// first end wins ([`JobCore::end`]); `try_finalize` reads the job's
+/// outcome and abort reason off it.
 pub(super) enum End {
     /// The client cancelled it.
     Cancelled,
@@ -134,34 +133,14 @@ pub(super) enum End {
     Failed(String),
 }
 
-impl End {
-    pub(super) fn outcome(&self) -> JobOutcome {
-        match self {
-            End::Cancelled | End::Deadline => JobOutcome::Cancelled,
-            End::Failed(_) => JobOutcome::Failed,
-        }
-    }
-
-    pub(super) fn reason(&self) -> String {
-        match self {
-            End::Cancelled => "cancelled by client".to_string(),
-            End::Deadline => "job deadline exceeded".to_string(),
-            End::Failed(reason) => reason.clone(),
-        }
-    }
-}
-
 /// Where a job is in its life: `Open` until its input ends cleanly
-/// (`Sealed`) or something ends it early (`Ended`, from either); the
-/// terminal step is [`JobCore::finished`], set once the last admitted
-/// batch has been processed.
+/// (`Sealed`) or something ends it early (`Ended`, from either: emission
+/// is suppressed, the device has discarded it, in-flight batches drain
+/// unmapped). The terminal step is [`JobCore::finished`], set once the
+/// last admitted batch has been processed.
 enum Life {
-    /// Batches may still be admitted.
     Open,
-    /// The input ended cleanly; `admitted` is final.
     Sealed,
-    /// Ended early: emission is suppressed and the device has discarded
-    /// the job; in-flight batches drain unmapped.
     Ended(End),
 }
 
@@ -207,8 +186,7 @@ impl JobCore {
         }
     }
 
-    /// Why the job ended early, if it did: emission is suppressed from
-    /// then on.
+    /// Why the job ended early, if it did (emission is then suppressed).
     pub(super) fn ended(&self) -> Option<&End> {
         match &self.life {
             Life::Ended(end) => Some(end),
@@ -216,8 +194,7 @@ impl JobCore {
         }
     }
 
-    /// The last admitted batch has been processed and no more will come:
-    /// the job can finalize.
+    /// No batch is outstanding and no more will come: the job can finalize.
     pub(super) fn drained(&self) -> bool {
         !matches!(self.life, Life::Open) && self.processed == self.admitted
     }
@@ -229,16 +206,15 @@ impl JobCore {
         }
     }
 
-    /// Ends job `id` early for `why`, once — sealed or not; a later end of
-    /// the same job is ignored and returns `false`. Batches waiting in the
-    /// reorder buffer will never be emitted and are freed; the device
-    /// discards the job ([`MapBackend::discard_job`]) and its accounting is
-    /// folded in — the freed releases of *other* jobs ride in `stats`, the
-    /// already-dispatched remainder of this job becomes
-    /// [`JobReport::pairs_accounted_after_cancel`] — *while still holding
-    /// the core lock*, so a concurrent finalize can never slip between the
-    /// end and the accounting merge (holding core while taking device
-    /// locks is safe: no service path acquires them in the other order).
+    /// Ends job `id` early for `why`, once — sealed or not; a later end is
+    /// ignored and returns `false`. Batches waiting in the reorder buffer
+    /// are freed; the device discards the job
+    /// ([`MapBackend::discard_job`]) and its accounting is folded in (the
+    /// freed releases of *other* jobs in `stats`, this job's
+    /// already-dispatched remainder as `accounted_after_cancel`) *under the
+    /// core lock*, so no finalize can slip between the end and the merge.
+    /// Taking device locks under it is safe: nothing takes them the other
+    /// way round.
     pub(super) fn end(&mut self, why: End, discard_job: &DiscardFn<'_>, id: u64) -> bool {
         if self.ended().is_some() {
             return false;
@@ -264,12 +240,11 @@ impl JobCore {
     }
 }
 
-/// Ends `job` early for `why` — the one path client cancel, deadline
-/// expiry and input errors take (a worker, which already holds the job
-/// lock when its sink fails or its map call panics, calls
-/// [`JobCore::end`] there). Taking that lock is what makes a cancel ack a
-/// barrier. Returns `None` if the job had already finalized (nothing
-/// changes), else whether this call is the one that ended it.
+/// Ends `job` early for `why` — the path client cancel, deadline expiry
+/// and input errors take (a worker already holds the job lock when its
+/// sink fails or its map call panics, and calls [`JobCore::end`] there).
+/// Returns `None` if the job had already finalized (nothing changes), else
+/// whether this call is the one that ended it.
 pub(super) fn end_job(shared: &Shared<'_>, job: &Arc<JobState>, why: End) -> Option<bool> {
     let first = {
         let mut core = job.lock();
@@ -291,8 +266,8 @@ mod tests {
     use super::*;
     use crate::sink::VecSink;
     use crate::steal::WorkStealQueue;
-    use crate::ServiceBuilder;
-    use gx_backend::{DiscardReport, SystemClock};
+    use crate::{ServiceBuilder, SystemClock};
+    use gx_backend::DiscardReport;
     use gx_telemetry::Telemetry;
     use std::sync::atomic::{AtomicUsize, Ordering};
 

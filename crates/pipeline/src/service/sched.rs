@@ -1,12 +1,12 @@
-//! The scheduler: what every service thread shares, admission, job
-//! claiming and finalization.
+//! What every service thread shares; admission, claiming, finalization.
 
 use super::config::{AdmissionPolicy, ServiceConfig, SubmitError};
 use super::ingest::FeederJob;
 use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
+use crate::clock::Clock;
 use crate::engine::PipelineReport;
 use crate::steal::WorkStealQueue;
-use gx_backend::{BackendStats, Clock, DiscardReport};
+use gx_backend::{BackendStats, DiscardReport};
 use gx_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -37,10 +37,8 @@ pub(super) struct Sched {
     pub(super) job_backend: BackendStats,
 }
 
-/// Backend-erased [`MapBackend::discard_job`], so client-side paths (cancel
-/// handles, the deadline timer) that don't know the backend type can
-/// still release a job from the device the moment suppression is
-/// decided.
+/// Backend-erased [`MapBackend::discard_job`]: cancel handles and the
+/// deadline timer end jobs without knowing the backend type.
 pub(super) type DiscardFn<'b> = dyn Fn(u64) -> DiscardReport + Sync + 'b;
 
 /// Everything the service's threads share by reference. The `'b`
@@ -160,9 +158,12 @@ pub(super) fn try_finalize(shared: &Shared<'_>, job: &Arc<JobState>) {
         if core.finished.is_some() || !core.drained() {
             return;
         }
-        let end = core.ended();
-        let outcome = end.map_or(JobOutcome::Completed, End::outcome);
-        let abort_reason = end.map(End::reason);
+        let (outcome, abort_reason) = match core.ended() {
+            None => (JobOutcome::Completed, None),
+            Some(End::Cancelled) => (JobOutcome::Cancelled, Some("cancelled by client".into())),
+            Some(End::Deadline) => (JobOutcome::Cancelled, Some("job deadline exceeded".into())),
+            Some(End::Failed(why)) => (JobOutcome::Failed, Some(why.clone())),
+        };
         core.finished = Some(JobReport {
             job: job.id,
             outcome,

@@ -416,7 +416,7 @@ fn admission_timeout_fails_a_parked_submitter() {
 fn deadline_cancels_a_stalled_job_deterministically() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let clock = Arc::new(gx_backend::ManualClock::new());
+    let clock = Arc::new(crate::ManualClock::new());
     let telemetry = Telemetry::enabled();
     let (tx, rx) = mpsc::channel::<ReadPair>();
     let (_, report) = ServiceBuilder::new()

@@ -5,29 +5,29 @@ use super::sched::{try_finalize, AbortOnPanic, Shared};
 use crate::worker::Worker;
 use gx_backend::{BatchTag, MapBackend};
 use gx_core::PipelineStats;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One service worker: pops job-tagged batches, runs the engine's worker
 /// step on them ([`Worker`]), and drives the owning job's ordered emitter
-/// under the job lock.
+/// under the job lock. A map call that panics fails the batch's job, not
+/// the service: the unwind is caught here and the worker carries on with a
+/// fresh session (the old one may be mid-batch).
 pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize) {
     let _teardown = AbortOnPanic(shared);
-    let mut worker = Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
+    let open = || Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
+    let mut worker = open();
     while let Some(jb) = worker.pop(&shared.queue) {
         {
-            // Batches of an ended job are dropped unmapped: the
-            // device refuses them at admit anyway (its discard closed the
-            // job's sequence), so running the software path would only
-            // charge host-side work — pairs, bytes — to a job whose
-            // accounting is settled. Dropping here is what lets a
-            // deadline cancel return its queued work's worker time to
-            // live jobs immediately, and keeps a cancelled job's
-            // undispatched pairs out of the service-wide totals.
+            // Batches of an ended job are dropped unmapped: the device
+            // refuses them at admit anyway (the discard closed the job's
+            // sequence), so mapping them would only charge host-side work
+            // to a job whose accounting is settled — and dropping them is
+            // what returns an ended job's worker time to live jobs at once.
             let mut core = jb.job.lock();
             if core.finished.is_some() {
-                // A straggler past finalize: a cancel's discard raced
-                // this batch while its ingester was mid-pull. The report
-                // is already out and the device never saw the batch —
-                // nothing is owed anywhere.
+                // A straggler past finalize (the end raced this batch
+                // while its ingester was mid-pull): the report is out and
+                // the device never saw the batch — nothing is owed.
                 continue;
             }
             if core.ended().is_some() {
@@ -48,28 +48,42 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
             index: jb.index,
         };
         let mut stats = PipelineStats::new();
-        let (backend_stats, records) = worker.map(tag, jb.pairs, &mut stats);
+        let mapped = catch_unwind(AssertUnwindSafe(|| worker.map(tag, jb.pairs, &mut stats)));
+        if mapped.is_err() {
+            worker = open();
+        }
 
-        // A job can't finalize with this batch outstanding (finalize
-        // requires processed == admitted, and this batch is admitted but
-        // not yet processed), so re-taking the core here can't find
-        // `finished` set — only an end can land under us, and the emission
-        // check below re-reads it.
+        // This batch is admitted but not yet processed, so the job cannot
+        // have finalized under us; it can have ended, which the emission
+        // check below re-reads.
         let mut guard = jb.job.lock();
         let core = &mut *guard;
-        core.backend.merge(&backend_stats);
-        core.stats.merge(&stats);
         let mut written = 0;
-        if core.ended().is_none() {
-            let sink = core.sink.as_mut().expect("sink present until join");
-            let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
-            written = n;
-            core.written += n;
-            if let Err(e) = result {
-                // This job's sink is gone: end it here, under the lock
-                // already held (its owning ingester may be blocked in the
-                // input iterator and unable to). Other jobs are untouched.
-                core.end(End::Failed(e.to_string()), shared.discard, jb.job.id);
+        // A failure ends the job here, under the lock already held (its
+        // owning ingester may be blocked in the input iterator and unable
+        // to). Other jobs are untouched.
+        match mapped {
+            Ok((backend_stats, records)) => {
+                core.backend.merge(&backend_stats);
+                core.stats.merge(&stats);
+                if core.ended().is_none() {
+                    let sink = core.sink.as_mut().expect("sink present until join");
+                    let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
+                    written = n;
+                    core.written += n;
+                    if let Err(e) = result {
+                        core.end(End::Failed(e.to_string()), shared.discard, jb.job.id);
+                    }
+                }
+            }
+            Err(payload) => {
+                let text = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("opaque panic payload");
+                let why = End::Failed(format!("mapping worker panicked: {text}"));
+                core.end(why, shared.discard, jb.job.id);
             }
         }
         core.processed += 1;

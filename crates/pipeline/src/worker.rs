@@ -1,11 +1,7 @@
-//! The worker step and the reorder buffer the engine and the service share.
-//!
-//! [`Worker`] is one pool worker's timed pop → tagged map → render step;
-//! [`ReorderBuffer`] restores batch order in front of a sink. The two thread
-//! topologies around them ([`MappingEngine`](crate::MappingEngine): feeder,
-//! workers, a dedicated emitter; [`MappingService`](crate::MappingService):
-//! ingest pool, workers that emit under the job lock) live in `engine.rs`
-//! and `service/`.
+//! What the engine and the service share: [`Worker`], one pool worker's
+//! timed pop → tagged map → render step, and [`ReorderBuffer`], which
+//! restores batch order in front of a sink. The thread topologies around
+//! them live in `engine.rs` and `service/`.
 
 use crate::config::FallbackPolicy;
 use crate::sink::RecordSink;
@@ -180,86 +176,4 @@ pub(crate) fn emit_pair_records(
     };
     out.push(s1);
     out.push(s2);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sink::VecSink;
-    use gx_genome::DnaSeq;
-
-    /// One batch of two records named after `name`.
-    fn batch(name: &str) -> Vec<SamRecord> {
-        let read = DnaSeq::from_ascii(b"ACGT").unwrap();
-        let (a, b) = unmapped_pair_to_sam(ReadPair::new(name, read.clone(), read));
-        vec![a, b]
-    }
-
-    fn names(sink: &VecSink) -> Vec<&str> {
-        sink.records.iter().map(|r| r.qname.as_str()).collect()
-    }
-
-    #[test]
-    fn reorder_out_of_order_in_in_order_out() {
-        let mut buf = ReorderBuffer::default();
-        let mut sink = VecSink::new();
-        let (n, res) = buf.push(2, batch("c"), &mut sink);
-        assert_eq!(
-            (n, res.is_ok(), buf.next(), buf.buffered()),
-            (0, true, 0, 1)
-        );
-        let (n, _) = buf.push(1, batch("b"), &mut sink);
-        assert_eq!((n, buf.buffered()), (0, 2));
-        // The missing head arrives: everything drains, in index order.
-        let (n, res) = buf.push(0, batch("a"), &mut sink);
-        assert_eq!(
-            (n, res.is_ok(), buf.next(), buf.buffered()),
-            (6, true, 3, 0)
-        );
-        assert_eq!(names(&sink), ["a/1", "a/2", "b/1", "b/2", "c/1", "c/2"]);
-        let (n, _) = buf.push(3, batch("d"), &mut sink);
-        assert_eq!((n, buf.next()), (2, 4));
-    }
-
-    #[test]
-    fn reorder_sink_error_stops_at_its_record_and_reports_the_count_before_it() {
-        /// Accepts `ok` records, then fails.
-        struct FailAfter {
-            ok: usize,
-            seen: Vec<String>,
-        }
-        impl RecordSink for FailAfter {
-            fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
-                if self.seen.len() == self.ok {
-                    return Err(io::Error::other("disk full"));
-                }
-                self.seen.push(rec.qname.clone());
-                Ok(())
-            }
-        }
-        let mut buf = ReorderBuffer::default();
-        let mut sink = FailAfter {
-            ok: 3,
-            seen: Vec::new(),
-        };
-        buf.push(1, batch("b"), &mut sink).1.unwrap();
-        let (n, res) = buf.push(0, batch("a"), &mut sink);
-        assert_eq!(n, 3, "a/1, a/2 and b/1 reached the sink before the error");
-        assert_eq!(res.unwrap_err().to_string(), "disk full");
-        assert_eq!(sink.seen, ["a/1", "a/2", "b/1"]);
-        // Batch 0 was written in full, batch 1 was not.
-        assert_eq!(buf.next(), 1);
-    }
-
-    #[test]
-    fn reorder_clear_frees_pending() {
-        let mut buf = ReorderBuffer::default();
-        let mut sink = VecSink::new();
-        buf.push(5, batch("f"), &mut sink).1.unwrap();
-        buf.push(3, batch("d"), &mut sink).1.unwrap();
-        assert_eq!(buf.buffered(), 2);
-        buf.clear();
-        assert_eq!((buf.buffered(), buf.next()), (0, 0));
-        assert!(sink.records.is_empty());
-    }
 }

@@ -185,22 +185,6 @@ impl Telemetry {
         }
     }
 
-    /// Like [`try_counter`](Telemetry::try_counter), for gauges.
-    pub fn try_gauge(&self, name: &str, help: &str) -> Option<GaugeId> {
-        match &self.inner {
-            Some(inner) => inner.registry.try_gauge(name, help),
-            None => Some(GaugeId(0)),
-        }
-    }
-
-    /// Like [`try_counter`](Telemetry::try_counter), for histograms.
-    pub fn try_histogram(&self, name: &str, help: &str) -> Option<HistogramId> {
-        match &self.inner {
-            Some(inner) => inner.registry.try_histogram(name, help),
-            None => Some(HistogramId(0)),
-        }
-    }
-
     /// Creates a recorder for one thread of execution, on span track
     /// `track`. Each call allocates a fresh metrics shard and span ring;
     /// dropping the recorder (or calling [`Recorder::flush`]) publishes
@@ -243,7 +227,7 @@ impl Telemetry {
 
     /// Takes (and clears) all span events flushed so far, oldest flush
     /// first. Live recorders hold their rings until flushed or dropped.
-    pub fn take_events(&self) -> Vec<SpanEvent> {
+    fn take_events(&self) -> Vec<SpanEvent> {
         match &self.inner {
             Some(inner) => std::mem::take(&mut *inner.events.lock().unwrap()),
             None => Vec::new(),

@@ -187,16 +187,6 @@ impl MetricsRegistry {
         register_opt(&self.counters, name, help).map(CounterId)
     }
 
-    /// Like [`gauge`](MetricsRegistry::gauge) but `None` when full.
-    pub fn try_gauge(&self, name: &str, help: &str) -> Option<GaugeId> {
-        register_opt(&self.gauges, name, help).map(GaugeId)
-    }
-
-    /// Like [`histogram`](MetricsRegistry::histogram) but `None` when full.
-    pub fn try_histogram(&self, name: &str, help: &str) -> Option<HistogramId> {
-        register_opt(&self.histograms, name, help).map(HistogramId)
-    }
-
     /// Creates a fresh shard for one recording thread and enrolls it for
     /// snapshot merging.
     pub(crate) fn new_shard(&self) -> Arc<Shard> {
@@ -443,8 +433,8 @@ mod tests {
             Some(reg.counter("gx_c0_total", "c"))
         );
         // Kinds have independent tables.
-        assert!(reg.try_gauge("gx_depth", "g").is_some());
-        assert!(reg.try_histogram("gx_lat_ns", "h").is_some());
+        reg.gauge("gx_depth", "g");
+        reg.histogram("gx_lat_ns", "h");
     }
 
     #[test]

@@ -33,13 +33,25 @@
 //!    leave *zero* trace in warm accounting: the service fingerprint
 //!    equals a single-engine run over the surviving jobs' pairs, and the
 //!    cancelled job reports `pairs_accounted_after_cancel == 0`.
+//!
+//! And tenant isolation against the backend itself:
+//!
+//! 5. **A panicking map call fails one job** — a session that panics on
+//!    one job's batch ends that job as `Failed` with the panic text; its
+//!    sibling and a job submitted afterwards complete with their solo
+//!    bytes on the reopened session, `serve` returns normally, and the
+//!    survivors' warm fingerprint equals a single-engine run over their
+//!    streams.
 
-use genpairx::backend::{BackendStats, ManualClock, NmslBackend};
+use genpairx::backend::{
+    BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession, NmslBackend,
+    SoftwareBackend,
+};
 use genpairx::core::{GenPairConfig, GenPairMapper};
 use genpairx::genome::{GenomeError, ReferenceGenome, SamRecord};
 use genpairx::pipeline::{
-    map_serial, FallbackPolicy, JobHandle, JobOutcome, JobReport, JobSpec, PipelineBuilder,
-    Priority, ReadPair, RecordSink, SamTextSink, ServiceBuilder,
+    map_serial, FallbackPolicy, JobHandle, JobOutcome, JobReport, JobSpec, ManualClock,
+    PipelineBuilder, Priority, ReadPair, RecordSink, SamTextSink, ServiceBuilder,
 };
 use genpairx::readsim::dataset::{simulate_dataset, standard_genome, DATASETS};
 use std::io;
@@ -551,6 +563,160 @@ fn deadline_cancel_after_seal_leaves_no_trace_in_warm_totals() {
             engine_fp,
             "a deadline-cancelled sealed job leaked into warm totals at \
              threads={threads}"
+        );
+    }
+}
+
+/// Id of the pair [`PanicOn`] sessions refuse to map.
+const POISON: &str = "poison";
+
+/// A backend whose sessions panic on any batch holding the [`POISON`]
+/// pair and otherwise delegate to `B`'s — a mapper bug, injected.
+struct PanicOn<B>(B);
+
+struct PanicOnSession<S>(S);
+
+impl<B: MapBackend> MapBackend for PanicOn<B> {
+    type Session<'s>
+        = PanicOnSession<B::Session<'s>>
+    where
+        Self: 's;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn session(&self, worker_id: usize) -> Self::Session<'_> {
+        PanicOnSession(self.0.session(worker_id))
+    }
+
+    fn flush(&self) -> BackendStats {
+        self.0.flush()
+    }
+
+    fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
+        self.0.seal_job(job, batches)
+    }
+
+    fn discard_job(&self, job: u64) -> DiscardReport {
+        self.0.discard_job(job)
+    }
+}
+
+impl<S: MapSession> MapSession for PanicOnSession<S> {
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
+        assert!(
+            pairs.iter().all(|p| p.id != POISON),
+            "injected mapping failure"
+        );
+        self.0.map(tag, pairs)
+    }
+}
+
+/// Bound on every wait of the panic test: on a build whose service does
+/// not survive a worker panic the poisoned job never finalizes, and the
+/// test must fail here rather than hang.
+const PANIC_BOUND: Duration = Duration::from_secs(30);
+
+/// Drives one service over `backend` wrapped in [`PanicOn`]: a one-batch
+/// poisoned job and a sibling submitted together, then a third job on the
+/// session the worker reopened. Returns the service-wide warm totals.
+fn survive_a_worker_panic<B: MapBackend + Sync>(
+    backend: B,
+    genome: &ReferenceGenome,
+    pairs: &[ReadPair],
+    solos: [&[u8]; 2],
+    threads: usize,
+) -> BackendStats {
+    let what = format!("backend={} threads={threads}", backend.name());
+    let mut doomed = pairs[..40].to_vec();
+    doomed[7].id = POISON.to_string();
+    let sink = || SamTextSink::with_header(genome, Vec::new()).unwrap();
+    let (_, report) =
+        ServiceBuilder::new()
+            .threads(threads)
+            .queue_depth(4)
+            .serve(PanicOn(backend), |svc| {
+                // One batch, so no pair of the doomed job is ever mapped or
+                // priced: its only map call is the one that panics.
+                let failed = svc
+                    .submit_pairs(JobSpec::new().batch_size(40), doomed, sink())
+                    .unwrap();
+                let sibling = svc
+                    .submit_pairs(
+                        JobSpec::new().batch_size(32),
+                        pairs[40..200].to_vec(),
+                        sink(),
+                    )
+                    .unwrap();
+
+                let (fr, _) = join_within(failed, PANIC_BOUND, "job whose map call panicked");
+                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                let reason = fr.report.abort_reason.as_deref().unwrap();
+                assert!(
+                    reason.starts_with("mapping worker panicked")
+                        && reason.contains("injected mapping failure"),
+                    "{what}: lost the reason: {reason}"
+                );
+                assert_eq!(fr.report.records_written, 0, "{what}");
+                assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
+
+                let (sr, ssink) = join_within(sibling, PANIC_BOUND, "sibling of a panicked job");
+                assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    ssink.into_inner().unwrap() == solos[0],
+                    "{what}: sibling bytes diverge from its solo run"
+                );
+
+                // The worker that caught the panic serves on with a reopened
+                // session (with one thread there is no other worker).
+                let later = svc
+                    .submit_pairs(
+                        JobSpec::new().batch_size(16),
+                        pairs[200..280].to_vec(),
+                        sink(),
+                    )
+                    .unwrap();
+                let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a worker panic");
+                assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    lsink.into_inner().unwrap() == solos[1],
+                    "{what}: post-panic job bytes diverge from its solo run"
+                );
+            });
+    assert_eq!(report.jobs_failed, 1, "{what}");
+    assert_eq!(report.jobs_completed, 2, "{what}");
+    assert_eq!(report.jobs_cancelled, 0, "{what}");
+    report.backend
+}
+
+#[test]
+fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let survivors = [&pairs[40..200], &pairs[200..280]];
+    let solos = survivors.map(|s| solo_sam(&mapper, &genome, s));
+    let solos = [&solos[0][..], &solos[1][..]];
+
+    // The poisoned job leaves no trace in the device: the survivors'
+    // warm totals are those of an engine run over their streams alone.
+    let engine = PipelineBuilder::new()
+        .threads(2)
+        .batch_size(64)
+        .backend(NmslBackend::new(&mapper).channels(CHANNELS));
+    let (_, engine_report) = engine.run_collect(survivors.concat());
+    let engine_fp = WarmFingerprint::of(&engine_report.backend);
+
+    for threads in [1, 2] {
+        let software = SoftwareBackend::new(&mapper);
+        survive_a_worker_panic(software, &genome, &pairs, solos, threads);
+
+        let nmsl = NmslBackend::new(&mapper).channels(CHANNELS);
+        let backend = survive_a_worker_panic(nmsl, &genome, &pairs, solos, threads);
+        assert_eq!(
+            WarmFingerprint::of(&backend),
+            engine_fp,
+            "a panicked job leaked into warm totals at threads={threads}"
         );
     }
 }
