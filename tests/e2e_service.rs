@@ -625,7 +625,7 @@ fn survive_a_worker_panic<B: MapBackend + Sync>(
     backend: B,
     genome: &ReferenceGenome,
     pairs: &[ReadPair],
-    solos: [&[u8]; 2],
+    solos: &[Vec<u8>; 2],
     threads: usize,
 ) -> BackendStats {
     let what = format!("backend={} threads={threads}", backend.name());
@@ -696,7 +696,6 @@ fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let survivors = [&pairs[40..200], &pairs[200..280]];
     let solos = survivors.map(|s| solo_sam(&mapper, &genome, s));
-    let solos = [&solos[0][..], &solos[1][..]];
 
     // The poisoned job leaves no trace in the device: the survivors'
     // warm totals are those of an engine run over their streams alone.
@@ -709,10 +708,10 @@ fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
 
     for threads in [1, 2] {
         let software = SoftwareBackend::new(&mapper);
-        survive_a_worker_panic(software, &genome, &pairs, solos, threads);
+        survive_a_worker_panic(software, &genome, &pairs, &solos, threads);
 
         let nmsl = NmslBackend::new(&mapper).channels(CHANNELS);
-        let backend = survive_a_worker_panic(nmsl, &genome, &pairs, solos, threads);
+        let backend = survive_a_worker_panic(nmsl, &genome, &pairs, &solos, threads);
         assert_eq!(
             WarmFingerprint::of(&backend),
             engine_fp,
