@@ -48,9 +48,10 @@
 //! thread and writes from a dedicated emitter thread; the service emits
 //! inside the worker, under the job lock, because that lock is its
 //! cancel-ack barrier. Making the engine a one-job service would move its
-//! emit onto its worker, and on `foreign_sw` emission is as long as mapping
-//! (`genome.sam_emit_s` 0.145 s against `backend.map_busy_s` 0.126 s; see
-//! ROADMAP "Measured and closed"): the critical path would about double.
+//! emit onto its worker: on `foreign_sw` `genome.sam_emit_s` reads 0.03 s
+//! with warm output pages and 0.2–0.9 s with cold ones against
+//! `backend.map_busy_s` 0.13–0.23 s (ROADMAP "Measured and closed"), so
+//! that workload's critical path would grow by 20 % at best, the bound.
 
 use crate::batch::{Batch, Batcher};
 use crate::config::{FallbackPolicy, PipelineConfig};
