@@ -1,10 +1,11 @@
-//! The exact-row gate: the deterministic rows of two `gxbench` workloads,
+//! The exact-row gate: the deterministic rows of four `gxbench` workloads,
 //! compared against a checked-in record.
 //!
 //! `gxbench compare` already holds these rows to equality between two
 //! commits, but only when somebody runs it; PRs 17, 18 and 20 each read
 //! them off by hand. This suite makes the comparison tier-1: one software
-//! workload (`clean_sw`) and one NMSL service workload (`service_mix`) at
+//! workload (`clean_sw`), one NMSL service workload (`service_mix`) and the
+//! two ends of light alignment (`exact_sw`, `noisy_sw`) at
 //! `--smoke` size, seed 20260930, and only the rows that repeat exactly for
 //! one seed — counts, ratios of counts, modeled cycles, bytes and energy,
 //! the input digest. Never a wall-clock value, and not
@@ -12,8 +13,9 @@
 //! `gxbench` binary, not to this test process).
 //!
 //! `tests/fixtures/exact_rows.json` was written by the build *before* the
-//! service / NMSL-device split, so a refactor that passes here has moved
-//! none of them. After an *intentional* change to mapping decisions or the
+//! service / NMSL-device split (`exact_sw` and `noisy_sw`: before the lazy
+//! light aligner), so a refactor that passes here has moved none of them.
+//! After an *intentional* change to mapping decisions or the
 //! device model, regenerate and review the diff:
 //!
 //! ```text
@@ -26,8 +28,10 @@ use gx_benchmark::spec::{workload, DEFAULT_SEED};
 use std::path::PathBuf;
 
 /// One engine workload on the software backend, one service workload on
-/// the warm NMSL device.
-const WORKLOADS: [&str; 2] = ["clean_sw", "service_mix"];
+/// the warm NMSL device, and the two ends of light alignment: `exact_sw`
+/// (every pair finishes on the light path) and `noisy_sw` (most attempts
+/// fail and fall back to DP).
+const WORKLOADS: [&str; 4] = ["clean_sw", "service_mix", "exact_sw", "noisy_sw"];
 
 /// The per-layer rows that repeat exactly for one seed and one commit (the
 /// last four are ratios of cycle counts).
