@@ -7,19 +7,44 @@
 //! reference (the Shifted Hamming Distance idea), extended here from a filter
 //! into a full aligner that produces the alignment score *and* CIGAR.
 //!
-//! For a maximum run length `e`, `2e+1` masks are computed (shifts `-e..=e`).
-//! A run of `k` deletions manifests as a long prefix of matches in the mask
-//! at shift `s` and a long suffix in the mask at shift `s+k`; insertions
-//! symmetrically at `s-k`. Pure mismatch alignments are read off a single
-//! mask's Hamming distance. The best-scoring feasible pattern is returned —
-//! within the single-edit-type class this is provably the optimal alignment,
-//! which the hardware module exploits to skip DP entirely.
+//! For a maximum run length `e` there are `2e+1` shifted comparisons (shifts
+//! `-e..=e`). A run of `k` deletions manifests as a long prefix of matches
+//! at shift `s` and a long suffix at shift `s+k`; insertions symmetrically at
+//! `s-k`. Pure mismatch alignments are read off one comparison's Hamming
+//! distance. The best-scoring feasible pattern is returned — within the
+//! single-edit-type class this is provably the optimal alignment, which the
+//! hardware module exploits to skip DP entirely.
 //!
-//! The software masks are computed the way the hardware would: straight from
-//! the 2-bit-packed sequence words ([`DnaSeq::words`]), 32 base lanes per
-//! XOR, never unpacking to one byte per base. Combined with the reusable
-//! [`LightScratch`] arena and winner-only CIGAR construction this makes the
-//! mask stage allocation-free and word-parallel in steady state.
+//! # What the hardware computes, and what this module computes
+//!
+//! The hardware module builds all `2e+1` masks in one cycle and walks them
+//! from both ends; [`light_align_cycles`] is that cost and does not depend
+//! on anything below. In software the comparisons are serial, so this module
+//! stores no mask at all. One shifted comparison is a `Lanes` view over the
+//! 2-bit-packed words ([`DnaSeq::words`]): XOR 32 bases at a time and fold
+//! each lane to one mismatch bit. Hamming distance is a popcount, the
+//! matching prefix and suffix are trailing and leading zero counts, and each
+//! is scanned only until it is decided. Shift 0 goes first; every other
+//! pattern is looked at only as far as it can still change the result, and
+//! only the winner's CIGAR is built, one push per run.
+//!
+//! The result is exactly that of scoring every pattern in the fixed order
+//! (ungapped `s = -e..=e`; then `s`, `k = 1..=e`, deletion, insertion) and
+//! keeping a pattern only when it scores strictly higher than the incumbent:
+//!
+//! * under that rule a pattern whose score cannot exceed the incumbent's
+//!   never replaces it, so it may be skipped, in any evaluation order;
+//! * among ungapped patterns fewer mismatches is a strictly higher score
+//!   ([`Scoring`]'s penalties are positive), so the winner is the smallest
+//!   `(mismatches, shift)` pair — shift 0 may go first as long as shifts
+//!   before it are held to `<= h0` and shifts after it to `< h0`;
+//! * an indel pattern's score depends on `k`, the read length and the
+//!   [`Scoring`] alone, so it is compared with the incumbent *before* any
+//!   prefix or suffix is counted (by score, never by mismatch count: under
+//!   [`Scoring::long_read`] a one-base deletion outscores one mismatch).
+//!
+//! `tests/light_diff.rs` holds this to the eager, mask-storing aligner it
+//! replaced on every field of [`LightAlignment`].
 
 use gx_align::Scoring;
 use gx_genome::{Cigar, CigarOp, DnaSeq};
@@ -62,34 +87,26 @@ pub struct LightAlignment {
     pub del_run: u32,
 }
 
-/// Reusable buffers for [`light_align_with`]: the `2e+1` Hamming masks,
-/// each keeping its word vector across calls. After the first few calls at a
-/// given read length the aligner performs no heap allocation.
+/// Reusable buffer for [`light_align_with`]: the matching-suffix length of
+/// each shift, counted at most once per attempt and only when an indel
+/// pattern asks for it. `2e+1` entries; no heap allocation after the first
+/// attempt that reaches the indel stage.
 #[derive(Default)]
 pub struct LightScratch {
-    masks: Vec<Mask>,
+    suffix: Vec<Option<usize>>,
 }
 
 impl LightScratch {
-    /// An empty scratch; buffers grow to their steady-state size on first
+    /// An empty scratch; the buffer grows to its steady-state size on first
     /// use.
     pub fn new() -> LightScratch {
         LightScratch::default()
     }
 }
 
-/// One Hamming mask: match bits of the read against a shifted window copy.
-#[derive(Default)]
-struct Mask {
-    words: Vec<u64>,
-    len: usize,
-    prefix_ones: usize,
-    suffix_ones: usize,
-    hamming: u32,
-}
-
 /// The packed word containing lane `idx`, or an all-zero word out of range
-/// (callers mask away the resulting junk lanes via the validity range).
+/// (callers force the resulting junk lanes to mismatch via the validity
+/// range).
 #[inline]
 fn word_at(words: &[u64], idx: i64) -> u64 {
     if idx < 0 || idx as usize >= words.len() {
@@ -113,123 +130,130 @@ fn extract_lanes(words: &[u64], pos: i64) -> u64 {
     }
 }
 
-/// Gathers the even-position bits of `w` into the low 32 bits (the inverse
-/// of Morton interleaving one axis).
+/// The low bit of each of a word's 32 lanes.
+const LANE_LSB: u64 = 0x5555_5555_5555_5555;
+
+/// [`LANE_LSB`] restricted to lanes `0..n` (`n` may be negative or past 32).
 #[inline]
-fn even_bits(mut w: u64) -> u32 {
-    w &= 0x5555_5555_5555_5555;
-    w = (w | (w >> 1)) & 0x3333_3333_3333_3333;
-    w = (w | (w >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
-    w = (w | (w >> 4)) & 0x00ff_00ff_00ff_00ff;
-    w = (w | (w >> 8)) & 0x0000_ffff_0000_ffff;
-    w = (w | (w >> 16)) & 0x0000_0000_ffff_ffff;
-    w as u32
-}
-
-/// Compares 32 packed 2-bit lanes of read vs window at once: bit `i` of the
-/// result is set iff lane `i` holds the same code in both words.
-#[inline]
-fn lane_match(r: u64, w: u64) -> u32 {
-    let x = r ^ w;
-    let mism = (x | (x >> 1)) & 0x5555_5555_5555_5555;
-    even_bits(!mism & 0x5555_5555_5555_5555)
-}
-
-/// Zeroes every bit outside `[lo, hi)` across the mask words.
-fn keep_range(words: &mut [u64], lo: usize, hi: usize) {
-    for (wi, w) in words.iter_mut().enumerate() {
-        let wlo = wi * 64;
-        let whi = wlo + 64;
-        if hi <= wlo || lo >= whi {
-            *w = 0;
-            continue;
-        }
-        let mut m = u64::MAX;
-        if lo > wlo {
-            m &= u64::MAX << (lo - wlo);
-        }
-        if hi < whi {
-            m &= (1u64 << (hi - wlo)) - 1;
-        }
-        *w &= m;
+fn lanes_below(n: i64) -> u64 {
+    match n {
+        ..=0 => 0,
+        1..=31 => LANE_LSB & ((1u64 << (2 * n)) - 1),
+        _ => LANE_LSB,
     }
 }
 
-impl Mask {
-    /// Recomputes this mask in place, word-parallel over the packed
-    /// sequences: read base `i` is compared against window base `start + i`
-    /// (out-of-window comparisons count as mismatches). Reuses the word
-    /// vector across calls.
-    fn compute_packed(
-        &mut self,
-        read_words: &[u64],
-        len: usize,
-        window_words: &[u64],
-        window_len: usize,
-        start: i64,
-    ) {
-        self.words.clear();
-        self.words.resize(len.div_ceil(64), 0);
-        self.len = len;
-        // Read positions whose window index lands inside [0, window_len).
-        let hi = (window_len as i64 - start).clamp(0, len as i64) as usize;
-        let lo = ((-start).max(0) as usize).min(hi);
-        if lo < hi {
-            for (mi, mw) in self.words.iter_mut().enumerate() {
-                let base0 = (mi as i64) * 64;
-                let w_lo = extract_lanes(window_words, start + base0);
-                let w_hi = extract_lanes(window_words, start + base0 + 32);
-                let r_lo = word_at(read_words, mi as i64 * 2);
-                let r_hi = word_at(read_words, mi as i64 * 2 + 1);
-                *mw = (lane_match(r_lo, w_lo) as u64) | ((lane_match(r_hi, w_hi) as u64) << 32);
-            }
-            keep_range(&mut self.words, lo, hi);
-        }
-        self.prefix_ones = self.count_prefix();
-        self.suffix_ones = self.count_suffix();
-        self.hamming = len as u32 - self.words.iter().map(|w| w.count_ones()).sum::<u32>();
-    }
-
-    fn count_prefix(&self) -> usize {
-        let mut total = 0usize;
-        for (wi, &w) in self.words.iter().enumerate() {
-            let bits_here = (self.len - wi * 64).min(64);
-            let ones = w.trailing_ones() as usize;
-            total += ones.min(bits_here);
-            if ones < bits_here {
-                break;
-            }
-        }
-        total.min(self.len)
-    }
-
-    fn count_suffix(&self) -> usize {
-        let mut total = 0usize;
-        for wi in (0..self.words.len()).rev() {
-            let bits_here = (self.len - wi * 64).min(64);
-            // Shift the word so its top valid bit is at bit 63.
-            let w = self.words[wi] << (64 - bits_here);
-            let ones = w.leading_ones() as usize;
-            total += ones.min(bits_here);
-            if ones < bits_here {
-                break;
-            }
-        }
-        total.min(self.len)
-    }
-
-    fn bit(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-}
-
-/// The best feasible single-edit-type pattern found so far; the CIGAR is
-/// only materialized for the final winner.
+/// One shifted comparison, never materialised: read base `i` against window
+/// base `start + i`, 32 bases per [`word`](Lanes::word).
 #[derive(Clone, Copy)]
-enum Pattern {
-    Ungapped { shift: i64 },
-    Del { shift: i64, k: i64, p: usize },
-    Ins { shift: i64, k: i64, p: usize },
+struct Lanes<'a> {
+    read: &'a [u64],
+    window: &'a [u64],
+    /// Read length in bases.
+    len: usize,
+    /// Window index under read base 0; negative when the shift reaches in
+    /// front of the window.
+    start: i64,
+    /// Read positions `lo..hi` have a window base under them; the others
+    /// count as mismatches.
+    lo: usize,
+    hi: usize,
+}
+
+impl<'a> Lanes<'a> {
+    fn new(read: &'a DnaSeq, window: &'a DnaSeq, start: i64) -> Lanes<'a> {
+        let len = read.len();
+        let hi = (window.len() as i64 - start).clamp(0, len as i64) as usize;
+        Lanes {
+            read: read.words(),
+            window: window.words(),
+            len,
+            start,
+            lo: ((-start).max(0) as usize).min(hi),
+            hi,
+        }
+    }
+
+    /// Mismatch lanes of read bases `32j..32j + 32`: bit `2i` is set iff
+    /// base `32j + i` differs from the window base under it or has none;
+    /// lanes at and past the read's end are clear.
+    #[inline]
+    fn word(&self, j: usize) -> u64 {
+        let base = 32 * j as i64;
+        let x = self.read[j] ^ extract_lanes(self.window, self.start + base);
+        let inside = lanes_below(self.hi as i64 - base) & !lanes_below(self.lo as i64 - base);
+        (x | x >> 1 | !inside) & lanes_below(self.len as i64 - base)
+    }
+
+    fn words(&self) -> std::ops::Range<usize> {
+        0..self.len.div_ceil(32)
+    }
+
+    /// The Hamming distance if it is at most `cap`; gives up at the first
+    /// word that takes the count past it.
+    fn hamming_within(&self, cap: u32) -> Option<u32> {
+        let mut total = 0;
+        for j in self.words() {
+            total += self.word(j).count_ones();
+            if total > cap {
+                return None;
+            }
+        }
+        Some(total)
+    }
+
+    /// Number of matching bases before the first mismatch.
+    fn prefix(&self) -> usize {
+        for j in self.words() {
+            let m = self.word(j);
+            if m != 0 {
+                return 32 * j + (m.trailing_zeros() / 2) as usize;
+            }
+        }
+        self.len
+    }
+
+    /// Number of matching bases after the last mismatch.
+    fn suffix(&self) -> usize {
+        for j in self.words().rev() {
+            let m = self.word(j);
+            if m != 0 {
+                let last = 32 * j + 31 - (m.leading_zeros() / 2) as usize;
+                return self.len - 1 - last;
+            }
+        }
+        self.len
+    }
+
+    /// The `=`/`X` CIGAR of this comparison, one push per run.
+    fn cigar(&self) -> Cigar {
+        let mut cigar = Cigar::new();
+        let (mut run_op, mut run) = (CigarOp::Equal, 0u32);
+        for j in self.words() {
+            let m = self.word(j);
+            let lanes = (self.len - 32 * j).min(32) as u32;
+            let mut lane = 0;
+            while lane < lanes {
+                let rest = m >> (2 * lane);
+                // Lanes up to the next change of state, from the zeros below
+                // the lowest set bit of `rest` (matches) or of its inverse.
+                let (op, next) = if rest & 1 == 0 {
+                    (CigarOp::Equal, rest)
+                } else {
+                    (CigarOp::Diff, !rest & LANE_LSB)
+                };
+                let n = (next.trailing_zeros() / 2).min(lanes - lane);
+                if op != run_op {
+                    cigar.push(run_op, run);
+                    (run_op, run) = (op, 0);
+                }
+                run += n;
+                lane += n;
+            }
+        }
+        cigar.push(run_op, run);
+        cigar
+    }
 }
 
 /// Aligns `read` inside `window` around `anchor` using Hamming masks.
@@ -268,6 +292,16 @@ pub fn light_align(
     )
 }
 
+/// The incumbent pattern — its CIGAR not built yet — and the length of its
+/// leading match run.
+type Incumbent = Option<(LightAlignment, usize)>;
+
+/// Whether `score` would replace the incumbent: strictly higher, or first.
+#[inline]
+fn beats(best: &Incumbent, score: i32) -> bool {
+    best.as_ref().is_none_or(|(b, _)| score > b.score)
+}
+
 /// [`light_align`] reusing a caller-owned [`LightScratch`]: identical
 /// results, no steady-state allocation (the arena variant the mapper's
 /// [`MapScratch`](crate::MapScratch) threads through the pipeline).
@@ -284,133 +318,91 @@ pub fn light_align_with(
         return None;
     }
     let e = config.max_indel_run as i64;
-
-    // Masks for shifts -e..=e; masks[k] = shift (k - e).
-    let n_masks = (2 * e + 1) as usize;
-    if scratch.masks.len() != n_masks {
-        scratch.masks.resize_with(n_masks, Mask::default);
-    }
-    for (i, m) in scratch.masks.iter_mut().enumerate() {
-        let s = i as i64 - e;
-        m.compute_packed(
-            read.words(),
-            l,
-            window.words(),
-            window.len(),
-            anchor as i64 + s,
-        );
-    }
-    let masks = &scratch.masks;
-    let mask_at = |s: i64| -> &Mask { &masks[(s + e) as usize] };
-
-    let mut best: Option<(i32, Pattern)> = None;
-    let mut consider = |score: i32, pattern: Pattern| {
-        if best.as_ref().is_none_or(|(bs, _)| score > *bs) {
-            best = Some((score, pattern));
-        }
+    let lanes = |s: i64| Lanes::new(read, window, anchor as i64 + s);
+    let pattern = |score, shift: i64, mismatches, ins_run: i64, del_run: i64| LightAlignment {
+        score,
+        cigar: Cigar::new(),
+        shift: shift as i32,
+        mismatches,
+        ins_run: ins_run as u32,
+        del_run: del_run as u32,
     };
 
-    // 1. Ungapped (mismatch-only) alignments at every shift.
-    for s in -e..=e {
-        let m = mask_at(s);
-        if m.hamming <= config.max_mismatches {
-            let score = scoring.ungapped(l, m.hamming as usize);
-            consider(score, Pattern::Ungapped { shift: s });
+    // 1. Ungapped (mismatch-only) alignments: the smallest (mismatches,
+    //    shift) within the limit. Shift 0 first; each other shift is counted
+    //    only up to what would still displace the incumbent — a tie does if
+    //    the shift comes earlier in `-e..=e`.
+    let mut ungapped: Option<(u32, i64)> = None;
+    for s in std::iter::once(0).chain(-e..0).chain(1..=e) {
+        let cap = match ungapped {
+            None => config.max_mismatches,
+            Some((h, held)) if s < held => h,
+            // Every shift still to come is a later one too.
+            Some((0, _)) => break,
+            Some((h, _)) => h - 1,
+        };
+        if let Some(h) = lanes(s).hamming_within(cap) {
+            ungapped = Some((h, s));
         }
     }
+    let mut best: Incumbent =
+        ungapped.map(|(h, s)| (pattern(scoring.ungapped(l, h as usize), s, h, 0, 0), 0));
 
-    // 2. Single indel runs: prefix from shift s, suffix from shift s±k.
-    for s in -e..=e {
-        let prefix = mask_at(s).prefix_ones;
-        if prefix == 0 && s != 0 {
-            continue;
-        }
-        for k in 1..=config.max_indel_run as i64 {
-            // Deletion of k: suffix mask at shift s+k, needs prefix+suffix >= L.
-            if s + k <= e {
-                let suffix = mask_at(s + k).suffix_ones;
-                if prefix + suffix >= l {
-                    let p = prefix.min(l);
-                    // p bases, k deleted, l-p bases; ensure suffix covers.
-                    let p = p.min(l).max(l - suffix);
-                    let score = scoring.perfect(l) - scoring.gap_cost(k as u32);
-                    consider(score, Pattern::Del { shift: s, k, p });
+    // 2. Single indel runs: prefix from shift s, suffix from shift s±k. A
+    //    pattern's score is known before its masks are: nothing is counted
+    //    for one that could not replace the incumbent.
+    let del_score = |k: i64| scoring.perfect(l) - scoring.gap_cost(k as u32);
+    let ins_score = |k: i64| scoring.perfect(l - k as usize) - scoring.gap_cost(k as u32);
+    let ceiling = (1..=e)
+        .flat_map(|k| [Some(del_score(k)), (k as usize <= l).then(|| ins_score(k))])
+        .flatten()
+        .max();
+    if let Some(ceiling) = ceiling.filter(|&c| beats(&best, c)) {
+        scratch.suffix.clear();
+        scratch.suffix.resize((2 * e + 1) as usize, None);
+        let mut suffix_at =
+            |s: i64| *scratch.suffix[(s + e) as usize].get_or_insert_with(|| lanes(s).suffix());
+        for s in -e..=e {
+            if !beats(&best, ceiling) {
+                break;
+            }
+            let prefix = lanes(s).prefix();
+            if prefix == 0 && s != 0 {
+                continue;
+            }
+            for k in 1..=e {
+                // Deletion of k: suffix at shift s+k, needs prefix+suffix >= L.
+                if s + k <= e && beats(&best, del_score(k)) && prefix + suffix_at(s + k) >= l {
+                    best = Some((pattern(del_score(k), s, 0, 0, k), prefix));
+                }
+                // Insertion of k: suffix at shift s-k, needs prefix+suffix >= L-k.
+                if s - k >= -e
+                    && k as usize <= l
+                    && beats(&best, ins_score(k))
+                    && prefix + suffix_at(s - k) >= l - k as usize
+                {
+                    best = Some((
+                        pattern(ins_score(k), s, 0, k, 0),
+                        prefix.min(l - k as usize),
+                    ));
                 }
             }
-            // Insertion of k: suffix mask at shift s-k, needs prefix+suffix >= L-k.
-            if s - k >= -e {
-                let suffix = mask_at(s - k).suffix_ones;
-                if prefix + suffix >= l - k as usize && l >= k as usize {
-                    let p = prefix
-                        .min(l - k as usize)
-                        .max(l - k as usize - suffix.min(l - k as usize));
-                    let score = scoring.perfect(l - k as usize) - scoring.gap_cost(k as u32);
-                    consider(score, Pattern::Ins { shift: s, k, p });
-                }
-            }
         }
     }
 
-    // Materialize the CIGAR for the single winning pattern (its masks are
-    // still alive in the scratch).
-    let (score, pattern) = best?;
-    Some(match pattern {
-        Pattern::Ungapped { shift } => {
-            let m = mask_at(shift);
-            LightAlignment {
-                score,
-                cigar: mask_to_cigar(m),
-                shift: shift as i32,
-                mismatches: m.hamming,
-                ins_run: 0,
-                del_run: 0,
-            }
+    // Build the CIGAR of the single winning pattern (of an indel winner's
+    // two runs one is empty, and an empty push does nothing).
+    let (mut won, p) = best?;
+    match (won.ins_run, won.del_run) {
+        (0, 0) => won.cigar = lanes(won.shift as i64).cigar(),
+        (ins, del) => {
+            won.cigar.push(CigarOp::Equal, p as u32);
+            won.cigar.push(CigarOp::Ins, ins);
+            won.cigar.push(CigarOp::Del, del);
+            won.cigar.push(CigarOp::Equal, (l - p) as u32 - ins);
         }
-        Pattern::Del { shift, k, p } => {
-            let mut cigar = Cigar::new();
-            cigar.push(CigarOp::Equal, p as u32);
-            cigar.push(CigarOp::Del, k as u32);
-            cigar.push(CigarOp::Equal, (l - p) as u32);
-            LightAlignment {
-                score,
-                cigar,
-                shift: shift as i32,
-                mismatches: 0,
-                ins_run: 0,
-                del_run: k as u32,
-            }
-        }
-        Pattern::Ins { shift, k, p } => {
-            let mut cigar = Cigar::new();
-            cigar.push(CigarOp::Equal, p as u32);
-            cigar.push(CigarOp::Ins, k as u32);
-            cigar.push(CigarOp::Equal, (l - p - k as usize) as u32);
-            LightAlignment {
-                score,
-                cigar,
-                shift: shift as i32,
-                mismatches: 0,
-                ins_run: k as u32,
-                del_run: 0,
-            }
-        }
-    })
-}
-
-/// Builds an `=`/`X` CIGAR from a mask's match bits.
-fn mask_to_cigar(mask: &Mask) -> Cigar {
-    let mut cigar = Cigar::new();
-    for i in 0..mask.len {
-        cigar.push(
-            if mask.bit(i) {
-                CigarOp::Equal
-            } else {
-                CigarOp::Diff
-            },
-            1,
-        );
     }
-    cigar
+    Some(won)
 }
 
 /// Number of clock cycles the Light Alignment hardware module needs for one
@@ -440,18 +432,15 @@ mod tests {
 
     const E: usize = 5;
 
-    /// Per-base reference for the packed mask computation.
-    fn mask_reference(read: &DnaSeq, window: &DnaSeq, start: i64) -> Vec<u64> {
-        let rcodes = read.to_codes();
+    /// Per-base reference for one shifted comparison: whether read base `i`
+    /// mismatches window base `start + i` (a missing window base does).
+    fn mismatch_reference(read: &DnaSeq, window: &DnaSeq, start: i64) -> Vec<bool> {
         let wcodes = window.to_codes();
-        let mut words = vec![0u64; read.len().div_ceil(64)];
-        for (i, &rc) in rcodes.iter().enumerate() {
-            let w = start + i as i64;
-            if w >= 0 && (w as usize) < wcodes.len() && wcodes[w as usize] == rc {
-                words[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        words
+        let codes = read.to_codes();
+        let at = |i: usize| usize::try_from(start + i as i64).ok();
+        (0..codes.len())
+            .map(|i| at(i).and_then(|w| wcodes.get(w)) != Some(&codes[i]))
+            .collect()
     }
 
     fn arb_seq(len: usize, mut state: u64) -> DnaSeq {
@@ -477,13 +466,32 @@ mod tests {
         ] {
             let read = arb_seq(rlen, seed);
             let win = arb_seq(wlen, seed.wrapping_mul(977));
-            let mut m = Mask::default();
             for start in [-10i64, -1, 0, 1, 5, 31, 32, 33, 63, 64, 100, 300] {
-                m.compute_packed(read.words(), rlen, win.words(), wlen, start);
-                let expect = mask_reference(&read, &win, start);
-                assert_eq!(m.words, expect, "rlen={rlen} wlen={wlen} start={start}");
-                let ones: u32 = expect.iter().map(|w| w.count_ones()).sum();
-                assert_eq!(m.hamming, rlen as u32 - ones);
+                let lanes = Lanes::new(&read, &win, start);
+                let expect = mismatch_reference(&read, &win, start);
+                let ctx = format!("rlen={rlen} wlen={wlen} start={start}");
+                let got: Vec<bool> = (0..rlen)
+                    .map(|i| lanes.word(i / 32) >> (2 * (i % 32)) & 1 == 1)
+                    .collect();
+                assert_eq!(got, expect, "{ctx}");
+                for j in lanes.words() {
+                    let in_read = lanes_below(rlen as i64 - 32 * j as i64);
+                    assert_eq!(lanes.word(j) & !in_read, 0, "{ctx}: stray bits in word {j}");
+                }
+                let hamming = expect.iter().filter(|&&m| m).count() as u32;
+                assert_eq!(lanes.hamming_within(hamming), Some(hamming), "{ctx}");
+                assert_eq!(lanes.hamming_within(u32::MAX), Some(hamming), "{ctx}");
+                if hamming > 0 {
+                    assert_eq!(lanes.hamming_within(hamming - 1), None, "{ctx}");
+                }
+                let prefix = expect.iter().take_while(|&&m| !m).count();
+                let suffix = expect.iter().rev().take_while(|&&m| !m).count();
+                assert_eq!((lanes.prefix(), lanes.suffix()), (prefix, suffix), "{ctx}");
+                let per_base = Cigar::from_runs(expect.iter().map(|&m| {
+                    let op = if m { CigarOp::Diff } else { CigarOp::Equal };
+                    (1, op)
+                }));
+                assert_eq!(lanes.cigar(), per_base, "{ctx}");
             }
         }
     }
@@ -592,13 +600,7 @@ mod tests {
         let mut read = w.subseq(E..E + 60);
         read.extend_from_seq(&w.subseq(E + 63..E + 63 + 90));
         read.set(10, read.get(10).complement());
-        let a = light_align(&read, &w, E, &cfg(), &Scoring::short_read());
-        // Either rejected or classified as many mismatches with a worse
-        // score than the true alignment; it must not claim the deletion
-        // pattern with zero mismatches.
-        if let Some(a) = a {
-            assert!(a.mismatches > 0 || a.score < 300 - 18);
-        }
+        assert!(light_align(&read, &w, E, &cfg(), &Scoring::short_read()).is_none());
     }
 
     #[test]
@@ -623,12 +625,10 @@ mod tests {
             read.extend_from_seq(&w.subseq(E + 60..E + 60 + (90 - k)));
             let light = light_align(&read, &w, E, &cfg(), &scoring).unwrap();
             let dp = align(&read, &w, &scoring, AlignMode::Fit);
-            assert!(
-                light.score >= dp.score - 2,
-                "insertion run {k}: light {} dp {}",
-                light.score,
-                dp.score
-            );
+            assert_eq!(light.score, dp.score, "insertion run {k}");
+            assert_eq!(light.score, 2 * (150 - k as i32) - (12 + 2 * k as i32));
+            assert_eq!(light.cigar.to_string(), format!("60={k}I{}=", 90 - k));
+            assert_eq!((light.shift, light.ins_run), (0, k as u32));
         }
     }
 

@@ -262,10 +262,13 @@ impl<'g> GenPairMapper<'g> {
                 }
                 any_candidates = true;
                 work.light_attempts += 2;
-                let a1 = self.light_at(seq1, l1, window, light);
-                let a2 = self.light_at(seq2, l2, window, light);
-                match (a1, a2) {
-                    (Some(a1), Some(a2)) => {
+                // The hardware module aligns both mates (two attempts);
+                // here mate 2 is only worth aligning once mate 1 has passed.
+                let mates = self
+                    .light_at(seq1, l1, window, light)
+                    .and_then(|a1| Some((a1, self.light_at(seq2, l2, window, light)?)));
+                match mates {
+                    Some((a1, a2)) => {
                         let score = a1.score + a2.score;
                         let mapping = mapping_from_light(l1, l2, a1, a2, r1_forward);
                         match &mut best_light {
@@ -283,7 +286,7 @@ impl<'g> GenPairMapper<'g> {
                             None => best_light = Some((mapping, score, 0)),
                         }
                     }
-                    _ => {
+                    None => {
                         if dp_cands.len() < self.config.max_dp_candidates {
                             dp_cands.push((l1, l2, r1_forward));
                         }
@@ -351,8 +354,8 @@ impl<'g> GenPairMapper<'g> {
         }
     }
 
-    /// Light-aligns `seq` at candidate `locus`, borrowing the window and mask
-    /// buffers from the caller's scratch.
+    /// Light-aligns `seq` at candidate `locus`, borrowing the window buffer
+    /// and the aligner's memo from the caller's scratch.
     fn light_at(
         &self,
         seq: &DnaSeq,
@@ -612,6 +615,57 @@ mod tests {
         let m = res.mapping.expect("DP fallback should map");
         assert_eq!(m.pos1, 50_000);
         assert!(res.work.dp_cells > 0);
+    }
+
+    #[test]
+    fn mate_two_is_not_aligned_once_mate_one_failed() {
+        // With no DP candidate kept, the reference window a pair leaves in
+        // its scratch is the one its last light alignment ran in.
+        let (genome, mut cfg) = setup();
+        cfg.max_dp_candidates = 0;
+        let mapper = GenPairMapper::build(&genome, &cfg);
+        let seq = genome.chromosome(0).seq();
+        // A deletion and a mismatch: fails light alignment, its last seed
+        // still finds the candidate.
+        let complex = |at: usize| {
+            let mut r = seq.subseq(at..at + 40);
+            r.extend_from_seq(&seq.subseq(at + 43..at + 153));
+            r.set(10, r.get(10).complement());
+            r
+        };
+        // Whether the pair's last light alignment was mate 2's, at 50 300.
+        let reached_mate_two = |r1: &DnaSeq, r2: &DnaSeq| {
+            let mut scratch = MapScratch::new();
+            let res = mapper.map_pair_with(&mut scratch, r1, r2);
+            // The hardware's two attempts are counted either way.
+            assert_eq!((res.work.candidates, res.work.light_attempts), (1, 2));
+            let around = |at: usize| seq.subseq(at - 20..at + 180).to_string();
+            let last = scratch.window.to_string();
+            assert!(around(50_000).contains(&last) != around(50_300).contains(&last));
+            (around(50_300).contains(&last), res.fallback)
+        };
+        let failed = Some(FallbackStage::LightAlign);
+        let (clean1, clean2) = (
+            seq.subseq(50_000..50_150),
+            seq.subseq(50_300..50_450).revcomp(),
+        );
+        let skipped = [
+            (reached_mate_two(&complex(50_000), &clean2), (false, failed)),
+            (
+                reached_mate_two(&clean1, &complex(50_300).revcomp()),
+                (true, failed),
+            ),
+            (reached_mate_two(&clean1, &clean2), (true, None)),
+        ]
+        .map(|(got, want)| {
+            assert_eq!(got, want);
+            usize::from(!got.0)
+        });
+        assert_eq!(
+            skipped.iter().sum::<usize>(),
+            1,
+            "calls skipped over three pairs"
+        );
     }
 
     #[test]

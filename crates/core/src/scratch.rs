@@ -5,9 +5,9 @@
 //! One `MapScratch` per worker (each backend session owns one) removes all
 //! steady-state heap traffic from the software pipeline: reverse-complement
 //! buffers, seed-code extraction, the gathered Location Table slices,
-//! SeedMap query merges, the PA filter's candidate list, light-aligner
-//! masks, reference windows and the banded-DP rows all hit their high-water
-//! capacity within the first batch and are never reallocated again. Reuse
+//! SeedMap query merges, the PA filter's candidate list, the light
+//! aligner's memo, reference windows and the banded-DP rows all hit their
+//! high-water capacity within the first batch and are never reallocated again. Reuse
 //! is observable only through speed — a mapper driven through a reused
 //! scratch must produce byte-identical SAM output to fresh-scratch calls
 //! (locked down by tests here and the golden e2e fixtures).
@@ -44,7 +44,7 @@ pub struct MapScratch {
     pub(crate) dp_cands: Vec<(Locus, Locus, bool)>,
     /// Reference window for light and DP alignment.
     pub(crate) window: DnaSeq,
-    /// Hamming-mask buffers of the light aligner.
+    /// The light aligner's per-shift suffix memo (it stores no masks).
     pub(crate) light: LightScratch,
     /// Row/traceback buffers of the banded-DP fallback aligner.
     pub(crate) align: AlignScratch,

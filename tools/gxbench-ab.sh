@@ -8,7 +8,9 @@
 #      each into its own target directory, once;
 #   3. make N alternating pairs of runs (which side goes first alternates),
 #      either `gxbench run` (all six workloads, end-to-end + per-layer) or,
-#      with -w, `gxbench --workload W --trace 0` (end-to-end only, ~25 s);
+#      with -w, `gxbench --workload W --trace T` (-t 0, the default:
+#      end-to-end only, ~25 s; -t 1: per-layer only; -t all: both, so one
+#      workload's pairs carry the rows a claim locates its saving in);
 #   4. `gxbench compare base/ change/`.
 #
 # The change side is the working tree this script lives in; the base side
@@ -26,19 +28,21 @@ set -eu
 pairs=10
 seed=20260930
 workload=
+trace=0
 rev=HEAD
 dir=
 
 usage() {
-    echo "usage: $0 [-n pairs] [-s seed] [-w workload] [-r base-rev] [-d scratch-dir]" >&2
+    echo "usage: $0 [-n pairs] [-s seed] [-w workload [-t 0|1|all]] [-r base-rev] [-d scratch-dir]" >&2
     exit 2
 }
 
-while getopts n:s:w:r:d: opt; do
+while getopts n:s:w:t:r:d: opt; do
     case $opt in
     n) pairs=$OPTARG ;;
     s) seed=$OPTARG ;;
     w) workload=$OPTARG ;;
+    t) trace=$OPTARG ;;
     r) rev=$OPTARG ;;
     d) dir=$OPTARG ;;
     *) usage ;;
@@ -46,12 +50,14 @@ while getopts n:s:w:r:d: opt; do
 done
 shift $((OPTIND - 1))
 [ $# -eq 0 ] || usage
+case $trace in 0 | 1 | all) ;; *) usage ;; esac
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 dir=${dir:-$repo/.gxbench-ab}
 mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
 sets=$dir/sets/seed-$seed${workload:+-$workload}
+[ "$trace" = 0 ] || sets=$sets-trace-$trace
 
 # Both sides are built by the same command, from their own checkout, into
 # their own target directory.
@@ -80,9 +86,9 @@ measure() { # <gxbench> <out>
         "$1" run --seed "$seed" --out "$2" >/dev/null || true
     else
         # The single-workload form prints its detail as the line before the
-        # result line; wrapped in a "workloads" array it is the document
-        # `gxbench compare` reads.
-        "$1" --workload "$workload" --seed "$seed" --trace 0 >"$2/stdout" || true
+        # result line (with whichever metric sections -t produced); wrapped
+        # in a "workloads" array it is the document `gxbench compare` reads.
+        "$1" --workload "$workload" --seed "$seed" --trace "$trace" >"$2/stdout" || true
         tail -n 2 "$2/stdout" | head -n 1 |
             sed -e 's/^{"gxbench_detail":/{"workloads":[/' -e 's/}$/]}/' >"$2/result.json"
     fi
