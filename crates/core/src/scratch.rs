@@ -7,10 +7,10 @@
 //! buffers, seed-code extraction, the gathered Location Table slices,
 //! SeedMap query merges, the PA filter's candidate list, the light
 //! aligner's memo, reference windows and the banded-DP rows all hit their
-//! high-water capacity within the first batch and are never reallocated again. Reuse
-//! is observable only through speed — a mapper driven through a reused
-//! scratch must produce byte-identical SAM output to fresh-scratch calls
-//! (locked down by tests here and the golden e2e fixtures).
+//! high-water capacity within the first batch and are never reallocated
+//! again. Reuse is observable only through speed — a mapper driven through
+//! a reused scratch must produce byte-identical SAM output to fresh-scratch
+//! calls (locked down by tests here and the golden e2e fixtures).
 
 use crate::light::LightScratch;
 use crate::pafilter::PaFilterResult;

@@ -223,6 +223,26 @@ struct Mix {
     overhang: usize,
 }
 
+/// Aligns one case with both aligners and holds the library to the oracle.
+fn aligned(
+    (read, window, anchor): (&DnaSeq, &DnaSeq, usize),
+    (config, scoring): (&LightConfig, &Scoring),
+    scratch: &mut LightScratch,
+    eager: &mut light_oracle::LightScratch,
+) -> Fields {
+    let want = fields(light_oracle::light_align_with(
+        read, window, anchor, config, scoring, eager,
+    ));
+    let got = fields(light_align_with(
+        read, window, anchor, config, scoring, scratch,
+    ));
+    assert_eq!(
+        got, want,
+        "read={read:?} window={window:?} anchor={anchor} {config:?} {scoring:?}"
+    );
+    got
+}
+
 #[test]
 fn lazy_aligner_equals_the_eager_one() {
     let mut rng = StdRng::seed_from_u64(0x11_6874);
@@ -238,51 +258,31 @@ fn lazy_aligner_equals_the_eager_one() {
         );
         for config in configs() {
             for scoring in scorings() {
-                let want = fields(light_oracle::light_align_with(
-                    &read, &window, inp.anchor, &config, &scoring, &mut eager,
-                ));
-                let got = fields(light_align_with(
-                    &read,
-                    &window,
-                    inp.anchor,
-                    &config,
-                    &scoring,
-                    &mut scratch,
-                ));
-                assert_eq!(
-                    got, want,
-                    "read={:?} window={:?} anchor={} {config:?} {scoring:?}",
-                    inp.read, inp.window, inp.anchor
-                );
+                let case = (&read, &window, inp.anchor);
+                let got = aligned(case, (&config, &scoring), &mut scratch, &mut eager);
                 cases += 1;
-                let Some((_, _, shift, mismatches, ins_run, del_run)) = got else {
-                    mix.none += 1;
-                    continue;
-                };
-                match (ins_run, del_run) {
-                    (0, 0) => mix.ungapped += 1,
-                    (0, _) => mix.del += 1,
-                    _ => mix.ins += 1,
-                }
-                if ins_run + del_run > 0 {
-                    continue;
-                }
-                // Independent of the oracle: the winner's count is the
-                // per-base one, overhanging bases included.
-                let e = config.max_indel_run as i64;
-                let at = |s: i64| hamming(&inp.read, &inp.window, inp.anchor as i64 + s);
-                assert_eq!(mismatches, at(shift as i64));
-                if inp.anchor as i64 + (shift as i64) < 0
-                    || inp.anchor as i64 + shift as i64 + inp.read.len() as i64
-                        > inp.window.len() as i64
-                {
-                    mix.overhang += 1;
-                }
-                if inp.source == Source::Tandem
-                    && (-e..=e).any(|s| s != shift as i64 && at(s) == mismatches)
-                {
-                    mix.ties += 1;
-                    mix.early_ties += usize::from(shift < 0);
+                match got {
+                    None => mix.none += 1,
+                    Some((_, _, shift, mismatches, 0, 0)) => {
+                        mix.ungapped += 1;
+                        // Independent of the oracle: the winner's count is
+                        // the per-base one, overhanging bases included.
+                        let at = |s: i64| hamming(&inp.read, &inp.window, inp.anchor as i64 + s);
+                        let (shift, e) = (shift as i64, config.max_indel_run as i64);
+                        assert_eq!(mismatches, at(shift));
+                        let start = inp.anchor as i64 + shift;
+                        if start < 0 || start + inp.read.len() as i64 > inp.window.len() as i64 {
+                            mix.overhang += 1;
+                        }
+                        if inp.source == Source::Tandem
+                            && (-e..=e).any(|s| s != shift && at(s) == mismatches)
+                        {
+                            mix.ties += 1;
+                            mix.early_ties += usize::from(shift < 0);
+                        }
+                    }
+                    Some((.., 0, _)) => mix.del += 1,
+                    Some(_) => mix.ins += 1,
                 }
             }
         }
@@ -311,6 +311,7 @@ fn lazy_aligner_equals_the_eager_one() {
 fn empty_inputs_and_a_runaway_anchor() {
     let (empty, some) = (DnaSeq::new(), DnaSeq::from_codes(&[0, 1, 2, 3]));
     let (config, scoring) = (LightConfig::default(), Scoring::short_read());
+    let (mut scratch, mut eager) = (LightScratch::new(), light_oracle::LightScratch::new());
     for (read, window) in [
         (&empty, &some),
         (&some, &empty),
@@ -318,24 +319,8 @@ fn empty_inputs_and_a_runaway_anchor() {
         (&some, &some),
     ] {
         for anchor in [0, 3, 40] {
-            let want = fields(light_oracle::light_align_with(
-                read,
-                window,
-                anchor,
-                &config,
-                &scoring,
-                &mut light_oracle::LightScratch::new(),
-            ));
-            let mut scratch = LightScratch::new();
-            let got = fields(light_align_with(
-                read,
-                window,
-                anchor,
-                &config,
-                &scoring,
-                &mut scratch,
-            ));
-            assert_eq!(got, want, "read={read:?} window={window:?} anchor={anchor}");
+            let case = (read, window, anchor);
+            let got = aligned(case, (&config, &scoring), &mut scratch, &mut eager);
             assert_eq!(got.is_none(), read.is_empty() || window.is_empty());
         }
     }
