@@ -1,12 +1,13 @@
-//! The exact-row gate: the deterministic rows of four `gxbench` workloads,
-//! compared against a checked-in record.
+//! The exact-row gate: the deterministic rows of all six `gxbench`
+//! workloads, compared against a checked-in record.
 //!
 //! `gxbench compare` already holds these rows to equality between two
 //! commits, but only when somebody runs it; PRs 17, 18 and 20 each read
 //! them off by hand. This suite makes the comparison tier-1: one software
-//! workload (`clean_sw`), one NMSL service workload (`service_mix`) and the
-//! two ends of light alignment (`exact_sw`, `noisy_sw`) at
-//! `--smoke` size, seed 20260930, and only the rows that repeat exactly for
+//! workload (`clean_sw`), one NMSL service workload (`service_mix`), the
+//! two ends of light alignment (`exact_sw`, `noisy_sw`), the workload whose
+//! DP inputs are unrelated sequences (`foreign_sw`) and the engine on the
+//! NMSL device (`clean_nmsl`) at `--smoke` size, seed 20260930, and only the rows that repeat exactly for
 //! one seed — counts, ratios of counts, modeled cycles, bytes and energy,
 //! the input digest. Never a wall-clock value, and not
 //! `backend.allocs_per_pair` (the counting allocator belongs to the
@@ -14,7 +15,8 @@
 //!
 //! `tests/fixtures/exact_rows.json` was written by the build *before* the
 //! service / NMSL-device split (`exact_sw` and `noisy_sw`: before the lazy
-//! light aligner), so a refactor that passes here has moved none of them.
+//! light aligner; `foreign_sw` and `clean_nmsl`: before the vector-width DP
+//! kernel), so a refactor that passes here has moved none of them.
 //! After an *intentional* change to mapping decisions or the
 //! device model, regenerate and review the diff:
 //!
@@ -28,10 +30,19 @@ use gx_benchmark::spec::{workload, DEFAULT_SEED};
 use std::path::PathBuf;
 
 /// One engine workload on the software backend, one service workload on
-/// the warm NMSL device, and the two ends of light alignment: `exact_sw`
+/// the warm NMSL device, the two ends of light alignment — `exact_sw`
 /// (every pair finishes on the light path) and `noisy_sw` (most attempts
-/// fail and fall back to DP).
-const WORKLOADS: [&str; 4] = ["clean_sw", "service_mix", "exact_sw", "noisy_sw"];
+/// fail and fall back to DP) — then `foreign_sw`, the only workload that
+/// hands DP unrelated sequences (the deepest negative scores), and
+/// `clean_nmsl`, the engine path onto the device model.
+const WORKLOADS: [&str; 6] = [
+    "clean_sw",
+    "service_mix",
+    "exact_sw",
+    "noisy_sw",
+    "foreign_sw",
+    "clean_nmsl",
+];
 
 /// The per-layer rows that repeat exactly for one seed and one commit (the
 /// last four are ratios of cycle counts).
