@@ -1,6 +1,72 @@
-use crate::dp::{AlignMode, AlignScratch, Alignment, NEG_INF};
+//! Banded affine-gap alignment: the DP fallback and the long-read path.
+//!
+//! # What GenDP computes, and what this module computes
+//!
+//! The paper hands the pairs light alignment refuses to GenDP, a DP
+//! accelerator that fills the corridor with its own array of cell units; in
+//! the model that cost is a cell count — [`banded_cells`], which is
+//! [`Alignment::cells`] and what `gx-accel` prices — and depends on nothing
+//! below. In software the same corridor is filled one row at a time by one
+//! core, so this module is written for the width of that core's vector
+//! registers, in safe Rust the compiler vectorises at the default target.
+//! Nothing here can move a score, a CIGAR or `cells`: the row-wise kernel
+//! this one replaced is the oracle of `tests/banded_diff.rs`.
+//!
+//! # Rows in band coordinates, three passes a row
+//!
+//! A cell `(i, j)` lives at `off = j - i - lo_shift` of its row, so in the
+//! previous row "up" is `off + 1` and "diagonal" is `off`. `fill_row` makes
+//! three passes over equally long slices: (1) from the previous row only,
+//! `F`, its extend flag, the diagonal candidate — one add of the *target
+//! profile*, four rows of substitution scores over the window built once a
+//! call, so no base is compared inside the loop — and `c = max(diag, F) -
+//! open`; (2) `E[k] = max(E[k-1] - ext, c[k-1])`, the only pass in which a
+//! cell depends on its neighbour; (3) `H`, its `diag > E > F` choice, the
+//! `E` extend flag and the traceback byte.
+//!
+//! # Pass 2 as a scan
+//!
+//! Put `E` on a ramp: `P[k] = E[k] + (k + 1) * ext`. The recurrence becomes
+//! `P[k] = max(P[k-1], c[k-1] + (k + 1) * ext)` — a running maximum, seeded
+//! with the `E` left of the row. `gap_scan` ramps `c`, takes the running
+//! maximum (log-step maxima inside eight-cell chunks, one carried maximum
+//! from chunk to chunk) and takes the ramp off again. These are the integers
+//! the recurrence produces, not an approximation of them, so every `E_EXT`
+//! flag and every tie falls where it fell.
+//!
+//! # Sixteen-bit cells, and when not
+//!
+//! The kernel is generic over its cell type and instantiated at `i16` and
+//! `i32`; a call takes `i16` — eight cells a 128-bit register, with a native
+//! signed maximum — when `fits` proves every value it will compute is in
+//! range, and `i32` otherwise (kilobase reads, penalties in the thousands).
+//! "Minus infinity" is half the type's minimum, `NEG_INF = -LIMIT`. With
+//! non-negative gap penalties, `open = gap_open + gap_ext` and `reach = |m -
+//! n| + band` the widest shift in the band:
+//!
+//! * *Nothing reachable falls to `NEG_INF`.* Every in-band `H[i][j]` is at
+//!   least the score of walking its own diagonal from the boundary: a
+//!   boundary value `>= -(gap_open + reach * gap_ext)` and at most `n`
+//!   substitutions. A reachable `E`, `F` or `c` is one `open` below some
+//!   `H`. So `deepest = gap_open + reach * gap_ext + n * worst_substitution +
+//!   open` bounds them all, and `deepest < LIMIT` keeps them strictly above
+//!   every value derived from `NEG_INF` (which only ever has penalties
+//!   subtracted from it): comparisons between the two classes come out as
+//!   they do with any other sentinel, and comparisons inside a class do not
+//!   depend on the sentinel at all.
+//! * *Nothing wraps.* A value derived from `NEG_INF` has had at most `2 *
+//!   open <= deepest < LIMIT` subtracted, so stays above the type's minimum.
+//!   Scores rise by at most the best substitution a row, and the ramp adds at
+//!   most `width * gap_ext`: `highest = n * best_substitution + width *
+//!   gap_ext` must stay below `2 * LIMIT`, one past the type's maximum.
+//!
+//! The 150-base fallback (198-base window, band 16, short-read scoring) has
+//! `deepest = 1354` and `highest = 462` against `LIMIT = 16384`.
+
+use crate::dp::{AlignMode, AlignScratch, Alignment, ScoreRows};
 use crate::Scoring;
 use gx_genome::{Cigar, CigarOp, DnaSeq};
+use std::ops::{Add, Sub};
 
 const H_DIAG: u8 = 0;
 const H_E: u8 = 1;
@@ -22,8 +88,9 @@ const F_EXT: u8 = 1 << 3;
 ///
 /// Ties are broken the same way everywhere: opening a gap is preferred over
 /// extending one, a diagonal step over a deletion over an insertion, and in
-/// fit mode the leftmost best end column wins. `scoring.gap_open` must not
-/// be negative ([`Scoring`] stores penalties as positive magnitudes).
+/// fit mode the leftmost best end column wins. `scoring.gap_open` and
+/// `scoring.gap_ext` must not be negative ([`Scoring`] stores penalties as
+/// positive magnitudes).
 ///
 /// # Panics
 ///
@@ -51,6 +118,8 @@ struct Corridor {
     hi_shift: i64,
     /// Number of diagonals, `hi_shift - lo_shift + 1`.
     width: usize,
+    /// The largest `|j - i|` of an in-band cell, `|m - n| + band`.
+    reach: usize,
 }
 
 impl Corridor {
@@ -63,6 +132,7 @@ impl Corridor {
             lo_shift,
             hi_shift,
             width: (hi_shift - lo_shift + 1) as usize,
+            reach: hi_shift.max(-lo_shift) as usize,
         }
     }
 
@@ -101,15 +171,113 @@ pub fn banded_cells(n: usize, m: usize, band: usize) -> u64 {
     (upper - lower + n) as u64
 }
 
-/// Gap and substitution scores of one alignment call, as added to a cell.
+/// A DP cell: `i16` for calls whose scores provably fit, `i32` otherwise.
+trait Cell: Copy + Ord + Add<Output = Self> + Sub<Output = Self> {
+    /// "Minus infinity": the value of everything outside the band. Half of
+    /// the type's minimum, so a few penalties can be subtracted from it
+    /// without wrapping.
+    const NEG_INF: Self;
+    /// `-NEG_INF`; the type's maximum is `2 * LIMIT - 1`.
+    const LIMIT: i64;
+    fn from_i32(v: i32) -> Self;
+    fn to_i32(self) -> i32;
+}
+
+macro_rules! cell {
+    ($t:ty) => {
+        impl Cell for $t {
+            const NEG_INF: $t = <$t>::MIN / 2;
+            const LIMIT: i64 = -(<$t>::MIN as i64 / 2);
+            fn from_i32(v: i32) -> $t {
+                debug_assert!(<$t>::try_from(v).is_ok(), "{v} outside the cell type");
+                v as $t
+            }
+            fn to_i32(self) -> i32 {
+                self as i32
+            }
+        }
+    };
+}
+cell!(i16);
+cell!(i32);
+
+/// Whether every value the kernel computes for an `n`-base query in
+/// `corridor` under `scoring` fits a cell of type `C` — the bound of the
+/// module docs: nothing reachable falls to `NEG_INF`, nothing ramped rises
+/// past the type's maximum.
+fn fits<C: Cell>(n: usize, corridor: &Corridor, scoring: &Scoring) -> bool {
+    let [matched, mismatch, gap_open, ext] = [
+        scoring.match_score,
+        scoring.mismatch,
+        scoring.gap_open,
+        scoring.gap_ext,
+    ]
+    .map(i64::from);
+    if gap_open < 0 || ext < 0 {
+        return false;
+    }
+    let (n, open) = (n as i64, gap_open + ext);
+    let deepest = gap_open + ext * corridor.reach as i64 + n * mismatch.max(-matched).max(0) + open;
+    let highest = n * matched.max(-mismatch).max(0) + ext * corridor.width as i64;
+    deepest < C::LIMIT && highest < 2 * C::LIMIT
+}
+
+/// Gap costs of one alignment call, as subtracted from a cell.
 #[derive(Clone, Copy)]
-struct Costs {
+struct Costs<C> {
     /// Cost of the first base of a gap (`gap_open + gap_ext`).
-    open: i32,
+    open: C,
     /// Cost of each further gap base.
-    ext: i32,
-    matched: i32,
-    mismatched: i32,
+    ext: C,
+}
+
+/// Cells per step of the pass-2 scan: one 128-bit register of 16-bit cells.
+const CHUNK: usize = 8;
+
+/// `ramp[k] = (k + 1) * ext` for the `width` cells of the widest row.
+fn ramp_into<C: Cell>(ext: i32, width: usize, ramp: &mut Vec<C>) {
+    ramp.clear();
+    ramp.extend((1..=width as i32).map(|k| C::from_i32(k * ext)));
+}
+
+/// Pass 2 of [`fill_row`]: `e[k] = max(e[k - 1] - ext, c[k])` with
+/// `e[-1] = seed`, as a scan. The ramped `p[k] = e[k] + ramp[k]` obeys
+/// `p[k] = max(p[k - 1], c[k] + ramp[k])` with `p[-1] = seed`, so `p` is the
+/// running maximum of `c + ramp` seeded with `seed`, and `e` is `p` with the
+/// ramp taken off again.
+fn gap_scan<C: Cell>(seed: C, c: &[C], ramp: &[C], e: &mut [C]) {
+    let len = e.len();
+    let (c, ramp) = (&c[..len], &ramp[..len]);
+    for k in 0..len {
+        e[k] = c[k] + ramp[k];
+    }
+    running_max(seed, e);
+    for k in 0..len {
+        e[k] = e[k] - ramp[k];
+    }
+}
+
+/// Replaces `p` with its running maximum seeded with `seed`: `p[k] =
+/// max(seed, p[0], ..., p[k])`. Log-step maxima inside each chunk, one
+/// carried maximum between chunks.
+fn running_max<C: Cell>(seed: C, p: &mut [C]) {
+    let mut carry = seed;
+    let mut chunks = p.chunks_exact_mut(CHUNK);
+    for chunk in &mut chunks {
+        for step in [1, 2, 4] {
+            for i in (step..CHUNK).rev() {
+                chunk[i] = chunk[i].max(chunk[i - step]);
+            }
+        }
+        for cell in chunk.iter_mut() {
+            *cell = (*cell).max(carry);
+        }
+        carry = chunk[CHUNK - 1];
+    }
+    for cell in chunks.into_remainder() {
+        carry = carry.max(*cell);
+        *cell = carry;
+    }
 }
 
 /// Fills one DP row of `len = h_cur.len()` consecutive cells in three
@@ -120,30 +288,25 @@ struct Costs {
 /// its `F` directly above. Between passes 1 and 3 `h_cur` holds the diagonal
 /// candidate. `e_row` and `c_row` are `len + 1` long and enter
 /// with slot 0 describing the cell left of the first one: its `E` and its
-/// `H - open`. `tcodes` are the target bases under the cells, `q` the
-/// query base of the row.
+/// `H - open`. `subs` is the target-profile row of the query base — the
+/// substitution scores under the cells — and `ramp[k] = (k + 1) * ext`.
 #[allow(clippy::too_many_arguments)] // one noalias slice per DP array keeps the passes vectorisable
-fn fill_row(
-    q: u8,
-    tcodes: &[u8],
-    costs: Costs,
-    h_prev: &[i32],
-    f_prev_up: &[i32],
-    h_cur: &mut [i32],
-    f_cur: &mut [i32],
-    e_row: &mut [i32],
-    c_row: &mut [i32],
+fn fill_row<C: Cell>(
+    subs: &[C],
+    ramp: &[C],
+    costs: Costs<C>,
+    h_prev: &[C],
+    f_prev_up: &[C],
+    h_cur: &mut [C],
+    f_cur: &mut [C],
+    e_row: &mut [C],
+    c_row: &mut [C],
     tb: &mut [u8],
 ) {
     let len = h_cur.len();
-    let Costs {
-        open,
-        ext,
-        matched,
-        mismatched,
-    } = costs;
+    let Costs { open, ext } = costs;
     let (h_diag, h_up) = (&h_prev[..len], &h_prev[1..=len]);
-    let (tcodes, f_prev_up) = (&tcodes[..len], &f_prev_up[..len]);
+    let (subs, f_prev_up) = (&subs[..len], &f_prev_up[..len]);
     let (f_cur, tb) = (&mut f_cur[..len], &mut tb[..len]);
 
     // Pass 1 (previous row only, no dependency between cells): F with its
@@ -156,24 +319,20 @@ fn fill_row(
         let f_extend = f_prev_up[k] - ext;
         let extended = f_extend > f_open;
         let f = if extended { f_extend } else { f_open };
-        let sub = if tcodes[k] == q { matched } else { mismatched };
-        let diag = h_diag[k] + sub;
+        let diag = h_diag[k] + subs[k];
         f_cur[k] = f;
         h_cur[k] = diag;
         c_out[k] = diag.max(f) - open;
         tb[k] = if extended { F_EXT } else { 0 };
     }
 
-    // Pass 2, the only loop-carried one: E[k] = max(E[k-1] - ext, c[k-1]).
-    // The full recurrence opens from H[k-1] = max(diag, E, F)[k-1]; the E
-    // term of that maximum gives E[k-1] - open <= E[k-1] - ext (gap_open >=
-    // 0), which extending already covers, so it is dropped and the chain
-    // is one subtract and one max long.
-    let mut e = e_row[0];
-    for (e_out, &c) in e_row[1..=len].iter_mut().zip(&c_row[..len]) {
-        e = (e - ext).max(c);
-        *e_out = e;
-    }
+    // Pass 2, the only one with a dependency between cells: E[k] =
+    // max(E[k-1] - ext, c[k-1]). The full recurrence opens from H[k-1] =
+    // max(diag, E, F)[k-1]; the E term of that maximum gives E[k-1] - open
+    // <= E[k-1] - ext (gap_open >= 0), which extending already covers, so
+    // it is dropped and what is left is a running maximum.
+    let (e_left, e_here) = e_row[..=len].split_at_mut(1);
+    gap_scan(e_left[0], c_row, ramp, e_here);
 
     // Pass 3 (no dependency between cells): the E extend flag, H and its
     // choice. E counts as extended only if extending strictly beats opening
@@ -197,6 +356,116 @@ fn fill_row(
     }
 }
 
+/// Fills the corridor's score rows and `tb` (`(n + 1) * width` stop codes on
+/// entry) in cells of type `C`; returns the score and the end column.
+fn fill<C: Cell>(
+    qcodes: &[u8],
+    tcodes: &[u8],
+    scoring: &Scoring,
+    corridor: &Corridor,
+    mode: AlignMode,
+    rows: &mut ScoreRows<C>,
+    tb: &mut [u8],
+) -> (i32, usize) {
+    let (n, m, width) = (qcodes.len(), tcodes.len(), corridor.width);
+    debug_assert!(fits::<C>(n, corridor, scoring), "scores overflow the cell");
+    let costs = Costs {
+        open: C::from_i32(scoring.gap_open + scoring.gap_ext),
+        ext: C::from_i32(scoring.gap_ext),
+    };
+    let gap = |len: usize| C::from_i32(-scoring.gap_cost(len as u32));
+    let ScoreRows {
+        h_prev,
+        h_cur,
+        f_prev,
+        f_cur,
+        e_row,
+        c_row,
+        profile,
+        ramp,
+    } = rows;
+    // H and F rows live in band coordinates with one NEG_INF sentinel past
+    // the last diagonal: the "up" neighbour of the widest cell. Rows only
+    // ever shrink at the right and grow by the boundary column at the left,
+    // so no cell reads a slot its previous row did not write.
+    // `e_row` and `c_row` are per-row temporaries of the same size.
+    for row in [
+        &mut *h_prev,
+        &mut *h_cur,
+        &mut *f_prev,
+        &mut *f_cur,
+        &mut *e_row,
+        &mut *c_row,
+    ] {
+        row.clear();
+        row.resize(width + 1, C::NEG_INF);
+    }
+    profile.clear();
+    for q in 0..4 {
+        let sub = |&t| C::from_i32(scoring.substitution(q, t));
+        profile.extend(tcodes.iter().map(sub));
+    }
+    ramp_into(scoring.gap_ext, width, ramp);
+
+    // Row 0.
+    for j in 0..=corridor.jmax(0) {
+        let off = corridor.off(0, j);
+        (h_prev[off], tb[off]) = match mode {
+            AlignMode::Global if j > 0 => (gap(j), H_E | E_EXT),
+            _ => (C::from_i32(0), H_STOP),
+        };
+    }
+
+    for i in 1..=n {
+        let (lo, hi) = (corridor.jmin(i), corridor.jmax(i));
+        let start = lo.max(1);
+        let first = corridor.off(i, start);
+        let len = hi - start + 1;
+        // The cell left of the first computed one: the boundary column
+        // (whose F no cell reads: nothing is computed below it), or nothing
+        // at all, just outside the band.
+        e_row[0] = C::NEG_INF;
+        c_row[0] = C::NEG_INF - costs.open;
+        if lo == 0 {
+            let h = gap(i);
+            h_cur[first - 1] = h;
+            tb[i * width + first - 1] = H_F | F_EXT;
+            c_row[0] = h - costs.open;
+        }
+        let subs = &profile[qcodes[i - 1] as usize * m..][..m];
+        fill_row(
+            &subs[start - 1..hi],
+            ramp,
+            costs,
+            &h_prev[first..=first + len],
+            &f_prev[first + 1..=first + len],
+            &mut h_cur[first..first + len],
+            &mut f_cur[first..first + len],
+            e_row,
+            c_row,
+            &mut tb[i * width + first..i * width + first + len],
+        );
+        std::mem::swap(h_prev, h_cur);
+        std::mem::swap(f_prev, f_cur);
+    }
+
+    let last_row = |j: usize| h_prev[corridor.off(n, j)];
+    let (score, end_j) = match mode {
+        AlignMode::Global => (last_row(m), m),
+        _ => {
+            let (mut bj, mut bs) = (corridor.jmin(n), C::NEG_INF);
+            for j in corridor.jmin(n)..=corridor.jmax(n) {
+                if last_row(j) > bs {
+                    bs = last_row(j);
+                    bj = j;
+                }
+            }
+            (bs, bj)
+        }
+    };
+    (score.to_i32(), end_j)
+}
+
 /// [`banded_align`] using caller-owned scratch buffers — identical result,
 /// no allocation once `scratch` has grown to the workload's high-water mark.
 pub fn banded_align_with(
@@ -216,105 +485,27 @@ pub fn banded_align_with(
         mode != AlignMode::Local,
         "banded alignment supports Global and Fit modes"
     );
-    debug_assert!(scoring.gap_open >= 0, "penalties are positive magnitudes");
     let n = query.len();
     let m = target.len();
-    let costs = Costs {
-        open: scoring.gap_open + scoring.gap_ext,
-        ext: scoring.gap_ext,
-        matched: scoring.match_score,
-        mismatched: -scoring.mismatch,
-    };
     let corridor = Corridor::new(n, m, band);
     let width = corridor.width;
 
     let AlignScratch {
         tb,
-        h_prev,
-        h_cur,
-        f_col: f_prev,
-        f_cur,
-        e_row,
-        c_row,
         qcodes,
         tcodes,
+        narrow,
+        wide,
     } = scratch;
     tb.clear();
     tb.resize((n + 1) * width, H_STOP);
-    // H and F rows live in band coordinates with one NEG_INF sentinel past
-    // the last diagonal: the "up" neighbour of the widest cell. Rows only
-    // ever shrink at the right and grow by the boundary column at the left,
-    // so no cell reads a slot its previous row did not write.
-    // `e_row` and `c_row` are per-row temporaries of the same size.
-    for row in [
-        &mut *h_prev,
-        &mut *h_cur,
-        &mut *f_prev,
-        &mut *f_cur,
-        &mut *e_row,
-        &mut *c_row,
-    ] {
-        row.clear();
-        row.resize(width + 1, NEG_INF);
-    }
-
-    // Row 0.
-    for j in 0..=corridor.jmax(0) {
-        let off = corridor.off(0, j);
-        (h_prev[off], tb[off]) = match mode {
-            AlignMode::Global if j > 0 => (-scoring.gap_cost(j as u32), H_E | E_EXT),
-            _ => (0, H_STOP),
-        };
-    }
-
     query.codes_into(0..n, qcodes);
     target.codes_into(0..m, tcodes);
 
-    for i in 1..=n {
-        let (lo, hi) = (corridor.jmin(i), corridor.jmax(i));
-        let start = lo.max(1);
-        let first = corridor.off(i, start);
-        let len = hi - start + 1;
-        // The cell left of the first computed one: the boundary column
-        // (whose F no cell reads: nothing is computed below it), or nothing
-        // at all, just outside the band.
-        e_row[0] = NEG_INF;
-        c_row[0] = NEG_INF - costs.open;
-        if lo == 0 {
-            let h = -scoring.gap_cost(i as u32);
-            h_cur[first - 1] = h;
-            tb[i * width + first - 1] = H_F | F_EXT;
-            c_row[0] = h - costs.open;
-        }
-        fill_row(
-            qcodes[i - 1],
-            &tcodes[start - 1..hi],
-            costs,
-            &h_prev[first..=first + len],
-            &f_prev[first + 1..=first + len],
-            &mut h_cur[first..first + len],
-            &mut f_cur[first..first + len],
-            e_row,
-            c_row,
-            &mut tb[i * width + first..i * width + first + len],
-        );
-        std::mem::swap(h_prev, h_cur);
-        std::mem::swap(f_prev, f_cur);
-    }
-
-    let last_row = |j: usize| h_prev[corridor.off(n, j)];
-    let (score, end_j) = match mode {
-        AlignMode::Global => (last_row(m), m),
-        _ => {
-            let (mut bj, mut bs) = (corridor.jmin(n), NEG_INF);
-            for j in corridor.jmin(n)..=corridor.jmax(n) {
-                if last_row(j) > bs {
-                    bs = last_row(j);
-                    bj = j;
-                }
-            }
-            (bs, bj)
-        }
+    let (score, end_j) = if fits::<i16>(n, &corridor, scoring) {
+        fill(qcodes, tcodes, scoring, &corridor, mode, narrow, tb)
+    } else {
+        fill(qcodes, tcodes, scoring, &corridor, mode, wide, tb)
     };
 
     // Traceback within the band.
@@ -463,6 +654,121 @@ mod tests {
             assert_eq!(full_fresh.score, full_reused.score);
             assert_eq!(full_fresh.cigar, full_reused.cigar);
         }
+    }
+
+    /// A small deterministic generator: in-module tests need no `rand`.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *state >> 33
+    }
+
+    /// What one instantiation computes: score, end column and every
+    /// traceback byte — together they determine the [`Alignment`].
+    fn filled<C: Cell + Default>(
+        q: &[u8],
+        t: &[u8],
+        scoring: &Scoring,
+        band: usize,
+        mode: AlignMode,
+    ) -> (i32, usize, Vec<u8>) {
+        let corridor = Corridor::new(q.len(), t.len(), band);
+        let mut tb = vec![H_STOP; (q.len() + 1) * corridor.width];
+        let rows = &mut ScoreRows::<C>::default();
+        let (score, end_j) = fill(q, t, scoring, &corridor, mode, rows, &mut tb);
+        (score, end_j, tb)
+    }
+
+    #[test]
+    fn both_cell_widths_fill_the_same_traceback() {
+        let scorings = [
+            Scoring::short_read(),
+            Scoring::long_read(),
+            Scoring {
+                match_score: 1,
+                mismatch: 1,
+                gap_open: 0,
+                gap_ext: 1,
+            },
+        ];
+        let mut state = 7;
+        for case in 0..300 {
+            let n = 1 + lcg(&mut state) as usize % 40;
+            let m = 1 + lcg(&mut state) as usize % 60;
+            let alphabet = 2 + 2 * (case % 2);
+            let q: Vec<u8> = (0..n).map(|_| (lcg(&mut state) % alphabet) as u8).collect();
+            let t: Vec<u8> = (0..m).map(|_| (lcg(&mut state) % alphabet) as u8).collect();
+            let band = 1 + lcg(&mut state) as usize % 12;
+            for scoring in &scorings {
+                for mode in [AlignMode::Global, AlignMode::Fit] {
+                    assert_eq!(
+                        filled::<i16>(&q, &t, scoring, band, mode),
+                        filled::<i32>(&q, &t, scoring, band, mode),
+                        "q={q:?} t={t:?} band={band} {mode:?} {scoring:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// `gap_scan` against the recurrence it replaces, over every chunk
+    /// remainder, with `NEG_INF`-valued entries and seeds among real ones.
+    fn scan_matches_recurrence<C: Cell + std::fmt::Debug>() {
+        let mut state = 11;
+        let (mut ramp, mut e) = (Vec::new(), Vec::new());
+        for len in 0..=200usize {
+            for ext in [0, 1, 2, 7] {
+                let value = |state: &mut u64| match lcg(state) % 5 {
+                    0 => C::NEG_INF,
+                    1 => C::NEG_INF - C::from_i32(14),
+                    _ => C::from_i32(lcg(state) as i32 % 600 - 300),
+                };
+                let seed = value(&mut state);
+                let c: Vec<C> = (0..len).map(|_| value(&mut state)).collect();
+                ramp_into(ext, len + 3, &mut ramp);
+                e.clear();
+                e.resize(len, C::from_i32(0));
+                gap_scan(seed, &c, &ramp, &mut e);
+                let mut want = seed;
+                for k in 0..len {
+                    want = (want - C::from_i32(ext)).max(c[k]);
+                    assert_eq!(e[k], want, "len={len} ext={ext} k={k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gap_scan_is_the_scalar_recurrence() {
+        scan_matches_recurrence::<i16>();
+        scan_matches_recurrence::<i32>();
+    }
+
+    #[test]
+    fn narrow_cells_are_taken_exactly_up_to_the_bound() {
+        let narrow = |n, m, band, scoring| fits::<i16>(n, &Corridor::new(n, m, band), &scoring);
+        // The mapper's fallback call, and a long read's.
+        assert!(narrow(150, 198, 16, Scoring::short_read()));
+        assert!(!narrow(5_000, 5_100, 64, Scoring::long_read()));
+        // deepest = gap_open + reach * ext + n * mismatch + open
+        //         = 12 + 2 * 16 + 8 n + 14 < 16384  <=>  n <= 2040.
+        assert!(narrow(2_040, 2_040, 16, Scoring::short_read()));
+        assert!(!narrow(2_041, 2_041, 16, Scoring::short_read()));
+        // ... and a wider reach counts: 12 + 2 * (10 + 16) + 8 n + 14.
+        assert!(narrow(2_038, 2_048, 16, Scoring::short_read()));
+        assert!(!narrow(2_039, 2_049, 16, Scoring::short_read()));
+        // highest = n * match + width * ext = 100 match + 3 < 32768.
+        let rich = |match_score| Scoring {
+            match_score,
+            mismatch: 1,
+            gap_open: 0,
+            gap_ext: 1,
+        };
+        assert!(narrow(100, 100, 1, rich(327)));
+        assert!(!narrow(100, 100, 1, rich(328)));
+        // Penalties are magnitudes: a negative one is never narrow.
+        let mut odd = Scoring::short_read();
+        odd.gap_ext = -1;
+        assert!(!narrow(10, 10, 2, odd));
     }
 
     #[test]

@@ -47,24 +47,20 @@ impl Alignment {
 }
 
 /// Reusable DP workspace for [`align`] and
-/// [`banded_align`](crate::banded_align): traceback matrix, rolling score
-/// rows, F column (the banded kernel's previous F row), the banded kernel's
-/// current F row and per-row E/gap-open temporaries, and unpacked code
-/// buffers. Buffers grow to the high-water mark of the alignments they have
+/// [`banded_align`](crate::banded_align): the traceback matrix, the unpacked
+/// base codes, and one set of score rows per cell width — 16-bit for the
+/// banded kernel's short-read calls, 32-bit for its long ones and for
+/// [`align`]. Buffers grow to the high-water mark of the alignments they have
 /// seen and are re-filled (never reallocated) on subsequent calls, so a
 /// scratch owned per mapping session makes the DP fallback allocation-free
 /// in steady state.
 #[derive(Default, Debug)]
 pub struct AlignScratch {
     pub(crate) tb: Vec<u8>,
-    pub(crate) h_prev: Vec<i32>,
-    pub(crate) h_cur: Vec<i32>,
-    pub(crate) f_col: Vec<i32>,
-    pub(crate) f_cur: Vec<i32>,
-    pub(crate) e_row: Vec<i32>,
-    pub(crate) c_row: Vec<i32>,
     pub(crate) qcodes: Vec<u8>,
     pub(crate) tcodes: Vec<u8>,
+    pub(crate) narrow: ScoreRows<i16>,
+    pub(crate) wide: ScoreRows<i32>,
 }
 
 impl AlignScratch {
@@ -72,6 +68,25 @@ impl AlignScratch {
     pub fn new() -> AlignScratch {
         AlignScratch::default()
     }
+}
+
+/// The score rows of one alignment call in cells of type `C`. [`align`] uses
+/// the first three (`f_prev` as its F column); the banded kernel all of them.
+#[derive(Default, Debug)]
+pub(crate) struct ScoreRows<C> {
+    pub(crate) h_prev: Vec<C>,
+    pub(crate) h_cur: Vec<C>,
+    pub(crate) f_prev: Vec<C>,
+    pub(crate) f_cur: Vec<C>,
+    /// Per-row temporaries: E, and what opening a deletion from each cell
+    /// would give its right neighbour.
+    pub(crate) e_row: Vec<C>,
+    pub(crate) c_row: Vec<C>,
+    /// Target profile: four rows of substitution scores over the window,
+    /// row `q` at `q * m`.
+    pub(crate) profile: Vec<C>,
+    /// `ramp[k] = (k + 1) * gap_ext`, one entry per diagonal.
+    pub(crate) ramp: Vec<C>,
 }
 
 // Traceback encoding, one byte per cell:
@@ -120,13 +135,17 @@ pub fn align_with(
 
     let AlignScratch {
         tb,
-        h_prev,
-        h_cur,
-        f_col,
         qcodes,
         tcodes,
+        wide,
         ..
     } = scratch;
+    let ScoreRows {
+        h_prev,
+        h_cur,
+        f_prev: f_col,
+        ..
+    } = wide;
     tb.clear();
     tb.resize((n + 1) * (m + 1), 0u8);
     let idx = |i: usize, j: usize| i * (m + 1) + j;

@@ -8,6 +8,12 @@
 //! [`AlignScratch`] is reused across every case of a test, so a row buffer
 //! leaking state from one call into the next shows up as a mismatch too.
 //!
+//! The kernel picks 16- or 32-bit cells per call from a bound on the lengths
+//! and the [`Scoring`]; the last two families sweep a length or a penalty
+//! through that bound one step at a time, so both instantiations, the
+//! dispatch between them and the scratch they share are held to the oracle
+//! on either side of it.
+//!
 //! Debug builds run a reduced case count; CI runs this crate's tests in
 //! release mode at the full count.
 
@@ -208,6 +214,73 @@ fn homopolymers_and_tandem_repeats() {
             }
         };
         check_all(&q, &t, rng.random_range(1..=40), &mut scratch);
+    }
+}
+
+#[test]
+fn long_queries_across_the_cell_width_bound() {
+    // Short-read scoring, band 16, n = m: the deepest reachable score is
+    // bounded by 12 + 2 * 16 + 8 n + 14, which passes 16-bit "minus
+    // infinity" (-16384) between n = 2040 and n = 2041. Unrelated sequences
+    // (H = -8 n on the main diagonal when every base mismatches) are the
+    // inputs nearest that bound; a read against its own window is the shape
+    // that is actually mapped.
+    let mut rng = StdRng::seed_from_u64(0xBA4D_0004);
+    let mut scratch = AlignScratch::new();
+    let spread = if cfg!(debug_assertions) { 1 } else { 12 };
+    for n in 2040 - spread..=2041 + spread {
+        let all_a = vec![0u8; n];
+        let all_c = vec![1u8; n];
+        check_all(&all_a, &all_c, 16, &mut scratch);
+        let t = random_codes(&mut rng, n, 4);
+        let q = random_codes(&mut rng, n, 4);
+        check_all(&q, &t, 16, &mut scratch);
+        let q = mutate(&mut rng, &t, 0.01);
+        check_all(&q, &t, 16, &mut scratch);
+    }
+}
+
+#[test]
+fn heavy_scorings_across_the_cell_width_bound() {
+    // Short sequences, scores in the thousands. A 100-base perfect match
+    // ramps to 100 * match + 3 (band 1, gap_ext 1), which passes the 16-bit
+    // maximum between match = 327 and 328; ten mismatches at ~1360 each
+    // with gaps as dear pass "minus infinity" from the other side.
+    let mut rng = StdRng::seed_from_u64(0xBA4D_0005);
+    let mut scratch = AlignScratch::new();
+    let same = random_codes(&mut rng, 100, 4);
+    for match_score in 300..=360 {
+        let scoring = Scoring {
+            match_score,
+            mismatch: 1,
+            gap_open: 0,
+            gap_ext: 1,
+        };
+        for mode in MODES {
+            check(&same, &same, &scoring, 1, mode, &mut scratch);
+        }
+    }
+    for penalty in 1300..=1420 {
+        let scoring = Scoring {
+            match_score: 1,
+            mismatch: penalty,
+            gap_open: penalty,
+            gap_ext: 3,
+        };
+        let q = random_codes(&mut rng, 10, 4);
+        let t = random_codes(&mut rng, 14, 4);
+        for mode in MODES {
+            check(&[0; 10], &[1; 10], &scoring, 2, mode, &mut scratch);
+            check(&q, &t, &scoring, 3, mode, &mut scratch);
+            check(
+                &q,
+                &mutate(&mut rng, &q, 0.1),
+                &scoring,
+                3,
+                mode,
+                &mut scratch,
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::minimizer::extract_minimizers;
 use crate::MinimizerIndex;
 use gx_align::chain::{chain_anchors, Anchor, ChainParams};
-use gx_align::{banded_align, AlignMode, Scoring};
+use gx_align::{banded_align_with, AlignMode, AlignScratch, Scoring};
 use gx_genome::{flags, Cigar, DnaSeq, ReferenceGenome, SamRecord};
 use std::time::{Duration, Instant};
 
@@ -218,6 +218,17 @@ impl<'g> Mm2Mapper<'g> {
         timings: &mut StageTimings,
         work: &mut WorkCounters,
     ) -> Vec<ReadAlignment> {
+        self.map_read_with(read, timings, work, &mut AlignScratch::new())
+    }
+
+    /// [`map_read`](Self::map_read) with the caller's DP workspace.
+    fn map_read_with(
+        &self,
+        read: &DnaSeq,
+        timings: &mut StageTimings,
+        work: &mut WorkCounters,
+        scratch: &mut AlignScratch,
+    ) -> Vec<ReadAlignment> {
         // --- Seeding ---------------------------------------------------
         let t0 = Instant::now();
         let minimizers = extract_minimizers(read, self.config.k, self.config.w);
@@ -296,12 +307,13 @@ impl<'g> Mm2Mapper<'g> {
             if window.len() < seq.len() {
                 continue;
             }
-            let a = banded_align(
+            let a = banded_align_with(
                 seq,
                 &window,
                 &self.config.scoring,
                 self.config.band,
                 AlignMode::Fit,
+                scratch,
             );
             work.align_cells += a.cells;
             out.push(ReadAlignment {
@@ -334,8 +346,9 @@ impl<'g> Mm2Mapper<'g> {
         timings: &mut StageTimings,
         work: &mut WorkCounters,
     ) -> PairAlignment {
-        let a1 = self.map_read(r1, timings, work);
-        let a2 = self.map_read(r2, timings, work);
+        let scratch = &mut AlignScratch::new();
+        let a1 = self.map_read_with(r1, timings, work, scratch);
+        let a2 = self.map_read_with(r2, timings, work, scratch);
 
         let t0 = Instant::now();
         // Proper-pair selection: opposite strands, same chromosome, within
@@ -374,7 +387,7 @@ impl<'g> Mm2Mapper<'g> {
         // Mate rescue: align the missing end near its mate.
         if self.config.rescue {
             if let Some(anchor) = a1.first().cloned() {
-                if let Some(rescued) = self.rescue_mate(&anchor, r2, timings, work) {
+                if let Some(rescued) = self.rescue_mate(&anchor, r2, timings, work, scratch) {
                     return PairAlignment {
                         r1: Some(anchor),
                         r2: Some(rescued),
@@ -384,7 +397,7 @@ impl<'g> Mm2Mapper<'g> {
                 }
             }
             if let Some(anchor) = a2.first().cloned() {
-                if let Some(rescued) = self.rescue_mate(&anchor, r1, timings, work) {
+                if let Some(rescued) = self.rescue_mate(&anchor, r1, timings, work, scratch) {
                     return PairAlignment {
                         r1: Some(rescued),
                         r2: Some(anchor),
@@ -411,6 +424,7 @@ impl<'g> Mm2Mapper<'g> {
         mate: &DnaSeq,
         timings: &mut StageTimings,
         work: &mut WorkCounters,
+        scratch: &mut AlignScratch,
     ) -> Option<ReadAlignment> {
         let t = Instant::now();
         let oriented = if anchor.forward {
@@ -428,7 +442,7 @@ impl<'g> Mm2Mapper<'g> {
             timings.alignment += t.elapsed();
             return None;
         }
-        let a = banded_align(
+        let a = banded_align_with(
             &oriented,
             &window,
             &self.config.scoring,
@@ -436,6 +450,7 @@ impl<'g> Mm2Mapper<'g> {
                 .band
                 .max(window.len().saturating_sub(oriented.len()) / 2 + 1),
             AlignMode::Fit,
+            scratch,
         );
         work.align_cells += a.cells;
         timings.alignment += t.elapsed();

@@ -12,7 +12,7 @@ use crate::mapper::GenPairMapper;
 use crate::pafilter::paired_adjacency_filter;
 use crate::seeding::query_read;
 use crate::voting::location_vote;
-use gx_align::{banded_align, AlignMode, Scoring};
+use gx_align::{banded_align_with, AlignMode, AlignScratch, Scoring};
 use gx_genome::{Cigar, DnaSeq, GlobalPos};
 
 /// A mapped long read.
@@ -60,6 +60,7 @@ impl<'g> GenPairMapper<'g> {
         }
         let rc = read.revcomp();
         let scoring = Scoring::long_read();
+        let scratch = &mut AlignScratch::new();
 
         let mut best: Option<LongReadMapping> = None;
         for (seq, forward) in [(read, true), (&rc, false)] {
@@ -105,7 +106,7 @@ impl<'g> GenPairMapper<'g> {
                 continue;
             }
             let band = 32 + seq.len() / 100;
-            let a = banded_align(seq, &window, &scoring, band, AlignMode::Fit);
+            let a = banded_align_with(seq, &window, &scoring, band, AlignMode::Fit, scratch);
             work.dp_cells += a.cells;
             let mapping = LongReadMapping {
                 chrom: locus.chrom,

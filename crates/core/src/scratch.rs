@@ -46,7 +46,8 @@ pub struct MapScratch {
     pub(crate) window: DnaSeq,
     /// The light aligner's per-shift suffix memo (it stores no masks).
     pub(crate) light: LightScratch,
-    /// Row/traceback buffers of the banded-DP fallback aligner.
+    /// Score rows (one set per cell width), target profile and traceback of
+    /// the banded-DP fallback aligner.
     pub(crate) align: AlignScratch,
 }
 

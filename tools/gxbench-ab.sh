@@ -11,7 +11,10 @@
 #      with -w, `gxbench --workload W --trace T` (-t 0, the default:
 #      end-to-end only, ~25 s; -t 1: per-layer only; -t all: both, so one
 #      workload's pairs carry the rows a claim locates its saving in);
-#   4. `gxbench compare base/ change/`.
+#   4. `gxbench compare base/ change/`;
+#   5. for `gxbench run` sets, per side: how many runs ended `ok: false` and
+#      the min..max of every figure the shape guards measured (compare
+#      reads neither, and a claim must report both).
 #
 # The change side is the working tree this script lives in; the base side
 # is a revision of the same repository (default HEAD: uncommitted work
@@ -109,4 +112,33 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-"$change" compare "$sets/base" "$sets/change"
+# The spread of one side's shape guards, straight off its result.json files.
+guards() { # <side>
+    runs=$(find "$sets/$1" -mindepth 1 -maxdepth 1 -type d | wc -l)
+    ok=$(cat "$sets/$1"/*/result.json 2>/dev/null | grep -c '^  "ok": true' || true)
+    echo "gxbench-ab: $1: $((runs - ok)) of $runs runs ended ok: false"
+    sed -n 's/^ *"rule": "\(.*\)",$/\1/p' "$sets/$1"/*/result.json | sort -u |
+        while IFS= read -r rule; do
+            # "measured" is two lines below its rule: Some(x), or [Some(x), ...].
+            grep -h -F -A 2 "\"rule\": \"$rule\"" "$sets/$1"/*/result.json |
+                sed -n 's/^ *"measured": "\(.*\)"$/\1/p' |
+                sed -e 's/[^0-9. ]//g' -e 's/\(\.[0-9]\{3\}\)[0-9]*/\1/g' >"$sets/$1.measured"
+            spread=
+            col=1
+            while [ "$col" -le "$(head -n 1 "$sets/$1.measured" | wc -w)" ]; do
+                spread="$spread $(cut -d ' ' -f "$col" "$sets/$1.measured" | sort -n |
+                    sed -n -e '1p' -e '$p' | tr '\n' ' ' | sed -e 's/ $//' -e 's/ /../')"
+                col=$((col + 1))
+            done
+            echo "gxbench-ab: $1:   $rule:${spread:- not measured}"
+        done
+    rm -f "$sets/$1.measured"
+}
+
+status=0
+"$change" compare "$sets/base" "$sets/change" || status=$?
+if [ -z "$workload" ]; then
+    guards base
+    guards change
+fi
+exit "$status"
