@@ -582,6 +582,8 @@ pub fn banded_align_with(
 mod tests {
     use super::*;
     use crate::align;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn seq(s: &str) -> DnaSeq {
         DnaSeq::from_ascii(s.as_bytes()).unwrap()
@@ -656,12 +658,6 @@ mod tests {
         }
     }
 
-    /// A small deterministic generator: in-module tests need no `rand`.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        *state >> 33
-    }
-
     /// What one instantiation computes: score, end column and every
     /// traceback byte — together they determine the [`Alignment`].
     fn filled<C: Cell + Default>(
@@ -690,14 +686,14 @@ mod tests {
                 gap_ext: 1,
             },
         ];
-        let mut state = 7;
+        let mut rng = StdRng::seed_from_u64(7);
         for case in 0..300 {
-            let n = 1 + lcg(&mut state) as usize % 40;
-            let m = 1 + lcg(&mut state) as usize % 60;
-            let alphabet = 2 + 2 * (case % 2);
-            let q: Vec<u8> = (0..n).map(|_| (lcg(&mut state) % alphabet) as u8).collect();
-            let t: Vec<u8> = (0..m).map(|_| (lcg(&mut state) % alphabet) as u8).collect();
-            let band = 1 + lcg(&mut state) as usize % 12;
+            let alphabet: u8 = if case % 2 == 0 { 2 } else { 4 };
+            let (n, m) = (rng.random_range(1..=40), rng.random_range(1..=60));
+            let mut codes =
+                |len| -> Vec<u8> { (0..len).map(|_| rng.random_range(0..alphabet)).collect() };
+            let (q, t) = (codes(n), codes(m));
+            let band = rng.random_range(1..=12);
             for scoring in &scorings {
                 for mode in [AlignMode::Global, AlignMode::Fit] {
                     assert_eq!(
@@ -713,17 +709,17 @@ mod tests {
     /// `gap_scan` against the recurrence it replaces, over every chunk
     /// remainder, with `NEG_INF`-valued entries and seeds among real ones.
     fn scan_matches_recurrence<C: Cell + std::fmt::Debug>() {
-        let mut state = 11;
+        let mut rng = StdRng::seed_from_u64(11);
         let (mut ramp, mut e) = (Vec::new(), Vec::new());
         for len in 0..=200usize {
             for ext in [0, 1, 2, 7] {
-                let value = |state: &mut u64| match lcg(state) % 5 {
+                let mut value = || match rng.random_range(0..5) {
                     0 => C::NEG_INF,
                     1 => C::NEG_INF - C::from_i32(14),
-                    _ => C::from_i32(lcg(state) as i32 % 600 - 300),
+                    _ => C::from_i32(rng.random_range(-300..300)),
                 };
-                let seed = value(&mut state);
-                let c: Vec<C> = (0..len).map(|_| value(&mut state)).collect();
+                let seed = value();
+                let c: Vec<C> = (0..len).map(|_| value()).collect();
                 ramp_into(ext, len + 3, &mut ramp);
                 e.clear();
                 e.resize(len, C::from_i32(0));

@@ -115,7 +115,7 @@ done
 # The spread of one side's shape guards, straight off its result.json files.
 guards() { # <side>
     runs=$(find "$sets/$1" -mindepth 1 -maxdepth 1 -type d | wc -l)
-    ok=$(cat "$sets/$1"/*/result.json 2>/dev/null | grep -c '^  "ok": true' || true)
+    ok=$(grep -l '^  "ok": true' "$sets/$1"/*/result.json 2>/dev/null | wc -l)
     echo "gxbench-ab: $1: $((runs - ok)) of $runs runs ended ok: false"
     sed -n 's/^ *"rule": "\(.*\)",$/\1/p' "$sets/$1"/*/result.json | sort -u |
         while IFS= read -r rule; do
