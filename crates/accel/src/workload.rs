@@ -4,10 +4,12 @@
 //! (three per read in the pair's query orientation). Each seed costs one
 //! Seed Table read (8 B: the previous and current end offsets) and, when the
 //! bucket is non-empty, one contiguous Location Table read of
-//! `4 B x locations`. This module captures that workload from real reads or
-//! synthesizes it from the index's bucket-size distribution.
+//! `4 B x locations`. A workload is built from the [`SeedLookup`]s seeding
+//! recorded — the mapper's own for a pair it just mapped
+//! (`MapScratch::pair_lookups`), [`lookup_reads_into`]'s for bare reads —
+//! or synthesized from the index's bucket-size distribution.
 
-use gx_core::seeding::partitioned_seeds_with;
+use gx_core::seeding::{lookup_reads_into, ReadCandidates, SeedLookup};
 use gx_genome::DnaSeq;
 use gx_seedmap::SeedMap;
 
@@ -43,6 +45,17 @@ pub struct PairWorkload {
 }
 
 impl PairWorkload {
+    /// The workload of a pair whose query-orientation reads made `lookups`.
+    pub fn of_lookups<'a>(lookups: impl IntoIterator<Item = &'a SeedLookup>) -> PairWorkload {
+        let mut seeds = Vec::with_capacity(6);
+        seeds.extend(lookups.into_iter().map(|l| SeedFetch {
+            hash: l.seed.hash,
+            loc_start: l.start,
+            locations: (l.end - l.start) as u32,
+        }));
+        PairWorkload { seeds }
+    }
+
     /// Total Location Table entries fetched.
     pub fn total_locations(&self) -> u64 {
         self.seeds.iter().map(|s| s.locations as u64).sum()
@@ -54,45 +67,20 @@ impl PairWorkload {
     }
 }
 
-/// Buffers [`pair_workload_with`] reuses from pair to pair: read 2's reverse
-/// complement and one read's 2-bit codes.
-#[derive(Debug, Default)]
-pub struct WorkloadScratch {
-    r2rc: DnaSeq,
-    codes: Vec<u8>,
-}
-
 /// Builds the workload of one pair from its reads (r2 is queried in reverse
-/// complement, the expected FR orientation).
+/// complement, the expected FR orientation): the hash-and-bounds phase of
+/// the mapper's seeding, and nothing after it.
 pub fn pair_workload(r1: &DnaSeq, r2: &DnaSeq, seedmap: &SeedMap) -> PairWorkload {
-    pair_workload_with(&mut WorkloadScratch::default(), r1, r2, seedmap)
-}
-
-/// [`pair_workload`] through caller-owned buffers: once `scratch` has grown
-/// to the read length, the returned seed list is the only allocation.
-pub fn pair_workload_with(
-    scratch: &mut WorkloadScratch,
-    r1: &DnaSeq,
-    r2: &DnaSeq,
-    seedmap: &SeedMap,
-) -> PairWorkload {
-    let mut seeds = Vec::with_capacity(6);
-    r2.revcomp_into(&mut scratch.r2rc);
-    for read in [r1, &scratch.r2rc] {
-        let (found, n) = partitioned_seeds_with(read, seedmap, &mut scratch.codes);
-        for seed in &found[..n] {
-            seeds.push(SeedFetch::of_hash(seedmap, seed.hash));
-        }
-    }
-    PairWorkload { seeds }
+    let mut cands: [ReadCandidates; 2] = Default::default();
+    lookup_reads_into([r1, &r2.revcomp()], seedmap, &mut Vec::new(), &mut cands);
+    PairWorkload::of_lookups(cands.iter().flat_map(|c| c.lookups()))
 }
 
 /// Builds workloads for a whole read set.
 pub fn build_workloads(pairs: &[(DnaSeq, DnaSeq)], seedmap: &SeedMap) -> Vec<PairWorkload> {
-    let mut scratch = WorkloadScratch::default();
     pairs
         .iter()
-        .map(|(r1, r2)| pair_workload_with(&mut scratch, r1, r2, seedmap))
+        .map(|(r1, r2)| pair_workload(r1, r2, seedmap))
         .collect()
 }
 

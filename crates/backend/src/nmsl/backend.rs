@@ -2,11 +2,10 @@ use super::counters::DeviceCounters;
 use super::device::{DeviceConfig, SharedNmslDevice};
 use super::frontier::AdmittedPair;
 use crate::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};
-use gx_accel::workload::{pair_workload_with, WorkloadScratch};
-use gx_accel::{fallback_cells, HostTraffic, NmslConfig};
-use gx_core::{FallbackStage, GenPairMapper, MapScratch, ReadPair};
+use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
+use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
-use gx_telemetry::{CounterId, Recorder, Telemetry};
+use gx_telemetry::Telemetry;
 use std::time::Instant;
 
 /// Default simulator lanes of the shared warm device (see
@@ -28,12 +27,14 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 ///    the same algorithm, so its mapping decisions are by construction those
 ///    of the software mapper — and the pipeline's SAM output stays
 ///    byte-identical across backends.
-/// 2. **Seeding cost** — extract the batch's NMSL memory workload (six
-///    seed-table reads plus location bursts per pair, via
-///    [`pair_workload_with`])
-///    and stream it through the shared device's
-///    [`NmslSim`](gx_accel::NmslSim) lanes, in input order, over the
-///    configured DRAM technology.
+/// 2. **Seeding cost** — admit each pair's NMSL memory workload (six
+///    seed-table reads plus location bursts) and stream it through the
+///    shared device's [`NmslSim`](gx_accel::NmslSim) lanes, in input order,
+///    over the configured DRAM technology. The workload is not extracted
+///    from the reads: it is the `(hash, start, end)` lookups step 1's
+///    seeding made and left in the session's scratch
+///    ([`MapScratch::pair_lookups`]), so the model prices exactly what the
+///    algorithm looked up.
 /// 3. **Fallback + transfer cost** — price every pair that left the fast
 ///    path on the [`GenDpInstance`] fallback model
 ///    (chaining/alignment cells → cycles and energy), and charge each
@@ -121,10 +122,12 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     }
 
     /// Attaches a telemetry handle: the shared warm device then records
-    /// per-lane `lane_drain` spans and drain-latency histograms, the
-    /// per-quantum modeled exposed-transfer residue, lane-occupancy and
-    /// frontier-depth gauges, and sessions count GenDP fallbacks per stage.
-    /// Like [`channels`](NmslBackend::channels), this recreates the shared
+    /// per-lane `lane_drain` spans and the `gx_lane_drain_ns` histogram,
+    /// the per-quantum modeled exposed-transfer residue
+    /// (`gx_exposed_transfer_ns`), and the `lane_occupancy` and
+    /// `frontier_depth` counter tracks of the trace. Every count the device
+    /// keeps is in [`DeviceCounters`] and [`BackendStats`], telemetry or
+    /// not. Like [`channels`](NmslBackend::channels), this recreates the shared
     /// device (so only call it while no sessions are live). Telemetry is
     /// **accounting-inert**: it taps already-computed modeled values and
     /// wall-clock reads, and nothing it records feeds back into
@@ -155,16 +158,6 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         &self.device.config.nmsl
     }
 
-    /// The shared warm device's lane count.
-    pub fn channel_count(&self) -> usize {
-        self.device.config.channels
-    }
-
-    /// The shared warm device's dispatch quantum in pairs.
-    pub fn dispatch_quantum_pairs(&self) -> usize {
-        self.device.config.quantum
-    }
-
     /// Per-lane performance counters of the most recent
     /// [`flush`](MapBackend::flush); `None` before the first flush. The
     /// cycle-domain fields are bit-identical across thread counts and batch
@@ -189,25 +182,11 @@ impl MapBackend for NmslBackend<'_, '_> {
         "nmsl"
     }
 
-    fn session(&self, worker_id: usize) -> NmslSession<'_> {
+    fn session(&self, _worker_id: usize) -> NmslSession<'_> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
-            workload: WorkloadScratch::default(),
             touched: Vec::new(),
-            rec: self.device.telemetry.recorder(1000 + worker_id as u32),
-            seedmap_c: self.device.telemetry.counter(
-                "gx_fallback_seedmap_total",
-                "pairs priced on GenDP because no SeedMap entry matched",
-            ),
-            pafilter_c: self.device.telemetry.counter(
-                "gx_fallback_pafilter_total",
-                "pairs priced on GenDP because the paired-adjacency filter emptied",
-            ),
-            lightalign_c: self.device.telemetry.counter(
-                "gx_fallback_lightalign_total",
-                "pairs needing DP alignment because light alignment failed",
-            ),
         }
     }
 
@@ -226,8 +205,8 @@ impl MapBackend for NmslBackend<'_, '_> {
 
 /// A per-worker NMSL mapping session (see [`NmslBackend`]): a thin handle
 /// into the backend's **shared channel-sharded device**. Each
-/// [`map`](MapSession::map) call maps its pairs through the software path,
-/// then admits their workloads at the call's [`BatchTag`]. The device
+/// [`map`](MapSession::map) call maps its pairs through the software path
+/// and admits the lookups each made at the call's [`BatchTag`]. The device
 /// routes pairs to simulator lanes by workload key and streams each lane
 /// one dispatch quantum behind its admissions, so the calling worker is
 /// attributed whatever integer-valued simulator progress (cycles, DRAM
@@ -240,71 +219,49 @@ impl MapBackend for NmslBackend<'_, '_> {
 /// workers still feed.
 pub struct NmslSession<'s> {
     backend: &'s NmslBackend<'s, 's>,
-    /// The session's reusable mapping arena (software-path hot buffers).
+    /// The session's reusable mapping arena (software-path hot buffers);
+    /// after each pair it holds the lookups the device is charged for.
     scratch: MapScratch,
-    /// Reusable buffers of the per-pair NMSL workload extraction.
-    workload: WorkloadScratch,
     /// Per-lane "staged work" flags of one admission, kept across batches.
     touched: Vec<bool>,
-    /// Telemetry shard for the per-stage fallback counters (no-op when
-    /// telemetry is disabled).
-    rec: Recorder,
-    /// Counter id: [`FallbackStage::SeedMapMiss`] occurrences.
-    seedmap_c: CounterId,
-    /// Counter id: [`FallbackStage::PaFilter`] occurrences.
-    pafilter_c: CounterId,
-    /// Counter id: [`FallbackStage::LightAlign`] occurrences.
-    lightalign_c: CounterId,
+}
+
+impl NmslSession<'_> {
+    /// Maps one pair on the software path and builds its admission record
+    /// from what that call left in the scratch: the workload is the pair
+    /// step's own lookups, never a second seeding of the reads.
+    pub(super) fn map_pair(&mut self, pair: &ReadPair) -> (PairMapResult, AdmittedPair) {
+        let (r1, r2) = (&pair.r1, &pair.r2);
+        let res = self.backend.mapper.map_pair_with(&mut self.scratch, r1, r2);
+        let (input_bytes, output_bytes) = HostTraffic::pair_bytes(r1.len(), r2.len());
+        let admitted = AdmittedPair {
+            workload: PairWorkload::of_lookups(self.scratch.pair_lookups()),
+            input_bytes,
+            output_bytes,
+            cells: fallback_cells(&res, r1.len(), r2.len()),
+        };
+        (res, admitted)
+    }
 }
 
 impl MapSession for NmslSession<'_> {
     fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
         let started = Instant::now();
-        // Results: the software path (identical bytes across backends).
-        let results: Vec<_> = pairs
-            .iter()
-            .map(|p| {
-                self.backend
-                    .mapper
-                    .map_pair_with(&mut self.scratch, &p.r1, &p.r2)
-            })
-            .collect();
-
-        if self.rec.is_enabled() {
-            for res in &results {
-                match res.fallback {
-                    Some(FallbackStage::SeedMapMiss) => self.rec.counter_add(self.seedmap_c, 1),
-                    Some(FallbackStage::PaFilter) => self.rec.counter_add(self.pafilter_c, 1),
-                    Some(FallbackStage::LightAlign) => self.rec.counter_add(self.lightalign_c, 1),
-                    None => {}
-                }
-            }
-        }
-
         let mut stats = BackendStats {
             batches: 1,
             pairs: pairs.len() as u64,
             ..BackendStats::default()
         };
-        // One pass computes the host-link bytes for the per-call stats AND
-        // the admission records the device charges transfer from — one
-        // source of truth for the formula.
+        let mut results = Vec::with_capacity(pairs.len());
         let mut admissions = Vec::with_capacity(pairs.len());
-        for (pair, res) in pairs.iter().zip(&results) {
-            let (input_bytes, output_bytes) = HostTraffic::pair_bytes(pair.r1.len(), pair.r2.len());
-            stats.input_bytes += input_bytes;
-            stats.output_bytes += output_bytes;
-            admissions.push(AdmittedPair {
-                workload: pair_workload_with(
-                    &mut self.workload,
-                    &pair.r1,
-                    &pair.r2,
-                    self.backend.mapper.seedmap(),
-                ),
-                input_bytes,
-                output_bytes,
-                cells: fallback_cells(res, pair.r1.len(), pair.r2.len()),
-            });
+        for pair in pairs {
+            let (res, admitted) = self.map_pair(pair);
+            // The per-call stats carry the bytes the device charges
+            // transfer from — one source of truth for the formula.
+            stats.input_bytes += admitted.input_bytes;
+            stats.output_bytes += admitted.output_bytes;
+            results.push(res);
+            admissions.push(admitted);
         }
         self.backend
             .device

@@ -80,11 +80,6 @@ impl DeviceCounters {
         }
     }
 
-    /// DRAM-backpressure stall cycles summed over lanes.
-    pub fn dram_stall_cycles(&self) -> u64 {
-        self.lanes.iter().map(|l| l.breakdown.dram_stall).sum()
-    }
-
     /// Device-wide row-conflict rate: conflicts over activations across all
     /// lanes, in `[0, 1]`.
     pub fn row_conflict_rate(&self) -> f64 {

@@ -7,7 +7,7 @@ use gx_accel::{
     ACCEL_CLOCK_GHZ,
 };
 use gx_memsim::{DramConfig, DramPowerModel};
-use gx_telemetry::{CounterId, GaugeId, HistogramId, Telemetry};
+use gx_telemetry::{HistogramId, Telemetry};
 use std::sync::Mutex;
 
 /// Base span track for the shared device's simulator lanes (lane `i`
@@ -15,21 +15,13 @@ use std::sync::Mutex;
 /// worker/feeder/emitter tracks so traces never collide.
 const LANE_TRACK_BASE: u32 = 2000;
 
-/// The device's metric ids, registered in [`SharedNmslDevice::new`] (dummy
-/// ids on a disabled handle — recording through them is a no-op either
-/// way).
+/// The device's two histogram ids, registered in [`SharedNmslDevice::new`]
+/// (dummy ids on a disabled handle — recording through them is a no-op
+/// either way). Everything the device *counts* is in [`DeviceCounters`].
 #[derive(Clone, Copy, Debug)]
 struct DeviceMetrics {
     drain_h: HistogramId,
     exposed_h: HistogramId,
-    occupancy_g: GaugeId,
-    frontier_g: GaugeId,
-    occupancy_h: HistogramId,
-    issue_c: CounterId,
-    stall_c: CounterId,
-    drain_c: CounterId,
-    conflicts_c: CounterId,
-    rejections_c: CounterId,
 }
 
 /// What a [`SharedNmslDevice`] models, fixed for its lifetime.
@@ -86,38 +78,6 @@ impl SharedNmslDevice {
             exposed_h: telemetry.histogram(
                 "gx_exposed_transfer_ns",
                 "modeled exposed-transfer residue per lane quantum, ns of modeled time",
-            ),
-            occupancy_g: telemetry.gauge(
-                "gx_nmsl_lane_occupancy",
-                "workloads pending in the lane simulators (sum across lanes; max is per-lane)",
-            ),
-            frontier_g: telemetry.gauge(
-                "gx_frontier_depth",
-                "batches buffered ahead of the shared device's contiguity frontier",
-            ),
-            occupancy_h: telemetry.histogram(
-                "gx_quantum_occupancy",
-                "lane occupancy (pending pairs) sampled at each dispatch-quantum boundary",
-            ),
-            issue_c: telemetry.counter(
-                "gx_device_issue_cycles_total",
-                "device cycles that admitted pairs or moved requests into DRAM queues",
-            ),
-            stall_c: telemetry.counter(
-                "gx_device_dram_stall_cycles_total",
-                "device cycles where queued work was backpressured by full DRAM queues",
-            ),
-            drain_c: telemetry.counter(
-                "gx_device_drain_cycles_total",
-                "device cycles with nothing to issue but DRAM reads still in flight",
-            ),
-            conflicts_c: telemetry.counter(
-                "gx_dram_row_conflicts_total",
-                "row activations that had to close a live row first",
-            ),
-            rejections_c: telemetry.counter(
-                "gx_dram_rejections_total",
-                "DRAM submissions bounced by a full channel queue",
             ),
         };
         for idx in 0..channels {
@@ -193,16 +153,14 @@ impl SharedNmslDevice {
         let exposed = HostTraffic::exposed_transfer_seconds(transfer, delta.seconds);
         l.exposed_seconds += exposed;
         // Quantum-boundary occupancy sample: into the deterministic device
-        // counter histogram, and (telemetry only) as a Chrome-trace counter
-        // track sample plus a Prometheus histogram/gauge.
+        // counter histogram, and (telemetry only) onto the lane's
+        // Chrome-trace counter track.
         let pending = l.lane.sim().pending();
         l.occupancy[occ_bucket(pending)] += 1;
-        // Telemetry taps the already-computed modeled values (converted to
+        l.rec.counter_sample("lane_occupancy", pending);
+        // Telemetry taps the already-computed modeled value (converted to
         // integer ns); the accumulators above never read telemetry back.
         l.rec.record(self.metrics.exposed_h, (exposed * 1e9) as u64);
-        l.rec.record(self.metrics.occupancy_h, pending);
-        l.rec.gauge_set(self.metrics.occupancy_g, pending);
-        l.rec.counter_sample("lane_occupancy", pending);
     }
 
     /// Streams every staged pair of lane `idx` through its simulator,
@@ -276,8 +234,8 @@ impl SharedNmslDevice {
 
     /// The one way the canonical order changes: apply `mutate` to the
     /// frontier (with `job`'s sequencing state present) under the frontier
-    /// lock, release everything the order now covers, refresh the depth
-    /// gauge, then — frontier lock dropped — pump the lanes the releases
+    /// lock, release everything the order now covers, then — frontier lock
+    /// dropped — pump the lanes the releases
     /// staged work onto (skipping lanes another worker is already
     /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)) and roll
     /// the integer deltas up into `stats.sim_cycles`. `touched` is the
@@ -297,8 +255,6 @@ impl SharedNmslDevice {
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
             self.drain_ready(&mut f, stats, touched);
-            let depth = f.pending.len() as u64;
-            f.rec.gauge_set(self.metrics.frontier_g, depth);
             out
         };
         for (idx, &touched) in touched.iter().enumerate() {
@@ -341,11 +297,10 @@ impl SharedNmslDevice {
                 replaced.is_none(),
                 "repeated batch tag (job {job}, index {index}): still buffered at the frontier"
             );
-            // Peak depth (before the frontier releases what it now covers);
-            // the gauge's high-water mark records the worst reordering.
+            // Depth before the frontier releases what it now covers: its
+            // high-water mark records the worst reordering.
             let depth = f.pending.len() as u64;
             f.peak_depth = f.peak_depth.max(depth);
-            f.rec.gauge_set(self.metrics.frontier_g, depth);
             f.rec.counter_sample("frontier_depth", depth);
         });
     }
@@ -423,24 +378,11 @@ impl SharedNmslDevice {
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
             stats.exposed_transfer_seconds += l.exposed_seconds;
-            // Capture the lane's performance counters before the reset, and
-            // expose the cycle-domain totals as Prometheus counters (an
-            // observational tap of already-final integers).
-            let counters = l.lane.counters();
-            l.rec
-                .counter_add(self.metrics.issue_c, counters.breakdown.issue);
-            l.rec
-                .counter_add(self.metrics.stall_c, counters.breakdown.dram_stall);
-            l.rec
-                .counter_add(self.metrics.drain_c, counters.breakdown.drain);
-            l.rec
-                .counter_add(self.metrics.conflicts_c, counters.dram.row_conflicts);
-            l.rec
-                .counter_add(self.metrics.rejections_c, counters.dram.rejections);
+            // Capture the lane's performance counters before the reset.
             for (sum, bucket) in device.quantum_occupancy.iter_mut().zip(l.occupancy) {
                 *sum += bucket;
             }
-            device.lanes.push(counters);
+            device.lanes.push(l.lane.counters());
             // Replacing the lane state drops (and thereby flushes) its
             // telemetry recorder; the fresh one starts with an empty ring.
             let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);

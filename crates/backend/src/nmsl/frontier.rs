@@ -3,7 +3,8 @@ use gx_telemetry::Recorder;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One pair's admission record: everything the shared device needs to
-/// price and stream it, all computed from the workload (deterministic).
+/// price and stream it, all computed from the pair and what its mapping
+/// looked up (deterministic).
 pub(super) struct AdmittedPair {
     pub(super) workload: PairWorkload,
     pub(super) input_bytes: u64,
@@ -64,8 +65,9 @@ pub(super) struct Frontier {
     pub(super) fallback_cycles_emitted: u64,
     /// Cumulative GenDP energy in release order.
     pub(super) fallback_energy_pj: f64,
-    /// Telemetry shard for the frontier-depth gauge (no-op when telemetry
-    /// is disabled; observational only, never read back into accounting).
+    /// Span ring for the trace's `frontier_depth` counter track (no-op when
+    /// telemetry is disabled; observational only, never read back into
+    /// accounting).
     pub(super) rec: Recorder,
 }
 

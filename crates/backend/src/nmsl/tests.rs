@@ -2,9 +2,10 @@
 
 use super::*;
 use crate::{BackendStats, BatchTag, MapBackend, MapSession, SoftwareBackend};
-use gx_accel::{HostTraffic, NmslConfig};
-use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+use gx_accel::{HostTraffic, NmslConfig, SeedFetch};
+use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
+use gx_genome::DnaSeq;
 use gx_memsim::DramConfig;
 
 fn setup() -> (gx_genome::ReferenceGenome, Vec<ReadPair>) {
@@ -70,6 +71,119 @@ fn results_match_software_backend() {
             (None, None) => {}
             other => panic!("mapping divergence: {other:?}"),
         }
+    }
+}
+
+/// What the session did before it admitted the pair step's own lookups:
+/// seed `r1` and `rc(r2)` again, one seed at a time — first, middle, last,
+/// deduplicated — and read each hash's bucket off the index.
+fn per_seed_workload(pair: &ReadPair, mapper: &GenPairMapper<'_>) -> Vec<SeedFetch> {
+    let seedmap = mapper.seedmap();
+    let seed_len = seedmap.config().seed_len;
+    let (mut fetches, mut codes) = (Vec::new(), Vec::new());
+    for read in [&pair.r1, &pair.r2.revcomp()] {
+        let Some(last) = read.len().checked_sub(seed_len) else {
+            continue;
+        };
+        let mut offsets = vec![0, last / 2, last];
+        offsets.dedup();
+        for off in offsets {
+            read.codes_into(off..off + seed_len, &mut codes);
+            fetches.push(SeedFetch::of_hash(seedmap, seedmap.hash_seed_codes(&codes)));
+        }
+    }
+    fetches
+}
+
+#[test]
+fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
+    // A genome with a 300-copy repeat, so one pair's seeds gather hundreds
+    // of locations into the session's arena, and an index sparse enough
+    // that foreign seeds find empty buckets.
+    let genome = RandomGenomeBuilder::new(300_000)
+        .seed(11)
+        .humanlike_repeats()
+        .repeat_family(gx_genome::random::RepeatFamily {
+            unit_len: 150,
+            copies: 300,
+            divergence: 0.0,
+        })
+        .build();
+    let mut cfg = GenPairConfig::default();
+    cfg.seedmap.bucket_bits = Some(21);
+    let mapper = GenPairMapper::build(&genome, &cfg);
+    let seedmap = mapper.seedmap();
+    let seq = genome.chromosome(0).seq();
+    let fullest = (0..seedmap.num_buckets() as u32)
+        .map(|h| seedmap.locations_for_hash(h))
+        .max_by_key(|l| l.len())
+        .expect("buckets");
+    let repeat = fullest[fullest.len() / 2] as usize;
+
+    let proper = |at: usize| {
+        (
+            seq.subseq(at..at + 150),
+            seq.subseq(at + 250..at + 400).revcomp(),
+        )
+    };
+    let mut cases: Vec<(DnaSeq, DnaSeq)> = vec![
+        // Light path, both orientations.
+        proper(1_000),
+        (proper(20_000).1, proper(20_000).0),
+        // Hundreds of locations a seed; the pairs after it reuse the arena.
+        (
+            seq.subseq(repeat..repeat + 150),
+            seq.subseq(repeat + 20..repeat + 170).revcomp(),
+        ),
+        proper(5_000),
+        // Both mates hit, nowhere near one another: PA filter.
+        (proper(1_000).0, proper(200_000).1),
+        // A 51-base, a 50-base, a seedless and an empty mate.
+        (seq.subseq(9_000..9_051), proper(9_000).1),
+        (proper(9_000).0, seq.subseq(9_300..9_350).revcomp()),
+        (seq.subseq(9_000..9_049), proper(9_000).1),
+        (DnaSeq::new(), DnaSeq::new()),
+    ];
+    // A deletion and a mismatch in read 1: light alignment fails, DP maps.
+    let mut complex = seq.subseq(50_000..50_040);
+    complex.extend_from_seq(&seq.subseq(50_043..50_153));
+    complex.set(10, complex.get(10).complement());
+    cases.push((complex, proper(50_050).1));
+    // Reads of another genome: SeedMap misses (and chance hits).
+    let other = RandomGenomeBuilder::new(10_000).seed(777).build();
+    let foreign = other.chromosome(0).seq();
+    for at in (0..8_000).step_by(1_000) {
+        cases.push((
+            foreign.subseq(at..at + 150),
+            foreign.subseq(at + 300..at + 450).revcomp(),
+        ));
+    }
+    cases.push(proper(1_000));
+
+    let backend = NmslBackend::new(&mapper);
+    let mut session = backend.session(0);
+    let mut exits = Vec::new();
+    let mut most_locations = 0;
+    for (i, (r1, r2)) in cases.into_iter().enumerate() {
+        let pair = ReadPair::new(format!("p{i}"), r1, r2);
+        let (res, admitted) = session.map_pair(&pair);
+        assert_eq!(
+            admitted.workload.seeds,
+            per_seed_workload(&pair, &mapper),
+            "pair {i} ({:?})",
+            res.fallback
+        );
+        most_locations = most_locations.max(admitted.workload.total_locations());
+        exits.push(res.fallback);
+    }
+    assert!(most_locations >= 400, "fullest workload: {most_locations}");
+    for exit in [
+        None,
+        Some(FallbackStage::LightAlign),
+        Some(FallbackStage::PaFilter),
+        Some(FallbackStage::SeedMapMiss),
+    ] {
+        assert!(exits.contains(&exit), "no pair left at {exit:?}: {exits:?}");
     }
 }
 

@@ -70,11 +70,6 @@ impl MinimizerIndex {
     pub fn masked_hashes(&self) -> u64 {
         self.masked
     }
-
-    /// Number of distinct minimizer hashes stored.
-    pub fn distinct_hashes(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]

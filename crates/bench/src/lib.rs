@@ -10,9 +10,7 @@
 //! any harness up.
 
 use gx_baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
-use gx_core::{
-    pair_mapping_to_sam, FallbackStage, GenPairConfig, GenPairMapper, PipelineStats, ReadPair,
-};
+use gx_core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, PipelineStats, ReadPair};
 use gx_genome::{DnaSeq, ReferenceGenome, SamRecord};
 use gx_readsim::dataset::standard_genome;
 use gx_readsim::SimulatedPair;
@@ -176,16 +174,6 @@ pub fn map_dataset_mm2(
         }
     }
     (sams, timings, work)
-}
-
-/// Converts a fallback stage to the Fig. 10 label.
-pub fn fallback_label(stage: Option<FallbackStage>) -> &'static str {
-    match stage {
-        None => "light path",
-        Some(FallbackStage::SeedMapMiss) => "SeedMap miss",
-        Some(FallbackStage::PaFilter) => "PA-filter reject",
-        Some(FallbackStage::LightAlign) => "light-align fail (DP align)",
-    }
 }
 
 /// Renders a TSV-ish aligned table: header + rows of equal arity.

@@ -14,7 +14,7 @@
 
 use crate::light::LightScratch;
 use crate::pafilter::PaFilterResult;
-use crate::seeding::ReadCandidates;
+use crate::seeding::{ReadCandidates, SeedLookup};
 use gx_align::AlignScratch;
 use gx_genome::{DnaSeq, GlobalPos, Locus};
 
@@ -56,5 +56,14 @@ impl MapScratch {
     /// first mapped batch.
     pub fn new() -> MapScratch {
         MapScratch::default()
+    }
+
+    /// The SeedMap lookups the last mapped pair made in its query
+    /// orientation — `r1`'s seeds, then `rc(r2)`'s, up to six — as the pair
+    /// step recorded them (none before the first pair). This is the pair's
+    /// NMSL workload: the device model prices these instead of seeding the
+    /// reads a second time.
+    pub fn pair_lookups(&self) -> impl Iterator<Item = &SeedLookup> {
+        self.cands[..2].iter().flat_map(|c| c.lookups())
     }
 }

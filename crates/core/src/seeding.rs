@@ -20,8 +20,9 @@
 //!
 //! 1. unpack each read's codes and hash its seeds
 //!    ([`partitioned_seeds_with`]) — arithmetic only, no table touched;
-//! 2. read every seed's bucket bounds ([`SeedMap::bucket_range`]) into a
-//!    stack array — up to twelve independent Seed Table misses;
+//! 2. read every seed's bucket bounds ([`SeedMap::bucket_range`]) into the
+//!    read's [`ReadCandidates::lookups`] — up to twelve independent Seed
+//!    Table misses;
 //! 3. copy every bounded slice into one caller-owned arena
 //!    ([`SeedMap::location_slice`]) — up to twelve independent Location
 //!    Table misses, after which every location sits in a few adjacent
@@ -32,12 +33,17 @@
 //! The order of the loads is the only thing that changes: every read gets
 //! the `ReadCandidates` a lookup-by-lookup query would give it.
 //! [`query_read_into`] is the same function over one read.
+//!
+//! Phases 1 and 2 are [`lookup_reads_into`], the one place a read becomes
+//! [`SeedLookup`]s. What it leaves in `ReadCandidates` is what the device
+//! model prices (`gx-accel::workload`, `gx-backend`'s NMSL session): the
+//! model cannot see a lookup the algorithm did not make.
 
 use gx_genome::{DnaSeq, GlobalPos};
 use gx_seedmap::{merge_sorted_with_offsets_into, SeedMap};
 
 /// One extracted seed: offset within the read plus its hash.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Seed {
     /// Offset of the seed's first base within the read.
     pub offset: u32,
@@ -84,6 +90,18 @@ pub fn partitioned_seeds_with(
     (seeds, n)
 }
 
+/// One seed's SeedMap lookup: the seed and the Location Table slice
+/// `start..end` its bucket bounds ([`SeedMap::bucket_range`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SeedLookup {
+    /// The seed looked up.
+    pub seed: Seed,
+    /// First Location Table entry of the seed's bucket.
+    pub start: u64,
+    /// One past the bucket's last entry (`start` for an empty bucket).
+    pub end: u64,
+}
+
 /// Result of querying SeedMap for one read's seeds.
 #[derive(Clone, Debug, Default)]
 pub struct ReadCandidates {
@@ -97,6 +115,16 @@ pub struct ReadCandidates {
     pub seeds_hit: u32,
     /// Number of seeds extracted.
     pub seeds_total: u32,
+    /// The lookups behind the fields above, in seed order; the first
+    /// `seeds_total` are this read's, the rest stale.
+    lookups: [SeedLookup; SEEDS_PER_READ],
+}
+
+impl ReadCandidates {
+    /// The read's SeedMap lookups, one per extracted seed, in seed order.
+    pub fn lookups(&self) -> &[SeedLookup] {
+        &self.lookups[..self.seeds_total as usize]
+    }
 }
 
 /// Queries SeedMap with a read's partitioned seeds and merges the location
@@ -131,6 +159,34 @@ pub fn query_read_into(
 /// Seeds per read: first, middle, last.
 const SEEDS_PER_READ: usize = 3;
 
+/// Phases 1 and 2 of the [module docs](self#seeding-in-phases) over `N`
+/// reads: hashes every read's partitioned seeds, then reads every seed's
+/// bucket bounds, leaving `out[i].lookups()` and `out[i].seeds_total` as
+/// `reads[i]`'s and the rest of `out[i]` untouched. No location is read.
+/// `codes` is [`partitioned_seeds_with`]'s buffer.
+pub fn lookup_reads_into<const N: usize>(
+    reads: [&DnaSeq; N],
+    seedmap: &SeedMap,
+    codes: &mut Vec<u8>,
+    out: &mut [ReadCandidates; N],
+) {
+    // Phase 1: hashes.
+    for (out, read) in out.iter_mut().zip(reads) {
+        let (seeds, n) = partitioned_seeds_with(read, seedmap, codes);
+        out.seeds_total = n as u32;
+        for (lookup, seed) in out.lookups.iter_mut().zip(seeds) {
+            lookup.seed = seed;
+        }
+    }
+    // Phase 2: bucket bounds.
+    for out in out.iter_mut() {
+        let n = out.seeds_total as usize;
+        for lookup in &mut out.lookups[..n] {
+            (_, lookup.start, lookup.end) = seedmap.bucket_range(lookup.seed.hash);
+        }
+    }
+}
+
 /// Queries SeedMap with the partitioned seeds of `N` reads at once, in the
 /// four phases of the [module docs](self#seeding-in-phases): `out[i]` is
 /// overwritten with what [`query_read`] returns for `reads[i]`. `codes`
@@ -145,44 +201,30 @@ pub fn query_reads_into<const N: usize>(
     arena: &mut Vec<GlobalPos>,
     out: &mut [ReadCandidates; N],
 ) {
-    // Phase 1: hashes.
-    let mut seeds = [([Seed { offset: 0, hash: 0 }; SEEDS_PER_READ], 0usize); N];
-    for (seeds, read) in seeds.iter_mut().zip(reads) {
-        *seeds = partitioned_seeds_with(read, seedmap, codes);
-    }
-
-    // Phase 2: bucket bounds. A slot without a seed keeps the empty range.
-    let mut ranges = [[(0u64, 0u64); SEEDS_PER_READ]; N];
-    let mut total = 0u64;
-    for ((seeds, n), ranges) in seeds.iter().zip(&mut ranges) {
-        for (seed, range) in seeds[..*n].iter().zip(ranges) {
-            let (_, start, end) = seedmap.bucket_range(seed.hash);
-            *range = (start, end);
-            total += end - start;
-        }
-    }
+    lookup_reads_into(reads, seedmap, codes, out);
 
     // Phase 3: gather, in seed order, so a slice's place in the arena
     // follows from the lengths before it.
+    let lookups = || out.iter().flat_map(|c| c.lookups());
     arena.clear();
-    arena.reserve(total as usize);
-    for &(start, end) in ranges.iter().flatten() {
-        arena.extend_from_slice(seedmap.location_slice(start, end));
+    arena.reserve(lookups().map(|l| (l.end - l.start) as usize).sum());
+    for l in lookups() {
+        arena.extend_from_slice(seedmap.location_slice(l.start, l.end));
     }
 
     // Phase 4: one merge per read over its arena spans.
     let mut gathered: &[GlobalPos] = arena;
-    for (((seeds, n), ranges), out) in seeds.iter().zip(&ranges).zip(out) {
+    for out in out {
+        let n = out.seeds_total as usize;
         let mut lists: [(&[GlobalPos], u32); SEEDS_PER_READ] = [(&[], 0); SEEDS_PER_READ];
-        for ((list, seed), (start, end)) in lists.iter_mut().zip(&seeds[..*n]).zip(ranges) {
-            let (span, rest) = gathered.split_at((end - start) as usize);
-            *list = (span, seed.offset);
+        for (list, l) in lists.iter_mut().zip(&out.lookups[..n]) {
+            let (span, rest) = gathered.split_at((l.end - l.start) as usize);
+            *list = (span, l.seed.offset);
             gathered = rest;
         }
-        let lists = &lists[..*n];
+        let lists = &lists[..n];
         out.locations_fetched = lists.iter().map(|(l, _)| l.len() as u64).sum();
         out.seeds_hit = lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32;
-        out.seeds_total = *n as u32;
         merge_sorted_with_offsets_into(lists, &mut out.starts);
     }
 }
@@ -272,6 +314,7 @@ pub(crate) mod tests {
         let seq = genome.chromosome(0).seq();
         let seed_len = map.config().seed_len;
         let (mut codes, mut one) = (Vec::new(), Vec::new());
+        let mut reused = ReadCandidates::default();
         // 150 bp (three seeds), 51 bp (first == middle), 50 bp (one seed),
         // too short; the one buffer serves them all.
         for range in [1000..1150, 40..91, 100..150, 7..30] {
@@ -306,6 +349,13 @@ pub(crate) mod tests {
                 got.seeds_hit as usize,
                 slices.iter().filter(|l| !l.is_empty()).count()
             );
+            // ... and it keeps each lookup: the per-seed hash and the
+            // bounds `bucket_range` gives for it. The bounds-only entry
+            // point records the same through a buffer the last read dirtied.
+            let want_lookups: Vec<SeedLookup> = want.iter().map(|&s| lookup_of(s, &map)).collect();
+            assert_eq!(got.lookups(), want_lookups);
+            lookup_reads_into([&read], &map, &mut codes, std::array::from_mut(&mut reused));
+            assert_eq!(reused.lookups(), want_lookups);
         }
         // `bucket_range` bounds exactly the slice `locations_for_hash`
         // returns: bucket 0 (no previous entry), its neighbours, the last
@@ -331,6 +381,12 @@ pub(crate) mod tests {
         assert_eq!(table_end, map.stats().stored_locations);
     }
 
+    /// `seed`'s lookup, read off the table on its own.
+    fn lookup_of(seed: Seed, map: &SeedMap) -> SeedLookup {
+        let (_, start, end) = map.bucket_range(seed.hash);
+        SeedLookup { seed, start, end }
+    }
+
     /// What the mapper did before [`query_reads_into`]: one read at a time,
     /// one lookup after another, slices merged straight from the table.
     fn sequential_oracle(read: &DnaSeq, map: &SeedMap) -> ReadCandidates {
@@ -339,11 +395,16 @@ pub(crate) mod tests {
             .iter()
             .map(|s| (map.locations_for_hash(s.hash), s.offset))
             .collect();
+        let mut lookups = [SeedLookup::default(); SEEDS_PER_READ];
+        for (lookup, &seed) in lookups.iter_mut().zip(&seeds[..n]) {
+            *lookup = lookup_of(seed, map);
+        }
         ReadCandidates {
             starts: gx_seedmap::merge_sorted_with_offsets(lists.iter().copied()),
             locations_fetched: lists.iter().map(|(l, _)| l.len() as u64).sum(),
             seeds_hit: lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32,
             seeds_total: n as u32,
+            lookups,
         }
     }
 
@@ -363,6 +424,7 @@ pub(crate) mod tests {
             assert_eq!(got.locations_fetched, want.locations_fetched, "slot {slot}");
             assert_eq!(got.seeds_hit, want.seeds_hit, "slot {slot}");
             assert_eq!(got.seeds_total, want.seeds_total, "slot {slot}");
+            assert_eq!(got.lookups(), want.lookups(), "slot {slot}");
             // The one-read entry point is the same function.
             let mut one = ReadCandidates::default();
             query_read_into(read, map, codes, &mut one);
@@ -372,6 +434,7 @@ pub(crate) mod tests {
                 (one.seeds_hit, one.seeds_total),
                 (want.seeds_hit, want.seeds_total)
             );
+            assert_eq!(one.lookups(), want.lookups());
         }
         out.iter().map(|c| c.locations_fetched).sum()
     }

@@ -139,15 +139,6 @@ impl PipelineStats {
             self.pa_iterations as f64 / self.pairs as f64
         }
     }
-
-    /// Mean Location Table entries fetched per pair (NMSL traffic).
-    pub fn mean_locations_per_pair(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.seed_locations as f64 / self.pairs as f64
-        }
-    }
 }
 
 #[cfg(test)]

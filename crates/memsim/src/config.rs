@@ -101,12 +101,6 @@ impl DramConfig {
     pub fn peak_gbs(&self) -> f64 {
         self.channel_peak_gbs() * self.channels as f64
     }
-
-    /// Minimum random-access cycle of a bank (tRAS + tRP), used by
-    /// analytical sanity checks.
-    pub fn t_rc(&self) -> u32 {
-        self.t_ras + self.t_rp
-    }
 }
 
 #[cfg(test)]

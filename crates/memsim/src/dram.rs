@@ -339,11 +339,6 @@ impl DramSim {
         self.channels[ch as usize].len < self.cfg.queue_depth
     }
 
-    /// Occupancy of channel `ch`'s queue.
-    pub fn queue_len(&self, ch: u32) -> usize {
-        self.channels[ch as usize].len
-    }
-
     /// Bank and row of the burst at `addr` on channel `ch`.
     fn decode(cfg: &DramConfig, ch: usize, addr: u64) -> Target {
         let banks = cfg.banks_per_channel as u64;

@@ -93,9 +93,10 @@ impl PipelineBuilder {
         self
     }
 
-    /// Attaches a telemetry handle: the engine then records queue-wait and
-    /// map-latency histograms, reorder-depth gauges, steal/refill counters
-    /// and batch-lifecycle spans into it. The default is
+    /// Attaches a telemetry handle: the engine then records queue-wait,
+    /// map-latency, emit-wait, ingest and reorder-depth histograms and
+    /// batch-lifecycle spans into it (steals and refills are
+    /// [`PipelineReport`](crate::PipelineReport) fields). The default is
     /// [`Telemetry::disabled`] — a no-op handle that costs the hot path a
     /// predicted branch. Telemetry is observational only: it never feeds
     /// back into modeled stats or changes the emitted SAM bytes.

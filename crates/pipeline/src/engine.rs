@@ -282,15 +282,10 @@ impl<B: MapBackend> MappingEngine<B> {
             "gx_ingest_ns",
             "front-end time to pull and chunk one batch of input pairs, ns",
         );
-        let reorder_g = telemetry.gauge(
+        let reorder_h = telemetry.histogram(
             "gx_reorder_depth",
-            "batches buffered in the emitter's reorder window",
+            "batches in the emitter's reorder window as each mapped batch arrives",
         );
-        let steals_c = telemetry.counter(
-            "gx_steals_total",
-            "batches taken from another worker's deque",
-        );
-        let refills_c = telemetry.counter("gx_refills_total", "injector-to-deque refill transfers");
         for w in 0..cfg.threads {
             telemetry.label_track(w as u32, &format!("worker {w}"));
         }
@@ -361,7 +356,7 @@ impl<B: MapBackend> MappingEngine<B> {
                     let wait_ns = erec.span_arg("emit_wait", t_wait, index);
                     erec.record(emit_wait_h, wait_ns);
                     // Depth with this batch in, before the order drains.
-                    erec.gauge_set(reorder_g, reorder.buffered() as u64 + 1);
+                    erec.record(reorder_h, reorder.buffered() as u64 + 1);
                     let (n, result) = reorder.push(index, records, sink);
                     written += n;
                     result?;
@@ -415,10 +410,6 @@ impl<B: MapBackend> MappingEngine<B> {
             // (and resets for the next run). Runs on the error path too, so
             // an aborted run never leaves the device dirty.
             backend_stats.merge(&backend.flush());
-            // The queue's lifetime counters, surfaced two ways: the report
-            // fields below and (when enabled) the metrics registry.
-            frec.counter_add(steals_c, queue.steals());
-            frec.counter_add(refills_c, queue.refills());
             let write_result = emitter.join().expect("emitter panicked");
             (stats, backend_stats, write_result, batches)
         });

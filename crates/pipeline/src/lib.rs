@@ -30,9 +30,9 @@
 //!   depth, the [`FallbackPolicy`] for pairs GenPair hands to the
 //!   traditional pipeline, the backend selection (`.engine(&mapper)`
 //!   for software, `.backend(...)` for anything else), and an optional
-//!   [`Telemetry`] handle (`.telemetry(...)`) that records queue-wait and
-//!   map-latency histograms, reorder-depth gauges, steal/refill counters
-//!   and batch-lifecycle spans — zero-cost when left disabled, and
+//!   [`Telemetry`] handle (`.telemetry(...)`) that records queue-wait,
+//!   map-latency, emit-wait, ingest and reorder-depth histograms and
+//!   batch-lifecycle spans — zero-cost when left disabled, and
 //!   accounting-inert by construction (wall-clock reads never feed modeled
 //!   stats, so warm totals and SAM bytes are unchanged by tracing);
 //! * a **multi-job service layer** ([`MappingService`], [`ServiceBuilder`])

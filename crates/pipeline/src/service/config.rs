@@ -261,9 +261,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Attaches a telemetry handle: the service then records per-job
-    /// labeled counters and trace tracks in addition to the engine-level
-    /// series. Observational only, exactly as for the one-shot engine.
+    /// Attaches a telemetry handle: the service's workers then record the
+    /// engine's worker series (`gx_queue_wait_ns`, `gx_map_batch_ns`) and
+    /// its ingesters `ingest_feed` / `ingest_close` spans tagged with the
+    /// job id. Per-job counts are in each [`JobReport`](super::JobReport).
+    /// Observational only, exactly as for the one-shot engine.
     pub fn telemetry(mut self, telemetry: Telemetry) -> ServiceBuilder {
         self.telemetry = telemetry;
         self

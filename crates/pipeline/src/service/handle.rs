@@ -8,16 +8,10 @@ use crate::batch::ReadPairStream;
 use crate::sink::RecordSink;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
-use gx_telemetry::labeled;
 use std::io::BufRead;
 use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Trace-track ids for per-job tracks (workers sit at `0..threads`, the
-/// ingest pool at `threads..threads+ingesters`, the deadline timer right
-/// after it, NMSL lanes at 2000+).
-const JOB_TRACK_BASE: u32 = 3000;
 
 /// The client surface of a running service: submit, cancel, drain.
 /// Shareable across threads (`&ServiceHandle` is all any method needs).
@@ -68,17 +62,6 @@ impl<'s> ServiceHandle<'s> {
         let id = sched.next_id;
         sched.next_id += 1;
 
-        let t = &self.shared.telemetry;
-        let pairs_c = t.try_counter(
-            &labeled("gx_job_pairs_total", "job", id),
-            "read pairs mapped for this job",
-        );
-        let records_c = t.try_counter(
-            &labeled("gx_job_records_total", "job", id),
-            "SAM records delivered to this job's sink",
-        );
-        t.label_track(JOB_TRACK_BASE.wrapping_add(id as u32), &format!("job {id}"));
-
         let budget = spec.deadline.or(self.shared.cfg.default_job_timeout);
         let state = Arc::new(JobState {
             id,
@@ -88,8 +71,6 @@ impl<'s> ServiceHandle<'s> {
             deadline_at: budget.map(|b| self.shared.clock.now() + b),
             core: Mutex::new(JobCore::new(Box::new(sink))),
             done: Condvar::new(),
-            pairs_c,
-            records_c,
         });
         sched.registry.insert(id, Arc::clone(&state));
         sched.pool.push(FeederJob {
@@ -158,11 +139,6 @@ impl<'s> ServiceHandle<'s> {
             Some(state) => end_job(self.shared, &state, End::Cancelled).is_some(),
             None => false,
         }
-    }
-
-    /// Jobs admitted and not yet finalized.
-    pub fn active_jobs(&self) -> usize {
-        self.shared.sched().registry.len()
     }
 
     /// Stops admitting new jobs and blocks until every active job has

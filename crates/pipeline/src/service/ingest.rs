@@ -6,7 +6,6 @@ use crate::worker::inflight_window;
 use gx_backend::MapBackend;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
-use gx_telemetry::labeled;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -206,9 +205,6 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
 /// behavior.
 pub(super) fn run_timer(shared: &Shared<'_>) {
     let _teardown = AbortOnPanic(shared);
-    let rec = shared
-        .telemetry
-        .recorder((shared.cfg.threads + shared.cfg.ingesters) as u32);
     loop {
         let expired: Vec<Arc<JobState>> = {
             let sched = shared.sched();
@@ -247,12 +243,6 @@ pub(super) fn run_timer(shared: &Shared<'_>) {
         for job in &expired {
             if end_job(shared, job, End::Deadline) == Some(true) {
                 shared.sched().deadline_cancels += 1;
-                if let Some(c) = shared.telemetry.try_counter(
-                    &labeled("gx_job_deadline_cancels_total", "job", job.id),
-                    "jobs cancelled because their deadline expired",
-                ) {
-                    rec.counter_add(c, 1);
-                }
             }
         }
     }

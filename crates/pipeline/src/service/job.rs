@@ -7,7 +7,6 @@ use crate::sink::RecordSink;
 use crate::worker::ReorderBuffer;
 use gx_backend::BackendStats;
 use gx_core::{PipelineStats, ReadPair};
-use gx_telemetry::CounterId;
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -110,8 +109,6 @@ pub(super) struct JobState {
     pub(super) deadline_at: Option<Duration>,
     pub(super) core: Mutex<JobCore>,
     pub(super) done: Condvar,
-    pub(super) pairs_c: Option<CounterId>,
-    pub(super) records_c: Option<CounterId>,
 }
 
 impl JobState {
@@ -297,8 +294,6 @@ mod tests {
             deadline_at: None,
             core: Mutex::new(JobCore::new(Box::new(VecSink::new()))),
             done: Condvar::new(),
-            pairs_c: None,
-            records_c: None,
         });
         shared.sched().registry.insert(0, Arc::clone(&job));
         // One batch is out with a worker, so nothing below can finalize

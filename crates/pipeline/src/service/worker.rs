@@ -38,9 +38,6 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
                 continue;
             }
         }
-        if let Some(c) = jb.job.pairs_c {
-            worker.rec.counter_add(c, jb.pairs.len() as u64);
-        }
         // Map and render outside the job lock; whether the job has ended
         // is re-checked under it, so a cancel ack can never race a write.
         let tag = BatchTag {
@@ -58,7 +55,6 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
         // check below re-reads.
         let mut guard = jb.job.lock();
         let core = &mut *guard;
-        let mut written = 0;
         // A failure ends the job here, under the lock already held (its
         // owning ingester may be blocked in the input iterator and unable
         // to). Other jobs are untouched.
@@ -69,7 +65,6 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
                 if core.ended().is_none() {
                     let sink = core.sink.as_mut().expect("sink present until join");
                     let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
-                    written = n;
                     core.written += n;
                     if let Err(e) = result {
                         core.end(End::Failed(e.to_string()), shared.discard, jb.job.id);
@@ -88,11 +83,6 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
         }
         core.processed += 1;
         drop(guard);
-        if written > 0 {
-            if let Some(c) = jb.job.records_c {
-                worker.rec.counter_add(c, written);
-            }
-        }
         try_finalize(shared, &jb.job);
         // Window progress: a parked ingest thread may now have room.
         shared.wake.notify_all();

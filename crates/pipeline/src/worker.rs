@@ -36,7 +36,7 @@ pub(crate) struct Worker<'b, B: MapBackend + 'b> {
     id: usize,
     session: B::Session<'b>,
     policy: FallbackPolicy,
-    pub(crate) rec: Recorder,
+    rec: Recorder,
     queue_wait_h: HistogramId,
     map_h: HistogramId,
 }

@@ -36,16 +36,6 @@ impl ErrorModel {
         }
     }
 
-    /// Illumina-like: substitution-dominated (substitutions make up ~90% of
-    /// short-read errors).
-    pub fn illumina_like(total: f64) -> ErrorModel {
-        ErrorModel {
-            sub_rate: total * 0.9,
-            ins_rate: total * 0.05,
-            del_rate: total * 0.05,
-        }
-    }
-
     /// Total per-base error rate.
     pub fn total(&self) -> f64 {
         self.sub_rate + self.ins_rate + self.del_rate

@@ -100,11 +100,6 @@ impl<'g> PairedEndSimulator<'g> {
         self
     }
 
-    /// Current read length.
-    pub fn read_length(&self) -> usize {
-        self.read_len
-    }
-
     /// Draws one pair. Retries internally until a fragment fits a
     /// chromosome.
     pub fn simulate_pair(&mut self) -> SimulatedPair {

@@ -1,9 +1,12 @@
 //! gx-telemetry — the observability layer for the GenPairX workspace.
 //!
-//! Production mapping-as-a-service (ROADMAP item 1) needs a live window
-//! into the engine: which stage a batch is waiting in, how deep the
-//! emitter's reorder buffer runs, what the NMSL lanes are doing while a
-//! worker blocks. This crate provides that window under two hard rules:
+//! A run's *counts* live in the structs it returns (`PipelineReport`,
+//! `PipelineStats`, `BackendStats`, `DeviceCounters`, `JobReport`), with
+//! telemetry on or off. This crate keeps what those cannot: how long a
+//! batch waited in which stage, how deep the emitter's reorder buffer ran
+//! batch by batch, what the NMSL lanes were doing while a worker blocked —
+//! wall-clock and per-event *distributions*, and values *over time*. It
+//! does so under three hard rules:
 //!
 //! 1. **Zero-cost when disabled.** [`Telemetry::disabled`] is a `None`
 //!    handle; every recorder method is a branch on that `Option` and
@@ -16,19 +19,27 @@
 //!    Wall-clock reads flow only into telemetry buffers, never into
 //!    modeled totals — `tests/e2e_warm_invariance.rs` asserts warm
 //!    accounting stays bit-identical with tracing fully enabled.
+//! 3. **One home for every number.** Nothing a report struct carries is
+//!    re-exported here, and every exported series has a row in
+//!    ARCHITECTURE.md ("Observability") saying what question it answers —
+//!    `tests/telemetry_taxonomy.rs` fails on one that has not.
 //!
 //! The moving parts:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and log2 latency
-//!   histograms, sharded one shard per [`Recorder`] (the `PipelineStats`
-//!   idiom) and merged lock-free at [`Telemetry::snapshot`] time.
+//! * [`MetricsRegistry`] — named log2 histograms of wall-clock waits and
+//!   per-event depths, sharded one shard per [`Recorder`] (the
+//!   `PipelineStats` idiom) and merged lock-free at [`Telemetry::snapshot`]
+//!   time. Histograms only: a count or a level some report struct already
+//!   carries (`PipelineReport`, `PipelineStats`, `DeviceCounters`,
+//!   `JobReport`) lives there and is not re-exported here.
 //! * [`Recorder`] — a per-thread handle owning one metrics shard and one
-//!   fixed-capacity [`SpanRing`]; recording is lock-free and
-//!   allocation-free.
+//!   fixed-capacity [`SpanRing`] of duration spans and counter *samples*
+//!   (a value over time, which no end-of-run struct has); recording is
+//!   lock-free and allocation-free.
 //! * [`chrome_trace_json`] — exports collected spans as Chrome
 //!   trace-event JSON, viewable in Perfetto or `chrome://tracing`.
-//! * [`MetricsSnapshot::to_prometheus`] — text exposition for the future
-//!   service front-end's stats endpoint.
+//! * [`MetricsSnapshot::to_prometheus`] — the histograms as Prometheus
+//!   text.
 //!
 //! # Example
 //!
@@ -64,8 +75,7 @@ pub use histogram::{
     bucket_index, bucket_upper_bound, AtomicHistogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use registry::{
-    labeled, CounterId, CounterValue, GaugeId, GaugeValue, HistogramId, HistogramValue, MetricDesc,
-    MetricsRegistry, MetricsSnapshot, MAX_METRICS,
+    HistogramId, HistogramValue, MetricDesc, MetricsRegistry, MetricsSnapshot, MAX_METRICS,
 };
 pub use spans::{SpanEvent, SpanKind, SpanRing};
 pub use trace::chrome_trace_json;
@@ -147,41 +157,12 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Registers (or looks up) a counter. Returns a dummy id on a disabled
-    /// handle — recording through it is a no-op anyway.
-    pub fn counter(&self, name: &str, help: &str) -> CounterId {
-        match &self.inner {
-            Some(inner) => inner.registry.counter(name, help),
-            None => CounterId(0),
-        }
-    }
-
-    /// Registers (or looks up) a gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> GaugeId {
-        match &self.inner {
-            Some(inner) => inner.registry.gauge(name, help),
-            None => GaugeId(0),
-        }
-    }
-
-    /// Registers (or looks up) a log2 latency histogram.
+    /// Registers (or looks up) a log2 histogram. Returns a dummy id on a
+    /// disabled handle — recording through it is a no-op anyway.
     pub fn histogram(&self, name: &str, help: &str) -> HistogramId {
         match &self.inner {
             Some(inner) => inner.registry.histogram(name, help),
             None => HistogramId(0),
-        }
-    }
-
-    /// Registers a counter without panicking at the [`MAX_METRICS`] cap:
-    /// `None` means the table is full and the caller should fall back to an
-    /// aggregate series. For dynamically [`labeled`] per-job metrics, where
-    /// a long-running service cannot bound the label cardinality up front.
-    /// A disabled handle returns a dummy id (recording is a no-op anyway),
-    /// so degrade behaviour is exercised only when telemetry is live.
-    pub fn try_counter(&self, name: &str, help: &str) -> Option<CounterId> {
-        match &self.inner {
-            Some(inner) => inner.registry.try_counter(name, help),
-            None => Some(CounterId(0)),
         }
     }
 
@@ -347,23 +328,6 @@ impl Recorder {
         });
     }
 
-    /// Adds `n` to counter `id` in this recorder's shard.
-    #[inline]
-    pub fn counter_add(&self, id: CounterId, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.shard.counter_add(id, n);
-        }
-    }
-
-    /// Sets gauge `id` in this recorder's shard (tracking the high-water
-    /// mark as a side effect).
-    #[inline]
-    pub fn gauge_set(&self, id: GaugeId, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.shard.gauge_set(id, v);
-        }
-    }
-
     /// Records `v` into histogram `id` in this recorder's shard.
     #[inline]
     pub fn record(&self, id: HistogramId, v: u64) {
@@ -441,16 +405,18 @@ mod tests {
     #[test]
     fn drop_flushes_and_metrics_merge_across_recorders() {
         let t = Telemetry::enabled();
-        let c = t.counter("gx_batches_total", "batches");
+        let h = t.histogram("gx_wait_ns", "wait");
         {
             let mut a = t.recorder(0);
             let b = t.recorder(1);
             let t0 = a.start();
             a.span("queue_wait", t0);
-            a.counter_add(c, 2);
-            b.counter_add(c, 3);
+            a.record(h, 2);
+            b.record(h, 3);
         }
-        assert_eq!(t.snapshot().unwrap().counter("gx_batches_total"), Some(5));
+        let snap = t.snapshot().unwrap();
+        let merged = snap.histogram("gx_wait_ns").unwrap();
+        assert_eq!((merged.count, merged.sum), (2, 5));
         let json = t.chrome_trace().unwrap();
         assert!(json.contains("queue_wait"));
     }

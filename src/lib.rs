@@ -13,10 +13,10 @@
 //! * [`readsim`] — Mason-like paired-end and long-read simulators.
 //! * [`core`] — the GenPair algorithm (seeding, query, paired-adjacency
 //!   filtering, light alignment, fallback plumbing).
-//! * [`telemetry`] — std-only observability: sharded counters/gauges and
-//!   log2 latency histograms merged lock-free at snapshot time, span
-//!   tracing into per-worker ring buffers with a Chrome trace-event JSON
-//!   exporter (Perfetto-viewable), and Prometheus-style text exposition.
+//! * [`telemetry`] — std-only observability: sharded log2 histograms of
+//!   wall-clock waits merged lock-free at snapshot time, span and
+//!   counter-track tracing into per-worker ring buffers with a Chrome
+//!   trace-event JSON exporter (Perfetto-viewable); counts stay in reports.
 //!   Zero-cost when disabled, and accounting-inert: wall-clock reads never
 //!   feed the modeled stats, so warm totals and SAM bytes are unchanged by
 //!   tracing.
