@@ -28,7 +28,9 @@
 //!    Table misses, after which every location sits in a few adjacent
 //!    cache lines;
 //! 4. merge each read's arena spans into its [`ReadCandidates`]
-//!    ([`merge_sorted_with_offsets_into`]) — no miss left to wait for.
+//!    ([`merge_sorted_with_offsets_into`]) — no miss left to wait for, and
+//!    per location a `min` and three index increments, no branch the data
+//!    decides: the one phase whose cost grows with bucket occupancy.
 //!
 //! The order of the loads is the only thing that changes: every read gets
 //! the `ReadCandidates` a lookup-by-lookup query would give it.
@@ -158,6 +160,7 @@ pub fn query_read_into(
 
 /// Seeds per read: first, middle, last.
 const SEEDS_PER_READ: usize = 3;
+const _: () = assert!(SEEDS_PER_READ <= gx_seedmap::MAX_MERGE_LISTS);
 
 /// Phases 1 and 2 of the [module docs](self#seeding-in-phases) over `N`
 /// reads: hashes every read's partitioned seeds, then reads every seed's
@@ -388,7 +391,9 @@ pub(crate) mod tests {
     }
 
     /// What the mapper did before [`query_reads_into`]: one read at a time,
-    /// one lookup after another, slices merged straight from the table.
+    /// one lookup after another, slices read straight from the table — and
+    /// the read starts by filter, sort and dedup rather than by the merge
+    /// under test.
     fn sequential_oracle(read: &DnaSeq, map: &SeedMap) -> ReadCandidates {
         let (seeds, n) = partitioned_seeds_with(read, map, &mut Vec::new());
         let lists: Vec<(&[GlobalPos], u32)> = seeds[..n]
@@ -399,8 +404,14 @@ pub(crate) mod tests {
         for (lookup, &seed) in lookups.iter_mut().zip(&seeds[..n]) {
             *lookup = lookup_of(seed, map);
         }
+        let mut starts: Vec<GlobalPos> = lists
+            .iter()
+            .flat_map(|&(l, off)| l.iter().filter(move |&&v| v >= off).map(move |&v| v - off))
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
         ReadCandidates {
-            starts: gx_seedmap::merge_sorted_with_offsets(lists.iter().copied()),
+            starts,
             locations_fetched: lists.iter().map(|(l, _)| l.len() as u64).sum(),
             seeds_hit: lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32,
             seeds_total: n as u32,

@@ -6,6 +6,17 @@
 //! requires subtracting each seed's offset within the read and merging — a
 //! three-way sorted merge, which is exactly what the paper's design exploits
 //! to keep the query stage sequential and burst-friendly.
+//!
+//! The merge is the one part of a query whose cost grows with bucket
+//! occupancy (~9.5 locations a seed on GRCh38, the paper's Observation 2),
+//! so its per-location step carries no branch the data decides: each step
+//! takes the minimum of the three list heads (an exhausted list's head is a
+//! sentinel above every location) and advances *every* list whose head
+//! equals it, by adding the comparison's 0 or 1 to its index. Which list
+//! wins, and whether lists tie, is arithmetic, not a jump to predict. That
+//! matters most on a repeat: the three seeds hit the same copies, so after
+//! the offsets are subtracted their lists tie or interleave location by
+//! location, and a branch on which head is smallest would be a coin flip.
 
 use gx_genome::GlobalPos;
 
@@ -29,14 +40,15 @@ where
     out
 }
 
-/// How many input lists [`merge_sorted_with_offsets_into`] accepts — the
-/// cursor array lives on the stack so the merge itself never allocates.
-/// Partitioned seeding produces at most 3 lists per read.
-pub const MAX_MERGE_LISTS: usize = 8;
+/// How many input lists [`merge_sorted_with_offsets_into`] accepts: one a
+/// partitioned seed of a read. The merge keeps one head a list and pads
+/// fewer lists with empty ones, so every list count runs the same loop.
+pub const MAX_MERGE_LISTS: usize = 3;
 
 /// [`merge_sorted_with_offsets`] writing into a caller-owned vector
-/// (cleared first): the allocation-free variant the mapper's scratch arena
-/// uses per read.
+/// (overwritten): the allocation-free variant the mapper's scratch arena
+/// uses per read. Each output step is the minimum of the list heads, and
+/// every list holding it advances, so no branch depends on the locations.
 ///
 /// # Panics
 ///
@@ -46,36 +58,36 @@ pub fn merge_sorted_with_offsets_into(lists: &[(&[GlobalPos], u32)], out: &mut V
         lists.len() <= MAX_MERGE_LISTS,
         "merge supports at most {MAX_MERGE_LISTS} lists"
     );
-    let total: usize = lists.iter().map(|(l, _)| l.len()).sum();
+    // Each list without the locations that would place the read before
+    // position 0.
+    let mut trimmed = [(&[][..], 0); MAX_MERGE_LISTS];
+    for (t, &(list, off)) in trimmed.iter_mut().zip(lists) {
+        *t = (&list[list.partition_point(|&v| v < off)..], off);
+    }
+    // Every step writes one slot and keeps it only if it is new, so the
+    // output never holds more than the steps taken, one a location at most.
     out.clear();
-    out.reserve(total);
-    let mut cursors = [0usize; MAX_MERGE_LISTS];
-    // Skip leading locations that would place the read before position 0.
-    for (i, (list, off)) in lists.iter().enumerate() {
-        while cursors[i] < list.len() && list[cursors[i]] < *off {
-            cursors[i] += 1;
-        }
-    }
+    out.resize(trimmed.iter().map(|(l, _)| l.len()).sum(), 0);
+    let slots = out.as_mut_slice();
+    let mut at = [0usize; MAX_MERGE_LISTS];
+    let (mut kept, mut last) = (0, u64::MAX);
     loop {
-        let mut best: Option<(GlobalPos, usize)> = None;
-        for (i, (list, off)) in lists.iter().enumerate() {
-            if cursors[i] < list.len() {
-                let v = list[cursors[i]] - *off;
-                if best.is_none_or(|(bv, _)| v < bv) {
-                    best = Some((v, i));
-                }
-            }
+        let head: [u64; MAX_MERGE_LISTS] = std::array::from_fn(|i| {
+            let (list, off) = trimmed[i];
+            list.get(at[i]).map_or(u64::MAX, |&v| u64::from(v - off))
+        });
+        let min = head.into_iter().fold(u64::MAX, u64::min);
+        if min == u64::MAX {
+            break;
         }
-        match best {
-            Some((v, i)) => {
-                cursors[i] += 1;
-                if out.last() != Some(&v) {
-                    out.push(v);
-                }
-            }
-            None => break,
+        for (at, head) in at.iter_mut().zip(head) {
+            *at += usize::from(head == min);
         }
+        slots[kept] = min as GlobalPos;
+        kept += usize::from(min != last);
+        last = min;
     }
+    out.truncate(kept);
 }
 
 #[cfg(test)]
