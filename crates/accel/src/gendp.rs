@@ -39,17 +39,16 @@ pub struct GenDpModel {
 
 impl GenDpModel {
     /// Efficiency constants implied by the paper's Table 4 at the 192.7
-    /// MPair/s operating point.
+    /// MPair/s operating point: the [`GenDpInstance::paper_table4`]
+    /// throughputs and powers over its 174.9 mm² (chain) and 139.4 mm²
+    /// (align).
     pub fn paper_calibrated() -> GenDpModel {
-        let rate_mpairs = 192.7;
-        // MCU/Mpair * MPair/s = MCU/s * 1e6 = CU/s; /1e9 -> GCUPS.
-        let chain_gcups = PAPER_CHAIN_MCU_PER_MPAIR * rate_mpairs * 1e6 / 1e9;
-        let align_gcups = PAPER_ALIGN_MCU_PER_MPAIR * rate_mpairs * 1e6 / 1e9;
+        let dp = GenDpInstance::paper_table4();
         GenDpModel {
-            chain_gcups_per_mm2: chain_gcups / 174.9,
-            chain_gcups_per_w: chain_gcups / 115.8,
-            align_gcups_per_mm2: align_gcups / 139.4,
-            align_gcups_per_w: align_gcups / 92.3,
+            chain_gcups_per_mm2: dp.chain_gcups / 174.9,
+            chain_gcups_per_w: dp.chain_gcups / dp.chain_power_w,
+            align_gcups_per_mm2: dp.align_gcups / 139.4,
+            align_gcups_per_w: dp.align_gcups / dp.align_power_w,
         }
     }
 
@@ -190,6 +189,7 @@ impl GenDpInstance {
     /// of alignment).
     pub fn paper_table4() -> GenDpInstance {
         let rate_mpairs = 192.7;
+        // MCU/Mpair * MPair/s = MCU/s * 1e6 = CU/s; /1e9 -> GCUPS.
         GenDpInstance {
             chain_gcups: PAPER_CHAIN_MCU_PER_MPAIR * rate_mpairs * 1e6 / 1e9,
             align_gcups: PAPER_ALIGN_MCU_PER_MPAIR * rate_mpairs * 1e6 / 1e9,

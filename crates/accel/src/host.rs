@@ -30,17 +30,14 @@ pub struct HostTraffic {
 }
 
 impl HostTraffic {
-    /// Traffic at `mpairs_per_s` for 2×`read_len` pairs: reads are 2-bit
-    /// packed (`read_len / 4` bytes per end, rounded up to whole bytes as
-    /// [`pair_bytes`](HostTraffic::pair_bytes) charges them); results are
-    /// 8 bytes of locations plus ~20 bytes of CIGAR per pair (paper §7.4).
+    /// Traffic at `mpairs_per_s` for 2×`read_len` pairs, each charged the
+    /// bytes of [`pair_bytes`](HostTraffic::pair_bytes).
     pub fn at_rate(mpairs_per_s: f64, read_len: usize) -> HostTraffic {
         let pairs_per_s = mpairs_per_s * 1e6;
-        let in_bytes_per_pair = 2.0 * read_len.div_ceil(4) as f64 + 2.0; // + qname/ids overhead
-        let out_bytes_per_pair = 8.0 + 20.0;
+        let (input, output) = HostTraffic::pair_bytes(read_len, read_len);
         HostTraffic {
-            input_gbs: pairs_per_s * in_bytes_per_pair / 1e9,
-            output_gbs: pairs_per_s * out_bytes_per_pair / 1e9,
+            input_gbs: pairs_per_s * input as f64 / 1e9,
+            output_gbs: pairs_per_s * output as f64 / 1e9,
         }
     }
 
@@ -51,15 +48,16 @@ impl HostTraffic {
 
     /// The pair rate a given link can sustain (input-bound).
     pub fn max_rate_for_link(link_gbs: f64, read_len: usize) -> f64 {
-        let in_bytes_per_pair = 2.0 * read_len.div_ceil(4) as f64 + 2.0;
-        link_gbs * 1e9 / in_bytes_per_pair / 1e6
+        let (input, _) = HostTraffic::pair_bytes(read_len, read_len);
+        link_gbs * 1e9 / input as f64 / 1e6
     }
 
     /// Host-link bytes of one read pair as `(input, output)`: reads stream
     /// in 2-bit packed (`len / 4` bytes per end, rounded up, plus 2 bytes of
-    /// id/descriptor overhead); locations + CIGARs stream out (8 + 20 bytes,
-    /// §7.4). This is the per-pair integer form of [`HostTraffic::at_rate`]'s
-    /// rate model, used by the backend layer to charge actual batches.
+    /// id/descriptor overhead); locations + CIGARs stream out (8 bytes of
+    /// locations plus ~20 of CIGAR, §7.4). The rate model
+    /// ([`HostTraffic::at_rate`]) and the backend layer, which charges
+    /// actual batches, both price pairs with it.
     pub fn pair_bytes(r1_len: usize, r2_len: usize) -> (u64, u64) {
         let packed = |len: usize| len.div_ceil(4) as u64;
         (packed(r1_len) + packed(r2_len) + 2, 8 + 20)

@@ -8,7 +8,11 @@
 //! * [`nmsl`] — the Near-Memory Seed Locator simulator: table partitioning
 //!   across channels, per-channel input FIFOs, the read-pair sliding window
 //!   and centralized buffer (Fig. 7/8), driven by the
-//!   [`gx_memsim::DramSim`] cycle model,
+//!   [`gx_memsim::DramSim`] cycle model; one-shot
+//!   ([`NmslSim::run`](nmsl::NmslSim::run)) for the figures, or streamed
+//!   ([`push`](nmsl::NmslSim::push) +
+//!   [`run_until_completed`](nmsl::NmslSim::run_until_completed)) by the
+//!   backend's warm device,
 //! * [`modules`] + [`sizing`] — the Partitioned Seeding, Paired-Adjacency
 //!   Filtering and Light Alignment module models and the pipeline balancing
 //!   that produces Table 3,
@@ -36,10 +40,7 @@ pub use area_power::{CostItem, DesignCost, TechScaling};
 pub use gendp::{fallback_cells, FallbackCells, FallbackCost, GenDpInstance, GenDpModel};
 pub use host::HostTraffic;
 pub use modules::{ModuleSpec, ACCEL_CLOCK_GHZ};
-pub use nmsl::{
-    shard_for_workload, CycleBreakdown, LaneCounters, LaneDelta, NmslConfig, NmslLane, NmslResult,
-    NmslSim,
-};
+pub use nmsl::{shard_for_workload, CycleBreakdown, LaneCounters, NmslConfig, NmslResult, NmslSim};
 pub use sizing::{PipelineSizing, WorkloadProfile};
 pub use systems::{SystemPerf, SystemSet};
 pub use workload::{PairWorkload, SeedFetch};

@@ -50,12 +50,14 @@ pub enum AddressScale {
 #[derive(Clone, Copy, Debug)]
 pub struct NmslConfig {
     /// Read-pair sliding window size; `None` simulates the unbounded
-    /// "No Window" configuration of Fig. 8.
+    /// "No Window" configuration of Fig. 8. [`NmslSim::new`] clamps
+    /// `Some(0)` to `Some(1)`: a zero window would never admit a pair.
     pub window: Option<usize>,
     /// Bytes per centralized-buffer entry (one location, 4 B).
     pub buffer_entry_bytes: u64,
     /// Centralized-buffer FIFO depth (the index filtering threshold caps
-    /// locations per seed, §5.2).
+    /// locations per seed, §5.2). [`NmslSim::new`] clamps it to at least
+    /// 1: a zero depth would issue zero-byte Location Table reads.
     pub buffer_depth: u32,
     /// Bytes per channel-input-FIFO entry (request descriptor).
     pub fifo_entry_bytes: u64,
@@ -155,35 +157,6 @@ impl CycleBreakdown {
     pub fn busy(&self) -> u64 {
         self.issue + self.dram_stall + self.drain
     }
-
-    /// The attribution since an `earlier` snapshot of the same counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `earlier` is not a prefix of `self`.
-    pub fn since(&self, earlier: &CycleBreakdown) -> CycleBreakdown {
-        debug_assert!(
-            self.issue >= earlier.issue
-                && self.dram_stall >= earlier.dram_stall
-                && self.drain >= earlier.drain
-                && self.idle >= earlier.idle,
-            "snapshot is not an earlier prefix of this breakdown"
-        );
-        CycleBreakdown {
-            issue: self.issue - earlier.issue,
-            dram_stall: self.dram_stall - earlier.dram_stall,
-            drain: self.drain - earlier.drain,
-            idle: self.idle - earlier.idle,
-        }
-    }
-
-    /// Component-wise accumulation (inverse of [`since`](Self::since)).
-    pub fn accumulate(&mut self, other: &CycleBreakdown) {
-        self.issue += other.issue;
-        self.dram_stall += other.dram_stall;
-        self.drain += other.drain;
-        self.idle += other.idle;
-    }
 }
 
 /// Tag layout: pair id << 4 | seed index << 1 | phase.
@@ -215,8 +188,10 @@ struct PairSlot {
 /// dispatches. A caller that keeps one long-lived instance can stream
 /// batches through it — [`push`](NmslSim::push) each pair's workload, then
 /// [`run_until_completed`](NmslSim::run_until_completed) — and attribute
-/// per-dispatch cost by snapshotting [`cycle`](NmslSim::cycle) and
-/// [`dram_stats`](NmslSim::dram_stats) around each dispatch. This is the
+/// per-dispatch cost as after − before of [`cycle`](NmslSim::cycle) and
+/// [`dram_stats`](NmslSim::dram_stats) (see [`DramStats::since`]) around
+/// each run. The backend's shared warm device drives one such simulator per
+/// lane, running it one dispatch quantum behind its pushes. This is the
 /// *warm-state* dispatch model: the tail of one batch drains while the next
 /// batch's seed reads are already in flight, and row-buffer state carries
 /// over, so a warm stream never pays the per-batch pipeline flush that
@@ -258,8 +233,11 @@ pub struct NmslSim {
 const PRESIZE_PAIRS: usize = 256;
 
 impl NmslSim {
-    /// Creates a simulator over a DRAM technology.
-    pub fn new(dram_cfg: DramConfig, cfg: NmslConfig) -> NmslSim {
+    /// Creates a simulator over a DRAM technology, clamping a zero window
+    /// and a zero buffer depth to 1.
+    pub fn new(dram_cfg: DramConfig, mut cfg: NmslConfig) -> NmslSim {
+        cfg.window = cfg.window.map(|w| w.max(1));
+        cfg.buffer_depth = cfg.buffer_depth.max(1);
         let channels = dram_cfg.channels as usize;
         let pairs = cfg.window.unwrap_or(usize::MAX).min(PRESIZE_PAIRS);
         let per_fifo = (pairs * 6).div_ceil(channels);
@@ -289,8 +267,8 @@ impl NmslSim {
         self.dram.cycle()
     }
 
-    /// Cumulative DRAM statistics (snapshot; pair with
-    /// [`DramStats::since`] for per-dispatch attribution).
+    /// Cumulative DRAM statistics (snapshot; take [`DramStats::since`] an
+    /// earlier snapshot for per-dispatch attribution).
     pub fn dram_stats(&self) -> DramStats {
         *self.dram.stats()
     }
@@ -301,9 +279,8 @@ impl NmslSim {
         self.dram.channel_cycles()
     }
 
-    /// Cumulative cycle attribution (snapshot; pair with
-    /// [`CycleBreakdown::since`] for per-dispatch attribution). Its
-    /// `total()` always equals [`cycle()`](NmslSim::cycle).
+    /// Cumulative cycle attribution. Its `total()` always equals
+    /// [`cycle()`](NmslSim::cycle).
     pub fn cycle_breakdown(&self) -> CycleBreakdown {
         self.breakdown
     }
@@ -347,20 +324,16 @@ impl NmslSim {
 
     /// Submits one pair's workload to the stream. The pair enters the
     /// sliding window (and starts issuing memory traffic) once the window
-    /// has room; until then it waits in the admission queue.
+    /// has room; until then it waits in the admission queue. The seeds are
+    /// copied into the in-flight slot, so nothing is allocated per pair.
     ///
     /// # Panics
     ///
     /// Panics if the workload holds more than 8 seeds: the completion tag
     /// encodes the seed index in 3 bits (the hardware issues at most six
     /// seeds per pair), and a wider index would alias another pair's tag.
-    pub fn push(&mut self, w: PairWorkload) {
-        self.push_seeds(&w.seeds);
-    }
-
-    /// [`push`](NmslSim::push) from a borrowed seed list: the seeds are
-    /// copied into the in-flight slot, so nothing is allocated per pair.
-    fn push_seeds(&mut self, seeds: &[SeedFetch]) {
+    pub fn push(&mut self, w: &PairWorkload) {
+        let seeds = &w.seeds;
         assert!(
             seeds.len() <= MAX_SEEDS,
             "NMSL pair workloads are limited to 8 seeds (got {})",
@@ -560,7 +533,7 @@ impl NmslSim {
     pub fn run(&mut self, workloads: &[PairWorkload]) -> NmslResult {
         assert!(!workloads.is_empty(), "empty workload");
         for w in workloads {
-            self.push_seeds(&w.seeds);
+            self.push(w);
         }
         self.drain();
 
@@ -612,31 +585,6 @@ pub fn shard_for_workload(w: &PairWorkload, global_index: u64, shards: usize) ->
     key as usize % shards.max(1)
 }
 
-/// Simulator progress between two attribution points of an [`NmslLane`]:
-/// the cycles stepped, the wall seconds they span at the memory clock, and
-/// the DRAM traffic completed meanwhile.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LaneDelta {
-    /// Memory cycles stepped.
-    pub cycles: u64,
-    /// Seconds the cycles span at the lane's memory clock.
-    pub seconds: f64,
-    /// DRAM statistics delta over the interval.
-    pub dram: DramStats,
-    /// Cycle attribution over the interval; `breakdown.total() == cycles`.
-    pub breakdown: CycleBreakdown,
-}
-
-impl LaneDelta {
-    /// Component-wise accumulation.
-    pub fn accumulate(&mut self, other: &LaneDelta) {
-        self.cycles += other.cycles;
-        self.seconds += other.seconds;
-        self.dram.accumulate(&other.dram);
-        self.breakdown.accumulate(&other.breakdown);
-    }
-}
-
 /// Point-in-time performance-counter snapshot of one lane: everything the
 /// device report needs, all integer cycle-domain values (plus the DRAM
 /// stats, which are integers too), so snapshots taken at the same logical
@@ -656,129 +604,6 @@ pub struct LaneCounters {
     pub max_inflight: u64,
     /// Peak occupancy on any channel input FIFO.
     pub max_channel_fifo: u64,
-}
-
-/// One lane of a channel-sharded NMSL device: a persistent [`NmslSim`]
-/// driven on a **fixed dispatch quantum** instead of client batches.
-///
-/// The lane admits pairs one at a time ([`admit`](NmslLane::admit)) and runs
-/// its simulator one quantum behind the admissions: when the `q`-th quantum
-/// of `quantum` pairs completes admission, the lane drains quantum `q−1`
-/// ([`run_lagged`](NmslLane::run_lagged)) — the same double-buffered overlap
-/// the per-worker warm sessions modeled per *batch*, except the quantum is a
-/// device constant. That is what makes a shared device's totals invariant:
-/// the (push, run) operation sequence depends only on the order pairs reach
-/// the lane, never on how the caller batched them or which thread admitted
-/// them. [`drain`](NmslLane::drain) flushes the tail.
-///
-/// Every method returns integer cycle counts and a [`DramStats`] delta, so a
-/// caller accumulating deltas in admission order reproduces bit-identical
-/// totals for any thread count.
-#[derive(Debug)]
-pub struct NmslLane {
-    sim: NmslSim,
-    quantum: u64,
-    /// Completion target the lane has already run to.
-    ran_to: u64,
-    last_cycle: u64,
-    last_dram: DramStats,
-    last_breakdown: CycleBreakdown,
-}
-
-impl NmslLane {
-    /// A lane over its own DRAM model, dispatching on `quantum`-pair groups
-    /// (clamped to at least 1).
-    pub fn new(dram_cfg: DramConfig, cfg: NmslConfig, quantum: usize) -> NmslLane {
-        NmslLane {
-            sim: NmslSim::new(dram_cfg, cfg),
-            quantum: quantum.max(1) as u64,
-            ran_to: 0,
-            last_cycle: 0,
-            last_dram: DramStats::default(),
-            last_breakdown: CycleBreakdown::default(),
-        }
-    }
-
-    /// The wrapped simulator (read-only).
-    pub fn sim(&self) -> &NmslSim {
-        &self.sim
-    }
-
-    /// Performance-counter snapshot of the lane's cumulative state (see
-    /// [`NmslSim::counters`]). Taken after [`drain`](NmslLane::drain), the
-    /// snapshot is a pure function of the admitted pair sequence.
-    pub fn counters(&self) -> LaneCounters {
-        self.sim.counters()
-    }
-
-    /// Pairs admitted to this lane so far.
-    pub fn admitted(&self) -> u64 {
-        self.sim.submitted()
-    }
-
-    /// The dispatch quantum in pairs.
-    pub fn quantum(&self) -> u64 {
-        self.quantum
-    }
-
-    /// Admits one pair's workload. Returns `true` when this admission
-    /// completed a quantum — the caller should charge the quantum's
-    /// host-link transfer and [`run_lagged`](NmslLane::run_lagged).
-    pub fn admit(&mut self, w: PairWorkload) -> bool {
-        self.sim.push(w);
-        self.sim.submitted().is_multiple_of(self.quantum)
-    }
-
-    /// Snapshot of simulator progress since the previous attribution point.
-    fn take_delta(&mut self) -> LaneDelta {
-        let cycle = self.sim.cycle();
-        let dram = self.sim.dram_stats();
-        let breakdown = self.sim.cycle_breakdown();
-        let delta = LaneDelta {
-            cycles: cycle - self.last_cycle,
-            seconds: (cycle - self.last_cycle) as f64 / (self.sim.dram_config().clock_ghz * 1e9),
-            dram: dram.since(&self.last_dram),
-            breakdown: breakdown.since(&self.last_breakdown),
-        };
-        self.last_cycle = cycle;
-        self.last_dram = dram;
-        self.last_breakdown = breakdown;
-        delta
-    }
-
-    /// Runs the simulator one quantum behind the admissions (drains every
-    /// completed quantum but the newest) and returns the progress made. On a
-    /// lane whose first quantum just completed this is a no-op: there is no
-    /// previous quantum to drain, exactly like the first batch of a warm
-    /// per-batch stream.
-    pub fn run_lagged(&mut self) -> LaneDelta {
-        let full_quanta = self.sim.submitted() / self.quantum;
-        let target = full_quanta.saturating_sub(1) * self.quantum;
-        if target > self.ran_to {
-            self.sim.run_until_completed(target);
-            self.ran_to = target;
-        }
-        self.take_delta()
-    }
-
-    /// Runs until `target` admitted pairs have completed (used by the device
-    /// flush to drain the lagged quantum before exposing a trailing partial
-    /// quantum's transfer) and returns the progress made.
-    pub fn run_to(&mut self, target: u64) -> LaneDelta {
-        let target = target.min(self.sim.submitted());
-        if target > self.ran_to {
-            self.sim.run_until_completed(target);
-            self.ran_to = target;
-        }
-        self.take_delta()
-    }
-
-    /// Drains every admitted pair and returns the final progress.
-    pub fn drain(&mut self) -> LaneDelta {
-        self.sim.drain();
-        self.ran_to = self.sim.submitted();
-        self.take_delta()
-    }
 }
 
 #[cfg(test)]
@@ -834,6 +659,27 @@ mod tests {
     }
 
     #[test]
+    fn zero_window_and_zero_buffer_depth_run_as_one() {
+        // A zero window never admitted a pair (the model spun forever) and
+        // a zero depth asked the DRAM for zero-byte reads (a panic): both
+        // clamp to 1 and run to completion exactly as 1 does.
+        let ws = workloads(20);
+        let run = |window, buffer_depth| {
+            let cfg = NmslConfig {
+                window,
+                buffer_depth,
+                ..NmslConfig::default()
+            };
+            let mut sim = NmslSim::new(DramConfig::hbm2e_32ch(), cfg);
+            let res = sim.run(&ws);
+            assert_eq!(res.pairs, 20);
+            (res.cycles, res.dram, res.buffer_bytes)
+        };
+        assert_eq!(run(Some(0), 500), run(Some(1), 500));
+        assert_eq!(run(Some(1024), 0), run(Some(1024), 1));
+    }
+
+    #[test]
     fn hbm_beats_ddr5() {
         let ws = workloads(300);
         let run = |cfg: DramConfig| {
@@ -857,52 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_op_sequence_is_independent_of_arrival_grouping() {
-        // The determinism contract of the sharded device: a lane fed the
-        // same pair sequence produces bit-identical cycle totals however
-        // the pairs arrive (one by one, in odd chunks, all at once), because
-        // admit/run_lagged are driven by the fixed quantum, not the caller's
-        // grouping. The groupings below replay the identical op sequence.
-        let ws = workloads(150);
-        let run = |chunks: &[usize]| {
-            let mut lane = NmslLane::new(DramConfig::hbm2e_32ch(), NmslConfig::default(), 16);
-            let mut total = LaneDelta::default();
-            let mut it = ws.iter();
-            for &chunk in chunks {
-                for w in it.by_ref().take(chunk) {
-                    if lane.admit(w.clone()) {
-                        total.accumulate(&lane.run_lagged());
-                    }
-                }
-            }
-            total.accumulate(&lane.drain());
-            let counters = lane.counters();
-            assert_eq!(
-                counters.breakdown.total(),
-                counters.cycles,
-                "breakdown must partition the lane's cycles"
-            );
-            (
-                total.cycles,
-                total.dram.completed,
-                total.dram.activations,
-                total.breakdown,
-                counters,
-            )
-        };
-        let a = run(&[150]);
-        let b = run(&[1; 150]);
-        let c = run(&[7, 64, 13, 66]);
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        assert!(a.0 > 0);
-        // The accumulated deltas and the final snapshot agree: nothing is
-        // lost between attribution points.
-        assert_eq!(a.3, a.4.breakdown);
-        assert!(a.3.issue > 0, "no cycles attributed to issue");
-    }
-
-    #[test]
     fn breakdown_partitions_cycles_and_sees_stall_pressure() {
         // A tiny DRAM queue against a wide-open window forces backpressure:
         // the lane must book dram_stall cycles, and issue+stall+drain+idle
@@ -917,32 +717,6 @@ mod tests {
         assert_eq!(bd.busy() + bd.idle, sim.cycle());
         assert!(bd.dram_stall > 0, "queue_depth=2 never stalled: {bd:?}");
         assert!(sim.dram_stats().rejections > 0);
-    }
-
-    #[test]
-    fn lane_runs_one_quantum_behind() {
-        let ws = workloads(40);
-        let mut lane = NmslLane::new(DramConfig::hbm2e_32ch(), NmslConfig::default(), 10);
-        let mut boundaries = 0;
-        for (i, w) in ws.iter().enumerate() {
-            let boundary = lane.admit(w.clone());
-            assert_eq!(boundary, (i + 1) % 10 == 0, "pair {i}");
-            if boundary {
-                boundaries += 1;
-                let delta = lane.run_lagged();
-                if boundaries == 1 {
-                    // First quantum: nothing lagged to drain yet.
-                    assert_eq!(delta.cycles, 0);
-                } else {
-                    assert!(delta.cycles > 0, "quantum {boundaries} made no progress");
-                }
-                // Lagged by exactly one quantum.
-                assert!(lane.sim().completed() >= (boundaries - 1) * 10);
-            }
-        }
-        let tail = lane.drain();
-        assert!(tail.cycles > 0);
-        assert_eq!(lane.sim().completed(), 40);
     }
 
     #[test]

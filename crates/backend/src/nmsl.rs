@@ -2,9 +2,9 @@
 //!
 //! One [`NmslBackend`] owns a **shared, channel-sharded warm device** that
 //! every worker session admits into: `frontier` sequences admissions into
-//! canonical `(job, batch)` order, `lanes` are the persistent per-channel
-//! simulators pairs are routed to by workload key, `device` ties the two
-//! together (admit / seal / discard / flush), `counters` is what a flush
+//! canonical `(job, batch)` order, `device` routes released pairs by
+//! workload key to its lanes — one persistent `NmslSim` each — and runs
+//! them (admit / seal / discard / flush), `counters` is what a flush
 //! reports per lane, `backend` the public types. ARCHITECTURE.md, "Warm
 //! accounting", explains why warm totals are sharding-invariant.
 
@@ -12,7 +12,6 @@ mod backend;
 mod counters;
 mod device;
 mod frontier;
-mod lanes;
 
 pub use backend::{NmslBackend, NmslSession, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM};
 pub use counters::{DeviceCounters, QUANTUM_OCC_BUCKETS};

@@ -1,13 +1,11 @@
-use super::counters::{occ_bucket, DeviceCounters};
+use super::counters::{occ_bucket, DeviceCounters, QUANTUM_OCC_BUCKETS};
 use super::frontier::{AdmittedPair, Frontier};
-use super::lanes::LaneState;
 use crate::{BackendStats, BatchTag, DiscardReport};
 use gx_accel::{
-    shard_for_workload, GenDpInstance, HostTraffic, LaneDelta, NmslConfig, NmslLane,
-    ACCEL_CLOCK_GHZ,
+    shard_for_workload, GenDpInstance, HostTraffic, NmslConfig, NmslSim, ACCEL_CLOCK_GHZ,
 };
 use gx_memsim::{DramConfig, DramPowerModel};
-use gx_telemetry::{HistogramId, Telemetry};
+use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::sync::Mutex;
 
 /// Base span track for the shared device's simulator lanes (lane `i`
@@ -32,6 +30,45 @@ pub(super) struct DeviceConfig {
     pub(super) channels: usize,
     pub(super) quantum: usize,
     pub(super) link_gbs: f64,
+}
+
+/// One simulator lane plus its deterministic-order accounting, guarded by
+/// its own lock so distinct lanes stream in parallel.
+struct LaneState {
+    sim: NmslSim,
+    /// Host-link bytes of the quantum currently filling.
+    q_input: u64,
+    q_output: u64,
+    /// Float accounting accumulated strictly in this lane's op order.
+    seconds: f64,
+    energy_pj: f64,
+    transfer_seconds: f64,
+    exposed_seconds: f64,
+    /// Occupancy histogram sampled at every quantum boundary (log2 buckets;
+    /// deterministic: the sample points and values are functions of the
+    /// lane's released pair sequence alone).
+    occupancy: [u64; QUANTUM_OCC_BUCKETS],
+    /// Telemetry shard + span ring for this lane (track
+    /// `LANE_TRACK_BASE + idx`); a no-op handle when telemetry is
+    /// disabled. Observational only — nothing recorded here is ever read
+    /// back into the modeled totals above.
+    rec: Recorder,
+}
+
+impl LaneState {
+    fn new(config: &DeviceConfig, rec: Recorder) -> LaneState {
+        LaneState {
+            sim: NmslSim::new(config.dram, config.nmsl),
+            q_input: 0,
+            q_output: 0,
+            seconds: 0.0,
+            energy_pj: 0.0,
+            transfer_seconds: 0.0,
+            exposed_seconds: 0.0,
+            occupancy: [0; QUANTUM_OCC_BUCKETS],
+            rec,
+        }
+    }
 }
 
 /// The shared channel-sharded warm device: a sequencing [`Frontier`] plus
@@ -122,40 +159,37 @@ impl SharedNmslDevice {
     }
 
     /// Closes the quantum filling on lane `idx`: charges its host-link
-    /// transfer (none once the bytes are spent), drives the simulator with
-    /// `run` under a `lane_drain` span and accounts the delta. Integer
-    /// deltas go to the calling worker's `stats` (addition is exact, so
-    /// totals are schedule-independent); floats accumulate on the lane in
-    /// op order and surface at [`flush`](SharedNmslDevice::flush).
-    fn run_quantum(
-        &self,
-        l: &mut LaneState,
-        idx: usize,
-        stats: &mut BackendStats,
-        run: impl FnOnce(&mut NmslLane) -> LaneDelta,
-    ) {
+    /// transfer (none once the bytes are spent), runs the simulator until
+    /// `target` of the lane's pairs have completed under a `lane_drain`
+    /// span and accounts the cycles and DRAM traffic that took (after −
+    /// before). Integer deltas go to the calling worker's `stats` (addition
+    /// is exact, so totals are schedule-independent); floats accumulate on
+    /// the lane in op order and surface at
+    /// [`flush`](SharedNmslDevice::flush).
+    fn run_quantum(&self, l: &mut LaneState, idx: usize, stats: &mut BackendStats, target: u64) {
         let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, self.config.link_gbs);
         l.q_input = 0;
         l.q_output = 0;
+        let (cycle_before, dram_before) = (l.sim.cycle(), l.sim.dram_stats());
         let t_drain = l.rec.start();
-        let delta = run(&mut l.lane);
+        l.sim.run_until_completed(target);
         let drain_ns = l.rec.span_arg("lane_drain", t_drain, idx as u64);
         l.rec.record(self.metrics.drain_h, drain_ns);
-        stats.seed_cycles += delta.cycles;
-        stats.dram_bytes += delta.dram.bytes;
-        stats.dram_requests += delta.dram.completed;
-        l.seconds += delta.seconds;
-        l.energy_pj += self
-            .power
-            .energy_mj(&delta.dram, &self.config.dram, delta.seconds)
-            * 1e9;
+        let cycles = l.sim.cycle() - cycle_before;
+        let dram = l.sim.dram_stats().since(&dram_before);
+        let seconds = cycles as f64 / (l.sim.dram_config().clock_ghz * 1e9);
+        stats.seed_cycles += cycles;
+        stats.dram_bytes += dram.bytes;
+        stats.dram_requests += dram.completed;
+        l.seconds += seconds;
+        l.energy_pj += self.power.energy_mj(&dram, &self.config.dram, seconds) * 1e9;
         l.transfer_seconds += transfer;
-        let exposed = HostTraffic::exposed_transfer_seconds(transfer, delta.seconds);
+        let exposed = HostTraffic::exposed_transfer_seconds(transfer, seconds);
         l.exposed_seconds += exposed;
         // Quantum-boundary occupancy sample: into the deterministic device
         // counter histogram, and (telemetry only) onto the lane's
         // Chrome-trace counter track.
-        let pending = l.lane.sim().pending();
+        let pending = l.sim.pending();
         l.occupancy[occ_bucket(pending)] += 1;
         l.rec.counter_sample("lane_occupancy", pending);
         // Telemetry taps the already-computed modeled value (converted to
@@ -164,7 +198,9 @@ impl SharedNmslDevice {
     }
 
     /// Streams every staged pair of lane `idx` through its simulator,
-    /// charging quantum transfers and running one quantum behind.
+    /// charging quantum transfers and running one quantum behind: the
+    /// admission that completes a quantum runs the lane until all but that
+    /// quantum have completed (on the first quantum, nothing).
     ///
     /// Non-`blocking` callers (the admission path) skip a lane whose lock
     /// is held rather than convoying behind its simulator run: the holder
@@ -183,6 +219,7 @@ impl SharedNmslDevice {
                 Err(std::sync::TryLockError::Poisoned(_)) => panic!("lane lock poisoned"),
             }
         };
+        let quantum = self.config.quantum as u64;
         loop {
             let staged = {
                 let mut f = self.frontier.lock().expect("frontier lock poisoned");
@@ -194,8 +231,10 @@ impl SharedNmslDevice {
             for pair in staged {
                 l.q_input += pair.input_bytes;
                 l.q_output += pair.output_bytes;
-                if l.lane.admit(pair.workload) {
-                    self.run_quantum(&mut l, idx, stats, NmslLane::run_lagged);
+                l.sim.push(&pair.workload);
+                let admitted = l.sim.submitted();
+                if admitted.is_multiple_of(quantum) {
+                    self.run_quantum(&mut l, idx, stats, admitted - quantum);
                 }
             }
         }
@@ -362,18 +401,18 @@ impl SharedNmslDevice {
             stats.fallback_energy_pj = f.fallback_energy_pj;
             stats.sim_seconds += f.fallback_seconds_total;
         }
+        let quantum = self.config.quantum as u64;
         for idx in 0..self.lanes.len() {
             self.pump_lane(idx, true, &mut stats);
             let mut l = self.lanes[idx].lock().expect("lane lock poisoned");
+            let admitted = l.sim.submitted();
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the
                 // drain of the last *full* quantum, which is still lagged.
-                let quantum = l.lane.quantum();
-                let full_target = l.lane.admitted() / quantum * quantum;
-                self.run_quantum(&mut l, idx, &mut stats, |lane| lane.run_to(full_target));
+                self.run_quantum(&mut l, idx, &mut stats, admitted / quantum * quantum);
             }
             // Final drain: pure compute, no transfer left to hide.
-            self.run_quantum(&mut l, idx, &mut stats, NmslLane::drain);
+            self.run_quantum(&mut l, idx, &mut stats, admitted);
             stats.sim_seconds += l.seconds;
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
@@ -382,7 +421,7 @@ impl SharedNmslDevice {
             for (sum, bucket) in device.quantum_occupancy.iter_mut().zip(l.occupancy) {
                 *sum += bucket;
             }
-            device.lanes.push(l.lane.counters());
+            device.lanes.push(l.sim.counters());
             // Replacing the lane state drops (and thereby flushes) its
             // telemetry recorder; the fresh one starts with an empty ring.
             let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);

@@ -128,21 +128,6 @@ impl DramStats {
             completed: self.completed - earlier.completed,
         }
     }
-
-    /// Adds another delta's counters into this one (the inverse of
-    /// [`since`](DramStats::since): folding per-dispatch deltas back into a
-    /// running total).
-    pub fn accumulate(&mut self, other: &DramStats) {
-        self.bursts += other.bursts;
-        self.activations += other.activations;
-        self.precharges += other.precharges;
-        self.row_conflicts += other.row_conflicts;
-        self.rejections += other.rejections;
-        self.busy_cycles += other.busy_cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.bytes += other.bytes;
-        self.completed += other.completed;
-    }
 }
 
 /// `open_row` of a precharged bank. No request decodes to it: a row index is

@@ -4,8 +4,7 @@
 use genpairx::accel::area_power::genpairx_cost;
 use genpairx::accel::workload::synthetic_workloads;
 use genpairx::accel::{
-    LaneCounters, LaneDelta, NmslConfig, NmslLane, NmslSim, PairWorkload, PipelineSizing,
-    WorkloadProfile,
+    LaneCounters, NmslConfig, NmslSim, PairWorkload, PipelineSizing, WorkloadProfile,
 };
 use genpairx::memsim::DramConfig;
 use genpairx::readsim::dataset::standard_genome;
@@ -85,18 +84,26 @@ fn nmsl_sram_formula_consistency() {
     assert!(res.dram_power_mw > 0.0);
 }
 
-/// Streams `ws` through one lane on a `quantum`-pair dispatch quantum and
-/// checks, at every attribution point, the books a scheduler that skips
-/// cycles could get wrong.
-fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: usize) -> LaneCounters {
-    let mut lane = NmslLane::new(dram, NmslConfig::default(), quantum);
-    let mut total = LaneDelta::default();
-    let audit = |lane: &NmslLane, delta: &LaneDelta, total: &mut LaneDelta| {
-        assert_eq!(delta.breakdown.total(), delta.cycles, "{}", dram.name);
-        total.accumulate(delta);
+/// Streams `ws` through one simulator the way a device lane runs it on a
+/// `quantum`-pair dispatch quantum — an admission that completes a quantum
+/// runs until all but that quantum have completed; at the end a trailing
+/// partial quantum runs to the last full one, then everything drains — and
+/// checks, after every run, the books a scheduler that skips cycles could
+/// get wrong.
+fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: u64) -> LaneCounters {
+    let mut sim = NmslSim::new(dram, NmslConfig::default());
+    // Σ over the runs of (cycles, requests completed, bytes delivered).
+    let mut total = (0, 0, 0);
+    let mut run_and_audit = |sim: &mut NmslSim, target: u64| {
+        let (cycle, before) = (sim.cycle(), sim.dram_stats());
+        sim.run_until_completed(target);
+        assert!(sim.completed() >= target, "{}", dram.name);
+        let delta = sim.dram_stats().since(&before);
+        total.0 += sim.cycle() - cycle;
+        total.1 += delta.completed;
+        total.2 += delta.bytes;
         // Mid-flight, not just after the drain: every channel's clock is
         // partitioned, and the breakdown accounts for every lane cycle.
-        let sim = lane.sim();
         for (ch, c) in sim.channel_cycles().iter().enumerate() {
             assert_eq!(
                 c.busy + c.idle,
@@ -113,21 +120,23 @@ fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: usize) -> La
         );
     };
     for w in ws {
-        if lane.admit(w.clone()) {
-            let delta = lane.run_lagged();
-            audit(&lane, &delta, &mut total);
+        sim.push(w);
+        let admitted = sim.submitted();
+        if admitted.is_multiple_of(quantum) {
+            run_and_audit(&mut sim, admitted - quantum);
         }
     }
-    let delta = lane.drain();
-    audit(&lane, &delta, &mut total);
+    let admitted = sim.submitted();
+    run_and_audit(&mut sim, admitted / quantum * quantum);
+    run_and_audit(&mut sim, admitted);
 
-    // Nothing is lost between attribution points: the deltas add up to the
-    // final counters.
-    let counters = lane.counters();
+    // Nothing is lost between runs: the intervals add up to the final
+    // counters.
+    let counters = sim.counters();
     assert_eq!(counters.pairs, ws.len() as u64);
-    assert_eq!(total.cycles, counters.cycles);
-    assert_eq!(total.breakdown, counters.breakdown);
-    assert_eq!(total.dram, counters.dram);
+    assert_eq!(total.0, counters.cycles);
+    assert_eq!(total.1, counters.dram.completed);
+    assert_eq!(total.2, counters.dram.bytes);
     // One Seed Table read per seed, one Location Table read per non-empty
     // bucket, every byte of both delivered.
     let seeds = ws.iter().flat_map(|w| &w.seeds);

@@ -226,7 +226,7 @@ fn cold_reference(
     for batch in pairs.chunks(batch_size) {
         let mut sim = NmslSim::new(*backend.dram_config(), *backend.nmsl_config());
         for pair in batch {
-            sim.push(pair_workload(&pair.r1, &pair.r2, seedmap));
+            sim.push(&pair_workload(&pair.r1, &pair.r2, seedmap));
         }
         sim.drain();
         let dram = sim.dram_stats();
