@@ -1,5 +1,5 @@
 use crate::xxh32;
-use gx_genome::{GlobalPos, ReferenceGenome};
+use gx_genome::{Bitset, Chromosome, GlobalPos, ReferenceGenome};
 
 /// Configuration of SeedMap construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,6 +46,31 @@ fn default_bucket_bits(genome_len: u64) -> u32 {
         bits += 1;
     }
     bits.min(31)
+}
+
+/// The Seed Table's log2 size for `config` over a genome of `genome_len`
+/// bases, after [`SeedMap::build`]'s checks (see its `# Panics`): a
+/// shift of 32 or more would size a table whose length no `u32` holds (and
+/// in release builds `1usize << bits` masks the shift instead of failing),
+/// and a position past `u32::MAX` would be truncated into another one.
+fn checked_bucket_bits(config: &SeedMapConfig, genome_len: u64) -> u32 {
+    assert!(
+        config.seed_len > 0 && config.seed_len <= 256,
+        "unsupported seed length"
+    );
+    assert!(genome_len > 0, "cannot index an empty genome");
+    assert!(
+        genome_len <= u64::from(GlobalPos::MAX),
+        "a genome of {genome_len} bases has positions past 32-bit global positions"
+    );
+    let bits = config
+        .bucket_bits
+        .unwrap_or_else(|| default_bucket_bits(genome_len));
+    assert!(
+        bits <= 31,
+        "bucket_bits {bits} is above 31: the Seed Table's size must fit a u32"
+    );
+    bits
 }
 
 /// Construction and occupancy statistics of a [`SeedMap`].
@@ -102,101 +127,112 @@ pub struct SeedMap {
 impl SeedMap {
     /// Builds the index over `genome` (the paper's offline stage).
     ///
-    /// Two passes: count bucket sizes, apply the filter threshold, prefix-sum
-    /// into start offsets, then place positions, which advances each start
-    /// to its bucket's end — a counting sort that leaves each bucket's
-    /// locations contiguous and ascending.
+    /// A counting sort in three passes, each one loop that does one thing:
+    ///
+    /// 1. **Hash** every window that overlaps no `N`, in genome order, and
+    ///    keep only its bucket (4 B a window).
+    /// 2. **Count** those buckets into the array that becomes the Seed
+    ///    Table, then filter and prefix-sum it in place into start offsets;
+    ///    a bitset remembers the filtered buckets.
+    /// 3. **Place**: walk the windows again in the same order, skipping the
+    ///    same `N` windows, and store each recomputed position at its
+    ///    bucket's cursor. Each Seed Table entry advances to its bucket's
+    ///    end, so every bucket's locations are contiguous and ascending.
+    ///
+    /// The count is a loop of its own because each of its iterations is a
+    /// random read-modify-write into a Seed-Table-sized array. Behind a
+    /// window's hash chain few of those misses overlap; over the finished
+    /// bucket array they run at memory-level parallelism.
     ///
     /// # Panics
     ///
     /// Panics if `seed_len` is zero or larger than 256 (hardware seeds are
-    /// bounded), or if the genome is empty.
+    /// bounded), if the genome is empty or longer than `u32::MAX` bases
+    /// (its positions would not fit a [`GlobalPos`]), or if
+    /// [`bucket_bits`](SeedMapConfig::bucket_bits) is above 31 (the Seed
+    /// Table is indexed, and its size stored on disk, as a `u32`).
     pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap {
-        assert!(
-            config.seed_len > 0 && config.seed_len <= 256,
-            "unsupported seed length"
-        );
-        assert!(genome.total_len() > 0, "cannot index an empty genome");
-        let bucket_bits = config
-            .bucket_bits
-            .unwrap_or_else(|| default_bucket_bits(genome.total_len()));
+        let bucket_bits = checked_bucket_bits(config, genome.total_len());
         let buckets = 1usize << bucket_bits;
         let mask = (buckets - 1) as u32;
+        let k = config.seed_len;
+        // Whether a chromosome needs its windows checked for `N` at all.
+        let has_n = |chrom: &Chromosome| chrom.has_n_in(0, chrom.len());
 
-        // Pass 1: hash every seed window, remember its bucket, count sizes.
-        // Both per-window arrays are sized once (an upper bound: windows
-        // over `N` are skipped). Grown by doubling, the two interleaved
-        // chains of ever larger blocks land wherever the heap has room
-        // that day, and where they land decides whether the tables below
-        // fit under the heap top or push it up by another table.
+        // Pass 1: hash. `bucket_of` is sized once, to an upper bound
+        // (windows over `N` are skipped), so it is one block, not a chain
+        // of doublings left wherever the heap had room.
         let windows: usize = genome
             .chromosomes()
             .iter()
-            .map(|c| (c.len() + 1).saturating_sub(config.seed_len))
+            .map(|c| (c.len() + 1).saturating_sub(k))
             .sum();
         let mut bucket_of: Vec<u32> = Vec::with_capacity(windows);
-        let mut window_pos: Vec<GlobalPos> = Vec::with_capacity(windows);
-        let mut counts = vec![0u32; buckets];
         let mut skipped_n = 0u64;
         let mut codes: Vec<u8> = Vec::new();
-        for (ci, chrom) in genome.chromosomes().iter().enumerate() {
-            if chrom.len() < config.seed_len {
-                continue;
-            }
-            let start_gpos = genome.chrom_start(ci as u32);
+        for chrom in genome.chromosomes().iter().filter(|c| c.len() >= k) {
+            let check_n = has_n(chrom);
             // One code extraction per chromosome; every k-window of it is
             // hashed with the function the query uses.
             chrom.seq().codes_into(0..chrom.len(), &mut codes);
-            for (pos, window) in codes.windows(config.seed_len).enumerate() {
-                if chrom.has_n_in(pos, pos + config.seed_len) {
+            for (pos, window) in codes.windows(k).enumerate() {
+                if check_n && chrom.has_n_in(pos, pos + k) {
                     skipped_n += 1;
                     continue;
                 }
-                let bucket = xxh32(window, config.hash_seed) & mask;
-                bucket_of.push(bucket);
-                window_pos.push((start_gpos + pos as u64) as GlobalPos);
-                counts[bucket as usize] += 1;
+                bucket_of.push(xxh32(window, config.hash_seed) & mask);
             }
         }
+        drop(codes);
 
-        // Filter oversized buckets.
-        let mut filtered_buckets = 0u64;
-        let mut filtered_locations = 0u64;
-        if config.filter_threshold != u32::MAX {
-            for c in counts.iter_mut() {
-                if *c > config.filter_threshold {
-                    filtered_buckets += 1;
-                    filtered_locations += *c as u64;
-                    *c = 0;
-                }
-            }
-        }
-
-        // Prefix sums -> start offsets. The Seed Table is its own write
-        // cursor: pass 2 advances a bucket's entry once per placement, so it
-        // ends as the bucket's end offset. The two tables that outlive the
-        // build are its last two blocks, so every transient block sits
-        // below them, in the one hole the next build reuses.
+        // Pass 2: count, then filter and prefix-sum in place. The Seed
+        // Table is its own write cursor: pass 3 advances a bucket's entry
+        // once per placement, so it ends as the bucket's end offset. The
+        // two tables that outlive the build are its last two blocks, so
+        // every transient block sits below them, in the one hole the next
+        // build reuses.
+        let mut filtered = Bitset::new(buckets);
         let mut seed_table = vec![0u32; buckets];
+        for &bucket in &bucket_of {
+            seed_table[bucket as usize] += 1;
+        }
+        let (mut used_buckets, mut filtered_buckets, mut filtered_locations) = (0u64, 0u64, 0u64);
         let mut acc = 0u32;
-        for (start, &c) in seed_table.iter_mut().zip(&counts) {
-            *start = acc;
-            acc += c;
+        for (b, entry) in seed_table.iter_mut().enumerate() {
+            let count = std::mem::replace(entry, acc);
+            if count > config.filter_threshold {
+                filtered.set(b);
+                filtered_buckets += 1;
+                filtered_locations += u64::from(count);
+            } else {
+                used_buckets += u64::from(count > 0);
+                acc += count;
+            }
         }
         let mut location_table = vec![0 as GlobalPos; acc as usize];
 
-        // Pass 2: place positions (in genome order -> sorted per bucket).
-        for (&bucket, &pos) in bucket_of.iter().zip(&window_pos) {
-            let b = bucket as usize;
-            if counts[b] == 0 {
-                continue; // filtered
+        // Pass 3: place positions (in genome order -> sorted per bucket).
+        let mut next_bucket = bucket_of.iter();
+        for (ci, chrom) in genome.chromosomes().iter().enumerate() {
+            if chrom.len() < k {
+                continue;
             }
-            let cursor = &mut seed_table[b];
-            location_table[*cursor as usize] = pos;
-            *cursor += 1;
+            let check_n = has_n(chrom);
+            let start = genome.chrom_start(ci as u32) as GlobalPos;
+            for pos in 0..=chrom.len() - k {
+                if check_n && chrom.has_n_in(pos, pos + k) {
+                    continue;
+                }
+                let b = *next_bucket.next().expect("pass 1 hashed this window") as usize;
+                if filtered.get(b) {
+                    continue;
+                }
+                let cursor = &mut seed_table[b];
+                location_table[*cursor as usize] = start + pos as GlobalPos;
+                *cursor += 1;
+            }
         }
 
-        let used_buckets = counts.iter().filter(|&&c| c > 0).count() as u64;
         let stats = SeedMapStats {
             buckets: buckets as u64,
             used_buckets,
@@ -417,6 +453,48 @@ mod tests {
         };
         let map = SeedMap::build(&genome, &cfg);
         assert!(map.stats().skipped_n_windows >= 4);
+    }
+
+    #[test]
+    fn thirty_one_bucket_bits_is_the_limit() {
+        let cfg = SeedMapConfig {
+            bucket_bits: Some(31),
+            ..small_config()
+        };
+        assert_eq!(checked_bucket_bits(&cfg, 1_000), 31);
+    }
+
+    /// `Some(32)` would size a 2³²-entry Seed Table whose length the v2
+    /// header stores as `u32` 0; `Some(64)` built a 1-bucket index in
+    /// release before the check, the shift masked to 0.
+    #[test]
+    #[should_panic(expected = "bucket_bits 32 is above 31")]
+    fn thirty_two_bucket_bits_are_refused() {
+        let genome = RandomGenomeBuilder::new(100).seed(5).build();
+        let cfg = SeedMapConfig {
+            bucket_bits: Some(32),
+            ..small_config()
+        };
+        SeedMap::build(&genome, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket_bits 64 is above 31")]
+    fn a_shift_past_the_word_is_refused() {
+        let genome = RandomGenomeBuilder::new(100).seed(5).build();
+        let cfg = SeedMapConfig {
+            bucket_bits: Some(64),
+            ..small_config()
+        };
+        SeedMap::build(&genome, &cfg);
+    }
+
+    /// `ReferenceGenome` refuses such a genome too, and one would take a
+    /// gigabyte to make, so the check is driven with a length alone.
+    #[test]
+    #[should_panic(expected = "past 32-bit global positions")]
+    fn positions_past_u32_are_refused() {
+        checked_bucket_bits(&small_config(), u64::from(u32::MAX) + 1);
     }
 
     #[test]
