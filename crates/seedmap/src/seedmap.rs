@@ -1,6 +1,15 @@
 use crate::xxh32;
 use gx_genome::{Bitset, Chromosome, GlobalPos, ReferenceGenome};
 
+/// Pass 1's word for a window that overlaps an `N`. Never a bucket: the
+/// Seed Table has at most 2^31 entries.
+const NO_BUCKET: u32 = u32::MAX;
+/// Windows whose codes pass 1 unpacks at a time (one buffer per thread).
+const HASH_CHUNK: usize = 16 * 1024;
+/// The build uses one thread per this many windows, up to the core count,
+/// so a small genome is built on the calling thread alone.
+const WINDOWS_PER_THREAD: usize = 1 << 16;
+
 /// Configuration of SeedMap construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeedMapConfig {
@@ -129,20 +138,37 @@ impl SeedMap {
     ///
     /// A counting sort in three passes, each one loop that does one thing:
     ///
-    /// 1. **Hash** every window that overlaps no `N`, in genome order, and
-    ///    keep only its bucket (4 B a window).
+    /// 1. **Hash** every window, in genome order, and keep only its bucket
+    ///    (4 B a window); a window that overlaps an `N` keeps the sentinel
+    ///    `u32::MAX` instead, which is never a bucket (`bucket_bits` ≤ 31).
     /// 2. **Count** those buckets into the array that becomes the Seed
-    ///    Table, then filter and prefix-sum it in place into start offsets;
-    ///    a bitset remembers the filtered buckets.
-    /// 3. **Place**: walk the windows again in the same order, skipping the
-    ///    same `N` windows, and store each recomputed position at its
-    ///    bucket's cursor. Each Seed Table entry advances to its bucket's
-    ///    end, so every bucket's locations are contiguous and ascending.
+    ///    Table, skipping the sentinels (their number is
+    ///    [`skipped_n_windows`](SeedMapStats::skipped_n_windows)), then
+    ///    filter and prefix-sum it in place into start offsets; a bitset
+    ///    remembers the filtered buckets.
+    /// 3. **Place**: walk the bucket words again in window order and store
+    ///    each window's position at its bucket's cursor. Each Seed Table
+    ///    entry advances to its bucket's end, so every bucket's locations
+    ///    are contiguous and ascending.
+    ///
+    /// Passes 1 and 3 run on one thread per 64 Ki windows, up to
+    /// [`available_parallelism`](std::thread::available_parallelism), the
+    /// calling thread among them. Pass 1 splits the windows into contiguous
+    /// ranges, and each thread fills its own slice of the bucket words,
+    /// unpacking codes a chunk at a time into a buffer the caller
+    /// allocated. Pass 3 splits the buckets: a thread owns a contiguous
+    /// bucket range, with its Seed Table entries and the Location Table
+    /// stretch they bound, scans all the bucket words in window order and
+    /// places only its own. So the index is the same, byte for byte, for
+    /// any thread count, and the helper threads allocate nothing.
     ///
     /// The count is a loop of its own because each of its iterations is a
     /// random read-modify-write into a Seed-Table-sized array. Behind a
     /// window's hash chain few of those misses overlap; over the finished
-    /// bucket array they run at memory-level parallelism.
+    /// bucket array they run at memory-level parallelism. It stays serial:
+    /// split by bucket range, every thread would scan all the bucket words
+    /// behind an unpredictable branch, which measured slower than one
+    /// thread.
     ///
     /// # Panics
     ///
@@ -152,37 +178,39 @@ impl SeedMap {
     /// [`bucket_bits`](SeedMapConfig::bucket_bits) is above 31 (the Seed
     /// Table is indexed, and its size stored on disk, as a `u32`).
     pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = cores.min(window_count(genome, config.seed_len) / WINDOWS_PER_THREAD);
+        SeedMap::build_with(genome, config, threads.max(1))
+    }
+
+    /// [`SeedMap::build`] on `threads` threads (the calling one included).
+    fn build_with(genome: &ReferenceGenome, config: &SeedMapConfig, threads: usize) -> SeedMap {
         let bucket_bits = checked_bucket_bits(config, genome.total_len());
         let buckets = 1usize << bucket_bits;
         let mask = (buckets - 1) as u32;
         let k = config.seed_len;
-        // Whether a chromosome needs its windows checked for `N` at all.
-        let has_n = |chrom: &Chromosome| chrom.has_n_in(0, chrom.len());
 
-        // Pass 1: hash. `bucket_of` is sized once, to an upper bound
-        // (windows over `N` are skipped), so it is one block, not a chain
-        // of doublings left wherever the heap had room.
-        let windows: usize = genome
-            .chromosomes()
-            .iter()
-            .map(|c| (c.len() + 1).saturating_sub(k))
-            .sum();
-        let mut bucket_of: Vec<u32> = Vec::with_capacity(windows);
-        let mut skipped_n = 0u64;
-        let mut codes: Vec<u8> = Vec::new();
-        for chrom in genome.chromosomes().iter().filter(|c| c.len() >= k) {
-            let check_n = has_n(chrom);
-            // One code extraction per chromosome; every k-window of it is
-            // hashed with the function the query uses.
-            chrom.seq().codes_into(0..chrom.len(), &mut codes);
-            for (pos, window) in codes.windows(k).enumerate() {
-                if check_n && chrom.has_n_in(pos, pos + k) {
-                    skipped_n += 1;
-                    continue;
-                }
-                bucket_of.push(xxh32(window, config.hash_seed) & mask);
-            }
-        }
+        // Pass 1: hash, by window range. `bucket_of` holds a word for every
+        // window and is sized once, so it is one block, not a chain of
+        // doublings left wherever the heap had room. Each thread's code
+        // buffer is allocated here: a helper thread that allocated would
+        // open a malloc arena of its own.
+        let windows = window_count(genome, k);
+        let mut bucket_of = vec![0u32; windows];
+        let mut codes: Vec<Vec<u8>> = (0..threads)
+            .map(|_| Vec::with_capacity((HASH_CHUNK + k - 1).next_multiple_of(32)))
+            .collect();
+        let mut unhashed = &mut bucket_of[..];
+        let parts = codes.iter_mut().enumerate().map(|(t, codes)| {
+            let first = split(windows, t, threads);
+            let len = split(windows, t + 1, threads) - first;
+            let (out, rest) = std::mem::take(&mut unhashed).split_at_mut(len);
+            unhashed = rest;
+            (first, out, codes)
+        });
+        on_threads(parts, |(first, out, codes)| {
+            hash_windows(genome.chromosomes(), config, mask, first, out, codes);
+        });
         drop(codes);
 
         // Pass 2: count, then filter and prefix-sum in place. The Seed
@@ -193,8 +221,13 @@ impl SeedMap {
         // build reuses.
         let mut filtered = Bitset::new(buckets);
         let mut seed_table = vec![0u32; buckets];
+        let mut skipped_n = 0u64;
         for &bucket in &bucket_of {
-            seed_table[bucket as usize] += 1;
+            if bucket == NO_BUCKET {
+                skipped_n += 1;
+            } else {
+                seed_table[bucket as usize] += 1;
+            }
         }
         let (mut used_buckets, mut filtered_buckets, mut filtered_locations) = (0u64, 0u64, 0u64);
         let mut acc = 0u32;
@@ -211,27 +244,25 @@ impl SeedMap {
         }
         let mut location_table = vec![0 as GlobalPos; acc as usize];
 
-        // Pass 3: place positions (in genome order -> sorted per bucket).
-        let mut next_bucket = bucket_of.iter();
-        for (ci, chrom) in genome.chromosomes().iter().enumerate() {
-            if chrom.len() < k {
-                continue;
-            }
-            let check_n = has_n(chrom);
-            let start = genome.chrom_start(ci as u32) as GlobalPos;
-            for pos in 0..=chrom.len() - k {
-                if check_n && chrom.has_n_in(pos, pos + k) {
-                    continue;
-                }
-                let b = *next_bucket.next().expect("pass 1 hashed this window") as usize;
-                if filtered.get(b) {
-                    continue;
-                }
-                let cursor = &mut seed_table[b];
-                location_table[*cursor as usize] = start + pos as GlobalPos;
-                *cursor += 1;
-            }
-        }
+        // Pass 3: place, by bucket range. A thread's buckets start where its
+        // Location Table stretch starts, and the next range's first entry
+        // (or the total) is where it ends.
+        let (mut cursors, mut slots, mut placed) =
+            (&mut seed_table[..], &mut location_table[..], 0);
+        let parts = (0..threads).map(|t| {
+            let first = split(buckets, t, threads);
+            let len = split(buckets, t + 1, threads) - first;
+            let (own, rest) = std::mem::take(&mut cursors).split_at_mut(len);
+            cursors = rest;
+            let end = cursors.first().map_or(acc, |&start| start);
+            let (stretch, rest) = std::mem::take(&mut slots).split_at_mut((end - placed) as usize);
+            slots = rest;
+            placed = end;
+            (first as u32, own, stretch)
+        });
+        on_threads(parts, |(first, cursors, stretch)| {
+            place_windows(genome, k, &bucket_of, &filtered, first, cursors, stretch);
+        });
 
         let stats = SeedMapStats {
             buckets: buckets as u64,
@@ -352,6 +383,116 @@ impl SeedMap {
             seed_table,
             location_table,
             stats,
+        }
+    }
+}
+
+/// The number of `k`-windows over all of `genome`'s chromosomes.
+fn window_count(genome: &ReferenceGenome, k: usize) -> usize {
+    genome
+        .chromosomes()
+        .iter()
+        .map(|c| (c.len() + 1).saturating_sub(k))
+        .sum()
+}
+
+/// Where part `t` of `len` items cut into `parts` contiguous ranges starts.
+fn split(len: usize, t: usize, parts: usize) -> usize {
+    (len as u128 * t as u128 / parts as u128) as usize
+}
+
+/// Runs `work` on every part: the last on the calling thread, each other
+/// one on a scoped thread of its own.
+fn on_threads<P: Send>(parts: impl Iterator<Item = P>, work: impl Fn(P) + Sync) {
+    let mut parts = parts.peekable();
+    std::thread::scope(|scope| {
+        while let Some(part) = parts.next() {
+            if parts.peek().is_none() {
+                work(part);
+            } else {
+                let work = &work;
+                scope.spawn(move || work(part));
+            }
+        }
+    });
+}
+
+/// Pass 1 over windows `first..first + out.len()`, counted over all of
+/// `chroms` in order: each window's bucket, or [`NO_BUCKET`] if it overlaps
+/// an `N`. Codes are unpacked [`HASH_CHUNK`] windows at a time into
+/// `codes`, whose capacity the caller sized, so this allocates nothing.
+fn hash_windows(
+    chroms: &[Chromosome],
+    config: &SeedMapConfig,
+    mask: u32,
+    mut first: usize,
+    mut out: &mut [u32],
+    codes: &mut Vec<u8>,
+) {
+    let k = config.seed_len;
+    for chrom in chroms {
+        let windows = (chrom.len() + 1).saturating_sub(k);
+        if first >= windows {
+            first -= windows;
+            continue;
+        }
+        let len = out.len().min(windows - first);
+        let (own, rest) = std::mem::take(&mut out).split_at_mut(len);
+        out = rest;
+        let check_n = chrom.has_n_in(0, chrom.len());
+        for (chunk, start) in own
+            .chunks_mut(HASH_CHUNK)
+            .zip((first..).step_by(HASH_CHUNK))
+        {
+            chrom
+                .seq()
+                .codes_into(start..start + chunk.len() + k - 1, codes);
+            for ((slot, window), pos) in chunk.iter_mut().zip(codes.windows(k)).zip(start..) {
+                *slot = if check_n && chrom.has_n_in(pos, pos + k) {
+                    NO_BUCKET
+                } else {
+                    xxh32(window, config.hash_seed) & mask
+                };
+            }
+        }
+        if out.is_empty() {
+            return;
+        }
+        first = 0;
+    }
+}
+
+/// Pass 3 for buckets `first..first + cursors.len()`: every window whose
+/// bucket is one of them and not filtered, in window order, goes to its
+/// bucket's cursor in `stretch`, the Location Table entries from
+/// `cursors[0]` on.
+fn place_windows(
+    genome: &ReferenceGenome,
+    k: usize,
+    bucket_of: &[u32],
+    filtered: &Bitset,
+    first: u32,
+    cursors: &mut [u32],
+    stretch: &mut [GlobalPos],
+) {
+    let Some(&base) = cursors.first() else {
+        return;
+    };
+    let mut rest = bucket_of;
+    for (ci, chrom) in genome.chromosomes().iter().enumerate() {
+        let (windows, tail) = rest.split_at((chrom.len() + 1).saturating_sub(k));
+        rest = tail;
+        let start = genome.chrom_start(ci as u32) as GlobalPos;
+        for (&b, pos) in windows.iter().zip(start..) {
+            // Other threads' buckets and the sentinel fall outside `cursors`.
+            let Some(cursor) = cursors.get_mut(b.wrapping_sub(first) as usize) else {
+                continue;
+            };
+            if filtered.get(b as usize) {
+                continue;
+            }
+            stretch[(*cursor - base) as usize] = pos;
+            *cursor += 1;
         }
     }
 }
@@ -517,5 +658,173 @@ mod tests {
             m2.stats().mean_locations_per_seed(),
             m1.stats().mean_locations_per_seed()
         );
+    }
+
+    /// A genome of one to five short chromosomes, some empty, shorter than
+    /// `k` or exactly `k` long, with `N` runs, and sometimes one `k`-mer
+    /// planted three to six times (so a small threshold filters its bucket
+    /// and few others).
+    fn split_genome(rng: &mut rand::rngs::StdRng, k: usize) -> ReferenceGenome {
+        use rand::Rng;
+        let planted: Vec<u8> = (0..k).map(|_| b"ACGT"[rng.random_range(0..4)]).collect();
+        let chroms = (0..rng.random_range(1..=5))
+            .map(|_| {
+                let len = match rng.random_range(0..6) {
+                    0 => 0,
+                    1 => k - 1,
+                    2 => k,
+                    _ => rng.random_range(k..=k + 120),
+                };
+                let mut ascii: Vec<u8> =
+                    (0..len).map(|_| b"ACGT"[rng.random_range(0..4)]).collect();
+                if len >= k && rng.random_bool(0.3) {
+                    for _ in 0..rng.random_range(3..=6) {
+                        let at = rng.random_range(0..=len - k);
+                        ascii[at..at + k].copy_from_slice(&planted);
+                    }
+                }
+                let seq = DnaSeq::from_ascii(&ascii).expect("ACGT only");
+                if len == 0 || rng.random_bool(0.4) {
+                    return Chromosome::new("c", seq);
+                }
+                let mut mask = Bitset::new(len);
+                for _ in 0..rng.random_range(1..=3) {
+                    let start = rng.random_range(0..len);
+                    (start..(start + rng.random_range(1..=2 * k)).min(len))
+                        .for_each(|i| mask.set(i));
+                }
+                Chromosome::with_n_mask("c", seq, mask)
+            })
+            .collect::<Vec<_>>();
+        if chroms.iter().all(|c| c.is_empty()) {
+            return split_genome(rng, k);
+        }
+        ReferenceGenome::from_chromosomes(chroms)
+    }
+
+    #[derive(Default, Debug)]
+    struct SplitMix {
+        /// A window split point with an `N` window on either side of it.
+        n_across_split: usize,
+        /// A window split point at a chromosome's first window.
+        split_at_chrom: usize,
+        empty_chrom: usize,
+        short_chrom: usize,
+        exact_chrom: usize,
+        /// More threads than windows.
+        few_windows: usize,
+        /// Filtered buckets in one bucket range, kept ones in another.
+        filtered_in_one_range: usize,
+    }
+
+    /// Every thread count builds the index one thread builds: the same
+    /// stats and the same `write_seedmap` bytes. Each of these fails it
+    /// and no other test of the crate: pass 3's bucket range starting one
+    /// bucket early (`(first as u32).saturating_sub(1)`, a no-op for the
+    /// first range), pass 1's window range starting one window late for
+    /// every thread but the first, pass 1 not resetting `first` to 0 after
+    /// a thread's first chromosome. (A shift every thread count makes
+    /// alike, such as pass 1 handed `first + 1` for every range, is for
+    /// the other tests and `tests/build_diff.rs` to catch.)
+    #[test]
+    fn every_thread_count_builds_the_index_one_thread_builds() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5b117);
+        let mut mix = SplitMix::default();
+        let bytes = |map: &SeedMap| {
+            let mut out = Vec::new();
+            crate::write_seedmap(map, &mut out).unwrap();
+            out
+        };
+        let cases = if cfg!(debug_assertions) { 300 } else { 3_000 };
+        for _ in 0..cases {
+            let k = rng.random_range(1..=12);
+            let genome = split_genome(&mut rng, k);
+            let cfg = SeedMapConfig {
+                seed_len: k,
+                bucket_bits: [None, Some(0), Some(3), Some(rng.random_range(0..=10))]
+                    [rng.random_range(0..4)],
+                filter_threshold: [1, 2, 5, u32::MAX][rng.random_range(0..4)],
+                hash_seed: rng.random(),
+            };
+            let want = SeedMap::build_with(&genome, &cfg, 1);
+            let want_bytes = bytes(&want);
+            for threads in 2..=5 {
+                let map = SeedMap::build_with(&genome, &cfg, threads);
+                let what = || format!("{threads} threads, {cfg:?} over {:?}", genome.chromosomes());
+                assert_eq!(map.stats(), want.stats(), "{}", what());
+                assert!(bytes(&map) == want_bytes, "bytes differ: {}", what());
+            }
+
+            // What the case covered. Window `w` overlaps an `N`, and where
+            // each chromosome's windows start.
+            let chroms = genome.chromosomes();
+            let n_window: Vec<bool> = chroms
+                .iter()
+                .flat_map(|c| (0..(c.len() + 1).saturating_sub(k)).map(|p| c.has_n_in(p, p + k)))
+                .collect();
+            let chrom_starts: Vec<usize> = chroms
+                .iter()
+                .scan(0, |w, c| {
+                    let first = *w;
+                    *w += (c.len() + 1).saturating_sub(k);
+                    Some(first)
+                })
+                .collect();
+            // Each bucket's unfiltered count, and whether the filter empties it.
+            let all = SeedMap::build_with(&genome, &cfg.with_filter_threshold(u32::MAX), 1);
+            let count = |b: usize| {
+                let (_, start, end) = all.bucket_range(b as u32);
+                end - start
+            };
+            let windows = n_window.len();
+            let buckets = want.num_buckets();
+            for threads in 2..=5 {
+                let splits = (1..threads).map(|t| split(windows, t, threads));
+                mix.n_across_split += usize::from(
+                    splits
+                        .clone()
+                        .any(|s| s > 0 && s < windows && n_window[s - 1] && n_window[s]),
+                );
+                mix.split_at_chrom += usize::from(
+                    splits
+                        .clone()
+                        .any(|s| s > 0 && s < windows && chrom_starts.contains(&s)),
+                );
+                let ranges = (0..threads)
+                    .map(|t| split(buckets, t, threads)..split(buckets, t + 1, threads));
+                let (mut filtering, mut keeping) = (0, 0);
+                for range in ranges {
+                    let counts = range.map(count);
+                    filtering +=
+                        usize::from(counts.clone().any(|c| c > u64::from(cfg.filter_threshold)));
+                    keeping += usize::from(
+                        counts
+                            .clone()
+                            .any(|c| c > 0 && c <= u64::from(cfg.filter_threshold)),
+                    );
+                }
+                mix.filtered_in_one_range += usize::from(filtering == 1 && keeping > 0);
+            }
+            mix.empty_chrom += usize::from(chroms.iter().any(|c| c.is_empty()));
+            mix.short_chrom += usize::from(chroms.iter().any(|c| !c.is_empty() && c.len() < k));
+            mix.exact_chrom += usize::from(chroms.iter().any(|c| c.len() == k));
+            mix.few_windows += usize::from(windows < 5);
+        }
+        let floor = cases / 50;
+        for (kind, n) in [
+            ("an N window either side of a split", mix.n_across_split),
+            ("a split at a chromosome's first window", mix.split_at_chrom),
+            ("an empty chromosome", mix.empty_chrom),
+            ("a chromosome shorter than a seed", mix.short_chrom),
+            ("a chromosome one seed long", mix.exact_chrom),
+            ("fewer windows than threads", mix.few_windows),
+            (
+                "filtered buckets in one range only",
+                mix.filtered_in_one_range,
+            ),
+        ] {
+            assert!(n >= floor, "{kind}: {n} of {cases} cases ({mix:?})");
+        }
     }
 }

@@ -8,20 +8,21 @@
 //! hash families can never be silently queried with the wrong one.
 //!
 //! Nothing in the header is trusted: every size is checked before it is
-//! used, and a table is read through [`Read::take`], so a count that
-//! promises more than the input holds ends in `UnexpectedEof` after reading
-//! what is there instead of in an allocation the count sized.
+//! used, and a table is read a chunk at a time and grows with what the
+//! input delivered, so a count that promises more than the input holds
+//! ends in `UnexpectedEof` after reading what is there instead of in an
+//! allocation the count sized.
 
 use crate::{SeedMap, SeedMapConfig, SeedMapStats};
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 
 const MAGIC: u32 = 0x5347_4d58; // "SGMX"
 const VERSION: u32 = 2;
 const HEADER_BYTES: usize = 68;
 /// The hasher-id header field's only valid value (xxh32).
 const HASHER_XXH32: u32 = 1;
-/// Table entries converted per write.
-const WRITE_CHUNK: usize = 64 * 1024;
+/// Table entries converted per read or write.
+const CHUNK: usize = 64 * 1024;
 
 /// Serialization failures.
 #[derive(Debug)]
@@ -82,11 +83,8 @@ pub fn write_seedmap<W: Write>(map: &SeedMap, mut writer: W) -> Result<(), Seria
         header.extend_from_slice(&v.to_le_bytes());
     }
     writer.write_all(&header)?;
-    let mut buf = Vec::with_capacity(4 * WRITE_CHUNK);
-    for chunk in seed_table
-        .chunks(WRITE_CHUNK)
-        .chain(location_table.chunks(WRITE_CHUNK))
-    {
+    let mut buf = Vec::with_capacity(4 * CHUNK);
+    for chunk in seed_table.chunks(CHUNK).chain(location_table.chunks(CHUNK)) {
         buf.clear();
         for v in chunk {
             buf.extend_from_slice(&v.to_le_bytes());
@@ -96,19 +94,31 @@ pub fn write_seedmap<W: Write>(map: &SeedMap, mut writer: W) -> Result<(), Seria
     Ok(())
 }
 
-/// Reads `n` little-endian `u32`s. The buffer grows with what the reader
-/// actually delivers, never with `n` itself.
-fn read_u32s<R: Read>(reader: &mut R, n: u32) -> Result<Vec<u32>, SerializeError> {
-    let want = 4 * n as u64;
-    let mut bytes = Vec::new();
-    reader.by_ref().take(want).read_to_end(&mut bytes)?;
-    if bytes.len() as u64 != want {
-        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+/// Reads `n` little-endian `u32`s, [`CHUNK`] at a time through `bytes`
+/// (`4 * CHUNK` long). The table grows with what the reader actually
+/// delivers, never with `n` itself: each growth at most doubles it, and
+/// none takes it past `n`, so a complete table has no spare capacity.
+fn read_u32s<R: Read>(
+    reader: &mut R,
+    n: u32,
+    bytes: &mut [u8],
+) -> Result<Vec<u32>, SerializeError> {
+    let n = n as usize;
+    let mut table = Vec::new();
+    while table.len() < n {
+        let take = (n - table.len()).min(CHUNK);
+        let chunk = &mut bytes[..4 * take];
+        reader.read_exact(chunk)?;
+        if table.capacity() - table.len() < take {
+            table.reserve_exact(table.len().max(take).min(n - table.len()));
+        }
+        table.extend(
+            chunk
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect())
+    Ok(table)
 }
 
 /// Reads a [`SeedMap`] previously written by [`write_seedmap`].
@@ -154,12 +164,13 @@ pub fn read_seedmap<R: Read>(mut reader: R) -> Result<SeedMap, SerializeError> {
 
     // Every query slices the Location Table by two adjacent Seed Table
     // entries, so the offsets are proven in range here, once.
-    let seed_table = read_u32s(&mut reader, buckets)?;
+    let mut bytes = vec![0u8; 4 * CHUNK];
+    let seed_table = read_u32s(&mut reader, buckets, &mut bytes)?;
     let last = *seed_table.last().expect("a power of two is not zero");
     if last as u64 != locations || seed_table.windows(2).any(|w| w[0] > w[1]) {
         return Err(corrupt("table sizes inconsistent"));
     }
-    let location_table = read_u32s(&mut reader, last)?;
+    let location_table = read_u32s(&mut reader, last, &mut bytes)?;
 
     let config = SeedMapConfig {
         seed_len,
@@ -187,6 +198,7 @@ pub fn read_seedmap<R: Read>(mut reader: R) -> Result<SeedMap, SerializeError> {
 mod tests {
     use super::*;
     use gx_genome::random::RandomGenomeBuilder;
+    use std::io;
 
     /// A small serialized index (seed length 10) and its location count.
     fn small_index_bytes(genome_seed: u64) -> (Vec<u8>, u64) {

@@ -5,34 +5,42 @@
 //! transients over 4 B here), and fails this bound.
 //!
 //! The check is a counting `#[global_allocator]` wrapping the system
-//! allocator; the flag is thread-local so that only the build on the
-//! test's own thread counts — the libtest harness's threads allocate
-//! concurrently and must not bleed into the tally.
+//! allocator. The tally is process-wide while it is armed, so a block the
+//! build's helper threads allocate counts as much as one on the calling
+//! thread; this file holds a single test, so no other test allocates
+//! meanwhile. The helper threads should allocate nothing at all (a thread
+//! that does opens a malloc arena of its own, which no tally of blocks
+//! sees), so allocations off the calling thread are counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 use gx_genome::random::RandomGenomeBuilder;
 use gx_seedmap::{SeedMap, SeedMapConfig};
 
 struct CountingAlloc;
 
+static TRACKING: AtomicBool = AtomicBool::new(false);
+/// Bytes allocated minus bytes freed while tracking, and its maximum.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+/// Allocations made while tracking by a thread other than the one tracking.
+static ELSEWHERE: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    static TRACKING: Cell<bool> = const { Cell::new(false) };
-    /// Bytes allocated minus bytes freed while tracking, and its maximum.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
+    static ARMED_HERE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Adds `delta` to the live tally if this thread is tracking. `try_with`
+/// Adds `delta` to the live tally while tracking, on any thread. `try_with`
 /// so that allocation during TLS teardown stays safe.
 fn tally(delta: i64) {
-    if TRACKING.try_with(|t| t.get()).unwrap_or(false) {
-        let live = LIVE.with(|l| {
-            l.set(l.get() + delta);
-            l.get()
-        });
-        PEAK.with(|p| p.set(p.get().max(live)));
+    if TRACKING.load(Ordering::Relaxed) {
+        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+        if delta > 0 && !ARMED_HERE.try_with(|a| a.get()).unwrap_or(false) {
+            ELSEWHERE.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -40,7 +48,7 @@ fn tally(delta: i64) {
 // a growing block counts old and new size while it is copied.
 // SAFETY: every method hands its arguments to `System` unchanged, so the
 // caller's guarantees to `GlobalAlloc` are the ones `System` needs; the
-// tally touches only thread-locals and never allocates.
+// tally touches only atomics and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         tally(layout.size() as i64);
@@ -65,15 +73,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns what it returned and the peak of the bytes it held
-/// live on top of what was live before.
-fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    LIVE.with(|l| l.set(0));
-    PEAK.with(|p| p.set(0));
-    TRACKING.with(|t| t.set(true));
+/// Runs `f` and returns what it returned, the peak of the bytes it held
+/// live on top of what was live before, and how many allocations other
+/// threads made meanwhile.
+fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    LIVE.store(0, Ordering::SeqCst);
+    PEAK.store(0, Ordering::SeqCst);
+    ELSEWHERE.store(0, Ordering::SeqCst);
+    ARMED_HERE.with(|a| a.set(true));
+    TRACKING.store(true, Ordering::SeqCst);
     let out = f();
-    TRACKING.with(|t| t.set(false));
-    (out, PEAK.with(|p| p.get()) as u64)
+    TRACKING.store(false, Ordering::SeqCst);
+    ARMED_HERE.with(|a| a.set(false));
+    let peak = PEAK.load(Ordering::SeqCst) as u64;
+    (out, peak, ELSEWHERE.load(Ordering::SeqCst))
 }
 
 #[test]
@@ -86,7 +99,8 @@ fn build_holds_the_tables_a_bucket_word_a_window_and_a_bit_a_bucket() {
         .seed(31)
         .build();
     let cfg = SeedMapConfig::default();
-    let (map, peak) = peak_heap(|| SeedMap::build(&genome, &cfg));
+    let (map, peak, elsewhere) = peak_heap(|| SeedMap::build(&genome, &cfg));
+    assert_eq!(elsewhere, 0, "the build's helper threads allocated");
 
     let windows: u64 = genome
         .chromosomes()
