@@ -574,7 +574,7 @@ impl NmslSim {
 /// adjacent buckets spread across lanes; a seedless pair falls back to its
 /// global position in the input stream, which is equally
 /// schedule-independent. Routing by worker id would make warm totals depend
-/// on the steal schedule — the exact sharding artifact the shared device
+/// on the worker schedule — the exact sharding artifact the shared device
 /// exists to remove.
 pub fn shard_for_workload(w: &PairWorkload, global_index: u64, shards: usize) -> usize {
     debug_assert!(shards > 0, "a sharded device needs at least one lane");

@@ -21,7 +21,7 @@
 //!   fallback DP for pairs that left the fast path, and host-link transfer
 //!   for every batch's bytes. Pairs route to lanes by a deterministic
 //!   workload key and stream in input order, so warm totals are invariant
-//!   to thread count, batch size and steal schedule.
+//!   to thread count, batch size and worker schedule.
 //!
 //! The split mirrors how SeGraM (ISCA 2022) and the PIM read-mapping line
 //! evaluate accelerators: *results* come from the algorithm, *timing* comes

@@ -54,7 +54,7 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// `sim_cycles`, `seed_cycles`, `energy_pj` and `exposed_transfer_seconds`
 /// totals (per-call attributions merged with the engine's
 /// [`flush`](MapBackend::flush)) are **bit-identical** for any thread
-/// count, batch size or steal schedule: integer deltas are attributed to
+/// count, batch size or worker schedule: integer deltas are attributed to
 /// whichever worker ran them (addition is exact), while every float is
 /// accumulated inside the device in input/lane-op order. Consecutive runs
 /// on one backend are independent — `flush` resets the device — but must

@@ -17,7 +17,7 @@ pub(super) fn occ_bucket(pending: u64) -> usize {
 /// Everything here lives in the **cycle domain** (integer simulator state),
 /// with one deliberate exception: `frontier_peak_depth` and
 /// `quantum_occupancy` are *schedule-domain* — the peak depth depends on how
-/// far work stealing reordered batches, so it is excluded from the
+/// far concurrent workers reordered batches, so it is excluded from the
 /// sharding-invariance fingerprint, while the per-lane cycle breakdowns,
 /// row conflicts and busy/idle splits are bit-identical across thread
 /// counts and batch sizes (see `tests/e2e_warm_invariance.rs`).
@@ -29,7 +29,7 @@ pub struct DeviceCounters {
     /// One counter snapshot per simulator lane, in lane order.
     pub lanes: Vec<LaneCounters>,
     /// Most batches ever buffered ahead of the contiguity frontier
-    /// (schedule-dependent: a measure of steal-induced reordering).
+    /// (schedule-dependent: a measure of how far workers finish out of order).
     pub frontier_peak_depth: u64,
     /// Histogram of lane occupancy (pending pairs) sampled at every
     /// quantum boundary, log2 buckets (see [`QUANTUM_OCC_BUCKETS`]).

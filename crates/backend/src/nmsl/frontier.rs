@@ -32,7 +32,7 @@ pub(super) struct JobSeq {
 
 /// The sequencing front half of the shared device, guarded by one lock.
 ///
-/// Admissions arrive as engine batches in arbitrary order (work stealing,
+/// Admissions arrive as engine batches in arbitrary order (concurrent workers,
 /// and — since the service front-end — arbitrarily interleaved *jobs*); the
 /// frontier releases them to the lanes strictly in **canonical order**: jobs
 /// in ascending id order, contiguous from 0 (see [`BatchTag`]), and batch

@@ -239,7 +239,7 @@ fn warm_totals_are_batching_invariant() {
 #[test]
 fn out_of_order_sequenced_admission_matches_in_order() {
     // Two sessions admitting interleaved batch indices out of order
-    // (what stealing workers do) must produce the same run totals as
+    // (what concurrent workers do) must produce the same run totals as
     // one session admitting in order: the frontier re-sequences.
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());

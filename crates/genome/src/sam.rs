@@ -106,9 +106,9 @@ impl SamRecord {
     }
 
     /// Appends the record's SAM text line (no terminator) to `out`. This is
-    /// the one SAM renderer: every text path — [`SamRecord::to_sam_line`],
-    /// [`write_sam_records`](crate::samfile::write_sam_records) and the
-    /// pipeline's text sink — goes through it, so they cannot drift apart.
+    /// the one SAM renderer: both text paths — [`SamRecord::to_sam_line`]
+    /// and the pipeline's text sink — go through it, so they cannot drift
+    /// apart.
     /// It works on bytes throughout (no formatter): integers by a local
     /// itoa, CIGAR runs directly, bases unpacked a word at a time.
     pub fn write_sam_line(&self, chrom_name: &str, out: &mut Vec<u8>) {

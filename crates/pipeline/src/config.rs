@@ -95,7 +95,7 @@ impl PipelineBuilder {
 
     /// Attaches a telemetry handle: the engine then records queue-wait,
     /// map-latency, emit-wait, ingest and reorder-depth histograms and
-    /// batch-lifecycle spans into it (steals and refills are
+    /// batch-lifecycle spans into it (counts are
     /// [`PipelineReport`](crate::PipelineReport) fields). The default is
     /// [`Telemetry::disabled`] — a no-op handle that costs the hot path a
     /// predicted branch. Telemetry is observational only: it never feeds

@@ -4,20 +4,18 @@
 //!
 //! ```text
 //! caller thread          worker threads (N)            emitter thread
-//! ┌────────────┐  steal  ┌──────────────────┐ results ┌──────────────┐
+//! ┌────────────┐  FIFO   ┌──────────────────┐ results ┌──────────────┐
 //! │ Batcher    │ ──────► │ session.map      │ ──────► │ reorder by   │
 //! │ (chunking) │  queue  │ + shard stats    │  chan   │ batch index, │
 //! └────────────┘         └──────────────────┘         │ stream SAM   │
 //!                                                     └──────────────┘
 //! ```
 //!
-//! Batches travel from the front-end to the workers through a
-//! [`WorkStealQueue`](crate::WorkStealQueue): a bounded shared injector
-//! plus one stealable deque per worker (owner pops LIFO, thieves steal
-//! FIFO), so the common hand-off takes one per-worker lock instead of
-//! serializing every dispatch on a single shared channel lock. Stealing
-//! reshuffles only *which worker* maps a batch — the ordered emitter makes
-//! the output independent of that, as it always was of scheduler timing.
+//! Batches travel from the front-end to the workers through one bounded
+//! FIFO dispatch queue (`queue.rs`): the feeder blocks while it is full,
+//! and each idle worker takes the oldest batch. The schedule decides only
+//! *which worker* maps a batch; the ordered emitter makes the output
+//! independent of that.
 //!
 //! The engine is generic over a [`MapBackend`]: the same worker pool drives
 //! the software reference ([`SoftwareBackend`](gx_backend::SoftwareBackend))
@@ -55,9 +53,9 @@
 
 use crate::batch::{Batch, Batcher};
 use crate::config::{FallbackPolicy, PipelineConfig};
+use crate::queue::DispatchQueue;
 use crate::sink::{RecordSink, VecSink};
-use crate::steal::WorkStealQueue;
-use crate::worker::{emit_pair_records, inflight_window, ReorderBuffer, Worker, REFILL_CHUNK};
+use crate::worker::{emit_pair_records, inflight_window, ReorderBuffer, Worker};
 use gx_backend::{BackendStats, BatchTag, MapBackend};
 use gx_core::{GenPairMapper, MapScratch, PipelineStats, ReadPair};
 use gx_genome::SamRecord;
@@ -70,11 +68,11 @@ use std::time::{Duration, Instant};
 /// Tears the dispatch queue down if the owning thread unwinds, so no other
 /// thread is left blocked on a queue nobody will ever drain again: a
 /// panicking worker stops popping (the feeder would park forever in
-/// `push` on a full injector), and a panicking feeder stops pushing and
+/// `push` on a full queue), and a panicking feeder stops pushing and
 /// never calls `close` (the workers would park forever in `pop`). The
 /// queue is idempotent under abort-after-close, so the guard is a no-op
 /// on every normal exit path.
-struct AbortOnPanic<'a>(&'a WorkStealQueue<Batch>);
+struct AbortOnPanic<'a>(&'a DispatchQueue<Batch>);
 
 impl Drop for AbortOnPanic<'_> {
     fn drop(&mut self) {
@@ -118,10 +116,13 @@ pub struct PipelineReport {
     pub threads: usize,
     /// Batch size used.
     pub batch_size: usize,
-    /// Batches a worker took from another worker's deque (from
-    /// [`WorkStealQueue::steals`]); zero in a perfectly balanced run.
+    /// Always 0, because one FIFO queue dispatches every batch; kept only
+    /// for the benchmark's `pipeline.steals` row until ROADMAP 1(e)
+    /// retires both.
     pub steals: u64,
-    /// Injector→deque refill transfers (from [`WorkStealQueue::refills`]).
+    /// Always 0, because one FIFO queue dispatches every batch; kept only
+    /// for the benchmark's `pipeline.refills` row until ROADMAP 1(e)
+    /// retires both.
     pub refills: u64,
     /// Span events overwritten before flush because a recorder's ring
     /// filled (from [`Telemetry::dropped_events`]); a trace exported after
@@ -296,9 +297,9 @@ impl<B: MapBackend> MappingEngine<B> {
         // every ring has flushed and the delta is exact.
         let dropped_before = telemetry.dropped_events();
 
-        // Work-stealing dispatch: the injector's capacity is the old
-        // channel's queue depth, so front-end backpressure is unchanged.
-        let queue = WorkStealQueue::<Batch>::new(cfg.threads, cfg.queue_depth, REFILL_CHUNK);
+        // The dispatch queue's capacity is the configured queue depth: the
+        // front-end blocks once that many batches wait for a worker.
+        let queue = DispatchQueue::<Batch>::new(cfg.queue_depth);
         let queue = &queue;
         // Mapped batches travelling from the workers to the emitter.
         let (result_tx, result_rx) =
@@ -314,7 +315,7 @@ impl<B: MapBackend> MappingEngine<B> {
                 let tx = result_tx.clone();
                 workers.push(scope.spawn(move || {
                     // A panicking worker (backend bug) must not leave the
-                    // feeder parked on a full injector.
+                    // feeder parked on a full queue.
                     let _teardown = AbortOnPanic(queue);
                     let mut shard = PipelineStats::new();
                     let mut backend_shard = BackendStats::new();
@@ -423,8 +424,8 @@ impl<B: MapBackend> MappingEngine<B> {
             batches,
             threads: cfg.threads,
             batch_size: cfg.batch_size,
-            steals: queue.steals(),
-            refills: queue.refills(),
+            steals: 0,
+            refills: 0,
             dropped_events: telemetry.dropped_events() - dropped_before,
             elapsed: started.elapsed(),
             abort_reason: None,
@@ -645,7 +646,7 @@ mod tests {
     fn worker_panic_propagates_instead_of_hanging() {
         // A backend that panics mid-run must propagate, not deadlock: the
         // unwinding worker tears the dispatch queue down, so the feeder —
-        // parked on the in-flight window or a full injector — wakes and
+        // parked on the in-flight window or a full queue — wakes and
         // stops feeding instead of waiting on pops that will never come.
         struct PanicBackend;
         struct PanicSession;

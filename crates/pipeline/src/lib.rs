@@ -10,10 +10,9 @@
 //!   [`read_pairs_from_fastq`]) that chunks read pairs — from simulators or
 //!   mate-paired FASTQ, streamed incrementally so datasets never need to be
 //!   materialized — into fixed-size batches;
-//! * a **worker pool** ([`MappingEngine`]) of OS threads fed through a
-//!   bounded **work-stealing queue** ([`WorkStealQueue`]: shared injector +
-//!   per-worker deques, owner pops LIFO, thieves steal FIFO), generic over
-//!   a pluggable [`MapBackend`] (the software
+//! * a **worker pool** ([`MappingEngine`]) of OS threads fed through one
+//!   bounded FIFO **dispatch queue** (every worker pops the oldest batch),
+//!   generic over a pluggable [`MapBackend`] (the software
 //!   reference [`SoftwareBackend`] or the NMSL accelerator system model
 //!   [`NmslBackend`] from `gx-backend`); each worker opens one stateful
 //!   [`MapSession`] for the whole run, maps whole batches through its one
@@ -81,9 +80,9 @@ mod batch;
 mod clock;
 mod config;
 mod engine;
+mod queue;
 pub mod service;
 mod sink;
-mod steal;
 mod worker;
 
 pub use batch::{read_pairs_from_fastq, ReadPairStream};
@@ -101,4 +100,3 @@ pub use service::{
     Priority, ServiceBuilder, ServiceConfig, ServiceHandle, ServiceReport, SubmitError,
 };
 pub use sink::{RecordSink, SamTextSink, VecSink};
-pub use steal::WorkStealQueue;

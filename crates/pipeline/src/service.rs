@@ -11,7 +11,7 @@
 //! submit(job B) ──┤ (each ingester  │  worker 1 ─ ...            ├─ ordered
 //! submit(job C) ──┘ owns ≤1 job,    │  worker N ─ ...            │ emitters
 //!                   claims by       └────────── shared device ───┘ (A,B,C)
-//!                   priority)  ──► WorkStealQueue<JobBatch> ──►
+//!                   priority)  ──► DispatchQueue<JobBatch> ──►
 //!                                      deadline timer ─ ends overdue jobs
 //! ```
 //!
@@ -58,8 +58,7 @@ pub use handle::{JobHandle, ServiceHandle};
 pub use job::{JobOutcome, JobReport, JobSnapshot};
 
 use crate::clock::SystemClock;
-use crate::steal::WorkStealQueue;
-use crate::worker::REFILL_CHUNK;
+use crate::queue::DispatchQueue;
 use gx_backend::{BackendStats, MapBackend};
 use ingest::{run_ingester, run_timer};
 use sched::{AbortOnPanic, Sched, Shared};
@@ -96,9 +95,11 @@ pub struct ServiceReport {
     pub threads: usize,
     /// Ingest-pool threads used.
     pub ingesters: usize,
-    /// Batches taken from another worker's deque.
+    /// Always 0, as [`PipelineReport::steals`](crate::PipelineReport::steals)
+    /// is, until ROADMAP 1(e) retires both.
     pub steals: u64,
-    /// Injector→deque refill transfers.
+    /// Always 0, as [`PipelineReport::refills`](crate::PipelineReport::refills)
+    /// is, until ROADMAP 1(e) retires both.
     pub refills: u64,
     /// Wall-clock duration of the whole service scope.
     pub elapsed: std::time::Duration,
@@ -160,7 +161,7 @@ impl MappingService {
         let clock = clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let started = Instant::now();
         let shared = Shared {
-            queue: WorkStealQueue::new(cfg.threads, cfg.queue_depth, REFILL_CHUNK),
+            queue: DispatchQueue::new(cfg.queue_depth),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             backend_name: backend.name(),
@@ -236,8 +237,8 @@ impl MappingService {
             backend_name: shared.backend_name,
             threads: cfg.threads,
             ingesters: cfg.ingesters,
-            steals: shared.queue.steals(),
-            refills: shared.queue.refills(),
+            steals: 0,
+            refills: 0,
             elapsed: started.elapsed(),
         };
         (out, report)

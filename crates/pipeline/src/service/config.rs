@@ -112,7 +112,7 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Default pairs per batch for jobs that don't override it.
     pub batch_size: usize,
-    /// Bounded injector depth in batches — the backpressure budget shared
+    /// Dispatch-queue depth in batches — the backpressure budget shared
     /// by every job's ingestion.
     pub queue_depth: usize,
     /// Jobs admitted concurrently before [`AdmissionPolicy`] kicks in.
@@ -209,7 +209,7 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the bounded injector depth in batches (clamped to at least 1).
+    /// Sets the dispatch-queue depth in batches (clamped to at least 1).
     pub fn queue_depth(mut self, queue_depth: usize) -> ServiceBuilder {
         self.cfg.queue_depth = queue_depth.max(1);
         self

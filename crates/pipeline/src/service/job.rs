@@ -35,11 +35,7 @@ pub struct JobReport {
     /// The per-job run report: statistics over the batches this job
     /// actually mapped, its share of backend accounting (plus the
     /// releases its seal or discard triggered), and — for cancelled or
-    /// failed jobs — the abort reason. `steals`/`refills` are
-    /// service-wide and reported as zero here (see
-    /// [`ServiceReport`]).
-    ///
-    /// [`ServiceReport`]: super::ServiceReport
+    /// failed jobs — the abort reason. `steals`/`refills` are zero.
     pub report: PipelineReport,
     /// Pairs of this job the device had already released to a lane — and
     /// therefore genuinely priced into warm totals — by the time a cancel
@@ -87,7 +83,7 @@ impl<S: RecordSink + Send + 'static> ServiceSink for S {
     }
 }
 
-/// One job-tagged batch travelling through the work-steal queue.
+/// One job-tagged batch travelling through the dispatch queue.
 pub(super) struct JobBatch {
     pub(super) job: Arc<JobState>,
     pub(super) index: u64,
@@ -261,8 +257,8 @@ pub(super) fn end_job(shared: &Shared<'_>, job: &Arc<JobState>, why: End) -> Opt
 mod tests {
     use super::super::sched::Sched;
     use super::*;
+    use crate::queue::DispatchQueue;
     use crate::sink::VecSink;
-    use crate::steal::WorkStealQueue;
     use crate::{ServiceBuilder, SystemClock};
     use gx_backend::DiscardReport;
     use gx_telemetry::Telemetry;
@@ -276,7 +272,7 @@ mod tests {
             DiscardReport::default()
         };
         let shared = Shared {
-            queue: WorkStealQueue::new(1, 1, 1),
+            queue: DispatchQueue::new(1),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             cfg: *ServiceBuilder::new().config(),

@@ -5,7 +5,7 @@ use super::ingest::FeederJob;
 use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::clock::Clock;
 use crate::engine::PipelineReport;
-use crate::steal::WorkStealQueue;
+use crate::queue::DispatchQueue;
 use gx_backend::{BackendStats, DiscardReport};
 use gx_telemetry::Telemetry;
 use std::cmp::Reverse;
@@ -44,7 +44,7 @@ pub(super) type DiscardFn<'b> = dyn Fn(u64) -> DiscardReport + Sync + 'b;
 /// Everything the service's threads share by reference. The `'b`
 /// lifetime borrows the backend for the type-erased discard.
 pub(super) struct Shared<'b> {
-    pub(super) queue: WorkStealQueue<JobBatch>,
+    pub(super) queue: DispatchQueue<JobBatch>,
     pub(super) sched: Mutex<Sched>,
     /// Wakes ingesters (new job, cancel, window progress), the deadline
     /// timer, and parked submitters / drainers (job finalized, drain).

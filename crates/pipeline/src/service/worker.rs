@@ -5,13 +5,27 @@ use super::sched::{try_finalize, AbortOnPanic, Shared};
 use crate::worker::Worker;
 use gx_backend::{BatchTag, MapBackend};
 use gx_core::PipelineStats;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// The text of a caught panic's payload (a `panic!` message is a `&str`
+/// or a `String`).
+fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload")
+}
 
 /// One service worker: pops job-tagged batches, runs the engine's worker
 /// step on them ([`Worker`]), and drives the owning job's ordered emitter
-/// under the job lock. A map call that panics fails the batch's job, not
-/// the service: the unwind is caught here and the worker carries on with a
-/// fresh session (the old one may be mid-batch).
+/// under the job lock. A map call or a sink that panics fails the batch's
+/// job, not the service. A map panic is caught here and the worker carries
+/// on with a fresh session (the old one may be mid-batch). A sink panic is
+/// caught inside the job lock's scope, so the lock is not poisoned and the
+/// job's client is still woken; the records that call wrote before the
+/// panic are not counted in `records_written`.
 pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize) {
     let _teardown = AbortOnPanic(shared);
     let open = || Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
@@ -64,19 +78,26 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
                 core.stats.merge(&stats);
                 if core.ended().is_none() {
                     let sink = core.sink.as_mut().expect("sink present until join");
-                    let (n, result) = core.reorder.push(jb.index, records, sink.as_mut());
-                    core.written += n;
-                    if let Err(e) = result {
-                        core.end(End::Failed(e.to_string()), shared.discard, jb.job.id);
+                    let emitted = catch_unwind(AssertUnwindSafe(|| {
+                        core.reorder.push(jb.index, records, sink.as_mut())
+                    }));
+                    let why = match emitted {
+                        Ok((n, result)) => {
+                            core.written += n;
+                            result.err().map(|e| End::Failed(e.to_string()))
+                        }
+                        Err(payload) => Some(End::Failed(format!(
+                            "sink panicked: {}",
+                            panic_text(payload.as_ref())
+                        ))),
+                    };
+                    if let Some(why) = why {
+                        core.end(why, shared.discard, jb.job.id);
                     }
                 }
             }
             Err(payload) => {
-                let text = payload
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-                    .unwrap_or("opaque panic payload");
+                let text = panic_text(payload.as_ref());
                 let why = End::Failed(format!("mapping worker panicked: {text}"));
                 core.end(why, shared.discard, jb.job.id);
             }

@@ -4,20 +4,14 @@
 //! them live in `engine.rs` and `service/`.
 
 use crate::config::FallbackPolicy;
+use crate::queue::DispatchQueue;
 use crate::sink::RecordSink;
-use crate::steal::WorkStealQueue;
 use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession};
 use gx_core::{pair_mapping_to_sam, unmapped_pair_to_sam, PairMapping, PipelineStats, ReadPair};
 use gx_genome::SamRecord;
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::HashMap;
 use std::io;
-
-/// Batches a worker's refill moves from the injector at once: one to map
-/// immediately plus up to three parked on its deque for itself (LIFO) or
-/// idle thieves (FIFO). Small enough that a straggler worker can only sit
-/// on a few batches — and those are exactly the ones thieves may take.
-pub(crate) const REFILL_CHUNK: usize = 4;
 
 /// Batches a stream may have admitted past its last in-order processed
 /// one. Bounds the reorder buffer: without it, one slow early batch would
@@ -33,7 +27,6 @@ pub(crate) fn inflight_window(queue_depth: usize, threads: usize) -> u64 {
 /// track `id`. Telemetry is observational only — nothing recorded here
 /// feeds back into modeled stats or emitted bytes.
 pub(crate) struct Worker<'b, B: MapBackend + 'b> {
-    id: usize,
     session: B::Session<'b>,
     policy: FallbackPolicy,
     rec: Recorder,
@@ -49,13 +42,12 @@ impl<'b, B: MapBackend> Worker<'b, B> {
         policy: FallbackPolicy,
     ) -> Worker<'b, B> {
         Worker {
-            id,
             session: backend.session(id),
             policy,
             rec: telemetry.recorder(id as u32),
             queue_wait_h: telemetry.histogram(
                 "gx_queue_wait_ns",
-                "worker wait for the next batch (pop from the work-steal queue), ns",
+                "worker wait for the next batch (pop from the dispatch queue), ns",
             ),
             map_h: telemetry.histogram(
                 "gx_map_batch_ns",
@@ -64,12 +56,11 @@ impl<'b, B: MapBackend> Worker<'b, B> {
         }
     }
 
-    /// Takes the worker's next item — own deque LIFO, injector refill, FIFO
-    /// steal, in that order — recording the wait; `None` once the queue is
-    /// closed and drained.
-    pub(crate) fn pop<T>(&mut self, queue: &WorkStealQueue<T>) -> Option<T> {
+    /// Takes the oldest item off the dispatch queue, recording the wait;
+    /// `None` once the queue is closed and drained.
+    pub(crate) fn pop<T>(&mut self, queue: &DispatchQueue<T>) -> Option<T> {
         let t_wait = self.rec.start();
-        let item = queue.pop(self.id)?;
+        let item = queue.pop()?;
         let wait_ns = self.rec.span("queue_wait", t_wait);
         self.rec.record(self.queue_wait_h, wait_ns);
         Some(item)

@@ -21,9 +21,8 @@
 //!   feed the modeled stats, so warm totals and SAM bytes are unchanged by
 //!   tracing.
 //! * [`pipeline`] — the throughput engine: batching front-end, a worker
-//!   pool fed through a work-stealing queue
-//!   ([`pipeline::WorkStealQueue`]) with sharded statistics, and an
-//!   ordered SAM emitter (see below).
+//!   pool fed through one bounded FIFO dispatch queue, with sharded
+//!   statistics, and an ordered SAM emitter (see below).
 //! * [`backend`] — pluggable mapping backends behind the
 //!   [`backend::MapBackend`] factory / [`backend::MapSession`] session
 //!   split, whose whole contract is one call —

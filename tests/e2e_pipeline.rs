@@ -132,7 +132,7 @@ fn overlapped_dma_emits_identical_sam_and_never_slows_the_system() {
     // the serial reference, and the overlapped system timeline can only be
     // at most the serialized one — transfer time is hidden behind compute,
     // never invented. Exercised end to end through the engine
-    // (work-stealing dispatch, the shared warm device) at the acceptance
+    // (the dispatch queue, the shared warm device) at the acceptance
     // thread counts {1, 4}.
     let genome = standard_genome(200_000, 18);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());

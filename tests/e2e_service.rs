@@ -42,6 +42,10 @@
 //!    bytes on the reopened session, `serve` returns normally, and the
 //!    survivors' warm fingerprint equals a single-engine run over their
 //!    streams.
+//! 6. **A panicking sink fails one job** — a sink that panics at record N
+//!    ends its job as `Failed` with the panic text after exactly the
+//!    records before N; a sibling and a later job complete with their solo
+//!    bytes, and `serve` returns normally.
 
 use genpairx::backend::{
     BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession, NmslBackend,
@@ -717,5 +721,96 @@ fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
             engine_fp,
             "a panicked job leaked into warm totals at threads={threads}"
         );
+    }
+}
+
+/// A sink that panics at its record `at` (0-based) and otherwise writes
+/// SAM text: a sink bug, injected.
+struct PanicAt {
+    inner: SamTextSink<Vec<u8>>,
+    at: u64,
+    seen: u64,
+}
+
+impl RecordSink for PanicAt {
+    fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
+        assert!(self.seen != self.at, "injected sink failure");
+        self.seen += 1;
+        self.inner.write_record(rec)
+    }
+}
+
+/// Record at which [`PanicAt`] panics: inside the doomed job's second
+/// batch of eight pairs.
+const SINK_PANIC_AT: u64 = 21;
+
+#[test]
+fn a_sink_panic_fails_its_job_and_the_service_keeps_serving() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let jobs = [&pairs[..40], &pairs[40..200], &pairs[200..280]];
+    let [doomed_solo, sibling_solo, later_solo] = jobs.map(|j| solo_sam(&mapper, &genome, j));
+    let sink = || SamTextSink::with_header(&genome, Vec::new()).unwrap();
+
+    for threads in [1, 2] {
+        for nmsl in [false, true] {
+            let what = format!("nmsl={nmsl} threads={threads}");
+            let run = |svc: &genpairx::pipeline::ServiceHandle<'_>| {
+                let doomed = PanicAt {
+                    inner: sink(),
+                    at: SINK_PANIC_AT,
+                    seen: 0,
+                };
+                let failed = svc
+                    .submit_pairs(JobSpec::new().batch_size(8), jobs[0].to_vec(), doomed)
+                    .unwrap();
+                let sibling = svc
+                    .submit_pairs(JobSpec::new().batch_size(32), jobs[1].to_vec(), sink())
+                    .unwrap();
+
+                let (fr, fsink) = join_within(failed, PANIC_BOUND, "job whose sink panicked");
+                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                let reason = fr.report.abort_reason.as_deref().unwrap();
+                assert!(
+                    reason.starts_with("sink panicked") && reason.contains("injected sink failure"),
+                    "{what}: lost the reason: {reason}"
+                );
+                // The sink got exactly the records before the panic, in
+                // order; the report counts at most those.
+                assert!(fr.report.records_written <= SINK_PANIC_AT, "{what}");
+                let lines = SINK_PANIC_AT as usize + genome.chromosomes().len() + 2;
+                let prefix: Vec<&[u8]> = doomed_solo.split_inclusive(|&b| b == b'\n').collect();
+                assert!(
+                    fsink.inner.into_inner().unwrap() == prefix[..lines].concat(),
+                    "{what}: the doomed sink's records diverge from its solo run"
+                );
+
+                let (sr, ssink) = join_within(sibling, PANIC_BOUND, "sibling of a sink panic");
+                assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    ssink.into_inner().unwrap() == sibling_solo,
+                    "{what}: sibling bytes diverge from its solo run"
+                );
+
+                let later = svc
+                    .submit_pairs(JobSpec::new().batch_size(16), jobs[2].to_vec(), sink())
+                    .unwrap();
+                let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a sink panic");
+                assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    lsink.into_inner().unwrap() == later_solo,
+                    "{what}: post-panic job bytes diverge from its solo run"
+                );
+            };
+            let builder = ServiceBuilder::new().threads(threads).queue_depth(4);
+            let ((), report) = if nmsl {
+                builder.serve(NmslBackend::new(&mapper).channels(CHANNELS), run)
+            } else {
+                builder.serve(SoftwareBackend::new(&mapper), run)
+            };
+            assert_eq!(report.jobs_failed, 1, "{what}");
+            assert_eq!(report.jobs_completed, 2, "{what}");
+            assert_eq!(report.jobs_cancelled, 0, "{what}");
+        }
     }
 }

@@ -4,8 +4,8 @@
 
 use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair};
 use genpairx::genome::random::RandomGenomeBuilder;
-use genpairx::genome::samfile::write_sam;
 use genpairx::genome::{Chromosome, DnaSeq, ReferenceGenome};
+use genpairx::pipeline::{RecordSink, SamTextSink};
 use genpairx::seedmap::{SeedMap, SeedMapConfig};
 
 #[test]
@@ -99,9 +99,10 @@ fn sam_roundtrip_through_pileup() {
     let (s1, s2) = pair_mapping_to_sam(m, ReadPair::new("edge", r1, r2));
 
     // SAM text renders with the right contig and 1-based coordinates.
-    let mut buf = Vec::new();
-    write_sam(&genome, &[s1.clone(), s2.clone()], &mut buf).unwrap();
-    let text = String::from_utf8(buf).unwrap();
+    let mut sink = SamTextSink::with_header(&genome, Vec::new()).unwrap();
+    sink.write_record(&s1).unwrap();
+    sink.write_record(&s2).unwrap();
+    let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
     assert!(text.contains(&format!("\tchr1\t{}\t", 7_001)));
 
     // Pileup sees exactly the aligned columns.
