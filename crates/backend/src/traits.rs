@@ -374,7 +374,7 @@ pub trait MapSession {
     ///
     /// Within one backend run every `(job, index)` is admitted exactly
     /// once, job ids are contiguous from 0 and each job's indices are
-    /// contiguous from 0 (the engine's `Batcher` and the service's
+    /// contiguous from 0 (the engine's front end and the service's
     /// scheduler and ingest pool guarantee this). A sequencing
     /// backend treats a repeated or already-released tag as a caller bug
     /// and panics; a gap leaves it waiting for the missing batch until

@@ -1,56 +1,19 @@
-//! The batching front-end: read-pair ingestion and fixed-size batches.
+//! Read-pair ingestion and the batch, the unit of work the dispatch queue
+//! carries.
 
 use gx_core::ReadPair;
 use gx_genome::fastq::FastqReader;
 use gx_genome::{GenomeError, ReadRecord};
 use std::io::BufRead;
 
-/// A fixed-size unit of work flowing through the engine. `index` is the
-/// batch's position in the input stream; the ordered emitter uses it to
-/// reassemble output in input order.
+/// A fixed-size unit of work flowing through the engine (the last batch of
+/// a stream may be smaller). `index` is the batch's position in the input
+/// stream; the front end's reorder buffer uses it to reassemble output in
+/// input order.
 #[derive(Clone, Debug)]
 pub(crate) struct Batch {
     pub index: u64,
     pub pairs: Vec<ReadPair>,
-}
-
-/// Chunks an input stream into [`Batch`]es of `batch_size` pairs (the last
-/// batch may be smaller).
-pub(crate) struct Batcher<I> {
-    input: I,
-    batch_size: usize,
-    next_index: u64,
-}
-
-impl<I: Iterator<Item = ReadPair>> Batcher<I> {
-    pub fn new(input: I, batch_size: usize) -> Batcher<I> {
-        assert!(batch_size > 0, "batch size must be positive");
-        Batcher {
-            input,
-            batch_size,
-            next_index: 0,
-        }
-    }
-}
-
-impl<I: Iterator<Item = ReadPair>> Iterator for Batcher<I> {
-    type Item = Batch;
-
-    fn next(&mut self) -> Option<Batch> {
-        let mut pairs = Vec::with_capacity(self.batch_size);
-        while pairs.len() < self.batch_size {
-            match self.input.next() {
-                Some(p) => pairs.push(p),
-                None => break,
-            }
-        }
-        if pairs.is_empty() {
-            return None;
-        }
-        let index = self.next_index;
-        self.next_index += 1;
-        Some(Batch { index, pairs })
-    }
 }
 
 /// Strips a trailing `/1` or `/2` mate suffix from a FASTQ read id.
@@ -174,41 +137,6 @@ pub fn read_pairs_from_fastq<R1: BufRead, R2: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gx_genome::DnaSeq;
-
-    fn pair(i: usize) -> ReadPair {
-        ReadPair::new(
-            format!("p{i}"),
-            DnaSeq::from_ascii(b"ACGT").unwrap(),
-            DnaSeq::from_ascii(b"TGCA").unwrap(),
-        )
-    }
-
-    #[test]
-    fn batches_cover_input_in_order() {
-        let pairs: Vec<ReadPair> = (0..10).map(pair).collect();
-        let batches: Vec<Batch> = Batcher::new(pairs.clone().into_iter(), 4).collect();
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].pairs.len(), 4);
-        assert_eq!(batches[2].pairs.len(), 2, "remainder batch");
-        assert_eq!(batches[1].index, 1);
-        let flat: Vec<ReadPair> = batches.into_iter().flat_map(|b| b.pairs).collect();
-        assert_eq!(flat, pairs);
-    }
-
-    #[test]
-    fn batch_size_one() {
-        let pairs: Vec<ReadPair> = (0..3).map(pair).collect();
-        let batches: Vec<Batch> = Batcher::new(pairs.into_iter(), 1).collect();
-        assert_eq!(batches.len(), 3);
-        assert!(batches.iter().all(|b| b.pairs.len() == 1));
-    }
-
-    #[test]
-    fn empty_input_yields_no_batches() {
-        let batches: Vec<Batch> = Batcher::new(std::iter::empty(), 8).collect();
-        assert!(batches.is_empty());
-    }
 
     #[test]
     fn fastq_pairing_strips_mate_suffix() {

@@ -1,21 +1,23 @@
-//! The mapping engine: a worker pool over batches with an ordered emitter.
+//! The mapping engine: a worker pool between one front end that feeds
+//! batches and writes them back in input order.
 //!
-//! Dataflow (all queues bounded, applying backpressure end to end):
+//! Dataflow (all in-flight work bounded, applying backpressure end to end):
 //!
 //! ```text
-//! caller thread          worker threads (N)            emitter thread
-//! ┌────────────┐  FIFO   ┌──────────────────┐ results ┌──────────────┐
-//! │ Batcher    │ ──────► │ session.map      │ ──────► │ reorder by   │
-//! │ (chunking) │  queue  │ + shard stats    │  chan   │ batch index, │
-//! └────────────┘         └──────────────────┘         │ stream SAM   │
-//!                                                     └──────────────┘
+//! calling thread (front end)        worker threads (N)
+//! ┌─────────────────────────┐ FIFO  ┌──────────────────┐
+//! │ chunk input into batches│ ────► │ session.map      │
+//! │                         │ queue │ + shard stats    │
+//! │ reorder by batch index, │ ◄──── │ + render records │
+//! │ stream SAM to the sink  │ chan  └──────────────────┘
+//! └─────────────────────────┘
 //! ```
 //!
-//! Batches travel from the front-end to the workers through one bounded
-//! FIFO dispatch queue (`queue.rs`): the feeder blocks while it is full,
-//! and each idle worker takes the oldest batch. The schedule decides only
-//! *which worker* maps a batch; the ordered emitter makes the output
-//! independent of that.
+//! Batches travel from the front end to the workers through one bounded
+//! FIFO dispatch queue (`queue.rs`): the front end blocks while it is
+//! full, and each idle worker takes the oldest batch. The schedule decides
+//! only *which worker* maps a batch; the front end's reorder buffer makes
+//! the output independent of that.
 //!
 //! The engine is generic over a [`MapBackend`]: the same worker pool drives
 //! the software reference ([`SoftwareBackend`](gx_backend::SoftwareBackend))
@@ -33,25 +35,26 @@
 //! batches) admit in input order whichever worker got the batch. Each
 //! worker also owns private [`PipelineStats`] and [`BackendStats`] shards
 //! that are merged once at join time — no locks or atomics on the mapping
-//! hot path. The emitter restores input order, so the engine's output is
-//! **byte-identical** to a serial [`map_serial`] run regardless of thread
-//! count or batch size. The emitter's reorder buffer is bounded too: the
-//! feeder admits at most `queue_depth + 2 × threads` batches past the last
-//! emitted one (a condvar-signalled window), so one slow batch cannot make
-//! completed successors pile up without limit.
+//! hot path. The front end restores input order, so the engine's output
+//! is **byte-identical** to a serial [`map_serial`] run regardless of
+//! thread count or batch size. Its reorder buffer is bounded too: it
+//! pushes a batch only while fewer than `queue_depth + 2 × threads`
+//! batches are past the last one written, and otherwise waits for the
+//! next mapped batch, so one slow batch cannot make completed successors
+//! pile up without limit.
 //!
 //! The worker step and the reorder buffer (`worker.rs`) are the
 //! [`MappingService`](crate::MappingService)'s too; the thread topologies
-//! around them deliberately are not. The engine feeds from the caller
-//! thread and writes from a dedicated emitter thread; the service emits
-//! inside the worker, under the job lock, because that lock is its
-//! cancel-ack barrier. Making the engine a one-job service would move its
-//! emit onto its worker: on `foreign_sw` `genome.sam_emit_s` reads 0.03 s
-//! with warm output pages and 0.2–0.9 s with cold ones against
-//! `backend.map_busy_s` 0.13–0.23 s (ROADMAP "Measured and closed"), so
-//! that workload's critical path would grow by 20 % at best, the bound.
+//! around them deliberately are not. The engine feeds and writes from the
+//! calling thread; the service emits inside the worker, under the job
+//! lock, because that lock is its cancel-ack barrier. Making the engine a
+//! one-job service would move its emit onto its worker: on `foreign_sw`
+//! `genome.sam_emit_s` reads 0.03 s with warm output pages and 0.2–0.9 s
+//! with cold ones against `backend.map_busy_s` 0.13–0.23 s (ROADMAP
+//! "Measured and closed"), so that workload's critical path would grow by
+//! 20 % at best, the bound.
 
-use crate::batch::{Batch, Batcher};
+use crate::batch::Batch;
 use crate::config::{FallbackPolicy, PipelineConfig};
 use crate::queue::DispatchQueue;
 use crate::sink::{RecordSink, VecSink};
@@ -62,16 +65,15 @@ use gx_genome::SamRecord;
 use gx_telemetry::Telemetry;
 use std::io;
 use std::sync::mpsc;
-use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tears the dispatch queue down if the owning thread unwinds, so no other
 /// thread is left blocked on a queue nobody will ever drain again: a
-/// panicking worker stops popping (the feeder would park forever in
-/// `push` on a full queue), and a panicking feeder stops pushing and
-/// never calls `close` (the workers would park forever in `pop`). The
-/// queue is idempotent under abort-after-close, so the guard is a no-op
-/// on every normal exit path.
+/// panicking worker stops popping (the front end would park forever in
+/// `push` on a full queue), and a panicking front end (its input iterator
+/// or its sink) stops pushing and never calls `close` (the workers would
+/// park forever in `pop`). The queue is idempotent under
+/// abort-after-close, so the guard is a no-op on every normal exit path.
 struct AbortOnPanic<'a>(&'a DispatchQueue<Batch>);
 
 impl Drop for AbortOnPanic<'_> {
@@ -79,22 +81,6 @@ impl Drop for AbortOnPanic<'_> {
         if std::thread::panicking() {
             self.0.abort();
         }
-    }
-}
-
-/// Releases a feeder parked on the in-flight window when the emitter exits
-/// — end of input, a sink I/O error, or unwinding out of a panicking sink —
-/// or it would wait forever for progress that will never come. The release
-/// is the `u64::MAX` sentinel the feeder's wait loop checks.
-struct ReleaseFeederOnExit<'a>(&'a (Mutex<u64>, Condvar));
-
-impl Drop for ReleaseFeederOnExit<'_> {
-    fn drop(&mut self) {
-        let (lock, cv) = self.0;
-        // May run while unwinding, so it must not panic in turn; a lone
-        // `u64` is valid whatever a poisoning thread was doing.
-        *lock.lock().unwrap_or_else(PoisonError::into_inner) = u64::MAX;
-        cv.notify_all();
     }
 }
 
@@ -247,8 +233,10 @@ impl<B: MapBackend> MappingEngine<B> {
     /// Maps `input` with the worker pool, streaming ordered records into
     /// `sink`.
     ///
-    /// The calling thread runs the batching front-end (so the input iterator
-    /// needs no `Send`); workers and the emitter run on scoped threads.
+    /// The calling thread is the whole front end: it chunks the input into
+    /// batches and writes mapped batches back in input order, so neither
+    /// the input iterator nor the sink needs `Send`. Only the workers run
+    /// on scoped threads.
     ///
     /// # Errors
     ///
@@ -257,15 +245,18 @@ impl<B: MapBackend> MappingEngine<B> {
     ///
     /// # Panics
     ///
-    /// Propagates panics from worker threads (a mapper invariant violation)
-    /// and from the sink (as `"emitter panicked"`), and panics if the
-    /// backend returns a result count different from the batch size.
+    /// Propagates panics from worker threads (as `"mapping worker
+    /// panicked"`; a mapper invariant violation), from the input iterator
+    /// and from the sink (with their own payloads). Panics if the
+    /// configured batch size is 0 or the backend returns a result count
+    /// different from the batch size.
     pub fn run<I, S>(&self, input: I, sink: &mut S) -> io::Result<PipelineReport>
     where
         I: IntoIterator<Item = ReadPair>,
-        S: RecordSink + Send,
+        S: RecordSink,
     {
         let cfg = self.cfg;
+        assert!(cfg.batch_size > 0, "batch size must be positive");
         let backend = &self.backend;
         let started = Instant::now();
 
@@ -273,11 +264,11 @@ impl<B: MapBackend> MappingEngine<B> {
         // front (no-ops on a disabled handle), wall-clock reads flow into
         // telemetry buffers exclusively, and nothing below feeds back into
         // modeled stats or emitted bytes. Span tracks: workers 0..N, the
-        // feeder at N, the emitter at N+1 (NMSL lanes live at 2000+).
+        // front end at N (NMSL lanes live at 2000+).
         let telemetry = &self.telemetry;
         let emit_wait_h = telemetry.histogram(
             "gx_emit_wait_ns",
-            "emitter wait for the next mapped batch, ns",
+            "front-end wait for the next mapped batch, ns",
         );
         let ingest_h = telemetry.histogram(
             "gx_ingest_ns",
@@ -285,37 +276,37 @@ impl<B: MapBackend> MappingEngine<B> {
         );
         let reorder_h = telemetry.histogram(
             "gx_reorder_depth",
-            "batches in the emitter's reorder window as each mapped batch arrives",
+            "batches in the front end's reorder window as each mapped batch arrives",
         );
         for w in 0..cfg.threads {
             telemetry.label_track(w as u32, &format!("worker {w}"));
         }
-        telemetry.label_track(cfg.threads as u32, "feeder");
-        telemetry.label_track(cfg.threads as u32 + 1, "emitter");
+        telemetry.label_track(cfg.threads as u32, "front end");
         // Ring-overflow accounting is scoped to this run: recorders all
         // drop inside the scope below, so by the time the report is built
         // every ring has flushed and the delta is exact.
         let dropped_before = telemetry.dropped_events();
 
         // The dispatch queue's capacity is the configured queue depth: the
-        // front-end blocks once that many batches wait for a worker.
+        // front end blocks once that many batches wait for a worker.
         let queue = DispatchQueue::<Batch>::new(cfg.queue_depth);
         let queue = &queue;
-        // Mapped batches travelling from the workers to the emitter.
-        let (result_tx, result_rx) =
-            mpsc::sync_channel::<(u64, Vec<SamRecord>)>(cfg.queue_depth + cfg.threads);
+        // Mapped batches travelling from the workers to the front end. The
+        // in-flight window already caps what the channel can hold, and a
+        // worker must never block on it while the front end is parked in
+        // `push`, so it is unbounded. The receiver outlives the scope.
+        let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<SamRecord>)>();
         // Caps batches admitted past the last *emitted* one, bounding the
-        // emitter's reorder buffer.
+        // reorder buffer.
         let inflight_cap = inflight_window(cfg.queue_depth, cfg.threads);
-        let progress = &(Mutex::new(0u64), Condvar::new());
 
-        let (stats, backend_stats, write_result, batches) = std::thread::scope(|scope| {
+        let (stats, backend_stats, front) = std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(cfg.threads);
             for worker_id in 0..cfg.threads {
                 let tx = result_tx.clone();
                 workers.push(scope.spawn(move || {
                     // A panicking worker (backend bug) must not leave the
-                    // feeder parked on a full queue.
+                    // front end parked on a full queue.
                     let _teardown = AbortOnPanic(queue);
                     let mut shard = PipelineStats::new();
                     let mut backend_shard = BackendStats::new();
@@ -328,77 +319,66 @@ impl<B: MapBackend> MappingEngine<B> {
                         };
                         let (stats, records) = worker.map(tag, batch.pairs, &mut shard);
                         backend_shard.merge(&stats);
-                        if tx.send((batch.index, records)).is_err() {
-                            // Emitter gone (I/O error): tear the dispatch
-                            // queue down so a feeder blocked in push() wakes
-                            // with a failure and siblings drain out, then
-                            // unwind quietly.
-                            queue.abort();
-                            break;
-                        }
+                        tx.send((batch.index, records))
+                            .expect("the result receiver outlives every worker");
                     }
                     (shard, backend_shard)
                 }));
             }
-            drop(result_tx); // emitter's recv loop ends when workers finish
+            drop(result_tx); // recv fails once every worker has exited
 
-            let emitter = scope.spawn(move || -> io::Result<u64> {
-                // A panicking sink must not leave the feeder parked on the
-                // in-flight window.
-                let _release = ReleaseFeederOnExit(progress);
-                let mut erec = telemetry.recorder(cfg.threads as u32 + 1);
-                let mut written = 0u64;
+            // The front end. If the input iterator or the sink panics, the
+            // guard aborts the queue so the workers don't park forever
+            // waiting for a close that never comes.
+            let front = {
+                let _teardown = AbortOnPanic(queue);
+                let mut rec = telemetry.recorder(cfg.threads as u32);
+                let mut input = input.into_iter();
                 let mut reorder = ReorderBuffer::default();
+                let (mut batches, mut written, mut feeding) = (0u64, 0u64, true);
                 loop {
-                    let t_wait = erec.start();
+                    // Feed while the in-flight window has room. A push
+                    // fails only when a worker tore the queue down.
+                    while feeding && batches < reorder.next() + inflight_cap {
+                        let t_ingest = rec.start();
+                        let mut pairs = Vec::with_capacity(cfg.batch_size);
+                        pairs.extend(input.by_ref().take(cfg.batch_size));
+                        if pairs.is_empty() {
+                            queue.close();
+                            feeding = false;
+                            break;
+                        }
+                        let ingest_ns = rec.span_arg("ingest", t_ingest, batches);
+                        rec.record(ingest_h, ingest_ns);
+                        feeding = queue.push(Batch {
+                            index: batches,
+                            pairs,
+                        });
+                        batches += 1;
+                    }
+                    if !feeding && reorder.next() == batches {
+                        break Ok((written, batches));
+                    }
+                    // Otherwise write the next mapped batch. A closed
+                    // channel means every worker has exited; their join
+                    // says why.
+                    let t_wait = rec.start();
                     let Ok((index, records)) = result_rx.recv() else {
-                        break;
+                        break Ok((written, batches));
                     };
-                    let wait_ns = erec.span_arg("emit_wait", t_wait, index);
-                    erec.record(emit_wait_h, wait_ns);
+                    let wait_ns = rec.span_arg("emit_wait", t_wait, index);
+                    rec.record(emit_wait_h, wait_ns);
                     // Depth with this batch in, before the order drains.
-                    erec.record(reorder_h, reorder.buffered() as u64 + 1);
+                    rec.record(reorder_h, reorder.buffered() as u64 + 1);
                     let (n, result) = reorder.push(index, records, sink);
                     written += n;
-                    result?;
-                    let (lock, cv) = progress;
-                    *lock.lock().expect("progress lock poisoned") = reorder.next();
-                    cv.notify_all();
-                }
-                debug_assert_eq!(reorder.buffered(), 0, "batches lost before the emitter");
-                Ok(written)
-            });
-
-            // Batching front-end on the calling thread. A push fails only
-            // when the workers tore the queue down (emitter I/O error);
-            // stop feeding instead of blocking forever. If the *input
-            // iterator* panics, the guard aborts the queue so workers
-            // don't park forever waiting for a close that never comes.
-            let _teardown = AbortOnPanic(queue);
-            let mut frec = telemetry.recorder(cfg.threads as u32);
-            let mut batches = 0u64;
-            let mut batcher = Batcher::new(input.into_iter(), cfg.batch_size);
-            loop {
-                let t_ingest = frec.start();
-                let Some(batch) = batcher.next() else {
-                    break;
-                };
-                let ingest_ns = frec.span_arg("ingest", t_ingest, batch.index);
-                frec.record(ingest_h, ingest_ns);
-                // Park until the batch fits the in-flight window.
-                {
-                    let (lock, cv) = progress;
-                    let mut emitted = lock.lock().expect("progress lock poisoned");
-                    while *emitted != u64::MAX && batch.index >= *emitted + inflight_cap {
-                        emitted = cv.wait(emitted).expect("progress lock poisoned");
+                    if let Err(e) = result {
+                        // Workers drain out; their late results are dropped.
+                        queue.abort();
+                        break Err(e);
                     }
                 }
-                batches += 1;
-                if !queue.push(batch) {
-                    break;
-                }
-            }
-            queue.close();
+            };
 
             let shards: Vec<(PipelineStats, BackendStats)> = workers
                 .into_iter()
@@ -411,11 +391,10 @@ impl<B: MapBackend> MappingEngine<B> {
             // (and resets for the next run). Runs on the error path too, so
             // an aborted run never leaves the device dirty.
             backend_stats.merge(&backend.flush());
-            let write_result = emitter.join().expect("emitter panicked");
-            (stats, backend_stats, write_result, batches)
+            (stats, backend_stats, front)
         });
 
-        let records_written = write_result?;
+        let (records_written, batches) = front?;
         Ok(PipelineReport {
             stats,
             backend: backend_stats,
@@ -518,6 +497,8 @@ mod tests {
     use gx_core::GenPairConfig;
     use gx_genome::random::RandomGenomeBuilder;
     use gx_genome::{DnaSeq, ReferenceGenome};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn setup() -> (ReferenceGenome, Vec<ReadPair>) {
         let genome = RandomGenomeBuilder::new(120_000).seed(21).build();
@@ -645,9 +626,10 @@ mod tests {
     #[should_panic(expected = "mapping worker panicked")]
     fn worker_panic_propagates_instead_of_hanging() {
         // A backend that panics mid-run must propagate, not deadlock: the
-        // unwinding worker tears the dispatch queue down, so the feeder —
-        // parked on the in-flight window or a full queue — wakes and
-        // stops feeding instead of waiting on pops that will never come.
+        // unwinding worker tears the dispatch queue down, so the front end
+        // — parked in `push` on a full queue — wakes and stops feeding
+        // instead of waiting on pops that will never come, and its `recv`
+        // fails once the worker has gone.
         struct PanicBackend;
         struct PanicSession;
         impl MapBackend for PanicBackend {
@@ -668,8 +650,8 @@ mod tests {
             }
         }
         let (_, pairs) = setup();
-        // Tiny queue + one worker: without teardown-on-unwind the feeder
-        // blocks forever and this test times out instead of panicking.
+        // Tiny queue + one worker: without teardown-on-unwind the front
+        // end blocks forever and this test times out instead of panicking.
         let engine = PipelineBuilder::new()
             .threads(1)
             .batch_size(1)
@@ -680,13 +662,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "emitter panicked")]
+    #[should_panic(expected = "injected sink failure")]
     fn sink_panic_propagates_instead_of_hanging() {
-        // A sink that panics unwinds the emitter past its progress updates:
-        // the exit guard must still release the feeder, which — 40 batches
-        // against an in-flight window of 3 — is parked waiting for batch 0
-        // to be emitted. Without the release this test times out instead of
-        // panicking.
+        // The sink panics on the calling thread, which unwinds out of the
+        // front end: its guard must abort the queue, or the worker — 40
+        // batches against an in-flight window of 3 — parks forever in
+        // `pop` waiting for a close that never comes and the scope never
+        // joins. The sink's own payload is what propagates.
         struct PanicSink;
         impl RecordSink for PanicSink {
             fn write_record(&mut self, _rec: &SamRecord) -> io::Result<()> {
@@ -702,6 +684,58 @@ mod tests {
             .engine(&mapper);
         assert!(pairs.len() as u64 > inflight_window(1, 1));
         let _ = engine.run(pairs, &mut PanicSink);
+    }
+
+    #[test]
+    #[should_panic(expected = "injected input failure")]
+    fn input_panic_propagates_instead_of_hanging() {
+        // The input iterator panics on pair 10, after the front end has
+        // filled the in-flight window and written batches back: the same
+        // guard must release the worker parked in `pop`.
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let engine = PipelineBuilder::new()
+            .threads(1)
+            .batch_size(1)
+            .queue_depth(1)
+            .engine(&mapper);
+        let input = pairs.into_iter().enumerate().map(|(i, pair)| {
+            assert!(i < 10, "injected input failure");
+            pair
+        });
+        let _ = engine.run(input, &mut VecSink::new());
+    }
+
+    #[test]
+    fn sink_need_not_be_send() {
+        // Only the calling thread touches the sink.
+        struct SharedSink(Rc<RefCell<Vec<String>>>);
+        impl RecordSink for SharedSink {
+            fn write_record(&mut self, rec: &SamRecord) -> io::Result<()> {
+                self.0.borrow_mut().push(rec.qname.clone());
+                Ok(())
+            }
+        }
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let mut serial = VecSink::new();
+        map_serial(
+            &mapper,
+            FallbackPolicy::EmitUnmapped,
+            pairs.clone(),
+            &mut serial,
+        )
+        .unwrap();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let engine = PipelineBuilder::new()
+            .threads(2)
+            .batch_size(3)
+            .engine(&mapper);
+        let report = engine
+            .run(pairs, &mut SharedSink(Rc::clone(&seen)))
+            .unwrap();
+        assert_eq!(report.records_written, serial.records.len() as u64);
+        assert_eq!(*seen.borrow(), names(&serial));
     }
 
     #[test]

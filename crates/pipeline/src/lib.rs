@@ -96,7 +96,7 @@ pub use gx_backend::{
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};
 pub use service::{
-    AdmissionPolicy, JobHandle, JobOutcome, JobReport, JobSnapshot, JobSpec, MappingService,
-    Priority, ServiceBuilder, ServiceConfig, ServiceHandle, ServiceReport, SubmitError,
+    JobHandle, JobOutcome, JobReport, JobSnapshot, JobSpec, MappingService, Priority,
+    ServiceBuilder, ServiceConfig, ServiceHandle, ServiceReport, SubmitError,
 };
 pub use sink::{RecordSink, SamTextSink, VecSink};

@@ -53,7 +53,7 @@ mod job;
 mod sched;
 mod worker;
 
-pub use config::{AdmissionPolicy, JobSpec, Priority, ServiceBuilder, ServiceConfig, SubmitError};
+pub use config::{JobSpec, Priority, ServiceBuilder, ServiceConfig, SubmitError};
 pub use handle::{JobHandle, ServiceHandle};
 pub use job::{JobOutcome, JobReport, JobSnapshot};
 

@@ -8,17 +8,6 @@ use gx_telemetry::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the service does with a submission that exceeds the
-/// [`max_active_jobs`](ServiceConfig::max_active_jobs) budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Block the submitting thread until an active job finalizes.
-    #[default]
-    Park,
-    /// Fail the submission immediately with [`SubmitError::Busy`].
-    Reject,
-}
-
 /// Relative ingestion weight of a job: per multiplexer round, the ingest
 /// thread feeds up to `weight()` batches of a job before moving on, so a
 /// high-priority job's batches reach the workers (and the shared device)
@@ -64,9 +53,11 @@ pub struct JobSpec {
     /// `None` = no deadline). The deadline timer cancels an overdue job
     /// through the ordinary cancel/ack path.
     pub deadline: Option<Duration>,
-    /// Under [`AdmissionPolicy::Park`], how long the submitter may stay
-    /// parked before the submission fails with [`SubmitError::Timeout`];
-    /// `None` parks until a slot frees or the service drains.
+    /// How long a submission over the
+    /// [`max_active_jobs`](ServiceConfig::max_active_jobs) budget may stay
+    /// parked before it fails with [`SubmitError::Timeout`]; `None` parks
+    /// until a slot frees or the service drains, and `Duration::ZERO`
+    /// fails at once without parking.
     pub admission_timeout: Option<Duration>,
 }
 
@@ -96,9 +87,9 @@ impl JobSpec {
         self
     }
 
-    /// Bounds how long this submission may stay parked under
-    /// [`AdmissionPolicy::Park`] before failing with
-    /// [`SubmitError::Timeout`].
+    /// Bounds how long this submission may stay parked over budget
+    /// before failing with [`SubmitError::Timeout`] (`Duration::ZERO`:
+    /// fail at once).
     pub fn admission_timeout(mut self, timeout: Duration) -> JobSpec {
         self.admission_timeout = Some(timeout);
         self
@@ -115,10 +106,9 @@ pub struct ServiceConfig {
     /// Dispatch-queue depth in batches — the backpressure budget shared
     /// by every job's ingestion.
     pub queue_depth: usize,
-    /// Jobs admitted concurrently before [`AdmissionPolicy`] kicks in.
+    /// Jobs admitted concurrently; a submission over the budget parks
+    /// (see [`JobSpec::admission_timeout`]).
     pub max_active_jobs: usize,
-    /// What to do with submissions over the budget.
-    pub admission: AdmissionPolicy,
     /// Unmapped-pair handling (service-wide).
     pub fallback: FallbackPolicy,
     /// Ingest-pool threads claiming job inputs. `0` — the default —
@@ -151,7 +141,6 @@ impl Default for ServiceConfig {
             batch_size: 256,
             queue_depth: 2 * threads.max(1),
             max_active_jobs: 8,
-            admission: AdmissionPolicy::default(),
             fallback: FallbackPolicy::default(),
             ingesters: 0,
             default_job_timeout: None,
@@ -163,12 +152,11 @@ impl Default for ServiceConfig {
 /// [`PipelineBuilder`](crate::PipelineBuilder).
 ///
 /// ```
-/// use gx_pipeline::{AdmissionPolicy, ServiceBuilder};
+/// use gx_pipeline::ServiceBuilder;
 /// let b = ServiceBuilder::new()
 ///     .threads(4)
 ///     .queue_depth(8)
-///     .max_active_jobs(2)
-///     .admission(AdmissionPolicy::Reject);
+///     .max_active_jobs(2);
 /// assert_eq!(b.config().threads, 4);
 /// assert_eq!(b.config().max_active_jobs, 2);
 /// ```
@@ -218,12 +206,6 @@ impl ServiceBuilder {
     /// Sets the concurrent-job budget (clamped to at least 1).
     pub fn max_active_jobs(mut self, max_active_jobs: usize) -> ServiceBuilder {
         self.cfg.max_active_jobs = max_active_jobs.max(1);
-        self
-    }
-
-    /// Sets the over-budget admission policy.
-    pub fn admission(mut self, admission: AdmissionPolicy) -> ServiceBuilder {
-        self.cfg.admission = admission;
         self
     }
 
@@ -290,8 +272,6 @@ impl ServiceBuilder {
 /// Why a submission was not admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// [`AdmissionPolicy::Reject`] and the active-job budget is full.
-    Busy,
     /// [`ServiceHandle::drain`] has begun: no new jobs are accepted.
     Draining,
     /// The submitter parked longer than its
@@ -302,7 +282,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::Busy => write!(f, "service busy: active-job budget exhausted"),
             SubmitError::Draining => write!(f, "service draining: no new jobs accepted"),
             SubmitError::Timeout => write!(f, "service busy: admission timeout expired"),
         }

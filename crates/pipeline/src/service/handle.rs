@@ -35,15 +35,11 @@ impl<'s> ServiceHandle<'s> {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Busy`] over budget under
-    /// [`AdmissionPolicy::Reject`]; [`SubmitError::Draining`] once
-    /// [`drain`](ServiceHandle::drain) has begun — including for
-    /// submitters already parked when the drain starts; under
-    /// [`AdmissionPolicy::Park`] with a [`JobSpec::admission_timeout`],
-    /// [`SubmitError::Timeout`] when the timeout expires first.
-    ///
-    /// [`AdmissionPolicy::Reject`]: super::AdmissionPolicy::Reject
-    /// [`AdmissionPolicy::Park`]: super::AdmissionPolicy::Park
+    /// [`SubmitError::Draining`] once [`drain`](ServiceHandle::drain) has
+    /// begun — including for submitters already parked when the drain
+    /// starts; over budget with a [`JobSpec::admission_timeout`],
+    /// [`SubmitError::Timeout`] when the timeout expires first (at once
+    /// for `Duration::ZERO`).
     pub fn submit<I, S>(
         &self,
         spec: JobSpec,

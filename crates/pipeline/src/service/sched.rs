@@ -1,6 +1,6 @@
 //! What every service thread shares; admission, claiming, finalization.
 
-use super::config::{AdmissionPolicy, ServiceConfig, SubmitError};
+use super::config::{ServiceConfig, SubmitError};
 use super::ingest::FeederJob;
 use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::clock::Clock;
@@ -68,10 +68,10 @@ impl Shared<'_> {
     }
 
     /// Admission control: returns the scheduler lock once the active-job
-    /// budget has room for one more job, parking the caller (for at most
-    /// `timeout` on the service clock) or failing at once as the
-    /// [`AdmissionPolicy`] says. Still under that lock, the caller numbers
-    /// and registers its job, so the slot cannot be taken twice.
+    /// budget has room for one more job, parking the caller for at most
+    /// `timeout` on the service clock (a zero timeout fails at once).
+    /// Still under that lock, the caller numbers and registers its job,
+    /// so the slot cannot be taken twice.
     pub(super) fn admit(
         &self,
         timeout: Option<Duration>,
@@ -85,25 +85,22 @@ impl Shared<'_> {
             if sched.registry.len() < self.cfg.max_active_jobs {
                 return Ok(sched);
             }
-            match self.cfg.admission {
-                AdmissionPolicy::Reject => return Err(SubmitError::Busy),
-                AdmissionPolicy::Park => match park_deadline {
-                    Some(deadline) if self.clock.now() >= deadline => {
-                        return Err(SubmitError::Timeout);
-                    }
-                    Some(_) => {
-                        // Short real-time ticks so a mock-clock advance
-                        // is observed promptly even without a wake.
-                        let (guard, _) = self
-                            .wake
-                            .wait_timeout(sched, Duration::from_millis(5))
-                            .expect("scheduler poisoned");
-                        sched = guard;
-                    }
-                    None => {
-                        sched = self.wake.wait(sched).expect("scheduler poisoned");
-                    }
-                },
+            match park_deadline {
+                Some(deadline) if self.clock.now() >= deadline => {
+                    return Err(SubmitError::Timeout);
+                }
+                Some(_) => {
+                    // Short real-time ticks so a mock-clock advance is
+                    // observed promptly even without a wake.
+                    let (guard, _) = self
+                        .wake
+                        .wait_timeout(sched, Duration::from_millis(5))
+                        .expect("scheduler poisoned");
+                    sched = guard;
+                }
+                None => {
+                    sched = self.wake.wait(sched).expect("scheduler poisoned");
+                }
             }
         }
     }

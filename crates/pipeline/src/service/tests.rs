@@ -111,14 +111,14 @@ impl Iterator for GatedInput {
 }
 
 #[test]
-fn reject_policy_rejects_at_budget_then_recovers() {
+fn zero_admission_timeout_rejects_at_budget_then_recovers() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let (tx, rx) = mpsc::channel();
     ServiceBuilder::new()
         .threads(2)
         .max_active_jobs(1)
-        .admission(AdmissionPolicy::Reject)
+        .clock(Arc::new(crate::ManualClock::new()))
         .serve(SoftwareBackend::new(&mapper), |svc| {
             let gated = GatedInput {
                 gate: rx,
@@ -126,11 +126,17 @@ fn reject_policy_rejects_at_budget_then_recovers() {
                 waited: false,
             };
             let ha = svc.submit(JobSpec::new(), gated, VecSink::new()).unwrap();
-            // Budget is 1 and job A is parked on its gate: reject.
+            // Budget is 1 and job A is parked on its gate. The clock never
+            // moves, so a submitter that parked would never time out: only
+            // one that fails before parking returns here.
             let err = svc
-                .submit_pairs(JobSpec::new(), pairs.clone(), VecSink::new())
+                .submit_pairs(
+                    JobSpec::new().admission_timeout(Duration::ZERO),
+                    pairs.clone(),
+                    VecSink::new(),
+                )
                 .unwrap_err();
-            assert_eq!(err, SubmitError::Busy);
+            assert_eq!(err, SubmitError::Timeout);
             tx.send(()).unwrap();
             let (ra, _) = ha.join();
             assert_eq!(ra.outcome, JobOutcome::Completed);
@@ -156,11 +162,9 @@ fn park_policy_blocks_until_a_slot_frees() {
         std::thread::sleep(Duration::from_millis(30));
         tx.send(()).unwrap();
     });
-    ServiceBuilder::new()
-        .threads(2)
-        .max_active_jobs(1)
-        .admission(AdmissionPolicy::Park)
-        .serve(SoftwareBackend::new(&mapper), |svc| {
+    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
+        SoftwareBackend::new(&mapper),
+        |svc| {
             let gated = GatedInput {
                 gate: rx,
                 pairs: pairs.clone().into_iter(),
@@ -177,7 +181,8 @@ fn park_policy_blocks_until_a_slot_frees() {
             assert_eq!(rb.outcome, JobOutcome::Completed);
             let (ra, _) = ha.join();
             assert_eq!(ra.outcome, JobOutcome::Completed);
-        });
+        },
+    );
     opener.join().unwrap();
 }
 
@@ -353,11 +358,9 @@ fn drain_fails_parked_submitters_instead_of_hanging() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let (tx, rx) = mpsc::channel::<ReadPair>();
-    ServiceBuilder::new()
-        .threads(2)
-        .max_active_jobs(1)
-        .admission(AdmissionPolicy::Park)
-        .serve(SoftwareBackend::new(&mapper), |svc| {
+    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
+        SoftwareBackend::new(&mapper),
+        |svc| {
             let ha = svc
                 .submit(JobSpec::new(), BlockingInput { gate: rx }, VecSink::new())
                 .unwrap();
@@ -380,7 +383,8 @@ fn drain_fails_parked_submitters_instead_of_hanging() {
             assert_eq!(parked.unwrap_err(), SubmitError::Draining);
             let (ra, _) = ha.join();
             assert_eq!(ra.outcome, JobOutcome::Completed);
-        });
+        },
+    );
 }
 
 #[test]
@@ -388,11 +392,9 @@ fn admission_timeout_fails_a_parked_submitter() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let (tx, rx) = mpsc::channel::<ReadPair>();
-    ServiceBuilder::new()
-        .threads(2)
-        .max_active_jobs(1)
-        .admission(AdmissionPolicy::Park)
-        .serve(SoftwareBackend::new(&mapper), |svc| {
+    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
+        SoftwareBackend::new(&mapper),
+        |svc| {
             let ha = svc
                 .submit(JobSpec::new(), BlockingInput { gate: rx }, VecSink::new())
                 .unwrap();
@@ -409,7 +411,8 @@ fn admission_timeout_fails_a_parked_submitter() {
             drop(tx);
             let (ra, _) = ha.join();
             assert_eq!(ra.outcome, JobOutcome::Completed);
-        });
+        },
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@ use std::io::{self, Write};
 
 /// A consumer of ordered SAM records.
 ///
-/// The engine's emitter thread calls this strictly in input order, so a sink
-/// never needs to buffer or reorder.
+/// The engine calls this on its calling thread (so an engine's sink needs
+/// no `Send`), strictly in input order, so a sink never needs to buffer or
+/// reorder.
 pub trait RecordSink {
     /// Consumes one record.
     ///

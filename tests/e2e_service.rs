@@ -482,7 +482,13 @@ fn deadline_cancel_after_seal_leaves_no_trace_in_warm_totals() {
         let backend = NmslBackend::new(&mapper).channels(CHANNELS);
         let (_, report) = ServiceBuilder::new()
             .threads(threads)
-            .ingesters(2)
+            // A worker parks inside a blocker's sink holding that job's
+            // lock, and the ingester that fed the blocker's one batch then
+            // blocks on the same lock on its next visit (to seal it). One
+            // ingester more than there are blockers keeps one free to feed
+            // the remaining blockers and the victim; with fewer, every
+            // ingester could be stuck before the last blocker is fed.
+            .ingesters(threads + 1)
             .queue_depth(8)
             .clock(clock.clone())
             .serve(backend, |svc| {

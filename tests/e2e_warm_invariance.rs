@@ -387,7 +387,7 @@ fn tracing_is_accounting_inert() {
     assert!(snap
         .histogram("gx_lane_drain_ns")
         .is_some_and(|h| h.count > 0));
-    // The emitter's reorder depth is a per-batch distribution too.
+    // The front end's reorder depth is a per-batch distribution too.
     assert_eq!(
         snap.histogram("gx_reorder_depth").map(|h| h.count),
         Some(batches)
