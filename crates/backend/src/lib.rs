@@ -11,7 +11,7 @@
 //!
 //! * [`SoftwareBackend`] — the CPU reference: maps each pair with
 //!   [`GenPairMapper::map_pair`](gx_core::GenPairMapper::map_pair) and
-//!   reports only wall-clock busy time;
+//!   models no hardware;
 //! * [`NmslBackend`] — the accelerator system model: produces the **same
 //!   mapping results** through the same software path (so SAM output stays
 //!   byte-identical across backends), while *additionally* charging every
@@ -25,7 +25,8 @@
 //!
 //! The split mirrors how SeGraM (ISCA 2022) and the PIM read-mapping line
 //! evaluate accelerators: *results* come from the algorithm, *timing* comes
-//! from the hardware model, and both consume the exact same reads.
+//! from the hardware model ([`MapSession::map`] returns the one,
+//! [`MapBackend::flush`] the other), and both consume the exact same reads.
 //!
 //! ```
 //! use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend};
@@ -45,15 +46,16 @@
 //! let first = BatchTag { job: 0, index: 0 };
 //! let software = SoftwareBackend::new(&mapper);
 //! let nmsl = NmslBackend::new(&mapper);
-//! let sw_out = software.session(0).map(first, &batch);
-//! let mut hw_stats = nmsl.session(0).map(first, &batch).stats;
-//! hw_stats.merge(&nmsl.flush()); // drain the shared warm device
+//! let sw_out = software.session().map(first, &batch);
+//! let hw_out = nmsl.session().map(first, &batch);
 //! // Identical mapping results...
-//! assert_eq!(sw_out.results[0].is_mapped(), true);
-//! // ...but only the accelerator backend reports simulated cost.
-//! assert_eq!(sw_out.stats.sim_cycles, 0);
-//! assert!(hw_stats.seed_cycles > 0);
-//! assert!(hw_stats.transfer_seconds > 0.0);
+//! assert_eq!(sw_out[0].is_mapped(), hw_out[0].is_mapped());
+//! // ...but only the accelerator backend reports simulated cost, once,
+//! // when its shared warm device drains.
+//! assert_eq!(software.flush().sim_cycles, 0);
+//! let hw_cost = nmsl.flush();
+//! assert!(hw_cost.seed_cycles > 0);
+//! assert!(hw_cost.transfer_seconds > 0.0);
 //! ```
 //!
 //! The subsystem map — which crate owns which stage, and how a pair flows
@@ -73,4 +75,4 @@ pub use nmsl::{
 pub use software::{SoftwareBackend, SoftwareSession};
 // The per-lane counter types the device report is built from.
 pub use gx_accel::{CycleBreakdown, LaneCounters};
-pub use traits::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};
+pub use traits::{BackendStats, BatchTag, MapBackend, MapSession};

@@ -1,12 +1,11 @@
 use super::counters::DeviceCounters;
 use super::device::{DeviceConfig, SharedNmslDevice};
 use super::frontier::AdmittedPair;
-use crate::{BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession};
+use crate::{BackendStats, BatchTag, MapBackend, MapSession};
 use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
 use gx_telemetry::Telemetry;
-use std::time::Instant;
 
 /// Default simulator lanes of the shared warm device (see
 /// [`NmslBackend::channels`]).
@@ -52,18 +51,17 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// For a fixed workload, [`channels`](NmslBackend::channels) and
 /// [`dispatch_quantum`](NmslBackend::dispatch_quantum), the warm
 /// `sim_cycles`, `seed_cycles`, `energy_pj` and `exposed_transfer_seconds`
-/// totals (per-call attributions merged with the engine's
-/// [`flush`](MapBackend::flush)) are **bit-identical** for any thread
-/// count, batch size or worker schedule: integer deltas are attributed to
-/// whichever worker ran them (addition is exact), while every float is
-/// accumulated inside the device in input/lane-op order. Consecutive runs
-/// on one backend are independent — `flush` resets the device — but must
-/// not overlap in time.
+/// totals [`flush`](MapBackend::flush) reports are **bit-identical** for
+/// any thread count, batch size or worker schedule: every pair enters its
+/// lane in canonical release order, every float is accumulated in that
+/// order, and the integer totals are read off the lane simulators at
+/// flush. Consecutive runs on one backend are independent — `flush`
+/// resets the device — but must not overlap in time.
 ///
 /// [`GenDpInstance`]: gx_accel::GenDpInstance
 pub struct NmslBackend<'m, 'g> {
     mapper: &'m GenPairMapper<'g>,
-    device: SharedNmslDevice,
+    pub(super) device: SharedNmslDevice,
 }
 
 impl<'m, 'g> NmslBackend<'m, 'g> {
@@ -182,7 +180,7 @@ impl MapBackend for NmslBackend<'_, '_> {
         "nmsl"
     }
 
-    fn session(&self, _worker_id: usize) -> NmslSession<'_> {
+    fn session(&self) -> NmslSession<'_> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
@@ -194,11 +192,11 @@ impl MapBackend for NmslBackend<'_, '_> {
         self.device.flush()
     }
 
-    fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
+    fn seal_job(&self, job: u64, batches: u64) {
         self.device.seal_job(job, batches)
     }
 
-    fn discard_job(&self, job: u64) -> DiscardReport {
+    fn discard_job(&self, job: u64) -> u64 {
         self.device.discard_job(job)
     }
 }
@@ -208,15 +206,12 @@ impl MapBackend for NmslBackend<'_, '_> {
 /// [`map`](MapSession::map) call maps its pairs through the software path
 /// and admits the lookups each made at the call's [`BatchTag`]. The device
 /// routes pairs to simulator lanes by workload key and streams each lane
-/// one dispatch quantum behind its admissions, so the calling worker is
-/// attributed whatever integer-valued simulator progress (cycles, DRAM
-/// traffic, GenDP cycle deltas) its call happened to drive — which batches
-/// those cycles *belong to* is intentionally not a per-worker notion.
-/// Float-valued stage totals (seconds, energy, transfer and its exposed
-/// residue) accumulate inside the device in deterministic order and are
-/// reported once by [`MapBackend::flush`]; the session itself holds no
-/// accounting, because a finished worker must not drain state other
-/// workers still feed.
+/// one dispatch quantum behind its admissions, on whichever worker's call
+/// covers the quantum; which batches those cycles *belong to* is
+/// intentionally not a per-worker notion. The device reports their cost
+/// once, at [`MapBackend::flush`]; the session holds no accounting,
+/// because a finished worker must not drain state other workers still
+/// feed.
 pub struct NmslSession<'s> {
     backend: &'s NmslBackend<'s, 's>,
     /// The session's reusable mapping arena (software-path hot buffers);
@@ -245,28 +240,17 @@ impl NmslSession<'_> {
 }
 
 impl MapSession for NmslSession<'_> {
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
-        let started = Instant::now();
-        let mut stats = BackendStats {
-            batches: 1,
-            pairs: pairs.len() as u64,
-            ..BackendStats::default()
-        };
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
         let mut results = Vec::with_capacity(pairs.len());
         let mut admissions = Vec::with_capacity(pairs.len());
         for pair in pairs {
             let (res, admitted) = self.map_pair(pair);
-            // The per-call stats carry the bytes the device charges
-            // transfer from — one source of truth for the formula.
-            stats.input_bytes += admitted.input_bytes;
-            stats.output_bytes += admitted.output_bytes;
             results.push(res);
             admissions.push(admitted);
         }
         self.backend
             .device
-            .admit(tag, admissions, &mut stats, &mut self.touched);
-        stats.busy_ns = started.elapsed().as_nanos() as u64;
-        BatchResult { results, stats }
+            .admit(tag, admissions, &mut self.touched);
+        results
     }
 }

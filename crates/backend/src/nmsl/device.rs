@@ -1,6 +1,6 @@
 use super::counters::{occ_bucket, DeviceCounters, QUANTUM_OCC_BUCKETS};
 use super::frontier::{AdmittedPair, Frontier};
-use crate::{BackendStats, BatchTag, DiscardReport};
+use crate::{BackendStats, BatchTag};
 use gx_accel::{
     shard_for_workload, GenDpInstance, HostTraffic, NmslConfig, NmslSim, ACCEL_CLOCK_GHZ,
 };
@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 /// Base span track for the shared device's simulator lanes (lane `i`
 /// renders as track `LANE_TRACK_BASE + i`), far above the pipeline's
-/// worker/feeder/emitter tracks so traces never collide.
+/// worker, front-end and ingest tracks so traces never collide.
 const LANE_TRACK_BASE: u32 = 2000;
 
 /// The device's two histogram ids, registered in [`SharedNmslDevice::new`]
@@ -93,7 +93,7 @@ pub(super) struct SharedNmslDevice {
     pub(super) config: DeviceConfig,
     /// The GenDP pricing fallback work (the paper's Table-4 instance).
     gendp: GenDpInstance,
-    frontier: Mutex<Frontier>,
+    pub(super) frontier: Mutex<Frontier>,
     lanes: Vec<Mutex<LaneState>>,
     power: DramPowerModel,
     pub(super) telemetry: Telemetry,
@@ -137,21 +137,15 @@ impl SharedNmslDevice {
         }
     }
 
-    /// Releases one pair past the frontier: price its GenDP work (emitting
-    /// integer cycle deltas to `stats`) and stage it on its lane, returning
-    /// the lane index. Caller holds the frontier lock.
-    fn release_pair(
-        &self,
-        f: &mut Frontier,
-        pair: AdmittedPair,
-        stats: &mut BackendStats,
-    ) -> usize {
+    /// Releases one pair past the frontier: price its GenDP work, count
+    /// its host-link bytes and stage it on its lane, returning the lane
+    /// index. Caller holds the frontier lock.
+    fn release_pair(&self, f: &mut Frontier, pair: AdmittedPair) -> usize {
         let cost = self.gendp.cost(pair.cells);
         f.fallback_seconds_total += cost.seconds();
         f.fallback_energy_pj += cost.energy_pj;
-        let cumulative = (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
-        stats.fallback_cycles += cumulative - f.fallback_cycles_emitted;
-        f.fallback_cycles_emitted = cumulative;
+        f.input_bytes += pair.input_bytes;
+        f.output_bytes += pair.output_bytes;
         let lane = shard_for_workload(&pair.workload, f.pairs_released, self.lanes.len());
         f.pairs_released += 1;
         f.staged[lane].push_back(pair);
@@ -161,12 +155,9 @@ impl SharedNmslDevice {
     /// Closes the quantum filling on lane `idx`: charges its host-link
     /// transfer (none once the bytes are spent), runs the simulator until
     /// `target` of the lane's pairs have completed under a `lane_drain`
-    /// span and accounts the cycles and DRAM traffic that took (after −
-    /// before). Integer deltas go to the calling worker's `stats` (addition
-    /// is exact, so totals are schedule-independent); floats accumulate on
-    /// the lane in op order and surface at
-    /// [`flush`](SharedNmslDevice::flush).
-    fn run_quantum(&self, l: &mut LaneState, idx: usize, stats: &mut BackendStats, target: u64) {
+    /// span and prices the cycles and DRAM traffic that took (after −
+    /// before) into the lane's float totals, in op order.
+    fn run_quantum(&self, l: &mut LaneState, idx: usize, target: u64) {
         let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, self.config.link_gbs);
         l.q_input = 0;
         l.q_output = 0;
@@ -178,9 +169,6 @@ impl SharedNmslDevice {
         let cycles = l.sim.cycle() - cycle_before;
         let dram = l.sim.dram_stats().since(&dram_before);
         let seconds = cycles as f64 / (l.sim.dram_config().clock_ghz * 1e9);
-        stats.seed_cycles += cycles;
-        stats.dram_bytes += dram.bytes;
-        stats.dram_requests += dram.completed;
         l.seconds += seconds;
         l.energy_pj += self.power.energy_mj(&dram, &self.config.dram, seconds) * 1e9;
         l.transfer_seconds += transfer;
@@ -209,7 +197,7 @@ impl SharedNmslDevice {
     /// (which pumps blocking) drains any residue — deferring *when* staged
     /// pairs stream never changes the per-lane op order, so totals are
     /// unaffected.
-    fn pump_lane(&self, idx: usize, blocking: bool, stats: &mut BackendStats) {
+    fn pump_lane(&self, idx: usize, blocking: bool) {
         let mut l = if blocking {
             self.lanes[idx].lock().expect("lane lock poisoned")
         } else {
@@ -234,7 +222,7 @@ impl SharedNmslDevice {
                 l.sim.push(&pair.workload);
                 let admitted = l.sim.submitted();
                 if admitted.is_multiple_of(quantum) {
-                    self.run_quantum(&mut l, idx, stats, admitted - quantum);
+                    self.run_quantum(&mut l, idx, admitted - quantum);
                 }
             }
         }
@@ -244,7 +232,7 @@ impl SharedNmslDevice {
     /// head job in index order, advancing the head past jobs that are
     /// sealed-and-done or discarded. Caller holds the frontier lock;
     /// touched lanes are flagged for the caller to pump after dropping it.
-    fn drain_ready(&self, f: &mut Frontier, stats: &mut BackendStats, touched: &mut [bool]) {
+    fn drain_ready(&self, f: &mut Frontier, touched: &mut [bool]) {
         // A head job nothing has mentioned yet has nothing to release.
         while let Some(&seq) = f.seqs.get(&f.head) {
             let job = f.head;
@@ -256,7 +244,7 @@ impl SharedNmslDevice {
             if let Some(batch) = f.pending.remove(&(job, seq.next_batch)) {
                 let released = batch.len() as u64;
                 for pair in batch {
-                    touched[self.release_pair(f, pair, stats)] = true;
+                    touched[self.release_pair(f, pair)] = true;
                 }
                 let seq = f.seqs.get_mut(&job).expect("registered job");
                 seq.next_batch += 1;
@@ -276,14 +264,12 @@ impl SharedNmslDevice {
     /// lock, release everything the order now covers, then — frontier lock
     /// dropped — pump the lanes the releases
     /// staged work onto (skipping lanes another worker is already
-    /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)) and roll
-    /// the integer deltas up into `stats.sim_cycles`. `touched` is the
-    /// caller's per-lane flag buffer (a session keeps one across batches);
-    /// it is reset here.
+    /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)).
+    /// `touched` is the caller's per-lane flag buffer (a session keeps one
+    /// across batches); it is reset here.
     fn sequence<R>(
         &self,
         job: u64,
-        stats: &mut BackendStats,
         touched: &mut Vec<bool>,
         mutate: impl FnOnce(&mut Frontier) -> R,
     ) -> R {
@@ -293,15 +279,14 @@ impl SharedNmslDevice {
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
-            self.drain_ready(&mut f, stats, touched);
+            self.drain_ready(&mut f, touched);
             out
         };
         for (idx, &touched) in touched.iter().enumerate() {
             if touched {
-                self.pump_lane(idx, false, stats);
+                self.pump_lane(idx, false);
             }
         }
-        stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
         out
     }
 
@@ -314,15 +299,9 @@ impl SharedNmslDevice {
     /// released past the frontier. Either is a caller bug that would
     /// otherwise silently drop pairs from device totals or price them out
     /// of order at flush.
-    pub(super) fn admit(
-        &self,
-        tag: BatchTag,
-        pairs: Vec<AdmittedPair>,
-        stats: &mut BackendStats,
-        touched: &mut Vec<bool>,
-    ) {
+    pub(super) fn admit(&self, tag: BatchTag, pairs: Vec<AdmittedPair>, touched: &mut Vec<bool>) {
         let BatchTag { job, index } = tag;
-        self.sequence(job, stats, touched, |f| {
+        self.sequence(job, touched, |f| {
             let seq = f.seqs[&job];
             if seq.discarded {
                 return;
@@ -346,37 +325,31 @@ impl SharedNmslDevice {
 
     /// Seals `job` at `batches` batches, releasing whatever the canonical
     /// order was holding behind the job boundary.
-    pub(super) fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
-        let mut stats = BackendStats::new();
-        self.sequence(job, &mut stats, &mut Vec::new(), |f| {
+    pub(super) fn seal_job(&self, job: u64, batches: u64) {
+        self.sequence(job, &mut Vec::new(), |f| {
             f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
         });
-        stats
     }
 
     /// Discards `job`: drops its buffered admissions immediately — sealed
     /// or not, a batch never released to a lane is never priced — and lets
-    /// the canonical order skip it (see [`MapBackend::discard_job`]). The
-    /// report carries the job's already-released pair count, frozen here
-    /// because the discard flag stops any further release.
-    pub(super) fn discard_job(&self, job: u64) -> DiscardReport {
-        let mut stats = BackendStats::new();
-        let pairs_accounted = self.sequence(job, &mut stats, &mut Vec::new(), |f| {
+    /// the canonical order skip it (see [`MapBackend::discard_job`]).
+    /// Returns the job's already-released pair count, frozen here because
+    /// the discard flag stops any further release.
+    pub(super) fn discard_job(&self, job: u64) -> u64 {
+        self.sequence(job, &mut Vec::new(), |f| {
             let seq = f.seqs.get_mut(&job).expect("registered job");
             seq.discarded = true;
             let released = seq.released_pairs;
             f.drop_pending(job);
             released
-        });
-        DiscardReport {
-            stats,
-            pairs_accounted,
-        }
+        })
     }
 
-    /// Drains the whole device in deterministic order, returns the float
-    /// stage totals plus the residual integer deltas, and resets every lane
-    /// and the frontier for the next run.
+    /// Drains the whole device in deterministic order, returns the run's
+    /// modeled cost — the float totals accumulated in release order and
+    /// the integer totals read off the frontier and the lane simulators —
+    /// and resets every lane and the frontier for the next run.
     pub(super) fn flush(&self) -> BackendStats {
         let mut stats = BackendStats::new();
         let mut device = DeviceCounters {
@@ -393,26 +366,30 @@ impl SharedNmslDevice {
             // the device always resets clean.
             let mut f = self.frontier.lock().expect("frontier lock poisoned");
             let mut touched = vec![false; self.lanes.len()];
-            self.drain_ready(&mut f, &mut stats, &mut touched);
+            self.drain_ready(&mut f, &mut touched);
             for pair in std::mem::take(&mut f.pending).into_values().flatten() {
-                let _ = self.release_pair(&mut f, pair, &mut stats);
+                let _ = self.release_pair(&mut f, pair);
             }
+            stats.fallback_cycles =
+                (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
             stats.fallback_seconds = f.fallback_seconds_total;
             stats.fallback_energy_pj = f.fallback_energy_pj;
             stats.sim_seconds += f.fallback_seconds_total;
+            stats.input_bytes = f.input_bytes;
+            stats.output_bytes = f.output_bytes;
         }
         let quantum = self.config.quantum as u64;
         for idx in 0..self.lanes.len() {
-            self.pump_lane(idx, true, &mut stats);
+            self.pump_lane(idx, true);
             let mut l = self.lanes[idx].lock().expect("lane lock poisoned");
             let admitted = l.sim.submitted();
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the
                 // drain of the last *full* quantum, which is still lagged.
-                self.run_quantum(&mut l, idx, &mut stats, admitted / quantum * quantum);
+                self.run_quantum(&mut l, idx, admitted / quantum * quantum);
             }
             // Final drain: pure compute, no transfer left to hide.
-            self.run_quantum(&mut l, idx, &mut stats, admitted);
+            self.run_quantum(&mut l, idx, admitted);
             stats.sim_seconds += l.seconds;
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
@@ -421,7 +398,11 @@ impl SharedNmslDevice {
             for (sum, bucket) in device.quantum_occupancy.iter_mut().zip(l.occupancy) {
                 *sum += bucket;
             }
-            device.lanes.push(l.sim.counters());
+            let lane = l.sim.counters();
+            stats.seed_cycles += lane.cycles;
+            stats.dram_bytes += lane.dram.bytes;
+            stats.dram_requests += lane.dram.completed;
+            device.lanes.push(lane);
             // Replacing the lane state drops (and thereby flushes) its
             // telemetry recorder; the fresh one starts with an empty ring.
             let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);

@@ -25,7 +25,7 @@ pub(super) struct JobSeq {
     /// dropped and stragglers admitted under this id are ignored.
     pub(super) discarded: bool,
     /// Pairs of this job released to lanes so far — frozen at discard, so
-    /// [`DiscardReport::pairs_accounted`] can report exactly the
+    /// [`MapBackend::discard_job`] can report exactly the
     /// already-dispatched remainder that stays in device totals.
     pub(super) released_pairs: u64,
 }
@@ -61,10 +61,11 @@ pub(super) struct Frontier {
     pub(super) staged: Vec<VecDeque<AdmittedPair>>,
     /// Cumulative GenDP seconds in release order.
     pub(super) fallback_seconds_total: f64,
-    /// GenDP cycles already emitted as integer deltas of the cumulative.
-    pub(super) fallback_cycles_emitted: u64,
     /// Cumulative GenDP energy in release order.
     pub(super) fallback_energy_pj: f64,
+    /// Host-link bytes of every released pair, in and out.
+    pub(super) input_bytes: u64,
+    pub(super) output_bytes: u64,
     /// Span ring for the trace's `frontier_depth` counter track (no-op when
     /// telemetry is disabled; observational only, never read back into
     /// accounting).
@@ -81,8 +82,9 @@ impl Frontier {
             peak_depth: 0,
             staged: (0..lanes).map(|_| VecDeque::new()).collect(),
             fallback_seconds_total: 0.0,
-            fallback_cycles_emitted: 0,
             fallback_energy_pj: 0.0,
+            input_bytes: 0,
+            output_bytes: 0,
             rec,
         }
     }

@@ -38,29 +38,33 @@ fn job_at(job: u64, index: u64) -> BatchTag {
 }
 
 /// Maps `pairs` in `chunk`-sized batches through one session and
-/// returns the run-total stats (per-call stats + device flush).
+/// returns the run's modeled cost (the device flush).
 fn run_session<'m>(
     backend: &NmslBackend<'m, 'm>,
     pairs: &[ReadPair],
     chunk: usize,
 ) -> BackendStats {
-    let mut session = backend.session(0);
-    let mut total = BackendStats::new();
+    let mut session = backend.session();
     for (i, batch) in pairs.chunks(chunk).enumerate() {
-        total.merge(&session.map(at(i as u64), batch).stats);
+        session.map(at(i as u64), batch);
     }
-    total.merge(&backend.flush());
-    total
+    backend.flush()
+}
+
+/// Pairs the device has released past its frontier so far.
+fn released(backend: &NmslBackend<'_, '_>) -> u64 {
+    let frontier = backend.device.frontier.lock();
+    frontier.expect("frontier lock poisoned").pairs_released
 }
 
 #[test]
 fn results_match_software_backend() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let sw = SoftwareBackend::new(&mapper).session(0).map(at(0), &pairs);
-    let hw = NmslBackend::new(&mapper).session(0).map(at(0), &pairs);
-    assert_eq!(sw.results.len(), hw.results.len());
-    for (a, b) in sw.results.iter().zip(&hw.results) {
+    let sw = SoftwareBackend::new(&mapper).session().map(at(0), &pairs);
+    let hw = NmslBackend::new(&mapper).session().map(at(0), &pairs);
+    assert_eq!(sw.len(), hw.len());
+    for (a, b) in sw.iter().zip(&hw) {
         assert_eq!(a.is_mapped(), b.is_mapped());
         assert_eq!(a.fallback, b.fallback);
         match (&a.mapping, &b.mapping) {
@@ -161,7 +165,7 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
     cases.push(proper(1_000));
 
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     let mut exits = Vec::new();
     let mut most_locations = 0;
     for (i, (r1, r2)) in cases.into_iter().enumerate() {
@@ -193,20 +197,29 @@ fn session_reports_simulated_cost() {
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
     let stats = run_session(&backend, &pairs, pairs.len());
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.pairs, pairs.len() as u64);
+    // The device reports modeled cost only: the wall fields are the
+    // pipeline's, which times every map call.
+    assert_eq!((stats.batches, stats.pairs, stats.busy_ns), (0, 0, 0));
     assert!(stats.seed_cycles > 0);
     assert!(stats.sim_cycles >= stats.seed_cycles);
     assert!(stats.sim_seconds > 0.0);
     assert!(stats.energy_pj > 0.0);
     assert!(stats.transfer_seconds > 0.0);
-    assert!(stats.input_bytes > 0 && stats.output_bytes > 0);
+    let bytes = pairs.iter().fold((0, 0), |(i, o), p| {
+        let (pi, po) = HostTraffic::pair_bytes(p.r1.len(), p.r2.len());
+        (i + pi, o + po)
+    });
+    assert_eq!((stats.input_bytes, stats.output_bytes), bytes);
     // At least one 8 B seed-table read per seed reached the DRAM
     // model.
     assert!(stats.dram_bytes >= 6 * 8);
     assert!(stats.dram_requests >= 6);
-    assert!(stats.modeled_reads_per_sec() > 0.0);
-    assert!(stats.system_reads_per_sec() > 0.0);
+    let run = BackendStats {
+        pairs: pairs.len() as u64,
+        ..stats
+    };
+    assert!(run.modeled_reads_per_sec() > 0.0);
+    assert!(run.system_reads_per_sec() > 0.0);
 }
 
 #[test]
@@ -222,7 +235,7 @@ fn warm_totals_are_batching_invariant() {
     let many = run_session(&backend, &pairs, 2);
     assert_eq!(one.dram_bytes, many.dram_bytes);
     assert_eq!(one.dram_requests, many.dram_requests);
-    assert_eq!(one.pairs, many.pairs);
+    assert_eq!(one.input_bytes, many.input_bytes);
     assert_eq!(one.seed_cycles, many.seed_cycles);
     assert_eq!(one.sim_cycles, many.sim_cycles);
     assert_eq!(one.energy_pj.to_bits(), many.energy_pj.to_bits());
@@ -246,24 +259,22 @@ fn out_of_order_sequenced_admission_matches_in_order() {
     let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
     let chunks: Vec<&[ReadPair]> = pairs.chunks(3).collect();
 
-    let mut in_order = BackendStats::new();
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     for (i, chunk) in chunks.iter().enumerate() {
-        in_order.merge(&session.map(at(i as u64), chunk).stats);
+        session.map(at(i as u64), chunk);
     }
-    in_order.merge(&backend.flush());
+    let in_order = backend.flush();
 
-    let mut shuffled = BackendStats::new();
-    let mut a = backend.session(0);
-    let mut b = backend.session(1);
+    let mut a = backend.session();
+    let mut b = backend.session();
     // Admission order 2, 0, 3, 1 across two sessions.
-    shuffled.merge(&a.map(at(2), chunks[2]).stats);
-    shuffled.merge(&b.map(at(0), chunks[0]).stats);
-    shuffled.merge(&a.map(at(3), chunks[3]).stats);
-    shuffled.merge(&b.map(at(1), chunks[1]).stats);
-    shuffled.merge(&backend.flush());
+    a.map(at(2), chunks[2]);
+    b.map(at(0), chunks[0]);
+    a.map(at(3), chunks[3]);
+    b.map(at(1), chunks[1]);
+    let shuffled = backend.flush();
 
-    assert_eq!(in_order.pairs, shuffled.pairs);
+    assert_eq!(in_order.input_bytes, shuffled.input_bytes);
     assert_eq!(in_order.seed_cycles, shuffled.seed_cycles);
     assert_eq!(in_order.sim_cycles, shuffled.sim_cycles);
     assert_eq!(in_order.fallback_cycles, shuffled.fallback_cycles);
@@ -280,7 +291,7 @@ fn out_of_order_sequenced_admission_matches_in_order() {
 /// device-accumulated floats compared by bit pattern.
 fn fingerprint(s: &BackendStats) -> (u64, u64, u64, u64, u64, u64, u64) {
     (
-        s.pairs,
+        s.input_bytes,
         s.seed_cycles,
         s.sim_cycles,
         s.fallback_cycles,
@@ -303,29 +314,27 @@ fn interleaved_jobs_match_concatenated_stream() {
     let (job0, job1) = pairs.split_at(7);
 
     // Reference: one stream, concatenated in job order.
-    let mut reference = BackendStats::new();
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     for (i, chunk) in job0.chunks(2).chain(job1.chunks(2)).enumerate() {
-        reference.merge(&session.map(at(i as u64), chunk).stats);
+        session.map(at(i as u64), chunk);
     }
-    reference.merge(&backend.flush());
+    let reference = backend.flush();
 
     // Interleaved: job 1 first on the wire, out of order within jobs.
     let b0: Vec<&[ReadPair]> = job0.chunks(2).collect();
     let b1: Vec<&[ReadPair]> = job1.chunks(2).collect();
-    let mut interleaved = BackendStats::new();
-    let mut a = backend.session(0);
-    let mut b = backend.session(1);
-    interleaved.merge(&b.map(job_at(1, 2), b1[2]).stats);
-    interleaved.merge(&a.map(job_at(0, 1), b0[1]).stats);
-    interleaved.merge(&b.map(job_at(1, 0), b1[0]).stats);
-    interleaved.merge(&a.map(job_at(0, 3), b0[3]).stats);
-    interleaved.merge(&b.map(job_at(0, 0), b0[0]).stats);
-    interleaved.merge(&a.map(job_at(1, 1), b1[1]).stats);
-    interleaved.merge(&b.map(job_at(0, 2), b0[2]).stats);
-    interleaved.merge(&backend.seal_job(0, b0.len() as u64));
-    interleaved.merge(&backend.seal_job(1, b1.len() as u64));
-    interleaved.merge(&backend.flush());
+    let mut a = backend.session();
+    let mut b = backend.session();
+    b.map(job_at(1, 2), b1[2]);
+    a.map(job_at(0, 1), b0[1]);
+    b.map(job_at(1, 0), b1[0]);
+    a.map(job_at(0, 3), b0[3]);
+    b.map(job_at(0, 0), b0[0]);
+    a.map(job_at(1, 1), b1[1]);
+    b.map(job_at(0, 2), b0[2]);
+    backend.seal_job(0, b0.len() as u64);
+    backend.seal_job(1, b1.len() as u64);
+    let interleaved = backend.flush();
 
     assert_eq!(fingerprint(&reference), fingerprint(&interleaved));
 }
@@ -334,43 +343,34 @@ fn interleaved_jobs_match_concatenated_stream() {
 fn seal_releases_the_parked_next_job() {
     // Job 1's batches all arrive while job 0 is still open: they must
     // park behind the job boundary, and the seal of job 0 (not any
-    // worker call) carries the accounting of their release.
+    // worker call) releases them.
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    // One lane: every release lands on it, so the seal-triggered
-    // releases are guaranteed to fill a quantum and drive the simulator
-    // (with many lanes a 6-pair tail can sit below every quantum
-    // boundary until flush).
-    let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(4);
+    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
     let (job0, job1) = pairs.split_at(6);
 
-    let mut total = BackendStats::new();
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     // Job 1 fully admitted and sealed first — nothing may release yet.
-    let parked = session.map(job_at(1, 0), job1).stats;
+    session.map(job_at(1, 0), job1);
+    backend.seal_job(1, 1);
+    assert_eq!(released(&backend), 0, "job 1 released before job 0");
+    // Job 0's own admission releases at once, and sealing it unparks
+    // job 1's tail.
+    session.map(job_at(0, 0), job0);
+    assert_eq!(released(&backend), job0.len() as u64);
+    backend.seal_job(0, 1);
     assert_eq!(
-        parked.seed_cycles, 0,
-        "job 1 released before job 0 completed"
+        released(&backend),
+        pairs.len() as u64,
+        "sealing job 0 must release job 1's parked batch"
     );
-    total.merge(&parked);
-    total.merge(&backend.seal_job(1, 1));
-    // Job 0 arrives and seals: its own admission releases immediately,
-    // and sealing it unparks job 1's tail.
-    total.merge(&session.map(job_at(0, 0), job0).stats);
-    let seal = backend.seal_job(0, 1);
-    assert!(
-        seal.seed_cycles > 0,
-        "sealing job 0 must drive job 1's parked release"
-    );
-    total.merge(&seal);
-    total.merge(&backend.flush());
+    let total = backend.flush();
 
-    // And the grand total still matches the concatenated reference.
-    let mut reference = BackendStats::new();
-    let mut refsess = backend.session(0);
-    reference.merge(&refsess.map(at(0), job0).stats);
-    reference.merge(&refsess.map(at(1), job1).stats);
-    reference.merge(&backend.flush());
+    // And the total still matches the concatenated reference.
+    let mut refsess = backend.session();
+    refsess.map(at(0), job0);
+    refsess.map(at(1), job1);
+    let reference = backend.flush();
     assert_eq!(fingerprint(&reference), fingerprint(&total));
 }
 
@@ -382,41 +382,28 @@ fn discarded_job_is_skipped_and_stragglers_are_dropped() {
     let (doomed, kept) = pairs.split_at(5);
 
     // Reference: the surviving job alone on a fresh device.
-    let mut reference = BackendStats::new();
-    let mut refsess = backend.session(0);
-    reference.merge(&refsess.map(at(0), kept).stats);
-    reference.merge(&backend.flush());
+    backend.session().map(at(0), kept);
+    let reference = backend.flush();
 
     // Job 0 is discarded before any of its work released (its only
     // admission is parked behind the missing batch 0); job 1 completes.
-    let mut total = BackendStats::new();
-    let mut session = backend.session(0);
-    total.merge(&session.map(job_at(0, 1), &doomed[..2]).stats);
-    let discard = backend.discard_job(0);
+    let mut session = backend.session();
+    session.map(job_at(0, 1), &doomed[..2]);
     assert_eq!(
-        discard.pairs_accounted, 0,
+        backend.discard_job(0),
+        0,
         "nothing of job 0 released before the discard"
     );
-    total.merge(&discard.stats);
     // A straggler admission racing past the cancel is ignored too.
-    total.merge(&session.map(job_at(0, 0), &doomed[2..]).stats);
-    total.merge(&session.map(job_at(1, 0), kept).stats);
-    total.merge(&backend.seal_job(1, 1));
-    total.merge(&backend.flush());
+    session.map(job_at(0, 0), &doomed[2..]);
+    session.map(job_at(1, 0), kept);
+    backend.seal_job(1, 1);
+    let total = backend.flush();
     // The discarded job still mapped its pairs (results-side), but the
-    // device priced only the surviving job's stream.
-    assert_eq!(total.pairs, pairs.len() as u64);
-    let mut surviving = total;
-    surviving.pairs = reference.pairs;
-    surviving.batches = reference.batches;
-    surviving.busy_ns = reference.busy_ns;
-    surviving.input_bytes = reference.input_bytes;
-    surviving.output_bytes = reference.output_bytes;
-    assert_eq!(fingerprint(&reference), fingerprint(&surviving));
+    // device priced and streamed only the surviving job's.
+    assert_eq!(total, reference);
     // The device is clean for the next run: a fresh job maps normally.
-    let after = run_session(&backend, kept, 3);
-    assert_eq!(after.pairs, kept.len() as u64);
-    assert!(after.seed_cycles > 0);
+    assert_eq!(run_session(&backend, kept, 3), reference);
 }
 
 #[test]
@@ -442,11 +429,10 @@ fn empty_batch_reports_zero_sim_time() {
     let (genome, _) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let out = backend.session(0).map(at(0), &[]);
+    let out = backend.session().map(at(0), &[]);
     let flushed = backend.flush();
-    assert!(out.results.is_empty());
-    assert_eq!(out.stats.sim_cycles + flushed.sim_cycles, 0);
-    assert_eq!(out.stats.transfer_seconds, 0.0);
+    assert!(out.is_empty());
+    assert_eq!(flushed.sim_cycles, 0);
     assert_eq!(flushed.transfer_seconds, 0.0);
 }
 
@@ -548,11 +534,11 @@ fn overlapped_system_time_never_exceeds_serial() {
 fn repeated_tag_still_buffered_panics() {
     // Batch 1 parks behind the missing batch 0; admitting index 1 again
     // would silently replace it (its pairs would vanish from device
-    // totals while the per-call counters still counted them).
+    // totals while the pipeline still counted them).
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     session.map(at(1), &pairs[..2]);
     session.map(at(1), &pairs[2..4]);
 }
@@ -565,7 +551,7 @@ fn stale_tag_behind_the_frontier_panics() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     session.map(at(0), &pairs[..2]);
     session.map(at(0), &pairs[2..4]);
 }
@@ -650,14 +636,10 @@ fn gendp_only_charged_on_fallback() {
         oseq.subseq(100..250),
         oseq.subseq(300..450).revcomp(),
     );
-    let mut session = backend.session(0);
-    let fallback_result = session.map(at(0), &[alien]);
-    assert!(fallback_result.results[0].fallback.is_some());
-    // The integer cycle delta is attributed to the admitting call...
-    assert!(fallback_result.stats.fallback_cycles > 0);
-    // ...while the float energy/seconds surface at the device flush.
-    let mut dirty = fallback_result.stats;
-    dirty.merge(&backend.flush());
+    let results = backend.session().map(at(0), &[alien]);
+    assert!(results[0].fallback.is_some());
+    let dirty = backend.flush();
+    assert!(dirty.fallback_cycles > 0);
     assert!(dirty.fallback_energy_pj > 0.0);
     assert!(dirty.fallback_seconds > 0.0);
 }

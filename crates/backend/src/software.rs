@@ -1,14 +1,13 @@
 //! The CPU reference backend.
 
-use crate::{BackendStats, BatchResult, BatchTag, MapBackend, MapSession};
-use gx_core::{GenPairMapper, MapScratch, ReadPair};
-use std::time::Instant;
+use crate::{BatchTag, MapBackend, MapSession};
+use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 
 /// The software baseline: maps every pair with
 /// [`GenPairMapper::map_pair_with`] on the calling worker thread.
 ///
-/// Timing-wise it reports only wall-clock busy time — there is no hardware
-/// model behind it. Its results define the reference output every other
+/// It models no hardware, so it reports no cost of its own (the pipeline
+/// times every call). Its results define the reference output every other
 /// backend must reproduce byte-for-byte. Each session owns a
 /// [`MapScratch`] arena, so steady-state mapping performs no per-pair heap
 /// allocation; the factory/session split is what gives every worker its own
@@ -39,7 +38,7 @@ impl MapBackend for SoftwareBackend<'_, '_> {
         "software"
     }
 
-    fn session(&self, _worker_id: usize) -> SoftwareSession<'_> {
+    fn session(&self) -> SoftwareSession<'_> {
         SoftwareSession {
             mapper: self.mapper,
             scratch: MapScratch::new(),
@@ -55,27 +54,18 @@ pub struct SoftwareSession<'m> {
 }
 
 impl MapSession for SoftwareSession<'_> {
-    fn map(&mut self, _tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
-        let started = Instant::now();
-        let results = pairs
+    fn map(&mut self, _tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
+        pairs
             .iter()
             .map(|p| self.mapper.map_pair_with(&mut self.scratch, &p.r1, &p.r2))
-            .collect();
-        BatchResult {
-            results,
-            stats: BackendStats {
-                batches: 1,
-                pairs: pairs.len() as u64,
-                busy_ns: started.elapsed().as_nanos() as u64,
-                ..BackendStats::default()
-            },
-        }
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BackendStats;
     use gx_core::GenPairConfig;
     use gx_genome::random::RandomGenomeBuilder;
 
@@ -98,13 +88,11 @@ mod tests {
             .collect();
 
         let backend = SoftwareBackend::new(&mapper);
-        let mut session = backend.session(0);
+        let mut session = backend.session();
         let out = session.map(FIRST, &pairs);
-        assert_eq!(out.results.len(), pairs.len());
-        assert_eq!(out.stats.pairs, pairs.len() as u64);
-        assert_eq!(out.stats.batches, 1);
-        assert_eq!(out.stats.sim_cycles, 0);
-        for (pair, res) in pairs.iter().zip(&out.results) {
+        assert_eq!(out.len(), pairs.len());
+        assert_eq!(backend.flush(), BackendStats::new());
+        for (pair, res) in pairs.iter().zip(&out) {
             let direct = mapper.map_pair(&pair.r1, &pair.r2);
             assert_eq!(res.is_mapped(), direct.is_mapped());
             assert_eq!(res.fallback, direct.fallback);
@@ -119,8 +107,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let genome = RandomGenomeBuilder::new(30_000).seed(18).build();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        let out = SoftwareBackend::new(&mapper).session(0).map(FIRST, &[]);
-        assert!(out.results.is_empty());
-        assert_eq!(out.stats.pairs, 0);
+        let out = SoftwareBackend::new(&mapper).session().map(FIRST, &[]);
+        assert!(out.is_empty());
     }
 }

@@ -1,4 +1,5 @@
-//! The [`MapBackend`]/[`MapSession`] traits and per-batch accounting types.
+//! The [`MapBackend`]/[`MapSession`] traits, [`BatchTag`] and the
+//! [`BackendStats`] a run reports.
 
 use gx_core::{PairMapResult, ReadPair};
 
@@ -7,8 +8,8 @@ use gx_core::{PairMapResult, ReadPair};
 /// [`PipelineStats`](gx_core::PipelineStats), addition is commutative, so
 /// the merged total is independent of shard order).
 ///
-/// Software backends fill only the wall-clock fields; accelerator backends
-/// additionally report the *modeled* hardware cost of the same work, broken
+/// Software backends model nothing; accelerator backends report the
+/// *modeled* hardware cost of the work the wall fields time, broken
 /// down by pipeline stage: NMSL seeding (`seed_cycles`, `seed_energy_pj`),
 /// GenDP fallback DP (`fallback_cycles`, `fallback_seconds`,
 /// `fallback_energy_pj`) and host-link batch transfer (`transfer_seconds`
@@ -20,22 +21,16 @@ use gx_core::{PairMapResult, ReadPair};
 /// `clean_nmsl` workload reports (`backend.modeled_system_reads_per_s`
 /// next to `reads_per_s`).
 ///
-/// # Warm attribution: integers per call, floats at flush
+/// # Who fills what, and when
 ///
-/// Under the shared warm NMSL device, *when* each field is populated
-/// depends on its type. Integer fields (`seed_cycles`, `fallback_cycles`,
-/// `dram_bytes`, `dram_requests`) are emitted as exact deltas to whichever
-/// worker's call happened to drive the device — integer addition is exact,
-/// so the merged totals are schedule-independent even though per-batch
-/// attributions are not (`sim_cycles`, being `seed_cycles +
-/// fallback_cycles`, rides along per call). Float-valued stage totals
-/// (`sim_seconds`, `seed_energy_pj`, `fallback_seconds`,
-/// `fallback_energy_pj`, `transfer_seconds`, `exposed_transfer_seconds`,
-/// and the `energy_pj` roll-up over them) are accumulated *inside* the
-/// device in deterministic input/lane-op order and reported in one piece
-/// by [`MapBackend::flush`] — per-batch [`BatchResult::stats`] carry zeros
-/// there. Run totals (per-call stats merged with `flush`) are exact and
-/// bit-identical across schedules.
+/// The wall fields (`batches`, `pairs`, `busy_ns`) are host-side: the
+/// pipeline's worker step fills them around every [`MapSession::map`]
+/// call. Every *modeled* field is reported by [`MapBackend::flush`] alone,
+/// once per run: a backend's `map` returns results and nothing else. The
+/// warm NMSL device accumulates its cost in deterministic release order
+/// and reads the totals off its simulators at flush, so run totals are
+/// bit-identical across schedules and no per-batch or per-job share of
+/// modeled cost exists.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BackendStats {
     /// Batches mapped.
@@ -50,41 +45,31 @@ pub struct BackendStats {
     pub sim_cycles: u64,
     /// Total modeled accelerator seconds (seeding at the memory clock plus
     /// fallback DP at the accelerator clock; excludes host transfer).
-    /// Warm dispatch reports this at [`MapBackend::flush`], not per batch.
     pub sim_seconds: f64,
     /// Total modeled energy in picojoules (`seed_energy_pj +
-    /// fallback_energy_pj`). Warm dispatch reports this at
-    /// [`MapBackend::flush`], not per batch.
+    /// fallback_energy_pj`).
     pub energy_pj: f64,
-    /// Bytes moved by the modeled DRAM (exact integer deltas per call).
+    /// Bytes moved by the modeled DRAM.
     pub dram_bytes: u64,
-    /// DRAM requests completed by the model (exact integer deltas per
-    /// call).
+    /// DRAM requests completed by the model.
     pub dram_requests: u64,
-    /// NMSL seeding stage: simulated memory cycles. Warm dispatch emits
-    /// these as integer deltas to the worker whose call drove the lane —
-    /// exact in total, schedule-dependent per batch.
+    /// NMSL seeding stage: simulated memory cycles, summed over lanes.
     pub seed_cycles: u64,
-    /// NMSL seeding stage: modeled DRAM energy in picojoules. Warm
-    /// dispatch accumulates this inside the device (per-lane, in lane-op
-    /// order) and reports it at [`MapBackend::flush`].
+    /// NMSL seeding stage: modeled DRAM energy in picojoules.
     pub seed_energy_pj: f64,
-    /// GenDP fallback stage: accelerator cycles spent on fallback DP,
-    /// emitted as integer deltas of the device's running cumulative total
-    /// (so rounding never double-counts a cycle across calls).
+    /// GenDP fallback stage: accelerator cycles spent on fallback DP (the
+    /// stage's total seconds at the accelerator clock, rounded up).
     pub fallback_cycles: u64,
     /// GenDP fallback stage: modeled seconds, priced per pair in input
-    /// order. Warm dispatch reports this at [`MapBackend::flush`].
+    /// order.
     pub fallback_seconds: f64,
-    /// GenDP fallback stage: modeled energy in picojoules. Warm dispatch
-    /// reports this at [`MapBackend::flush`].
+    /// GenDP fallback stage: modeled energy in picojoules.
     pub fallback_energy_pj: f64,
     /// Host-link stage: raw seconds moving batch input/output over the
     /// host↔accelerator link (full duplex, so the slower direction bounds
     /// each batch). This is the *pre-overlap* figure: what the link is busy
     /// for, regardless of whether compute hides it. Warm dispatch charges
-    /// transfer per dispatch quantum (not per client batch) and reports the
-    /// total at [`MapBackend::flush`].
+    /// transfer per dispatch quantum, not per client batch.
     pub transfer_seconds: f64,
     /// Host-link stage: the *exposed* share of
     /// [`transfer_seconds`](BackendStats::transfer_seconds) — the serial
@@ -93,10 +78,10 @@ pub struct BackendStats {
     /// ([`HostTraffic::exposed_transfer_seconds`](gx_accel::HostTraffic::exposed_transfer_seconds)).
     /// Always `≤ transfer_seconds`; equal to it where there is nothing to
     /// hide behind (a lane's first quantum). Warm dispatch computes
-    /// the residue per dispatch quantum per lane and reports the total at
-    /// [`MapBackend::flush`].
+    /// the residue per dispatch quantum per lane.
     pub exposed_transfer_seconds: f64,
-    /// Host-link stage: bytes streamed into the accelerator.
+    /// Host-link stage: bytes streamed into the accelerator (pairs the
+    /// device released; a discarded job's unreleased pairs never stream).
     pub input_bytes: u64,
     /// Host-link stage: bytes streamed back to the host.
     pub output_bytes: u64,
@@ -178,21 +163,6 @@ impl BackendStats {
     }
 }
 
-/// One mapped batch: the mapping results plus the session's accounting for
-/// exactly this batch.
-#[derive(Clone, Debug)]
-pub struct BatchResult {
-    /// Per-pair results, parallel to the input slice (`results[i]` is the
-    /// outcome of `pairs[i]`). The pipeline relies on this alignment to emit
-    /// ordered SAM.
-    pub results: Vec<PairMapResult>,
-    /// The session's accounting for this batch (`batches == 1`). Warm
-    /// accelerator sessions attribute simulation cycles to whichever call
-    /// drove the shared device (see [`MapSession::map`]); run totals are
-    /// exact once [`MapBackend::flush`] has been merged.
-    pub stats: BackendStats,
-}
-
 /// Where a batch sits in the backend's **canonical release order**:
 /// ascending `job`, then ascending `index` within a job — both 0-based and
 /// contiguous per backend run (one [`MapBackend::flush`] to the next), so
@@ -207,24 +177,6 @@ pub struct BatchTag {
     pub job: u64,
     /// 0-based, contiguous position of the batch within its job's stream.
     pub index: u64,
-}
-
-/// What a [`MapBackend::discard_job`] call freed and what it could not:
-/// the accounting released by the discard itself, plus the count of the
-/// job's pairs that had **already been dispatched** (released past the
-/// sequencing frontier) before the discard landed. Those dispatched pairs
-/// stay in device totals — their cost was genuinely modeled — while every
-/// still-buffered admission is dropped, so a cancelled job's *undispatched*
-/// work never leaks into service-wide accounting.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DiscardReport {
-    /// Accounting freed by the discard (releases that were parked behind
-    /// the discarded job), like [`MapBackend::seal_job`]'s return.
-    pub stats: BackendStats,
-    /// Pairs of the discarded job that were already released to the device
-    /// before the discard — the remainder that stays accounted. Backends
-    /// without a sequencing frontier (software) report 0.
-    pub pairs_accounted: u64,
 }
 
 /// A mapping backend: a cheap, shared factory of per-worker
@@ -244,23 +196,22 @@ pub struct DiscardReport {
 ///
 /// # The results-vs-timing split
 ///
-/// `map` answers two questions at once, and implementations must keep them
-/// separable:
+/// A backend answers two questions, through two methods:
 ///
-/// * **Results** — *where does each pair map?* Every backend must produce
-///   results identical to calling
+/// * **Results** — *where does each pair map?* [`MapSession::map`]
+///   returns them. Every backend must produce results identical to calling
 ///   [`GenPairMapper::map_pair`](gx_core::GenPairMapper::map_pair) on each
 ///   pair in order. This is what makes backends interchangeable: the
 ///   pipeline's ordered SAM output is **byte-identical** across backends
 ///   for the same input, which is the property that makes cross-backend
 ///   throughput numbers an apples-to-apples comparison (and what the
 ///   `e2e_pipeline` cross-backend suite enforces).
-/// * **Timing** — *what did mapping this batch cost?* Reported through
-///   [`BatchResult::stats`]. Here backends are free to diverge: the software
-///   backend reports wall-clock busy time only, while the NMSL backend
-///   replays the batch's memory workload through a cycle-accurate DRAM
-///   model, prices fallback pairs on the GenDP model and charges host-link
-///   transfer.
+/// * **Timing** — *what did mapping the run cost on the modeled
+///   hardware?* [`flush`](MapBackend::flush) reports it, once per run.
+///   Here backends are free to diverge: the software backend models
+///   nothing, while the NMSL backend replays the run's memory workload
+///   through a cycle-accurate DRAM model, prices fallback pairs on the
+///   GenDP model and charges host-link transfer.
 pub trait MapBackend: Sync {
     /// The per-worker session type; borrows the backend for its lifetime.
     type Session<'s>: MapSession
@@ -270,14 +221,13 @@ pub trait MapBackend: Sync {
     /// Short stable identifier for reports ("software", "nmsl", ...).
     fn name(&self) -> &'static str;
 
-    /// Opens the per-worker mapping session for worker `worker_id`
-    /// (0-based). Called once per worker thread; the session carries the
-    /// worker's mutable state privately (shared-device backends additionally
-    /// keep state behind the backend itself — see
-    /// [`flush`](MapBackend::flush)).
+    /// Opens a per-worker mapping session. Called once per worker thread;
+    /// the session carries the worker's mutable state privately
+    /// (shared-device backends additionally keep state behind the backend
+    /// itself — see [`flush`](MapBackend::flush)).
     ///
     /// ```
-    /// use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession, NmslBackend};
+    /// use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend};
     /// use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
     /// use gx_genome::random::RandomGenomeBuilder;
     ///
@@ -295,26 +245,23 @@ pub trait MapBackend: Sync {
     /// // then flush the backend once all sessions are done (the warm NMSL
     /// // device drains its shared simulator lanes there).
     /// let backend = NmslBackend::new(&mapper);
-    /// let mut session = backend.session(0);
-    /// let mut totals = BackendStats::new();
+    /// let mut session = backend.session();
     /// for index in 0..3 {
-    ///     totals.merge(&session.map(BatchTag { job: 0, index }, &batch).stats);
+    ///     let results = session.map(BatchTag { job: 0, index }, &batch);
+    ///     assert!(results[0].is_mapped());
     /// }
-    /// totals.merge(&backend.flush()); // drain the shared device
-    /// assert_eq!(totals.pairs, 3);
-    /// assert!(totals.seed_cycles > 0);
-    /// assert!(totals.exposed_transfer_seconds <= totals.transfer_seconds);
+    /// let cost = backend.flush(); // drain the shared device
+    /// assert!(cost.seed_cycles > 0);
+    /// assert!(cost.exposed_transfer_seconds <= cost.transfer_seconds);
     /// ```
-    fn session(&self, worker_id: usize) -> Self::Session<'_>;
+    fn session(&self) -> Self::Session<'_>;
 
-    /// Flushes backend-wide (cross-session) state after **every** session
-    /// is done mapping, returning accounting not attributable to any single
-    /// worker — for the warm NMSL backend, the shared channel-sharded
-    /// device drains its simulator lanes here and reports the float-valued
-    /// stage totals it accumulated in deterministic admission order. The
-    /// engine calls this exactly once per run, after joining the workers,
-    /// and merges the result into the run's [`BackendStats`]; stateless
-    /// backends keep the default no-op.
+    /// Reports the run's modeled cost, after **every** session is done
+    /// mapping — the only place a backend reports any. The warm NMSL
+    /// device drains its simulator lanes here and reads its totals off
+    /// them; stateless backends keep the default, which models nothing.
+    /// The engine and the service call this exactly once per run, after
+    /// joining the workers, and merge it into the run's [`BackendStats`].
     ///
     /// Flushing also resets the cross-session state, so a backend can drive
     /// consecutive runs with each run accounted independently. Runs sharing
@@ -326,29 +273,25 @@ pub trait MapBackend: Sync {
     /// Marks job `job` complete at exactly `batches` batches (indices
     /// `0..batches` all admitted or in flight). A sequencing backend uses
     /// this to know when the job's tail has fully released so the canonical
-    /// order can advance to the next job; any accounting the seal itself
-    /// triggers (releases that were parked behind the job boundary) is
-    /// returned for the caller to merge — there is no worker call to
-    /// attribute it to. Called once per job, after its last admission.
-    fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
+    /// order can advance to the next job. Called once per job, after its
+    /// last admission.
+    fn seal_job(&self, job: u64, batches: u64) {
         let _ = (job, batches);
-        BackendStats::new()
     }
 
     /// Abandons job `job` (cancellation or a per-job ingestion failure):
     /// a sequencing backend drops the job's still-buffered admissions,
     /// stops waiting for its missing batches, and ignores any stragglers
-    /// admitted under this id afterwards. Accounting already attributed for
-    /// the job's released pairs stands — a cancelled job's device cost is
-    /// inherently schedule-dependent (how far it got before the cancel),
-    /// which is why determinism claims quantify over *completed* jobs only.
-    /// The [`DiscardReport`] carries both that already-dispatched remainder
-    /// (`pairs_accounted`, so a front-end can surface it instead of folding
-    /// it in silently) and accounting freed by the discard, like
-    /// [`seal_job`](MapBackend::seal_job).
-    fn discard_job(&self, job: u64) -> DiscardReport {
+    /// admitted under this id afterwards. Returns how many of the job's
+    /// pairs had **already been dispatched** (released to the device) —
+    /// their cost stays in the run's totals, so a front end can surface
+    /// it. That remainder is schedule-dependent (how far the job got
+    /// before the end), which is why determinism claims quantify over
+    /// *completed* jobs only. Backends without a sequencing frontier
+    /// (software) return 0.
+    fn discard_job(&self, job: u64) -> u64 {
         let _ = job;
-        DiscardReport::default()
+        0
     }
 }
 
@@ -361,16 +304,14 @@ pub trait MapSession {
     /// front-end↔backend contract.
     ///
     /// Must return exactly one result per input pair, in input order.
-    /// Results are returned immediately; only the *accounting* is
+    /// Results are returned immediately; only the modeled cost is
     /// sequenced. Backends with cross-worker shared state (the warm NMSL
     /// device) buffer admissions until the canonical release order — job id
     /// × per-job batch index, see [`BatchTag`] — covers
     /// them, so warm totals for a set of completed jobs are bit-identical
     /// to mapping the jobs' streams back to back, regardless of which
     /// worker got which batch, thread count, batch size or interleaving.
-    /// Per-batch *stats* are therefore attributed to whichever call drove
-    /// the device; run totals are exact once [`MapBackend::flush`] has been
-    /// merged. Backends without shared state (software) ignore the tag.
+    /// Backends without shared state (software) ignore the tag.
     ///
     /// Within one backend run every `(job, index)` is admitted exactly
     /// once, job ids are contiguous from 0 and each job's indices are
@@ -382,7 +323,7 @@ pub trait MapSession {
     /// ([`MapBackend::seal_job`]) or discarded
     /// ([`MapBackend::discard_job`]) before the flush, or the sequencer
     /// releases its parked tail in flush order instead of canonical order.
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult;
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult>;
 }
 
 #[cfg(test)]

@@ -79,12 +79,12 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     let pairs = build_pairs(seq, 64);
 
     let backend = SoftwareBackend::new(&mapper);
-    let mut session = backend.session(0);
+    let mut session = backend.session();
 
     // Warm-up: the first batch grows every scratch buffer to its
     // steady-state high-water mark.
     let warm = session.map(BatchTag { job: 0, index: 0 }, &pairs);
-    assert!(warm.results.iter().filter(|r| r.is_mapped()).count() > 48);
+    assert!(warm.iter().filter(|r| r.is_mapped()).count() > 48);
 
     // Steady state: the only allowed allocations are the per-batch results
     // Vec (and a bounded sliver of collection overhead) — nothing that
@@ -94,7 +94,7 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     let allocs = allocations(|| {
         for index in 1..=BATCHES {
             let out = session.map(BatchTag { job: 0, index }, &pairs);
-            mapped += out.results.iter().filter(|r| r.is_mapped()).count();
+            mapped += out.iter().filter(|r| r.is_mapped()).count();
         }
     });
     assert!(mapped > 48 * BATCHES as usize);
@@ -127,7 +127,7 @@ fn warm_nmsl_session_allocates_at_most_twice_a_pair() {
     let pairs = build_pairs(genome.chromosome(0).seq(), 64);
 
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session(0);
+    let mut session = backend.session();
     // Warm-up: four batches put every lane past its first dispatch quantum,
     // so FIFOs, slot rings and completion buffers are at their high-water
     // marks.
@@ -140,7 +140,7 @@ fn warm_nmsl_session_allocates_at_most_twice_a_pair() {
     let allocs = allocations(|| {
         for index in WARM..WARM + BATCHES {
             let out = session.map(BatchTag { job: 0, index }, &pairs);
-            assert_eq!(out.results.len(), pairs.len());
+            assert_eq!(out.len(), pairs.len());
         }
     });
     let per_pair = allocs as f64 / (BATCHES as f64 * pairs.len() as f64);

@@ -113,7 +113,7 @@ impl PipelineBuilder {
     /// Finalizes and attaches the configuration to a mapping backend (the
     /// software reference, the NMSL accelerator system model, or any custom
     /// [`MapBackend`]). The engine opens one stateful session per worker
-    /// thread from this backend (`backend.session(worker_id)`), so a
+    /// thread from this backend (`backend.session()`), so a
     /// stateful backend — e.g. the NMSL model's shared warm device —
     /// carries simulator state across every batch of the run.
     ///

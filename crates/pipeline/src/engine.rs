@@ -28,16 +28,19 @@
 //! cost ([`BackendStats`]) differs.
 //!
 //! Each worker opens one stateful [`MapSession`](gx_backend::MapSession) at
-//! thread start (`backend.session(worker_id)`) and maps every batch it
+//! thread start (`backend.session()`) and maps every batch it
 //! pulls through [`MapSession::map`](gx_backend::MapSession::map), tagged
 //! job `0` × the batch's index — the tag is what lets the NMSL backend's
 //! shared device (DRAM row-buffer state, sliding window, kept *warm* across
 //! batches) admit in input order whichever worker got the batch. Each
 //! worker also owns private [`PipelineStats`] and [`BackendStats`] shards
-//! that are merged once at join time — no locks or atomics on the mapping
-//! hot path. The front end restores input order, so the engine's output
-//! is **byte-identical** to a serial [`map_serial`] run regardless of
-//! thread count or batch size. Its reorder buffer is bounded too: it
+//! (the host-side fields it times around every `map` call) that are merged
+//! once at join time — no locks or atomics on the mapping hot path — and
+//! the run's modeled cost is what the backend's one
+//! [`flush`](gx_backend::MapBackend::flush) reports. The front end
+//! restores input order, so the engine's output is **byte-identical** to
+//! a serial [`map_serial`] run regardless of thread count or batch size.
+//! Its reorder buffer is bounded too: it
 //! pushes a batch only while fewer than `queue_depth + 2 × threads`
 //! batches are past the last one written, and otherwise waits for the
 //! next mapped batch, so one slow batch cannot make completed successors
@@ -89,8 +92,9 @@ impl Drop for AbortOnPanic<'_> {
 pub struct PipelineReport {
     /// Merged per-worker statistics (identical to a serial run's).
     pub stats: PipelineStats,
-    /// Merged per-worker backend accounting (wall busy time; simulated
-    /// cycles/energy when the backend models hardware).
+    /// Merged per-worker wall fields (batches, pairs, busy time) plus the
+    /// backend's flush (simulated cycles/energy when the backend models
+    /// hardware).
     pub backend: BackendStats,
     /// The backend that produced this run ("software", "nmsl", ...).
     pub backend_name: &'static str,
@@ -387,9 +391,10 @@ impl<B: MapBackend> MappingEngine<B> {
             let stats = PipelineStats::merged(shards.iter().map(|(s, _)| s));
             let mut backend_stats = BackendStats::merged(shards.iter().map(|(_, b)| b));
             // Backend-wide flush, strictly after every worker is done:
-            // the warm NMSL device drains its shared simulator lanes here
-            // (and resets for the next run). Runs on the error path too, so
-            // an aborted run never leaves the device dirty.
+            // the warm NMSL device drains its shared simulator lanes here,
+            // reports the run's modeled cost and resets for the next run.
+            // Runs on the error path too, so an aborted run never leaves
+            // the device dirty.
             backend_stats.merge(&backend.flush());
             (stats, backend_stats, front)
         });
@@ -493,8 +498,7 @@ mod tests {
     use super::*;
     use crate::PipelineBuilder;
     use gx_backend::NmslBackend;
-    use gx_core::unmapped_pair_to_sam;
-    use gx_core::GenPairConfig;
+    use gx_core::{unmapped_pair_to_sam, GenPairConfig, PairMapResult};
     use gx_genome::random::RandomGenomeBuilder;
     use gx_genome::{DnaSeq, ReferenceGenome};
     use std::cell::RefCell;
@@ -640,12 +644,12 @@ mod tests {
             fn name(&self) -> &'static str {
                 "panic"
             }
-            fn session(&self, _worker_id: usize) -> PanicSession {
+            fn session(&self) -> PanicSession {
                 PanicSession
             }
         }
         impl gx_backend::MapSession for PanicSession {
-            fn map(&mut self, _tag: BatchTag, _pairs: &[ReadPair]) -> gx_backend::BatchResult {
+            fn map(&mut self, _tag: BatchTag, _pairs: &[ReadPair]) -> Vec<PairMapResult> {
                 panic!("injected backend failure");
             }
         }

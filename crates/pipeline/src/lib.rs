@@ -90,8 +90,7 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
 pub use gx_backend::{
-    BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession, NmslBackend,
-    SoftwareBackend,
+    BackendStats, BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend,
 };
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};

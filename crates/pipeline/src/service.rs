@@ -84,10 +84,10 @@ pub struct ServiceReport {
     pub deadline_cancels: u64,
     /// Records delivered across all sinks.
     pub records_written: u64,
-    /// Device-wide backend accounting: every job's share plus the final
-    /// flush. For a warm device over completed jobs this is bit-identical
-    /// to one engine run over the concatenated job streams
-    /// (`tests/e2e_service.rs`).
+    /// Service-wide backend accounting: every job's host-side fields plus
+    /// the final flush, the only place modeled cost appears. For a warm
+    /// device over completed jobs this is bit-identical to one engine run
+    /// over the concatenated job streams (`tests/e2e_service.rs`).
     pub backend: BackendStats,
     /// The backend that served this run ("software", "nmsl", ...).
     pub backend_name: &'static str,

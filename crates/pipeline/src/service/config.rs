@@ -48,10 +48,9 @@ pub struct JobSpec {
     pub batch_size: Option<usize>,
     /// Ingestion priority.
     pub priority: Priority,
-    /// Time budget measured on the service clock from admission; `None`
-    /// falls back to [`ServiceBuilder::default_job_timeout`] (itself
-    /// `None` = no deadline). The deadline timer cancels an overdue job
-    /// through the ordinary cancel/ack path.
+    /// Time budget measured on the service clock from admission; `None` =
+    /// no deadline. The deadline timer cancels an overdue job through the
+    /// ordinary cancel/ack path.
     pub deadline: Option<Duration>,
     /// How long a submission over the
     /// [`max_active_jobs`](ServiceConfig::max_active_jobs) budget may stay
@@ -115,9 +114,6 @@ pub struct ServiceConfig {
     /// resolves to `min(2, threads)` when the service starts (see
     /// [`resolved_ingesters`](ServiceConfig::resolved_ingesters)).
     pub ingesters: usize,
-    /// Deadline applied to jobs whose [`JobSpec::deadline`] is `None`;
-    /// `None` leaves such jobs without a deadline.
-    pub default_job_timeout: Option<Duration>,
 }
 
 impl ServiceConfig {
@@ -143,7 +139,6 @@ impl Default for ServiceConfig {
             max_active_jobs: 8,
             fallback: FallbackPolicy::default(),
             ingesters: 0,
-            default_job_timeout: None,
         }
     }
 }
@@ -180,7 +175,7 @@ impl std::fmt::Debug for ServiceBuilder {
 impl ServiceBuilder {
     /// Starts from the defaults: one worker per core, 256-pair batches,
     /// 2×threads queue depth, 8 concurrent jobs, parking admission,
-    /// `min(2, threads)` ingesters, no default job timeout.
+    /// `min(2, threads)` ingesters.
     pub fn new() -> ServiceBuilder {
         ServiceBuilder::default()
     }
@@ -221,14 +216,6 @@ impl ServiceBuilder {
     /// slow-producer jobs at once.
     pub fn ingesters(mut self, ingesters: usize) -> ServiceBuilder {
         self.cfg.ingesters = ingesters.max(1);
-        self
-    }
-
-    /// Deadline applied to every job that doesn't set its own
-    /// [`JobSpec::deadline`]: overdue jobs are cancelled by the deadline
-    /// timer with abort reason `"job deadline exceeded"`.
-    pub fn default_job_timeout(mut self, timeout: Duration) -> ServiceBuilder {
-        self.cfg.default_job_timeout = Some(timeout);
         self
     }
 

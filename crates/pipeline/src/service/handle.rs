@@ -13,7 +13,8 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// The client surface of a running service: submit, cancel, drain.
+/// The client surface of a running service: submit and drain (a job is
+/// cancelled through its [`JobHandle`]).
 /// Shareable across threads (`&ServiceHandle` is all any method needs).
 pub struct ServiceHandle<'s> {
     pub(super) shared: &'s Shared<'s>,
@@ -58,13 +59,12 @@ impl<'s> ServiceHandle<'s> {
         let id = sched.next_id;
         sched.next_id += 1;
 
-        let budget = spec.deadline.or(self.shared.cfg.default_job_timeout);
         let state = Arc::new(JobState {
             id,
             priority: spec.priority,
             batch_size: spec.batch_size.unwrap_or(self.shared.cfg.batch_size).max(1),
             submitted: Instant::now(),
-            deadline_at: budget.map(|b| self.shared.clock.now() + b),
+            deadline_at: spec.deadline.map(|d| self.shared.clock.now() + d),
             core: Mutex::new(JobCore::new(Box::new(sink))),
             done: Condvar::new(),
         });
@@ -121,20 +121,6 @@ impl<'s> ServiceHandle<'s> {
         S: RecordSink + Send + 'static,
     {
         self.submit(spec, ReadPairStream::new(r1, r2), sink)
-    }
-
-    /// Cancels a job by id. Returns `false` if the job is unknown or
-    /// already finalized. On `true`, the ack guarantee holds: no record
-    /// of that job reaches its sink after this returns.
-    pub fn cancel(&self, job: u64) -> bool {
-        let state = {
-            let sched = self.shared.sched();
-            sched.registry.get(&job).cloned()
-        };
-        match state {
-            Some(state) => end_job(self.shared, &state, End::Cancelled).is_some(),
-            None => false,
-        }
     }
 
     /// Stops admitting new jobs and blocks until every active job has

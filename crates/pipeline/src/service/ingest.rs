@@ -102,12 +102,8 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
                 // An end may land concurrently: sealing an ended job is a
                 // no-op here, and the device accepts seal and discard in
                 // either order.
-                let stats = backend.seal_job(job.id, fj.next_index);
-                {
-                    let mut core = job.lock();
-                    core.seal();
-                    core.backend.merge(&stats);
-                }
+                backend.seal_job(job.id, fj.next_index);
+                job.lock().seal();
                 try_finalize(shared, job);
                 return FeedOutcome::Closed;
             }

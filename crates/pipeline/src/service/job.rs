@@ -33,16 +33,17 @@ pub struct JobReport {
     /// How the job ended.
     pub outcome: JobOutcome,
     /// The per-job run report: statistics over the batches this job
-    /// actually mapped, its share of backend accounting (plus the
-    /// releases its seal or discard triggered), and — for cancelled or
-    /// failed jobs — the abort reason. `steals`/`refills` are zero.
+    /// actually mapped, the host-side backend fields of its map calls
+    /// (`batches`, `pairs`, `busy_ns`; modeled cost is service-wide, in
+    /// [`ServiceReport::backend`](super::ServiceReport::backend)), and —
+    /// for cancelled or failed jobs — the abort reason.
+    /// `steals`/`refills` are zero.
     pub report: PipelineReport,
     /// Pairs of this job the device had already released to a lane — and
     /// therefore genuinely priced into warm totals — by the time a cancel
-    /// discarded it. Always zero for completed jobs (their accounting is
-    /// simply `report.backend`); zero for a cancel that landed before any
-    /// release. Undispatched pairs of a cancelled job are *not* priced,
-    /// sealed or not.
+    /// discarded it. Always zero for completed jobs; zero for a cancel
+    /// that landed before any release. Undispatched pairs of a cancelled
+    /// job are *not* priced, sealed or not.
     pub pairs_accounted_after_cancel: u64,
 }
 
@@ -152,12 +153,10 @@ pub(super) struct JobCore {
     pub(super) written: u64,
     /// Per-job mapping statistics.
     pub(super) stats: PipelineStats,
-    /// Per-job backend accounting (this job's map calls + its
-    /// seal/discard releases; attribution of shared-device quanta is
-    /// schedule-dependent, only the service-wide sum is invariant).
+    /// The host-side backend fields of this job's map calls.
     pub(super) backend: BackendStats,
     /// Pairs the device had already released to a lane when the job was
-    /// discarded (from [`DiscardReport::pairs_accounted`]).
+    /// discarded (what [`MapBackend::discard_job`] returned).
     pub(super) accounted_after_cancel: u64,
     /// The final report, parked here until `join`.
     pub(super) finished: Option<JobReport>,
@@ -202,21 +201,17 @@ impl JobCore {
     /// Ends job `id` early for `why`, once — sealed or not; a later end is
     /// ignored and returns `false`. Batches waiting in the reorder buffer
     /// are freed; the device discards the job
-    /// ([`MapBackend::discard_job`]) and its accounting is folded in (the
-    /// freed releases of *other* jobs in `stats`, this job's
-    /// already-dispatched remainder as `accounted_after_cancel`) *under the
-    /// core lock*, so no finalize can slip between the end and the merge.
-    /// Taking device locks under it is safe: nothing takes them the other
-    /// way round.
+    /// ([`MapBackend::discard_job`]) and its already-dispatched remainder
+    /// lands in `accounted_after_cancel` *under the core lock*, so no
+    /// finalize can slip between the end and the record. Taking device
+    /// locks under it is safe: nothing takes them the other way round.
     pub(super) fn end(&mut self, why: End, discard_job: &DiscardFn<'_>, id: u64) -> bool {
         if self.ended().is_some() {
             return false;
         }
         self.life = Life::Ended(why);
         self.reorder.clear();
-        let report = discard_job(id);
-        self.backend.merge(&report.stats);
-        self.accounted_after_cancel = report.pairs_accounted;
+        self.accounted_after_cancel = discard_job(id);
         true
     }
 
@@ -260,7 +255,6 @@ mod tests {
     use crate::queue::DispatchQueue;
     use crate::sink::VecSink;
     use crate::{ServiceBuilder, SystemClock};
-    use gx_backend::DiscardReport;
     use gx_telemetry::Telemetry;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -269,7 +263,7 @@ mod tests {
         let discards = AtomicUsize::new(0);
         let discard = |_job: u64| {
             discards.fetch_add(1, Ordering::SeqCst);
-            DiscardReport::default()
+            0
         };
         let shared = Shared {
             queue: DispatchQueue::new(1),

@@ -6,7 +6,7 @@ use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::clock::Clock;
 use crate::engine::PipelineReport;
 use crate::queue::DispatchQueue;
-use gx_backend::{BackendStats, DiscardReport};
+use gx_backend::BackendStats;
 use gx_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ pub(super) struct Sched {
 
 /// Backend-erased [`MapBackend::discard_job`]: cancel handles and the
 /// deadline timer end jobs without knowing the backend type.
-pub(super) type DiscardFn<'b> = dyn Fn(u64) -> DiscardReport + Sync + 'b;
+pub(super) type DiscardFn<'b> = dyn Fn(u64) -> u64 + Sync + 'b;
 
 /// Everything the service's threads share by reference. The `'b`
 /// lifetime borrows the backend for the type-erased discard.

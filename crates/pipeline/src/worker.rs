@@ -12,6 +12,7 @@ use gx_genome::SamRecord;
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::HashMap;
 use std::io;
+use std::time::Instant;
 
 /// Batches a stream may have admitted past its last in-order processed
 /// one. Bounds the reorder buffer: without it, one slow early batch would
@@ -42,7 +43,7 @@ impl<'b, B: MapBackend> Worker<'b, B> {
         policy: FallbackPolicy,
     ) -> Worker<'b, B> {
         Worker {
-            session: backend.session(id),
+            session: backend.session(),
             policy,
             rec: telemetry.recorder(id as u32),
             queue_wait_h: telemetry.histogram(
@@ -67,10 +68,12 @@ impl<'b, B: MapBackend> Worker<'b, B> {
     }
 
     /// Maps one batch at `tag` and renders its SAM records, consuming the
-    /// pairs. Per-pair outcomes are recorded into `stats`; the backend's
-    /// accounting for the call is returned for the caller's shard. The tag
-    /// is what lets shared-device backends admit in input order no matter
-    /// which worker got the batch or when.
+    /// pairs. Per-pair outcomes are recorded into `stats`; the call's wall
+    /// fields (one batch, its pairs, the nanoseconds inside `map`) are
+    /// returned for the caller's shard — a backend reports modeled cost
+    /// only at [`MapBackend::flush`]. The tag is what lets shared-device
+    /// backends admit in input order no matter which worker got the batch
+    /// or when.
     ///
     /// # Panics
     ///
@@ -82,20 +85,27 @@ impl<'b, B: MapBackend> Worker<'b, B> {
         stats: &mut PipelineStats,
     ) -> (BackendStats, Vec<SamRecord>) {
         let t_map = self.rec.start();
-        let out = self.session.map(tag, &pairs);
+        let started = Instant::now();
+        let results = self.session.map(tag, &pairs);
+        let wall = BackendStats {
+            batches: 1,
+            pairs: pairs.len() as u64,
+            busy_ns: started.elapsed().as_nanos() as u64,
+            ..BackendStats::default()
+        };
         let map_ns = self.rec.span_arg("map_batch", t_map, tag.index);
         self.rec.record(self.map_h, map_ns);
         assert_eq!(
-            out.results.len(),
+            results.len(),
             pairs.len(),
             "backend returned a result count different from the batch size"
         );
         let mut records = Vec::with_capacity(pairs.len() * 2);
-        for (pair, res) in pairs.into_iter().zip(out.results) {
+        for (pair, res) in pairs.into_iter().zip(results) {
             stats.record(&res);
             emit_pair_records(res.mapping, pair, self.policy, &mut records);
         }
-        (out.stats, records)
+        (wall, records)
     }
 }
 

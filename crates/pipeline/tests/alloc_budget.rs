@@ -1,14 +1,14 @@
 //! The whole-run allocation budget of the engine: FASTQ-shaped pairs in,
 //! SAM records out, every thread counted. `crates/backend/tests/
 //! alloc_budget.rs` holds the mapping core to ≈0 allocations per pair in
-//! steady state; this gate holds everything around it — the feeder's batch
-//! vectors, the worker step, record materialisation, the emitter — to a
-//! handful.
+//! steady state; this gate holds everything around it — the front end's
+//! batch vectors, the worker step, record materialisation, emission — to
+//! a handful.
 //!
 //! The counting `#[global_allocator]` is process-wide (the run spans the
-//! feeder, worker and emitter threads, so a thread-local gate would miss
-//! most of it); this file therefore holds exactly one `#[test]`, so nothing
-//! else allocates while the engine runs.
+//! calling thread's front end and the worker threads, so a thread-local
+//! gate would miss most of it); this file therefore holds exactly one
+//! `#[test]`, so nothing else allocates while the engine runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io;

@@ -25,8 +25,9 @@
 //!   statistics, and an ordered SAM emitter (see below).
 //! * [`backend`] — pluggable mapping backends behind the
 //!   [`backend::MapBackend`] factory / [`backend::MapSession`] session
-//!   split, whose whole contract is one call —
-//!   `session.map(BatchTag { job, index }, &pairs)`: the software
+//!   split, whose contract is two calls —
+//!   `session.map(BatchTag { job, index }, &pairs)` for results and one
+//!   `backend.flush()` for the run's modeled cost: the software
 //!   reference and the NMSL accelerator system model (one shared warm
 //!   device every session admits into in tag order, GenDP fallback
 //!   costing, host-link transfer accounting with double-buffered DMA

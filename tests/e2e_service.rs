@@ -48,10 +48,9 @@
 //!    bytes, and `serve` returns normally.
 
 use genpairx::backend::{
-    BackendStats, BatchResult, BatchTag, DiscardReport, MapBackend, MapSession, NmslBackend,
-    SoftwareBackend,
+    BackendStats, BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend,
 };
-use genpairx::core::{GenPairConfig, GenPairMapper};
+use genpairx::core::{GenPairConfig, GenPairMapper, PairMapResult};
 use genpairx::genome::{GenomeError, ReferenceGenome, SamRecord};
 use genpairx::pipeline::{
     map_serial, FallbackPolicy, JobHandle, JobOutcome, JobReport, JobSpec, ManualClock,
@@ -99,6 +98,7 @@ struct WarmFingerprint {
     transfer_bits: u64,
     dram_bytes: u64,
     dram_requests: u64,
+    input_bytes: u64,
     pairs: u64,
 }
 
@@ -113,6 +113,7 @@ impl WarmFingerprint {
             transfer_bits: b.transfer_seconds.to_bits(),
             dram_bytes: b.dram_bytes,
             dram_requests: b.dram_requests,
+            input_bytes: b.input_bytes,
             pairs: b.pairs,
         }
     }
@@ -202,17 +203,18 @@ fn run_service(
         .threads(threads)
         .ingesters(ingesters)
         .queue_depth(4)
-        // The liveness layer rides along armed: a healthy run never hits
-        // a deadline, so a cancel here means the service stalled a job.
-        .default_job_timeout(JOIN_BOUND)
         .serve(backend, |svc| {
             let handles: Vec<_> = jobs
                 .iter()
                 .enumerate()
                 .map(|(i, job)| {
+                    // The liveness layer rides along armed: a healthy run
+                    // never hits a deadline, so a cancel here means the
+                    // service stalled a job.
                     let spec = JobSpec::new()
                         .batch_size(BATCH_SIZES[i % BATCH_SIZES.len()])
-                        .priority(PRIORITIES[i % PRIORITIES.len()]);
+                        .priority(PRIORITIES[i % PRIORITIES.len()])
+                        .deadline(JOIN_BOUND);
                     let sink = SamTextSink::with_header(genome, Vec::new()).unwrap();
                     svc.submit_pairs(spec, job.clone(), sink).unwrap()
                 })
@@ -596,25 +598,25 @@ impl<B: MapBackend> MapBackend for PanicOn<B> {
         self.0.name()
     }
 
-    fn session(&self, worker_id: usize) -> Self::Session<'_> {
-        PanicOnSession(self.0.session(worker_id))
+    fn session(&self) -> Self::Session<'_> {
+        PanicOnSession(self.0.session())
     }
 
     fn flush(&self) -> BackendStats {
         self.0.flush()
     }
 
-    fn seal_job(&self, job: u64, batches: u64) -> BackendStats {
+    fn seal_job(&self, job: u64, batches: u64) {
         self.0.seal_job(job, batches)
     }
 
-    fn discard_job(&self, job: u64) -> DiscardReport {
+    fn discard_job(&self, job: u64) -> u64 {
         self.0.discard_job(job)
     }
 }
 
 impl<S: MapSession> MapSession for PanicOnSession<S> {
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> BatchResult {
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
         assert!(
             pairs.iter().all(|p| p.id != POISON),
             "injected mapping failure"

@@ -48,6 +48,7 @@ struct WarmFingerprint {
     transfer_bits: u64,
     dram_bytes: u64,
     dram_requests: u64,
+    input_bytes: u64,
     pairs: u64,
 }
 
@@ -62,6 +63,7 @@ impl WarmFingerprint {
             transfer_bits: b.transfer_seconds.to_bits(),
             dram_bytes: b.dram_bytes,
             dram_requests: b.dram_requests,
+            input_bytes: b.input_bytes,
             pairs: b.pairs,
         }
     }
