@@ -62,7 +62,6 @@ use crate::queue::DispatchQueue;
 use gx_backend::{BackendStats, MapBackend};
 use ingest::{run_ingester, run_timer};
 use sched::{AbortOnPanic, Sched, Shared};
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use worker::run_worker;
@@ -169,7 +168,6 @@ impl MappingService {
             telemetry,
             clock,
             discard: &|job| backend.discard_job(job),
-            ingesters_live: AtomicUsize::new(cfg.ingesters),
         };
         for w in 0..cfg.threads {
             shared
@@ -213,6 +211,8 @@ impl MappingService {
             for ingester in ingesters {
                 ingester.join().expect("service ingest thread panicked");
             }
+            // Nothing feeds the queue any more: workers drain it and stop.
+            shared.queue.close();
             timer.join().expect("service deadline timer panicked");
             for worker in workers {
                 worker.join().expect("mapping worker panicked");

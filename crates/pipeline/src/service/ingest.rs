@@ -6,7 +6,6 @@ use crate::worker::inflight_window;
 use gx_backend::MapBackend;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,8 +124,8 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
 /// One ingest-pool thread: claims a job, feeds it one priority-weighted
 /// visit, returns it to the pool (or drops it once closed), repeat. A
 /// blocking input iterator blocks only its owner — the rest of the pool
-/// keeps every other job flowing. The last ingester to exit closes the
-/// dispatch queue so workers drain and stop.
+/// keeps every other job flowing. `serve` closes the dispatch queue once
+/// the whole pool has exited.
 pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, ingester_id: usize) {
     let _teardown = AbortOnPanic(shared);
     let mut rec = shared
@@ -187,9 +186,6 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
                 .expect("scheduler poisoned");
             drop(guard);
         }
-    }
-    if shared.ingesters_live.fetch_sub(1, Ordering::AcqRel) == 1 {
-        shared.queue.close();
     }
 }
 

@@ -274,7 +274,6 @@ mod tests {
             backend_name: "test",
             clock: Arc::new(SystemClock::new()),
             discard: &discard,
-            ingesters_live: AtomicUsize::new(0),
         };
         let job = Arc::new(JobState {
             id: 0,

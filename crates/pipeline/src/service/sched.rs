@@ -10,7 +10,6 @@ use gx_backend::BackendStats;
 use gx_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -57,9 +56,6 @@ pub(super) struct Shared<'b> {
     pub(super) clock: Arc<dyn Clock>,
     /// Discards jobs from the device without knowing the backend type.
     pub(super) discard: &'b DiscardFn<'b>,
-    /// Ingesters still running; the last one out closes the dispatch
-    /// queue so workers drain and exit.
-    pub(super) ingesters_live: AtomicUsize,
 }
 
 impl Shared<'_> {

@@ -8,14 +8,11 @@
 //! giving constant relative error (within 2×) over the full `u64` range
 //! with a fixed, tiny footprint.
 //!
-//! Two representations share the bucketing:
-//!
-//! * [`HistogramSnapshot`] — plain counters, the merge/quantile algebra
-//!   (a commutative monoid; `crates/telemetry/tests/props.rs` pins it);
-//! * [`AtomicHistogram`] — one shard's live recorder: relaxed atomic
-//!   increments, readable lock-free at any time.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`HistogramSnapshot`] is the one representation: plain counters with a
+//! merge/quantile algebra (a commutative monoid;
+//! `crates/telemetry/tests/props.rs` pins it). A recorder owns one per
+//! registered series and merges them into the registry's totals when it
+//! flushes.
 
 /// Bucket count: bucket 0 holds the value 0, bucket `i ≥ 1` holds values
 /// with bit length `i` (`2^(i-1) ..= 2^i - 1`), so every `u64` has exactly
@@ -44,11 +41,11 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// An immutable log2 histogram: per-bucket counts plus exact count, sum and
-/// max of the recorded samples. Merging is element-wise addition (max of
-/// maxes) — a commutative monoid with the empty histogram as identity, so
-/// sharded-then-merged recording equals serial recording of the same
-/// samples in any order.
+/// A log2 histogram: per-bucket counts plus exact count, sum and max of the
+/// recorded samples. Merging is element-wise addition (max of maxes) — a
+/// commutative monoid with the empty histogram as identity, so recording
+/// per recorder and merging equals serial recording of the same samples in
+/// any order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket sample counts (see [`bucket_index`]).
@@ -135,58 +132,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// One shard's live histogram: relaxed atomic counters, recorded to by the
-/// owning worker and read lock-free by [`snapshot`](Self::snapshot) at any
-/// time. `sum`/`max` race individually against in-flight records (each
-/// field is independently atomic), so a mid-run snapshot is a consistent
-/// *approximation*; once the recording side has quiesced it is exact.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    counts: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> AtomicHistogram {
-        AtomicHistogram::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// A zeroed histogram.
-    pub fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample: four relaxed atomic ops, no allocation.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Reads the current counters into an immutable snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot::new();
-        for (dst, src) in snap.counts.iter_mut().zip(&self.counts) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        snap.count = self.count.load(Ordering::Relaxed);
-        snap.sum = self.sum.load(Ordering::Relaxed);
-        snap.max = self.max.load(Ordering::Relaxed);
-        snap
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,16 +173,5 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn atomic_matches_serial() {
-        let atomic = AtomicHistogram::new();
-        let mut serial = HistogramSnapshot::new();
-        for v in [0, 1, 7, 8, 1 << 20, u64::MAX, 3, 3, 3] {
-            atomic.record(v);
-            serial.record(v);
-        }
-        assert_eq!(atomic.snapshot(), serial);
     }
 }

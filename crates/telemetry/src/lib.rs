@@ -12,8 +12,8 @@
 //!    handle; every recorder method is a branch on that `Option` and
 //!    returns without reading the clock, touching an atomic, or
 //!    allocating. `crates/telemetry/tests/no_alloc.rs` pins the
-//!    no-allocation half; the bench README documents the A/B throughput
-//!    budget for the enabled path.
+//!    no-allocation half; the enabled path's cost is measured by
+//!    `gxbench`'s `telemetry.overhead_pct` row.
 //! 2. **Accounting-inert.** Telemetry observes wall-clock time; modeled
 //!    statistics (`BackendStats`, `PipelineStats`) are *simulated* time.
 //!    Wall-clock reads flow only into telemetry buffers, never into
@@ -27,15 +27,16 @@
 //! The moving parts:
 //!
 //! * [`MetricsRegistry`] — named log2 histograms of wall-clock waits and
-//!   per-event depths, sharded one shard per [`Recorder`] (the
-//!   `PipelineStats` idiom) and merged lock-free at [`Telemetry::snapshot`]
-//!   time. Histograms only: a count or a level some report struct already
+//!   per-event depths: the totals every [`Recorder`] has published.
+//!   Histograms only: a count or a level some report struct already
 //!   carries (`PipelineReport`, `PipelineStats`, `DeviceCounters`,
 //!   `JobReport`) lives there and is not re-exported here.
-//! * [`Recorder`] — a per-thread handle owning one metrics shard and one
-//!   fixed-capacity [`SpanRing`] of duration spans and counter *samples*
-//!   (a value over time, which no end-of-run struct has); recording is
-//!   lock-free and allocation-free.
+//! * [`Recorder`] — a per-thread handle owning one [`HistogramSnapshot`]
+//!   per histogram slot and one fixed-capacity [`SpanRing`] of duration
+//!   spans and counter *samples* (a value over time, which no end-of-run
+//!   struct has); recording is lock-free and allocation-free. Both are
+//!   published together when the recorder flushes or drops, and nothing
+//!   of the recorder outlives it.
 //! * [`chrome_trace_json`] — exports collected spans as Chrome
 //!   trace-event JSON, viewable in Perfetto or `chrome://tracing`.
 //! * [`MetricsSnapshot::to_prometheus`] — the histograms as Prometheus
@@ -55,7 +56,7 @@
 //! // ... the timed region ...
 //! let dur_ns = rec.span("queue_wait", t0);
 //! rec.record(wait, dur_ns);
-//! drop(rec); // flushes the span ring
+//! drop(rec); // publishes the histogram and the span ring
 //!
 //! let snap = telemetry.snapshot().unwrap();
 //! assert_eq!(snap.histogram("gx_wait_ns").unwrap().count, 1);
@@ -71,9 +72,7 @@ mod registry;
 mod spans;
 mod trace;
 
-pub use histogram::{
-    bucket_index, bucket_upper_bound, AtomicHistogram, HistogramSnapshot, HISTOGRAM_BUCKETS,
-};
+pub use histogram::{bucket_index, bucket_upper_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{
     HistogramId, HistogramValue, MetricDesc, MetricsRegistry, MetricsSnapshot, MAX_METRICS,
 };
@@ -96,8 +95,8 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
-            // 16Ki events ≈ 640 KiB per recorder: enough for every batch of
-            // the bench workloads, small enough to never matter.
+            // 16Ki events × 48 B = 768 KiB per recorder: enough for every
+            // batch of the bench workloads, small enough to never matter.
             ring_capacity: 16_384,
         }
     }
@@ -167,13 +166,13 @@ impl Telemetry {
     }
 
     /// Creates a recorder for one thread of execution, on span track
-    /// `track`. Each call allocates a fresh metrics shard and span ring;
-    /// dropping the recorder (or calling [`Recorder::flush`]) publishes
-    /// its ring into the central event log.
+    /// `track`. Each call allocates the recorder's histogram slots and
+    /// span ring, and nothing else; [`Recorder::flush`] (which `Drop`
+    /// calls) publishes both, and dropping the recorder frees them.
     pub fn recorder(&self, track: u32) -> Recorder {
         Recorder {
             inner: self.inner.as_ref().map(|inner| RecorderInner {
-                shard: inner.registry.new_shard(),
+                histograms: vec![HistogramSnapshot::new(); MAX_METRICS].into_boxed_slice(),
                 ring: SpanRing::with_capacity(inner.config.ring_capacity),
                 telemetry: Arc::clone(inner),
                 track,
@@ -201,7 +200,10 @@ impl Telemetry {
         }
     }
 
-    /// Merges every shard into a [`MetricsSnapshot`]; `None` when disabled.
+    /// The histograms recorders have published so far, as a
+    /// [`MetricsSnapshot`]; `None` when disabled. Live recorders hold
+    /// their samples until flushed or dropped, as they hold their spans
+    /// for [`chrome_trace`](Telemetry::chrome_trace).
     pub fn snapshot(&self) -> Option<MetricsSnapshot> {
         self.inner.as_ref().map(|inner| inner.registry.snapshot())
     }
@@ -237,7 +239,8 @@ impl Telemetry {
 #[derive(Debug)]
 struct RecorderInner {
     telemetry: Arc<Inner>,
-    shard: Arc<registry::Shard>,
+    /// One histogram per slot, indexed by [`HistogramId`].
+    histograms: Box<[HistogramSnapshot]>,
     ring: SpanRing,
     track: u32,
 }
@@ -247,12 +250,12 @@ struct RecorderInner {
 #[derive(Clone, Copy, Debug)]
 pub struct SpanStart(Option<Instant>);
 
-/// A per-thread recording handle: one metrics shard plus one span ring,
+/// A per-thread recording handle: histogram slots plus one span ring,
 /// both private to the owner. All methods are no-ops (a predicted branch)
 /// when the parent [`Telemetry`] is disabled.
 ///
-/// Dropping the recorder flushes its span ring into the parent's central
-/// event log; call [`flush`](Recorder::flush) to publish earlier.
+/// Dropping the recorder publishes its histograms and span ring to the
+/// parent; call [`flush`](Recorder::flush) to publish earlier.
 #[derive(Debug, Default)]
 pub struct Recorder {
     inner: Option<RecorderInner>,
@@ -328,20 +331,22 @@ impl Recorder {
         });
     }
 
-    /// Records `v` into histogram `id` in this recorder's shard.
+    /// Records `v` into this recorder's slot for histogram `id`.
     #[inline]
-    pub fn record(&self, id: HistogramId, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.shard.histogram_record(id, v);
+    pub fn record(&mut self, id: HistogramId, v: u64) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.histograms[id.0 as usize].record(v);
         }
     }
 
-    /// Publishes the span ring into the parent's central event log and
-    /// adds its overwrite count to [`Telemetry::dropped_events`]. The
-    /// recorder stays usable; `Drop` flushes whatever accumulates after.
+    /// Merges the histogram slots into the parent's totals, publishes the
+    /// span ring into its central event log and adds the overwrites since
+    /// the last flush to [`Telemetry::dropped_events`]. The recorder stays
+    /// usable; `Drop` flushes whatever accumulates after.
     pub fn flush(&mut self) {
         if let Some(inner) = self.inner.as_mut() {
-            let dropped = inner.ring.dropped();
+            inner.telemetry.registry.publish(&mut inner.histograms);
+            let dropped = inner.ring.take_dropped();
             if dropped > 0 {
                 inner
                     .telemetry
@@ -408,7 +413,7 @@ mod tests {
         let h = t.histogram("gx_wait_ns", "wait");
         {
             let mut a = t.recorder(0);
-            let b = t.recorder(1);
+            let mut b = t.recorder(1);
             let t0 = a.start();
             a.span("queue_wait", t0);
             a.record(h, 2);
@@ -419,6 +424,22 @@ mod tests {
         assert_eq!((merged.count, merged.sum), (2, 5));
         let json = t.chrome_trace().unwrap();
         assert!(json.contains("queue_wait"));
+    }
+
+    #[test]
+    fn histograms_publish_at_flush_and_each_sample_once() {
+        let t = Telemetry::enabled();
+        let h = t.histogram("gx_wait_ns", "wait");
+        let published = || *t.snapshot().unwrap().histogram("gx_wait_ns").unwrap();
+        let mut rec = t.recorder(0);
+        rec.record(h, 2);
+        assert!(published().is_empty());
+        rec.flush();
+        assert_eq!((published().count, published().sum), (1, 2));
+        rec.record(h, 3);
+        drop(rec);
+        let merged = published();
+        assert_eq!((merged.count, merged.sum, merged.max), (2, 5, 3));
     }
 
     #[test]
@@ -444,6 +465,7 @@ mod tests {
             let t0 = rec.start();
             rec.span("tick", t0);
         }
+        rec.flush();
         drop(rec);
         assert_eq!(t.dropped_events(), 3);
         assert_eq!(t.take_events().len(), 2);

@@ -1,12 +1,11 @@
-//! The sharded histogram registry.
+//! The histogram registry.
 //!
-//! The same idiom as `PipelineStats`: every recording thread owns a *shard*
-//! of plain atomic slots, and nothing is merged until somebody asks for a
-//! [`MetricsSnapshot`]. Registration (naming a histogram) is the only
-//! locked operation and happens at setup time; the record path is an index
-//! into a preallocated atomic array — lock-free, allocation-free, and
-//! private to the owning worker except for the cache line the snapshot
-//! reader eventually loads.
+//! Registration (naming a histogram) happens at setup time and hands out a
+//! [`HistogramId`]. Each [`Recorder`](crate::Recorder) records into its own
+//! plain [`HistogramSnapshot`] slots, indexed by that id — no lock, no
+//! atomic, no allocation — and publishes them here when it flushes, the
+//! same moment it publishes its span ring. The registry keeps the merged
+//! totals; a dropped recorder leaves nothing behind but its samples.
 //!
 //! The registry holds histograms and nothing else. A count or a level that
 //! a report struct already carries (`PipelineReport`, `PipelineStats`,
@@ -14,17 +13,17 @@
 //! here is what no struct can say — how a wall-clock wait or a per-event
 //! depth was *distributed* over a run. The set is fixed and small
 //! (ARCHITECTURE.md, "Observability", lists it), so slot capacity is fixed
-//! too ([`MAX_METRICS`]): shards preallocate once and ids stay valid for
-//! every shard created before *or after* registration.
+//! too ([`MAX_METRICS`]): a recorder allocates its slots once, and ids stay
+//! valid for every recorder created before *or after* registration.
 
-use std::sync::{Arc, RwLock};
+use std::sync::{Mutex, RwLock};
 
-use crate::histogram::{bucket_upper_bound, AtomicHistogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+use crate::histogram::{bucket_upper_bound, HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// Fixed number of histogram slots. Registration past this panics — the
 /// series are a curated, documented taxonomy, not a dynamic namespace, and
-/// a fixed capacity is what lets every shard preallocate and record
-/// lock-free.
+/// a fixed capacity is what lets every recorder preallocate its slots and
+/// record allocation-free.
 pub const MAX_METRICS: usize = 64;
 
 /// Identifies a registered histogram. Cheap to copy, valid for the
@@ -41,32 +40,16 @@ pub struct MetricDesc {
     pub help: String,
 }
 
-/// One recording thread's slots: a preallocated histogram array indexed by
-/// id. All loads/stores are relaxed — slots are independent monotone
-/// counters, and exactness is only claimed after the recording side has
-/// quiesced (workers joined), which is when reports snapshot.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    histograms: Vec<AtomicHistogram>,
-}
-
-impl Shard {
-    #[inline]
-    pub(crate) fn histogram_record(&self, id: HistogramId, v: u64) {
-        self.histograms[id.0 as usize].record(v);
-    }
-}
-
 /// The registry: histogram descriptors (locked, setup-time only) plus the
-/// list of live shards (one per recorder).
+/// totals recorders have published, indexed by id.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     histograms: RwLock<Vec<MetricDesc>>,
-    shards: RwLock<Vec<Arc<Shard>>>,
+    totals: Mutex<Vec<HistogramSnapshot>>,
 }
 
 impl MetricsRegistry {
-    /// An empty registry with no shards.
+    /// An empty registry: no histograms, nothing published.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
     }
@@ -92,36 +75,36 @@ impl MetricsRegistry {
         HistogramId((descs.len() - 1) as u16)
     }
 
-    /// Creates a fresh shard for one recording thread and enrolls it for
-    /// snapshot merging.
-    pub(crate) fn new_shard(&self) -> Arc<Shard> {
-        let shard = Arc::new(Shard {
-            histograms: (0..MAX_METRICS).map(|_| AtomicHistogram::new()).collect(),
-        });
-        self.shards.write().unwrap().push(Arc::clone(&shard));
-        shard
+    /// Merges a recorder's non-empty `slots` into the published totals
+    /// and empties them, so the recorder's next publish adds only the
+    /// samples recorded since.
+    pub(crate) fn publish(&self, slots: &mut [HistogramSnapshot]) {
+        let mut totals = self.totals.lock().unwrap();
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.is_empty() {
+                continue;
+            }
+            if totals.len() <= i {
+                totals.resize(i + 1, HistogramSnapshot::new());
+            }
+            totals[i].merge(slot);
+            *slot = HistogramSnapshot::new();
+        }
     }
 
-    /// Merges every shard into an immutable snapshot. Reads are relaxed
-    /// atomics — exact once recorders have quiesced, a consistent
-    /// approximation mid-run.
+    /// Every registered histogram with the totals published so far. A
+    /// recorder's samples appear once it flushes or drops.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let shards = self.shards.read().unwrap();
+        let totals = self.totals.lock().unwrap();
         let histograms = self
             .histograms
             .read()
             .unwrap()
             .iter()
             .enumerate()
-            .map(|(i, d)| {
-                let mut merged = HistogramSnapshot::new();
-                for s in shards.iter() {
-                    merged.merge(&s.histograms[i].snapshot());
-                }
-                HistogramValue {
-                    desc: d.clone(),
-                    hist: merged,
-                }
+            .map(|(i, d)| HistogramValue {
+                desc: d.clone(),
+                hist: totals.get(i).copied().unwrap_or_default(),
             })
             .collect();
         MetricsSnapshot { histograms }
@@ -133,12 +116,12 @@ impl MetricsRegistry {
 pub struct HistogramValue {
     /// Name and help text.
     pub desc: MetricDesc,
-    /// Element-wise merge of every shard's histogram.
+    /// Element-wise merge of every sample published into it.
     pub hist: HistogramSnapshot,
 }
 
-/// An immutable point-in-time merge of every shard, with lookup by name
-/// and a Prometheus text exposition.
+/// The published totals at one point in time, with lookup by name and a
+/// Prometheus text exposition.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// All registered histograms, in registration order.
@@ -186,16 +169,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registration_is_idempotent_and_snapshot_merges_shards() {
+    fn registration_is_idempotent_and_snapshot_merges_publishes() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("gx_lat_ns", "test histogram");
         assert_eq!(h, reg.histogram("gx_lat_ns", "test histogram"));
         assert_ne!(h, reg.histogram("gx_depth", "another"));
 
-        let s1 = reg.new_shard();
-        let s2 = reg.new_shard();
-        s1.histogram_record(h, 100);
-        s2.histogram_record(h, 200);
+        let mut slots = [HistogramSnapshot::new(); 2];
+        slots[h.0 as usize].record(100);
+        reg.publish(&mut slots);
+        assert!(slots.iter().all(HistogramSnapshot::is_empty));
+        slots[h.0 as usize].record(200);
+        reg.publish(&mut slots);
 
         let snap = reg.snapshot();
         let hist = snap.histogram("gx_lat_ns").unwrap();
@@ -221,9 +206,10 @@ mod tests {
     fn prometheus_text_has_help_type_and_inf_bucket() {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("gx_wait_ns", "wait");
-        let shard = reg.new_shard();
-        shard.histogram_record(h, 9);
-        shard.histogram_record(h, 3);
+        let mut slots = [HistogramSnapshot::new()];
+        slots[h.0 as usize].record(9);
+        slots[h.0 as usize].record(3);
+        reg.publish(&mut slots);
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("# HELP gx_wait_ns wait"));
         assert!(text.contains("# TYPE gx_wait_ns histogram"));

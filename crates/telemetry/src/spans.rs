@@ -103,9 +103,16 @@ impl SpanRing {
         self.len == 0
     }
 
-    /// Events overwritten after the ring filled.
+    /// Events overwritten after the ring filled (since a recorder's last
+    /// flush took the count).
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Returns the overwrite count and resets it, so each flush reports
+    /// only the overwrites since the one before.
+    pub(crate) fn take_dropped(&mut self) -> u64 {
+        std::mem::take(&mut self.dropped)
     }
 
     /// Drains the live events oldest-first, leaving the ring empty (its

@@ -1,6 +1,7 @@
 //! The zero-cost-when-disabled guard: a disabled [`Recorder`] must never
 //! allocate on the record path, and an enabled one must only allocate at
-//! setup (shard + ring) and flush — never per event.
+//! setup (histogram slots + ring) and flush — never per event. A dropped
+//! recorder must leave no heap bytes behind.
 //!
 //! The check is a counting `#[global_allocator]` wrapping the system
 //! allocator, gated on a thread-local flag so that only the measured
@@ -10,13 +11,15 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use gx_telemetry::Telemetry;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated minus bytes freed while tracking.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
@@ -27,11 +30,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // `try_with` so allocation during TLS teardown stays safe.
         if TRACKING.try_with(|t| t.get()).unwrap_or(false) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if TRACKING.try_with(|t| t.get()).unwrap_or(false) {
+            LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -39,12 +46,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::SeqCst);
+/// Runs `f` with tracking on; returns (allocations, heap bytes left
+/// allocated).
+fn tracked(f: impl FnOnce()) -> (u64, i64) {
+    let (allocs, bytes) = (
+        ALLOCS.load(Ordering::SeqCst),
+        LIVE_BYTES.load(Ordering::SeqCst),
+    );
     TRACKING.with(|t| t.set(true));
     f();
     TRACKING.with(|t| t.set(false));
-    ALLOCS.load(Ordering::SeqCst) - before
+    (
+        ALLOCS.load(Ordering::SeqCst) - allocs,
+        LIVE_BYTES.load(Ordering::SeqCst) - bytes,
+    )
+}
+
+fn allocations(f: impl FnOnce()) -> u64 {
+    tracked(f).0
 }
 
 #[test]
@@ -86,4 +105,20 @@ fn record_paths_do_not_allocate() {
     drop(rec);
     let snap = telemetry.snapshot().unwrap();
     assert_eq!(snap.histogram("gx_wait_ns").unwrap().count, 100_000);
+
+    // A dropped recorder retains nothing: its slots and ring are freed and
+    // its samples are merged into totals the handle already holds, so
+    // recorder churn on one handle does not grow the heap.
+    let (_, retained) = tracked(|| {
+        for i in 0..100u64 {
+            let mut rec = telemetry.recorder(0);
+            rec.record(h, i);
+        }
+    });
+    assert_eq!(
+        retained, 0,
+        "100 dropped recorders left {retained} heap bytes"
+    );
+    let snap = telemetry.snapshot().unwrap();
+    assert_eq!(snap.histogram("gx_wait_ns").unwrap().count, 100_100);
 }

@@ -2,8 +2,8 @@
 //!
 //! Every number `gx-telemetry` reports rests on two facts: bucketing is a
 //! total, monotone map from `u64` to a fixed bucket set, and snapshot
-//! merging is a commutative monoid — so per-worker sharded recording
-//! followed by a merge equals serial recording of the same samples in any
+//! merging is a commutative monoid — so per-recorder recording followed
+//! by a merge equals serial recording of the same samples in any
 //! order (the same contract `BackendStats`/`PipelineStats` shards rely
 //! on, pinned the same way in `crates/backend/tests/stats_props.rs`).
 //!
@@ -13,8 +13,7 @@
 //! buckets almost every time.
 
 use gx_telemetry::{
-    bucket_index, bucket_upper_bound, AtomicHistogram, HistogramSnapshot, Telemetry,
-    HISTOGRAM_BUCKETS,
+    bucket_index, bucket_upper_bound, HistogramSnapshot, Telemetry, HISTOGRAM_BUCKETS,
 };
 use proptest::prelude::*;
 
@@ -57,7 +56,7 @@ proptest! {
         prop_assert!(bucket_upper_bound(bucket_index(lo)) <= bucket_upper_bound(bucket_index(hi)));
     }
 
-    /// Merge is commutative on every field: shard order never matters.
+    /// Merge is commutative on every field: publish order never matters.
     #[test]
     fn merge_is_commutative(
         xs in prop::collection::vec(sample(), 0..64),
@@ -71,7 +70,7 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 
-    /// Merge is associative: folding shards pairwise in any grouping
+    /// Merge is associative: folding recorders pairwise in any grouping
     /// yields the same totals.
     #[test]
     fn merge_is_associative(
@@ -102,33 +101,11 @@ proptest! {
         prop_assert_eq!(right, a);
     }
 
-    /// Sharded-then-merged equals serial: partitioning the sample stream
-    /// across any number of [`AtomicHistogram`] shards and merging their
-    /// snapshots reproduces the serial histogram exactly — the property
-    /// that makes per-worker recording equivalent to a single recorder.
-    #[test]
-    fn sharded_then_merged_equals_serial(
-        values in prop::collection::vec((sample(), 0usize..8), 0..128),
-        n_shards in 1usize..8,
-    ) {
-        let shards: Vec<AtomicHistogram> =
-            (0..n_shards).map(|_| AtomicHistogram::new()).collect();
-        let mut serial = HistogramSnapshot::new();
-        for &(v, slot) in &values {
-            shards[slot % n_shards].record(v);
-            serial.record(v);
-        }
-        let mut merged = HistogramSnapshot::new();
-        for s in &shards {
-            merged.merge(&s.snapshot());
-        }
-        prop_assert_eq!(merged, serial);
-    }
-
-    /// The same equivalence through the public handle: recording via one
-    /// [`Recorder`](gx_telemetry::Recorder) per shard and snapshotting the
-    /// [`Telemetry`] matches serial recording, and quantiles agree
-    /// bucket-exactly.
+    /// Recorded-then-merged equals serial, through the public handle:
+    /// partitioning the sample stream across any number of
+    /// [`Recorder`](gx_telemetry::Recorder)s, dropping them (which
+    /// publishes their histograms) and snapshotting the [`Telemetry`]
+    /// matches serial recording, and quantiles agree bucket-exactly.
     #[test]
     fn telemetry_snapshot_matches_serial(
         values in prop::collection::vec((sample(), 0usize..4), 1..96),
@@ -136,13 +113,14 @@ proptest! {
     ) {
         let telemetry = Telemetry::enabled();
         let h = telemetry.histogram("gx_prop_ns", "property-test histogram");
-        let recorders: Vec<_> =
+        let mut recorders: Vec<_> =
             (0..n_shards).map(|i| telemetry.recorder(i as u32)).collect();
         let mut serial = HistogramSnapshot::new();
         for &(v, slot) in &values {
             recorders[slot % n_shards].record(h, v);
             serial.record(v);
         }
+        drop(recorders);
         let snap = telemetry.snapshot().unwrap();
         let merged = snap.histogram("gx_prop_ns").unwrap();
         prop_assert_eq!(*merged, serial);
