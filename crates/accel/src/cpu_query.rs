@@ -42,7 +42,7 @@ pub fn measure_cpu_query(
                 let mut checksum = 0u64;
                 for _ in 0..repeats {
                     for w in &shard {
-                        for s in &w.seeds {
+                        for s in w.seeds() {
                             // The real lookup: Seed Table indexing plus a
                             // walk over the Location Table slice.
                             let locs = seedmap.locations_for_hash(s.hash);

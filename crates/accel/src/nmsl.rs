@@ -21,7 +21,7 @@
 //! offsets) followed, for non-empty buckets, by a contiguous Location Table
 //! read of `4 B x locations` — dependent accesses, issued in that order.
 
-use crate::workload::{PairWorkload, SeedFetch};
+use crate::workload::{PairWorkload, PAIR_SEEDS};
 use gx_memsim::{
     ChannelCycles, Completion, DramConfig, DramPowerModel, DramSim, DramStats, Request,
 };
@@ -168,15 +168,13 @@ fn untag(t: u64) -> (u64, usize, u8) {
     (t >> 4, ((t >> 1) & 7) as usize, (t & 1) as u8)
 }
 
-/// Most seeds a pair may carry: the completion tag has three bits for the
-/// seed index.
-const MAX_SEEDS: usize = 8;
+// The completion tag has three bits for the seed index.
+const _: () = assert!(PAIR_SEEDS <= 1 << 3);
 
-/// One submitted pair's in-flight state, seeds held inline.
+/// One submitted pair's in-flight state.
 #[derive(Clone, Copy, Debug)]
 struct PairSlot {
-    seeds: [SeedFetch; MAX_SEEDS],
-    len: u32,
+    workload: PairWorkload,
     /// Seeds still outstanding; `u32::MAX` = not yet admitted to the window.
     remaining: u32,
 }
@@ -324,28 +322,13 @@ impl NmslSim {
 
     /// Submits one pair's workload to the stream. The pair enters the
     /// sliding window (and starts issuing memory traffic) once the window
-    /// has room; until then it waits in the admission queue. The seeds are
-    /// copied into the in-flight slot, so nothing is allocated per pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload holds more than 8 seeds: the completion tag
-    /// encodes the seed index in 3 bits (the hardware issues at most six
-    /// seeds per pair), and a wider index would alias another pair's tag.
+    /// has room; until then it waits in the admission queue. Its slot holds
+    /// the workload whole, so nothing is allocated per pair.
     pub fn push(&mut self, w: &PairWorkload) {
-        let seeds = &w.seeds;
-        assert!(
-            seeds.len() <= MAX_SEEDS,
-            "NMSL pair workloads are limited to 8 seeds (got {})",
-            seeds.len()
-        );
-        let mut slot = PairSlot {
-            seeds: [SeedFetch::default(); MAX_SEEDS],
-            len: seeds.len() as u32,
+        self.slots.push_back(PairSlot {
+            workload: *w,
             remaining: u32::MAX,
-        };
-        slot.seeds[..seeds.len()].copy_from_slice(seeds);
-        self.slots.push_back(slot);
+        });
         self.submitted += 1;
     }
 
@@ -407,10 +390,11 @@ impl NmslSim {
         {
             let id = self.next_admit;
             let idx = (id - self.base) as usize;
-            let slot = self.slots[idx];
-            self.slots[idx].remaining = slot.len;
+            let w = self.slots[idx].workload;
+            let seeds = w.seeds();
+            self.slots[idx].remaining = seeds.len() as u32;
             self.next_admit += 1;
-            if slot.len == 0 {
+            if seeds.is_empty() {
                 // A seedless pair is complete on admission.
                 self.completed += 1;
                 self.advance_head();
@@ -418,7 +402,7 @@ impl NmslSim {
             }
             self.inflight += 1;
             self.max_inflight = self.max_inflight.max(self.inflight);
-            for (si, s) in slot.seeds[..slot.len as usize].iter().enumerate() {
+            for (si, s) in seeds.iter().enumerate() {
                 // Seed Table read: 8 bytes at the bucket's entry pair.
                 self.enqueue(Request {
                     addr: self.seed_addr(s.hash),
@@ -472,7 +456,7 @@ impl NmslSim {
         for c in &out {
             let (pi, si, phase) = untag(c.tag);
             let idx = (pi - self.base) as usize;
-            let s = self.slots[idx].seeds[si];
+            let s = self.slots[idx].workload.seeds()[si];
             if phase == 0 && s.locations > 0 {
                 // Dependent Location Table read (contiguous burst).
                 self.enqueue(Request {
@@ -578,7 +562,7 @@ impl NmslSim {
 /// exists to remove.
 pub fn shard_for_workload(w: &PairWorkload, global_index: u64, shards: usize) -> usize {
     debug_assert!(shards > 0, "a sharded device needs at least one lane");
-    let key = match w.seeds.first() {
+    let key = match w.seeds().first() {
         Some(s) => mix32(s.hash),
         None => mix32(global_index as u32 ^ (global_index >> 32) as u32),
     };
@@ -609,7 +593,7 @@ pub struct LaneCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{synthetic_workloads, PairWorkload, SeedFetch};
+    use crate::workload::{synthetic_workloads, SeedFetch};
     use gx_genome::random::RandomGenomeBuilder;
     use gx_seedmap::{SeedMap, SeedMapConfig};
 
@@ -634,7 +618,8 @@ mod tests {
             res.dram.completed,
             ws.iter()
                 .map(|w| {
-                    w.seeds.len() as u64 + w.seeds.iter().filter(|s| s.locations > 0).count() as u64
+                    let seeds = w.seeds();
+                    seeds.len() as u64 + seeds.iter().filter(|s| s.locations > 0).count() as u64
                 })
                 .sum::<u64>()
         );
@@ -771,13 +756,11 @@ mod tests {
 
     #[test]
     fn empty_bucket_seeds_complete_without_location_read() {
-        let ws = vec![PairWorkload {
-            seeds: vec![SeedFetch {
-                hash: 42,
-                loc_start: 0,
-                locations: 0,
-            }],
-        }];
+        let ws = [PairWorkload::new([SeedFetch {
+            hash: 42,
+            loc_start: 0,
+            locations: 0,
+        }])];
         let mut sim = NmslSim::new(DramConfig::hbm2e_32ch(), NmslConfig::default());
         let res = sim.run(&ws);
         assert_eq!(res.pairs, 1);

@@ -37,33 +37,56 @@ impl SeedFetch {
     }
 }
 
-/// The memory work of one read pair (up to six seeds).
-#[derive(Clone, Debug, Default)]
+/// Most seeds one pair issues: three partitioned seeds per read (§5.2).
+pub(crate) const PAIR_SEEDS: usize = 6;
+
+/// The memory work of one read pair: up to six seed fetches, held inline so
+/// that a workload is a plain `Copy` value.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairWorkload {
-    /// Seed fetches of both reads.
-    pub seeds: Vec<SeedFetch>,
+    seeds: [SeedFetch; PAIR_SEEDS],
+    len: usize,
 }
 
 impl PairWorkload {
+    /// The workload that issues `seeds`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics past six seeds: the hardware issues at most three per read.
+    pub fn new(seeds: impl IntoIterator<Item = SeedFetch>) -> PairWorkload {
+        let mut w = PairWorkload::default();
+        for s in seeds {
+            *w.seeds
+                .get_mut(w.len)
+                .expect("a pair issues at most six seeds") = s;
+            w.len += 1;
+        }
+        w
+    }
+
     /// The workload of a pair whose query-orientation reads made `lookups`.
     pub fn of_lookups<'a>(lookups: impl IntoIterator<Item = &'a SeedLookup>) -> PairWorkload {
-        let mut seeds = Vec::with_capacity(6);
-        seeds.extend(lookups.into_iter().map(|l| SeedFetch {
+        PairWorkload::new(lookups.into_iter().map(|l| SeedFetch {
             hash: l.seed.hash,
             loc_start: l.start,
             locations: (l.end - l.start) as u32,
-        }));
-        PairWorkload { seeds }
+        }))
+    }
+
+    /// Seed fetches of both reads, in issue order.
+    pub fn seeds(&self) -> &[SeedFetch] {
+        &self.seeds[..self.len]
     }
 
     /// Total Location Table entries fetched.
     pub fn total_locations(&self) -> u64 {
-        self.seeds.iter().map(|s| s.locations as u64).sum()
+        self.seeds().iter().map(|s| s.locations as u64).sum()
     }
 
     /// Total bytes moved (8 B per Seed Table read + 4 B per location).
     pub fn total_bytes(&self) -> u64 {
-        self.seeds.len() as u64 * 8 + self.total_locations() * 4
+        self.seeds().len() as u64 * 8 + self.total_locations() * 4
     }
 }
 
@@ -101,19 +124,17 @@ pub fn synthetic_workloads(
     let mut out = Vec::with_capacity(n);
     let mut codes = Vec::with_capacity(seed_len);
     for _ in 0..n {
-        let mut w = PairWorkload::default();
-        for _ in 0..6 {
+        let seeds = (0..PAIR_SEEDS).filter_map(|_| {
             // Sample a random reference window as the seed.
             let chrom = genome.chromosome(rng.random_range(0..genome.num_chromosomes() as u32));
             if chrom.len() <= seed_len {
-                continue;
+                return None;
             }
             let pos = rng.random_range(0..chrom.len() - seed_len);
             chrom.seq().codes_into(pos..pos + seed_len, &mut codes);
-            let hash = seedmap.hash_seed_codes(&codes);
-            w.seeds.push(SeedFetch::of_hash(seedmap, hash));
-        }
-        out.push(w);
+            Some(SeedFetch::of_hash(seedmap, seedmap.hash_seed_codes(&codes)))
+        });
+        out.push(PairWorkload::new(seeds));
     }
     out
 }
@@ -134,9 +155,9 @@ mod tests {
             &seq.subseq(1300..1450).revcomp(),
             &map,
         );
-        assert_eq!(w.seeds.len(), 6);
+        assert_eq!(w.seeds().len(), 6);
         // Every in-genome seed hits at least its own position.
-        assert!(w.seeds.iter().all(|s| s.locations >= 1));
+        assert!(w.seeds().iter().all(|s| s.locations >= 1));
         assert!(w.total_bytes() >= 6 * 8 + 6 * 4);
     }
 
@@ -153,5 +174,11 @@ mod tests {
             ws.iter().map(|w| w.total_locations()).sum::<u64>() as f64 / (6.0 * ws.len() as f64);
         // In-genome seeds have at least one location each.
         assert!(mean >= 1.0, "mean locations/seed {mean}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most six seeds")]
+    fn a_seventh_seed_panics() {
+        PairWorkload::new([SeedFetch::default(); 7]);
     }
 }

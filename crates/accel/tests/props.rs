@@ -14,15 +14,12 @@ fn arb_workloads() -> impl Strategy<Value = Vec<PairWorkload>> {
     .prop_map(|pairs| {
         pairs
             .into_iter()
-            .map(|seeds| PairWorkload {
-                seeds: seeds
-                    .into_iter()
-                    .map(|(hash, locations)| SeedFetch {
-                        hash,
-                        loc_start: (hash as u64) % 100_000,
-                        locations,
-                    })
-                    .collect(),
+            .map(|seeds| {
+                PairWorkload::new(seeds.into_iter().map(|(hash, locations)| SeedFetch {
+                    hash,
+                    loc_start: (hash as u64) % 100_000,
+                    locations,
+                }))
             })
             .collect()
     })
@@ -45,7 +42,7 @@ proptest! {
         // read for every non-empty seed.
         let expected: u64 = ws
             .iter()
-            .flat_map(|w| w.seeds.iter())
+            .flat_map(|w| w.seeds())
             .map(|s| 1 + (s.locations > 0) as u64)
             .sum();
         prop_assert_eq!(res.dram.completed, expected);

@@ -1,5 +1,5 @@
 use super::counters::DeviceCounters;
-use super::device::{DeviceConfig, SharedNmslDevice};
+use super::device::{lock, DeviceConfig, SharedNmslDevice};
 use super::frontier::AdmittedPair;
 use crate::{BackendStats, BatchTag, MapBackend, MapSession};
 use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
@@ -162,11 +162,7 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     /// sizes at a fixed channel count, like the warm [`BackendStats`]
     /// totals they sit next to.
     pub fn device_counters(&self) -> Option<DeviceCounters> {
-        self.device
-            .last_counters
-            .lock()
-            .expect("counters lock poisoned")
-            .clone()
+        lock(&self.device.last_counters).clone()
     }
 }
 
@@ -184,7 +180,6 @@ impl MapBackend for NmslBackend<'_, '_> {
         NmslSession {
             backend: self,
             scratch: MapScratch::new(),
-            touched: Vec::new(),
         }
     }
 
@@ -217,8 +212,6 @@ pub struct NmslSession<'s> {
     /// The session's reusable mapping arena (software-path hot buffers);
     /// after each pair it holds the lookups the device is charged for.
     scratch: MapScratch,
-    /// Per-lane "staged work" flags of one admission, kept across batches.
-    touched: Vec<bool>,
 }
 
 impl NmslSession<'_> {
@@ -241,16 +234,8 @@ impl NmslSession<'_> {
 
 impl MapSession for NmslSession<'_> {
     fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
-        let mut results = Vec::with_capacity(pairs.len());
-        let mut admissions = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            let (res, admitted) = self.map_pair(pair);
-            results.push(res);
-            admissions.push(admitted);
-        }
-        self.backend
-            .device
-            .admit(tag, admissions, &mut self.touched);
+        let (results, admissions) = pairs.iter().map(|pair| self.map_pair(pair)).unzip();
+        self.backend.device.admit(tag, admissions);
         results
     }
 }

@@ -6,7 +6,8 @@ use gx_accel::{
 };
 use gx_memsim::{DramConfig, DramPowerModel};
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// Base span track for the shared device's simulator lanes (lane `i`
 /// renders as track `LANE_TRACK_BASE + i`), far above the pipeline's
@@ -20,6 +21,13 @@ const LANE_TRACK_BASE: u32 = 2000;
 struct DeviceMetrics {
     drain_h: HistogramId,
     exposed_h: HistogramId,
+}
+
+/// Locks a device mutex, recovering it from poisoning: a panic under one
+/// (a caller's repeated batch tag) fails only the job whose call raised
+/// it, and every other job keeps using the device.
+pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// What a [`SharedNmslDevice`] models, fixed for its lifetime.
@@ -36,6 +44,9 @@ pub(super) struct DeviceConfig {
 /// its own lock so distinct lanes stream in parallel.
 struct LaneState {
     sim: NmslSim,
+    /// The lane's side of its staging queue, swapped with the frontier's
+    /// by [`SharedNmslDevice::pump_lane`] so neither side reallocates.
+    staged: VecDeque<AdmittedPair>,
     /// Host-link bytes of the quantum currently filling.
     q_input: u64,
     q_output: u64,
@@ -59,6 +70,7 @@ impl LaneState {
     fn new(config: &DeviceConfig, rec: Recorder) -> LaneState {
         LaneState {
             sim: NmslSim::new(config.dram, config.nmsl),
+            staged: VecDeque::new(),
             q_input: 0,
             q_output: 0,
             seconds: 0.0,
@@ -138,9 +150,9 @@ impl SharedNmslDevice {
     }
 
     /// Releases one pair past the frontier: price its GenDP work, count
-    /// its host-link bytes and stage it on its lane, returning the lane
-    /// index. Caller holds the frontier lock.
-    fn release_pair(&self, f: &mut Frontier, pair: AdmittedPair) -> usize {
+    /// its host-link bytes and stage it on its lane. Caller holds the
+    /// frontier lock.
+    fn release_pair(&self, f: &mut Frontier, pair: AdmittedPair) {
         let cost = self.gendp.cost(pair.cells);
         f.fallback_seconds_total += cost.seconds();
         f.fallback_energy_pj += cost.energy_pj;
@@ -149,7 +161,6 @@ impl SharedNmslDevice {
         let lane = shard_for_workload(&pair.workload, f.pairs_released, self.lanes.len());
         f.pairs_released += 1;
         f.staged[lane].push_back(pair);
-        lane
     }
 
     /// Closes the quantum filling on lane `idx`: charges its host-link
@@ -190,33 +201,32 @@ impl SharedNmslDevice {
     /// admission that completes a quantum runs the lane until all but that
     /// quantum have completed (on the first quantum, nothing).
     ///
-    /// Non-`blocking` callers (the admission path) skip a lane whose lock
-    /// is held rather than convoying behind its simulator run: the holder
-    /// re-checks the staging queue before releasing, a later admission
-    /// touching the lane pumps it, and [`flush`](SharedNmslDevice::flush)
-    /// (which pumps blocking) drains any residue — deferring *when* staged
-    /// pairs stream never changes the per-lane op order, so totals are
-    /// unaffected.
+    /// Staged pairs move by swapping queues with the frontier, so a lane
+    /// with nothing staged returns after one swap. Non-`blocking` callers
+    /// (the admission path) skip a lane whose lock is held rather than
+    /// convoying behind its simulator run: the holder re-checks the staging
+    /// queue before releasing, the next admission pumps the lane again, and
+    /// [`flush`](SharedNmslDevice::flush) (which pumps blocking) drains any
+    /// residue — deferring *when* staged pairs stream never changes the
+    /// per-lane op order, so totals are unaffected.
     fn pump_lane(&self, idx: usize, blocking: bool) {
         let mut l = if blocking {
-            self.lanes[idx].lock().expect("lane lock poisoned")
+            lock(&self.lanes[idx])
         } else {
             match self.lanes[idx].try_lock() {
                 Ok(guard) => guard,
-                Err(std::sync::TryLockError::WouldBlock) => return,
-                Err(std::sync::TryLockError::Poisoned(_)) => panic!("lane lock poisoned"),
+                Err(TryLockError::WouldBlock) => return,
+                Err(TryLockError::Poisoned(e)) => e.into_inner(),
             }
         };
         let quantum = self.config.quantum as u64;
+        let mut staged = std::mem::take(&mut l.staged);
         loop {
-            let staged = {
-                let mut f = self.frontier.lock().expect("frontier lock poisoned");
-                std::mem::take(&mut f.staged[idx])
-            };
+            std::mem::swap(&mut lock(&self.frontier).staged[idx], &mut staged);
             if staged.is_empty() {
-                return;
+                break;
             }
-            for pair in staged {
+            for pair in staged.drain(..) {
                 l.q_input += pair.input_bytes;
                 l.q_output += pair.output_bytes;
                 l.sim.push(&pair.workload);
@@ -226,13 +236,13 @@ impl SharedNmslDevice {
                 }
             }
         }
+        l.staged = staged;
     }
 
     /// Releases everything the canonical order now covers: batches of the
     /// head job in index order, advancing the head past jobs that are
-    /// sealed-and-done or discarded. Caller holds the frontier lock;
-    /// touched lanes are flagged for the caller to pump after dropping it.
-    fn drain_ready(&self, f: &mut Frontier, touched: &mut [bool]) {
+    /// sealed-and-done or discarded. Caller holds the frontier lock.
+    fn drain_ready(&self, f: &mut Frontier) {
         // A head job nothing has mentioned yet has nothing to release.
         while let Some(&seq) = f.seqs.get(&f.head) {
             let job = f.head;
@@ -244,7 +254,7 @@ impl SharedNmslDevice {
             if let Some(batch) = f.pending.remove(&(job, seq.next_batch)) {
                 let released = batch.len() as u64;
                 for pair in batch {
-                    touched[self.release_pair(f, pair)] = true;
+                    self.release_pair(f, pair);
                 }
                 let seq = f.seqs.get_mut(&job).expect("registered job");
                 seq.next_batch += 1;
@@ -262,30 +272,18 @@ impl SharedNmslDevice {
     /// The one way the canonical order changes: apply `mutate` to the
     /// frontier (with `job`'s sequencing state present) under the frontier
     /// lock, release everything the order now covers, then — frontier lock
-    /// dropped — pump the lanes the releases
-    /// staged work onto (skipping lanes another worker is already
+    /// dropped — pump every lane (skipping lanes another worker is already
     /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)).
-    /// `touched` is the caller's per-lane flag buffer (a session keeps one
-    /// across batches); it is reset here.
-    fn sequence<R>(
-        &self,
-        job: u64,
-        touched: &mut Vec<bool>,
-        mutate: impl FnOnce(&mut Frontier) -> R,
-    ) -> R {
-        touched.clear();
-        touched.resize(self.lanes.len(), false);
+    fn sequence<R>(&self, job: u64, mutate: impl FnOnce(&mut Frontier) -> R) -> R {
         let out = {
-            let mut f = self.frontier.lock().expect("frontier lock poisoned");
+            let mut f = lock(&self.frontier);
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
-            self.drain_ready(&mut f, touched);
+            self.drain_ready(&mut f);
             out
         };
-        for (idx, &touched) in touched.iter().enumerate() {
-            if touched {
-                self.pump_lane(idx, false);
-            }
+        for idx in 0..self.lanes.len() {
+            self.pump_lane(idx, false);
         }
         out
     }
@@ -299,9 +297,9 @@ impl SharedNmslDevice {
     /// released past the frontier. Either is a caller bug that would
     /// otherwise silently drop pairs from device totals or price them out
     /// of order at flush.
-    pub(super) fn admit(&self, tag: BatchTag, pairs: Vec<AdmittedPair>, touched: &mut Vec<bool>) {
+    pub(super) fn admit(&self, tag: BatchTag, pairs: Vec<AdmittedPair>) {
         let BatchTag { job, index } = tag;
-        self.sequence(job, touched, |f| {
+        self.sequence(job, |f| {
             let seq = f.seqs[&job];
             if seq.discarded {
                 return;
@@ -326,7 +324,7 @@ impl SharedNmslDevice {
     /// Seals `job` at `batches` batches, releasing whatever the canonical
     /// order was holding behind the job boundary.
     pub(super) fn seal_job(&self, job: u64, batches: u64) {
-        self.sequence(job, &mut Vec::new(), |f| {
+        self.sequence(job, |f| {
             f.seqs.get_mut(&job).expect("registered job").sealed_at = Some(batches);
         });
     }
@@ -337,7 +335,7 @@ impl SharedNmslDevice {
     /// Returns the job's already-released pair count, frozen here because
     /// the discard flag stops any further release.
     pub(super) fn discard_job(&self, job: u64) -> u64 {
-        self.sequence(job, &mut Vec::new(), |f| {
+        self.sequence(job, |f| {
             let seq = f.seqs.get_mut(&job).expect("registered job");
             seq.discarded = true;
             let released = seq.released_pairs;
@@ -358,17 +356,15 @@ impl SharedNmslDevice {
         };
         {
             // Release anything still pending: first whatever the canonical
-            // order covers (flush pumps every lane blocking below, so the
-            // touched flags are moot), then stragglers. On a normal run the
-            // frontier has released everything; after an aborted run (sink
-            // error) or with jobs never sealed, indices may have gaps —
-            // release leftovers in `(job, batch)` key order regardless, so
-            // the device always resets clean.
-            let mut f = self.frontier.lock().expect("frontier lock poisoned");
-            let mut touched = vec![false; self.lanes.len()];
-            self.drain_ready(&mut f, &mut touched);
+            // order covers, then stragglers; every lane is pumped blocking
+            // below. On a normal run the frontier has released everything;
+            // after an aborted run (sink error) or with jobs never sealed,
+            // indices may have gaps — release leftovers in `(job, batch)`
+            // key order regardless, so the device always resets clean.
+            let mut f = lock(&self.frontier);
+            self.drain_ready(&mut f);
             for pair in std::mem::take(&mut f.pending).into_values().flatten() {
-                let _ = self.release_pair(&mut f, pair);
+                self.release_pair(&mut f, pair);
             }
             stats.fallback_cycles =
                 (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
@@ -381,7 +377,7 @@ impl SharedNmslDevice {
         let quantum = self.config.quantum as u64;
         for idx in 0..self.lanes.len() {
             self.pump_lane(idx, true);
-            let mut l = self.lanes[idx].lock().expect("lane lock poisoned");
+            let mut l = lock(&self.lanes[idx]);
             let admitted = l.sim.submitted();
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the
@@ -408,11 +404,11 @@ impl SharedNmslDevice {
             let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
             *l = LaneState::new(&self.config, rec);
         }
-        let mut f = self.frontier.lock().expect("frontier lock poisoned");
+        let mut f = lock(&self.frontier);
         device.frontier_peak_depth = f.peak_depth;
         *f = Frontier::new(self.lanes.len(), self.telemetry.recorder(LANE_TRACK_BASE));
         drop(f);
-        *self.last_counters.lock().expect("counters lock poisoned") = Some(device);
+        *lock(&self.last_counters) = Some(device);
         stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
         stats.energy_pj = stats.seed_energy_pj + stats.fallback_energy_pj;
         stats

@@ -56,8 +56,8 @@ pub(super) struct Frontier {
     /// reported in [`DeviceCounters`], excluded from the invariance
     /// fingerprint).
     pub(super) peak_depth: u64,
-    /// Per-lane staging queues in release order; consumed under the lane
-    /// lock (see the locking note on [`SharedNmslDevice`]).
+    /// Per-lane staging queues in release order; swapped out under the
+    /// lane lock (see the locking note on [`SharedNmslDevice`]).
     pub(super) staged: Vec<VecDeque<AdmittedPair>>,
     /// Cumulative GenDP seconds in release order.
     pub(super) fallback_seconds_total: f64,

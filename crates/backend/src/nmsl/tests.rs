@@ -172,7 +172,7 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
         let pair = ReadPair::new(format!("p{i}"), r1, r2);
         let (res, admitted) = session.map_pair(&pair);
         assert_eq!(
-            admitted.workload.seeds,
+            admitted.workload.seeds(),
             per_seed_workload(&pair, &mapper),
             "pair {i} ({:?})",
             res.fallback

@@ -13,7 +13,7 @@ fn main() {
     let n = env_usize("GX_NMSL_PAIRS", 4_000);
     let workloads = synthetic_workloads(&map, &genome, n, 0xF168);
     let query_mean = workloads.iter().map(|w| w.total_locations()).sum::<u64>() as f64
-        / workloads.iter().map(|w| w.seeds.len() as u64).sum::<u64>() as f64;
+        / workloads.iter().map(|w| w.seeds().len()).sum::<usize>() as f64;
     println!(
         "=== Fig. 8: NMSL sliding-window sweep ({} pairs, {:.1} locations/seed query-weighted) ===\n",
         n, query_mean

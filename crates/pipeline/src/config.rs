@@ -17,7 +17,7 @@ pub enum FallbackPolicy {
     Drop,
 }
 
-/// Validated engine configuration (constructed by [`PipelineBuilder`]).
+/// Engine configuration (constructed by [`PipelineBuilder`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Worker threads mapping batches.
@@ -40,6 +40,17 @@ impl Default for PipelineConfig {
             queue_depth: 2 * threads.max(1),
             fallback: FallbackPolicy::default(),
         }
+    }
+}
+
+impl PipelineConfig {
+    /// Every count clamped to at least 1: the one normalisation both
+    /// [`PipelineBuilder::build`] and [`MappingEngine::new`] apply.
+    pub(crate) fn clamped(mut self) -> PipelineConfig {
+        self.threads = self.threads.max(1);
+        self.batch_size = self.batch_size.max(1);
+        self.queue_depth = self.queue_depth.max(1);
+        self
     }
 }
 
@@ -71,19 +82,19 @@ impl PipelineBuilder {
 
     /// Sets the worker thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> PipelineBuilder {
-        self.cfg.threads = threads.max(1);
+        self.cfg.threads = threads;
         self
     }
 
     /// Sets the batch size in read pairs (clamped to at least 1).
     pub fn batch_size(mut self, batch_size: usize) -> PipelineBuilder {
-        self.cfg.batch_size = batch_size.max(1);
+        self.cfg.batch_size = batch_size;
         self
     }
 
     /// Sets the bounded work-queue depth in batches (clamped to at least 1).
     pub fn queue_depth(mut self, queue_depth: usize) -> PipelineBuilder {
-        self.cfg.queue_depth = queue_depth.max(1);
+        self.cfg.queue_depth = queue_depth;
         self
     }
 
@@ -107,7 +118,7 @@ impl PipelineBuilder {
 
     /// Finalizes the configuration.
     pub fn build(self) -> PipelineConfig {
-        self.cfg
+        self.cfg.clamped()
     }
 
     /// Finalizes and attaches the configuration to a mapping backend (the

@@ -207,7 +207,7 @@ impl<B: MapBackend> MappingEngine<B> {
     pub fn new(backend: B, cfg: PipelineConfig) -> MappingEngine<B> {
         MappingEngine {
             backend,
-            cfg,
+            cfg: cfg.clamped(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -251,16 +251,14 @@ impl<B: MapBackend> MappingEngine<B> {
     ///
     /// Propagates panics from worker threads (as `"mapping worker
     /// panicked"`; a mapper invariant violation), from the input iterator
-    /// and from the sink (with their own payloads). Panics if the
-    /// configured batch size is 0 or the backend returns a result count
-    /// different from the batch size.
+    /// and from the sink (with their own payloads). Panics if the backend
+    /// returns a result count different from the batch size.
     pub fn run<I, S>(&self, input: I, sink: &mut S) -> io::Result<PipelineReport>
     where
         I: IntoIterator<Item = ReadPair>,
         S: RecordSink,
     {
         let cfg = self.cfg;
-        assert!(cfg.batch_size > 0, "batch size must be positive");
         let backend = &self.backend;
         let started = Instant::now();
 
@@ -497,7 +495,7 @@ where
 mod tests {
     use super::*;
     use crate::PipelineBuilder;
-    use gx_backend::NmslBackend;
+    use gx_backend::{NmslBackend, SoftwareBackend};
     use gx_core::{unmapped_pair_to_sam, GenPairConfig, PairMapResult};
     use gx_genome::random::RandomGenomeBuilder;
     use gx_genome::{DnaSeq, ReferenceGenome};
@@ -740,6 +738,46 @@ mod tests {
             .unwrap();
         assert_eq!(report.records_written, serial.records.len() as u64);
         assert_eq!(*seen.borrow(), names(&serial));
+    }
+
+    #[test]
+    fn an_engine_configured_with_zero_counts_maps_every_pair() {
+        // `PipelineConfig`'s fields are public, so `MappingEngine::new` can
+        // be handed zero workers (or a zero batch size or queue depth)
+        // without the builder's clamps: the engine runs each as 1.
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let mut serial = VecSink::new();
+        map_serial(
+            &mapper,
+            FallbackPolicy::EmitUnmapped,
+            pairs.clone(),
+            &mut serial,
+        )
+        .unwrap();
+        let zero = PipelineConfig {
+            threads: 0,
+            ..PipelineConfig::default()
+        };
+        for cfg in [
+            zero,
+            PipelineConfig {
+                batch_size: 1,
+                queue_depth: 1,
+                ..zero
+            },
+            PipelineConfig {
+                batch_size: 0,
+                queue_depth: 0,
+                ..zero
+            },
+        ] {
+            let engine = MappingEngine::new(SoftwareBackend::new(&mapper), cfg);
+            let mut sink = VecSink::new();
+            let report = engine.run(pairs.clone(), &mut sink).unwrap();
+            assert_eq!(report.stats.pairs, pairs.len() as u64, "{cfg:?}");
+            assert_eq!(names(&sink), names(&serial), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: u64) -> Lane
     assert_eq!(total.2, counters.dram.bytes);
     // One Seed Table read per seed, one Location Table read per non-empty
     // bucket, every byte of both delivered.
-    let seeds = ws.iter().flat_map(|w| &w.seeds);
+    let seeds = ws.iter().flat_map(|w| w.seeds());
     assert_eq!(
         counters.dram.completed,
         seeds

@@ -46,6 +46,14 @@
 //!    ends its job as `Failed` with the panic text after exactly the
 //!    records before N; a sibling and a later job complete with their solo
 //!    bytes, and `serve` returns normally.
+//! 7. **A panic inside the warm device fails one job** — a session that
+//!    admits one batch's tag twice trips the device's repeated-tag check
+//!    under its frontier lock; that job ends `Failed` with the panic text,
+//!    and a sibling and a later job complete with their solo bytes on the
+//!    same device.
+//! 8. **An input error fails one NMSL job** — a job whose input errors
+//!    inside its first batch ends `Failed`; its siblings complete, and the
+//!    warm fingerprint is that of an engine run over the siblings alone.
 
 use genpairx::backend::{
     BackendStats, BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend,
@@ -728,6 +736,180 @@ fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
             WarmFingerprint::of(&backend),
             engine_fp,
             "a panicked job leaked into warm totals at threads={threads}"
+        );
+    }
+}
+
+/// A backend whose sessions map any batch holding the [`POISON`] pair
+/// twice under one tag, so the device sees the tag admitted twice — a
+/// caller bug, injected below the mapping step.
+struct AdmitTwice<B>(B);
+
+struct AdmitTwiceSession<S>(S);
+
+impl<B: MapBackend> MapBackend for AdmitTwice<B> {
+    type Session<'s>
+        = AdmitTwiceSession<B::Session<'s>>
+    where
+        Self: 's;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn session(&self) -> Self::Session<'_> {
+        AdmitTwiceSession(self.0.session())
+    }
+
+    fn flush(&self) -> BackendStats {
+        self.0.flush()
+    }
+
+    fn seal_job(&self, job: u64, batches: u64) {
+        self.0.seal_job(job, batches)
+    }
+
+    fn discard_job(&self, job: u64) -> u64 {
+        self.0.discard_job(job)
+    }
+}
+
+impl<S: MapSession> MapSession for AdmitTwiceSession<S> {
+    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
+        if pairs.iter().any(|p| p.id == POISON) {
+            self.0.map(tag, pairs);
+        }
+        self.0.map(tag, pairs)
+    }
+}
+
+#[test]
+fn a_device_panic_fails_one_job_and_the_service_keeps_serving() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let jobs = [&pairs[40..200], &pairs[200..280]];
+    let [sibling_solo, later_solo] = jobs.map(|j| solo_sam(&mapper, &genome, j));
+    let sink = || SamTextSink::with_header(&genome, Vec::new()).unwrap();
+    let mut doomed = pairs[..40].to_vec();
+    doomed[7].id = POISON.to_string();
+
+    for threads in [1, 2] {
+        let what = format!("threads={threads}");
+        let backend = AdmitTwice(NmslBackend::new(&mapper).channels(CHANNELS));
+        let ((), report) =
+            ServiceBuilder::new()
+                .threads(threads)
+                .queue_depth(4)
+                .serve(backend, |svc| {
+                    let failed = svc
+                        .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
+                        .unwrap();
+                    let sibling = svc
+                        .submit_pairs(JobSpec::new().batch_size(32), jobs[0].to_vec(), sink())
+                        .unwrap();
+
+                    let (fr, _) = join_within(failed, PANIC_BOUND, "job whose admission panicked");
+                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                    let reason = fr.report.abort_reason.as_deref().unwrap();
+                    assert!(
+                        reason.starts_with("mapping worker panicked")
+                            && reason.contains("batch tag"),
+                        "{what}: lost the reason: {reason}"
+                    );
+
+                    let (sr, ssink) =
+                        join_within(sibling, PANIC_BOUND, "sibling of a device panic");
+                    assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                    assert!(
+                        ssink.into_inner().unwrap() == sibling_solo,
+                        "{what}: sibling bytes diverge from its solo run"
+                    );
+
+                    let later = svc
+                        .submit_pairs(JobSpec::new().batch_size(16), jobs[1].to_vec(), sink())
+                        .unwrap();
+                    let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a device panic");
+                    assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+                    assert!(
+                        lsink.into_inner().unwrap() == later_solo,
+                        "{what}: post-panic job bytes diverge from its solo run"
+                    );
+                });
+        assert_eq!(report.jobs_failed, 1, "{what}");
+        assert_eq!(report.jobs_completed, 2, "{what}");
+    }
+}
+
+#[test]
+fn an_input_error_fails_one_nmsl_job_and_its_siblings_keep_their_totals() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let siblings = [&pairs[40..200], &pairs[200..280]];
+    let solos = siblings.map(|s| solo_sam(&mapper, &genome, s));
+    let sink = || SamTextSink::with_header(&genome, Vec::new()).unwrap();
+
+    // The failed job never reaches the device: the survivors' warm totals
+    // are those of an engine run over their streams alone.
+    let engine = PipelineBuilder::new()
+        .threads(2)
+        .batch_size(64)
+        .backend(NmslBackend::new(&mapper).channels(CHANNELS));
+    let (_, engine_report) = engine.run_collect(siblings.concat());
+    let engine_fp = WarmFingerprint::of(&engine_report.backend);
+
+    for threads in [1, 2] {
+        let what = format!("threads={threads}");
+        // Twenty good pairs, then a malformed record, inside a 32-pair
+        // batch: the batch is never mapped.
+        let input: Vec<Result<ReadPair, GenomeError>> = pairs[..20]
+            .iter()
+            .cloned()
+            .map(Ok)
+            .chain([Err(GenomeError::ParseFormat("truncated record".into()))])
+            .collect();
+        let backend = NmslBackend::new(&mapper).channels(CHANNELS);
+        let ((), report) =
+            ServiceBuilder::new()
+                .threads(threads)
+                .queue_depth(4)
+                .serve(backend, |svc| {
+                    let failed = svc
+                        .submit(JobSpec::new().batch_size(32), input, sink())
+                        .unwrap();
+                    let handles: Vec<_> = siblings
+                        .iter()
+                        .zip([32, 16])
+                        .map(|(job, batch)| {
+                            svc.submit_pairs(JobSpec::new().batch_size(batch), job.to_vec(), sink())
+                                .unwrap()
+                        })
+                        .collect();
+
+                    let (fr, _) = join_within(failed, PANIC_BOUND, "job whose input failed");
+                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                    let reason = fr.report.abort_reason.as_deref().unwrap();
+                    assert!(
+                        reason.contains("truncated record"),
+                        "{what}: lost the reason: {reason}"
+                    );
+                    assert_eq!(fr.report.records_written, 0, "{what}");
+                    assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
+
+                    for (h, solo) in handles.into_iter().zip(&solos) {
+                        let (r, s) = join_within(h, PANIC_BOUND, "sibling of a failed input");
+                        assert_eq!(r.outcome, JobOutcome::Completed, "{what}");
+                        assert!(
+                            s.into_inner().unwrap() == *solo,
+                            "{what}: sibling bytes diverge from its solo run"
+                        );
+                    }
+                });
+        assert_eq!(report.jobs_failed, 1, "{what}");
+        assert_eq!(report.jobs_completed, 2, "{what}");
+        assert_eq!(
+            WarmFingerprint::of(&report.backend),
+            engine_fp,
+            "a failed input leaked into warm totals at {what}"
         );
     }
 }

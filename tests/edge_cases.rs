@@ -123,12 +123,12 @@ fn nmsl_window_larger_than_workload() {
     use genpairx::accel::{NmslConfig, NmslSim};
     use genpairx::memsim::DramConfig;
     let ws: Vec<PairWorkload> = (0..5)
-        .map(|i| PairWorkload {
-            seeds: vec![SeedFetch {
+        .map(|i| {
+            PairWorkload::new([SeedFetch {
                 hash: i * 1000,
                 loc_start: i as u64 * 10,
                 locations: 3,
-            }],
+            }])
         })
         .collect();
     let mut sim = NmslSim::new(
