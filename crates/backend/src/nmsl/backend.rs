@@ -6,6 +6,8 @@ use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
 use gx_telemetry::Telemetry;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 
 /// Default simulator lanes of the shared warm device (see
 /// [`NmslBackend::channels`]).
@@ -27,13 +29,13 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 ///    of the software mapper — and the pipeline's SAM output stays
 ///    byte-identical across backends.
 /// 2. **Seeding cost** — admit each pair's NMSL memory workload (six
-///    seed-table reads plus location bursts) and stream it through the
-///    shared device's [`NmslSim`](gx_accel::NmslSim) lanes, in input order,
-///    over the configured DRAM technology. The workload is not extracted
-///    from the reads: it is the `(hash, start, end)` lookups step 1's
-///    seeding made and left in the session's scratch
-///    ([`MapScratch::pair_lookups`]), so the model prices exactly what the
-///    algorithm looked up.
+///    seed-table reads plus location bursts) to the shared device, whose
+///    own thread streams it through the [`NmslSim`](gx_accel::NmslSim)
+///    lanes, in input order, over the configured DRAM technology. The
+///    workload is not extracted from the reads: it is the `(hash, start,
+///    end)` lookups step 1's seeding made and left in the session's
+///    scratch ([`MapScratch::pair_lookups`]), so the model prices exactly
+///    what the algorithm looked up.
 /// 3. **Fallback + transfer cost** — price every pair that left the fast
 ///    path on the [`GenDpInstance`] fallback model
 ///    (chaining/alignment cells → cycles and energy), and charge each
@@ -61,7 +63,10 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// [`GenDpInstance`]: gx_accel::GenDpInstance
 pub struct NmslBackend<'m, 'g> {
     mapper: &'m GenPairMapper<'g>,
-    pub(super) device: SharedNmslDevice,
+    pub(super) device: Arc<SharedNmslDevice>,
+    /// The thread streaming the device's lanes: spawned by the first
+    /// admission, joined when the backend drops.
+    streamer: OnceLock<JoinHandle<()>>,
 }
 
 impl<'m, 'g> NmslBackend<'m, 'g> {
@@ -88,20 +93,30 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
             quantum: DEFAULT_DISPATCH_QUANTUM,
             link_gbs: gx_accel::host::PCIE4_X16_GBS,
         };
+        NmslBackend::on_device(mapper, config, Telemetry::disabled())
+    }
+
+    /// A backend over a fresh device; its thread is spawned on first use.
+    fn on_device(
+        mapper: &'m GenPairMapper<'g>,
+        config: DeviceConfig,
+        telemetry: Telemetry,
+    ) -> NmslBackend<'m, 'g> {
         NmslBackend {
             mapper,
-            device: SharedNmslDevice::new(config, Telemetry::disabled()),
+            device: Arc::new(SharedNmslDevice::new(config, telemetry)),
+            streamer: OnceLock::new(),
         }
     }
 
     /// Recreates the shared device with `change` applied to its
     /// configuration — only valid while no sessions are live, which the
-    /// by-value builder methods guarantee.
-    fn reconfigure(mut self, change: impl FnOnce(&mut DeviceConfig)) -> NmslBackend<'m, 'g> {
+    /// by-value builder methods guarantee. Dropping `self` joins the thread
+    /// streaming the old device, if it has one.
+    fn reconfigure(self, change: impl FnOnce(&mut DeviceConfig)) -> NmslBackend<'m, 'g> {
         let mut config = self.device.config;
         change(&mut config);
-        self.device = SharedNmslDevice::new(config, self.device.telemetry.clone());
-        self
+        NmslBackend::on_device(self.mapper, config, self.device.telemetry.clone())
     }
 
     /// Sets the shared warm device's lane count (clamped to at least 1).
@@ -130,9 +145,8 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     /// **accounting-inert**: it taps already-computed modeled values and
     /// wall-clock reads, and nothing it records feeds back into
     /// [`BackendStats`] — warm totals stay bit-identical with tracing on.
-    pub fn telemetry(mut self, telemetry: Telemetry) -> NmslBackend<'m, 'g> {
-        self.device = SharedNmslDevice::new(self.device.config, telemetry);
-        self
+    pub fn telemetry(self, telemetry: Telemetry) -> NmslBackend<'m, 'g> {
+        NmslBackend::on_device(self.mapper, self.device.config, telemetry)
     }
 
     /// Overrides the host-link bandwidth in GB/s (0 disables transfer
@@ -163,6 +177,29 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     /// totals they sit next to.
     pub fn device_counters(&self) -> Option<DeviceCounters> {
         lock(&self.device.last_counters).clone()
+    }
+
+    /// Admits one batch to the device, spawning the device thread first if
+    /// this is the backend's first admission.
+    fn admit(&self, tag: BatchTag, pairs: Vec<AdmittedPair>) {
+        self.streamer.get_or_init(|| {
+            let device = Arc::clone(&self.device);
+            std::thread::Builder::new()
+                .name("gx-nmsl-device".into())
+                .spawn(move || device.stream())
+                .expect("spawn the NMSL device thread")
+        });
+        self.device.admit(tag, pairs);
+    }
+}
+
+impl Drop for NmslBackend<'_, '_> {
+    fn drop(&mut self) {
+        if let Some(streamer) = self.streamer.take() {
+            self.device.stop();
+            // A panic on the thread poisons a lane, which `flush` reports.
+            let _ = streamer.join();
+        }
     }
 }
 
@@ -201,12 +238,11 @@ impl MapBackend for NmslBackend<'_, '_> {
 /// [`map`](MapSession::map) call maps its pairs through the software path
 /// and admits the lookups each made at the call's [`BatchTag`]. The device
 /// routes pairs to simulator lanes by workload key and streams each lane
-/// one dispatch quantum behind its admissions, on whichever worker's call
-/// covers the quantum; which batches those cycles *belong to* is
-/// intentionally not a per-worker notion. The device reports their cost
-/// once, at [`MapBackend::flush`]; the session holds no accounting,
-/// because a finished worker must not drain state other workers still
-/// feed.
+/// one dispatch quantum behind its admissions on its own thread; which
+/// batches those cycles *belong to* is intentionally not a per-worker
+/// notion. The device reports their cost once, at
+/// [`MapBackend::flush`]; the session holds no accounting, because a
+/// finished worker must not drain state other workers still feed.
 pub struct NmslSession<'s> {
     backend: &'s NmslBackend<'s, 's>,
     /// The session's reusable mapping arena (software-path hot buffers);
@@ -235,7 +271,7 @@ impl NmslSession<'_> {
 impl MapSession for NmslSession<'_> {
     fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
         let (results, admissions) = pairs.iter().map(|pair| self.map_pair(pair)).unzip();
-        self.backend.device.admit(tag, admissions);
+        self.backend.admit(tag, admissions);
         results
     }
 }

@@ -7,7 +7,7 @@ use gx_accel::{
 use gx_memsim::{DramConfig, DramPowerModel};
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Base span track for the shared device's simulator lanes (lane `i`
 /// renders as track `LANE_TRACK_BASE + i`), far above the pipeline's
@@ -23,9 +23,19 @@ struct DeviceMetrics {
     exposed_h: HistogramId,
 }
 
+/// What the device thread waits on (see [`SharedNmslDevice::stream`]).
+#[derive(Default)]
+struct Wake {
+    /// Pairs may have been staged since the thread last pumped.
+    pending: bool,
+    /// The backend is dropping: return.
+    stop: bool,
+}
+
 /// Locks a device mutex, recovering it from poisoning: a panic under one
 /// (a caller's repeated batch tag) fails only the job whose call raised
-/// it, and every other job keeps using the device.
+/// it, and every other job keeps using the device. Lane locks are the
+/// exception (see [`SharedNmslDevice::lane`]).
 pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -42,7 +52,7 @@ pub(super) struct DeviceConfig {
 
 /// One simulator lane plus its deterministic-order accounting, guarded by
 /// its own lock so distinct lanes stream in parallel.
-struct LaneState {
+pub(super) struct LaneState {
     sim: NmslSim,
     /// The lane's side of its staging queue, swapped with the frontier's
     /// by [`SharedNmslDevice::pump_lane`] so neither side reallocates.
@@ -96,7 +106,12 @@ impl LaneState {
 ///   that lane's staged pairs out — the entire staged run is processed
 ///   under the lane lock before anyone else can take from the queue, so
 ///   pairs enter each simulator exactly in frontier-release order no
-///   matter which worker thread does the work.
+///   matter which thread does the work.
+///
+/// Only the device's own thread (see [`stream`](SharedNmslDevice::stream)),
+/// which an admission wakes through the `wake` lock, taken alone, and
+/// [`flush`](SharedNmslDevice::flush) pump lanes; a mapping worker takes
+/// the frontier lock and nothing else.
 ///
 /// Determinism falls out: per lane, the (admit, run) op sequence and every
 /// float accumulation order depend only on the released pair order, which
@@ -106,7 +121,7 @@ pub(super) struct SharedNmslDevice {
     /// The GenDP pricing fallback work (the paper's Table-4 instance).
     gendp: GenDpInstance,
     pub(super) frontier: Mutex<Frontier>,
-    lanes: Vec<Mutex<LaneState>>,
+    pub(super) lanes: Vec<Mutex<LaneState>>,
     power: DramPowerModel,
     pub(super) telemetry: Telemetry,
     metrics: DeviceMetrics,
@@ -114,6 +129,8 @@ pub(super) struct SharedNmslDevice {
     /// captured before the lanes reset (queried through
     /// [`NmslBackend::device_counters`]).
     pub(super) last_counters: Mutex<Option<DeviceCounters>>,
+    wake: Mutex<Wake>,
+    wake_cv: Condvar,
 }
 
 impl SharedNmslDevice {
@@ -146,6 +163,8 @@ impl SharedNmslDevice {
             telemetry,
             metrics,
             last_counters: Mutex::new(None),
+            wake: Mutex::default(),
+            wake_cv: Condvar::new(),
         }
     }
 
@@ -202,23 +221,13 @@ impl SharedNmslDevice {
     /// quantum have completed (on the first quantum, nothing).
     ///
     /// Staged pairs move by swapping queues with the frontier, so a lane
-    /// with nothing staged returns after one swap. Non-`blocking` callers
-    /// (the admission path) skip a lane whose lock is held rather than
-    /// convoying behind its simulator run: the holder re-checks the staging
-    /// queue before releasing, the next admission pumps the lane again, and
-    /// [`flush`](SharedNmslDevice::flush) (which pumps blocking) drains any
-    /// residue — deferring *when* staged pairs stream never changes the
-    /// per-lane op order, so totals are unaffected.
-    fn pump_lane(&self, idx: usize, blocking: bool) {
-        let mut l = if blocking {
-            lock(&self.lanes[idx])
-        } else {
-            match self.lanes[idx].try_lock() {
-                Ok(guard) => guard,
-                Err(TryLockError::WouldBlock) => return,
-                Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            }
-        };
+    /// with nothing staged returns after one swap; pairs staged after the
+    /// last swap stream at the device thread's next wake or in
+    /// [`flush`](SharedNmslDevice::flush), which streams what is left with
+    /// the returned lane still locked. Deferring *when* staged pairs stream
+    /// never changes the per-lane op order, so totals are unaffected.
+    fn pump_lane(&self, idx: usize) -> MutexGuard<'_, LaneState> {
+        let mut l = self.lane(idx);
         let quantum = self.config.quantum as u64;
         let mut staged = std::mem::take(&mut l.staged);
         loop {
@@ -237,6 +246,19 @@ impl SharedNmslDevice {
             }
         }
         l.staged = staged;
+        l
+    }
+
+    /// Locks lane `idx`. Unlike [`lock`], a poisoned lane is fatal: only
+    /// the model panics under a lane lock, on the device thread or in
+    /// `flush`, and the pairs it was streaming are gone, so no whole cost
+    /// is left to report.
+    fn lane(&self, idx: usize) -> MutexGuard<'_, LaneState> {
+        self.lanes[idx].lock().unwrap_or_else(|_| {
+            panic!(
+                "the NMSL device model panicked on lane {idx}: the run's modeled cost is incomplete"
+            )
+        })
     }
 
     /// Releases everything the canonical order now covers: batches of the
@@ -272,8 +294,7 @@ impl SharedNmslDevice {
     /// The one way the canonical order changes: apply `mutate` to the
     /// frontier (with `job`'s sequencing state present) under the frontier
     /// lock, release everything the order now covers, then — frontier lock
-    /// dropped — pump every lane (skipping lanes another worker is already
-    /// streaming, see [`pump_lane`](SharedNmslDevice::pump_lane)).
+    /// dropped — wake the device thread to stream it.
     fn sequence<R>(&self, job: u64, mutate: impl FnOnce(&mut Frontier) -> R) -> R {
         let out = {
             let mut f = lock(&self.frontier);
@@ -282,10 +303,36 @@ impl SharedNmslDevice {
             self.drain_ready(&mut f);
             out
         };
-        for idx in 0..self.lanes.len() {
-            self.pump_lane(idx, false);
-        }
+        lock(&self.wake).pending = true;
+        self.wake_cv.notify_one();
         out
+    }
+
+    /// The device thread: each time an admission wakes it, pumps every
+    /// lane, until [`stop`](SharedNmslDevice::stop).
+    pub(super) fn stream(&self) {
+        loop {
+            {
+                let mut wake = self
+                    .wake_cv
+                    .wait_while(lock(&self.wake), |w| !w.pending && !w.stop)
+                    .unwrap_or_else(PoisonError::into_inner);
+                if wake.stop {
+                    return;
+                }
+                wake.pending = false;
+            }
+            for idx in 0..self.lanes.len() {
+                drop(self.pump_lane(idx));
+            }
+        }
+    }
+
+    /// Makes [`stream`](SharedNmslDevice::stream) return; anything still
+    /// staged is dropped with the device.
+    pub(super) fn stop(&self) {
+        lock(&self.wake).stop = true;
+        self.wake_cv.notify_one();
     }
 
     /// Admits one batch at `tag`. Admissions for a discarded job are
@@ -356,8 +403,8 @@ impl SharedNmslDevice {
         };
         {
             // Release anything still pending: first whatever the canonical
-            // order covers, then stragglers; every lane is pumped blocking
-            // below. On a normal run the frontier has released everything;
+            // order covers, then stragglers; every lane is pumped below.
+            // On a normal run the frontier has released everything;
             // after an aborted run (sink error) or with jobs never sealed,
             // indices may have gaps — release leftovers in `(job, batch)`
             // key order regardless, so the device always resets clean.
@@ -376,8 +423,7 @@ impl SharedNmslDevice {
         }
         let quantum = self.config.quantum as u64;
         for idx in 0..self.lanes.len() {
-            self.pump_lane(idx, true);
-            let mut l = lock(&self.lanes[idx]);
+            let mut l = self.pump_lane(idx);
             let admitted = l.sim.submitted();
             if l.q_input > 0 || l.q_output > 0 {
                 // A trailing partial quantum: its transfer streams under the

@@ -643,3 +643,51 @@ fn gendp_only_charged_on_fallback() {
     assert!(dirty.fallback_energy_pj > 0.0);
     assert!(dirty.fallback_seconds > 0.0);
 }
+
+#[test]
+fn a_backend_dropped_mid_run_releases_its_thread() {
+    use std::sync::Arc;
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    // Building and reconfiguring spawn nothing: the backend holds the
+    // device's only reference.
+    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
+    assert_eq!(Arc::strong_count(&backend.device), 1);
+    let mut session = backend.session();
+    for (i, batch) in pairs.chunks(3).enumerate() {
+        session.map(at(i as u64), batch);
+    }
+    drop(session);
+    // The first admission spawned the device thread, which holds the
+    // other reference. Never flushed, the backend must still take it down.
+    assert_eq!(Arc::strong_count(&backend.device), 2);
+    let device = Arc::downgrade(&backend.device);
+    drop(backend);
+    assert!(
+        device.upgrade().is_none(),
+        "the device outlived its backend: its thread was never joined"
+    );
+}
+
+#[test]
+#[should_panic(expected = "the NMSL device model panicked on lane 1")]
+fn a_flush_after_the_model_panicked_panics() {
+    use std::sync::Arc;
+    let (genome, pairs) = setup();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
+    let mut session = backend.session();
+    for (i, batch) in pairs.chunks(3).enumerate() {
+        session.map(at(i as u64), batch);
+    }
+    drop(session);
+    // Only the model panics under a lane lock; the pairs it held are gone,
+    // so the flush must not report what is left as the run's cost.
+    let device = Arc::clone(&backend.device);
+    let model = std::thread::spawn(move || {
+        let _lane = device.lanes[1].lock();
+        panic!("injected model panic");
+    });
+    assert!(model.join().is_err());
+    backend.flush();
+}
