@@ -2,9 +2,10 @@
 //!
 //! One [`NmslBackend`] owns a **shared, channel-sharded warm device** that
 //! every worker session admits into: `frontier` sequences admissions into
-//! canonical `(job, batch)` order, `device` routes released pairs by
-//! workload key to its lanes — one persistent `NmslSim` each — and runs
-//! them (admit / seal / discard / flush), `counters` is what a flush
+//! canonical `(job, batch)` order, `device` holds admit / seal / discard
+//! and the run's device thread, which owns the lanes — one persistent
+//! `NmslSim` each — routes released pairs to them by workload key, runs
+//! them and returns the run to `flush`; `counters` is what a flush
 //! reports per lane, `backend` the public types. ARCHITECTURE.md, "Warm
 //! accounting", explains why warm totals are sharding-invariant.
 

@@ -1,12 +1,12 @@
 use super::counters::DeviceCounters;
-use super::device::{lock, DeviceConfig, SharedNmslDevice};
+use super::device::{lock, DeviceConfig, Run, SharedNmslDevice};
 use super::frontier::AdmittedPair;
 use crate::{BackendStats, BatchTag, MapBackend, MapSession};
 use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
 use gx_telemetry::Telemetry;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Default simulator lanes of the shared warm device (see
@@ -29,8 +29,8 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 ///    of the software mapper — and the pipeline's SAM output stays
 ///    byte-identical across backends.
 /// 2. **Seeding cost** — admit each pair's NMSL memory workload (six
-///    seed-table reads plus location bursts) to the shared device, whose
-///    own thread streams it through the [`NmslSim`](gx_accel::NmslSim)
+///    seed-table reads plus location bursts) to the shared device, where
+///    the run's thread streams it through the [`NmslSim`](gx_accel::NmslSim)
 ///    lanes, in input order, over the configured DRAM technology. The
 ///    workload is not extracted from the reads: it is the `(hash, start,
 ///    end)` lookups step 1's seeding made and left in the session's
@@ -57,16 +57,17 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// any thread count, batch size or worker schedule: every pair enters its
 /// lane in canonical release order, every float is accumulated in that
 /// order, and the integer totals are read off the lane simulators at
-/// flush. Consecutive runs on one backend are independent — `flush`
-/// resets the device — but must not overlap in time.
+/// flush. Consecutive runs on one backend are independent — each has its
+/// own device thread, which `flush` joins — but must not overlap in time.
 ///
 /// [`GenDpInstance`]: gx_accel::GenDpInstance
 pub struct NmslBackend<'m, 'g> {
     mapper: &'m GenPairMapper<'g>,
     pub(super) device: Arc<SharedNmslDevice>,
-    /// The thread streaming the device's lanes: spawned by the first
-    /// admission, joined when the backend drops.
-    streamer: OnceLock<JoinHandle<()>>,
+    /// The current run's device thread, which owns the lanes: spawned by
+    /// the run's first admission, joined by [`flush`](MapBackend::flush)
+    /// (or when the backend drops).
+    streamer: Mutex<Option<JoinHandle<Run>>>,
 }
 
 impl<'m, 'g> NmslBackend<'m, 'g> {
@@ -96,7 +97,8 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         NmslBackend::on_device(mapper, config, Telemetry::disabled())
     }
 
-    /// A backend over a fresh device; its thread is spawned on first use.
+    /// A backend over a fresh device; a run's thread is spawned by the
+    /// run's first admission.
     fn on_device(
         mapper: &'m GenPairMapper<'g>,
         config: DeviceConfig,
@@ -105,7 +107,7 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         NmslBackend {
             mapper,
             device: Arc::new(SharedNmslDevice::new(config, telemetry)),
-            streamer: OnceLock::new(),
+            streamer: Mutex::new(None),
         }
     }
 
@@ -179,26 +181,30 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         lock(&self.device.last_counters).clone()
     }
 
-    /// Admits one batch to the device, spawning the device thread first if
-    /// this is the backend's first admission.
+    /// Spawns a run's device thread.
+    fn spawn_run(&self) -> JoinHandle<Run> {
+        let device = Arc::clone(&self.device);
+        std::thread::Builder::new()
+            .name("gx-nmsl-device".into())
+            .spawn(move || device.stream())
+            .expect("spawn the NMSL device thread")
+    }
+
+    /// Admits one batch to the device, spawning the run's device thread
+    /// first if this is the run's first admission.
     fn admit(&self, tag: BatchTag, pairs: Vec<AdmittedPair>) {
-        self.streamer.get_or_init(|| {
-            let device = Arc::clone(&self.device);
-            std::thread::Builder::new()
-                .name("gx-nmsl-device".into())
-                .spawn(move || device.stream())
-                .expect("spawn the NMSL device thread")
-        });
+        lock(&self.streamer).get_or_insert_with(|| self.spawn_run());
         self.device.admit(tag, pairs);
     }
 }
 
 impl Drop for NmslBackend<'_, '_> {
     fn drop(&mut self) {
-        if let Some(streamer) = self.streamer.take() {
-            self.device.stop();
-            // A panic on the thread poisons a lane, which `flush` reports.
-            let _ = streamer.join();
+        let streamer = self.streamer.get_mut();
+        if let Some(run) = streamer.unwrap_or_else(PoisonError::into_inner).take() {
+            self.device.abandon();
+            // The run's cost is unreported either way, panicked or not.
+            let _ = run.join();
         }
     }
 }
@@ -221,7 +227,10 @@ impl MapBackend for NmslBackend<'_, '_> {
     }
 
     fn flush(&self) -> BackendStats {
-        self.device.flush()
+        let run = lock(&self.streamer).take();
+        let run = run.unwrap_or_else(|| self.spawn_run());
+        self.device.close();
+        self.device.finish(run.join())
     }
 
     fn seal_job(&self, job: u64, batches: u64) {
@@ -238,7 +247,7 @@ impl MapBackend for NmslBackend<'_, '_> {
 /// [`map`](MapSession::map) call maps its pairs through the software path
 /// and admits the lookups each made at the call's [`BatchTag`]. The device
 /// routes pairs to simulator lanes by workload key and streams each lane
-/// one dispatch quantum behind its admissions on its own thread; which
+/// one dispatch quantum behind its admissions on the run's thread; which
 /// batches those cycles *belong to* is intentionally not a per-worker
 /// notion. The device reports their cost once, at
 /// [`MapBackend::flush`]; the session holds no accounting, because a

@@ -6,7 +6,6 @@ use gx_accel::{
 };
 use gx_memsim::{DramConfig, DramPowerModel};
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Base span track for the shared device's simulator lanes (lane `i`
@@ -23,19 +22,9 @@ struct DeviceMetrics {
     exposed_h: HistogramId,
 }
 
-/// What the device thread waits on (see [`SharedNmslDevice::stream`]).
-#[derive(Default)]
-struct Wake {
-    /// Pairs may have been staged since the thread last pumped.
-    pending: bool,
-    /// The backend is dropping: return.
-    stop: bool,
-}
-
 /// Locks a device mutex, recovering it from poisoning: a panic under one
 /// (a caller's repeated batch tag) fails only the job whose call raised
-/// it, and every other job keeps using the device. Lane locks are the
-/// exception (see [`SharedNmslDevice::lane`]).
+/// it, and every other job keeps using the device.
 pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -50,13 +39,9 @@ pub(super) struct DeviceConfig {
     pub(super) link_gbs: f64,
 }
 
-/// One simulator lane plus its deterministic-order accounting, guarded by
-/// its own lock so distinct lanes stream in parallel.
-pub(super) struct LaneState {
+/// One simulator lane plus its deterministic-order accounting.
+struct LaneState {
     sim: NmslSim,
-    /// The lane's side of its staging queue, swapped with the frontier's
-    /// by [`SharedNmslDevice::pump_lane`] so neither side reallocates.
-    staged: VecDeque<AdmittedPair>,
     /// Host-link bytes of the quantum currently filling.
     q_input: u64,
     q_output: u64,
@@ -80,7 +65,6 @@ impl LaneState {
     fn new(config: &DeviceConfig, rec: Recorder) -> LaneState {
         LaneState {
             sim: NmslSim::new(config.dram, config.nmsl),
-            staged: VecDeque::new(),
             q_input: 0,
             q_output: 0,
             seconds: 0.0,
@@ -93,25 +77,29 @@ impl LaneState {
     }
 }
 
-/// The shared channel-sharded warm device: a sequencing [`Frontier`] plus
-/// `channels` independently locked simulator lanes.
+/// Everything one run's device thread owns: the lanes it builds when it
+/// starts and the release-order totals of every pair it streamed. The
+/// thread returns it when the run closes, and
+/// [`finish`](SharedNmslDevice::finish) prices it.
+pub(super) struct Run {
+    lanes: Vec<LaneState>,
+    /// Pairs routed so far (the seedless-pair routing key).
+    routed: u64,
+    /// Cumulative GenDP seconds and energy in release order.
+    fallback_seconds: f64,
+    fallback_energy_pj: f64,
+    /// Host-link bytes of every released pair, in and out.
+    input_bytes: u64,
+    output_bytes: u64,
+}
+
+/// The shared channel-sharded warm device: a sequencing [`Frontier`] and
+/// the configuration of the `channels` simulator lanes each run's device
+/// thread builds and owns (see [`stream`](SharedNmslDevice::stream)).
 ///
-/// # Locking
-///
-/// Two small locks orders exist and never cycle:
-///
-/// * admission phase: the **frontier lock alone** — sequence the batch,
-///   price fallbacks, route pairs into per-lane staging queues;
-/// * pump phase: a **lane lock, then briefly the frontier lock** to move
-///   that lane's staged pairs out — the entire staged run is processed
-///   under the lane lock before anyone else can take from the queue, so
-///   pairs enter each simulator exactly in frontier-release order no
-///   matter which thread does the work.
-///
-/// Only the device's own thread (see [`stream`](SharedNmslDevice::stream)),
-/// which an admission wakes through the `wake` lock, taken alone, and
-/// [`flush`](SharedNmslDevice::flush) pump lanes; a mapping worker takes
-/// the frontier lock and nothing else.
+/// A mapping worker takes the frontier lock and nothing else; the run's
+/// thread takes it only to swap out what was released, so pairs enter
+/// each simulator exactly in frontier-release order.
 ///
 /// Determinism falls out: per lane, the (admit, run) op sequence and every
 /// float accumulation order depend only on the released pair order, which
@@ -121,21 +109,19 @@ pub(super) struct SharedNmslDevice {
     /// The GenDP pricing fallback work (the paper's Table-4 instance).
     gendp: GenDpInstance,
     pub(super) frontier: Mutex<Frontier>,
-    pub(super) lanes: Vec<Mutex<LaneState>>,
+    /// Wakes the run's thread when pairs were released or the run closed.
+    released_cv: Condvar,
     power: DramPowerModel,
     pub(super) telemetry: Telemetry,
     metrics: DeviceMetrics,
-    /// Counters of the most recent [`flush`](SharedNmslDevice::flush),
-    /// captured before the lanes reset (queried through
+    /// Counters of the most recent flush, read off the run its thread
+    /// returned by [`finish`](SharedNmslDevice::finish) (queried through
     /// [`NmslBackend::device_counters`]).
     pub(super) last_counters: Mutex<Option<DeviceCounters>>,
-    wake: Mutex<Wake>,
-    wake_cv: Condvar,
 }
 
 impl SharedNmslDevice {
     pub(super) fn new(config: DeviceConfig, telemetry: Telemetry) -> SharedNmslDevice {
-        let channels = config.channels;
         let metrics = DeviceMetrics {
             drain_h: telemetry.histogram(
                 "gx_lane_drain_ns",
@@ -146,40 +132,19 @@ impl SharedNmslDevice {
                 "modeled exposed-transfer residue per lane quantum, ns of modeled time",
             ),
         };
-        for idx in 0..channels {
+        for idx in 0..config.channels {
             telemetry.label_track(LANE_TRACK_BASE + idx as u32, &format!("nmsl lane {idx}"));
         }
         SharedNmslDevice {
             config,
             gendp: GenDpInstance::paper_table4(),
-            frontier: Mutex::new(Frontier::new(channels, telemetry.recorder(LANE_TRACK_BASE))),
-            lanes: (0..channels)
-                .map(|idx| {
-                    let rec = telemetry.recorder(LANE_TRACK_BASE + idx as u32);
-                    Mutex::new(LaneState::new(&config, rec))
-                })
-                .collect(),
+            frontier: Mutex::new(Frontier::new(telemetry.recorder(LANE_TRACK_BASE))),
+            released_cv: Condvar::new(),
             power: DramPowerModel::for_config(&config.dram),
             telemetry,
             metrics,
             last_counters: Mutex::new(None),
-            wake: Mutex::default(),
-            wake_cv: Condvar::new(),
         }
-    }
-
-    /// Releases one pair past the frontier: price its GenDP work, count
-    /// its host-link bytes and stage it on its lane. Caller holds the
-    /// frontier lock.
-    fn release_pair(&self, f: &mut Frontier, pair: AdmittedPair) {
-        let cost = self.gendp.cost(pair.cells);
-        f.fallback_seconds_total += cost.seconds();
-        f.fallback_energy_pj += cost.energy_pj;
-        f.input_bytes += pair.input_bytes;
-        f.output_bytes += pair.output_bytes;
-        let lane = shard_for_workload(&pair.workload, f.pairs_released, self.lanes.len());
-        f.pairs_released += 1;
-        f.staged[lane].push_back(pair);
     }
 
     /// Closes the quantum filling on lane `idx`: charges its host-link
@@ -215,124 +180,97 @@ impl SharedNmslDevice {
         l.rec.record(self.metrics.exposed_h, (exposed * 1e9) as u64);
     }
 
-    /// Streams every staged pair of lane `idx` through its simulator,
-    /// charging quantum transfers and running one quantum behind: the
-    /// admission that completes a quantum runs the lane until all but that
+    /// Prices one released pair's GenDP work, counts its host-link bytes
+    /// and pushes it onto its lane, running the lane one quantum behind:
+    /// the push that completes a quantum runs the lane until all but that
     /// quantum have completed (on the first quantum, nothing).
-    ///
-    /// Staged pairs move by swapping queues with the frontier, so a lane
-    /// with nothing staged returns after one swap; pairs staged after the
-    /// last swap stream at the device thread's next wake or in
-    /// [`flush`](SharedNmslDevice::flush), which streams what is left with
-    /// the returned lane still locked. Deferring *when* staged pairs stream
-    /// never changes the per-lane op order, so totals are unaffected.
-    fn pump_lane(&self, idx: usize) -> MutexGuard<'_, LaneState> {
-        let mut l = self.lane(idx);
+    fn stream_pair(&self, run: &mut Run, pair: AdmittedPair) {
+        let cost = self.gendp.cost(pair.cells);
+        run.fallback_seconds += cost.seconds();
+        run.fallback_energy_pj += cost.energy_pj;
+        run.input_bytes += pair.input_bytes;
+        run.output_bytes += pair.output_bytes;
+        let idx = shard_for_workload(&pair.workload, run.routed, run.lanes.len());
+        run.routed += 1;
+        let l = &mut run.lanes[idx];
+        l.q_input += pair.input_bytes;
+        l.q_output += pair.output_bytes;
+        l.sim.push(&pair.workload);
+        let admitted = l.sim.submitted();
         let quantum = self.config.quantum as u64;
-        let mut staged = std::mem::take(&mut l.staged);
-        loop {
-            std::mem::swap(&mut lock(&self.frontier).staged[idx], &mut staged);
-            if staged.is_empty() {
-                break;
-            }
-            for pair in staged.drain(..) {
-                l.q_input += pair.input_bytes;
-                l.q_output += pair.output_bytes;
-                l.sim.push(&pair.workload);
-                let admitted = l.sim.submitted();
-                if admitted.is_multiple_of(quantum) {
-                    self.run_quantum(&mut l, idx, admitted - quantum);
-                }
-            }
-        }
-        l.staged = staged;
-        l
-    }
-
-    /// Locks lane `idx`. Unlike [`lock`], a poisoned lane is fatal: only
-    /// the model panics under a lane lock, on the device thread or in
-    /// `flush`, and the pairs it was streaming are gone, so no whole cost
-    /// is left to report.
-    fn lane(&self, idx: usize) -> MutexGuard<'_, LaneState> {
-        self.lanes[idx].lock().unwrap_or_else(|_| {
-            panic!(
-                "the NMSL device model panicked on lane {idx}: the run's modeled cost is incomplete"
-            )
-        })
-    }
-
-    /// Releases everything the canonical order now covers: batches of the
-    /// head job in index order, advancing the head past jobs that are
-    /// sealed-and-done or discarded. Caller holds the frontier lock.
-    fn drain_ready(&self, f: &mut Frontier) {
-        // A head job nothing has mentioned yet has nothing to release.
-        while let Some(&seq) = f.seqs.get(&f.head) {
-            let job = f.head;
-            if seq.discarded {
-                f.drop_pending(job);
-                f.head += 1;
-                continue;
-            }
-            if let Some(batch) = f.pending.remove(&(job, seq.next_batch)) {
-                let released = batch.len() as u64;
-                for pair in batch {
-                    self.release_pair(f, pair);
-                }
-                let seq = f.seqs.get_mut(&job).expect("registered job");
-                seq.next_batch += 1;
-                seq.released_pairs += released;
-                continue;
-            }
-            if seq.sealed_at == Some(seq.next_batch) {
-                f.head += 1;
-                continue;
-            }
-            break;
+        if admitted.is_multiple_of(quantum) {
+            self.run_quantum(l, idx, admitted - quantum);
         }
     }
 
     /// The one way the canonical order changes: apply `mutate` to the
     /// frontier (with `job`'s sequencing state present) under the frontier
-    /// lock, release everything the order now covers, then — frontier lock
-    /// dropped — wake the device thread to stream it.
+    /// lock and release everything the order now covers; if that released
+    /// anything, wake the run's thread to stream it.
     fn sequence<R>(&self, job: u64, mutate: impl FnOnce(&mut Frontier) -> R) -> R {
-        let out = {
+        let (out, released) = {
             let mut f = lock(&self.frontier);
             f.seqs.entry(job).or_default();
             let out = mutate(&mut f);
-            self.drain_ready(&mut f);
-            out
+            let before = f.released.len();
+            f.drain_ready();
+            (out, f.released.len() > before)
         };
-        lock(&self.wake).pending = true;
-        self.wake_cv.notify_one();
+        if released {
+            self.released_cv.notify_one();
+        }
         out
     }
 
-    /// The device thread: each time an admission wakes it, pumps every
-    /// lane, until [`stop`](SharedNmslDevice::stop).
-    pub(super) fn stream(&self) {
+    /// The run's device thread: builds the lanes, streams every released
+    /// pair in release order until [`close`](SharedNmslDevice::close), then
+    /// runs each lane's trailing partial quantum and its final drain and
+    /// returns the run.
+    pub(super) fn stream(&self) -> Run {
+        let mut run = Run {
+            lanes: (0..self.config.channels)
+                .map(|idx| {
+                    let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
+                    LaneState::new(&self.config, rec)
+                })
+                .collect(),
+            routed: 0,
+            fallback_seconds: 0.0,
+            fallback_energy_pj: 0.0,
+            input_bytes: 0,
+            output_bytes: 0,
+        };
+        // Swapped with the frontier's `released`, so neither side
+        // reallocates once both have grown to a burst's size.
+        let mut batch = Vec::new();
         loop {
-            {
-                let mut wake = self
-                    .wake_cv
-                    .wait_while(lock(&self.wake), |w| !w.pending && !w.stop)
+            let closed = {
+                let mut f = self
+                    .released_cv
+                    .wait_while(lock(&self.frontier), |f| f.released.is_empty() && !f.closed)
                     .unwrap_or_else(PoisonError::into_inner);
-                if wake.stop {
-                    return;
-                }
-                wake.pending = false;
+                std::mem::swap(&mut f.released, &mut batch);
+                f.closed
+            };
+            for pair in batch.drain(..) {
+                self.stream_pair(&mut run, pair);
             }
-            for idx in 0..self.lanes.len() {
-                drop(self.pump_lane(idx));
+            if closed {
+                break;
             }
         }
-    }
-
-    /// Makes [`stream`](SharedNmslDevice::stream) return; anything still
-    /// staged is dropped with the device.
-    pub(super) fn stop(&self) {
-        lock(&self.wake).stop = true;
-        self.wake_cv.notify_one();
+        let quantum = self.config.quantum as u64;
+        for (idx, l) in run.lanes.iter_mut().enumerate() {
+            let admitted = l.sim.submitted();
+            if l.q_input > 0 || l.q_output > 0 {
+                // A trailing partial quantum: its transfer streams under the
+                // drain of the last *full* quantum, which is still lagged.
+                self.run_quantum(l, idx, admitted / quantum * quantum);
+            }
+            // Final drain: pure compute, no transfer left to hide.
+            self.run_quantum(l, idx, admitted);
+        }
+        run
     }
 
     /// Admits one batch at `tag`. Admissions for a discarded job are
@@ -391,52 +329,67 @@ impl SharedNmslDevice {
         })
     }
 
-    /// Drains the whole device in deterministic order, returns the run's
-    /// modeled cost — the float totals accumulated in release order and
-    /// the integer totals read off the frontier and the lane simulators —
-    /// and resets every lane and the frontier for the next run.
-    pub(super) fn flush(&self) -> BackendStats {
+    /// Closes the run: releases whatever is still pending — first what the
+    /// canonical order covers, then stragglers — and wakes the run's
+    /// thread to stream it and return. On a normal run the frontier has
+    /// released everything; after an aborted run (sink error) or with jobs
+    /// never sealed, indices may have gaps, and leftovers release in
+    /// `(job, batch)` key order regardless, so every run closes clean.
+    pub(super) fn close(&self) {
+        let mut f = lock(&self.frontier);
+        f.drain_ready();
+        let leftovers = std::mem::take(&mut f.pending);
+        f.released.extend(leftovers.into_values().flatten());
+        f.closed = true;
+        drop(f);
+        self.released_cv.notify_one();
+    }
+
+    /// Closes the run with nothing more to stream: the backend is dropping.
+    pub(super) fn abandon(&self) {
+        let mut f = lock(&self.frontier);
+        f.released.clear();
+        f.closed = true;
+        drop(f);
+        self.released_cv.notify_one();
+    }
+
+    /// Returns the modeled cost of a closed run its thread returned — the
+    /// float totals accumulated in release order and the integer totals
+    /// read off the lane simulators — and records its counters. The
+    /// frontier resets for the next run first, whether the run's thread
+    /// returned or panicked.
+    ///
+    /// # Panics
+    ///
+    /// If the thread panicked: the pairs it was streaming are gone, so no
+    /// whole cost is left to report.
+    pub(super) fn finish(&self, run: std::thread::Result<Run>) -> BackendStats {
+        let peak_depth = {
+            let mut f = lock(&self.frontier);
+            let fresh = Frontier::new(self.telemetry.recorder(LANE_TRACK_BASE));
+            std::mem::replace(&mut *f, fresh).peak_depth
+        };
+        let run = run.unwrap_or_else(|_| {
+            panic!("the NMSL device model panicked: the run's modeled cost is incomplete")
+        });
         let mut stats = BackendStats::new();
         let mut device = DeviceCounters {
-            lanes: Vec::with_capacity(self.lanes.len()),
+            lanes: Vec::with_capacity(run.lanes.len()),
+            frontier_peak_depth: peak_depth,
             ..DeviceCounters::default()
         };
-        {
-            // Release anything still pending: first whatever the canonical
-            // order covers, then stragglers; every lane is pumped below.
-            // On a normal run the frontier has released everything;
-            // after an aborted run (sink error) or with jobs never sealed,
-            // indices may have gaps — release leftovers in `(job, batch)`
-            // key order regardless, so the device always resets clean.
-            let mut f = lock(&self.frontier);
-            self.drain_ready(&mut f);
-            for pair in std::mem::take(&mut f.pending).into_values().flatten() {
-                self.release_pair(&mut f, pair);
-            }
-            stats.fallback_cycles =
-                (f.fallback_seconds_total * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
-            stats.fallback_seconds = f.fallback_seconds_total;
-            stats.fallback_energy_pj = f.fallback_energy_pj;
-            stats.sim_seconds += f.fallback_seconds_total;
-            stats.input_bytes = f.input_bytes;
-            stats.output_bytes = f.output_bytes;
-        }
-        let quantum = self.config.quantum as u64;
-        for idx in 0..self.lanes.len() {
-            let mut l = self.pump_lane(idx);
-            let admitted = l.sim.submitted();
-            if l.q_input > 0 || l.q_output > 0 {
-                // A trailing partial quantum: its transfer streams under the
-                // drain of the last *full* quantum, which is still lagged.
-                self.run_quantum(&mut l, idx, admitted / quantum * quantum);
-            }
-            // Final drain: pure compute, no transfer left to hide.
-            self.run_quantum(&mut l, idx, admitted);
+        stats.fallback_cycles = (run.fallback_seconds * ACCEL_CLOCK_GHZ * 1e9).ceil() as u64;
+        stats.fallback_seconds = run.fallback_seconds;
+        stats.fallback_energy_pj = run.fallback_energy_pj;
+        stats.sim_seconds += run.fallback_seconds;
+        stats.input_bytes = run.input_bytes;
+        stats.output_bytes = run.output_bytes;
+        for l in &run.lanes {
             stats.sim_seconds += l.seconds;
             stats.seed_energy_pj += l.energy_pj;
             stats.transfer_seconds += l.transfer_seconds;
             stats.exposed_transfer_seconds += l.exposed_seconds;
-            // Capture the lane's performance counters before the reset.
             for (sum, bucket) in device.quantum_occupancy.iter_mut().zip(l.occupancy) {
                 *sum += bucket;
             }
@@ -445,15 +398,7 @@ impl SharedNmslDevice {
             stats.dram_bytes += lane.dram.bytes;
             stats.dram_requests += lane.dram.completed;
             device.lanes.push(lane);
-            // Replacing the lane state drops (and thereby flushes) its
-            // telemetry recorder; the fresh one starts with an empty ring.
-            let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
-            *l = LaneState::new(&self.config, rec);
         }
-        let mut f = lock(&self.frontier);
-        device.frontier_peak_depth = f.peak_depth;
-        *f = Frontier::new(self.lanes.len(), self.telemetry.recorder(LANE_TRACK_BASE));
-        drop(f);
         *lock(&self.last_counters) = Some(device);
         stats.sim_cycles = stats.seed_cycles + stats.fallback_cycles;
         stats.energy_pj = stats.seed_energy_pj + stats.fallback_energy_pj;

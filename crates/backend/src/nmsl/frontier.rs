@@ -1,6 +1,6 @@
 use gx_accel::{FallbackCells, PairWorkload};
 use gx_telemetry::Recorder;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One pair's admission record: everything the shared device needs to
 /// price and stream it, all computed from the pair and what its mapping
@@ -24,7 +24,7 @@ pub(super) struct JobSeq {
     /// Discarded ([`MapBackend::discard_job`]): buffered admissions are
     /// dropped and stragglers admitted under this id are ignored.
     pub(super) discarded: bool,
-    /// Pairs of this job released to lanes so far — frozen at discard, so
+    /// Pairs of this job released so far — frozen at discard, so
     /// [`MapBackend::discard_job`] can report exactly the
     /// already-dispatched remainder that stays in device totals.
     pub(super) released_pairs: u64,
@@ -34,13 +34,13 @@ pub(super) struct JobSeq {
 ///
 /// Admissions arrive as engine batches in arbitrary order (concurrent workers,
 /// and — since the service front-end — arbitrarily interleaved *jobs*); the
-/// frontier releases them to the lanes strictly in **canonical order**: jobs
-/// in ascending id order, contiguous from 0 (see [`BatchTag`]), and batch
-/// index order within each job. GenDP fallback work is priced per
-/// pair along the way — so every float it accumulates is summed in
-/// canonical order regardless of scheduling, which is what makes warm
-/// totals for completed jobs bit-identical to mapping the jobs' streams
-/// back to back.
+/// frontier releases them to the run's device thread strictly in
+/// **canonical order**: jobs in ascending id order, contiguous from 0 (see
+/// [`BatchTag`]), and batch index order within each job. The thread prices
+/// and streams pairs in the order they were released — so every float it
+/// accumulates is summed in canonical order regardless of scheduling,
+/// which is what makes warm totals for completed jobs bit-identical to
+/// mapping the jobs' streams back to back.
 pub(super) struct Frontier {
     /// Id of the job currently at the release head; every lower id is
     /// fully released (or discarded).
@@ -50,22 +50,16 @@ pub(super) struct Frontier {
     pub(super) seqs: BTreeMap<u64, JobSeq>,
     /// Batches admitted ahead of the canonical order, keyed `(job, batch)`.
     pub(super) pending: BTreeMap<(u64, u64), Vec<AdmittedPair>>,
-    /// Pairs released to lanes so far (the seedless-pair routing key).
-    pub(super) pairs_released: u64,
+    /// Pairs released in canonical order and not yet taken by the run's
+    /// thread, which swaps this for its own emptied `Vec`.
+    pub(super) released: Vec<AdmittedPair>,
+    /// The run is closing ([`MapBackend::flush`] or the backend's drop):
+    /// once `released` is empty, the thread finishes the run and returns.
+    pub(super) closed: bool,
     /// Most batches ever buffered ahead of the frontier (schedule-domain:
     /// reported in [`DeviceCounters`], excluded from the invariance
     /// fingerprint).
     pub(super) peak_depth: u64,
-    /// Per-lane staging queues in release order; swapped out under the
-    /// lane lock (see the locking note on [`SharedNmslDevice`]).
-    pub(super) staged: Vec<VecDeque<AdmittedPair>>,
-    /// Cumulative GenDP seconds in release order.
-    pub(super) fallback_seconds_total: f64,
-    /// Cumulative GenDP energy in release order.
-    pub(super) fallback_energy_pj: f64,
-    /// Host-link bytes of every released pair, in and out.
-    pub(super) input_bytes: u64,
-    pub(super) output_bytes: u64,
     /// Span ring for the trace's `frontier_depth` counter track (no-op when
     /// telemetry is disabled; observational only, never read back into
     /// accounting).
@@ -73,19 +67,43 @@ pub(super) struct Frontier {
 }
 
 impl Frontier {
-    pub(super) fn new(lanes: usize, rec: Recorder) -> Frontier {
+    pub(super) fn new(rec: Recorder) -> Frontier {
         Frontier {
             head: 0,
             seqs: BTreeMap::new(),
             pending: BTreeMap::new(),
-            pairs_released: 0,
+            released: Vec::new(),
+            closed: false,
             peak_depth: 0,
-            staged: (0..lanes).map(|_| VecDeque::new()).collect(),
-            fallback_seconds_total: 0.0,
-            fallback_energy_pj: 0.0,
-            input_bytes: 0,
-            output_bytes: 0,
             rec,
+        }
+    }
+
+    /// Releases everything the canonical order now covers: batches of the
+    /// head job in index order, advancing the head past jobs that are
+    /// sealed-and-done or discarded.
+    pub(super) fn drain_ready(&mut self) {
+        // A head job nothing has mentioned yet has nothing to release.
+        while let Some(&seq) = self.seqs.get(&self.head) {
+            let job = self.head;
+            if seq.discarded {
+                self.drop_pending(job);
+                self.head += 1;
+                continue;
+            }
+            if let Some(mut batch) = self.pending.remove(&(job, seq.next_batch)) {
+                let released = batch.len() as u64;
+                self.released.append(&mut batch);
+                let seq = self.seqs.get_mut(&job).expect("registered job");
+                seq.next_batch += 1;
+                seq.released_pairs += released;
+                continue;
+            }
+            if seq.sealed_at == Some(seq.next_batch) {
+                self.head += 1;
+                continue;
+            }
+            break;
         }
     }
 
