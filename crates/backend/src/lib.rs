@@ -3,10 +3,10 @@
 //! The paper's core claim is hardware-algorithm co-design: the *same*
 //! paired-end mapping algorithm runs on a CPU baseline and on the GenPairX
 //! accelerator, and the win is measured on *identical workloads*. This crate
-//! is that comparison made first-class: a [`MapBackend`] factory trait the
-//! pipeline worker pool is generic over, handing each worker a stateful
-//! [`MapSession`] whose one method, [`MapSession::map`], takes a batch and
-//! its [`BatchTag`] (which job, which position in that job's stream) — the
+//! is that comparison made first-class: one [`MapBackend`] trait the
+//! pipeline worker pool shares, whose [`MapBackend::map`] takes the calling
+//! worker's [`MapScratch`](gx_core::MapScratch), a batch and its
+//! [`BatchTag`] (which job, which position in that job's stream) — the
 //! whole front-end↔backend contract — with two implementations —
 //!
 //! * [`SoftwareBackend`] — the CPU reference: maps each pair with
@@ -25,12 +25,12 @@
 //!
 //! The split mirrors how SeGraM (ISCA 2022) and the PIM read-mapping line
 //! evaluate accelerators: *results* come from the algorithm, *timing* comes
-//! from the hardware model ([`MapSession::map`] returns the one,
+//! from the hardware model ([`MapBackend::map`] returns the one,
 //! [`MapBackend::flush`] the other), and both consume the exact same reads.
 //!
 //! ```
-//! use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend};
-//! use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+//! use gx_backend::{BatchTag, MapBackend, NmslBackend, SoftwareBackend};
+//! use gx_core::{GenPairConfig, GenPairMapper, MapScratch, ReadPair};
 //! use gx_genome::random::RandomGenomeBuilder;
 //!
 //! let genome = RandomGenomeBuilder::new(60_000).seed(3).build();
@@ -42,12 +42,13 @@
 //!     seq.subseq(1_300..1_450).revcomp(),
 //! )];
 //!
-//! // Each worker opens one session and feeds it tagged batches.
+//! // Each worker owns one scratch and maps tagged batches with it.
 //! let first = BatchTag { job: 0, index: 0 };
+//! let mut scratch = MapScratch::new();
 //! let software = SoftwareBackend::new(&mapper);
 //! let nmsl = NmslBackend::new(&mapper);
-//! let sw_out = software.session().map(first, &batch);
-//! let hw_out = nmsl.session().map(first, &batch);
+//! let sw_out = software.map(&mut scratch, first, &batch);
+//! let hw_out = nmsl.map(&mut scratch, first, &batch);
 //! // Identical mapping results...
 //! assert_eq!(sw_out[0].is_mapped(), hw_out[0].is_mapped());
 //! // ...but only the accelerator backend reports simulated cost, once,
@@ -69,10 +70,9 @@ mod software;
 mod traits;
 
 pub use nmsl::{
-    DeviceCounters, NmslBackend, NmslSession, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM,
-    QUANTUM_OCC_BUCKETS,
+    DeviceCounters, NmslBackend, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM, QUANTUM_OCC_BUCKETS,
 };
-pub use software::{SoftwareBackend, SoftwareSession};
+pub use software::SoftwareBackend;
 // The per-lane counter types the device report is built from.
 pub use gx_accel::{CycleBreakdown, LaneCounters};
-pub use traits::{BackendStats, BatchTag, MapBackend, MapSession};
+pub use traits::{BackendStats, BatchTag, MapBackend};

@@ -1,7 +1,7 @@
 //! The NMSL accelerator backend: software results, hardware timing.
 //!
 //! One [`NmslBackend`] owns a **shared, channel-sharded warm device** that
-//! every worker session admits into: `frontier` sequences admissions into
+//! every worker admits into: `frontier` sequences admissions into
 //! canonical `(job, batch)` order, `device` holds admit / seal / discard
 //! and the run's device thread, which owns the lanes — one persistent
 //! `NmslSim` each — routes released pairs to them by workload key, runs
@@ -14,7 +14,7 @@ mod counters;
 mod device;
 mod frontier;
 
-pub use backend::{NmslBackend, NmslSession, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM};
+pub use backend::{NmslBackend, DEFAULT_CHANNELS, DEFAULT_DISPATCH_QUANTUM};
 pub use counters::{DeviceCounters, QUANTUM_OCC_BUCKETS};
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 use super::counters::DeviceCounters;
 use super::device::{lock, DeviceConfig, Run, SharedNmslDevice};
 use super::frontier::AdmittedPair;
-use crate::{BackendStats, BatchTag, MapBackend, MapSession};
+use crate::{BackendStats, BatchTag, MapBackend};
 use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
@@ -19,8 +19,8 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 
 /// The GenPairX accelerator backend: a mapper plus the **shared
 /// channel-sharded warm device** (and its configuration) every worker
-/// session admits into. Per
-/// batch, sessions do three independent things:
+/// admits into. Per batch, [`map`](MapBackend::map) does three independent
+/// things:
 ///
 /// 1. **Results** — map every pair through the *software* path
 ///    ([`GenPairMapper::map_pair`]), exactly like
@@ -33,7 +33,7 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 ///    the run's thread streams it through the [`NmslSim`](gx_accel::NmslSim)
 ///    lanes, in input order, over the configured DRAM technology. The
 ///    workload is not extracted from the reads: it is the `(hash, start,
-///    end)` lookups step 1's seeding made and left in the session's
+///    end)` lookups step 1's seeding made and left in the worker's
 ///    scratch ([`MapScratch::pair_lookups`]), so the model prices exactly
 ///    what the algorithm looked up.
 /// 3. **Fallback + transfer cost** — price every pair that left the fast
@@ -112,7 +112,7 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     }
 
     /// Recreates the shared device with `change` applied to its
-    /// configuration — only valid while no sessions are live, which the
+    /// configuration — only valid while no worker is mapping, which the
     /// by-value builder methods guarantee. Dropping `self` joins the thread
     /// streaming the old device, if it has one.
     fn reconfigure(self, change: impl FnOnce(&mut DeviceConfig)) -> NmslBackend<'m, 'g> {
@@ -143,7 +143,7 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     /// `frontier_depth` counter tracks of the trace. Every count the device
     /// keeps is in [`DeviceCounters`] and [`BackendStats`], telemetry or
     /// not. Like [`channels`](NmslBackend::channels), this recreates the shared
-    /// device (so only call it while no sessions are live). Telemetry is
+    /// device (so only call it while no worker is mapping). Telemetry is
     /// **accounting-inert**: it taps already-computed modeled values and
     /// wall-clock reads, and nothing it records feeds back into
     /// [`BackendStats`] — warm totals stay bit-identical with tracing on.
@@ -181,6 +181,26 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         lock(&self.device.last_counters).clone()
     }
 
+    /// Maps one pair on the software path and builds its admission record
+    /// from what that call left in `scratch`: the workload is the pair
+    /// step's own lookups, never a second seeding of the reads.
+    pub(super) fn map_pair(
+        &self,
+        scratch: &mut MapScratch,
+        pair: &ReadPair,
+    ) -> (PairMapResult, AdmittedPair) {
+        let (r1, r2) = (&pair.r1, &pair.r2);
+        let res = self.mapper.map_pair_with(scratch, r1, r2);
+        let (input_bytes, output_bytes) = HostTraffic::pair_bytes(r1.len(), r2.len());
+        let admitted = AdmittedPair {
+            workload: PairWorkload::of_lookups(scratch.pair_lookups()),
+            input_bytes,
+            output_bytes,
+            cells: fallback_cells(&res, r1.len(), r2.len()),
+        };
+        (res, admitted)
+    }
+
     /// Spawns a run's device thread.
     fn spawn_run(&self) -> JoinHandle<Run> {
         let device = Arc::clone(&self.device);
@@ -210,20 +230,21 @@ impl Drop for NmslBackend<'_, '_> {
 }
 
 impl MapBackend for NmslBackend<'_, '_> {
-    type Session<'s>
-        = NmslSession<'s>
-    where
-        Self: 's;
-
     fn name(&self) -> &'static str {
         "nmsl"
     }
 
-    fn session(&self) -> NmslSession<'_> {
-        NmslSession {
-            backend: self,
-            scratch: MapScratch::new(),
-        }
+    /// Maps the batch on the software path and admits the lookups each pair
+    /// made at `tag`; their cost appears only at [`flush`](MapBackend::flush).
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult> {
+        let (results, admissions) = pairs.iter().map(|p| self.map_pair(scratch, p)).unzip();
+        self.admit(tag, admissions);
+        results
     }
 
     fn flush(&self) -> BackendStats {
@@ -239,48 +260,5 @@ impl MapBackend for NmslBackend<'_, '_> {
 
     fn discard_job(&self, job: u64) -> u64 {
         self.device.discard_job(job)
-    }
-}
-
-/// A per-worker NMSL mapping session (see [`NmslBackend`]): a thin handle
-/// into the backend's **shared channel-sharded device**. Each
-/// [`map`](MapSession::map) call maps its pairs through the software path
-/// and admits the lookups each made at the call's [`BatchTag`]. The device
-/// routes pairs to simulator lanes by workload key and streams each lane
-/// one dispatch quantum behind its admissions on the run's thread; which
-/// batches those cycles *belong to* is intentionally not a per-worker
-/// notion. The device reports their cost once, at
-/// [`MapBackend::flush`]; the session holds no accounting, because a
-/// finished worker must not drain state other workers still feed.
-pub struct NmslSession<'s> {
-    backend: &'s NmslBackend<'s, 's>,
-    /// The session's reusable mapping arena (software-path hot buffers);
-    /// after each pair it holds the lookups the device is charged for.
-    scratch: MapScratch,
-}
-
-impl NmslSession<'_> {
-    /// Maps one pair on the software path and builds its admission record
-    /// from what that call left in the scratch: the workload is the pair
-    /// step's own lookups, never a second seeding of the reads.
-    pub(super) fn map_pair(&mut self, pair: &ReadPair) -> (PairMapResult, AdmittedPair) {
-        let (r1, r2) = (&pair.r1, &pair.r2);
-        let res = self.backend.mapper.map_pair_with(&mut self.scratch, r1, r2);
-        let (input_bytes, output_bytes) = HostTraffic::pair_bytes(r1.len(), r2.len());
-        let admitted = AdmittedPair {
-            workload: PairWorkload::of_lookups(self.scratch.pair_lookups()),
-            input_bytes,
-            output_bytes,
-            cells: fallback_cells(&res, r1.len(), r2.len()),
-        };
-        (res, admitted)
-    }
-}
-
-impl MapSession for NmslSession<'_> {
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
-        let (results, admissions) = pairs.iter().map(|pair| self.map_pair(pair)).unzip();
-        self.backend.admit(tag, admissions);
-        results
     }
 }

@@ -116,7 +116,7 @@ pub(super) struct SharedNmslDevice {
     metrics: DeviceMetrics,
     /// Counters of the most recent flush, read off the run its thread
     /// returned by [`finish`](SharedNmslDevice::finish) (queried through
-    /// [`NmslBackend::device_counters`]).
+    /// [`NmslBackend::device_counters`](crate::NmslBackend::device_counters)).
     pub(super) last_counters: Mutex<Option<DeviceCounters>>,
 }
 
@@ -316,7 +316,8 @@ impl SharedNmslDevice {
 
     /// Discards `job`: drops its buffered admissions immediately — sealed
     /// or not, a batch never released to a lane is never priced — and lets
-    /// the canonical order skip it (see [`MapBackend::discard_job`]).
+    /// the canonical order skip it (see
+    /// [`MapBackend::discard_job`](crate::MapBackend::discard_job)).
     /// Returns the job's already-released pair count, frozen here because
     /// the discard flag stops any further release.
     pub(super) fn discard_job(&self, job: u64) -> u64 {

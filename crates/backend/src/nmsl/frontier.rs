@@ -18,15 +18,18 @@ pub(super) struct JobSeq {
     /// Next batch index of this job the canonical order will release.
     pub(super) next_batch: u64,
     /// Total batch count, once the job is sealed
-    /// ([`MapBackend::seal_job`]): the canonical order advances past the
-    /// job when `next_batch` reaches this.
+    /// ([`MapBackend::seal_job`](crate::MapBackend::seal_job)): the
+    /// canonical order advances past the job when `next_batch` reaches
+    /// this.
     pub(super) sealed_at: Option<u64>,
-    /// Discarded ([`MapBackend::discard_job`]): buffered admissions are
-    /// dropped and stragglers admitted under this id are ignored.
+    /// Discarded ([`MapBackend::discard_job`](crate::MapBackend::discard_job)):
+    /// buffered admissions are dropped and stragglers admitted under this
+    /// id are ignored.
     pub(super) discarded: bool,
     /// Pairs of this job released so far — frozen at discard, so
-    /// [`MapBackend::discard_job`] can report exactly the
-    /// already-dispatched remainder that stays in device totals.
+    /// [`MapBackend::discard_job`](crate::MapBackend::discard_job) can
+    /// report exactly the already-dispatched remainder that stays in
+    /// device totals.
     pub(super) released_pairs: u64,
 }
 
@@ -36,11 +39,11 @@ pub(super) struct JobSeq {
 /// and — since the service front-end — arbitrarily interleaved *jobs*); the
 /// frontier releases them to the run's device thread strictly in
 /// **canonical order**: jobs in ascending id order, contiguous from 0 (see
-/// [`BatchTag`]), and batch index order within each job. The thread prices
-/// and streams pairs in the order they were released — so every float it
-/// accumulates is summed in canonical order regardless of scheduling,
-/// which is what makes warm totals for completed jobs bit-identical to
-/// mapping the jobs' streams back to back.
+/// [`BatchTag`](crate::BatchTag)), and batch index order within each job.
+/// The thread prices and streams pairs in the order they were released —
+/// so every float it accumulates is summed in canonical order regardless
+/// of scheduling, which is what makes warm totals for completed jobs
+/// bit-identical to mapping the jobs' streams back to back.
 pub(super) struct Frontier {
     /// Id of the job currently at the release head; every lower id is
     /// fully released (or discarded).
@@ -53,12 +56,13 @@ pub(super) struct Frontier {
     /// Pairs released in canonical order and not yet taken by the run's
     /// thread, which swaps this for its own emptied `Vec`.
     pub(super) released: Vec<AdmittedPair>,
-    /// The run is closing ([`MapBackend::flush`] or the backend's drop):
-    /// once `released` is empty, the thread finishes the run and returns.
+    /// The run is closing ([`MapBackend::flush`](crate::MapBackend::flush)
+    /// or the backend's drop): once `released` is empty, the thread
+    /// finishes the run and returns.
     pub(super) closed: bool,
     /// Most batches ever buffered ahead of the frontier (schedule-domain:
-    /// reported in [`DeviceCounters`], excluded from the invariance
-    /// fingerprint).
+    /// reported in [`DeviceCounters`](crate::DeviceCounters), excluded from
+    /// the invariance fingerprint).
     pub(super) peak_depth: u64,
     /// Span ring for the trace's `frontier_depth` counter track (no-op when
     /// telemetry is disabled; observational only, never read back into

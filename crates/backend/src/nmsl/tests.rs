@@ -1,9 +1,9 @@
-//! NMSL backend tests, driven through [`NmslBackend`] sessions.
+//! NMSL backend tests, driven through [`NmslBackend::map`] calls.
 
 use super::*;
-use crate::{BackendStats, BatchTag, MapBackend, MapSession, SoftwareBackend};
+use crate::{BackendStats, BatchTag, MapBackend, SoftwareBackend};
 use gx_accel::{HostTraffic, LaneCounters, NmslConfig, SeedFetch};
-use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, ReadPair};
+use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, MapScratch, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
 use gx_memsim::DramConfig;
@@ -37,16 +37,12 @@ fn job_at(job: u64, index: u64) -> BatchTag {
     BatchTag { job, index }
 }
 
-/// Maps `pairs` in `chunk`-sized batches through one session and
+/// Maps `pairs` in `chunk`-sized batches with one scratch and
 /// returns the run's modeled cost (the device flush).
-fn run_session<'m>(
-    backend: &NmslBackend<'m, 'm>,
-    pairs: &[ReadPair],
-    chunk: usize,
-) -> BackendStats {
-    let mut session = backend.session();
+fn run_batches(backend: &NmslBackend<'_, '_>, pairs: &[ReadPair], chunk: usize) -> BackendStats {
+    let mut scratch = MapScratch::new();
     for (i, batch) in pairs.chunks(chunk).enumerate() {
-        session.map(at(i as u64), batch);
+        backend.map(&mut scratch, at(i as u64), batch);
     }
     backend.flush()
 }
@@ -62,8 +58,8 @@ fn released(backend: &NmslBackend<'_, '_>) -> u64 {
 fn results_match_software_backend() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let sw = SoftwareBackend::new(&mapper).session().map(at(0), &pairs);
-    let hw = NmslBackend::new(&mapper).session().map(at(0), &pairs);
+    let sw = SoftwareBackend::new(&mapper).map(&mut MapScratch::new(), at(0), &pairs);
+    let hw = NmslBackend::new(&mapper).map(&mut MapScratch::new(), at(0), &pairs);
     assert_eq!(sw.len(), hw.len());
     for (a, b) in sw.iter().zip(&hw) {
         assert_eq!(a.is_mapped(), b.is_mapped());
@@ -79,7 +75,7 @@ fn results_match_software_backend() {
     }
 }
 
-/// What the session did before it admitted the pair step's own lookups:
+/// What the backend did before it admitted the pair step's own lookups:
 /// seed `r1` and `rc(r2)` again, one seed at a time — first, middle, last,
 /// deduplicated — and read each hash's bucket off the index.
 fn per_seed_workload(pair: &ReadPair, mapper: &GenPairMapper<'_>) -> Vec<SeedFetch> {
@@ -103,7 +99,7 @@ fn per_seed_workload(pair: &ReadPair, mapper: &GenPairMapper<'_>) -> Vec<SeedFet
 #[test]
 fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
     // A genome with a 300-copy repeat, so one pair's seeds gather hundreds
-    // of locations into the session's arena, and an index sparse enough
+    // of locations into the worker's arena, and an index sparse enough
     // that foreign seeds find empty buckets.
     let genome = RandomGenomeBuilder::new(300_000)
         .seed(11)
@@ -166,12 +162,12 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
     cases.push(proper(1_000));
 
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     let mut exits = Vec::new();
     let mut most_locations = 0;
     for (i, (r1, r2)) in cases.into_iter().enumerate() {
         let pair = ReadPair::new(format!("p{i}"), r1, r2);
-        let (res, admitted) = session.map_pair(&pair);
+        let (res, admitted) = backend.map_pair(&mut scratch, &pair);
         assert_eq!(
             admitted.workload.seeds(),
             per_seed_workload(&pair, &mapper),
@@ -197,7 +193,7 @@ fn session_reports_simulated_cost() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let stats = run_session(&backend, &pairs, pairs.len());
+    let stats = run_batches(&backend, &pairs, pairs.len());
     // The device reports modeled cost only: the wall fields are the
     // pipeline's, which times every map call.
     assert_eq!((stats.batches, stats.pairs, stats.busy_ns), (0, 0, 0));
@@ -232,8 +228,8 @@ fn warm_totals_are_batching_invariant() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let one = run_session(&backend, &pairs, pairs.len());
-    let many = run_session(&backend, &pairs, 2);
+    let one = run_batches(&backend, &pairs, pairs.len());
+    let many = run_batches(&backend, &pairs, 2);
     assert_eq!(one.dram_bytes, many.dram_bytes);
     assert_eq!(one.dram_requests, many.dram_requests);
     assert_eq!(one.input_bytes, many.input_bytes);
@@ -252,27 +248,26 @@ fn warm_totals_are_batching_invariant() {
 
 #[test]
 fn out_of_order_sequenced_admission_matches_in_order() {
-    // Two sessions admitting interleaved batch indices out of order
-    // (what concurrent workers do) must produce the same run totals as
-    // one session admitting in order: the frontier re-sequences.
+    // Admissions from two scratches, interleaved and out of order
+    // (what concurrent workers do), must produce the same run totals as
+    // one worker admitting in order: the frontier re-sequences.
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
     let chunks: Vec<&[ReadPair]> = pairs.chunks(3).collect();
 
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     for (i, chunk) in chunks.iter().enumerate() {
-        session.map(at(i as u64), chunk);
+        backend.map(&mut scratch, at(i as u64), chunk);
     }
     let in_order = backend.flush();
 
-    let mut a = backend.session();
-    let mut b = backend.session();
-    // Admission order 2, 0, 3, 1 across two sessions.
-    a.map(at(2), chunks[2]);
-    b.map(at(0), chunks[0]);
-    a.map(at(3), chunks[3]);
-    b.map(at(1), chunks[1]);
+    let (mut a, mut b) = (MapScratch::new(), MapScratch::new());
+    // Admission order 2, 0, 3, 1 across two workers' scratches.
+    backend.map(&mut a, at(2), chunks[2]);
+    backend.map(&mut b, at(0), chunks[0]);
+    backend.map(&mut a, at(3), chunks[3]);
+    backend.map(&mut b, at(1), chunks[1]);
     let shuffled = backend.flush();
 
     assert_eq!(in_order.input_bytes, shuffled.input_bytes);
@@ -304,7 +299,7 @@ fn fingerprint(s: &BackendStats) -> (u64, u64, u64, u64, u64, u64, u64) {
 
 #[test]
 fn interleaved_jobs_match_concatenated_stream() {
-    // Two jobs admitted through two sessions, batches interleaved and
+    // Two jobs admitted through two workers' scratches, batches interleaved and
     // out of order, with job 1's work arriving *before* job 0 is done:
     // the canonical release order (job id × batch index) must make
     // the warm totals bit-identical to mapping job 0's stream then
@@ -315,24 +310,23 @@ fn interleaved_jobs_match_concatenated_stream() {
     let (job0, job1) = pairs.split_at(7);
 
     // Reference: one stream, concatenated in job order.
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     for (i, chunk) in job0.chunks(2).chain(job1.chunks(2)).enumerate() {
-        session.map(at(i as u64), chunk);
+        backend.map(&mut scratch, at(i as u64), chunk);
     }
     let reference = backend.flush();
 
     // Interleaved: job 1 first on the wire, out of order within jobs.
     let b0: Vec<&[ReadPair]> = job0.chunks(2).collect();
     let b1: Vec<&[ReadPair]> = job1.chunks(2).collect();
-    let mut a = backend.session();
-    let mut b = backend.session();
-    b.map(job_at(1, 2), b1[2]);
-    a.map(job_at(0, 1), b0[1]);
-    b.map(job_at(1, 0), b1[0]);
-    a.map(job_at(0, 3), b0[3]);
-    b.map(job_at(0, 0), b0[0]);
-    a.map(job_at(1, 1), b1[1]);
-    b.map(job_at(0, 2), b0[2]);
+    let (mut a, mut b) = (MapScratch::new(), MapScratch::new());
+    backend.map(&mut b, job_at(1, 2), b1[2]);
+    backend.map(&mut a, job_at(0, 1), b0[1]);
+    backend.map(&mut b, job_at(1, 0), b1[0]);
+    backend.map(&mut a, job_at(0, 3), b0[3]);
+    backend.map(&mut b, job_at(0, 0), b0[0]);
+    backend.map(&mut a, job_at(1, 1), b1[1]);
+    backend.map(&mut b, job_at(0, 2), b0[2]);
     backend.seal_job(0, b0.len() as u64);
     backend.seal_job(1, b1.len() as u64);
     let interleaved = backend.flush();
@@ -350,14 +344,14 @@ fn seal_releases_the_parked_next_job() {
     let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
     let (job0, job1) = pairs.split_at(6);
 
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     // Job 1 fully admitted and sealed first — nothing may release yet.
-    session.map(job_at(1, 0), job1);
+    backend.map(&mut scratch, job_at(1, 0), job1);
     backend.seal_job(1, 1);
     assert_eq!(released(&backend), 0, "job 1 released before job 0");
     // Job 0's own admission releases at once, and sealing it unparks
     // job 1's tail.
-    session.map(job_at(0, 0), job0);
+    backend.map(&mut scratch, job_at(0, 0), job0);
     assert_eq!(released(&backend), job0.len() as u64);
     backend.seal_job(0, 1);
     assert_eq!(
@@ -368,9 +362,8 @@ fn seal_releases_the_parked_next_job() {
     let total = backend.flush();
 
     // And the total still matches the concatenated reference.
-    let mut refsess = backend.session();
-    refsess.map(at(0), job0);
-    refsess.map(at(1), job1);
+    backend.map(&mut scratch, at(0), job0);
+    backend.map(&mut scratch, at(1), job1);
     let reference = backend.flush();
     assert_eq!(fingerprint(&reference), fingerprint(&total));
 }
@@ -383,36 +376,36 @@ fn discarded_job_is_skipped_and_stragglers_are_dropped() {
     let (doomed, kept) = pairs.split_at(5);
 
     // Reference: the surviving job alone on a fresh device.
-    backend.session().map(at(0), kept);
+    backend.map(&mut MapScratch::new(), at(0), kept);
     let reference = backend.flush();
 
     // Job 0 is discarded before any of its work released (its only
     // admission is parked behind the missing batch 0); job 1 completes.
-    let mut session = backend.session();
-    session.map(job_at(0, 1), &doomed[..2]);
+    let mut scratch = MapScratch::new();
+    backend.map(&mut scratch, job_at(0, 1), &doomed[..2]);
     assert_eq!(
         backend.discard_job(0),
         0,
         "nothing of job 0 released before the discard"
     );
     // A straggler admission racing past the cancel is ignored too.
-    session.map(job_at(0, 0), &doomed[2..]);
-    session.map(job_at(1, 0), kept);
+    backend.map(&mut scratch, job_at(0, 0), &doomed[2..]);
+    backend.map(&mut scratch, job_at(1, 0), kept);
     backend.seal_job(1, 1);
     let total = backend.flush();
     // The discarded job still mapped its pairs (results-side), but the
     // device priced and streamed only the surviving job's.
     assert_eq!(total, reference);
     // The device is clean for the next run: a fresh job maps normally.
-    assert_eq!(run_session(&backend, kept, 3), reference);
+    assert_eq!(run_batches(&backend, kept, 3), reference);
 }
 
 #[test]
 fn ddr5_is_slower_than_hbm() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let hbm = run_session(&NmslBackend::new(&mapper), &pairs, pairs.len());
-    let ddr = run_session(
+    let hbm = run_batches(&NmslBackend::new(&mapper), &pairs, pairs.len());
+    let ddr = run_batches(
         &NmslBackend::with_configs(&mapper, DramConfig::ddr5_4ch(), NmslConfig::default()),
         &pairs,
         pairs.len(),
@@ -430,7 +423,7 @@ fn empty_batch_reports_zero_sim_time() {
     let (genome, _) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let out = backend.session().map(at(0), &[]);
+    let out = backend.map(&mut MapScratch::new(), at(0), &[]);
     let flushed = backend.flush();
     assert!(out.is_empty());
     assert_eq!(flushed.sim_cycles, 0);
@@ -446,7 +439,7 @@ fn small_streams_expose_their_full_transfer() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper); // quantum 64 > 12 pairs
-    let stats = run_session(&backend, &pairs, 3);
+    let stats = run_batches(&backend, &pairs, 3);
     assert!(stats.transfer_seconds > 0.0);
     assert_eq!(
         stats.exposed_transfer_seconds.to_bits(),
@@ -464,7 +457,7 @@ fn compute_bound_stream_hides_all_but_the_first_quantum() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(3);
-    let stats = run_session(&backend, &pairs, 5);
+    let stats = run_batches(&backend, &pairs, 5);
     let (q_in, q_out) = pairs[..3].iter().fold((0u64, 0u64), |(i, o), p| {
         let (pi, po) = HostTraffic::pair_bytes(p.r1.len(), p.r2.len());
         (i + pi, o + po)
@@ -494,7 +487,7 @@ fn transfer_bound_stream_exposes_the_analytic_residue() {
         .channels(1)
         .dispatch_quantum(3)
         .link_gbs(1e-6);
-    let stats = run_session(&backend, &pairs, 4);
+    let stats = run_batches(&backend, &pairs, 4);
     assert_eq!(stats.fallback_seconds, 0.0, "clean dataset fell back");
     assert!(stats.transfer_seconds > stats.sim_seconds);
     assert!(stats.exposed_transfer_seconds > 0.0);
@@ -511,7 +504,7 @@ fn overlapped_system_time_never_exceeds_serial() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     for link in [1e-6, 1e-3, 1.0, gx_accel::host::PCIE4_X16_GBS] {
-        let stats = run_session(
+        let stats = run_batches(
             &NmslBackend::new(&mapper).dispatch_quantum(3).link_gbs(link),
             &pairs,
             4,
@@ -539,9 +532,9 @@ fn repeated_tag_still_buffered_panics() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session();
-    session.map(at(1), &pairs[..2]);
-    session.map(at(1), &pairs[2..4]);
+    let mut scratch = MapScratch::new();
+    backend.map(&mut scratch, at(1), &pairs[..2]);
+    backend.map(&mut scratch, at(1), &pairs[2..4]);
 }
 
 #[test]
@@ -552,9 +545,9 @@ fn stale_tag_behind_the_frontier_panics() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session();
-    session.map(at(0), &pairs[..2]);
-    session.map(at(0), &pairs[2..4]);
+    let mut scratch = MapScratch::new();
+    backend.map(&mut scratch, at(0), &pairs[..2]);
+    backend.map(&mut scratch, at(0), &pairs[2..4]);
 }
 
 #[test]
@@ -566,7 +559,7 @@ fn device_counters_partition_device_cycles() {
         backend.device_counters().is_none(),
         "no counters before the first flush"
     );
-    let stats = run_session(&backend, &pairs, 4);
+    let stats = run_batches(&backend, &pairs, 4);
     let dc = backend.device_counters().expect("flush ran");
     assert_eq!(dc.lanes.len(), 2);
     let device = dc.device_cycles();
@@ -611,9 +604,9 @@ fn device_counters_are_batching_invariant() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(3);
-    let _ = run_session(&backend, &pairs, pairs.len());
+    let _ = run_batches(&backend, &pairs, pairs.len());
     let one = backend.device_counters().unwrap();
-    let _ = run_session(&backend, &pairs, 2);
+    let _ = run_batches(&backend, &pairs, 2);
     let many = backend.device_counters().unwrap();
     assert_eq!(one, many, "device counters diverged across batchings");
 }
@@ -624,7 +617,7 @@ fn gendp_only_charged_on_fallback() {
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper);
     // Perfectly simulated in-genome pairs: all light-path, no fallback.
-    let clean = run_session(&backend, &pairs, pairs.len());
+    let clean = run_batches(&backend, &pairs, pairs.len());
     assert_eq!(clean.fallback_cycles, 0);
     assert_eq!(clean.fallback_energy_pj, 0.0);
     assert_eq!(clean.fallback_seconds, 0.0);
@@ -637,7 +630,7 @@ fn gendp_only_charged_on_fallback() {
         oseq.subseq(100..250),
         oseq.subseq(300..450).revcomp(),
     );
-    let results = backend.session().map(at(0), &[alien]);
+    let results = backend.map(&mut MapScratch::new(), at(0), &[alien]);
     assert!(results[0].fallback.is_some());
     let dirty = backend.flush();
     assert!(dirty.fallback_cycles > 0);
@@ -662,15 +655,15 @@ fn a_flush_joins_the_runs_thread() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
-    let first = run_session(&backend, &pairs, 3);
+    let first = run_batches(&backend, &pairs, 3);
     // The run's thread held the device's other reference until the join.
     assert_eq!(Arc::strong_count(&backend.device), 1);
     // The next run's first admission spawns a fresh thread.
-    let mut session = backend.session();
-    session.map(at(0), &pairs[..3]);
+    let mut scratch = MapScratch::new();
+    backend.map(&mut scratch, at(0), &pairs[..3]);
     assert_eq!(Arc::strong_count(&backend.device), 2);
     for (i, batch) in pairs[3..].chunks(3).enumerate() {
-        session.map(at(i as u64 + 1), batch);
+        backend.map(&mut scratch, at(i as u64 + 1), batch);
     }
     assert_eq!(fingerprint(&backend.flush()), fingerprint(&first));
     assert_eq!(Arc::strong_count(&backend.device), 1);
@@ -685,11 +678,10 @@ fn a_backend_dropped_mid_run_releases_its_thread() {
     // device's only reference.
     let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
     assert_eq!(Arc::strong_count(&backend.device), 1);
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     for (i, batch) in pairs.chunks(3).enumerate() {
-        session.map(at(i as u64), batch);
+        backend.map(&mut scratch, at(i as u64), batch);
     }
-    drop(session);
     // The first admission spawned the device thread, which holds the
     // other reference. Never flushed, the backend must still take it down.
     assert_eq!(Arc::strong_count(&backend.device), 2);
@@ -716,10 +708,9 @@ fn a_flush_after_the_model_panicked_panics() {
     let backend = NmslBackend::with_configs(&mapper, dram, NmslConfig::default())
         .channels(2)
         .dispatch_quantum(2);
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     for (i, batch) in pairs.chunks(3).enumerate() {
-        session.map(at(i as u64), batch);
+        backend.map(&mut scratch, at(i as u64), batch);
     }
-    drop(session);
     backend.flush();
 }

@@ -1,6 +1,6 @@
 //! The CPU reference backend.
 
-use crate::{BatchTag, MapBackend, MapSession};
+use crate::{BatchTag, MapBackend};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 
 /// The software baseline: maps every pair with
@@ -8,10 +8,10 @@ use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 ///
 /// It models no hardware, so it reports no cost of its own (the pipeline
 /// times every call). Its results define the reference output every other
-/// backend must reproduce byte-for-byte. Each session owns a
-/// [`MapScratch`] arena, so steady-state mapping performs no per-pair heap
-/// allocation; the factory/session split is what gives every worker its own
-/// scratch without sharing.
+/// backend must reproduce byte-for-byte. Each worker passes its own
+/// [`MapScratch`] arena (warmed up by the first batch, then
+/// allocation-free), so steady-state mapping performs no per-pair heap
+/// allocation.
 pub struct SoftwareBackend<'m, 'g> {
     mapper: &'m GenPairMapper<'g>,
 }
@@ -29,35 +29,19 @@ impl<'m, 'g> SoftwareBackend<'m, 'g> {
 }
 
 impl MapBackend for SoftwareBackend<'_, '_> {
-    type Session<'s>
-        = SoftwareSession<'s>
-    where
-        Self: 's;
-
     fn name(&self) -> &'static str {
         "software"
     }
 
-    fn session(&self) -> SoftwareSession<'_> {
-        SoftwareSession {
-            mapper: self.mapper,
-            scratch: MapScratch::new(),
-        }
-    }
-}
-
-/// A software mapping session: a borrowed mapper plus its own reusable
-/// [`MapScratch`] arena (warmed up by the first batch, then allocation-free).
-pub struct SoftwareSession<'m> {
-    mapper: &'m GenPairMapper<'m>,
-    scratch: MapScratch,
-}
-
-impl MapSession for SoftwareSession<'_> {
-    fn map(&mut self, _tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        _tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult> {
         pairs
             .iter()
-            .map(|p| self.mapper.map_pair_with(&mut self.scratch, &p.r1, &p.r2))
+            .map(|p| self.mapper.map_pair_with(scratch, &p.r1, &p.r2))
             .collect()
     }
 }
@@ -88,8 +72,7 @@ mod tests {
             .collect();
 
         let backend = SoftwareBackend::new(&mapper);
-        let mut session = backend.session();
-        let out = session.map(FIRST, &pairs);
+        let out = backend.map(&mut MapScratch::new(), FIRST, &pairs);
         assert_eq!(out.len(), pairs.len());
         assert_eq!(backend.flush(), BackendStats::new());
         for (pair, res) in pairs.iter().zip(&out) {
@@ -107,7 +90,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let genome = RandomGenomeBuilder::new(30_000).seed(18).build();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-        let out = SoftwareBackend::new(&mapper).session().map(FIRST, &[]);
+        let out = SoftwareBackend::new(&mapper).map(&mut MapScratch::new(), FIRST, &[]);
         assert!(out.is_empty());
     }
 }

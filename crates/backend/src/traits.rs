@@ -1,7 +1,7 @@
-//! The [`MapBackend`]/[`MapSession`] traits, [`BatchTag`] and the
-//! [`BackendStats`] a run reports.
+//! The [`MapBackend`] trait, [`BatchTag`] and the [`BackendStats`] a run
+//! reports.
 
-use gx_core::{PairMapResult, ReadPair};
+use gx_core::{MapScratch, PairMapResult, ReadPair};
 
 /// Cumulative backend accounting, sharded per worker by the pipeline and
 /// merged lock-free at join time (like
@@ -24,7 +24,7 @@ use gx_core::{PairMapResult, ReadPair};
 /// # Who fills what, and when
 ///
 /// The wall fields (`batches`, `pairs`, `busy_ns`) are host-side: the
-/// pipeline's worker step fills them around every [`MapSession::map`]
+/// pipeline's worker step fills them around every [`MapBackend::map`]
 /// call. Every *modeled* field is reported by [`MapBackend::flush`] alone,
 /// once per run: a backend's `map` returns results and nothing else. The
 /// warm NMSL device accumulates its cost in deterministic release order
@@ -37,7 +37,7 @@ pub struct BackendStats {
     pub batches: u64,
     /// Read pairs mapped.
     pub pairs: u64,
-    /// Wall-clock nanoseconds spent inside [`MapSession::map`] (mapping
+    /// Wall-clock nanoseconds spent inside [`MapBackend::map`] (mapping
     /// plus, for accelerator backends, timing simulation).
     pub busy_ns: u64,
     /// Total modeled accelerator cycles (`seed_cycles + fallback_cycles`;
@@ -167,7 +167,7 @@ impl BackendStats {
 /// ascending `job`, then ascending `index` within a job — both 0-based and
 /// contiguous per backend run (one [`MapBackend::flush`] to the next), so
 /// the order needs no registration call: the front-end that numbers jobs in
-/// submission order has thereby fixed it. Every [`MapSession::map`] call
+/// submission order has thereby fixed it. Every [`MapBackend::map`] call
 /// carries one; the one-shot engine tags its single stream as job `0`, the
 /// service numbers jobs from 0 in submission order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -179,26 +179,20 @@ pub struct BatchTag {
     pub index: u64,
 }
 
-/// A mapping backend: a cheap, shared factory of per-worker
-/// [`MapSession`]s.
+/// A mapping backend, shared (by `&self`) across every pipeline worker
+/// thread — it must be `Sync` and is never mutated.
 ///
-/// # The session lifecycle
-///
-/// One backend instance is shared (by `&self`) across every pipeline worker
-/// thread — it must be `Sync` and is never mutated. Mutable state lives in
-/// the sessions: each worker calls [`session`](MapBackend::session) exactly
-/// once at thread start and feeds every batch it pulls through
-/// [`MapSession::map`] (taking `&mut self` — statefulness is the point).
-/// Sessions are per-worker and never cross threads, so they need no
-/// synchronization, and they hold no accounting of their own: dropping one
-/// is all the teardown there is. Cross-session state (the warm NMSL device)
-/// lives behind the backend and drains in [`flush`](MapBackend::flush).
+/// Per-worker state is the worker's scratch: each worker owns one
+/// [`MapScratch`] for its whole life and passes it to every
+/// [`map`](MapBackend::map) call, so the hot buffers warm up once and need
+/// no synchronization. Cross-worker state (the warm NMSL device) lives
+/// behind the backend and drains in [`flush`](MapBackend::flush).
 ///
 /// # The results-vs-timing split
 ///
 /// A backend answers two questions, through two methods:
 ///
-/// * **Results** — *where does each pair map?* [`MapSession::map`]
+/// * **Results** — *where does each pair map?* [`map`](MapBackend::map)
 ///   returns them. Every backend must produce results identical to calling
 ///   [`GenPairMapper::map_pair`](gx_core::GenPairMapper::map_pair) on each
 ///   pair in order. This is what makes backends interchangeable: the
@@ -213,22 +207,37 @@ pub struct BatchTag {
 ///   through a cycle-accurate DRAM model, prices fallback pairs on the
 ///   GenDP model and charges host-link transfer.
 pub trait MapBackend: Sync {
-    /// The per-worker session type; borrows the backend for its lifetime.
-    type Session<'s>: MapSession
-    where
-        Self: 's;
-
     /// Short stable identifier for reports ("software", "nmsl", ...).
     fn name(&self) -> &'static str;
 
-    /// Opens a per-worker mapping session. Called once per worker thread;
-    /// the session carries the worker's mutable state privately
-    /// (shared-device backends additionally keep state behind the backend
-    /// itself — see [`flush`](MapBackend::flush)).
+    /// Maps one batch of read pairs, admitted at `tag`, using the calling
+    /// worker's `scratch` — the whole front-end↔backend contract.
+    ///
+    /// Must return exactly one result per input pair, in input order.
+    /// Results are returned immediately; only the modeled cost is
+    /// sequenced. Backends with cross-worker shared state (the warm NMSL
+    /// device) buffer admissions until the canonical release order — job id
+    /// × per-job batch index, see [`BatchTag`] — covers
+    /// them, so warm totals for a set of completed jobs are bit-identical
+    /// to mapping the jobs' streams back to back, regardless of which
+    /// worker got which batch, thread count, batch size or interleaving.
+    /// Backends without shared state (software) ignore the tag.
+    ///
+    /// Within one backend run every `(job, index)` is admitted exactly
+    /// once, job ids are contiguous from 0 and each job's indices are
+    /// contiguous from 0 (the engine's front end and the service's
+    /// scheduler and ingest pool guarantee this). A sequencing
+    /// backend treats a repeated or already-released tag as a caller bug
+    /// and panics; a gap leaves it waiting for the missing batch until
+    /// [`flush`](MapBackend::flush). Every job with a successor must be
+    /// sealed ([`seal_job`](MapBackend::seal_job)) or discarded
+    /// ([`discard_job`](MapBackend::discard_job)) before the flush, or the
+    /// sequencer releases its parked tail in flush order instead of
+    /// canonical order.
     ///
     /// ```
-    /// use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend};
-    /// use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+    /// use gx_backend::{BatchTag, MapBackend, NmslBackend};
+    /// use gx_core::{GenPairConfig, GenPairMapper, MapScratch, ReadPair};
     /// use gx_genome::random::RandomGenomeBuilder;
     ///
     /// let genome = RandomGenomeBuilder::new(50_000).seed(8).build();
@@ -240,30 +249,35 @@ pub trait MapBackend: Sync {
     ///     seq.subseq(4_300..4_450).revcomp(),
     /// )];
     ///
-    /// // The worker-thread lifecycle: open once, map every batch through
-    /// // the same (stateful) session under its position in the stream,
-    /// // then flush the backend once all sessions are done (the warm NMSL
-    /// // device drains its shared simulator lanes there).
+    /// // The worker-thread lifecycle: one scratch for every batch, each
+    /// // batch under its position in the stream, then flush the backend
+    /// // once every worker is done (the warm NMSL device drains its
+    /// // shared simulator lanes there).
     /// let backend = NmslBackend::new(&mapper);
-    /// let mut session = backend.session();
+    /// let mut scratch = MapScratch::new();
     /// for index in 0..3 {
-    ///     let results = session.map(BatchTag { job: 0, index }, &batch);
+    ///     let results = backend.map(&mut scratch, BatchTag { job: 0, index }, &batch);
     ///     assert!(results[0].is_mapped());
     /// }
     /// let cost = backend.flush(); // drain the shared device
     /// assert!(cost.seed_cycles > 0);
     /// assert!(cost.exposed_transfer_seconds <= cost.transfer_seconds);
     /// ```
-    fn session(&self) -> Self::Session<'_>;
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult>;
 
-    /// Reports the run's modeled cost, after **every** session is done
+    /// Reports the run's modeled cost, after **every** worker is done
     /// mapping — the only place a backend reports any. The warm NMSL
     /// device drains its simulator lanes here and reads its totals off
     /// them; stateless backends keep the default, which models nothing.
     /// The engine and the service call this exactly once per run, after
     /// joining the workers, and merge it into the run's [`BackendStats`].
     ///
-    /// Flushing also resets the cross-session state, so a backend can drive
+    /// Flushing also resets the cross-worker state, so a backend can drive
     /// consecutive runs with each run accounted independently. Runs sharing
     /// one backend must not overlap in time.
     fn flush(&self) -> BackendStats {
@@ -293,37 +307,6 @@ pub trait MapBackend: Sync {
         let _ = job;
         0
     }
-}
-
-/// A per-worker mapping session: owns whatever mutable state mapping
-/// batches requires (a scratch arena; for accelerator backends, a handle
-/// into the shared warm device). See [`MapBackend`] for the lifecycle
-/// contract.
-pub trait MapSession {
-    /// Maps one batch of read pairs, admitted at `tag` — the whole
-    /// front-end↔backend contract.
-    ///
-    /// Must return exactly one result per input pair, in input order.
-    /// Results are returned immediately; only the modeled cost is
-    /// sequenced. Backends with cross-worker shared state (the warm NMSL
-    /// device) buffer admissions until the canonical release order — job id
-    /// × per-job batch index, see [`BatchTag`] — covers
-    /// them, so warm totals for a set of completed jobs are bit-identical
-    /// to mapping the jobs' streams back to back, regardless of which
-    /// worker got which batch, thread count, batch size or interleaving.
-    /// Backends without shared state (software) ignore the tag.
-    ///
-    /// Within one backend run every `(job, index)` is admitted exactly
-    /// once, job ids are contiguous from 0 and each job's indices are
-    /// contiguous from 0 (the engine's front end and the service's
-    /// scheduler and ingest pool guarantee this). A sequencing
-    /// backend treats a repeated or already-released tag as a caller bug
-    /// and panics; a gap leaves it waiting for the missing batch until
-    /// [`MapBackend::flush`]. Every job with a successor must be sealed
-    /// ([`MapBackend::seal_job`]) or discarded
-    /// ([`MapBackend::discard_job`]) before the flush, or the sequencer
-    /// releases its parked tail in flush order instead of canonical order.
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult>;
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The steady-state allocation budget of the software hot path: after a
-//! session's [`MapScratch`](gx_core::MapScratch) arena is warmed up by the
+//! worker's [`MapScratch`] arena is warmed up by the
 //! first batch, mapping a pair must be (almost) allocation-free. The only
 //! tolerated heap traffic is the per-*batch* results `Vec` the backend
 //! returns — everything per-pair (reverse complements, seed codes, SeedMap
@@ -15,8 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gx_backend::{BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend};
-use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+use gx_backend::{BatchTag, MapBackend, NmslBackend, SoftwareBackend};
+use gx_core::{GenPairConfig, GenPairMapper, MapScratch, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
 
@@ -79,11 +79,11 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     let pairs = build_pairs(seq, 64);
 
     let backend = SoftwareBackend::new(&mapper);
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
 
     // Warm-up: the first batch grows every scratch buffer to its
     // steady-state high-water mark.
-    let warm = session.map(BatchTag { job: 0, index: 0 }, &pairs);
+    let warm = backend.map(&mut scratch, BatchTag { job: 0, index: 0 }, &pairs);
     assert!(warm.iter().filter(|r| r.is_mapped()).count() > 48);
 
     // Steady state: the only allowed allocations are the per-batch results
@@ -93,7 +93,7 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     let mut mapped = 0usize;
     let allocs = allocations(|| {
         for index in 1..=BATCHES {
-            let out = session.map(BatchTag { job: 0, index }, &pairs);
+            let out = backend.map(&mut scratch, BatchTag { job: 0, index }, &pairs);
             mapped += out.iter().filter(|r| r.is_mapped()).count();
         }
     });
@@ -102,7 +102,7 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     let per_batch_budget = 4u64;
     assert!(
         allocs <= BATCHES * per_batch_budget,
-        "warm software session allocated {allocs} times over {BATCHES} batches \
+        "warm software backend allocated {allocs} times over {BATCHES} batches \
          of {} pairs (budget: {per_batch_budget}/batch)",
         pairs.len(),
     );
@@ -115,7 +115,7 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
 
 #[test]
 fn warm_nmsl_session_maps_pairs_without_per_pair_allocation() {
-    // On top of the software path, an NMSL session builds each pair's seed
+    // On top of the software path, the NMSL backend builds each pair's seed
     // workload (an inline, `Copy` value), admits it to the shared device
     // and runs the lanes' simulators one quantum behind. Steady state,
     // that costs a per-batch sliver — the admission and results vectors —
@@ -127,26 +127,26 @@ fn warm_nmsl_session_maps_pairs_without_per_pair_allocation() {
     let pairs = build_pairs(genome.chromosome(0).seq(), 64);
 
     let backend = NmslBackend::new(&mapper);
-    let mut session = backend.session();
+    let mut scratch = MapScratch::new();
     // Warm-up: four batches put every lane past its first dispatch quantum,
     // so FIFOs, slot rings, staging queues and completion buffers are at
     // their high-water marks.
     const WARM: u64 = 4;
     for index in 0..WARM {
-        session.map(BatchTag { job: 0, index }, &pairs);
+        backend.map(&mut scratch, BatchTag { job: 0, index }, &pairs);
     }
 
     const BATCHES: u64 = 8;
     let allocs = allocations(|| {
         for index in WARM..WARM + BATCHES {
-            let out = session.map(BatchTag { job: 0, index }, &pairs);
+            let out = backend.map(&mut scratch, BatchTag { job: 0, index }, &pairs);
             assert_eq!(out.len(), pairs.len());
         }
     });
     let per_batch_budget = 8u64;
     assert!(
         allocs <= BATCHES * per_batch_budget,
-        "warm NMSL session allocated {allocs} times over {BATCHES} batches \
+        "warm NMSL backend allocated {allocs} times over {BATCHES} batches \
          of {} pairs (budget: {per_batch_budget}/batch)",
         pairs.len(),
     );

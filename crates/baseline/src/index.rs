@@ -21,8 +21,7 @@ impl MinimizerIndex {
     ///
     /// # Panics
     ///
-    /// Panics on unreasonable `k`/`w` (see
-    /// [`extract_minimizers`](crate::minimizer::extract_minimizers)).
+    /// Panics on unreasonable `k`/`w` (see [`extract_minimizers`]).
     pub fn build(genome: &ReferenceGenome, k: usize, w: usize, max_occ: usize) -> MinimizerIndex {
         let mut map: HashMap<u64, Vec<u64>> = HashMap::new();
         for (ci, chrom) in genome.chromosomes().iter().enumerate() {

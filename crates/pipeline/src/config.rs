@@ -123,10 +123,10 @@ impl PipelineBuilder {
 
     /// Finalizes and attaches the configuration to a mapping backend (the
     /// software reference, the NMSL accelerator system model, or any custom
-    /// [`MapBackend`]). The engine opens one stateful session per worker
-    /// thread from this backend (`backend.session()`), so a
-    /// stateful backend — e.g. the NMSL model's shared warm device —
-    /// carries simulator state across every batch of the run.
+    /// [`MapBackend`]). Every worker maps through this one backend with
+    /// its own scratch, so a stateful backend — e.g. the NMSL model's
+    /// shared warm device — carries simulator state across every batch of
+    /// the run.
     ///
     /// ```
     /// use gx_genome::random::RandomGenomeBuilder;

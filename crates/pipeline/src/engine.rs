@@ -6,7 +6,7 @@
 //! ```text
 //! calling thread (front end)        worker threads (N)
 //! ┌─────────────────────────┐ FIFO  ┌──────────────────┐
-//! │ chunk input into batches│ ────► │ session.map      │
+//! │ chunk input into batches│ ────► │ backend.map      │
 //! │                         │ queue │ + shard stats    │
 //! │ reorder by batch index, │ ◄──── │ + render records │
 //! │ stream SAM to the sink  │ chan  └──────────────────┘
@@ -27,9 +27,8 @@
 //! backends *and* across thread counts / batch sizes; only the reported
 //! cost ([`BackendStats`]) differs.
 //!
-//! Each worker opens one stateful [`MapSession`](gx_backend::MapSession) at
-//! thread start (`backend.session()`) and maps every batch it
-//! pulls through [`MapSession::map`](gx_backend::MapSession::map), tagged
+//! Each worker owns one [`MapScratch`] for the whole run and maps every
+//! batch it pulls through [`MapBackend::map`] with it, tagged
 //! job `0` × the batch's index — the tag is what lets the NMSL backend's
 //! shared device (DRAM row-buffer state, sliding window, kept *warm* across
 //! batches) admit in input order whichever worker got the batch. Each
@@ -61,7 +60,7 @@ use crate::batch::Batch;
 use crate::config::{FallbackPolicy, PipelineConfig};
 use crate::queue::DispatchQueue;
 use crate::sink::{RecordSink, VecSink};
-use crate::worker::{emit_pair_records, inflight_window, ReorderBuffer, Worker};
+use crate::worker::{emit_pair_records, inflight_window, panic_text, ReorderBuffer, Worker};
 use gx_backend::{BackendStats, BatchTag, MapBackend};
 use gx_core::{GenPairMapper, MapScratch, PipelineStats, ReadPair};
 use gx_genome::SamRecord;
@@ -107,11 +106,11 @@ pub struct PipelineReport {
     /// Batch size used.
     pub batch_size: usize,
     /// Always 0, because one FIFO queue dispatches every batch; kept only
-    /// for the benchmark's `pipeline.steals` row until ROADMAP 1(e)
+    /// for the benchmark's `pipeline.steals` row until ROADMAP 1(c)
     /// retires both.
     pub steals: u64,
     /// Always 0, because one FIFO queue dispatches every batch; kept only
-    /// for the benchmark's `pipeline.refills` row until ROADMAP 1(e)
+    /// for the benchmark's `pipeline.refills` row until ROADMAP 1(c)
     /// retires both.
     pub refills: u64,
     /// Span events overwritten before flush because a recorder's ring
@@ -250,9 +249,10 @@ impl<B: MapBackend> MappingEngine<B> {
     /// # Panics
     ///
     /// Propagates panics from worker threads (as `"mapping worker
-    /// panicked"`; a mapper invariant violation), from the input iterator
-    /// and from the sink (with their own payloads). Panics if the backend
-    /// returns a result count different from the batch size.
+    /// panicked: "` followed by the worker's message; a mapper invariant
+    /// violation), from the input iterator and from the sink (with their
+    /// own payloads). Panics if the backend returns a result count
+    /// different from the batch size.
     pub fn run<I, S>(&self, input: I, sink: &mut S) -> io::Result<PipelineReport>
     where
         I: IntoIterator<Item = ReadPair>,
@@ -384,7 +384,11 @@ impl<B: MapBackend> MappingEngine<B> {
 
             let shards: Vec<(PipelineStats, BackendStats)> = workers
                 .into_iter()
-                .map(|w| w.join().expect("mapping worker panicked"))
+                .map(|w| {
+                    w.join().unwrap_or_else(|payload| {
+                        panic!("mapping worker panicked: {}", panic_text(payload.as_ref()))
+                    })
+                })
                 .collect();
             let stats = PipelineStats::merged(shards.iter().map(|(s, _)| s));
             let mut backend_stats = BackendStats::merged(shards.iter().map(|(_, b)| b));
@@ -633,21 +637,11 @@ mod tests {
         // instead of waiting on pops that will never come, and its `recv`
         // fails once the worker has gone.
         struct PanicBackend;
-        struct PanicSession;
         impl MapBackend for PanicBackend {
-            type Session<'s>
-                = PanicSession
-            where
-                Self: 's;
             fn name(&self) -> &'static str {
                 "panic"
             }
-            fn session(&self) -> PanicSession {
-                PanicSession
-            }
-        }
-        impl gx_backend::MapSession for PanicSession {
-            fn map(&mut self, _tag: BatchTag, _pairs: &[ReadPair]) -> Vec<PairMapResult> {
+            fn map(&self, _: &mut MapScratch, _: BatchTag, _: &[ReadPair]) -> Vec<PairMapResult> {
                 panic!("injected backend failure");
             }
         }
@@ -661,6 +655,36 @@ mod tests {
             .backend(PanicBackend);
         let mut sink = VecSink::new();
         let _ = engine.run(pairs, &mut sink);
+    }
+
+    #[test]
+    #[should_panic(expected = "backend returned a result count different from the batch size")]
+    fn a_backend_returning_too_few_results_panics() {
+        // Without the worker step's count check, `zip` would silently drop
+        // the unanswered pairs from the SAM output.
+        struct OneShort<'m, 'g>(SoftwareBackend<'m, 'g>);
+        impl MapBackend for OneShort<'_, '_> {
+            fn name(&self) -> &'static str {
+                "one-short"
+            }
+            fn map(
+                &self,
+                s: &mut MapScratch,
+                tag: BatchTag,
+                pairs: &[ReadPair],
+            ) -> Vec<PairMapResult> {
+                let mut results = self.0.map(s, tag, pairs);
+                results.pop();
+                results
+            }
+        }
+        let (genome, pairs) = setup();
+        let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+        let engine = PipelineBuilder::new()
+            .threads(2)
+            .batch_size(8)
+            .backend(OneShort(SoftwareBackend::new(&mapper)));
+        let _ = engine.run_collect(pairs);
     }
 
     #[test]

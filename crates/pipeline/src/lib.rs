@@ -14,10 +14,11 @@
 //!   bounded FIFO **dispatch queue** (every worker pops the oldest batch),
 //!   generic over a pluggable [`MapBackend`] (the software
 //!   reference [`SoftwareBackend`] or the NMSL accelerator system model
-//!   [`NmslBackend`] from `gx-backend`); each worker opens one stateful
-//!   [`MapSession`] for the whole run, maps whole batches through its one
-//!   method ([`MapSession::map`], each batch under its [`BatchTag`] so the
-//!   accelerator's shared warm device admits in input order), and
+//!   [`NmslBackend`] from `gx-backend`); each worker owns one
+//!   [`MapScratch`](gx_core::MapScratch) for the whole run, maps whole
+//!   batches through [`MapBackend::map`] with it (each batch under its
+//!   [`BatchTag`] so the accelerator's shared warm device admits in input
+//!   order), and
 //!   accumulates private **stats shards** (merged lock-free at join via
 //!   [`PipelineStats::merge`](gx_core::PipelineStats::merge) and
 //!   [`BackendStats::merge`]);
@@ -89,9 +90,7 @@ pub use batch::{read_pairs_from_fastq, ReadPairStream};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
-pub use gx_backend::{
-    BackendStats, BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend,
-};
+pub use gx_backend::{BackendStats, BatchTag, MapBackend, NmslBackend, SoftwareBackend};
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};
 pub use service::{

@@ -7,7 +7,7 @@
 //! [`ServiceHandle`]:
 //!
 //! ```text
-//! submit(job A) ──┐ ingest pool     ┌─ worker 0 ─ session.map ───┐ per-job
+//! submit(job A) ──┐ ingest pool     ┌─ worker 0 ─ backend.map ───┐ per-job
 //! submit(job B) ──┤ (each ingester  │  worker 1 ─ ...            ├─ ordered
 //! submit(job C) ──┘ owns ≤1 job,    │  worker N ─ ...            │ emitters
 //!                   claims by       └────────── shared device ───┘ (A,B,C)
@@ -38,8 +38,8 @@
 //! read off its `End` at finalize: a client cancel, the deadline timer
 //! ([`JobSpec::deadline`] on the service [`Clock`]), a malformed input
 //! record, a failing sink or a panicking map call (the worker that caught
-//! it reopens its session and serves on). The job lock `end` runs under
-//! also guards emission, so a cancel ack is a barrier: once `cancel`
+//! it reopens its `Worker` with a fresh scratch and serves on). The job
+//! lock `end` runs under also guards emission, so a cancel ack is a barrier: once `cancel`
 //! returns `true` no further record reaches the sink.
 //!
 //! [`BatchTag`]: gx_backend::BatchTag
@@ -95,10 +95,10 @@ pub struct ServiceReport {
     /// Ingest-pool threads used.
     pub ingesters: usize,
     /// Always 0, as [`PipelineReport::steals`](crate::PipelineReport::steals)
-    /// is, until ROADMAP 1(e) retires both.
+    /// is, until ROADMAP 1(c) retires both.
     pub steals: u64,
     /// Always 0, as [`PipelineReport::refills`](crate::PipelineReport::refills)
-    /// is, until ROADMAP 1(e) retires both.
+    /// is, until ROADMAP 1(c) retires both.
     pub refills: u64,
     /// Wall-clock duration of the whole service scope.
     pub elapsed: std::time::Duration,
@@ -148,7 +148,7 @@ impl MappingService {
     /// ```
     pub fn serve<B, F, R>(backend: B, builder: ServiceBuilder, f: F) -> (R, ServiceReport)
     where
-        B: MapBackend + Sync,
+        B: MapBackend,
         F: FnOnce(&ServiceHandle<'_>) -> R,
     {
         let ServiceBuilder {
@@ -160,14 +160,13 @@ impl MappingService {
         let clock = clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let started = Instant::now();
         let shared = Shared {
+            backend: &backend,
             queue: DispatchQueue::new(cfg.queue_depth),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
-            backend_name: backend.name(),
             cfg,
             telemetry,
             clock,
-            discard: &|job| backend.discard_job(job),
         };
         for w in 0..cfg.threads {
             shared
@@ -184,7 +183,6 @@ impl MappingService {
             .label_track((cfg.threads + cfg.ingesters) as u32, "deadline timer");
 
         let shared = &shared;
-        let backend_ref = &backend;
         let out = std::thread::scope(|scope| {
             // If `f` (or anything else on this thread) unwinds, tear the
             // queue down and flag the service threads, or the scope's
@@ -193,11 +191,11 @@ impl MappingService {
             let _teardown = AbortOnPanic(shared);
             let mut workers = Vec::with_capacity(cfg.threads);
             for worker_id in 0..cfg.threads {
-                workers.push(scope.spawn(move || run_worker(shared, backend_ref, worker_id)));
+                workers.push(scope.spawn(move || run_worker(shared, worker_id)));
             }
             let mut ingesters = Vec::with_capacity(cfg.ingesters);
             for ingester_id in 0..cfg.ingesters {
-                ingesters.push(scope.spawn(move || run_ingester(shared, backend_ref, ingester_id)));
+                ingesters.push(scope.spawn(move || run_ingester(shared, ingester_id)));
             }
             let timer = scope.spawn(move || run_timer(shared));
 
@@ -234,7 +232,7 @@ impl MappingService {
             deadline_cancels: sched.deadline_cancels,
             records_written: sched.records_written,
             backend: backend_total,
-            backend_name: shared.backend_name,
+            backend_name: backend.name(),
             threads: cfg.threads,
             ingesters: cfg.ingesters,
             steals: 0,

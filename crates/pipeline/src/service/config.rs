@@ -249,7 +249,7 @@ impl ServiceBuilder {
     /// for [`MappingService::serve`].
     pub fn serve<B, F, R>(self, backend: B, f: F) -> (R, ServiceReport)
     where
-        B: MapBackend + Sync,
+        B: MapBackend,
         F: FnOnce(&ServiceHandle<'_>) -> R,
     {
         MappingService::serve(backend, self, f)

@@ -3,7 +3,6 @@
 use super::job::{end_job, End, JobBatch, JobState};
 use super::sched::{claim_job, try_finalize, AbortOnPanic, Shared};
 use crate::worker::inflight_window;
-use gx_backend::MapBackend;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
 use std::sync::Arc;
@@ -17,8 +16,9 @@ const DEADLINE_POLL: Duration = Duration::from_millis(5);
 pub(super) type JobInput = Box<dyn Iterator<Item = Result<ReadPair, GenomeError>> + Send>;
 
 /// A job in the ingest pool's rotation. At any moment a job is either in
-/// [`Sched::pool`] (claimable) or owned by exactly one ingester — never
-/// both — so its input iterator is only ever polled single-threaded.
+/// [`Sched::pool`](super::sched::Sched::pool) (claimable) or owned by
+/// exactly one ingester — never both — so its input iterator is only ever
+/// polled single-threaded.
 pub(super) struct FeederJob {
     pub(super) state: Arc<JobState>,
     pub(super) input: JobInput,
@@ -65,7 +65,7 @@ enum FeedOutcome {
 /// honouring its in-flight window; seal at end of input; end the job on an
 /// input error. A job something else ended leaves the rotation here (its
 /// in-flight batches drain without emission).
-fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob) -> FeedOutcome {
+fn feed_one(shared: &Shared<'_>, fj: &mut FeederJob) -> FeedOutcome {
     let job = Arc::clone(&fj.state);
     let job = &job;
     let window = inflight_window(shared.cfg.queue_depth, shared.cfg.threads);
@@ -101,7 +101,7 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
                 // An end may land concurrently: sealing an ended job is a
                 // no-op here, and the device accepts seal and discard in
                 // either order.
-                backend.seal_job(job.id, fj.next_index);
+                shared.backend.seal_job(job.id, fj.next_index);
                 job.lock().seal();
                 try_finalize(shared, job);
                 return FeedOutcome::Closed;
@@ -126,7 +126,7 @@ fn feed_one<B: MapBackend>(shared: &Shared<'_>, backend: &B, fj: &mut FeederJob)
 /// blocking input iterator blocks only its owner — the rest of the pool
 /// keeps every other job flowing. `serve` closes the dispatch queue once
 /// the whole pool has exited.
-pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, ingester_id: usize) {
+pub(super) fn run_ingester(shared: &Shared<'_>, ingester_id: usize) {
     let _teardown = AbortOnPanic(shared);
     let mut rec = shared
         .telemetry
@@ -156,7 +156,7 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
             }
         };
         let t = rec.start();
-        let outcome = feed_one(shared, backend, &mut fj);
+        let outcome = feed_one(shared, &mut fj);
         fj.round += 1;
         match outcome {
             FeedOutcome::QueueGone => return,
@@ -193,8 +193,8 @@ pub(super) fn run_ingester<B: MapBackend>(shared: &Shared<'_>, backend: &B, inge
 /// against the service clock and ends overdue jobs ([`End::Deadline`]).
 /// Polling is real-time ([`DEADLINE_POLL`] while
 /// any deadline is pending) but expiry is decided purely by the injected
-/// [`Clock`], so tests driving a `ManualClock` see deterministic
-/// behavior.
+/// [`Clock`](crate::Clock), so tests driving a `ManualClock` see
+/// deterministic behavior.
 pub(super) fn run_timer(shared: &Shared<'_>) {
     let _teardown = AbortOnPanic(shared);
     loop {

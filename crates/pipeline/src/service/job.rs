@@ -1,11 +1,11 @@
 //! One job: its report types, its shared state and its lifecycle.
 
 use super::config::Priority;
-use super::sched::{try_finalize, DiscardFn, Shared};
+use super::sched::{try_finalize, Shared};
 use crate::engine::PipelineReport;
 use crate::sink::RecordSink;
 use crate::worker::ReorderBuffer;
-use gx_backend::BackendStats;
+use gx_backend::{BackendStats, MapBackend};
 use gx_core::{PipelineStats, ReadPair};
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -72,7 +72,7 @@ pub struct JobSnapshot {
 }
 
 /// A sink that can be moved across the service's threads and handed back
-/// to the typed [`JobHandle::join`] afterwards.
+/// to the typed [`JobHandle::join`](super::JobHandle::join) afterwards.
 pub(super) trait ServiceSink: RecordSink + Send {
     /// Type-erases the sink for the return trip.
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
@@ -205,13 +205,13 @@ impl JobCore {
     /// lands in `accounted_after_cancel` *under the core lock*, so no
     /// finalize can slip between the end and the record. Taking device
     /// locks under it is safe: nothing takes them the other way round.
-    pub(super) fn end(&mut self, why: End, discard_job: &DiscardFn<'_>, id: u64) -> bool {
+    pub(super) fn end(&mut self, why: End, backend: &dyn MapBackend, id: u64) -> bool {
         if self.ended().is_some() {
             return false;
         }
         self.life = Life::Ended(why);
         self.reorder.clear();
-        self.accounted_after_cancel = discard_job(id);
+        self.accounted_after_cancel = backend.discard_job(id);
         true
     }
 
@@ -239,7 +239,7 @@ pub(super) fn end_job(shared: &Shared<'_>, job: &Arc<JobState>, why: End) -> Opt
         if core.finished.is_some() {
             return None;
         }
-        core.end(why, shared.discard, job.id)
+        core.end(why, shared.backend, job.id)
     };
     try_finalize(shared, job);
     // The job left the ingest rotation and its queued batches now drain
@@ -255,25 +255,41 @@ mod tests {
     use crate::queue::DispatchQueue;
     use crate::sink::VecSink;
     use crate::{ServiceBuilder, SystemClock};
+    use gx_backend::BatchTag;
+    use gx_core::{MapScratch, PairMapResult};
     use gx_telemetry::Telemetry;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A backend that maps nothing and counts the jobs discarded from it.
+    #[derive(Default)]
+    struct CountDiscards(AtomicUsize);
+
+    impl MapBackend for CountDiscards {
+        fn name(&self) -> &'static str {
+            "test"
+        }
+
+        fn map(&self, _: &mut MapScratch, _: BatchTag, _: &[ReadPair]) -> Vec<PairMapResult> {
+            unreachable!("no batch is mapped")
+        }
+
+        fn discard_job(&self, _job: u64) -> u64 {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            0
+        }
+    }
+
     #[test]
     fn first_end_wins_and_a_later_cancel_is_still_acknowledged() {
-        let discards = AtomicUsize::new(0);
-        let discard = |_job: u64| {
-            discards.fetch_add(1, Ordering::SeqCst);
-            0
-        };
+        let backend = CountDiscards::default();
         let shared = Shared {
+            backend: &backend,
             queue: DispatchQueue::new(1),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             cfg: *ServiceBuilder::new().config(),
             telemetry: Telemetry::disabled(),
-            backend_name: "test",
             clock: Arc::new(SystemClock::new()),
-            discard: &discard,
         };
         let job = Arc::new(JobState {
             id: 0,
@@ -296,7 +312,7 @@ mod tests {
         // nothing, but is acknowledged: the barrier holds either way.
         assert_eq!(end_job(&shared, &job, End::Cancelled), Some(false));
         assert_eq!(end_job(&shared, &job, End::Deadline), Some(false));
-        assert_eq!(discards.load(Ordering::SeqCst), 1, "one discard per job");
+        assert_eq!(backend.0.load(Ordering::SeqCst), 1, "one discard per job");
         let snap = job.lock().snapshot();
         assert!(!snap.finished && !snap.cancelled);
 

@@ -6,7 +6,7 @@ use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::clock::Clock;
 use crate::engine::PipelineReport;
 use crate::queue::DispatchQueue;
-use gx_backend::BackendStats;
+use gx_backend::{BackendStats, MapBackend};
 use gx_telemetry::Telemetry;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -36,13 +36,10 @@ pub(super) struct Sched {
     pub(super) job_backend: BackendStats,
 }
 
-/// Backend-erased [`MapBackend::discard_job`]: cancel handles and the
-/// deadline timer end jobs without knowing the backend type.
-pub(super) type DiscardFn<'b> = dyn Fn(u64) -> u64 + Sync + 'b;
-
-/// Everything the service's threads share by reference. The `'b`
-/// lifetime borrows the backend for the type-erased discard.
+/// Everything the service's threads share by reference, the backend
+/// included (borrowed for `'b`).
 pub(super) struct Shared<'b> {
+    pub(super) backend: &'b dyn MapBackend,
     pub(super) queue: DispatchQueue<JobBatch>,
     pub(super) sched: Mutex<Sched>,
     /// Wakes ingesters (new job, cancel, window progress), the deadline
@@ -50,12 +47,9 @@ pub(super) struct Shared<'b> {
     pub(super) wake: Condvar,
     pub(super) cfg: ServiceConfig,
     pub(super) telemetry: Telemetry,
-    pub(super) backend_name: &'static str,
     /// Monotonic clock for deadlines and admission timeouts
     /// (control-plane only — never feeds modeled accounting).
     pub(super) clock: Arc<dyn Clock>,
-    /// Discards jobs from the device without knowing the backend type.
-    pub(super) discard: &'b DiscardFn<'b>,
 }
 
 impl Shared<'_> {
@@ -164,7 +158,7 @@ pub(super) fn try_finalize(shared: &Shared<'_>, job: &Arc<JobState>) {
             report: PipelineReport {
                 stats: core.stats,
                 backend: core.backend,
-                backend_name: shared.backend_name,
+                backend_name: shared.backend.name(),
                 records_written: core.written,
                 batches: core.admitted,
                 threads: shared.cfg.threads,

@@ -2,33 +2,23 @@
 
 use super::job::End;
 use super::sched::{try_finalize, AbortOnPanic, Shared};
-use crate::worker::Worker;
-use gx_backend::{BatchTag, MapBackend};
+use crate::worker::{panic_text, Worker};
+use gx_backend::BatchTag;
 use gx_core::PipelineStats;
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The text of a caught panic's payload (a `panic!` message is a `&str`
-/// or a `String`).
-fn panic_text(payload: &(dyn Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
-}
 
 /// One service worker: pops job-tagged batches, runs the engine's worker
 /// step on them ([`Worker`]), and drives the owning job's ordered emitter
 /// under the job lock. A map call or a sink that panics fails the batch's
 /// job, not the service. A map panic is caught here and the worker carries
-/// on with a fresh session (the old one may be mid-batch). A sink panic is
+/// on with a fresh scratch (the old one may be mid-batch). A sink panic is
 /// caught inside the job lock's scope, so the lock is not poisoned and the
 /// job's client is still woken; the records that call wrote before the
 /// panic are not counted in `records_written`.
-pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker_id: usize) {
+pub(super) fn run_worker(shared: &Shared<'_>, worker_id: usize) {
     let _teardown = AbortOnPanic(shared);
-    let open = || Worker::open(backend, &shared.telemetry, worker_id, shared.cfg.fallback);
+    let policy = shared.cfg.fallback;
+    let open = || Worker::open(shared.backend, &shared.telemetry, worker_id, policy);
     let mut worker = open();
     while let Some(jb) = worker.pop(&shared.queue) {
         {
@@ -92,14 +82,14 @@ pub(super) fn run_worker<B: MapBackend>(shared: &Shared<'_>, backend: &B, worker
                         ))),
                     };
                     if let Some(why) = why {
-                        core.end(why, shared.discard, jb.job.id);
+                        core.end(why, shared.backend, jb.job.id);
                     }
                 }
             }
             Err(payload) => {
                 let text = panic_text(payload.as_ref());
                 let why = End::Failed(format!("mapping worker panicked: {text}"));
-                core.end(why, shared.discard, jb.job.id);
+                core.end(why, shared.backend, jb.job.id);
             }
         }
         core.processed += 1;

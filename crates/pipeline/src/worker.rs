@@ -6,13 +6,26 @@
 use crate::config::FallbackPolicy;
 use crate::queue::DispatchQueue;
 use crate::sink::RecordSink;
-use gx_backend::{BackendStats, BatchTag, MapBackend, MapSession};
-use gx_core::{pair_mapping_to_sam, unmapped_pair_to_sam, PairMapping, PipelineStats, ReadPair};
+use gx_backend::{BackendStats, BatchTag, MapBackend};
+use gx_core::{
+    pair_mapping_to_sam, unmapped_pair_to_sam, MapScratch, PairMapping, PipelineStats, ReadPair,
+};
 use gx_genome::SamRecord;
 use gx_telemetry::{HistogramId, Recorder, Telemetry};
+use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::time::Instant;
+
+/// The text of a caught panic's payload (a `panic!` message is a `&str`
+/// or a `String`).
+pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("opaque panic payload")
+}
 
 /// Batches a stream may have admitted past its last in-order processed
 /// one. Bounds the reorder buffer: without it, one slow early batch would
@@ -22,20 +35,21 @@ pub(crate) fn inflight_window(queue_depth: usize, threads: usize) -> u64 {
     (queue_depth + 2 * threads) as u64
 }
 
-/// One pool worker, the engine's or the service's: its stateful backend
-/// session (opened once, so accelerator sessions keep the shared device
-/// warm across every batch the worker maps) and its telemetry shard on
-/// track `id`. Telemetry is observational only — nothing recorded here
+/// One pool worker, the engine's or the service's: the shared backend, the
+/// worker's own [`MapScratch`] (its per-worker mapping state, warmed up by
+/// the first batch and reused for every later one) and its telemetry shard
+/// on track `id`. Telemetry is observational only — nothing recorded here
 /// feeds back into modeled stats or emitted bytes.
-pub(crate) struct Worker<'b, B: MapBackend + 'b> {
-    session: B::Session<'b>,
+pub(crate) struct Worker<'b, B: MapBackend + ?Sized> {
+    backend: &'b B,
+    scratch: MapScratch,
     policy: FallbackPolicy,
     rec: Recorder,
     queue_wait_h: HistogramId,
     map_h: HistogramId,
 }
 
-impl<'b, B: MapBackend> Worker<'b, B> {
+impl<'b, B: MapBackend + ?Sized> Worker<'b, B> {
     pub(crate) fn open(
         backend: &'b B,
         telemetry: &Telemetry,
@@ -43,7 +57,8 @@ impl<'b, B: MapBackend> Worker<'b, B> {
         policy: FallbackPolicy,
     ) -> Worker<'b, B> {
         Worker {
-            session: backend.session(),
+            backend,
+            scratch: MapScratch::new(),
             policy,
             rec: telemetry.recorder(id as u32),
             queue_wait_h: telemetry.histogram(
@@ -52,7 +67,7 @@ impl<'b, B: MapBackend> Worker<'b, B> {
             ),
             map_h: telemetry.histogram(
                 "gx_map_batch_ns",
-                "wall-clock latency of one MapSession::map call, ns",
+                "wall-clock latency of one MapBackend::map call, ns",
             ),
         }
     }
@@ -86,7 +101,7 @@ impl<'b, B: MapBackend> Worker<'b, B> {
     ) -> (BackendStats, Vec<SamRecord>) {
         let t_map = self.rec.start();
         let started = Instant::now();
-        let results = self.session.map(tag, &pairs);
+        let results = self.backend.map(&mut self.scratch, tag, &pairs);
         let wall = BackendStats {
             batches: 1,
             pairs: pairs.len() as u64,
@@ -163,7 +178,7 @@ impl ReorderBuffer {
 /// Materialises one pair's SAM records, honouring the fallback policy, by
 /// *consuming* the worker-owned mapping and pair (reads, CIGARs and the id
 /// move into the records; nothing is cloned). Shared by [`Worker::map`]
-/// and [`map_serial`] so every path emits identical bytes.
+/// and [`map_serial`](crate::map_serial) so every path emits identical bytes.
 pub(crate) fn emit_pair_records(
     mapping: Option<PairMapping>,
     pair: ReadPair,

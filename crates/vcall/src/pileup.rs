@@ -35,7 +35,7 @@ pub(crate) struct IndelKey {
 /// ```
 #[derive(Debug)]
 pub struct Pileup {
-    /// Per chromosome: counts[pos][base_code].
+    /// Per chromosome: `counts[pos][base_code]`.
     counts: Vec<Vec<[u16; 4]>>,
     pub(crate) indels: HashMap<IndelKey, u32>,
     records: u64,

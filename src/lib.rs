@@ -23,13 +23,12 @@
 //! * [`pipeline`] — the throughput engine: batching front-end, a worker
 //!   pool fed through one bounded FIFO dispatch queue, with sharded
 //!   statistics, and an ordered SAM emitter (see below).
-//! * [`backend`] — pluggable mapping backends behind the
-//!   [`backend::MapBackend`] factory / [`backend::MapSession`] session
-//!   split, whose contract is two calls —
-//!   `session.map(BatchTag { job, index }, &pairs)` for results and one
-//!   `backend.flush()` for the run's modeled cost: the software
-//!   reference and the NMSL accelerator system model (one shared warm
-//!   device every session admits into in tag order, GenDP fallback
+//! * [`backend`] — pluggable mapping backends behind the one
+//!   [`backend::MapBackend`] trait, whose contract is two calls —
+//!   `backend.map(&mut scratch, BatchTag { job, index }, &pairs)` for
+//!   results and one `backend.flush()` for the run's modeled cost: the
+//!   software reference and the NMSL accelerator system model (one shared
+//!   warm device every worker admits into in tag order, GenDP fallback
 //!   costing, host-link transfer accounting with double-buffered DMA
 //!   overlap), interchangeable under the pipeline.
 //! * [`baseline`] — minimap2-style software mapper and comparator models.

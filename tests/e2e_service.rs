@@ -36,17 +36,17 @@
 //!
 //! And tenant isolation against the backend itself:
 //!
-//! 5. **A panicking map call fails one job** — a session that panics on
+//! 5. **A panicking map call fails one job** — a backend that panics on
 //!    one job's batch ends that job as `Failed` with the panic text; its
 //!    sibling and a job submitted afterwards complete with their solo
-//!    bytes on the reopened session, `serve` returns normally, and the
+//!    bytes on the reopened worker, `serve` returns normally, and the
 //!    survivors' warm fingerprint equals a single-engine run over their
 //!    streams.
 //! 6. **A panicking sink fails one job** — a sink that panics at record N
 //!    ends its job as `Failed` with the panic text after exactly the
 //!    records before N; a sibling and a later job complete with their solo
 //!    bytes, and `serve` returns normally.
-//! 7. **A panic inside the warm device fails one job** — a session that
+//! 7. **A panic inside the warm device fails one job** — a backend that
 //!    admits one batch's tag twice trips the device's repeated-tag check
 //!    under its frontier lock; that job ends `Failed` with the panic text,
 //!    and a sibling and a later job complete with their solo bytes on the
@@ -54,11 +54,13 @@
 //! 8. **An input error fails one NMSL job** — a job whose input errors
 //!    inside its first batch ends `Failed`; its siblings complete, and the
 //!    warm fingerprint is that of an engine run over the siblings alone.
+//! 9. **A short result list fails one job** — a backend that returns one
+//!    result too few for one job's batch ends that job as `Failed` with
+//!    the worker step's count-check text; a sibling completes with its
+//!    solo bytes.
 
-use genpairx::backend::{
-    BackendStats, BatchTag, MapBackend, MapSession, NmslBackend, SoftwareBackend,
-};
-use genpairx::core::{GenPairConfig, GenPairMapper, PairMapResult};
+use genpairx::backend::{BackendStats, BatchTag, MapBackend, NmslBackend, SoftwareBackend};
+use genpairx::core::{GenPairConfig, GenPairMapper, MapScratch, PairMapResult};
 use genpairx::genome::{GenomeError, ReferenceGenome, SamRecord};
 use genpairx::pipeline::{
     map_serial, FallbackPolicy, JobHandle, JobOutcome, JobReport, JobSpec, ManualClock,
@@ -587,27 +589,29 @@ fn deadline_cancel_after_seal_leaves_no_trace_in_warm_totals() {
     }
 }
 
-/// Id of the pair [`PanicOn`] sessions refuse to map.
+/// Id of the pair [`PanicOn`] refuses to map.
 const POISON: &str = "poison";
 
-/// A backend whose sessions panic on any batch holding the [`POISON`]
-/// pair and otherwise delegate to `B`'s — a mapper bug, injected.
+/// A backend that panics on any batch holding the [`POISON`] pair and
+/// otherwise delegates to `B` — a mapper bug, injected.
 struct PanicOn<B>(B);
 
-struct PanicOnSession<S>(S);
-
 impl<B: MapBackend> MapBackend for PanicOn<B> {
-    type Session<'s>
-        = PanicOnSession<B::Session<'s>>
-    where
-        Self: 's;
-
     fn name(&self) -> &'static str {
         self.0.name()
     }
 
-    fn session(&self) -> Self::Session<'_> {
-        PanicOnSession(self.0.session())
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult> {
+        assert!(
+            pairs.iter().all(|p| p.id != POISON),
+            "injected mapping failure"
+        );
+        self.0.map(scratch, tag, pairs)
     }
 
     fn flush(&self) -> BackendStats {
@@ -623,16 +627,6 @@ impl<B: MapBackend> MapBackend for PanicOn<B> {
     }
 }
 
-impl<S: MapSession> MapSession for PanicOnSession<S> {
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
-        assert!(
-            pairs.iter().all(|p| p.id != POISON),
-            "injected mapping failure"
-        );
-        self.0.map(tag, pairs)
-    }
-}
-
 /// Bound on every wait of the panic test: on a build whose service does
 /// not survive a worker panic the poisoned job never finalizes, and the
 /// test must fail here rather than hang.
@@ -640,7 +634,7 @@ const PANIC_BOUND: Duration = Duration::from_secs(30);
 
 /// Drives one service over `backend` wrapped in [`PanicOn`]: a one-batch
 /// poisoned job and a sibling submitted together, then a third job on the
-/// session the worker reopened. Returns the service-wide warm totals.
+/// worker reopened with a fresh scratch. Returns the service-wide warm totals.
 fn survive_a_worker_panic<B: MapBackend + Sync>(
     backend: B,
     genome: &ReferenceGenome,
@@ -688,8 +682,8 @@ fn survive_a_worker_panic<B: MapBackend + Sync>(
                     "{what}: sibling bytes diverge from its solo run"
                 );
 
-                // The worker that caught the panic serves on with a reopened
-                // session (with one thread there is no other worker).
+                // The worker that caught the panic serves on, reopened with a
+                // fresh scratch (with one thread there is no other worker).
                 let later = svc
                     .submit_pairs(
                         JobSpec::new().batch_size(16),
@@ -740,25 +734,26 @@ fn a_worker_panic_fails_one_job_and_the_service_keeps_serving() {
     }
 }
 
-/// A backend whose sessions map any batch holding the [`POISON`] pair
-/// twice under one tag, so the device sees the tag admitted twice — a
-/// caller bug, injected below the mapping step.
+/// A backend that maps any batch holding the [`POISON`] pair twice under
+/// one tag, so the device sees the tag admitted twice — a caller bug,
+/// injected below the mapping step.
 struct AdmitTwice<B>(B);
 
-struct AdmitTwiceSession<S>(S);
-
 impl<B: MapBackend> MapBackend for AdmitTwice<B> {
-    type Session<'s>
-        = AdmitTwiceSession<B::Session<'s>>
-    where
-        Self: 's;
-
     fn name(&self) -> &'static str {
         self.0.name()
     }
 
-    fn session(&self) -> Self::Session<'_> {
-        AdmitTwiceSession(self.0.session())
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult> {
+        if pairs.iter().any(|p| p.id == POISON) {
+            self.0.map(scratch, tag, pairs);
+        }
+        self.0.map(scratch, tag, pairs)
     }
 
     fn flush(&self) -> BackendStats {
@@ -771,15 +766,6 @@ impl<B: MapBackend> MapBackend for AdmitTwice<B> {
 
     fn discard_job(&self, job: u64) -> u64 {
         self.0.discard_job(job)
-    }
-}
-
-impl<S: MapSession> MapSession for AdmitTwiceSession<S> {
-    fn map(&mut self, tag: BatchTag, pairs: &[ReadPair]) -> Vec<PairMapResult> {
-        if pairs.iter().any(|p| p.id == POISON) {
-            self.0.map(tag, pairs);
-        }
-        self.0.map(tag, pairs)
     }
 }
 
@@ -837,6 +823,82 @@ fn a_device_panic_fails_one_job_and_the_service_keeps_serving() {
                 });
         assert_eq!(report.jobs_failed, 1, "{what}");
         assert_eq!(report.jobs_completed, 2, "{what}");
+    }
+}
+
+/// A backend that returns one result too few for any batch holding the
+/// [`POISON`] pair — a backend bug the worker step's count check catches.
+struct OneShort<B>(B);
+
+impl<B: MapBackend> MapBackend for OneShort<B> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn map(
+        &self,
+        scratch: &mut MapScratch,
+        tag: BatchTag,
+        pairs: &[ReadPair],
+    ) -> Vec<PairMapResult> {
+        let mut results = self.0.map(scratch, tag, pairs);
+        if pairs.iter().any(|p| p.id == POISON) {
+            results.pop();
+        }
+        results
+    }
+}
+
+#[test]
+fn a_short_result_list_fails_one_job_and_its_sibling_completes() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let sibling_solo = solo_sam(&mapper, &genome, &pairs[40..200]);
+    let sink = || SamTextSink::with_header(&genome, Vec::new()).unwrap();
+    let mut doomed = pairs[..40].to_vec();
+    doomed[7].id = POISON.to_string();
+
+    for threads in [1, 2] {
+        let what = format!("threads={threads}");
+        let backend = OneShort(SoftwareBackend::new(&mapper));
+        let ((), report) =
+            ServiceBuilder::new()
+                .threads(threads)
+                .queue_depth(4)
+                .serve(backend, |svc| {
+                    let failed = svc
+                        .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
+                        .unwrap();
+                    let sibling = svc
+                        .submit_pairs(
+                            JobSpec::new().batch_size(32),
+                            pairs[40..200].to_vec(),
+                            sink(),
+                        )
+                        .unwrap();
+
+                    let (fr, _) = join_within(failed, PANIC_BOUND, "job with a short result list");
+                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                    let reason = fr.report.abort_reason.as_deref().unwrap();
+                    assert!(
+                        reason.starts_with("mapping worker panicked")
+                            && reason.contains(
+                                "backend returned a result count different from the batch size"
+                            ),
+                        "{what}: lost the reason: {reason}"
+                    );
+                    assert_eq!(fr.report.records_written, 0, "{what}");
+
+                    let (sr, ssink) =
+                        join_within(sibling, PANIC_BOUND, "sibling of a short result list");
+                    assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                    assert!(
+                        ssink.into_inner().unwrap() == sibling_solo,
+                        "{what}: sibling bytes diverge from its solo run"
+                    );
+                });
+        assert_eq!(report.jobs_failed, 1, "{what}");
+        assert_eq!(report.jobs_completed, 1, "{what}");
     }
 }
 

@@ -9,8 +9,12 @@
 #   3. make N alternating pairs of runs (which side goes first alternates),
 #      either `gxbench run` (all six workloads, end-to-end + per-layer) or,
 #      with -w, `gxbench --workload W --trace T` (-t 0, the default:
-#      end-to-end only, ~25 s; -t 1: per-layer only; -t all: both, so one
-#      workload's pairs carry the rows a claim locates its saving in);
+#      end-to-end only, ~25 s; -t all: end-to-end and per-layer, so one
+#      workload's pairs carry the rows a claim locates its saving in).
+#      `-w service_mix` always runs `-t all` and refuses `-t 0`: its
+#      job_latency_* rows are per-layer rows, and `gxbench compare` needs
+#      them. There is no `-t 1`: a per-layer-only document has no
+#      end_to_end section, so `compare` cannot read it;
 #   4. `gxbench compare base/ change/`;
 #   5. for `gxbench run` sets, per side: how many runs ended `ok: false` and
 #      the min..max of every figure the shape guards measured (compare
@@ -31,12 +35,12 @@ set -eu
 pairs=10
 seed=20260930
 workload=
-trace=0
+trace=
 rev=HEAD
 dir=
 
 usage() {
-    echo "usage: $0 [-n pairs] [-s seed] [-w workload [-t 0|1|all]] [-r base-rev] [-d scratch-dir]" >&2
+    echo "usage: $0 [-n pairs] [-s seed] [-w workload [-t 0|all]] [-r base-rev] [-d scratch-dir]" >&2
     exit 2
 }
 
@@ -53,7 +57,17 @@ while getopts n:s:w:t:r:d: opt; do
 done
 shift $((OPTIND - 1))
 [ $# -eq 0 ] || usage
-case $trace in 0 | 1 | all) ;; *) usage ;; esac
+case $trace in '' | 0 | all) ;; *) usage ;; esac
+if [ "$workload" = service_mix ]; then
+    if [ "$trace" = 0 ]; then
+        echo "$0: -w service_mix needs -t all: its job_latency_* rows are" \
+            "per-layer rows, which -t 0 does not measure, and gxbench compare" \
+            "needs them" >&2
+        exit 2
+    fi
+    trace=all
+fi
+trace=${trace:-0}
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 dir=${dir:-$repo/.gxbench-ab}
