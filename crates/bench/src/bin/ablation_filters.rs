@@ -10,7 +10,7 @@
 use gx_align::{align, AlignMode, Scoring};
 use gx_bench::{bench_genome, bench_pairs, render_table};
 use gx_core::light::{light_align, LightConfig};
-use gx_core::pafilter::paired_adjacency_filter;
+use gx_core::pafilter::{paired_adjacency_filter_ranked_into, PaFilterResult};
 use gx_core::prefilter::{single_end_adjacency, sneaky_snake_filter};
 use gx_core::seeding::query_read;
 use gx_core::{GenPairConfig, GenPairMapper};
@@ -39,6 +39,7 @@ fn main() {
     let mut snake_missed_good = 0u64;
     let mut snake_only = 0u64; // snake accepts, DP bad (filter false positives)
 
+    let mut pa = PaFilterResult::default();
     for p in &ds.pairs {
         let (r1o, r2o) = if p.truth.r1_forward {
             (p.r1.seq.clone(), p.r2.seq.revcomp())
@@ -65,7 +66,7 @@ fn main() {
         let refs: Vec<&[u32]> = per_seed.iter().map(|v| v.as_slice()).collect();
         cand_single += single_end_adjacency(&refs, 10, 2).len() as u64;
 
-        let pa = paired_adjacency_filter(&c1.starts, &c2.starts, 600, usize::MAX);
+        paired_adjacency_filter_ranked_into(&c1, &c2, 600, usize::MAX, &mut pa);
         cand_paired += pa.candidates.len() as u64;
 
         // Pre-filter quality at the paired candidates (read 1 side).

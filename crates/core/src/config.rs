@@ -17,8 +17,10 @@ pub struct GenPairConfig {
     /// Scoring scheme shared with the DP fallback.
     pub scoring: Scoring,
     /// Maximum candidate pairs kept per orientation after the
-    /// paired-adjacency filter; further candidates indicate a repeat-heavy
-    /// region and are truncated, matching the hardware's bounded buffers.
+    /// paired-adjacency filter, matching the hardware's bounded buffers.
+    /// More pairs within Δ indicate a repeat family; the filter keeps the
+    /// ones with the most seed support, not the lowest addresses, so the
+    /// copy all the reads' seeds hit survives the cut.
     pub max_candidates: usize,
     /// Maximum candidates tried with DP when light alignment fails.
     pub max_dp_candidates: usize,
@@ -31,7 +33,7 @@ impl Default for GenPairConfig {
             delta: 600,
             light: LightConfig::default(),
             scoring: Scoring::short_read(),
-            max_candidates: 64,
+            max_candidates: 4,
             max_dp_candidates: 4,
         }
     }

@@ -10,7 +10,8 @@
 //!    locations from the [`gx_seedmap::SeedMap`] index, normalized to read
 //!    starts and merged.
 //! 3. **Paired-Adjacency Filtering** ([`pafilter`]) — keep candidate pairs
-//!    whose reads land within Δ of each other.
+//!    whose reads land within Δ of each other, at most `max_candidates`,
+//!    the ones the most seeds support first.
 //! 4. **Light Alignment** ([`light`]) — Hamming-mask alignment producing
 //!    score + CIGAR for single-edit-type reads; DP only as fallback.
 //!

@@ -9,7 +9,7 @@
 //! for light alignment — the winning region is aligned with full banded DP.
 
 use crate::mapper::GenPairMapper;
-use crate::pafilter::paired_adjacency_filter;
+use crate::pafilter::{paired_adjacency_filter_ranked_into, PaFilterResult};
 use crate::seeding::query_read;
 use crate::voting::location_vote;
 use gx_align::{banded_align_with, AlignMode, AlignScratch, Scoring};
@@ -61,6 +61,7 @@ impl<'g> GenPairMapper<'g> {
         let rc = read.revcomp();
         let scoring = Scoring::long_read();
         let scratch = &mut AlignScratch::new();
+        let mut pa = PaFilterResult::default();
 
         let mut best: Option<LongReadMapping> = None;
         for (seq, forward) in [(read, true), (&rc, false)] {
@@ -75,14 +76,15 @@ impl<'g> GenPairMapper<'g> {
                 let q1 = query_read(&c1, self.seedmap());
                 let q2 = query_read(&c2, self.seedmap());
                 work.seed_locations += q1.locations_fetched + q2.locations_fetched;
-                let pa = paired_adjacency_filter(
-                    &q1.starts,
-                    &q2.starts,
+                paired_adjacency_filter_ranked_into(
+                    &q1,
+                    &q2,
                     self.config().delta,
                     self.config().max_candidates,
+                    &mut pa,
                 );
                 work.pa_iterations += pa.iterations;
-                for cand in pa.candidates {
+                for cand in &pa.candidates {
                     // Normalize to the long read's start.
                     if cand.start1 as u64 >= off1 as u64 {
                         votes.push(cand.start1 - off1 as u32);

@@ -3,7 +3,7 @@
 //! Light Alignment, with the three DP fallback arrows of Fig. 10.
 
 use crate::light::{light_align_with, LightAlignment, LightScratch};
-use crate::pafilter::paired_adjacency_filter_into;
+use crate::pafilter::paired_adjacency_filter_ranked_into;
 use crate::scratch::MapScratch;
 use crate::seeding::query_reads_into;
 use crate::{GenPairConfig, ReadPair};
@@ -78,6 +78,9 @@ pub struct PairWork {
     pub seed_lookups: u64,
     /// Paired-adjacency comparator iterations.
     pub pa_iterations: u64,
+    /// 1 if either orientation's PA filter dropped a pair at
+    /// `max_candidates`, else 0.
+    pub pa_truncated: u64,
     /// Candidates surviving the PA filter.
     pub candidates: u64,
     /// Light alignments attempted (two per candidate; Table 3's
@@ -243,14 +246,15 @@ impl<'g> GenPairMapper<'g> {
             any_hits1 |= c1.seeds_hit > 0;
             any_hits2 |= c2.seeds_hit > 0;
 
-            paired_adjacency_filter_into(
-                &c1.starts,
-                &c2.starts,
+            paired_adjacency_filter_ranked_into(
+                c1,
+                c2,
                 self.config.delta,
                 self.config.max_candidates,
                 pa,
             );
             work.pa_iterations += pa.iterations;
+            work.pa_truncated |= u64::from(pa.truncated);
             work.candidates += pa.candidates.len() as u64;
 
             for cand in &pa.candidates {
@@ -731,6 +735,74 @@ mod tests {
             assert_eq!(fresh.work.candidates, reused.work.candidates);
             assert_eq!(fresh.work.dp_cells, reused.work.dp_cells);
         }
+    }
+
+    /// A single-chromosome genome whose first part is a diverged repeat
+    /// family: `copies` copies of one random 400-base unit, each carrying
+    /// its own 2 % substitutions (as `RandomGenomeBuilder` diverges a
+    /// family), one every 500 bases over a random backbone; 20 000 unique
+    /// bases follow. Returns the genome and the copies' starts.
+    fn diverged_family(copies: usize) -> (ReferenceGenome, Vec<usize>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let len = copies * 500 + 20_000;
+        let backbone = RandomGenomeBuilder::new(len as u64).seed(41).build();
+        let mut codes = Vec::new();
+        backbone.chromosome(0).seq().codes_into(0..len, &mut codes);
+        let master: Vec<u8> = (0..400).map(|_| rng.random_range(0..4)).collect();
+        let starts: Vec<usize> = (0..copies).map(|k| 50 + k * 500).collect();
+        for &at in &starts {
+            for (i, &code) in master.iter().enumerate() {
+                let substituted = rng.random_bool(0.02);
+                codes[at + i] = (code + u8::from(substituted) * rng.random_range(1..4)) % 4;
+            }
+        }
+        let chrom = gx_genome::Chromosome::new("chr1", DnaSeq::from_codes(&codes));
+        (ReferenceGenome::from_chromosomes(vec![chrom]), starts)
+    }
+
+    #[test]
+    fn the_true_copy_of_a_diverged_repeat_survives_the_cap() {
+        use crate::pafilter::paired_adjacency_filter;
+        use crate::seeding::query_read;
+        let (genome, copies) = diverged_family(800);
+        let cfg = GenPairConfig::default();
+        let mapper = GenPairMapper::build(&genome, &cfg);
+        let seq = genome.chromosome(0).seq();
+        let at = copies[700];
+        let r1 = seq.subseq(at..at + 150);
+        let r2 = seq.subseq(at + 250..at + 400).revcomp();
+
+        // Filled in genome order, even a 64-pair buffer holds only other
+        // copies: the pair's own lies past it.
+        let (c1, c2) = (
+            query_read(&r1, mapper.seedmap()),
+            query_read(&r2.revcomp(), mapper.seedmap()),
+        );
+        let by_address = paired_adjacency_filter(&c1.starts, &c2.starts, cfg.delta, 64);
+        assert!(by_address.truncated);
+        assert!(by_address.candidates.iter().all(|c| c.start1 != at as u32));
+
+        // Ranked by seed support, the true copy comes first and maps alone.
+        let res = mapper.map_pair(&r1, &r2);
+        assert_eq!(res.fallback, None);
+        let m = res.mapping.as_ref().expect("mapped");
+        assert_eq!((m.pos1, m.pos2, m.mapq), (at as u64, at as u64 + 250, 60));
+        assert_eq!(m.pair_score(), 600);
+
+        // The truncation is counted once for the pair, and not at all for
+        // a pair from the unique tail.
+        let tail = copies.len() * 500 + 5_000;
+        let unique = mapper.map_pair(
+            &seq.subseq(tail..tail + 150),
+            &seq.subseq(tail + 250..tail + 400).revcomp(),
+        );
+        assert_eq!(unique.mapping.as_ref().map(|m| m.pos1), Some(tail as u64));
+        let mut stats = crate::PipelineStats::new();
+        stats.record(&res);
+        stats.record(&unique);
+        assert_eq!((res.work.pa_truncated, unique.work.pa_truncated), (1, 0));
+        assert_eq!(stats.pa_truncated, 1);
     }
 
     #[test]

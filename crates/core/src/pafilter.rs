@@ -6,7 +6,19 @@
 //! comparator — and emits candidate pairs whose distance is at most Δ. The
 //! number of comparator iterations is recorded; it drives the module's
 //! throughput requirement in the paper's Table 3.
+//!
+//! The output buffer is bounded (`max_candidates`), and in a repeat family
+//! more pairs lie within Δ than it holds. The mapper's filter
+//! ([`paired_adjacency_filter_ranked_into`]) therefore keeps the pairs with
+//! the most *seed support* — how many of the two reads' seeds place them
+//! there ([`ReadCandidates::support`]) — with ties in genome order: the
+//! copy the reads came from is the one all their seeds hit, so it survives
+//! the cut wherever it sits in the family. Once the buffer is full a new
+//! pair replaces the weakest kept one only if it has strictly more
+//! support, and the scan stops as soon as every kept pair has the most
+//! support the two reads can reach.
 
+use crate::seeding::ReadCandidates;
 use gx_genome::GlobalPos;
 
 /// A candidate placement of a read pair (global read-start coordinates).
@@ -21,11 +33,17 @@ pub struct PairCandidate {
 /// Result of paired-adjacency filtering.
 #[derive(Clone, Debug, Default)]
 pub struct PaFilterResult {
-    /// Surviving candidate pairs, at most `max_candidates`.
+    /// Surviving candidate pairs, at most `max_candidates`, in decreasing
+    /// pair support, ties in genome order.
     pub candidates: Vec<PairCandidate>,
-    /// Comparator iterations performed (hardware cycle accounting).
+    /// Pair support of each candidate, parallel to `candidates`: the sum of
+    /// its two starts' seed support (2 to 6 for 150 bp reads), or 0 from
+    /// [`paired_adjacency_filter_into`], which ranks nothing.
+    pub support: Vec<u8>,
+    /// Comparator iterations performed (hardware cycle accounting), up to
+    /// the scan's stop.
     pub iterations: u64,
-    /// Whether candidate emission was truncated at `max_candidates`.
+    /// Whether at least one pair within Δ was dropped at `max_candidates`.
     pub truncated: bool,
 }
 
@@ -43,7 +61,9 @@ pub fn paired_adjacency_filter(
 }
 
 /// [`paired_adjacency_filter`] writing into a caller-owned result (cleared
-/// first): the allocation-free variant the mapper's scratch arena uses.
+/// first). Every pair has the same support here, so the buffer keeps the
+/// first `max_candidates` pairs in genome order and the scan stops at the
+/// first pair past them.
 pub fn paired_adjacency_filter_into(
     list1: &[GlobalPos],
     list2: &[GlobalPos],
@@ -51,11 +71,59 @@ pub fn paired_adjacency_filter_into(
     max_candidates: usize,
     res: &mut PaFilterResult,
 ) {
+    scan(list1, list2, |_, _| 0, 0, delta, max_candidates, res);
+}
+
+/// The mapper's filter: the pairs of `c1.starts` and `c2.starts` within
+/// `delta`, at most `max_candidates` of them, ranked by pair support (the
+/// sum of the two starts' [`ReadCandidates::support`]) with ties in genome
+/// order — exactly the first `max_candidates` of all pairs within `delta`
+/// stable-sorted by support, highest first. Writes into a caller-owned
+/// result (cleared first).
+pub fn paired_adjacency_filter_ranked_into(
+    c1: &ReadCandidates,
+    c2: &ReadCandidates,
+    delta: u32,
+    max_candidates: usize,
+    res: &mut PaFilterResult,
+) {
+    let best = (c1.seeds_total + c2.seeds_total).min(u32::from(u8::MAX)) as u8;
+    let support = |i: usize, j: usize| c1.support[i].saturating_add(c2.support[j]);
+    scan(
+        &c1.starts,
+        &c2.starts,
+        support,
+        best,
+        delta,
+        max_candidates,
+        res,
+    );
+}
+
+/// The two-pointer scan behind both entry points. `support(i, j)` is the
+/// pair support of `list1[i]` and `list2[j]`, and `best` the highest it
+/// can be. Below the cap every pair is pushed; at the cap a pair replaces
+/// the weakest kept one (the lowest support, latest in genome order) only
+/// if its support is strictly higher, so the buffer always holds, in
+/// genome order, the best pairs of the scan so far. A full buffer whose
+/// weakest pair has `best` support cannot change: the scan stops there.
+fn scan(
+    list1: &[GlobalPos],
+    list2: &[GlobalPos],
+    support: impl Fn(usize, usize) -> u8,
+    best: u8,
+    delta: u32,
+    max_candidates: usize,
+    res: &mut PaFilterResult,
+) {
     res.candidates.clear();
+    res.support.clear();
     res.iterations = 0;
     res.truncated = false;
+    // Index of the weakest kept pair, once the buffer is full.
+    let mut weakest = 0usize;
     let mut j0 = 0usize;
-    for &a in list1 {
+    for (i, &a) in list1.iter().enumerate() {
         // Advance j0 past candidates too far left of a.
         while j0 < list2.len() && (list2[j0] as u64) + (delta as u64) < a as u64 {
             j0 += 1;
@@ -64,18 +132,54 @@ pub fn paired_adjacency_filter_into(
         let mut j = j0;
         while j < list2.len() && (list2[j] as u64) <= (a as u64) + delta as u64 {
             res.iterations += 1;
-            if res.candidates.len() >= max_candidates {
-                res.truncated = true;
-                return;
-            }
-            res.candidates.push(PairCandidate {
+            let cand = PairCandidate {
                 start1: a,
                 start2: list2[j],
-            });
+            };
+            let s = support(i, j);
+            if res.candidates.len() < max_candidates {
+                res.candidates.push(cand);
+                res.support.push(s);
+                if res.candidates.len() == max_candidates {
+                    weakest = weakest_of(&res.support);
+                }
+            } else {
+                res.truncated = true;
+                let Some(&low) = res.support.get(weakest).filter(|&&low| low < best) else {
+                    // Every kept pair has `best` support: already in order.
+                    return;
+                };
+                if s > low {
+                    res.candidates.remove(weakest);
+                    res.support.remove(weakest);
+                    res.candidates.push(cand);
+                    res.support.push(s);
+                    weakest = weakest_of(&res.support);
+                }
+            }
             j += 1;
         }
         res.iterations += 1; // the comparison that terminated the scan
     }
+    // Stable insertion sort by support, highest first: ties keep genome
+    // order. At most `max_candidates` entries.
+    for k in 1..res.support.len() {
+        let mut m = k;
+        while m > 0 && res.support[m - 1] < res.support[m] {
+            res.support.swap(m - 1, m);
+            res.candidates.swap(m - 1, m);
+            m -= 1;
+        }
+    }
+}
+
+/// The index of the lowest support, the last of equals: the kept pair a
+/// stronger one displaces.
+fn weakest_of(support: &[u8]) -> usize {
+    (0..support.len())
+        .rev()
+        .min_by_key(|&k| support[k])
+        .expect("a full buffer holds at least one pair")
 }
 
 #[cfg(test)]
@@ -158,6 +262,31 @@ mod tests {
         assert!(paired_adjacency_filter(&[1], &[], 100, 8)
             .candidates
             .is_empty());
+    }
+
+    #[test]
+    fn a_full_buffer_at_the_highest_support_stops_the_scan() {
+        let starts: Vec<u32> = (0..100).collect();
+        // Equal support: ten pairs pushed, the eleventh comparison finds
+        // the buffer full and ends the scan.
+        let res = paired_adjacency_filter(&starts, &starts, 600, 10);
+        assert_eq!((res.candidates.len(), res.iterations), (10, 11));
+        assert!(res.truncated);
+        // Ranked, every start hit by all three seeds: the same stop. Reads
+        // that claim more seeds than hit can never fill the buffer with
+        // their highest support, so their scan runs on, to the same pairs.
+        let mut c = ReadCandidates::default();
+        c.starts = starts.clone();
+        c.support = vec![3; starts.len()];
+        c.seeds_total = 3;
+        let mut ranked = PaFilterResult::default();
+        paired_adjacency_filter_ranked_into(&c, &c, 600, 10, &mut ranked);
+        assert_eq!(ranked.candidates, res.candidates);
+        assert_eq!((ranked.iterations, ranked.support[0]), (11, 6));
+        c.seeds_total = 4;
+        paired_adjacency_filter_ranked_into(&c, &c, 600, 10, &mut ranked);
+        assert_eq!(ranked.candidates, res.candidates);
+        assert!(ranked.truncated && ranked.iterations > 100 * 100);
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! 4. merge each read's arena spans into its [`ReadCandidates`]
 //!    ([`merge_sorted_with_offsets_into`]) — no miss left to wait for, and
 //!    per location a `min` and three index increments, no branch the data
-//!    decides: the one phase whose cost grows with bucket occupancy.
+//!    decides: the one phase whose cost grows with bucket occupancy. The
+//!    same comparisons count each start's seed support, which the
+//!    paired-adjacency filter ranks candidates by.
 //!
 //! The order of the loads is the only thing that changes: every read gets
 //! the `ReadCandidates` a lookup-by-lookup query would give it.
@@ -110,6 +112,9 @@ pub struct ReadCandidates {
     /// Sorted, deduplicated candidate read-start positions (global
     /// coordinates).
     pub starts: Vec<GlobalPos>,
+    /// Seed support of each start, parallel to `starts`: how many of the
+    /// read's seeds (1 to `seeds_total`) place the read there.
+    pub support: Vec<u8>,
     /// Total locations returned across the read's seeds (NMSL workload
     /// accounting: Location Table traffic).
     pub locations_fetched: u64,
@@ -228,7 +233,7 @@ pub fn query_reads_into<const N: usize>(
         let lists = &lists[..n];
         out.locations_fetched = lists.iter().map(|(l, _)| l.len() as u64).sum();
         out.seeds_hit = lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32;
-        merge_sorted_with_offsets_into(lists, &mut out.starts);
+        merge_sorted_with_offsets_into(lists, &mut out.starts, &mut out.support);
     }
 }
 
@@ -393,7 +398,8 @@ pub(crate) mod tests {
     /// What the mapper did before [`query_reads_into`]: one read at a time,
     /// one lookup after another, slices read straight from the table — and
     /// the read starts by filter, sort and dedup rather than by the merge
-    /// under test.
+    /// under test, each start's support by counting the read's slices that
+    /// hold a location `v` with `v - off == start`.
     fn sequential_oracle(read: &DnaSeq, map: &SeedMap) -> ReadCandidates {
         let (seeds, n) = partitioned_seeds_with(read, map, &mut Vec::new());
         let lists: Vec<(&[GlobalPos], u32)> = seeds[..n]
@@ -410,8 +416,18 @@ pub(crate) mod tests {
             .collect();
         starts.sort_unstable();
         starts.dedup();
+        let support = starts
+            .iter()
+            .map(|&start| {
+                let hits = |&&(l, off): &&(&[GlobalPos], u32)| {
+                    l.iter().any(|&v| v >= off && v - off == start)
+                };
+                lists.iter().filter(hits).count() as u8
+            })
+            .collect();
         ReadCandidates {
             starts,
+            support,
             locations_fetched: lists.iter().map(|(l, _)| l.len() as u64).sum(),
             seeds_hit: lists.iter().filter(|(l, _)| !l.is_empty()).count() as u32,
             seeds_total: n as u32,
@@ -432,6 +448,7 @@ pub(crate) mod tests {
         for (slot, (read, got)) in reads.iter().zip(out.iter()).enumerate() {
             let want = sequential_oracle(read, map);
             assert_eq!(got.starts, want.starts, "slot {slot}, {} bp", read.len());
+            assert_eq!(got.support, want.support, "slot {slot}");
             assert_eq!(got.locations_fetched, want.locations_fetched, "slot {slot}");
             assert_eq!(got.seeds_hit, want.seeds_hit, "slot {slot}");
             assert_eq!(got.seeds_total, want.seeds_total, "slot {slot}");
@@ -440,6 +457,7 @@ pub(crate) mod tests {
             let mut one = ReadCandidates::default();
             query_read_into(read, map, codes, &mut one);
             assert_eq!(one.starts, want.starts, "slot {slot} alone");
+            assert_eq!(one.support, want.support, "slot {slot} alone");
             assert_eq!(one.locations_fetched, want.locations_fetched);
             assert_eq!(
                 (one.seeds_hit, one.seeds_total),

@@ -22,6 +22,9 @@ pub struct PipelineStats {
     pub seed_lookups: u64,
     /// PA-filter comparator iterations.
     pub pa_iterations: u64,
+    /// Pairs whose PA filter dropped a candidate at the cap, in either
+    /// orientation.
+    pub pa_truncated: u64,
     /// Candidates surviving the PA filter.
     pub candidates: u64,
     /// Light alignments attempted.
@@ -49,6 +52,7 @@ impl PipelineStats {
         self.seed_locations += w.seed_locations;
         self.seed_lookups += w.seed_lookups;
         self.pa_iterations += w.pa_iterations;
+        self.pa_truncated += w.pa_truncated;
         self.candidates += w.candidates;
         self.light_attempts += w.light_attempts;
         self.dp_cells += w.dp_cells;
@@ -75,6 +79,7 @@ impl PipelineStats {
         self.seed_locations += other.seed_locations;
         self.seed_lookups += other.seed_lookups;
         self.pa_iterations += other.pa_iterations;
+        self.pa_truncated += other.pa_truncated;
         self.candidates += other.candidates;
         self.light_attempts += other.light_attempts;
         self.dp_cells += other.dp_cells;
@@ -154,6 +159,7 @@ mod tests {
                 seed_locations: 10,
                 seed_lookups: 12,
                 pa_iterations: 5,
+                pa_truncated: 1,
                 candidates: 2,
                 light_attempts: 4,
                 dp_cells: 100,
@@ -193,6 +199,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.pairs, 2);
         assert_eq!(a.seed_locations, 20);
+        assert_eq!(a.pa_truncated, 2);
     }
 
     #[test]

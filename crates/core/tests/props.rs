@@ -2,7 +2,10 @@
 
 use gx_align::{align, AlignMode, Scoring};
 use gx_core::light::{light_align, LightConfig};
-use gx_core::pafilter::paired_adjacency_filter;
+use gx_core::pafilter::{
+    paired_adjacency_filter, paired_adjacency_filter_ranked_into, PaFilterResult,
+};
+use gx_core::seeding::ReadCandidates;
 use gx_genome::DnaSeq;
 use proptest::prelude::*;
 
@@ -39,6 +42,62 @@ proptest! {
         got_sorted.sort_unstable();
         naive.sort_unstable();
         prop_assert_eq!(got_sorted, naive);
+    }
+
+    /// The ranked PA filter keeps exactly the first `cap` of all pairs
+    /// within Δ, stable-sorted by pair support, highest first, at caps 0,
+    /// 1, 4 and 64; the early stop (every kept pair at the reads' highest
+    /// support) never changes that output, only shortens the scan.
+    #[test]
+    fn ranked_pa_filter_is_the_stable_support_sort(
+        l1 in prop::collection::vec((0u32..20_000, 1u8..=3), 0..60),
+        l2 in prop::collection::vec((0u32..20_000, 1u8..=3), 0..60),
+        delta in 1u32..2_000,
+        cap in prop::sample::select(vec![0usize, 1, 4, 64]),
+    ) {
+        let read = |mut l: Vec<(u32, u8)>, seeds_total| {
+            l.sort_unstable_by_key(|&(start, _)| start);
+            l.dedup_by_key(|&mut (start, _)| start);
+            let mut c = ReadCandidates::default();
+            c.starts = l.iter().map(|&(start, _)| start).collect();
+            c.support = l.iter().map(|&(_, s)| s).collect();
+            c.seeds_total = seeds_total;
+            c
+        };
+        let (c1, c2) = (read(l1, 3), read(l2, 3));
+        let mut all = Vec::new();
+        for (&a, &s1) in c1.starts.iter().zip(&c1.support) {
+            for (&b, &s2) in c2.starts.iter().zip(&c2.support) {
+                if (a as i64 - b as i64).abs() <= delta as i64 {
+                    all.push((a, b, s1 + s2));
+                }
+            }
+        }
+        all.sort_by_key(|&(_, _, s)| std::cmp::Reverse(s));
+        let truncated = all.len() > cap;
+        all.truncate(cap);
+
+        let mut res = PaFilterResult::default();
+        paired_adjacency_filter_ranked_into(&c1, &c2, delta, cap, &mut res);
+        let got: Vec<(u32, u32, u8)> = res
+            .candidates
+            .iter()
+            .zip(&res.support)
+            .map(|(c, &s)| (c.start1, c.start2, s))
+            .collect();
+        prop_assert_eq!(&got, &all);
+        prop_assert_eq!(res.truncated, truncated);
+
+        // Reads claiming more seeds than they have can never reach their
+        // highest support: the scan then runs to the end, to the same output.
+        let (mut u1, mut u2) = (c1.clone(), c2.clone());
+        (u1.seeds_total, u2.seeds_total) = (100, 100);
+        let mut full = PaFilterResult::default();
+        paired_adjacency_filter_ranked_into(&u1, &u2, delta, cap, &mut full);
+        prop_assert_eq!(&full.candidates, &res.candidates);
+        prop_assert_eq!(&full.support, &res.support);
+        prop_assert_eq!(full.truncated, res.truncated);
+        prop_assert!(res.iterations <= full.iterations);
     }
 
     /// Light alignment is *sound*: whenever it returns an alignment, the

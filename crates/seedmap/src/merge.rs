@@ -17,6 +17,10 @@
 //! matters most on a repeat: the three seeds hit the same copies, so after
 //! the offsets are subtracted their lists tie or interleave location by
 //! location, and a branch on which head is smallest would be a coin flip.
+//!
+//! The same comparisons count each start's *seed support*: how many list
+//! heads equal it, i.e. how many of the read's seeds place the read there.
+//! The paired-adjacency filter ranks its candidates by that count.
 
 use gx_genome::GlobalPos;
 
@@ -36,7 +40,7 @@ where
 {
     let lists: Vec<(&[GlobalPos], u32)> = lists.into_iter().collect();
     let mut out = Vec::new();
-    merge_sorted_with_offsets_into(&lists, &mut out);
+    merge_sorted_with_offsets_into(&lists, &mut out, &mut Vec::new());
     out
 }
 
@@ -45,15 +49,21 @@ where
 /// fewer lists with empty ones, so every list count runs the same loop.
 pub const MAX_MERGE_LISTS: usize = 3;
 
-/// [`merge_sorted_with_offsets`] writing into a caller-owned vector
+/// [`merge_sorted_with_offsets`] writing into caller-owned vectors
 /// (overwritten): the allocation-free variant the mapper's scratch arena
 /// uses per read. Each output step is the minimum of the list heads, and
 /// every list holding it advances, so no branch depends on the locations.
+/// `support[i]` is how many of the lists place a read at `out[i]`: the
+/// lists whose heads equal it at the step that first outputs it.
 ///
 /// # Panics
 ///
 /// Panics if `lists.len() > MAX_MERGE_LISTS`.
-pub fn merge_sorted_with_offsets_into(lists: &[(&[GlobalPos], u32)], out: &mut Vec<GlobalPos>) {
+pub fn merge_sorted_with_offsets_into(
+    lists: &[(&[GlobalPos], u32)],
+    out: &mut Vec<GlobalPos>,
+    support: &mut Vec<u8>,
+) {
     assert!(
         lists.len() <= MAX_MERGE_LISTS,
         "merge supports at most {MAX_MERGE_LISTS} lists"
@@ -66,9 +76,12 @@ pub fn merge_sorted_with_offsets_into(lists: &[(&[GlobalPos], u32)], out: &mut V
     }
     // Every step writes one slot and keeps it only if it is new, so the
     // output never holds more than the steps taken, one a location at most.
+    let steps = trimmed.iter().map(|(l, _)| l.len()).sum();
     out.clear();
-    out.resize(trimmed.iter().map(|(l, _)| l.len()).sum(), 0);
-    let slots = out.as_mut_slice();
+    out.resize(steps, 0);
+    support.clear();
+    support.resize(steps, 0);
+    let (slots, counts) = (out.as_mut_slice(), support.as_mut_slice());
     let mut at = [0usize; MAX_MERGE_LISTS];
     let (mut kept, mut last) = (0, u64::MAX);
     loop {
@@ -80,14 +93,19 @@ pub fn merge_sorted_with_offsets_into(lists: &[(&[GlobalPos], u32)], out: &mut V
         if min == u64::MAX {
             break;
         }
+        let mut hits = 0u8;
         for (at, head) in at.iter_mut().zip(head) {
-            *at += usize::from(head == min);
+            let hit = head == min;
+            *at += usize::from(hit);
+            hits += u8::from(hit);
         }
         slots[kept] = min as GlobalPos;
+        counts[kept] = hits;
         kept += usize::from(min != last);
         last = min;
     }
     out.truncate(kept);
+    support.truncate(kept);
 }
 
 #[cfg(test)]
@@ -124,6 +142,19 @@ mod tests {
     fn empty_lists() {
         assert!(merge_sorted(&[]).is_empty());
         assert!(merge_sorted(&[&[][..], &[][..]]).is_empty());
+    }
+
+    #[test]
+    fn support_counts_the_lists_hitting_each_start() {
+        let (a, b, c) = ([100u32, 300], [150u32, 250], [200u32]);
+        let (mut out, mut support) = (Vec::new(), Vec::new());
+        merge_sorted_with_offsets_into(
+            &[(&a[..], 0), (&b[..], 50), (&c[..], 100)],
+            &mut out,
+            &mut support,
+        );
+        assert_eq!(out, vec![100, 200, 300]);
+        assert_eq!(support, vec![3, 1, 1]);
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! location of `u32::MAX` is one below the sentinel, `0` is what an offset
 //! equal to a location leaves.
 //!
+//! Beside each start the merge writes its seed support, held here to a
+//! brute-force count of the lists holding a `v` with `v - off == start`
+//! (the oracle predates support and merges starts only).
+//!
 //! Debug builds run a reduced case count; CI runs this crate's tests in
 //! release mode at the full count.
 
@@ -20,6 +24,7 @@ mod merge_oracle;
 use gx_seedmap::{merge_sorted_with_offsets_into, MAX_MERGE_LISTS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 const CASES: usize = 40_000;
 
@@ -113,22 +118,41 @@ struct Mix {
     empty: usize,
 }
 
-/// Merges `lists` with both merges, holds the library to the oracle, and
-/// checks that merging again into the grown `got` does not reallocate.
-fn merged(lists: &[(&[u32], u32)], got: &mut Vec<u32>, want: &mut Vec<u32>) {
+/// How many of `lists` place a read at each start, by counting.
+fn brute_force_support(lists: &[(&[u32], u32)]) -> Vec<u8> {
+    let mut count = BTreeMap::<u32, u8>::new();
+    for &(list, off) in lists {
+        let starts: BTreeSet<u32> = list
+            .iter()
+            .filter(|&&v| v >= off)
+            .map(|&v| v - off)
+            .collect();
+        for start in starts {
+            *count.entry(start).or_default() += 1;
+        }
+    }
+    count.into_values().collect()
+}
+
+/// Merges `lists` with both merges, holds the library's starts to the
+/// oracle and its support to a count, and checks that merging again into
+/// the grown `got` and `support` does not reallocate.
+fn merged(lists: &[(&[u32], u32)], got: &mut Vec<u32>, support: &mut Vec<u8>, want: &mut Vec<u32>) {
     merge_oracle::merge_sorted_with_offsets_into(lists, want);
-    merge_sorted_with_offsets_into(lists, got);
+    merge_sorted_with_offsets_into(lists, got, support);
     assert_eq!(got, want, "lists {lists:?}");
-    let (ptr, cap) = (got.as_ptr(), got.capacity());
-    merge_sorted_with_offsets_into(lists, got);
-    assert_eq!((got.as_ptr(), got.capacity()), (ptr, cap), "reallocated");
+    assert_eq!(*support, brute_force_support(lists), "lists {lists:?}");
+    let grown = |v: &Vec<u32>, s: &Vec<u8>| (v.as_ptr(), v.capacity(), s.as_ptr(), s.capacity());
+    let before = grown(got, support);
+    merge_sorted_with_offsets_into(lists, got, support);
+    assert_eq!(grown(got, support), before, "reallocated");
     assert_eq!(got, want);
 }
 
 #[test]
 fn branch_free_merge_equals_the_k_way_scan() {
     let mut rng = StdRng::seed_from_u64(0x05ee_d0a9);
-    let (mut got, mut want) = (vec![7u32; 3], Vec::new());
+    let (mut got, mut support, mut want) = (vec![7u32; 3], vec![9u8; 2], Vec::new());
     let mut mix = Mix::default();
     for _ in 0..cases() {
         let k = rng.random_range(0..=MAX_MERGE_LISTS);
@@ -191,7 +215,7 @@ fn branch_free_merge_equals_the_k_way_scan() {
             owned.push((l, off));
         }
         let lists: Vec<(&[u32], u32)> = owned.iter().map(|(l, off)| (&l[..], *off)).collect();
-        merged(&lists, &mut got, &mut want);
+        merged(&lists, &mut got, &mut support, &mut want);
 
         mix.lists[k] += 1;
         let kept: Vec<Vec<u32>> = lists
@@ -248,11 +272,11 @@ fn every_small_case_equals_the_k_way_scan() {
         .iter()
         .flat_map(|l| [(&l[..], 0), (&l[..], 2)])
         .collect();
-    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let (mut got, mut support, mut want) = (Vec::new(), Vec::new(), Vec::new());
     let mut cases = 0usize;
     let mut lists = Vec::with_capacity(MAX_MERGE_LISTS);
     let mut visit = |lists: &[(&[u32], u32)]| {
-        merged(lists, &mut got, &mut want);
+        merged(lists, &mut got, &mut support, &mut want);
         cases += 1;
     };
     visit(&lists);
@@ -278,5 +302,9 @@ fn every_small_case_equals_the_k_way_scan() {
 #[should_panic(expected = "at most 3 lists")]
 fn more_lists_than_seeds_are_refused() {
     let l: &[u32] = &[1, 2, 3];
-    merge_sorted_with_offsets_into(&[(l, 0); MAX_MERGE_LISTS + 1], &mut Vec::new());
+    merge_sorted_with_offsets_into(
+        &[(l, 0); MAX_MERGE_LISTS + 1],
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
 }
