@@ -114,9 +114,11 @@ fn estimated_banded_cells(read_len: usize) -> u64 {
 /// * no fallback — zero: the pair completed on the light path and GenDP
 ///   never sees it;
 /// * [`FallbackStage::LightAlign`] — *alignment only* at the already
-///   identified candidates (seeding and chaining are bypassed). Uses the
-///   measured [`PairWork::dp_cells`](gx_core::PairWork) when the software
-///   path ran its banded DP, otherwise the banded estimate for both ends;
+///   identified candidates (seeding and chaining are bypassed), and only
+///   of the mates light alignment refused: a passing mate keeps its light
+///   alignment. Uses the measured [`PairWork::dp_cells`](gx_core::PairWork),
+///   which counts just those mates, when the software path ran its banded
+///   DP, otherwise the banded estimate for both ends;
 /// * [`FallbackStage::SeedMapMiss`] / [`FallbackStage::PaFilter`] — the full
 ///   traditional pipeline: chaining over the pair's candidate anchors
 ///   (quadratic in the anchor count, floored at `MIN_CHAIN_ANCHORS` = 8)

@@ -86,7 +86,8 @@ pub struct PairWork {
     /// Light alignments attempted (two per candidate; Table 3's
     /// "11.6 alignments per pair" statistic).
     pub light_attempts: u64,
-    /// DP cells computed by the fallback aligner.
+    /// DP cells computed by the fallback aligner: the mates light
+    /// alignment refused, each counted where its DP ran.
     pub dp_cells: u64,
 }
 
@@ -268,33 +269,45 @@ impl<'g> GenPairMapper<'g> {
                 work.light_attempts += 2;
                 // The hardware module aligns both mates (two attempts);
                 // here mate 2 is only worth aligning once mate 1 has passed.
-                let mates = self
-                    .light_at(seq1, l1, window, light)
-                    .and_then(|a1| Some((a1, self.light_at(seq2, l2, window, light)?)));
-                match mates {
-                    Some((a1, a2)) => {
-                        let score = a1.score + a2.score;
-                        let mapping = mapping_from_light(l1, l2, a1, a2, r1_forward);
-                        match &mut best_light {
-                            Some((best, bs, ties)) => {
-                                if score > *bs {
-                                    *best = mapping;
-                                    *bs = score;
-                                    *ties = 0;
-                                } else if score == *bs
-                                    && (mapping.pos1 != best.pos1 || mapping.pos2 != best.pos2)
-                                {
-                                    *ties += 1;
-                                }
-                            }
-                            None => best_light = Some((mapping, score, 0)),
-                        }
-                    }
-                    None => {
+                // A candidate either mate fails goes to DP carrying mate 1's
+                // alignment, if it passed; behind a failed mate 1, mate 2 is
+                // first aligned there, once the candidate has been kept.
+                let a1 = self.light_at(seq1, l1, window, light);
+                let a2 = if a1.is_some() {
+                    self.light_at(seq2, l2, window, light)
+                } else {
+                    None
+                };
+                let (a1, a2) = match (a1, a2) {
+                    (Some(a1), Some(a2)) => (a1, a2),
+                    (a1, _) => {
                         if dp_cands.len() < self.config.max_dp_candidates {
-                            dp_cands.push((l1, l2, r1_forward));
+                            dp_cands.push((l1, l2, r1_forward, a1));
+                        }
+                        continue;
+                    }
+                };
+                let score = a1.score + a2.score;
+                let mapping = pair_mapping(
+                    l1.chrom,
+                    r1_forward,
+                    light_placed(l1, a1),
+                    light_placed(l2, a2),
+                    60,
+                );
+                match &mut best_light {
+                    Some((best, bs, ties)) => {
+                        if score > *bs {
+                            *best = mapping;
+                            *bs = score;
+                            *ties = 0;
+                        } else if score == *bs
+                            && (mapping.pos1 != best.pos1 || mapping.pos2 != best.pos2)
+                        {
+                            *ties += 1;
                         }
                     }
+                    None => best_light = Some((mapping, score, 0)),
                 }
             }
         }
@@ -324,31 +337,37 @@ impl<'g> GenPairMapper<'g> {
         }
 
         // Light alignment failed: DP-align at the candidate locations
-        // (bypassing seeding and chaining, paper Fig. 10).
+        // (bypassing seeding and chaining, paper Fig. 10), only the mates
+        // light alignment refused. A mate that passed keeps its light
+        // alignment.
         let mut best_dp: Option<(PairMapping, i32)> = None;
-        for &(l1, l2, r1_forward) in dp_cands.iter() {
+        for (l1, l2, r1_forward, light1) in dp_cands.drain(..) {
             let (seq1, seq2) = if r1_forward { (r1, r2_rc) } else { (r1_rc, r2) };
-            let Some((pos1, cigar1, score1, cells1)) = self.dp_at(seq1, l1, window, align) else {
+            // Mate 2 was refused when mate 1 passed; behind a refused mate 1
+            // it has not been aligned yet.
+            let light2_refused = light1.is_some();
+            let mate1 = match light1 {
+                Some(a1) => Some(light_placed(l1, a1)),
+                None => self.dp_at(seq1, l1, window, align, &mut work.dp_cells),
+            };
+            let Some(mate1) = mate1 else {
                 continue;
             };
-            let Some((pos2, cigar2, score2, cells2)) = self.dp_at(seq2, l2, window, align) else {
+            let light2 = if light2_refused {
+                None
+            } else {
+                self.light_at(seq2, l2, window, light)
+            };
+            let mate2 = match light2 {
+                Some(a2) => Some(light_placed(l2, a2)),
+                None => self.dp_at(seq2, l2, window, align, &mut work.dp_cells),
+            };
+            let Some(mate2) = mate2 else {
                 continue;
             };
-            work.dp_cells += cells1 + cells2;
-            let score = score1 + score2;
-            let mapping = PairMapping {
-                chrom: l1.chrom,
-                pos1,
-                pos2,
-                r1_forward,
-                cigar1,
-                cigar2,
-                score1,
-                score2,
-                mapq: 40,
-            };
+            let score = mate1.2 + mate2.2;
             if best_dp.as_ref().is_none_or(|(_, bs)| score > *bs) {
-                best_dp = Some((mapping, score));
+                best_dp = Some((pair_mapping(l1.chrom, r1_forward, mate1, mate2, 40), score));
             }
         }
         PairMapResult {
@@ -386,15 +405,17 @@ impl<'g> GenPairMapper<'g> {
     }
 
     /// Banded-DP-aligns `seq` near candidate `locus`, borrowing the window
-    /// and DP-row buffers from the caller's scratch; returns (chromosome
-    /// position, cigar, score, cells).
+    /// and DP-row buffers from the caller's scratch; returns the placed mate
+    /// and adds the cells it computed to `cells`. `None`, with no cells,
+    /// when the chromosome leaves too short a window.
     fn dp_at(
         &self,
         seq: &DnaSeq,
         locus: Locus,
         window: &mut DnaSeq,
         align: &mut AlignScratch,
-    ) -> Option<(u64, Cigar, i32, u64)> {
+        cells: &mut u64,
+    ) -> Option<PlacedMate> {
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
             locus.pos as i64 - DP_FALLBACK_MARGIN as i64,
@@ -412,29 +433,42 @@ impl<'g> GenPairMapper<'g> {
             AlignMode::Fit,
             align,
         );
-        Some((win_start + a.target_start as u64, a.cigar, a.score, a.cells))
+        *cells += a.cells;
+        Some((win_start + a.target_start as u64, a.cigar, a.score))
     }
 }
 
-/// Builds the pair mapping at the candidate's two loci, *moving* the light
-/// alignments' CIGARs (no clone on the hot path).
-fn mapping_from_light(
-    l1: Locus,
-    l2: Locus,
-    a1: LightAlignment,
-    a2: LightAlignment,
+/// One mate's alignment: chromosome position, CIGAR and score.
+type PlacedMate = (u64, Cigar, i32);
+
+/// Places a light alignment found at candidate `locus`: it starts at
+/// `locus + shift`. The CIGAR moves (no clone on the hot path).
+fn light_placed(locus: Locus, a: LightAlignment) -> PlacedMate {
+    (
+        (locus.pos as i64 + a.shift as i64).max(0) as u64,
+        a.cigar,
+        a.score,
+    )
+}
+
+/// Builds the pair mapping from its two placed mates.
+fn pair_mapping(
+    chrom: u32,
     r1_forward: bool,
+    (pos1, cigar1, score1): PlacedMate,
+    (pos2, cigar2, score2): PlacedMate,
+    mapq: u8,
 ) -> PairMapping {
     PairMapping {
-        chrom: l1.chrom,
-        pos1: (l1.pos as i64 + a1.shift as i64).max(0) as u64,
-        pos2: (l2.pos as i64 + a2.shift as i64).max(0) as u64,
+        chrom,
+        pos1,
+        pos2,
         r1_forward,
-        cigar1: a1.cigar,
-        cigar2: a2.cigar,
-        score1: a1.score,
-        score2: a2.score,
-        mapq: 60,
+        cigar1,
+        cigar2,
+        score1,
+        score2,
+        mapq,
     }
 }
 
@@ -660,6 +694,123 @@ mod tests {
         let complex2 = complex(50_300).revcomp();
         assert_eq!(reached_mate_two(&clean1, &complex2), (true, failed));
         assert_eq!(reached_mate_two(&clean1, &clean2), (true, None));
+    }
+
+    /// A forward-strand read light alignment refuses: a 3-base deletion
+    /// and a mismatch, its last seed intact so the candidate is found (at
+    /// `at + 3`).
+    fn refused_read(seq: &DnaSeq, at: usize) -> DnaSeq {
+        let mut r = seq.subseq(at..at + 40);
+        r.extend_from_seq(&seq.subseq(at + 43..at + 153));
+        r.set(10, r.get(10).complement());
+        r
+    }
+
+    /// A forward-strand read light alignment accepts as mismatches where
+    /// banded DP finds a better alignment: a mismatch, then a 2-base
+    /// deletion 4 bases before its end. Its first seed is intact, so its
+    /// candidate is `at`.
+    fn light_passing_read(seq: &DnaSeq, at: usize) -> DnaSeq {
+        let mut r = seq.subseq(at..at + 146);
+        r.extend_from_seq(&seq.subseq(at + 148..at + 152));
+        r.set(75, r.get(75).complement());
+        r
+    }
+
+    /// `read`'s light alignment at `at`, placed: what `light_align_with`
+    /// returns over the window the mapper gives it, at `at + shift`. Also
+    /// asserts that banded DP would place the read differently, so a test
+    /// comparing with it can tell which of the two ran.
+    fn light_alone(mapper: &GenPairMapper, read: &DnaSeq, at: usize) -> (u64, Cigar, i32) {
+        let cfg = mapper.config();
+        let e = cfg.light.max_indel_run as usize;
+        let window = mapper
+            .genome()
+            .chromosome(0)
+            .seq()
+            .subseq(at - e..at + read.len() + e);
+        let a = light_align_with(
+            read,
+            &window,
+            e,
+            &cfg.light,
+            &cfg.scoring,
+            &mut LightScratch::default(),
+        )
+        .expect("light alignment accepts the read");
+        let locus = Locus {
+            chrom: 0,
+            pos: at as u64,
+        };
+        let mut cells = 0;
+        let dp = mapper
+            .dp_at(
+                read,
+                locus,
+                &mut DnaSeq::new(),
+                &mut AlignScratch::default(),
+                &mut cells,
+            )
+            .expect("DP window");
+        assert!(dp.2 > a.score, "DP {} against light {}", dp.2, a.score);
+        assert_ne!(dp.1, a.cigar);
+        ((at as i64 + a.shift as i64) as u64, a.cigar, a.score)
+    }
+
+    /// The cells banded DP computes for one 150-base mate in its window.
+    fn mate_cells() -> u64 {
+        gx_align::banded_cells(150, 150 + 2 * DP_FALLBACK_MARGIN, DP_FALLBACK_BAND)
+    }
+
+    #[test]
+    fn a_refused_mate_one_leaves_a_passing_mate_two_its_light_alignment() {
+        let (genome, cfg) = setup();
+        let mapper = GenPairMapper::build(&genome, &cfg);
+        let seq = genome.chromosome(0).seq();
+        let mate2 = light_passing_read(seq, 50_300);
+        let res = mapper.map_pair(&refused_read(seq, 50_000), &mate2.revcomp());
+        assert_eq!(res.fallback, Some(FallbackStage::LightAlign));
+        let m = res.mapping.expect("DP fallback maps");
+        assert_eq!((m.pos1, m.mapq, m.r1_forward), (50_000, 40, true));
+        assert_eq!(
+            (m.pos2, m.cigar2, m.score2),
+            light_alone(&mapper, &mate2, 50_300)
+        );
+        assert_eq!(res.work.dp_cells, mate_cells());
+        assert_eq!(res.work.light_attempts, 2);
+    }
+
+    #[test]
+    fn a_passing_mate_one_keeps_its_light_alignment_beside_a_refused_mate_two() {
+        let (genome, cfg) = setup();
+        let mapper = GenPairMapper::build(&genome, &cfg);
+        let seq = genome.chromosome(0).seq();
+        let mate1 = light_passing_read(seq, 50_000);
+        let res = mapper.map_pair(&mate1, &refused_read(seq, 50_300).revcomp());
+        assert_eq!(res.fallback, Some(FallbackStage::LightAlign));
+        let m = res.mapping.expect("DP fallback maps");
+        assert_eq!(
+            (m.pos1, m.cigar1, m.score1),
+            light_alone(&mapper, &mate1, 50_000)
+        );
+        assert_eq!((m.pos2, m.mapq), (50_300, 40));
+        assert_eq!(res.work.dp_cells, mate_cells());
+        assert_eq!(res.work.light_attempts, 2);
+    }
+
+    #[test]
+    fn two_refused_mates_both_go_to_dp() {
+        let (genome, cfg) = setup();
+        let mapper = GenPairMapper::build(&genome, &cfg);
+        let seq = genome.chromosome(0).seq();
+        let res = mapper.map_pair(
+            &refused_read(seq, 50_000),
+            &refused_read(seq, 50_300).revcomp(),
+        );
+        assert_eq!(res.fallback, Some(FallbackStage::LightAlign));
+        let m = res.mapping.expect("DP fallback maps");
+        assert_eq!((m.pos1, m.pos2, m.mapq), (50_000, 50_300, 40));
+        assert_eq!(res.work.dp_cells, 2 * mate_cells());
     }
 
     #[test]

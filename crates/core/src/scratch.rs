@@ -12,7 +12,7 @@
 //! a reused scratch must produce byte-identical SAM output to fresh-scratch
 //! calls (locked down by tests here and the golden e2e fixtures).
 
-use crate::light::LightScratch;
+use crate::light::{LightAlignment, LightScratch};
 use crate::pafilter::PaFilterResult;
 use crate::seeding::{ReadCandidates, SeedLookup};
 use gx_align::AlignScratch;
@@ -39,9 +39,12 @@ pub struct MapScratch {
     pub(crate) cands: [ReadCandidates; 4],
     /// Paired-adjacency filter output.
     pub(crate) pa: PaFilterResult,
-    /// Candidates deferred to the DP fallback stage: both loci and whether
-    /// read 1 is the forward read.
-    pub(crate) dp_cands: Vec<(Locus, Locus, bool)>,
+    /// Candidates deferred to the DP fallback stage: both loci, whether
+    /// read 1 is the forward read, and mate 1's light alignment when it
+    /// passed (mate 2 was then refused, and only mate 2 goes to DP). `None`
+    /// when mate 1 was refused: mate 2 is then light-aligned at the DP
+    /// stage, and goes to DP only if that fails too.
+    pub(crate) dp_cands: Vec<(Locus, Locus, bool, Option<LightAlignment>)>,
     /// Reference window for light and DP alignment.
     pub(crate) window: DnaSeq,
     /// The light aligner's per-shift suffix memo (it stores no masks).

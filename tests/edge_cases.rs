@@ -37,6 +37,36 @@ fn pair_at_chromosome_end_maps() {
 }
 
 #[test]
+fn dp_cells_count_a_mate_whose_partner_window_is_too_short() {
+    use genpairx::align::banded_cells;
+    use genpairx::core::{FallbackStage, DP_FALLBACK_BAND, DP_FALLBACK_MARGIN};
+    let genome = RandomGenomeBuilder::new(60_000).seed(62).build();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let seq = genome.chromosome(0).seq();
+    let n = seq.len();
+    // Mate 1 carries a 3-base deletion and a mismatch: light alignment
+    // refuses it, DP places it.
+    let mut r1 = seq.subseq(n - 300..n - 260);
+    r1.extend_from_seq(&seq.subseq(n - 257..n - 147));
+    r1.set(10, r1.get(10).complement());
+    // Mate 2's first seed is the chromosome's last 50 bases and the rest
+    // hangs off the end: its DP window (from 24 bases before the candidate
+    // to the end) is shorter than half the read.
+    let mut fwd2 = seq.subseq(n - 50..n);
+    let other = RandomGenomeBuilder::new(1_000).seed(63).build();
+    fwd2.extend_from_seq(&other.chromosome(0).seq().subseq(0..100));
+    let res = mapper.map_pair(&r1, &fwd2.revcomp());
+    assert_eq!(res.fallback, Some(FallbackStage::LightAlign));
+    assert!(res.mapping.is_none());
+    // Mate 1's DP ran, so its cells are counted.
+    let window = 150 + 2 * DP_FALLBACK_MARGIN;
+    assert_eq!(
+        res.work.dp_cells,
+        banded_cells(150, window, DP_FALLBACK_BAND)
+    );
+}
+
+#[test]
 fn cross_chromosome_candidates_rejected() {
     // Two chromosomes laid out adjacently in global coordinates: a pair
     // whose ends land on different chromosomes must not form a mapping,
