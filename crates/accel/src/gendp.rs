@@ -15,7 +15,8 @@
 //! of alignment, which the paper's Table 4 prices at 174.9 mm² / 115.8 W
 //! (chain) and 139.4 mm² / 92.3 W (align).
 
-use gx_core::{FallbackStage, PairMapResult, DP_FALLBACK_BAND};
+use gx_align::banded_cells;
+use gx_core::{FallbackStage, PairMapResult, DP_FALLBACK_BAND, DP_FALLBACK_MARGIN};
 
 /// Paper-calibrated residual chaining work: million cell updates per
 /// million pairs.
@@ -92,20 +93,18 @@ impl FallbackCells {
 const MIN_CHAIN_ANCHORS: u64 = 8;
 
 /// Estimated banded-alignment cells for one read end when the software path
-/// did not run its DP: a diagonal band of `2 × DP_FALLBACK_BAND + 1` cells
-/// per read base (4,950 for 150 bp).
-///
-/// This is *not* what the software fallback computes. Its window carries
-/// [`DP_FALLBACK_MARGIN`](gx_core::DP_FALLBACK_MARGIN) reference bases either
-/// side of the read, so the corridor of a 150 bp read in its 198 bp window
-/// is `48 + 2 × 16 + 1 = 81` diagonals wide —
-/// `gx_align::banded_cells(150, 198, 16)` = 11,878 cells, 2.4× this
-/// estimate. Pairs whose DP the software path ran are priced by their
-/// measured `dp_cells`, all others by this estimate; reconciling the two
-/// moves modeled cycles and energy and is left to its own change
-/// (ARCHITECTURE.md "Known limitations").
+/// did not run its DP: the cells the software fallback computes for a read
+/// of that length — the read fit-aligned inside its `read_len + 2 ×
+/// DP_FALLBACK_MARGIN` window at band `DP_FALLBACK_BAND`, a corridor of `2 ×
+/// DP_FALLBACK_MARGIN + 2 × DP_FALLBACK_BAND + 1` = 33 diagonals (4,878 cells
+/// for 150 bp). One expression gives both numbers, so a mate prices the same
+/// whether its DP ran or not.
 fn estimated_banded_cells(read_len: usize) -> u64 {
-    read_len as u64 * (2 * DP_FALLBACK_BAND as u64 + 1)
+    banded_cells(
+        read_len,
+        read_len + 2 * DP_FALLBACK_MARGIN,
+        DP_FALLBACK_BAND,
+    )
 }
 
 /// The DP cells a mapped pair demands from GenDP, given where it left the
@@ -287,13 +286,14 @@ mod tests {
                 align: 9_000
             }
         );
-        // Alignment fallback with no measured cells: banded estimate.
+        // Alignment fallback with no measured cells: the software corridor.
+        let mate = |len| banded_cells(len, len + 2 * DP_FALLBACK_MARGIN, DP_FALLBACK_BAND);
         let la0 = fallback_cells(&mk(Some(FallbackStage::LightAlign), 0, 40), 150, 150);
-        assert_eq!(la0.align, 2 * 150 * 33);
+        assert_eq!(la0.align, 2 * mate(150));
         // Full-pipeline fallback: chaining (quadratic in anchors) + both ends.
         let full = fallback_cells(&mk(Some(FallbackStage::PaFilter), 0, 40), 150, 100);
         assert_eq!(full.chain, 40 * 40);
-        assert_eq!(full.align, 150 * 33 + 100 * 33);
+        assert_eq!(full.align, mate(150) + mate(100));
         // Anchor floor for seed-table misses.
         let miss = fallback_cells(&mk(Some(FallbackStage::SeedMapMiss), 0, 0), 150, 150);
         assert_eq!(miss.chain, 64);

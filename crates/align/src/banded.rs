@@ -60,8 +60,9 @@
 //!   most `width * gap_ext`: `highest = n * best_substitution + width *
 //!   gap_ext` must stay below `2 * LIMIT`, one past the type's maximum.
 //!
-//! The 150-base fallback (198-base window, band 16, short-read scoring) has
-//! `deepest = 1354` and `highest = 462` against `LIMIT = 16384`.
+//! The 150-base fallback (166-base window, band 8, short-read scoring: reach
+//! 24, width 33) has `deepest = 1274` and `highest = 366` against `LIMIT =
+//! 16384`.
 
 use crate::dp::{AlignMode, AlignScratch, Alignment, ScoreRows};
 use crate::Scoring;
@@ -742,7 +743,9 @@ mod tests {
     #[test]
     fn narrow_cells_are_taken_exactly_up_to_the_bound() {
         let narrow = |n, m, band, scoring| fits::<i16>(n, &Corridor::new(n, m, band), &scoring);
-        // The mapper's fallback call, and a long read's.
+        // The mapper's fallback call, an 81-diagonal corridor, and a long
+        // read's.
+        assert!(narrow(150, 166, 8, Scoring::short_read()));
         assert!(narrow(150, 198, 16, Scoring::short_read()));
         assert!(!narrow(5_000, 5_100, 64, Scoring::long_read()));
         // deepest = gap_open + reach * ext + n * mismatch + open

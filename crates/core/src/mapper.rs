@@ -8,15 +8,60 @@ use crate::scratch::MapScratch;
 use crate::seeding::query_reads_into;
 use crate::{GenPairConfig, ReadPair};
 use gx_align::{banded_align_with, AlignMode, AlignScratch};
-use gx_genome::{flags, Cigar, DnaSeq, Locus, ReferenceGenome, SamRecord};
+use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, Locus, ReferenceGenome, SamRecord};
 use gx_seedmap::SeedMap;
 
 /// Reference bases the DP fallback's window extends either side of a
 /// candidate start: the read fit-aligns inside `len + 2 * margin` bases.
-pub const DP_FALLBACK_MARGIN: usize = 24;
+/// At least the light aligner's `max_indel_run` (5 by default), so the window
+/// holds every placement light alignment could have made at the candidate.
+pub const DP_FALLBACK_MARGIN: usize = 8;
 
-/// Band half-width of the DP fallback's banded aligner.
-pub const DP_FALLBACK_BAND: usize = 16;
+/// Band half-width of the DP fallback's banded aligner. With the margin the
+/// corridor is `2 * DP_FALLBACK_MARGIN + 2 * DP_FALLBACK_BAND + 1` = 33
+/// diagonals, `banded_cells(len, len + 2 * DP_FALLBACK_MARGIN,
+/// DP_FALLBACK_BAND)` cells a mate (4,878 for 150 bases): what the software
+/// computes and what the GenDP model prices.
+pub const DP_FALLBACK_BAND: usize = 8;
+
+/// Why [`GenPairMapper::with_seedmap`] refused an index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IndexMismatch {
+    /// The index was built with another seed length than the config's.
+    SeedLen {
+        /// The index's seed length.
+        index: usize,
+        /// The config's seed length.
+        config: usize,
+    },
+    /// A Location Table entry whose seed window ends past the genome.
+    PastGenomeEnd {
+        /// The entry.
+        location: GlobalPos,
+        /// Bases in the genome.
+        genome_len: u64,
+    },
+}
+
+impl std::fmt::Display for IndexMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IndexMismatch::SeedLen { index, config } => write!(
+                f,
+                "index seed length {index} differs from the config's {config}"
+            ),
+            IndexMismatch::PastGenomeEnd {
+                location,
+                genome_len,
+            } => write!(
+                f,
+                "index location {location} lies past the end of a {genome_len}-base genome"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IndexMismatch {}
 
 /// Where a pair left the GenPair fast path (paper Fig. 10).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -156,24 +201,39 @@ impl<'g> GenPairMapper<'g> {
 
     /// Wraps an existing SeedMap (e.g. deserialized) in a mapper.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the SeedMap's seed length differs from the config's.
+    /// Refuses an index that does not fit: its seed length differs from the
+    /// config's, or a Location Table entry names a seed window past the
+    /// genome's end (mapping would then panic locating that entry).
     pub fn with_seedmap(
         genome: &'g ReferenceGenome,
         seedmap: SeedMap,
         config: &GenPairConfig,
-    ) -> GenPairMapper<'g> {
-        assert_eq!(
-            seedmap.config().seed_len,
-            config.seedmap.seed_len,
-            "seed length mismatch between SeedMap and config"
-        );
-        GenPairMapper {
+    ) -> Result<GenPairMapper<'g>, IndexMismatch> {
+        let seed_len = seedmap.config().seed_len;
+        if seed_len != config.seedmap.seed_len {
+            return Err(IndexMismatch::SeedLen {
+                index: seed_len,
+                config: config.seedmap.seed_len,
+            });
+        }
+        let genome_len = genome.total_len();
+        if let Some(&location) = seedmap
+            .locations()
+            .iter()
+            .find(|&&g| g as u64 + seed_len as u64 > genome_len)
+        {
+            return Err(IndexMismatch::PastGenomeEnd {
+                location,
+                genome_len,
+            });
+        }
+        Ok(GenPairMapper {
             genome,
             seedmap,
             config: *config,
-        }
+        })
     }
 
     /// The underlying SeedMap.
@@ -535,6 +595,7 @@ pub fn unmapped_pair_to_sam(pair: ReadPair) -> (SamRecord, SamRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LightConfig;
     use gx_genome::random::RandomGenomeBuilder;
 
     fn setup() -> (ReferenceGenome, GenPairConfig) {
@@ -757,6 +818,103 @@ mod tests {
         ((at as i64 + a.shift as i64) as u64, a.cigar, a.score)
     }
 
+    /// The DP corridor holds every placement light alignment can make: a
+    /// read light alignment accepts at a candidate — planted up to
+    /// `max_indel_run` bases off it, with mismatches and at most one indel
+    /// run, at chromosome ends as often as inside — scores at least as high
+    /// under the fallback's banded DP at that candidate. It holds because
+    /// the margin is at least `max_indel_run`: the DP window then contains
+    /// the light window, and the band every diagonal light alignment visits.
+    #[test]
+    fn the_dp_corridor_holds_every_light_placement() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        assert!(DP_FALLBACK_MARGIN >= LightConfig::default().max_indel_run as usize);
+        let cases = if cfg!(debug_assertions) { 500 } else { 10_000 };
+        let genome = RandomGenomeBuilder::new(12_000)
+            .chromosomes(2)
+            .seed(31)
+            .build();
+        let mut rng = StdRng::seed_from_u64(43);
+        let (mut window, mut light, mut align) =
+            (DnaSeq::new(), LightScratch::new(), AlignScratch::default());
+        // Accepted reads: ungapped, with a deletion run, with an insertion run.
+        let mut accepted = [0usize; 3];
+        // The default run length, and the longest the margin covers.
+        for max_indel_run in [
+            LightConfig::default().max_indel_run,
+            DP_FALLBACK_MARGIN as u32,
+        ] {
+            let mut cfg = GenPairConfig::default();
+            cfg.light.max_indel_run = max_indel_run;
+            let mapper = GenPairMapper::build(&genome, &cfg);
+            let e = max_indel_run as i64;
+            for _ in 0..cases {
+                let chrom = rng.random_range(0..2u32);
+                let seq = genome.chromosome(chrom).seq();
+                let len = seq.len() as i64;
+                let pos = match rng.random_range(0..3) {
+                    0 => rng.random_range(0..=2 * e),
+                    1 => len - 150 - rng.random_range(0..=2 * e),
+                    _ => rng.random_range(0..=len - 150),
+                };
+                let (shift, kind, k) = (
+                    rng.random_range(-e..=e),
+                    rng.random_range(0..3usize),
+                    rng.random_range(1..=e),
+                );
+                let span = match kind {
+                    0 => 150,
+                    1 => 150 + k,
+                    _ => 150 - k,
+                };
+                let src = pos + shift;
+                if src < 0 || src + span > len {
+                    continue;
+                }
+                let (src, span, k) = (src as usize, span as usize, k as usize);
+                let at = rng.random_range(1..span - k);
+                let mut read = seq.subseq(src..src + at);
+                match kind {
+                    0 => read.extend_from_seq(&seq.subseq(src + at..src + span)),
+                    1 => read.extend_from_seq(&seq.subseq(src + at + k..src + span)),
+                    _ => {
+                        let inserted: Vec<u8> = (0..k).map(|_| rng.random_range(0..4)).collect();
+                        read.extend_from_seq(&DnaSeq::from_codes(&inserted));
+                        read.extend_from_seq(&seq.subseq(src + at..src + span));
+                    }
+                }
+                // Up to ten mismatches in an ungapped read, at most one
+                // beside a run (light alignment takes a run with none).
+                for _ in 0..rng.random_range(0..=if kind == 0 { 10 } else { 1 }) {
+                    let p = rng.random_range(0..150);
+                    read.set(p, read.get(p).complement());
+                }
+                let locus = Locus {
+                    chrom,
+                    pos: pos as u64,
+                };
+                let Some(l) = mapper.light_at(&read, locus, &mut window, &mut light) else {
+                    continue;
+                };
+                accepted[kind] += 1;
+                let mut cells = 0;
+                let dp = mapper
+                    .dp_at(&read, locus, &mut window, &mut align, &mut cells)
+                    .expect("a DP window wherever light alignment had one");
+                assert!(
+                    dp.2 >= l.score,
+                    "{chrom}:{pos}, e {e}, shift {shift}, kind {kind}, run {k}: \
+                     DP {} below light {} ({})",
+                    dp.2,
+                    l.score,
+                    l.cigar
+                );
+            }
+        }
+        assert!(accepted.iter().all(|&n| n > cases / 10), "{accepted:?}");
+    }
+
     /// The cells banded DP computes for one 150-base mate in its window.
     fn mate_cells() -> u64 {
         gx_align::banded_cells(150, 150 + 2 * DP_FALLBACK_MARGIN, DP_FALLBACK_BAND)
@@ -849,7 +1007,8 @@ mod tests {
         // A pair whose seeds sit in buckets of hundreds of locations, then a
         // unique one: the second reuses an arena the first left long.
         let (repeats, repeat_map, pos) = crate::seeding::tests::repeat_setup();
-        let repeat_mapper = GenPairMapper::with_seedmap(&repeats, repeat_map, &cfg);
+        let repeat_mapper =
+            GenPairMapper::with_seedmap(&repeats, repeat_map, &cfg).expect("the index fits");
         let rseq = repeats.chromosome(0).seq();
         let repeat_pairs = [
             (

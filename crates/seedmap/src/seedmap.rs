@@ -323,6 +323,12 @@ impl SeedMap {
         &self.location_table[start as usize..end as usize]
     }
 
+    /// The whole Location Table: every bucket's locations, bucket after
+    /// bucket, each bucket ascending.
+    pub fn locations(&self) -> &[GlobalPos] {
+        &self.location_table
+    }
+
     /// Convenience: hash `codes` and return its location slice.
     pub fn query(&self, codes: &[u8]) -> &[GlobalPos] {
         self.locations_for_hash(self.hash_seed_codes(codes))

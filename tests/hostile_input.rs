@@ -11,11 +11,13 @@
 //! * The serialized index ([`read_seedmap`]): a small index with bytes
 //!   flipped anywhere, cut short or followed by junk. It loads as an error,
 //!   or as an index that writes back the very bytes it was read from and
-//!   answers queries.
+//!   answers queries. An index that loads but does not fit the genome — a
+//!   Location Table entry past its end — is refused by
+//!   [`GenPairMapper::with_seedmap`] before any pair is mapped.
 //!
 //! Release builds run the full case counts; debug builds 1/20 of them.
 
-use genpairx::core::{GenPairConfig, GenPairMapper, MapScratch};
+use genpairx::core::{GenPairConfig, GenPairMapper, IndexMismatch, MapScratch};
 use genpairx::genome::fastq::FastqReader;
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::{DnaSeq, ReadRecord, ReferenceGenome};
@@ -426,4 +428,47 @@ fn an_undamaged_index_round_trips() {
     let (map, bytes) = small_index();
     let back = read_seedmap(bytes.as_slice()).expect("loads");
     assert_eq!(back.stats(), map.stats());
+}
+
+#[test]
+fn an_index_past_the_genome_end_is_refused_before_mapping() {
+    let built = mapper();
+    let (genome, config) = (built.genome(), GenPairConfig::default());
+    let mut bytes = Vec::new();
+    write_seedmap(built.seedmap(), &mut bytes).expect("write to memory");
+    let locations = built.seedmap().locations().len();
+    let table = bytes.len() - 4 * locations;
+    for entry in [0, locations / 2, locations - 1] {
+        // The top bit of a little-endian entry: a position past 2^31.
+        let mut flipped = bytes.clone();
+        flipped[table + 4 * entry + 3] ^= 0x80;
+        let map = read_seedmap(flipped.as_slice()).expect("a flipped location still loads");
+        match GenPairMapper::with_seedmap(genome, map, &config) {
+            Err(IndexMismatch::PastGenomeEnd { genome_len, .. }) => {
+                assert_eq!(genome_len, genome.total_len())
+            }
+            other => panic!("entry {entry}: {:?}", other.map(|_| ())),
+        }
+    }
+    let short = small_index().0.clone();
+    assert_eq!(
+        GenPairMapper::with_seedmap(genome, short, &config).map(|_| ()),
+        Err(IndexMismatch::SeedLen {
+            index: 10,
+            config: config.seedmap.seed_len
+        })
+    );
+    // The undamaged bytes fit, and map a pair as the index they came from.
+    let map = read_seedmap(bytes.as_slice()).expect("loads");
+    let loaded = GenPairMapper::with_seedmap(genome, map, &config).expect("the index fits");
+    let seq = genome.chromosome(1).seq();
+    let (r1, r2) = (seq.subseq(9_000..9_150), seq.subseq(9_300..9_450).revcomp());
+    let (want, got) = (built.map_pair(&r1, &r2), loaded.map_pair(&r1, &r2));
+    let placed = |res: &genpairx::core::PairMapResult| {
+        let m = res.mapping.as_ref().expect("the pair maps");
+        (m.chrom, m.pos1, m.pos2, m.cigar1.to_string(), m.mapq)
+    };
+    let (chrom, pos1, pos2, ..) = placed(&got);
+    assert_eq!((chrom, pos1, pos2), (1, 9_000, 9_300));
+    assert_eq!(placed(&got), placed(&want));
 }
