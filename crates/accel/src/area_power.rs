@@ -1,43 +1,14 @@
 //! Area/power roll-up (paper §7.3, Table 4).
 //!
-//! Module costs come from synthesis at 28 nm scaled to 7 nm with the
-//! Stiller scaling factors (power 3.5, area 1.91 — the paper's Table 4
-//! footnote); SRAM costs come from the CACTI-calibrated
-//! [`gx_memsim::SramModel`]; the HBM PHY is a fixed block from published
-//! chip measurements (60 mm², 320 mW).
+//! Module costs are the paper's Table 4 figures, which the paper already
+//! scaled from 28 nm synthesis to 7 nm (Stiller factors, Table 4 footnote);
+//! this code applies no technology scaling of its own. SRAM costs come from
+//! the CACTI-calibrated [`gx_memsim::SramModel`]; the HBM PHY is a fixed
+//! block from published chip measurements (60 mm², 320 mW).
 
 use crate::nmsl::NmslResult;
 use crate::sizing::PipelineSizing;
 use gx_memsim::SramModel;
-
-/// Technology scaling factors (Stiller et al., 20 nm → 7 nm).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TechScaling {
-    /// Divide area by this factor.
-    pub area_factor: f64,
-    /// Divide power by this factor.
-    pub power_factor: f64,
-}
-
-impl TechScaling {
-    /// The paper's factors: area 1.91, power 3.5.
-    pub fn stiller_20_to_7() -> TechScaling {
-        TechScaling {
-            area_factor: 1.91,
-            power_factor: 3.5,
-        }
-    }
-
-    /// Scales an area in mm².
-    pub fn area(&self, mm2: f64) -> f64 {
-        mm2 / self.area_factor
-    }
-
-    /// Scales a power in mW.
-    pub fn power(&self, mw: f64) -> f64 {
-        mw / self.power_factor
-    }
-}
 
 /// One row of the cost table.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,13 +115,6 @@ pub fn genpairx_cost(sizing: &PipelineSizing, nmsl: &NmslResult) -> DesignCost {
 mod tests {
     use super::*;
     use crate::sizing::WorkloadProfile;
-
-    #[test]
-    fn scaling_factors() {
-        let s = TechScaling::stiller_20_to_7();
-        assert!((s.area(1.91) - 1.0).abs() < 1e-12);
-        assert!((s.power(3.5) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn totals_accumulate() {

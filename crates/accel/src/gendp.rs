@@ -80,11 +80,6 @@ impl FallbackCells {
         self.chain += other.chain;
         self.align += other.align;
     }
-
-    /// Whether any DP work is demanded.
-    pub fn is_zero(&self) -> bool {
-        self.chain == 0 && self.align == 0
-    }
 }
 
 /// Anchor floor for chaining estimates: a full-pipeline fallback re-seeds
@@ -276,7 +271,10 @@ mod tests {
             },
         };
         // Light-path pairs never reach GenDP.
-        assert!(fallback_cells(&mk(None, 0, 40), 150, 150).is_zero());
+        assert_eq!(
+            fallback_cells(&mk(None, 0, 40), 150, 150),
+            FallbackCells::default()
+        );
         // Alignment fallback: measured DP cells, no chaining.
         let la = fallback_cells(&mk(Some(FallbackStage::LightAlign), 9_000, 40), 150, 150);
         assert_eq!(

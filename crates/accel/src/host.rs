@@ -1,63 +1,30 @@
-//! Host integration analysis (paper §7.4): the PCIe bandwidth the
-//! accelerator needs at its saturation rate.
+//! Host integration (paper §7.4): what moving read pairs over the host link
+//! costs.
 //!
-//! At 192.7 MPair/s with 2-bit base encoding, the host must stream
-//! 14.5 GB/s of read data in and 5.4 GB/s of locations + CIGARs out; both
-//! fit a 16-lane PCIe Gen3/Gen4 link, so host bandwidth is not the
-//! bottleneck.
-//!
-//! Besides the bandwidth feasibility check, this module holds the two
+//! At the paper's 192.7 MPair/s with 2-bit base encoding, the host streams
+//! about 14.9 GB/s of read data in and 5.4 GB/s of locations + CIGARs out;
+//! both fit a 16-lane PCIe Gen4 link, so host bandwidth is not the
+//! bottleneck (the `paper_operating_point_fits_pcie` test holds this). The
+//! module models no rates: it holds the per-pair byte count and the two
 //! host-link *time* primitives the backend layer charges actual batches
-//! with: [`HostTraffic::transfer_seconds`] (raw full-duplex link time for a
-//! batch's bytes) and [`HostTraffic::exposed_transfer_seconds`] (the serial
-//! residue of that time once double-buffered DMA overlaps a batch's
+//! with — [`HostTraffic::transfer_seconds`] (raw full-duplex link time for
+//! a batch's bytes) and [`HostTraffic::exposed_transfer_seconds`] (the
+//! serial residue of that time once double-buffered DMA overlaps a batch's
 //! transfer with the previous batch's compute — the deployment the paper's
 //! Fig. 11 end-to-end numbers assume).
 
-/// Usable bandwidth of a 16-lane PCIe Gen 3 link in GB/s (8 GT/s,
-/// 128b/130b encoding, ~85% protocol efficiency).
-pub const PCIE3_X16_GBS: f64 = 13.6;
 /// Usable bandwidth of a 16-lane PCIe Gen 4 link in GB/s.
 pub const PCIE4_X16_GBS: f64 = 27.2;
 
-/// Host-side traffic of the accelerator at a given pair rate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HostTraffic {
-    /// Input bandwidth (reads in), GB/s.
-    pub input_gbs: f64,
-    /// Output bandwidth (locations + CIGARs out), GB/s.
-    pub output_gbs: f64,
-}
+/// Host-link cost of read pairs (a namespace: it holds no state).
+pub struct HostTraffic;
 
 impl HostTraffic {
-    /// Traffic at `mpairs_per_s` for 2×`read_len` pairs, each charged the
-    /// bytes of [`pair_bytes`](HostTraffic::pair_bytes).
-    pub fn at_rate(mpairs_per_s: f64, read_len: usize) -> HostTraffic {
-        let pairs_per_s = mpairs_per_s * 1e6;
-        let (input, output) = HostTraffic::pair_bytes(read_len, read_len);
-        HostTraffic {
-            input_gbs: pairs_per_s * input as f64 / 1e9,
-            output_gbs: pairs_per_s * output as f64 / 1e9,
-        }
-    }
-
-    /// Whether both directions fit a link of `link_gbs` (full duplex).
-    pub fn fits_link(&self, link_gbs: f64) -> bool {
-        self.input_gbs <= link_gbs && self.output_gbs <= link_gbs
-    }
-
-    /// The pair rate a given link can sustain (input-bound).
-    pub fn max_rate_for_link(link_gbs: f64, read_len: usize) -> f64 {
-        let (input, _) = HostTraffic::pair_bytes(read_len, read_len);
-        link_gbs * 1e9 / input as f64 / 1e6
-    }
-
     /// Host-link bytes of one read pair as `(input, output)`: reads stream
     /// in 2-bit packed (`len / 4` bytes per end, rounded up, plus 2 bytes of
     /// id/descriptor overhead); locations + CIGARs stream out (8 bytes of
-    /// locations plus ~20 of CIGAR, §7.4). The rate model
-    /// ([`HostTraffic::at_rate`]) and the backend layer, which charges
-    /// actual batches, both price pairs with it.
+    /// locations plus ~20 of CIGAR, §7.4). The backend layer charges
+    /// actual batches with it.
     pub fn pair_bytes(r1_len: usize, r2_len: usize) -> (u64, u64) {
         let packed = |len: usize| len.div_ceil(4) as u64;
         (packed(r1_len) + packed(r2_len) + 2, 8 + 20)
@@ -98,42 +65,18 @@ mod tests {
 
     #[test]
     fn paper_operating_point_fits_pcie() {
-        // §7.4: 192.7 MPair/s needs ~14.5 GB/s in, ~5.4 GB/s out.
-        let t = HostTraffic::at_rate(192.7, 150);
-        assert!((t.input_gbs - 14.9).abs() < 0.6, "input {}", t.input_gbs);
-        assert!((t.output_gbs - 5.4).abs() < 0.2, "output {}", t.output_gbs);
-        assert!(t.fits_link(PCIE4_X16_GBS));
-        // Gen3 is borderline on input, as the paper notes both Gen3 and
-        // Gen4 "support these bandwidth requirements" with Gen3 at the edge.
-        assert!(t.output_gbs <= PCIE3_X16_GBS);
-    }
-
-    #[test]
-    fn traffic_scales_linearly() {
-        let a = HostTraffic::at_rate(100.0, 150);
-        let b = HostTraffic::at_rate(200.0, 150);
-        assert!((b.input_gbs / a.input_gbs - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn link_bound_rate() {
-        let r = HostTraffic::max_rate_for_link(PCIE4_X16_GBS, 150);
-        assert!(r > 192.7, "PCIe Gen4 must not bottleneck the design: {r}");
-    }
-
-    #[test]
-    fn pair_bytes_match_rate_model() {
-        // The per-pair integer form and the GB/s rate model charge the
-        // same bytes, including the round-up to whole packed bytes.
+        // §7.4: 192.7 MPair/s of 2x150 bp pairs needs ~14.9 GB/s in and
+        // ~5.4 GB/s out, both within a PCIe Gen4 x16 link.
         let (input, output) = HostTraffic::pair_bytes(150, 150);
         assert_eq!(input, 38 + 38 + 2); // ceil(150/4) per end + overhead
         assert_eq!(output, 28);
-        for len in [150usize, 151, 152] {
-            let t = HostTraffic::at_rate(1.0 / 1e6, len); // one pair per second
-            let (i, o) = HostTraffic::pair_bytes(len, len);
-            assert!((t.input_gbs * 1e9 - i as f64).abs() < 1e-6, "len {len}");
-            assert!((t.output_gbs * 1e9 - o as f64).abs() < 1e-6);
-        }
+        let gbs = |bytes: u64| 192.7e6 * bytes as f64 / 1e9;
+        assert!((gbs(input) - 14.9).abs() < 0.6, "input {}", gbs(input));
+        assert!((gbs(output) - 5.4).abs() < 0.2, "output {}", gbs(output));
+        assert!(gbs(input) <= PCIE4_X16_GBS && gbs(output) <= PCIE4_X16_GBS);
+        // Packing rounds each end up to whole bytes.
+        assert_eq!(HostTraffic::pair_bytes(151, 152).0, 38 + 38 + 2);
+        assert_eq!(HostTraffic::pair_bytes(153, 150).0, 39 + 38 + 2);
     }
 
     #[test]

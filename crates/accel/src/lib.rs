@@ -16,8 +16,8 @@
 //! * [`modules`] + [`sizing`] — the Partitioned Seeding, Paired-Adjacency
 //!   Filtering and Light Alignment module models and the pipeline balancing
 //!   that produces Table 3,
-//! * [`area_power`] — the Table 4 area/power roll-up (synthesis constants +
-//!   CACTI SRAM + Stiller technology scaling),
+//! * [`area_power`] — the Table 4 area/power roll-up (the paper's 7 nm
+//!   module figures + CACTI SRAM; no technology scaling is applied here),
 //! * [`gendp`] — the GenDP fallback accelerator model sized in CUPS from
 //!   measured residual DP work (§7.4),
 //! * [`systems`] — end-to-end system comparison (Fig. 11, Table 5, Table 6)
@@ -36,7 +36,7 @@ pub mod sizing;
 pub mod systems;
 pub mod workload;
 
-pub use area_power::{CostItem, DesignCost, TechScaling};
+pub use area_power::{CostItem, DesignCost};
 pub use gendp::{fallback_cells, FallbackCells, FallbackCost, GenDpInstance, GenDpModel};
 pub use host::HostTraffic;
 pub use modules::{ModuleSpec, ACCEL_CLOCK_GHZ};

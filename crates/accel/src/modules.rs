@@ -2,8 +2,9 @@
 //!
 //! Each GenPairX compute module is characterized by its cycle cost, pipeline
 //! latency, and per-instance area/power. The area/power constants are the
-//! paper's Table 4 synthesis results (28 nm place-and-route scaled to 7 nm
-//! with the Stiller factors), divided by the instance counts of Table 3.
+//! paper's Table 4 figures at 7 nm (the paper scaled its 28 nm
+//! place-and-route results; nothing here scales again), divided by the
+//! instance counts of Table 3.
 
 /// GenPairX compute clock in GHz (paper §6: all components at 2.0 GHz).
 pub const ACCEL_CLOCK_GHZ: f64 = 2.0;
@@ -70,11 +71,6 @@ impl ModuleSpec {
     pub fn mops_per_instance(&self, clock_ghz: f64) -> f64 {
         clock_ghz * 1e3 / self.cycles_per_op
     }
-
-    /// Instances required to sustain `mops` million operations per second.
-    pub fn instances_for(&self, mops: f64, clock_ghz: f64) -> u32 {
-        (mops / self.mops_per_instance(clock_ghz)).ceil().max(1.0) as u32
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +82,6 @@ mod tests {
         let m = ModuleSpec::partitioned_seeding();
         let thr = m.mops_per_instance(ACCEL_CLOCK_GHZ);
         assert!((thr - 333.3).abs() < 1.0, "throughput {thr}");
-        // One instance suffices for NMSL's 192.7 MPair/s.
-        assert_eq!(m.instances_for(192.7, ACCEL_CLOCK_GHZ), 1);
     }
 
     #[test]
@@ -95,7 +89,6 @@ mod tests {
         let m = ModuleSpec::pa_filter(24.1);
         let thr = m.mops_per_instance(ACCEL_CLOCK_GHZ);
         assert!((thr - 83.0).abs() < 1.0, "throughput {thr}");
-        assert_eq!(m.instances_for(192.7, ACCEL_CLOCK_GHZ), 3);
     }
 
     #[test]

@@ -46,6 +46,11 @@ pub enum AddressScale {
     Native,
 }
 
+/// Bytes per centralized-buffer entry (one location).
+const BUFFER_ENTRY_BYTES: u64 = 4;
+/// Bytes per channel-input-FIFO entry (one request descriptor).
+const FIFO_ENTRY_BYTES: u64 = 8;
+
 /// NMSL configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct NmslConfig {
@@ -53,14 +58,10 @@ pub struct NmslConfig {
     /// "No Window" configuration of Fig. 8. [`NmslSim::new`] clamps
     /// `Some(0)` to `Some(1)`: a zero window would never admit a pair.
     pub window: Option<usize>,
-    /// Bytes per centralized-buffer entry (one location, 4 B).
-    pub buffer_entry_bytes: u64,
     /// Centralized-buffer FIFO depth (the index filtering threshold caps
     /// locations per seed, §5.2). [`NmslSim::new`] clamps it to at least
     /// 1: a zero depth would issue zero-byte Location Table reads.
     pub buffer_depth: u32,
-    /// Bytes per channel-input-FIFO entry (request descriptor).
-    pub fifo_entry_bytes: u64,
     /// Address-space model.
     pub address_scale: AddressScale,
 }
@@ -69,9 +70,7 @@ impl Default for NmslConfig {
     fn default() -> NmslConfig {
         NmslConfig {
             window: Some(1024),
-            buffer_entry_bytes: 4,
             buffer_depth: 500,
-            fifo_entry_bytes: 8,
             address_scale: AddressScale::HumanScale,
         }
     }
@@ -526,9 +525,8 @@ impl NmslSim {
         let pairs = self.completed;
         let channels = self.dram.config().channels;
         let effective_window = self.cfg.window.unwrap_or(self.max_inflight.max(1)) as u64;
-        let buffer_bytes =
-            6 * effective_window * self.cfg.buffer_depth as u64 * self.cfg.buffer_entry_bytes;
-        let fifo_bytes = channels as u64 * self.max_fifo as u64 * self.cfg.fifo_entry_bytes;
+        let buffer_bytes = 6 * effective_window * self.cfg.buffer_depth as u64 * BUFFER_ENTRY_BYTES;
+        let fifo_bytes = channels as u64 * self.max_fifo as u64 * FIFO_ENTRY_BYTES;
         let dram_stats = *self.dram.stats();
         let power_model = DramPowerModel::for_config(self.dram.config());
         NmslResult {

@@ -210,18 +210,8 @@ impl<'g> Mm2Mapper<'g> {
         self.genome
     }
 
-    /// Maps a single read end; returns candidate alignments sorted by
-    /// descending score.
-    pub fn map_read(
-        &self,
-        read: &DnaSeq,
-        timings: &mut StageTimings,
-        work: &mut WorkCounters,
-    ) -> Vec<ReadAlignment> {
-        self.map_read_with(read, timings, work, &mut AlignScratch::new())
-    }
-
-    /// [`map_read`](Self::map_read) with the caller's DP workspace.
+    /// Maps a single read end with the caller's DP workspace; returns
+    /// candidate alignments sorted by descending score.
     fn map_read_with(
         &self,
         read: &DnaSeq,

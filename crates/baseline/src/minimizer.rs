@@ -21,17 +21,6 @@ pub fn hash64(key: u64, mask: u64) -> u64 {
     k
 }
 
-/// Reverse complement of a 2-bit packed k-mer.
-#[inline]
-pub fn revcomp_kmer(kmer: u64, k: usize) -> u64 {
-    let mut out = 0u64;
-    for i in 0..k {
-        let code = (kmer >> (2 * i)) & 3;
-        out |= (code ^ 3) << (2 * (k - 1 - i));
-    }
-    out
-}
-
 /// A selected minimizer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Minimizer {
@@ -117,26 +106,6 @@ mod tests {
 
     fn seq(s: &str) -> DnaSeq {
         DnaSeq::from_ascii(s.as_bytes()).unwrap()
-    }
-
-    #[test]
-    fn revcomp_kmer_matches_seq_revcomp() {
-        let s = seq("ACGGTTAC");
-        let k = s.len();
-        let fwd = s.kmer_u64(0, k);
-        // kmer_u64 packs low-to-high; build the conventional high-to-low
-        // representation used by the rolling hash for comparison.
-        let mut conv = 0u64;
-        for i in 0..k {
-            conv = (conv << 2) | s.code_at(i) as u64;
-        }
-        let mut conv_rc = 0u64;
-        let rc = s.revcomp();
-        for i in 0..k {
-            conv_rc = (conv_rc << 2) | rc.code_at(i) as u64;
-        }
-        assert_eq!(revcomp_kmer(conv, k), conv_rc);
-        let _ = fwd;
     }
 
     #[test]

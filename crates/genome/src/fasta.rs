@@ -1,4 +1,4 @@
-//! Minimal FASTA reading and writing.
+//! Minimal FASTA reading.
 //!
 //! `N` (and any other ambiguity code) in input sequences is stored as `A` in
 //! the packed sequence and recorded in the chromosome's ambiguity mask, so
@@ -6,7 +6,7 @@
 //! skips seeds containing `N`.
 
 use crate::{Base, Bitset, Chromosome, DnaSeq, GenomeError, ReferenceGenome};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Reads a FASTA stream into a [`ReferenceGenome`].
 ///
@@ -70,36 +70,13 @@ pub fn read_fasta<R: BufRead>(reader: R) -> Result<ReferenceGenome, GenomeError>
     Ok(ReferenceGenome::from_chromosomes(chroms))
 }
 
-/// Writes a genome as FASTA with 80-column wrapping.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_fasta<W: Write>(genome: &ReferenceGenome, mut writer: W) -> std::io::Result<()> {
-    for chrom in genome.chromosomes() {
-        writeln!(writer, ">{}", chrom.name())?;
-        let ascii = chrom.seq().to_ascii();
-        for chunk in ascii.chunks(80) {
-            writer.write_all(chunk)?;
-            writer.write_all(b"\n")?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip() {
-        let g = ReferenceGenome::from_chromosomes(vec![
-            Chromosome::new("chr1", DnaSeq::from_ascii(b"ACGTACGT").unwrap()),
-            Chromosome::new("chr2", DnaSeq::from_ascii(b"TTTTGGGG").unwrap()),
-        ]);
-        let mut buf = Vec::new();
-        write_fasta(&g, &mut buf).unwrap();
-        let g2 = read_fasta(buf.as_slice()).unwrap();
+        let g2 = read_fasta(&b">chr1\nACGTACGT\n>chr2\nTTTTGGGG\n"[..]).unwrap();
         assert_eq!(g2.num_chromosomes(), 2);
         assert_eq!(g2.chromosome(0).seq().to_string(), "ACGTACGT");
         assert_eq!(g2.chromosome(1).name(), "chr2");

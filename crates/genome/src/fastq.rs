@@ -149,6 +149,21 @@ fn next_line<R: BufRead, T>(
     }
 }
 
+/// Bytes of an offending line an error message repeats.
+const ECHO_BYTES: usize = 64;
+
+/// An offending line for an error message: whole when short, else its first
+/// [`ECHO_BYTES`] bytes and its length, so a huge garbage line does not
+/// become an equally huge error string.
+fn echo(line: &[u8]) -> String {
+    let shown = String::from_utf8_lossy(&line[..line.len().min(ECHO_BYTES)]);
+    if line.len() <= ECHO_BYTES {
+        shown.into_owned()
+    } else {
+        format!("{shown}... ({} bytes)", line.len())
+    }
+}
+
 /// Header-line classification. The id itself is written into the caller's
 /// record; only the error path owns text.
 enum Header {
@@ -200,7 +215,7 @@ impl<R: BufRead> FastqReader<R> {
                         .push_str(rest.split_whitespace().next().unwrap_or(""));
                     Header::Id
                 } else {
-                    Header::Bad(String::from_utf8_lossy(line).into_owned())
+                    Header::Bad(echo(line))
                 }
             })?;
             match header {

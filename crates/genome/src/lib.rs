@@ -11,7 +11,8 @@
 //! * [`random`] — repeat-rich synthetic genome generation (GRCh38 stand-in),
 //! * [`variant`] — SNP/INDEL generation and donor-genome construction with
 //!   donor→reference coordinate maps (ground truth for simulated reads),
-//! * [`fasta`] / [`fastq`] — plain-text interchange formats.
+//! * [`fasta`] / [`fastq`] — plain-text interchange: a FASTA reader and
+//!   FASTQ reading and writing.
 //!
 //! # Example
 //!

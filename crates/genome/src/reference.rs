@@ -86,8 +86,8 @@ impl std::fmt::Display for Locus {
 ///
 /// The SeedMap location table stores 32-bit *global positions*: offsets into
 /// the concatenation of all chromosomes. [`ReferenceGenome::locate`] maps a
-/// global position back to a [`Locus`], and [`ReferenceGenome::global_pos`]
-/// goes the other way.
+/// global position back to a [`Locus`]; a locus sits at global position
+/// [`chrom_start`](ReferenceGenome::chrom_start)`(chrom) + pos`.
 ///
 /// ```
 /// use gx_genome::{Chromosome, DnaSeq, ReferenceGenome};
@@ -159,29 +159,6 @@ impl ReferenceGenome {
     /// Global start offset of chromosome `idx`.
     pub fn chrom_start(&self, idx: u32) -> u64 {
         self.starts[idx as usize]
-    }
-
-    /// Converts a locus to a global position.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenomeError::OutOfBounds`] if the locus lies outside the
-    /// genome.
-    pub fn global_pos(&self, locus: Locus) -> Result<GlobalPos, GenomeError> {
-        let c = self
-            .chroms
-            .get(locus.chrom as usize)
-            .ok_or(GenomeError::OutOfBounds {
-                pos: locus.chrom as u64,
-                len: self.chroms.len() as u64,
-            })?;
-        if locus.pos >= c.len() as u64 {
-            return Err(GenomeError::OutOfBounds {
-                pos: locus.pos,
-                len: c.len() as u64,
-            });
-        }
-        Ok((self.starts[locus.chrom as usize] + locus.pos) as GlobalPos)
     }
 
     /// Converts a global position back into a locus.
@@ -272,7 +249,7 @@ mod tests {
         let g = genome();
         for chrom in 0..3u32 {
             for pos in 0..g.chromosome(chrom).len() as u64 {
-                let gp = g.global_pos(Locus { chrom, pos }).unwrap();
+                let gp = (g.chrom_start(chrom) + pos) as GlobalPos;
                 assert_eq!(g.locate(gp), Locus { chrom, pos });
             }
         }
@@ -281,13 +258,6 @@ mod tests {
     #[test]
     fn total_len_sums() {
         assert_eq!(genome().total_len(), 20);
-    }
-
-    #[test]
-    fn out_of_bounds_locus() {
-        let g = genome();
-        assert!(g.global_pos(Locus { chrom: 0, pos: 10 }).is_err());
-        assert!(g.global_pos(Locus { chrom: 9, pos: 0 }).is_err());
     }
 
     #[test]

@@ -165,6 +165,12 @@ mod tests {
         assert!(cfg.batch_size >= 1);
         assert!(cfg.queue_depth >= 1);
         assert_eq!(cfg.fallback, FallbackPolicy::EmitUnmapped);
+        // The service takes the engine's defaults for the fields both share.
+        let (engine, service) = (PipelineConfig::default(), crate::ServiceConfig::default());
+        assert_eq!(service.threads, engine.threads);
+        assert_eq!(service.batch_size, engine.batch_size);
+        assert_eq!(service.queue_depth, engine.queue_depth);
+        assert_eq!(service.fallback, engine.fallback);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use super::{MappingService, ServiceHandle, ServiceReport};
 use crate::clock::Clock;
-use crate::config::FallbackPolicy;
+use crate::config::{FallbackPolicy, PipelineConfig};
 use gx_backend::MapBackend;
 use gx_telemetry::Telemetry;
 use std::sync::Arc;
@@ -130,14 +130,15 @@ impl ServiceConfig {
 }
 
 impl Default for ServiceConfig {
+    /// [`PipelineConfig::default`] for the fields the engine shares.
     fn default() -> ServiceConfig {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let engine = PipelineConfig::default();
         ServiceConfig {
-            threads,
-            batch_size: 256,
-            queue_depth: 2 * threads.max(1),
+            threads: engine.threads,
+            batch_size: engine.batch_size,
+            queue_depth: engine.queue_depth,
             max_active_jobs: 8,
-            fallback: FallbackPolicy::default(),
+            fallback: engine.fallback,
             ingesters: 0,
         }
     }

@@ -12,14 +12,16 @@
 //! * [`compare_variants`] — truth-set comparison with the standard
 //!   precision/recall/F1 metrics,
 //! * [`mapeval`] — mapping-location correctness against simulation truth.
+//!
+//! Calls and truth sets stay in memory as
+//! [`Variant`](gx_genome::variant::Variant)s and are compared there; nothing
+//! is written as VCF.
 
 mod caller;
 mod compare;
 pub mod mapeval;
 mod pileup;
-pub mod vcf;
 
 pub use caller::{call_variants, CallerConfig};
 pub use compare::{compare_variants, AccuracyMetrics, ComparisonResult};
 pub use pileup::Pileup;
-pub use vcf::write_vcf;

@@ -75,10 +75,16 @@ fn sizing_scales_with_nmsl_rate_and_cost_follows() {
 #[test]
 fn nmsl_sram_formula_consistency() {
     let ws = workloads(300);
-    let mut sim = NmslSim::new(DramConfig::hbm2e_32ch(), NmslConfig::default());
+    let dram = DramConfig::hbm2e_32ch();
+    let mut sim = NmslSim::new(dram, NmslConfig::default());
     let res = sim.run(&ws);
     assert_eq!(res.sram_bytes, res.buffer_bytes + res.fifo_bytes);
+    // 4 B a buffered location, 8 B a queued request descriptor.
     assert_eq!(res.buffer_bytes, 6 * 1024 * 500 * 4);
+    assert_eq!(
+        res.fifo_bytes,
+        dram.channels as u64 * res.max_channel_fifo as u64 * 8
+    );
     assert!(res.fifo_bytes > 0);
     assert!(res.elapsed_s > 0.0);
     assert!(res.dram_power_mw > 0.0);

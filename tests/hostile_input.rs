@@ -14,6 +14,8 @@
 //!   answers queries. An index that loads but does not fit the genome — a
 //!   Location Table entry past its end — is refused by
 //!   [`GenPairMapper::with_seedmap`] before any pair is mapped.
+//! * An error names an offending line by a short prefix and its length, so
+//!   a 10 MB line that is not a header does not become a 10 MB message.
 //!
 //! Release builds run the full case counts; debug builds 1/20 of them.
 
@@ -471,4 +473,28 @@ fn an_index_past_the_genome_end_is_refused_before_mapping() {
     let (chrom, pos1, pos2, ..) = placed(&got);
     assert_eq!((chrom, pos1, pos2), (1, 9_000, 9_300));
     assert_eq!(placed(&got), placed(&want));
+}
+
+#[test]
+fn a_huge_bad_header_is_not_echoed_whole() {
+    // A 10 MB line where a record's `@` header belongs.
+    let mut line = vec![b'A'; 10 << 20];
+    line.push(b'\n');
+    let err = FastqReader::new(line.as_slice())
+        .next()
+        .expect("an item")
+        .expect_err("no @ header")
+        .to_string();
+    assert!(err.len() < 200, "{} bytes: {}", err.len(), &err[..200]);
+    assert!(err.contains("expected @header, got AAAA"), "{err}");
+    assert!(err.contains(&format!("({} bytes)", 10 << 20)), "{err}");
+    let good = b"@r\nACGT\n+\nIIII\n";
+    for (r1, r2) in [(&line[..], &good[..]), (&good[..], &line[..])] {
+        let err = ReadPairStream::new(r1, r2)
+            .next()
+            .expect("an item")
+            .expect_err("no @ header")
+            .to_string();
+        assert!(err.len() < 200, "{} bytes", err.len());
+    }
 }
