@@ -1,4 +1,5 @@
-//! Banded affine-gap alignment: the DP fallback and the long-read path.
+//! Banded affine-gap fit alignment: the DP fallback, the long-read path and,
+//! at a band covering the whole matrix, `align`.
 //!
 //! # What GenDP computes, and what this module computes
 //!
@@ -69,43 +70,17 @@ use crate::Scoring;
 use gx_genome::{Cigar, CigarOp, DnaSeq};
 use std::ops::{Add, Sub};
 
+// Traceback encoding, one byte per cell:
+//   bits 0-1: H-matrix choice: 0 = diagonal, 1 = E (deletion), 2 = F
+//             (insertion), 3 = stop (row 0, or outside the band)
+//   bit 2:    E extended from E (set) vs opened from H (clear)
+//   bit 3:    F extended from F (set) vs opened from H (clear)
 const H_DIAG: u8 = 0;
 const H_E: u8 = 1;
 const H_F: u8 = 2;
 const H_STOP: u8 = 3;
 const E_EXT: u8 = 1 << 2;
 const F_EXT: u8 = 1 << 3;
-
-/// Banded affine-gap alignment (global or fit mode).
-///
-/// Only cells within `band` diagonals of the corridor spanned by the two
-/// sequence lengths are computed, bounding both time and traceback memory to
-/// `O(|q| * (|t| - |q| + 2 * band))`. This is the aligner the DP fallback and
-/// long-read paths use — GenDP accelerates exactly this banded
-/// Smith–Waterman shape.
-///
-/// Alignments whose optimal path leaves the band return the best in-band
-/// path, which is the same behaviour as minimap2's banded extension.
-///
-/// Ties are broken the same way everywhere: opening a gap is preferred over
-/// extending one, a diagonal step over a deletion over an insertion, and in
-/// fit mode the leftmost best end column wins. `scoring.gap_open` and
-/// `scoring.gap_ext` must not be negative ([`Scoring`] stores penalties as
-/// positive magnitudes).
-///
-/// # Panics
-///
-/// Panics if either sequence is empty, `band == 0`, or `mode` is
-/// [`AlignMode::Local`] (local mode has no meaningful corridor).
-pub fn banded_align(
-    query: &DnaSeq,
-    target: &DnaSeq,
-    scoring: &Scoring,
-    band: usize,
-    mode: AlignMode,
-) -> Alignment {
-    banded_align_with(query, target, scoring, band, mode, &mut AlignScratch::new())
-}
 
 /// The corridor of a banded alignment of an `n`-base query against an
 /// `m`-base target: row `i` holds the columns `j` whose shift `j - i` lies in
@@ -155,7 +130,7 @@ impl Corridor {
     }
 }
 
-/// Number of DP cells [`banded_align`] computes for an `n`-base query, an
+/// Number of DP cells [`banded_align_with`] computes for an `n`-base query, an
 /// `m`-base target and half-width `band` — the corridor area, boundary row
 /// and column excluded. Equals [`Alignment::cells`] of that call; the GenDP
 /// fallback model prices exactly this count.
@@ -364,7 +339,6 @@ fn fill<C: Cell>(
     tcodes: &[u8],
     scoring: &Scoring,
     corridor: &Corridor,
-    mode: AlignMode,
     rows: &mut ScoreRows<C>,
     tb: &mut [u8],
 ) -> (i32, usize) {
@@ -374,7 +348,6 @@ fn fill<C: Cell>(
         open: C::from_i32(scoring.gap_open + scoring.gap_ext),
         ext: C::from_i32(scoring.gap_ext),
     };
-    let gap = |len: usize| C::from_i32(-scoring.gap_cost(len as u32));
     let ScoreRows {
         h_prev,
         h_cur,
@@ -408,13 +381,9 @@ fn fill<C: Cell>(
     }
     ramp_into(scoring.gap_ext, width, ramp);
 
-    // Row 0.
+    // Row 0: the target's free start overhang, all stop codes already.
     for j in 0..=corridor.jmax(0) {
-        let off = corridor.off(0, j);
-        (h_prev[off], tb[off]) = match mode {
-            AlignMode::Global if j > 0 => (gap(j), H_E | E_EXT),
-            _ => (C::from_i32(0), H_STOP),
-        };
+        h_prev[corridor.off(0, j)] = C::from_i32(0);
     }
 
     for i in 1..=n {
@@ -428,7 +397,7 @@ fn fill<C: Cell>(
         e_row[0] = C::NEG_INF;
         c_row[0] = C::NEG_INF - costs.open;
         if lo == 0 {
-            let h = gap(i);
+            let h = C::from_i32(-scoring.gap_cost(i as u32));
             h_cur[first - 1] = h;
             tb[i * width + first - 1] = H_F | F_EXT;
             c_row[0] = h - costs.open;
@@ -450,31 +419,46 @@ fn fill<C: Cell>(
         std::mem::swap(f_prev, f_cur);
     }
 
-    let last_row = |j: usize| h_prev[corridor.off(n, j)];
-    let (score, end_j) = match mode {
-        AlignMode::Global => (last_row(m), m),
-        _ => {
-            let (mut bj, mut bs) = (corridor.jmin(n), C::NEG_INF);
-            for j in corridor.jmin(n)..=corridor.jmax(n) {
-                if last_row(j) > bs {
-                    bs = last_row(j);
-                    bj = j;
-                }
-            }
-            (bs, bj)
+    // The end column: the leftmost best of the last row.
+    let (mut end_j, mut score) = (corridor.jmin(n), C::NEG_INF);
+    for j in corridor.jmin(n)..=corridor.jmax(n) {
+        let h = h_prev[corridor.off(n, j)];
+        if h > score {
+            (end_j, score) = (j, h);
         }
-    };
+    }
     (score.to_i32(), end_j)
 }
 
-/// [`banded_align`] using caller-owned scratch buffers — identical result,
-/// no allocation once `scratch` has grown to the workload's high-water mark.
+/// Banded affine-gap fit alignment: the query end to end, the target with
+/// free start and end overhangs.
+///
+/// Only cells within `band` diagonals of the corridor spanned by the two
+/// sequence lengths are computed, bounding both time and traceback memory to
+/// `O(|q| * (|t| - |q| + 2 * band))`. This is the aligner of the DP
+/// fallback, the long-read path and [`align`](crate::align) (at a band that
+/// covers the whole matrix) — GenDP accelerates exactly this banded fit
+/// shape. `scratch` is caller-owned, so once it has grown to the workload's
+/// high-water mark a call allocates nothing but its CIGAR.
+///
+/// Alignments whose optimal path leaves the band return the best in-band
+/// path, which is the same behaviour as minimap2's banded extension.
+///
+/// Ties are broken the same way everywhere: opening a gap is preferred over
+/// extending one, a diagonal step over a deletion over an insertion, and the
+/// leftmost best end column wins. `scoring.gap_open` and `scoring.gap_ext`
+/// must not be negative ([`Scoring`] stores penalties as positive
+/// magnitudes). `AlignMode` has one value, [`AlignMode::Fit`].
+///
+/// # Panics
+///
+/// Panics if either sequence is empty or `band == 0`.
 pub fn banded_align_with(
     query: &DnaSeq,
     target: &DnaSeq,
     scoring: &Scoring,
     band: usize,
-    mode: AlignMode,
+    _mode: AlignMode,
     scratch: &mut AlignScratch,
 ) -> Alignment {
     assert!(
@@ -482,10 +466,6 @@ pub fn banded_align_with(
         "cannot align empty sequences"
     );
     assert!(band > 0, "band must be positive");
-    assert!(
-        mode != AlignMode::Local,
-        "banded alignment supports Global and Fit modes"
-    );
     let n = query.len();
     let m = target.len();
     let corridor = Corridor::new(n, m, band);
@@ -504,14 +484,14 @@ pub fn banded_align_with(
     target.codes_into(0..m, tcodes);
 
     let (score, end_j) = if fits::<i16>(n, &corridor, scoring) {
-        fill(qcodes, tcodes, scoring, &corridor, mode, narrow, tb)
+        fill(qcodes, tcodes, scoring, &corridor, narrow, tb)
     } else {
-        fill(qcodes, tcodes, scoring, &corridor, mode, wide, tb)
+        fill(qcodes, tcodes, scoring, &corridor, wide, tb)
     };
 
-    // Traceback within the band.
+    // Traceback within the band, up to row 0 (the free target prefix). No
+    // deletion extends out of column 1: column 0 has no E to extend.
     let tb_at = |i: usize, j: usize| tb[i * width + corridor.off(i, j)];
-    #[derive(PartialEq)]
     enum State {
         H,
         E,
@@ -520,7 +500,7 @@ pub fn banded_align_with(
     let mut rev = Cigar::new();
     let (mut i, mut j) = (n, end_j);
     let mut state = State::H;
-    loop {
+    while i > 0 {
         match state {
             State::H => match tb_at(i, j) & 3 {
                 H_DIAG => {
@@ -538,41 +518,25 @@ pub fn banded_align_with(
                 _ => break,
             },
             State::E => {
-                let extended = tb_at(i, j) & E_EXT != 0;
+                if tb_at(i, j) & E_EXT == 0 {
+                    state = State::H;
+                }
                 rev.push(CigarOp::Del, 1);
                 j -= 1;
-                if !extended {
-                    state = State::H;
-                }
-                if j == 0 && state == State::E {
-                    break;
-                }
             }
             State::F => {
-                let extended = tb_at(i, j) & F_EXT != 0;
-                rev.push(CigarOp::Ins, 1);
-                i -= 1;
-                if !extended {
+                if tb_at(i, j) & F_EXT == 0 {
                     state = State::H;
                 }
-                if i == 0 && state == State::F {
-                    break;
-                }
+                rev.push(CigarOp::Ins, 1);
+                i -= 1;
             }
-        }
-        if i == 0 && j == 0 {
-            break;
-        }
-        if i == 0 && matches!(state, State::H) && tb_at(0, j) & 3 == H_STOP {
-            break;
         }
     }
 
     Alignment {
         score,
         cigar: rev.reversed(),
-        query_start: i,
-        query_end: n,
         target_start: j,
         target_end: end_j,
         cells: banded_cells(n, m, band),
@@ -590,25 +554,19 @@ mod tests {
         DnaSeq::from_ascii(s.as_bytes()).unwrap()
     }
 
+    fn banded(q: &DnaSeq, t: &DnaSeq, s: &Scoring, band: usize) -> Alignment {
+        banded_align_with(q, t, s, band, AlignMode::Fit, &mut AlignScratch::new())
+    }
+
     #[test]
     fn matches_full_dp_on_fit() {
         let q = seq("ACGTACGTACGTTACG");
         let t = seq("GGACGTACGTTACGTTACGGG");
         let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Fit);
-        let band = banded_align(&q, &t, &s, 8, AlignMode::Fit);
+        let full = align(&q, &t, &s);
+        let band = banded(&q, &t, &s, 8);
         assert_eq!(full.score, band.score);
         assert_eq!(full.cigar.query_len(), band.cigar.query_len());
-    }
-
-    #[test]
-    fn matches_full_dp_on_global() {
-        let q = seq("ACGTACGGGTACGTTACG");
-        let t = seq("ACGTACGTACGTTACG");
-        let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Global);
-        let band = banded_align(&q, &t, &s, 8, AlignMode::Global);
-        assert_eq!(full.score, band.score);
     }
 
     #[test]
@@ -616,8 +574,8 @@ mod tests {
         let q = seq(&"ACGT".repeat(50));
         let t = seq(&"ACGT".repeat(60));
         let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Fit);
-        let band = banded_align(&q, &t, &s, 5, AlignMode::Fit);
+        let full = align(&q, &t, &s);
+        let band = banded(&q, &t, &s, 5);
         assert!(
             band.cells < full.cells / 2,
             "band {} full {}",
@@ -629,33 +587,24 @@ mod tests {
     #[test]
     fn reused_scratch_matches_fresh_scratch() {
         // One scratch driven across differently-shaped problems (growing,
-        // shrinking, global and fit) must reproduce the fresh-allocation
-        // result bit for bit — this is the property that lets a mapping
-        // session keep a single workspace alive across pairs.
+        // shrinking, banded and full-matrix) must reproduce the
+        // fresh-allocation result bit for bit — this is the property that
+        // lets a mapping session keep a single workspace alive across pairs.
         let s = Scoring::short_read();
         let mut scratch = AlignScratch::new();
         let cases = [
-            ("ACGTACGTACGTTACG", "GGACGTACGTTACGTTACGGG", AlignMode::Fit),
-            (
-                "ACGGTTACGGTAGACCAACGGTTAC",
-                "ACGGTTACGGTATTTGACCAACGGTTAC",
-                AlignMode::Global,
-            ),
-            ("ACGT", "TACGTT", AlignMode::Fit),
-            ("ACGTACGGGTACGTTACG", "ACGTACGTACGTTACG", AlignMode::Global),
+            ("ACGTACGTACGTTACG", "GGACGTACGTTACGTTACGGG"),
+            ("ACGGTTACGGTAGACCAACGGTTAC", "ACGGTTACGGTATTTGACCAACGGTTAC"),
+            ("ACGT", "TACGTT"),
+            ("ACGTACGGGTACGTTACG", "ACGTACGTACGTTACG"),
         ];
-        for (q, t, mode) in cases {
+        for (q, t) in cases {
             let (q, t) = (seq(q), seq(t));
-            let fresh = banded_align(&q, &t, &s, 8, mode);
-            let reused = banded_align_with(&q, &t, &s, 8, mode, &mut scratch);
-            assert_eq!(fresh.score, reused.score);
-            assert_eq!(fresh.cigar, reused.cigar);
-            assert_eq!(fresh.target_start, reused.target_start);
-            assert_eq!(fresh.cells, reused.cells);
-            let full_fresh = align(&q, &t, &s, mode);
-            let full_reused = crate::align_with(&q, &t, &s, mode, &mut scratch);
-            assert_eq!(full_fresh.score, full_reused.score);
-            assert_eq!(full_fresh.cigar, full_reused.cigar);
+            for band in [8, q.len().min(t.len())] {
+                let fresh = banded(&q, &t, &s, band);
+                let reused = banded_align_with(&q, &t, &s, band, AlignMode::Fit, &mut scratch);
+                assert_eq!(fresh, reused);
+            }
         }
     }
 
@@ -666,12 +615,11 @@ mod tests {
         t: &[u8],
         scoring: &Scoring,
         band: usize,
-        mode: AlignMode,
     ) -> (i32, usize, Vec<u8>) {
         let corridor = Corridor::new(q.len(), t.len(), band);
         let mut tb = vec![H_STOP; (q.len() + 1) * corridor.width];
         let rows = &mut ScoreRows::<C>::default();
-        let (score, end_j) = fill(q, t, scoring, &corridor, mode, rows, &mut tb);
+        let (score, end_j) = fill(q, t, scoring, &corridor, rows, &mut tb);
         (score, end_j, tb)
     }
 
@@ -696,13 +644,11 @@ mod tests {
             let (q, t) = (codes(n), codes(m));
             let band = rng.random_range(1..=12);
             for scoring in &scorings {
-                for mode in [AlignMode::Global, AlignMode::Fit] {
-                    assert_eq!(
-                        filled::<i16>(&q, &t, scoring, band, mode),
-                        filled::<i32>(&q, &t, scoring, band, mode),
-                        "q={q:?} t={t:?} band={band} {mode:?} {scoring:?}"
-                    );
-                }
+                assert_eq!(
+                    filled::<i16>(&q, &t, scoring, band),
+                    filled::<i32>(&q, &t, scoring, band),
+                    "q={q:?} t={t:?} band={band} {scoring:?}"
+                );
             }
         }
     }
@@ -773,12 +719,14 @@ mod tests {
     #[test]
     fn band_wide_enough_recovers_indel() {
         let q = seq("ACGGTTACGGTAGACCAACGGTTAC");
-        // insert 3 bases in target mid-way
-        let t = seq("ACGGTTACGGTATTTGACCAACGGTTAC");
+        // insert 3 bases in target mid-way, inside a window with margins
+        let t = seq("TTACGGTTACGGTATTTGACCAACGGTTACTT");
         let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Global);
-        let band = banded_align(&q, &t, &s, 6, AlignMode::Global);
+        let full = align(&q, &t, &s);
+        assert_eq!(full.cigar.to_string(), "12=3D13=");
+        assert_eq!((full.target_start, full.target_end), (2, 30));
+        let band = banded(&q, &t, &s, 6);
         assert_eq!(full.score, band.score);
-        assert_eq!(full.cigar.to_string(), band.cigar.to_string());
+        assert_eq!(full.cigar, band.cigar);
     }
 }

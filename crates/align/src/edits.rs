@@ -187,7 +187,7 @@ mod tests {
     /// sequences embodying each case.
     #[test]
     fn analytic_scores_match_dp() {
-        use crate::{align, AlignMode};
+        use crate::align;
         use gx_genome::{Base, DnaSeq};
         let scoring = Scoring::short_read();
         let reference: DnaSeq = (0..200)
@@ -220,7 +220,7 @@ mod tests {
                 let pos = 20 + k * 37; // spread mismatches out
                 read.set(pos, read.get(pos).complement());
             }
-            let a = align(&read, &window, &scoring, AlignMode::Fit);
+            let a = align(&read, &window, &scoring);
             assert!(
                 a.score >= score,
                 "case {case:?}: DP {} < analytic {score}",

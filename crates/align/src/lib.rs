@@ -7,22 +7,23 @@
 //! * [`Scoring`] — the minimap2 short-read scoring scheme (match +2,
 //!   mismatch −8, gap open 12, gap extend 2) under which a perfect 150 bp
 //!   read scores 300, reproducing the paper's Table 1 exactly.
-//! * [`align`] / [`banded_align`] — affine-gap aligners with traceback,
-//!   supporting global, fit (query-global/target-free) and local modes. All
-//!   aligners count *cell updates* so the harness can size the GenDP
-//!   fallback accelerator in MCUPS.
+//! * [`banded_align_with`] — the affine-gap *fit* aligner (the query end to
+//!   end, the target with free overhangs) with traceback, in a band of
+//!   diagonals; [`align`] runs it at a band that covers the whole matrix.
+//!   Every alignment counts its *cell updates* so the harness can size the
+//!   GenDP fallback accelerator in MCUPS.
 //! * [`chain`] — minimap2-style chaining DP over seed anchors.
 //! * [`edits`] — enumeration of single-/double-edit variations and their
 //!   scores (paper Table 1).
 //!
 //! ```
-//! use gx_align::{align, AlignMode, Scoring};
+//! use gx_align::{align, Scoring};
 //! use gx_genome::DnaSeq;
 //!
 //! # fn main() -> Result<(), gx_genome::GenomeError> {
 //! let q = DnaSeq::from_ascii(b"ACGTACGTACGT")?;
 //! let t = DnaSeq::from_ascii(b"TTACGTACGTACGTTT")?;
-//! let a = align(&q, &t, &Scoring::short_read(), AlignMode::Fit);
+//! let a = align(&q, &t, &Scoring::short_read());
 //! assert_eq!(a.score, 24); // 12 matches x 2
 //! assert_eq!(a.cigar.to_string(), "12=");
 //! assert_eq!(a.target_start, 2);
@@ -36,6 +37,6 @@ mod dp;
 pub mod edits;
 mod scoring;
 
-pub use banded::{banded_align, banded_align_with, banded_cells};
-pub use dp::{align, align_with, AlignMode, AlignScratch, Alignment};
+pub use banded::{banded_align_with, banded_cells};
+pub use dp::{align, AlignMode, AlignScratch, Alignment};
 pub use scoring::Scoring;

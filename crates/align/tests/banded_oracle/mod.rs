@@ -1,13 +1,14 @@
 //! Test-only oracle: the row-wise banded affine-gap kernel `gx-align`
-//! shipped before the band-coordinate rewrite, moved here verbatim (it owns
-//! its buffers instead of borrowing an `AlignScratch`, whose fields are
-//! crate-private). `tests/banded_diff.rs` holds the library kernel to it on
-//! score, CIGAR, all four coordinates and `cells`.
+//! shipped before the band-coordinate rewrite, moved here in its fit mode
+//! (it owns its buffers instead of borrowing an `AlignScratch`, whose fields
+//! are crate-private). `tests/banded_diff.rs` holds the library kernel to it
+//! on score, CIGAR, both target coordinates and `cells`.
 
-use gx_align::{AlignMode, Alignment, Scoring};
+use gx_align::{Alignment, Scoring};
 use gx_genome::{Cigar, CigarOp, DnaSeq};
 
-/// `gx_align::dp::NEG_INF` (crate-private there).
+/// "Minus infinity", far enough from `i32::MIN` that subtracting penalties
+/// cannot overflow.
 const NEG_INF: i32 = i32::MIN / 4;
 
 const H_DIAG: u8 = 0;
@@ -22,17 +23,12 @@ pub fn banded_align_rowwise(
     target: &DnaSeq,
     scoring: &Scoring,
     band: usize,
-    mode: AlignMode,
 ) -> Alignment {
     assert!(
         !query.is_empty() && !target.is_empty(),
         "cannot align empty sequences"
     );
     assert!(band > 0, "band must be positive");
-    assert!(
-        mode != AlignMode::Local,
-        "banded alignment supports Global and Fit modes"
-    );
     let n = query.len();
     let m = target.len();
     let open = scoring.gap_open + scoring.gap_ext;
@@ -68,17 +64,10 @@ pub fn banded_align_rowwise(
     f_col.clear();
     f_col.resize(m + 2, NEG_INF);
 
-    // Row 0.
+    // Row 0: the target's free start overhang.
     for j in jmin(0)..=jmax(0) {
-        h_prev[j] = match mode {
-            AlignMode::Global => -scoring.gap_cost(j as u32),
-            _ => 0,
-        };
-        tb[tb_idx(0, j)] = if mode == AlignMode::Global && j > 0 {
-            H_E | E_EXT
-        } else {
-            H_STOP
-        };
+        h_prev[j] = 0;
+        tb[tb_idx(0, j)] = H_STOP;
     }
 
     query.codes_into(0..n, qcodes);
@@ -153,20 +142,14 @@ pub fn banded_align_rowwise(
         std::mem::swap(h_prev, h_cur);
     }
 
-    let (score, end_j) = match mode {
-        AlignMode::Global => (h_prev[m], m),
-        _ => {
-            let (mut bj, mut bs) = (jmin(n), NEG_INF);
-            #[allow(clippy::needless_range_loop)] // j indexes two arrays in lockstep
-            for j in jmin(n)..=jmax(n) {
-                if h_prev[j] > bs {
-                    bs = h_prev[j];
-                    bj = j;
-                }
-            }
-            (bs, bj)
+    // The leftmost best column of the last row ends the alignment.
+    let (mut end_j, mut score) = (jmin(n), NEG_INF);
+    #[allow(clippy::needless_range_loop)] // j is a column, not just an index
+    for j in jmin(n)..=jmax(n) {
+        if h_prev[j] > score {
+            (end_j, score) = (j, h_prev[j]);
         }
-    };
+    }
 
     // Traceback within the band.
     #[derive(PartialEq)]
@@ -229,8 +212,6 @@ pub fn banded_align_rowwise(
     Alignment {
         score,
         cigar: rev.reversed(),
-        query_start: i,
-        query_end: n,
         target_start: j,
         target_end: end_j,
         cells,

@@ -1,11 +1,15 @@
 //! Property-based tests for the DP aligners.
 
-use gx_align::{align, banded_align, AlignMode, Scoring};
+use gx_align::{align, banded_align_with, AlignMode, AlignScratch, Scoring};
 use gx_genome::{CigarOp, DnaSeq};
 use proptest::prelude::*;
 
 fn arb_dna(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
     prop::collection::vec(0u8..4, min..=max).prop_map(|codes| DnaSeq::from_codes(&codes))
+}
+
+fn banded(q: &DnaSeq, t: &DnaSeq, s: &Scoring, band: usize) -> gx_align::Alignment {
+    banded_align_with(q, t, s, band, AlignMode::Fit, &mut AlignScratch::new())
 }
 
 /// Recomputes an alignment score from its CIGAR (each gap run pays one
@@ -27,18 +31,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn global_score_matches_cigar(q in arb_dna(4, 60), t in arb_dna(4, 60)) {
-        let s = Scoring::short_read();
-        let a = align(&q, &t, &s, AlignMode::Global);
-        prop_assert_eq!(a.score, score_from_cigar(&a.cigar, &s));
-        prop_assert_eq!(a.cigar.query_len() as usize, q.len());
-        prop_assert_eq!(a.cigar.ref_len() as usize, t.len());
-    }
-
-    #[test]
     fn fit_consumes_whole_query(q in arb_dna(4, 50), t in arb_dna(20, 120)) {
         let s = Scoring::short_read();
-        let a = align(&q, &t, &s, AlignMode::Fit);
+        let a = align(&q, &t, &s);
         prop_assert_eq!(a.cigar.query_len() as usize, q.len());
         prop_assert_eq!(a.target_end - a.target_start, a.cigar.ref_len() as usize);
         prop_assert_eq!(a.score, score_from_cigar(&a.cigar, &s));
@@ -47,40 +42,32 @@ proptest! {
     #[test]
     fn fit_score_bounded_by_perfect(q in arb_dna(4, 60), t in arb_dna(4, 120)) {
         let s = Scoring::short_read();
-        let a = align(&q, &t, &s, AlignMode::Fit);
+        let a = align(&q, &t, &s);
         prop_assert!(a.score <= s.perfect(q.len()));
-    }
-
-    #[test]
-    fn local_score_non_negative_and_geq_fit(q in arb_dna(4, 40), t in arb_dna(4, 80)) {
-        let s = Scoring::short_read();
-        let local = align(&q, &t, &s, AlignMode::Local);
-        let fit = align(&q, &t, &s, AlignMode::Fit);
-        prop_assert!(local.score >= 0);
-        prop_assert!(local.score >= fit.score, "local {} < fit {}", local.score, fit.score);
     }
 
     #[test]
     fn identity_alignment_is_perfect(q in arb_dna(4, 80)) {
         let s = Scoring::short_read();
-        let a = align(&q, &q, &s, AlignMode::Global);
+        let a = align(&q, &q, &s);
         prop_assert_eq!(a.score, s.perfect(q.len()));
         prop_assert_eq!(a.cigar.runs().len(), 1);
+        prop_assert_eq!((a.target_start, a.target_end), (0, q.len()));
     }
 
     #[test]
     fn wide_band_equals_full_dp(q in arb_dna(8, 50), t in arb_dna(8, 60)) {
         let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Fit);
-        let band = banded_align(&q, &t, &s, q.len().max(t.len()), AlignMode::Fit);
+        let full = align(&q, &t, &s);
+        let band = banded(&q, &t, &s, q.len().max(t.len()));
         prop_assert_eq!(full.score, band.score);
     }
 
     #[test]
     fn banded_never_beats_full(q in arb_dna(8, 50), t in arb_dna(8, 70)) {
         let s = Scoring::short_read();
-        let full = align(&q, &t, &s, AlignMode::Fit);
-        let band = banded_align(&q, &t, &s, 4, AlignMode::Fit);
+        let full = align(&q, &t, &s);
+        let band = banded(&q, &t, &s, 4);
         prop_assert!(band.score <= full.score);
     }
 
@@ -88,8 +75,8 @@ proptest! {
     fn alignment_is_symmetric_under_revcomp(q in arb_dna(8, 40), t in arb_dna(8, 80)) {
         // Aligning rc(q) against rc(t) must give the same score as q vs t.
         let s = Scoring::short_read();
-        let fwd = align(&q, &t, &s, AlignMode::Fit);
-        let rev = align(&q.revcomp(), &t.revcomp(), &s, AlignMode::Fit);
+        let fwd = align(&q, &t, &s);
+        let rev = align(&q.revcomp(), &t.revcomp(), &s);
         prop_assert_eq!(fwd.score, rev.score);
     }
 }

@@ -7,7 +7,7 @@
 //!     acceptance rates and agreement with DP ground truth (the paper's §8
 //!     future-work combination).
 
-use gx_align::{align, AlignMode, Scoring};
+use gx_align::{align, Scoring};
 use gx_bench::{bench_genome, bench_pairs, render_table};
 use gx_core::light::{light_align, LightConfig};
 use gx_core::pafilter::{paired_adjacency_filter_ranked_into, PaFilterResult};
@@ -80,7 +80,7 @@ fn main() {
             sites += 1;
             let snake = sneaky_snake_filter(&r1o, &window, anchor, 5);
             let light = light_align(&r1o, &window, anchor, &light_cfg, &scoring).is_some();
-            let dp = align(&r1o, &window, &scoring, AlignMode::Fit);
+            let dp = align(&r1o, &window, &scoring);
             let good = dp.score >= 250; // within a handful of edits
             snake_accept += snake as u64;
             light_accept += light as u64;

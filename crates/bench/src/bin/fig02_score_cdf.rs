@@ -4,7 +4,7 @@
 //! reflect both sequencing errors and germline variants — exactly what
 //! GIAB reads mapped to GRCh38 exhibit.
 
-use gx_align::{align, AlignMode, Scoring};
+use gx_align::{align, Scoring};
 use gx_bench::{bench_genome, bench_pairs, render_table};
 use gx_genome::Locus;
 use gx_readsim::dataset::{simulate_variant_dataset, DATASETS};
@@ -43,7 +43,7 @@ fn main() {
                 // into read orientation.
                 let window = chrom.seq().subseq(s..e);
                 let window = if forward { window } else { window.revcomp() };
-                align(read, &window, &scoring, AlignMode::Fit).score
+                align(read, &window, &scoring).score
             };
             let s1 = score_of(&p.r1.seq, t.start1, t.r1_forward);
             let s2 = score_of(&p.r2.seq, t.start2, !t.r1_forward);

@@ -416,7 +416,7 @@ pub fn light_align_cycles(read_len: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gx_align::{align, AlignMode};
+    use gx_align::align;
     use gx_genome::Base;
 
     fn window() -> DnaSeq {
@@ -612,7 +612,7 @@ mod tests {
             let mut read = w.subseq(E..E + 60);
             read.extend_from_seq(&w.subseq(E + 60 + k..E + 60 + k + 90));
             let light = light_align(&read, &w, E, &cfg(), &scoring).unwrap();
-            let dp = align(&read, &w, &scoring, AlignMode::Fit);
+            let dp = align(&read, &w, &scoring);
             assert_eq!(light.score, dp.score, "deletion run {k}");
         }
         // Insertions 1..=5
@@ -624,7 +624,7 @@ mod tests {
             }
             read.extend_from_seq(&w.subseq(E + 60..E + 60 + (90 - k)));
             let light = light_align(&read, &w, E, &cfg(), &scoring).unwrap();
-            let dp = align(&read, &w, &scoring, AlignMode::Fit);
+            let dp = align(&read, &w, &scoring);
             assert_eq!(light.score, dp.score, "insertion run {k}");
             assert_eq!(light.score, 2 * (150 - k as i32) - (12 + 2 * k as i32));
             assert_eq!(light.cigar.to_string(), format!("60={k}I{}=", 90 - k));

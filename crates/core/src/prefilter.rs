@@ -162,13 +162,13 @@ mod tests {
     /// can place within the edit budget.
     #[test]
     fn never_rejects_true_positives() {
-        use gx_align::{align, AlignMode, Scoring};
+        use gx_align::{align, Scoring};
         let w = window();
         for p in (10..140).step_by(17) {
             // Single deletions and mismatches at varying positions.
             let mut read = w.subseq(5..5 + p);
             read.extend_from_seq(&w.subseq(5 + p + 1..156 + 5));
-            let dp = align(&read, &w, &Scoring::short_read(), AlignMode::Fit);
+            let dp = align(&read, &w, &Scoring::short_read());
             let edits = dp.cigar.gap_bases() + dp.mismatches();
             if edits <= 5 {
                 assert!(

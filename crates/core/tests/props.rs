@@ -1,6 +1,6 @@
 //! Property-based tests for the GenPair pipeline stages.
 
-use gx_align::{align, AlignMode, Scoring};
+use gx_align::{align, Scoring};
 use gx_core::light::{light_align, LightConfig};
 use gx_core::pafilter::{
     paired_adjacency_filter, paired_adjacency_filter_ranked_into, PaFilterResult,
@@ -111,7 +111,7 @@ proptest! {
         let cfg = LightConfig::default();
         if let Some(light) = light_align(&read, &window, 5, &cfg, &scoring) {
             prop_assert_eq!(light.cigar.query_len(), 150);
-            let dp = align(&read, &window, &scoring, AlignMode::Fit);
+            let dp = align(&read, &window, &scoring);
             prop_assert!(light.score <= dp.score, "light {} > dp {}", light.score, dp.score);
         }
     }
@@ -135,7 +135,7 @@ proptest! {
         }
         let light = light_align(&read, &window, 5, &cfg, &scoring)
             .expect("mismatch-class read rejected");
-        let dp = align(&read, &window, &scoring, AlignMode::Fit);
+        let dp = align(&read, &window, &scoring);
         prop_assert!(light.score >= scoring.ungapped(150, positions.len()));
         prop_assert!(light.score <= dp.score);
     }

@@ -152,10 +152,10 @@ fn next_line<R: BufRead, T>(
 /// Bytes of an offending line an error message repeats.
 const ECHO_BYTES: usize = 64;
 
-/// An offending line for an error message: whole when short, else its first
-/// [`ECHO_BYTES`] bytes and its length, so a huge garbage line does not
-/// become an equally huge error string.
-fn echo(line: &[u8]) -> String {
+/// An offending line (or read id) for an error message: whole when short,
+/// else its first 64 bytes (`ECHO_BYTES`) and its length, so a huge garbage
+/// line does not become an equally huge error string.
+pub fn echo(line: &[u8]) -> String {
     let shown = String::from_utf8_lossy(&line[..line.len().min(ECHO_BYTES)]);
     if line.len() <= ECHO_BYTES {
         shown.into_owned()

@@ -2,7 +2,7 @@
 //! carries.
 
 use gx_core::ReadPair;
-use gx_genome::fastq::FastqReader;
+use gx_genome::fastq::{echo, FastqReader};
 use gx_genome::{GenomeError, ReadRecord};
 use std::io::BufRead;
 
@@ -92,7 +92,8 @@ impl<R1: BufRead, R2: BufRead> ReadPairStream<R1, R2> {
         if id != base_id(&b.id) {
             return Some(Err(GenomeError::ParseFormat(format!(
                 "mate id mismatch: {} vs {}",
-                a.id, b.id
+                echo(a.id.as_bytes()),
+                echo(b.id.as_bytes())
             ))));
         }
         self.pairs_yielded += 1;

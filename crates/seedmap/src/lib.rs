@@ -31,9 +31,7 @@ mod seedmap;
 mod serialize;
 mod xxhash;
 
-pub use merge::{
-    merge_sorted, merge_sorted_with_offsets, merge_sorted_with_offsets_into, MAX_MERGE_LISTS,
-};
+pub use merge::{merge_sorted_with_offsets_into, MAX_MERGE_LISTS};
 pub use seedmap::{SeedMap, SeedMapConfig, SeedMapStats};
 pub use serialize::{read_seedmap, write_seedmap, SerializeError};
 pub use xxhash::xxh32;

@@ -24,35 +24,19 @@
 
 use gx_genome::GlobalPos;
 
-/// Merges already-sorted slices into one sorted, deduplicated vector.
-pub fn merge_sorted(lists: &[&[GlobalPos]]) -> Vec<GlobalPos> {
-    merge_sorted_with_offsets(lists.iter().map(|l| (*l, 0u32)))
-}
-
-/// Merges sorted location slices after subtracting a per-list offset
-/// (the seed's offset within the read), producing sorted, deduplicated
-/// candidate read-start positions. Locations smaller than their offset
-/// (a seed hit too close to the start of the genome to fit the whole read)
-/// are discarded.
-pub fn merge_sorted_with_offsets<'a, I>(lists: I) -> Vec<GlobalPos>
-where
-    I: IntoIterator<Item = (&'a [GlobalPos], u32)>,
-{
-    let lists: Vec<(&[GlobalPos], u32)> = lists.into_iter().collect();
-    let mut out = Vec::new();
-    merge_sorted_with_offsets_into(&lists, &mut out, &mut Vec::new());
-    out
-}
-
 /// How many input lists [`merge_sorted_with_offsets_into`] accepts: one a
 /// partitioned seed of a read. The merge keeps one head a list and pads
 /// fewer lists with empty ones, so every list count runs the same loop.
 pub const MAX_MERGE_LISTS: usize = 3;
 
-/// [`merge_sorted_with_offsets`] writing into caller-owned vectors
-/// (overwritten): the allocation-free variant the mapper's scratch arena
-/// uses per read. Each output step is the minimum of the list heads, and
-/// every list holding it advances, so no branch depends on the locations.
+/// Merges sorted location slices after subtracting a per-list offset
+/// (the seed's offset within the read) into `out` (overwritten): sorted,
+/// deduplicated candidate read-start positions. Locations smaller than
+/// their offset (a seed hit too close to the start of the genome to fit the
+/// whole read) are discarded. The vectors are caller-owned, so the mapper's
+/// scratch arena merges each read without allocating. Each output step is
+/// the minimum of the list heads, and every list holding it advances, so no
+/// branch depends on the locations.
 /// `support[i]` is how many of the lists place a read at `out[i]`: the
 /// lists whose heads equal it at the step that first outputs it.
 ///
@@ -112,12 +96,19 @@ pub fn merge_sorted_with_offsets_into(
 mod tests {
     use super::*;
 
+    /// The merged starts of `lists`.
+    fn merged(lists: &[(&[GlobalPos], u32)]) -> Vec<GlobalPos> {
+        let mut out = Vec::new();
+        merge_sorted_with_offsets_into(lists, &mut out, &mut Vec::new());
+        out
+    }
+
     #[test]
     fn merges_and_dedups() {
         let a = [1u32, 5, 9];
         let b = [2u32, 5, 10];
         let c = [5u32];
-        let m = merge_sorted(&[&a, &b, &c]);
+        let m = merged(&[(&a, 0), (&b, 0), (&c, 0)]);
         assert_eq!(m, vec![1, 2, 5, 9, 10]);
     }
 
@@ -127,21 +118,21 @@ mod tests {
         let s0 = [100u32];
         let s1 = [150u32];
         let s2 = [200u32];
-        let m = merge_sorted_with_offsets([(&s0[..], 0u32), (&s1[..], 50), (&s2[..], 100)]);
+        let m = merged(&[(&s0, 0), (&s1, 50), (&s2, 100)]);
         assert_eq!(m, vec![100]);
     }
 
     #[test]
     fn underflow_is_discarded() {
         let s = [10u32, 80];
-        let m = merge_sorted_with_offsets([(&s[..], 50u32)]);
+        let m = merged(&[(&s, 50)]);
         assert_eq!(m, vec![30]);
     }
 
     #[test]
     fn empty_lists() {
-        assert!(merge_sorted(&[]).is_empty());
-        assert!(merge_sorted(&[&[][..], &[][..]]).is_empty());
+        assert!(merged(&[]).is_empty());
+        assert!(merged(&[(&[], 0), (&[], 0)]).is_empty());
     }
 
     #[test]
@@ -161,10 +152,10 @@ mod tests {
     fn matches_naive_sort() {
         let a: Vec<u32> = (0..50).map(|i| i * 3).collect();
         let b: Vec<u32> = (0..50).map(|i| i * 5 + 1).collect();
-        let merged = merge_sorted(&[&a, &b]);
+        let m = merged(&[(&a, 0), (&b, 0)]);
         let mut naive: Vec<u32> = a.iter().chain(b.iter()).copied().collect();
         naive.sort_unstable();
         naive.dedup();
-        assert_eq!(merged, naive);
+        assert_eq!(m, naive);
     }
 }

@@ -10,9 +10,9 @@ use gx_genome::GlobalPos;
 /// Partitioned seeding produces at most 3 lists per read.
 pub const MAX_MERGE_LISTS: usize = 8;
 
-/// [`merge_sorted_with_offsets`] writing into a caller-owned vector
-/// (cleared first): the allocation-free variant the mapper's scratch arena
-/// uses per read.
+/// Merges sorted location slices after subtracting a per-list offset into
+/// a caller-owned vector (cleared first): the allocation-free variant the
+/// mapper's scratch arena uses per read.
 ///
 /// # Panics
 ///

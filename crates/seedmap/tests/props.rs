@@ -1,7 +1,9 @@
 //! Property-based tests for the SeedMap index.
 
 use gx_genome::random::RandomGenomeBuilder;
-use gx_seedmap::{merge_sorted_with_offsets, read_seedmap, write_seedmap, SeedMap, SeedMapConfig};
+use gx_seedmap::{
+    merge_sorted_with_offsets_into, read_seedmap, write_seedmap, SeedMap, SeedMapConfig,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,9 +75,9 @@ proptest! {
                 (l, off)
             })
             .collect();
-        let merged = merge_sorted_with_offsets(
-            sorted.iter().map(|(l, off)| (l.as_slice(), *off)),
-        );
+        let lists: Vec<_> = sorted.iter().map(|(l, off)| (l.as_slice(), *off)).collect();
+        let mut merged = Vec::new();
+        merge_sorted_with_offsets_into(&lists, &mut merged, &mut Vec::new());
         let mut naive: Vec<u32> = sorted
             .iter()
             .flat_map(|(l, off)| l.iter().filter(|&&v| v >= *off).map(move |&v| v - off))

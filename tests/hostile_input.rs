@@ -14,8 +14,9 @@
 //!   answers queries. An index that loads but does not fit the genome — a
 //!   Location Table entry past its end — is refused by
 //!   [`GenPairMapper::with_seedmap`] before any pair is mapped.
-//! * An error names an offending line by a short prefix and its length, so
-//!   a 10 MB line that is not a header does not become a 10 MB message.
+//! * An error names an offending line or read id by a short prefix and its
+//!   length, so a 10 MB line that is not a header, or two 10 MB mate ids
+//!   that disagree, do not become a 10 MB message.
 //!
 //! Release builds run the full case counts; debug builds 1/20 of them.
 
@@ -23,10 +24,13 @@ use genpairx::core::{GenPairConfig, GenPairMapper, IndexMismatch, MapScratch};
 use genpairx::genome::fastq::FastqReader;
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::{DnaSeq, ReadRecord, ReferenceGenome};
-use genpairx::pipeline::ReadPairStream;
+use genpairx::pipeline::{
+    JobOutcome, JobSpec, ReadPairStream, ServiceBuilder, SoftwareBackend, VecSink,
+};
 use genpairx::seedmap::{read_seedmap, write_seedmap, SeedMap, SeedMapConfig};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::io::Cursor;
 use std::sync::OnceLock;
 
 /// `full` cases in release builds, 1/20 of them in debug builds.
@@ -497,4 +501,42 @@ fn a_huge_bad_header_is_not_echoed_whole() {
             .to_string();
         assert!(err.len() < 200, "{} bytes", err.len());
     }
+}
+
+#[test]
+fn huge_disagreeing_mate_ids_are_not_echoed_whole() {
+    // Two one-record mate files whose 10 MiB ids differ in their last byte.
+    let file = |last: u8| {
+        let mut id = vec![b'r'; 10 << 20];
+        *id.last_mut().unwrap() = last;
+        [&b"@"[..], &id, b"\nACGT\n+\nIIII\n"].concat()
+    };
+    let (r1, r2) = (file(b'x'), file(b'y'));
+    // Each id is echoed as its first 64 bytes and its length (84 bytes).
+    let bound = 256;
+    let err = ReadPairStream::new(&r1[..], &r2[..])
+        .next()
+        .expect("an item")
+        .expect_err("the ids differ")
+        .to_string();
+    assert!(err.len() < bound, "{} bytes: {}", err.len(), &err[..bound]);
+    assert!(err.contains("mate id mismatch: rrrr"), "{err}");
+    assert!(err.contains(&format!("({} bytes)", 10 << 20)), "{err}");
+
+    // The same pair as a service job's input: the reason the job fails
+    // with is that error.
+    let (job, _) = ServiceBuilder::new()
+        .threads(1)
+        .serve(SoftwareBackend::new(mapper()), |svc| {
+            let input = ReadPairStream::new(Cursor::new(r1), Cursor::new(r2));
+            let (job, _) = svc
+                .submit(JobSpec::new(), input, VecSink::new())
+                .expect("admitted")
+                .join();
+            job
+        });
+    assert_eq!(job.outcome, JobOutcome::Failed);
+    let reason = job.report.abort_reason.expect("a reason");
+    assert!(reason.len() < bound, "{} bytes", reason.len());
+    assert!(reason.contains("mate id mismatch"), "{reason}");
 }

@@ -3,7 +3,7 @@
 //! (paper §4.6: "GenPairX always returns the optimal alignment given an
 //! upper limit for the number of edits").
 
-use genpairx::align::{align, AlignMode, Scoring};
+use genpairx::align::{align, Scoring};
 use genpairx::core::light::{light_align, LightConfig};
 use genpairx::genome::{Base, DnaSeq};
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn light_equals_dp_on_random_mismatch_reads() {
         }
         let light = light_align(&read, &window, E, &cfg, &scoring)
             .unwrap_or_else(|| panic!("trial {trial}: light rejected {k} mismatches"));
-        let dp = align(&read, &window, &scoring, AlignMode::Fit);
+        let dp = align(&read, &window, &scoring);
         assert_eq!(light.score, dp.score, "trial {trial} with {k} mismatches");
         assert_eq!(light.cigar.query_len(), 150);
     }
@@ -65,7 +65,7 @@ fn light_equals_dp_on_random_indel_runs() {
             r
         };
         assert_eq!(read.len(), 150);
-        let dp = align(&read, &window, &scoring, AlignMode::Fit);
+        let dp = align(&read, &window, &scoring);
         let Some(light) = light_align(&read, &window, E, &cfg, &scoring) else {
             panic!("trial {trial}: light rejected an indel run of {k}");
         };
@@ -105,7 +105,7 @@ fn light_never_beats_dp_on_arbitrary_reads() {
             r.push(window.get(rng.random_range(0..200)));
             read = r;
         }
-        let dp = align(&read, &window, &scoring, AlignMode::Fit);
+        let dp = align(&read, &window, &scoring);
         if let Some(light) = light_align(&read, &window, E, &cfg, &scoring) {
             assert!(
                 light.score <= dp.score,
