@@ -13,6 +13,12 @@
 //! Nothing here can move a score, a CIGAR or `cells`: the row-wise kernel
 //! this one replaced is the oracle of `tests/banded_diff.rs`.
 //!
+//! This is the *row kernel*. The DP fallback runs most of its jobs on the
+//! lane kernel (`lanes.rs`), which fills eight same-shape alignments at
+//! once because this one's 33-diagonal rows are too short for in-row SIMD
+//! to pay; the row kernel runs `align`, long reads and lone fallback jobs.
+//! Both end in one traceback, [`traced`].
+//!
 //! # Rows in band coordinates, three passes a row
 //!
 //! A cell `(i, j)` lives at `off = j - i - lo_shift` of its row, so in the
@@ -65,9 +71,9 @@
 //! 24, width 33) has `deepest = 1274` and `highest = 366` against `LIMIT =
 //! 16384`.
 
-use crate::dp::{AlignMode, AlignScratch, Alignment, ScoreRows};
+use crate::dp::{AlignMode, AlignScratch, Alignment, CigarScratch, RowScratch, ScoreRows};
 use crate::Scoring;
-use gx_genome::{Cigar, CigarOp, DnaSeq};
+use gx_genome::{CigarOp, DnaSeq};
 use std::ops::{Add, Sub};
 
 // Traceback encoding, one byte per cell:
@@ -75,12 +81,12 @@ use std::ops::{Add, Sub};
 //             (insertion), 3 = stop (row 0, or outside the band)
 //   bit 2:    E extended from E (set) vs opened from H (clear)
 //   bit 3:    F extended from F (set) vs opened from H (clear)
-const H_DIAG: u8 = 0;
-const H_E: u8 = 1;
-const H_F: u8 = 2;
-const H_STOP: u8 = 3;
-const E_EXT: u8 = 1 << 2;
-const F_EXT: u8 = 1 << 3;
+pub(crate) const H_DIAG: u8 = 0;
+pub(crate) const H_E: u8 = 1;
+pub(crate) const H_F: u8 = 2;
+pub(crate) const H_STOP: u8 = 3;
+pub(crate) const E_EXT: u8 = 1 << 2;
+pub(crate) const F_EXT: u8 = 1 << 3;
 
 /// The corridor of a banded alignment of an `n`-base query against an
 /// `m`-base target: row `i` holds the columns `j` whose shift `j - i` lies in
@@ -88,18 +94,18 @@ const F_EXT: u8 = 1 << 3;
 /// `off = j - i - lo_shift`, so the cell above `(i, j)` sits at `off + 1` of
 /// the previous row, the diagonal one at `off` and the left one at `off - 1`.
 #[derive(Clone, Copy)]
-struct Corridor {
+pub(crate) struct Corridor {
     m: usize,
     lo_shift: i64,
     hi_shift: i64,
     /// Number of diagonals, `hi_shift - lo_shift + 1`.
-    width: usize,
+    pub(crate) width: usize,
     /// The largest `|j - i|` of an in-band cell, `|m - n| + band`.
     reach: usize,
 }
 
 impl Corridor {
-    fn new(n: usize, m: usize, band: usize) -> Corridor {
+    pub(crate) fn new(n: usize, m: usize, band: usize) -> Corridor {
         let skew = m as i64 - n as i64;
         let lo_shift = skew.min(0) - band as i64;
         let hi_shift = skew.max(0) + band as i64;
@@ -113,17 +119,17 @@ impl Corridor {
     }
 
     /// First in-band column of row `i`.
-    fn jmin(&self, i: usize) -> usize {
+    pub(crate) fn jmin(&self, i: usize) -> usize {
         (i as i64 + self.lo_shift).max(0) as usize
     }
 
     /// Last in-band column of row `i`.
-    fn jmax(&self, i: usize) -> usize {
+    pub(crate) fn jmax(&self, i: usize) -> usize {
         ((i as i64 + self.hi_shift) as usize).min(self.m)
     }
 
     /// Band coordinate of in-band cell `(i, j)`.
-    fn off(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn off(&self, i: usize, j: usize) -> usize {
         let off = j as i64 - i as i64 - self.lo_shift;
         debug_assert!((0..self.width as i64).contains(&off), "cell outside band");
         off as usize
@@ -148,7 +154,7 @@ pub fn banded_cells(n: usize, m: usize, band: usize) -> u64 {
 }
 
 /// A DP cell: `i16` for calls whose scores provably fit, `i32` otherwise.
-trait Cell: Copy + Ord + Add<Output = Self> + Sub<Output = Self> {
+pub(crate) trait Cell: Copy + Ord + Add<Output = Self> + Sub<Output = Self> {
     /// "Minus infinity": the value of everything outside the band. Half of
     /// the type's minimum, so a few penalties can be subtracted from it
     /// without wrapping.
@@ -181,7 +187,7 @@ cell!(i32);
 /// `corridor` under `scoring` fits a cell of type `C` — the bound of the
 /// module docs: nothing reachable falls to `NEG_INF`, nothing ramped rises
 /// past the type's maximum.
-fn fits<C: Cell>(n: usize, corridor: &Corridor, scoring: &Scoring) -> bool {
+pub(crate) fn fits<C: Cell>(n: usize, corridor: &Corridor, scoring: &Scoring) -> bool {
     let [matched, mismatch, gap_open, ext] = [
         scoring.match_score,
         scoring.mismatch,
@@ -461,85 +467,151 @@ pub fn banded_align_with(
     _mode: AlignMode,
     scratch: &mut AlignScratch,
 ) -> Alignment {
+    let AlignScratch {
+        qcodes,
+        tcodes,
+        rows,
+        cigars,
+        ..
+    } = scratch;
+    query.codes_into(0..query.len(), qcodes);
+    target.codes_into(0..target.len(), tcodes);
+    align_rows(qcodes, tcodes, scoring, band, rows, cigars)
+}
+
+/// [`banded_align_with`] on 2-bit base codes (`0..4`, as
+/// [`DnaSeq::codes_into`] writes them): the row kernel, one alignment a
+/// call. The DP fallback runs a job here when too few jobs of its shape
+/// share a batch to fill [`banded_align_lanes`](crate::banded_align_lanes).
+///
+/// # Panics
+///
+/// Panics if either sequence is empty or `band == 0`.
+pub fn banded_align_codes(
+    qcodes: &[u8],
+    tcodes: &[u8],
+    scoring: &Scoring,
+    band: usize,
+    scratch: &mut AlignScratch,
+) -> Alignment {
+    align_rows(
+        qcodes,
+        tcodes,
+        scoring,
+        band,
+        &mut scratch.rows,
+        &mut scratch.cigars,
+    )
+}
+
+/// The row kernel: fills the corridor in cells of the narrowest type that
+/// [`fits`], then traces the alignment back.
+pub(crate) fn align_rows(
+    qcodes: &[u8],
+    tcodes: &[u8],
+    scoring: &Scoring,
+    band: usize,
+    rows: &mut RowScratch,
+    cigars: &mut CigarScratch,
+) -> Alignment {
     assert!(
-        !query.is_empty() && !target.is_empty(),
+        !qcodes.is_empty() && !tcodes.is_empty(),
         "cannot align empty sequences"
     );
     assert!(band > 0, "band must be positive");
-    let n = query.len();
-    let m = target.len();
-    let corridor = Corridor::new(n, m, band);
-    let width = corridor.width;
-
-    let AlignScratch {
-        tb,
-        qcodes,
-        tcodes,
-        narrow,
-        wide,
-    } = scratch;
+    let corridor = Corridor::new(qcodes.len(), tcodes.len(), band);
+    let RowScratch { tb, narrow, wide } = rows;
     tb.clear();
-    tb.resize((n + 1) * width, H_STOP);
-    query.codes_into(0..n, qcodes);
-    target.codes_into(0..m, tcodes);
-
-    let (score, end_j) = if fits::<i16>(n, &corridor, scoring) {
+    tb.resize((qcodes.len() + 1) * corridor.width, H_STOP);
+    let (score, end_j) = if fits::<i16>(qcodes.len(), &corridor, scoring) {
         fill(qcodes, tcodes, scoring, &corridor, narrow, tb)
     } else {
         fill(qcodes, tcodes, scoring, &corridor, wide, tb)
     };
+    traced(tb, 1, &corridor, qcodes, tcodes, score, end_j, band, cigars)
+}
 
-    // Traceback within the band, up to row 0 (the free target prefix). No
-    // deletion extends out of column 1: column 0 has no E to extend.
-    let tb_at = |i: usize, j: usize| tb[i * width + corridor.off(i, j)];
+/// The [`Alignment`] whose last row ends at column `end_j` with `score`,
+/// traced back through the corridor's traceback bytes: cell `(i, off)` at
+/// `tb[(i * width + off) * stride]`, so one traceback serves the row kernel
+/// (stride 1) and a lane of the lane kernel (`tb` starting at the lane,
+/// stride [`LANES`](crate::LANES)).
+///
+/// The walk keeps the cell's index in `tb` and steps it: a diagonal move
+/// keeps the band offset (one row back), a deletion lowers it by one, an
+/// insertion raises it by one a row back. No deletion extends out of column
+/// 1 (column 0 has no E to extend), and row 0 is the free target prefix.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn traced(
+    tb: &[u8],
+    stride: usize,
+    corridor: &Corridor,
+    qcodes: &[u8],
+    tcodes: &[u8],
+    score: i32,
+    end_j: usize,
+    band: usize,
+    cigars: &mut CigarScratch,
+) -> Alignment {
+    let (n, width) = (qcodes.len(), corridor.width);
+    let (diag_step, del_step, ins_step) = (width * stride, stride, (width - 1) * stride);
     enum State {
         H,
         E,
         F,
     }
-    let mut rev = Cigar::new();
+    let runs = &mut cigars.runs;
+    runs.clear();
+    let mut push = |op: CigarOp| match runs.last_mut() {
+        Some((len, last)) if *last == op => *len += 1,
+        _ => runs.push((1, op)),
+    };
     let (mut i, mut j) = (n, end_j);
+    let mut at = (n * width + corridor.off(n, end_j)) * stride;
     let mut state = State::H;
     while i > 0 {
         match state {
-            State::H => match tb_at(i, j) & 3 {
+            State::H => match tb[at] & 3 {
                 H_DIAG => {
                     let op = if qcodes[i - 1] == tcodes[j - 1] {
                         CigarOp::Equal
                     } else {
                         CigarOp::Diff
                     };
-                    rev.push(op, 1);
+                    push(op);
                     i -= 1;
                     j -= 1;
+                    at -= diag_step;
                 }
                 H_E => state = State::E,
                 H_F => state = State::F,
                 _ => break,
             },
             State::E => {
-                if tb_at(i, j) & E_EXT == 0 {
+                if tb[at] & E_EXT == 0 {
                     state = State::H;
                 }
-                rev.push(CigarOp::Del, 1);
+                push(CigarOp::Del);
                 j -= 1;
+                at -= del_step;
             }
             State::F => {
-                if tb_at(i, j) & F_EXT == 0 {
+                if tb[at] & F_EXT == 0 {
                     state = State::H;
                 }
-                rev.push(CigarOp::Ins, 1);
+                push(CigarOp::Ins);
                 i -= 1;
+                at -= ins_step;
             }
         }
     }
 
     Alignment {
         score,
-        cigar: rev.reversed(),
+        cigar: cigars.build(),
         target_start: j,
         target_end: end_j,
-        cells: banded_cells(n, m, band),
+        cells: banded_cells(n, corridor.m, band),
     }
 }
 

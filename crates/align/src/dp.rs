@@ -1,5 +1,6 @@
+use crate::lanes::LaneScratch;
 use crate::{banded_align_with, Scoring};
-use gx_genome::{Cigar, DnaSeq};
+use gx_genome::{Cigar, CigarOp, DnaSeq};
 
 /// Boundary conditions of the affine-gap aligner. Fit is the only one: the
 /// query aligns end to end and the target has free (unpenalized) start and
@@ -35,17 +36,55 @@ impl Alignment {
     }
 }
 
-/// Reusable DP workspace for [`banded_align_with`]: the traceback matrix,
-/// the unpacked base codes, and one set of score rows per cell width —
-/// 16-bit for short-read calls, 32-bit for long ones. Buffers grow to the
-/// high-water mark of the alignments they have seen and are re-filled
+/// Reusable DP workspace for [`banded_align_with`] and its two code-level
+/// entries: the unpacked base codes, the row kernel's traceback matrix and
+/// score rows (one set per cell width — 16-bit for short-read calls, 32-bit
+/// for long ones), and the lane kernel's interleaved rows. Buffers grow to
+/// the high-water mark of the alignments they have seen and are re-filled
 /// (never reallocated) on subsequent calls, so a scratch owned per mapping
 /// session makes the DP fallback allocation-free in steady state.
 #[derive(Default, Debug)]
 pub struct AlignScratch {
-    pub(crate) tb: Vec<u8>,
     pub(crate) qcodes: Vec<u8>,
     pub(crate) tcodes: Vec<u8>,
+    pub(crate) rows: RowScratch,
+    pub(crate) lanes: LaneScratch,
+    pub(crate) cigars: CigarScratch,
+}
+
+/// Most CIGARs [`AlignScratch::recycle`] keeps: a batch's worth of DP
+/// jobs; beyond it, a given-back CIGAR is dropped.
+const SPARE_CIGARS: usize = 64;
+
+/// Where tracebacks build their CIGARs: the runs of the one being traced,
+/// back to front, and CIGARs whose heap memory the caller gave back.
+#[derive(Default, Debug)]
+pub(crate) struct CigarScratch {
+    pub(crate) runs: Vec<(u32, CigarOp)>,
+    pub(crate) spare: Vec<Cigar>,
+}
+
+impl CigarScratch {
+    /// A CIGAR of `runs`, back to front. One longer than the inline buffer
+    /// reuses a spare's heap memory when there is one.
+    pub(crate) fn build(&mut self) -> Cigar {
+        let mut cigar = if self.runs.len() > Cigar::INLINE_RUNS {
+            self.spare.pop().unwrap_or_default()
+        } else {
+            Cigar::new()
+        };
+        cigar.clear();
+        for &(n, op) in self.runs.iter().rev() {
+            cigar.push(op, n);
+        }
+        cigar
+    }
+}
+
+/// The row kernel's buffers.
+#[derive(Default, Debug)]
+pub(crate) struct RowScratch {
+    pub(crate) tb: Vec<u8>,
     pub(crate) narrow: ScoreRows<i16>,
     pub(crate) wide: ScoreRows<i32>,
 }
@@ -54,6 +93,16 @@ impl AlignScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> AlignScratch {
         AlignScratch::default()
+    }
+
+    /// Gives back the CIGAR of an alignment the caller no longer needs. One
+    /// that holds heap memory (more runs than a CIGAR keeps inline) is kept,
+    /// up to a batch's worth, for the next long traceback, so a loop that
+    /// gives back its losing alignments allocates no CIGAR in steady state.
+    pub fn recycle(&mut self, cigar: Cigar) {
+        if cigar.has_heap_capacity() && self.cigars.spare.len() < SPARE_CIGARS {
+            self.cigars.spare.push(cigar);
+        }
     }
 }
 

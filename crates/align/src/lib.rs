@@ -35,8 +35,10 @@ mod banded;
 pub mod chain;
 mod dp;
 pub mod edits;
+mod lanes;
 mod scoring;
 
-pub use banded::{banded_align_with, banded_cells};
+pub use banded::{banded_align_codes, banded_align_with, banded_cells};
 pub use dp::{align, AlignMode, AlignScratch, Alignment};
+pub use lanes::{banded_align_lanes, LANES, LANE_CROSSOVER};
 pub use scoring::Scoring;

@@ -2,7 +2,7 @@ use super::counters::DeviceCounters;
 use super::device::{lock, DeviceConfig, Run, SharedNmslDevice};
 use super::frontier::AdmittedPair;
 use crate::{BackendStats, BatchTag, MapBackend};
-use gx_accel::{fallback_cells, HostTraffic, NmslConfig, PairWorkload};
+use gx_accel::{fallback_cells, FallbackCells, HostTraffic, NmslConfig, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_memsim::DramConfig;
 use gx_telemetry::Telemetry;
@@ -22,8 +22,8 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// admits into. Per batch, [`map`](MapBackend::map) does three independent
 /// things:
 ///
-/// 1. **Results** — map every pair through the *software* path
-///    ([`GenPairMapper::map_pair`]), exactly like
+/// 1. **Results** — map the batch through the *software* path
+///    ([`GenPairMapper::map_pairs_with`]), exactly like
 ///    [`SoftwareBackend`](crate::SoftwareBackend). The accelerator executes
 ///    the same algorithm, so its mapping decisions are by construction those
 ///    of the software mapper — and the pipeline's SAM output stays
@@ -181,24 +181,32 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
         lock(&self.device.last_counters).clone()
     }
 
-    /// Maps one pair on the software path and builds its admission record
-    /// from what that call left in `scratch`: the workload is the pair
-    /// step's own lookups, never a second seeding of the reads.
-    pub(super) fn map_pair(
+    /// Maps a batch on the software path and builds each pair's admission
+    /// record from what the pair's mapping left in `scratch`: the workload
+    /// is the pair step's own lookups, taken as each pair is seeded (never
+    /// a second seeding of the reads), and the fallback cells are its
+    /// result's.
+    pub(super) fn map_pairs(
         &self,
         scratch: &mut MapScratch,
-        pair: &ReadPair,
-    ) -> (PairMapResult, AdmittedPair) {
-        let (r1, r2) = (&pair.r1, &pair.r2);
-        let res = self.mapper.map_pair_with(scratch, r1, r2);
-        let (input_bytes, output_bytes) = HostTraffic::pair_bytes(r1.len(), r2.len());
-        let admitted = AdmittedPair {
-            workload: PairWorkload::of_lookups(scratch.pair_lookups()),
-            input_bytes,
-            output_bytes,
-            cells: fallback_cells(&res, r1.len(), r2.len()),
-        };
-        (res, admitted)
+        pairs: &[ReadPair],
+    ) -> (Vec<PairMapResult>, Vec<AdmittedPair>) {
+        let mut admissions = Vec::with_capacity(pairs.len());
+        let reads = pairs.iter().map(|p| (&p.r1, &p.r2));
+        let results = self.mapper.map_pairs_with(scratch, reads, |seeded| {
+            admissions.push(AdmittedPair {
+                workload: PairWorkload::of_lookups(seeded.pair_lookups()),
+                input_bytes: 0,
+                output_bytes: 0,
+                cells: FallbackCells::default(),
+            })
+        });
+        for ((admitted, pair), res) in admissions.iter_mut().zip(pairs).zip(&results) {
+            let (r1, r2) = (pair.r1.len(), pair.r2.len());
+            (admitted.input_bytes, admitted.output_bytes) = HostTraffic::pair_bytes(r1, r2);
+            admitted.cells = fallback_cells(res, r1, r2);
+        }
+        (results, admissions)
     }
 
     /// Spawns a run's device thread.
@@ -242,7 +250,7 @@ impl MapBackend for NmslBackend<'_, '_> {
         tag: BatchTag,
         pairs: &[ReadPair],
     ) -> Vec<PairMapResult> {
-        let (results, admissions) = pairs.iter().map(|p| self.map_pair(scratch, p)).unzip();
+        let (results, admissions) = self.map_pairs(scratch, pairs);
         self.admit(tag, admissions);
         results
     }

@@ -165,12 +165,16 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
     let mut scratch = MapScratch::new();
     let mut exits = Vec::new();
     let mut most_locations = 0;
-    for (i, (r1, r2)) in cases.into_iter().enumerate() {
-        let pair = ReadPair::new(format!("p{i}"), r1, r2);
-        let (res, admitted) = backend.map_pair(&mut scratch, &pair);
+    let pairs: Vec<ReadPair> = cases
+        .into_iter()
+        .enumerate()
+        .map(|(i, (r1, r2))| ReadPair::new(format!("p{i}"), r1, r2))
+        .collect();
+    let (results, admissions) = backend.map_pairs(&mut scratch, &pairs);
+    for (i, ((pair, res), admitted)) in pairs.iter().zip(&results).zip(&admissions).enumerate() {
         assert_eq!(
             admitted.workload.seeds(),
-            per_seed_workload(&pair, &mapper),
+            per_seed_workload(pair, &mapper),
             "pair {i} ({:?})",
             res.fallback
         );

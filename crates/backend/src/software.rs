@@ -3,8 +3,8 @@
 use crate::{BatchTag, MapBackend};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
 
-/// The software baseline: maps every pair with
-/// [`GenPairMapper::map_pair_with`] on the calling worker thread.
+/// The software baseline: maps every batch with
+/// [`GenPairMapper::map_pairs_with`] on the calling worker thread.
 ///
 /// It models no hardware, so it reports no cost of its own (the pipeline
 /// times every call). Its results define the reference output every other
@@ -39,10 +39,8 @@ impl MapBackend for SoftwareBackend<'_, '_> {
         _tag: BatchTag,
         pairs: &[ReadPair],
     ) -> Vec<PairMapResult> {
-        pairs
-            .iter()
-            .map(|p| self.mapper.map_pair_with(scratch, &p.r1, &p.r2))
-            .collect()
+        let pairs = pairs.iter().map(|p| (&p.r1, &p.r2));
+        self.mapper.map_pairs_with(scratch, pairs, |_| {})
     }
 }
 

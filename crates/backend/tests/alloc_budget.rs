@@ -16,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gx_backend::{BatchTag, MapBackend, NmslBackend, SoftwareBackend};
-use gx_core::{GenPairConfig, GenPairMapper, MapScratch, ReadPair};
+use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, MapScratch, PairMapResult, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
 
@@ -53,8 +53,10 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 /// A workload that exercises every stage the scratch arena backs: clean
-/// light-path pairs, mismatched reads (deeper light masks), and
-/// foreign-sequence pairs that fall through to the DP/fallback stages.
+/// light-path pairs, mismatched reads (deeper light masks), and pairs whose
+/// mate 2 carries a 6-base deletion — past the light aligner's
+/// `max_indel_run` of 5, so they fall through to the DP fallback: its job
+/// arena, both DP kernels and the lane buffers.
 fn build_pairs(seq: &DnaSeq, n: usize) -> Vec<ReadPair> {
     (0..n)
         .map(|i| {
@@ -66,9 +68,23 @@ fn build_pairs(seq: &DnaSeq, n: usize) -> Vec<ReadPair> {
                 let flipped = r2.get(70).complement();
                 r2.set(70, flipped);
             }
+            if i % 4 == 3 {
+                // Delete six bases from mate 2: light alignment refuses it.
+                let mut deleted = seq.subseq(s + 250..s + 320);
+                deleted.extend_from_seq(&seq.subseq(s + 326..s + 406));
+                r2 = deleted.revcomp();
+            }
             ReadPair::new(format!("p{i}"), r1, r2)
         })
         .collect()
+}
+
+/// How many of `results` DP mapped.
+fn dp_mapped(results: &[PairMapResult]) -> usize {
+    results
+        .iter()
+        .filter(|r| r.is_mapped() && r.fallback == Some(FallbackStage::LightAlign))
+        .count()
 }
 
 #[test]
@@ -85,6 +101,11 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     // steady-state high-water mark.
     let warm = backend.map(&mut scratch, BatchTag { job: 0, index: 0 }, &pairs);
     assert!(warm.iter().filter(|r| r.is_mapped()).count() > 48);
+    assert!(
+        dp_mapped(&warm) >= 12,
+        "{} DP-mapped pairs",
+        dp_mapped(&warm)
+    );
 
     // Steady state: the only allowed allocations are the per-batch results
     // Vec (and a bounded sliver of collection overhead) — nothing that
@@ -133,7 +154,12 @@ fn warm_nmsl_session_maps_pairs_without_per_pair_allocation() {
     // their high-water marks.
     const WARM: u64 = 4;
     for index in 0..WARM {
-        backend.map(&mut scratch, BatchTag { job: 0, index }, &pairs);
+        let warm = backend.map(&mut scratch, BatchTag { job: 0, index }, &pairs);
+        assert!(
+            dp_mapped(&warm) >= 12,
+            "{} DP-mapped pairs",
+            dp_mapped(&warm)
+        );
     }
 
     const BATCHES: u64 = 8;

@@ -36,6 +36,7 @@
 //! ```
 
 mod config;
+mod fallback;
 pub mod light;
 mod longread;
 mod mapper;

@@ -2,12 +2,13 @@
 //! Partitioned Seeding → SeedMap Query → Paired-Adjacency Filtering →
 //! Light Alignment, with the three DP fallback arrows of Fig. 10.
 
+use crate::fallback::{Candidate, DpBatch, Mate};
 use crate::light::{light_align_with, LightAlignment, LightScratch};
 use crate::pafilter::paired_adjacency_filter_ranked_into;
 use crate::scratch::MapScratch;
 use crate::seeding::query_reads_into;
 use crate::{GenPairConfig, ReadPair};
-use gx_align::{banded_align_with, AlignMode, AlignScratch};
+use gx_align::banded_cells;
 use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, Locus, ReferenceGenome, SamRecord};
 use gx_seedmap::SeedMap;
 
@@ -79,7 +80,7 @@ pub enum FallbackStage {
 }
 
 /// A mapped pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairMapping {
     /// Chromosome index.
     pub chrom: u32,
@@ -115,7 +116,7 @@ impl PairMapping {
 
 /// Per-pair work counters, aggregated by
 /// [`PipelineStats`](crate::PipelineStats).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairWork {
     /// Location Table entries fetched (NMSL traffic).
     pub seed_locations: u64,
@@ -137,7 +138,7 @@ pub struct PairWork {
 }
 
 /// Result of mapping one pair.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairMapResult {
     /// The mapping, when GenPair produced one (always for the light path and
     /// the [`FallbackStage::LightAlign`] DP path; `None` for full-pipeline
@@ -253,22 +254,79 @@ impl<'g> GenPairMapper<'g> {
 
     /// Maps one pair through the GenPair pipeline.
     ///
-    /// Allocates a fresh [`MapScratch`] per call; batch loops (the backend
-    /// sessions) thread a session-owned scratch through
-    /// [`map_pair_with`](GenPairMapper::map_pair_with) instead.
+    /// Allocates a fresh [`MapScratch`] per call; the backends thread a
+    /// worker-owned scratch through
+    /// [`map_pairs_with`](GenPairMapper::map_pairs_with) instead.
     pub fn map_pair(&self, r1: &DnaSeq, r2: &DnaSeq) -> PairMapResult {
         self.map_pair_with(&mut MapScratch::new(), r1, r2)
     }
 
     /// Maps one pair through the GenPair pipeline, reusing the buffers in
     /// `scratch` (identical results to [`map_pair`](GenPairMapper::map_pair);
-    /// no steady-state allocation once the scratch has warmed up).
+    /// no steady-state allocation once the scratch has warmed up). This is
+    /// [`map_pairs_with`](GenPairMapper::map_pairs_with) on a batch of one.
     pub fn map_pair_with(
         &self,
         scratch: &mut MapScratch,
         r1: &DnaSeq,
         r2: &DnaSeq,
     ) -> PairMapResult {
+        self.map_batch(scratch, [(r1, r2)], |_| {});
+        scratch.results.pop().expect("one result for one pair")
+    }
+
+    /// Maps a batch of pairs, returning one result per pair in input order,
+    /// each identical to what [`map_pair_with`](GenPairMapper::map_pair_with)
+    /// returns for the pair alone — mapping, fallback and every
+    /// [`PairWork`] counter.
+    ///
+    /// A batch is mapped in three steps. (1) Each pair runs seeding, the PA
+    /// filter and light alignment, and a pair light alignment leaves
+    /// unmapped *plans* its DP jobs: the refused mates, their windows, the
+    /// too-short checks and the lazy light alignment of a mate 2 behind a
+    /// refused mate 1 are all known before any DP runs, and the job's cells
+    /// are counted there. `seeded` is called after each pair's step 1 with
+    /// the scratch holding that pair's SeedMap lookups
+    /// ([`MapScratch::pair_lookups`]). (2) The batch's jobs run in
+    /// same-shape groups, [`LANES`](gx_align::LANES) at a time on the lane
+    /// kernel; a group too small to pay for a lane call runs on the row
+    /// kernel. (3) Each DP pair picks its best candidate.
+    pub fn map_pairs_with<'p>(
+        &self,
+        scratch: &mut MapScratch,
+        pairs: impl IntoIterator<Item = (&'p DnaSeq, &'p DnaSeq)>,
+        seeded: impl FnMut(&MapScratch),
+    ) -> Vec<PairMapResult> {
+        self.map_batch(scratch, pairs, seeded);
+        scratch.results.drain(..).collect()
+    }
+
+    /// The three steps of [`map_pairs_with`](GenPairMapper::map_pairs_with),
+    /// leaving the results in `scratch.results`.
+    fn map_batch<'p>(
+        &self,
+        scratch: &mut MapScratch,
+        pairs: impl IntoIterator<Item = (&'p DnaSeq, &'p DnaSeq)>,
+        mut seeded: impl FnMut(&MapScratch),
+    ) {
+        scratch.results.clear();
+        scratch.dp.clear();
+        for (r1, r2) in pairs {
+            let res = self.plan_pair(scratch, r1, r2);
+            seeded(scratch);
+            scratch.results.push(res);
+        }
+        if scratch.dp.pairs.is_empty() {
+            return;
+        }
+        scratch.dp.run(&self.config.scoring, &mut scratch.align);
+        scratch.dp.finish(&mut scratch.results, &mut scratch.align);
+    }
+
+    /// Step 1 for one pair: its result, final unless the pair reached the
+    /// DP stage, whose jobs and candidates it then plans into `scratch.dp`
+    /// under the index the result will have in `scratch.results`.
+    fn plan_pair(&self, scratch: &mut MapScratch, r1: &DnaSeq, r2: &DnaSeq) -> PairMapResult {
         let MapScratch {
             r1_rc,
             r2_rc,
@@ -279,7 +337,9 @@ impl<'g> GenPairMapper<'g> {
             dp_cands,
             window,
             light,
-            align,
+            dp,
+            results,
+            ..
         } = scratch;
         let mut work = PairWork::default();
         r1.revcomp_into(r1_rc);
@@ -399,19 +459,20 @@ impl<'g> GenPairMapper<'g> {
         // Light alignment failed: DP-align at the candidate locations
         // (bypassing seeding and chaining, paper Fig. 10), only the mates
         // light alignment refused. A mate that passed keeps its light
-        // alignment.
-        let mut best_dp: Option<(PairMapping, i32)> = None;
+        // alignment. The DP runs later, with the batch's other jobs; a job
+        // is counted here, where it would have run.
+        let first = dp.candidates.len();
         for (l1, l2, r1_forward, light1) in dp_cands.drain(..) {
             let (seq1, seq2) = if r1_forward { (r1, r2_rc) } else { (r1_rc, r2) };
             // Mate 2 was refused when mate 1 passed; behind a refused mate 1
             // it has not been aligned yet.
             let light2_refused = light1.is_some();
             let mate1 = match light1 {
-                Some(a1) => Some(light_placed(l1, a1)),
-                None => self.dp_at(seq1, l1, window, align, &mut work.dp_cells),
-            };
-            let Some(mate1) = mate1 else {
-                continue;
+                Some(a1) => Mate::Placed(light_placed(l1, a1)),
+                None => match self.dp_job(seq1, l1, window, dp, &mut work.dp_cells) {
+                    Some(job) => Mate::Job(job),
+                    None => continue,
+                },
             };
             let light2 = if light2_refused {
                 None
@@ -419,19 +480,23 @@ impl<'g> GenPairMapper<'g> {
                 self.light_at(seq2, l2, window, light)
             };
             let mate2 = match light2 {
-                Some(a2) => Some(light_placed(l2, a2)),
-                None => self.dp_at(seq2, l2, window, align, &mut work.dp_cells),
+                Some(a2) => Mate::Placed(light_placed(l2, a2)),
+                // Mate 1's job, if it has one, still counts (and runs).
+                None => match self.dp_job(seq2, l2, window, dp, &mut work.dp_cells) {
+                    Some(job) => Mate::Job(job),
+                    None => continue,
+                },
             };
-            let Some(mate2) = mate2 else {
-                continue;
-            };
-            let score = mate1.2 + mate2.2;
-            if best_dp.as_ref().is_none_or(|(_, bs)| score > *bs) {
-                best_dp = Some((pair_mapping(l1.chrom, r1_forward, mate1, mate2, 40), score));
-            }
+            dp.candidates.push(Candidate {
+                chrom: l1.chrom,
+                r1_forward,
+                mate1,
+                mate2,
+            });
         }
+        dp.pairs.push((results.len(), dp.candidates.len() - first));
         PairMapResult {
-            mapping: best_dp.map(|(m, _)| m),
+            mapping: None,
             fallback: Some(FallbackStage::LightAlign),
             work,
         }
@@ -464,18 +529,18 @@ impl<'g> GenPairMapper<'g> {
         )
     }
 
-    /// Banded-DP-aligns `seq` near candidate `locus`, borrowing the window
-    /// and DP-row buffers from the caller's scratch; returns the placed mate
-    /// and adds the cells it computed to `cells`. `None`, with no cells,
-    /// when the chromosome leaves too short a window.
-    fn dp_at(
+    /// Plans the DP job of `seq` near candidate `locus` (its window is
+    /// fetched into the caller's `window` buffer) and adds the cells it
+    /// will compute to `cells`. `None`, with no cells, when the chromosome
+    /// leaves too short a window.
+    fn dp_job(
         &self,
         seq: &DnaSeq,
         locus: Locus,
         window: &mut DnaSeq,
-        align: &mut AlignScratch,
+        dp: &mut DpBatch,
         cells: &mut u64,
-    ) -> Option<PlacedMate> {
+    ) -> Option<usize> {
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
             locus.pos as i64 - DP_FALLBACK_MARGIN as i64,
@@ -485,21 +550,13 @@ impl<'g> GenPairMapper<'g> {
         if window.len() < seq.len() / 2 {
             return None;
         }
-        let a = banded_align_with(
-            seq,
-            window,
-            &self.config.scoring,
-            DP_FALLBACK_BAND,
-            AlignMode::Fit,
-            align,
-        );
-        *cells += a.cells;
-        Some((win_start + a.target_start as u64, a.cigar, a.score))
+        *cells += banded_cells(seq.len(), window.len(), DP_FALLBACK_BAND);
+        Some(dp.push(seq, window, win_start))
     }
 }
 
 /// One mate's alignment: chromosome position, CIGAR and score.
-type PlacedMate = (u64, Cigar, i32);
+pub(crate) type PlacedMate = (u64, Cigar, i32);
 
 /// Places a light alignment found at candidate `locus`: it starts at
 /// `locus + shift`. The CIGAR moves (no clone on the hot path).
@@ -512,7 +569,7 @@ fn light_placed(locus: Locus, a: LightAlignment) -> PlacedMate {
 }
 
 /// Builds the pair mapping from its two placed mates.
-fn pair_mapping(
+pub(crate) fn pair_mapping(
     chrom: u32,
     r1_forward: bool,
     (pos1, cigar1, score1): PlacedMate,
@@ -596,6 +653,7 @@ pub fn unmapped_pair_to_sam(pair: ReadPair) -> (SamRecord, SamRecord) {
 mod tests {
     use super::*;
     use crate::LightConfig;
+    use gx_align::{banded_align_with, AlignMode, AlignScratch};
     use gx_genome::random::RandomGenomeBuilder;
 
     fn setup() -> (ReferenceGenome, GenPairConfig) {
@@ -778,6 +836,36 @@ mod tests {
         r
     }
 
+    /// Where the DP fallback places `seq` at candidate `locus`: the banded
+    /// alignment in its window, or `None` when the window is too short.
+    fn dp_at(
+        mapper: &GenPairMapper,
+        seq: &DnaSeq,
+        locus: Locus,
+        window: &mut DnaSeq,
+        align: &mut AlignScratch,
+    ) -> Option<PlacedMate> {
+        let win_start = mapper.genome().clamped_window_into(
+            locus.chrom,
+            locus.pos as i64 - DP_FALLBACK_MARGIN as i64,
+            seq.len() + 2 * DP_FALLBACK_MARGIN,
+            window,
+        );
+        if window.len() < seq.len() / 2 {
+            return None;
+        }
+        let scoring = &mapper.config().scoring;
+        let a = banded_align_with(
+            seq,
+            window,
+            scoring,
+            DP_FALLBACK_BAND,
+            AlignMode::Fit,
+            align,
+        );
+        Some((win_start + a.target_start as u64, a.cigar, a.score))
+    }
+
     /// `read`'s light alignment at `at`, placed: what `light_align_with`
     /// returns over the window the mapper gives it, at `at + shift`. Also
     /// asserts that banded DP would place the read differently, so a test
@@ -803,16 +891,14 @@ mod tests {
             chrom: 0,
             pos: at as u64,
         };
-        let mut cells = 0;
-        let dp = mapper
-            .dp_at(
-                read,
-                locus,
-                &mut DnaSeq::new(),
-                &mut AlignScratch::default(),
-                &mut cells,
-            )
-            .expect("DP window");
+        let dp = dp_at(
+            mapper,
+            read,
+            locus,
+            &mut DnaSeq::new(),
+            &mut AlignScratch::default(),
+        )
+        .expect("DP window");
         assert!(dp.2 > a.score, "DP {} against light {}", dp.2, a.score);
         assert_ne!(dp.1, a.cigar);
         ((at as i64 + a.shift as i64) as u64, a.cigar, a.score)
@@ -898,9 +984,7 @@ mod tests {
                     continue;
                 };
                 accepted[kind] += 1;
-                let mut cells = 0;
-                let dp = mapper
-                    .dp_at(&read, locus, &mut window, &mut align, &mut cells)
+                let dp = dp_at(&mapper, &read, locus, &mut window, &mut align)
                     .expect("a DP window wherever light alignment had one");
                 assert!(
                     dp.2 >= l.score,

@@ -1,24 +1,37 @@
 //! The per-session mapping arena: every buffer
-//! [`map_pair_with`](crate::GenPairMapper::map_pair_with) needs across the
-//! whole FASTQ→SAM hot path, owned by the caller and reused pair after pair.
+//! [`map_pairs_with`](crate::GenPairMapper::map_pairs_with) needs across
+//! the whole FASTQ→SAM hot path, owned by the caller and reused batch after
+//! batch.
 //!
 //! One `MapScratch` per worker (each backend session owns one) removes all
 //! steady-state heap traffic from the software pipeline: reverse-complement
 //! buffers, seed-code extraction, the gathered Location Table slices,
 //! SeedMap query merges, the PA filter's candidate list, the light
-//! aligner's memo, reference windows and the banded-DP rows all hit their
-//! high-water capacity within the first batch and are never reallocated
-//! again. Reuse is observable only through speed — a mapper driven through
-//! a reused scratch must produce byte-identical SAM output to fresh-scratch
-//! calls (locked down by tests here and the golden e2e fixtures).
+//! aligner's memo, reference windows, the batch's DP jobs and candidates,
+//! both DP kernels' rows and the results list all hit their high-water
+//! capacity within the first batch and are never reallocated again. Reuse
+//! is observable only through speed — a mapper driven through a reused
+//! scratch must produce byte-identical SAM output to fresh-scratch calls
+//! (locked down by tests here and the golden e2e fixtures).
 
+use crate::fallback::DpBatch;
 use crate::light::{LightAlignment, LightScratch};
 use crate::pafilter::PaFilterResult;
 use crate::seeding::{ReadCandidates, SeedLookup};
+use crate::PairMapResult;
 use gx_align::AlignScratch;
 use gx_genome::{DnaSeq, GlobalPos, Locus};
 
-/// Reusable buffers for [`GenPairMapper::map_pair_with`](crate::GenPairMapper::map_pair_with).
+/// Reusable buffers for
+/// [`GenPairMapper::map_pairs_with`](crate::GenPairMapper::map_pairs_with)
+/// and its batch of one, [`map_pair_with`](crate::GenPairMapper::map_pair_with).
+///
+/// A batch runs in three steps, and the scratch carries what one step
+/// leaves the next: the per-pair buffers (reads, seeds, candidates, light
+/// alignment) are rewritten by each pair's step 1, which appends the pair's
+/// planned DP jobs and candidates to `dp`; step 2 runs all of the batch's
+/// jobs through `align`; step 3 gives each DP pair its mapping in
+/// `results`.
 ///
 /// Not `Clone`/shared: one scratch belongs to exactly one mapping loop.
 /// All fields are buffers — dropping a scratch loses only capacity, never
@@ -49,9 +62,14 @@ pub struct MapScratch {
     pub(crate) window: DnaSeq,
     /// The light aligner's per-shift suffix memo (it stores no masks).
     pub(crate) light: LightScratch,
-    /// Score rows (one set per cell width), target profile and traceback of
-    /// the banded-DP fallback aligner.
+    /// The DP stage of the batch being mapped: its planned jobs (mate and
+    /// window codes in one arena) and its DP pairs' candidates.
+    pub(crate) dp: DpBatch,
+    /// Both DP kernels' buffers: the row kernel's score rows, target
+    /// profile and traceback, and the lane kernel's interleaved rows.
     pub(crate) align: AlignScratch,
+    /// The batch's results, in input order, until they are handed out.
+    pub(crate) results: Vec<PairMapResult>,
 }
 
 impl MapScratch {
@@ -61,11 +79,15 @@ impl MapScratch {
         MapScratch::default()
     }
 
-    /// The SeedMap lookups the last mapped pair made in its query
+    /// The SeedMap lookups the last seeded pair made in its query
     /// orientation — `r1`'s seeds, then `rc(r2)`'s, up to six — as the pair
     /// step recorded them (none before the first pair). This is the pair's
     /// NMSL workload: the device model prices these instead of seeding the
-    /// reads a second time.
+    /// reads a second time. In a batch, each pair's step 1 overwrites the
+    /// last pair's, so they are read in the `seeded` callback of
+    /// [`map_pairs_with`](crate::GenPairMapper::map_pairs_with), once per
+    /// pair; after [`map_pair_with`](crate::GenPairMapper::map_pair_with)
+    /// they are that pair's.
     pub fn pair_lookups(&self) -> impl Iterator<Item = &SeedLookup> {
         self.cands[..2].iter().flat_map(|c| c.lookups())
     }

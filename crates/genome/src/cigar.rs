@@ -88,7 +88,7 @@ pub struct Cigar {
 impl Cigar {
     /// Runs held without a heap allocation. A read with up to three
     /// mismatches (`=X=X=X=`) or one indel still fits inline.
-    const INLINE_RUNS: usize = 8;
+    pub const INLINE_RUNS: usize = 8;
 
     /// Creates an empty CIGAR.
     pub fn new() -> Cigar {
@@ -164,6 +164,19 @@ impl Cigar {
             self.spill.extend_from_slice(&self.inline);
             self.spill.push((n, op));
         }
+    }
+
+    /// Removes every run. Heap memory a longer CIGAR left is kept, so a
+    /// cleared CIGAR takes as many runs again without allocating.
+    pub fn clear(&mut self) {
+        self.inline_len = 0;
+        self.spill.clear();
+    }
+
+    /// Whether the CIGAR holds heap memory: its runs outgrew the inline
+    /// buffer at some point (and [`clear`](Cigar::clear) kept the memory).
+    pub fn has_heap_capacity(&self) -> bool {
+        self.spill.capacity() > 0
     }
 
     /// The `(len, op)` runs.
