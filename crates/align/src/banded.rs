@@ -14,7 +14,7 @@
 //! this one replaced is the oracle of `tests/banded_diff.rs`.
 //!
 //! This is the *row kernel*. The DP fallback runs most of its jobs on the
-//! lane kernel (`lanes.rs`), which fills eight same-shape alignments at
+//! lane kernel (`lanes.rs`), which fills 8 or 16 same-shape alignments at
 //! once because this one's 33-diagonal rows are too short for in-row SIMD
 //! to pay; the row kernel runs `align`, long reads and lone fallback jobs.
 //! Both end in one traceback, [`traced`].
@@ -535,7 +535,7 @@ pub(crate) fn align_rows(
 /// traced back through the corridor's traceback bytes: cell `(i, off)` at
 /// `tb[(i * width + off) * stride]`, so one traceback serves the row kernel
 /// (stride 1) and a lane of the lane kernel (`tb` starting at the lane,
-/// stride [`LANES`](crate::LANES)).
+/// stride [`LaneTier::width`](crate::LaneTier::width)).
 ///
 /// The walk keeps the cell's index in `tb` and steps it: a diagonal move
 /// keeps the band offset (one row back), a deletion lowers it by one, an

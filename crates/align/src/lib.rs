@@ -40,5 +40,5 @@ mod scoring;
 
 pub use banded::{banded_align_codes, banded_align_with, banded_cells};
 pub use dp::{align, AlignMode, AlignScratch, Alignment};
-pub use lanes::{banded_align_lanes, LANES, LANE_CROSSOVER};
+pub use lanes::{banded_align_lanes, LaneTier};
 pub use scoring::Scoring;

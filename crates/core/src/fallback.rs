@@ -4,17 +4,19 @@
 //! pairs' candidates.
 //!
 //! GenDP's alignment arrays take the fallback as a stream; the software
-//! equivalent is [`banded_align_lanes`], which fills up to [`LANES`]
-//! same-shape alignments at once for about the price of two row-kernel
-//! calls. One pair rarely has enough jobs of one shape to fill a lane
-//! group; a batch has plenty, so the jobs of every pair are collected
-//! first and run in shape groups. Nothing here moves a result or a counter:
-//! a job's alignment is the one [`banded_align_with`](gx_align::banded_align_with)
-//! would return, and its cells are counted where the pair planned it.
+//! equivalent is [`banded_align_lanes`], which fills as many same-shape
+//! alignments at once as the host's [`LaneTier`] has lanes (8, or 16 on an
+//! AVX-512BW+VL host) for about the price of one and a half (AVX-512) to
+//! two and a half (portable) row-kernel calls. One pair rarely has enough
+//! jobs of one shape to fill a lane group; a batch has plenty, so the jobs
+//! of every pair are collected first and run in shape groups. Nothing here
+//! moves a result or a counter: a job's alignment is the one
+//! [`banded_align_with`](gx_align::banded_align_with) would return, and its
+//! cells are counted where the pair planned it.
 
 use crate::mapper::{pair_mapping, PairMapResult, PairMapping, PlacedMate, DP_FALLBACK_BAND};
 use gx_align::{
-    banded_align_codes, banded_align_lanes, AlignScratch, Alignment, Scoring, LANES, LANE_CROSSOVER,
+    banded_align_codes, banded_align_lanes, AlignScratch, Alignment, LaneTier, Scoring,
 };
 use gx_genome::DnaSeq;
 
@@ -107,10 +109,11 @@ impl DpBatch {
         self.jobs.len() - 1
     }
 
-    /// Runs every planned job: jobs of one shape [`LANES`] at a time on the
-    /// lane kernel, and a group of fewer than [`LANE_CROSSOVER`] one by one
-    /// on the row kernel.
+    /// Runs every planned job on the host's [`LaneTier`]: jobs of one shape
+    /// [`LaneTier::width`] at a time on the lane kernel, and a group of
+    /// fewer than [`LaneTier::crossover`] one by one on the row kernel.
     pub(crate) fn run(&mut self, scoring: &Scoring, align: &mut AlignScratch) {
+        let tier = LaneTier::host();
         let DpBatch {
             arena,
             jobs,
@@ -125,8 +128,8 @@ impl DpBatch {
         order.extend(0..jobs.len());
         order.sort_unstable_by_key(|&k| (jobs[k].shape(), k));
         for shape in order.chunk_by(|&a, &b| jobs[a].shape() == jobs[b].shape()) {
-            for group in shape.chunks(LANES) {
-                if group.len() < LANE_CROSSOVER {
+            for group in shape.chunks(tier.width()) {
+                if group.len() < tier.crossover() {
                     for &k in group {
                         let (query, window) = jobs[k].codes(arena);
                         let a = banded_align_codes(query, window, scoring, DP_FALLBACK_BAND, align);
@@ -134,13 +137,13 @@ impl DpBatch {
                     }
                     continue;
                 }
-                let mut lanes: [(&[u8], &[u8]); LANES] = [(&[], &[]); LANES];
+                let mut lanes = [(&[][..], &[][..]); LaneTier::MAX_WIDTH];
                 for (lane, &k) in lanes.iter_mut().zip(group) {
                     *lane = jobs[k].codes(arena);
                 }
                 lane_out.clear();
                 let lanes = &lanes[..group.len()];
-                banded_align_lanes(lanes, scoring, DP_FALLBACK_BAND, align, lane_out);
+                banded_align_lanes(tier, lanes, scoring, DP_FALLBACK_BAND, align, lane_out);
                 for (&k, a) in group.iter().zip(lane_out.drain(..)) {
                     done[k] = Some(a);
                 }

@@ -288,9 +288,10 @@ impl<'g> GenPairMapper<'g> {
     /// are counted there. `seeded` is called after each pair's step 1 with
     /// the scratch holding that pair's SeedMap lookups
     /// ([`MapScratch::pair_lookups`]). (2) The batch's jobs run in
-    /// same-shape groups, [`LANES`](gx_align::LANES) at a time on the lane
-    /// kernel; a group too small to pay for a lane call runs on the row
-    /// kernel. (3) Each DP pair picks its best candidate.
+    /// same-shape groups, as many at a time on the lane kernel as the host's
+    /// [`LaneTier`](gx_align::LaneTier) has lanes; a group too small to pay
+    /// for a lane call runs on the row kernel. (3) Each DP pair picks its
+    /// best candidate.
     pub fn map_pairs_with<'p>(
         &self,
         scratch: &mut MapScratch,

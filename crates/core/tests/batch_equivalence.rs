@@ -8,10 +8,12 @@
 //! mates refused), reads of another genome, refused mates whose DP window
 //! a chromosome end clamps (a second job shape beside the 150-base mate in
 //! its 166-base window), and the pair whose mate 2 window is too short for
-//! DP while mate 1's job still counts its cells. One scratch serves every
-//! batch, dirty from the last.
+//! DP while mate 1's job still counts its cells. The 64-pair batch holds at
+//! least 16 jobs of one shape, so on a host with a 16-lane tier a full
+//! register's results are held to the pair entry too. One scratch serves
+//! every batch, dirty from the last.
 
-use gx_align::{banded_cells, LANE_CROSSOVER};
+use gx_align::{banded_cells, LaneTier};
 use gx_core::{
     FallbackStage, GenPairConfig, GenPairMapper, MapScratch, PairMapResult, DP_FALLBACK_BAND,
     DP_FALLBACK_MARGIN,
@@ -156,8 +158,19 @@ fn a_batch_maps_each_pair_as_the_pair_entry_does() {
         "no second job shape"
     );
     assert!(dp.iter().filter(|r| r.work.dp_cells >= 2 * mate).count() >= 10);
-    let jobs: u64 = dp.iter().map(|r| r.work.dp_cells / mate).sum();
-    assert!(jobs >= 8 * LANE_CROSSOVER as u64, "{jobs} jobs");
+    // The first 64-pair batch fills the widest lane tier with one shape: a
+    // pair whose cells are a multiple of one mate job's planned only that
+    // shape.
+    let mate_jobs: u64 = alone[..64]
+        .iter()
+        .map(|(r, _)| r.work.dp_cells)
+        .filter(|cells| cells % mate == 0)
+        .map(|cells| cells / mate)
+        .sum();
+    assert!(
+        mate_jobs >= LaneTier::MAX_WIDTH as u64,
+        "{mate_jobs} jobs of one shape"
+    );
     let last = &alone.last().unwrap().0;
     assert!(last.mapping.is_none() && last.work.dp_cells == mate);
 

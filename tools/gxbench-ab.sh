@@ -20,6 +20,12 @@
 #      the min..max of every figure the shape guards measured (compare
 #      reads neither, and a claim must report both).
 #
+# Every set also names the change side's lane tier, the vector width the DP
+# fallback's lane kernel runs at (avx512bw+vl or portable), as
+# gx_align::LaneTier::host reports it through gx-align's lane_tier example.
+# noisy_sw's numbers depend on it, so a set says which vector unit it had;
+# the tier is also written to <set>/lane-tier.
+#
 # The change side is the working tree this script lives in; the base side
 # is a revision of the same repository (default HEAD: uncommitted work
 # against its parent; after committing, pass -r HEAD~1). A claim needs the
@@ -93,6 +99,11 @@ fi
 echo "gxbench-ab: base $base_commit, change: working tree of $repo" >&2
 build "$dir/base-src" "$dir/base-target"
 build "$repo" "$dir/change-target"
+# The tier the change side's DP fallback runs on this CPU, as the code
+# reports it.
+tier=$(cd "$repo" && CARGO_TARGET_DIR=$dir/change-target cargo run --release --quiet \
+    -p gx-align --example lane_tier)
+echo "gxbench-ab: lane tier $tier" >&2
 base=$dir/base-target/release/gxbench
 change=$dir/change-target/release/gxbench
 
@@ -112,6 +123,8 @@ measure() { # <gxbench> <out>
 }
 
 rm -rf "$sets"
+mkdir -p "$sets"
+echo "$tier" >"$sets/lane-tier"
 i=1
 while [ "$i" -le "$pairs" ]; do
     n=$(printf %02d "$i")
@@ -150,6 +163,7 @@ guards() { # <side>
 }
 
 status=0
+echo "gxbench-ab: lane tier $tier"
 "$change" compare "$sets/base" "$sets/change" || status=$?
 if [ -z "$workload" ]; then
     guards base
