@@ -13,11 +13,12 @@
 //! Nothing here can move a score, a CIGAR or `cells`: the row-wise kernel
 //! this one replaced is the oracle of `tests/banded_diff.rs`.
 //!
-//! This is the *row kernel*. The DP fallback runs most of its jobs on the
-//! lane kernel (`lanes.rs`), which fills 8 or 16 same-shape alignments at
-//! once because this one's 33-diagonal rows are too short for in-row SIMD
-//! to pay; the row kernel runs `align`, long reads and lone fallback jobs.
-//! Both end in one traceback, [`traced`].
+//! This is the *row kernel*. The DP fallback runs its jobs on the lane
+//! kernel (`lanes.rs`), which fills 8 or 16 same-shape alignments at once
+//! because this one's 33-diagonal rows are too short for in-row SIMD to
+//! pay; the row kernel runs `align`, long reads and the fallback shapes
+//! whose scores do not fit 16-bit cells. Both end in one traceback,
+//! [`traced`].
 //!
 //! # Rows in band coordinates, three passes a row
 //!
@@ -441,11 +442,12 @@ fn fill<C: Cell>(
 ///
 /// Only cells within `band` diagonals of the corridor spanned by the two
 /// sequence lengths are computed, bounding both time and traceback memory to
-/// `O(|q| * (|t| - |q| + 2 * band))`. This is the aligner of the DP
-/// fallback, the long-read path and [`align`](crate::align) (at a band that
-/// covers the whole matrix) — GenDP accelerates exactly this banded fit
-/// shape. `scratch` is caller-owned, so once it has grown to the workload's
-/// high-water mark a call allocates nothing but its CIGAR.
+/// `O(|q| * (|t| - |q| + 2 * band))`. This is the aligner of the long-read
+/// path and [`align`](crate::align) (at a band that covers the whole
+/// matrix), and the DP fallback's lane kernel returns exactly its answers —
+/// GenDP accelerates exactly this banded fit shape. `scratch` is
+/// caller-owned, so once it has grown to the workload's high-water mark a
+/// call allocates nothing but its CIGAR.
 ///
 /// Alignments whose optimal path leaves the band return the best in-band
 /// path, which is the same behaviour as minimap2's banded extension.
@@ -477,31 +479,6 @@ pub fn banded_align_with(
     query.codes_into(0..query.len(), qcodes);
     target.codes_into(0..target.len(), tcodes);
     align_rows(qcodes, tcodes, scoring, band, rows, cigars)
-}
-
-/// [`banded_align_with`] on 2-bit base codes (`0..4`, as
-/// [`DnaSeq::codes_into`] writes them): the row kernel, one alignment a
-/// call. The DP fallback runs a job here when too few jobs of its shape
-/// share a batch to fill [`banded_align_lanes`](crate::banded_align_lanes).
-///
-/// # Panics
-///
-/// Panics if either sequence is empty or `band == 0`.
-pub fn banded_align_codes(
-    qcodes: &[u8],
-    tcodes: &[u8],
-    scoring: &Scoring,
-    band: usize,
-    scratch: &mut AlignScratch,
-) -> Alignment {
-    align_rows(
-        qcodes,
-        tcodes,
-        scoring,
-        band,
-        &mut scratch.rows,
-        &mut scratch.cigars,
-    )
 }
 
 /// The row kernel: fills the corridor in cells of the narrowest type that

@@ -36,10 +36,11 @@ impl Alignment {
     }
 }
 
-/// Reusable DP workspace for [`banded_align_with`] and its two code-level
-/// entries: the unpacked base codes, the row kernel's traceback matrix and
-/// score rows (one set per cell width — 16-bit for short-read calls, 32-bit
-/// for long ones), and the lane kernel's interleaved rows. Buffers grow to
+/// Reusable DP workspace for [`banded_align_with`] and
+/// [`banded_align_lanes`](crate::banded_align_lanes): the unpacked base
+/// codes, the row kernel's traceback matrix and score rows (one set per cell
+/// width — 16-bit for short-read calls, 32-bit for long ones), and the lane
+/// kernel's interleaved rows. Buffers grow to
 /// the high-water mark of the alignments they have seen and are re-filled
 /// (never reallocated) on subsequent calls, so a scratch owned per mapping
 /// session makes the DP fallback allocation-free in steady state.

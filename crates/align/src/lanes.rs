@@ -1,15 +1,16 @@
 //! The lane kernel: same-shape banded fit alignments filled together, one
-//! per 16-bit lane of a vector register.
+//! per 16-bit lane of a vector register. It is the DP fallback's one kernel:
+//! every group of same-shape jobs, one job or a full register, runs here.
 //!
-//! The row kernel ([`banded_align_codes`](crate::banded_align_codes))
-//! vectorises *along* a row, and the DP fallback's 33-diagonal rows are too
-//! short for that to pay: its pass-2 scan and per-row setup cost about as
-//! much as the cells. Jobs of
-//! one shape (query length, target length, band and scoring) share their
-//! corridor cell for cell, so here lane `l` runs job `l`'s plain row-wise
-//! recurrence and every cell of the corridor is one step on `[i16; L]`
-//! values. Nothing crosses lanes, so the compiler vectorises each step
-//! without a scan.
+//! The row kernel (`align_rows`, behind
+//! [`banded_align_with`](crate::banded_align_with)) vectorises *along* a
+//! row, and the DP fallback's 33-diagonal rows are too short for that to
+//! pay: its pass-2 scan and per-row setup cost about as much as the cells.
+//! Jobs of one shape (query length, target length, band and scoring) share
+//! their corridor cell for cell, so here lane `l` runs job `l`'s plain
+//! row-wise recurrence and every cell of the corridor is one step on
+//! `[i16; L]` values. Nothing crosses lanes, so the compiler vectorises each
+//! step without a scan.
 //!
 //! Per cell `(i, j)`, with `open = gap_open + gap_ext`:
 //!
@@ -32,9 +33,20 @@
 //! picks the widest tier the CPU reports at run time. A CPU with AVX2 but
 //! not AVX-512BW+VL runs the portable tier: a 16-lane AVX2 compilation,
 //! timed on an AVX-512 CPU, was slower than it for groups of one to three
-//! jobs, and no benchmark host lacks AVX-512 to judge it end to end.
+//! jobs, and no benchmark host lacks AVX-512 to judge it end to end. A tier
+//! is a width and a name: a new one, such as an AVX2 ×16, needs its fill,
+//! its detection and its width, and nothing else, as every group size runs
+//! here.
 //! Every tier runs the same integers with the same strict-`>` ties, so the
 //! tier moves no result.
+//!
+//! A call costs about the same for one job as for a full register (only
+//! the tracebacks grow with the jobs), so a lone job pays for idle lanes.
+//! The benchmark's batches rarely make one: mapping each workload's pairs
+//! in 256-pair batches on the `avx512bw+vl` tier, at seeds 20260930 /
+//! 7741001, `clean_sw` planned 4 / 6 one-job groups among 402 / 438 jobs,
+//! `noisy_sw` 1 / 1 among 3 784 / 3 805, and `foreign_sw` none among
+//! 1 344 / 1 356 (its groups hold 2 to 16 jobs).
 //!
 //! The boundary column, the end-column choice and the traceback are the row
 //! kernel's ([`traced`] reads the interleaved traceback bytes of one lane).
@@ -46,8 +58,8 @@ use crate::banded::{align_rows, traced, Cell, Corridor, E_EXT, F_EXT, H_DIAG, H_
 use crate::dp::{AlignScratch, Alignment};
 use crate::Scoring;
 
-/// One compilation of the lane kernel's fill: how many jobs a call takes,
-/// which instructions it runs, and the fewest jobs worth a call.
+/// One compilation of the lane kernel's fill: how many jobs a call takes
+/// and which instructions it runs.
 ///
 /// Only [`LaneTier::host`] and [`LaneTier::supported`] make one, and they
 /// make only tiers this CPU runs.
@@ -107,38 +119,19 @@ impl LaneTier {
         self.0.spec().0
     }
 
-    /// Fewest same-shape jobs worth a call: below this, the DP fallback runs
-    /// them one by one on the row kernel.
-    ///
-    /// A lane call costs about the same at any fill (a traceback a job is
-    /// all that grows), so the crossover is the fewest jobs whose row-kernel
-    /// calls cost more than one lane call. For 150-base mates in their
-    /// 166-base windows (band 8), a row-kernel call took 10.0–10.7 µs, and
-    /// a lane call with 1 / 2 / 3 jobs / a full register took (µs; release
-    /// build, one core of a 2-vCPU x86-64 host with AVX-512BW+VL, the
-    /// minimum of 80 interleaved rounds, three runs):
-    ///
-    /// * portable, 8 lanes: 22.0–22.9 / 23.0–24.0 / 23.3–24.1 / 26.8–28.0,
-    ///   so 3;
-    /// * AVX-512BW+VL, 16 lanes: 16.0–17.0 / 16.4–17.7 / 17.2–18.3 /
-    ///   24.8–26.1, so 2.
-    pub fn crossover(self) -> usize {
-        self.0.spec().1
-    }
-
     /// The tier's name: `portable` or `avx512bw+vl`.
     pub fn name(self) -> &'static str {
-        self.0.spec().2
+        self.0.spec().1
     }
 }
 
 impl Tier {
-    /// The tier's width, crossover and name.
-    fn spec(self) -> (usize, usize, &'static str) {
+    /// The tier's width and name.
+    fn spec(self) -> (usize, &'static str) {
         match self {
-            Tier::Portable => (8, 3, "portable"),
+            Tier::Portable => (8, "portable"),
             #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => (16, 2, "avx512bw+vl"),
+            Tier::Avx512 => (16, "avx512bw+vl"),
         }
     }
 }
@@ -180,7 +173,7 @@ fn lane_rows<T: Copy + Default, const L: usize>(buf: &mut Vec<T>, rows: usize) -
 /// Codes are 2-bit bases (`0..4`, as
 /// [`DnaSeq::codes_into`](gx_genome::DnaSeq::codes_into) writes them). The
 /// jobs fill together, one per lane, so a call costs about the same for one
-/// job as for [`LaneTier::width`]; see [`LaneTier::crossover`].
+/// job as for [`LaneTier::width`].
 ///
 /// # Panics
 ///

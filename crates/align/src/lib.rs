@@ -38,7 +38,7 @@ pub mod edits;
 mod lanes;
 mod scoring;
 
-pub use banded::{banded_align_codes, banded_align_with, banded_cells};
+pub use banded::{banded_align_with, banded_cells};
 pub use dp::{align, AlignMode, AlignScratch, Alignment};
 pub use lanes::{banded_align_lanes, LaneTier};
 pub use scoring::Scoring;

@@ -9,15 +9,17 @@
 //! AVX-512BW+VL host) for about the price of one and a half (AVX-512) to
 //! two and a half (portable) row-kernel calls. One pair rarely has enough
 //! jobs of one shape to fill a lane group; a batch has plenty, so the jobs
-//! of every pair are collected first and run in shape groups. Nothing here
-//! moves a result or a counter: a job's alignment is the one
+//! of every pair are collected first and run in shape groups, each on the
+//! lane kernel whatever its size. A lone job pays for a whole call, but the
+//! benchmark's batches seldom plan one: at most 6 one-job groups a run
+//! (`clean_sw`), against hundreds to thousands of jobs (see the lane
+//! kernel's docs for the counts). Nothing here moves a result or a counter:
+//! a job's alignment is the one
 //! [`banded_align_with`](gx_align::banded_align_with) would return, and its
 //! cells are counted where the pair planned it.
 
 use crate::mapper::{pair_mapping, PairMapResult, PairMapping, PlacedMate, DP_FALLBACK_BAND};
-use gx_align::{
-    banded_align_codes, banded_align_lanes, AlignScratch, Alignment, LaneTier, Scoring,
-};
+use gx_align::{banded_align_lanes, AlignScratch, Alignment, LaneTier, Scoring};
 use gx_genome::DnaSeq;
 
 /// One planned DP job: a refused mate and its reference window, both as
@@ -110,8 +112,7 @@ impl DpBatch {
     }
 
     /// Runs every planned job on the host's [`LaneTier`]: jobs of one shape
-    /// [`LaneTier::width`] at a time on the lane kernel, and a group of
-    /// fewer than [`LaneTier::crossover`] one by one on the row kernel.
+    /// [`LaneTier::width`] at a time on the lane kernel.
     pub(crate) fn run(&mut self, scoring: &Scoring, align: &mut AlignScratch) {
         let tier = LaneTier::host();
         let DpBatch {
@@ -129,14 +130,6 @@ impl DpBatch {
         order.sort_unstable_by_key(|&k| (jobs[k].shape(), k));
         for shape in order.chunk_by(|&a, &b| jobs[a].shape() == jobs[b].shape()) {
             for group in shape.chunks(tier.width()) {
-                if group.len() < tier.crossover() {
-                    for &k in group {
-                        let (query, window) = jobs[k].codes(arena);
-                        let a = banded_align_codes(query, window, scoring, DP_FALLBACK_BAND, align);
-                        done[k] = Some(a);
-                    }
-                    continue;
-                }
                 let mut lanes = [(&[][..], &[][..]); LaneTier::MAX_WIDTH];
                 for (lane, &k) in lanes.iter_mut().zip(group) {
                     *lane = jobs[k].codes(arena);

@@ -140,9 +140,12 @@ pub struct PairWork {
 /// Result of mapping one pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairMapResult {
-    /// The mapping, when GenPair produced one (always for the light path and
-    /// the [`FallbackStage::LightAlign`] DP path; `None` for full-pipeline
-    /// fallbacks, which the caller routes to the traditional mapper).
+    /// The mapping, when GenPair produced one: always for the light path,
+    /// and for the [`FallbackStage::LightAlign`] DP path unless no candidate
+    /// left each mate light alignment refused a DP window of at least half
+    /// the read (every candidate hangs off a chromosome end). `None` for
+    /// full-pipeline fallbacks, which the caller routes to the traditional
+    /// mapper.
     pub mapping: Option<PairMapping>,
     /// `None` when the pair completed on the pure light path.
     pub fallback: Option<FallbackStage>,
@@ -288,10 +291,9 @@ impl<'g> GenPairMapper<'g> {
     /// are counted there. `seeded` is called after each pair's step 1 with
     /// the scratch holding that pair's SeedMap lookups
     /// ([`MapScratch::pair_lookups`]). (2) The batch's jobs run in
-    /// same-shape groups, as many at a time on the lane kernel as the host's
-    /// [`LaneTier`](gx_align::LaneTier) has lanes; a group too small to pay
-    /// for a lane call runs on the row kernel. (3) Each DP pair picks its
-    /// best candidate.
+    /// same-shape groups on the lane kernel, as many at a time as the host's
+    /// [`LaneTier`](gx_align::LaneTier) has lanes. (3) Each DP pair picks
+    /// its best candidate.
     pub fn map_pairs_with<'p>(
         &self,
         scratch: &mut MapScratch,

@@ -12,14 +12,21 @@
 //! least 16 jobs of one shape, so on a host with a 16-lane tier a full
 //! register's results are held to the pair entry too. One scratch serves
 //! every batch, dirty from the last.
+//!
+//! Both entries run the DP fallback on the lane kernel, so the pair entry
+//! alone cannot catch a lane-kernel fault they share. Every mate DP placed
+//! is also held to an independent oracle: `banded_align_with`, the row
+//! kernel, on that mate in its `DP_FALLBACK_MARGIN` window at
+//! `DP_FALLBACK_BAND` must give its position, CIGAR and score.
 
-use gx_align::{banded_cells, LaneTier};
+use gx_align::{banded_align_with, banded_cells, AlignMode, AlignScratch, LaneTier};
+use gx_core::seeding::query_read;
 use gx_core::{
-    FallbackStage, GenPairConfig, GenPairMapper, MapScratch, PairMapResult, DP_FALLBACK_BAND,
-    DP_FALLBACK_MARGIN,
+    light_align, FallbackStage, GenPairConfig, GenPairMapper, MapScratch, PairMapResult,
+    DP_FALLBACK_BAND, DP_FALLBACK_MARGIN,
 };
 use gx_genome::random::RandomGenomeBuilder;
-use gx_genome::DnaSeq;
+use gx_genome::{Cigar, DnaSeq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +63,81 @@ fn refused_read(seq: &DnaSeq, at: usize) -> DnaSeq {
     r.extend_from_seq(&seq.subseq(at + 43..at + 153));
     r.set(10, r.get(10).complement());
     r
+}
+
+/// A placed mate: chromosome position, CIGAR and score.
+type Placed = (u64, Cigar, i32);
+
+/// How many mates of `res`, the result of mapping `(r1, r2)`, DP placed.
+/// Each mate of a mapping the DP stage made is explained at one of its
+/// candidate loci: light alignment passes there and places it so, or light
+/// alignment refuses it there and `banded_align_with` in its DP window does.
+fn dp_placed_mates(
+    mapper: &GenPairMapper<'_>,
+    (r1, r2): &(DnaSeq, DnaSeq),
+    res: &PairMapResult,
+    scratch: &mut AlignScratch,
+    what: &str,
+) -> usize {
+    let Some(m) = res.mapping.as_ref().filter(|_| res.fallback.is_some()) else {
+        return 0;
+    };
+    let cfg = mapper.config();
+    let genome = mapper.genome();
+    let (seq1, seq2) = if m.r1_forward {
+        (r1.clone(), r2.revcomp())
+    } else {
+        (r1.revcomp(), r2.clone())
+    };
+    let mates = [
+        (seq1, (m.pos1, m.cigar1.clone(), m.score1)),
+        (seq2, (m.pos2, m.cigar2.clone(), m.score2)),
+    ];
+    let mut by_dp = 0;
+    for (k, (seq, placed)) in mates.iter().enumerate() {
+        let loci = query_read(seq, mapper.seedmap()).starts;
+        let explained = loci
+            .iter()
+            .map(|&start| genome.locate(start))
+            .filter(|locus| locus.chrom == m.chrom)
+            .find_map(|locus| {
+                let e = cfg.light.max_indel_run as i64;
+                let (ws, window) = genome.clamped_window(
+                    m.chrom,
+                    locus.pos as i64 - e,
+                    seq.len() + 2 * e as usize,
+                );
+                let anchor = (locus.pos - ws) as usize;
+                if let Some(a) = light_align(seq, &window, anchor, &cfg.light, &cfg.scoring) {
+                    let pos = (locus.pos as i64 + i64::from(a.shift)).max(0) as u64;
+                    return ((pos, a.cigar, a.score) == *placed).then_some(false);
+                }
+                let margin = DP_FALLBACK_MARGIN;
+                let (ws, window) = genome.clamped_window(
+                    m.chrom,
+                    locus.pos as i64 - margin as i64,
+                    seq.len() + 2 * margin,
+                );
+                if window.len() < seq.len() / 2 {
+                    return None;
+                }
+                let a = banded_align_with(
+                    seq,
+                    &window,
+                    &cfg.scoring,
+                    DP_FALLBACK_BAND,
+                    AlignMode::Fit,
+                    scratch,
+                );
+                let oracle: Placed = (ws + a.target_start as u64, a.cigar, a.score);
+                (oracle == *placed).then_some(true)
+            });
+        match explained {
+            Some(dp) => by_dp += usize::from(dp),
+            None => panic!("{what}: mate {} {placed:?} matches no candidate", k + 1),
+        }
+    }
+    by_dp
 }
 
 fn same(a: &PairMapResult, b: &PairMapResult, what: &str) {
@@ -173,6 +255,25 @@ fn a_batch_maps_each_pair_as_the_pair_entry_does() {
     );
     let last = &alone.last().unwrap().0;
     assert!(last.mapping.is_none() && last.work.dp_cells == mate);
+
+    // Every mate DP placed, against the row kernel in its window. The
+    // batches below are held to these results.
+    let mut oracle_scratch = AlignScratch::default();
+    let by_dp: usize = pairs
+        .iter()
+        .zip(&alone)
+        .enumerate()
+        .map(|(k, (pair, (res, _)))| {
+            dp_placed_mates(
+                &mapper,
+                pair,
+                res,
+                &mut oracle_scratch,
+                &format!("pair {k}"),
+            )
+        })
+        .sum();
+    assert!(by_dp >= 60, "{by_dp} mates DP placed");
 
     let mut scratch = MapScratch::new();
     for size in [1, 2, 7, 64] {

@@ -17,18 +17,19 @@ pub enum FallbackPolicy {
     Drop,
 }
 
-/// Engine configuration (constructed by [`PipelineBuilder`]).
+/// Engine configuration, set through [`PipelineBuilder`]'s setters; every
+/// count is at least 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PipelineConfig {
+pub(crate) struct PipelineConfig {
     /// Worker threads mapping batches.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Read pairs per batch.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Maximum batches buffered between the front-end and the workers
     /// (bounds memory and applies backpressure to the reader).
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Unmapped-pair handling.
-    pub fallback: FallbackPolicy,
+    pub(crate) fallback: FallbackPolicy,
 }
 
 impl Default for PipelineConfig {
@@ -43,29 +44,25 @@ impl Default for PipelineConfig {
     }
 }
 
-impl PipelineConfig {
-    /// Every count clamped to at least 1: the one normalisation both
-    /// [`PipelineBuilder::build`] and [`MappingEngine::new`] apply.
-    pub(crate) fn clamped(mut self) -> PipelineConfig {
-        self.threads = self.threads.max(1);
-        self.batch_size = self.batch_size.max(1);
-        self.queue_depth = self.queue_depth.max(1);
-        self
-    }
-}
-
-/// Fluent configuration of a [`MappingEngine`].
+/// Fluent configuration of a [`MappingEngine`], and the one way to make
+/// one: [`engine`](PipelineBuilder::engine) or
+/// [`backend`](PipelineBuilder::backend) finishes the builder.
 ///
 /// ```
+/// use gx_genome::random::RandomGenomeBuilder;
+/// use gx_core::{GenPairConfig, GenPairMapper};
 /// use gx_pipeline::PipelineBuilder;
 ///
-/// let cfg = PipelineBuilder::new()
+/// let genome = RandomGenomeBuilder::new(30_000).seed(1).build();
+/// let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+/// let engine = PipelineBuilder::new()
 ///     .threads(4)
 ///     .batch_size(128)
 ///     .queue_depth(8)
-///     .build();
-/// assert_eq!(cfg.threads, 4);
-/// assert_eq!(cfg.batch_size, 128);
+///     .engine(&mapper);
+/// let (_, report) = engine.run_collect(Vec::new());
+/// assert_eq!(report.threads, 4);
+/// assert_eq!(report.batch_size, 128);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PipelineBuilder {
@@ -82,19 +79,19 @@ impl PipelineBuilder {
 
     /// Sets the worker thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> PipelineBuilder {
-        self.cfg.threads = threads;
+        self.cfg.threads = threads.max(1);
         self
     }
 
     /// Sets the batch size in read pairs (clamped to at least 1).
     pub fn batch_size(mut self, batch_size: usize) -> PipelineBuilder {
-        self.cfg.batch_size = batch_size;
+        self.cfg.batch_size = batch_size.max(1);
         self
     }
 
     /// Sets the bounded work-queue depth in batches (clamped to at least 1).
     pub fn queue_depth(mut self, queue_depth: usize) -> PipelineBuilder {
-        self.cfg.queue_depth = queue_depth;
+        self.cfg.queue_depth = queue_depth.max(1);
         self
     }
 
@@ -114,11 +111,6 @@ impl PipelineBuilder {
     pub fn telemetry(mut self, telemetry: Telemetry) -> PipelineBuilder {
         self.telemetry = telemetry;
         self
-    }
-
-    /// Finalizes the configuration.
-    pub fn build(self) -> PipelineConfig {
-        self.cfg.clamped()
     }
 
     /// Finalizes and attaches the configuration to a mapping backend (the
@@ -141,7 +133,11 @@ impl PipelineBuilder {
     /// assert_eq!(engine.backend().mapper().genome().total_len(), 30_000);
     /// ```
     pub fn backend<B: MapBackend>(self, backend: B) -> MappingEngine<B> {
-        MappingEngine::new(backend, self.cfg).with_telemetry(self.telemetry)
+        MappingEngine {
+            backend,
+            cfg: self.cfg,
+            telemetry: self.telemetry,
+        }
     }
 
     /// Finalizes and attaches the configuration to a mapper through the
@@ -160,13 +156,13 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let cfg = PipelineBuilder::new().build();
+        let cfg = PipelineBuilder::new().cfg;
         assert!(cfg.threads >= 1);
         assert!(cfg.batch_size >= 1);
         assert!(cfg.queue_depth >= 1);
         assert_eq!(cfg.fallback, FallbackPolicy::EmitUnmapped);
         // The service takes the engine's defaults for the fields both share.
-        let (engine, service) = (PipelineConfig::default(), crate::ServiceConfig::default());
+        let (engine, service) = (PipelineConfig::default(), crate::ServiceBuilder::new().cfg);
         assert_eq!(service.threads, engine.threads);
         assert_eq!(service.batch_size, engine.batch_size);
         assert_eq!(service.queue_depth, engine.queue_depth);
@@ -179,7 +175,7 @@ mod tests {
             .threads(0)
             .batch_size(0)
             .queue_depth(0)
-            .build();
+            .cfg;
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.batch_size, 1);
         assert_eq!(cfg.queue_depth, 1);

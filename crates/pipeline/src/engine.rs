@@ -45,16 +45,17 @@
 //! next mapped batch, so one slow batch cannot make completed successors
 //! pile up without limit.
 //!
-//! The worker step and the reorder buffer (`worker.rs`) are the
-//! [`MappingService`](crate::MappingService)'s too; the thread topologies
-//! around them deliberately are not. The engine feeds and writes from the
-//! calling thread; the service emits inside the worker, under the job
-//! lock, because that lock is its cancel-ack barrier. Making the engine a
+//! The worker step and the reorder buffer (`worker.rs`) are the mapping
+//! [`service`](crate::service)'s too; the thread topologies around them
+//! deliberately are not. The engine feeds and writes from the calling
+//! thread; the service emits inside the worker, under the job lock,
+//! because that lock is its cancel-ack barrier. Making the engine a
 //! one-job service would move its emit onto its worker: on `foreign_sw`
 //! `genome.sam_emit_s` reads 0.03 s with warm output pages and 0.2–0.9 s
-//! with cold ones against `backend.map_busy_s` 0.13–0.23 s (ROADMAP
-//! "Measured and closed"), so that workload's critical path would grow by
-//! 20 % at best, the bound.
+//! with cold ones against `backend.map_busy_s` 0.13–0.23 s, so that
+//! workload's critical path would grow by 20 % at best, the bound. The
+//! merge is open as ROADMAP 5(e), until a pre-touched emit row can show
+//! what it costs.
 
 use crate::batch::Batch;
 use crate::config::{FallbackPolicy, PipelineConfig};
@@ -124,7 +125,8 @@ pub struct PipelineReport {
     /// not finish cleanly. [`MappingEngine::run`] and [`map_serial`] return
     /// the sink's `io::Error` directly instead of a report, so this is
     /// always `None` on their success path; the service layer
-    /// ([`crate::MappingService`]) sets it on per-job reports whose emitter
+    /// ([`ServiceBuilder::serve`](crate::ServiceBuilder::serve)) sets it on
+    /// per-job reports whose emitter
     /// failed or whose job was cancelled, preserving the originating error
     /// text alongside the partial statistics.
     pub abort_reason: Option<String>,
@@ -196,41 +198,15 @@ impl PipelineReport {
 /// assert!(report.backend.sim_cycles > 0);
 /// ```
 pub struct MappingEngine<B: MapBackend> {
-    backend: B,
-    cfg: PipelineConfig,
-    telemetry: Telemetry,
+    pub(crate) backend: B,
+    pub(crate) cfg: PipelineConfig,
+    pub(crate) telemetry: Telemetry,
 }
 
 impl<B: MapBackend> MappingEngine<B> {
-    /// An engine mapping with `backend` under `cfg`, telemetry disabled.
-    pub fn new(backend: B, cfg: PipelineConfig) -> MappingEngine<B> {
-        MappingEngine {
-            backend,
-            cfg: cfg.clamped(),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Replaces the engine's telemetry handle (see
-    /// [`PipelineBuilder::telemetry`](crate::PipelineBuilder::telemetry)).
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> MappingEngine<B> {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
     /// The engine's backend.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// The engine's telemetry handle (disabled unless attached).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 
     /// Maps `input` with the worker pool, streaming ordered records into
@@ -766,9 +742,8 @@ mod tests {
 
     #[test]
     fn an_engine_configured_with_zero_counts_maps_every_pair() {
-        // `PipelineConfig`'s fields are public, so `MappingEngine::new` can
-        // be handed zero workers (or a zero batch size or queue depth)
-        // without the builder's clamps: the engine runs each as 1.
+        // The builder's setters take zero workers, a zero batch size and a
+        // zero queue depth: the engine runs each as 1.
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
         let mut serial = VecSink::new();
@@ -779,28 +754,19 @@ mod tests {
             &mut serial,
         )
         .unwrap();
-        let zero = PipelineConfig {
-            threads: 0,
-            ..PipelineConfig::default()
-        };
-        for cfg in [
-            zero,
-            PipelineConfig {
-                batch_size: 1,
-                queue_depth: 1,
-                ..zero
-            },
-            PipelineConfig {
-                batch_size: 0,
-                queue_depth: 0,
-                ..zero
-            },
-        ] {
-            let engine = MappingEngine::new(SoftwareBackend::new(&mapper), cfg);
+        for (batch_size, queue_depth) in [(256, 4), (1, 1), (0, 0)] {
+            let engine = PipelineBuilder::new()
+                .threads(0)
+                .batch_size(batch_size)
+                .queue_depth(queue_depth)
+                .engine(&mapper);
+            let what = format!("batch {batch_size}, queue {queue_depth}");
             let mut sink = VecSink::new();
             let report = engine.run(pairs.clone(), &mut sink).unwrap();
-            assert_eq!(report.stats.pairs, pairs.len() as u64, "{cfg:?}");
-            assert_eq!(names(&sink), names(&serial), "{cfg:?}");
+            assert_eq!(report.threads, 1, "{what}");
+            assert_eq!(report.batch_size, batch_size.max(1), "{what}");
+            assert_eq!(report.stats.pairs, pairs.len() as u64, "{what}");
+            assert_eq!(names(&sink), names(&serial), "{what}");
         }
     }
 

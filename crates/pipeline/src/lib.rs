@@ -26,22 +26,23 @@
 //!   [`VecSink`]) that reassembles batch results in input order, making the
 //!   parallel output byte-identical to the serial reference
 //!   ([`map_serial`]) for any backend, thread count and batch size;
-//! * a [`PipelineBuilder`] config surface: threads, batch size, queue
-//!   depth, the [`FallbackPolicy`] for pairs GenPair hands to the
-//!   traditional pipeline, the backend selection (`.engine(&mapper)`
-//!   for software, `.backend(...)` for anything else), and an optional
+//! * a [`PipelineBuilder`] config surface, the one way to make a
+//!   [`MappingEngine`]: threads, batch size, queue depth, the
+//!   [`FallbackPolicy`] for pairs GenPair hands to the traditional
+//!   pipeline, the backend selection (`.engine(&mapper)` for software,
+//!   `.backend(...)` for anything else), and an optional
 //!   [`Telemetry`] handle (`.telemetry(...)`) that records queue-wait,
 //!   map-latency, emit-wait, ingest and reorder-depth histograms and
 //!   batch-lifecycle spans — zero-cost when left disabled, and
 //!   accounting-inert by construction (wall-clock reads never feed modeled
 //!   stats, so warm totals and SAM bytes are unchanged by tracing);
-//! * a **multi-job service layer** ([`MappingService`], [`ServiceBuilder`])
-//!   that keeps one worker pool and one warm device serving many
-//!   concurrent jobs — an ingest pool, admission control, per-job
-//!   deadlines on an injectable monotonic [`Clock`], per-job ordered
-//!   emitters whose output stays byte-identical to each job's solo run,
-//!   and one early-end path shared by [`JobHandle::cancel`], deadlines and
-//!   per-job failures; see the [`service`] docs.
+//! * a **multi-job service layer** ([`ServiceBuilder::serve`]) that keeps
+//!   one worker pool and one warm device serving many concurrent jobs — an
+//!   ingest pool, admission control, per-job deadlines on an injectable
+//!   monotonic [`Clock`], per-job ordered emitters whose output stays
+//!   byte-identical to each job's solo run, and one early-end path shared
+//!   by [`JobHandle::cancel`], deadlines and per-job failures; see the
+//!   [`service`] docs.
 //!
 //! ```
 //! use gx_genome::random::RandomGenomeBuilder;
@@ -88,13 +89,13 @@ mod worker;
 
 pub use batch::{read_pairs_from_fastq, ReadPairStream};
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use config::{FallbackPolicy, PipelineBuilder, PipelineConfig};
+pub use config::{FallbackPolicy, PipelineBuilder};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
 pub use gx_backend::{BackendStats, BatchTag, MapBackend, NmslBackend, SoftwareBackend};
 pub use gx_core::ReadPair;
 pub use gx_telemetry::{Telemetry, TelemetryConfig};
 pub use service::{
-    JobHandle, JobOutcome, JobReport, JobSnapshot, JobSpec, MappingService, Priority,
-    ServiceBuilder, ServiceConfig, ServiceHandle, ServiceReport, SubmitError,
+    JobHandle, JobOutcome, JobReport, JobSnapshot, JobSpec, Priority, ServiceBuilder,
+    ServiceHandle, ServiceReport, SubmitError,
 };
 pub use sink::{RecordSink, SamTextSink, VecSink};

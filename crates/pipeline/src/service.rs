@@ -1,7 +1,7 @@
 //! Mapping-as-a-service: many concurrent jobs over one shared engine.
 //!
 //! [`MappingEngine::run`](crate::MappingEngine::run) is one-shot: one input
-//! stream, one sink, one report. [`MappingService::serve`] is the
+//! stream, one sink, one report. [`ServiceBuilder::serve`] is the
 //! long-running front-end: it owns **one worker pool and one shared
 //! [`MapBackend`] device** and admits many concurrent jobs through a
 //! [`ServiceHandle`]:
@@ -53,7 +53,7 @@ mod job;
 mod sched;
 mod worker;
 
-pub use config::{JobSpec, Priority, ServiceBuilder, ServiceConfig, SubmitError};
+pub use config::{JobSpec, Priority, ServiceBuilder, SubmitError};
 pub use handle::{JobHandle, ServiceHandle};
 pub use job::{JobOutcome, JobReport, JobSnapshot};
 
@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use worker::run_worker;
 
-/// Service-wide totals, returned by [`MappingService::serve`] after the
+/// Service-wide totals, returned by [`ServiceBuilder::serve`] after the
 /// final drain.
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
@@ -104,19 +104,15 @@ pub struct ServiceReport {
     pub elapsed: std::time::Duration,
 }
 
-/// The multi-job mapping front-end. See the [module docs](self) for the
-/// architecture; [`serve`](MappingService::serve) is the only entry
-/// point, because the backend borrows the mapper and the worker pool is
-/// scoped to the call.
-pub struct MappingService;
-
-impl MappingService {
+impl ServiceBuilder {
     /// Runs a mapping service over `backend` for the duration of `f`:
     /// spawns the worker pool, the ingest pool and the deadline timer,
     /// hands `f` a
     /// [`ServiceHandle`] to submit jobs through, then drains every
     /// remaining job, flushes the device and returns `f`'s result with
-    /// the service-wide [`ServiceReport`].
+    /// the service-wide [`ServiceReport`]. This is the only way to start a
+    /// service, because the backend borrows the mapper and the worker pool
+    /// is scoped to the call.
     ///
     /// ```
     /// use gx_genome::random::RandomGenomeBuilder;
@@ -146,7 +142,7 @@ impl MappingService {
     /// assert_eq!(report.report.stats.pairs, 1);
     /// assert_eq!(svc.jobs_completed, 1);
     /// ```
-    pub fn serve<B, F, R>(backend: B, builder: ServiceBuilder, f: F) -> (R, ServiceReport)
+    pub fn serve<B, F, R>(self, backend: B, f: F) -> (R, ServiceReport)
     where
         B: MapBackend,
         F: FnOnce(&ServiceHandle<'_>) -> R,
@@ -155,8 +151,10 @@ impl MappingService {
             mut cfg,
             telemetry,
             clock,
-        } = builder;
-        cfg.ingesters = cfg.resolved_ingesters();
+        } = self;
+        if cfg.ingesters == 0 {
+            cfg.ingesters = cfg.threads.min(2);
+        }
         let clock = clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let started = Instant::now();
         let shared = Shared {

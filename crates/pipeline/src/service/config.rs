@@ -1,9 +1,7 @@
 //! Service configuration: policies, per-job parameters, the builder.
 
-use super::{MappingService, ServiceHandle, ServiceReport};
 use crate::clock::Clock;
 use crate::config::{FallbackPolicy, PipelineConfig};
-use gx_backend::MapBackend;
 use gx_telemetry::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,7 +51,7 @@ pub struct JobSpec {
     /// ordinary cancel/ack path.
     pub deadline: Option<Duration>,
     /// How long a submission over the
-    /// [`max_active_jobs`](ServiceConfig::max_active_jobs) budget may stay
+    /// [`max_active_jobs`](ServiceBuilder::max_active_jobs) budget may stay
     /// parked before it fails with [`SubmitError::Timeout`]; `None` parks
     /// until a slot frees or the service drains, and `Duration::ZERO`
     /// fails at once without parking.
@@ -95,38 +93,25 @@ impl JobSpec {
     }
 }
 
-/// Validated service configuration (see [`ServiceBuilder`]).
+/// Service configuration, set through [`ServiceBuilder`]'s setters; every
+/// count is at least 1 but `ingesters`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceConfig {
+pub(crate) struct ServiceConfig {
     /// Worker threads mapping batches (shared by all jobs).
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Default pairs per batch for jobs that don't override it.
-    pub batch_size: usize,
+    pub(crate) batch_size: usize,
     /// Dispatch-queue depth in batches — the backpressure budget shared
     /// by every job's ingestion.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Jobs admitted concurrently; a submission over the budget parks
     /// (see [`JobSpec::admission_timeout`]).
-    pub max_active_jobs: usize,
+    pub(crate) max_active_jobs: usize,
     /// Unmapped-pair handling (service-wide).
-    pub fallback: FallbackPolicy,
+    pub(crate) fallback: FallbackPolicy,
     /// Ingest-pool threads claiming job inputs. `0` — the default —
-    /// resolves to `min(2, threads)` when the service starts (see
-    /// [`resolved_ingesters`](ServiceConfig::resolved_ingesters)).
-    pub ingesters: usize,
-}
-
-impl ServiceConfig {
-    /// The ingest-pool size this configuration resolves to:
-    /// [`ingesters`](ServiceConfig::ingesters) if set, else
-    /// `min(2, threads)`.
-    pub fn resolved_ingesters(&self) -> usize {
-        if self.ingesters == 0 {
-            self.threads.clamp(1, 2)
-        } else {
-            self.ingesters
-        }
-    }
+    /// becomes `min(2, threads)` when the service starts.
+    pub(crate) ingesters: usize,
 }
 
 impl Default for ServiceConfig {
@@ -144,21 +129,29 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Fluent configuration of a [`MappingService`], mirroring
-/// [`PipelineBuilder`](crate::PipelineBuilder).
+/// Fluent configuration of the mapping service, mirroring
+/// [`PipelineBuilder`](crate::PipelineBuilder), and the one way to start
+/// it: [`serve`](ServiceBuilder::serve) finishes the builder. See the
+/// [module docs](super) for the architecture.
 ///
 /// ```
-/// use gx_pipeline::ServiceBuilder;
-/// let b = ServiceBuilder::new()
+/// use gx_genome::random::RandomGenomeBuilder;
+/// use gx_core::{GenPairConfig, GenPairMapper};
+/// use gx_pipeline::{ServiceBuilder, SoftwareBackend};
+///
+/// let genome = RandomGenomeBuilder::new(30_000).seed(1).build();
+/// let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+/// let ((), report) = ServiceBuilder::new()
 ///     .threads(4)
 ///     .queue_depth(8)
-///     .max_active_jobs(2);
-/// assert_eq!(b.config().threads, 4);
-/// assert_eq!(b.config().max_active_jobs, 2);
+///     .max_active_jobs(2)
+///     .serve(SoftwareBackend::new(&mapper), |_| ());
+/// assert_eq!(report.threads, 4);
+/// assert_eq!(report.ingesters, 2); // min(2, threads) unless set
 /// ```
 #[derive(Clone, Default)]
 pub struct ServiceBuilder {
-    pub(super) cfg: ServiceConfig,
+    pub(crate) cfg: ServiceConfig,
     pub(super) telemetry: Telemetry,
     pub(super) clock: Option<Arc<dyn Clock>>,
 }
@@ -240,27 +233,13 @@ impl ServiceBuilder {
         self.telemetry = telemetry;
         self
     }
-
-    /// The configuration built so far.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
-    /// Runs a service over `backend` for the duration of `f` — shorthand
-    /// for [`MappingService::serve`].
-    pub fn serve<B, F, R>(self, backend: B, f: F) -> (R, ServiceReport)
-    where
-        B: MapBackend,
-        F: FnOnce(&ServiceHandle<'_>) -> R,
-    {
-        MappingService::serve(backend, self, f)
-    }
 }
 
 /// Why a submission was not admitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// [`ServiceHandle::drain`] has begun: no new jobs are accepted.
+    /// [`ServiceHandle::drain`](super::ServiceHandle::drain) has begun: no
+    /// new jobs are accepted.
     Draining,
     /// The submitter parked longer than its
     /// [`JobSpec::admission_timeout`] without a slot freeing.

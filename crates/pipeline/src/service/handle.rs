@@ -125,11 +125,11 @@ impl<'s> ServiceHandle<'s> {
 
     /// Stops admitting new jobs and blocks until every active job has
     /// finalized. Parked submitters are woken and fail with
-    /// [`SubmitError::Draining`]. Idempotent; [`MappingService::serve`]
+    /// [`SubmitError::Draining`]. Idempotent; [`ServiceBuilder::serve`]
     /// calls it on exit, so drain always terminates before the service
     /// scope closes.
     ///
-    /// [`MappingService::serve`]: super::MappingService::serve
+    /// [`ServiceBuilder::serve`]: super::ServiceBuilder::serve
     pub fn drain(&self) {
         let mut sched = self.shared.sched();
         sched.draining = true;

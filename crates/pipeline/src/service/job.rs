@@ -287,7 +287,7 @@ mod tests {
             queue: DispatchQueue::new(1),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
-            cfg: *ServiceBuilder::new().config(),
+            cfg: ServiceBuilder::new().cfg,
             telemetry: Telemetry::disabled(),
             clock: Arc::new(SystemClock::new()),
         };

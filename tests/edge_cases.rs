@@ -50,8 +50,8 @@ fn dp_cells_count_a_mate_whose_partner_window_is_too_short() {
     r1.extend_from_seq(&seq.subseq(n - 257..n - 147));
     r1.set(10, r1.get(10).complement());
     // Mate 2's first seed is the chromosome's last 50 bases and the rest
-    // hangs off the end: its DP window (from 24 bases before the candidate
-    // to the end) is shorter than half the read.
+    // hangs off the end: its DP window (from `DP_FALLBACK_MARGIN` = 8 bases
+    // before the candidate to the end) is shorter than half the read.
     let mut fwd2 = seq.subseq(n - 50..n);
     let other = RandomGenomeBuilder::new(1_000).seed(63).build();
     fwd2.extend_from_seq(&other.chromosome(0).seq().subseq(0..100));
