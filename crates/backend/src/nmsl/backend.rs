@@ -1,10 +1,9 @@
 use super::counters::DeviceCounters;
-use super::device::{lock, DeviceConfig, Run, SharedNmslDevice};
+use super::device::{lock, Run, SharedNmslDevice};
 use super::frontier::AdmittedPair;
 use crate::{BackendStats, BatchTag, MapBackend};
-use gx_accel::{fallback_cells, FallbackCells, HostTraffic, NmslConfig, PairWorkload};
+use gx_accel::{fallback_cells, FallbackCells, HostTraffic, PairWorkload};
 use gx_core::{GenPairMapper, MapScratch, PairMapResult, ReadPair};
-use gx_memsim::DramConfig;
 use gx_telemetry::Telemetry;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -13,8 +12,11 @@ use std::thread::JoinHandle;
 /// [`NmslBackend::channels`]).
 pub const DEFAULT_CHANNELS: usize = 4;
 
-/// Default dispatch quantum of the shared warm device in pairs (see
-/// [`NmslBackend::dispatch_quantum`]).
+/// Dispatch quantum of the shared warm device in pairs: how many
+/// admissions a lane groups into one device dispatch. The quantum replaces
+/// the client batch size in the warm model — that is what makes warm
+/// totals batch-size-invariant; for a fixed workload they depend on
+/// [`channels`](NmslBackend::channels) alone.
 pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 
 /// The GenPairX accelerator backend: a mapper plus the **shared
@@ -31,7 +33,7 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// 2. **Seeding cost** — admit each pair's NMSL memory workload (six
 ///    seed-table reads plus location bursts) to the shared device, where
 ///    the run's thread streams it through the [`NmslSim`](gx_accel::NmslSim)
-///    lanes, in input order, over the configured DRAM technology. The
+///    lanes, in input order, over HBM2e with 32 channels. The
 ///    workload is not extracted from the reads: it is the `(hash, start,
 ///    end)` lookups step 1's seeding made and left in the worker's
 ///    scratch ([`MapScratch::pair_lookups`]), so the model prices exactly
@@ -39,19 +41,20 @@ pub const DEFAULT_DISPATCH_QUANTUM: usize = 64;
 /// 3. **Fallback + transfer cost** — price every pair that left the fast
 ///    path on the [`GenDpInstance`] fallback model
 ///    (chaining/alignment cells → cycles and energy), and charge each
-///    pair's input/result bytes to the host link as transfer seconds — so
+///    pair's input/result bytes to a PCIe Gen4 ×16 host link as transfer
+///    seconds — so
 ///    *every* pair is accounted to some stage and the stats reproduce the
 ///    paper's end-to-end system comparison rather than a seeding-only
 ///    number. The host link is modeled as **double-buffered DMA** per lane:
-///    one dispatch quantum's transfer streams under the previous quantum's
-///    drain, so only the exposed residue `max(transfer − compute, 0)`
+///    one [`DEFAULT_DISPATCH_QUANTUM`]-pair quantum's transfer streams under
+///    the previous quantum's drain, so only the exposed residue
+///    `max(transfer − compute, 0)`
 ///    extends the system timeline
 ///    (`BackendStats::exposed_transfer_seconds`).
 ///
 /// # Warm accounting is sharding-invariant
 ///
-/// For a fixed workload, [`channels`](NmslBackend::channels) and
-/// [`dispatch_quantum`](NmslBackend::dispatch_quantum), the warm
+/// For a fixed workload and [`channels`](NmslBackend::channels), the warm
 /// `sim_cycles`, `seed_cycles`, `energy_pj` and `exposed_transfer_seconds`
 /// totals [`flush`](MapBackend::flush) reports are **bit-identical** for
 /// any thread count, batch size or worker schedule: every pair enters its
@@ -67,73 +70,42 @@ pub struct NmslBackend<'m, 'g> {
     /// The current run's device thread, which owns the lanes: spawned by
     /// the run's first admission, joined by [`flush`](MapBackend::flush)
     /// (or when the backend drops).
-    streamer: Mutex<Option<JoinHandle<Run>>>,
+    pub(super) streamer: Mutex<Option<JoinHandle<Run>>>,
 }
 
 impl<'m, 'g> NmslBackend<'m, 'g> {
-    /// An NMSL backend over the paper's default configuration: HBM2e with 32
+    /// An NMSL backend over the paper's configuration: HBM2e with 32
     /// memory channels, 1024-pair sliding window, a shared
     /// [`DEFAULT_CHANNELS`]-lane device on a
     /// [`DEFAULT_DISPATCH_QUANTUM`]-pair quantum, the Table-4 GenDP for
-    /// fallbacks and a PCIe Gen4 ×16 host link.
+    /// fallbacks and a PCIe Gen4 ×16 host link. Other memory technologies
+    /// and windows are [`NmslSim`](gx_accel::NmslSim)'s to model.
     pub fn new(mapper: &'m GenPairMapper<'g>) -> NmslBackend<'m, 'g> {
-        NmslBackend::with_configs(mapper, DramConfig::hbm2e_32ch(), NmslConfig::default())
+        NmslBackend::on_device(mapper, DEFAULT_CHANNELS, Telemetry::disabled())
     }
 
-    /// An NMSL backend over explicit DRAM and NMSL configurations (DDR5 /
-    /// GDDR6 scaling studies, window sweeps).
-    pub fn with_configs(
-        mapper: &'m GenPairMapper<'g>,
-        dram: DramConfig,
-        nmsl: NmslConfig,
-    ) -> NmslBackend<'m, 'g> {
-        let config = DeviceConfig {
-            dram,
-            nmsl,
-            channels: DEFAULT_CHANNELS,
-            quantum: DEFAULT_DISPATCH_QUANTUM,
-            link_gbs: gx_accel::host::PCIE4_X16_GBS,
-        };
-        NmslBackend::on_device(mapper, config, Telemetry::disabled())
-    }
-
-    /// A backend over a fresh device; a run's thread is spawned by the
-    /// run's first admission.
+    /// A backend over a fresh `channels`-lane device; a run's thread is
+    /// spawned by the run's first admission. Only valid while no worker is
+    /// mapping, which the by-value builder methods guarantee: dropping the
+    /// old backend joins the thread streaming its device, if it has one.
     fn on_device(
         mapper: &'m GenPairMapper<'g>,
-        config: DeviceConfig,
+        channels: usize,
         telemetry: Telemetry,
     ) -> NmslBackend<'m, 'g> {
         NmslBackend {
             mapper,
-            device: Arc::new(SharedNmslDevice::new(config, telemetry)),
+            device: Arc::new(SharedNmslDevice::new(channels, telemetry)),
             streamer: Mutex::new(None),
         }
-    }
-
-    /// Recreates the shared device with `change` applied to its
-    /// configuration — only valid while no worker is mapping, which the
-    /// by-value builder methods guarantee. Dropping `self` joins the thread
-    /// streaming the old device, if it has one.
-    fn reconfigure(self, change: impl FnOnce(&mut DeviceConfig)) -> NmslBackend<'m, 'g> {
-        let mut config = self.device.config;
-        change(&mut config);
-        NmslBackend::on_device(self.mapper, config, self.device.telemetry.clone())
     }
 
     /// Sets the shared warm device's lane count (clamped to at least 1).
     /// Warm totals are comparable only at a fixed channel count — the lane
     /// partition is part of the modeled hardware, like the DRAM technology.
     pub fn channels(self, channels: usize) -> NmslBackend<'m, 'g> {
-        self.reconfigure(|c| c.channels = channels.max(1))
-    }
-
-    /// Sets the shared warm device's dispatch quantum in pairs (clamped to
-    /// at least 1): how many admissions a lane groups into one device
-    /// dispatch. The quantum replaces the client batch size in the warm
-    /// model — that is what makes warm totals batch-size-invariant.
-    pub fn dispatch_quantum(self, quantum: usize) -> NmslBackend<'m, 'g> {
-        self.reconfigure(|c| c.quantum = quantum.max(1))
+        let telemetry = self.device.telemetry.clone();
+        NmslBackend::on_device(self.mapper, channels.max(1), telemetry)
     }
 
     /// Attaches a telemetry handle: the shared warm device then records
@@ -148,28 +120,12 @@ impl<'m, 'g> NmslBackend<'m, 'g> {
     /// wall-clock reads, and nothing it records feeds back into
     /// [`BackendStats`] — warm totals stay bit-identical with tracing on.
     pub fn telemetry(self, telemetry: Telemetry) -> NmslBackend<'m, 'g> {
-        NmslBackend::on_device(self.mapper, self.device.config, telemetry)
-    }
-
-    /// Overrides the host-link bandwidth in GB/s (0 disables transfer
-    /// accounting).
-    pub fn link_gbs(self, gbs: f64) -> NmslBackend<'m, 'g> {
-        self.reconfigure(|c| c.link_gbs = gbs)
+        NmslBackend::on_device(self.mapper, self.device.channels, telemetry)
     }
 
     /// The wrapped mapper.
     pub fn mapper(&self) -> &'m GenPairMapper<'g> {
         self.mapper
-    }
-
-    /// The DRAM technology being modeled.
-    pub fn dram_config(&self) -> &DramConfig {
-        &self.device.config.dram
-    }
-
-    /// The NMSL configuration being modeled.
-    pub fn nmsl_config(&self) -> &NmslConfig {
-        &self.device.config.nmsl
     }
 
     /// Per-lane performance counters of the most recent

@@ -1,6 +1,8 @@
+use super::backend::DEFAULT_DISPATCH_QUANTUM;
 use super::counters::{occ_bucket, DeviceCounters, QUANTUM_OCC_BUCKETS};
 use super::frontier::{AdmittedPair, Frontier};
 use crate::{BackendStats, BatchTag};
+use gx_accel::host::PCIE4_X16_GBS;
 use gx_accel::{
     shard_for_workload, GenDpInstance, HostTraffic, NmslConfig, NmslSim, ACCEL_CLOCK_GHZ,
 };
@@ -29,16 +31,6 @@ pub(super) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What a [`SharedNmslDevice`] models, fixed for its lifetime.
-#[derive(Clone, Copy)]
-pub(super) struct DeviceConfig {
-    pub(super) dram: DramConfig,
-    pub(super) nmsl: NmslConfig,
-    pub(super) channels: usize,
-    pub(super) quantum: usize,
-    pub(super) link_gbs: f64,
-}
-
 /// One simulator lane plus its deterministic-order accounting.
 struct LaneState {
     sim: NmslSim,
@@ -62,9 +54,9 @@ struct LaneState {
 }
 
 impl LaneState {
-    fn new(config: &DeviceConfig, rec: Recorder) -> LaneState {
+    fn new(rec: Recorder) -> LaneState {
         LaneState {
-            sim: NmslSim::new(config.dram, config.nmsl),
+            sim: NmslSim::new(DramConfig::hbm2e_32ch(), NmslConfig::default()),
             q_input: 0,
             q_output: 0,
             seconds: 0.0,
@@ -94,8 +86,11 @@ pub(super) struct Run {
 }
 
 /// The shared channel-sharded warm device: a sequencing [`Frontier`] and
-/// the configuration of the `channels` simulator lanes each run's device
-/// thread builds and owns (see [`stream`](SharedNmslDevice::stream)).
+/// the count of simulator lanes each run's device thread builds and owns
+/// (see [`stream`](SharedNmslDevice::stream)), each an [`NmslSim`] over
+/// HBM2e with 32 channels and the default [`NmslConfig`], streaming one
+/// [`DEFAULT_DISPATCH_QUANTUM`]-pair quantum's transfer over a PCIe Gen4
+/// ×16 link under the previous quantum's drain.
 ///
 /// A mapping worker takes the frontier lock and nothing else; the run's
 /// thread takes it only to swap out what was released, so pairs enter
@@ -105,7 +100,8 @@ pub(super) struct Run {
 /// float accumulation order depend only on the released pair order, which
 /// the frontier fixes to input order.
 pub(super) struct SharedNmslDevice {
-    pub(super) config: DeviceConfig,
+    /// Simulator lanes, fixed for the device's lifetime.
+    pub(super) channels: usize,
     /// The GenDP pricing fallback work (the paper's Table-4 instance).
     gendp: GenDpInstance,
     pub(super) frontier: Mutex<Frontier>,
@@ -121,7 +117,7 @@ pub(super) struct SharedNmslDevice {
 }
 
 impl SharedNmslDevice {
-    pub(super) fn new(config: DeviceConfig, telemetry: Telemetry) -> SharedNmslDevice {
+    pub(super) fn new(channels: usize, telemetry: Telemetry) -> SharedNmslDevice {
         let metrics = DeviceMetrics {
             drain_h: telemetry.histogram(
                 "gx_lane_drain_ns",
@@ -132,15 +128,15 @@ impl SharedNmslDevice {
                 "modeled exposed-transfer residue per lane quantum, ns of modeled time",
             ),
         };
-        for idx in 0..config.channels {
+        for idx in 0..channels {
             telemetry.label_track(LANE_TRACK_BASE + idx as u32, &format!("nmsl lane {idx}"));
         }
         SharedNmslDevice {
-            config,
+            channels,
             gendp: GenDpInstance::paper_table4(),
             frontier: Mutex::new(Frontier::new(telemetry.recorder(LANE_TRACK_BASE))),
             released_cv: Condvar::new(),
-            power: DramPowerModel::for_config(&config.dram),
+            power: DramPowerModel::for_config(&DramConfig::hbm2e_32ch()),
             telemetry,
             metrics,
             last_counters: Mutex::new(None),
@@ -153,7 +149,7 @@ impl SharedNmslDevice {
     /// span and prices the cycles and DRAM traffic that took (after −
     /// before) into the lane's float totals, in op order.
     fn run_quantum(&self, l: &mut LaneState, idx: usize, target: u64) {
-        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, self.config.link_gbs);
+        let transfer = HostTraffic::transfer_seconds(l.q_input, l.q_output, PCIE4_X16_GBS);
         l.q_input = 0;
         l.q_output = 0;
         let (cycle_before, dram_before) = (l.sim.cycle(), l.sim.dram_stats());
@@ -163,9 +159,10 @@ impl SharedNmslDevice {
         l.rec.record(self.metrics.drain_h, drain_ns);
         let cycles = l.sim.cycle() - cycle_before;
         let dram = l.sim.dram_stats().since(&dram_before);
-        let seconds = cycles as f64 / (l.sim.dram_config().clock_ghz * 1e9);
+        let dram_config = l.sim.dram_config();
+        let seconds = cycles as f64 / (dram_config.clock_ghz * 1e9);
         l.seconds += seconds;
-        l.energy_pj += self.power.energy_mj(&dram, &self.config.dram, seconds) * 1e9;
+        l.energy_pj += self.power.energy_mj(&dram, dram_config, seconds) * 1e9;
         l.transfer_seconds += transfer;
         let exposed = HostTraffic::exposed_transfer_seconds(transfer, seconds);
         l.exposed_seconds += exposed;
@@ -197,7 +194,7 @@ impl SharedNmslDevice {
         l.q_output += pair.output_bytes;
         l.sim.push(&pair.workload);
         let admitted = l.sim.submitted();
-        let quantum = self.config.quantum as u64;
+        let quantum = DEFAULT_DISPATCH_QUANTUM as u64;
         if admitted.is_multiple_of(quantum) {
             self.run_quantum(l, idx, admitted - quantum);
         }
@@ -228,11 +225,8 @@ impl SharedNmslDevice {
     /// returns the run.
     pub(super) fn stream(&self) -> Run {
         let mut run = Run {
-            lanes: (0..self.config.channels)
-                .map(|idx| {
-                    let rec = self.telemetry.recorder(LANE_TRACK_BASE + idx as u32);
-                    LaneState::new(&self.config, rec)
-                })
+            lanes: (0..self.channels)
+                .map(|idx| LaneState::new(self.telemetry.recorder(LANE_TRACK_BASE + idx as u32)))
                 .collect(),
             routed: 0,
             fallback_seconds: 0.0,
@@ -259,7 +253,7 @@ impl SharedNmslDevice {
                 break;
             }
         }
-        let quantum = self.config.quantum as u64;
+        let quantum = DEFAULT_DISPATCH_QUANTUM as u64;
         for (idx, l) in run.lanes.iter_mut().enumerate() {
             let admitted = l.sim.submitted();
             if l.q_input > 0 || l.q_output > 0 {

@@ -2,13 +2,18 @@
 
 use super::*;
 use crate::{BackendStats, BatchTag, MapBackend, SoftwareBackend};
-use gx_accel::{HostTraffic, LaneCounters, NmslConfig, SeedFetch};
+use gx_accel::host::PCIE4_X16_GBS;
+use gx_accel::{HostTraffic, LaneCounters, SeedFetch};
 use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, MapScratch, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
-use gx_genome::DnaSeq;
-use gx_memsim::DramConfig;
+use gx_genome::{DnaSeq, ReferenceGenome};
 
-fn setup() -> (gx_genome::ReferenceGenome, Vec<ReadPair>) {
+/// Pairs in [`many_pairs`]: three [`DEFAULT_DISPATCH_QUANTUM`]-pair quanta
+/// a lane on the default [`DEFAULT_CHANNELS`] lanes, so a run crosses
+/// several quantum boundaries on every lane.
+const MANY: usize = 3 * DEFAULT_DISPATCH_QUANTUM * DEFAULT_CHANNELS;
+
+fn setup() -> (ReferenceGenome, Vec<ReadPair>) {
     let genome = RandomGenomeBuilder::new(120_000)
         .seed(23)
         .humanlike_repeats()
@@ -25,6 +30,23 @@ fn setup() -> (gx_genome::ReferenceGenome, Vec<ReadPair>) {
         })
         .collect();
     (genome, pairs)
+}
+
+/// [`MANY`] pairs of `len`-base mates tiled along `genome`, mate 2 the
+/// reverse complement of the `len` bases `gap` past mate 1's start.
+fn many_pairs(genome: &ReferenceGenome, len: usize, gap: usize) -> Vec<ReadPair> {
+    let seq = genome.chromosome(0).seq();
+    let starts = seq.len() - 2_000 - gap - len;
+    (0..MANY)
+        .map(|i| {
+            let s = 1_000 + (i * 151) % starts;
+            ReadPair::new(
+                format!("m{i}"),
+                seq.subseq(s..s + len),
+                seq.subseq(s + gap..s + gap + len).revcomp(),
+            )
+        })
+        .collect()
 }
 
 /// Batch `index` of the single-stream job 0.
@@ -96,11 +118,10 @@ fn per_seed_workload(pair: &ReadPair, mapper: &GenPairMapper<'_>) -> Vec<SeedFet
     fetches
 }
 
-#[test]
-fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
-    // A genome with a 300-copy repeat, so one pair's seeds gather hundreds
-    // of locations into the worker's arena, and an index sparse enough
-    // that foreign seeds find empty buckets.
+/// A genome with a 300-copy repeat, so one pair's seeds gather hundreds
+/// of locations, and a config whose index is sparse enough that foreign
+/// seeds find empty buckets.
+fn repeat_genome() -> (ReferenceGenome, GenPairConfig) {
     let genome = RandomGenomeBuilder::new(300_000)
         .seed(11)
         .humanlike_repeats()
@@ -112,14 +133,37 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
         .build();
     let mut cfg = GenPairConfig::default();
     cfg.seedmap.bucket_bits = Some(21);
-    let mapper = GenPairMapper::build(&genome, &cfg);
+    (genome, cfg)
+}
+
+/// A position inside a repeat copy: the middle location of the index's
+/// fullest bucket.
+fn repeat_position(mapper: &GenPairMapper<'_>) -> usize {
     let seedmap = mapper.seedmap();
-    let seq = genome.chromosome(0).seq();
     let fullest = (0..seedmap.num_buckets() as u32)
         .map(|h| seedmap.locations_for_hash(h))
         .max_by_key(|l| l.len())
         .expect("buckets");
-    let repeat = fullest[fullest.len() / 2] as usize;
+    fullest[fullest.len() / 2] as usize
+}
+
+/// A pair whose mates both lie in the repeat copy at `at`.
+fn repeat_pair(genome: &ReferenceGenome, at: usize) -> (DnaSeq, DnaSeq) {
+    let seq = genome.chromosome(0).seq();
+    (
+        seq.subseq(at..at + 150),
+        seq.subseq(at + 20..at + 170).revcomp(),
+    )
+}
+
+#[test]
+fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
+    // The repeat's pair gathers hundreds of locations into the worker's
+    // arena; foreign seeds find empty buckets.
+    let (genome, cfg) = repeat_genome();
+    let mapper = GenPairMapper::build(&genome, &cfg);
+    let seq = genome.chromosome(0).seq();
+    let repeat = repeat_position(&mapper);
 
     let proper = |at: usize| {
         (
@@ -132,10 +176,7 @@ fn admitted_workload_is_the_per_seed_extraction_from_the_reads() {
         proper(1_000),
         (proper(20_000).1, proper(20_000).0),
         // Hundreds of locations a seed; the pairs after it reuse the arena.
-        (
-            seq.subseq(repeat..repeat + 150),
-            seq.subseq(repeat + 20..repeat + 170).revcomp(),
-        ),
+        repeat_pair(&genome, repeat),
         proper(5_000),
         // Both mates hit, nowhere near one another: PA filter.
         (proper(1_000).0, proper(200_000).1),
@@ -255,10 +296,11 @@ fn out_of_order_sequenced_admission_matches_in_order() {
     // Admissions from two scratches, interleaved and out of order
     // (what concurrent workers do), must produce the same run totals as
     // one worker admitting in order: the frontier re-sequences.
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
-    let chunks: Vec<&[ReadPair]> = pairs.chunks(3).collect();
+    let backend = NmslBackend::new(&mapper);
+    let chunks: Vec<&[ReadPair]> = pairs.chunks(MANY / 4).collect();
 
     let mut scratch = MapScratch::new();
     for (i, chunk) in chunks.iter().enumerate() {
@@ -308,21 +350,25 @@ fn interleaved_jobs_match_concatenated_stream() {
     // the canonical release order (job id × batch index) must make
     // the warm totals bit-identical to mapping job 0's stream then
     // job 1's through the classic single-job path.
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
-    let (job0, job1) = pairs.split_at(7);
+    let backend = NmslBackend::new(&mapper);
+    // Job 0 in four batches (the last a short one), job 1 in three.
+    let (job0, job1) = pairs.split_at(MANY * 7 / 12);
+    let chunk = MANY / 6;
 
     // Reference: one stream, concatenated in job order.
     let mut scratch = MapScratch::new();
-    for (i, chunk) in job0.chunks(2).chain(job1.chunks(2)).enumerate() {
+    for (i, chunk) in job0.chunks(chunk).chain(job1.chunks(chunk)).enumerate() {
         backend.map(&mut scratch, at(i as u64), chunk);
     }
     let reference = backend.flush();
 
     // Interleaved: job 1 first on the wire, out of order within jobs.
-    let b0: Vec<&[ReadPair]> = job0.chunks(2).collect();
-    let b1: Vec<&[ReadPair]> = job1.chunks(2).collect();
+    let b0: Vec<&[ReadPair]> = job0.chunks(chunk).collect();
+    let b1: Vec<&[ReadPair]> = job1.chunks(chunk).collect();
+    assert_eq!((b0.len(), b1.len()), (4, 3));
     let (mut a, mut b) = (MapScratch::new(), MapScratch::new());
     backend.map(&mut b, job_at(1, 2), b1[2]);
     backend.map(&mut a, job_at(0, 1), b0[1]);
@@ -343,10 +389,11 @@ fn seal_releases_the_parked_next_job() {
     // Job 1's batches all arrive while job 0 is still open: they must
     // park behind the job boundary, and the seal of job 0 (not any
     // worker call) releases them.
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
-    let (job0, job1) = pairs.split_at(6);
+    let backend = NmslBackend::new(&mapper);
+    let (job0, job1) = pairs.split_at(MANY / 2);
 
     let mut scratch = MapScratch::new();
     // Job 1 fully admitted and sealed first — nothing may release yet.
@@ -374,10 +421,12 @@ fn seal_releases_the_parked_next_job() {
 
 #[test]
 fn discarded_job_is_skipped_and_stragglers_are_dropped() {
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).dispatch_quantum(4);
-    let (doomed, kept) = pairs.split_at(5);
+    let backend = NmslBackend::new(&mapper);
+    let (doomed, kept) = pairs.split_at(MANY * 5 / 12);
+    let half = doomed.len() / 2;
 
     // Reference: the surviving job alone on a fresh device.
     backend.map(&mut MapScratch::new(), at(0), kept);
@@ -386,14 +435,14 @@ fn discarded_job_is_skipped_and_stragglers_are_dropped() {
     // Job 0 is discarded before any of its work released (its only
     // admission is parked behind the missing batch 0); job 1 completes.
     let mut scratch = MapScratch::new();
-    backend.map(&mut scratch, job_at(0, 1), &doomed[..2]);
+    backend.map(&mut scratch, job_at(0, 1), &doomed[..half]);
     assert_eq!(
         backend.discard_job(0),
         0,
         "nothing of job 0 released before the discard"
     );
     // A straggler admission racing past the cancel is ignored too.
-    backend.map(&mut scratch, job_at(0, 0), &doomed[2..]);
+    backend.map(&mut scratch, job_at(0, 0), &doomed[half..]);
     backend.map(&mut scratch, job_at(1, 0), kept);
     backend.seal_job(1, 1);
     let total = backend.flush();
@@ -401,25 +450,7 @@ fn discarded_job_is_skipped_and_stragglers_are_dropped() {
     // device priced and streamed only the surviving job's.
     assert_eq!(total, reference);
     // The device is clean for the next run: a fresh job maps normally.
-    assert_eq!(run_batches(&backend, kept, 3), reference);
-}
-
-#[test]
-fn ddr5_is_slower_than_hbm() {
-    let (genome, pairs) = setup();
-    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let hbm = run_batches(&NmslBackend::new(&mapper), &pairs, pairs.len());
-    let ddr = run_batches(
-        &NmslBackend::with_configs(&mapper, DramConfig::ddr5_4ch(), NmslConfig::default()),
-        &pairs,
-        pairs.len(),
-    );
-    assert!(
-        ddr.sim_seconds > hbm.sim_seconds,
-        "ddr {} vs hbm {}",
-        ddr.sim_seconds,
-        hbm.sim_seconds
-    );
+    assert_eq!(run_batches(&backend, kept, MANY / 4), reference);
 }
 
 #[test]
@@ -451,22 +482,42 @@ fn small_streams_expose_their_full_transfer() {
     );
 }
 
+/// A stream whose every quantum drains longer than the next one's
+/// transfer takes: [`MANY`] copies of the pair of [`repeat_pair`], whose
+/// seeds each stream hundreds of locations out of the same few DRAM
+/// channels, against 78 bytes a pair on the link.
+fn compute_bound_pairs(genome: &ReferenceGenome, mapper: &GenPairMapper<'_>) -> Vec<ReadPair> {
+    let (r1, r2) = repeat_pair(genome, repeat_position(mapper));
+    (0..MANY)
+        .map(|i| ReadPair::new(format!("r{i}"), r1.clone(), r2.clone()))
+        .collect()
+}
+
+/// A stream whose every quantum transfers longer than it drains: 4 000-base
+/// mates, each still issuing only six seeds, so a pair's link bytes grow
+/// ~26-fold over a 150-base pair's while its DRAM work does not.
+fn transfer_bound_pairs(genome: &ReferenceGenome) -> Vec<ReadPair> {
+    many_pairs(genome, 4_000, 200)
+}
+
 #[test]
 fn compute_bound_stream_hides_all_but_the_first_quantum() {
-    // One lane, quantum 3, 12 pairs → 4 quanta in input order. On the
-    // default PCIe Gen4 link every quantum's transfer is tens of
-    // nanoseconds while a quantum's drain is microseconds, so every
-    // quantum after the first hides its DMA completely: the exposed
-    // total is *analytically* the first quantum's raw transfer.
-    let (genome, pairs) = setup();
-    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).channels(1).dispatch_quantum(3);
+    // One lane, [`MANY`] pairs → twelve 64-pair quanta in input order. On
+    // the PCIe Gen4 link every quantum's transfer is far shorter than a
+    // quantum's drain, so every quantum after the first hides its DMA
+    // completely: the exposed total is *analytically* the first quantum's
+    // raw transfer.
+    let (genome, cfg) = repeat_genome();
+    let mapper = GenPairMapper::build(&genome, &cfg);
+    let pairs = compute_bound_pairs(&genome, &mapper);
+    let backend = NmslBackend::new(&mapper).channels(1);
     let stats = run_batches(&backend, &pairs, 5);
-    let (q_in, q_out) = pairs[..3].iter().fold((0u64, 0u64), |(i, o), p| {
+    let first = &pairs[..DEFAULT_DISPATCH_QUANTUM];
+    let (q_in, q_out) = first.iter().fold((0u64, 0u64), |(i, o), p| {
         let (pi, po) = HostTraffic::pair_bytes(p.r1.len(), p.r2.len());
         (i + pi, o + po)
     });
-    let first_transfer = HostTraffic::transfer_seconds(q_in, q_out, gx_accel::host::PCIE4_X16_GBS);
+    let first_transfer = HostTraffic::transfer_seconds(q_in, q_out, PCIE4_X16_GBS);
     assert!(first_transfer > 0.0);
     assert_eq!(
         stats.exposed_transfer_seconds.to_bits(),
@@ -480,17 +531,15 @@ fn compute_bound_stream_hides_all_but_the_first_quantum() {
 
 #[test]
 fn transfer_bound_stream_exposes_the_analytic_residue() {
-    // A pathologically slow link makes every quantum transfer-bound:
-    // each one exposes `transfer − the drain it streamed under`, so the
-    // exposed total is bounded below by `Σ transfer − total compute`
-    // (the final drain has no transfer charged against it) and stays
-    // strictly under the raw total.
-    let (genome, pairs) = setup();
+    // Long mates make every quantum transfer-bound: each one exposes
+    // `transfer − the drain it streamed under`, so the exposed total is
+    // bounded below by `Σ transfer − total compute` (the final drain has
+    // no transfer charged against it) and stays strictly under the raw
+    // total.
+    let (genome, _) = setup();
+    let pairs = transfer_bound_pairs(&genome);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper)
-        .channels(1)
-        .dispatch_quantum(3)
-        .link_gbs(1e-6);
+    let backend = NmslBackend::new(&mapper).channels(1);
     let stats = run_batches(&backend, &pairs, 4);
     assert_eq!(stats.fallback_seconds, 0.0, "clean dataset fell back");
     assert!(stats.transfer_seconds > stats.sim_seconds);
@@ -501,28 +550,28 @@ fn transfer_bound_stream_exposes_the_analytic_residue() {
 
 #[test]
 fn overlapped_system_time_never_exceeds_serial() {
-    // For any link speed the double-buffered DMA can only *hide*
-    // transfer time, never invent it: the exposed residue is at most
-    // the raw transfer, so the overlapped system timeline is at most
+    // Whichever side bounds a quantum, the double-buffered DMA can only
+    // *hide* transfer time, never invent it: the exposed residue is at
+    // most the raw transfer, so the overlapped system timeline is at most
     // compute plus the fully serialized link.
-    let (genome, pairs) = setup();
-    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    for link in [1e-6, 1e-3, 1.0, gx_accel::host::PCIE4_X16_GBS] {
-        let stats = run_batches(
-            &NmslBackend::new(&mapper).dispatch_quantum(3).link_gbs(link),
-            &pairs,
-            4,
-        );
-        assert!(stats.transfer_seconds > 0.0, "link {link}");
+    let (genome, cfg) = repeat_genome();
+    let mapper = GenPairMapper::build(&genome, &cfg);
+    for (stream, pairs) in [
+        ("sub-quantum", many_pairs(&genome, 150, 250)[..12].to_vec()),
+        ("compute-bound", compute_bound_pairs(&genome, &mapper)),
+        ("transfer-bound", transfer_bound_pairs(&genome)),
+    ] {
+        let stats = run_batches(&NmslBackend::new(&mapper), &pairs, 4);
+        assert!(stats.transfer_seconds > 0.0, "stream {stream}");
         assert!(
             stats.exposed_transfer_seconds <= stats.transfer_seconds,
-            "link {link}: exposed {} > raw {}",
+            "stream {stream}: exposed {} > raw {}",
             stats.exposed_transfer_seconds,
             stats.transfer_seconds
         );
         assert!(
             stats.modeled_system_seconds() <= stats.sim_seconds + stats.transfer_seconds,
-            "link {link}"
+            "stream {stream}"
         );
     }
 }
@@ -556,14 +605,15 @@ fn stale_tag_behind_the_frontier_panics() {
 
 #[test]
 fn device_counters_partition_device_cycles() {
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(3);
+    let backend = NmslBackend::new(&mapper).channels(2);
     assert!(
         backend.device_counters().is_none(),
         "no counters before the first flush"
     );
-    let stats = run_batches(&backend, &pairs, 4);
+    let stats = run_batches(&backend, &pairs, 16);
     let dc = backend.device_counters().expect("flush ran");
     assert_eq!(dc.lanes.len(), 2);
     let device = dc.device_cycles();
@@ -590,7 +640,7 @@ fn device_counters_partition_device_cycles() {
     assert!((0.0..=1.0).contains(&dc.row_conflict_rate()));
     assert!((0.0..=1.0).contains(&dc.mean_utilization()));
     // Every quantum boundary sampled occupancy at least once per lane
-    // with work (12 pairs over 2 lanes, quantum 3).
+    // with work (768 pairs over 2 lanes, six 64-pair quanta each).
     assert!(dc.quantum_occupancy.iter().sum::<u64>() > 0);
     // In-order single-threaded admission: the frontier never buffers
     // more than one batch.
@@ -605,12 +655,13 @@ fn device_counters_partition_device_cycles() {
 fn device_counters_are_batching_invariant() {
     // The cycle-domain counters obey the same invariance contract as
     // the warm BackendStats: identical whatever the client batch size.
-    let (genome, pairs) = setup();
+    let (genome, _) = setup();
+    let pairs = many_pairs(&genome, 150, 250);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(3);
+    let backend = NmslBackend::new(&mapper).channels(2);
     let _ = run_batches(&backend, &pairs, pairs.len());
     let one = backend.device_counters().unwrap();
-    let _ = run_batches(&backend, &pairs, 2);
+    let _ = run_batches(&backend, &pairs, 7);
     let many = backend.device_counters().unwrap();
     assert_eq!(one, many, "device counters diverged across batchings");
 }
@@ -658,7 +709,7 @@ fn a_flush_joins_the_runs_thread() {
     use std::sync::Arc;
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
+    let backend = NmslBackend::new(&mapper).channels(2);
     let first = run_batches(&backend, &pairs, 3);
     // The run's thread held the device's other reference until the join.
     assert_eq!(Arc::strong_count(&backend.device), 1);
@@ -680,7 +731,7 @@ fn a_backend_dropped_mid_run_releases_its_thread() {
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     // Building and reconfiguring spawn nothing: the backend holds the
     // device's only reference.
-    let backend = NmslBackend::new(&mapper).channels(2).dispatch_quantum(2);
+    let backend = NmslBackend::new(&mapper).channels(2);
     assert_eq!(Arc::strong_count(&backend.device), 1);
     let mut scratch = MapScratch::new();
     for (i, batch) in pairs.chunks(3).enumerate() {
@@ -702,16 +753,15 @@ fn a_backend_dropped_mid_run_releases_its_thread() {
 fn a_flush_after_the_model_panicked_panics() {
     let (genome, pairs) = setup();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    // A DRAM model with no channels fails on the run's thread at the first
-    // routed request; the pairs it held are gone, so the flush must not
-    // report what is left as the run's cost.
-    let dram = DramConfig {
-        channels: 0,
-        ..DramConfig::hbm2e_32ch()
-    };
-    let backend = NmslBackend::with_configs(&mapper, dram, NmslConfig::default())
-        .channels(2)
-        .dispatch_quantum(2);
+    let backend = NmslBackend::new(&mapper).channels(2);
+    // No admission reaches a panic in the model the device runs, so the
+    // run's thread is one that fails the way a model panic on it would;
+    // the run's admissions go to it as to any run's thread. The pairs it
+    // held are gone, so the flush must not report what is left as the
+    // run's cost.
+    *device::lock(&backend.streamer) = Some(std::thread::spawn(|| -> device::Run {
+        panic!("injected device model failure")
+    }));
     let mut scratch = MapScratch::new();
     for (i, batch) in pairs.chunks(3).enumerate() {
         backend.map(&mut scratch, at(i as u64), batch);

@@ -17,6 +17,20 @@ pub enum FallbackPolicy {
     Drop,
 }
 
+/// Read pairs per batch when neither the builder nor a job's spec sets one.
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 256;
+
+/// Cores this process may run on (1 when unknown): the default worker count.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Batches the engine's and the service's dispatch queue holds before its
+/// feeder blocks: two per available core, whatever the worker count.
+pub(crate) fn queue_depth() -> usize {
+    2 * available_cores()
+}
+
 /// Engine configuration, set through [`PipelineBuilder`]'s setters; every
 /// count is at least 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,20 +39,15 @@ pub(crate) struct PipelineConfig {
     pub(crate) threads: usize,
     /// Read pairs per batch.
     pub(crate) batch_size: usize,
-    /// Maximum batches buffered between the front-end and the workers
-    /// (bounds memory and applies backpressure to the reader).
-    pub(crate) queue_depth: usize,
     /// Unmapped-pair handling.
     pub(crate) fallback: FallbackPolicy,
 }
 
 impl Default for PipelineConfig {
     fn default() -> PipelineConfig {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         PipelineConfig {
-            threads,
-            batch_size: 256,
-            queue_depth: 2 * threads.max(1),
+            threads: available_cores(),
+            batch_size: DEFAULT_BATCH_SIZE,
             fallback: FallbackPolicy::default(),
         }
     }
@@ -58,7 +67,6 @@ impl Default for PipelineConfig {
 /// let engine = PipelineBuilder::new()
 ///     .threads(4)
 ///     .batch_size(128)
-///     .queue_depth(8)
 ///     .engine(&mapper);
 /// let (_, report) = engine.run_collect(Vec::new());
 /// assert_eq!(report.threads, 4);
@@ -72,7 +80,7 @@ pub struct PipelineBuilder {
 
 impl PipelineBuilder {
     /// Starts from the defaults: one worker per available core, 256-pair
-    /// batches, 2×threads queue depth, unmapped pairs emitted.
+    /// batches, unmapped pairs emitted.
     pub fn new() -> PipelineBuilder {
         PipelineBuilder::default()
     }
@@ -86,12 +94,6 @@ impl PipelineBuilder {
     /// Sets the batch size in read pairs (clamped to at least 1).
     pub fn batch_size(mut self, batch_size: usize) -> PipelineBuilder {
         self.cfg.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets the bounded work-queue depth in batches (clamped to at least 1).
-    pub fn queue_depth(mut self, queue_depth: usize) -> PipelineBuilder {
-        self.cfg.queue_depth = queue_depth.max(1);
         self
     }
 
@@ -158,26 +160,19 @@ mod tests {
     fn defaults_are_sane() {
         let cfg = PipelineBuilder::new().cfg;
         assert!(cfg.threads >= 1);
-        assert!(cfg.batch_size >= 1);
-        assert!(cfg.queue_depth >= 1);
+        assert_eq!(cfg.batch_size, DEFAULT_BATCH_SIZE);
+        assert!(queue_depth() >= 2);
         assert_eq!(cfg.fallback, FallbackPolicy::EmitUnmapped);
         // The service takes the engine's defaults for the fields both share.
         let (engine, service) = (PipelineConfig::default(), crate::ServiceBuilder::new().cfg);
         assert_eq!(service.threads, engine.threads);
-        assert_eq!(service.batch_size, engine.batch_size);
-        assert_eq!(service.queue_depth, engine.queue_depth);
         assert_eq!(service.fallback, engine.fallback);
     }
 
     #[test]
     fn zero_inputs_clamped() {
-        let cfg = PipelineBuilder::new()
-            .threads(0)
-            .batch_size(0)
-            .queue_depth(0)
-            .cfg;
+        let cfg = PipelineBuilder::new().threads(0).batch_size(0).cfg;
         assert_eq!(cfg.threads, 1);
         assert_eq!(cfg.batch_size, 1);
-        assert_eq!(cfg.queue_depth, 1);
     }
 }

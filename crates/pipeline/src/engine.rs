@@ -40,25 +40,25 @@
 //! restores input order, so the engine's output is **byte-identical** to
 //! a serial [`map_serial`] run regardless of thread count or batch size.
 //! Its reorder buffer is bounded too: it
-//! pushes a batch only while fewer than `queue_depth + 2 × threads`
-//! batches are past the last one written, and otherwise waits for the
-//! next mapped batch, so one slow batch cannot make completed successors
-//! pile up without limit.
+//! pushes a batch only while fewer than the queue's depth (two batches per
+//! available core) plus 2 × threads batches are past the last one written,
+//! and otherwise waits for the next mapped batch, so one slow batch cannot
+//! make completed successors pile up without limit.
 //!
 //! The worker step and the reorder buffer (`worker.rs`) are the mapping
 //! [`service`](crate::service)'s too; the thread topologies around them
 //! deliberately are not. The engine feeds and writes from the calling
 //! thread; the service emits inside the worker, under the job lock,
-//! because that lock is its cancel-ack barrier. Making the engine a
-//! one-job service would move its emit onto its worker: on `foreign_sw`
-//! `genome.sam_emit_s` reads 0.03 s with warm output pages and 0.2–0.9 s
-//! with cold ones against `backend.map_busy_s` 0.13–0.23 s, so that
-//! workload's critical path would grow by 20 % at best, the bound. The
-//! merge is open as ROADMAP 5(e), until a pre-touched emit row can show
-//! what it costs.
+//! because that lock is its cancel-ack barrier. The engine as a one-job
+//! service was measured and closed (ROADMAP 5(e); `gxbench` pairs, seed
+//! 20260930, 2-vCPU AVX-512 host): with the worker writing, `exact_sw` /
+//! `foreign_sw` `reads_per_s` fell 13.6 % / 11.0 %; with ingest on its own
+//! thread, 9.6 % / 13.1 %, and `peak_rss_mb` rose 15–25 %. An ingester
+//! writing its job's records would make them wait behind a sibling's
+//! blocking input.
 
 use crate::batch::Batch;
-use crate::config::{FallbackPolicy, PipelineConfig};
+use crate::config::{queue_depth, FallbackPolicy, PipelineConfig};
 use crate::queue::DispatchQueue;
 use crate::sink::{RecordSink, VecSink};
 use crate::worker::{emit_pair_records, inflight_window, panic_text, ReorderBuffer, Worker};
@@ -117,7 +117,9 @@ pub struct PipelineReport {
     /// Span events overwritten before flush because a recorder's ring
     /// filled (from [`Telemetry::dropped_events`]); a trace exported after
     /// this run is missing exactly this many events. Always zero with
-    /// telemetry disabled and for serial runs.
+    /// telemetry disabled and for serial runs. Also zero on every per-job
+    /// report of the service, whose recorders span jobs: the service-wide
+    /// count is [`Telemetry::dropped_events`] on the handle it was given.
     pub dropped_events: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -265,9 +267,9 @@ impl<B: MapBackend> MappingEngine<B> {
         // every ring has flushed and the delta is exact.
         let dropped_before = telemetry.dropped_events();
 
-        // The dispatch queue's capacity is the configured queue depth: the
-        // front end blocks once that many batches wait for a worker.
-        let queue = DispatchQueue::<Batch>::new(cfg.queue_depth);
+        // The front end blocks once the queue's depth of batches wait for
+        // a worker.
+        let queue = DispatchQueue::<Batch>::new(queue_depth());
         let queue = &queue;
         // Mapped batches travelling from the workers to the front end. The
         // in-flight window already caps what the channel can hold, and a
@@ -276,7 +278,7 @@ impl<B: MapBackend> MappingEngine<B> {
         let (result_tx, result_rx) = mpsc::channel::<(u64, Vec<SamRecord>)>();
         // Caps batches admitted past the last *emitted* one, bounding the
         // reorder buffer.
-        let inflight_cap = inflight_window(cfg.queue_depth, cfg.threads);
+        let inflight_cap = inflight_window(cfg.threads);
 
         let (stats, backend_stats, front) = std::thread::scope(|scope| {
             let mut workers = Vec::with_capacity(cfg.threads);
@@ -622,12 +624,12 @@ mod tests {
             }
         }
         let (_, pairs) = setup();
-        // Tiny queue + one worker: without teardown-on-unwind the front
-        // end blocks forever and this test times out instead of panicking.
+        // One worker and 40 one-pair batches against a queue of two per
+        // core: without teardown-on-unwind the front end blocks forever
+        // and this test times out instead of panicking.
         let engine = PipelineBuilder::new()
             .threads(1)
             .batch_size(1)
-            .queue_depth(1)
             .backend(PanicBackend);
         let mut sink = VecSink::new();
         let _ = engine.run(pairs, &mut sink);
@@ -668,7 +670,8 @@ mod tests {
     fn sink_panic_propagates_instead_of_hanging() {
         // The sink panics on the calling thread, which unwinds out of the
         // front end: its guard must abort the queue, or the worker — 40
-        // batches against an in-flight window of 3 — parks forever in
+        // batches against an in-flight window of the queue depth plus 2 —
+        // parks forever in
         // `pop` waiting for a close that never comes and the scope never
         // joins. The sink's own payload is what propagates.
         struct PanicSink;
@@ -682,9 +685,8 @@ mod tests {
         let engine = PipelineBuilder::new()
             .threads(1)
             .batch_size(1)
-            .queue_depth(1)
             .engine(&mapper);
-        assert!(pairs.len() as u64 > inflight_window(1, 1));
+        assert!(pairs.len() as u64 > inflight_window(1));
         let _ = engine.run(pairs, &mut PanicSink);
     }
 
@@ -699,7 +701,6 @@ mod tests {
         let engine = PipelineBuilder::new()
             .threads(1)
             .batch_size(1)
-            .queue_depth(1)
             .engine(&mapper);
         let input = pairs.into_iter().enumerate().map(|(i, pair)| {
             assert!(i < 10, "injected input failure");
@@ -742,8 +743,8 @@ mod tests {
 
     #[test]
     fn an_engine_configured_with_zero_counts_maps_every_pair() {
-        // The builder's setters take zero workers, a zero batch size and a
-        // zero queue depth: the engine runs each as 1.
+        // The builder's setters take zero workers and a zero batch size:
+        // the engine runs each as 1.
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
         let mut serial = VecSink::new();
@@ -754,13 +755,12 @@ mod tests {
             &mut serial,
         )
         .unwrap();
-        for (batch_size, queue_depth) in [(256, 4), (1, 1), (0, 0)] {
+        for batch_size in [256, 1, 0] {
             let engine = PipelineBuilder::new()
                 .threads(0)
                 .batch_size(batch_size)
-                .queue_depth(queue_depth)
                 .engine(&mapper);
-            let what = format!("batch {batch_size}, queue {queue_depth}");
+            let what = format!("batch {batch_size}");
             let mut sink = VecSink::new();
             let report = engine.run(pairs.clone(), &mut sink).unwrap();
             assert_eq!(report.threads, 1, "{what}");
@@ -796,7 +796,6 @@ mod tests {
 
     #[test]
     fn report_surfaces_span_ring_overflow() {
-        use gx_telemetry::{Telemetry, TelemetryConfig};
         let (genome, pairs) = setup();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
 
@@ -810,19 +809,25 @@ mod tests {
         let (_, report) = engine.run_collect(pairs.clone());
         assert_eq!(report.dropped_events, 0);
 
-        // A deliberately tiny ring overflows, and the report says by how
+        // A run longer than a ring overflows, and the report says by how
         // much — the count a trace consumer needs to know its window is a
-        // tail, not the whole run.
-        let tiny = Telemetry::with_config(TelemetryConfig { ring_capacity: 2 });
+        // tail, not the whole run. The front end records two spans a batch
+        // into a 16 384-event ring, so 8 200 batches overflow it; 4-base
+        // reads have no seed, so each pair costs the mapper next to
+        // nothing.
+        let read = DnaSeq::from_ascii(b"ACGT").unwrap();
+        let long: Vec<ReadPair> = (0..4 * 8_200)
+            .map(|i| ReadPair::new(format!("s{i}"), read.clone(), read.clone()))
+            .collect();
         let engine = PipelineBuilder::new()
             .threads(2)
             .batch_size(4)
-            .telemetry(tiny)
+            .telemetry(Telemetry::enabled())
             .engine(&mapper);
-        let (_, report) = engine.run_collect(pairs);
+        let (_, report) = engine.run_collect(long);
         assert!(
             report.dropped_events > 0,
-            "a 2-slot ring cannot hold a 10-batch run's spans"
+            "a 16 384-event ring cannot hold an 8 200-batch run's spans"
         );
     }
 

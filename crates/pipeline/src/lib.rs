@@ -27,7 +27,7 @@
 //!   parallel output byte-identical to the serial reference
 //!   ([`map_serial`]) for any backend, thread count and batch size;
 //! * a [`PipelineBuilder`] config surface, the one way to make a
-//!   [`MappingEngine`]: threads, batch size, queue depth, the
+//!   [`MappingEngine`]: threads, batch size, the
 //!   [`FallbackPolicy`] for pairs GenPair hands to the traditional
 //!   pipeline, the backend selection (`.engine(&mapper)` for software,
 //!   `.backend(...)` for anything else), and an optional
@@ -93,7 +93,7 @@ pub use config::{FallbackPolicy, PipelineBuilder};
 pub use engine::{map_serial, MappingEngine, PipelineReport};
 pub use gx_backend::{BackendStats, BatchTag, MapBackend, NmslBackend, SoftwareBackend};
 pub use gx_core::ReadPair;
-pub use gx_telemetry::{Telemetry, TelemetryConfig};
+pub use gx_telemetry::Telemetry;
 pub use service::{
     JobHandle, JobOutcome, JobReport, JobSnapshot, JobSpec, Priority, ServiceBuilder,
     ServiceHandle, ServiceReport, SubmitError,

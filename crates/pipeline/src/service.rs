@@ -58,7 +58,9 @@ pub use handle::{JobHandle, ServiceHandle};
 pub use job::{JobOutcome, JobReport, JobSnapshot};
 
 use crate::clock::SystemClock;
+use crate::config::queue_depth;
 use crate::queue::DispatchQueue;
+use crate::worker::inflight_window;
 use gx_backend::{BackendStats, MapBackend};
 use ingest::{run_ingester, run_timer};
 use sched::{AbortOnPanic, Sched, Shared};
@@ -159,10 +161,11 @@ impl ServiceBuilder {
         let started = Instant::now();
         let shared = Shared {
             backend: &backend,
-            queue: DispatchQueue::new(cfg.queue_depth),
+            queue: DispatchQueue::new(queue_depth()),
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             cfg,
+            window: inflight_window(cfg.threads),
             telemetry,
             clock,
         };

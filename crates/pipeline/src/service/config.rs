@@ -42,7 +42,7 @@ impl Priority {
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Pairs per batch for this job; `None` uses the service default.
+    /// Pairs per batch for this job; `None` uses the service's 256.
     pub batch_size: Option<usize>,
     /// Ingestion priority.
     pub priority: Priority,
@@ -50,16 +50,15 @@ pub struct JobSpec {
     /// no deadline. The deadline timer cancels an overdue job through the
     /// ordinary cancel/ack path.
     pub deadline: Option<Duration>,
-    /// How long a submission over the
-    /// [`max_active_jobs`](ServiceBuilder::max_active_jobs) budget may stay
-    /// parked before it fails with [`SubmitError::Timeout`]; `None` parks
-    /// until a slot frees or the service drains, and `Duration::ZERO`
-    /// fails at once without parking.
+    /// How long a submission over the service's budget of eight active
+    /// jobs may stay parked before it fails with [`SubmitError::Timeout`];
+    /// `None` parks until a slot frees or the service drains, and
+    /// `Duration::ZERO` fails at once without parking.
     pub admission_timeout: Option<Duration>,
 }
 
 impl JobSpec {
-    /// The defaults: service-wide batch size, [`Priority::Normal`], no
+    /// The defaults: the service's 256-pair batches, [`Priority::Normal`], no
     /// per-job deadline, unbounded admission parking.
     pub fn new() -> JobSpec {
         JobSpec::default()
@@ -93,20 +92,16 @@ impl JobSpec {
     }
 }
 
+/// Jobs a service admits concurrently; a submission over the budget
+/// parks (see [`JobSpec::admission_timeout`]).
+pub(crate) const MAX_ACTIVE_JOBS: usize = 8;
+
 /// Service configuration, set through [`ServiceBuilder`]'s setters; every
 /// count is at least 1 but `ingesters`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ServiceConfig {
     /// Worker threads mapping batches (shared by all jobs).
     pub(crate) threads: usize,
-    /// Default pairs per batch for jobs that don't override it.
-    pub(crate) batch_size: usize,
-    /// Dispatch-queue depth in batches — the backpressure budget shared
-    /// by every job's ingestion.
-    pub(crate) queue_depth: usize,
-    /// Jobs admitted concurrently; a submission over the budget parks
-    /// (see [`JobSpec::admission_timeout`]).
-    pub(crate) max_active_jobs: usize,
     /// Unmapped-pair handling (service-wide).
     pub(crate) fallback: FallbackPolicy,
     /// Ingest-pool threads claiming job inputs. `0` — the default —
@@ -120,9 +115,6 @@ impl Default for ServiceConfig {
         let engine = PipelineConfig::default();
         ServiceConfig {
             threads: engine.threads,
-            batch_size: engine.batch_size,
-            queue_depth: engine.queue_depth,
-            max_active_jobs: 8,
             fallback: engine.fallback,
             ingesters: 0,
         }
@@ -143,8 +135,6 @@ impl Default for ServiceConfig {
 /// let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
 /// let ((), report) = ServiceBuilder::new()
 ///     .threads(4)
-///     .queue_depth(8)
-///     .max_active_jobs(2)
 ///     .serve(SoftwareBackend::new(&mapper), |_| ());
 /// assert_eq!(report.threads, 4);
 /// assert_eq!(report.ingesters, 2); // min(2, threads) unless set
@@ -167,9 +157,8 @@ impl std::fmt::Debug for ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Starts from the defaults: one worker per core, 256-pair batches,
-    /// 2×threads queue depth, 8 concurrent jobs, parking admission,
-    /// `min(2, threads)` ingesters.
+    /// Starts from the defaults: one worker per core, parking admission,
+    /// `min(2, threads)` ingesters. Every service admits eight jobs at once.
     pub fn new() -> ServiceBuilder {
         ServiceBuilder::default()
     }
@@ -177,24 +166,6 @@ impl ServiceBuilder {
     /// Sets the worker thread count (clamped to at least 1).
     pub fn threads(mut self, threads: usize) -> ServiceBuilder {
         self.cfg.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the default batch size in pairs (clamped to at least 1).
-    pub fn batch_size(mut self, batch_size: usize) -> ServiceBuilder {
-        self.cfg.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets the dispatch-queue depth in batches (clamped to at least 1).
-    pub fn queue_depth(mut self, queue_depth: usize) -> ServiceBuilder {
-        self.cfg.queue_depth = queue_depth.max(1);
-        self
-    }
-
-    /// Sets the concurrent-job budget (clamped to at least 1).
-    pub fn max_active_jobs(mut self, max_active_jobs: usize) -> ServiceBuilder {
-        self.cfg.max_active_jobs = max_active_jobs.max(1);
         self
     }
 

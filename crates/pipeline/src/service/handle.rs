@@ -5,6 +5,7 @@ use super::ingest::FeederJob;
 use super::job::{end_job, End, JobCore, JobReport, JobSnapshot, JobState};
 use super::sched::Shared;
 use crate::batch::ReadPairStream;
+use crate::config::DEFAULT_BATCH_SIZE;
 use crate::sink::RecordSink;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
@@ -62,7 +63,7 @@ impl<'s> ServiceHandle<'s> {
         let state = Arc::new(JobState {
             id,
             priority: spec.priority,
-            batch_size: spec.batch_size.unwrap_or(self.shared.cfg.batch_size).max(1),
+            batch_size: spec.batch_size.unwrap_or(DEFAULT_BATCH_SIZE).max(1),
             submitted: Instant::now(),
             deadline_at: spec.deadline.map(|d| self.shared.clock.now() + d),
             core: Mutex::new(JobCore::new(Box::new(sink))),

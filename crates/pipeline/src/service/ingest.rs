@@ -2,9 +2,10 @@
 
 use super::job::{end_job, End, JobBatch, JobState};
 use super::sched::{claim_job, try_finalize, AbortOnPanic, Shared};
-use crate::worker::inflight_window;
+use crate::worker::panic_text;
 use gx_core::ReadPair;
 use gx_genome::GenomeError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,22 +30,30 @@ pub(super) struct FeederJob {
 }
 
 impl FeederJob {
-    /// Pulls the next batch: `Some(Ok(pairs))`, `Some(Err(_))` on a
-    /// malformed input record (pairs collected before the error in the
-    /// same batch are dropped), `None` at clean end of input.
-    fn pull(&mut self) -> Option<Result<Vec<ReadPair>, GenomeError>> {
-        let mut pairs = Vec::with_capacity(self.state.batch_size);
-        while pairs.len() < self.state.batch_size {
-            match self.input.next() {
-                Some(Ok(p)) => pairs.push(p),
-                Some(Err(e)) => return Some(Err(e)),
-                None => break,
+    /// Pulls the next batch: `Some(Ok(pairs))`, `Some(Err(why))` on a
+    /// malformed input record or a panicking input iterator (caught here,
+    /// so it fails this job and not the ingester), `None` at clean end of
+    /// input. Pairs collected before an error in its batch are dropped.
+    fn pull(&mut self) -> Option<Result<Vec<ReadPair>, String>> {
+        let (input, batch_size) = (&mut self.input, self.state.batch_size);
+        let pulled = catch_unwind(AssertUnwindSafe(|| {
+            let mut pairs = Vec::with_capacity(batch_size);
+            while pairs.len() < batch_size {
+                match input.next() {
+                    Some(Ok(p)) => pairs.push(p),
+                    Some(Err(e)) => return Err(e.to_string()),
+                    None => break,
+                }
             }
-        }
-        if pairs.is_empty() {
-            None
-        } else {
-            Some(Ok(pairs))
+            Ok(pairs)
+        }));
+        match pulled {
+            Ok(Ok(pairs)) if pairs.is_empty() => None,
+            Ok(pulled) => Some(pulled),
+            Err(payload) => Some(Err(format!(
+                "input panicked: {}",
+                panic_text(payload.as_ref())
+            ))),
         }
     }
 }
@@ -68,7 +77,6 @@ enum FeedOutcome {
 fn feed_one(shared: &Shared<'_>, fj: &mut FeederJob) -> FeedOutcome {
     let job = Arc::clone(&fj.state);
     let job = &job;
-    let window = inflight_window(shared.cfg.queue_depth, shared.cfg.threads);
     let mut fed = false;
     for _ in 0..job.priority.weight() {
         {
@@ -76,7 +84,7 @@ fn feed_one(shared: &Shared<'_>, fj: &mut FeederJob) -> FeedOutcome {
             if core.ended().is_some() {
                 return FeedOutcome::Closed;
             }
-            if core.admitted - core.processed >= window {
+            if core.admitted - core.processed >= shared.window {
                 break;
             }
         }
@@ -106,10 +114,10 @@ fn feed_one(shared: &Shared<'_>, fj: &mut FeederJob) -> FeedOutcome {
                 try_finalize(shared, job);
                 return FeedOutcome::Closed;
             }
-            Some(Err(e)) => {
-                // Malformed input fails only this job; siblings are
-                // untouched.
-                end_job(shared, job, End::Failed(e.to_string()));
+            Some(Err(why)) => {
+                // Malformed or panicking input fails only this job;
+                // siblings are untouched.
+                end_job(shared, job, End::Failed(why));
                 return FeedOutcome::Closed;
             }
         }

@@ -288,6 +288,7 @@ mod tests {
             sched: Mutex::new(Sched::default()),
             wake: Condvar::new(),
             cfg: ServiceBuilder::new().cfg,
+            window: 1,
             telemetry: Telemetry::disabled(),
             clock: Arc::new(SystemClock::new()),
         };

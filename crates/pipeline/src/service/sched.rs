@@ -1,6 +1,6 @@
 //! What every service thread shares; admission, claiming, finalization.
 
-use super::config::{ServiceConfig, SubmitError};
+use super::config::{ServiceConfig, SubmitError, MAX_ACTIVE_JOBS};
 use super::ingest::FeederJob;
 use super::job::{End, JobBatch, JobOutcome, JobReport, JobState};
 use crate::clock::Clock;
@@ -46,6 +46,8 @@ pub(super) struct Shared<'b> {
     /// timer, and parked submitters / drainers (job finalized, drain).
     pub(super) wake: Condvar,
     pub(super) cfg: ServiceConfig,
+    /// A job's [`inflight_window`](crate::worker::inflight_window).
+    pub(super) window: u64,
     pub(super) telemetry: Telemetry,
     /// Monotonic clock for deadlines and admission timeouts
     /// (control-plane only — never feeds modeled accounting).
@@ -72,7 +74,7 @@ impl Shared<'_> {
             if sched.draining {
                 return Err(SubmitError::Draining);
             }
-            if sched.registry.len() < self.cfg.max_active_jobs {
+            if sched.registry.len() < MAX_ACTIVE_JOBS {
                 return Ok(sched);
             }
             match park_deadline {

@@ -3,6 +3,7 @@
 use super::*;
 use crate::config::FallbackPolicy;
 use crate::engine::map_serial;
+use crate::service::config::MAX_ACTIVE_JOBS;
 use crate::sink::{RecordSink, VecSink};
 use gx_backend::SoftwareBackend;
 use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
@@ -59,29 +60,29 @@ fn concurrent_jobs_match_their_solo_serial_runs() {
     let ref_a = serial_reference(&genome, &job_a);
     let ref_b = serial_reference(&genome, &job_b);
 
-    let (sinks, report) = ServiceBuilder::new().threads(3).queue_depth(4).serve(
-        SoftwareBackend::new(&mapper),
-        |svc| {
-            let ha = svc
-                .submit_pairs(JobSpec::new().batch_size(4), job_a.clone(), VecSink::new())
-                .unwrap();
-            let hb = svc
-                .submit_pairs(
-                    JobSpec::new().batch_size(7).priority(Priority::High),
-                    job_b.clone(),
-                    VecSink::new(),
-                )
-                .unwrap();
-            let (ra, sa) = ha.join();
-            let (rb, sb) = hb.join();
-            assert_eq!(ra.outcome, JobOutcome::Completed);
-            assert_eq!(rb.outcome, JobOutcome::Completed);
-            assert_eq!(ra.report.abort_reason, None);
-            assert_eq!(ra.report.stats.pairs, 25);
-            assert_eq!(rb.report.stats.pairs, 35);
-            (sa, sb)
-        },
-    );
+    let (sinks, report) =
+        ServiceBuilder::new()
+            .threads(3)
+            .serve(SoftwareBackend::new(&mapper), |svc| {
+                let ha = svc
+                    .submit_pairs(JobSpec::new().batch_size(4), job_a.clone(), VecSink::new())
+                    .unwrap();
+                let hb = svc
+                    .submit_pairs(
+                        JobSpec::new().batch_size(7).priority(Priority::High),
+                        job_b.clone(),
+                        VecSink::new(),
+                    )
+                    .unwrap();
+                let (ra, sa) = ha.join();
+                let (rb, sb) = hb.join();
+                assert_eq!(ra.outcome, JobOutcome::Completed);
+                assert_eq!(rb.outcome, JobOutcome::Completed);
+                assert_eq!(ra.report.abort_reason, None);
+                assert_eq!(ra.report.stats.pairs, 25);
+                assert_eq!(rb.report.stats.pairs, 35);
+                (sa, sb)
+            });
     assert_same_records(&sinks.0.records, &ref_a, "job A");
     assert_same_records(&sinks.1.records, &ref_b, "job B");
     assert_eq!(report.jobs_submitted, 2);
@@ -110,25 +111,46 @@ impl Iterator for GatedInput {
     }
 }
 
+/// Submits [`MAX_ACTIVE_JOBS`] jobs of `pairs` behind one gate each, so
+/// the service's whole budget is held until the test opens them.
+fn fill_budget_gated<'s>(
+    svc: &ServiceHandle<'s>,
+    gates: Vec<mpsc::Receiver<()>>,
+    pairs: &[ReadPair],
+) -> Vec<JobHandle<'s, VecSink>> {
+    assert_eq!(gates.len(), MAX_ACTIVE_JOBS);
+    gates
+        .into_iter()
+        .map(|gate| {
+            let gated = GatedInput {
+                gate,
+                pairs: Vec::from(pairs).into_iter(),
+                waited: false,
+            };
+            svc.submit(JobSpec::new(), gated, VecSink::new()).unwrap()
+        })
+        .collect()
+}
+
+/// One gate channel per job of the service's budget.
+fn gates() -> (Vec<mpsc::Sender<()>>, Vec<mpsc::Receiver<()>>) {
+    (0..MAX_ACTIVE_JOBS).map(|_| mpsc::channel()).unzip()
+}
+
 #[test]
 fn zero_admission_timeout_rejects_at_budget_then_recovers() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let (tx, rx) = mpsc::channel();
+    let (tx, rx) = gates();
     ServiceBuilder::new()
         .threads(2)
-        .max_active_jobs(1)
         .clock(Arc::new(crate::ManualClock::new()))
         .serve(SoftwareBackend::new(&mapper), |svc| {
-            let gated = GatedInput {
-                gate: rx,
-                pairs: pairs.clone().into_iter(),
-                waited: false,
-            };
-            let ha = svc.submit(JobSpec::new(), gated, VecSink::new()).unwrap();
-            // Budget is 1 and job A is parked on its gate. The clock never
-            // moves, so a submitter that parked would never time out: only
-            // one that fails before parking returns here.
+            let held = fill_budget_gated(svc, rx, &pairs);
+            // The budget is full and every admitted job is parked on its
+            // gate. The clock never moves, so a submitter that parked would
+            // never time out: only one that fails before parking returns
+            // here.
             let err = svc
                 .submit_pairs(
                     JobSpec::new().admission_timeout(Duration::ZERO),
@@ -137,9 +159,13 @@ fn zero_admission_timeout_rejects_at_budget_then_recovers() {
                 )
                 .unwrap_err();
             assert_eq!(err, SubmitError::Timeout);
-            tx.send(()).unwrap();
-            let (ra, _) = ha.join();
-            assert_eq!(ra.outcome, JobOutcome::Completed);
+            for gate in &tx {
+                gate.send(()).unwrap();
+            }
+            for ha in held {
+                let (ra, _) = ha.join();
+                assert_eq!(ra.outcome, JobOutcome::Completed);
+            }
             // The slot freed: the next submission is admitted.
             let hb = svc
                 .submit_pairs(JobSpec::new(), pairs.clone(), VecSink::new())
@@ -154,35 +180,33 @@ fn zero_admission_timeout_rejects_at_budget_then_recovers() {
 fn park_policy_blocks_until_a_slot_frees() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let (tx, rx) = mpsc::channel();
-    // Release job A's gate from outside the service after a beat, so
-    // the parked submission below can only succeed by actually
-    // waiting for A to finalize.
+    let (tx, rx) = gates();
+    // Release the gates from outside the service after a beat, so the
+    // parked submission below can only succeed by actually waiting for a
+    // job of the full budget to finalize.
     let opener = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(30));
-        tx.send(()).unwrap();
+        for gate in &tx {
+            gate.send(()).unwrap();
+        }
     });
-    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
-        SoftwareBackend::new(&mapper),
-        |svc| {
-            let gated = GatedInput {
-                gate: rx,
-                pairs: pairs.clone().into_iter(),
-                waited: false,
-            };
-            let ha = svc.submit(JobSpec::new(), gated, VecSink::new()).unwrap();
-            let a_id = ha.id();
-            // Parks until job A completes, then is admitted.
+    ServiceBuilder::new()
+        .threads(2)
+        .serve(SoftwareBackend::new(&mapper), |svc| {
+            let held = fill_budget_gated(svc, rx, &pairs);
+            let a_id = held.iter().map(JobHandle::id).max().unwrap();
+            // Parks until a held job completes, then is admitted.
             let hb = svc
                 .submit_pairs(JobSpec::new(), pairs.clone(), VecSink::new())
                 .unwrap();
             assert!(hb.id() > a_id);
             let (rb, _) = hb.join();
             assert_eq!(rb.outcome, JobOutcome::Completed);
-            let (ra, _) = ha.join();
-            assert_eq!(ra.outcome, JobOutcome::Completed);
-        },
-    );
+            for ha in held {
+                let (ra, _) = ha.join();
+                assert_eq!(ra.outcome, JobOutcome::Completed);
+            }
+        });
     opener.join().unwrap();
 }
 
@@ -277,41 +301,41 @@ fn cancel_mid_stream_then_the_service_accepts_a_new_job() {
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
     let reference = serial_reference(&genome, &pairs);
 
-    let (_, report) = ServiceBuilder::new().threads(2).queue_depth(2).serve(
-        SoftwareBackend::new(&mapper),
-        |svc| {
-            // An endless stream: only cancellation can end this job.
-            let endless = std::iter::repeat_with({
-                let p = pairs[0].clone();
-                move || Ok(p.clone())
-            });
-            let ha = svc
-                .submit(JobSpec::new().batch_size(2), endless, VecSink::new())
-                .unwrap();
-            // Let it make real progress first.
-            while ha.snapshot().batches_processed < 3 {
-                std::thread::yield_now();
-            }
-            assert!(ha.cancel());
-            let (ra, sa) = ha.join();
-            assert_eq!(ra.outcome, JobOutcome::Cancelled);
-            assert_eq!(
-                ra.report.abort_reason.as_deref(),
-                Some("cancelled by client")
-            );
-            // Emission stopped at the ack: the sink holds a prefix.
-            assert_eq!(sa.records.len() as u64, ra.report.records_written);
+    let (_, report) =
+        ServiceBuilder::new()
+            .threads(2)
+            .serve(SoftwareBackend::new(&mapper), |svc| {
+                // An endless stream: only cancellation can end this job.
+                let endless = std::iter::repeat_with({
+                    let p = pairs[0].clone();
+                    move || Ok(p.clone())
+                });
+                let ha = svc
+                    .submit(JobSpec::new().batch_size(2), endless, VecSink::new())
+                    .unwrap();
+                // Let it make real progress first.
+                while ha.snapshot().batches_processed < 3 {
+                    std::thread::yield_now();
+                }
+                assert!(ha.cancel());
+                let (ra, sa) = ha.join();
+                assert_eq!(ra.outcome, JobOutcome::Cancelled);
+                assert_eq!(
+                    ra.report.abort_reason.as_deref(),
+                    Some("cancelled by client")
+                );
+                // Emission stopped at the ack: the sink holds a prefix.
+                assert_eq!(sa.records.len() as u64, ra.report.records_written);
 
-            // The acceptance check: the service still admits and
-            // completes a subsequent job.
-            let hb = svc
-                .submit_pairs(JobSpec::new().batch_size(5), pairs.clone(), VecSink::new())
-                .unwrap();
-            let (rb, sb) = hb.join();
-            assert_eq!(rb.outcome, JobOutcome::Completed);
-            assert_same_records(&sb.records, &reference, "post-cancel job");
-        },
-    );
+                // The acceptance check: the service still admits and
+                // completes a subsequent job.
+                let hb = svc
+                    .submit_pairs(JobSpec::new().batch_size(5), pairs.clone(), VecSink::new())
+                    .unwrap();
+                let (rb, sb) = hb.join();
+                assert_eq!(rb.outcome, JobOutcome::Completed);
+                assert_same_records(&sb.records, &reference, "post-cancel job");
+            });
     assert_eq!(report.jobs_cancelled, 1);
     assert_eq!(report.jobs_completed, 1);
 }
@@ -353,17 +377,36 @@ impl Iterator for BlockingInput {
     }
 }
 
+/// One blocking input's channel per job of the service's budget.
+fn blocking_inputs() -> (Vec<mpsc::Sender<ReadPair>>, Vec<mpsc::Receiver<ReadPair>>) {
+    (0..MAX_ACTIVE_JOBS).map(|_| mpsc::channel()).unzip()
+}
+
+/// Submits [`MAX_ACTIVE_JOBS`] jobs whose inputs block until their senders
+/// drop, so the service's whole budget is held until then.
+fn fill_budget_blocking<'s>(
+    svc: &ServiceHandle<'s>,
+    gates: Vec<mpsc::Receiver<ReadPair>>,
+) -> Vec<JobHandle<'s, VecSink>> {
+    assert_eq!(gates.len(), MAX_ACTIVE_JOBS);
+    gates
+        .into_iter()
+        .map(|gate| {
+            svc.submit(JobSpec::new(), BlockingInput { gate }, VecSink::new())
+                .unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn drain_fails_parked_submitters_instead_of_hanging() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let (tx, rx) = mpsc::channel::<ReadPair>();
-    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
-        SoftwareBackend::new(&mapper),
-        |svc| {
-            let ha = svc
-                .submit(JobSpec::new(), BlockingInput { gate: rx }, VecSink::new())
-                .unwrap();
+    let (tx, rx) = blocking_inputs();
+    ServiceBuilder::new()
+        .threads(2)
+        .serve(SoftwareBackend::new(&mapper), |svc| {
+            let held = fill_budget_blocking(svc, rx);
             let parked = std::thread::scope(|s| {
                 let submitter = s.spawn(|| {
                     svc.submit_pairs(JobSpec::new(), pairs.clone(), VecSink::new())
@@ -375,30 +418,30 @@ fn drain_fails_parked_submitters_instead_of_hanging() {
                 std::thread::sleep(Duration::from_millis(30));
                 let drainer = s.spawn(|| svc.drain());
                 let res = submitter.join().unwrap();
-                // Only now end job A so the drain itself can finish.
+                // Only now end the held jobs so the drain itself can
+                // finish.
                 drop(tx);
                 drainer.join().unwrap();
                 res
             });
             assert_eq!(parked.unwrap_err(), SubmitError::Draining);
-            let (ra, _) = ha.join();
-            assert_eq!(ra.outcome, JobOutcome::Completed);
-        },
-    );
+            for ha in held {
+                let (ra, _) = ha.join();
+                assert_eq!(ra.outcome, JobOutcome::Completed);
+            }
+        });
 }
 
 #[test]
 fn admission_timeout_fails_a_parked_submitter() {
     let (genome, pairs) = setup(8);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let (tx, rx) = mpsc::channel::<ReadPair>();
-    ServiceBuilder::new().threads(2).max_active_jobs(1).serve(
-        SoftwareBackend::new(&mapper),
-        |svc| {
-            let ha = svc
-                .submit(JobSpec::new(), BlockingInput { gate: rx }, VecSink::new())
-                .unwrap();
-            // Job A holds the only slot and its input is blocked:
+    let (tx, rx) = blocking_inputs();
+    ServiceBuilder::new()
+        .threads(2)
+        .serve(SoftwareBackend::new(&mapper), |svc| {
+            let held = fill_budget_blocking(svc, rx);
+            // The held jobs fill the budget and their inputs are blocked:
             // the bounded park can only end in Timeout.
             let err = svc
                 .submit_pairs(
@@ -409,10 +452,11 @@ fn admission_timeout_fails_a_parked_submitter() {
                 .unwrap_err();
             assert_eq!(err, SubmitError::Timeout);
             drop(tx);
-            let (ra, _) = ha.join();
-            assert_eq!(ra.outcome, JobOutcome::Completed);
-        },
-    );
+            for ha in held {
+                let (ra, _) = ha.join();
+                assert_eq!(ra.outcome, JobOutcome::Completed);
+            }
+        });
 }
 
 #[test]

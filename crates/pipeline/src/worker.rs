@@ -3,7 +3,7 @@
 //! restores batch order in front of a sink. The thread topologies around
 //! them live in `engine.rs` and `service/`.
 
-use crate::config::FallbackPolicy;
+use crate::config::{queue_depth, FallbackPolicy};
 use crate::queue::DispatchQueue;
 use crate::sink::RecordSink;
 use gx_backend::{BackendStats, BatchTag, MapBackend};
@@ -27,12 +27,13 @@ pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Batches a stream may have admitted past its last in-order processed
-/// one. Bounds the reorder buffer: without it, one slow early batch would
-/// let completed later batches pile up without limit (peak memory O(input)
-/// instead of O(window)).
-pub(crate) fn inflight_window(queue_depth: usize, threads: usize) -> u64 {
-    (queue_depth + 2 * threads) as u64
+/// Batches a stream on `threads` workers may have admitted past its last
+/// in-order processed one: the queue's depth plus two a worker. Bounds the
+/// reorder buffer: without it, one slow early batch would let completed
+/// later batches pile up without limit (peak memory O(input) instead of
+/// O(window)).
+pub(crate) fn inflight_window(threads: usize) -> u64 {
+    (queue_depth() + 2 * threads) as u64
 }
 
 /// One pool worker, the engine's or the service's: the shared backend, the

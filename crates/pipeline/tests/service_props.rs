@@ -90,7 +90,6 @@ proptest! {
     fn random_schedules_lose_nothing_and_respect_cancel_acks(
         plans in prop::collection::vec(job_plan(), 1..4),
         threads in 1usize..4,
-        queue_depth in 1usize..5,
     ) {
         let genome = RandomGenomeBuilder::new(40_000).seed(7).build();
         let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
@@ -102,7 +101,6 @@ proptest! {
             .collect();
         let outcomes = ServiceBuilder::new()
             .threads(threads)
-            .queue_depth(queue_depth)
             .serve(SoftwareBackend::new(&mapper), |svc: &ServiceHandle<'_>| {
                 let jobs: Vec<(JobHandle<'_, TrackingSink>, &JobPlan, Arc<AtomicBool>)> = plans
                     .iter()
@@ -236,7 +234,6 @@ proptest! {
             // Two ingesters so the staller's captive ingester leaves one
             // free for everyone else (the documented sizing rule).
             .ingesters(2)
-            .queue_depth(4)
             .clock(clock.clone())
             .serve(NmslBackend::new(&mapper).channels(2), |svc| {
                 let flags = || (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));

@@ -83,29 +83,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Tuning for an enabled [`Telemetry`] handle.
-#[derive(Clone, Copy, Debug)]
-pub struct TelemetryConfig {
-    /// Span-ring capacity per recorder (events). When a ring fills, the
-    /// oldest events are overwritten — the trace becomes a tail window —
-    /// and the overwrites are counted in [`Telemetry::dropped_events`].
-    pub ring_capacity: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            // 16Ki events × 48 B = 768 KiB per recorder: enough for every
-            // batch of the bench workloads, small enough to never matter.
-            ring_capacity: 16_384,
-        }
-    }
-}
+/// Span-ring capacity per recorder (events): 16Ki events × 48 B = 768 KiB
+/// per recorder, enough for every batch of the bench workloads and small
+/// enough to never matter. When a ring fills, the oldest events are
+/// overwritten — the trace becomes a tail window — and the overwrites are
+/// counted in [`Telemetry::dropped_events`].
+const RING_CAPACITY: usize = 16_384;
 
 #[derive(Debug)]
 struct Inner {
     epoch: Instant,
-    config: TelemetryConfig,
     registry: MetricsRegistry,
     /// Flushed span events from retired recorders, in flush order.
     events: Mutex<Vec<SpanEvent>>,
@@ -132,17 +119,12 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// A live handle with default [`TelemetryConfig`].
+    /// A live handle: every recorder it issues keeps a ring of the last
+    /// 16 384 span events.
     pub fn enabled() -> Telemetry {
-        Telemetry::with_config(TelemetryConfig::default())
-    }
-
-    /// A live handle with explicit tuning.
-    pub fn with_config(config: TelemetryConfig) -> Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
-                config,
                 registry: MetricsRegistry::new(),
                 events: Mutex::new(Vec::new()),
                 labels: Mutex::new(Vec::new()),
@@ -173,7 +155,7 @@ impl Telemetry {
         Recorder {
             inner: self.inner.as_ref().map(|inner| RecorderInner {
                 histograms: vec![HistogramSnapshot::new(); MAX_METRICS].into_boxed_slice(),
-                ring: SpanRing::with_capacity(inner.config.ring_capacity),
+                ring: SpanRing::with_capacity(RING_CAPACITY),
                 telemetry: Arc::clone(inner),
                 track,
             }),
@@ -459,15 +441,15 @@ mod tests {
 
     #[test]
     fn ring_overflow_is_counted() {
-        let t = Telemetry::with_config(TelemetryConfig { ring_capacity: 2 });
+        let t = Telemetry::enabled();
         let mut rec = t.recorder(0);
-        for _ in 0..5 {
+        for _ in 0..RING_CAPACITY + 3 {
             let t0 = rec.start();
             rec.span("tick", t0);
         }
         rec.flush();
         drop(rec);
         assert_eq!(t.dropped_events(), 3);
-        assert_eq!(t.take_events().len(), 2);
+        assert_eq!(t.take_events().len(), RING_CAPACITY);
     }
 }

@@ -57,10 +57,7 @@ fn main() {
     let serial_bytes = serial_sink.into_inner().unwrap();
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let builder = PipelineBuilder::new()
-        .threads(threads)
-        .batch_size(128)
-        .queue_depth(2 * threads);
+    let builder = PipelineBuilder::new().threads(threads).batch_size(128);
 
     let backend_kind = std::env::var("GX_BACKEND").unwrap_or_else(|_| "software".into());
     let (parallel_bytes, report) = match backend_kind.as_str() {

@@ -63,8 +63,8 @@
 //!
 //! The per-pair call above is the algorithm; the [`pipeline`] crate is the
 //! execution subsystem that gives it a throughput story. A
-//! [`pipeline::PipelineBuilder`] configures worker threads, batch size,
-//! queue depth and the unmapped-pair policy; the resulting
+//! [`pipeline::PipelineBuilder`] configures worker threads, batch size
+//! and the unmapped-pair policy; the resulting
 //! [`pipeline::MappingEngine`] batches input pairs, maps batches on a
 //! worker pool sharing one [`core::GenPairMapper`], accumulates
 //! [`core::PipelineStats`] in lock-free per-worker shards, and reassembles

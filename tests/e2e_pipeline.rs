@@ -136,19 +136,19 @@ fn overlapped_dma_emits_identical_sam_and_never_slows_the_system() {
     // thread counts {1, 4}.
     let genome = standard_genome(200_000, 18);
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let pairs: Vec<ReadPair> = simulate_dataset(&genome, &DATASETS[0], 160)
+    let pairs: Vec<ReadPair> = simulate_dataset(&genome, &DATASETS[0], 640)
         .into_iter()
         .map(|p| ReadPair::new(p.id, p.r1.seq, p.r2.seq))
         .collect();
     let (expected, _) = serial_sam(&genome, &mapper, &pairs, FallbackPolicy::EmitUnmapped);
 
     for threads in [1usize, 4] {
-        // Two lanes on a 16-pair quantum: each lane streams ~5 quanta, so
-        // real quantum-level DMA overlap occurs on this dataset.
+        // Two lanes on the 64-pair quantum: each lane streams ~5 quanta,
+        // so real quantum-level DMA overlap occurs on this dataset.
         let engine = PipelineBuilder::new()
             .threads(threads)
             .batch_size(16)
-            .backend(NmslBackend::new(&mapper).channels(2).dispatch_quantum(16));
+            .backend(NmslBackend::new(&mapper).channels(2));
         let mut sink = SamTextSink::with_header(&genome, Vec::new()).unwrap();
         let b = engine
             .run(pairs.iter().cloned(), &mut sink)

@@ -58,6 +58,10 @@
 //!    result too few for one job's batch ends that job as `Failed` with
 //!    the worker step's count-check text; a sibling completes with its
 //!    solo bytes.
+//! 10. **A panicking input fails one job** — an input iterator that panics
+//!     at pair N ends its job as `Failed` with the panic text; a sibling
+//!     and a later job complete with their solo bytes, and `serve`
+//!     returns normally.
 
 use genpairx::backend::{BackendStats, BatchTag, MapBackend, NmslBackend, SoftwareBackend};
 use genpairx::core::{GenPairConfig, GenPairMapper, MapScratch, PairMapResult};
@@ -212,7 +216,6 @@ fn run_service(
     let (sams, report) = ServiceBuilder::new()
         .threads(threads)
         .ingesters(ingesters)
-        .queue_depth(4)
         .serve(backend, |svc| {
             let handles: Vec<_> = jobs
                 .iter()
@@ -299,46 +302,43 @@ fn cancellation_mid_stream_leaves_the_device_serving() {
     let solo = solo_sam(&mapper, &genome, follow_up);
 
     let backend = NmslBackend::new(&mapper).channels(CHANNELS);
-    let (_, report) = ServiceBuilder::new()
-        .threads(2)
-        .queue_depth(2)
-        .serve(backend, |svc| {
-            // An endless job: only cancellation ends it.
-            let seed_pair = pairs[0].clone();
-            let endless = std::iter::repeat_with(move || Ok(seed_pair.clone()));
-            let victim = svc
-                .submit(
-                    JobSpec::new().batch_size(8),
-                    endless,
-                    SamTextSink::with_header(&genome, Vec::new()).unwrap(),
-                )
-                .unwrap();
-            while victim.snapshot().batches_processed < 3 {
-                std::thread::yield_now();
-            }
-            assert!(victim.cancel());
-            let (vr, vsink) = victim.join();
-            assert_eq!(vr.outcome, JobOutcome::Cancelled);
-            // Emission stopped at the ack: a clean prefix, nothing after.
-            let bytes = vsink.into_inner().unwrap();
-            assert!(!bytes.is_empty(), "header at minimum");
+    let (_, report) = ServiceBuilder::new().threads(2).serve(backend, |svc| {
+        // An endless job: only cancellation ends it.
+        let seed_pair = pairs[0].clone();
+        let endless = std::iter::repeat_with(move || Ok(seed_pair.clone()));
+        let victim = svc
+            .submit(
+                JobSpec::new().batch_size(8),
+                endless,
+                SamTextSink::with_header(&genome, Vec::new()).unwrap(),
+            )
+            .unwrap();
+        while victim.snapshot().batches_processed < 3 {
+            std::thread::yield_now();
+        }
+        assert!(victim.cancel());
+        let (vr, vsink) = victim.join();
+        assert_eq!(vr.outcome, JobOutcome::Cancelled);
+        // Emission stopped at the ack: a clean prefix, nothing after.
+        let bytes = vsink.into_inner().unwrap();
+        assert!(!bytes.is_empty(), "header at minimum");
 
-            // The acceptance check: the warm device takes the next
-            // job and its bytes still match the solo oracle.
-            let next = svc
-                .submit_pairs(
-                    JobSpec::new().batch_size(32),
-                    follow_up.to_vec(),
-                    SamTextSink::with_header(&genome, Vec::new()).unwrap(),
-                )
-                .unwrap();
-            let (nr, nsink) = next.join();
-            assert_eq!(nr.outcome, JobOutcome::Completed);
-            assert!(
-                nsink.into_inner().unwrap() == solo,
-                "post-cancel job bytes diverge from its solo run"
-            );
-        });
+        // The acceptance check: the warm device takes the next
+        // job and its bytes still match the solo oracle.
+        let next = svc
+            .submit_pairs(
+                JobSpec::new().batch_size(32),
+                follow_up.to_vec(),
+                SamTextSink::with_header(&genome, Vec::new()).unwrap(),
+            )
+            .unwrap();
+        let (nr, nsink) = next.join();
+        assert_eq!(nr.outcome, JobOutcome::Completed);
+        assert!(
+            nsink.into_inner().unwrap() == solo,
+            "post-cancel job bytes diverge from its solo run"
+        );
+    });
     assert_eq!(report.jobs_cancelled, 1);
     assert_eq!(report.jobs_completed, 1);
 }
@@ -381,7 +381,6 @@ fn blocking_input_stalls_only_its_own_job() {
             let (_, report) = ServiceBuilder::new()
                 .threads(threads)
                 .ingesters(ingesters)
-                .queue_depth(4)
                 .serve(backend, |svc| {
                     // Submitted first and at high priority: the claimer
                     // visits it before the blocker either way.
@@ -501,7 +500,6 @@ fn deadline_cancel_after_seal_leaves_no_trace_in_warm_totals() {
             // the remaining blockers and the victim; with fewer, every
             // ingester could be stuck before the last blocker is fed.
             .ingesters(threads + 1)
-            .queue_depth(8)
             .clock(clock.clone())
             .serve(backend, |svc| {
                 let (signal, blocked_workers) = mpsc::channel();
@@ -646,58 +644,56 @@ fn survive_a_worker_panic<B: MapBackend + Sync>(
     let mut doomed = pairs[..40].to_vec();
     doomed[7].id = POISON.to_string();
     let sink = || SamTextSink::with_header(genome, Vec::new()).unwrap();
-    let (_, report) =
-        ServiceBuilder::new()
-            .threads(threads)
-            .queue_depth(4)
-            .serve(PanicOn(backend), |svc| {
-                // One batch, so no pair of the doomed job is ever mapped or
-                // priced: its only map call is the one that panics.
-                let failed = svc
-                    .submit_pairs(JobSpec::new().batch_size(40), doomed, sink())
-                    .unwrap();
-                let sibling = svc
-                    .submit_pairs(
-                        JobSpec::new().batch_size(32),
-                        pairs[40..200].to_vec(),
-                        sink(),
-                    )
-                    .unwrap();
+    let (_, report) = ServiceBuilder::new()
+        .threads(threads)
+        .serve(PanicOn(backend), |svc| {
+            // One batch, so no pair of the doomed job is ever mapped or
+            // priced: its only map call is the one that panics.
+            let failed = svc
+                .submit_pairs(JobSpec::new().batch_size(40), doomed, sink())
+                .unwrap();
+            let sibling = svc
+                .submit_pairs(
+                    JobSpec::new().batch_size(32),
+                    pairs[40..200].to_vec(),
+                    sink(),
+                )
+                .unwrap();
 
-                let (fr, _) = join_within(failed, PANIC_BOUND, "job whose map call panicked");
-                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
-                let reason = fr.report.abort_reason.as_deref().unwrap();
-                assert!(
-                    reason.starts_with("mapping worker panicked")
-                        && reason.contains("injected mapping failure"),
-                    "{what}: lost the reason: {reason}"
-                );
-                assert_eq!(fr.report.records_written, 0, "{what}");
-                assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
+            let (fr, _) = join_within(failed, PANIC_BOUND, "job whose map call panicked");
+            assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+            let reason = fr.report.abort_reason.as_deref().unwrap();
+            assert!(
+                reason.starts_with("mapping worker panicked")
+                    && reason.contains("injected mapping failure"),
+                "{what}: lost the reason: {reason}"
+            );
+            assert_eq!(fr.report.records_written, 0, "{what}");
+            assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
 
-                let (sr, ssink) = join_within(sibling, PANIC_BOUND, "sibling of a panicked job");
-                assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
-                assert!(
-                    ssink.into_inner().unwrap() == solos[0],
-                    "{what}: sibling bytes diverge from its solo run"
-                );
+            let (sr, ssink) = join_within(sibling, PANIC_BOUND, "sibling of a panicked job");
+            assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+            assert!(
+                ssink.into_inner().unwrap() == solos[0],
+                "{what}: sibling bytes diverge from its solo run"
+            );
 
-                // The worker that caught the panic serves on, reopened with a
-                // fresh scratch (with one thread there is no other worker).
-                let later = svc
-                    .submit_pairs(
-                        JobSpec::new().batch_size(16),
-                        pairs[200..280].to_vec(),
-                        sink(),
-                    )
-                    .unwrap();
-                let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a worker panic");
-                assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
-                assert!(
-                    lsink.into_inner().unwrap() == solos[1],
-                    "{what}: post-panic job bytes diverge from its solo run"
-                );
-            });
+            // The worker that caught the panic serves on, reopened with a
+            // fresh scratch (with one thread there is no other worker).
+            let later = svc
+                .submit_pairs(
+                    JobSpec::new().batch_size(16),
+                    pairs[200..280].to_vec(),
+                    sink(),
+                )
+                .unwrap();
+            let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a worker panic");
+            assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+            assert!(
+                lsink.into_inner().unwrap() == solos[1],
+                "{what}: post-panic job bytes diverge from its solo run"
+            );
+        });
     assert_eq!(report.jobs_failed, 1, "{what}");
     assert_eq!(report.jobs_completed, 2, "{what}");
     assert_eq!(report.jobs_cancelled, 0, "{what}");
@@ -782,45 +778,41 @@ fn a_device_panic_fails_one_job_and_the_service_keeps_serving() {
     for threads in [1, 2] {
         let what = format!("threads={threads}");
         let backend = AdmitTwice(NmslBackend::new(&mapper).channels(CHANNELS));
-        let ((), report) =
-            ServiceBuilder::new()
-                .threads(threads)
-                .queue_depth(4)
-                .serve(backend, |svc| {
-                    let failed = svc
-                        .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
-                        .unwrap();
-                    let sibling = svc
-                        .submit_pairs(JobSpec::new().batch_size(32), jobs[0].to_vec(), sink())
-                        .unwrap();
+        let ((), report) = ServiceBuilder::new()
+            .threads(threads)
+            .serve(backend, |svc| {
+                let failed = svc
+                    .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
+                    .unwrap();
+                let sibling = svc
+                    .submit_pairs(JobSpec::new().batch_size(32), jobs[0].to_vec(), sink())
+                    .unwrap();
 
-                    let (fr, _) = join_within(failed, PANIC_BOUND, "job whose admission panicked");
-                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
-                    let reason = fr.report.abort_reason.as_deref().unwrap();
-                    assert!(
-                        reason.starts_with("mapping worker panicked")
-                            && reason.contains("batch tag"),
-                        "{what}: lost the reason: {reason}"
-                    );
+                let (fr, _) = join_within(failed, PANIC_BOUND, "job whose admission panicked");
+                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                let reason = fr.report.abort_reason.as_deref().unwrap();
+                assert!(
+                    reason.starts_with("mapping worker panicked") && reason.contains("batch tag"),
+                    "{what}: lost the reason: {reason}"
+                );
 
-                    let (sr, ssink) =
-                        join_within(sibling, PANIC_BOUND, "sibling of a device panic");
-                    assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
-                    assert!(
-                        ssink.into_inner().unwrap() == sibling_solo,
-                        "{what}: sibling bytes diverge from its solo run"
-                    );
+                let (sr, ssink) = join_within(sibling, PANIC_BOUND, "sibling of a device panic");
+                assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    ssink.into_inner().unwrap() == sibling_solo,
+                    "{what}: sibling bytes diverge from its solo run"
+                );
 
-                    let later = svc
-                        .submit_pairs(JobSpec::new().batch_size(16), jobs[1].to_vec(), sink())
-                        .unwrap();
-                    let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a device panic");
-                    assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
-                    assert!(
-                        lsink.into_inner().unwrap() == later_solo,
-                        "{what}: post-panic job bytes diverge from its solo run"
-                    );
-                });
+                let later = svc
+                    .submit_pairs(JobSpec::new().batch_size(16), jobs[1].to_vec(), sink())
+                    .unwrap();
+                let (lr, lsink) = join_within(later, PANIC_BOUND, "job after a device panic");
+                assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    lsink.into_inner().unwrap() == later_solo,
+                    "{what}: post-panic job bytes diverge from its solo run"
+                );
+            });
         assert_eq!(report.jobs_failed, 1, "{what}");
         assert_eq!(report.jobs_completed, 2, "{what}");
     }
@@ -861,42 +853,40 @@ fn a_short_result_list_fails_one_job_and_its_sibling_completes() {
     for threads in [1, 2] {
         let what = format!("threads={threads}");
         let backend = OneShort(SoftwareBackend::new(&mapper));
-        let ((), report) =
-            ServiceBuilder::new()
-                .threads(threads)
-                .queue_depth(4)
-                .serve(backend, |svc| {
-                    let failed = svc
-                        .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
-                        .unwrap();
-                    let sibling = svc
-                        .submit_pairs(
-                            JobSpec::new().batch_size(32),
-                            pairs[40..200].to_vec(),
-                            sink(),
-                        )
-                        .unwrap();
+        let ((), report) = ServiceBuilder::new()
+            .threads(threads)
+            .serve(backend, |svc| {
+                let failed = svc
+                    .submit_pairs(JobSpec::new().batch_size(40), doomed.clone(), sink())
+                    .unwrap();
+                let sibling = svc
+                    .submit_pairs(
+                        JobSpec::new().batch_size(32),
+                        pairs[40..200].to_vec(),
+                        sink(),
+                    )
+                    .unwrap();
 
-                    let (fr, _) = join_within(failed, PANIC_BOUND, "job with a short result list");
-                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
-                    let reason = fr.report.abort_reason.as_deref().unwrap();
-                    assert!(
-                        reason.starts_with("mapping worker panicked")
-                            && reason.contains(
-                                "backend returned a result count different from the batch size"
-                            ),
-                        "{what}: lost the reason: {reason}"
-                    );
-                    assert_eq!(fr.report.records_written, 0, "{what}");
+                let (fr, _) = join_within(failed, PANIC_BOUND, "job with a short result list");
+                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                let reason = fr.report.abort_reason.as_deref().unwrap();
+                assert!(
+                    reason.starts_with("mapping worker panicked")
+                        && reason.contains(
+                            "backend returned a result count different from the batch size"
+                        ),
+                    "{what}: lost the reason: {reason}"
+                );
+                assert_eq!(fr.report.records_written, 0, "{what}");
 
-                    let (sr, ssink) =
-                        join_within(sibling, PANIC_BOUND, "sibling of a short result list");
-                    assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
-                    assert!(
-                        ssink.into_inner().unwrap() == sibling_solo,
-                        "{what}: sibling bytes diverge from its solo run"
-                    );
-                });
+                let (sr, ssink) =
+                    join_within(sibling, PANIC_BOUND, "sibling of a short result list");
+                assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                assert!(
+                    ssink.into_inner().unwrap() == sibling_solo,
+                    "{what}: sibling bytes diverge from its solo run"
+                );
+            });
         assert_eq!(report.jobs_failed, 1, "{what}");
         assert_eq!(report.jobs_completed, 1, "{what}");
     }
@@ -930,42 +920,40 @@ fn an_input_error_fails_one_nmsl_job_and_its_siblings_keep_their_totals() {
             .chain([Err(GenomeError::ParseFormat("truncated record".into()))])
             .collect();
         let backend = NmslBackend::new(&mapper).channels(CHANNELS);
-        let ((), report) =
-            ServiceBuilder::new()
-                .threads(threads)
-                .queue_depth(4)
-                .serve(backend, |svc| {
-                    let failed = svc
-                        .submit(JobSpec::new().batch_size(32), input, sink())
-                        .unwrap();
-                    let handles: Vec<_> = siblings
-                        .iter()
-                        .zip([32, 16])
-                        .map(|(job, batch)| {
-                            svc.submit_pairs(JobSpec::new().batch_size(batch), job.to_vec(), sink())
-                                .unwrap()
-                        })
-                        .collect();
+        let ((), report) = ServiceBuilder::new()
+            .threads(threads)
+            .serve(backend, |svc| {
+                let failed = svc
+                    .submit(JobSpec::new().batch_size(32), input, sink())
+                    .unwrap();
+                let handles: Vec<_> = siblings
+                    .iter()
+                    .zip([32, 16])
+                    .map(|(job, batch)| {
+                        svc.submit_pairs(JobSpec::new().batch_size(batch), job.to_vec(), sink())
+                            .unwrap()
+                    })
+                    .collect();
 
-                    let (fr, _) = join_within(failed, PANIC_BOUND, "job whose input failed");
-                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
-                    let reason = fr.report.abort_reason.as_deref().unwrap();
+                let (fr, _) = join_within(failed, PANIC_BOUND, "job whose input failed");
+                assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                let reason = fr.report.abort_reason.as_deref().unwrap();
+                assert!(
+                    reason.contains("truncated record"),
+                    "{what}: lost the reason: {reason}"
+                );
+                assert_eq!(fr.report.records_written, 0, "{what}");
+                assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
+
+                for (h, solo) in handles.into_iter().zip(&solos) {
+                    let (r, s) = join_within(h, PANIC_BOUND, "sibling of a failed input");
+                    assert_eq!(r.outcome, JobOutcome::Completed, "{what}");
                     assert!(
-                        reason.contains("truncated record"),
-                        "{what}: lost the reason: {reason}"
+                        s.into_inner().unwrap() == *solo,
+                        "{what}: sibling bytes diverge from its solo run"
                     );
-                    assert_eq!(fr.report.records_written, 0, "{what}");
-                    assert_eq!(fr.pairs_accounted_after_cancel, 0, "{what}");
-
-                    for (h, solo) in handles.into_iter().zip(&solos) {
-                        let (r, s) = join_within(h, PANIC_BOUND, "sibling of a failed input");
-                        assert_eq!(r.outcome, JobOutcome::Completed, "{what}");
-                        assert!(
-                            s.into_inner().unwrap() == *solo,
-                            "{what}: sibling bytes diverge from its solo run"
-                        );
-                    }
-                });
+                }
+            });
         assert_eq!(report.jobs_failed, 1, "{what}");
         assert_eq!(report.jobs_completed, 2, "{what}");
         assert_eq!(
@@ -1054,7 +1042,7 @@ fn a_sink_panic_fails_its_job_and_the_service_keeps_serving() {
                     "{what}: post-panic job bytes diverge from its solo run"
                 );
             };
-            let builder = ServiceBuilder::new().threads(threads).queue_depth(4);
+            let builder = ServiceBuilder::new().threads(threads);
             let ((), report) = if nmsl {
                 builder.serve(NmslBackend::new(&mapper).channels(CHANNELS), run)
             } else {
@@ -1064,5 +1052,73 @@ fn a_sink_panic_fails_its_job_and_the_service_keeps_serving() {
             assert_eq!(report.jobs_completed, 2, "{what}");
             assert_eq!(report.jobs_cancelled, 0, "{what}");
         }
+    }
+}
+
+/// Pair of the doomed job's input at which its iterator panics: inside
+/// its third batch of four.
+const INPUT_PANIC_AT: usize = 10;
+
+#[test]
+fn an_input_panic_fails_its_job_and_the_service_keeps_serving() {
+    let (genome, pairs) = dataset();
+    let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
+    let jobs = [&pairs[40..104], &pairs[104..168]];
+    let [sibling_solo, later_solo] = jobs.map(|j| solo_sam(&mapper, &genome, j));
+    let sink = || SamTextSink::with_header(&genome, Vec::new()).unwrap();
+
+    for threads in [1, 2] {
+        let what = format!("threads={threads}");
+        let ((), report) =
+            ServiceBuilder::new()
+                .threads(threads)
+                .serve(SoftwareBackend::new(&mapper), |svc| {
+                    // The panic unwinds out of the ingester's poll of this
+                    // input; without the catch there, it tears every service
+                    // thread down and no job ever finalizes.
+                    let input = Vec::from(&pairs[..40])
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, p)| {
+                            assert!(i < INPUT_PANIC_AT, "injected input failure");
+                            Ok(p)
+                        });
+                    let failed = svc
+                        .submit(JobSpec::new().batch_size(4), input, sink())
+                        .unwrap();
+                    let sibling = svc
+                        .submit_pairs(JobSpec::new(), jobs[0].to_vec(), sink())
+                        .unwrap();
+
+                    let (sr, ssink) =
+                        join_within(sibling, PANIC_BOUND, "sibling of an input panic");
+                    assert_eq!(sr.outcome, JobOutcome::Completed, "{what}");
+                    assert!(
+                        ssink.into_inner().unwrap() == sibling_solo,
+                        "{what}: sibling bytes diverge from its solo run"
+                    );
+
+                    let (fr, _) = join_within(failed, PANIC_BOUND, "job whose input panicked");
+                    assert_eq!(fr.outcome, JobOutcome::Failed, "{what}");
+                    let reason = fr.report.abort_reason.as_deref().unwrap();
+                    assert!(
+                        reason.starts_with("input panicked")
+                            && reason.contains("injected input failure"),
+                        "{what}: lost the reason: {reason}"
+                    );
+
+                    let later = svc
+                        .submit_pairs(JobSpec::new(), jobs[1].to_vec(), sink())
+                        .unwrap();
+                    let (lr, lsink) = join_within(later, PANIC_BOUND, "job after an input panic");
+                    assert_eq!(lr.outcome, JobOutcome::Completed, "{what}");
+                    assert!(
+                        lsink.into_inner().unwrap() == later_solo,
+                        "{what}: post-panic job bytes diverge from its solo run"
+                    );
+                });
+        assert_eq!(report.jobs_failed, 1, "{what}");
+        assert_eq!(report.jobs_completed, 2, "{what}");
+        assert_eq!(report.jobs_cancelled, 0, "{what}");
     }
 }

@@ -17,9 +17,10 @@
 //! DP kernel as a test oracle).
 
 use genpairx::accel::workload::pair_workload;
-use genpairx::accel::NmslSim;
+use genpairx::accel::{NmslConfig, NmslSim};
 use genpairx::backend::{DeviceCounters, LaneCounters, NmslBackend};
 use genpairx::core::{GenPairConfig, GenPairMapper};
+use genpairx::memsim::DramConfig;
 use genpairx::pipeline::{map_serial, FallbackPolicy, PipelineBuilder, ReadPair, SamTextSink};
 use genpairx::readsim::dataset::{simulate_dataset, standard_genome, DATASETS};
 use genpairx::telemetry::Telemetry;
@@ -215,7 +216,8 @@ fn warm_totals_are_bit_identical_across_threads_and_batches() {
 }
 
 /// Seeding cost of cold dispatch: every `batch_size` pairs cold-start a
-/// fresh simulator over the backend's own DRAM/NMSL configuration and run
+/// fresh simulator over the device the backend models (HBM2e with 32
+/// channels, the default NMSL configuration) and run
 /// it to completion, so the total is the sum of independent per-batch runs
 /// — `(cycles, dram_bytes, dram_requests)`.
 fn cold_reference(
@@ -226,7 +228,7 @@ fn cold_reference(
     let seedmap = backend.mapper().seedmap();
     let mut total = (0, 0, 0);
     for batch in pairs.chunks(batch_size) {
-        let mut sim = NmslSim::new(*backend.dram_config(), *backend.nmsl_config());
+        let mut sim = NmslSim::new(DramConfig::hbm2e_32ch(), NmslConfig::default());
         for pair in batch {
             sim.push(&pair_workload(&pair.r1, &pair.r2, seedmap));
         }
