@@ -54,8 +54,8 @@ pub use light::{
 };
 pub use longread::{LongReadMapping, LongReadWork};
 pub use mapper::{
-    pair_mapping_to_sam, unmapped_pair_to_sam, FallbackStage, GenPairMapper, IndexMismatch,
-    PairMapResult, PairMapping, PairWork, DP_FALLBACK_BAND, DP_FALLBACK_MARGIN,
+    pair_mapping_to_sam, unmapped_pair_to_sam, FallbackStage, GenPairMapper, PairMapResult,
+    PairMapping, PairWork, DP_FALLBACK_BAND, DP_FALLBACK_MARGIN,
 };
 pub use readpair::ReadPair;
 pub use scratch::MapScratch;

@@ -9,7 +9,7 @@ use crate::scratch::MapScratch;
 use crate::seeding::query_reads_into;
 use crate::{GenPairConfig, ReadPair};
 use gx_align::banded_cells;
-use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, Locus, ReferenceGenome, SamRecord};
+use gx_genome::{flags, Cigar, DnaSeq, Locus, ReferenceGenome, SamRecord};
 use gx_seedmap::SeedMap;
 
 /// Reference bases the DP fallback's window extends either side of a
@@ -24,45 +24,6 @@ pub const DP_FALLBACK_MARGIN: usize = 8;
 /// DP_FALLBACK_BAND)` cells a mate (4,878 for 150 bases): what the software
 /// computes and what the GenDP model prices.
 pub const DP_FALLBACK_BAND: usize = 8;
-
-/// Why [`GenPairMapper::with_seedmap`] refused an index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexMismatch {
-    /// The index was built with another seed length than the config's.
-    SeedLen {
-        /// The index's seed length.
-        index: usize,
-        /// The config's seed length.
-        config: usize,
-    },
-    /// A Location Table entry whose seed window ends past the genome.
-    PastGenomeEnd {
-        /// The entry.
-        location: GlobalPos,
-        /// Bases in the genome.
-        genome_len: u64,
-    },
-}
-
-impl std::fmt::Display for IndexMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexMismatch::SeedLen { index, config } => write!(
-                f,
-                "index seed length {index} differs from the config's {config}"
-            ),
-            IndexMismatch::PastGenomeEnd {
-                location,
-                genome_len,
-            } => write!(
-                f,
-                "index location {location} lies past the end of a {genome_len}-base genome"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for IndexMismatch {}
 
 /// Where a pair left the GenPair fast path (paper Fig. 10).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -201,43 +162,6 @@ impl<'g> GenPairMapper<'g> {
             seedmap,
             config: *config,
         }
-    }
-
-    /// Wraps an existing SeedMap (e.g. deserialized) in a mapper.
-    ///
-    /// # Errors
-    ///
-    /// Refuses an index that does not fit: its seed length differs from the
-    /// config's, or a Location Table entry names a seed window past the
-    /// genome's end (mapping would then panic locating that entry).
-    pub fn with_seedmap(
-        genome: &'g ReferenceGenome,
-        seedmap: SeedMap,
-        config: &GenPairConfig,
-    ) -> Result<GenPairMapper<'g>, IndexMismatch> {
-        let seed_len = seedmap.config().seed_len;
-        if seed_len != config.seedmap.seed_len {
-            return Err(IndexMismatch::SeedLen {
-                index: seed_len,
-                config: config.seedmap.seed_len,
-            });
-        }
-        let genome_len = genome.total_len();
-        if let Some(&location) = seedmap
-            .locations()
-            .iter()
-            .find(|&&g| g as u64 + seed_len as u64 > genome_len)
-        {
-            return Err(IndexMismatch::PastGenomeEnd {
-                location,
-                genome_len,
-            });
-        }
-        Ok(GenPairMapper {
-            genome,
-            seedmap,
-            config: *config,
-        })
     }
 
     /// The underlying SeedMap.
@@ -1093,9 +1017,8 @@ mod tests {
 
         // A pair whose seeds sit in buckets of hundreds of locations, then a
         // unique one: the second reuses an arena the first left long.
-        let (repeats, repeat_map, pos) = crate::seeding::tests::repeat_setup();
-        let repeat_mapper =
-            GenPairMapper::with_seedmap(&repeats, repeat_map, &cfg).expect("the index fits");
+        let (repeats, _, pos) = crate::seeding::tests::repeat_setup();
+        let repeat_mapper = GenPairMapper::build(&repeats, &cfg);
         let rseq = repeats.chromosome(0).seq();
         let repeat_pairs = [
             (

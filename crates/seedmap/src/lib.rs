@@ -1,4 +1,8 @@
-//! The SeedMap index (paper §4.2): GenPair's offline reference index.
+//! The SeedMap index (paper §4.2): GenPair's reference index.
+//!
+//! The paper builds SeedMap once per reference in an offline stage. Here
+//! every run builds it in memory ([`SeedMap::build`]) and never writes it
+//! out: no file format pins the table layout.
 //!
 //! SeedMap is a hash-table-like structure with two tables:
 //!
@@ -28,10 +32,8 @@
 
 mod merge;
 mod seedmap;
-mod serialize;
 mod xxhash;
 
 pub use merge::{merge_sorted_with_offsets_into, MAX_MERGE_LISTS};
 pub use seedmap::{SeedMap, SeedMapConfig, SeedMapStats};
-pub use serialize::{read_seedmap, write_seedmap, SerializeError};
 pub use xxhash::xxh32;

@@ -9,6 +9,8 @@ const HASH_CHUNK: usize = 16 * 1024;
 /// The build uses one thread per this many windows, up to the core count,
 /// so a small genome is built on the calling thread alone.
 const WINDOWS_PER_THREAD: usize = 1 << 16;
+/// The seed xxh32 hashes every window and every query seed with.
+const HASH_SEED: u32 = 0;
 
 /// Configuration of SeedMap construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,8 +23,6 @@ pub struct SeedMapConfig {
     /// Index filtering threshold (§5.2): buckets with more locations are
     /// emptied. `u32::MAX` disables filtering.
     pub filter_threshold: u32,
-    /// Seed passed to xxh32.
-    pub hash_seed: u32,
 }
 
 impl Default for SeedMapConfig {
@@ -31,7 +31,6 @@ impl Default for SeedMapConfig {
             seed_len: 50,
             bucket_bits: None,
             filter_threshold: 500,
-            hash_seed: 0,
         }
     }
 }
@@ -100,8 +99,11 @@ pub struct SeedMapStats {
 }
 
 impl SeedMapStats {
-    /// Mean locations per used bucket (paper Observation 2 measures ~9.5 on
-    /// GRCh38 with 50 bp seeds).
+    /// Mean locations per used bucket: stored locations over buckets that
+    /// hold any. Every bucket counts once, however often queries land in
+    /// it, so this is not the paper's Observation 2 (≈ 9.5 locations a
+    /// query seed on GRCh38), which weights each bucket by its queries;
+    /// the `obs_stats` paper bin measures that one.
     pub fn mean_locations_per_seed(&self) -> f64 {
         if self.used_buckets == 0 {
             0.0
@@ -117,12 +119,11 @@ impl SeedMapStats {
 /// positions (stride 1) are indexed so that read seeds extracted at
 /// arbitrary offsets find their exact matches.
 ///
-/// A seed's bucket is `xxh32(codes, config.hash_seed) & mask`, at
-/// construction ([`SeedMap::build`]) and at query time
-/// ([`SeedMap::hash_seed_codes`]) alike — the paper's hashing units
-/// implement xxHash (§4.3), so the hash is part of the index format, not a
-/// parameter of it.
-#[derive(Clone, Debug)]
+/// A seed's bucket is `xxh32(codes, 0) & mask`, at construction
+/// ([`SeedMap::build`]) and at query time ([`SeedMap::hash_seed_codes`])
+/// alike — the paper's hashing units implement xxHash (§4.3), so the hash
+/// is part of the index, not a parameter of it.
+#[derive(Debug)]
 pub struct SeedMap {
     config: SeedMapConfig,
     mask: u32,
@@ -176,7 +177,7 @@ impl SeedMap {
     /// bounded), if the genome is empty or longer than `u32::MAX` bases
     /// (its positions would not fit a [`GlobalPos`]), or if
     /// [`bucket_bits`](SeedMapConfig::bucket_bits) is above 31 (the Seed
-    /// Table is indexed, and its size stored on disk, as a `u32`).
+    /// Table is indexed as a `u32`).
     pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> SeedMap {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = cores.min(window_count(genome, config.seed_len) / WINDOWS_PER_THREAD);
@@ -299,7 +300,7 @@ impl SeedMap {
     #[inline]
     pub fn hash_seed_codes(&self, codes: &[u8]) -> u32 {
         assert_eq!(codes.len(), self.config.seed_len, "seed length mismatch");
-        xxh32(codes, self.config.hash_seed)
+        xxh32(codes, HASH_SEED)
     }
 
     /// The sorted location slice for a seed hash (the paper's online query,
@@ -321,12 +322,6 @@ impl SeedMap {
     #[inline]
     pub fn location_slice(&self, start: u64, end: u64) -> &[GlobalPos] {
         &self.location_table[start as usize..end as usize]
-    }
-
-    /// The whole Location Table: every bucket's locations, bucket after
-    /// bucket, each bucket ascending.
-    pub fn locations(&self) -> &[GlobalPos] {
-        &self.location_table
     }
 
     /// Convenience: hash `codes` and return its location slice.
@@ -360,36 +355,6 @@ impl SeedMap {
     /// Number of Seed Table buckets.
     pub fn num_buckets(&self) -> usize {
         self.seed_table.len()
-    }
-
-    /// Raw table access for the serializer and the NMSL address mapper.
-    pub(crate) fn raw_parts(&self) -> (&SeedMapConfig, &[u32], &[GlobalPos], &SeedMapStats) {
-        (
-            &self.config,
-            &self.seed_table,
-            &self.location_table,
-            &self.stats,
-        )
-    }
-
-    /// Reassembles an index from raw parts (deserialization).
-    pub(crate) fn from_raw_parts(
-        config: SeedMapConfig,
-        seed_table: Vec<u32>,
-        location_table: Vec<GlobalPos>,
-        stats: SeedMapStats,
-    ) -> SeedMap {
-        assert!(
-            seed_table.len().is_power_of_two(),
-            "seed table must be a power of two"
-        );
-        SeedMap {
-            mask: (seed_table.len() - 1) as u32,
-            config,
-            seed_table,
-            location_table,
-            stats,
-        }
     }
 }
 
@@ -457,7 +422,7 @@ fn hash_windows(
                 *slot = if check_n && chrom.has_n_in(pos, pos + k) {
                     NO_BUCKET
                 } else {
-                    xxh32(window, config.hash_seed) & mask
+                    xxh32(window, HASH_SEED) & mask
                 };
             }
         }
@@ -611,8 +576,8 @@ mod tests {
         assert_eq!(checked_bucket_bits(&cfg, 1_000), 31);
     }
 
-    /// `Some(32)` would size a 2³²-entry Seed Table whose length the v2
-    /// header stores as `u32` 0; `Some(64)` built a 1-bucket index in
+    /// `Some(32)` would size a 2³²-entry Seed Table whose end offsets and
+    /// bucket indices no `u32` holds; `Some(64)` built a 1-bucket index in
     /// release before the check, the shift masked to 0.
     #[test]
     #[should_panic(expected = "bucket_bits 32 is above 31")]
@@ -724,24 +689,20 @@ mod tests {
     }
 
     /// Every thread count builds the index one thread builds: the same
-    /// stats and the same `write_seedmap` bytes. Each of these fails it
-    /// and no other test of the crate: pass 3's bucket range starting one
-    /// bucket early (`(first as u32).saturating_sub(1)`, a no-op for the
-    /// first range), pass 1's window range starting one window late for
-    /// every thread but the first, pass 1 not resetting `first` to 0 after
-    /// a thread's first chromosome. (A shift every thread count makes
-    /// alike, such as pass 1 handed `first + 1` for every range, is for
-    /// the other tests and `tests/build_diff.rs` to catch.)
+    /// stats, Seed Table and Location Table, entry for entry. Each of these
+    /// fails it and no other test of the crate: pass 3's bucket range
+    /// starting one bucket early (`(first as u32).saturating_sub(1)`, a
+    /// no-op for the first range), pass 1's window range starting one
+    /// window late for every thread but the first, pass 1 not resetting
+    /// `first` to 0 after a thread's first chromosome. (A shift every
+    /// thread count makes alike, such as pass 1 handed `first + 1` for
+    /// every range, is for the other tests and `tests/build_diff.rs` to
+    /// catch.)
     #[test]
     fn every_thread_count_builds_the_index_one_thread_builds() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5b117);
         let mut mix = SplitMix::default();
-        let bytes = |map: &SeedMap| {
-            let mut out = Vec::new();
-            crate::write_seedmap(map, &mut out).unwrap();
-            out
-        };
         let cases = if cfg!(debug_assertions) { 300 } else { 3_000 };
         for _ in 0..cases {
             let k = rng.random_range(1..=12);
@@ -751,15 +712,22 @@ mod tests {
                 bucket_bits: [None, Some(0), Some(3), Some(rng.random_range(0..=10))]
                     [rng.random_range(0..4)],
                 filter_threshold: [1, 2, 5, u32::MAX][rng.random_range(0..4)],
-                hash_seed: rng.random(),
             };
             let want = SeedMap::build_with(&genome, &cfg, 1);
-            let want_bytes = bytes(&want);
             for threads in 2..=5 {
                 let map = SeedMap::build_with(&genome, &cfg, threads);
                 let what = || format!("{threads} threads, {cfg:?} over {:?}", genome.chromosomes());
                 assert_eq!(map.stats(), want.stats(), "{}", what());
-                assert!(bytes(&map) == want_bytes, "bytes differ: {}", what());
+                assert!(
+                    map.seed_table == want.seed_table,
+                    "Seed Tables differ: {}",
+                    what()
+                );
+                assert!(
+                    map.location_table == want.location_table,
+                    "Location Tables differ: {}",
+                    what()
+                );
             }
 
             // What the case covered. Window `w` overlaps an `N`, and where

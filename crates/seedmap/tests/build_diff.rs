@@ -1,7 +1,6 @@
 //! Differential suite for the index build: the three-pass `SeedMap::build`
 //! against the two-pass build it replaced (`build_oracle`), compared on every
-//! bucket's bounds, the whole Location Table, the statistics and the
-//! serialised bytes.
+//! bucket's bounds, the whole Location Table and the statistics.
 //!
 //! The rewrite hashes, counts and places in three separate loops, and the
 //! place loop recomputes each window's position instead of reading it back.
@@ -18,7 +17,7 @@
 mod build_oracle;
 
 use gx_genome::{Bitset, Chromosome, DnaSeq, ReferenceGenome};
-use gx_seedmap::{write_seedmap, SeedMap, SeedMapConfig};
+use gx_seedmap::{SeedMap, SeedMapConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,7 +106,6 @@ fn config(rng: &mut StdRng) -> SeedMapConfig {
             Some(rng.random_range(0..=12))
         },
         filter_threshold: THRESHOLDS[rng.random_range(0..THRESHOLDS.len())],
-        hash_seed: [0, 7, rng.random()][rng.random_range(0..3)],
     }
 }
 
@@ -130,7 +128,6 @@ struct Mix {
 fn three_pass_build_equals_the_two_pass_build() {
     let mut rng = StdRng::seed_from_u64(0xb01d_5eed);
     let mut mix = Mix::default();
-    let mut bytes = Vec::new();
     for _ in 0..cases() {
         let cfg = config(&mut rng);
         let k = cfg.seed_len;
@@ -154,9 +151,6 @@ fn three_pass_build_equals_the_two_pass_build() {
             "{}",
             what()
         );
-        bytes.clear();
-        write_seedmap(&map, &mut bytes).unwrap();
-        assert!(bytes == want.v2_bytes(&cfg), "bytes differ: {}", what());
 
         let s = &want.stats;
         let chroms = genome.chromosomes();

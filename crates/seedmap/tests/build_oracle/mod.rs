@@ -1,7 +1,8 @@
 //! Test-only oracle: the two-pass `SeedMap::build` `gx-seedmap` shipped
-//! before the three-pass rewrite, moved here verbatim — one fused loop that
-//! hashes every window, remembers its bucket *and* its position and counts
-//! the bucket, a second `counts` array that the filter zeroes, and a place
+//! before the three-pass rewrite, moved here verbatim but for the xxh32
+//! seed, the constant 0 the index hashes with — one fused loop that hashes
+//! every window, remembers its bucket *and* its position and counts the
+//! bucket, a second `counts` array that the filter zeroes, and a place
 //! loop over the remembered positions. It returns the raw tables and
 //! statistics; `tests/build_diff.rs` holds the library build to them.
 
@@ -15,41 +16,6 @@ pub struct Index {
     /// Global positions, grouped by bucket, ascending within a bucket.
     pub location_table: Vec<GlobalPos>,
     pub stats: SeedMapStats,
-}
-
-impl Index {
-    /// The index in the v2 on-disk layout: a 68-byte header (magic,
-    /// version, seed length, filter threshold, hash seed, hasher id 1,
-    /// bucket count as `u32`; location count and four statistics as `u64`),
-    /// then both tables as little-endian `u32`s.
-    pub fn v2_bytes(&self, config: &SeedMapConfig) -> Vec<u8> {
-        let mut out = Vec::new();
-        for v in [
-            0x5347_4d58,
-            2,
-            config.seed_len as u32,
-            config.filter_threshold,
-            config.hash_seed,
-            1,
-            self.seed_table.len() as u32,
-        ] {
-            out.extend_from_slice(&u32::to_le_bytes(v));
-        }
-        let s = &self.stats;
-        for v in [
-            self.location_table.len() as u64,
-            s.used_buckets,
-            s.filtered_buckets,
-            s.filtered_locations,
-            s.skipped_n_windows,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in self.seed_table.iter().chain(&self.location_table) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
 }
 
 fn default_bucket_bits(genome_len: u64) -> u32 {
@@ -101,7 +67,7 @@ pub fn build(genome: &ReferenceGenome, config: &SeedMapConfig) -> Index {
                 skipped_n += 1;
                 continue;
             }
-            let bucket = xxh32(window, config.hash_seed) & mask;
+            let bucket = xxh32(window, 0) & mask;
             bucket_of.push(bucket);
             window_pos.push((start_gpos + pos as u64) as GlobalPos);
             counts[bucket as usize] += 1;

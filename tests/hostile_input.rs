@@ -1,5 +1,5 @@
-//! Hostile input: whatever bytes arrive, the FASTQ readers and the index
-//! loader give an error or the right answer, never a panic.
+//! Hostile input: whatever bytes arrive, the FASTQ readers give an error or
+//! the right answer, never a panic.
 //!
 //! * FASTQ ([`FastqReader`], [`ReadPairStream`]): records with mixed LF /
 //!   CRLF line ends, blank lines between records, non-ACGT bytes, zero-length
@@ -8,26 +8,19 @@
 //!   any byte. Each is held to a line-by-line reference parser written
 //!   here, and every pair that parses is mapped, with each mapped mate's
 //!   CIGAR and position checked against its read and its chromosome.
-//! * The serialized index ([`read_seedmap`]): a small index with bytes
-//!   flipped anywhere, cut short or followed by junk. It loads as an error,
-//!   or as an index that writes back the very bytes it was read from and
-//!   answers queries. An index that loads but does not fit the genome — a
-//!   Location Table entry past its end — is refused by
-//!   [`GenPairMapper::with_seedmap`] before any pair is mapped.
 //! * An error names an offending line or read id by a short prefix and its
 //!   length, so a 10 MB line that is not a header, or two 10 MB mate ids
 //!   that disagree, do not become a 10 MB message.
 //!
 //! Release builds run the full case counts; debug builds 1/20 of them.
 
-use genpairx::core::{GenPairConfig, GenPairMapper, IndexMismatch, MapScratch};
+use genpairx::core::{GenPairConfig, GenPairMapper, MapScratch};
 use genpairx::genome::fastq::FastqReader;
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::{DnaSeq, ReadRecord, ReferenceGenome};
 use genpairx::pipeline::{
     JobOutcome, JobSpec, ReadPairStream, ServiceBuilder, SoftwareBackend, VecSink,
 };
-use genpairx::seedmap::{read_seedmap, write_seedmap, SeedMap, SeedMapConfig};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::io::Cursor;
@@ -366,117 +359,6 @@ proptest! {
             check_mapped(r1, r2)?;
         }
     }
-}
-
-/// A small index (seed length 10) and its serialized bytes.
-fn small_index() -> &'static (SeedMap, Vec<u8>) {
-    static INDEX: OnceLock<(SeedMap, Vec<u8>)> = OnceLock::new();
-    INDEX.get_or_init(|| {
-        let genome = RandomGenomeBuilder::new(3_000).seed(17).build();
-        let cfg = SeedMapConfig {
-            seed_len: 10,
-            bucket_bits: Some(8),
-            ..SeedMapConfig::default()
-        };
-        let map = SeedMap::build(&genome, &cfg);
-        let mut bytes = Vec::new();
-        write_seedmap(&map, &mut bytes).expect("write to memory");
-        (map, bytes)
-    })
-}
-
-proptest! {
-    #![proptest_config(cases(20_000))]
-
-    #[test]
-    fn a_damaged_index_loads_as_an_error_or_as_exactly_its_bytes(
-        flips in prop::collection::vec((0.0f64..1.0, 1u8..=255), 0..4),
-        header_flip in (0usize..68, 1u8..=255, 0u8..3),
-        end in (0.0f64..1.0, 0u8..4, prop::collection::vec(0u8..=255, 0..9)),
-        queries in prop::collection::vec(0u32..=u32::MAX, 4),
-    ) {
-        let mut bytes = small_index().1.clone();
-        for (at, mask) in flips {
-            let at = (at * bytes.len() as f64) as usize;
-            bytes[at] ^= mask;
-        }
-        // A third of the cases also damage the 68-byte header.
-        if header_flip.2 == 0 {
-            bytes[header_flip.0] ^= header_flip.1;
-        }
-        // A quarter are cut short, a quarter carry junk after the tables.
-        let (cut, how, junk) = end;
-        let written = bytes.len();
-        match how {
-            0 => bytes.truncate((cut * written as f64) as usize),
-            1 => bytes.extend_from_slice(&junk),
-            _ => {}
-        }
-        let Ok(map) = read_seedmap(bytes.as_slice()) else {
-            return Ok(());
-        };
-        let mut back = Vec::new();
-        write_seedmap(&map, &mut back).expect("write to memory");
-        prop_assert!(back.len() <= bytes.len());
-        prop_assert!(back[..] == bytes[..back.len()], "loaded index writes other bytes");
-        let codes: Vec<u8> = (0..map.config().seed_len).map(|i| (i % 4) as u8).collect();
-        let _ = map.query(&codes);
-        for hash in queries {
-            let (_, start, end) = map.bucket_range(hash);
-            prop_assert!(start <= end);
-            prop_assert_eq!(map.locations_for_hash(hash).len() as u64, end - start);
-        }
-    }
-}
-
-#[test]
-fn an_undamaged_index_round_trips() {
-    let (map, bytes) = small_index();
-    let back = read_seedmap(bytes.as_slice()).expect("loads");
-    assert_eq!(back.stats(), map.stats());
-}
-
-#[test]
-fn an_index_past_the_genome_end_is_refused_before_mapping() {
-    let built = mapper();
-    let (genome, config) = (built.genome(), GenPairConfig::default());
-    let mut bytes = Vec::new();
-    write_seedmap(built.seedmap(), &mut bytes).expect("write to memory");
-    let locations = built.seedmap().locations().len();
-    let table = bytes.len() - 4 * locations;
-    for entry in [0, locations / 2, locations - 1] {
-        // The top bit of a little-endian entry: a position past 2^31.
-        let mut flipped = bytes.clone();
-        flipped[table + 4 * entry + 3] ^= 0x80;
-        let map = read_seedmap(flipped.as_slice()).expect("a flipped location still loads");
-        match GenPairMapper::with_seedmap(genome, map, &config) {
-            Err(IndexMismatch::PastGenomeEnd { genome_len, .. }) => {
-                assert_eq!(genome_len, genome.total_len())
-            }
-            other => panic!("entry {entry}: {:?}", other.map(|_| ())),
-        }
-    }
-    let short = small_index().0.clone();
-    assert_eq!(
-        GenPairMapper::with_seedmap(genome, short, &config).map(|_| ()),
-        Err(IndexMismatch::SeedLen {
-            index: 10,
-            config: config.seedmap.seed_len
-        })
-    );
-    // The undamaged bytes fit, and map a pair as the index they came from.
-    let map = read_seedmap(bytes.as_slice()).expect("loads");
-    let loaded = GenPairMapper::with_seedmap(genome, map, &config).expect("the index fits");
-    let seq = genome.chromosome(1).seq();
-    let (r1, r2) = (seq.subseq(9_000..9_150), seq.subseq(9_300..9_450).revcomp());
-    let (want, got) = (built.map_pair(&r1, &r2), loaded.map_pair(&r1, &r2));
-    let placed = |res: &genpairx::core::PairMapResult| {
-        let m = res.mapping.as_ref().expect("the pair maps");
-        (m.chrom, m.pos1, m.pos2, m.cigar1.to_string(), m.mapq)
-    };
-    let (chrom, pos1, pos2, ..) = placed(&got);
-    assert_eq!((chrom, pos1, pos2), (1, 9_000, 9_300));
-    assert_eq!(placed(&got), placed(&want));
 }
 
 #[test]
