@@ -26,6 +26,8 @@
 //! * [`cpu_query`] — a multithreaded CPU SeedMap-query driver for the
 //!   Fig. 9 CPU bar.
 
+#![warn(missing_docs)]
+
 pub mod area_power;
 pub mod cpu_query;
 pub mod gendp;

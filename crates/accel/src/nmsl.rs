@@ -13,9 +13,9 @@
 //! FIFO, and bounds the number of in-flight read pairs with a *sliding
 //! window*: pair `i` may only issue while `i < head + window`, where `head`
 //! is the oldest incomplete pair. Fetched locations wait in a *centralized
-//! buffer* (one FIFO per window slot per seed, depth = the index filtering
-//! threshold) until all six seeds of the pair have arrived, preventing the
-//! deadlock the paper describes.
+//! buffer* (one FIFO per window slot per seed, depth = the index's default
+//! filtering threshold) until all six seeds of the pair have arrived,
+//! preventing the deadlock the paper describes.
 //!
 //! Each seed costs one 8 B Seed Table read (the previous + current end
 //! offsets) followed, for non-empty buckets, by a contiguous Location Table
@@ -25,6 +25,7 @@ use crate::workload::{PairWorkload, PAIR_SEEDS};
 use gx_memsim::{
     ChannelCycles, Completion, DramConfig, DramPowerModel, DramSim, DramStats, Request,
 };
+use gx_seedmap::DEFAULT_FILTER_THRESHOLD;
 use std::collections::VecDeque;
 
 /// How table entries map to DRAM addresses.
@@ -46,6 +47,11 @@ pub enum AddressScale {
     Native,
 }
 
+/// Centralized-buffer FIFO depth: the index's default filtering threshold,
+/// which caps the locations of one seed (§5.2). It is the fixed hardware
+/// depth, not the threshold of the index being simulated, so a threshold
+/// sweep models one buffer.
+const BUFFER_DEPTH: u32 = DEFAULT_FILTER_THRESHOLD;
 /// Bytes per centralized-buffer entry (one location).
 const BUFFER_ENTRY_BYTES: u64 = 4;
 /// Bytes per channel-input-FIFO entry (one request descriptor).
@@ -58,10 +64,6 @@ pub struct NmslConfig {
     /// "No Window" configuration of Fig. 8. [`NmslSim::new`] clamps
     /// `Some(0)` to `Some(1)`: a zero window would never admit a pair.
     pub window: Option<usize>,
-    /// Centralized-buffer FIFO depth (the index filtering threshold caps
-    /// locations per seed, §5.2). [`NmslSim::new`] clamps it to at least
-    /// 1: a zero depth would issue zero-byte Location Table reads.
-    pub buffer_depth: u32,
     /// Address-space model.
     pub address_scale: AddressScale,
 }
@@ -70,7 +72,6 @@ impl Default for NmslConfig {
     fn default() -> NmslConfig {
         NmslConfig {
             window: Some(1024),
-            buffer_depth: 500,
             address_scale: AddressScale::HumanScale,
         }
     }
@@ -231,10 +232,9 @@ const PRESIZE_PAIRS: usize = 256;
 
 impl NmslSim {
     /// Creates a simulator over a DRAM technology, clamping a zero window
-    /// and a zero buffer depth to 1.
+    /// to 1.
     pub fn new(dram_cfg: DramConfig, mut cfg: NmslConfig) -> NmslSim {
         cfg.window = cfg.window.map(|w| w.max(1));
-        cfg.buffer_depth = cfg.buffer_depth.max(1);
         let channels = dram_cfg.channels as usize;
         let pairs = cfg.window.unwrap_or(usize::MAX).min(PRESIZE_PAIRS);
         let per_fifo = (pairs * 6).div_ceil(channels);
@@ -460,7 +460,7 @@ impl NmslSim {
                 // Dependent Location Table read (contiguous burst).
                 self.enqueue(Request {
                     addr: self.loc_addr(s.hash, s.loc_start),
-                    bytes: s.locations.min(self.cfg.buffer_depth) * 4,
+                    bytes: s.locations.min(BUFFER_DEPTH) * 4,
                     channel: s.hash % channels,
                     tag: tag(pi, si, 1),
                 });
@@ -525,7 +525,7 @@ impl NmslSim {
         let pairs = self.completed;
         let channels = self.dram.config().channels;
         let effective_window = self.cfg.window.unwrap_or(self.max_inflight.max(1)) as u64;
-        let buffer_bytes = 6 * effective_window * self.cfg.buffer_depth as u64 * BUFFER_ENTRY_BYTES;
+        let buffer_bytes = 6 * effective_window * BUFFER_DEPTH as u64 * BUFFER_ENTRY_BYTES;
         let fifo_bytes = channels as u64 * self.max_fifo as u64 * FIFO_ENTRY_BYTES;
         let dram_stats = *self.dram.stats();
         let power_model = DramPowerModel::for_config(self.dram.config());
@@ -642,15 +642,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_window_and_zero_buffer_depth_run_as_one() {
-        // A zero window never admitted a pair (the model spun forever) and
-        // a zero depth asked the DRAM for zero-byte reads (a panic): both
-        // clamp to 1 and run to completion exactly as 1 does.
+    fn zero_window_runs_as_one() {
+        // A zero window never admitted a pair (the model spun forever): it
+        // clamps to 1 and runs to completion exactly as 1 does.
         let ws = workloads(20);
-        let run = |window, buffer_depth| {
+        let run = |window| {
             let cfg = NmslConfig {
                 window,
-                buffer_depth,
                 ..NmslConfig::default()
             };
             let mut sim = NmslSim::new(DramConfig::hbm2e_32ch(), cfg);
@@ -658,8 +656,7 @@ mod tests {
             assert_eq!(res.pairs, 20);
             (res.cycles, res.dram, res.buffer_bytes)
         };
-        assert_eq!(run(Some(0), 500), run(Some(1), 500));
-        assert_eq!(run(Some(1024), 0), run(Some(1024), 1));
+        assert_eq!(run(Some(0)), run(Some(1)));
     }
 
     #[test]

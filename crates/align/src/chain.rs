@@ -34,7 +34,12 @@ pub struct Chain {
     pub ref_end: u64,
 }
 
-/// Chaining parameters (defaults follow minimap2's short-read settings).
+/// Chaining parameters.
+///
+/// `Default` is the setting the chaining tests of this crate use
+/// (`min_score` 40, `min_anchors` 2). The one production caller, the
+/// baseline's `gx_baseline::Mm2Mapper`, chains with its own constants
+/// (`min_score` 25, `min_anchors` 1, `kmer` its minimizer length).
 #[derive(Clone, Copy, Debug)]
 pub struct ChainParams {
     /// Seed (k-mer) length used to produce the anchors.

@@ -31,6 +31,8 @@
 //! # }
 //! ```
 
+#![warn(missing_docs)]
+
 mod banded;
 pub mod chain;
 mod dp;

@@ -34,7 +34,7 @@ pub struct Scoring {
 
 impl Scoring {
     /// minimap2 short-read preset: `+2 / -8 / 12 / 2`.
-    pub fn short_read() -> Scoring {
+    pub const fn short_read() -> Scoring {
         Scoring {
             match_score: 2,
             mismatch: 8,

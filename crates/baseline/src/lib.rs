@@ -14,9 +14,11 @@
 //!   times ([`StageTimings`], regenerating Fig. 1) and DP cell-update
 //!   counters (GenDP sizing).
 
+#![warn(missing_docs)]
+
 mod index;
 mod mapper;
 pub mod minimizer;
 
 pub use index::MinimizerIndex;
-pub use mapper::{Mm2Config, Mm2Mapper, PairAlignment, ReadAlignment, StageTimings, WorkCounters};
+pub use mapper::{Mm2Mapper, PairAlignment, ReadAlignment, StageTimings, WorkCounters};

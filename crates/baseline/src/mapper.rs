@@ -8,56 +8,6 @@ use gx_align::{banded_align_with, AlignMode, AlignScratch, Scoring};
 use gx_genome::{flags, Cigar, DnaSeq, ReferenceGenome, SamRecord};
 use std::time::{Duration, Instant};
 
-/// Mapper configuration (defaults follow minimap2's short-read preset).
-#[derive(Clone, Copy, Debug)]
-pub struct Mm2Config {
-    /// Minimizer k-mer length (sr preset: 21).
-    pub k: usize,
-    /// Minimizer window (sr preset: 11).
-    pub w: usize,
-    /// Index occurrence cutoff (sr preset masks ~500+).
-    pub max_occ: usize,
-    /// Chaining parameters.
-    pub chain: ChainParams,
-    /// Extension alignment band.
-    pub band: usize,
-    /// Chains taken to alignment per strand.
-    pub max_chains: usize,
-    /// Maximum outer distance for a proper pair.
-    pub pair_max_dist: u64,
-    /// Whether to attempt mate rescue by windowed alignment.
-    pub rescue: bool,
-    /// Scoring scheme.
-    pub scoring: Scoring,
-    /// Minimum acceptable alignment score fraction (of perfect) for a read
-    /// to count as mapped.
-    pub min_score_frac: f64,
-}
-
-impl Default for Mm2Config {
-    fn default() -> Mm2Config {
-        Mm2Config {
-            k: 21,
-            w: 11,
-            max_occ: 500,
-            chain: ChainParams {
-                kmer: 21,
-                max_dist: 500,
-                max_gap: 100,
-                max_lookback: 50,
-                min_score: 25,
-                min_anchors: 1,
-            },
-            band: 32,
-            max_chains: 2,
-            pair_max_dist: 1_000,
-            rescue: true,
-            scoring: Scoring::short_read(),
-            min_score_frac: 0.5,
-        }
-    }
-}
-
 /// Wall-clock time spent in each pipeline stage (regenerates Fig. 1).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
@@ -168,12 +118,16 @@ impl PairAlignment {
 
 /// The minimap2-style mapper.
 ///
+/// It runs minimap2's short-read (`sr`) preset as private constants: the
+/// paper compares GenPairX with minimap2 at that preset, so the baseline
+/// is not a tunable part of the system. Mate rescue always runs.
+///
 /// ```
 /// use gx_genome::random::RandomGenomeBuilder;
-/// use gx_baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
+/// use gx_baseline::{Mm2Mapper, StageTimings, WorkCounters};
 ///
 /// let genome = RandomGenomeBuilder::new(60_000).seed(2).build();
-/// let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+/// let mapper = Mm2Mapper::build(&genome);
 /// let seq = genome.chromosome(0).seq();
 /// let (r1, r2) = (seq.subseq(5_000..5_150), seq.subseq(5_250..5_400).revcomp());
 /// let mut t = StageTimings::default();
@@ -186,23 +140,47 @@ impl PairAlignment {
 pub struct Mm2Mapper<'g> {
     genome: &'g ReferenceGenome,
     index: MinimizerIndex,
-    config: Mm2Config,
 }
 
 impl<'g> Mm2Mapper<'g> {
+    /// Minimizer k-mer length (`sr`: 21).
+    const K: usize = 21;
+    /// Minimizer window (`sr`: 11).
+    const W: usize = 11;
+    /// Index occurrence cutoff: minimizers seen more often are masked.
+    const MAX_OCC: usize = 500;
+    /// Chaining parameters; anchors are `K` bases long.
+    const CHAIN: ChainParams = ChainParams {
+        kmer: Self::K as u32,
+        max_dist: 500,
+        max_gap: 100,
+        max_lookback: 50,
+        min_score: 25,
+        min_anchors: 1,
+    };
+    /// Extension alignment band.
+    const BAND: usize = 32;
+    /// Chains taken to alignment per strand.
+    const MAX_CHAINS: usize = 2;
+    /// Maximum outer distance for a proper pair, and the rescue window's
+    /// reach on either side of the anchor.
+    const PAIR_MAX_DIST: u64 = 1_000;
+    /// Scoring scheme (`sr`: `-A2 -B8 -O12 -E2`).
+    const SCORING: Scoring = Scoring::short_read();
+    /// Minimum alignment score, as a fraction of a perfect score, for a read
+    /// to count as mapped.
+    const MIN_SCORE_FRAC: f64 = 0.5;
+
     /// Builds the minimizer index and returns a mapper.
-    pub fn build(genome: &'g ReferenceGenome, config: &Mm2Config) -> Mm2Mapper<'g> {
-        let index = MinimizerIndex::build(genome, config.k, config.w, config.max_occ);
-        Mm2Mapper {
-            genome,
-            index,
-            config: *config,
-        }
+    pub fn build(genome: &'g ReferenceGenome) -> Mm2Mapper<'g> {
+        let index = MinimizerIndex::build(genome, Self::K, Self::W, Self::MAX_OCC);
+        Mm2Mapper { genome, index }
     }
 
-    /// The mapper configuration.
-    pub fn config(&self) -> &Mm2Config {
-        &self.config
+    /// The lowest score a read of `len` bases may align with and count as
+    /// mapped.
+    fn min_score(len: usize) -> i32 {
+        (Self::SCORING.perfect(len) as f64 * Self::MIN_SCORE_FRAC) as i32
     }
 
     /// The reference genome.
@@ -221,7 +199,7 @@ impl<'g> Mm2Mapper<'g> {
     ) -> Vec<ReadAlignment> {
         // --- Seeding ---------------------------------------------------
         let t0 = Instant::now();
-        let minimizers = extract_minimizers(read, self.config.k, self.config.w);
+        let minimizers = extract_minimizers(read, Self::K, Self::W);
         let mut fwd_anchors: Vec<Anchor> = Vec::new();
         let mut rev_anchors: Vec<Anchor> = Vec::new();
         let read_len = read.len() as u32;
@@ -234,7 +212,7 @@ impl<'g> Mm2Mapper<'g> {
                     });
                 } else {
                     rev_anchors.push(Anchor {
-                        read_pos: read_len - m.pos - self.config.k as u32,
+                        read_pos: read_len - m.pos - Self::K as u32,
                         ref_pos: gpos as u64,
                     });
                 }
@@ -245,19 +223,19 @@ impl<'g> Mm2Mapper<'g> {
 
         // --- Chaining --------------------------------------------------
         let t1 = Instant::now();
-        let fwd_chains = chain_anchors(&mut fwd_anchors, &self.config.chain);
-        let rev_chains = chain_anchors(&mut rev_anchors, &self.config.chain);
+        let fwd_chains = chain_anchors(&mut fwd_anchors, &Self::CHAIN);
+        let rev_chains = chain_anchors(&mut rev_anchors, &Self::CHAIN);
         work.chain_cells += fwd_chains.cells + rev_chains.cells;
         let mut chains: Vec<(bool, gx_align::chain::Chain)> = fwd_chains
             .chains
             .into_iter()
-            .take(self.config.max_chains)
+            .take(Self::MAX_CHAINS)
             .map(|c| (true, c))
             .chain(
                 rev_chains
                     .chains
                     .into_iter()
-                    .take(self.config.max_chains)
+                    .take(Self::MAX_CHAINS)
                     .map(|c| (false, c)),
             )
             .collect();
@@ -274,7 +252,7 @@ impl<'g> Mm2Mapper<'g> {
         } else {
             None
         };
-        for (forward, chain) in chains.iter().take(self.config.max_chains * 2) {
+        for (forward, chain) in chains.iter().take(Self::MAX_CHAINS * 2) {
             let seq: &DnaSeq = if *forward {
                 read
             } else {
@@ -287,7 +265,7 @@ impl<'g> Mm2Mapper<'g> {
             if start_locus.chrom != end_locus.chrom {
                 continue;
             }
-            let pad = self.config.band as i64 + 8;
+            let pad = Self::BAND as i64 + 8;
             let left_flank = chain.read_start as i64;
             let win_start = start_locus.pos as i64 - left_flank - pad;
             let win_len = seq.len() + 2 * pad as usize;
@@ -300,8 +278,8 @@ impl<'g> Mm2Mapper<'g> {
             let a = banded_align_with(
                 seq,
                 &window,
-                &self.config.scoring,
-                self.config.band,
+                &Self::SCORING,
+                Self::BAND,
                 AlignMode::Fit,
                 scratch,
             );
@@ -318,8 +296,7 @@ impl<'g> Mm2Mapper<'g> {
         timings.alignment += t2.elapsed();
 
         let t3 = Instant::now();
-        let min_score =
-            (self.config.scoring.perfect(read.len()) as f64 * self.config.min_score_frac) as i32;
+        let min_score = Self::min_score(read.len());
         out.retain(|a| a.score >= min_score);
         out.sort_by_key(|a| std::cmp::Reverse(a.score));
         out.dedup_by_key(|a| (a.chrom, a.pos, a.forward));
@@ -349,7 +326,7 @@ impl<'g> Mm2Mapper<'g> {
                 if x.chrom != y.chrom || x.forward == y.forward {
                     continue;
                 }
-                if x.pos.abs_diff(y.pos) > self.config.pair_max_dist {
+                if x.pos.abs_diff(y.pos) > Self::PAIR_MAX_DIST {
                     continue;
                 }
                 let s = x.score + y.score;
@@ -375,26 +352,24 @@ impl<'g> Mm2Mapper<'g> {
         }
 
         // Mate rescue: align the missing end near its mate.
-        if self.config.rescue {
-            if let Some(anchor) = a1.first().cloned() {
-                if let Some(rescued) = self.rescue_mate(&anchor, r2, timings, work, scratch) {
-                    return PairAlignment {
-                        r1: Some(anchor),
-                        r2: Some(rescued),
-                        proper: true,
-                        mapq: 30,
-                    };
-                }
+        if let Some(anchor) = a1.first().cloned() {
+            if let Some(rescued) = self.rescue_mate(&anchor, r2, timings, work, scratch) {
+                return PairAlignment {
+                    r1: Some(anchor),
+                    r2: Some(rescued),
+                    proper: true,
+                    mapq: 30,
+                };
             }
-            if let Some(anchor) = a2.first().cloned() {
-                if let Some(rescued) = self.rescue_mate(&anchor, r1, timings, work, scratch) {
-                    return PairAlignment {
-                        r1: Some(rescued),
-                        r2: Some(anchor),
-                        proper: true,
-                        mapq: 30,
-                    };
-                }
+        }
+        if let Some(anchor) = a2.first().cloned() {
+            if let Some(rescued) = self.rescue_mate(&anchor, r1, timings, work, scratch) {
+                return PairAlignment {
+                    r1: Some(rescued),
+                    r2: Some(anchor),
+                    proper: true,
+                    mapq: 30,
+                };
             }
         }
 
@@ -422,7 +397,7 @@ impl<'g> Mm2Mapper<'g> {
         } else {
             mate.clone()
         };
-        let dist = self.config.pair_max_dist as i64;
+        let dist = Self::PAIR_MAX_DIST as i64;
         let (ws, window) = self.genome.clamped_window(
             anchor.chrom,
             anchor.pos as i64 - dist,
@@ -435,18 +410,14 @@ impl<'g> Mm2Mapper<'g> {
         let a = banded_align_with(
             &oriented,
             &window,
-            &self.config.scoring,
-            self.config
-                .band
-                .max(window.len().saturating_sub(oriented.len()) / 2 + 1),
+            &Self::SCORING,
+            Self::BAND.max(window.len().saturating_sub(oriented.len()) / 2 + 1),
             AlignMode::Fit,
             scratch,
         );
         work.align_cells += a.cells;
         timings.alignment += t.elapsed();
-        let min_score =
-            (self.config.scoring.perfect(mate.len()) as f64 * self.config.min_score_frac) as i32;
-        if a.score < min_score {
+        if a.score < Self::min_score(mate.len()) {
             return None;
         }
         Some(ReadAlignment {
@@ -514,7 +485,7 @@ mod tests {
     #[test]
     fn maps_perfect_pair() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let r1 = seq.subseq(40_000..40_150);
         let r2 = seq.subseq(40_250..40_400).revcomp();
@@ -534,7 +505,7 @@ mod tests {
     #[test]
     fn maps_pair_with_errors() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let mut r1 = seq.subseq(60_000..60_150);
         r1.set(40, r1.get(40).complement());
@@ -552,7 +523,7 @@ mod tests {
     #[test]
     fn reverse_first_orientation() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let r2 = seq.subseq(80_000..80_150);
         let r1 = seq.subseq(80_230..80_380).revcomp();
@@ -567,7 +538,7 @@ mod tests {
     #[test]
     fn rescue_recovers_damaged_mate() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let r1 = seq.subseq(100_000..100_150);
         // Heavily corrupt r2's minimizers (every 13th base) so seeding
@@ -587,7 +558,7 @@ mod tests {
     fn foreign_reads_unmapped() {
         let genome = setup();
         let other = RandomGenomeBuilder::new(20_000).seed(999).build();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let r1 = other.chromosome(0).seq().subseq(1_000..1_150);
         let r2 = other.chromosome(0).seq().subseq(1_300..1_450).revcomp();
         let mut t = StageTimings::default();
@@ -600,7 +571,7 @@ mod tests {
     #[test]
     fn sam_output_orientation() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let r1 = seq.subseq(20_000..20_150);
         let r2 = seq.subseq(20_250..20_400).revcomp();
@@ -615,7 +586,7 @@ mod tests {
     #[test]
     fn timings_percentages_sum_to_100() {
         let genome = setup();
-        let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+        let mapper = Mm2Mapper::build(&genome);
         let seq = genome.chromosome(0).seq();
         let mut t = StageTimings::default();
         let mut w = WorkCounters::default();

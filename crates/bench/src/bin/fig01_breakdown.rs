@@ -1,14 +1,14 @@
 //! Fig. 1: execution-time breakdown of the minimap2-style baseline on the
 //! three GIAB-like datasets (seeding / chaining / alignment / other).
 
-use gx_baseline::{Mm2Config, Mm2Mapper};
+use gx_baseline::Mm2Mapper;
 use gx_bench::{bench_genome, bench_pairs, map_dataset_mm2, render_table};
 use gx_readsim::dataset::{simulate_variant_dataset, DATASETS};
 
 fn main() {
     let genome = bench_genome();
     let n = bench_pairs();
-    let mapper = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mapper = Mm2Mapper::build(&genome);
     println!(
         "=== Fig. 1: stage-time breakdown of the MM2 baseline ({} pairs/dataset, {} bp genome) ===\n",
         n,

@@ -11,7 +11,7 @@ use gx_accel::gendp::{residual_gcups, GenDpModel};
 use gx_accel::systems::{self, SystemSet};
 use gx_accel::workload::build_workloads;
 use gx_accel::{NmslConfig, NmslSim, PipelineSizing, WorkloadProfile};
-use gx_baseline::{Mm2Config, Mm2Mapper};
+use gx_baseline::Mm2Mapper;
 use gx_bench::{bench_genome, bench_pairs, map_dataset_combo, map_dataset_mm2, mbps, GenPairMm2};
 use gx_core::{GenPairConfig, GenPairMapper};
 use gx_memsim::DramConfig;
@@ -25,7 +25,7 @@ fn main() {
     let pairs = simulate_variant_dataset(&genome, &DATASETS[0], n).pairs;
 
     // --- Measured software systems -------------------------------------
-    let mm2 = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(&genome);
     let t0 = Instant::now();
     let _ = map_dataset_mm2(&mm2, &pairs);
     let mm2_mbps = mbps(n, 150, t0.elapsed().as_secs_f64());

@@ -4,7 +4,7 @@ use gx_accel::area_power::genpairx_cost;
 use gx_accel::gendp::{residual_gcups, GenDpModel};
 use gx_accel::workload::build_workloads;
 use gx_accel::{NmslConfig, NmslSim, PipelineSizing, WorkloadProfile};
-use gx_baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
+use gx_baseline::{Mm2Mapper, StageTimings, WorkCounters};
 use gx_bench::{bench_genome, bench_pairs};
 use gx_core::{GenPairConfig, GenPairMapper, PipelineStats};
 use gx_memsim::DramConfig;
@@ -14,7 +14,7 @@ fn main() {
     let genome = bench_genome();
     let n = bench_pairs();
     let mapper = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let mm2 = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(&genome);
     let pairs = simulate_variant_dataset(&genome, &DATASETS[0], n).pairs;
 
     // Software profile: residual DP work + module workload.

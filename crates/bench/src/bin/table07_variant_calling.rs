@@ -4,7 +4,7 @@
 //! Pipeline: donor genome with known SNPs/INDELs → simulate paired reads at
 //! coverage → map → pileup-call variants → compare to truth.
 
-use gx_baseline::{Mm2Config, Mm2Mapper};
+use gx_baseline::Mm2Mapper;
 use gx_bench::{
     bench_genome, env_usize, map_dataset_combo, map_dataset_mm2, render_table, GenPairMm2,
 };
@@ -12,7 +12,7 @@ use gx_core::GenPairConfig;
 use gx_genome::variant::{generate_variants, DonorGenome, VariantProfile};
 use gx_genome::SamRecord;
 use gx_readsim::{ErrorModel, PairedEndSimulator, SimulatedPair};
-use gx_vcall::{call_variants, compare_variants, CallerConfig, ComparisonResult, Pileup};
+use gx_vcall::{call_variants, compare_variants, ComparisonResult, Pileup};
 
 fn call_and_compare(
     sams: &[SamRecord],
@@ -23,7 +23,7 @@ fn call_and_compare(
     for s in sams {
         pile.add_record(s);
     }
-    let calls = call_variants(&pile, genome, &CallerConfig::default());
+    let calls = call_variants(&pile, genome);
     compare_variants(&calls, truth)
 }
 
@@ -67,7 +67,7 @@ fn main() {
         .simulate(n_pairs);
 
     // MM2 baseline.
-    let mm2 = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(&genome);
     let (sams, _, _) = map_dataset_mm2(&mm2, &pairs);
     let r_mm2 = call_and_compare(&sams, &genome, donor.variants());
 

@@ -9,7 +9,9 @@
 //! variables `GX_GENOME_SIZE` (bases) and `GX_PAIRS` (read pairs) to scale
 //! any harness up.
 
-use gx_baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
+#![warn(missing_docs)]
+
+use gx_baseline::{Mm2Mapper, StageTimings, WorkCounters};
 use gx_core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, PipelineStats, ReadPair};
 use gx_genome::{DnaSeq, ReferenceGenome, SamRecord};
 use gx_readsim::dataset::standard_genome;
@@ -71,17 +73,14 @@ pub struct GenPairMm2<'g> {
 impl<'g> GenPairMm2<'g> {
     /// Builds both mappers over one genome.
     pub fn build(genome: &'g ReferenceGenome) -> GenPairMm2<'g> {
-        GenPairMm2 {
-            genpair: GenPairMapper::build(genome, &GenPairConfig::default()),
-            mm2: Mm2Mapper::build(genome, &Mm2Config::default()),
-        }
+        GenPairMm2::build_with(genome, &GenPairConfig::default())
     }
 
     /// Builds with a custom GenPair config (threshold sweeps).
     pub fn build_with(genome: &'g ReferenceGenome, cfg: &GenPairConfig) -> GenPairMm2<'g> {
         GenPairMm2 {
             genpair: GenPairMapper::build(genome, cfg),
-            mm2: Mm2Mapper::build(genome, &Mm2Config::default()),
+            mm2: Mm2Mapper::build(genome),
         }
     }
 

@@ -35,6 +35,8 @@
 //! assert_eq!(stats.light_mapped, 1);
 //! ```
 
+#![warn(missing_docs)]
+
 mod config;
 mod fallback;
 pub mod light;

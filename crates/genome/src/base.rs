@@ -15,9 +15,13 @@ use crate::GenomeError;
 pub struct Base(u8);
 
 impl Base {
+    /// Adenine, code 0.
     pub const A: Base = Base(0);
+    /// Cytosine, code 1.
     pub const C: Base = Base(1);
+    /// Guanine, code 2.
     pub const G: Base = Base(2);
+    /// Thymine, code 3.
     pub const T: Base = Base(3);
 
     /// All four bases in code order.

@@ -9,7 +9,12 @@ pub enum GenomeError {
     /// A malformed FASTA/FASTQ stream.
     ParseFormat(String),
     /// A coordinate outside of the sequence/genome it refers to.
-    OutOfBounds { pos: u64, len: u64 },
+    OutOfBounds {
+        /// The offending coordinate (for a window, its exclusive end).
+        pos: u64,
+        /// The length of the sequence or genome it falls outside.
+        len: u64,
+    },
     /// Variants that cannot be applied (overlapping or out of range).
     InvalidVariant(String),
 }

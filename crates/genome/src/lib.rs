@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![warn(missing_docs)]
+
 mod base;
 mod bitset;
 mod cigar;

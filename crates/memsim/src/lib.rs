@@ -16,6 +16,8 @@
 //! * [`SramModel`] — CACTI-calibrated SRAM area/power (used for NMSL's
 //!   centralized buffer and FIFOs, paper Table 4).
 
+#![warn(missing_docs)]
+
 mod config;
 mod dram;
 mod power;

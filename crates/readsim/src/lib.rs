@@ -24,6 +24,8 @@
 //! assert_eq!(pairs[0].r1.len(), 150);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod dataset;
 mod error_model;
 mod longsim;

@@ -14,9 +14,10 @@
 //!
 //! Seeds are hashed with [`xxh32`] (the paper uses xxHash) over their 2-bit
 //! base codes, at construction and at query time alike. Buckets holding
-//! more locations than the *index filtering threshold* (default 500, §5.2)
-//! are emptied at construction time; reads whose seeds land in filtered
-//! buckets fall back to the DP pipeline.
+//! more locations than the *index filtering threshold* (by default
+//! [`DEFAULT_FILTER_THRESHOLD`], 500, §5.2) are emptied at construction
+//! time; reads whose seeds land in filtered buckets fall back to the DP
+//! pipeline.
 //!
 //! ```
 //! use gx_genome::random::RandomGenomeBuilder;
@@ -30,10 +31,12 @@
 //! assert!(hits.contains(&777));
 //! ```
 
+#![warn(missing_docs)]
+
 mod merge;
 mod seedmap;
 mod xxhash;
 
 pub use merge::{merge_sorted_with_offsets_into, MAX_MERGE_LISTS};
-pub use seedmap::{SeedMap, SeedMapConfig, SeedMapStats};
+pub use seedmap::{SeedMap, SeedMapConfig, SeedMapStats, DEFAULT_FILTER_THRESHOLD};
 pub use xxhash::xxh32;

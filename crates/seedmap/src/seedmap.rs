@@ -12,6 +12,11 @@ const WINDOWS_PER_THREAD: usize = 1 << 16;
 /// The seed xxh32 hashes every window and every query seed with.
 const HASH_SEED: u32 = 0;
 
+/// The index filtering threshold every run builds with (§5.2): buckets
+/// with more locations are emptied. NMSL's centralized buffer is sized by
+/// it too, so at most this many locations of one seed are ever buffered.
+pub const DEFAULT_FILTER_THRESHOLD: u32 = 500;
+
 /// Configuration of SeedMap construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeedMapConfig {
@@ -30,7 +35,7 @@ impl Default for SeedMapConfig {
         SeedMapConfig {
             seed_len: 50,
             bucket_bits: None,
-            filter_threshold: 500,
+            filter_threshold: DEFAULT_FILTER_THRESHOLD,
         }
     }
 }

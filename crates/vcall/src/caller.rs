@@ -2,44 +2,30 @@ use crate::pileup::Pileup;
 use gx_genome::variant::{Variant, VariantKind};
 use gx_genome::{Base, DnaSeq, ReferenceGenome};
 
-/// Thresholds of the pileup caller (freebayes-substitute defaults tuned for
-/// ~30–50× simulated coverage).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CallerConfig {
-    /// Minimum read depth at a site.
-    pub min_depth: u32,
-    /// Minimum fraction of reads supporting the alternate allele.
-    pub min_alt_frac: f64,
-    /// Minimum absolute alternate-supporting reads.
-    pub min_alt_count: u32,
-}
+// Thresholds of the pileup caller (freebayes-substitute values tuned for
+// ~30–50× simulated coverage).
 
-impl Default for CallerConfig {
-    fn default() -> CallerConfig {
-        CallerConfig {
-            min_depth: 8,
-            min_alt_frac: 0.3,
-            min_alt_count: 4,
-        }
-    }
-}
+/// Minimum read depth at a site.
+const MIN_DEPTH: u32 = 8;
+/// Minimum fraction of reads supporting the alternate allele.
+const MIN_ALT_FRAC: f64 = 0.3;
+/// Minimum absolute alternate-supporting reads.
+const MIN_ALT_COUNT: u32 = 4;
 
-/// Calls SNPs and INDELs from a pileup against the reference.
+/// Calls SNPs and INDELs from a pileup against the reference: a site is
+/// called when at least 8 reads cover it and at least 4 of them, and at
+/// least 0.3 of the depth, support the alternate allele.
 ///
 /// Returns variants sorted by `(chrom, pos)` using the same representation
 /// as the truth sets produced by
 /// [`gx_genome::variant::generate_variants`].
-pub fn call_variants(
-    pileup: &Pileup,
-    genome: &ReferenceGenome,
-    config: &CallerConfig,
-) -> Vec<Variant> {
+pub fn call_variants(pileup: &Pileup, genome: &ReferenceGenome) -> Vec<Variant> {
     let mut out = Vec::new();
 
     // SNPs from base columns.
     for (chrom, pos, counts) in pileup.columns() {
         let depth: u32 = counts.iter().map(|&c| c as u32).sum();
-        if depth < config.min_depth {
+        if depth < MIN_DEPTH {
             continue;
         }
         let ref_code = genome.chromosome(chrom).seq().code_at(pos as usize);
@@ -50,16 +36,14 @@ pub fn call_variants(
             .map(|(b, &c)| (b as u8, c as u32))
             .max_by_key(|&(_, c)| c)
             .unwrap_or((0, 0));
-        if alt_count >= config.min_alt_count
-            && alt_count as f64 / depth as f64 >= config.min_alt_frac
-        {
+        if alt_count >= MIN_ALT_COUNT && alt_count as f64 / depth as f64 >= MIN_ALT_FRAC {
             out.push(Variant::snp(chrom, pos, Base::from_code(alt_code)));
         }
     }
 
     // INDELs from gap events, judged against local depth.
     for (key, &support) in pileup.indels.iter() {
-        if support < config.min_alt_count {
+        if support < MIN_ALT_COUNT {
             continue;
         }
         let near = key.pos.saturating_sub(1);
@@ -67,7 +51,7 @@ pub fn call_variants(
             key.chrom,
             key.pos.min(genome.chromosome(key.chrom).len() as u64 - 1),
         ));
-        if depth < config.min_depth || (support as f64) < config.min_alt_frac * depth as f64 {
+        if depth < MIN_DEPTH || (support as f64) < MIN_ALT_FRAC * depth as f64 {
             continue;
         }
         if key.signed_len > 0 {
@@ -124,7 +108,7 @@ mod tests {
         for _ in 0..12 {
             p.add_record(&rec(&g, 100, "40M", read.clone()));
         }
-        let calls = call_variants(&p, &g, &CallerConfig::default());
+        let calls = call_variants(&p, &g);
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].pos, 120);
         assert_eq!(calls[0].kind, VariantKind::Snp);
@@ -142,7 +126,7 @@ mod tests {
         let mut noisy = clean.clone();
         noisy.set(10, noisy.get(10).complement());
         p.add_record(&rec(&g, 200, "40M", noisy));
-        let calls = call_variants(&p, &g, &CallerConfig::default());
+        let calls = call_variants(&p, &g);
         assert!(calls.is_empty(), "{calls:?}");
     }
 
@@ -154,7 +138,7 @@ mod tests {
         for _ in 0..10 {
             p.add_record(&rec(&g, 300, "10M3D30M", read.clone()));
         }
-        let calls = call_variants(&p, &g, &CallerConfig::default());
+        let calls = call_variants(&p, &g);
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].kind, VariantKind::Del);
         assert_eq!(calls[0].pos, 310);
@@ -169,6 +153,46 @@ mod tests {
         for _ in 0..3 {
             p.add_record(&rec(&g, 400, "40M", read.clone()));
         }
-        assert!(call_variants(&p, &g, &CallerConfig::default()).is_empty());
+        assert!(call_variants(&p, &g).is_empty());
+    }
+
+    #[test]
+    fn calls_flip_exactly_at_each_threshold() {
+        // (case, alt reads, reference reads, called): each pair of rows
+        // moves one threshold across its boundary while the other two hold.
+        const CASES: [(&str, u32, u32, bool); 6] = [
+            ("depth 8", 8, 0, true),
+            ("depth 7", 7, 0, false),
+            ("4 alt reads", 4, 6, true),
+            ("3 alt reads", 3, 5, false),
+            ("alt fraction 30/100", 30, 70, true),
+            ("alt fraction 30/101", 30, 71, false),
+        ];
+        let (g, _) = setup();
+        let chrom = g.chromosome(0).seq();
+        let clean = chrom.subseq(500..540);
+        let mut snp = clean.clone();
+        snp.set(20, snp.get(20).complement());
+        let mut del = chrom.subseq(500..510);
+        del.extend_from_seq(&chrom.subseq(513..543));
+        let branches = [
+            (VariantKind::Snp, 520, "40M", snp),
+            (VariantKind::Del, 510, "10M3D30M", del),
+        ];
+        for (kind, pos, cigar, alt_read) in branches {
+            for (case, alt, reference, called) in CASES {
+                let mut p = Pileup::new(&g);
+                for _ in 0..alt {
+                    p.add_record(&rec(&g, 500, cigar, alt_read.clone()));
+                }
+                for _ in 0..reference {
+                    p.add_record(&rec(&g, 500, "40M", clean.clone()));
+                }
+                let calls = call_variants(&p, &g);
+                let found: Vec<_> = calls.iter().map(|v| (v.kind, v.pos)).collect();
+                let expected = if called { vec![(kind, pos)] } else { vec![] };
+                assert_eq!(found, expected, "{kind:?} at {case}");
+            }
+        }
     }
 }

@@ -17,11 +17,13 @@
 //! [`Variant`](gx_genome::variant::Variant)s and are compared there; nothing
 //! is written as VCF.
 
+#![warn(missing_docs)]
+
 mod caller;
 mod compare;
 pub mod mapeval;
 mod pileup;
 
-pub use caller::{call_variants, CallerConfig};
+pub use caller::call_variants;
 pub use compare::{compare_variants, AccuracyMetrics, ComparisonResult};
 pub use pileup::Pileup;

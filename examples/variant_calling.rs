@@ -8,7 +8,7 @@ use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair
 use genpairx::genome::random::RandomGenomeBuilder;
 use genpairx::genome::variant::{generate_variants, DonorGenome, VariantProfile};
 use genpairx::readsim::{ErrorModel, PairedEndSimulator};
-use genpairx::vcall::{call_variants, compare_variants, CallerConfig, Pileup};
+use genpairx::vcall::{call_variants, compare_variants, Pileup};
 
 fn main() {
     let genome = RandomGenomeBuilder::new(400_000)
@@ -47,7 +47,7 @@ fn main() {
     println!("GenPair mapped {}/{} pairs", mapped, pairs.len());
 
     // Call and score.
-    let calls = call_variants(&pile, &genome, &CallerConfig::default());
+    let calls = call_variants(&pile, &genome);
     let result = compare_variants(&calls, donor.variants());
     println!("\ncalled {} variants", calls.len());
     println!(

@@ -129,6 +129,8 @@
 //! assert!(report.backend.transfer_seconds > 0.0);
 //! ```
 
+#![warn(missing_docs)]
+
 pub use gx_accel as accel;
 pub use gx_align as align;
 pub use gx_backend as backend;

@@ -32,7 +32,7 @@
 //! cargo test --release --test accuracy regenerate_accuracy_rows -- --ignored
 //! ```
 
-use genpairx::baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
+use genpairx::baseline::{Mm2Mapper, StageTimings, WorkCounters};
 use genpairx::core::{GenPairConfig, GenPairMapper};
 use genpairx::genome::ReferenceGenome;
 use genpairx::vcall::mapeval::{mapeval, MapevalRecord};
@@ -201,7 +201,7 @@ fn mapper_rows(genome: &ReferenceGenome, job: &Job) -> Json {
 
 /// The oracle's rows: `Mm2Mapper::map_pair` over the same decoded pairs.
 fn baseline_rows(genome: &ReferenceGenome, job: &Job) -> Json {
-    let mm2 = Mm2Mapper::build(genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(genome);
     let (mut timings, mut work) = (StageTimings::default(), WorkCounters::default());
     let mut tally = Tally::default();
     let mut truths = truths(job).into_iter();

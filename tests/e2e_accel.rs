@@ -8,7 +8,7 @@ use genpairx::accel::{
 };
 use genpairx::memsim::DramConfig;
 use genpairx::readsim::dataset::standard_genome;
-use genpairx::seedmap::{SeedMap, SeedMapConfig};
+use genpairx::seedmap::{SeedMap, SeedMapConfig, DEFAULT_FILTER_THRESHOLD};
 
 fn workloads(n: usize) -> Vec<PairWorkload> {
     let genome = standard_genome(300_000, 7);
@@ -153,11 +153,12 @@ fn stream_and_audit(ws: &[PairWorkload], dram: DramConfig, quantum: u64) -> Lane
             .map(|s| 1 + u64::from(s.locations > 0))
             .sum::<u64>()
     );
-    let depth = NmslConfig::default().buffer_depth;
+    // The centralized buffer holds at most the index's default filter
+    // threshold of one seed's locations.
     assert_eq!(
         counters.dram.bytes,
         seeds
-            .map(|s| 8 + 4 * s.locations.min(depth) as u64)
+            .map(|s| 8 + 4 * s.locations.min(DEFAULT_FILTER_THRESHOLD) as u64)
             .sum::<u64>()
     );
     counters

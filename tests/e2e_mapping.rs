@@ -1,7 +1,7 @@
 //! Integration: the full GenPair pipeline against simulation ground truth,
 //! and agreement with the minimap2-style baseline.
 
-use genpairx::baseline::{Mm2Config, Mm2Mapper, StageTimings, WorkCounters};
+use genpairx::baseline::{Mm2Mapper, StageTimings, WorkCounters};
 use genpairx::core::{GenPairConfig, GenPairMapper, PipelineStats};
 use genpairx::genome::Locus;
 use genpairx::readsim::dataset::{simulate_variant_dataset, standard_genome, DATASETS};
@@ -46,7 +46,7 @@ fn genpair_maps_variant_reads_to_their_origin() {
 fn genpair_and_baseline_agree_on_positions() {
     let genome = standard_genome(300_000, 2);
     let genpair = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let mm2 = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(&genome);
     let ds = simulate_variant_dataset(&genome, &DATASETS[1], 150);
 
     let mut both = 0usize;
@@ -73,7 +73,7 @@ fn fallback_pairs_are_recovered_by_baseline() {
     // that is the premise of the GenPair+MM2 system.
     let genome = standard_genome(300_000, 3);
     let genpair = GenPairMapper::build(&genome, &GenPairConfig::default());
-    let mm2 = Mm2Mapper::build(&genome, &Mm2Config::default());
+    let mm2 = Mm2Mapper::build(&genome);
     let ds = simulate_variant_dataset(&genome, &DATASETS[2], 200);
 
     let mut fallbacks = 0usize;

@@ -5,7 +5,7 @@ use genpairx::core::{pair_mapping_to_sam, GenPairConfig, GenPairMapper, ReadPair
 use genpairx::genome::variant::{generate_variants, DonorGenome, VariantProfile};
 use genpairx::readsim::dataset::standard_genome;
 use genpairx::readsim::{ErrorModel, PairedEndSimulator};
-use genpairx::vcall::{call_variants, compare_variants, CallerConfig, Pileup};
+use genpairx::vcall::{call_variants, compare_variants, Pileup};
 
 #[test]
 fn variants_recovered_through_genpair_mapping() {
@@ -32,7 +32,7 @@ fn variants_recovered_through_genpair_mapping() {
             pile.add_record(&s2);
         }
     }
-    let calls = call_variants(&pile, &genome, &CallerConfig::default());
+    let calls = call_variants(&pile, &genome);
     let result = compare_variants(&calls, donor.variants());
 
     assert!(
