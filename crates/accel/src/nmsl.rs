@@ -272,7 +272,7 @@ impl NmslSim {
 
     /// Per-channel busy/idle split of the DRAM clock; every entry sums to
     /// [`cycle()`](NmslSim::cycle) at every cycle boundary.
-    pub fn channel_cycles(&self) -> &[ChannelCycles] {
+    pub fn channel_cycles(&self) -> Vec<ChannelCycles> {
         self.dram.channel_cycles()
     }
 

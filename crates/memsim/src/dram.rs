@@ -1,3 +1,8 @@
+#[cfg(target_arch = "x86_64")]
+use crate::scan::Avx512;
+use crate::scan::{
+    self, Portable, ScanTier, Stripe, Tier, Vector, HIT, MAX_LANES, MISS, NEVER, NO_BANK,
+};
 use crate::DramConfig;
 
 /// A read request submitted to the simulator.
@@ -135,9 +140,6 @@ impl DramStats {
 /// overflows its own end address first.
 const CLOSED: u64 = u64::MAX;
 
-/// "No such queue entry" in the scheduler's scan.
-const NONE: usize = usize::MAX;
-
 #[derive(Clone, Copy, Debug)]
 struct Bank {
     /// The open row, or [`CLOSED`].
@@ -156,62 +158,82 @@ struct Bank {
 }
 
 impl Bank {
-    /// Whether `row` is open here, and the first cycle a queued request for
-    /// it can take its next command: the read burst on a row hit (bank and
-    /// data bus free), the precharge or activate otherwise.
-    #[inline]
-    fn next_command(&self, row: u64, bus_free_at: u64) -> (bool, u64) {
-        let hit = self.open_row == row;
-        let gate = if hit { bus_free_at } else { self.pre_ok_at };
-        (hit, self.ready_at.max(gate))
+    /// The due word of a request for `row` here (see [`scan::due_word`]).
+    fn due_word(&self, row: u64) -> u64 {
+        scan::due_word(self.open_row, self.ready_at, self.pre_ok_at, row)
+    }
+
+    /// The due words of a request for the open row (none while closed) and
+    /// of one for any other.
+    fn due_words(&self) -> (u64, u64) {
+        let miss = self.ready_at.max(self.pre_ok_at);
+        let hit = if self.open_row == CLOSED {
+            miss
+        } else {
+            self.ready_at | HIT
+        };
+        (hit, miss)
     }
 }
 
-/// What the scheduler's scan reads of a request with bursts left to issue:
-/// the bank (an index into [`DramSim::banks`]) and row of its next burst,
-/// decoded when the request is submitted and again only when a burst
-/// advances it.
-#[derive(Clone, Copy, Debug, Default)]
+/// Bank and row of a burst.
+#[derive(Clone, Copy, Debug)]
 struct Target {
     row: u64,
     bank: u32,
 }
 
-/// The rest of a request with bursts left to issue.
-#[derive(Clone, Copy, Debug, Default)]
-struct Unissued {
-    cur_addr: u64,
-    end_addr: u64,
-    /// The request's slot in its channel's ring of [`Queued`] records.
-    record: usize,
-}
-
-/// A queued request as retirement sees it.
+/// A queued request as issue and retirement see it.
 #[derive(Clone, Copy, Debug, Default)]
 struct Queued {
     tag: u64,
     /// Cycle its last data beat arrives; `u64::MAX` until its last burst
     /// has issued.
     done_at: u64,
+    /// Address of its next burst, and one past its last byte.
+    cur_addr: u64,
+    end_addr: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct Channel {
     /// The queue, at most `queue_depth` requests in arrival order: a ring
-    /// over the channel's stripe of [`DramSim::queue`] starting at `head`.
-    /// Requests retire from its front, in order.
+    /// over the channel's stripe of [`DramSim::queue`] (and of
+    /// [`DramSim::lanes`]) starting at `head`. Requests retire from its
+    /// front, in order, and issue in any order.
     head: usize,
     len: usize,
-    /// How many of those still have bursts to issue: the first `unissued`
-    /// slots of the channel's stripe of [`DramSim::targets`] /
-    /// [`DramSim::unissued`], oldest first. Only these are scheduled; a
-    /// request leaves them with its last burst and waits in the ring for
-    /// its data and for its elders.
-    unissued: usize,
+    /// The cycle the front request's data arrives: its `done_at`, kept
+    /// here so a visit that retires nothing reads no queue record
+    /// (`u64::MAX` while the queue is empty).
+    front_done: u64,
     bus_free_at: u64,
-    /// No request here can retire or take a command before this cycle
-    /// (`u64::MAX` while the queue is empty); see [`DramSim::tick`].
-    wake: u64,
+    /// Busy cycles booked when the queue last emptied…
+    busy: u64,
+    /// …and the cycle it last became non-empty: every cycle after it is
+    /// busy while the queue holds work.
+    since: u64,
+}
+
+/// The scheduler's copy of every queue slot, structure of arrays, `stride`
+/// slots a channel, channel-major (see [`scan`]).
+#[derive(Debug)]
+struct Lanes {
+    row: Vec<u64>,
+    bank: Vec<u32>,
+    due: Vec<u64>,
+}
+
+impl Lanes {
+    /// Channel `ch`'s stripe.
+    fn stripe(&mut self, ch: usize, stride: usize) -> Stripe<'_> {
+        let at = ch * stride;
+        Stripe {
+            row: &mut self.row[at..][..stride],
+            bank: &mut self.bank[at..][..stride],
+            due: &mut self.due[at..][..stride],
+        }
+    }
 }
 
 /// Multi-channel DRAM simulator, exact to the memory cycle.
@@ -224,12 +246,16 @@ struct Channel {
 ///
 /// A tick costs host time only where something can happen. Each channel
 /// keeps a *wake cycle*, a lower bound on the next cycle at which any of its
-/// requests can retire or take a command, and a tick books the channel's
-/// busy/idle cycle and moves on until that cycle has come. Bank and bus
-/// timers are fixed cycles, not counters, so nothing is missed in between
-/// and every counter is exact at every cycle boundary. The cycle-stepped
-/// simulator this one replaced is the oracle of `tests/tick_diff.rs`, which
-/// compares the two after every tick.
+/// requests can retire or take a command, and a tick visits only the
+/// channels whose wake cycle has come; busy and idle cycles are booked when
+/// a queue empties or fills, not per cycle. A visited channel's FR-FCFS
+/// choice is one pass at vector width over its queue's slots, each holding a
+/// copy of its target bank's timers that a command on that bank refreshes
+/// (see [`ScanTier`]). Bank and bus timers are fixed cycles, not counters,
+/// so nothing is missed in between and every counter is exact at every
+/// cycle boundary. The cycle-stepped simulator this one replaced is the
+/// oracle of `tests/tick_diff.rs`, which compares the two after every tick
+/// and every submission.
 ///
 /// ```
 /// use gx_memsim::{DramConfig, DramSim, Request};
@@ -245,17 +271,25 @@ struct Channel {
 #[derive(Debug)]
 pub struct DramSim {
     cfg: DramConfig,
+    tier: ScanTier,
+    /// Slots of a channel's stripe of `lanes`: `queue_depth` rounded up to a
+    /// whole number of the widest tier's lanes.
+    stride: usize,
     channels: Vec<Channel>,
+    /// Each channel's wake cycle (one no simulation reaches while its queue
+    /// is empty), padded with `u64::MAX` to a whole number of lanes.
+    wake: Vec<u64>,
+    /// The earliest of them: a tick before it visits no channel.
+    next_wake: u64,
     /// `channels × banks_per_channel` banks, channel-major.
     banks: Vec<Bank>,
-    /// `channels × queue_depth` slots, channel-major, three ways: every
-    /// queued request's retirement record…
+    /// `channels × queue_depth` slots, channel-major: every queued
+    /// request's issue and retirement record…
     queue: Vec<Queued>,
-    /// …the scan state of those with bursts left to issue…
-    targets: Vec<Target>,
-    /// …and, slot for slot with `targets`, the rest of them.
-    unissued: Vec<Unissued>,
-    channel_cycles: Vec<ChannelCycles>,
+    /// …and, `stride` slots a channel, what the scheduler's scan reads.
+    lanes: Lanes,
+    /// Channels whose queue holds work.
+    nonempty: u64,
     /// Requests queued over all channels.
     queued: usize,
     cycle: u64,
@@ -263,22 +297,35 @@ pub struct DramSim {
 }
 
 impl DramSim {
-    /// Creates a simulator for `cfg`.
+    /// Creates a simulator for `cfg`, scheduling on [`ScanTier::host`].
     pub fn new(cfg: DramConfig) -> DramSim {
+        DramSim::with_tier(cfg, ScanTier::host())
+    }
+
+    /// Creates a simulator for `cfg` that schedules on `tier`. Every tier
+    /// gives the same cycles, counters and completions; only the host time
+    /// differs.
+    pub fn with_tier(cfg: DramConfig, tier: ScanTier) -> DramSim {
         let channels = cfg.channels as usize;
-        let slots = channels * cfg.queue_depth;
+        let stride = cfg.queue_depth.next_multiple_of(MAX_LANES);
+        let lanes = channels * stride;
         DramSim {
             cfg,
+            tier,
+            stride,
             channels: vec![
                 Channel {
                     head: 0,
                     len: 0,
-                    unissued: 0,
+                    front_done: u64::MAX,
                     bus_free_at: 0,
-                    wake: u64::MAX,
+                    busy: 0,
+                    since: 0,
                 };
                 channels
             ],
+            wake: vec![u64::MAX; channels.next_multiple_of(MAX_LANES)],
+            next_wake: u64::MAX,
             banks: vec![
                 Bank {
                     open_row: CLOSED,
@@ -288,10 +335,13 @@ impl DramSim {
                 };
                 channels * cfg.banks_per_channel as usize
             ],
-            queue: vec![Queued::default(); slots],
-            targets: vec![Target::default(); slots],
-            unissued: vec![Unissued::default(); slots],
-            channel_cycles: vec![ChannelCycles::default(); channels],
+            queue: vec![Queued::default(); channels * cfg.queue_depth],
+            lanes: Lanes {
+                row: vec![0; lanes],
+                bank: vec![NO_BANK; lanes],
+                due: vec![NEVER; lanes],
+            },
+            nonempty: 0,
             queued: 0,
             cycle: 0,
             stats: DramStats::default(),
@@ -315,8 +365,17 @@ impl DramSim {
 
     /// Per-channel busy/idle cycle split. Each entry partitions
     /// [`cycle()`](DramSim::cycle) exactly: `busy + idle == cycle()`.
-    pub fn channel_cycles(&self) -> &[ChannelCycles] {
-        &self.channel_cycles
+    pub fn channel_cycles(&self) -> Vec<ChannelCycles> {
+        self.channels
+            .iter()
+            .map(|c| {
+                let busy = c.busy + if c.len > 0 { self.cycle - c.since } else { 0 };
+                ChannelCycles {
+                    busy,
+                    idle: self.cycle - busy,
+                }
+            })
+            .collect()
     }
 
     /// Whether channel `ch` has room for another request.
@@ -349,29 +408,35 @@ impl DramSim {
             self.stats.rejections += 1;
             return false;
         }
-        let mut record = chan.head + chan.len;
-        if record >= depth {
-            record -= depth;
+        let mut slot = chan.head + chan.len;
+        if slot >= depth {
+            slot -= depth;
         }
-        self.queue[ch * depth + record] = Queued {
+        if chan.len == 0 {
+            chan.since = self.cycle;
+            chan.front_done = u64::MAX;
+            self.nonempty += 1;
+        }
+        chan.len += 1;
+        let bus_free_at = chan.bus_free_at;
+        self.queued += 1;
+        self.queue[ch * depth + slot] = Queued {
             tag: req.tag,
             done_at: u64::MAX,
-        };
-        let target = DramSim::decode(&self.cfg, ch, req.addr);
-        let slot = ch * depth + chan.unissued;
-        self.targets[slot] = target;
-        self.unissued[slot] = Unissued {
             cur_addr: req.addr,
             end_addr: req.addr + req.bytes as u64,
-            record,
         };
-        chan.len += 1;
-        chan.unissued += 1;
-        self.queued += 1;
+        let target = DramSim::decode(&self.cfg, ch, req.addr);
+        let due = self.banks[target.bank as usize].due_word(target.row);
+        let k = ch * self.stride + slot;
+        self.lanes.row[k] = target.row;
+        self.lanes.bank[k] = target.bank;
+        self.lanes.due[k] = due;
         // Nobody else's timing depends on the newcomer, so the channel's
         // wake cycle can only move down to the newcomer's own.
-        let (_, at) = self.banks[target.bank as usize].next_command(target.row, chan.bus_free_at);
-        chan.wake = chan.wake.min(at);
+        let at = scan::next_command(due, bus_free_at);
+        self.wake[ch] = self.wake[ch].min(at);
+        self.next_wake = self.next_wake.min(at);
         true
     }
 
@@ -383,48 +448,86 @@ impl DramSim {
     /// Advances one cycle, appending finished requests to `out` (channel by
     /// channel, oldest first within a channel).
     ///
-    /// Every channel is booked busy or idle for the cycle; only a channel
-    /// whose wake cycle has come is looked into. Between two visits nothing
-    /// but [`try_submit`](DramSim::try_submit) touches a channel, and that
-    /// lowers the wake cycle itself, so a passed-over cycle is one in which
-    /// the cycle-stepped scheduler would have found nothing to retire and
-    /// nothing to issue.
+    /// Only a channel whose wake cycle has come is looked into. Between two
+    /// visits nothing but [`try_submit`](DramSim::try_submit) touches a
+    /// channel, and that lowers the wake cycle itself, so a passed-over
+    /// cycle is one in which the cycle-stepped scheduler would have found
+    /// nothing to retire and nothing to issue.
     pub fn tick(&mut self, out: &mut Vec<Completion>) {
+        match self.tier.0 {
+            // SAFETY: the portable tier runs everywhere.
+            Tier::Portable => unsafe { self.tick_lanes::<Portable>(out) },
+            // SAFETY: a `ScanTier` holds `Avx512` only when
+            // `ScanTier::supported` saw `is_x86_feature_detected!` report
+            // "avx512f", "popcnt", "avx512vl", "avx2", "fma" and "f16c": the
+            // three features `tick_avx512` enables and the three the
+            // compiler takes them to imply, so the CPU runs every
+            // instruction it may contain, `Avx512`'s included.
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => unsafe { self.tick_avx512(out) },
+        }
+    }
+
+    /// The tick at 8 lanes with AVX-512F+VL (and POPCNT) instructions.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl,popcnt")]
+    unsafe fn tick_avx512(&mut self, out: &mut Vec<Completion>) {
+        // SAFETY: the caller's.
+        unsafe { self.tick_lanes::<Avx512>(out) }
+    }
+
+    /// The tick on `V`'s registers.
+    ///
+    /// # Safety
+    ///
+    /// The CPU runs `V`'s instructions (see [`Vector`]).
+    #[inline(always)]
+    unsafe fn tick_lanes<V: Vector>(&mut self, out: &mut Vec<Completion>) {
         self.cycle += 1;
         let now = self.cycle;
-        let mut busy = 0;
-        for ch in 0..self.channels.len() {
-            // Busy/idle attribution looks at the queue as the cycle begins:
-            // a request retiring this very cycle still occupied the channel.
-            let queued = u64::from(self.channels[ch].len > 0);
-            let cycles = &mut self.channel_cycles[ch];
-            cycles.busy += queued;
-            cycles.idle += 1 - queued;
-            busy += queued;
-            if self.channels[ch].wake <= now {
-                self.service(ch, now, out);
+        // Busy/idle attribution looks at the queues as the cycle begins: a
+        // request retiring this very cycle still occupied its channel.
+        self.stats.busy_cycles += self.nonempty;
+        self.stats.idle_cycles += self.channels.len() as u64 - self.nonempty;
+        if now < self.next_wake {
+            return;
+        }
+        let mut next = u64::MAX;
+        for first in (0..self.wake.len()).step_by(64) {
+            let words = &self.wake[first..(first + 64).min(self.wake.len())];
+            // SAFETY (here and below): the caller's.
+            let (mut due, others) = unsafe { scan::due::<V>(words, now) };
+            next = next.min(others);
+            while due != 0 {
+                let ch = first + due.trailing_zeros() as usize;
+                due &= due - 1;
+                let wake = unsafe { self.service::<V>(ch, now, out) };
+                self.wake[ch] = wake;
+                next = next.min(wake);
             }
         }
-        self.stats.busy_cycles += busy;
-        self.stats.idle_cycles += self.channels.len() as u64 - busy;
+        self.next_wake = next;
     }
 
     /// One cycle of channel `ch`: retire what has arrived, issue at most one
     /// command, and work out when the channel needs looking at next.
-    fn service(&mut self, ch: usize, now: u64, out: &mut Vec<Completion>) {
+    ///
+    /// # Safety
+    ///
+    /// The CPU runs `V`'s instructions (see [`Vector`]).
+    #[inline(always)]
+    unsafe fn service<V: Vector>(&mut self, ch: usize, now: u64, out: &mut Vec<Completion>) -> u64 {
         let cfg = &self.cfg;
         let depth = cfg.queue_depth;
         let chan = &mut self.channels[ch];
         let queue = &mut self.queue[ch * depth..][..depth];
-        let targets = &mut self.targets[ch * depth..][..depth];
-        let unissued = &mut self.unissued[ch * depth..][..depth];
 
         // Retire requests whose final burst has arrived, in queue order.
         let before = chan.len;
-        while chan.len > 0 && queue[chan.head].done_at <= now {
+        while chan.front_done <= now {
             out.push(Completion {
                 tag: queue[chan.head].tag,
-                cycle: queue[chan.head].done_at,
+                cycle: chan.front_done,
             });
             chan.head = if chan.head + 1 == depth {
                 0
@@ -432,100 +535,123 @@ impl DramSim {
                 chan.head + 1
             };
             chan.len -= 1;
+            chan.front_done = if chan.len > 0 {
+                queue[chan.head].done_at
+            } else {
+                u64::MAX
+            };
         }
-        self.queued -= before - chan.len;
-        self.stats.completed += (before - chan.len) as u64;
-
-        // FR-FCFS in one pass, youngest entry first so that what is left in
-        // `hit` / `miss` is the *oldest* request that can take, this cycle,
-        // its read burst (row open, bank and bus free) / its precharge or
-        // activate (bank free, tRAS served). The same pass yields how many
-        // requests could move now and the earliest cycle any other can.
-        // Selects, not branches: which entries are ready is noise to a
-        // branch predictor.
-        let (mut hit, mut miss) = (NONE, NONE);
-        let (mut movable, mut later) = (0, u64::MAX);
-        for i in (0..chan.unissued).rev() {
-            let t = targets[i];
-            let (is_hit, at) = self.banks[t.bank as usize].next_command(t.row, chan.bus_free_at);
-            let ready = at <= now;
-            later = later.min(if ready { u64::MAX } else { at });
-            movable += usize::from(ready);
-            hit = if ready & is_hit { i } else { hit };
-            miss = if ready & !is_hit { i } else { miss };
+        if chan.len < before {
+            self.queued -= before - chan.len;
+            self.stats.completed += (before - chan.len) as u64;
+            if chan.len == 0 {
+                chan.busy += now - chan.since;
+                self.nonempty -= 1;
+            }
         }
 
-        // Issue at most one command: first-ready (the oldest open-row burst)
-        // before first-come (the oldest request's precharge or activate).
-        let i = if hit != NONE { hit } else { miss };
-        if i != NONE {
-            let target = targets[i];
-            let bank = &mut self.banks[target.bank as usize];
-            // What the winner waits for next, if it has a burst left.
-            let next = if hit != NONE {
-                let req = &mut unissued[i];
+        // FR-FCFS: the oldest request that can take its read burst this
+        // cycle, else the oldest that can take its precharge or activate.
+        let mut stripe = self.lanes.stripe(ch, self.stride);
+        // SAFETY (here and below): the caller's.
+        let found = unsafe { scan::scan::<V>(stripe.due, chan.head, depth, chan.bus_free_at, now) };
+        let mut later = found.later;
+        if found.pick != u64::MAX {
+            let mut i = chan.head + (found.pick & !MISS) as usize;
+            if i >= depth {
+                i -= depth;
+            }
+            let hit_won = found.pick & MISS == 0;
+            let (b, row) = (stripe.bank[i], stripe.row[i]);
+            let bank = &mut self.banks[b as usize];
+            // Where the winner's next command goes, if it has one left.
+            let mut next = Some(Target { row, bank: b });
+            // Whether the command opened a row: only then can a slot's hit
+            // or miss change other than to a miss.
+            let mut opened = false;
+            if hit_won {
+                let req = &mut queue[i];
                 chan.bus_free_at = now + cfg.t_burst as u64;
                 bank.ready_at = now + cfg.t_burst as u64; // tCCD ~ burst
                 let burst = (req.end_addr - req.cur_addr).min(cfg.burst_bytes as u64);
                 req.cur_addr += cfg.burst_bytes as u64;
                 self.stats.bursts += 1;
                 self.stats.bytes += burst;
-                if req.cur_addr < req.end_addr {
+                next = if req.cur_addr < req.end_addr {
                     // The next burst may lie in another row (and bank).
-                    targets[i] = DramSim::decode(cfg, ch, req.cur_addr);
-                    Some(targets[i])
+                    Some(DramSim::decode(cfg, ch, req.cur_addr))
                 } else {
                     // Last burst: nothing left to schedule; the request
                     // waits in the ring for its data.
-                    queue[req.record].done_at = now + cfg.t_cl as u64 + cfg.t_burst as u64;
-                    targets.copy_within(i + 1..chan.unissued, i);
-                    unissued.copy_within(i + 1..chan.unissued, i);
-                    chan.unissued -= 1;
-                    None
-                }
-            } else {
-                if bank.open_row != CLOSED {
-                    // Precharge; the scan has checked tRAS.
-                    bank.open_row = CLOSED;
-                    bank.ready_at = now + cfg.t_rp as u64;
-                    bank.pre_ok_at = 0;
-                    bank.conflict_pending = true;
-                    self.stats.precharges += 1;
-                } else {
-                    bank.open_row = target.row;
-                    bank.ready_at = now + cfg.t_rcd as u64;
-                    bank.pre_ok_at = now + cfg.t_ras as u64;
-                    self.stats.activations += 1;
-                    if bank.conflict_pending {
-                        bank.conflict_pending = false;
-                        self.stats.row_conflicts += 1;
+                    req.done_at = now + cfg.t_cl as u64 + cfg.t_burst as u64;
+                    if i == chan.head {
+                        chan.front_done = req.done_at;
                     }
+                    None
+                };
+            } else if bank.open_row != CLOSED {
+                // Precharge; the scan has checked tRAS.
+                bank.open_row = CLOSED;
+                bank.ready_at = now + cfg.t_rp as u64;
+                bank.pre_ok_at = 0;
+                bank.conflict_pending = true;
+                self.stats.precharges += 1;
+            } else {
+                bank.open_row = row;
+                bank.ready_at = now + cfg.t_rcd as u64;
+                bank.pre_ok_at = now + cfg.t_ras as u64;
+                self.stats.activations += 1;
+                if bank.conflict_pending {
+                    bank.conflict_pending = false;
+                    self.stats.row_conflicts += 1;
                 }
-                Some(target)
+                opened = true;
+            }
+            // Every slot aimed at the commanded bank sees its new timers.
+            let (hit, miss) = bank.due_words();
+            let rows = opened.then_some(bank.open_row);
+            unsafe { scan::refresh::<V>(&mut stripe, b, hit, miss, rows) };
+            // Then the winner moves on. Its scalar stores follow the vector
+            // ones, and its new due word stays in a register: read back
+            // from memory it would wait for the vector store to retire.
+            let own = match next {
+                Some(t) => {
+                    let due = self.banks[t.bank as usize].due_word(t.row);
+                    stripe.row[i] = t.row;
+                    stripe.bank[i] = t.bank;
+                    stripe.due[i] = due;
+                    due
+                }
+                None => {
+                    stripe.bank[i] = NO_BANK;
+                    stripe.due[i] = NEVER;
+                    NEVER
+                }
             };
-            // If another request could have moved this very cycle and lost
-            // the slot, look again next cycle. Otherwise `later` still
-            // bounds the others from below: a command pushes their next
-            // commands later, or — a precharge closing a row that requests
-            // were waiting on the bus to hit — onto the same activate the
-            // winner now waits for, which is read off the updated state.
-            later = if movable > 1 {
+            // A command pushes everyone else's next command later, or — a
+            // precharge closing a row that requests were waiting on the
+            // bus to hit — onto the same activate the winner now waits
+            // for, read off the updated state. So `later` still bounds
+            // the requests that could not move. Of those that could and
+            // lost the slot, a precharge or activate can go next cycle; a
+            // row hit (the winner then was a hit too) waits for the bus.
+            later = if found.misses > u32::from(!hit_won) {
                 now + 1
             } else {
-                let own = next.map_or(u64::MAX, |t| {
-                    self.banks[t.bank as usize]
-                        .next_command(t.row, chan.bus_free_at)
-                        .1
-                });
-                later.min(own).max(now + 1)
+                let bus = if found.hits > 1 {
+                    chan.bus_free_at
+                } else {
+                    u64::MAX
+                };
+                later
+                    .min(scan::next_command(own, chan.bus_free_at))
+                    .min(bus)
+                    .max(now + 1)
             };
         }
         // The front request retires when its data arrives (`u64::MAX` while
         // it has bursts to issue, which `later` covers).
-        if chan.len > 0 {
-            later = later.min(queue[chan.head].done_at);
-        }
-        chan.wake = later;
+        later.min(chan.front_done)
     }
 
     /// Runs until all submitted requests complete, returning completions.

@@ -10,8 +10,9 @@
 //!   with per-bank row state, FR-FCFS-lite scheduling, per-channel
 //!   command/data buses and bounded request queues (the paper's per-channel
 //!   FIFOs); a tick looks only into channels where something can happen,
-//!   and `tests/tick_diff.rs` holds it to the cycle-stepped simulator it
-//!   replaced after every tick,
+//!   and picks each one's command in one pass at the vector width of its
+//!   [`ScanTier`]; `tests/tick_diff.rs` holds it, on every tier, to the
+//!   cycle-stepped simulator it replaced after every tick and submission,
 //! * [`DramPowerModel`] — activation/read/background energy accounting,
 //! * [`SramModel`] — CACTI-calibrated SRAM area/power (used for NMSL's
 //!   centralized buffer and FIFOs, paper Table 4).
@@ -21,7 +22,9 @@
 mod config;
 mod dram;
 mod power;
+mod scan;
 
 pub use config::DramConfig;
 pub use dram::{ChannelCycles, Completion, DramSim, DramStats, Request};
 pub use power::{DramPowerModel, SramModel};
+pub use scan::ScanTier;

@@ -1,16 +1,22 @@
 //! Lock-step differential suite for [`DramSim`]: the per-channel scheduler
 //! against the cycle-stepped simulator it replaced (`tick_oracle`, the
 //! parent's code verbatim), driven with the identical call sequence and
-//! compared **after every tick** — the completions that tick appended (tag,
-//! cycle, order), all nine [`DramStats`](gx_memsim::DramStats) counters,
-//! `channel_cycles()`, `cycle()`, `idle()` and `can_accept(ch)` for every
-//! channel.
+//! compared **after every tick and every submission** — the completions a
+//! tick appended (tag, cycle, order), all nine
+//! [`DramStats`](gx_memsim::DramStats) counters, `channel_cycles()`,
+//! `cycle()`, `idle()` and `can_accept(ch)` for every channel. Busy and
+//! idle cycles are booked when a queue fills or empties, so they must be
+//! exact between ticks too. The scheduler runs once per [`ScanTier`] the
+//! CPU reports, each against the oracle, so the tiers are also held to each
+//! other.
 //!
 //! A scheduler that skips cycles can only go wrong by looking at a channel
 //! too late, so the drivers lean on the moments a wake cycle is computed:
 //! bursts that cross a row and a bank, tRAS-limited precharges, one-request
 //! queues, submissions into a sleeping channel, rejected submits retried
 //! every cycle, and timing sets in which a burst outlasts a precharge. The
+//! scrambled sets' queue depths (1 to 20) span more than one register of
+//! every tier, so a queue's last, partial register is exercised. The
 //! closed-loop driver is shaped like `NmslSim` (software FIFOs, a dependent
 //! second read per completion, a bounded window), so equal completions per
 //! tick mean equal everything downstream, by induction.
@@ -20,10 +26,11 @@
 
 mod tick_oracle;
 
-use gx_memsim::{Completion, DramConfig, DramSim, Request};
+use gx_memsim::{Completion, DramConfig, DramSim, Request, ScanTier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Once;
 
 /// Cases per randomized test.
 fn cases(full: usize) -> usize {
@@ -34,10 +41,21 @@ fn cases(full: usize) -> usize {
     }
 }
 
-/// The oracle and the simulator under test, fed the same calls.
+/// The tiers under test, named on stderr (past the capture) once.
+fn tiers() -> Vec<ScanTier> {
+    static NAMED: Once = Once::new();
+    let tiers: Vec<ScanTier> = ScanTier::supported().collect();
+    NAMED.call_once(|| {
+        let names: Vec<&str> = tiers.iter().map(|t| t.name()).collect();
+        eprintln!("tick_diff: scan tiers {names:?}");
+    });
+    tiers
+}
+
+/// The oracle and one simulator a tier, fed the same calls.
 struct Lockstep {
     oracle: tick_oracle::DramSim,
-    sim: DramSim,
+    sims: Vec<DramSim>,
     want: Vec<Completion>,
     got: Vec<Completion>,
     cfg: DramConfig,
@@ -47,7 +65,10 @@ impl Lockstep {
     fn new(cfg: DramConfig) -> Lockstep {
         Lockstep {
             oracle: tick_oracle::DramSim::new(cfg),
-            sim: DramSim::new(cfg),
+            sims: tiers()
+                .into_iter()
+                .map(|t| DramSim::with_tier(cfg, t))
+                .collect(),
             want: Vec::new(),
             got: Vec::new(),
             cfg,
@@ -56,51 +77,66 @@ impl Lockstep {
 
     fn try_submit(&mut self, req: Request) -> bool {
         let want = self.oracle.try_submit(req);
-        assert_eq!(
-            self.sim.try_submit(req),
-            want,
-            "try_submit({req:?}) at cycle {} under {:?}",
-            self.sim.cycle(),
-            self.cfg
-        );
+        for sim in &mut self.sims {
+            assert_eq!(
+                sim.try_submit(req),
+                want,
+                "try_submit({req:?}) at cycle {} under {:?}",
+                sim.cycle(),
+                self.cfg
+            );
+        }
+        self.check(&format!("try_submit({req:?})"));
         want
     }
 
-    /// One cycle on both sides; returns the completions it appended.
+    /// One cycle on every side; returns the completions it appended.
     fn tick(&mut self) -> &[Completion] {
         self.want.clear();
-        self.got.clear();
         self.oracle.tick(&mut self.want);
-        self.sim.tick(&mut self.got);
-        let (cycle, cfg) = (self.oracle.cycle(), &self.cfg);
-        assert_eq!(
-            self.got, self.want,
-            "completions of cycle {cycle} under {cfg:?}"
-        );
-        assert_eq!(
-            self.sim.stats(),
-            self.oracle.stats(),
-            "stats after cycle {cycle} under {cfg:?}"
-        );
-        assert_eq!(
-            self.sim.channel_cycles(),
-            self.oracle.channel_cycles(),
-            "channel cycles after cycle {cycle} under {cfg:?}"
-        );
-        assert_eq!(self.sim.cycle(), cycle, "cycle under {cfg:?}");
-        assert_eq!(
-            self.sim.idle(),
-            self.oracle.idle(),
-            "idle() after cycle {cycle} under {cfg:?}"
-        );
-        for ch in 0..cfg.channels {
+        for sim in &mut self.sims {
+            self.got.clear();
+            sim.tick(&mut self.got);
             assert_eq!(
-                self.sim.can_accept(ch),
-                self.oracle.can_accept(ch),
-                "can_accept({ch}) after cycle {cycle} under {cfg:?}"
+                self.got,
+                self.want,
+                "completions of cycle {} under {:?}",
+                self.oracle.cycle(),
+                self.cfg
             );
         }
-        &self.got
+        self.check("the tick");
+        &self.want
+    }
+
+    /// Every observable of every simulator against the oracle's.
+    fn check(&self, after: &str) {
+        let (oracle, cycle, cfg) = (&self.oracle, self.oracle.cycle(), &self.cfg);
+        for sim in &self.sims {
+            assert_eq!(
+                sim.stats(),
+                oracle.stats(),
+                "stats after {after} in cycle {cycle} under {cfg:?}"
+            );
+            assert_eq!(
+                sim.channel_cycles(),
+                oracle.channel_cycles(),
+                "channel cycles after {after} in cycle {cycle} under {cfg:?}"
+            );
+            assert_eq!(sim.cycle(), cycle, "cycle under {cfg:?}");
+            assert_eq!(
+                sim.idle(),
+                oracle.idle(),
+                "idle() after {after} in cycle {cycle} under {cfg:?}"
+            );
+            for ch in 0..cfg.channels {
+                assert_eq!(
+                    sim.can_accept(ch),
+                    oracle.can_accept(ch),
+                    "can_accept({ch}) after {after} in cycle {cycle} under {cfg:?}"
+                );
+            }
+        }
     }
 
     fn idle(&self) -> bool {
@@ -332,5 +368,73 @@ fn closed_loop_dependent_reads_on_scrambled_timings() {
         let cfg = scrambled(&mut rng);
         let window = [1, 4, 64][rng.random_range(0..3)];
         closed_loop(&mut rng, cfg, 150, window);
+    }
+}
+
+/// Every tier against the portable one, without the oracle, at a scale the
+/// oracle is too slow for: `NmslSim`-sized streams (32 channels with
+/// 16-deep queues kept full, 4 000 dependent lookups) on every preset,
+/// compared after every tick.
+#[test]
+fn every_tier_schedules_full_queues_alike() {
+    let tiers = tiers();
+    let mut rng = StdRng::seed_from_u64(0x7125);
+    for _ in 0..cases(40) {
+        let cfg = preset(&mut rng);
+        let mut sims: Vec<DramSim> = tiers.iter().map(|&t| DramSim::with_tier(cfg, t)).collect();
+        let mut fifos: Vec<VecDeque<Request>> = vec![VecDeque::new(); cfg.channels as usize];
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let (mut started, mut finished) = (0u64, 0u64);
+        while finished < 4_000 {
+            while started < 4_000 && started - finished < 1024 {
+                let hash: u32 = rng.random();
+                let channel = hash % cfg.channels;
+                fifos[channel as usize].push_back(Request {
+                    addr: (hash / cfg.channels) as u64 * 8,
+                    bytes: 8,
+                    channel,
+                    tag: (started << 8) | ((channel as u64) << 1),
+                });
+                started += 1;
+            }
+            for fifo in &mut fifos {
+                while let Some(&req) = fifo.front() {
+                    let taken: Vec<bool> = sims.iter_mut().map(|s| s.try_submit(req)).collect();
+                    assert!(taken.iter().all(|&t| t == taken[0]), "{cfg:?}");
+                    if !taken[0] {
+                        break;
+                    }
+                    fifo.pop_front();
+                }
+            }
+            want.clear();
+            let (first, rest) = sims.split_first_mut().expect("the portable tier");
+            first.tick(&mut want);
+            for (sim, tier) in rest.iter_mut().zip(&tiers[1..]) {
+                got.clear();
+                sim.tick(&mut got);
+                let (cycle, name) = (sim.cycle(), tier.name());
+                assert_eq!(got, want, "{name}: cycle {cycle} under {cfg:?}");
+                assert_eq!(sim.stats(), first.stats(), "{name}: cycle {cycle}");
+                assert_eq!(
+                    sim.channel_cycles(),
+                    first.channel_cycles(),
+                    "{name}: cycle {cycle}"
+                );
+            }
+            for c in &want {
+                if c.tag & 1 == 0 && rng.random_bool(0.8) {
+                    let channel = (c.tag >> 1) as u32 & 0x7f;
+                    fifos[channel as usize].push_back(Request {
+                        addr: (1u64 << 33) + rng.random::<u32>() as u64 * 64,
+                        bytes: 4 * rng.random_range(1..=500),
+                        channel,
+                        tag: c.tag | 1,
+                    });
+                } else {
+                    finished += 1;
+                }
+            }
+        }
     }
 }

@@ -20,11 +20,15 @@
 #      the min..max of every figure the shape guards measured (compare
 #      reads neither, and a claim must report both).
 #
-# Every set also names the change side's lane tier, the vector width the DP
-# fallback's lane kernel runs at (avx512bw+vl or portable), as
-# gx_align::LaneTier::host reports it through gx-align's lane_tier example.
-# noisy_sw's numbers depend on it, so a set says which vector unit it had;
-# the tier is also written to <set>/lane-tier.
+# Every set also names the change side's two vector tiers: the lane tier,
+# the width the DP fallback's lane kernel runs at (avx512bw+vl or portable),
+# as gx_align::LaneTier::host reports it through gx-align's lane_tier
+# example, and the scan tier, the width of the DRAM model's scheduler
+# (avx512f+vl or portable), as gx_memsim::ScanTier::host reports it through
+# gx-memsim's scan_tier example. noisy_sw's numbers depend on the first,
+# clean_nmsl's and service_mix's on the second, so a set says which vector
+# unit it had; the tiers are also written to <set>/lane-tier and
+# <set>/scan-tier.
 #
 # The change side is the working tree this script lives in; the base side
 # is a revision of the same repository (default HEAD: uncommitted work
@@ -99,11 +103,13 @@ fi
 echo "gxbench-ab: base $base_commit, change: working tree of $repo" >&2
 build "$dir/base-src" "$dir/base-target"
 build "$repo" "$dir/change-target"
-# The tier the change side's DP fallback runs on this CPU, as the code
-# reports it.
+# The tiers the change side's DP fallback and DRAM scheduler run on this
+# CPU, as the code reports them.
 tier=$(cd "$repo" && CARGO_TARGET_DIR=$dir/change-target cargo run --release --quiet \
     -p gx-align --example lane_tier)
-echo "gxbench-ab: lane tier $tier" >&2
+scan_tier=$(cd "$repo" && CARGO_TARGET_DIR=$dir/change-target cargo run --release --quiet \
+    -p gx-memsim --example scan_tier)
+echo "gxbench-ab: lane tier $tier, scan tier $scan_tier" >&2
 base=$dir/base-target/release/gxbench
 change=$dir/change-target/release/gxbench
 
@@ -125,6 +131,7 @@ measure() { # <gxbench> <out>
 rm -rf "$sets"
 mkdir -p "$sets"
 echo "$tier" >"$sets/lane-tier"
+echo "$scan_tier" >"$sets/scan-tier"
 i=1
 while [ "$i" -le "$pairs" ]; do
     n=$(printf %02d "$i")
@@ -163,7 +170,7 @@ guards() { # <side>
 }
 
 status=0
-echo "gxbench-ab: lane tier $tier"
+echo "gxbench-ab: lane tier $tier, scan tier $scan_tier"
 "$change" compare "$sets/base" "$sets/change" || status=$?
 if [ -z "$workload" ]; then
     guards base
